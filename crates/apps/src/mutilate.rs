@@ -351,8 +351,58 @@ impl ConnHandler for ClientConn {
     }
 }
 
+/// One experiment's world, built and connected but not yet run, for
+/// callers that drive the simulation themselves (step by step, say);
+/// [`run`] is the usual way in.
+pub struct Experiment {
+    world: Rc<SimWorld>,
+    config: ExperimentConfig,
+    conns: Vec<Rc<ClientConn>>,
+    /// What the world only holds weakly.
+    _keep: (Rc<Switch>, [Rc<NetIf>; 2], Arc<Store>),
+}
+
+impl Experiment {
+    /// The experiment's world.
+    pub fn world(&self) -> &Rc<SimWorld> {
+        &self.world
+    }
+
+    /// Virtual time at which the measured interval ends.
+    pub fn end_ns(&self) -> Ns {
+        self.config.warmup_ns + self.config.duration_ns
+    }
+
+    /// Responses received in the measured interval so far.
+    pub fn completed(&self) -> u64 {
+        self.conns.iter().map(|cc| cc.completed.get()).sum()
+    }
+
+    /// The curve point as of now (meaningful from [`Self::end_ns`] on).
+    pub fn sample(&self) -> Sample {
+        let mut recorder = LatencyRecorder::new();
+        for cc in &self.conns {
+            recorder.merge(&cc.recorder.borrow());
+        }
+        Sample {
+            offered_rps: self.config.offered_rps as f64,
+            achieved_rps: self.completed() as f64 * 1e9 / self.config.duration_ns as f64,
+            mean_us: recorder.mean() / 1000.0,
+            p99_us: recorder.percentile(99.0) as f64 / 1000.0,
+        }
+    }
+}
+
 /// Runs one experiment point.
 pub fn run(config: &ExperimentConfig) -> Sample {
+    let experiment = build(config);
+    experiment.world.run_until(experiment.end_ns());
+    experiment.sample()
+}
+
+/// Builds one experiment's world: machines, populated store, server,
+/// client connections with their arrival processes, warm-up timer.
+pub fn build(config: &ExperimentConfig) -> Experiment {
     let w = SimWorld::new();
     let sw = Switch::new(&w);
     let server = SimMachine::create(
@@ -373,8 +423,8 @@ pub fn run(config: &ExperimentConfig) -> Sample {
     sw.attach(client.nic(), LinkParams::default());
     let mask = Ipv4Addr::new(255, 255, 255, 0);
     let server_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let _s_if = NetIf::attach(&server, server_ip, mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let s_if = NetIf::attach(&server, server_ip, mask);
+    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
     w.run_to_idle();
 
     // Store, pre-populated directly (the paper warms the cache before
@@ -453,22 +503,11 @@ pub fn run(config: &ExperimentConfig) -> Sample {
         });
     }
 
-    w.run_until(config.warmup_ns + config.duration_ns);
-
-    // Aggregate.
-    let mut recorder = LatencyRecorder::new();
-    let mut completed = 0u64;
-    for cc in &conns {
-        completed += cc.completed.get();
-        recorder.merge(&cc.recorder.borrow());
-    }
-    let mean_us = recorder.mean() / 1000.0;
-    let p99_us = recorder.percentile(99.0) as f64 / 1000.0;
-    Sample {
-        offered_rps: config.offered_rps as f64,
-        achieved_rps: completed as f64 * 1e9 / config.duration_ns as f64,
-        mean_us,
-        p99_us,
+    Experiment {
+        world: w,
+        config: config.clone(),
+        conns,
+        _keep: (sw, [s_if, c_if], store),
     }
 }
 

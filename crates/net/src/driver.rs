@@ -18,7 +18,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::event::IdleToken;
@@ -29,13 +28,6 @@ use crate::netif::NetIf;
 
 /// Frames drained per interrupt/poll invocation.
 pub const RX_BURST: usize = 64;
-
-/// Whether `EBBRT_DRIVER_DEBUG` is set — consulted once per process,
-/// not once per drain (the lookup used to sit on the hot path).
-fn driver_debug() -> bool {
-    static DRIVER_DEBUG: OnceLock<bool> = OnceLock::new();
-    *DRIVER_DEBUG.get_or_init(|| std::env::var_os("EBBRT_DRIVER_DEBUG").is_some())
-}
 
 /// Byte budget per drain burst. With standard 1500-byte frames the
 /// frame count binds first (64 × ~1.5 KiB ≈ 96 KiB), so behaviour is
@@ -200,14 +192,6 @@ fn drain(netif: &Rc<NetIf>, state: &Rc<QueueState>, from_interrupt: bool) -> usi
     }
     burst.clear();
     *state.burst.borrow_mut() = burst;
-    if driver_debug() && n > 1 {
-        eprintln!(
-            "drain n={} rx_len={} from_irq={}",
-            n,
-            nic.rx_len(state.queue),
-            from_interrupt
-        );
-    }
     if !state.polling.get() {
         let threshold = poll_enter_burst();
         if from_interrupt && (n >= threshold || nic.rx_len(state.queue) >= threshold) {
@@ -232,9 +216,6 @@ fn drain(netif: &Rc<NetIf>, state: &Rc<QueueState>, from_interrupt: bool) -> usi
 }
 
 fn enter_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
-    if driver_debug() {
-        eprintln!("ENTER polling q={}", state.queue);
-    }
     let machine = netif.machine();
     machine.nic().set_irq_enabled(state.queue, false);
     state.polling.set(true);
@@ -250,9 +231,6 @@ fn enter_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
 }
 
 fn exit_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
-    if driver_debug() {
-        eprintln!("EXIT polling q={}", state.queue);
-    }
     let machine = netif.machine();
     state.polling.set(false);
     if let Some(token) = state.idle_token.take() {

@@ -365,9 +365,10 @@ pub struct NetIf {
     udp_bindings: RefCell<HashMap<u16, UdpHandlerFn>>,
     /// Budgeted syncache: per-class FIFO of embryonic (inbound,
     /// handshake incomplete) connections as `(token, created_ns)`.
-    /// Entries go stale in place when a connection promotes or dies —
-    /// eviction scans pop and skip them lazily; `embryonic_live` holds
-    /// the true per-class count.
+    /// An entry goes stale in place when its connection promotes or
+    /// dies and is dropped once it reaches the front
+    /// (`trim_embryonic_front`), so the head is always the oldest live
+    /// embryo; `embryonic_live` holds the true per-class count.
     embryonic_q: RefCell<[VecDeque<(u64, Ns)>; MAX_CLASSES]>,
     embryonic_live: [Cell<usize>; MAX_CLASSES],
     /// Embryonic cap for the default class when no QoS policy is
@@ -1316,52 +1317,33 @@ impl NetIf {
         if self.embryonic_live[ci].get() < cap {
             return true;
         }
-        // At the cap: find the class's oldest *still embryonic* entry,
-        // discarding stale queue entries (promoted or already dead).
+        // At the cap: the queue's head is the class's oldest embryo.
         let now = self.machine.runtime().now_ns();
-        let oldest = loop {
-            let front = self.embryonic_q.borrow_mut()[ci].pop_front();
-            match front {
-                None => break None,
-                Some((tok, created)) => {
-                    let still = self
-                        .conns
-                        .borrow()
-                        .get(tok)
-                        .map(|rec| rec.pcb.borrow().embryonic)
-                        .unwrap_or(false);
-                    if still {
-                        break Some((tok, created));
-                    }
-                }
-            }
-        };
+        let oldest = self.embryonic_q.borrow()[ci].front().copied();
         match oldest {
             Some((tok, created)) if now.saturating_sub(created) >= SYN_FRESH_NS => {
                 // Old enough that a live peer would have ACKed long
-                // ago: evict it in favor of the new SYN.
-                qos::bump(self.stats.embryonic_evicted_h);
-                // Clear the flag first so cleanup doesn't double-count
-                // this death as an abort, and read the victim's
-                // affinity core: its timer entries live there, so the
-                // teardown must run there (the new SYN may have
-                // RSS-hashed to a different core).
+                // ago: evict it in favor of the new SYN. Clear the flag
+                // first so cleanup doesn't double-count this death as
+                // an abort, and read the victim's affinity core: its
+                // timer entries live there, so the teardown must run
+                // there (the new SYN may have RSS-hashed to a different
+                // core).
                 let core = match self.conns.borrow().get(tok) {
                     Some(rec) => {
                         let mut p = rec.pcb.borrow_mut();
                         p.embryonic = false;
                         p.core
                     }
-                    None => unreachable!("liveness checked under the same event"),
+                    None => unreachable!("the queue's head is a live embryo"),
                 };
-                self.embryonic_live[ci].set(self.embryonic_live[ci].get() - 1);
+                self.note_embryonic_gone(class.0, self.stats.embryonic_evicted_h);
                 self.run_on_core(core, move |n| n.tcp_abort(tok));
                 true
             }
-            Some(entry) => {
+            Some(_) => {
                 // Every embryo is fresh (a legitimate thundering herd):
                 // keep them, shed the newcomer.
-                self.embryonic_q.borrow_mut()[ci].push_front(entry);
                 false
             }
             None => {
@@ -1383,14 +1365,31 @@ impl NetIf {
     }
 
     /// Settles an embryonic connection's ledger entry: decrements the
-    /// class's live count and bumps `reason` (promoted or aborted).
-    /// The queue entry is left to be lazily skipped.
+    /// class's live count and bumps `reason` (promoted, evicted or
+    /// aborted). The caller has already cleared the PCB's `embryonic` flag or
+    /// removed the connection, so its queue entry is stale.
     fn note_embryonic_gone(&self, class: u8, reason: CounterHandle) {
         let ci = class as usize % MAX_CLASSES;
         let live = &self.embryonic_live[ci];
         debug_assert!(live.get() > 0, "embryonic ledger underflow");
         live.set(live.get().saturating_sub(1));
         qos::bump(reason);
+        self.trim_embryonic_front(ci);
+    }
+
+    /// Drops stale entries (promoted or dead connections) from the
+    /// front of a class's syncache queue, so the queue is no longer
+    /// than the run of connections accepted since its oldest live
+    /// embryo — not one entry per connection ever accepted.
+    fn trim_embryonic_front(&self, ci: usize) {
+        let conns = self.conns.borrow();
+        let q = &mut self.embryonic_q.borrow_mut()[ci];
+        while let Some(&(tok, _)) = q.front() {
+            if conns.get(tok).is_some_and(|rec| rec.pcb.borrow().embryonic) {
+                break;
+            }
+            q.pop_front();
+        }
     }
 
     /// Processes one connection's run of segments under a single PCB
@@ -2228,6 +2227,13 @@ impl NetIf {
     /// `class`.
     pub fn embryonic_live(&self, class: ClassId) -> usize {
         self.embryonic_live[class.0 as usize % MAX_CLASSES].get()
+    }
+
+    /// Entries held by the syncache queues, stale ones included:
+    /// bounded by the connections accepted during the oldest live
+    /// embryo's handshake, whatever the number accepted before it.
+    pub fn embryonic_queued(&self) -> usize {
+        self.embryonic_q.borrow().iter().map(VecDeque::len).sum()
     }
 
     /// Total live embryonic connections across classes — the `live`

@@ -262,6 +262,66 @@ fn syn_backlog_caps_default_class_without_policy() {
     assert_ledger_balances(&server, &s_if, "post-heal");
 }
 
+/// Server handler that closes its half when the peer does.
+struct CloseOnFin;
+impl ConnHandler for CloseOnFin {
+    fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
+    fn on_close(&self, conn: &TcpConn) {
+        conn.close();
+    }
+}
+
+/// With no syn budget nothing ever scans the syncache queue for a
+/// victim, so the queue must shed promoted entries on its own: it used
+/// to keep one entry per connection ever accepted.
+#[test]
+fn syncache_queue_stays_bounded_without_a_budget() {
+    const ROUNDS: usize = 60;
+    const PER_ROUND: usize = 50;
+    let w = SimWorld::new();
+    let sw = Switch::new(&w);
+    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
+    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
+    sw.attach(server.nic(), LinkParams::default());
+    sw.attach(client.nic(), LinkParams::default());
+    let s_if = NetIf::attach(&server, SERVER_IP, MASK);
+    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+    w.run_to_idle();
+    s_if.listen(PORT, |_conn| Rc::new(CloseOnFin) as Rc<dyn ConnHandler>)
+        .unwrap();
+
+    let mut queued_hwm = 0;
+    for round in 0..ROUNDS {
+        let opened: Vec<Opened> = (0..PER_ROUND).map(|_| open_conn(&client, &c_if)).collect();
+        while opened.iter().any(|o| !o.connected.get()) {
+            assert!(w.step(), "round {round}: handshakes stalled");
+            queued_hwm = queued_hwm.max(s_if.embryonic_queued());
+        }
+        for o in &opened {
+            on_core0(&client, Rc::clone(&o.conn), |c| {
+                c.borrow().as_ref().expect("connected").close();
+            });
+        }
+        w.run_to_idle();
+        assert_eq!(
+            s_if.embryonic_queued(),
+            0,
+            "round {round}: no embryo is live"
+        );
+    }
+    assert!(
+        queued_hwm <= PER_ROUND,
+        "queue held {queued_hwm} entries with at most {PER_ROUND} handshakes in flight"
+    );
+    let snap = qos::snapshot(server.runtime());
+    assert_eq!(
+        snap.get("net.embryonic_promoted"),
+        (ROUNDS * PER_ROUND) as u64
+    );
+    assert_eq!(s_if.embryonic_total(), 0);
+    assert_ledger_balances(&server, &s_if, "quiesce");
+}
+
 #[test]
 fn listen_twice_reports_port_in_use() {
     let w = SimWorld::new();

@@ -23,12 +23,27 @@ use crate::costs::CostProfile;
 use crate::nic::{Mac, SimNic};
 use crate::world::SimWorld;
 
+/// The one scheduled poll of a core that will service it. Every other
+/// poll entry still queued for the core has been superseded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LivePoll {
+    /// When it fires.
+    pub(crate) at: Ns,
+    /// The `seq` of its queue entry — unique per entry, so it is the
+    /// poll's generation tag.
+    pub(crate) seq: u64,
+}
+
 /// Driver-visible per-core state.
 pub struct CoreSimState {
     /// The core is executing charged work until this instant.
     pub busy_until: Cell<Ns>,
-    /// Dedup for scheduled polls (0 = none pending).
-    pub poll_scheduled_at: Cell<Ns>,
+    /// The core's live poll, if one is queued (see
+    /// [`SimWorld`]'s one-live-poll invariant).
+    pub(crate) live_poll: Cell<Option<LivePoll>>,
+    /// Scheduled polls that serviced the core (superseded ones never
+    /// do).
+    pub polls: Cell<u64>,
     /// Total virtual CPU time consumed.
     pub cpu_time: Cell<Ns>,
     /// Scheduler ticks taken.
@@ -66,7 +81,8 @@ impl SimMachine {
             cores: (0..ncores)
                 .map(|_| CoreSimState {
                     busy_until: Cell::new(0),
-                    poll_scheduled_at: Cell::new(0),
+                    live_poll: Cell::new(None),
+                    polls: Cell::new(0),
                     cpu_time: Cell::new(0),
                     ticks: Cell::new(0),
                 })

@@ -17,6 +17,15 @@
 //! runaway guard); idle handlers that charge nothing are billed a
 //! minimum polling cost so a polling core consumes virtual time exactly
 //! like a real one spinning.
+//!
+//! **One live poll per core.** A core that is busy, or halted with a
+//! timer pending, is woken by a typed `Poll` queue entry. Each core
+//! has at most one *live* poll: asking for a poll no earlier than the
+//! live one is a no-op, asking for an earlier one replaces it. The
+//! replaced entry stays in the queue (a binary heap cannot delete from
+//! the middle) but is recognised by its `seq` when popped and does
+//! nothing, so the number of polls that service a core — and the host
+//! cost of a request — does not grow with the age of the world.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -30,7 +39,7 @@ use ebbrt_core::clock::{Clock, ManualClock, Ns};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::runtime;
 
-use crate::machine::SimMachine;
+use crate::machine::{LivePoll, SimMachine};
 
 /// Virtual CPU time billed to one poll-loop iteration of an idle
 /// handler that declared no cost itself.
@@ -69,10 +78,21 @@ pub fn charged_so_far() -> u64 {
 /// A deferred world action, run at its deadline.
 type WorldAction = Box<dyn FnOnce(&Rc<SimWorld>)>;
 
+/// What a queue entry does at its deadline.
+enum Action {
+    /// A caller's deferred closure ([`SimWorld::schedule_at`]).
+    Call(WorldAction),
+    /// Service a core, provided this entry is still the core's live
+    /// poll. Carries no allocation; the entry's `seq` is its identity.
+    Poll { machine: u32, core: CoreId },
+}
+
 struct QEntry {
     at: Ns,
+    /// Allocation order; ties on `at` run in `seq` order, which makes
+    /// same-instant behaviour (and so all of virtual time) repeatable.
     seq: u64,
-    action: WorldAction,
+    action: Action,
 }
 
 impl PartialEq for QEntry {
@@ -126,13 +146,18 @@ impl SimWorld {
 
     /// Schedules `action` at absolute time `at` (clamped to now).
     pub fn schedule_at(&self, at: Ns, action: impl FnOnce(&Rc<SimWorld>) + 'static) {
+        self.push(at.max(self.now()), Action::Call(Box::new(action)));
+    }
+
+    /// Queues `action` at `at` under the next sequence number, which it
+    /// returns.
+    fn push(&self, at: Ns, action: Action) -> u64 {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
-        self.queue.borrow_mut().push(Reverse(QEntry {
-            at: at.max(self.now()),
-            seq,
-            action: Box::new(action),
-        }));
+        self.queue
+            .borrow_mut()
+            .push(Reverse(QEntry { at, seq, action }));
+        seq
     }
 
     /// Schedules `action` after `delay` nanoseconds.
@@ -145,6 +170,8 @@ impl SimWorld {
     pub(crate) fn register_machine(self: &Rc<Self>, machine: Rc<SimMachine>) -> usize {
         let mut machines = self.machines.borrow_mut();
         let index = machines.len();
+        // Poll entries name their machine in 32 bits.
+        assert!(u32::try_from(index).is_ok(), "too many machines");
         for i in 0..machine.runtime().ncores() {
             let core = CoreId(i as u32);
             let wq = Arc::clone(&self.wake_queue);
@@ -164,7 +191,8 @@ impl SimWorld {
         Rc::clone(&self.machines.borrow()[index])
     }
 
-    /// Marks a core runnable (used by scheduled polls).
+    /// Marks a core runnable: it is serviced before the next queue
+    /// entry runs.
     pub fn wake_core(&self, machine: usize, core: CoreId) {
         self.wake_queue.push((machine, core.0));
     }
@@ -183,7 +211,10 @@ impl SimWorld {
         };
         debug_assert!(entry.at >= self.now(), "scheduler time went backwards");
         self.clock.set(entry.at);
-        (entry.action)(self);
+        match entry.action {
+            Action::Call(f) => f(self),
+            Action::Poll { machine, core } => self.run_poll(machine as usize, core, entry.seq),
+        }
         self.drain_wake_queue();
         true
     }
@@ -225,20 +256,33 @@ impl SimWorld {
 
     fn drain_wake_queue(self: &Rc<Self>) {
         while let Some((mi, core)) = self.wake_queue.pop() {
-            self.service_core(mi, CoreId(core));
+            self.service_core(&self.machine(mi), CoreId(core));
         }
+    }
+
+    /// A poll entry with sequence number `seq` came due: service the
+    /// core if the entry is the core's live poll, else it was
+    /// superseded and is dropped.
+    fn run_poll(self: &Rc<Self>, machine_index: usize, core: CoreId, seq: u64) {
+        let machine = self.machine(machine_index);
+        let cs = machine.core_state(core);
+        if cs.live_poll.get().map(|live| live.seq) != Some(seq) {
+            return;
+        }
+        cs.live_poll.set(None);
+        cs.polls.set(cs.polls.get() + 1);
+        self.service_core(&machine, core);
     }
 
     /// Runs dispatch passes for one core until it is quiescent, becomes
     /// busy (charged time), or defers to a timer.
-    fn service_core(self: &Rc<Self>, machine_index: usize, core: CoreId) {
-        let machine = self.machine(machine_index);
+    fn service_core(self: &Rc<Self>, machine: &SimMachine, core: CoreId) {
         let cs = machine.core_state(core);
         let now = self.now();
         if cs.busy_until.get() > now {
             // Core is executing a prior handler in virtual time; poll
             // again when it frees up.
-            self.schedule_core_poll(machine_index, core, cs.busy_until.get());
+            self.schedule_core_poll(machine, core, cs.busy_until.get());
             return;
         }
         let rt = Arc::clone(machine.runtime());
@@ -261,44 +305,47 @@ impl SimWorld {
                 cs.busy_until.set(busy_until);
                 machine.add_cpu_time(core, charged);
                 if em.pending_work() || em.has_idle_handlers() {
-                    self.schedule_core_poll(machine_index, core, busy_until);
+                    self.schedule_core_poll(machine, core, busy_until);
                 }
                 break;
             }
             zero_passes += 1;
             assert!(
                 zero_passes < ZERO_COST_PASS_LIMIT,
-                "runaway zero-cost event chain on {core} of machine {machine_index}"
+                "runaway zero-cost event chain on {core} of machine {}",
+                machine.index()
             );
         }
         if let Some(deadline) = em.next_timer_deadline() {
-            self.schedule_core_poll(machine_index, core, deadline.max(cs.busy_until.get()));
+            self.schedule_core_poll(machine, core, deadline.max(cs.busy_until.get()));
         }
         rt.rcu().try_reclaim();
         drop(guard);
     }
 
-    /// Schedules a poll of (machine, core) at time `at`, deduplicating
-    /// against an already-scheduled earlier-or-equal poll.
-    fn schedule_core_poll(self: &Rc<Self>, machine_index: usize, core: CoreId, at: Ns) {
-        let machine = self.machine(machine_index);
+    /// Makes sure `core` of `machine` is serviced at `at` (clamped to
+    /// now) or earlier. A live poll due by then covers the request;
+    /// otherwise the new poll becomes the live one and any later live
+    /// poll is superseded.
+    fn schedule_core_poll(&self, machine: &SimMachine, core: CoreId, at: Ns) {
         let cs = machine.core_state(core);
-        let pending = cs.poll_scheduled_at.get();
-        if pending > self.now() && pending <= at {
-            return; // an earlier poll will cover this
+        let at = at.max(self.now());
+        if cs.live_poll.get().is_some_and(|live| live.at <= at) {
+            return;
         }
-        cs.poll_scheduled_at.set(at);
-        self.schedule_at(at, move |w| {
-            let machine = w.machine(machine_index);
-            machine.core_state(core).poll_scheduled_at.set(0);
-            w.wake_core(machine_index, core);
-        });
+        let action = Action::Poll {
+            machine: machine.index() as u32,
+            core,
+        };
+        let seq = self.push(at, action);
+        cs.live_poll.set(Some(LivePoll { at, seq }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn actions_run_in_time_order() {
@@ -370,6 +417,81 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         }
         assert_eq!(trace(), trace());
+    }
+
+    fn one_core_machine(w: &Rc<SimWorld>) -> Rc<SimMachine> {
+        SimMachine::create(w, "m", 1, crate::costs::CostProfile::ebbrt_vm(), [1; 6])
+    }
+
+    #[test]
+    fn superseded_polls_never_service_the_core() {
+        const FAR: Ns = 1_000_000;
+        const N: u64 = 50;
+        let w = SimWorld::new();
+        let m = one_core_machine(&w);
+        let core = CoreId(0);
+        let fired = Arc::new(AtomicU32::new(0));
+        let f = Arc::clone(&fired);
+        m.spawn_on(core, move || {
+            runtime::with_current(|rt| {
+                rt.local_event_manager().set_timer(FAR, move || {
+                    f.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+        });
+        // Servicing the spawn arms the timer and leaves the far poll live.
+        w.drain_wake_queue();
+        let cs = m.core_state(core);
+        assert_eq!(cs.live_poll.get().map(|l| l.at), Some(FAR));
+        // N nearer polls, each superseding the one before.
+        for i in 0..N {
+            w.schedule_core_poll(&m, core, FAR / 2 - i);
+        }
+        let steps = w.run_to_idle();
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the timer fires once");
+        // One entry per request plus the far poll re-armed after the
+        // nearest one found nothing to do.
+        assert!(steps as u64 <= N + 2, "{steps} queue entries for {N} polls");
+        assert_eq!(cs.polls.get(), 2, "the nearest poll and the timer's");
+        assert_eq!(cs.live_poll.get(), None);
+    }
+
+    #[test]
+    fn a_stale_poll_and_its_successor_at_one_instant_service_once() {
+        let w = SimWorld::new();
+        let m = one_core_machine(&w);
+        let (core, cs) = (CoreId(0), m.core_state(CoreId(0)));
+        w.schedule_core_poll(&m, core, 1_000);
+        w.schedule_core_poll(&m, core, 500); // supersedes the first
+        w.run_until(500);
+        assert_eq!(cs.polls.get(), 1);
+        // A second entry at t=1000 beside the stale one; asking again
+        // is covered by it.
+        w.schedule_core_poll(&m, core, 1_000);
+        w.schedule_core_poll(&m, core, 1_000);
+        assert_eq!(w.run_to_idle(), 2, "the stale entry and the live one");
+        assert_eq!(w.now(), 1_000);
+        assert_eq!(cs.polls.get(), 2, "the stale entry serviced nothing");
+    }
+
+    #[test]
+    fn polls_at_time_zero_are_deduplicated() {
+        let w = SimWorld::new();
+        let m = one_core_machine(&w);
+        let (core, cs) = (CoreId(0), m.core_state(CoreId(0)));
+        w.schedule_core_poll(&m, core, 0);
+        w.schedule_core_poll(&m, core, 0);
+        w.schedule_core_poll(&m, core, 10); // covered by the poll at 0
+        assert_eq!(w.run_to_idle(), 1);
+        assert_eq!(cs.polls.get(), 1);
+        assert_eq!(w.now(), 0);
+    }
+
+    #[test]
+    fn poll_entry_does_not_grow_the_queue_entry() {
+        // at + seq + a boxed closure's fat pointer: the poll variant
+        // fits in the box's niche.
+        assert_eq!(std::mem::size_of::<QEntry>(), 32);
     }
 
     #[test]
