@@ -305,13 +305,11 @@ fn reassembly_is_order_insensitive_and_acks_cumulatively() {
             let run_pcb = |order: &[(u32, Vec<u8>)]| {
                 let mut p = Pcb::new(tuple, TcpState::Established, 0, CoreId(0));
                 p.rcv_nxt = iss;
-                let mut got = Vec::new();
+                let mut got = Chain::new();
                 for (seq, bytes) in order {
-                    for chunk in p.on_data(*seq, Chain::single(IoBuf::copy_from(bytes))) {
-                        got.extend(chunk.copy_to_vec());
-                    }
+                    p.on_data(*seq, Chain::single(IoBuf::copy_from(bytes)), &mut got);
                 }
-                (got, p.rcv_nxt)
+                (got.copy_to_vec(), p.rcv_nxt)
             };
 
             // In-order, one segment at a time (the per-packet baseline)…

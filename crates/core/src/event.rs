@@ -109,8 +109,9 @@ enum TimerFn {
 /// a boxed `Arc` (the standard double-indirection trick). Ownership is
 /// always exclusive: every access *takes* the value out with a `swap`,
 /// so no thread ever dereferences a pointer another thread might free.
-/// Callers take, use, and put the value back with a compare-exchange
-/// that fails harmlessly if somebody registered a new value meanwhile.
+/// Callers take the *box*, use the value, and put the same box back
+/// with a compare-exchange that fails harmlessly if somebody registered
+/// a new value meanwhile — a take/restore round trip allocates nothing.
 ///
 /// The liveness contract for wakers: a caller that takes the slot and
 /// finds it empty may skip the wake *only because* whoever holds the
@@ -141,34 +142,35 @@ impl<T: ?Sized> AtomicArcCell<T> {
         }
     }
 
-    /// Takes the value out, leaving the slot empty.
-    fn take(&self) -> Option<Arc<T>> {
+    /// Takes the value out (in the box the slot kept it in), leaving
+    /// the slot empty.
+    fn take(&self) -> Option<Box<Arc<T>>> {
         let p = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
         if p.is_null() {
             None
         } else {
-            // SAFETY: as in `store` — the swap made us the sole owner.
-            Some(*unsafe { Box::from_raw(p) })
+            // SAFETY: every non-null pointer in the slot came from
+            // `Box::into_raw`, and the swap made this thread its sole
+            // owner: no other thread can reach the box until `restore`
+            // publishes it again.
+            Some(unsafe { Box::from_raw(p) })
         }
     }
 
-    /// Puts a previously taken value back if the slot is still empty;
-    /// if a new value was registered meanwhile, the old one is dropped.
-    fn restore(&self, value: Arc<T>) {
-        let new = Box::into_raw(Box::new(value));
+    /// Puts a previously taken box back if the slot is still empty; if
+    /// a new value was registered meanwhile it wins, and the old one is
+    /// dropped.
+    fn restore(&self, value: Box<Arc<T>>) {
+        let p = Box::into_raw(value);
         if self
             .ptr
-            .compare_exchange(
-                std::ptr::null_mut(),
-                new,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
+            .compare_exchange(std::ptr::null_mut(), p, Ordering::AcqRel, Ordering::Relaxed)
             .is_err()
         {
-            // SAFETY: the CAS failed, so `new` never became reachable
-            // by any other thread; we still own it.
-            drop(unsafe { Box::from_raw(new) });
+            // SAFETY: the CAS failed, so `p` never became reachable by
+            // any other thread; this thread still owns the box it just
+            // turned into a pointer.
+            drop(unsafe { Box::from_raw(p) });
         }
     }
 }
@@ -715,7 +717,7 @@ impl EventManager {
     /// backend: unpark; simulated backend: schedule a poll event).
     /// Lock-free; re-registering the same `Arc` (which the loop runner
     /// does every pass) is recognized and costs two atomic ops, no
-    /// allocation.
+    /// allocation (the slot's box goes back as it came out).
     pub fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
         if let Some(current) = self.shared.waker.take() {
             if Arc::ptr_eq(&current, &waker) {
@@ -787,14 +789,15 @@ impl EventManager {
             Some(self.shared.core),
             "save_context off-core"
         );
-        let spawner =
+        let boxed =
             self.shared.successor.take().expect(
                 "save_context requires the threaded backend (no successor spawner installed)",
             );
+        let spawner = Arc::clone(&boxed);
         // Put it straight back: save_context runs on the owning core,
         // so the only concurrent access is a (boot-time) re-register,
         // which `restore` yields to.
-        self.shared.successor.restore(Arc::clone(&spawner));
+        self.shared.successor.restore(boxed);
         let ctx = EventContext {
             inner: Arc::new(CtxInner {
                 resumed: Mutex::new(false),
@@ -1214,15 +1217,46 @@ mod tests {
     }
 
     #[test]
+    fn waker_registered_during_a_wake_wins() {
+        let (em, _) = em();
+        let shared = Arc::clone(&em.shared);
+        let (old_hits, new_hits) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let n = Arc::clone(&new_hits);
+        let replacement: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            n.fetch_add(1, Ordering::SeqCst);
+        });
+        // The first waker re-registers from inside its own wake, while
+        // `wake` holds the slot's box and the slot is empty.
+        let (o, s, r) = (
+            Arc::clone(&old_hits),
+            Arc::clone(&shared),
+            Arc::clone(&replacement),
+        );
+        em.register_waker(Arc::new(move || {
+            o.fetch_add(1, Ordering::SeqCst);
+            s.waker.store(Arc::clone(&r));
+        }));
+        shared.wake();
+        // `wake` tried to put the old box back, lost to the new value,
+        // and freed the old waker (and with it its clone of `r`).
+        assert_eq!(Arc::strong_count(&replacement), 2, "ours and the slot's");
+        shared.wake();
+        shared.wake();
+        assert_eq!(old_hits.load(Ordering::SeqCst), 1);
+        assert_eq!(new_hits.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
     fn concurrent_wakes_and_registers_are_safe() {
         let (em, _) = em();
         let hits = Arc::new(AtomicUsize::new(0));
         let spawner = em.spawner();
         let mut threads = Vec::new();
+        let per_thread = if cfg!(miri) { 50 } else { 500 };
         for _ in 0..4 {
             let s = spawner.clone();
             threads.push(std::thread::spawn(move || {
-                for _ in 0..500 {
+                for _ in 0..per_thread {
                     s.spawn(|| ());
                 }
             }));
@@ -1239,7 +1273,11 @@ mod tests {
             t.join().unwrap();
         }
         let _b = cpu::bind(CoreId(0));
-        assert_eq!(em.drain(), 2000, "no spawn lost despite waker races");
+        assert_eq!(
+            em.drain(),
+            4 * per_thread,
+            "no spawn lost despite waker races"
+        );
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * On transmit, layers *prepend* headers into headroom reserved in
 //!   front of the payload, so adding an Ethernet/IP/TCP header never
 //!   reallocates or copies the payload.
-//! * [`IoBuf`] is the frozen, shareable form (`Arc`-backed): TCP keeps a
-//!   clone in its retransmit queue while the device reads another — one
-//!   region, two descriptors, zero copies.
+//! * [`IoBuf`] is the frozen, shareable form (a counted reference to
+//!   the region): TCP keeps a clone in its retransmit queue while the
+//!   device reads another — one region, two descriptors, zero copies.
 //! * [`Chain`] strings segments together for scatter/gather I/O, and
 //!   [`Cursor`] parses across segment boundaries.
 //!
@@ -36,9 +36,15 @@
 //!   zero-copy/zero-alloc property of a steady-state request path —
 //!   per size class — rather than assume it.
 
+use std::alloc::Layout;
 use std::fmt;
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
-use std::sync::Arc;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
+
+use crate::cpu::CoreId;
 
 /// Zero-copy bookkeeping: counters that let benchmarks prove the
 /// fast-path property ("0 payload bytes copied, 0 fresh allocations").
@@ -315,6 +321,7 @@ pub mod stats {
 /// from the pool returns to the *freeing core's* list when the last
 /// descriptor referencing it drops.
 pub mod pool {
+    use super::{FreeRegion, RegionRef};
     use crate::cpu::CoreId;
     use crate::ebb::{MulticoreEbb, SystemEbb};
     use crate::runtime::{self, Runtime};
@@ -448,7 +455,7 @@ pub mod pool {
     struct ClassRep {
         /// The unsynchronized free list (rep-local: `RefCell` is the
         /// contract, see [`MulticoreEbb`]).
-        list: RefCell<Vec<Box<[u8]>>>,
+        list: RefCell<Vec<FreeRegion>>,
         /// Local takes since this core last balanced against the depot
         /// (flushed or refilled). Zero means the list has *only ever
         /// grown* since then — a chronically one-directional consumer
@@ -473,7 +480,7 @@ pub mod pool {
     /// dedup flag for the queued idle sweep.
     #[derive(Default)]
     struct Mailbox {
-        regions: Vec<Box<[u8]>>,
+        regions: Vec<FreeRegion>,
         /// An idle sweep is already queued on the home core.
         sweep_armed: bool,
     }
@@ -494,7 +501,7 @@ pub mod pool {
     /// first use.
     #[derive(Default)]
     pub struct PoolRoot {
-        depots: [SpinLock<Vec<Box<[u8]>>>; NUM_CLASSES],
+        depots: [SpinLock<Vec<FreeRegion>>; NUM_CLASSES],
         /// `mailboxes[class][home_core]`, grown on demand.
         mailboxes: [Mailboxes; NUM_CLASSES],
         /// The runtime owning this pool, recorded by the first rep
@@ -591,80 +598,83 @@ pub mod pool {
     /// remote-free mailbox, then a refill batch from the depot (both
     /// counted as [`super::stats::ClassCounters::depot_out`]
     /// migration), then a fresh — still pool-shaped, still
-    /// recyclable — allocation (counted as a fallback). Returns the
-    /// region and its home `(root, core)`.
-    pub(super) fn acquire(class: SizeClass) -> (Box<[u8]>, Arc<PoolRoot>, CoreId) {
+    /// recyclable — allocation (counted as a fallback). The returned
+    /// reference is the region's only one, and the region's home core
+    /// is the calling core.
+    pub(super) fn acquire(class: SizeClass) -> RegionRef {
         with_pool(|p| {
             let i = class.index();
             let cl = &p.classes[i];
             let mut list = cl.list.borrow_mut();
-            if let Some(b) = list.pop() {
-                bump(&cl.takes_since_balance);
-                bump(&p.counters.class_hits[i]);
-                return (b, Arc::clone(&p.root), p.core);
-            }
-            // Dry: collect everything peers posted back to this core's
-            // mailbox (regions we allocated that crossed the wire and
-            // were freed under another machine's runtime).
-            {
-                let mut boxes = p.root.mailboxes[i].lock();
-                if let Some(mine) = boxes.get_mut(p.core.index()) {
-                    if !mine.regions.is_empty() {
-                        add(&p.counters.class_depot_out[i], mine.regions.len() as u64);
-                        list.append(&mut mine.regions);
+            let region = 'found: {
+                if let Some(r) = list.pop() {
+                    bump(&cl.takes_since_balance);
+                    bump(&p.counters.class_hits[i]);
+                    break 'found r;
+                }
+                // Dry: collect everything peers posted back to this
+                // core's mailbox (regions we allocated that crossed the
+                // wire and were freed under another machine's runtime).
+                {
+                    let mut boxes = p.root.mailboxes[i].lock();
+                    if let Some(mine) = boxes.get_mut(p.core.index()) {
+                        if !mine.regions.is_empty() {
+                            add(&p.counters.class_depot_out[i], mine.regions.len() as u64);
+                            list.append(&mut mine.regions);
+                        }
                     }
                 }
-            }
-            if let Some(b) = list.pop() {
-                cl.takes_since_balance.set(1); // drained = balanced
-                bump(&p.counters.class_hits[i]);
-                return (b, Arc::clone(&p.root), p.core);
-            }
-            let mut depot = p.root.depots[i].lock();
-            if !depot.is_empty() {
-                let take = depot.len().min(class.batch());
-                let from = depot.len() - take;
-                list.extend(depot.drain(from..));
+                if let Some(r) = list.pop() {
+                    cl.takes_since_balance.set(1); // drained = balanced
+                    bump(&p.counters.class_hits[i]);
+                    break 'found r;
+                }
+                let mut depot = p.root.depots[i].lock();
+                if !depot.is_empty() {
+                    let take = depot.len().min(class.batch());
+                    let from = depot.len() - take;
+                    list.extend(depot.drain(from..));
+                    drop(depot);
+                    add(&p.counters.class_depot_out[i], take as u64);
+                    // A refill is a balance; the pop below is the first
+                    // take since it.
+                    cl.takes_since_balance.set(1);
+                    bump(&p.counters.class_hits[i]);
+                    break 'found list.pop().expect("refilled");
+                }
                 drop(depot);
-                add(&p.counters.class_depot_out[i], take as u64);
-                // A refill is a balance; the pop below is the first
-                // take since it.
-                cl.takes_since_balance.set(1);
-                bump(&p.counters.class_hits[i]);
-                return (list.pop().expect("refilled"), Arc::clone(&p.root), p.core);
-            }
-            drop(depot);
-            bump(&p.counters.bufs_allocated);
-            bump(&p.counters.class_fallbacks[i]);
-            // A fallback is local demand: it counts against the
-            // hysteresis like a take, so a core that allocates keeps
-            // the full watermark.
-            bump(&cl.takes_since_balance);
-            (
-                vec![0u8; class.capacity()].into_boxed_slice(),
-                Arc::clone(&p.root),
-                p.core,
-            )
+                bump(&p.counters.bufs_allocated);
+                bump(&p.counters.class_fallbacks[i]);
+                // A fallback is local demand: it counts against the
+                // hysteresis like a take, so a core that allocates keeps
+                // the full watermark.
+                bump(&cl.takes_since_balance);
+                FreeRegion::pooled(class, Arc::downgrade(&p.root))
+            };
+            region.set_home_core(p.core);
+            region.into_ref()
         })
     }
 
-    /// Returns a region to the calling context, flushing a batch of
-    /// cold entries to the depot past the class's effective high
-    /// watermark. A region whose `home` is a *different* machine's
-    /// pool (it crossed the simulated wire) is posted to its home
-    /// core's mailbox instead, so each core's buffer economy balances
-    /// — the hot core's headers come back to the hot core.
-    pub(super) fn recycle(
-        class: SizeClass,
-        home: &Arc<PoolRoot>,
-        home_core: CoreId,
-        buf: Box<[u8]>,
-    ) {
-        debug_assert_eq!(buf.len(), class.capacity());
+    /// Returns a region whose last descriptor just dropped to the
+    /// calling context, flushing a batch of cold entries to the depot
+    /// past the class's effective high watermark. A region whose home
+    /// is a *different* machine's pool (it crossed the simulated wire)
+    /// is posted to its home core's mailbox instead, so each core's
+    /// buffer economy balances — the hot core's headers come back to
+    /// the hot core. The same-machine path compares the region's weak
+    /// home handle with this pool's root by address and touches no
+    /// shared counter; only the cross-machine path upgrades the handle,
+    /// and a region that outlived its home pool is freed.
+    pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
         with_pool(|p| {
             let i = class.index();
             bump(&p.counters.class_returns[i]);
-            if !Arc::ptr_eq(&p.root, home) {
+            if !region.is_home(&p.root) {
+                let Some(home) = region.home() else {
+                    return; // home pool is gone: `region` drops, freeing the storage
+                };
+                let home_core = region.home_core();
                 // Cross-machine free: home-return through the owner's
                 // mailbox (producer half of the migration pipeline).
                 // Crossing the low-water mark arms a one-shot idle
@@ -677,7 +687,7 @@ pub mod pool {
                         boxes.resize_with(home_core.index() + 1, Mailbox::default);
                     }
                     let mb = &mut boxes[home_core.index()];
-                    mb.regions.push(buf);
+                    mb.regions.push(region);
                     if !mb.sweep_armed && mb.regions.len() >= class.sweep_low_water() {
                         mb.sweep_armed = true;
                         true
@@ -687,19 +697,20 @@ pub mod pool {
                 };
                 bump(&p.counters.class_depot_in[i]);
                 if arm {
-                    schedule_idle_sweep(home, home_core);
+                    schedule_idle_sweep(&home, home_core);
                 }
                 return;
             }
             let cl = &p.classes[i];
             let mut list = cl.list.borrow_mut();
-            list.push(buf);
+            list.push(region);
             if list.len() >= p.effective_watermark(class) {
                 // Flush the cold end; recently freed regions stay local
                 // for cache-warm reuse (same policy as the slab).
-                let batch: Vec<Box<[u8]>> = list.drain(..class.batch()).collect();
-                add(&p.counters.class_depot_in[i], batch.len() as u64);
-                p.root.depots[i].lock().extend(batch);
+                let mut depot = p.root.depots[i].lock();
+                depot.extend(list.drain(..class.batch()));
+                drop(depot);
+                add(&p.counters.class_depot_in[i], class.batch() as u64);
                 cl.takes_since_balance.set(0);
             }
         })
@@ -720,7 +731,7 @@ pub mod pool {
             let mut list = p.classes[class.index()].list.borrow_mut();
             for _ in 0..n {
                 bump(&p.counters.bufs_allocated);
-                list.push(vec![0u8; class.capacity()].into_boxed_slice());
+                list.push(FreeRegion::pooled(class, Arc::downgrade(&p.root)));
             }
         })
     }
@@ -780,7 +791,7 @@ pub mod pool {
     fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
         for class in SizeClass::ALL {
             let i = class.index();
-            let mut drained: Vec<Box<[u8]>> = {
+            let mut drained: Vec<FreeRegion> = {
                 let mut boxes = root.mailboxes[i].lock();
                 match boxes.get_mut(core.index()) {
                     Some(mb) => {
@@ -1009,67 +1020,268 @@ pub mod wire {
     }
 }
 
-/// The backing store of a buffer: an owned byte region plus, for
-/// pooled storage, its size class and *home* pool root — the machine
-/// whose pool it recycles into when the last descriptor drops.
-struct Region {
-    /// `Some` until drop; taken by the pool on recycle.
-    data: Option<Box<[u8]>>,
-    pooled: Option<(pool::SizeClass, Arc<pool::PoolRoot>, crate::cpu::CoreId)>,
+/// How a region's storage is owned, and where the region goes when
+/// its last descriptor drops.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RegionKind {
+    /// Pool-shaped storage behind the header, in the header's own
+    /// allocation; recycles into its home pool.
+    Pooled(pool::SizeClass),
+    /// Exact-size storage behind the header, in the header's own
+    /// allocation (requests beyond the largest class, copies); freed.
+    Exact,
+    /// A caller's vector in its own allocation
+    /// ([`MutIoBuf::from_vec`]); both allocations are freed.
+    Boxed,
 }
 
-impl Region {
+/// The intrusive header of a buffer region. A pooled region is *one*
+/// allocation — this header, then [`cap`](Self::cap) bytes — that moves
+/// between descriptors, free lists, depots and mailboxes as a single
+/// pointer.
+///
+/// Who may touch what: `refs` is the only field written while
+/// descriptors exist. `home_core` is written by the sole owner between
+/// taking the region off a free list and handing out its first
+/// descriptor. Everything else is fixed at allocation. The bytes are
+/// written only through a [`MutIoBuf`], which holds the region's only
+/// reference.
+#[repr(C, align(16))]
+struct RegionHeader {
+    /// Live descriptors; zero while the region is owned by a
+    /// [`FreeRegion`].
+    refs: AtomicUsize,
+    /// First byte of storage.
+    data: NonNull<u8>,
+    /// Physical size of the storage.
+    cap: usize,
+    /// The pool a [`RegionKind::Pooled`] region recycles into. Weak, so
+    /// regions parked in a pool's own lists (or in flight on another
+    /// machine) never keep that pool alive; compared by address on the
+    /// same-machine path, upgraded only on the cross-machine one.
+    home: Weak<pool::PoolRoot>,
+    /// The core whose list the region was last acquired from.
+    home_core: AtomicU32,
+    kind: RegionKind,
+}
+
+/// Sole owner of a region that no descriptor references (`refs == 0`):
+/// what free lists, depots and mailboxes hold. Dropping it frees the
+/// storage.
+struct FreeRegion(NonNull<RegionHeader>);
+
+#[cfg(test)]
+thread_local! {
+    /// Regions this thread allocated minus regions it freed: lets a
+    /// test see a free (or a leak) that no pool counter records.
+    static LIVE_REGIONS: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: a `FreeRegion` is the only handle to its region, so sending
+// it sends the header (atomics, plain words, a `Weak<PoolRoot>` with
+// `PoolRoot: Send + Sync`) and the bytes together.
+unsafe impl Send for FreeRegion {}
+
+impl FreeRegion {
+    /// Layout of a header followed by `inline` storage bytes.
+    fn layout(inline: usize) -> Layout {
+        Layout::from_size_align(
+            std::mem::size_of::<RegionHeader>()
+                .checked_add(inline)
+                .expect("region size overflows"),
+            std::mem::align_of::<RegionHeader>(),
+        )
+        .expect("region size overflows")
+    }
+
+    /// Allocates a header plus, unless `external` storage is given,
+    /// `cap` zeroed bytes behind it.
+    fn alloc(
+        kind: RegionKind,
+        cap: usize,
+        external: Option<NonNull<u8>>,
+        home: Weak<pool::PoolRoot>,
+    ) -> FreeRegion {
+        let layout = Self::layout(if external.is_some() { 0 } else { cap });
+        // SAFETY: the layout always includes the header, so its size is
+        // non-zero.
+        let raw = unsafe { std::alloc::alloc_zeroed(layout) };
+        let Some(base) = NonNull::new(raw) else {
+            std::alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: the allocation is at least one header long, so the
+        // offset is in bounds (one past the end when `cap` is zero).
+        let inline = unsafe { base.add(std::mem::size_of::<RegionHeader>()) };
+        let hdr = base.cast::<RegionHeader>();
+        // SAFETY: `hdr` is the start of a fresh allocation sized and
+        // aligned for a header.
+        unsafe {
+            hdr.write(RegionHeader {
+                refs: AtomicUsize::new(0),
+                data: external.unwrap_or(inline),
+                cap,
+                home,
+                home_core: AtomicU32::new(0),
+                kind,
+            });
+        }
+        #[cfg(test)]
+        LIVE_REGIONS.with(|n| n.set(n.get() + 1));
+        FreeRegion(hdr)
+    }
+
+    /// A fresh pool-shaped region of `class` homed at `home`.
+    fn pooled(class: pool::SizeClass, home: Weak<pool::PoolRoot>) -> FreeRegion {
+        Self::alloc(RegionKind::Pooled(class), class.capacity(), None, home)
+    }
+
+    /// A fresh exact-size region that never enters a pool.
+    fn exact(cap: usize) -> FreeRegion {
+        Self::alloc(RegionKind::Exact, cap, None, Weak::new())
+    }
+
+    /// Wraps storage the caller already owns (never enters a pool).
+    fn boxed(data: Box<[u8]>) -> FreeRegion {
+        let cap = data.len();
+        let data = NonNull::new(Box::into_raw(data).cast::<u8>()).expect("boxes are non-null");
+        Self::alloc(RegionKind::Boxed, cap, Some(data), Weak::new())
+    }
+
+    fn header(&self) -> &RegionHeader {
+        // SAFETY: the header lives until `self` drops.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Whether this region recycles into the pool rooted at `root`.
+    fn is_home(&self, root: &Arc<pool::PoolRoot>) -> bool {
+        std::ptr::eq(self.header().home.as_ptr(), Arc::as_ptr(root))
+    }
+
+    /// The home pool, if it still exists.
+    fn home(&self) -> Option<Arc<pool::PoolRoot>> {
+        self.header().home.upgrade()
+    }
+
+    fn home_core(&self) -> CoreId {
+        CoreId(self.header().home_core.load(Ordering::Relaxed))
+    }
+
+    /// Records the core whose list the region is being acquired from.
+    fn set_home_core(&self, core: CoreId) {
+        // Relaxed, here and in `into_ref`: nobody else can reach the
+        // region until its first reference is shared, and whatever
+        // shares it synchronizes.
+        self.header().home_core.store(core.0, Ordering::Relaxed);
+    }
+
+    /// Hands the region to its first descriptor.
+    fn into_ref(self) -> RegionRef {
+        self.header().refs.store(1, Ordering::Relaxed);
+        RegionRef(ManuallyDrop::new(self).0)
+    }
+}
+
+impl Drop for FreeRegion {
+    fn drop(&mut self) {
+        #[cfg(test)]
+        LIVE_REGIONS.with(|n| n.set(n.get() - 1));
+        let hdr = self.0.as_ptr();
+        // SAFETY: `refs == 0` and `self` is the only handle, so nothing
+        // else can reach the header or the bytes. The header was
+        // written by `alloc` into an allocation of exactly the layout
+        // recomputed here, and `Boxed` storage came from
+        // `Box::<[u8]>::into_raw` with length `cap`.
+        unsafe {
+            let (kind, data, cap) = ((*hdr).kind, (*hdr).data, (*hdr).cap);
+            std::ptr::drop_in_place(hdr);
+            let inline = if kind == RegionKind::Boxed {
+                drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
+                    data.as_ptr(),
+                    cap,
+                )));
+                0
+            } else {
+                cap
+            };
+            std::alloc::dealloc(hdr.cast(), Self::layout(inline));
+        }
+    }
+}
+
+/// One counted reference to a region — what every descriptor holds.
+/// Dropping the last one recycles a pooled region into the freeing
+/// core's pool (or its home mailbox) and frees any other.
+struct RegionRef(NonNull<RegionHeader>);
+
+// SAFETY: the count is atomic; `home_core` is atomic and written only
+// while the region has a single owner; every other header field is
+// immutable while a reference exists (`Weak<PoolRoot>` is `Sync`). The
+// bytes are read through shared descriptors and written only through a
+// `MutIoBuf`, which holds the region's only reference and needs `&mut`.
+unsafe impl Send for RegionRef {}
+// SAFETY: as above.
+unsafe impl Sync for RegionRef {}
+
+impl RegionRef {
     /// Allocates (or recycles) storage of at least `capacity` bytes.
     /// Requests are routed by length to the smallest size class that
     /// fits ([`pool::class_for`]) and served through the buffer-pool
     /// Ebb's per-core reps; anything beyond the largest class gets an
     /// exact-size one-shot allocation.
-    fn alloc(capacity: usize) -> Region {
+    fn alloc(capacity: usize) -> RegionRef {
         match pool::class_for(capacity) {
-            Some(class) => {
-                let (data, home, home_core) = pool::acquire(class);
-                Region {
-                    data: Some(data),
-                    pooled: Some((class, home, home_core)),
-                }
-            }
+            Some(class) => pool::acquire(class),
             None => {
                 stats::record_oversize();
-                Region {
-                    data: Some(vec![0u8; capacity].into_boxed_slice()),
-                    pooled: None,
-                }
+                FreeRegion::exact(capacity).into_ref()
             }
         }
     }
 
-    /// Wraps storage the caller already owns (never recycled).
-    fn from_box(data: Box<[u8]>) -> Region {
-        Region {
-            data: Some(data),
-            pooled: None,
+    #[inline]
+    fn header(&self) -> &RegionHeader {
+        // SAFETY: this reference keeps `refs > 0`, so the header is
+        // live.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// A second reference to the same region.
+    #[inline]
+    fn retain(&self) -> RegionRef {
+        // Relaxed, as `Arc::clone`: the new reference is made from a
+        // live one, which already orders it after the region's
+        // creation.
+        let old = self.header().refs.fetch_add(1, Ordering::Relaxed);
+        if old > isize::MAX as usize {
+            // Leaked clones must not wrap the count into a free.
+            std::process::abort();
         }
+        RegionRef(self.0)
     }
 
     fn size_class(&self) -> Option<pool::SizeClass> {
-        self.pooled.as_ref().map(|(class, ..)| *class)
-    }
-
-    fn bytes(&self) -> &[u8] {
-        self.data.as_deref().expect("region storage taken")
-    }
-
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        self.data.as_deref_mut().expect("region storage taken")
+        match self.header().kind {
+            RegionKind::Pooled(class) => Some(class),
+            RegionKind::Exact | RegionKind::Boxed => None,
+        }
     }
 }
 
-impl Drop for Region {
+impl Drop for RegionRef {
+    #[inline]
     fn drop(&mut self) {
-        if let Some((class, home, home_core)) = self.pooled.take() {
-            if let Some(data) = self.data.take() {
-                pool::recycle(class, &home, home_core, data);
-            }
+        // Release: this descriptor's reads of the bytes happen before
+        // the decrement; the Acquire fence on the last drop makes every
+        // such read happen before the region is reused or freed (the
+        // `Arc` protocol).
+        if self.header().refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        std::sync::atomic::fence(Ordering::Acquire);
+        let region = FreeRegion(self.0);
+        match region.header().kind {
+            RegionKind::Pooled(class) => pool::recycle(class, region),
+            RegionKind::Exact | RegionKind::Boxed => drop(region),
         }
     }
 }
@@ -1103,40 +1315,58 @@ pub trait Buf {
 /// way. Pooled storage is recycled, not zeroed: bytes exposed by
 /// [`MutIoBuf::append`] are unspecified until the caller writes them.
 pub struct MutIoBuf {
-    region: Region,
+    /// The region's only reference for as long as the buffer is
+    /// mutable.
+    region: RegionRef,
+    /// First byte of the region's storage (the header's `data`).
+    base: NonNull<u8>,
     /// Offset of the view window within the region.
     off: usize,
     /// Length of the view window.
     len: usize,
-    /// Logical capacity (≤ physical region size).
+    /// Logical capacity (≤ physical region size);
+    /// `off + len <= cap` always.
     cap: usize,
 }
+
+// SAFETY: a `MutIoBuf` owns its region's only reference (`RegionRef` is
+// `Send`); `base` points into that region.
+unsafe impl Send for MutIoBuf {}
+// SAFETY: `&MutIoBuf` only reads the window.
+unsafe impl Sync for MutIoBuf {}
 
 impl MutIoBuf {
     /// Default headroom reserved by [`MutIoBuf::for_payload`]: enough for
     /// Ethernet (14) + IPv4 (20) + TCP (up to 60) headers, rounded up.
     pub const DEFAULT_HEADROOM: usize = 128;
 
+    /// A buffer over `region` (of which the caller holds the only
+    /// reference) with logical capacity `cap` and the window
+    /// `off .. off + len`.
+    fn over(region: RegionRef, off: usize, len: usize, cap: usize) -> Self {
+        let h = region.header();
+        debug_assert_eq!(h.refs.load(Ordering::Relaxed), 1);
+        assert!(off + len <= cap && cap <= h.cap);
+        MutIoBuf {
+            base: h.data,
+            region,
+            off,
+            len,
+            cap,
+        }
+    }
+
     /// Creates a buffer of `capacity` bytes with an empty view at offset 0
     /// (all capacity is tailroom).
     pub fn with_capacity(capacity: usize) -> Self {
-        MutIoBuf {
-            region: Region::alloc(capacity),
-            off: 0,
-            len: 0,
-            cap: capacity,
-        }
+        Self::over(RegionRef::alloc(capacity), 0, 0, capacity)
     }
 
     /// Creates a buffer whose view starts after `headroom` bytes and is
     /// initially empty; total capacity is `headroom + payload_capacity`.
     pub fn with_headroom(payload_capacity: usize, headroom: usize) -> Self {
-        MutIoBuf {
-            region: Region::alloc(headroom + payload_capacity),
-            off: headroom,
-            len: 0,
-            cap: headroom + payload_capacity,
-        }
+        let cap = headroom + payload_capacity;
+        Self::over(RegionRef::alloc(cap), headroom, 0, cap)
     }
 
     /// Creates a buffer holding a copy of `payload`, with
@@ -1155,12 +1385,8 @@ impl MutIoBuf {
     pub fn from_vec(v: Vec<u8>) -> Self {
         stats::record_alloc();
         let len = v.len();
-        MutIoBuf {
-            region: Region::from_box(v.into_boxed_slice()),
-            off: 0,
-            len,
-            cap: len,
-        }
+        let region = FreeRegion::boxed(v.into_boxed_slice()).into_ref();
+        Self::over(region, 0, len, len)
     }
 
     /// Bytes available in front of the view window.
@@ -1181,7 +1407,7 @@ impl MutIoBuf {
     /// Whether the backing region came from (and will return to) the
     /// per-core pool.
     pub fn is_pooled(&self) -> bool {
-        self.region.pooled.is_some()
+        self.size_class().is_some()
     }
 
     /// The size class serving this buffer's backing region, if pooled.
@@ -1189,10 +1415,22 @@ impl MutIoBuf {
         self.region.size_class()
     }
 
+    /// `n` bytes of the region starting `start` bytes in.
+    ///
+    /// The caller keeps `start + n <= self.cap`.
+    #[inline]
+    fn window_mut(&mut self, start: usize, n: usize) -> &mut [u8] {
+        debug_assert!(start + n <= self.cap);
+        // SAFETY: `base .. base + cap` lies inside the region's storage
+        // (checked in `over`), which was zero-initialised at allocation
+        // and is written only through this buffer — the region's sole
+        // reference, borrowed mutably here.
+        unsafe { std::slice::from_raw_parts_mut(self.base.as_ptr().add(start), n) }
+    }
+
     /// Mutable access to the view window.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        let (off, len) = (self.off, self.len);
-        &mut self.region.bytes_mut()[off..off + len]
+        self.window_mut(self.off, self.len)
     }
 
     /// Extends the window forward (into headroom) by `n` bytes and
@@ -1206,8 +1444,7 @@ impl MutIoBuf {
         assert!(n <= self.off, "prepend({n}) exceeds headroom {}", self.off);
         self.off -= n;
         self.len += n;
-        let off = self.off;
-        &mut self.region.bytes_mut()[off..off + n]
+        self.window_mut(self.off, n)
     }
 
     /// Extends the window backward (into tailroom) by `n` bytes and
@@ -1226,7 +1463,7 @@ impl MutIoBuf {
         );
         let start = self.off + self.len;
         self.len += n;
-        &mut self.region.bytes_mut()[start..start + n]
+        self.window_mut(start, n)
     }
 
     /// Appends a copy of `src` into tailroom (counted by
@@ -1258,21 +1495,30 @@ impl MutIoBuf {
         self.len -= n;
     }
 
-    /// Freezes into a shareable, immutable [`IoBuf`] without copying.
-    /// A pooled region stays pooled: it recycles when the last frozen
-    /// descriptor drops.
+    /// Freezes into a shareable, immutable [`IoBuf`] without copying or
+    /// allocating: the region's one reference moves into the new
+    /// descriptor. A pooled region stays pooled: it recycles when the
+    /// last frozen descriptor drops.
     pub fn freeze(self) -> IoBuf {
         IoBuf {
-            region: Arc::new(self.region),
-            off: self.off,
+            // SAFETY: `off <= cap`, inside the region's storage.
+            ptr: unsafe { self.base.add(self.off) },
             len: self.len,
+            region: self.region,
         }
     }
 }
 
 impl Buf for MutIoBuf {
+    #[inline]
     fn bytes(&self) -> &[u8] {
-        &self.region.bytes()[self.off..self.off + self.len]
+        // SAFETY: as `window_mut`, for reading.
+        unsafe { std::slice::from_raw_parts(self.base.as_ptr().add(self.off), self.len) }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -1282,7 +1528,7 @@ impl fmt::Debug for MutIoBuf {
             .field("headroom", &self.headroom())
             .field("len", &self.len)
             .field("tailroom", &self.tailroom())
-            .field("pooled", &self.region.size_class())
+            .field("pooled", &self.size_class())
             .finish()
     }
 }
@@ -1293,11 +1539,34 @@ impl fmt::Debug for MutIoBuf {
 /// view window, so slicing is free. When the last descriptor of a
 /// pool-backed region drops, the storage returns to the per-core
 /// [`pool`].
-#[derive(Clone)]
+///
+/// The descriptor carries its window itself (pointer and length), so
+/// reading the bytes never touches the region's header; clone and drop
+/// are one operation on the region's counter.
 pub struct IoBuf {
-    region: Arc<Region>,
-    off: usize,
+    /// First byte of the view window; `ptr .. ptr + len` lies inside
+    /// the region's storage.
+    ptr: NonNull<u8>,
+    /// Length of the view window.
     len: usize,
+    region: RegionRef,
+}
+
+// SAFETY: the window is read-only and stays alive through `region`,
+// which is `Send + Sync`.
+unsafe impl Send for IoBuf {}
+// SAFETY: as above.
+unsafe impl Sync for IoBuf {}
+
+impl Clone for IoBuf {
+    #[inline]
+    fn clone(&self) -> Self {
+        IoBuf {
+            ptr: self.ptr,
+            len: self.len,
+            region: self.region.retain(),
+        }
+    }
 }
 
 impl IoBuf {
@@ -1306,16 +1575,16 @@ impl IoBuf {
     /// and unpooled).
     pub fn copy_from(data: &[u8]) -> Self {
         stats::record_copy(data.len());
-        MutIoBuf::from_vec(data.to_vec()).freeze()
+        stats::record_alloc();
+        let region = FreeRegion::exact(data.len()).into_ref();
+        let mut b = MutIoBuf::over(region, 0, 0, data.len());
+        b.append(data.len()).copy_from_slice(data);
+        b.freeze()
     }
 
     /// An empty buffer.
     pub fn empty() -> Self {
-        IoBuf {
-            region: Arc::new(Region::from_box(Vec::new().into_boxed_slice())),
-            off: 0,
-            len: 0,
-        }
+        MutIoBuf::over(FreeRegion::exact(0).into_ref(), 0, 0, 0).freeze()
     }
 
     /// Returns a new descriptor viewing `len` bytes from `start` of
@@ -1326,14 +1595,15 @@ impl IoBuf {
     /// Panics if the range exceeds the current view.
     pub fn slice(&self, start: usize, len: usize) -> IoBuf {
         assert!(
-            start + len <= self.len,
+            start <= self.len && len <= self.len - start,
             "slice({start}, {len}) exceeds view length {}",
             self.len
         );
         IoBuf {
-            region: Arc::clone(&self.region),
-            off: self.off + start,
+            // SAFETY: `start <= self.len`, inside this view.
+            ptr: unsafe { self.ptr.add(start) },
             len,
+            region: self.region.retain(),
         }
     }
 
@@ -1351,7 +1621,8 @@ impl IoBuf {
     /// Panics if `n > len()`.
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len, "advance({n}) exceeds length {}", self.len);
-        self.off += n;
+        // SAFETY: `n <= self.len`, inside this view.
+        self.ptr = unsafe { self.ptr.add(n) };
         self.len -= n;
     }
 
@@ -1368,7 +1639,7 @@ impl IoBuf {
     /// Number of descriptors sharing this region (diagnostic; used by
     /// tests to assert zero-copy behaviour).
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.region)
+        self.region.header().refs.load(Ordering::Relaxed)
     }
 
     /// Physical size of the backing region. A live descriptor pins the
@@ -1377,26 +1648,37 @@ impl IoBuf {
     /// small sub-view zero-copy would pin a disproportionate amount of
     /// memory.
     pub fn region_len(&self) -> usize {
-        self.region.bytes().len()
+        self.region.header().cap
     }
 
     /// Identity of the backing region (for pinned-storage accounting:
     /// two descriptors with the same id pin the same storage once).
     fn region_id(&self) -> usize {
-        Arc::as_ptr(&self.region) as usize
+        self.region.0.as_ptr() as usize
     }
 }
 
 impl Buf for IoBuf {
+    #[inline]
     fn bytes(&self) -> &[u8] {
-        &self.region.bytes()[self.off..self.off + self.len]
+        // SAFETY: `ptr .. ptr + len` is inside the region's storage
+        // (every constructor and `advance`/`slice` keeps it there),
+        // which `region` keeps alive and which nothing writes while a
+        // frozen descriptor exists.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
 impl fmt::Debug for IoBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let base = self.region.header().data.as_ptr() as usize;
         f.debug_struct("IoBuf")
-            .field("off", &self.off)
+            .field("off", &(self.ptr.as_ptr() as usize - base))
             .field("len", &self.len)
             .field("refs", &self.ref_count())
             .finish()
@@ -1409,45 +1691,70 @@ impl From<MutIoBuf> for IoBuf {
     }
 }
 
-/// Segments held inline by a [`Chain`] before it spills to heap
-/// storage. Sized for the stack's common shapes: a header + payload
-/// response is 2 segments, an MTU-spanning request rarely exceeds 4.
+/// Segments a [`Chain`] holds in its own body before it moves them to
+/// heap storage. Picked by measurement on `perf_ledger`: a chain is
+/// handed over by value about ten times per frame, and with four
+/// 24-byte descriptors it is 120 bytes — a few vector stores, where a
+/// larger body makes every hand-off a `memcpy` call. Six or eight
+/// slots save allocator calls (an 8 KiB value is 6–7 segments) and
+/// cost 10–20 % more host time on both the small-GET and the 8 KiB-SET
+/// workloads; two or three measure the same as four with more calls.
 pub const INLINE_SEGS: usize = 4;
 
 /// Distinct backing regions [`Chain::pinned_bytes`] deduplicates
 /// exactly before degrading to an upper bound.
 pub const PINNED_DEDUP_REGIONS: usize = 32;
 
+/// Where a chain's slots live: in the chain itself, or — once it has
+/// held more than [`INLINE_SEGS`] segments — in a heap array it keeps
+/// for the rest of its life.
+union Slots<B> {
+    inline: ManuallyDrop<[MaybeUninit<B>; INLINE_SEGS]>,
+    heap: NonNull<B>,
+}
+
 /// A chain of buffer segments presented as one logical byte sequence —
 /// the scatter/gather unit accepted by the network stack's send path and
 /// produced by its receive path.
 ///
-/// The first [`INLINE_SEGS`] segments are stored inline in the chain
-/// itself; only longer chains touch the heap, and the spill buffer's
-/// capacity is retained when the chain drains back under the inline
-/// limit (e.g. across [`Chain::split_to`] calls), so steady-state
-/// descriptor movement performs no allocations — the hot-path cost the
-/// IOBuf byte/alloc counters do *not* see.
+/// The segments sit contiguously in one slot array, `head` slots in:
+/// taking from the front ([`Chain::advance`], [`Chain::split_to`],
+/// owning iteration) bumps `head` and moves nothing. The first
+/// [`INLINE_SEGS`] slots are the chain's own body; a longer chain moves
+/// to a heap array and stays there, keeping its capacity when it drains
+/// (e.g. across [`Chain::split_to`] calls), so steady-state descriptor
+/// movement performs no allocations — the hot-path cost the IOBuf
+/// byte/alloc counters do *not* see.
 pub struct Chain<B: Buf> {
-    /// Inline storage: slots `0..ilen` are occupied iff `spill` is
-    /// empty. When spilled, every segment lives in `spill` (in order)
-    /// and `ilen == 0`.
-    inline: [Option<B>; INLINE_SEGS],
-    ilen: u8,
-    spill: std::collections::VecDeque<B>,
+    slots: Slots<B>,
+    /// Slots in the array: `INLINE_SEGS` exactly while `slots.inline`
+    /// is the live field, more once `slots.heap` is.
+    cap: u32,
+    /// Slots `head .. head + len` hold the segments, in order; every
+    /// other slot is uninitialised. `head + len <= cap`, and `head == 0`
+    /// whenever `len == 0`.
+    head: u32,
+    len: u32,
+    /// Sum of the segments' lengths.
     total: usize,
 }
+
+// SAFETY: a chain owns its segments (inline or in its private heap
+// array), like a `Vec<B>`.
+unsafe impl<B: Buf + Send> Send for Chain<B> {}
+// SAFETY: as above; `&Chain<B>` only hands out `&B`.
+unsafe impl<B: Buf + Sync> Sync for Chain<B> {}
 
 impl<B: Buf + Clone> Clone for Chain<B> {
     /// Clones the descriptor chain; for [`IoBuf`] segments this shares
     /// the underlying storage (no bytes are copied).
     fn clone(&self) -> Self {
-        Chain {
-            inline: self.inline.clone(),
-            ilen: self.ilen,
-            spill: self.spill.clone(),
-            total: self.total,
+        let mut out = Chain::new();
+        out.reserve_back(self.segs().len());
+        for seg in self.segs() {
+            out.push_back(seg.clone());
         }
+        out
     }
 }
 
@@ -1457,13 +1764,33 @@ impl<B: Buf> Default for Chain<B> {
     }
 }
 
+impl<B: Buf> Drop for Chain<B> {
+    fn drop(&mut self) {
+        // SAFETY: `segs_mut` is exactly the initialised slots; they are
+        // not touched again. A heap array was allocated by `regrow`
+        // with this layout.
+        unsafe {
+            std::ptr::drop_in_place(self.segs_mut());
+            if self.spilled() {
+                std::alloc::dealloc(
+                    self.slots.heap.as_ptr().cast(),
+                    Self::heap_layout(self.cap as usize),
+                );
+            }
+        }
+    }
+}
+
 impl<B: Buf> Chain<B> {
     /// An empty chain.
     pub fn new() -> Self {
         Chain {
-            inline: [None, None, None, None],
-            ilen: 0,
-            spill: std::collections::VecDeque::new(),
+            slots: Slots {
+                inline: ManuallyDrop::new([const { MaybeUninit::uninit() }; INLINE_SEGS]),
+            },
+            cap: INLINE_SEGS as u32,
+            head: 0,
+            len: 0,
             total: 0,
         }
     }
@@ -1475,96 +1802,204 @@ impl<B: Buf> Chain<B> {
         c
     }
 
+    #[inline]
     fn spilled(&self) -> bool {
-        !self.spill.is_empty()
+        self.cap as usize != INLINE_SEGS
     }
 
-    /// Moves the inline segments into the spill buffer (which keeps
-    /// whatever capacity it grew on previous spills).
-    fn spill_inline(&mut self) {
-        debug_assert!(self.spill.is_empty());
-        for slot in self.inline.iter_mut().take(self.ilen as usize) {
-            self.spill
-                .push_back(slot.take().expect("inline slot vacant"));
+    fn heap_layout(cap: usize) -> Layout {
+        Layout::array::<B>(cap).expect("chain capacity overflows")
+    }
+
+    /// First slot of the array.
+    #[inline]
+    fn base(&self) -> *const B {
+        if self.spilled() {
+            // SAFETY: `cap` says `heap` is the live field.
+            unsafe { self.slots.heap.as_ptr() }
+        } else {
+            // `ManuallyDrop` and `MaybeUninit` are transparent over `B`.
+            (&raw const self.slots.inline).cast()
         }
-        self.ilen = 0;
+    }
+
+    #[inline]
+    fn base_mut(&mut self) -> *mut B {
+        if self.spilled() {
+            // SAFETY: as `base`.
+            unsafe { self.slots.heap.as_ptr() }
+        } else {
+            (&raw mut self.slots.inline).cast()
+        }
+    }
+
+    /// The segments, in order.
+    #[inline]
+    fn segs(&self) -> &[B] {
+        // SAFETY: slots `head .. head + len` are initialised and inside
+        // the array.
+        unsafe {
+            std::slice::from_raw_parts(self.base().add(self.head as usize), self.len as usize)
+        }
+    }
+
+    #[inline]
+    fn segs_mut(&mut self) -> &mut [B] {
+        let (head, len) = (self.head as usize, self.len as usize);
+        // SAFETY: as `segs`.
+        unsafe { std::slice::from_raw_parts_mut(self.base_mut().add(head), len) }
+    }
+
+    /// Moves the segments into a heap array of `new_cap` slots
+    /// (starting at slot `at`), freeing the previous heap array if
+    /// there was one.
+    fn regrow(&mut self, new_cap: usize, at: usize) {
+        let len = self.len as usize;
+        assert!(new_cap > INLINE_SEGS && at + len <= new_cap);
+        let new_cap32 = u32::try_from(new_cap).expect("chain capacity overflows");
+        let layout = Self::heap_layout(new_cap);
+        assert!(layout.size() > 0, "zero-sized chain segments");
+        // SAFETY: the layout's size is non-zero, checked above.
+        let raw = unsafe { std::alloc::alloc(layout) };
+        let Some(new) = NonNull::new(raw.cast::<B>()) else {
+            std::alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: the `len` live segments are moved (bitwise) into the
+        // fresh array, which has room at `at`; the old slots are then
+        // treated as uninitialised, and an old heap array is released
+        // with the layout it was allocated with.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.base().add(self.head as usize),
+                new.as_ptr().add(at),
+                len,
+            );
+            if self.spilled() {
+                std::alloc::dealloc(
+                    self.slots.heap.as_ptr().cast(),
+                    Self::heap_layout(self.cap as usize),
+                );
+            }
+        }
+        self.slots.heap = new;
+        self.cap = new_cap32;
+        self.head = at as u32;
+    }
+
+    /// Slides the segments so that they start at slot `at`.
+    fn slide_to(&mut self, at: usize) {
+        let (head, len) = (self.head as usize, self.len as usize);
+        debug_assert!(at + len <= self.cap as usize);
+        let base = self.base_mut();
+        // SAFETY: source and destination ranges are inside the array;
+        // `copy` allows them to overlap. Afterwards exactly the
+        // destination range is treated as initialised.
+        unsafe { std::ptr::copy(base.add(head), base.add(at), len) };
+        self.head = at as u32;
+    }
+
+    /// Makes room for `n` more segments at the back. Slides the
+    /// segments down to slot 0 when that frees enough slots without
+    /// making a long queue pay a slide per push (the freed run must be
+    /// at least a quarter of what is moved); grows the array otherwise.
+    fn reserve_back(&mut self, n: usize) {
+        let (head, len, cap) = (self.head as usize, self.len as usize, self.cap as usize);
+        if head + len + n <= cap {
+            return;
+        }
+        if len + n <= cap && head * 4 >= len {
+            self.slide_to(0);
+        } else {
+            self.regrow((len + n).next_power_of_two().max(2 * cap), 0);
+        }
     }
 
     /// Appends a segment to the back.
     pub fn push_back(&mut self, seg: B) {
+        self.reserve_back(1);
         self.total += seg.len();
-        if self.spilled() {
-            self.spill.push_back(seg);
-        } else if (self.ilen as usize) < INLINE_SEGS {
-            self.inline[self.ilen as usize] = Some(seg);
-            self.ilen += 1;
-        } else {
-            self.spill_inline();
-            self.spill.push_back(seg);
-        }
+        let at = (self.head + self.len) as usize;
+        // SAFETY: `reserve_back` left slot `head + len` inside the
+        // array and vacant.
+        unsafe { self.base_mut().add(at).write(seg) };
+        self.len += 1;
     }
 
     /// Prepends a segment to the front.
     pub fn push_front(&mut self, seg: B) {
-        self.total += seg.len();
-        if self.spilled() {
-            self.spill.push_front(seg);
-        } else if (self.ilen as usize) < INLINE_SEGS {
-            for i in (0..self.ilen as usize).rev() {
-                self.inline[i + 1] = self.inline[i].take();
+        if self.head == 0 {
+            let (len, cap) = (self.len as usize, self.cap as usize);
+            if len < cap {
+                // Centre the free slots so alternating ends stay cheap.
+                self.slide_to((cap - len).div_ceil(2));
+            } else {
+                self.regrow(2 * cap, cap / 2);
             }
-            self.inline[0] = Some(seg);
-            self.ilen += 1;
-        } else {
-            self.spill_inline();
-            self.spill.push_front(seg);
         }
+        self.total += seg.len();
+        self.head -= 1;
+        let at = self.head as usize;
+        // SAFETY: slot `head - 1` was inside the array and vacant.
+        unsafe { self.base_mut().add(at).write(seg) };
+        self.len += 1;
     }
 
     /// Removes and returns the first segment, if any.
     fn pop_front_seg(&mut self) -> Option<B> {
-        let seg = if self.spilled() {
-            self.spill.pop_front()
-        } else if self.ilen > 0 {
-            let seg = self.inline[0].take();
-            for i in 1..self.ilen as usize {
-                self.inline[i - 1] = self.inline[i].take();
-            }
-            self.ilen -= 1;
-            seg
-        } else {
-            None
-        };
-        if let Some(s) = &seg {
-            self.total -= s.len();
+        if self.len == 0 {
+            return None;
         }
-        seg
+        // SAFETY: slot `head` is initialised; bumping `head` past it
+        // makes this read the only owner of the value.
+        let seg = unsafe { self.base().add(self.head as usize).read() };
+        self.len -= 1;
+        self.head = if self.len == 0 { 0 } else { self.head + 1 };
+        self.total -= seg.len();
+        Some(seg)
     }
 
     /// Appends all segments of `other`.
-    pub fn append_chain(&mut self, other: Chain<B>) {
-        for seg in other {
-            self.push_back(seg);
+    pub fn append_chain(&mut self, mut other: Chain<B>) {
+        if self.len == 0 && other.cap >= self.cap {
+            // Nothing to keep in order: take over `other`'s array (and
+            // any capacity it has grown) instead of moving segments.
+            std::mem::swap(self, &mut other);
+            return;
         }
+        let n = other.len as usize;
+        self.reserve_back(n);
+        let at = (self.head + self.len) as usize;
+        // SAFETY: `reserve_back` left `n` vacant slots behind the last
+        // segment; the segments are moved (bitwise) out of `other`,
+        // which forgets them by zeroing its length before it drops.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                other.base().add(other.head as usize),
+                self.base_mut().add(at),
+                n,
+            );
+        }
+        self.len += n as u32;
+        self.total += other.total;
+        (other.head, other.len, other.total) = (0, 0, 0);
     }
 
     /// Total logical length across all segments.
+    #[inline]
     pub fn len(&self) -> usize {
         self.total
     }
 
     /// Whether the chain holds zero bytes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
 
     /// Number of segments.
+    #[inline]
     pub fn segment_count(&self) -> usize {
-        if self.spilled() {
-            self.spill.len()
-        } else {
-            self.ilen as usize
-        }
+        self.len as usize
     }
 
     /// The `i`-th segment.
@@ -1572,27 +2007,15 @@ impl<B: Buf> Chain<B> {
     /// # Panics
     ///
     /// Panics if `i >= segment_count()`.
+    #[inline]
     pub fn seg(&self, i: usize) -> &B {
-        if self.spilled() {
-            &self.spill[i]
-        } else {
-            assert!(i < self.ilen as usize, "segment index {i} out of range");
-            self.inline[i].as_ref().expect("inline slot vacant")
-        }
-    }
-
-    fn seg_mut(&mut self, i: usize) -> &mut B {
-        if self.spilled() {
-            &mut self.spill[i]
-        } else {
-            assert!(i < self.ilen as usize, "segment index {i} out of range");
-            self.inline[i].as_mut().expect("inline slot vacant")
-        }
+        &self.segs()[i]
     }
 
     /// Iterates the segments in order.
+    #[inline]
     pub fn iter(&self) -> SegIter<'_, B> {
-        SegIter { chain: self, i: 0 }
+        SegIter(self.segs().iter())
     }
 
     /// Copies the entire logical contents into one `Vec` (explicitly *not*
@@ -1608,32 +2031,31 @@ impl<B: Buf> Chain<B> {
     }
 
     /// A parsing cursor positioned at the logical start.
+    #[inline]
     pub fn cursor(&self) -> Cursor<'_, B> {
+        let segs = self.segs();
         Cursor {
-            chain: self,
-            seg: 0,
-            off: 0,
+            cur: segs.first().map_or(&[], Buf::bytes),
+            segs,
             consumed: 0,
+            total: self.total,
         }
     }
 }
 
 /// Borrowed iteration over a chain's segments.
-pub struct SegIter<'a, B: Buf> {
-    chain: &'a Chain<B>,
-    i: usize,
-}
+pub struct SegIter<'a, B: Buf>(std::slice::Iter<'a, B>);
 
 impl<'a, B: Buf> Iterator for SegIter<'a, B> {
     type Item = &'a B;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a B> {
-        if self.i < self.chain.segment_count() {
-            self.i += 1;
-            Some(self.chain.seg(self.i - 1))
-        } else {
-            None
-        }
+        self.0.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
@@ -1683,7 +2105,7 @@ impl Chain<IoBuf> {
                 self.pop_front_seg();
                 n -= first_len;
             } else {
-                self.seg_mut(0).advance(n);
+                self.segs_mut()[0].advance(n);
                 self.total -= n;
                 n = 0;
             }
@@ -1756,7 +2178,7 @@ impl Chain<IoBuf> {
 
     /// Splits off the first `n` logical bytes into a new chain, sharing
     /// storage with this one (segments are sliced, not copied). The
-    /// source chain's spill capacity, if any, is retained for reuse.
+    /// source chain's heap capacity, if any, is retained for reuse.
     ///
     /// # Panics
     ///
@@ -1772,8 +2194,9 @@ impl Chain<IoBuf> {
                 remaining -= first_len;
                 out.push_back(seg);
             } else {
-                let head = self.seg(0).slice(0, remaining);
-                self.seg_mut(0).advance(remaining);
+                let first = &mut self.segs_mut()[0];
+                let head = first.slice(0, remaining);
+                first.advance(remaining);
                 self.total -= remaining;
                 out.push_back(head);
                 remaining = 0;
@@ -1787,6 +2210,7 @@ impl Chain<IoBuf> {
 impl From<Chain<MutIoBuf>> for Chain<IoBuf> {
     fn from(chain: Chain<MutIoBuf>) -> Self {
         let mut out = Chain::new();
+        out.reserve_back(chain.segment_count());
         for seg in chain {
             out.push_back(seg.freeze());
         }
@@ -1796,96 +2220,134 @@ impl From<Chain<MutIoBuf>> for Chain<IoBuf> {
 
 /// A read cursor over a [`Chain`], crossing segment boundaries
 /// transparently — the analogue of EbbRT's `DataPointer`.
+///
+/// Reads are served from the current segment's byte slice; only a read
+/// that straddles a segment boundary takes the segment-walking path.
 pub struct Cursor<'a, B: Buf> {
-    chain: &'a Chain<B>,
-    seg: usize,
-    off: usize,
+    /// Unread bytes of the current segment (`segs[0]`).
+    cur: &'a [u8],
+    /// The current segment and every segment after it.
+    segs: &'a [B],
     consumed: usize,
+    /// The chain's logical length.
+    total: usize,
 }
 
 impl<'a, B: Buf> Cursor<'a, B> {
     /// Bytes remaining after the cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.chain.len() - self.consumed
+        self.total - self.consumed
     }
 
     /// Bytes consumed so far.
+    #[inline]
     pub fn consumed(&self) -> usize {
         self.consumed
     }
 
+    /// Steps to the next segment that has unread bytes. The caller has
+    /// checked that one exists (`remaining() > 0`).
+    fn next_seg(&mut self) {
+        while self.cur.is_empty() {
+            self.segs = &self.segs[1..];
+            self.cur = self.segs[0].bytes();
+        }
+    }
+
+    /// Reads a fixed-size field: straight out of the current segment
+    /// when it holds all `N` bytes, else across the boundary.
+    #[inline]
+    fn read_array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        if let Some((field, rest)) = self.cur.split_first_chunk::<N>() {
+            self.cur = rest;
+            self.consumed += N;
+            return Some(*field);
+        }
+        let mut b = [0u8; N];
+        self.read_straddling(&mut b)?;
+        Some(b)
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Option<u8> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Some(b[0])
+        self.read_array::<1>().map(|b| b[0])
     }
 
     /// Reads a big-endian u16 (network order).
+    #[inline]
     pub fn read_u16_be(&mut self) -> Option<u16> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b)?;
-        Some(u16::from_be_bytes(b))
+        self.read_array().map(u16::from_be_bytes)
     }
 
     /// Reads a big-endian u32 (network order).
+    #[inline]
     pub fn read_u32_be(&mut self) -> Option<u32> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Some(u32::from_be_bytes(b))
+        self.read_array().map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian u64 (network order).
+    #[inline]
     pub fn read_u64_be(&mut self) -> Option<u64> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Some(u64::from_be_bytes(b))
+        self.read_array().map(u64::from_be_bytes)
     }
 
     /// Fills `dst` from the cursor position, crossing segments as needed.
     /// Returns `None` (consuming nothing) if fewer than `dst.len()` bytes
     /// remain.
+    #[inline]
     pub fn read_exact(&mut self, dst: &mut [u8]) -> Option<()> {
+        if let Some((src, rest)) = self.cur.split_at_checked(dst.len()) {
+            dst.copy_from_slice(src);
+            self.cur = rest;
+            self.consumed += dst.len();
+            return Some(());
+        }
+        self.read_straddling(dst)
+    }
+
+    /// [`Self::read_exact`] for a read the current segment cannot
+    /// serve alone.
+    #[cold]
+    fn read_straddling(&mut self, dst: &mut [u8]) -> Option<()> {
         if self.remaining() < dst.len() {
             return None;
         }
         let mut written = 0;
         while written < dst.len() {
-            let seg = self.chain.seg(self.seg);
-            let avail = &seg.bytes()[self.off..];
-            let take = avail.len().min(dst.len() - written);
-            dst[written..written + take].copy_from_slice(&avail[..take]);
+            self.next_seg();
+            let take = self.cur.len().min(dst.len() - written);
+            let (src, rest) = self.cur.split_at(take);
+            dst[written..written + take].copy_from_slice(src);
+            self.cur = rest;
             written += take;
-            self.off += take;
-            self.consumed += take;
-            if self.off == seg.len() && self.seg + 1 < self.chain.segment_count() {
-                self.seg += 1;
-                self.off = 0;
-            }
         }
+        self.consumed += dst.len();
         Some(())
     }
 
     /// Skips `n` bytes.
     ///
     /// Returns `None` (consuming nothing) if fewer than `n` bytes remain.
+    #[inline]
     pub fn skip(&mut self, n: usize) -> Option<()> {
+        if let Some((_, rest)) = self.cur.split_at_checked(n) {
+            self.cur = rest;
+            self.consumed += n;
+            return Some(());
+        }
         if self.remaining() < n {
             return None;
         }
         let mut left = n;
         while left > 0 {
-            let seg_len = self.chain.seg(self.seg).len();
-            let avail = seg_len - self.off;
-            let take = avail.min(left);
-            self.off += take;
-            self.consumed += take;
+            self.next_seg();
+            let take = self.cur.len().min(left);
+            self.cur = &self.cur[take..];
             left -= take;
-            if self.off == seg_len && self.seg + 1 < self.chain.segment_count() {
-                self.seg += 1;
-                self.off = 0;
-            }
         }
+        self.consumed += n;
         Some(())
     }
 
@@ -1893,6 +2355,9 @@ impl<'a, B: Buf> Cursor<'a, B> {
     /// [`stats::bytes_copied`] — prefer
     /// [`Cursor::read_exact_zero_copy`] on hot paths).
     pub fn read_vec(&mut self, n: usize) -> Option<Vec<u8>> {
+        if self.remaining() < n {
+            return None; // before sizing an allocation from `n`
+        }
         let mut v = vec![0u8; n];
         self.read_exact(&mut v)?;
         stats::record_copy(n);
@@ -1912,20 +2377,14 @@ impl<'a> Cursor<'a, IoBuf> {
         let mut out = Chain::new();
         let mut left = n;
         while left > 0 {
-            let seg = self.chain.seg(self.seg);
-            let avail = seg.len() - self.off;
-            let take = avail.min(left);
-            if take > 0 {
-                out.push_back(seg.slice(self.off, take));
-            }
-            self.off += take;
-            self.consumed += take;
+            self.next_seg();
+            let seg = &self.segs[0];
+            let take = self.cur.len().min(left);
+            out.push_back(seg.slice(seg.len() - self.cur.len(), take));
+            self.cur = &self.cur[take..];
             left -= take;
-            if self.off == seg.len() && self.seg + 1 < self.chain.segment_count() {
-                self.seg += 1;
-                self.off = 0;
-            }
         }
+        self.consumed += n;
         Some(out)
     }
 }
@@ -2482,5 +2941,344 @@ mod tests {
         // Use them up so other tests see a predictable pool.
         let bufs: Vec<MutIoBuf> = (0..4).map(|_| MutIoBuf::with_capacity(32)).collect();
         drop(bufs);
+    }
+
+    fn live_regions() -> isize {
+        LIVE_REGIONS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn last_drop_on_another_machine_lands_in_the_home_cores_mailbox() {
+        use crate::runtime;
+        use pool::SizeClass;
+        let home = test_runtime(2);
+        let away = test_runtime(1);
+        // Acquired on home core 1: that is where it must come back to.
+        let (buf, clone) = {
+            let _g = runtime::enter(Arc::clone(&home), CoreId(1));
+            let b = MutIoBuf::with_capacity(64).freeze();
+            let c = b.clone();
+            (b, c)
+        };
+        let home_root = home
+            .ebbs()
+            .root::<pool::PoolEbb>(crate::ebb::SystemEbb::BufferPool.id())
+            .expect("home pool root");
+        {
+            let _g = runtime::enter(Arc::clone(&away), CoreId(0));
+            drop(buf);
+            assert_eq!(home_root.mailbox_len(SizeClass::Small), 0, "a clone lives");
+            assert_eq!(stats::pool_returns(), 0);
+            drop(clone);
+            assert_eq!(stats::pool_returns(), 1, "counted where it was freed");
+            assert_eq!(pool::local_free(), 0, "and never enters the freeing pool");
+        }
+        assert_eq!(home_root.mailbox_len(SizeClass::Small), 1);
+        // Core 0 of the home machine does not see it; core 1's next dry
+        // acquire drains its own mailbox instead of allocating.
+        {
+            let _g = runtime::enter(Arc::clone(&home), CoreId(0));
+            assert_eq!(pool::local_free(), 0);
+        }
+        let _g = runtime::enter(Arc::clone(&home), CoreId(1));
+        let allocs0 = stats::bufs_allocated();
+        let again = MutIoBuf::with_capacity(64);
+        assert_eq!(stats::bufs_allocated(), allocs0);
+        assert_eq!(stats::class_counters(SizeClass::Small).depot_out, 1);
+        assert_eq!(home_root.mailbox_len(SizeClass::Small), 0);
+        drop(again);
+    }
+
+    #[test]
+    fn a_region_that_outlives_its_home_pool_is_freed() {
+        use crate::runtime;
+        let live0 = live_regions();
+        let home = test_runtime(1);
+        let away = test_runtime(1);
+        let buf = {
+            let _g = runtime::enter(Arc::clone(&home), CoreId(0));
+            let mut keep = MutIoBuf::with_capacity(64);
+            keep.append_slice(b"live");
+            let keep = keep.freeze();
+            // A second region, parked on the home list when the pool
+            // goes: the list frees it.
+            drop(MutIoBuf::with_capacity(64));
+            keep
+        };
+        assert_eq!(live_regions(), live0 + 2);
+        let home_root = Arc::downgrade(
+            &home
+                .ebbs()
+                .root::<pool::PoolEbb>(crate::ebb::SystemEbb::BufferPool.id())
+                .expect("home pool root"),
+        );
+        drop(home);
+        assert!(
+            home_root.upgrade().is_none(),
+            "regions hold the pool weakly"
+        );
+        assert_eq!(live_regions(), live0 + 1, "the parked region went with it");
+        assert_eq!(buf.bytes(), b"live", "the live one is still readable");
+        let _g = runtime::enter(Arc::clone(&away), CoreId(0));
+        drop(buf);
+        assert_eq!(live_regions(), live0, "freed, not leaked or mailed nowhere");
+        assert_eq!(pool::local_free(), 0, "and not adopted by the freeing pool");
+        assert_eq!(stats::snapshot().class(pool::SizeClass::Small).depot_in, 0);
+    }
+
+    #[test]
+    fn a_slice_of_a_slice_holds_one_reference_each() {
+        let returns0 = stats::pool_returns();
+        let mut b = MutIoBuf::with_capacity(16);
+        b.append_slice(b"0123456789abcdef");
+        let whole = b.freeze();
+        let mid = whole.slice(4, 8);
+        let inner = mid.slice(2, 4);
+        assert_eq!(whole.ref_count(), 3);
+        assert_eq!(inner.bytes(), b"6789");
+        drop(mid);
+        assert_eq!(
+            whole.ref_count(),
+            2,
+            "the inner slice does not lean on the outer"
+        );
+        drop(whole);
+        assert_eq!(inner.ref_count(), 1);
+        assert_eq!(inner.bytes(), b"6789");
+        assert_eq!(inner.region_len(), pool::SMALL_CAPACITY);
+        assert_eq!(stats::pool_returns(), returns0);
+        drop(inner);
+        assert_eq!(stats::pool_returns(), returns0 + 1);
+    }
+
+    #[test]
+    fn wrapped_and_oversize_regions_never_enter_a_pool() {
+        use pool::SizeClass;
+        let live0 = live_regions();
+        let free0 = SizeClass::ALL.map(pool::local_free_class);
+        let returns0 = stats::pool_returns();
+        let wrapped = MutIoBuf::from_vec(vec![7u8; pool::SMALL_CAPACITY]).freeze();
+        let copied = IoBuf::copy_from(&[7u8; 100]);
+        let oversize = MutIoBuf::with_capacity(pool::LARGE_CAPACITY + 1).freeze();
+        let empty = IoBuf::empty();
+        assert_eq!(
+            wrapped.region_len(),
+            pool::SMALL_CAPACITY,
+            "pool-sized, not pooled"
+        );
+        assert_eq!(copied.region_len(), 100);
+        assert_eq!(oversize.region_len(), pool::LARGE_CAPACITY + 1);
+        assert_eq!(
+            (empty.len(), empty.region_len(), empty.ref_count()),
+            (0, 0, 1)
+        );
+        assert_eq!(live_regions(), live0 + 4);
+        drop((wrapped, copied, oversize, empty));
+        assert_eq!(live_regions(), live0, "freed on last drop");
+        assert_eq!(SizeClass::ALL.map(pool::local_free_class), free0);
+        assert_eq!(stats::pool_returns(), returns0);
+    }
+
+    /// A chain over `pattern`, cut at `cuts` (ascending offsets).
+    fn cut_chain(pattern: &IoBuf, cuts: &[usize]) -> Chain<IoBuf> {
+        let mut chain = Chain::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&pattern.len()]) {
+            chain.push_back(pattern.slice(from, to - from));
+            from = to;
+        }
+        chain
+    }
+
+    /// Every kind of read, from `offset` on; what each returned.
+    fn read_script(chain: &Chain<IoBuf>, offset: usize) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        let mut cur = chain.cursor();
+        out.push(cur.skip(offset).map(|()| 0));
+        out.push(cur.read_u64_be());
+        out.push(cur.read_u8().map(u64::from));
+        out.push(cur.read_u32_be().map(u64::from));
+        out.push(cur.read_u16_be().map(u64::from));
+        let mut odd = [0u8; 5];
+        out.push(
+            cur.read_exact(&mut odd)
+                .map(|()| odd.iter().fold(0, |acc, &b| acc << 8 | u64::from(b))),
+        );
+        out.push(cur.skip(3).map(|()| 0));
+        out.push(cur.read_u32_be().map(u64::from));
+        out.push(Some(cur.consumed() as u64));
+        out.push(Some(cur.remaining() as u64));
+        out
+    }
+
+    #[test]
+    fn straddling_reads_equal_the_one_segment_result() {
+        let pattern: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        let pattern = IoBuf::copy_from(&pattern);
+        let one = Chain::single(pattern.clone());
+        // Miri walks a sample of the offsets; the native run, all.
+        let step = if cfg!(miri) { 7 } else { 1 };
+        for offset in (0..=64).step_by(step) {
+            let want = read_script(&one, offset);
+            for a in (1..64).step_by(step) {
+                assert_eq!(
+                    read_script(&cut_chain(&pattern, &[a]), offset),
+                    want,
+                    "cut at {a}, offset {offset}"
+                );
+                // A middle segment narrower than the widest read: the
+                // read spans all three.
+                for width in 0..8 {
+                    let b = (a + width).min(64);
+                    assert_eq!(
+                        read_script(&cut_chain(&pattern, &[a, b]), offset),
+                        want,
+                        "cuts at {a} and {b}, offset {offset}"
+                    );
+                }
+            }
+        }
+        // The zero-copy carve crosses the same boundaries.
+        let three = cut_chain(&pattern, &[10, 13]);
+        let mut cur = three.cursor();
+        cur.skip(9).unwrap();
+        let carved = cur.read_exact_zero_copy(10).expect("enough bytes");
+        assert_eq!(carved.segment_count(), 3);
+        assert_eq!(carved.copy_to_vec(), pattern.bytes()[9..19]);
+        assert_eq!(cur.read_u8(), Some(pattern.bytes()[19]));
+    }
+
+    #[test]
+    fn chain_matches_a_deque_model() {
+        use std::collections::VecDeque;
+        let base: Vec<u8> = (0..=255u8).collect();
+        let base = IoBuf::copy_from(&base);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as usize % n
+        };
+        let seg = |rng: &mut dyn FnMut(usize) -> usize| {
+            let start = rng(240);
+            base.slice(start, 1 + rng(15))
+        };
+        let mut chain: Chain<IoBuf> = Chain::new();
+        let mut model: VecDeque<Vec<u8>> = VecDeque::new();
+        let model_len = |m: &VecDeque<Vec<u8>>| m.iter().map(Vec::len).sum::<usize>();
+        // Drops `n` bytes off the model's front, as `advance` does.
+        let model_advance = |m: &mut VecDeque<Vec<u8>>, mut n: usize| {
+            while n > 0 {
+                let first = m.front_mut().expect("n <= len");
+                if n >= first.len() {
+                    n -= first.len();
+                    m.pop_front();
+                } else {
+                    first.drain(..n);
+                    n = 0;
+                }
+            }
+        };
+        let (mut max_segs, mut returns_to_inline) = (0, 0);
+        let ops = if cfg!(miri) { 400 } else { 20_000 };
+        for i in 0..ops {
+            // Alternate growing and draining phases so the chain
+            // crosses the inline capacity in both directions.
+            let growing = (i / 40) % 2 == 0;
+            let before = chain.segment_count();
+            match (rng(10), growing) {
+                (0..=3, true) | (0, false) => {
+                    let s = seg(&mut rng);
+                    model.push_back(s.bytes().to_vec());
+                    chain.push_back(s);
+                }
+                (4..=5, true) | (1, false) => {
+                    let s = seg(&mut rng);
+                    model.push_front(s.bytes().to_vec());
+                    chain.push_front(s);
+                }
+                (6, true) | (2, false) => {
+                    let mut other = Chain::new();
+                    for _ in 0..rng(7) {
+                        let s = seg(&mut rng);
+                        model.push_back(s.bytes().to_vec());
+                        other.push_back(s);
+                    }
+                    chain.append_chain(other);
+                }
+                (7, _) => {
+                    let copy = chain.clone();
+                    assert_eq!(copy.len(), chain.len());
+                    assert!(copy.iter().map(Buf::bytes).eq(chain.iter().map(Buf::bytes)));
+                    if rng(2) == 0 {
+                        chain = copy; // the original drops
+                    }
+                }
+                (8, true) | (3..=6, false) => {
+                    let n = rng(chain.len() + 1);
+                    chain.advance(n);
+                    model_advance(&mut model, n);
+                }
+                _ => {
+                    let n = rng(chain.len() + 1);
+                    let head = chain.split_to(n);
+                    let want: Vec<u8> = model.iter().flatten().take(n).copied().collect();
+                    assert_eq!(head.len(), n);
+                    assert_eq!(head.copy_to_vec(), want);
+                    model_advance(&mut model, n);
+                }
+            }
+            assert_eq!(chain.len(), model_len(&model));
+            assert_eq!(chain.is_empty(), model_len(&model) == 0);
+            assert_eq!(chain.segment_count(), model.len());
+            assert!(chain
+                .iter()
+                .map(Buf::bytes)
+                .eq(model.iter().map(Vec::as_slice)));
+            if let Some(last) = model.len().checked_sub(1) {
+                assert_eq!(chain.seg(last).bytes(), model[last]);
+            }
+            max_segs = max_segs.max(chain.segment_count());
+            if before > INLINE_SEGS && chain.segment_count() <= INLINE_SEGS {
+                returns_to_inline += 1;
+            }
+        }
+        assert!(
+            max_segs > 2 * INLINE_SEGS,
+            "the walk must leave the inline slots"
+        );
+        assert!(returns_to_inline > 2, "and come back");
+        drop(chain);
+        assert_eq!(base.ref_count(), 1, "every segment dropped exactly once");
+    }
+
+    #[test]
+    fn a_chain_keeps_the_heap_slots_it_grew() {
+        let seg = IoBuf::copy_from(b"x");
+        let mut chain: Chain<IoBuf> = Chain::new();
+        assert!(!chain.spilled());
+        assert!(
+            std::mem::size_of::<Chain<IoBuf>>() <= 128,
+            "moves stay inline stores"
+        );
+        for _ in 0..INLINE_SEGS + 1 {
+            chain.push_back(seg.clone());
+        }
+        assert!(chain.spilled());
+        let cap = chain.cap;
+        // Queue traffic under the grown capacity reuses the slots.
+        for _ in 0..10 * cap {
+            chain.push_back(seg.clone());
+            chain.advance(1);
+        }
+        chain.advance(chain.len());
+        assert_eq!((chain.cap, chain.segment_count()), (cap, 0));
+        // An emptied chain takes over a grown one rather than copying.
+        let mut fresh: Chain<IoBuf> = Chain::new();
+        fresh.append_chain(std::mem::take(&mut chain));
+        assert_eq!(fresh.cap, cap);
+        drop(fresh);
+        assert_eq!(seg.ref_count(), 1);
     }
 }

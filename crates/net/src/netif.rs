@@ -220,6 +220,19 @@ struct TcpRun {
     segs: Vec<TcpSeg>,
 }
 
+/// The receive path's working vectors, kept on the [`NetIf`] between
+/// bursts so a pass allocates nothing once they have grown: the runs of
+/// the burst being classified, and emptied segment vectors for the
+/// next runs. A pass *takes* the whole struct and puts it back at the
+/// end (as the driver does with its `burst` vector), so a pass entered
+/// from inside another — a handler that loops a frame back in — finds
+/// an empty scratch of its own instead of a held borrow.
+#[derive(Default)]
+struct RxScratch {
+    runs: Vec<TcpRun>,
+    spare_segs: Vec<Vec<TcpSeg>>,
+}
+
 /// In-flight ARP resolution: its retry timer (a persistent entry on the
 /// core that initiated the resolution) and attempts so far.
 struct ArpRetry {
@@ -385,6 +398,8 @@ pub struct NetIf {
     /// frames). Segments this large route their buffer allocations to
     /// the matching [`ebbrt_core::iobuf::pool`] size class.
     mss: usize,
+    /// Reusable receive-pass vectors; see [`RxScratch`].
+    rx_scratch: RefCell<RxScratch>,
     /// Statistics.
     pub stats: NetStats,
     /// The installed QoS policy (classification + admission), if any.
@@ -734,6 +749,7 @@ impl NetIf {
             ip_id: Cell::new(1),
             iss: Cell::new(0x1000),
             last_tx: Cell::new(u64::MAX / 2),
+            rx_scratch: RefCell::default(),
             stats: NetStats::new(machine.runtime()),
             qos: RefCell::new(None),
             qos_on: Cell::new(false),
@@ -1040,9 +1056,22 @@ impl NetIf {
             return;
         }
         self.stats.note_burst(frames.len());
-        let mut runs: Vec<TcpRun> = Vec::new();
+        let mut rx = self.rx_scratch.take();
         for mut chain in frames.drain(..) {
             self.stats.rx_frames.set(self.stats.rx_frames.get() + 1);
+            // A well-formed TCP frame whose headers sit in its first
+            // segment, with no link-layer padding behind the IP packet,
+            // is parsed in one look; anything else is taken apart
+            // header by header below.
+            if let Some((eth, ip, tcp)) = wire::parse_tcp_frame(&chain) {
+                if chain.len() == wire::ETH_HLEN + ip.total_len as usize {
+                    if self.eth_for_us(&eth) && self.ip_for_us(&ip) {
+                        chain.advance(wire::ETH_HLEN + wire::IPV4_HLEN);
+                        self.classify_tcp(eth, ip, Some(tcp), chain, &mut rx);
+                    }
+                    continue;
+                }
+            }
             let eth = match wire::parse_eth(&chain) {
                 Some(e) => e,
                 None => {
@@ -1050,27 +1079,38 @@ impl NetIf {
                     continue;
                 }
             };
-            if eth.dst != self.mac() && eth.dst != MAC_BROADCAST {
+            if !self.eth_for_us(&eth) {
                 continue; // not for us (switch flooding)
             }
             chain.advance(wire::ETH_HLEN);
             match eth.ethertype {
                 wire::ETHERTYPE_ARP => {
-                    self.flush_runs(&mut runs);
+                    self.flush_runs(&mut rx);
                     self.rx_arp(chain);
                 }
-                wire::ETHERTYPE_IPV4 => self.classify_ipv4(eth, chain, &mut runs),
+                wire::ETHERTYPE_IPV4 => self.classify_ipv4(eth, chain, &mut rx),
                 _ => self.drop_frame(),
             }
         }
-        self.flush_runs(&mut runs);
+        self.flush_runs(&mut rx);
+        *self.rx_scratch.borrow_mut() = rx;
+    }
+
+    fn eth_for_us(&self, eth: &EthHeader) -> bool {
+        eth.dst == self.mac() || eth.dst == MAC_BROADCAST
+    }
+
+    fn ip_for_us(&self, ip: &Ipv4Header) -> bool {
+        let our = self.ip.get();
+        ip.dst == our || ip.dst.is_broadcast() || our.is_unspecified()
     }
 
     /// Stage-2 barrier: processes every grouped run, in the order the
     /// runs first appeared in the burst.
-    fn flush_runs(self: &Rc<Self>, runs: &mut Vec<TcpRun>) {
-        for run in runs.drain(..) {
-            self.process_run(run.id, run.segs);
+    fn flush_runs(self: &Rc<Self>, rx: &mut RxScratch) {
+        for mut run in rx.runs.drain(..) {
+            self.process_run(run.id, &mut run.segs);
+            rx.spare_segs.push(run.segs);
         }
     }
 
@@ -1106,18 +1146,12 @@ impl NetIf {
         }
     }
 
-    fn classify_ipv4(
-        self: &Rc<Self>,
-        eth: EthHeader,
-        mut chain: Chain<IoBuf>,
-        runs: &mut Vec<TcpRun>,
-    ) {
+    fn classify_ipv4(self: &Rc<Self>, eth: EthHeader, mut chain: Chain<IoBuf>, rx: &mut RxScratch) {
         let ip = match wire::parse_ipv4(&chain) {
             Some(h) => h,
             None => return self.drop_frame(),
         };
-        let our = self.ip.get();
-        if ip.dst != our && !ip.dst.is_broadcast() && !our.is_unspecified() {
+        if !self.ip_for_us(&ip) {
             return;
         }
         chain.advance(wire::IPV4_HLEN);
@@ -1132,9 +1166,9 @@ impl NetIf {
             return self.drop_frame(); // truncated
         }
         match ip.proto {
-            wire::IPPROTO_TCP => self.classify_tcp(eth, ip, chain, runs),
+            wire::IPPROTO_TCP => self.classify_tcp(eth, ip, None, chain, rx),
             wire::IPPROTO_UDP => {
-                self.flush_runs(runs);
+                self.flush_runs(rx);
                 self.rx_udp(ip, chain);
             }
             _ => self.drop_frame(),
@@ -1154,18 +1188,21 @@ impl NetIf {
         }
     }
 
+    /// Classifies one TCP segment; `chain` starts at the TCP header,
+    /// which the one-look parser may already have read (`parsed`).
     fn classify_tcp(
         self: &Rc<Self>,
         eth: EthHeader,
         ip: Ipv4Header,
+        parsed: Option<TcpHeader>,
         mut chain: Chain<IoBuf>,
-        runs: &mut Vec<TcpRun>,
+        rx: &mut RxScratch,
     ) {
         self.stats.rx_tcp.set(self.stats.rx_tcp.get() + 1);
         if !wire::verify_tcp_checksum(ip.src, ip.dst, &chain, chain.len() as u16) {
             return self.drop_frame();
         }
-        let hdr = match wire::parse_tcp(&chain) {
+        let hdr = match parsed.or_else(|| wire::parse_tcp(&chain)) {
             Some(h) => h,
             None => return self.drop_frame(),
         };
@@ -1184,19 +1221,20 @@ impl NetIf {
                     hdr,
                     payload: chain,
                 };
-                match runs.iter_mut().find(|r| r.id == id) {
+                match rx.runs.iter_mut().find(|r| r.id == id) {
                     Some(run) => run.segs.push(seg),
-                    None => runs.push(TcpRun {
-                        id,
-                        segs: vec![seg],
-                    }),
+                    None => {
+                        let mut segs = rx.spare_segs.pop().unwrap_or_default();
+                        segs.push(seg);
+                        rx.runs.push(TcpRun { id, segs });
+                    }
                 }
             }
             None => {
                 // A SYN mutates the demux table (and anything else gets
                 // an RST built from instantaneous state): order it
                 // against the queued runs.
-                self.flush_runs(runs);
+                self.flush_runs(rx);
                 self.handle_no_conn(eth, ip, tuple, &hdr);
             }
         }
@@ -1401,10 +1439,10 @@ impl NetIf {
     /// per-packet processing (a run of N data segments produces one
     /// delivery and at most one bare ACK instead of N and N/2), which
     /// the equivalence proptest pins down.
-    fn process_run(self: &Rc<Self>, id: u64, segs: Vec<TcpSeg>) {
+    fn process_run(self: &Rc<Self>, id: u64, segs: &mut Vec<TcpSeg>) {
         let (pcb_rc, handler) = match self.conns.borrow().get(id) {
             Some(rec) => (Rc::clone(&rec.pcb), Rc::clone(&rec.handler)),
-            None => return,
+            None => return segs.clear(),
         };
         let conn = TcpConn {
             netif: Rc::downgrade(self),
@@ -1422,7 +1460,8 @@ impl NetIf {
         let mut chunks = 0usize;
         {
             let mut p = pcb_rc.borrow_mut();
-            for seg in segs {
+            // Draining leaves `segs` empty even on the RST `break`.
+            for seg in segs.drain(..) {
                 let hdr = seg.hdr;
                 // RST: tear down immediately; anything already
                 // reassembled in this run is still delivered below
@@ -1566,13 +1605,9 @@ impl NetIf {
         // Reassemble; deliverable chains coalesce into the run's single
         // zero-copy delivery (descriptor moves, no byte copies).
         let seg_len = payload.len() as u32;
-        let deliverable = p.on_data(hdr.seq, payload);
+        *chunks += p.on_data(hdr.seq, payload, delivery);
         if seg_len > 0 {
             p.segs_since_ack += 1;
-        }
-        for chunk in deliverable {
-            *chunks += 1;
-            delivery.append_chain(chunk);
         }
         // FIN processing: consumes one sequence number, only when it is
         // the next expected byte.
@@ -1713,10 +1748,23 @@ impl NetIf {
     /// space it occupies (payload + SYN/FIN); pure ACKs pass 0.
     fn tcp_output(&self, p: &mut Pcb, flags: u8, seq: u32, payload: Chain<IoBuf>, _seq_len: u32) {
         let mut hdr = MutIoBuf::with_headroom(0, wire::HEADROOM);
-        wire::push_tcp(
+        let id = self.ip_id.get();
+        self.ip_id.set(id.wrapping_add(1));
+        wire::push_tcp_frame(
             &mut hdr,
-            p.tuple.local.0,
-            p.tuple.remote.0,
+            &EthHeader {
+                dst: p.remote_mac,
+                src: self.mac(),
+                ethertype: wire::ETHERTYPE_IPV4,
+            },
+            &Ipv4Header {
+                src: p.tuple.local.0,
+                dst: p.tuple.remote.0,
+                proto: wire::IPPROTO_TCP,
+                total_len: 0,
+                id,
+                ttl: 64,
+            },
             &TcpHeader {
                 src_port: p.tuple.local.1,
                 dst_port: p.tuple.remote.1,
@@ -1727,29 +1775,6 @@ impl NetIf {
                 header_len: wire::TCP_HLEN,
             },
             &payload,
-        );
-        let tcp_len = wire::TCP_HLEN + payload.len();
-        let id = self.ip_id.get();
-        self.ip_id.set(id.wrapping_add(1));
-        wire::push_ipv4(
-            &mut hdr,
-            &Ipv4Header {
-                src: p.tuple.local.0,
-                dst: p.tuple.remote.0,
-                proto: wire::IPPROTO_TCP,
-                total_len: 0,
-                id,
-                ttl: 64,
-            },
-            tcp_len,
-        );
-        wire::push_eth(
-            &mut hdr,
-            &EthHeader {
-                dst: p.remote_mac,
-                src: self.mac(),
-                ethertype: wire::ETHERTYPE_IPV4,
-            },
         );
         let mut frame = Chain::single(hdr.freeze());
         frame.append_chain(payload);

@@ -303,15 +303,21 @@ impl Pcb {
         result
     }
 
-    /// Processes arriving payload at `seg_seq`; returns the in-order
-    /// chains now deliverable to the application (in order). Handles
-    /// duplicates (trimmed), old data, and out-of-order arrival
-    /// (stashed until the gap fills).
-    pub fn on_data(&mut self, seg_seq: u32, mut payload: Chain<IoBuf>) -> Vec<Chain<IoBuf>> {
-        let mut deliver = Vec::new();
+    /// Processes arriving payload at `seg_seq`: appends whatever is now
+    /// deliverable to the application, in order, to `delivery` (the
+    /// run's one chain — descriptor moves, no allocation) and returns
+    /// how many chunks that was. Handles duplicates (trimmed), old
+    /// data, and out-of-order arrival (stashed until the gap fills).
+    pub fn on_data(
+        &mut self,
+        seg_seq: u32,
+        mut payload: Chain<IoBuf>,
+        delivery: &mut Chain<IoBuf>,
+    ) -> usize {
         if payload.is_empty() {
-            return deliver;
+            return 0;
         }
+        let mut chunks = 0;
         let mut seg_seq = seg_seq;
         // Trim bytes we already received.
         if seq::lt(seg_seq, self.rcv_nxt) {
@@ -319,14 +325,15 @@ impl Pcb {
             if dup >= payload.len() {
                 // Entirely old: just owe an ACK.
                 self.ack_pending = true;
-                return deliver;
+                return 0;
             }
             payload.advance(dup);
             seg_seq = self.rcv_nxt;
         }
         if seg_seq == self.rcv_nxt {
             self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
-            deliver.push(payload);
+            delivery.append_chain(payload);
+            chunks += 1;
             // Drain any out-of-order segments that now fit. The cold
             // box only exists if this connection ever went out of
             // order; the in-order fast path never touches it.
@@ -344,7 +351,8 @@ impl Pcb {
                         chain.advance(dup);
                     }
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(chain.len() as u32);
-                    deliver.push(chain);
+                    delivery.append_chain(chain);
+                    chunks += 1;
                 }
             }
         } else {
@@ -354,7 +362,7 @@ impl Pcb {
             self.cold_mut().ooo.entry(seg_seq).or_insert(payload);
         }
         self.ack_pending = true;
-        deliver
+        chunks
     }
 
     /// Whether the connection has fully terminated.
@@ -449,12 +457,19 @@ mod tests {
         assert_eq!(p.send_window(), 100);
     }
 
+    /// Feeds one segment; returns `(chunks, bytes delivered)`.
+    fn feed(p: &mut Pcb, seq: u32, data: &[u8]) -> (usize, Vec<u8>) {
+        let mut delivery = Chain::new();
+        let chunks = p.on_data(seq, chain(data), &mut delivery);
+        (chunks, delivery.copy_to_vec())
+    }
+
     #[test]
     fn in_order_data_delivers_immediately() {
         let mut p = pcb();
-        let out = p.on_data(5000, chain(b"hello"));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].copy_to_vec(), b"hello");
+        let (chunks, out) = feed(&mut p, 5000, b"hello");
+        assert_eq!(chunks, 1);
+        assert_eq!(out, b"hello");
         assert_eq!(p.rcv_nxt, 5005);
         assert!(p.ack_pending);
     }
@@ -462,13 +477,12 @@ mod tests {
     #[test]
     fn out_of_order_held_until_gap_fills() {
         let mut p = pcb();
-        let out = p.on_data(5005, chain(b"world"));
-        assert!(out.is_empty(), "future segment must wait");
+        let (chunks, out) = feed(&mut p, 5005, b"world");
+        assert!(chunks == 0 && out.is_empty(), "future segment must wait");
         assert_eq!(p.rcv_nxt, 5000);
-        let out = p.on_data(5000, chain(b"hello"));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].copy_to_vec(), b"hello");
-        assert_eq!(out[1].copy_to_vec(), b"world");
+        let (chunks, out) = feed(&mut p, 5000, b"hello");
+        assert_eq!(chunks, 2);
+        assert_eq!(out, b"helloworld");
         assert_eq!(p.rcv_nxt, 5010);
         assert!(p.ooo_is_empty());
     }
@@ -476,21 +490,21 @@ mod tests {
     #[test]
     fn duplicate_data_trimmed() {
         let mut p = pcb();
-        p.on_data(5000, chain(b"hello"));
+        feed(&mut p, 5000, b"hello");
         // Retransmission overlapping old + new data.
-        let out = p.on_data(5002, chain(b"llo, world"));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].copy_to_vec(), b", world");
+        let (chunks, out) = feed(&mut p, 5002, b"llo, world");
+        assert_eq!(chunks, 1);
+        assert_eq!(out, b", world");
         assert_eq!(p.rcv_nxt, 5012);
     }
 
     #[test]
     fn fully_duplicate_data_just_acks() {
         let mut p = pcb();
-        p.on_data(5000, chain(b"hello"));
+        feed(&mut p, 5000, b"hello");
         p.ack_pending = false;
-        let out = p.on_data(5000, chain(b"hello"));
-        assert!(out.is_empty());
+        let (chunks, out) = feed(&mut p, 5000, b"hello");
+        assert!(chunks == 0 && out.is_empty());
         assert!(p.ack_pending, "duplicate must trigger an ACK");
         assert_eq!(p.rcv_nxt, 5005);
     }
@@ -498,10 +512,9 @@ mod tests {
     #[test]
     fn interleaved_ooo_segments_reassemble_in_order() {
         let mut p = pcb();
-        assert!(p.on_data(5010, chain(b"cc")).is_empty());
-        assert!(p.on_data(5005, chain(b"bbbbb")).is_empty());
-        let out = p.on_data(5000, chain(b"aaaaa"));
-        let all: Vec<u8> = out.iter().flat_map(|c| c.copy_to_vec()).collect();
+        assert_eq!(feed(&mut p, 5010, b"cc").0, 0);
+        assert_eq!(feed(&mut p, 5005, b"bbbbb").0, 0);
+        let (_, all) = feed(&mut p, 5000, b"aaaaa");
         assert_eq!(all, b"aaaaabbbbbcc");
         assert_eq!(p.rcv_nxt, 5012);
     }

@@ -62,11 +62,51 @@ impl fmt::Debug for Ipv4Addr {
 }
 
 /// Incremental Internet checksum (RFC 1071) accumulator.
+///
+/// Works on 64-bit words in the machine's own byte order and converts
+/// once, in [`finish`](Self::finish): the one's-complement sum does not
+/// depend on byte order (RFC 1071 §2(B) — swapping the bytes of every
+/// 16-bit word swaps the bytes of the sum), and a 64-bit
+/// one's-complement sum folds to the 16-bit one because 2⁶⁴ − 1 is a
+/// multiple of 2¹⁶ − 1.
 #[derive(Default)]
 pub struct Checksum {
-    sum: u32,
-    /// Carry byte when fed an odd-length slice.
-    odd: Option<u8>,
+    /// One's-complement sum so far, over native-order words.
+    sum: u64,
+    /// An odd number of bytes has been fed: the next slice starts in
+    /// the second byte of a 16-bit word.
+    odd: bool,
+}
+
+/// One's-complement (end-around carry) addition.
+#[inline]
+fn add1c(a: u64, b: u64) -> u64 {
+    let (s, carry) = a.overflowing_add(b);
+    s + carry as u64
+}
+
+/// Folds a 64-bit one's-complement sum to 16 bits.
+#[inline]
+fn fold16(mut s: u64) -> u16 {
+    while s > 0xffff {
+        s = (s & 0xffff) + (s >> 16);
+    }
+    s as u16
+}
+
+/// One's-complement sum of `data` as native-order words, the slice
+/// taken to start on a word boundary and zero-padded at the end.
+#[inline]
+fn sum_words(data: &[u8]) -> u64 {
+    let mut words = data.chunks_exact(8);
+    let mut sum = 0;
+    for w in &mut words {
+        sum = add1c(sum, u64::from_ne_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let rest = words.remainder();
+    let mut last = [0u8; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    add1c(sum, u64::from_ne_bytes(last))
 }
 
 impl Checksum {
@@ -75,46 +115,43 @@ impl Checksum {
         Self::default()
     }
 
+    /// Adds a partial sum computed as if from a word boundary.
+    #[inline]
+    fn add_sum(&mut self, s: u64) {
+        // In the second byte of a word every byte of the slice weighs
+        // what its neighbour would have: the sum with its bytes swapped.
+        let s = if self.odd {
+            fold16(s).swap_bytes() as u64
+        } else {
+            s
+        };
+        self.sum = add1c(self.sum, s);
+    }
+
     /// Feeds bytes into the sum.
-    pub fn add(&mut self, mut data: &[u8]) {
-        if let Some(hi) = self.odd.take() {
-            if let Some((&lo, rest)) = data.split_first() {
-                self.sum += u32::from_be_bytes([0, 0, hi, lo]);
-                data = rest;
-            } else {
-                self.odd = Some(hi);
-                return;
-            }
-        }
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-        }
-        if let [last] = chunks.remainder() {
-            self.odd = Some(*last);
-        }
+    #[inline]
+    pub fn add(&mut self, data: &[u8]) {
+        self.add_sum(sum_words(data));
+        self.odd ^= data.len() % 2 == 1;
     }
 
     /// Feeds a big-endian u16.
+    #[inline]
     pub fn add_u16(&mut self, v: u16) {
-        self.add(&v.to_be_bytes());
+        self.add_sum(u16::from_ne_bytes(v.to_be_bytes()) as u64);
     }
 
     /// Feeds a big-endian u32.
+    #[inline]
     pub fn add_u32(&mut self, v: u32) {
-        self.add(&v.to_be_bytes());
+        self.add_sum(u32::from_ne_bytes(v.to_be_bytes()) as u64);
     }
 
-    /// Finalizes: folds carries and complements.
-    pub fn finish(mut self) -> u16 {
-        if let Some(hi) = self.odd.take() {
-            self.sum += (hi as u32) << 8;
-        }
-        let mut s = self.sum;
-        while s > 0xffff {
-            s = (s & 0xffff) + (s >> 16);
-        }
-        !(s as u16)
+    /// Finalizes: folds carries, converts to network order and
+    /// complements.
+    #[inline]
+    pub fn finish(self) -> u16 {
+        !u16::from_be(fold16(self.sum))
     }
 }
 
@@ -125,9 +162,123 @@ pub fn checksum(data: &[u8]) -> u16 {
     c.finish()
 }
 
+/// The byte-pair accumulator [`Checksum`] replaced, kept as the
+/// reference the word-wise one is tested against.
+#[cfg(test)]
+mod reference {
+    /// Sums big-endian 16-bit words one at a time.
+    #[derive(Default)]
+    pub struct Checksum {
+        sum: u32,
+        /// Carry byte when fed an odd-length slice.
+        odd: Option<u8>,
+    }
+
+    impl Checksum {
+        pub fn add(&mut self, mut data: &[u8]) {
+            if let Some(hi) = self.odd.take() {
+                if let Some((&lo, rest)) = data.split_first() {
+                    self.sum += u32::from_be_bytes([0, 0, hi, lo]);
+                    data = rest;
+                } else {
+                    self.odd = Some(hi);
+                    return;
+                }
+            }
+            let mut chunks = data.chunks_exact(2);
+            for c in &mut chunks {
+                self.sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+            }
+            if let [last] = chunks.remainder() {
+                self.odd = Some(*last);
+            }
+        }
+
+        pub fn finish(mut self) -> u16 {
+            if let Some(hi) = self.odd.take() {
+                self.sum += (hi as u32) << 8;
+            }
+            let mut s = self.sum;
+            while s > 0xffff {
+                s = (s & 0xffff) + (s >> 16);
+            }
+            !(s as u16)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Feeds `data` to both accumulators in the pieces `cuts` (sorted
+    /// offsets) delimit.
+    fn both(data: &[u8], cuts: &[usize]) -> (u16, u16) {
+        let (mut fast, mut slow) = (Checksum::new(), reference::Checksum::default());
+        let mut from = 0;
+        for &to in cuts.iter().chain([&data.len()]) {
+            fast.add(&data[from..to]);
+            slow.add(&data[from..to]);
+            from = to;
+        }
+        (fast.finish(), slow.finish())
+    }
+
+    proptest! {
+        /// Any bytes, cut anywhere (odd offsets included) into 1–5
+        /// pieces: the word-wise sum equals the byte-pair reference, a
+        /// buffer carrying its own checksum verifies, and the same
+        /// buffer with one bit flipped does not.
+        #[test]
+        fn wordwise_checksum_matches_reference(
+            len in 0usize..9001,
+            seed in any::<u64>(),
+            raw_cuts in prop::collection::vec(any::<u32>(), 0..5),
+            flip in any::<u32>(),
+        ) {
+            let mut x = seed | 1;
+            let mut data: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let mut cuts: Vec<usize> = raw_cuts.iter().map(|c| *c as usize % (len + 1)).collect();
+            cuts.sort_unstable();
+            let (fast, slow) = both(&data, &cuts);
+            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(fast, checksum(&data), "splitting must not matter");
+            if len >= 2 {
+                // Store the checksum in the first word, as a header does.
+                data[..2].fill(0);
+                let ck = checksum(&data);
+                data[..2].copy_from_slice(&ck.to_be_bytes());
+                prop_assert_eq!(both(&data, &cuts), (0, 0), "embedded checksum verifies");
+                let bit = flip as usize % (len * 8);
+                data[bit / 8] ^= 1 << (bit % 8);
+                let (fast, slow) = both(&data, &cuts);
+                prop_assert_eq!(fast, slow);
+                prop_assert!(fast != 0, "a flipped bit must fail verification");
+            }
+        }
+    }
+
+    #[test]
+    fn add_u16_and_u32_match_their_bytes() {
+        for odd_prefix in [&[][..], &[0xabu8][..]] {
+            let mut a = Checksum::new();
+            a.add(odd_prefix);
+            a.add_u16(0x1234);
+            a.add_u32(0xdead_beef);
+            let mut b = Checksum::new();
+            b.add(odd_prefix);
+            b.add(&[0x12, 0x34, 0xde, 0xad, 0xbe, 0xef]);
+            assert_eq!(a.finish(), b.finish());
+        }
+    }
 
     #[test]
     fn ipv4_display_and_u32() {

@@ -4,6 +4,13 @@
 //! never copies the payload); parsers read through a chain
 //! [`Cursor`](ebbrt_core::iobuf::Cursor) and the caller *advances* the
 //! chain past the header (receive never copies either).
+//!
+//! Each header has one reader and one writer over a fixed-size byte
+//! array. The per-header functions gather that array through a cursor
+//! (headers may be split across segments); the TCP fast paths
+//! ([`parse_tcp_frame`], [`push_tcp_frame`]) hand the same readers and
+//! writers the three headers in place, from one look at the frame's
+//! first segment and one `prepend`.
 
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 
@@ -49,28 +56,37 @@ pub struct EthHeader {
     pub ethertype: u16,
 }
 
-/// Prepends an Ethernet header.
-pub fn push_eth(buf: &mut MutIoBuf, h: &EthHeader) {
-    let b = buf.prepend(ETH_HLEN);
+/// The first `N` bytes of `chain`, gathered across segments.
+fn gather<const N: usize>(chain: &Chain<IoBuf>) -> Option<[u8; N]> {
+    let mut b = [0u8; N];
+    chain.cursor().read_exact(&mut b)?;
+    Some(b)
+}
+
+fn write_eth(b: &mut [u8; ETH_HLEN], h: &EthHeader) {
     b[0..6].copy_from_slice(&h.dst);
     b[6..12].copy_from_slice(&h.src);
     b[12..14].copy_from_slice(&h.ethertype.to_be_bytes());
 }
 
+fn read_eth(b: &[u8; ETH_HLEN]) -> EthHeader {
+    EthHeader {
+        dst: [b[0], b[1], b[2], b[3], b[4], b[5]],
+        src: [b[6], b[7], b[8], b[9], b[10], b[11]],
+        ethertype: u16::from_be_bytes([b[12], b[13]]),
+    }
+}
+
+/// Prepends an Ethernet header.
+pub fn push_eth(buf: &mut MutIoBuf, h: &EthHeader) {
+    let b = buf.prepend(ETH_HLEN);
+    write_eth(b.try_into().expect("prepended ETH_HLEN"), h);
+}
+
 /// Parses the Ethernet header at the chain's start; the caller then
 /// advances the chain by [`ETH_HLEN`].
 pub fn parse_eth(chain: &Chain<IoBuf>) -> Option<EthHeader> {
-    let mut cur = chain.cursor();
-    let mut dst = [0u8; 6];
-    let mut src = [0u8; 6];
-    cur.read_exact(&mut dst)?;
-    cur.read_exact(&mut src)?;
-    let ethertype = cur.read_u16_be()?;
-    Some(EthHeader {
-        dst,
-        src,
-        ethertype,
-    })
+    Some(read_eth(&gather(chain)?))
 }
 
 // --- ARP ------------------------------------------------------------------
@@ -160,10 +176,10 @@ pub struct Ipv4Header {
     pub ttl: u8,
 }
 
-/// Prepends an IPv4 header over a payload of `payload_len` bytes.
-pub fn push_ipv4(buf: &mut MutIoBuf, h: &Ipv4Header, payload_len: usize) {
+/// Writes an IPv4 header (with its checksum) over a payload of
+/// `payload_len` bytes.
+fn write_ipv4(b: &mut [u8; IPV4_HLEN], h: &Ipv4Header, payload_len: usize) {
     let total = (IPV4_HLEN + payload_len) as u16;
-    let b = buf.prepend(IPV4_HLEN);
     b[0] = 0x45; // version 4, IHL 5
     b[1] = 0;
     b[2..4].copy_from_slice(&total.to_be_bytes());
@@ -174,20 +190,16 @@ pub fn push_ipv4(buf: &mut MutIoBuf, h: &Ipv4Header, payload_len: usize) {
     b[10..12].copy_from_slice(&[0, 0]);
     b[12..16].copy_from_slice(&h.src.0);
     b[16..20].copy_from_slice(&h.dst.0);
-    let ck = crate::types::checksum(&b[..IPV4_HLEN]);
+    let ck = crate::types::checksum(b);
     b[10..12].copy_from_slice(&ck.to_be_bytes());
 }
 
-/// Parses and checksum-verifies an IPv4 header from a chain positioned
-/// after the Ethernet header.
-pub fn parse_ipv4(chain: &Chain<IoBuf>) -> Option<Ipv4Header> {
-    let mut cur = chain.cursor();
-    let mut hdr = [0u8; IPV4_HLEN];
-    cur.read_exact(&mut hdr)?;
+/// Reads and checksum-verifies an IPv4 header.
+fn read_ipv4(hdr: &[u8; IPV4_HLEN]) -> Option<Ipv4Header> {
     if hdr[0] != 0x45 {
         return None; // not v4 / has options
     }
-    if crate::types::checksum(&hdr) != 0 {
+    if crate::types::checksum(hdr) != 0 {
         return None; // corrupt
     }
     Some(Ipv4Header {
@@ -198,6 +210,18 @@ pub fn parse_ipv4(chain: &Chain<IoBuf>) -> Option<Ipv4Header> {
         id: u16::from_be_bytes([hdr[4], hdr[5]]),
         ttl: hdr[8],
     })
+}
+
+/// Prepends an IPv4 header over a payload of `payload_len` bytes.
+pub fn push_ipv4(buf: &mut MutIoBuf, h: &Ipv4Header, payload_len: usize) {
+    let b = buf.prepend(IPV4_HLEN);
+    write_ipv4(b.try_into().expect("prepended IPV4_HLEN"), h, payload_len);
+}
+
+/// Parses and checksum-verifies an IPv4 header from a chain positioned
+/// after the Ethernet header.
+pub fn parse_ipv4(chain: &Chain<IoBuf>) -> Option<Ipv4Header> {
+    read_ipv4(&gather(chain)?)
 }
 
 fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) -> Checksum {
@@ -304,18 +328,18 @@ pub struct TcpHeader {
     pub header_len: usize,
 }
 
-/// Prepends a TCP header (no options) with pseudo-header checksum over
-/// `payload`.
-#[allow(clippy::too_many_arguments)]
-pub fn push_tcp(
-    buf: &mut MutIoBuf,
+/// Writes a TCP header (no options) whose checksum covers the
+/// pseudo-header, the header itself, `tail` (bytes that follow it in
+/// the same buffer) and `payload`.
+fn write_tcp(
+    b: &mut [u8; TCP_HLEN],
     src: Ipv4Addr,
     dst: Ipv4Addr,
     h: &TcpHeader,
+    tail: &[u8],
     payload: &Chain<IoBuf>,
 ) {
-    let len = (TCP_HLEN + payload.len() + buf.len()) as u16;
-    let b = buf.prepend(TCP_HLEN);
+    let len = (TCP_HLEN + tail.len() + payload.len()) as u16;
     b[0..2].copy_from_slice(&h.src_port.to_be_bytes());
     b[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
     b[4..8].copy_from_slice(&h.seq.to_be_bytes());
@@ -326,36 +350,111 @@ pub fn push_tcp(
     b[16..18].copy_from_slice(&[0, 0]);
     b[18..20].copy_from_slice(&[0, 0]); // urgent pointer
     let mut c = pseudo_header_sum(src, dst, IPPROTO_TCP, len);
-    c.add(&b[..TCP_HLEN]);
-    c.add(&buf.bytes()[TCP_HLEN..]);
+    c.add(b);
+    c.add(tail);
     let ck = chain_checksum(c, payload);
-    let b = buf.bytes_mut();
     b[16..18].copy_from_slice(&ck.to_be_bytes());
 }
 
-/// Parses a TCP header from a chain positioned after the IPv4 header.
-pub fn parse_tcp(chain: &Chain<IoBuf>) -> Option<TcpHeader> {
-    let mut cur = chain.cursor();
-    let src_port = cur.read_u16_be()?;
-    let dst_port = cur.read_u16_be()?;
-    let seq = cur.read_u32_be()?;
-    let ack = cur.read_u32_be()?;
-    let off = cur.read_u8()?;
-    let flags = cur.read_u8()?;
-    let window = cur.read_u16_be()?;
-    let header_len = ((off >> 4) as usize) * 4;
+/// Reads the fixed part of a TCP header.
+fn read_tcp(b: &[u8; TCP_HLEN]) -> Option<TcpHeader> {
+    let header_len = ((b[12] >> 4) as usize) * 4;
     if header_len < TCP_HLEN {
         return None;
     }
     Some(TcpHeader {
-        src_port,
-        dst_port,
-        seq,
-        ack,
-        flags,
-        window,
+        src_port: u16::from_be_bytes([b[0], b[1]]),
+        dst_port: u16::from_be_bytes([b[2], b[3]]),
+        seq: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+        ack: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+        flags: b[13],
+        window: u16::from_be_bytes([b[14], b[15]]),
         header_len,
     })
+}
+
+/// Prepends a TCP header (no options) with pseudo-header checksum over
+/// `payload`.
+pub fn push_tcp(
+    buf: &mut MutIoBuf,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    h: &TcpHeader,
+    payload: &Chain<IoBuf>,
+) {
+    buf.prepend(TCP_HLEN);
+    let (b, tail) = buf
+        .bytes_mut()
+        .split_first_chunk_mut()
+        .expect("prepended TCP_HLEN");
+    write_tcp(b, src, dst, h, tail, payload);
+}
+
+/// Parses a TCP header from a chain positioned after the IPv4 header.
+pub fn parse_tcp(chain: &Chain<IoBuf>) -> Option<TcpHeader> {
+    // The fixed header stops at the window; a segment cut short inside
+    // the checksum or urgent pointer still parses (and then fails its
+    // checksum).
+    const FIXED: usize = 16;
+    let mut b = [0u8; TCP_HLEN];
+    b[..FIXED].copy_from_slice(&gather::<FIXED>(chain)?);
+    read_tcp(&b)
+}
+
+/// Length of the three headers [`parse_tcp_frame`] and
+/// [`push_tcp_frame`] handle at once.
+pub const TCP_FRAME_HLEN: usize = ETH_HLEN + IPV4_HLEN + TCP_HLEN;
+
+/// Splits a [`TCP_FRAME_HLEN`]-byte block into its three headers.
+fn split_frame_headers(
+    b: &[u8; TCP_FRAME_HLEN],
+) -> (&[u8; ETH_HLEN], &[u8; IPV4_HLEN], &[u8; TCP_HLEN]) {
+    let (eth, rest) = b.split_first_chunk().expect("sized");
+    let (ip, tcp) = rest.split_first_chunk().expect("sized");
+    (eth, ip, tcp.try_into().expect("sized"))
+}
+
+/// The receive fast path: parses all three headers of a well-formed
+/// TCP-over-IPv4 frame from one look at its first segment.
+///
+/// Returns `None` for anything else — headers split across segments, a
+/// different ethertype or protocol, IP options, a bad IP header
+/// checksum, a bad TCP data offset — and the caller then parses header
+/// by header ([`parse_eth`], [`parse_ipv4`], [`parse_tcp`]), which
+/// accepts or rejects the frame exactly as it always did. The TCP
+/// checksum is the caller's next step either way.
+pub fn parse_tcp_frame(frame: &Chain<IoBuf>) -> Option<(EthHeader, Ipv4Header, TcpHeader)> {
+    let (eth, ip, tcp) = split_frame_headers(frame.iter().next()?.bytes().first_chunk()?);
+    let eth = read_eth(eth);
+    if eth.ethertype != ETHERTYPE_IPV4 {
+        return None;
+    }
+    let ip = read_ipv4(ip).filter(|ip| ip.proto == IPPROTO_TCP)?;
+    Some((eth, ip, read_tcp(tcp)?))
+}
+
+/// The transmit fast path: prepends the TCP, IPv4 and Ethernet headers
+/// of one segment with a single `prepend`, producing the bytes
+/// [`push_tcp`], [`push_ipv4`] and [`push_eth`] would in turn
+/// (`ip.total_len` is computed, as in [`push_ipv4`]).
+pub fn push_tcp_frame(
+    buf: &mut MutIoBuf,
+    eth: &EthHeader,
+    ip: &Ipv4Header,
+    tcp: &TcpHeader,
+    payload: &Chain<IoBuf>,
+) {
+    buf.prepend(TCP_FRAME_HLEN);
+    let (hdrs, tail) = buf
+        .bytes_mut()
+        .split_first_chunk_mut::<TCP_FRAME_HLEN>()
+        .expect("prepended TCP_FRAME_HLEN");
+    let (eth_b, rest) = hdrs.split_first_chunk_mut().expect("sized");
+    let (ip_b, tcp_b) = rest.split_first_chunk_mut().expect("sized");
+    let tcp_b: &mut [u8; TCP_HLEN] = tcp_b.try_into().expect("sized");
+    write_tcp(tcp_b, ip.src, ip.dst, tcp, tail, payload);
+    write_ipv4(ip_b, ip, TCP_HLEN + tail.len() + payload.len());
+    write_eth(eth_b, eth);
 }
 
 /// Verifies a TCP segment's checksum (header chain positioned after the
@@ -486,6 +585,94 @@ mod tests {
         assert_eq!(h.src_port, 68);
         assert_eq!(h.dst_port, 67);
         assert_eq!(h.len as usize, UDP_HLEN + 7);
+    }
+
+    /// A data segment's headers built both ways: `(one prepend, three)`.
+    fn frames_both_ways(payload: &Chain<IoBuf>) -> (MutIoBuf, MutIoBuf) {
+        let eth = EthHeader {
+            dst: [2; 6],
+            src: [1; 6],
+            ethertype: ETHERTYPE_IPV4,
+        };
+        let ip = Ipv4Header {
+            src: Ipv4Addr::new(10, 0, 0, 1),
+            dst: Ipv4Addr::new(10, 0, 0, 2),
+            proto: IPPROTO_TCP,
+            total_len: 0,
+            id: 0x4242,
+            ttl: 64,
+        };
+        let tcp = TcpHeader {
+            src_port: 40000,
+            dst_port: 11211,
+            seq: 0x0102_0304,
+            ack: 0xa0b0_c0d0,
+            flags: tcp_flags::ACK | tcp_flags::PSH,
+            window: 0xfffe,
+            header_len: TCP_HLEN,
+        };
+        let mut one = MutIoBuf::with_headroom(0, HEADROOM);
+        push_tcp_frame(&mut one, &eth, &ip, &tcp, payload);
+        let mut three = MutIoBuf::with_headroom(0, HEADROOM);
+        push_tcp(&mut three, ip.src, ip.dst, &tcp, payload);
+        push_ipv4(&mut three, &ip, TCP_HLEN + payload.len());
+        push_eth(&mut three, &eth);
+        (one, three)
+    }
+
+    #[test]
+    fn one_prepend_writes_the_bytes_three_prepends_do() {
+        for payload in [&b""[..], b"x", b"odd-length payload!"] {
+            let payload = Chain::single(IoBuf::copy_from(payload));
+            let (one, three) = frames_both_ways(&payload);
+            assert_eq!(one.bytes(), three.bytes());
+            assert_eq!(one.len(), TCP_FRAME_HLEN);
+        }
+    }
+
+    #[test]
+    fn one_look_parse_agrees_with_header_by_header() {
+        let payload = Chain::single(IoBuf::copy_from(b"payload"));
+        let (hdrs, _) = frames_both_ways(&payload);
+        let mut frame = single(hdrs);
+        frame.append_chain(payload);
+        let (eth, ip, tcp) = parse_tcp_frame(&frame).expect("contiguous, well-formed");
+        let mut rest = frame.clone();
+        assert_eq!(Some(eth), parse_eth(&rest));
+        rest.advance(ETH_HLEN);
+        assert_eq!(Some(ip), parse_ipv4(&rest));
+        rest.advance(IPV4_HLEN);
+        assert_eq!(Some(tcp), parse_tcp(&rest));
+        assert!(verify_tcp_checksum(
+            ip.src,
+            ip.dst,
+            &rest,
+            rest.len() as u16
+        ));
+
+        // Headers split across segments are left to the cursor path…
+        let bytes = frame.copy_to_vec();
+        for cut in [1, ETH_HLEN, ETH_HLEN + 7, TCP_FRAME_HLEN - 1] {
+            let mut split = Chain::single(IoBuf::copy_from(&bytes[..cut]));
+            split.push_back(IoBuf::copy_from(&bytes[cut..]));
+            assert_eq!(parse_tcp_frame(&split), None);
+            assert_eq!(parse_eth(&split), Some(eth), "…which still reads them");
+        }
+        // …as is anything the header-by-header parsers would reject or
+        // route elsewhere.
+        let corrupt = |at: usize, to: u8| {
+            let mut b = bytes.clone();
+            b[at] = to;
+            parse_tcp_frame(&Chain::single(IoBuf::copy_from(&b)))
+        };
+        assert_eq!(corrupt(12, 0x86), None, "not IPv4");
+        assert_eq!(corrupt(ETH_HLEN, 0x46), None, "IP options");
+        assert_eq!(corrupt(ETH_HLEN + 8, 63), None, "IP checksum");
+        assert_eq!(
+            corrupt(ETH_HLEN + IPV4_HLEN + 12, 0x40),
+            None,
+            "data offset"
+        );
     }
 
     #[test]

@@ -46,6 +46,11 @@ struct Port {
     link: LinkParams,
     /// When the port's uplink finishes its current transmission.
     tx_free_at: Cell<Ns>,
+    /// The source MAC of the last frame this port sent, once `fdb`
+    /// maps it here: `learned == Some(m)` implies `fdb[m]` is this
+    /// port, so a port that keeps sending from one address (every NIC)
+    /// skips the table after its first frame.
+    learned: Cell<Option<Mac>>,
     /// Loss-injection hook: frames destined to this port for which the
     /// filter returns `true` are dropped (fault injection for tests and
     /// retransmission experiments).
@@ -96,11 +101,12 @@ impl Switch {
             nic: Rc::clone(nic),
             link,
             tx_free_at: Cell::new(0),
+            learned: Cell::new(None),
             drop_filter: RefCell::new(None),
         });
         drop(ports);
         // Pre-learn the NIC's own MAC so first frames need no flood.
-        self.fdb.borrow_mut().insert(nic.mac(), port);
+        self.learn(nic.mac(), port);
         let sw = Rc::downgrade(self);
         nic.install_tx_handler(Box::new(move |frame| {
             if let Some(sw) = sw.upgrade() {
@@ -214,14 +220,34 @@ impl Switch {
         filter.as_ref().is_some_and(|f| f(frame))
     }
 
+    /// Records that `mac` is reached through `port`. The table is
+    /// written only when the mapping changes; any other port that had
+    /// learned `mac` forgets it, which keeps `Port::learned` true to
+    /// the table when an address moves.
+    fn learn(&self, mac: Mac, port: usize) {
+        let ports = self.ports.borrow();
+        if ports[port].learned.get() == Some(mac) {
+            return;
+        }
+        for p in ports.iter().filter(|p| p.learned.get() == Some(mac)) {
+            p.learned.set(None);
+        }
+        ports[port].learned.set(Some(mac));
+        self.fdb.borrow_mut().insert(mac, port);
+    }
+
+    /// A frame's arrival at `port` (its `Deliver` queue entry came due).
+    pub(crate) fn deliver(&self, port: usize, frame: Frame) {
+        self.ports.borrow()[port].nic.deliver(frame);
+    }
+
     fn forward(self: &Rc<Self>, from: usize, frame: Frame) {
         let world = match self.world.upgrade() {
             Some(w) => w,
             None => return,
         };
-        // Learn the source.
         if let Some(src) = frame.src_mac() {
-            self.fdb.borrow_mut().insert(src, from);
+            self.learn(src, from);
         }
         // The frame leaves the guest only after the CPU work performed
         // so far in the current event (service time delays outputs).
@@ -253,13 +279,7 @@ impl Switch {
                     return;
                 }
                 self.forwarded.set(self.forwarded.get() + 1);
-                let sw = Rc::downgrade(self);
-                world.schedule_at(depart + latency, move |_| {
-                    if let Some(sw) = sw.upgrade() {
-                        let ports = sw.ports.borrow();
-                        ports[port].nic.deliver(frame);
-                    }
-                });
+                world.schedule_delivery(depart + latency, self, port, frame);
             }
             Some(_) => { /* destined to sender itself: drop */ }
             None => {
@@ -275,13 +295,7 @@ impl Switch {
                     // Chain clone shares storage: flooding copies
                     // descriptors, not bytes.
                     let copy = Frame::new(frame.data.clone());
-                    let sw = Rc::downgrade(self);
-                    world.schedule_at(depart + latency, move |_| {
-                        if let Some(sw) = sw.upgrade() {
-                            let ports = sw.ports.borrow();
-                            ports[port].nic.deliver(copy);
-                        }
-                    });
+                    world.schedule_delivery(depart + latency, self, port, copy);
                 }
             }
         }
@@ -351,6 +365,38 @@ mod tests {
         assert_eq!(nics[2].rx_len(0), 1);
         assert_eq!(nics[1].rx_len(0), 0);
         assert_eq!(sw.stats(), (1, 0));
+    }
+
+    #[test]
+    fn an_address_that_moves_ports_is_relearned_each_time() {
+        let w = SimWorld::new();
+        let sw = Switch::new(&w);
+        let nics: Vec<_> = (0..3u8).map(|i| SimNic::new([i + 1; 6], 1)).collect();
+        for n in &nics {
+            sw.attach(n, LinkParams::default());
+        }
+        const ROAMER: Mac = [9; 6];
+        // The roamer shows up behind port 1, then port 2, then port 1
+        // again (whose `learned` entry was its own address meanwhile);
+        // port 0's frames to it must follow every move.
+        for (round, &port) in [1usize, 2, 1].iter().enumerate() {
+            nics[port].transmit(frame([1; 6], ROAMER, 40));
+            w.run_to_idle();
+            nics[0].transmit(frame(ROAMER, [1; 6], 40));
+            w.run_to_idle();
+            let got = [nics[1].rx_len(0), nics[2].rx_len(0)];
+            let mut want = [0, 0];
+            for &p in &[1usize, 2, 1][..=round] {
+                want[p - 1] += 1;
+            }
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(sw.stats().1, 0, "never flooded");
+        }
+        // Its own address still reaches port 1 after the roamer left.
+        nics[2].transmit(frame([1; 6], ROAMER, 40));
+        nics[0].transmit(frame([2; 6], [1; 6], 40));
+        w.run_to_idle();
+        assert_eq!(nics[1].rx_len(0), 3);
     }
 
     #[test]

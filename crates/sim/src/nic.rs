@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use ebbrt_core::event::InterruptLine;
-use ebbrt_core::iobuf::{Chain, IoBuf};
+use ebbrt_core::iobuf::{Buf, Chain, IoBuf};
 
 /// A MAC address.
 pub type Mac = [u8; 6];
@@ -60,69 +60,73 @@ impl Frame {
         self.data.is_empty()
     }
 
+    /// The first `min(len, HEAD_MAX)` bytes of the frame — everything
+    /// the switch and the NIC look at. Read in place when the first
+    /// segment holds them all (it does for every frame the stack
+    /// builds: the three headers are one prepend); gathered into
+    /// `scratch` otherwise.
+    fn head<'a>(&'a self, scratch: &'a mut [u8; HEAD_MAX]) -> &'a [u8] {
+        let want = self.data.len().min(HEAD_MAX);
+        match self.data.iter().next() {
+            Some(first) if first.len() >= want => &first.bytes()[..want],
+            _ => {
+                let gathered = &mut scratch[..want];
+                self.data
+                    .cursor()
+                    .read_exact(gathered)
+                    .expect("want <= frame length");
+                gathered
+            }
+        }
+    }
+
     /// Destination MAC (first 6 bytes).
     pub fn dst_mac(&self) -> Option<Mac> {
-        let mut m = [0u8; 6];
-        self.data.cursor().read_exact(&mut m)?;
-        Some(m)
+        let mut scratch = [0u8; HEAD_MAX];
+        Some(*self.head(&mut scratch).first_chunk()?)
     }
 
     /// Source MAC (bytes 6..12).
     pub fn src_mac(&self) -> Option<Mac> {
-        let mut cur = self.data.cursor();
-        cur.skip(6)?;
-        let mut m = [0u8; 6];
-        cur.read_exact(&mut m)?;
-        Some(m)
+        let mut scratch = [0u8; HEAD_MAX];
+        Some(*self.head(&mut scratch).get(6..)?.first_chunk()?)
     }
 
     /// RSS hash over the IPv4 5-tuple (falls back to 0 for non-IPv4 or
     /// truncated frames, which then land on queue 0).
     pub fn flow_hash(&self) -> u32 {
-        let mut cur = self.data.cursor();
-        if cur.skip(12).is_none() {
-            return 0;
-        }
-        let ethertype = match cur.read_u16_be() {
-            Some(e) => e,
-            None => return 0,
+        let mut scratch = [0u8; HEAD_MAX];
+        let head = self.head(&mut scratch);
+        let be32 = |at: usize| {
+            head.get(at..)
+                .and_then(|b| b.first_chunk())
+                .map_or(0, |b| u32::from_be_bytes(*b))
         };
-        if ethertype != 0x0800 {
+        // Ethertype at 12; then the IPv4 header: IHL (byte 0), protocol
+        // (byte 9), addresses (bytes 12..20), ports right after it.
+        const IP: usize = 14;
+        if head.len() < IP + 12 || head[12..14] != 0x0800u16.to_be_bytes() {
             return 0;
         }
-        // IPv4 header: need IHL (byte 0), protocol (byte 9), addresses
-        // (bytes 12..20), then ports right after the header.
-        let ihl_byte = match cur.read_u8() {
-            Some(b) => b,
-            None => return 0,
+        let ihl = ((head[IP] & 0x0f) as usize) * 4;
+        let proto = head[IP + 9];
+        let ports = if (proto == 6 || proto == 17) && ihl >= 20 {
+            be32(IP + ihl)
+        } else {
+            0
         };
-        let ihl = ((ihl_byte & 0x0f) as usize) * 4;
-        if cur.skip(8).is_none() {
-            return 0;
-        }
-        let proto = match cur.read_u8() {
-            Some(p) => p,
-            None => return 0,
-        };
-        // Skip the header checksum (bytes 10..12) to reach the
-        // addresses at offsets 12..20.
-        if cur.skip(2).is_none() {
-            return 0;
-        }
-        let src = cur.read_u32_be().unwrap_or(0);
-        let dst = cur.read_u32_be().unwrap_or(0);
-        let mut src_port = 0;
-        let mut dst_port = 0;
-        if (proto == 6 || proto == 17) && ihl >= 20 && cur.skip(ihl - 20).is_some() {
-            // Skip IPv4 options, then read src/dst ports.
-            if let Some(ports) = cur.read_u32_be() {
-                src_port = (ports >> 16) as u16;
-                dst_port = ports as u16;
-            }
-        }
-        rss_hash(src, dst, src_port, dst_port)
+        rss_hash(
+            be32(IP + 12),
+            be32(IP + 16),
+            (ports >> 16) as u16,
+            ports as u16,
+        )
     }
 }
+
+/// Longest prefix [`Frame::head`] serves: Ethernet header, the longest
+/// IPv4 header, and the L4 ports.
+const HEAD_MAX: usize = 14 + 60 + 4;
 
 struct RxQueue {
     frames: RefCell<VecDeque<Frame>>,
@@ -368,6 +372,30 @@ mod tests {
         let b = ipv4_tcp_frame(5556, 80).flow_hash();
         assert_eq!(a1, a2, "same 5-tuple must hash identically");
         assert_ne!(a1, b, "different ports should (almost surely) differ");
+    }
+
+    #[test]
+    fn split_and_short_frames_read_like_contiguous_ones() {
+        let whole = ipv4_tcp_frame(40000, 11211);
+        let bytes = whole.data.copy_to_vec();
+        let (dst, src, hash) = (whole.dst_mac(), whole.src_mac(), whole.flow_hash());
+        assert_ne!(hash, 0);
+        for cut in 1..bytes.len() {
+            let mut data = Chain::single(IoBuf::copy_from(&bytes[..cut]));
+            data.push_back(IoBuf::copy_from(&bytes[cut..]));
+            let f = Frame::new(data);
+            assert_eq!((f.dst_mac(), f.src_mac(), f.flow_hash()), (dst, src, hash));
+        }
+        // Cut short: what is there still reads; the hash falls back.
+        let short = |n: usize| Frame::new(Chain::single(IoBuf::copy_from(&bytes[..n])));
+        assert_eq!((short(5).dst_mac(), short(11).src_mac()), (None, None));
+        assert_eq!((short(6).dst_mac(), short(12).src_mac()), (dst, src));
+        assert_eq!(short(25).flow_hash(), 0, "no protocol byte yet");
+        assert_eq!(
+            short(14 + 20).flow_hash(),
+            rss_hash(0x0a00_0001, 0x0a00_0002, 0, 0),
+            "addresses without ports"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use crossbeam::queue::SegQueue;
@@ -39,7 +39,9 @@ use ebbrt_core::clock::{Clock, ManualClock, Ns};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::runtime;
 
+use crate::link::Switch;
 use crate::machine::{LivePoll, SimMachine};
+use crate::nic::Frame;
 
 /// Virtual CPU time billed to one poll-loop iteration of an idle
 /// handler that declared no cost itself.
@@ -82,9 +84,59 @@ type WorldAction = Box<dyn FnOnce(&Rc<SimWorld>)>;
 enum Action {
     /// A caller's deferred closure ([`SimWorld::schedule_at`]).
     Call(WorldAction),
+    /// One of the simulator's own actions; carries no allocation.
+    Typed(Typed),
+}
+
+/// The simulator's own queue actions. One word, so that [`Action`]
+/// keeps it beside the closure pointer's niche and a queue entry stays
+/// 32 bytes — which is why a poll names its machine and core in 16
+/// bits each.
+enum Typed {
     /// Service a core, provided this entry is still the core's live
-    /// poll. Carries no allocation; the entry's `seq` is its identity.
-    Poll { machine: u32, core: CoreId },
+    /// poll; the entry's `seq` is its identity.
+    Poll { machine: u16, core: u16 },
+    /// Hand the frame parked in `slot` of the world's [`InFlight`]
+    /// slab to its destination port ([`SimWorld::schedule_delivery`]).
+    Deliver { slot: u32 },
+}
+
+/// A frame on the wire: where it is going, and the frame.
+struct Delivery {
+    switch: Weak<Switch>,
+    port: usize,
+    frame: Frame,
+}
+
+/// Frames on the wire, parked here so their queue entries stay one
+/// word: a slab whose vacated slots are reused, so a steady stream of
+/// frames allocates nothing.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<Delivery>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn park(&mut self, d: Delivery) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(d);
+                slot
+            }
+            None => {
+                self.slots.push(Some(d));
+                u32::try_from(self.slots.len() - 1).expect("too many frames in flight")
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> Delivery {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a Deliver entry owns its slot")
+    }
 }
 
 struct QEntry {
@@ -118,6 +170,7 @@ pub struct SimWorld {
     queue: RefCell<BinaryHeap<Reverse<QEntry>>>,
     seq: Cell<u64>,
     machines: RefCell<Vec<Rc<SimMachine>>>,
+    in_flight: RefCell<InFlight>,
     /// Cores made runnable by wakers (interrupt raised, remote spawn).
     wake_queue: Arc<SegQueue<(usize, u32)>>,
 }
@@ -130,6 +183,7 @@ impl SimWorld {
             queue: RefCell::new(BinaryHeap::new()),
             seq: Cell::new(0),
             machines: RefCell::new(Vec::new()),
+            in_flight: RefCell::default(),
             wake_queue: Arc::new(SegQueue::new()),
         })
     }
@@ -160,6 +214,18 @@ impl SimWorld {
         seq
     }
 
+    /// Schedules `frame` to arrive at `port` of `switch` at `at` — one
+    /// queue entry, like [`Self::schedule_at`], without the boxed
+    /// closure. The frame is dropped if the switch is gone by then.
+    pub(crate) fn schedule_delivery(&self, at: Ns, switch: &Rc<Switch>, port: usize, frame: Frame) {
+        let slot = self.in_flight.borrow_mut().park(Delivery {
+            switch: Rc::downgrade(switch),
+            port,
+            frame,
+        });
+        self.push(at.max(self.now()), Action::Typed(Typed::Deliver { slot }));
+    }
+
     /// Schedules `action` after `delay` nanoseconds.
     pub fn schedule_in(&self, delay: Ns, action: impl FnOnce(&Rc<SimWorld>) + 'static) {
         self.schedule_at(self.now() + delay, action);
@@ -170,8 +236,12 @@ impl SimWorld {
     pub(crate) fn register_machine(self: &Rc<Self>, machine: Rc<SimMachine>) -> usize {
         let mut machines = self.machines.borrow_mut();
         let index = machines.len();
-        // Poll entries name their machine in 32 bits.
-        assert!(u32::try_from(index).is_ok(), "too many machines");
+        // Poll entries name their machine and core in 16 bits each.
+        assert!(u16::try_from(index).is_ok(), "too many machines");
+        assert!(
+            u16::try_from(machine.runtime().ncores()).is_ok(),
+            "too many cores"
+        );
         for i in 0..machine.runtime().ncores() {
             let core = CoreId(i as u32);
             let wq = Arc::clone(&self.wake_queue);
@@ -213,7 +283,15 @@ impl SimWorld {
         self.clock.set(entry.at);
         match entry.action {
             Action::Call(f) => f(self),
-            Action::Poll { machine, core } => self.run_poll(machine as usize, core, entry.seq),
+            Action::Typed(Typed::Poll { machine, core }) => {
+                self.run_poll(machine as usize, CoreId(core as u32), entry.seq)
+            }
+            Action::Typed(Typed::Deliver { slot }) => {
+                let d = self.in_flight.borrow_mut().take(slot);
+                if let Some(switch) = d.switch.upgrade() {
+                    switch.deliver(d.port, d.frame);
+                }
+            }
         }
         self.drain_wake_queue();
         true
@@ -333,10 +411,10 @@ impl SimWorld {
         if cs.live_poll.get().is_some_and(|live| live.at <= at) {
             return;
         }
-        let action = Action::Poll {
-            machine: machine.index() as u32,
-            core,
-        };
+        let action = Action::Typed(Typed::Poll {
+            machine: machine.index() as u16,
+            core: core.0 as u16,
+        });
         let seq = self.push(at, action);
         cs.live_poll.set(Some(LivePoll { at, seq }));
     }
@@ -489,8 +567,8 @@ mod tests {
 
     #[test]
     fn poll_entry_does_not_grow_the_queue_entry() {
-        // at + seq + a boxed closure's fat pointer: the poll variant
-        // fits in the box's niche.
+        // at + seq + a boxed closure's fat pointer: the typed actions
+        // sit beside the box's niche.
         assert_eq!(std::mem::size_of::<QEntry>(), 32);
     }
 

@@ -494,14 +494,12 @@ mod tcp_props {
             }
 
             let mut p = pcb();
-            let mut delivered = Vec::new();
+            let mut delivered = Chain::new();
             for (seq, data) in arrivals {
                 let chain = Chain::single(IoBuf::copy_from(&data));
-                for out in p.on_data(seq, chain) {
-                    delivered.extend(out.copy_to_vec());
-                }
+                p.on_data(seq, chain, &mut delivered);
             }
-            prop_assert_eq!(delivered, stream);
+            prop_assert_eq!(delivered.copy_to_vec(), stream);
             prop_assert_eq!(p.rcv_nxt as usize, segs.iter().map(|(_, d)| d.len()).sum::<usize>());
         }
 
