@@ -313,6 +313,18 @@ impl Store {
     }
 }
 
+/// The form a value that arrived as a view of receive buffers is stored
+/// in: the view itself (zero-copy) — unless it is small relative to the
+/// regions it would pin ([`SET_COMPACT_FACTOR`]), in which case it is
+/// copied once into an exact-size buffer so stored keys can't starve
+/// the receive-buffer pool. The one rule for every way a value reaches
+/// a store: a client SET, a function-shipped SET, a replication
+/// fan-out, a re-sync page.
+pub fn at_rest(mut value: Chain<IoBuf>) -> Chain<IoBuf> {
+    value.compact_if_amplified(0, SET_COMPACT_FACTOR);
+    value
+}
+
 /// Appends `data` to a connection's unparsed request backlog and
 /// drains every complete binary-protocol request framed in it, handing
 /// `(header, body)` to `each` (the body carved zero-copy out of the
@@ -743,14 +755,7 @@ impl ServerConn {
                 // itself (sub-views of the receive buffers; zero-copy).
                 let mut value = body;
                 value.advance(extras + key_len);
-                // …unless the value is small relative to the regions it
-                // would pin — then compact into an exact-size buffer so
-                // stored keys can't starve the receive-buffer pool.
-                let mut value = value;
-                if value.len() * SET_COMPACT_FACTOR < value.pinned_bytes() {
-                    value.compact();
-                }
-                self.store.insert_chain(key.to_vec(), value);
+                self.store.insert_chain(key.to_vec(), at_rest(value));
                 let rh = Header {
                     magic: MAGIC_RESPONSE,
                     opcode: OP_SET,
@@ -813,7 +818,11 @@ pub fn serve_with(store: StoreRef, config: ServerConfig) {
 // the exact zero-copy path above; requests for another machine's shard
 // function-ship to the owner through the shard's `EbbRef` (miss →
 // GlobalIdMap → proxy rep → messenger), and the reply is framed back to
-// the memcached client when it lands. Cross-shard responses may
+// the memcached client when it lands. The shipped path moves buffer
+// descriptors, as the local one does: a request's value is the view it
+// was received in, a GET reply is a status byte plus clones of the
+// owner's stored descriptors, and the front end splices the reply's
+// tail into the client response. Cross-shard responses may
 // therefore reorder against local ones; clients correlate by `opaque`,
 // exactly as pipelined binary-protocol clients already must.
 //
@@ -911,11 +920,28 @@ const STATE_CATCHING_UP: u8 = 1;
 /// further behind streams a filtered snapshot first, then the log.
 const DELTA_LOG_CAP: usize = 32;
 
-/// One delta-log entry: `(version, key, value)`.
-type LogEntry = (u64, Vec<u8>, Vec<u8>);
-/// A request parked on a catching-up root: raw payload plus the
-/// responder that will answer it once re-driven.
-type ParkedRequest = (Vec<u8>, crate::SendCell<Box<dyn FnOnce(Vec<u8>)>>);
+/// One delta-log entry: `(version, key, value)` — the value a clone of
+/// the descriptors the store holds for it.
+type LogEntry = (u64, Vec<u8>, Chain<IoBuf>);
+/// A type-erased response continuation (parked and forwarded requests
+/// outlive the dispatch that handed them a concrete one).
+type Respond = Box<dyn FnOnce(Chain<IoBuf>)>;
+/// A request parked on a catching-up root: the payload as received
+/// plus the responder that will answer it once re-driven.
+type ParkedRequest = (Chain<IoBuf>, crate::SendCell<Respond>);
+
+/// A response that is just its tag byte.
+fn tag_only(tag: u8) -> Chain<IoBuf> {
+    wire::WireWriter::op(tag).finish()
+}
+
+/// `[HIT | v:u64]`: the acknowledgement of a write (its version) or a
+/// membership change (the root's `applied`).
+fn hit_u64(v: u64) -> Chain<IoBuf> {
+    let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
+    w.u64(v);
+    w.finish()
+}
 
 /// The per-machine root of one key range's replica: the machine's
 /// [`Store`] (shared by every range the machine hosts), the range's
@@ -1094,7 +1120,7 @@ impl ShardRoot {
     }
 
     /// Parks a request until the re-sync engine can re-drive it.
-    fn park(&self, payload: Vec<u8>, respond: Box<dyn FnOnce(Vec<u8>)>) {
+    fn park(&self, payload: Chain<IoBuf>, respond: Respond) {
         self.parked
             .lock()
             .expect("parked lock")
@@ -1110,8 +1136,7 @@ impl ShardRoot {
             let rep = StoreShardEbb {
                 inner: ShardInner::Local(Arc::clone(self)),
             };
-            let chain = Chain::single(IoBuf::copy_from(&payload));
-            rep.handle_remote_async(&chain, respond.0);
+            rep.handle_remote(payload, respond.0);
         }
     }
 
@@ -1128,27 +1153,45 @@ impl ShardRoot {
     /// Applies one versioned entry (live fan-out, delta entry, or
     /// snapshot-page entry): lands only if `version` exceeds the key's
     /// current version, advances `applied`, and records the write in
-    /// the delta log. Returns whether the entry landed.
-    pub fn apply_versioned(&self, key: &[u8], version: u64, value: &[u8]) -> bool {
-        {
-            let mut versions = self.versions.lock().expect("versions lock");
-            match versions.get(key) {
-                Some(&cur) if cur >= version => return false,
-                _ => versions.insert(key.to_vec(), version),
-            };
+    /// the delta log. `value` is a view of whatever it arrived in; it
+    /// goes to rest under the store's one rule ([`at_rest`]). Returns
+    /// whether the entry landed.
+    pub fn apply_versioned(&self, key: &[u8], version: u64, value: Chain<IoBuf>) -> bool {
+        if !self.advance_key_version(key, version) {
+            return false;
         }
-        self.store.insert_raw(key.to_vec(), IoBuf::copy_from(value));
+        self.put(version, key.to_vec(), value);
         self.applied.fetch_max(version, Ordering::AcqRel);
-        self.push_log(version, key, value);
         true
     }
 
-    fn push_log(&self, version: u64, key: &[u8], value: &[u8]) {
+    /// Raises `key`'s applied version to `version`; `false` (changing
+    /// nothing) when the key is already there or past it.
+    fn advance_key_version(&self, key: &[u8], version: u64) -> bool {
+        let mut versions = self.versions.lock().expect("versions lock");
+        match versions.get_mut(key) {
+            Some(cur) if *cur >= version => return false,
+            Some(cur) => *cur = version,
+            None => {
+                versions.insert(key.to_vec(), version);
+            }
+        }
+        true
+    }
+
+    /// Stores `value` under `key` and logs the write: the store and the
+    /// delta log hold the same descriptors, so a log entry costs no
+    /// bytes. Returns those descriptors (what a fan-out links).
+    fn put(&self, version: u64, key: Vec<u8>, value: Chain<IoBuf>) -> Chain<IoBuf> {
+        let value = at_rest(value);
         let mut log = self.log.lock().expect("log lock");
-        log.push_back((version, key.to_vec(), value.to_vec()));
+        log.push_back((version, key.clone(), value.clone()));
         while log.len() > DELTA_LOG_CAP {
             log.pop_front();
         }
+        drop(log);
+        self.store.insert_chain(key, value.clone());
+        value
     }
 
     /// Delta entries with version > `have`, oldest first, up to
@@ -1204,19 +1247,14 @@ impl ShardRoot {
     /// fan-out resolves the machine's remote transport).
     pub fn apply_set(
         self: &Arc<Self>,
-        key: Vec<u8>,
-        value: Vec<u8>,
+        key: &[u8],
+        value: Chain<IoBuf>,
         done: impl FnOnce(u64) + 'static,
     ) {
         let version = self.applied.fetch_add(1, Ordering::AcqRel) + 1;
         self.store.sets.fetch_add(1, Ordering::Relaxed);
-        self.store.insert_raw(key.clone(), IoBuf::copy_from(&value));
-        {
-            let mut versions = self.versions.lock().expect("versions lock");
-            let e = versions.entry(key.clone()).or_insert(0);
-            *e = (*e).max(version);
-        }
-        self.push_log(version, &key, &value);
+        self.advance_key_version(key, version);
+        let value = self.put(version, key.to_vec(), value);
         // Fan-out targets: every live peer (presumed-dead ones are
         // skipped — their re-sync pull owes them the write instead),
         // plus the rebalance rule's endpoints when the key is migrating
@@ -1234,7 +1272,7 @@ impl ShardRoot {
             }
         }
         if let Some(rule) = &*self.forward_rule.lock().expect("rule lock") {
-            if rule.ring.range_of(&key) == rule.range {
+            if rule.ring.range_of(key) == rule.range {
                 for &ep in &rule.eps {
                     if !targets.contains(&ep) {
                         targets.push(ep);
@@ -1249,27 +1287,36 @@ impl ShardRoot {
         let transport =
             EbbRef::<RemoteTransportEbb>::well_known(SystemEbb::Remote).with(|t| t.transport());
         let mut req = wire::WireWriter::op(SHARD_OP_REPL);
-        req.u64(version).bytes16(&key).tail(&value);
-        let payload = req.finish();
-        let remaining = Rc::new(Cell::new(targets.len()));
-        let done = Rc::new(RefCell::new(Some(done)));
-        for ep in targets {
+        req.u64(version).bytes16(key).tail_chain(&value);
+        let mut payload = Some(req.finish());
+        // What the last fan-out to resolve finds: the count it brings
+        // to zero and the acknowledgement it then runs.
+        let pending = Rc::new((Cell::new(targets.len()), Cell::new(Some(done))));
+        let last = targets.len() - 1;
+        for (i, ep) in targets.into_iter().enumerate() {
+            // The last target takes the payload itself — alone on its
+            // first buffer, so the messenger can frame it in place.
+            let payload = if i == last {
+                payload.take()
+            } else {
+                payload.clone()
+            }
+            .expect("taken once, last");
             self.repl_sent.fetch_add(1, Ordering::Relaxed);
             let me = Arc::clone(self);
-            let remaining = Rc::clone(&remaining);
-            let done = Rc::clone(&done);
-            RemoteShipper::new(ep, Rc::clone(&transport)).call(payload.clone(), move |r| {
+            let pending = Rc::clone(&pending);
+            RemoteShipper::new(ep, Rc::clone(&transport)).call(payload, move |r| {
                 let ok = matches!(
                     &r,
-                    Ok(resp) if wire::WireReader::new(resp).u8() == Some(SHARD_RESP_HIT)
+                    Ok(resp) if resp.cursor().read_u8() == Some(SHARD_RESP_HIT)
                 );
                 if !ok {
                     me.repl_failed.fetch_add(1, Ordering::Relaxed);
                     me.failed_peers.lock().expect("failed lock").insert(ep);
                 }
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    if let Some(d) = done.borrow_mut().take() {
+                pending.0.set(pending.0.get() - 1);
+                if pending.0.get() == 0 {
+                    if let Some(d) = pending.1.take() {
                         d(version);
                     }
                 }
@@ -1309,139 +1356,119 @@ impl DistributedEbb for StoreShardEbb {
         }
     }
 
-    fn handle_remote(&self, payload: &Chain<IoBuf>) -> Vec<u8> {
+    fn handle_remote(&self, payload: Chain<IoBuf>, respond: impl FnOnce(Chain<IoBuf>) + 'static) {
         let ShardInner::Local(root) = &self.inner else {
-            return vec![SHARD_RESP_ERR];
+            respond(tag_only(SHARD_RESP_ERR));
+            return;
         };
         let store = root.store();
+        let mut r = wire::WireReader::new(&payload);
+        let op = r.u8();
+        // The transfer protocol is served in place whatever the
+        // replica's state; a well-formed PULL answers with its page.
+        if op == Some(SHARD_OP_PULL) {
+            if let Some(page) = root.pull_page(&mut r) {
+                respond(page);
+                return;
+            }
+        }
+        // A catching-up replica ships client reads and writes to its
+        // catch-up source instead of serving (or versioning against)
+        // stale state. Fan-out receipts are applied regardless.
+        if matches!(op, Some(SHARD_OP_GET) | Some(SHARD_OP_SET)) && !root.is_serving() {
+            forward_to_source(root, payload, Box::new(respond));
+            return;
+        }
         charge(APP_BASE_NS + (payload.len() as u64) / 16);
-        let mut r = wire::WireReader::new(payload);
-        match r.u8() {
+        let reply = match op {
             Some(SHARD_OP_GET) => {
-                let key = r.tail();
                 store.gets.fetch_add(1, Ordering::Relaxed);
-                match store.get_raw(&key) {
+                match store.get_raw(&r.tail().contiguous()) {
+                    // A status byte, then the store's own descriptors.
                     Some(v) => {
-                        let mut out = vec![SHARD_RESP_HIT];
-                        out.extend_from_slice(&v.copy_to_vec());
-                        out
+                        let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
+                        w.tail_chain(&v);
+                        Some(w.finish())
                     }
                     None => {
                         store.misses.fetch_add(1, Ordering::Relaxed);
-                        vec![SHARD_RESP_MISS]
+                        Some(tag_only(SHARD_RESP_MISS))
                     }
                 }
             }
-            Some(SHARD_OP_REPL) => {
-                let (Some(version), Some(key)) = (r.u64(), r.bytes16()) else {
-                    return vec![SHARD_RESP_ERR];
-                };
-                store.sets.fetch_add(1, Ordering::Relaxed);
-                // Version-guarded: a fan-out racing a snapshot page (or
-                // a duplicate delivery) can arrive in any order without
-                // regressing the key.
-                root.apply_versioned(&key, version, &r.tail());
-                root.repl_applied.fetch_add(1, Ordering::Relaxed);
-                let mut out = vec![SHARD_RESP_HIT];
-                out.extend_from_slice(&version.to_be_bytes());
-                out
-            }
-            Some(SHARD_OP_STATUS) => {
-                let mut out = vec![SHARD_RESP_HIT];
-                out.extend_from_slice(&root.applied().to_be_bytes());
-                out.push(root.state.load(Ordering::Acquire));
-                out
-            }
-            Some(SHARD_OP_REJOIN) => {
-                let Some(ep) = r.u32() else {
-                    return vec![SHARD_RESP_ERR];
-                };
-                root.mark_rejoined(EbbId(ep));
-                let mut out = vec![SHARD_RESP_HIT];
-                out.extend_from_slice(&root.applied().to_be_bytes());
-                out
-            }
-            Some(SHARD_OP_ADD_PEER) => {
-                let Some(ep) = r.u32() else {
-                    return vec![SHARD_RESP_ERR];
-                };
-                root.add_peer(EbbId(ep));
-                let mut out = vec![SHARD_RESP_HIT];
-                out.extend_from_slice(&root.applied().to_be_bytes());
-                out
-            }
-            Some(SHARD_OP_SET_FORWARD) => {
-                let (Some(nranges), Some(vnodes), Some(range), Some(n)) =
-                    (r.u32(), r.u32(), r.u32(), r.u32())
-                else {
-                    return vec![SHARD_RESP_ERR];
-                };
-                let mut eps = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let Some(ep) = r.u32() else {
-                        return vec![SHARD_RESP_ERR];
-                    };
-                    eps.push(EbbId(ep));
+            // The acting primary may not acknowledge before its
+            // fan-out resolves: the one op that answers later.
+            Some(SHARD_OP_SET) => match r.bytes16() {
+                Some(key) => {
+                    let value = r.tail().into_chain();
+                    root.apply_set(&key.contiguous(), value, move |version| {
+                        respond(hit_u64(version))
+                    });
+                    return;
                 }
-                root.set_forward_rule(Arc::new(HashRing::new(nranges, vnodes)), range, eps);
-                vec![SHARD_RESP_HIT]
+                None => None,
+            },
+            Some(SHARD_OP_REPL) => match (r.u64(), r.bytes16()) {
+                (Some(version), Some(key)) => {
+                    store.sets.fetch_add(1, Ordering::Relaxed);
+                    // Version-guarded: a fan-out racing a snapshot page
+                    // (or a duplicate delivery) can arrive in any order
+                    // without regressing the key.
+                    root.apply_versioned(&key.contiguous(), version, r.tail().into_chain());
+                    root.repl_applied.fetch_add(1, Ordering::Relaxed);
+                    Some(hit_u64(version))
+                }
+                _ => None,
+            },
+            Some(SHARD_OP_STATUS) => {
+                let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
+                w.u64(root.applied()).u8(root.state.load(Ordering::Acquire));
+                Some(w.finish())
             }
+            Some(SHARD_OP_REJOIN) => r.u32().map(|ep| {
+                root.mark_rejoined(EbbId(ep));
+                hit_u64(root.applied())
+            }),
+            Some(SHARD_OP_ADD_PEER) => r.u32().map(|ep| {
+                root.add_peer(EbbId(ep));
+                hit_u64(root.applied())
+            }),
+            Some(SHARD_OP_SET_FORWARD) => (|| {
+                let (nranges, vnodes, range, n) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+                // `n` sizes nothing: the endpoints are read one by one
+                // and the list ends where the payload does.
+                let eps = (0..n)
+                    .map(|_| r.u32().map(EbbId))
+                    .collect::<Option<Vec<_>>>()?;
+                root.set_forward_rule(Arc::new(HashRing::new(nranges, vnodes)), range, eps);
+                Some(tag_only(SHARD_RESP_HIT))
+            })(),
             Some(SHARD_OP_CLEAR_FORWARD) => {
                 root.clear_forward_rule();
-                vec![SHARD_RESP_HIT]
+                Some(tag_only(SHARD_RESP_HIT))
             }
-            // SET must go through the asynchronous path — the acting
-            // primary may not acknowledge before its fan-out resolves.
-            _ => vec![SHARD_RESP_ERR],
-        }
+            _ => None,
+        };
+        respond(reply.unwrap_or_else(|| tag_only(SHARD_RESP_ERR)));
     }
+}
 
-    fn handle_remote_async(&self, payload: &Chain<IoBuf>, respond: Box<dyn FnOnce(Vec<u8>)>) {
-        let ShardInner::Local(root) = &self.inner else {
-            respond(vec![SHARD_RESP_ERR]);
-            return;
-        };
-        let mut r = wire::WireReader::new(payload);
-        let op = r.u8();
-        // A catching-up replica ships client reads and writes to its
-        // catch-up source instead of serving (or versioning against)
-        // stale state. The transfer protocol itself and fan-out
-        // receipts are served in place regardless of state.
-        if matches!(op, Some(SHARD_OP_GET) | Some(SHARD_OP_SET)) && !root.is_serving() {
-            forward_to_source(root, payload.copy_to_vec(), respond);
-            return;
-        }
-        if op != Some(SHARD_OP_SET) {
-            respond(self.handle_remote(payload));
-            return;
-        }
-        charge(APP_BASE_NS + (payload.len() as u64) / 16);
-        let Some(key) = r.bytes16() else {
-            respond(vec![SHARD_RESP_ERR]);
-            return;
-        };
-        root.apply_set(key, r.tail(), move |version| {
-            let mut out = vec![SHARD_RESP_HIT];
-            out.extend_from_slice(&version.to_be_bytes());
-            respond(out);
-        });
-    }
-
-    fn handle_remote_chain(&self, payload: &Chain<IoBuf>) -> Option<Chain<IoBuf>> {
-        let ShardInner::Local(root) = &self.inner else {
-            return None;
-        };
-        let mut r = wire::WireReader::new(payload);
-        if r.u8() != Some(SHARD_OP_PULL) {
-            return None;
-        }
-        let (Some(have), Some(skip), Some(limit), Some(nranges), Some(vnodes), Some(range)) =
-            (r.u64(), r.u64(), r.u32(), r.u32(), r.u32(), r.u32())
-        else {
-            return None;
-        };
+impl ShardRoot {
+    /// Serves one [`SHARD_OP_PULL`] whose op byte `r` has consumed:
+    /// `None` for a malformed request, else the page — a delta page
+    /// when the log still covers the puller, a ring-filtered snapshot
+    /// page of the store otherwise. Either way the values ride the
+    /// response as descriptor clones of the stored buffers (small ones
+    /// copied into the page's buffer, as any field that others follow
+    /// is): the source marshals the page's metadata into one pooled
+    /// buffer and copies no value it does not have to.
+    fn pull_page(&self, r: &mut wire::WireReader<'_>) -> Option<Chain<IoBuf>> {
+        let (have, skip, limit) = (r.u64()?, r.u64()?, r.u32()?);
+        let (nranges, vnodes, range) = (r.u32()?, r.u32()?, r.u32()?);
         charge(APP_BASE_NS);
-        let applied = root.applied();
+        let applied = self.applied();
+        let ring = HashRing::new(nranges, vnodes);
+        let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
         // Delta first: when the log still covers everything past
         // `have`, the page is exactly the missed writes, in order.
         // Only at `skip == 0`, though — a non-zero skip means the
@@ -1449,7 +1476,7 @@ impl DistributedEbb for StoreShardEbb {
         // *floor*, not a cover: switching to delta there would drop
         // the unwalked snapshot pages.
         if skip == 0 {
-            if let Some((entries, done)) = root.delta_since(have, limit as usize) {
+            if let Some((entries, done)) = self.delta_since(have, limit as usize) {
                 // Coverage extends past every entry this call examined
                 // — including ones the ring filter below drops (a
                 // rebalance pull wants only the migrating keys, but
@@ -1457,31 +1484,26 @@ impl DistributedEbb for StoreShardEbb {
                 // or an all-filtered page would re-pull forever).
                 let cover = entries.last().map_or(applied, |e| e.0);
                 let cover = if done { applied } else { cover };
-                let ring = HashRing::new(nranges, vnodes);
                 let entries: Vec<_> = entries
                     .into_iter()
                     .filter(|(_, key, _)| ring.range_of(key) == range)
                     .collect();
-                let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
                 w.u64(applied)
                     .u8(PULL_MODE_DELTA)
                     .u8(done as u8)
                     .u64(cover)
                     .u32(entries.len() as u32);
                 for (version, key, value) in &entries {
-                    w.u64(*version).bytes16(key).bytes32(value);
+                    w.u64(*version).bytes16(key).bytes32_chain(value);
                 }
-                return Some(Chain::single(IoBuf::copy_from(&w.finish())));
+                return Some(w.finish());
             }
         }
         // Snapshot page: walk the machine's store filtered to the
-        // requested ring range, `skip`-paged. Values ride the response
-        // chain as descriptor clones of the stored buffers — the
-        // source copies nothing.
-        let ring = HashRing::new(nranges, vnodes);
+        // requested ring range, `skip`-paged.
         let mut page: Vec<(Vec<u8>, Chain<IoBuf>)> = Vec::new();
         let mut matched: u64 = 0;
-        root.store().for_each(|k, v| {
+        self.store().for_each(|k, v| {
             if ring.range_of(k) != range {
                 return;
             }
@@ -1491,55 +1513,46 @@ impl DistributedEbb for StoreShardEbb {
             matched += 1;
         });
         let done = matched <= skip + page.len() as u64;
-        let mut head = wire::WireWriter::op(SHARD_RESP_HIT);
-        head.u64(applied)
+        w.u64(applied)
             .u8(PULL_MODE_SNAPSHOT)
             .u8(done as u8)
             .u64(0) // cover: meaningful only on delta pages
             .u32(page.len() as u32);
-        let mut out = Chain::single(IoBuf::copy_from(&head.finish()));
-        for (key, value) in page {
-            let mut meta = wire::WireWriter::new();
-            meta.u64(root.key_version(&key))
-                .bytes16(&key)
-                .u32(value.len() as u32);
-            out.push_back(IoBuf::copy_from(&meta.finish()));
-            for seg in value {
-                out.push_back(seg);
-            }
+        for (key, value) in &page {
+            w.u64(self.key_version(key))
+                .bytes16(key)
+                .bytes32_chain(value);
         }
-        Some(out)
+        Some(w.finish())
     }
 }
 
 /// Ships a client request hitting a catching-up replica to the
 /// replica's catch-up source (which, as a live fan-out member, holds
-/// every acknowledged write). With no reachable source the request
-/// parks; the re-sync engine re-drives it on retarget or on the
-/// serving flip — and a forward that fails mid-flight re-parks the
-/// same way, so the client's own timeout/retry budget is the only
-/// clock that can fail the request.
-fn forward_to_source(root: &Arc<ShardRoot>, payload: Vec<u8>, respond: Box<dyn FnOnce(Vec<u8>)>) {
+/// every acknowledged write) — the payload as received, by descriptor.
+/// With no reachable source the request parks; the re-sync engine
+/// re-drives it on retarget or on the serving flip — and a forward
+/// that fails mid-flight re-parks the same way, so the client's own
+/// timeout/retry budget is the only clock that can fail the request.
+fn forward_to_source(root: &Arc<ShardRoot>, payload: Chain<IoBuf>, respond: Respond) {
     let Some(source) = root.forward_target() else {
         root.park(payload, respond);
         return;
     };
-    let transport =
-        EbbRef::<RemoteTransportEbb>::well_known(SystemEbb::Remote).with(|t| t.transport());
     let me = Arc::clone(root);
-    RemoteShipper::new(source, transport).call(payload.clone(), move |r| match r {
-        Ok(resp) => respond(resp.copy_to_vec()),
+    let retained = payload.clone();
+    shipper_for(source).call(payload, move |r| match r {
+        Ok(resp) => respond(resp),
         Err(_) => {
             if me.is_serving() {
                 // Raced the flip: serve locally like any parked
                 // request.
                 let rep = StoreShardEbb {
-                    inner: ShardInner::Local(Arc::clone(&me)),
+                    inner: ShardInner::Local(me),
                 };
-                let chain = Chain::single(IoBuf::copy_from(&payload));
-                rep.handle_remote_async(&chain, respond);
+                rep.handle_remote(retained, respond);
             } else {
-                me.park(payload, respond);
+                me.park(retained, respond);
             }
         }
     });
@@ -1562,14 +1575,16 @@ impl StoreShardEbb {
     }
 
     /// Looks `key` up in this shard: synchronously on a replica,
-    /// one function ship elsewhere. `done` always runs — a failed ship
+    /// one function ship elsewhere. Either way the value is a chain of
+    /// descriptors — the store's own on a replica, a view of the reply
+    /// as received on a proxy. `done` always runs — a failed ship
     /// surfaces as `Err`, never a hang.
-    pub fn get(&self, key: &[u8], done: impl FnOnce(RemoteResult<Option<Vec<u8>>>) + 'static) {
+    pub fn get(&self, key: &[u8], done: impl FnOnce(RemoteResult<Option<Chain<IoBuf>>>) + 'static) {
         match &self.inner {
             ShardInner::Local(root) => {
                 let store = root.store();
                 store.gets.fetch_add(1, Ordering::Relaxed);
-                let v = store.get_raw(key).map(|c| c.copy_to_vec());
+                let v = store.get_raw(key);
                 if v.is_none() {
                     store.misses.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1578,18 +1593,17 @@ impl StoreShardEbb {
             ShardInner::Proxy(shipper) => {
                 let mut req = wire::WireWriter::op(SHARD_OP_GET);
                 req.tail(key);
-                shipper.call(req.finish(), move |r| match r {
-                    Ok(resp) => {
+                shipper.call(req.finish(), move |r| {
+                    done(r.and_then(|resp| {
                         let mut rd = wire::WireReader::new(&resp);
                         match rd.u8() {
-                            Some(SHARD_RESP_HIT) => done(Ok(Some(rd.tail()))),
-                            Some(SHARD_RESP_MISS) => done(Ok(None)),
+                            Some(SHARD_RESP_HIT) => Ok(Some(rd.tail().into_chain())),
+                            Some(SHARD_RESP_MISS) => Ok(None),
                             // A malformed/refused response means the
                             // owner could not serve: fail, don't guess.
-                            _ => done(Err(RemoteError::Unreachable)),
+                            _ => Err(RemoteError::Unreachable),
                         }
-                    }
-                    Err(e) => done(Err(e)),
+                    }))
                 });
             }
         }
@@ -1597,27 +1611,29 @@ impl StoreShardEbb {
 
     /// Stores `key = value` in this shard and reports the version the
     /// write was acknowledged at; same locality and failure contract as
-    /// [`Self::get`]. Shipped values are copied onto the wire — the
-    /// zero-copy property is a local-shard property.
-    pub fn set(&self, key: &[u8], value: &[u8], done: impl FnOnce(RemoteResult<u64>) + 'static) {
+    /// [`Self::get`]. The value travels as the descriptors it is handed
+    /// in — the request's tail, linked, never copied here — and comes
+    /// to rest on each replica under the store's one rule
+    /// ([`at_rest`]).
+    pub fn set(
+        &self,
+        key: &[u8],
+        value: Chain<IoBuf>,
+        done: impl FnOnce(RemoteResult<u64>) + 'static,
+    ) {
         match &self.inner {
-            ShardInner::Local(root) => {
-                root.apply_set(key.to_vec(), value.to_vec(), move |version| {
-                    done(Ok(version))
-                });
-            }
+            ShardInner::Local(root) => root.apply_set(key, value, move |version| done(Ok(version))),
             ShardInner::Proxy(shipper) => {
                 let mut req = wire::WireWriter::op(SHARD_OP_SET);
-                req.bytes16(key).tail(value);
-                shipper.call(req.finish(), move |r| match r {
-                    Ok(resp) => {
+                req.bytes16(key).tail_chain(&value);
+                shipper.call(req.finish(), move |r| {
+                    done(r.and_then(|resp| {
                         let mut rd = wire::WireReader::new(&resp);
                         match (rd.u8(), rd.u64()) {
-                            (Some(SHARD_RESP_HIT), Some(version)) => done(Ok(version)),
-                            _ => done(Err(RemoteError::Unreachable)),
+                            (Some(SHARD_RESP_HIT), Some(version)) => Ok(version),
+                            _ => Err(RemoteError::Unreachable),
                         }
-                    }
-                    Err(e) => done(Err(e)),
+                    }))
                 });
             }
         }
@@ -1781,11 +1797,14 @@ impl ShardedServerConn {
         // never silence. The counter lets a harness balance the books
         // at quiesce against client-observed completions.
         let sp = self.local.shed_policy(conn);
+        // One view for the whole batch: a concurrent rebalance can swap
+        // the machine's view but never tears a batch's routing.
+        let view = self.cfg.view.snapshot();
         let mut responses: Chain<IoBuf> = Chain::new();
         let mut drained = 0u64;
         self.local.drain(data, |h, body| {
             drained += 1;
-            self.route(conn, h, body, &mut responses)
+            self.route(conn, &view, h, body, &mut responses)
         });
         if let Some(sp) = sp {
             qos::add(sp.served_h, drained);
@@ -1799,8 +1818,14 @@ impl ShardedServerConn {
     /// existing semantics. Oversized (protocol-violating) keys still
     /// route by hash — served on the wrong machine they would make the
     /// cluster's answer depend on which server the client contacted.
-    fn route(&self, conn: &TcpConn, h: &Header, body: Chain<IoBuf>, out: &mut Chain<IoBuf>) {
-        let view = self.cfg.view.snapshot();
+    fn route(
+        &self,
+        conn: &TcpConn,
+        view: &ViewState,
+        h: &Header,
+        body: Chain<IoBuf>,
+        out: &mut Chain<IoBuf>,
+    ) {
         let extras = h.extras_len as usize;
         let key_len = h.key_len as usize;
         let nshards = view.shard_ids.len();
@@ -1856,7 +1881,7 @@ impl ShardedServerConn {
             }
             // Everything else function-ships to the range's fronting
             // machine.
-            _ => self.ship_remote(conn, h, range, key, body, &view),
+            _ => self.ship_remote(conn, h, range, key, body, view),
         }
     }
 
@@ -1876,13 +1901,10 @@ impl ShardedServerConn {
         charge(APP_BASE_NS);
         let mut value = body;
         value.advance(h.extras_len as usize + key.len());
-        // Replication copies the value onto the fan-out wire; the
-        // zero-copy discipline is an unreplicated-local property.
-        let value = value.copy_to_vec();
         let me = std::rc::Weak::clone(&self.weak);
         let conn = conn.clone();
         let opaque = h.opaque;
-        root.apply_set(key.to_vec(), value, move |version| {
+        root.apply_set(key, value, move |version| {
             let conn2 = conn.clone();
             on_conn_core(&conn, move || {
                 let Some(me) = me.upgrade() else { return };
@@ -1943,8 +1965,11 @@ impl ShardedServerConn {
                                     total_body: 4 + v.len() as u32,
                                     opaque,
                                 };
+                                // The reply's tail, as received: spliced
+                                // into the response exactly as a local
+                                // hit's stored descriptors are.
                                 push_header(&mut out, &rh, 4);
-                                out.push_back(IoBuf::copy_from(&v));
+                                out.append_chain(v);
                             }
                             Ok(None) => push_miss(&mut out, OP_GET, STATUS_KEY_NOT_FOUND, opaque),
                             Err(_) => push_miss(&mut out, OP_GET, STATUS_REMOTE_ERROR, opaque),
@@ -1956,10 +1981,7 @@ impl ShardedServerConn {
             OP_SET => {
                 let mut value = body;
                 value.advance(h.extras_len as usize + key.len());
-                // Function shipping copies the value onto the wire; the
-                // zero-copy discipline is a local-shard property.
-                let value = value.copy_to_vec();
-                self.proxy_for(range, view).set(key, &value, move |r| {
+                self.proxy_for(range, view).set(key, value, move |r| {
                     let conn2 = conn.clone();
                     on_conn_core(&conn, move || {
                         let Some(me) = me.upgrade() else { return };
@@ -2125,7 +2147,7 @@ pub fn shipper_for(id: EbbId) -> RemoteShipper {
 /// fan-out peer set (a rebalance gain joining an existing range's
 /// replica group — installed *before* the transfer pulls, so every
 /// write acknowledged from then on reaches the joiner).
-pub fn encode_add_peer(ep: EbbId) -> Vec<u8> {
+pub fn encode_add_peer(ep: EbbId) -> Chain<IoBuf> {
     let mut w = wire::WireWriter::op(SHARD_OP_ADD_PEER);
     w.u32(ep.0);
     w.finish()
@@ -2134,7 +2156,7 @@ pub fn encode_add_peer(ep: EbbId) -> Vec<u8> {
 /// SET_FORWARD control frame: the receiving root dual-applies every
 /// write whose key `ring`-maps to `range` to `eps` (the migrating
 /// keys' future replica group) and holds its acks for those fan-outs.
-pub fn encode_set_forward(ring: &HashRing, range: u32, eps: &[EbbId]) -> Vec<u8> {
+pub fn encode_set_forward(ring: &HashRing, range: u32, eps: &[EbbId]) -> Chain<IoBuf> {
     let mut w = wire::WireWriter::op(SHARD_OP_SET_FORWARD);
     w.u32(ring.nranges())
         .u32(ring.vnodes())
@@ -2148,7 +2170,7 @@ pub fn encode_set_forward(ring: &HashRing, range: u32, eps: &[EbbId]) -> Vec<u8>
 
 /// CLEAR_FORWARD control frame: drops the dual-apply rule (the
 /// transfer is cut over; the new replica group owns its keys).
-pub fn encode_clear_forward() -> Vec<u8> {
+pub fn encode_clear_forward() -> Chain<IoBuf> {
     wire::WireWriter::op(SHARD_OP_CLEAR_FORWARD).finish()
 }
 
@@ -2300,7 +2322,9 @@ impl ResyncDriver {
                 self.status_round();
                 return;
             };
-            self.opts.root.apply_versioned(&key, version, &value);
+            self.opts
+                .root
+                .apply_versioned(&key.contiguous(), version, value.into_chain());
         }
         if mode == PULL_MODE_SNAPSHOT {
             // Walks restart from position zero each page, so a write
@@ -2969,7 +2993,7 @@ mod tests {
     }
 
     impl ebbrt_core::ebb::RemoteTransport for RootTransport {
-        fn ship(&self, id: EbbId, payload: Vec<u8>, reply: ebbrt_core::ebb::RemoteReply) {
+        fn ship(&self, id: EbbId, payload: Chain<IoBuf>, reply: ebbrt_core::ebb::RemoteReply) {
             if self.dead.borrow().contains(&id.0) {
                 reply(Err(RemoteError::Timeout));
                 return;
@@ -2982,16 +3006,13 @@ mod tests {
             let rep = StoreShardEbb {
                 inner: ShardInner::Local(root),
             };
-            let chain = Chain::single(IoBuf::copy_from(&payload));
-            if let Some(resp) = rep.handle_remote_chain(&chain) {
-                reply(Ok(resp));
-                return;
-            }
-            rep.handle_remote_async(
-                &chain,
-                Box::new(move |v| reply(Ok(Chain::single(IoBuf::copy_from(&v))))),
-            );
+            rep.handle_remote(payload, move |resp| reply(Ok(resp)));
         }
+    }
+
+    /// A value as it would arrive: one buffer of its own.
+    fn val(bytes: &[u8]) -> Chain<IoBuf> {
+        Chain::single(IoBuf::copy_from(bytes))
     }
 
     /// A one-core runtime with a [`RootTransport`] installed under the
@@ -3023,15 +3044,15 @@ mod tests {
         let source = ShardRoot::new(Store::new(std::sync::Arc::clone(&domain)));
         for i in 0..40u32 {
             source.apply_set(
-                format!("key-{i:03}").into_bytes(),
-                format!("val-{i}").into_bytes(),
+                format!("key-{i:03}").as_bytes(),
+                val(format!("val-{i}").as_bytes()),
                 |_| {},
             );
         }
         for i in 0..5u32 {
             source.apply_set(
-                format!("key-{i:03}").into_bytes(),
-                format!("val-{i}-rewritten").into_bytes(),
+                format!("key-{i:03}").as_bytes(),
+                val(format!("val-{i}-rewritten").as_bytes()),
                 |_| {},
             );
         }
@@ -3103,10 +3124,11 @@ mod tests {
         };
         let mut w = wire::WireWriter::op(SHARD_OP_SET);
         w.bytes16(b"racer").tail(b"value-1");
-        let payload = Chain::single(IoBuf::copy_from(&w.finish()));
         let acks: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
         let a = Rc::clone(&acks);
-        rep.handle_remote_async(&payload, Box::new(move |resp| a.borrow_mut().push(resp)));
+        rep.handle_remote(w.finish(), move |resp| {
+            a.borrow_mut().push(resp.copy_to_vec())
+        });
         assert!(acks.borrow().is_empty(), "parked, not answered early");
         assert!(
             root.store().get_raw(b"racer").is_none(),
@@ -3148,14 +3170,14 @@ mod tests {
         transport.dead.borrow_mut().insert(peer_ep.0);
         let acked = Rc::new(Cell::new(0u64));
         let a = Rc::clone(&acked);
-        primary.apply_set(b"k1".to_vec(), b"v1".to_vec(), move |v| a.set(v));
+        primary.apply_set(b"k1", val(b"v1"), move |v| a.set(v));
         assert_eq!(acked.get(), 1, "write acked despite the dead peer");
         assert_eq!(primary.failed_peer_count(), 1);
         use std::sync::atomic::Ordering::Relaxed;
         assert_eq!(primary.repl_failed.load(Relaxed), 1);
 
         // Later writes skip the corpse instead of re-failing.
-        primary.apply_set(b"k2".to_vec(), b"v2".to_vec(), |_| {});
+        primary.apply_set(b"k2", val(b"v2"), |_| {});
         assert_eq!(primary.repl_skipped.load(Relaxed), 1);
         assert_eq!(transport.delivered_to(peer_ep), 0);
 
@@ -3165,7 +3187,7 @@ mod tests {
         transport.dead.borrow_mut().remove(&peer_ep.0);
         primary.mark_rejoined(peer_ep);
         assert_eq!(primary.failed_peer_count(), 0);
-        primary.apply_set(b"k3".to_vec(), b"v3".to_vec(), |_| {});
+        primary.apply_set(b"k3", val(b"v3"), |_| {});
         assert_eq!(
             transport.delivered_to(peer_ep),
             1,

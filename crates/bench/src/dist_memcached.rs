@@ -776,7 +776,7 @@ pub fn add_shard(c: &mut ReplCluster) -> Rc<Cell<bool>> {
         .iter()
         .map(|&m| endpoint_id(new_range, m))
         .collect();
-    let mut control: Vec<(EbbId, Vec<u8>)> = Vec::new();
+    let mut control: Vec<(EbbId, Chain<IoBuf>)> = Vec::new();
     let mut clear_targets: Vec<EbbId> = Vec::new();
     {
         let mut pending = c.pending_rules.borrow_mut();
@@ -1077,6 +1077,14 @@ pub struct DistReport {
     /// Fresh buffer allocations on the serving machine during the
     /// measured local phase.
     pub local_allocated: u64,
+    /// Payload bytes copied on **every shard machine** (the front end
+    /// and the owner) during the measured function-shipped GET phase:
+    /// the value crosses the messenger twice as descriptors.
+    pub remote_copied: u64,
+    /// Fresh buffer allocations on every shard machine during the
+    /// measured function-shipped GET phase (marshalling and framing
+    /// buffers are pooled).
+    pub remote_allocated: u64,
     /// Responses carrying [`STATUS_REMOTE_ERROR`] from the phantom
     /// probe (expected: exactly the probes sent, promptly).
     pub failure_responses: u32,
@@ -1105,17 +1113,54 @@ struct Step {
     expects: u32,
 }
 
+/// The pool counters of a set of machines, summed over the steps of
+/// one phase.
+struct PhaseMeter {
+    tag: u8,
+    machines: Vec<Arc<Runtime>>,
+    base: Cell<Option<stats::Snapshot>>,
+    delta: Cell<Option<stats::Snapshot>>,
+}
+
+impl PhaseMeter {
+    fn new(tag: u8, machines: Vec<Arc<Runtime>>) -> Self {
+        PhaseMeter {
+            tag,
+            machines,
+            base: Cell::new(None),
+            delta: Cell::new(None),
+        }
+    }
+
+    fn read(&self) -> stats::Snapshot {
+        stats::world_snapshot(self.machines.iter().map(|rt| &**rt))
+    }
+
+    /// Called between the step tagged `prev` and the one tagged `next`
+    /// (`None` past either end of the run): brackets the phase.
+    fn at_boundary(&self, prev: Option<u8>, next: Option<u8>) {
+        if next == Some(self.tag) && prev != next {
+            self.base.set(Some(self.read()));
+        }
+        if prev == Some(self.tag) && prev != next {
+            if let Some(base) = self.base.take() {
+                self.delta.set(Some(self.read().since(&base)));
+            }
+        }
+    }
+}
+
 /// Closed-loop client: one outstanding request; phase boundaries
-/// snapshot the serving machine's pool counters.
+/// snapshot the measured machines' pool counters.
 struct DistClient {
     steps: RefCell<std::vec::IntoIter<Step>>,
     rx: RefCell<Vec<u8>>,
     in_flight: Cell<Option<(u8, u64, u32)>>,
     lat_ns: RefCell<[Vec<u64>; NTAGS]>,
     statuses: RefCell<Vec<(u8, u16)>>,
-    server_rt: Arc<Runtime>,
-    local_base: Cell<Option<stats::Snapshot>>,
-    local_delta: RefCell<Option<stats::Snapshot>>,
+    /// The local-shard phase on the serving machine; the shipped phase
+    /// on every shard machine.
+    meters: [PhaseMeter; 2],
 }
 
 impl DistClient {
@@ -1125,32 +1170,19 @@ impl DistClient {
 
     fn fire_next(&self, conn: &TcpConn) {
         let prev_tag = self.in_flight.get().map(|(t, _, _)| t);
-        let Some(step) = self.steps.borrow_mut().next() else {
+        let step = self.steps.borrow_mut().next();
+        let next_tag = step.as_ref().map(|s| s.tag);
+        for meter in &self.meters {
+            meter.at_boundary(prev_tag, next_tag);
+        }
+        let Some(step) = step else {
             self.in_flight.set(None);
             conn.close();
             return;
         };
-        // Phase boundaries: bracket the measured local phase with
-        // serving-machine pool snapshots.
-        if step.tag == TAG_LOCAL && prev_tag != Some(TAG_LOCAL) {
-            self.local_base
-                .set(Some(stats::runtime_snapshot(&self.server_rt)));
-        }
-        if prev_tag == Some(TAG_LOCAL) && step.tag != TAG_LOCAL {
-            self.finish_local_phase();
-        }
         self.in_flight
             .set(Some((step.tag, Self::now_ns(), step.expects)));
         let _ = conn.send(Chain::single(IoBuf::copy_from(&step.frame)));
-    }
-
-    fn finish_local_phase(&self) {
-        // Consume the base: the trailing safety-net call in `run` must
-        // not stretch the measured window over later phases.
-        if let Some(base) = self.local_base.take() {
-            let delta = stats::runtime_snapshot(&self.server_rt).since(&base);
-            *self.local_delta.borrow_mut() = Some(delta);
-        }
     }
 }
 
@@ -1274,9 +1306,13 @@ pub fn run(cfg: &DistConfig) -> DistReport {
         in_flight: Cell::new(None),
         lat_ns: RefCell::new(Default::default()),
         statuses: RefCell::new(Vec::new()),
-        server_rt: Arc::clone(c.shards[0].runtime()),
-        local_base: Cell::new(None),
-        local_delta: RefCell::new(None),
+        meters: [
+            PhaseMeter::new(TAG_LOCAL, vec![Arc::clone(c.shards[0].runtime())]),
+            PhaseMeter::new(
+                TAG_REMOTE,
+                c.shards.iter().map(|m| Arc::clone(m.runtime())).collect(),
+            ),
+        ],
     });
     let h = Rc::clone(&client);
     spawn_with(&c.client, CoreId(0), h, move |h| {
@@ -1288,7 +1324,6 @@ pub fn run(cfg: &DistConfig) -> DistReport {
         client.in_flight.get().is_none() && client.steps.borrow_mut().next().is_none(),
         "the workload must run to completion — a hang is a failed property"
     );
-    client.finish_local_phase();
 
     // Every phase before the failure probe must have answered OK.
     let statuses = client.statuses.borrow();
@@ -1306,15 +1341,17 @@ pub fn run(cfg: &DistConfig) -> DistReport {
     drop(statuses);
 
     let lat = client.lat_ns.borrow();
-    let delta = (*client.local_delta.borrow()).expect("local phase measured");
+    let [local, remote] = [0, 1].map(|i| client.meters[i].delta.get().expect("phase measured"));
     use std::sync::atomic::Ordering;
     DistReport {
         shards: cfg.shards,
         local_mean_us: mean_us(&lat[TAG_LOCAL as usize]),
         remote_mean_us: mean_us(&lat[TAG_REMOTE as usize]),
         remote_owner_gets: c.stores[1].gets.load(Ordering::Relaxed),
-        local_copied: delta.bytes_copied,
-        local_allocated: delta.bufs_allocated,
+        local_copied: local.bytes_copied,
+        local_allocated: local.bufs_allocated,
+        remote_copied: remote.bytes_copied,
+        remote_allocated: remote.bufs_allocated,
         failure_responses,
         front_batched_calls: c.transports[0].batched_calls.get(),
         front_max_batch: c.transports[0].max_batch.get(),
@@ -1331,6 +1368,12 @@ pub fn assert_properties(r: &DistReport) {
         (r.local_copied, r.local_allocated),
         (0, 0),
         "the steady-state local-shard path must stay zero-copy / zero-allocation"
+    );
+    assert_eq!(
+        (r.remote_copied, r.remote_allocated),
+        (0, 0),
+        "a function-shipped GET must cross the messenger as descriptors: no value byte \
+         copied, no buffer outside the pools, on the front end or the owner"
     );
     assert!(
         r.remote_mean_us > r.local_mean_us,
@@ -1350,7 +1393,8 @@ pub fn format_report(r: &DistReport) -> String {
     format!(
         "sharded memcached x{} shards: local GET {:.1} us, remote (function-shipped) GET \
          {:.1} us ({:.1}x), {} owner-served remote gets, local phase {} copied / {} allocated, \
-         {} failure probes answered, {} calls batched (max {}/frame)",
+         shipped phase {} copied / {} allocated, {} failure probes answered, \
+         {} calls batched (max {}/frame)",
         r.shards,
         r.local_mean_us,
         r.remote_mean_us,
@@ -1358,6 +1402,8 @@ pub fn format_report(r: &DistReport) -> String {
         r.remote_owner_gets,
         r.local_copied,
         r.local_allocated,
+        r.remote_copied,
+        r.remote_allocated,
         r.failure_responses,
         r.front_batched_calls,
         r.front_max_batch,

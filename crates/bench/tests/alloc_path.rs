@@ -204,3 +204,220 @@ fn a_warmed_get_world_stays_under_the_per_request_ceiling() {
         "{per_req:.3} allocator calls per request, ceiling {CALLS_PER_REQ_CEILING}"
     );
 }
+
+// --- The function-shipped path ------------------------------------------
+
+use ebbrt_apps::memcached::{self, Header, MEMCACHED_PORT};
+use ebbrt_bench::dist_memcached::{self, shard_ip};
+use ebbrt_core::iobuf::stats;
+
+/// A memcached client with one request outstanding: notes the
+/// allocator count when the last byte of the expected response lands.
+#[derive(Default)]
+struct OneAtATime {
+    conn: RefCell<Option<TcpConn>>,
+    awaiting: Cell<usize>,
+    calls_at_reply: Cell<u64>,
+    status: Cell<u16>,
+}
+
+impl ConnHandler for OneAtATime {
+    fn on_connected(&self, conn: &TcpConn) {
+        *self.conn.borrow_mut() = Some(conn.clone());
+    }
+
+    fn on_receive(&self, _conn: &TcpConn, data: Chain<IoBuf>) {
+        if self.awaiting.get() == 0 {
+            return;
+        }
+        let mut hdr = [0u8; Header::SIZE];
+        if data.cursor().read_exact(&mut hdr).is_some() {
+            self.status.set(Header::decode(&hdr).status);
+        }
+        self.awaiting
+            .set(self.awaiting.get().saturating_sub(data.len()));
+        if self.awaiting.get() == 0 {
+            self.calls_at_reply.set(alloc_calls());
+        }
+    }
+}
+
+/// Connects a [`OneAtATime`] client on `client_m` to shard 0.
+fn connect_client(w: &Rc<SimWorld>, client_m: &Rc<SimMachine>) -> Rc<OneAtATime> {
+    let client = Rc::new(OneAtATime::default());
+    spawn_with(client_m, CoreId(0), Rc::clone(&client), |client| {
+        local_netif().connect(shard_ip(0), MEMCACHED_PORT, client as Rc<dyn ConnHandler>);
+    });
+    w.run_to_idle();
+    assert!(client.conn.borrow().is_some(), "client connected");
+    client
+}
+
+/// One request/response: allocator calls between the client's `send`
+/// and the arrival of the response's last byte — every machine the
+/// request visits in between included. `frame` is a pooled receive-
+/// buffer-sized region, as a NIC would hand it up.
+fn round_trip(
+    w: &Rc<SimWorld>,
+    client_m: &Rc<SimMachine>,
+    client: &Rc<OneAtATime>,
+    frame: &IoBuf,
+    response_len: usize,
+) -> u64 {
+    client.awaiting.set(response_len);
+    let calls_at_send = Rc::new(Cell::new(0u64));
+    let args = (Rc::clone(client), frame.clone(), Rc::clone(&calls_at_send));
+    spawn_with(
+        client_m,
+        CoreId(0),
+        args,
+        |(client, frame, calls_at_send)| {
+            let conn = client.conn.borrow();
+            calls_at_send.set(alloc_calls());
+            conn.as_ref()
+                .expect("connected")
+                .send(Chain::single(frame))
+                .expect("window open");
+        },
+    );
+    while client.awaiting.get() > 0 {
+        assert!(w.step(), "request lost");
+    }
+    let calls = client.calls_at_reply.get() - calls_at_send.get();
+    assert_eq!(client.status.get(), memcached::STATUS_OK);
+    // ACKs, delayed-ACK and RPC-timeout cancellations settle outside
+    // the measured window.
+    w.run_to_idle();
+    calls
+}
+
+/// `bytes` in a pooled buffer.
+fn pooled(bytes: &[u8]) -> IoBuf {
+    let mut b = MutIoBuf::with_capacity(bytes.len());
+    b.append(bytes.len()).copy_from_slice(bytes);
+    assert!(b.is_pooled());
+    b.freeze()
+}
+
+fn shard_counters(shards: &[Rc<SimMachine>]) -> stats::Snapshot {
+    stats::world_snapshot(shards.iter().map(|m| &**m.runtime()))
+}
+
+/// Measured on this tree: 4 allocator calls per function-shipped GET
+/// round trip (client → front end → owner → front end → client) — the
+/// proxy's boxed reply continuation, the messenger's boxed waiter, its
+/// timeout's boxed timer callback, and the boxed flush hook the call is
+/// staged behind. The parent of the change that added this test
+/// measures 25 with the same test. The ceiling is the measured value
+/// plus one, a fifth of the parent's.
+const SHIPPED_GET_CALLS_CEILING: u64 = 5;
+
+#[test]
+fn a_shipped_get_copies_nothing_and_stays_under_the_allocator_ceiling() {
+    const WARM: u32 = 64;
+    const MEASURED: u32 = 16;
+    const VALUE_LEN: usize = 512;
+    let c = dist_memcached::build(2, false);
+    let key = dist_memcached::key_for_shard(1, 2, 1);
+    let value = vec![0xC5u8; VALUE_LEN];
+    let client = connect_client(&c.w, &c.client);
+    // The SET ships too: the key's shard is machine 1.
+    let set = pooled(&memcached::encode_set(&key, &value, 1));
+    round_trip(&c.w, &c.client, &client, &set, Header::SIZE);
+    let stored = c.stores[1].get_raw(&key).expect("stored on its owner");
+    assert_eq!(stored.len(), VALUE_LEN);
+
+    let get = pooled(&memcached::encode_get(&key, 2));
+    let trip = || round_trip(&c.w, &c.client, &client, &get, Header::SIZE + 4 + VALUE_LEN);
+    // (The store, its delta log and this test hold the value.)
+    let holders = stored.seg(0).ref_count();
+    for _ in 0..WARM {
+        trip();
+    }
+    let owner_gets = c.stores[1].gets.load(std::sync::atomic::Ordering::Relaxed);
+    let before = shard_counters(&c.shards);
+    let calls: Vec<u64> = (0..MEASURED).map(|_| trip()).collect();
+    let delta = shard_counters(&c.shards).since(&before);
+    assert_eq!(
+        c.stores[1].gets.load(std::sync::atomic::Ordering::Relaxed) - owner_gets,
+        MEASURED as u64,
+        "every GET was served by the owner"
+    );
+    println!("allocator calls per shipped GET round trip: {calls:?}");
+    assert!(
+        calls.iter().all(|&n| n <= SHIPPED_GET_CALLS_CEILING),
+        "allocator calls per shipped GET {calls:?}, ceiling {SHIPPED_GET_CALLS_CEILING}"
+    );
+    assert_eq!(
+        (delta.bytes_copied, delta.bufs_allocated),
+        (0, 0),
+        "front end and owner together: no value byte copied, no region outside the pools"
+    );
+    // The value the client got is the owner's stored buffer, by
+    // descriptor all the way — and once the responses are
+    // acknowledged, every one of those descriptors has been dropped.
+    assert_eq!(stored.seg(0).ref_count(), holders);
+}
+
+#[test]
+fn a_shipped_set_is_copied_once_where_it_comes_to_rest() {
+    const VALUE_LEN: usize = 128;
+    let c = dist_memcached::build_replicated(3, 2, 1);
+    // A range machine 0 (the front end) holds no replica of: its SETs
+    // function-ship to the range's fronting machine, which applies and
+    // fans out to the other replica.
+    let range = (0..3)
+        .find(|r| !c.roots[0].contains_key(r))
+        .expect("R=2 of 3: one range is elsewhere");
+    let replicas: Vec<usize> = (0..3)
+        .filter(|&m| c.roots[m].contains_key(&range))
+        .collect();
+    assert_eq!(replicas.len(), 2);
+    let client = connect_client(&c.w, &c.client);
+    // Each request arrives in a receive-buffer-sized pooled region, so
+    // a 128-byte value stored as a view of it would pin 2 KiB.
+    let frames: Vec<(Vec<u8>, IoBuf)> = (0..24)
+        .map(|i| {
+            let key = dist_memcached::key_for_range(&c.ring, range, i);
+            let value = vec![i as u8; VALUE_LEN];
+            let frame = pooled(&memcached::encode_set(&key, &value, i as u32));
+            (key, frame)
+        })
+        .collect();
+    let (warm, measured) = frames.split_at(16);
+    for (_, frame) in warm {
+        round_trip(&c.w, &c.client, &client, frame, Header::SIZE);
+    }
+    let per_machine = |m: usize| stats::runtime_snapshot(c.shards[m].runtime());
+    let before: Vec<_> = (0..3).map(per_machine).collect();
+    for (_, frame) in measured {
+        round_trip(&c.w, &c.client, &client, frame, Header::SIZE);
+    }
+    let n = measured.len() as u64;
+    let delta: Vec<_> = (0..3).map(|m| per_machine(m).since(&before[m])).collect();
+    // The front end forwards the value as the view it received; the
+    // replica that fronts the range brings it to rest — one copy, into
+    // one exact-size region (the only buffer outside the pools on the
+    // whole path); its fan-out links that region, and the second
+    // replica keeps a descriptor of it (the simulated wire hands
+    // buffers across by descriptor): at most one copy per apply, one
+    // per SET in all.
+    assert_eq!((delta[0].bytes_copied, delta[0].bufs_allocated), (0, 0));
+    let mut at_rest: Vec<(u64, u64)> = replicas
+        .iter()
+        .map(|&m| (delta[m].bytes_copied, delta[m].bufs_allocated))
+        .collect();
+    at_rest.sort_unstable();
+    assert_eq!(at_rest, [(0, 0), (n * VALUE_LEN as u64, n)]);
+    for (key, _) in measured {
+        for &m in &replicas {
+            let stored = c.stores[m].get_raw(key).expect("on every replica");
+            assert_eq!(stored.len(), VALUE_LEN);
+            assert_eq!(
+                stored.pinned_bytes(),
+                VALUE_LEN,
+                "machine {m}: at rest in a buffer of its size, not pinning the one it arrived in"
+            );
+        }
+    }
+}

@@ -587,9 +587,17 @@ impl fmt::Display for RemoteError {
 /// Result of a remote Ebb call.
 pub type RemoteResult<T> = Result<T, RemoteError>;
 
+/// A function-shipped payload — request or response — as a chain of
+/// buffer descriptors. This is the only currency of the shipped path:
+/// a proxy marshals into one ([`crate::iobuf::wire::WireWriter`]), the
+/// transport frames and sends its segments, the owner reads fields out
+/// of the chain it received ([`crate::iobuf::wire::WireReader`]) and
+/// answers with another.
+pub type Payload = crate::iobuf::Chain<crate::iobuf::IoBuf>;
+
 /// The continuation of one function-shipped call; invoked exactly once
-/// with the raw response payload or a [`RemoteError`].
-pub type RemoteReply = Box<dyn FnOnce(RemoteResult<crate::iobuf::Chain<crate::iobuf::IoBuf>>)>;
+/// with the response payload or a [`RemoteError`].
+pub type RemoteReply = Box<dyn FnOnce(RemoteResult<Payload>)>;
 
 /// The machine-local transport [`DistributedEbb`] proxies function-ship
 /// through: resolves the owner of an id (via the naming service) and
@@ -601,7 +609,9 @@ pub type RemoteReply = Box<dyn FnOnce(RemoteResult<crate::iobuf::Chain<crate::io
 /// machine installs its own under [`SystemEbb::Remote`].
 pub trait RemoteTransport {
     /// Ships `payload` to the owner of `id`; `reply` runs exactly once.
-    fn ship(&self, id: EbbId, payload: Vec<u8>, reply: RemoteReply);
+    /// A transport that retries keeps a descriptor clone of `payload`,
+    /// not a copy of its bytes.
+    fn ship(&self, id: EbbId, payload: Payload, reply: RemoteReply);
 }
 
 /// Per-core representative of [`SystemEbb::Remote`]: hands the
@@ -633,7 +643,7 @@ impl MulticoreEbb for RemoteTransportEbb {
     }
 }
 
-/// A proxy representative's handle to its owner: ships byte payloads
+/// A proxy representative's handle to its owner: ships payloads
 /// addressed to the proxy's id through the machine's transport. This is
 /// all a [`DistributedEbb`] proxy holds — owner resolution, request
 /// correlation, timeouts and failure delivery live in the transport, so
@@ -656,11 +666,7 @@ impl RemoteShipper {
 
     /// Function-ships one call; `reply` runs exactly once with the
     /// response payload or the failure.
-    pub fn call(
-        &self,
-        payload: Vec<u8>,
-        reply: impl FnOnce(RemoteResult<crate::iobuf::Chain<crate::iobuf::IoBuf>>) + 'static,
-    ) {
+    pub fn call(&self, payload: Payload, reply: impl FnOnce(RemoteResult<Payload>) + 'static) {
         self.transport.ship(self.id, payload, Box::new(reply));
     }
 }
@@ -686,37 +692,15 @@ pub trait DistributedEbb: MulticoreEbb {
     fn create_proxy(shipper: RemoteShipper, core: CoreId) -> Self;
 
     /// Owner side: applies one function-shipped request to this (real)
-    /// representative and returns the response payload. Invoked inside
-    /// the owner machine's messenger-dispatch event.
-    fn handle_remote(&self, payload: &crate::iobuf::Chain<crate::iobuf::IoBuf>) -> Vec<u8>;
-
-    /// Owner side, asynchronous form: as [`Self::handle_remote`], but
-    /// the response is delivered through `respond` (exactly once),
-    /// which may run after the dispatch event returns. Implement this
-    /// when a handler must itself ship calls (e.g. replication
-    /// fan-out) before acknowledging; the default answers
-    /// synchronously via [`Self::handle_remote`].
-    fn handle_remote_async(
-        &self,
-        payload: &crate::iobuf::Chain<crate::iobuf::IoBuf>,
-        respond: Box<dyn FnOnce(Vec<u8>)>,
-    ) {
-        respond(self.handle_remote(payload));
-    }
-
-    /// Owner side, zero-copy form: a handler that can answer `payload`
-    /// with a chain of buffer *descriptors* (e.g. a snapshot page whose
-    /// values are clones of the store's own buffers) returns
-    /// `Some(chain)` and the transport sends it without flattening.
-    /// `None` (the default) falls back to
-    /// [`Self::handle_remote_async`].
-    fn handle_remote_chain(
-        &self,
-        payload: &crate::iobuf::Chain<crate::iobuf::IoBuf>,
-    ) -> Option<crate::iobuf::Chain<crate::iobuf::IoBuf>> {
-        let _ = payload;
-        None
-    }
+    /// representative and hands the response payload to `respond` —
+    /// exactly once, inside the owner machine's messenger-dispatch
+    /// event or after it returns (a handler that must itself ship
+    /// calls before acknowledging, e.g. replication fan-out, answers
+    /// when they resolve). The request is the chain as received; the
+    /// response is a chain the transport sends by descriptor, so a
+    /// handler that answers with clones of buffers it already holds
+    /// (a stored value, a snapshot page) copies nothing.
+    fn handle_remote(&self, payload: Payload, respond: impl FnOnce(Payload) + 'static);
 }
 
 /// A consistent-hash ring mapping keys to key ranges and ranges to
@@ -1386,6 +1370,8 @@ mod tests {
         );
     }
 
+    use crate::iobuf::wire::WireWriter;
+
     /// A distributed counter: real rep on the owner, shipping proxy
     /// elsewhere. The mock transport echoes the payload length back.
     struct DistEbb {
@@ -1409,11 +1395,11 @@ mod tests {
                 kind: DistKind::Proxy(shipper),
             }
         }
-        fn handle_remote(&self, payload: &crate::iobuf::Chain<crate::iobuf::IoBuf>) -> Vec<u8> {
+        fn handle_remote(&self, payload: Payload, respond: impl FnOnce(Payload) + 'static) {
             match &self.kind {
                 DistKind::Local(hits) => {
                     hits.fetch_add(1, Ordering::SeqCst);
-                    vec![payload.len() as u8]
+                    respond(WireWriter::op(payload.len() as u8).finish());
                 }
                 DistKind::Proxy(_) => unreachable!("proxy asked to serve"),
             }
@@ -1426,32 +1412,31 @@ mod tests {
                     hits.fetch_add(1, Ordering::SeqCst);
                     done(Ok(n as u8));
                 }
-                DistKind::Proxy(sh) => sh.call(vec![0; n], |r| {
-                    done(r.map(|resp| resp.cursor().read_u8().unwrap_or(0)))
-                }),
+                DistKind::Proxy(sh) => {
+                    let mut req = WireWriter::new();
+                    req.tail(&vec![0; n]);
+                    sh.call(req.finish(), |r| {
+                        done(r.map(|resp| resp.cursor().read_u8().unwrap_or(0)))
+                    })
+                }
             }
         }
     }
 
     /// A transport that "delivers" to an owner manager living in the
-    /// same process: ships by invoking the owner rep's handle_remote.
+    /// same process: ships by invoking the owner rep's handle_remote
+    /// with the very chain the proxy marshalled.
     struct LoopbackTransport {
         owner: Arc<crate::runtime::Runtime>,
     }
     impl RemoteTransport for LoopbackTransport {
-        fn ship(&self, id: EbbId, payload: Vec<u8>, reply: RemoteReply) {
-            let chain = crate::iobuf::Chain::single(crate::iobuf::IoBuf::copy_from(&payload));
-            let resp = {
-                let _g = crate::runtime::enter(Arc::clone(&self.owner), CoreId(0));
-                self.owner
-                    .ebbs()
-                    .with_rep_distributed::<DistEbb, _>(CoreId(0), id, |rep| {
-                        rep.handle_remote(&chain)
-                    })
-            };
-            reply(Ok(crate::iobuf::Chain::single(
-                crate::iobuf::IoBuf::copy_from(&resp),
-            )));
+        fn ship(&self, id: EbbId, payload: Payload, reply: RemoteReply) {
+            let _g = crate::runtime::enter(Arc::clone(&self.owner), CoreId(0));
+            self.owner
+                .ebbs()
+                .with_rep_distributed::<DistEbb, _>(CoreId(0), id, |rep| {
+                    rep.handle_remote(payload, move |resp| reply(Ok(resp)))
+                });
         }
     }
 
@@ -1669,31 +1654,5 @@ mod tests {
             proptest::prop_assert!(moved > 0, "growth moved no keys at all");
             proptest::prop_assert!(moved < 1500, "growth moved every key");
         }
-    }
-
-    #[test]
-    fn handle_remote_async_defaults_to_sync_handler() {
-        struct Echo;
-        impl MulticoreEbb for Echo {
-            type Root = ();
-            fn create_rep(_: &Arc<()>, _: CoreId) -> Self {
-                Echo
-            }
-        }
-        impl DistributedEbb for Echo {
-            fn create_proxy(_: RemoteShipper, _: CoreId) -> Self {
-                Echo
-            }
-            fn handle_remote(&self, payload: &crate::iobuf::Chain<crate::iobuf::IoBuf>) -> Vec<u8> {
-                let mut v = payload.copy_to_vec();
-                v.reverse();
-                v
-            }
-        }
-        let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let got2 = std::rc::Rc::clone(&got);
-        let chain = crate::iobuf::Chain::single(crate::iobuf::IoBuf::copy_from(&[1, 2, 3]));
-        Echo.handle_remote_async(&chain, Box::new(move |v| *got2.borrow_mut() = v));
-        assert_eq!(*got.borrow(), vec![3, 2, 1]);
     }
 }

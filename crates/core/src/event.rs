@@ -120,6 +120,12 @@ enum TimerFn {
 /// classic register-then-check pattern), so a push that raced an
 /// in-flight wake is observed either by that wake or by the pre-park
 /// check.
+///
+/// Every write to the slot is `SeqCst`, and so are the event queues'
+/// length reads and writes (`SegQueue`): "register, then find the queue
+/// empty" on the owner and "push, then find the slot empty" on a
+/// producer cannot both happen, which is what lets the emptiness check
+/// be a load instead of a lock.
 pub(crate) struct AtomicArcCell<T: ?Sized> {
     ptr: AtomicPtr<Arc<T>>,
 }
@@ -134,7 +140,7 @@ impl<T: ?Sized> AtomicArcCell<T> {
     /// Installs `value`, dropping whatever was in the slot.
     fn store(&self, value: Arc<T>) {
         let new = Box::into_raw(Box::new(value));
-        let old = self.ptr.swap(new, Ordering::AcqRel);
+        let old = self.ptr.swap(new, Ordering::SeqCst);
         if !old.is_null() {
             // SAFETY: the swap transferred exclusive ownership of `old`
             // to us; no other thread can still reach it.
@@ -145,7 +151,7 @@ impl<T: ?Sized> AtomicArcCell<T> {
     /// Takes the value out (in the box the slot kept it in), leaving
     /// the slot empty.
     fn take(&self) -> Option<Box<Arc<T>>> {
-        let p = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        let p = self.ptr.swap(std::ptr::null_mut(), Ordering::SeqCst);
         if p.is_null() {
             None
         } else {
@@ -164,7 +170,7 @@ impl<T: ?Sized> AtomicArcCell<T> {
         let p = Box::into_raw(value);
         if self
             .ptr
-            .compare_exchange(std::ptr::null_mut(), p, Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(std::ptr::null_mut(), p, Ordering::SeqCst, Ordering::Relaxed)
             .is_err()
         {
             // SAFETY: the CAS failed, so `p` never became reachable by
@@ -232,6 +238,11 @@ struct EmOwned {
     /// discarded — deferred housekeeping (the buffer-pool mailbox
     /// sweep) that must not keep the core polling afterwards.
     idle_once: Vec<EventHandler>,
+    /// The (empty) vector `dispatch_idle` swaps in for `idle_once`
+    /// while it runs the queued callbacks, and gets back afterwards —
+    /// so neither vector's capacity is dropped and a steady stream of
+    /// one-shots grows nothing.
+    idle_once_spare: Vec<EventHandler>,
     next_idle_token: u64,
     timers: TimerWheel<TimerFn>,
     pending_handoff: Option<EventContext>,
@@ -324,6 +335,7 @@ impl EventManager {
                     free_vectors: Vec::new(),
                     idle: Vec::new(),
                     idle_once: Vec::new(),
+                    idle_once_spare: Vec::new(),
                     next_idle_token: 0,
                     timers: {
                         // Stamp the wheel with its core so that, in
@@ -679,12 +691,25 @@ impl EventManager {
     fn dispatch_idle(&self) -> (usize, usize) {
         // One-shot callbacks first: they run exactly once and count as
         // useful work (they exist to move state, not to poll).
-        let once = self.owned.with(|o| std::mem::take(&mut o.idle_once));
-        let mut worked = once.len();
-        let mut invoked = once.len();
-        for h in once {
-            self.invoke(h);
-            self.stats.idle.fetch_add(1, Ordering::Relaxed);
+        // The queue is swapped for the retained spare, not taken: a
+        // callback that queues another one-shot pushes onto the spare,
+        // which is `idle_once` now and runs in the *next* pass. A pass
+        // with none queued — nearly every pass of a polling core —
+        // touches neither vector.
+        let once = self.owned.with(|o| {
+            (!o.idle_once.is_empty()).then(|| {
+                let spare = std::mem::take(&mut o.idle_once_spare);
+                std::mem::replace(&mut o.idle_once, spare)
+            })
+        });
+        let (mut invoked, mut worked) = (0, 0);
+        if let Some(mut once) = once {
+            (invoked, worked) = (once.len(), once.len());
+            for h in once.drain(..) {
+                self.invoke(h);
+                self.stats.idle.fetch_add(1, Ordering::Relaxed);
+            }
+            self.owned.with(|o| o.idle_once_spare = once);
         }
         let handlers = self.owned.with(|o| o.idle.clone());
         invoked += handlers.len();
@@ -1038,6 +1063,45 @@ mod tests {
         assert!(!em.has_idle_handlers(), "consumed: the core may halt again");
         assert_eq!(em.run_once().idle_invoked, 0);
         assert_eq!(hits.get(), 1, "one-shot must not repeat");
+    }
+
+    #[test]
+    fn idle_once_queued_by_a_one_shot_runs_in_the_next_pass() {
+        let em = Rc::new(em().0);
+        let _b = cpu::bind(CoreId(0));
+        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+        for round in 0..3u32 {
+            let (o1, o2, o3) = (Rc::clone(&order), Rc::clone(&order), Rc::clone(&order));
+            let em2 = Rc::clone(&em);
+            em.add_idle_once(move || {
+                o1.borrow_mut().push((round, "first"));
+                // Re-entrant: queued while the pass's batch is running.
+                em2.add_idle_once(move || o3.borrow_mut().push((round, "nested")));
+            });
+            em.add_idle_once(move || o2.borrow_mut().push((round, "second")));
+            let p = em.run_once();
+            assert_eq!(
+                p.idle_invoked, 2,
+                "the nested one-shot waits for the next pass"
+            );
+            assert_eq!(
+                *order.borrow(),
+                vec![(round, "first"), (round, "second")],
+                "queue order, nothing from the nested call yet"
+            );
+            assert!(
+                em.has_idle_handlers(),
+                "the nested one-shot is still queued"
+            );
+            let p = em.run_once();
+            assert_eq!(p.idle_invoked, 1);
+            assert_eq!(order.borrow().last(), Some(&(round, "nested")));
+            assert!(!em.has_idle_handlers());
+            order.borrow_mut().clear();
+        }
+        // Both vectors kept their storage across the rounds.
+        em.owned
+            .with(|o| assert!(o.idle_once.capacity() >= 1 && o.idle_once_spare.capacity() >= 1));
     }
 
     #[test]

@@ -54,10 +54,14 @@ use crate::cpu::CoreId;
 /// * [`bytes_copied`](stats::bytes_copied) — payload bytes memcpy'd
 ///   between heap buffers: [`IoBuf::copy_from`],
 ///   [`MutIoBuf::append_slice`], [`Chain::copy_to_vec`],
-///   [`Cursor::read_vec`]. Fixed-width header-field reads
-///   ([`Cursor::read_u32_be`] and friends, [`Cursor::read_exact`] into
-///   caller stack arrays) are *parsing*, not data movement, and are not
-///   counted; neither are in-place walks such as checksumming.
+///   [`Chain::compact`], [`Cursor::read_vec`], and a chain that
+///   [`wire::WireWriter::bytes32_chain`] copies rather than links.
+///   Fixed-width header-field reads ([`Cursor::read_u32_be`] and
+///   friends, [`Cursor::read_exact`] into caller stack arrays) are
+///   *parsing*, and a [`wire::WireWriter`]'s scalar and slice writes
+///   (op codes, versions, keys) are *marshalling* — header
+///   construction; neither is data movement and neither is counted.
+///   Nor are in-place walks such as checksumming.
 /// * [`bufs_allocated`](stats::bufs_allocated) — fresh backing-store
 ///   acquisitions for buffer regions: a pool *miss*, an over-sized
 ///   request, or a caller-allocated vector wrapped via
@@ -836,23 +840,64 @@ pub mod pool {
     }
 }
 
-/// Typed serialization helpers for function-shipped request/response
-/// payloads: a growable big-endian writer and a cursor-backed reader,
-/// shared by every service on the wire so framing mistakes are
-/// structural, not per-call-site.
+/// Typed marshalling for messenger / function-shipping payloads: a
+/// writer that marshals into pooled buffers and links large payloads by
+/// descriptor, and a reader that hands fields back as views of the
+/// received chain — shared by every service on the wire so framing
+/// mistakes are structural, not per-call-site, and so a payload's bytes
+/// stay where they are from the sender's store to the receiver's.
 pub mod wire {
-    use super::{Buf, Chain, Cursor};
+    use super::{pool, stats, Buf, Chain, Cursor, IoBuf, MutIoBuf};
+    use std::borrow::Cow;
 
-    /// Builds one request/response payload.
-    #[derive(Default)]
+    /// Bytes a [`WireWriter`] leaves free in front of what it writes,
+    /// for the transport's frame header (the messenger's is 17 bytes):
+    /// framing a finished payload is then a
+    /// [`Chain::prepend_in_place`] into the same buffer.
+    pub const HEADROOM: usize = 32;
+
+    /// The largest chain [`WireWriter::bytes32_chain`] copies into its
+    /// buffer; anything longer is linked by descriptor. Linking a
+    /// field that others follow cuts the buffer in two around it and
+    /// puts two more segments in every chain the payload then rides
+    /// (a batch of ten linked sub-calls is a twenty-segment frame, far
+    /// past [`super::INLINE_SEGS`]); copying costs the bytes. Picked by
+    /// measurement on `perf_ledger`'s `shard_remote` (128-byte values,
+    /// see `docs/ARCHITECTURE.md`), then fixed: it decides where a
+    /// message's segment boundaries fall, never its bytes.
+    pub const INLINE_PAYLOAD_MAX: usize = 256;
+
+    /// Builds one request/response payload: scalars and small fields
+    /// go into a pooled buffer (with [`HEADROOM`] in front of the first
+    /// byte); a chain is linked by descriptor when it is the payload's
+    /// tail or longer than [`INLINE_PAYLOAD_MAX`], between slices of
+    /// that buffer.
+    ///
+    /// Field writes (op codes, versions, keys, paths) are marshalling —
+    /// header construction, like a protocol header pushed into
+    /// headroom — and are not counted by [`stats::bytes_copied`]; a
+    /// *chain* that is copied rather than linked is.
     pub struct WireWriter {
-        buf: Vec<u8>,
+        /// Finished parts, in order: full buffers, slices of the open
+        /// one, linked descriptors.
+        done: Chain<IoBuf>,
+        /// The open buffer.
+        buf: MutIoBuf,
+    }
+
+    impl Default for WireWriter {
+        fn default() -> Self {
+            Self::new()
+        }
     }
 
     impl WireWriter {
         /// An empty payload.
         pub fn new() -> Self {
-            Self::default()
+            WireWriter {
+                done: Chain::new(),
+                buf: MutIoBuf::with_headroom(pool::SMALL_CAPACITY - HEADROOM, HEADROOM),
+            }
         }
 
         /// A payload beginning with an operation byte.
@@ -862,161 +907,391 @@ pub mod wire {
             w
         }
 
+        /// Closes the open buffer and opens one with room for at least
+        /// `n` more bytes.
+        #[cold]
+        fn next_buf(&mut self, n: usize) {
+            let next = MutIoBuf::with_capacity(n.max(pool::SMALL_CAPACITY));
+            let full = std::mem::replace(&mut self.buf, next);
+            if !full.is_empty() {
+                self.done.push_back(full.freeze());
+            }
+        }
+
+        /// `N` contiguous bytes to fill.
+        #[inline]
+        fn fixed<const N: usize>(&mut self, v: [u8; N]) -> &mut Self {
+            if self.buf.tailroom() < N {
+                self.next_buf(N);
+            }
+            self.buf.append(N).copy_from_slice(&v);
+            self
+        }
+
+        /// Copies `v` in, across as many buffers as it takes.
+        fn raw(&mut self, mut v: &[u8]) {
+            loop {
+                let take = v.len().min(self.buf.tailroom());
+                self.buf.append(take).copy_from_slice(&v[..take]);
+                v = &v[take..];
+                if v.is_empty() {
+                    return;
+                }
+                self.next_buf(v.len().min(pool::LARGE_CAPACITY));
+            }
+        }
+
         /// Appends a byte.
         pub fn u8(&mut self, v: u8) -> &mut Self {
-            self.buf.push(v);
-            self
+            self.fixed([v])
         }
 
         /// Appends a big-endian u16.
         pub fn u16(&mut self, v: u16) -> &mut Self {
-            self.buf.extend_from_slice(&v.to_be_bytes());
-            self
+            self.fixed(v.to_be_bytes())
         }
 
         /// Appends a big-endian u32.
         pub fn u32(&mut self, v: u32) -> &mut Self {
-            self.buf.extend_from_slice(&v.to_be_bytes());
-            self
+            self.fixed(v.to_be_bytes())
         }
 
         /// Appends a big-endian u64.
         pub fn u64(&mut self, v: u64) -> &mut Self {
-            self.buf.extend_from_slice(&v.to_be_bytes());
-            self
+            self.fixed(v.to_be_bytes())
         }
 
         /// Appends a u16-length-prefixed byte string (keys, paths).
         pub fn bytes16(&mut self, v: &[u8]) -> &mut Self {
             debug_assert!(v.len() <= u16::MAX as usize);
             self.u16(v.len() as u16);
-            self.buf.extend_from_slice(v);
+            self.raw(v);
             self
         }
 
-        /// Appends a u32-length-prefixed byte string (values, snapshot
-        /// entries — anything that may outgrow a u16 frame).
+        /// Appends a u32-length-prefixed byte string.
         pub fn bytes32(&mut self, v: &[u8]) -> &mut Self {
             debug_assert!(v.len() <= u32::MAX as usize);
             self.u32(v.len() as u32);
-            self.buf.extend_from_slice(v);
+            self.raw(v);
             self
         }
 
         /// Appends raw trailing bytes (the unframed tail of a payload).
         pub fn tail(&mut self, v: &[u8]) -> &mut Self {
-            self.buf.extend_from_slice(v);
+            self.raw(v);
+            self
+        }
+
+        /// Links `v`'s descriptors in: what was written before them
+        /// becomes a slice of the open buffer, and writing continues
+        /// behind that slice.
+        fn link(&mut self, v: &Chain<IoBuf>) {
+            let written = self.buf.split_frozen();
+            if !written.is_empty() {
+                self.done.push_back(written);
+            }
+            self.done.append_chain(v.clone());
+        }
+
+        /// Appends a chain as the unframed tail of the payload — always
+        /// by descriptor, whatever its size: nothing is written behind
+        /// a tail, so linking it cuts no buffer and costs the payload
+        /// exactly one more segment per segment of `v`. This is how a
+        /// value leaves a store for the wire without a byte of it
+        /// moving.
+        pub fn tail_chain(&mut self, v: &Chain<IoBuf>) -> &mut Self {
+            if !v.is_empty() {
+                self.link(v);
+            }
+            self
+        }
+
+        /// Appends a u32-length-prefixed chain that more fields may
+        /// follow (a sub-call of a batch, an entry of a snapshot page):
+        /// copied into the buffer (counted by [`stats::bytes_copied`])
+        /// when at most [`INLINE_PAYLOAD_MAX`] long, linked by
+        /// descriptor otherwise.
+        pub fn bytes32_chain(&mut self, v: &Chain<IoBuf>) -> &mut Self {
+            debug_assert!(v.len() <= u32::MAX as usize);
+            self.u32(v.len() as u32);
+            if v.len() <= INLINE_PAYLOAD_MAX {
+                stats::record_copy(v.len());
+                for seg in v {
+                    self.raw(seg.bytes());
+                }
+            } else {
+                self.link(v);
+            }
             self
         }
 
         /// The finished payload.
-        pub fn finish(self) -> Vec<u8> {
-            self.buf
+        pub fn finish(self) -> Chain<IoBuf> {
+            let WireWriter { mut done, buf } = self;
+            if !buf.is_empty() {
+                done.push_back(buf.freeze());
+            }
+            done
+        }
+    }
+
+    /// One length-delimited field of a received payload, still in the
+    /// buffers it arrived in: a borrowed slice when it sits in one
+    /// segment (keys, paths — look at them in place), a zero-copy
+    /// sub-chain either way (values — pass them on).
+    pub struct Field<'a>(Repr<'a>);
+
+    enum Repr<'a> {
+        /// `len` bytes at `at` of one segment.
+        One {
+            seg: &'a IoBuf,
+            at: usize,
+            len: usize,
+        },
+        /// Carved out across segments (or empty).
+        Many(Chain<IoBuf>),
+    }
+
+    impl Field<'_> {
+        /// Length in bytes.
+        pub fn len(&self) -> usize {
+            match &self.0 {
+                Repr::One { len, .. } => *len,
+                Repr::Many(c) => c.len(),
+            }
+        }
+
+        /// Whether the field holds no bytes.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// The bytes in place, when they sit in one segment.
+        pub fn as_slice(&self) -> Option<&[u8]> {
+            match &self.0 {
+                Repr::One { seg, at, len } => Some(&seg.bytes()[*at..*at + *len]),
+                Repr::Many(c) => match c.segment_count() {
+                    0 => Some(&[]),
+                    1 => Some(c.seg(0).bytes()),
+                    _ => None,
+                },
+            }
+        }
+
+        /// The bytes as one slice: in place when the field sits in one
+        /// segment, gathered (a counted copy) when it straddles.
+        pub fn contiguous(&self) -> Cow<'_, [u8]> {
+            match (self.as_slice(), &self.0) {
+                (Some(s), _) => Cow::Borrowed(s),
+                (None, Repr::Many(c)) => Cow::Owned(c.copy_to_vec()),
+                (None, Repr::One { .. }) => unreachable!("one segment is always a slice"),
+            }
+        }
+
+        /// A descriptor chain over the field, sharing the received
+        /// buffers (no copy).
+        pub fn into_chain(self) -> Chain<IoBuf> {
+            match self.0 {
+                Repr::One { seg, at, len } => Chain::single(seg.slice(at, len)),
+                Repr::Many(c) => c,
+            }
         }
     }
 
     /// Reads one request/response payload from a received chain.
-    pub struct WireReader<'a, B: Buf> {
-        cur: Cursor<'a, B>,
-        remaining: usize,
+    pub struct WireReader<'a> {
+        cur: Cursor<'a, IoBuf>,
     }
 
-    impl<'a, B: Buf> WireReader<'a, B> {
+    impl<'a> WireReader<'a> {
         /// Starts reading at the front of `chain`.
-        pub fn new(chain: &'a Chain<B>) -> Self {
+        pub fn new(chain: &'a Chain<IoBuf>) -> Self {
             WireReader {
                 cur: chain.cursor(),
-                remaining: chain.len(),
             }
         }
 
         /// Unread bytes.
         pub fn remaining(&self) -> usize {
-            self.remaining
+            self.cur.remaining()
         }
 
         /// Reads a byte.
         pub fn u8(&mut self) -> Option<u8> {
-            let v = self.cur.read_u8()?;
-            self.remaining -= 1;
-            Some(v)
+            self.cur.read_u8()
         }
 
         /// Reads a big-endian u16.
         pub fn u16(&mut self) -> Option<u16> {
-            let v = self.cur.read_u16_be()?;
-            self.remaining -= 2;
-            Some(v)
+            self.cur.read_u16_be()
         }
 
         /// Reads a big-endian u32.
         pub fn u32(&mut self) -> Option<u32> {
-            let v = self.cur.read_u32_be()?;
-            self.remaining -= 4;
-            Some(v)
+            self.cur.read_u32_be()
         }
 
         /// Reads a big-endian u64.
         pub fn u64(&mut self) -> Option<u64> {
-            let v = self.cur.read_u64_be()?;
-            self.remaining -= 8;
-            Some(v)
+            self.cur.read_u64_be()
         }
 
-        /// Reads a u16-length-prefixed byte string.
-        pub fn bytes16(&mut self) -> Option<Vec<u8>> {
+        /// The next `n` bytes as a view; `None` (consuming nothing)
+        /// when fewer remain.
+        fn field(&mut self, n: usize) -> Option<Field<'a>> {
+            let c = &mut self.cur;
+            if n > 0 && n <= c.cur.len() {
+                let segs: &'a [IoBuf] = c.segs;
+                let seg = &segs[0];
+                let at = seg.len() - c.cur.len();
+                c.cur = &c.cur[n..];
+                c.consumed += n;
+                return Some(Field(Repr::One { seg, at, len: n }));
+            }
+            c.read_exact_zero_copy(n).map(|c| Field(Repr::Many(c)))
+        }
+
+        /// Reads a u16-length-prefixed field.
+        pub fn bytes16(&mut self) -> Option<Field<'a>> {
             let n = self.u16()? as usize;
-            if n > self.remaining {
-                return None;
-            }
-            let v = self.cur.read_vec(n)?;
-            self.remaining -= n;
-            Some(v)
+            self.field(n)
         }
 
-        /// Reads a u32-length-prefixed byte string.
-        pub fn bytes32(&mut self) -> Option<Vec<u8>> {
+        /// Reads a u32-length-prefixed field.
+        pub fn bytes32(&mut self) -> Option<Field<'a>> {
             let n = self.u32()? as usize;
-            if n > self.remaining {
-                return None;
-            }
-            let v = self.cur.read_vec(n)?;
-            self.remaining -= n;
-            Some(v)
+            self.field(n)
         }
 
         /// Reads every remaining byte (the unframed tail).
-        pub fn tail(&mut self) -> Vec<u8> {
-            let v = self.cur.read_vec(self.remaining).unwrap_or_default();
-            self.remaining = 0;
-            v
+        pub fn tail(&mut self) -> Field<'a> {
+            let n = self.remaining();
+            self.field(n).expect("the remaining bytes remain")
         }
     }
 
     #[cfg(test)]
-    #[test]
-    fn writer_reader_roundtrip() {
-        let mut w = WireWriter::op(7);
-        w.u16(0xBEEF)
-            .u32(42)
-            .u64(1 << 40)
-            .bytes16(b"key")
-            .bytes32(b"a-value-wider-than-a-key")
-            .tail(b"value");
-        let chain = Chain::single(crate::iobuf::IoBuf::copy_from(&w.finish()));
-        let mut r = WireReader::new(&chain);
-        assert_eq!(r.u8(), Some(7));
-        assert_eq!(r.u16(), Some(0xBEEF));
-        assert_eq!(r.u32(), Some(42));
-        assert_eq!(r.u64(), Some(1 << 40));
-        assert_eq!(r.bytes16().as_deref(), Some(b"key".as_slice()));
-        assert_eq!(
-            r.bytes32().as_deref(),
-            Some(b"a-value-wider-than-a-key".as_slice())
-        );
-        assert_eq!(r.tail(), b"value");
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(r.u8(), None, "reads past the end fail, not wrap");
+    mod tests {
+        use super::*;
+
+        fn bytes_of(c: &Chain<IoBuf>) -> Vec<u8> {
+            c.iter().flat_map(|s| s.bytes().to_vec()).collect()
+        }
+
+        #[test]
+        fn writer_reader_roundtrip() {
+            let mut w = WireWriter::op(7);
+            w.u16(0xBEEF)
+                .u32(42)
+                .u64(1 << 40)
+                .bytes16(b"key")
+                .bytes32(b"a-value-wider-than-a-key")
+                .tail(b"value");
+            let chain = w.finish();
+            assert_eq!(chain.segment_count(), 1, "small payloads are one buffer");
+            let mut r = WireReader::new(&chain);
+            assert_eq!(r.u8(), Some(7));
+            assert_eq!(r.u16(), Some(0xBEEF));
+            assert_eq!(r.u32(), Some(42));
+            assert_eq!(r.u64(), Some(1 << 40));
+            assert_eq!(r.bytes16().unwrap().as_slice(), Some(b"key".as_slice()));
+            assert_eq!(
+                &*r.bytes32().unwrap().contiguous(),
+                b"a-value-wider-than-a-key".as_slice()
+            );
+            assert_eq!(bytes_of(&r.tail().into_chain()), b"value");
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(r.u8(), None, "reads past the end fail, not wrap");
+            assert!(r.tail().is_empty());
+        }
+
+        #[test]
+        fn small_fields_are_copied_large_ones_and_tails_linked() {
+            let small = IoBuf::copy_from(&[0x11; INLINE_PAYLOAD_MAX]);
+            let large = IoBuf::copy_from(&[0x22; INLINE_PAYLOAD_MAX + 1]);
+            let before = stats::snapshot();
+            let mut w = WireWriter::op(1);
+            w.bytes32_chain(&Chain::single(small.clone()))
+                .u8(2)
+                .bytes32_chain(&Chain::single(large.clone()))
+                .u8(3)
+                .tail_chain(&Chain::single(small.clone()))
+                .tail_chain(&Chain::new());
+            let out = w.finish();
+            let delta = stats::snapshot().since(&before);
+            assert_eq!(delta.bytes_copied, INLINE_PAYLOAD_MAX as u64);
+            assert_eq!(delta.bufs_allocated, 0, "marshalling buffers are pooled");
+            assert_eq!(
+                small.ref_count(),
+                2,
+                "copied as a field, linked as the tail"
+            );
+            assert_eq!(large.ref_count(), 2, "linked by descriptor");
+            // [op|len|small|2|len] [large] [3] [small]: the buffer's two
+            // slices around the link share one region.
+            assert_eq!(out.segment_count(), 4);
+            assert_eq!(out.seg(0).ref_count(), 2);
+            let mut expect = vec![1];
+            expect.extend((INLINE_PAYLOAD_MAX as u32).to_be_bytes());
+            expect.extend([0x11; INLINE_PAYLOAD_MAX]);
+            expect.push(2);
+            expect.extend((INLINE_PAYLOAD_MAX as u32 + 1).to_be_bytes());
+            expect.extend([0x22; INLINE_PAYLOAD_MAX + 1]);
+            expect.push(3);
+            expect.extend([0x11; INLINE_PAYLOAD_MAX]);
+            assert_eq!(bytes_of(&out), expect);
+        }
+
+        #[test]
+        fn finished_payload_takes_a_frame_header_in_place() {
+            let mut w = WireWriter::op(9);
+            w.u32(77);
+            let mut chain = w.finish();
+            let region = chain.seg(0).bytes().as_ptr();
+            chain
+                .prepend_in_place(17)
+                .expect("sole descriptor, headroom reserved")
+                .fill(0xEE);
+            assert_eq!(chain.len(), 22);
+            assert_eq!(chain.segment_count(), 1);
+            assert_eq!(chain.seg(0).bytes()[17..].as_ptr(), region);
+            assert_eq!(&chain.seg(0).bytes()[..17], &[0xEE; 17]);
+            // A second descriptor (a retry's retained clone) forbids it…
+            let keep = chain.clone();
+            assert!(chain.prepend_in_place(1).is_none());
+            drop(keep);
+            // …and so does running out of room.
+            assert!(chain.prepend_in_place(HEADROOM).is_none());
+            assert!(Chain::<IoBuf>::new().prepend_in_place(1).is_none());
+        }
+
+        #[test]
+        fn slices_larger_than_a_buffer_span_buffers() {
+            let big: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+            let mut w = WireWriter::op(4);
+            w.bytes32(&big).u8(5);
+            let out = w.finish();
+            assert!(out.segment_count() >= 2);
+            let mut r = WireReader::new(&out);
+            assert_eq!(r.u8(), Some(4));
+            let f = r.bytes32().unwrap();
+            assert!(f.as_slice().is_none(), "straddles buffers");
+            assert_eq!(&*f.contiguous(), big.as_slice());
+            assert_eq!(bytes_of(&f.into_chain()), big);
+            assert_eq!(r.u8(), Some(5));
+        }
+
+        #[test]
+        fn truncated_fields_read_as_none() {
+            let mut w = WireWriter::new();
+            w.u16(10).tail(b"short");
+            let chain = w.finish();
+            let mut r = WireReader::new(&chain);
+            assert!(r.bytes16().is_none(), "length beyond the payload");
+            let chain = Chain::single(IoBuf::copy_from(&[0, 0, 0]));
+            assert!(WireReader::new(&chain).bytes32().is_none());
+        }
     }
 }
 
@@ -1217,7 +1492,9 @@ struct RegionRef(NonNull<RegionHeader>);
 // while the region has a single owner; every other header field is
 // immutable while a reference exists (`Weak<PoolRoot>` is `Sync`). The
 // bytes are read through shared descriptors and written only through a
-// `MutIoBuf`, which holds the region's only reference and needs `&mut`.
+// `MutIoBuf` (which needs `&mut` and is the only view of the bytes it
+// can write) or by `Chain::prepend_in_place` (which checks that its
+// descriptor is the region's only one).
 unsafe impl Send for RegionRef {}
 // SAFETY: as above.
 unsafe impl Sync for RegionRef {}
@@ -1315,10 +1592,13 @@ pub trait Buf {
 /// way. Pooled storage is recycled, not zeroed: bytes exposed by
 /// [`MutIoBuf::append`] are unspecified until the caller writes them.
 pub struct MutIoBuf {
-    /// The region's only reference for as long as the buffer is
-    /// mutable.
+    /// The only reference to the region's bytes from `base` on, for as
+    /// long as the buffer is mutable. (Bytes before `base` — there are
+    /// none until [`MutIoBuf::split_frozen`] moves it — belong to the
+    /// frozen descriptors split off the front.)
     region: RegionRef,
-    /// First byte of the region's storage (the header's `data`).
+    /// First byte this buffer may touch: the region's storage (the
+    /// header's `data`), past whatever has been split off.
     base: NonNull<u8>,
     /// Offset of the view window within the region.
     off: usize,
@@ -1329,8 +1609,8 @@ pub struct MutIoBuf {
     cap: usize,
 }
 
-// SAFETY: a `MutIoBuf` owns its region's only reference (`RegionRef` is
-// `Send`); `base` points into that region.
+// SAFETY: a `MutIoBuf` is the only way to reach its region's bytes from
+// `base` on (`RegionRef` is `Send`); `base` points into that region.
 unsafe impl Send for MutIoBuf {}
 // SAFETY: `&MutIoBuf` only reads the window.
 unsafe impl Sync for MutIoBuf {}
@@ -1422,9 +1702,9 @@ impl MutIoBuf {
     fn window_mut(&mut self, start: usize, n: usize) -> &mut [u8] {
         debug_assert!(start + n <= self.cap);
         // SAFETY: `base .. base + cap` lies inside the region's storage
-        // (checked in `over`), which was zero-initialised at allocation
-        // and is written only through this buffer — the region's sole
-        // reference, borrowed mutably here.
+        // (checked in `over`, kept by `split_frozen`), which was
+        // zero-initialised at allocation; no descriptor but this buffer
+        // — borrowed mutably here — views those bytes.
         unsafe { std::slice::from_raw_parts_mut(self.base.as_ptr().add(start), n) }
     }
 
@@ -1495,9 +1775,35 @@ impl MutIoBuf {
         self.len -= n;
     }
 
+    /// Freezes what has been written so far and keeps writing behind
+    /// it: returns a shareable descriptor of the current window and
+    /// leaves this buffer with an empty window where that one ended —
+    /// no headroom (the bytes in front are the returned descriptor's
+    /// now), the tailroom it had. No copy, no allocation; the region
+    /// recycles when the last descriptor of either kind drops. This is
+    /// how a marshalling buffer is cut around a payload linked by
+    /// descriptor ([`wire::WireWriter::bytes32_chain`]).
+    pub fn split_frozen(&mut self) -> IoBuf {
+        let used = self.off + self.len;
+        let front = IoBuf {
+            // SAFETY: `off <= cap`, inside the region's storage.
+            ptr: unsafe { self.base.add(self.off) },
+            len: self.len,
+            region: self.region.retain(),
+        };
+        // SAFETY: `used <= cap`, inside (or one past) the storage. From
+        // here on this buffer reads and writes only at or after the new
+        // `base`, and `front` (with every descriptor cloned or sliced
+        // from it) only before it, so the two never alias.
+        self.base = unsafe { self.base.add(used) };
+        self.cap -= used;
+        (self.off, self.len) = (0, 0);
+        front
+    }
+
     /// Freezes into a shareable, immutable [`IoBuf`] without copying or
-    /// allocating: the region's one reference moves into the new
-    /// descriptor. A pooled region stays pooled: it recycles when the
+    /// allocating: the buffer's reference to the region moves into the
+    /// new descriptor. A pooled region stays pooled: it recycles when the
     /// last frozen descriptor drops.
     pub fn freeze(self) -> IoBuf {
         IoBuf {
@@ -2112,6 +2418,38 @@ impl Chain<IoBuf> {
         }
     }
 
+    /// Grows the first segment `n` bytes toward the front of its region
+    /// and returns the newly exposed bytes for the caller to fill — a
+    /// header written in front of a payload that is already frozen.
+    /// `None` (changing nothing) unless that segment is its region's
+    /// **only** descriptor and the region has `n` bytes in front of the
+    /// window: a payload marshalled behind [`wire::HEADROOM`] that
+    /// nobody else holds. Anything shared — a retry's retained clone, a
+    /// buffer cut around a linked descriptor — is refused, and the
+    /// caller frames with a buffer of its own instead.
+    pub fn prepend_in_place(&mut self, n: usize) -> Option<&mut [u8]> {
+        let first = self.segs_mut().first_mut()?;
+        let h = first.region.header();
+        let room = first.ptr.as_ptr() as usize - h.data.as_ptr() as usize;
+        // Acquire, as `Arc::get_mut`: every other descriptor's reads of
+        // the region happened before the drop that left this one alone.
+        if room < n || h.refs.load(Ordering::Acquire) != 1 {
+            return None;
+        }
+        // SAFETY: `n <= room`, so the new window still starts inside
+        // the storage. This descriptor is the region's only one and is
+        // borrowed mutably, so nothing else can read or write the
+        // region while the returned slice lives; the bytes were
+        // zero-initialised at allocation.
+        let exposed = unsafe {
+            first.ptr = first.ptr.sub(n);
+            std::slice::from_raw_parts_mut(first.ptr.as_ptr(), n)
+        };
+        first.len += n;
+        self.total += n;
+        Some(exposed)
+    }
+
     /// Physical bytes pinned by the segments' backing regions.
     /// Long-lived chains compare this against [`len`](Chain::len) to
     /// decide when small sub-views are pinning a disproportionate
@@ -2154,10 +2492,19 @@ impl Chain<IoBuf> {
         if self.segment_count() == 1 && self.seg(0).region_len() == self.total {
             return; // already exact
         }
-        let data = self.copy_to_vec();
+        let packed = (self.total > 0).then(|| {
+            stats::record_copy(self.total);
+            stats::record_alloc();
+            let region = FreeRegion::exact(self.total).into_ref();
+            let mut b = MutIoBuf::over(region, 0, 0, self.total);
+            for s in self.iter() {
+                b.append(s.len()).copy_from_slice(s.bytes());
+            }
+            b.freeze()
+        });
         while self.pop_front_seg().is_some() {}
-        if !data.is_empty() {
-            self.push_back(MutIoBuf::from_vec(data).freeze());
+        if let Some(packed) = packed {
+            self.push_back(packed);
         }
     }
 

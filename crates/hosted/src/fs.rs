@@ -20,7 +20,10 @@
 //! server — the fixed-server special case of the generic
 //! remote-representative layer), inheriting its timeout and
 //! failure-delivery semantics. Errors surface as `None`/`false`
-//! through the existing callbacks.
+//! through the existing callbacks. Files are kept as buffer chains, so
+//! a read reply links the file's own descriptors and a written file is
+//! a view of the request it arrived in (compacted when that view would
+//! pin much more than it holds).
 //!
 //! Wire format: `op:u8 | path_len:u16 | path | args…`.
 
@@ -29,7 +32,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ebbrt_core::ebb::{EbbId, RemoteTransport};
-use ebbrt_core::iobuf::{Buf, Chain, IoBuf};
+use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_net::types::Ipv4Addr;
 
 use crate::messenger::Messenger;
@@ -43,9 +46,13 @@ const OP_READ: u8 = 1;
 const OP_WRITE: u8 = 2;
 const OP_STAT: u8 = 3;
 
+/// A written file whose bytes are less than this fraction of the
+/// buffer regions its view pins is copied into a buffer of its own.
+const WRITE_COMPACT_FACTOR: usize = 4;
+
 /// The hosted-side representative: serves the in-memory filesystem.
 pub struct FsServer {
-    files: RefCell<HashMap<String, Vec<u8>>>,
+    files: RefCell<HashMap<String, Chain<IoBuf>>>,
     /// Requests served (diagnostic).
     pub requests: Cell<u64>,
 }
@@ -65,43 +72,43 @@ impl FsServer {
 
     /// Pre-populates a file (test/setup convenience).
     pub fn put(&self, path: &str, data: Vec<u8>) {
+        let data = Chain::single(MutIoBuf::from_vec(data).freeze());
         self.files.borrow_mut().insert(path.to_string(), data);
     }
 
-    fn handle(&self, payload: &Chain<IoBuf>) -> Vec<u8> {
+    fn handle(&self, payload: &Chain<IoBuf>) -> Chain<IoBuf> {
         self.requests.set(self.requests.get() + 1);
+        let refused = || wire::WireWriter::op(0).finish();
         let mut r = wire::WireReader::new(payload);
         let (Some(op), Some(path)) = (r.u8(), r.bytes16()) else {
-            return vec![0];
+            return refused();
         };
-        let path = String::from_utf8_lossy(&path).into_owned();
+        let path = String::from_utf8_lossy(&path.contiguous()).into_owned();
+        let mut resp = wire::WireWriter::op(1);
         match op {
-            OP_READ => match self.files.borrow().get(&path) {
-                Some(data) => {
-                    let mut out = vec![1];
-                    out.extend_from_slice(data);
-                    out
-                }
-                None => vec![0],
-            },
             OP_WRITE => {
-                self.files.borrow_mut().insert(path, r.tail());
-                vec![1]
+                let mut data = r.tail().into_chain();
+                data.compact_if_amplified(0, WRITE_COMPACT_FACTOR);
+                self.files.borrow_mut().insert(path, data);
             }
-            OP_STAT => match self.files.borrow().get(&path) {
-                Some(data) => {
-                    let mut out = vec![1];
-                    out.extend_from_slice(&(data.len() as u64).to_be_bytes());
-                    out
+            OP_READ | OP_STAT => {
+                let files = self.files.borrow();
+                let Some(data) = files.get(&path) else {
+                    return refused();
+                };
+                if op == OP_READ {
+                    resp.tail_chain(data);
+                } else {
+                    resp.u64(data.len() as u64);
                 }
-                None => vec![0],
-            },
-            _ => vec![0],
+            }
+            _ => return refused(),
         }
+        resp.finish()
     }
 }
 
-fn encode_request(op: u8, path: &str, extra: &[u8]) -> Vec<u8> {
+fn encode_request(op: u8, path: &str, extra: &[u8]) -> Chain<IoBuf> {
     let mut w = wire::WireWriter::op(op);
     w.bytes16(path.as_bytes()).tail(extra);
     w.finish()
@@ -127,7 +134,7 @@ impl FsClient {
         })
     }
 
-    fn ship(&self, req: Vec<u8>, reply: impl FnOnce(Option<Chain<IoBuf>>) + 'static) {
+    fn ship(&self, req: Chain<IoBuf>, reply: impl FnOnce(Option<Chain<IoBuf>>) + 'static) {
         self.rpcs.set(self.rpcs.get() + 1);
         self.transport
             .ship(FS_EBB_ID, req, Box::new(move |r| reply(r.ok())));
@@ -164,17 +171,8 @@ impl FsClient {
 }
 
 fn decode_read(resp: &Chain<IoBuf>) -> Option<Vec<u8>> {
-    let mut segments = resp.iter();
-    let first = segments.next()?;
-    let bytes = first.bytes();
-    if bytes.first() != Some(&1) {
-        return None;
-    }
-    let mut out = bytes[1..].to_vec();
-    for s in segments {
-        out.extend_from_slice(s.bytes());
-    }
-    Some(out)
+    let mut r = wire::WireReader::new(resp);
+    (r.u8() == Some(1)).then(|| r.tail().contiguous().into_owned())
 }
 
 /// A read-caching native representative — the optimization the paper's

@@ -10,7 +10,11 @@
 //!
 //! Protocol (over the messenger, addressed to [`GLOBAL_MAP_EBB_ID`]):
 //! `op:u8 …` with op 1 = allocate range, 2 = put(id, data), 3 =
-//! get(id), 4 = put_if(id, expected_version, data).
+//! get(id), 4 = put_if(id, expected_version, data); every response
+//! starts with a tag byte, 1 for applied/found. Requests and responses
+//! are marshalled with the shared wire helpers
+//! ([`ebbrt_core::iobuf::wire`]); records themselves are small owned
+//! vectors (a few addresses).
 //!
 //! Records are **versioned**: every successful put bumps a per-id
 //! `u64`, gets return it, and `put_if` is a compare-and-swap on it.
@@ -24,9 +28,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ebbrt_core::ebb::EbbId;
+use ebbrt_core::iobuf::wire::{WireReader, WireWriter};
+use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::types::Ipv4Addr;
 
-use crate::messenger::Messenger;
+use crate::messenger::{Messenger, DEFAULT_RPC_TIMEOUT_NS};
 
 /// Well-known Ebb id of the naming service itself (also its messenger
 /// wire id — see [`ebbrt_core::ebb::SystemEbb::GlobalMap`]).
@@ -39,6 +45,10 @@ const OP_ALLOC_RANGE: u8 = 1;
 const OP_PUT: u8 = 2;
 const OP_GET: u8 = 3;
 const OP_PUT_IF: u8 = 4;
+
+/// Response tags: the request was refused / applied.
+const RESP_NO: u8 = 0;
+const RESP_OK: u8 = 1;
 
 /// The authoritative naming service (runs on the hosted instance).
 pub struct GlobalIdMapServer {
@@ -59,68 +69,56 @@ impl GlobalIdMapServer {
             requests: Cell::new(0),
         });
         let s = Rc::clone(&server);
-        let m = Rc::clone(messenger);
-        messenger.register(GLOBAL_MAP_EBB_ID, move |src, rpc_id, payload| {
-            let resp = s.handle(&payload.copy_to_vec());
-            m.respond(src, GLOBAL_MAP_EBB_ID, rpc_id, &resp);
-        });
+        crate::remote::export_raw(messenger, GLOBAL_MAP_EBB_ID, move |req| s.handle(req));
         server
     }
 
-    fn handle(&self, req: &[u8]) -> Vec<u8> {
+    fn handle(&self, req: &Chain<IoBuf>) -> Chain<IoBuf> {
         self.requests.set(self.requests.get() + 1);
-        match req.first() {
-            Some(&OP_ALLOC_RANGE) => {
+        let mut r = WireReader::new(req);
+        let mut resp = WireWriter::new();
+        match (r.u8(), r.u32()) {
+            (Some(OP_ALLOC_RANGE), _) => {
                 let base = self.next_range.get();
                 self.next_range.set(base + RANGE_SIZE);
-                let mut out = vec![1];
-                out.extend_from_slice(&base.to_be_bytes());
-                out.extend_from_slice(&RANGE_SIZE.to_be_bytes());
-                out
+                resp.u8(RESP_OK).u32(base).u32(RANGE_SIZE);
             }
-            Some(&OP_PUT) if req.len() >= 5 => {
-                let id = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
+            (Some(OP_PUT), Some(id)) => {
                 let mut entries = self.entries.borrow_mut();
                 let version = entries.get(&id).map_or(0, |e| e.0) + 1;
-                entries.insert(id, (version, req[5..].to_vec()));
-                let mut out = vec![1];
-                out.extend_from_slice(&version.to_be_bytes());
-                out
+                entries.insert(id, (version, r.tail().contiguous().into_owned()));
+                resp.u8(RESP_OK).u64(version);
             }
-            Some(&OP_GET) if req.len() >= 5 => {
-                let id = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
-                match self.entries.borrow().get(&id) {
-                    Some((version, data)) => {
-                        let mut out = vec![1];
-                        out.extend_from_slice(&version.to_be_bytes());
-                        out.extend_from_slice(data);
-                        out
+            (Some(OP_GET), Some(id)) => match self.entries.borrow().get(&id) {
+                Some((version, data)) => {
+                    resp.u8(RESP_OK).u64(*version).tail(data);
+                }
+                None => {
+                    resp.u8(RESP_NO);
+                }
+            },
+            (Some(OP_PUT_IF), Some(id)) => match r.u64() {
+                Some(expected) => {
+                    let mut entries = self.entries.borrow_mut();
+                    let current = entries.get(&id).map_or(0, |e| e.0);
+                    if current == expected {
+                        let version = current + 1;
+                        entries.insert(id, (version, r.tail().contiguous().into_owned()));
+                        resp.u8(RESP_OK).u64(version);
+                    } else {
+                        // Lost the race: report the winning version.
+                        resp.u8(RESP_NO).u64(current);
                     }
-                    None => vec![0],
                 }
-            }
-            Some(&OP_PUT_IF) if req.len() >= 13 => {
-                let id = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
-                let expected = u64::from_be_bytes([
-                    req[5], req[6], req[7], req[8], req[9], req[10], req[11], req[12],
-                ]);
-                let mut entries = self.entries.borrow_mut();
-                let current = entries.get(&id).map_or(0, |e| e.0);
-                if current == expected {
-                    let version = current + 1;
-                    entries.insert(id, (version, req[13..].to_vec()));
-                    let mut out = vec![1];
-                    out.extend_from_slice(&version.to_be_bytes());
-                    out
-                } else {
-                    // Lost the race: report the winning version.
-                    let mut out = vec![0];
-                    out.extend_from_slice(&current.to_be_bytes());
-                    out
+                None => {
+                    resp.u8(RESP_NO);
                 }
+            },
+            _ => {
+                resp.u8(RESP_NO);
             }
-            _ => vec![0],
         }
+        resp.finish()
     }
 
     /// Entries currently stored (diagnostic).
@@ -155,6 +153,12 @@ pub struct GlobalIdMap {
     cache: RefCell<HashMap<u32, (u64, Vec<u8>)>>,
 }
 
+/// The version behind an `OK` tag, with the reader left at whatever
+/// follows it; `None` for a refusal or a malformed reply.
+fn ok_version(r: &mut WireReader<'_>) -> Option<u64> {
+    (r.u8() == Some(RESP_OK)).then(|| r.u64()).flatten()
+}
+
 impl GlobalIdMap {
     /// Creates a client of the naming service at `server`.
     pub fn new(messenger: &Rc<Messenger>, server: Ipv4Addr) -> Rc<GlobalIdMap> {
@@ -166,9 +170,23 @@ impl GlobalIdMap {
         })
     }
 
+    /// One request/response exchange with the naming service; `done`
+    /// always runs — `None` covers an unreachable or unresponsive
+    /// server.
+    fn request(&self, req: WireWriter, done: impl FnOnce(Option<Chain<IoBuf>>) + 'static) {
+        self.messenger.call_chain(
+            self.server,
+            GLOBAL_MAP_EBB_ID,
+            req.finish(),
+            DEFAULT_RPC_TIMEOUT_NS,
+            move |resp| done(resp.ok()),
+        );
+    }
+
     /// Allocates a globally unique [`EbbId`], fetching a fresh range
     /// from the server when the local one is exhausted. `done` receives
-    /// the id (synchronously when the cached range suffices).
+    /// the id (synchronously when the cached range suffices); an
+    /// unreachable naming service drops it.
     pub fn allocate(self: &Rc<Self>, done: impl FnOnce(EbbId) + 'static) {
         let (next, end) = self.range.get();
         if next < end {
@@ -177,37 +195,26 @@ impl GlobalIdMap {
             return;
         }
         let me = Rc::clone(self);
-        self.messenger.call(
-            self.server,
-            GLOBAL_MAP_EBB_ID,
-            &[OP_ALLOC_RANGE],
-            move |resp| {
-                let bytes = resp.copy_to_vec();
-                assert_eq!(bytes.first(), Some(&1), "range allocation failed");
-                let base = u32::from_be_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]);
-                let size = u32::from_be_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
-                me.range.set((base + 1, base + size));
-                done(EbbId(base));
-            },
-        );
+        self.request(WireWriter::op(OP_ALLOC_RANGE), move |resp| {
+            let Some(resp) = resp else { return };
+            let mut r = WireReader::new(&resp);
+            let (Some(RESP_OK), Some(base), Some(size)) = (r.u8(), r.u32(), r.u32()) else {
+                panic!("range allocation failed");
+            };
+            me.range.set((base + 1, base + size));
+            done(EbbId(base));
+        });
     }
 
     /// Publishes metadata for `id` (e.g. the owner machine's address).
     /// `done(false)` covers an unreachable/unresponsive naming service
     /// too — the publish never hangs.
     pub fn put(self: &Rc<Self>, id: EbbId, data: &[u8], done: impl FnOnce(bool) + 'static) {
-        let mut req = vec![OP_PUT];
-        req.extend_from_slice(&id.0.to_be_bytes());
-        req.extend_from_slice(data);
-        self.messenger.call_with_timeout(
-            self.server,
-            GLOBAL_MAP_EBB_ID,
-            &req,
-            crate::messenger::DEFAULT_RPC_TIMEOUT_NS,
-            move |resp| {
-                done(resp.is_ok_and(|r| r.copy_to_vec().first() == Some(&1)));
-            },
-        );
+        let mut req = WireWriter::op(OP_PUT);
+        req.u32(id.0).tail(data);
+        self.request(req, move |resp| {
+            done(resp.is_some_and(|r| WireReader::new(&r).u8() == Some(RESP_OK)));
+        });
     }
 
     /// Drops the cached record for `id`, forcing the next [`Self::get`]
@@ -242,33 +249,20 @@ impl GlobalIdMap {
             done(Some(e.clone()));
             return;
         }
-        let mut req = vec![OP_GET];
-        req.extend_from_slice(&id.0.to_be_bytes());
         let me = Rc::clone(self);
-        self.messenger.call_with_timeout(
-            self.server,
-            GLOBAL_MAP_EBB_ID,
-            &req,
-            crate::messenger::DEFAULT_RPC_TIMEOUT_NS,
-            move |resp| {
-                let Ok(resp) = resp else {
-                    done(None);
-                    return;
-                };
-                let bytes = resp.copy_to_vec();
-                if bytes.first() == Some(&1) && bytes.len() >= 9 {
-                    let version = u64::from_be_bytes([
-                        bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-                        bytes[8],
-                    ]);
-                    let data = bytes[9..].to_vec();
-                    me.cache.borrow_mut().insert(id.0, (version, data.clone()));
-                    done(Some((version, data)));
-                } else {
-                    done(None);
-                }
-            },
-        );
+        let mut req = WireWriter::op(OP_GET);
+        req.u32(id.0);
+        self.request(req, move |resp| {
+            let record = resp.and_then(|resp| {
+                let mut r = WireReader::new(&resp);
+                let version = ok_version(&mut r)?;
+                Some((version, r.tail().contiguous().into_owned()))
+            });
+            if let Some(record) = &record {
+                me.cache.borrow_mut().insert(id.0, record.clone());
+            }
+            done(record);
+        });
     }
 
     /// Compare-and-swap publish: replaces `id`'s record with `data`
@@ -284,36 +278,26 @@ impl GlobalIdMap {
         data: &[u8],
         done: impl FnOnce(Option<u64>) + 'static,
     ) {
-        let mut req = vec![OP_PUT_IF];
-        req.extend_from_slice(&id.0.to_be_bytes());
-        req.extend_from_slice(&expected.to_be_bytes());
-        req.extend_from_slice(data);
         let record = data.to_vec();
         let me = Rc::clone(self);
-        self.messenger.call_with_timeout(
-            self.server,
-            GLOBAL_MAP_EBB_ID,
-            &req,
-            crate::messenger::DEFAULT_RPC_TIMEOUT_NS,
-            move |resp| {
-                let Ok(resp) = resp else {
-                    done(None);
-                    return;
-                };
-                let bytes = resp.copy_to_vec();
-                if bytes.first() == Some(&1) && bytes.len() >= 9 {
-                    let version = u64::from_be_bytes([
-                        bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-                        bytes[8],
-                    ]);
+        let mut req = WireWriter::op(OP_PUT_IF);
+        req.u32(id.0).u64(expected).tail(data);
+        self.request(req, move |resp| {
+            // An unanswered CAS leaves the cache alone: nothing was
+            // learned about the record.
+            let Some(resp) = resp else {
+                done(None);
+                return;
+            };
+            let version = ok_version(&mut WireReader::new(&resp));
+            match version {
+                Some(version) => {
                     me.cache.borrow_mut().insert(id.0, (version, record));
-                    done(Some(version));
-                } else {
-                    me.invalidate(id);
-                    done(None);
                 }
-            },
-        );
+                None => me.invalidate(id),
+            }
+            done(version);
+        });
     }
 }
 

@@ -13,10 +13,25 @@
 //! [`RemoteError::Timeout`] when the per-call timer (one entry in the
 //! calling core's timer wheel) fires first, or with
 //! [`RemoteError::Unreachable`] the moment the peer's connection dies
-//! (reset, teardown, ARP failure). No call ever hangs.
+//! (reset, teardown, ARP failure, a malformed frame). No call ever
+//! hangs.
 //!
 //! Wire format per message: `len:u32 | ebb_id:u32 | kind:u8 |
-//! rpc_id:u64 | payload…` (kind 0 = one-way/request, 1 = response).
+//! rpc_id:u64 | payload…` (kind 0 = one-way/request, 1 = response);
+//! `len` counts everything after itself.
+//!
+//! **Payloads are chains of buffer descriptors in both directions.** A
+//! message leaves as the sender's chain with the 17-byte header written
+//! into the headroom its first buffer was marshalled behind
+//! ([`Chain::prepend_in_place`]; a chain that is shared, or has no
+//! room, gets a pooled header buffer in front instead) and its
+//! segments queued on the connection as they are. It arrives by
+//! appending the TCP stream's chains to a per-connection reassembly
+//! *chain* and splitting complete frames off the front, so a handler's
+//! payload is a view of the buffers the bytes were received in. The
+//! `&[u8]` entry points ([`Messenger::send`], [`Messenger::call`],
+//! [`Messenger::call_with_timeout`], [`Messenger::respond`]) copy the
+//! slice once into a pooled buffer and take the same path.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -28,6 +43,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbId, EbbRef, MulticoreEbb, RemoteError, SystemEbb, FIRST_DYNAMIC_ID};
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::qos::{self, CounterHandle};
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
@@ -39,6 +55,34 @@ pub const MESSENGER_PORT: u16 = 9000;
 /// round trips (tens of microseconds) while keeping "owner never
 /// answers" failures prompt.
 pub const DEFAULT_RPC_TIMEOUT_NS: Ns = 50_000_000;
+
+/// Bytes of a frame in front of its payload: `len | ebb_id | kind |
+/// rpc_id`.
+pub const FRAME_HEADER_LEN: usize = 4 + FRAME_BODY_MIN;
+
+/// The smallest value a frame's `len` field can hold: the header
+/// fields behind it, with an empty payload.
+const FRAME_BODY_MIN: usize = 4 + 1 + 8;
+
+/// The largest value a frame's `len` field may hold. A peer announcing
+/// more is dropped before a byte of the frame is buffered, so one
+/// connection can never hold more than this in reassembly. Sized for
+/// the biggest legitimate message — a re-sync page of sixteen
+/// protocol-maximum (1 MiB) values — with room to spare.
+pub const FRAME_BODY_MAX: usize = 64 << 20;
+
+/// Name of the per-machine counter ([`ebbrt_core::qos`]) bumped for
+/// every peer connection dropped over a malformed frame: a `len` below
+/// the header's own size or above [`FRAME_BODY_MAX`], or a batch table
+/// its payload cannot hold.
+pub const BAD_FRAME_COUNTER: &str = "messenger.drop.bad_frame";
+
+/// Reassembly segment count past which fragmentation is checked, and
+/// the pinned-to-logical ratio that triggers compaction: a peer
+/// trickling a frame a few bytes per packet must not pin a receive
+/// region per packet.
+const RX_COMPACT_SEGS: usize = 64;
+const RX_COMPACT_FACTOR: usize = 4;
 
 /// Message kinds.
 const KIND_SEND: u8 = 0;
@@ -52,16 +96,15 @@ pub type MsgHandler = Rc<dyn Fn(Ipv4Addr, u64, Chain<IoBuf>)>;
 /// A request/response handler for one Ebb id: `(src, payload,
 /// responder)`. Unlike [`MsgHandler`] it replies through an opaque
 /// [`Responder`] rather than a wire rpc id, so the **same** handler
-/// serves a direct call (responder = [`Messenger::respond`], which can
-/// also send a zero-copy chain) and a sub-call of a batched frame
-/// (responder = the batch collector's slot). Registered with
-/// [`Messenger::register_call`].
+/// serves a direct call (the response is its own frame) and a sub-call
+/// of a batched frame (the response is one slot of the batch's reply).
+/// Registered with [`Messenger::register_call`].
 pub type CallHandler = Rc<dyn Fn(Ipv4Addr, Chain<IoBuf>, Responder)>;
 
 /// Where one RPC's response goes: straight back onto the wire (a
-/// direct call, which supports zero-copy chain payloads) or into an
-/// arbitrary sink (a batch collector slot, a test probe). Consumed by
-/// exactly one of the send methods.
+/// direct call) or into its slot of a batched reply. Consumed by
+/// [`Responder::send`]; plain data, so a handler can hold it across
+/// events without boxing anything.
 pub struct Responder {
     inner: ResponderInner,
 }
@@ -73,64 +116,75 @@ enum ResponderInner {
         id: EbbId,
         rpc_id: u64,
     },
-    Sink(Box<dyn FnOnce(Vec<u8>)>),
+    Slot {
+        collector: Rc<BatchCollector>,
+        index: usize,
+    },
 }
 
 impl Responder {
-    /// A responder that answers on the wire for `rpc_id`.
-    fn wire(messenger: Rc<Messenger>, dst: Ipv4Addr, id: EbbId, rpc_id: u64) -> Self {
-        Responder {
-            inner: ResponderInner::Wire {
-                messenger,
-                dst,
-                id,
-                rpc_id,
-            },
-        }
-    }
-
-    /// A responder that hands the (flattened) response to `f`.
-    pub fn sink(f: impl FnOnce(Vec<u8>) + 'static) -> Self {
-        Responder {
-            inner: ResponderInner::Sink(Box::new(f)),
-        }
-    }
-
-    /// Sends a flat response payload.
-    pub fn send(self, payload: Vec<u8>) {
+    /// Sends the response. Either way the chain's segments travel as
+    /// descriptor clones: a direct call frames them as they are; a
+    /// batched sub-call's chain is linked (or, when small, copied) into
+    /// the batch's one reply frame.
+    pub fn send(self, payload: Chain<IoBuf>) {
         match self.inner {
             ResponderInner::Wire {
                 messenger,
                 dst,
                 id,
                 rpc_id,
-            } => messenger.respond(dst, id, rpc_id, &payload),
-            ResponderInner::Sink(f) => f(payload),
+            } => messenger.enqueue(dst, frame(id, KIND_RESPONSE, rpc_id, payload)),
+            ResponderInner::Slot { collector, index } => {
+                collector.fill(index, batch::STATUS_OK, payload)
+            }
         }
     }
+}
 
-    /// Sends a chained response. On a direct call the chain's segments
-    /// ride the connection as descriptor clones — the transfer-stream
-    /// framing: a snapshot page interleaves small metadata buffers with
-    /// the store's own value buffers, copied nowhere. A batched
-    /// sub-call flattens (its slot is part of one response frame).
-    pub fn send_chain(self, payload: Chain<IoBuf>) {
-        match self.inner {
-            ResponderInner::Wire {
-                messenger,
-                dst,
-                id,
-                rpc_id,
-            } => messenger.send_chain_raw(dst, id, KIND_RESPONSE, rpc_id, payload),
-            ResponderInner::Sink(f) => f(payload.copy_to_vec()),
+/// Fills `out` (the [`FRAME_HEADER_LEN`] bytes in front of a payload
+/// of `payload_len` bytes).
+fn write_header(out: &mut [u8], id: EbbId, kind: u8, rpc_id: u64, payload_len: usize) {
+    let body_len = FRAME_BODY_MIN + payload_len;
+    assert!(
+        body_len <= FRAME_BODY_MAX,
+        "messenger payload of {payload_len} bytes exceeds the frame cap"
+    );
+    out[0..4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    out[4..8].copy_from_slice(&id.0.to_be_bytes());
+    out[8] = kind;
+    out[9..17].copy_from_slice(&rpc_id.to_be_bytes());
+}
+
+/// Frames `payload`: the header goes into the headroom in front of its
+/// first buffer when that buffer is the sender's alone, into a pooled
+/// buffer of its own otherwise.
+fn frame(id: EbbId, kind: u8, rpc_id: u64, mut payload: Chain<IoBuf>) -> Chain<IoBuf> {
+    let payload_len = payload.len();
+    match payload.prepend_in_place(FRAME_HEADER_LEN) {
+        Some(hdr) => write_header(hdr, id, kind, rpc_id, payload_len),
+        None => {
+            let mut hdr = MutIoBuf::with_capacity(FRAME_HEADER_LEN);
+            write_header(hdr.append(FRAME_HEADER_LEN), id, kind, rpc_id, payload_len);
+            payload.push_front(hdr.freeze());
         }
     }
+    payload
+}
 
-    /// The responder as a plain flat-payload continuation (the shape
-    /// [`ebbrt_core::ebb::DistributedEbb::handle_remote_async`] takes).
-    pub fn into_fn(self) -> Box<dyn FnOnce(Vec<u8>)> {
-        Box::new(move |payload| self.send(payload))
-    }
+/// Frames a payload held as a slice: one copy, into a pooled buffer
+/// with the header in front.
+fn frame_bytes(id: EbbId, kind: u8, rpc_id: u64, payload: &[u8]) -> Chain<IoBuf> {
+    let mut buf = MutIoBuf::with_headroom(payload.len(), FRAME_HEADER_LEN);
+    buf.append_slice(payload);
+    write_header(
+        buf.prepend(FRAME_HEADER_LEN),
+        id,
+        kind,
+        rpc_id,
+        payload.len(),
+    );
+    Chain::single(buf.freeze())
 }
 
 /// A pending RPC: the continuation, its timeout timer (owned by the
@@ -157,11 +211,13 @@ struct PeerConn {
     conn: TcpConn,
     addr: Cell<Option<Ipv4Addr>>,
     established: bool,
-    /// Frames awaiting connection establishment or send window, oldest
-    /// first; drained from `on_connected` / `on_window_open`.
+    /// Segments of frames awaiting connection establishment or send
+    /// window, oldest first; drained from `on_connected` /
+    /// `on_window_open`.
     pending: VecDeque<IoBuf>,
-    /// Reassembly buffer for inbound stream framing.
-    rx: Vec<u8>,
+    /// Inbound stream not yet split into frames: the received chains,
+    /// appended as they came.
+    rx: Chain<IoBuf>,
 }
 
 /// The per-machine messenger.
@@ -174,6 +230,7 @@ pub struct Messenger {
     call_handlers: RefCell<HashMap<u32, CallHandler>>,
     rpc_waiters: RefCell<HashMap<u64, RpcWaiter>>,
     next_rpc: Cell<u64>,
+    bad_frame_h: CounterHandle,
     /// Messages dispatched (diagnostic).
     pub dispatched: Cell<u64>,
     /// RPCs that resolved with an error (diagnostic).
@@ -225,6 +282,7 @@ impl Messenger {
     /// registers the instance under [`SystemEbb::Messenger`] (one rep
     /// per core of the owning machine).
     pub fn start(netif: &Rc<NetIf>) -> Rc<Messenger> {
+        let rt = netif.machine().runtime();
         let m = Rc::new(Messenger {
             netif: Rc::clone(netif),
             peers: RefCell::new(HashMap::new()),
@@ -232,27 +290,16 @@ impl Messenger {
             call_handlers: RefCell::new(HashMap::new()),
             rpc_waiters: RefCell::new(HashMap::new()),
             next_rpc: Cell::new(1),
+            bad_frame_h: qos::register_in(rt, BAD_FRAME_COUNTER),
             dispatched: Cell::new(0),
             rpc_failures: Cell::new(0),
         });
-        runtime::install_on_all_cores(netif.machine().runtime(), SystemEbb::Messenger.id(), {
+        runtime::install_on_all_cores(rt, SystemEbb::Messenger.id(), {
             let m = Rc::downgrade(&m);
             move |_core| MessengerEbb {
                 messenger: Weak::clone(&m),
             }
         });
-        // The batched-call unwrapper: one inbound frame carrying several
-        // function-shipped calls for this machine, each dispatched
-        // through the call-handler registry and answered in one batched
-        // reply frame (see [`batch`] for the envelope).
-        {
-            let weak = Rc::downgrade(&m);
-            m.register(SystemEbb::RemoteBatch.id(), move |src, rpc_id, payload| {
-                if let Some(m) = weak.upgrade() {
-                    m.serve_batch(src, rpc_id, payload);
-                }
-            });
-        }
         // Under an installed QoS policy with a "control" class, the
         // messenger's inter-machine frames ride that class — RPCs and
         // replica traffic must not starve behind a tenant's data
@@ -272,7 +319,7 @@ impl Messenger {
                     addr: Cell::new(addr),
                     established: true,
                     pending: VecDeque::new(),
-                    rx: Vec::new(),
+                    rx: Chain::new(),
                 }));
                 // Learn the peer so responses reuse this connection — but
                 // never displace an existing entry: if this machine already
@@ -319,10 +366,10 @@ impl Messenger {
     }
 
     /// Registers a request/response handler for `id`: the handler
-    /// replies through the `respond` continuation it is handed, which
-    /// lets the **same** registration serve direct calls and sub-calls
-    /// of a batched frame. Prefer this over [`Self::register`] for any
-    /// id that answers RPCs.
+    /// replies through the [`Responder`] it is handed, which lets the
+    /// **same** registration serve direct calls and sub-calls of a
+    /// batched frame. Prefer this over [`Self::register`] for any id
+    /// that answers RPCs.
     pub fn register_call(
         self: &Rc<Self>,
         id: EbbId,
@@ -334,8 +381,16 @@ impl Messenger {
         // responding on the frame's own rpc id.
         let weak = Rc::downgrade(self);
         self.register(id, move |src, rpc_id, payload| {
-            let Some(m) = weak.upgrade() else { return };
-            h(src, payload, Responder::wire(m, src, id, rpc_id));
+            let Some(messenger) = weak.upgrade() else {
+                return;
+            };
+            let inner = ResponderInner::Wire {
+                messenger,
+                dst: src,
+                id,
+                rpc_id,
+            };
+            h(src, payload, Responder { inner });
         });
     }
 
@@ -349,7 +404,7 @@ impl Messenger {
 
     /// Sends a one-way message to Ebb `id` on the machine at `dst`.
     pub fn send(self: &Rc<Self>, dst: Ipv4Addr, id: EbbId, payload: &[u8]) {
-        self.send_raw(dst, id, KIND_SEND, 0, payload);
+        self.enqueue(dst, frame_bytes(id, KIND_SEND, 0, payload));
     }
 
     /// Issues an RPC to Ebb `id` on `dst` with the default timeout;
@@ -385,8 +440,63 @@ impl Messenger {
         timeout_ns: Ns,
         reply: impl FnOnce(Result<Chain<IoBuf>, RemoteError>) + 'static,
     ) {
+        let rpc_id = self.next_rpc_id();
+        let frame = frame_bytes(id, KIND_SEND, rpc_id, payload);
+        self.issue(dst, rpc_id, frame, timeout_ns, reply);
+    }
+
+    /// [`Self::call_with_timeout`] for a request that already sits in
+    /// buffers: the chain's segments are framed and queued as they are.
+    pub fn call_chain(
+        self: &Rc<Self>,
+        dst: Ipv4Addr,
+        id: EbbId,
+        payload: Chain<IoBuf>,
+        timeout_ns: Ns,
+        reply: impl FnOnce(Result<Chain<IoBuf>, RemoteError>) + 'static,
+    ) {
+        let rpc_id = self.next_rpc_id();
+        let frame = frame(id, KIND_SEND, rpc_id, payload);
+        self.issue(dst, rpc_id, frame, timeout_ns, reply);
+    }
+
+    /// [`Self::call_chain`] for a caller that may have to send the same
+    /// request again: `with_retained` receives a descriptor clone of
+    /// the payload — taken *after* framing, so the clone never costs
+    /// the request its in-place header — and returns the continuation.
+    pub(crate) fn call_chain_retaining<R>(
+        self: &Rc<Self>,
+        dst: Ipv4Addr,
+        id: EbbId,
+        payload: Chain<IoBuf>,
+        timeout_ns: Ns,
+        with_retained: impl FnOnce(Chain<IoBuf>) -> R,
+    ) where
+        R: FnOnce(Result<Chain<IoBuf>, RemoteError>) + 'static,
+    {
+        let rpc_id = self.next_rpc_id();
+        let frame = frame(id, KIND_SEND, rpc_id, payload);
+        let mut retained = frame.clone();
+        retained.advance(FRAME_HEADER_LEN);
+        self.issue(dst, rpc_id, frame, timeout_ns, with_retained(retained));
+    }
+
+    fn next_rpc_id(&self) -> u64 {
         let rpc_id = self.next_rpc.get();
         self.next_rpc.set(rpc_id + 1);
+        rpc_id
+    }
+
+    /// Registers the waiter (and its timeout) for `rpc_id`, then queues
+    /// the request frame.
+    fn issue(
+        self: &Rc<Self>,
+        dst: Ipv4Addr,
+        rpc_id: u64,
+        frame: Chain<IoBuf>,
+        timeout_ns: Ns,
+        reply: impl FnOnce(Result<Chain<IoBuf>, RemoteError>) + 'static,
+    ) {
         let timer = if timeout_ns > 0 {
             let me = Rc::downgrade(self);
             Some(runtime::with_current_on(|rt, core| {
@@ -411,7 +521,7 @@ impl Messenger {
                 home: runtime::with_current_on(|_, core| core),
             },
         );
-        self.send_raw(dst, id, KIND_SEND, rpc_id, payload);
+        self.enqueue(dst, frame);
     }
 
     /// RPCs currently awaiting a response (diagnostic: leak detector
@@ -423,7 +533,7 @@ impl Messenger {
     /// Sends the response for `rpc_id` back to `dst` (from a message
     /// handler).
     pub fn respond(self: &Rc<Self>, dst: Ipv4Addr, id: EbbId, rpc_id: u64, payload: &[u8]) {
-        self.send_raw(dst, id, KIND_RESPONSE, rpc_id, payload);
+        self.enqueue(dst, frame_bytes(id, KIND_RESPONSE, rpc_id, payload));
     }
 
     /// Resolves waiter `rpc_id` (if still pending) with `outcome`,
@@ -509,49 +619,46 @@ impl Messenger {
         }
     }
 
-    /// Sends a frame whose payload is a chain of buffer descriptors:
-    /// one small header buffer, then the chain's segments queued as-is
-    /// (stream framing makes the segment boundaries invisible to the
-    /// receiver). This is how a transfer stream's snapshot pages leave
-    /// the machine without flattening — the value segments are clones
-    /// of the store's own buffers.
-    fn send_chain_raw(
-        self: &Rc<Self>,
-        dst: Ipv4Addr,
-        id: EbbId,
-        kind: u8,
-        rpc_id: u64,
-        payload: Chain<IoBuf>,
-    ) {
-        let mut hdr = Vec::with_capacity(17);
-        let body_len = (4 + 1 + 8 + payload.len()) as u32;
-        hdr.extend_from_slice(&body_len.to_be_bytes());
-        hdr.extend_from_slice(&id.0.to_be_bytes());
-        hdr.push(kind);
-        hdr.extend_from_slice(&rpc_id.to_be_bytes());
-        let peer = self.peer_for(dst);
-        {
+    /// Drops the connection a malformed frame arrived on: counted
+    /// under [`BAD_FRAME_COUNTER`], aborted (whatever it still held —
+    /// reassembly bytes, parked frames — is discarded), and, when it is
+    /// the connection registered for its address, every RPC waiting on
+    /// that address fails [`RemoteError::Unreachable`]. Runs on the
+    /// connection's own core (from its receive path).
+    fn drop_bad_peer(self: &Rc<Self>, peer: &Rc<RefCell<PeerConn>>) {
+        qos::bump(self.bad_frame_h);
+        let (conn, addr) = {
             let mut p = peer.borrow_mut();
-            p.pending.push_back(MutIoBuf::from_vec(hdr).freeze());
-            for seg in payload {
-                p.pending.push_back(seg);
+            p.established = false;
+            p.pending.clear();
+            p.rx = Chain::new();
+            (p.conn.clone(), p.addr.get())
+        };
+        conn.abort();
+        if let Some(addr) = addr {
+            if self.is_registered(addr, peer) {
+                self.on_peer_close(addr);
             }
         }
-        Self::flush_peer_on_conn_core(&peer);
     }
 
-    fn send_raw(self: &Rc<Self>, dst: Ipv4Addr, id: EbbId, kind: u8, rpc_id: u64, payload: &[u8]) {
-        let mut msg = Vec::with_capacity(17 + payload.len());
-        let body_len = (4 + 1 + 8 + payload.len()) as u32;
-        msg.extend_from_slice(&body_len.to_be_bytes());
-        msg.extend_from_slice(&id.0.to_be_bytes());
-        msg.push(kind);
-        msg.extend_from_slice(&rpc_id.to_be_bytes());
-        msg.extend_from_slice(payload);
+    /// Whether `peer` is the connection this messenger sends to `addr`
+    /// on (and attributes `addr`'s waiters to).
+    fn is_registered(&self, addr: Ipv4Addr, peer: &Rc<RefCell<PeerConn>>) -> bool {
+        self.peers
+            .borrow()
+            .get(&addr)
+            .is_some_and(|p| Rc::ptr_eq(p, peer))
+    }
+
+    /// Queues a framed message's segments on the connection to `dst`
+    /// (opened on first use) and sends what the window allows. Stream
+    /// framing makes the segment boundaries invisible to the receiver,
+    /// so a value linked into a payload leaves the machine as the very
+    /// descriptors the store holds.
+    fn enqueue(self: &Rc<Self>, dst: Ipv4Addr, frame: Chain<IoBuf>) {
         let peer = self.peer_for(dst);
-        peer.borrow_mut()
-            .pending
-            .push_back(MutIoBuf::from_vec(msg).freeze());
+        peer.borrow_mut().pending.extend(frame);
         Self::flush_peer_on_conn_core(&peer);
     }
 
@@ -573,12 +680,10 @@ impl Messenger {
         });
     }
 
-    /// Sends as many parked frames as the window allows (descriptor
-    /// clones only); frames wait for establishment or window space
-    /// otherwise. Every whole frame that fits the window rides **one**
-    /// chained send — stream framing makes the segment boundary
-    /// irrelevant to the receiver, and the burst pays one TCP
-    /// borrow/charge instead of one per message.
+    /// Sends as many parked segments as the window allows (descriptor
+    /// clones only); the rest wait for establishment or window space.
+    /// Everything that fits the window rides **one** chained send —
+    /// the burst pays one TCP borrow/charge instead of one per message.
     fn flush_peer(peer: &Rc<RefCell<PeerConn>>) {
         loop {
             let (conn, burst) = {
@@ -621,7 +726,7 @@ impl Messenger {
             addr: Cell::new(Some(dst)),
             established: false,
             pending: VecDeque::new(),
-            rx: Vec::new(),
+            rx: Chain::new(),
         }));
         let handler = Rc::new(MessengerConn {
             messenger: Rc::clone(self),
@@ -633,36 +738,60 @@ impl Messenger {
         peer
     }
 
-    /// Feeds inbound bytes from one peer connection, dispatching every
-    /// complete message.
+    /// Feeds inbound bytes from one peer connection: the received chain
+    /// joins the connection's reassembly chain, and every complete
+    /// frame is split off its front and dispatched — the handler's
+    /// payload is a view of the receive buffers.
+    ///
+    /// A `len` that cannot be a frame's (shorter than the header
+    /// fields it counts, longer than [`FRAME_BODY_MAX`]) drops the
+    /// connection on the spot: nothing a peer sends can index past a
+    /// short frame or make this machine buffer without bound.
     fn on_bytes(self: &Rc<Self>, src: Ipv4Addr, peer: &Rc<RefCell<PeerConn>>, data: Chain<IoBuf>) {
         {
             let mut p = peer.borrow_mut();
-            p.rx.extend(data.copy_to_vec());
+            p.rx.append_chain(data);
+            p.rx.compact_if_amplified(RX_COMPACT_SEGS, RX_COMPACT_FACTOR);
         }
         loop {
-            let msg = {
+            let (id, kind, rpc_id, payload) = {
                 let mut p = peer.borrow_mut();
-                if p.rx.len() < 4 {
-                    break;
+                let mut hdr = [0u8; FRAME_HEADER_LEN];
+                let have = p.rx.len().min(FRAME_HEADER_LEN);
+                if have < 4 {
+                    return;
                 }
-                let body_len = u32::from_be_bytes([p.rx[0], p.rx[1], p.rx[2], p.rx[3]]) as usize;
+                p.rx.cursor()
+                    .read_exact(&mut hdr[..have])
+                    .expect("length checked");
+                let body_len = u32::from_be_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
+                if !(FRAME_BODY_MIN..=FRAME_BODY_MAX).contains(&body_len) {
+                    drop(p);
+                    self.drop_bad_peer(peer);
+                    return;
+                }
                 if p.rx.len() < 4 + body_len {
-                    break;
+                    return;
                 }
-                let msg: Vec<u8> = p.rx.drain(..4 + body_len).collect();
-                msg
+                p.rx.advance(FRAME_HEADER_LEN);
+                (
+                    u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]),
+                    hdr[8],
+                    u64::from_be_bytes(hdr[9..17].try_into().expect("eight bytes")),
+                    p.rx.split_to(body_len - FRAME_BODY_MIN),
+                )
             };
-            let id = u32::from_be_bytes([msg[4], msg[5], msg[6], msg[7]]);
-            let kind = msg[8];
-            let rpc_id = u64::from_be_bytes([
-                msg[9], msg[10], msg[11], msg[12], msg[13], msg[14], msg[15], msg[16],
-            ]);
-            let payload = Chain::single(IoBuf::copy_from(&msg[17..]));
             self.dispatched.set(self.dispatched.get() + 1);
             match kind {
-                KIND_RESPONSE => {
-                    self.resolve_rpc(rpc_id, Ok(payload), true);
+                KIND_RESPONSE => self.resolve_rpc(rpc_id, Ok(payload), true),
+                // The batched-call unwrapper: one inbound frame carrying
+                // several function-shipped calls for this machine (see
+                // [`batch`] for the envelope).
+                _ if id == SystemEbb::RemoteBatch.id().0 => {
+                    if !self.serve_batch(src, rpc_id, &payload) {
+                        self.drop_bad_peer(peer);
+                        return;
+                    }
                 }
                 _ => {
                     let handler = self.handlers.borrow().get(&id).cloned();
@@ -679,31 +808,33 @@ impl Messenger {
     /// replies land in a shared collector, and the whole batch answers
     /// with **one** response frame once the last slot fills. A sub-call
     /// with no registered handler gets [`batch::STATUS_UNSERVED`] — the
-    /// shipper treats that slot like a timed-out single call.
-    fn serve_batch(self: &Rc<Self>, src: Ipv4Addr, rpc_id: u64, payload: Chain<IoBuf>) {
-        let Some(calls) = batch::decode_request(&payload) else {
-            return;
+    /// shipper treats that slot like a timed-out single call. Returns
+    /// `false`, having dispatched nothing, when the payload is not a
+    /// well-formed envelope.
+    fn serve_batch(self: &Rc<Self>, src: Ipv4Addr, rpc_id: u64, payload: &Chain<IoBuf>) -> bool {
+        let Some(calls) = batch::decode_request(payload) else {
+            return false;
         };
         let collector = BatchCollector::new(self, src, rpc_id, calls.len());
-        for (i, (id, body)) in calls.into_iter().enumerate() {
+        for (index, (id, body)) in calls.enumerate() {
             let handler = self.call_handlers.borrow().get(&id).cloned();
             match handler {
                 Some(h) => {
-                    let c = Rc::clone(&collector);
-                    h(
-                        src,
-                        body,
-                        Responder::sink(move |resp| c.fill(i, batch::STATUS_OK, resp)),
-                    );
+                    let inner = ResponderInner::Slot {
+                        collector: Rc::clone(&collector),
+                        index,
+                    };
+                    h(src, body, Responder { inner });
                 }
-                None => collector.fill(i, batch::STATUS_UNSERVED, Vec::new()),
+                None => collector.fill(index, batch::STATUS_UNSERVED, Chain::new()),
             }
         }
+        true
     }
 }
 
 /// One sub-call's reply: batch status byte plus response payload.
-type BatchSlot = Option<(u8, Vec<u8>)>;
+type BatchSlot = Option<(u8, Chain<IoBuf>)>;
 
 /// Accumulates the sub-call replies of one inbound batch; sends the
 /// batched response frame when the last slot fills.
@@ -726,7 +857,7 @@ impl BatchCollector {
         })
     }
 
-    fn fill(&self, i: usize, status: u8, body: Vec<u8>) {
+    fn fill(&self, i: usize, status: u8, body: Chain<IoBuf>) {
         {
             let mut slots = self.slots.borrow_mut();
             if slots[i].is_some() {
@@ -739,9 +870,13 @@ impl BatchCollector {
             return;
         }
         let slots = std::mem::take(&mut *self.slots.borrow_mut());
-        let resp = batch::encode_response(slots.into_iter().map(|s| s.expect("all slots filled")));
+        let resp = batch::encode_response(slots.iter().map(|s| {
+            let (status, body) = s.as_ref().expect("all slots filled");
+            (*status, body)
+        }));
         if let Some(m) = self.messenger.upgrade() {
-            m.respond(self.src, SystemEbb::RemoteBatch.id(), self.rpc_id, &resp);
+            let id = SystemEbb::RemoteBatch.id();
+            m.enqueue(self.src, frame(id, KIND_RESPONSE, self.rpc_id, resp));
         }
     }
 }
@@ -757,8 +892,18 @@ impl BatchCollector {
 /// slot `i` answering request sub-call `i`. Status `0` carries the
 /// handler's reply; status `1` means no handler was registered for the
 /// sub-call's id (the shipper fails that slot over like a timeout).
+///
+/// Both tables are marshalled into **one** pooled buffer per envelope
+/// ([`WireWriter`](ebbrt_core::iobuf::wire::WireWriter)): sub-payloads up to
+/// [`wire::INLINE_PAYLOAD_MAX`](ebbrt_core::iobuf::wire::INLINE_PAYLOAD_MAX)
+/// are copied in between their table entries, longer ones are linked by
+/// descriptor between slices of it. Decoding checks the whole table
+/// against the bytes that are there before yielding (or sizing)
+/// anything, then hands each sub-payload out as a view of the inbound
+/// chain.
 pub mod batch {
-    use ebbrt_core::iobuf::{Chain, IoBuf};
+    use ebbrt_core::iobuf::wire::WireWriter;
+    use ebbrt_core::iobuf::{Chain, Cursor, IoBuf};
 
     /// The sub-call was served; its payload is the handler's reply.
     pub const STATUS_OK: u8 = 0;
@@ -766,54 +911,108 @@ pub mod batch {
     pub const STATUS_UNSERVED: u8 = 1;
 
     /// Encodes a request envelope from `(ebb_id, payload)` sub-calls.
-    pub fn encode_request<'a>(calls: impl ExactSizeIterator<Item = (u32, &'a [u8])>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + calls.len() * 8);
-        out.extend_from_slice(&(calls.len() as u32).to_be_bytes());
+    pub fn encode_request<'a>(
+        calls: impl ExactSizeIterator<Item = (u32, &'a Chain<IoBuf>)>,
+    ) -> Chain<IoBuf> {
+        let mut w = WireWriter::new();
+        w.u32(calls.len() as u32);
         for (id, payload) in calls {
-            out.extend_from_slice(&id.to_be_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            out.extend_from_slice(payload);
+            w.u32(id).bytes32_chain(payload);
         }
-        out
-    }
-
-    /// Decodes a request envelope into `(ebb_id, payload)` sub-calls;
-    /// payloads are zero-copy slices of the inbound chain.
-    pub fn decode_request(payload: &Chain<IoBuf>) -> Option<Vec<(u32, Chain<IoBuf>)>> {
-        let mut cur = payload.cursor();
-        let n = cur.read_u32_be()? as usize;
-        let mut calls = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = cur.read_u32_be()?;
-            let len = cur.read_u32_be()? as usize;
-            calls.push((id, cur.read_exact_zero_copy(len)?));
-        }
-        Some(calls)
+        w.finish()
     }
 
     /// Encodes a response envelope from `(status, payload)` slots.
-    pub fn encode_response(slots: impl ExactSizeIterator<Item = (u8, Vec<u8>)>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + slots.len() * 5);
-        out.extend_from_slice(&(slots.len() as u32).to_be_bytes());
+    pub fn encode_response<'a>(
+        slots: impl ExactSizeIterator<Item = (u8, &'a Chain<IoBuf>)>,
+    ) -> Chain<IoBuf> {
+        let mut w = WireWriter::new();
+        w.u32(slots.len() as u32);
         for (status, payload) in slots {
-            out.push(status);
-            out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            out.extend_from_slice(&payload);
+            w.u8(status).bytes32_chain(payload);
         }
-        out
+        w.finish()
     }
 
-    /// Decodes a response envelope into `(status, payload)` slots.
-    pub fn decode_response(payload: &Chain<IoBuf>) -> Option<Vec<(u8, Chain<IoBuf>)>> {
-        let mut cur = payload.cursor();
-        let n = cur.read_u32_be()? as usize;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let status = cur.read_u8()?;
-            let len = cur.read_u32_be()? as usize;
-            slots.push((status, cur.read_exact_zero_copy(len)?));
+    /// The entries of a validated envelope, each `(tag, payload)` with
+    /// the payload a zero-copy view of the inbound chain.
+    pub struct Entries<'a> {
+        cur: Cursor<'a, IoBuf>,
+        left: usize,
+        /// Whether the tag is a `u32` (request: the Ebb id) or a `u8`
+        /// (response: the status).
+        wide_tag: bool,
+    }
+
+    impl Entries<'_> {
+        fn tag(cur: &mut Cursor<'_, IoBuf>, wide: bool) -> Option<u32> {
+            if wide {
+                cur.read_u32_be()
+            } else {
+                cur.read_u8().map(u32::from)
+            }
         }
-        Some(slots)
+    }
+
+    impl Iterator for Entries<'_> {
+        type Item = (u32, Chain<IoBuf>);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            if self.left == 0 {
+                return None;
+            }
+            self.left -= 1;
+            let tag = Self::tag(&mut self.cur, self.wide_tag)?;
+            let len = self.cur.read_u32_be()? as usize;
+            Some((tag, self.cur.read_exact_zero_copy(len)?))
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (self.left, Some(self.left))
+        }
+    }
+
+    impl ExactSizeIterator for Entries<'_> {}
+
+    /// Walks the table once without touching a payload: `None` unless
+    /// the chain holds all `n` entries it announces. The count is
+    /// checked against the bytes that remain first — an entry is at
+    /// least its tag and length — so a four-byte payload cannot
+    /// announce four billion entries and have anyone size anything
+    /// from it.
+    fn decode(payload: &Chain<IoBuf>, wide_tag: bool) -> Option<Entries<'_>> {
+        let entry_min = if wide_tag { 4 + 4 } else { 1 + 4 };
+        let mut probe = payload.cursor();
+        let n = probe.read_u32_be()? as usize;
+        if n > probe.remaining() / entry_min {
+            return None;
+        }
+        for _ in 0..n {
+            Entries::tag(&mut probe, wide_tag)?;
+            let len = probe.read_u32_be()? as usize;
+            probe.skip(len)?;
+        }
+        let mut cur = payload.cursor();
+        cur.skip(4)?;
+        Some(Entries {
+            cur,
+            left: n,
+            wide_tag,
+        })
+    }
+
+    /// Decodes a request envelope into `(ebb_id, payload)` sub-calls;
+    /// `None` for anything but a complete, well-formed table.
+    pub fn decode_request(payload: &Chain<IoBuf>) -> Option<Entries<'_>> {
+        decode(payload, true)
+    }
+
+    /// Decodes a response envelope into `(status, payload)` slots;
+    /// `None` for anything but a complete, well-formed table.
+    pub fn decode_response(
+        payload: &Chain<IoBuf>,
+    ) -> Option<impl ExactSizeIterator<Item = (u8, Chain<IoBuf>)> + '_> {
+        decode(payload, false).map(|entries| entries.map(|(status, body)| (status as u8, body)))
     }
 }
 
@@ -871,13 +1070,7 @@ impl ConnHandler for MessengerConn {
         let Some(addr) = self.peer.borrow().addr.get() else {
             return;
         };
-        let registered = self
-            .messenger
-            .peers
-            .borrow()
-            .get(&addr)
-            .is_some_and(|p| Rc::ptr_eq(p, &self.peer));
-        if registered {
+        if self.messenger.is_registered(addr, &self.peer) {
             self.messenger.on_peer_close(addr);
         }
     }
@@ -1081,6 +1274,307 @@ mod tests {
         });
         w.run_to_idle();
         assert_eq!(done.get(), 8, "every parked frame must eventually ship");
+    }
+
+    /// A machine that speaks raw TCP to a messenger port: no messenger
+    /// of its own, so it can put any byte sequence on the connection.
+    struct RawPeer {
+        conn: RefCell<Option<TcpConn>>,
+        closed: Cell<bool>,
+    }
+
+    impl ConnHandler for RawPeer {
+        fn on_connected(&self, conn: &TcpConn) {
+            *self.conn.borrow_mut() = Some(conn.clone());
+        }
+        fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
+        fn on_close(&self, _conn: &TcpConn) {
+            self.closed.set(true);
+        }
+    }
+
+    const VICTIM_IP: Ipv4Addr = Ipv4Addr([10, 0, 0, 1]);
+    const RAW_IP: Ipv4Addr = Ipv4Addr([10, 0, 0, 9]);
+
+    /// [`two_machines`] plus a raw peer connected to the hosted
+    /// machine's messenger port.
+    fn with_raw_peer() -> (Pair, Rc<SimMachine>, Rc<RawPeer>) {
+        let pair = two_machines();
+        let raw_m = SimMachine::create(&pair.0, "raw", 1, CostProfile::ebbrt_vm(), [0x09; 6]);
+        pair.1.attach(raw_m.nic(), LinkParams::default());
+        let raw_if = NetIf::attach(&raw_m, RAW_IP, Ipv4Addr::new(255, 255, 255, 0));
+        pair.0.run_to_idle();
+        let raw = Rc::new(RawPeer {
+            conn: RefCell::new(None),
+            closed: Cell::new(false),
+        });
+        on_core0(&raw_m, (raw_if, Rc::clone(&raw)), |(raw_if, raw)| {
+            raw_if.connect(VICTIM_IP, MESSENGER_PORT, raw as Rc<dyn ConnHandler>);
+        });
+        pair.0.run_to_idle();
+        assert!(raw.conn.borrow().is_some(), "raw peer connected");
+        (pair, raw_m, raw)
+    }
+
+    /// Sends `pieces` from the raw peer, one `send` (so at least one
+    /// TCP segment) each.
+    fn raw_send(raw_m: &Rc<SimMachine>, raw: &Rc<RawPeer>, pieces: Vec<Vec<u8>>) {
+        on_core0(raw_m, Rc::clone(raw), move |raw| {
+            let conn = raw.conn.borrow();
+            let conn = conn.as_ref().expect("connected");
+            for piece in pieces {
+                conn.send(Chain::single(IoBuf::copy_from(&piece)))
+                    .expect("window open");
+            }
+        });
+    }
+
+    fn flat(c: &Chain<IoBuf>) -> Vec<u8> {
+        c.iter().flat_map(|s| s.bytes().to_vec()).collect()
+    }
+
+    /// The three wire-reachable ways a peer used to be able to take the
+    /// machine down: a `len` shorter than the header fields it covers
+    /// (indexing past the frame), a `len` with no bound (buffering
+    /// without limit), and a batch count sized from the wire (a
+    /// 100 GiB `with_capacity`). Each must cost the peer its connection
+    /// and nothing else.
+    #[test]
+    fn malformed_frames_drop_the_peer_not_the_machine() {
+        let batch_id = SystemEbb::RemoteBatch.id();
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty body", vec![0, 0, 0, 0]),
+            ("body shorter than its header", {
+                let mut v = 12u32.to_be_bytes().to_vec();
+                v.extend([0xAB; 12]);
+                v
+            }),
+            (
+                "body over the cap",
+                ((FRAME_BODY_MAX + 1) as u32).to_be_bytes().to_vec(),
+            ),
+            ("4 GiB body", vec![0xFF; 9]),
+            (
+                "batch count the payload cannot hold",
+                flat(&frame_bytes(batch_id, KIND_SEND, 7, &[0xFF; 4])),
+            ),
+            (
+                "batch entry longer than the payload",
+                flat(&frame_bytes(
+                    batch_id,
+                    KIND_SEND,
+                    7,
+                    &[0, 0, 0, 1, 0, 0, 0, 99, 0xFF, 0xFF, 0xFF, 0xF0],
+                )),
+            ),
+        ];
+        for (what, bytes) in cases {
+            let ((w, _sw, hosted, native, h_msgr, _n_msgr), raw_m, raw) = with_raw_peer();
+            let echo_id = EbbId(500);
+            let h2 = Rc::clone(&h_msgr);
+            h_msgr.register(echo_id, move |src, rpc_id, payload| {
+                h2.respond(src, echo_id, rpc_id, &flat(&payload));
+            });
+            // An RPC riding the raw peer's connection (the inbound
+            // connection is the one registered for its address): it can
+            // only end by the connection being dropped.
+            let outcome = Rc::new(Cell::new(None));
+            let o2 = Rc::clone(&outcome);
+            on_core0(&hosted, o2, move |o2| {
+                local_messenger().call_with_timeout(
+                    RAW_IP,
+                    EbbId(501),
+                    b"are you there?",
+                    10_000_000_000,
+                    move |r| o2.set(Some(r.map(|_| ()))),
+                );
+            });
+            // (Not to idle: that would run the call's timeout out.)
+            w.run_for(1_000_000);
+            assert_eq!(outcome.get(), None, "{what}: still waiting");
+
+            raw_send(&raw_m, &raw, vec![bytes]);
+            w.run_for(1_000_000);
+            let counters = qos::snapshot(hosted.runtime());
+            assert_eq!(counters.get(BAD_FRAME_COUNTER), 1, "{what}: counted");
+            assert_eq!(
+                outcome.get(),
+                Some(Err(RemoteError::Unreachable)),
+                "{what}: the peer's waiters fail at once"
+            );
+            assert_eq!(h_msgr.pending_rpcs(), 0, "{what}");
+            assert!(h_msgr.peers.borrow().is_empty(), "{what}: peer forgotten");
+            assert!(raw.closed.get(), "{what}: the connection was reset");
+
+            // A healthy peer is served as before.
+            let echoed = Rc::new(RefCell::new(None));
+            let e2 = Rc::clone(&echoed);
+            on_core0(&native, e2, move |e2| {
+                local_messenger().call(VICTIM_IP, echo_id, b"still here", move |resp| {
+                    *e2.borrow_mut() = Some(flat(&resp));
+                });
+            });
+            w.run_to_idle();
+            assert_eq!(
+                echoed.borrow().as_deref(),
+                Some(b"still here".as_slice()),
+                "{what}: healthy peers unaffected"
+            );
+        }
+    }
+
+    /// However the TCP stream is cut — whole, one byte at a time, at
+    /// the MSS, across frame boundaries — the same frames come out, in
+    /// order, with the same payloads.
+    #[test]
+    fn reassembly_is_independent_of_how_the_stream_is_cut() {
+        let big: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+        let mid: Vec<u8> = (0..300u32).map(|i| (i * 3) as u8).collect();
+        let id = EbbId(600);
+        // Responses are for the two calls the victim issues below (a
+        // fresh messenger numbers its calls from 1).
+        let frames: Vec<(EbbId, u8, u64, Vec<u8>)> = vec![
+            (id, KIND_SEND, 0, Vec::new()),
+            (id, KIND_SEND, 77, mid.clone()),
+            (id, KIND_RESPONSE, 1, b"first".to_vec()),
+            (id, KIND_SEND, 78, big.clone()),
+            (id, KIND_RESPONSE, 2, Vec::new()),
+            (id, KIND_SEND, 79, vec![0xEE]),
+        ];
+        let stream: Vec<u8> = frames
+            .iter()
+            .flat_map(|(id, kind, rpc, payload)| flat(&frame_bytes(*id, *kind, *rpc, payload)))
+            .collect();
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                *at += FRAME_HEADER_LEN + f.3.len();
+                Some(*at)
+            })
+            .collect();
+        let cut_at = |points: Vec<usize>| -> Vec<Vec<u8>> {
+            let mut points: Vec<usize> = points.into_iter().filter(|&p| p < stream.len()).collect();
+            points.extend([0, stream.len()]);
+            points.sort_unstable();
+            points.dedup();
+            points
+                .windows(2)
+                .map(|w| stream[w[0]..w[1]].to_vec())
+                .collect()
+        };
+        let cuttings: Vec<(&str, Vec<Vec<u8>>)> = vec![
+            ("whole", cut_at(vec![])),
+            ("one byte at a time", cut_at((0..stream.len()).collect())),
+            (
+                "MSS-sized",
+                cut_at((0..stream.len()).step_by(1460).collect()),
+            ),
+            (
+                "straddling every frame boundary",
+                cut_at(ends.iter().flat_map(|&e| [e - 3, e + 2, e + 9]).collect()),
+            ),
+            ("at every frame boundary", cut_at(ends.clone())),
+        ];
+        let mut seen: Vec<Vec<(u8, u64, Vec<u8>)>> = Vec::new();
+        for (how, pieces) in cuttings {
+            let ((w, _sw, hosted, _native, h_msgr, _n_msgr), raw_m, raw) = with_raw_peer();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let l2 = Rc::clone(&log);
+            h_msgr.register(id, move |src, rpc_id, payload| {
+                assert_eq!(src, RAW_IP);
+                l2.borrow_mut().push((KIND_SEND, rpc_id, flat(&payload)));
+            });
+            let l3 = Rc::clone(&log);
+            on_core0(&hosted, l3, move |log| {
+                for _ in 0..2 {
+                    let l = Rc::clone(&log);
+                    let rpc_id = local_messenger().next_rpc.get();
+                    local_messenger().call(RAW_IP, id, b"?", move |resp| {
+                        l.borrow_mut().push((KIND_RESPONSE, rpc_id, flat(&resp)));
+                    });
+                }
+            });
+            // (Not to idle: that would run the calls' timeouts out.)
+            w.run_for(1_000_000);
+            raw_send(&raw_m, &raw, pieces);
+            w.run_for(20_000_000);
+            let got = log.borrow().clone();
+            let want: Vec<(u8, u64, Vec<u8>)> = frames
+                .iter()
+                .map(|(_, kind, rpc, payload)| (*kind, *rpc, payload.clone()))
+                .collect();
+            assert_eq!(got, want, "{how}");
+            assert_eq!(h_msgr.dispatched.get(), frames.len() as u64, "{how}");
+            assert_eq!(h_msgr.pending_rpcs(), 0, "{how}");
+            let counters = qos::snapshot(hosted.runtime());
+            assert_eq!(counters.get(BAD_FRAME_COUNTER), 0, "{how}");
+            seen.push(got);
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// A chain payload rides the connection as the descriptors it was
+    /// handed in: framed in place when the first buffer is the
+    /// caller's alone, behind a header buffer when it is shared.
+    #[test]
+    fn chain_payloads_are_framed_without_copying_them() {
+        use ebbrt_core::iobuf::wire::WireWriter;
+        let (w, _sw, _hosted, native, h_msgr, _n_msgr) = two_machines();
+        let id = EbbId(700);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g2 = Rc::clone(&got);
+        h_msgr.register_call(id, move |_src, payload, respond| {
+            g2.borrow_mut().push(flat(&payload));
+            respond.send(payload); // echo, by descriptor
+        });
+        let value = Chain::single(IoBuf::copy_from(&[0x5A; 1000]));
+        let request = || {
+            let mut req = WireWriter::op(3);
+            req.bytes16(b"key").tail_chain(&value);
+            req.finish()
+        };
+        // [op | key] in a pooled buffer, then the value by descriptor.
+        assert_eq!(request().segment_count(), 2);
+        assert_eq!(
+            frame(id, KIND_SEND, 1, request()).segment_count(),
+            2,
+            "sole owner of the first buffer: header in its headroom"
+        );
+        let retained = request();
+        assert_eq!(
+            frame(id, KIND_SEND, 1, retained.clone()).segment_count(),
+            3,
+            "a clone is alive (a retry's): header in a buffer of its own"
+        );
+        drop(retained);
+
+        let mut want = vec![3, 0, 3, b'k', b'e', b'y'];
+        want.extend([0x5A; 1000]);
+        // Twice: the first call warms the connection and the pools.
+        for round in 0..2 {
+            let echoed = Rc::new(RefCell::new(None));
+            let e2 = Rc::clone(&echoed);
+            let before = ebbrt_core::iobuf::stats::runtime_snapshot(native.runtime());
+            on_core0(&native, (request(), e2), move |(payload, e2)| {
+                local_messenger().call_chain(
+                    VICTIM_IP,
+                    id,
+                    payload,
+                    DEFAULT_RPC_TIMEOUT_NS,
+                    move |r| *e2.borrow_mut() = Some(flat(&r.expect("echo"))),
+                );
+            });
+            w.run_to_idle();
+            assert_eq!(got.borrow().last(), Some(&want));
+            assert_eq!(echoed.borrow().as_deref(), Some(want.as_slice()));
+            if round == 1 {
+                let delta =
+                    ebbrt_core::iobuf::stats::runtime_snapshot(native.runtime()).since(&before);
+                assert_eq!(delta.bytes_copied, 0, "no payload byte copied to send it");
+                assert_eq!(delta.bufs_allocated, 0, "framing buffers are pooled");
+            }
+        }
+        assert_eq!(value.seg(0).ref_count(), 1, "every descriptor came home");
     }
 
     #[test]

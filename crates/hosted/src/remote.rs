@@ -14,9 +14,12 @@
 //!   flight queue behind it, and an id with no record fails every
 //!   queued call with [`RemoteError::Unresolved`].
 //! * **Function shipping over the messenger** — resolved calls ride
-//!   [`Messenger::call_with_timeout`]: per-call rpc ids, a timer-wheel
+//!   [`Messenger::call_chain`]: per-call rpc ids, a timer-wheel
 //!   timeout on the calling core, and `Err` delivery the moment the
-//!   owner's connection dies. No call ever hangs.
+//!   owner's connection dies. No call ever hangs. A call's payload is
+//!   the chain its proxy marshalled, from `ship` to the connection's
+//!   send queue: staging, resolution queues and the retry path hold
+//!   descriptors, never bytes.
 //! * **Retry-in-place failover** — a [`RemoteError::Timeout`] or
 //!   [`RemoteError::Unreachable`] no longer surfaces to the caller
 //!   immediately. The transport repairs the ownership record — for a
@@ -27,24 +30,29 @@
 //!   invalidates local state *and* the GlobalIdMap client cache so the
 //!   address is re-resolved — and then re-ships the same call after a
 //!   bounded exponential backoff, up to a per-call retry budget
-//!   ([`RetryPolicy`]). A machine death or restart is absorbed inside
-//!   the failing call; only an exhausted budget surfaces an `Err`.
+//!   ([`RetryPolicy`]). What a pending attempt keeps for that is a
+//!   descriptor clone of the request, taken after it was framed: it
+//!   outlives the first attempt's connection and is re-framed (behind
+//!   a header buffer of its own — the clone is shared) for the next. A
+//!   machine death or restart is absorbed inside the failing call;
+//!   only an exhausted budget surfaces an `Err`.
 //! * **Per-pass call coalescing** — `ship` does not transmit
 //!   immediately: calls stage per `(owner, issuing core)` and a
 //!   one-shot idle hook flushes them at the end of the event pass. A
 //!   single staged call takes the direct path (byte-identical to
 //!   pre-batching traffic); two or more ship as one
-//!   [`SystemEbb::RemoteBatch`] frame that the owner's messenger
-//!   unbatches through the same handlers, replying once with the
-//!   batched statuses. Each sub-call keeps exactly-once semantics: an
+//!   [`SystemEbb::RemoteBatch`] frame — one pooled marshalling buffer
+//!   for the whole flush — that the owner's messenger unbatches
+//!   through the same handlers, replying once with the batched
+//!   statuses. Each sub-call keeps exactly-once semantics: an
 //!   unserved or failed sub-call runs the normal failover/retry path
 //!   on its own. The transport's `batch_flushes` / `batched_calls` /
 //!   `max_batch` counters make the coalescing assertable end to end.
 //!
 //! The owner side is two helpers: [`export`] routes inbound requests
 //! for an id to the local representative's
-//! [`DistributedEbb::handle_remote_async`], and [`publish`]
-//! additionally writes the owner record into the naming service.
+//! [`DistributedEbb::handle_remote`], and [`publish`] additionally
+//! writes the owner record into the naming service.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -68,7 +76,7 @@ pub use crate::messenger::DEFAULT_RPC_TIMEOUT_NS as DEFAULT_CALL_TIMEOUT_NS;
 /// One call parked behind an in-flight owner resolution, carrying the
 /// retry attempt it is on.
 struct PendingCall {
-    payload: Rc<Vec<u8>>,
+    payload: Chain<IoBuf>,
     reply: RemoteReply,
     attempt: u32,
 }
@@ -77,7 +85,7 @@ struct PendingCall {
 /// keyed by the owner it resolved to.
 struct StagedCall {
     id: EbbId,
-    payload: Rc<Vec<u8>>,
+    payload: Chain<IoBuf>,
     reply: RemoteReply,
     attempt: u32,
 }
@@ -142,6 +150,8 @@ pub struct MessengerTransport {
     /// Calls resolved to an owner but not yet on the wire: everything a
     /// core ships to one owner within one event pass coalesces into one
     /// multi-call messenger frame, flushed from the pass's idle stage.
+    /// A slot stays in the map (empty) between passes, so staging a
+    /// lone call allocates nothing.
     staged: RefCell<HashMap<(Ipv4Addr, CoreId), Vec<StagedCall>>>,
     timeout_ns: Cell<Ns>,
     retry: Cell<RetryPolicy>,
@@ -247,7 +257,7 @@ impl MessengerTransport {
         &self,
         owner: Ipv4Addr,
         id: EbbId,
-        payload: Rc<Vec<u8>>,
+        payload: Chain<IoBuf>,
         reply: RemoteReply,
         attempt: u32,
     ) {
@@ -286,40 +296,52 @@ impl MessengerTransport {
     /// every sub-call individually, so failover semantics are
     /// unchanged.
     fn flush_staged(&self, key: (Ipv4Addr, CoreId)) {
-        let Some(calls) = self.staged.borrow_mut().remove(&key) else {
-            return;
-        };
         let owner = key.0;
-        if calls.len() == 1 {
-            let c = calls.into_iter().next().expect("len checked");
-            self.ship_direct(owner, c.id, c.payload, c.reply, c.attempt);
-            return;
-        }
+        let calls = {
+            let mut staged = self.staged.borrow_mut();
+            let Some(slot) = staged.get_mut(&key) else {
+                return;
+            };
+            match slot.len() {
+                0 => return,
+                1 => {
+                    let c = slot.pop().expect("len checked");
+                    drop(staged);
+                    self.ship_direct(owner, c.id, c.payload, c.reply, c.attempt);
+                    return;
+                }
+                // The batch's closure keeps these calls; the slot
+                // starts the next pass with room for as many.
+                n => std::mem::replace(slot, Vec::with_capacity(n)),
+            }
+        };
         self.batch_flushes.set(self.batch_flushes.get() + 1);
         self.batched_calls
             .set(self.batched_calls.get() + calls.len() as u64);
         self.max_batch
             .set(self.max_batch.get().max(calls.len() as u64));
-        let envelope = batch::encode_request(
-            calls
-                .iter()
-                .map(|c| (c.id.0, c.payload.as_slice()))
-                .collect::<Vec<_>>()
-                .into_iter(),
-        );
         let Some(m) = self.messenger.upgrade() else {
             for c in calls {
                 (c.reply)(Err(RemoteError::Unreachable));
             }
             return;
         };
+        let envelope = batch::encode_request(calls.iter().map(|c| (c.id.0, &c.payload)));
         let weak = Weak::clone(&self.weak);
-        m.call_with_timeout(
-            owner,
-            SystemEbb::RemoteBatch.id(),
-            &envelope,
-            self.timeout_ns.get(),
-            move |r| match r {
+        // The closure owns `calls`, payloads included: those descriptors
+        // are what a failed-over sub-call is re-shipped from.
+        let on_reply = move |r: Result<Chain<IoBuf>, RemoteError>| {
+            // Every sub-call whose slot did not come back served takes
+            // the failover path on its own; with the transport gone
+            // there is nobody left to retry through.
+            let fail_over = |c: StagedCall, err: RemoteError, fence: bool| match weak.upgrade() {
+                Some(t) if fence => {
+                    t.attempt_failed(owner, c.id, c.payload, c.reply, c.attempt, err)
+                }
+                Some(t) => t.retry_after_failure(owner, c.id, c.payload, c.reply, c.attempt, err),
+                None => (c.reply)(Err(err)),
+            };
+            match r {
                 Ok(resp) => match batch::decode_response(&resp) {
                     Some(slots) if slots.len() == calls.len() => {
                         for (c, (status, body)) in calls.into_iter().zip(slots) {
@@ -331,54 +353,28 @@ impl MessengerTransport {
                                 // single call reaches by timeout, minus
                                 // the wait and the zombie fence (the
                                 // connection itself is healthy).
-                                match weak.upgrade() {
-                                    Some(t) => t.retry_after_failure(
-                                        owner,
-                                        c.id,
-                                        c.payload,
-                                        c.reply,
-                                        c.attempt,
-                                        RemoteError::Timeout,
-                                    ),
-                                    None => (c.reply)(Err(RemoteError::Timeout)),
-                                }
+                                fail_over(c, RemoteError::Timeout, false);
                             }
                         }
                     }
-                    _ => {
-                        // A malformed reply is indistinguishable from no
-                        // reply: fail every sub-call over.
-                        for c in calls {
-                            match weak.upgrade() {
-                                Some(t) => t.attempt_failed(
-                                    owner,
-                                    c.id,
-                                    c.payload,
-                                    c.reply,
-                                    c.attempt,
-                                    RemoteError::Timeout,
-                                ),
-                                None => (c.reply)(Err(RemoteError::Timeout)),
-                            }
-                        }
-                    }
+                    // A malformed reply is indistinguishable from no
+                    // reply: fail every sub-call over.
+                    _ => calls
+                        .into_iter()
+                        .for_each(|c| fail_over(c, RemoteError::Timeout, true)),
                 },
                 Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
-                    for c in calls {
-                        match weak.upgrade() {
-                            Some(t) => {
-                                t.attempt_failed(owner, c.id, c.payload, c.reply, c.attempt, err)
-                            }
-                            None => (c.reply)(Err(err)),
-                        }
-                    }
+                    calls.into_iter().for_each(|c| fail_over(c, err, true))
                 }
-                Err(err) => {
-                    for c in calls {
-                        (c.reply)(Err(err));
-                    }
-                }
-            },
+                Err(err) => calls.into_iter().for_each(|c| (c.reply)(Err(err))),
+            }
+        };
+        m.call_chain(
+            owner,
+            SystemEbb::RemoteBatch.id(),
+            envelope,
+            self.timeout_ns.get(),
+            on_reply,
         );
     }
 
@@ -389,7 +385,7 @@ impl MessengerTransport {
         &self,
         owner: Ipv4Addr,
         id: EbbId,
-        payload: Rc<Vec<u8>>,
+        payload: Chain<IoBuf>,
         reply: RemoteReply,
         attempt: u32,
     ) {
@@ -398,12 +394,7 @@ impl MessengerTransport {
             return;
         };
         let weak = Weak::clone(&self.weak);
-        let retained = Rc::clone(&payload);
-        m.call_with_timeout(
-            owner,
-            id,
-            &payload,
-            self.timeout_ns.get(),
+        m.call_chain_retaining(owner, id, payload, self.timeout_ns.get(), |retained| {
             move |r| match r {
                 Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
                     match weak.upgrade() {
@@ -412,8 +403,8 @@ impl MessengerTransport {
                     }
                 }
                 other => reply(other),
-            },
-        );
+            }
+        });
     }
 
     /// One ship attempt failed: repair the ownership record (promote a
@@ -425,7 +416,7 @@ impl MessengerTransport {
         &self,
         failed: Ipv4Addr,
         id: EbbId,
-        payload: Rc<Vec<u8>>,
+        payload: Chain<IoBuf>,
         reply: RemoteReply,
         attempt: u32,
         err: RemoteError,
@@ -453,7 +444,7 @@ impl MessengerTransport {
         &self,
         failed: Ipv4Addr,
         id: EbbId,
-        payload: Rc<Vec<u8>>,
+        payload: Chain<IoBuf>,
         reply: RemoteReply,
         attempt: u32,
         err: RemoteError,
@@ -613,9 +604,9 @@ impl MessengerTransport {
 
     /// Routes one attempt of a call: ship to the resolved primary,
     /// queue behind an in-flight resolution, or start one.
-    fn ship_attempt(&self, id: EbbId, payload: Rc<Vec<u8>>, reply: RemoteReply, attempt: u32) {
+    fn ship_attempt(&self, id: EbbId, payload: Chain<IoBuf>, reply: RemoteReply, attempt: u32) {
         enum Action {
-            Ship(Ipv4Addr, Rc<Vec<u8>>, RemoteReply),
+            Ship(Ipv4Addr, Chain<IoBuf>, RemoteReply),
             Resolve,
             Queued,
         }
@@ -653,21 +644,21 @@ impl MessengerTransport {
 }
 
 impl RemoteTransport for MessengerTransport {
-    fn ship(&self, id: EbbId, payload: Vec<u8>, reply: RemoteReply) {
+    fn ship(&self, id: EbbId, payload: Chain<IoBuf>, reply: RemoteReply) {
         self.shipped.set(self.shipped.get() + 1);
-        self.ship_attempt(id, Rc::new(payload), reply, 0);
+        self.ship_attempt(id, payload, reply, 0);
     }
 }
 
 /// Registers the owner-side messenger handler for `id`: each inbound
-/// request payload is turned into response bytes by `serve` and sent
+/// request payload is turned into a response chain by `serve` and sent
 /// back correlated by rpc id. The raw (non-Ebb) form — services with
 /// their own machine-wide state (the FileSystem server, the naming
 /// service) use it directly.
 pub fn export_raw(
     messenger: &Rc<Messenger>,
     id: EbbId,
-    serve: impl Fn(&Chain<IoBuf>) -> Vec<u8> + 'static,
+    serve: impl Fn(&Chain<IoBuf>) -> Chain<IoBuf> + 'static,
 ) {
     messenger.register_call(id, move |_src, payload, respond| {
         respond.send(serve(&payload));
@@ -677,19 +668,15 @@ pub fn export_raw(
 /// Makes this machine the **owner** of distributed Ebb `ebb`: inbound
 /// function-shipped requests resolve the local (real) representative
 /// through the translation table and apply
-/// [`DistributedEbb::handle_remote_chain`] (when the rep answers with
-/// a zero-copy chain — transfer-stream snapshot pages) or else
-/// [`DistributedEbb::handle_remote_async`] — handlers that fan out
-/// (replication) acknowledge only when their own shipped calls
-/// resolve; plain handlers answer synchronously through the default.
-/// The root must be registered on this machine.
+/// [`DistributedEbb::handle_remote`], whose response chain goes back by
+/// descriptor — as its own frame for a direct call, as one slot of the
+/// batch's reply for a sub-call. Handlers that fan out (replication)
+/// answer when their own shipped calls resolve; the rest answer before
+/// they return. The root must be registered on this machine.
 pub fn export<T: DistributedEbb>(messenger: &Rc<Messenger>, ebb: EbbRef<T>) {
     let id = ebb.id();
     messenger.register_call(id, move |_src, payload, respond| {
-        ebb.with(|rep| match rep.handle_remote_chain(&payload) {
-            Some(chain) => respond.send_chain(chain),
-            None => rep.handle_remote_async(&payload, respond.into_fn()),
-        });
+        ebb.with(|rep| rep.handle_remote(payload, move |resp| respond.send(resp)));
     });
 }
 
@@ -777,6 +764,7 @@ mod tests {
     use crate::global_map::GlobalIdMapServer;
     use ebbrt_core::cpu::CoreId;
     use ebbrt_core::ebb::{MulticoreEbb, RemoteResult, RemoteShipper};
+    use ebbrt_core::iobuf::Buf;
     use ebbrt_net::netif::NetIf;
     use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
     use std::sync::Arc;
@@ -819,11 +807,17 @@ mod tests {
                 kind: Kind::Proxy(shipper),
             }
         }
-        fn handle_remote(&self, _payload: &Chain<IoBuf>) -> Vec<u8> {
+        fn handle_remote(
+            &self,
+            _payload: Chain<IoBuf>,
+            respond: impl FnOnce(Chain<IoBuf>) + 'static,
+        ) {
             match &self.kind {
                 Kind::Local(hits) => {
                     let n = hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    (n as u32).to_be_bytes().to_vec()
+                    let mut resp = wire::WireWriter::new();
+                    resp.u32(n as u32);
+                    respond(resp.finish());
                 }
                 Kind::Proxy(_) => unreachable!("proxy asked to serve"),
             }
@@ -836,7 +830,7 @@ mod tests {
                     let n = hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                     done(Ok(n as u32));
                 }
-                Kind::Proxy(sh) => sh.call(Vec::new(), |r| {
+                Kind::Proxy(sh) => sh.call(Chain::new(), |r| {
                     done(r.map(|resp| resp.cursor().read_u32_be().unwrap_or(0)))
                 }),
             }
@@ -1133,7 +1127,7 @@ mod tests {
             let t = MessengerTransport::new(&msgr, Some(map));
             t.ship(
                 id,
-                b"anyone?".to_vec(),
+                Chain::single(IoBuf::copy_from(b"anyone?")),
                 Box::new(move |r| g2.set(Some(r.map(|_| ())))),
             );
             // Keep the transport alive until the world quiesces.
@@ -1167,7 +1161,7 @@ mod tests {
             let t2 = Rc::clone(&t);
             t.ship(
                 id,
-                Vec::new(),
+                Chain::new(),
                 Box::new(move |r| {
                     g3.borrow_mut().push(r.map(|_| ()));
                     // Second call after the first failure: must retry
@@ -1175,7 +1169,7 @@ mod tests {
                     let g4 = Rc::clone(&g3);
                     t2.ship(
                         id,
-                        Vec::new(),
+                        Chain::new(),
                         Box::new(move |r| g4.borrow_mut().push(r.map(|_| ()))),
                     );
                 }),
@@ -1402,6 +1396,99 @@ mod tests {
         assert_eq!(got.get(), Some(Ok(102)));
         assert_eq!(c.client_transport.retries.get(), retries_before);
         assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    /// An Ebb whose owner records every request payload it is handed.
+    struct RecorderEbb(Option<Arc<RecorderRoot>>);
+    type RecorderRoot = std::sync::Mutex<Vec<Vec<u8>>>;
+    impl MulticoreEbb for RecorderEbb {
+        type Root = RecorderRoot;
+        fn create_rep(root: &Arc<Self::Root>, _: CoreId) -> Self {
+            RecorderEbb(Some(Arc::clone(root)))
+        }
+    }
+    impl DistributedEbb for RecorderEbb {
+        fn create_proxy(_: RemoteShipper, _: CoreId) -> Self {
+            RecorderEbb(None)
+        }
+        fn handle_remote(
+            &self,
+            payload: Chain<IoBuf>,
+            respond: impl FnOnce(Chain<IoBuf>) + 'static,
+        ) {
+            let log = self.0.as_ref().expect("a proxy was asked to serve");
+            log.lock()
+                .unwrap()
+                .push(payload.iter().flat_map(|s| s.bytes().to_vec()).collect());
+            respond(wire::WireWriter::op(1).finish());
+        }
+    }
+
+    #[test]
+    fn retried_payload_reaches_the_promoted_owner_byte_identical() {
+        // The record's primary is an address nobody answers at: the
+        // first attempt's connection dies in ARP (Unreachable), the
+        // transport promotes the standby and re-ships. What it re-ships
+        // is the descriptor clone it kept of the request — a small
+        // marshalled head *and* a linked value — after the first
+        // attempt's frame and connection are gone.
+        let c = cluster();
+        let id = EbbId((1 << 20) + 88);
+        let dead_ip = Ipv4Addr([10, 0, 0, 66]);
+        let seen = Arc::new(RecorderRoot::default());
+        c.standby
+            .runtime()
+            .ebbs()
+            .register_root_arc::<RecorderEbb>(id, Arc::clone(&seen));
+        let (msgr, map) = (Rc::clone(&c.standby_msgr), Rc::clone(&c.standby_map));
+        on_core0(&c.standby, (msgr, map), move |(msgr, map)| {
+            publish_replicated::<RecorderEbb>(
+                &msgr,
+                &map,
+                EbbRef::from_id(id),
+                &[dead_ip, STANDBY_IP],
+                |ok| assert!(ok),
+            );
+        });
+        c.w.run_to_idle();
+
+        let value: Vec<u8> = (0..2000u32).map(|i| (i * 13) as u8).collect();
+        let linked = Chain::single(IoBuf::copy_from(&value));
+        let mut req = wire::WireWriter::op(0x42);
+        req.u64(0xDEAD_BEEF_0BAD_F00D)
+            .bytes16(b"a-key")
+            .bytes32_chain(&linked)
+            .u8(0x99);
+        let payload = req.finish();
+        assert!(payload.segment_count() >= 3, "head, linked value, trailer");
+        let want: Vec<u8> = payload.iter().flat_map(|s| s.bytes().to_vec()).collect();
+
+        let got = Rc::new(Cell::new(None));
+        let g2 = Rc::clone(&got);
+        let transport = Rc::clone(&c.client_transport);
+        on_core0(
+            &c.client,
+            (transport, payload, g2),
+            move |(t, payload, g2)| {
+                t.ship(id, payload, Box::new(move |r| g2.set(Some(r.map(|_| ())))));
+            },
+        );
+        c.w.run_to_idle();
+        assert_eq!(got.get(), Some(Ok(())), "the retry was served");
+        assert!(c.client_transport.retries.get() >= 1, "a retry happened");
+        assert_eq!(
+            c.client_transport.promotions.get(),
+            1,
+            "the standby was promoted"
+        );
+        assert_eq!(c.client_transport.resolved_primary(id), Some(STANDBY_IP));
+        assert_eq!(
+            seen.lock().unwrap().as_slice(),
+            [want],
+            "one delivery, every byte"
+        );
+        assert_eq!(linked.seg(0).ref_count(), 1, "no descriptor left behind");
+        assert_eq!(c.client_msgr.pending_rpcs(), 0);
     }
 
     #[test]

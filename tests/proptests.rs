@@ -403,6 +403,158 @@ mod iobuf_props {
     }
 }
 
+mod wire_props {
+    use super::*;
+    use ebbrt_core::iobuf::wire::{WireReader, WireWriter, INLINE_PAYLOAD_MAX};
+    use ebbrt_hosted::messenger::batch;
+
+    fn flat(c: &Chain<IoBuf>) -> Vec<u8> {
+        c.iter().flat_map(|s| s.bytes().to_vec()).collect()
+    }
+
+    /// `bytes` as a chain cut at `cuts` (taken modulo the length): 1–4
+    /// segments, each a buffer of its own.
+    fn recut(bytes: &[u8], cuts: &[usize]) -> Chain<IoBuf> {
+        let mut points: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        points.extend([0, bytes.len()]);
+        points.sort_unstable();
+        points.dedup();
+        let mut chain = Chain::new();
+        for w in points.windows(2) {
+            chain.push_back(IoBuf::copy_from(&bytes[w[0]..w[1]]));
+        }
+        chain
+    }
+
+    /// Either side of the copy/link threshold, from a one-byte selector.
+    fn payload(sel: u8, fill: u8) -> Vec<u8> {
+        let len = match sel % 4 {
+            0 => 0,
+            1 => sel as usize,
+            2 => INLINE_PAYLOAD_MAX + sel as usize,
+            _ => 3000 + sel as usize,
+        };
+        (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
+    }
+
+    proptest! {
+        /// What a writer wrote — scalars, slice fields, copied and
+        /// linked chains — reads back field for field however the
+        /// bytes are segmented on the way, each field both as bytes
+        /// and as a zero-copy sub-chain.
+        #[test]
+        fn wire_roundtrip_is_segmentation_invariant(
+            key in prop::collection::vec(any::<u8>(), 0..300),
+            sels in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+            scalar in any::<u64>(),
+            cuts in prop::collection::vec(any::<usize>(), 0..3),
+            slide in any::<usize>(),
+        ) {
+            let values: Vec<Vec<u8>> = sels.iter().map(|&(s, f)| payload(s, f)).collect();
+            let mut w = WireWriter::op(9);
+            w.u16(scalar as u16).u32(scalar as u32).u64(scalar).bytes16(&key);
+            for v in &values {
+                // Values arrive as two-segment chains (a view that
+                // straddled a receive buffer).
+                w.bytes32_chain(&recut(v, &[v.len() / 3]));
+            }
+            w.tail(&key);
+            let written = flat(&w.finish());
+            // Every offset is a cut somewhere over the cases: `slide`
+            // walks one cut across the whole payload.
+            let mut cuts = cuts;
+            cuts.push(slide);
+            let chain = recut(&written, &cuts);
+            let mut r = WireReader::new(&chain);
+            prop_assert_eq!(r.u8(), Some(9));
+            prop_assert_eq!(r.u16(), Some(scalar as u16));
+            prop_assert_eq!(r.u32(), Some(scalar as u32));
+            prop_assert_eq!(r.u64(), Some(scalar));
+            let k = r.bytes16().expect("key");
+            prop_assert_eq!(&*k.contiguous(), &key[..]);
+            prop_assert_eq!(flat(&k.into_chain()), key.clone());
+            for v in &values {
+                let f = r.bytes32().expect("value");
+                prop_assert_eq!(f.len(), v.len());
+                if let Some(s) = f.as_slice() {
+                    prop_assert_eq!(s, &v[..]);
+                }
+                prop_assert_eq!(flat(&f.into_chain()), v.clone());
+            }
+            prop_assert_eq!(flat(&r.tail().into_chain()), key);
+            prop_assert_eq!(r.remaining(), 0);
+            // Every proper prefix fails some read with `None` — no
+            // panic, no short field mistaken for a whole one.
+            let cut = slide % written.len();
+            let short = recut(&written[..cut], &cuts);
+            let mut r = WireReader::new(&short);
+            let whole = (|| {
+                r.u8()?; r.u16()?; r.u32()?; r.u64()?; r.bytes16()?;
+                for _ in &values { r.bytes32()?; }
+                (r.tail().len() == key.len()).then_some(())
+            })();
+            prop_assert!(whole.is_none(), "a {}-byte prefix of {} read as whole", cut, written.len());
+        }
+
+        /// The batch envelopes round-trip through any segmentation, and
+        /// every truncation of one decodes to `None`.
+        #[test]
+        fn batch_tables_roundtrip_and_reject_truncation(
+            calls in prop::collection::vec((any::<u32>(), any::<u8>(), any::<u8>()), 0..6),
+            cuts in prop::collection::vec(any::<usize>(), 0..3),
+            slide in any::<usize>(),
+        ) {
+            let bodies: Vec<Chain<IoBuf>> =
+                calls.iter().map(|&(_, s, f)| recut(&payload(s, f), &[7])).collect();
+            let request = flat(&batch::encode_request(
+                calls.iter().zip(&bodies).map(|(&(id, _, _), b)| (id, b)),
+            ));
+            let response = flat(&batch::encode_response(
+                calls.iter().zip(&bodies).map(|(&(id, _, _), b)| (id as u8, b)),
+            ));
+            let mut cuts = cuts;
+            cuts.push(slide);
+
+            let chain = recut(&request, &cuts);
+            let got: Vec<(u32, Vec<u8>)> = batch::decode_request(&chain)
+                .expect("well-formed request")
+                .map(|(id, body)| (id, flat(&body)))
+                .collect();
+            let want: Vec<(u32, Vec<u8>)> =
+                calls.iter().zip(&bodies).map(|(&(id, _, _), b)| (id, flat(b))).collect();
+            prop_assert_eq!(got, want);
+
+            let chain = recut(&response, &cuts);
+            let got: Vec<(u8, Vec<u8>)> = batch::decode_response(&chain)
+                .expect("well-formed response")
+                .map(|(status, body)| (status, flat(&body)))
+                .collect();
+            let want: Vec<(u8, Vec<u8>)> =
+                calls.iter().zip(&bodies).map(|(&(id, _, _), b)| (id as u8, flat(b))).collect();
+            prop_assert_eq!(got, want);
+
+            let cut = slide % request.len();
+            prop_assert!(batch::decode_request(&recut(&request[..cut], &cuts)).is_none());
+            let cut = slide % response.len();
+            prop_assert!(batch::decode_response(&recut(&response[..cut], &cuts)).is_none());
+        }
+    }
+
+    /// The counts no table can honour: they must be refused before
+    /// anything is sized from them.
+    #[test]
+    fn batch_counts_beyond_the_payload_are_refused() {
+        for n in [1u32, 2, 0x00FF_FFFF, u32::MAX] {
+            let chain = Chain::single(IoBuf::copy_from(&n.to_be_bytes()));
+            assert!(batch::decode_request(&chain).is_none(), "request n={n}");
+            assert!(batch::decode_response(&chain).is_none(), "response n={n}");
+        }
+        let empty = Chain::single(IoBuf::copy_from(&0u32.to_be_bytes()));
+        assert_eq!(batch::decode_request(&empty).expect("empty table").len(), 0);
+        assert!(batch::decode_request(&Chain::new()).is_none());
+    }
+}
+
 mod buddy_props {
     use super::*;
     use ebbrt_mem::buddy::{order_bytes, BuddyAllocator};
