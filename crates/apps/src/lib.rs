@@ -51,9 +51,5 @@ pub fn spawn_with<T: 'static>(
     v: T,
     f: impl FnOnce(T) + 'static,
 ) {
-    let cell = SendCell((v, f));
-    machine.spawn_on(core, move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
+    machine.spawn_local(core, move || f(v));
 }

@@ -24,28 +24,13 @@ use rand::{Rng, SeedableRng};
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
-use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimWorld};
 
-use crate::memcached::{self, Header, Store, MEMCACHED_PORT};
-use crate::spawn_with;
+use crate::memcached::{self, Client, Header, Store, Workload, MEMCACHED_PORT};
 use crate::stats::LatencyRecorder;
-
-/// How the client turns a generated request into wire bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StagingMode {
-    /// Copy the template's live prefix into a pooled buffer and patch
-    /// it in place. Allocation-free once warm, but pays one
-    /// frame-sized copy per request.
-    PrefixCopy,
-    /// Freeze each template once as an [`IoBuf`]; per request, stage
-    /// only the 24-byte header into a pooled buffer and
-    /// descriptor-clone the frozen tail (key/extras/value) behind it.
-    /// The load generator's steady state copies **zero** payload
-    /// bytes — the tx mirror of the server's zero-copy rx discipline.
-    DescriptorClone,
-}
 
 /// Experiment parameters.
 #[derive(Clone)]
@@ -72,8 +57,6 @@ pub struct ExperimentConfig {
     pub get_ratio: f64,
     /// RNG seed (determinism).
     pub seed: u64,
-    /// Request staging strategy.
-    pub staging: StagingMode,
 }
 
 impl ExperimentConfig {
@@ -91,7 +74,6 @@ impl ExperimentConfig {
             nkeys: 2000,
             get_ratio: 0.9,
             seed: 0xEBB7,
-            staging: StagingMode::DescriptorClone,
         }
     }
 }
@@ -129,50 +111,36 @@ fn etc_value_len(rng: &mut StdRng) -> usize {
 
 /// Pre-built request frames for the whole key set, shared by every
 /// connection: the GET frame and the SET frame (with a maximum-size
-/// value) for each key are encoded **once** at experiment setup. Per
-/// request, the client copies the template's live prefix into a
-/// *pooled* buffer and patches the opaque (and, for SETs, the body
-/// length) in place — the steady-state load generator performs no
-/// heap allocation per request.
+/// value) for each key are encoded and frozen **once** at experiment
+/// setup. Per request, the client stages only the 24-byte header into
+/// a pooled buffer and descriptor-clones the frozen tail
+/// (key/extras/value) behind it: the load generator's steady state
+/// copies **zero** payload bytes and allocates nothing — the tx mirror
+/// of the server's zero-copy rx discipline.
 struct RequestTemplates {
     /// `encode_get(key, 0)` per key.
-    get: Vec<Vec<u8>>,
+    get: Vec<IoBuf>,
     /// `encode_set(key, [b'u'; MAX_VALUE], 0)` per key; a shorter value
-    /// uses a prefix of this frame with the length fields patched.
-    set: Vec<Vec<u8>>,
-    /// The same frames frozen once as immutable [`IoBuf`]s:
-    /// descriptor-clone staging shares their tails instead of copying
-    /// them (see [`StagingMode::DescriptorClone`]).
-    get_frozen: Vec<IoBuf>,
-    set_frozen: Vec<IoBuf>,
-    /// Decoded headers, patched per request (`Copy`, stack-only).
-    get_hdr: Vec<Header>,
-    set_hdr: Vec<Header>,
+    /// sends a prefix of this frame's tail.
+    set: Vec<IoBuf>,
 }
 
 /// Largest ETC value the generator produces (see [`etc_value_len`]).
 const MAX_VALUE_LEN: usize = 1024;
 
-fn decode_hdr(frame: &[u8]) -> Header {
-    let mut hb = [0u8; Header::SIZE];
-    hb.copy_from_slice(&frame[..Header::SIZE]);
-    Header::decode(&hb)
-}
-
 impl RequestTemplates {
     fn build(keys: &[Vec<u8>]) -> RequestTemplates {
-        let get: Vec<Vec<u8>> = keys.iter().map(|k| memcached::encode_get(k, 0)).collect();
-        let set: Vec<Vec<u8>> = keys
-            .iter()
-            .map(|k| memcached::encode_set(k, &[b'u'; MAX_VALUE_LEN], 0))
-            .collect();
+        let frozen = |frame: Vec<u8>| IoBuf::copy_from(&frame);
+        let max_value = [b'u'; MAX_VALUE_LEN];
         RequestTemplates {
-            get_frozen: get.iter().map(|f| IoBuf::copy_from(f)).collect(),
-            set_frozen: set.iter().map(|f| IoBuf::copy_from(f)).collect(),
-            get_hdr: get.iter().map(|f| decode_hdr(f)).collect(),
-            set_hdr: set.iter().map(|f| decode_hdr(f)).collect(),
-            get,
-            set,
+            get: keys
+                .iter()
+                .map(|k| frozen(memcached::encode_get(k, 0)))
+                .collect(),
+            set: keys
+                .iter()
+                .map(|k| frozen(memcached::encode_set(k, &max_value, 0)))
+                .collect(),
         }
     }
 
@@ -185,67 +153,24 @@ impl RequestTemplates {
         }
     }
 
-    /// Stages `req` into a pooled buffer: template prefix copy plus
-    /// in-place patches of the opaque/body-length fields. Zero heap
-    /// allocations once the buffer pool is warm, one frame-sized copy.
-    fn stage_prefix_copy(&self, req: &PendingReq) -> Chain<IoBuf> {
-        let key = req.key as usize;
-        let (template, len, body) = match req.set_len {
-            None => {
-                let t = &self.get[key];
-                (t, t.len(), None)
-            }
-            Some(vlen) => {
-                let t = &self.set[key];
-                let len = t.len() - MAX_VALUE_LEN + vlen as usize;
-                (
-                    t,
-                    len,
-                    Some((t.len() - Header::SIZE - MAX_VALUE_LEN + vlen as usize) as u32),
-                )
-            }
-        };
-        let mut buf = MutIoBuf::with_capacity(len);
-        buf.append_slice(&template[..len]);
-        let bytes = buf.bytes_mut();
-        bytes[12..16].copy_from_slice(&req.opaque.to_be_bytes());
-        if let Some(total_body) = body {
-            bytes[8..12].copy_from_slice(&total_body.to_be_bytes());
-        }
-        Chain::single(buf.freeze())
-    }
-
     /// Stages `req` as a patched 24-byte header in a pooled buffer
     /// followed by a descriptor clone of the frozen template's tail:
     /// the frame's key/extras/value bytes are shared, never copied.
-    fn stage_descriptor_clone(&self, req: &PendingReq) -> Chain<IoBuf> {
+    fn stage(&self, req: &PendingReq) -> Chain<IoBuf> {
         let key = req.key as usize;
-        let (mut h, frozen, tail_len) = match req.set_len {
-            None => {
-                let f = &self.get_frozen[key];
-                (self.get_hdr[key], f, f.len() - Header::SIZE)
-            }
-            Some(vlen) => {
-                let f = &self.set_frozen[key];
-                let tail = f.len() - Header::SIZE - MAX_VALUE_LEN + vlen as usize;
-                let mut h = self.set_hdr[key];
-                h.total_body = tail as u32;
-                (h, f, tail)
-            }
+        let key_len = self.get[key].len() - Header::SIZE;
+        let (h, frozen) = match req.set_len {
+            None => (Header::get(key_len, req.opaque), &self.get[key]),
+            Some(vlen) => (
+                Header::set(key_len, vlen as usize, req.opaque),
+                &self.set[key],
+            ),
         };
-        h.opaque = req.opaque;
         let mut hdr = MutIoBuf::with_capacity(Header::SIZE);
         h.encode_into(hdr.append(Header::SIZE));
         let mut out = Chain::single(hdr.freeze());
-        out.push_back(frozen.slice(Header::SIZE, tail_len));
+        out.push_back(frozen.slice(Header::SIZE, h.total_body as usize));
         out
-    }
-
-    fn stage(&self, req: &PendingReq, mode: StagingMode) -> Chain<IoBuf> {
-        match mode {
-            StagingMode::PrefixCopy => self.stage_prefix_copy(req),
-            StagingMode::DescriptorClone => self.stage_descriptor_clone(req),
-        }
     }
 }
 
@@ -262,92 +187,54 @@ struct PendingReq {
     at: Ns,
 }
 
-struct ClientConn {
-    recorder: Rc<RefCell<LatencyRecorder>>,
+/// One connection's workload: an open-loop arrival process feeding a
+/// queue that drains through the pipeline as replies and send window
+/// allow.
+struct Conn {
+    recorder: RefCell<LatencyRecorder>,
     templates: Rc<RequestTemplates>,
-    /// opaque → intended arrival time of in-flight requests.
-    outstanding: RefCell<std::collections::HashMap<u32, Ns>>,
     /// Generated requests waiting for pipeline slots.
     pending: RefCell<std::collections::VecDeque<PendingReq>>,
-    rx: RefCell<Vec<u8>>,
     pipeline: usize,
     completed: Cell<u64>,
-    conn: RefCell<Option<TcpConn>>,
-    connected: Cell<bool>,
     measuring: Rc<Cell<bool>>,
-    staging: StagingMode,
 }
 
-impl ClientConn {
-    fn pump(&self) {
-        let conn = match (self.connected.get(), self.conn.borrow().as_ref()) {
-            (true, Some(c)) => c.clone(),
-            _ => return,
-        };
-        loop {
-            if self.outstanding.borrow().len() >= self.pipeline {
+impl Conn {
+    fn pump(&self, client: &Client<Self>) {
+        while client.in_flight() < self.pipeline {
+            let Some(&req) = self.pending.borrow().front() else {
                 return;
-            }
-            let req = match self.pending.borrow_mut().pop_front() {
-                Some(r) => r,
-                None => return,
             };
-            if self.templates.frame_len(&req) > conn.send_window() {
-                // Window full: requeue (nothing staged yet) and wait
-                // for on_window_open.
-                self.pending.borrow_mut().push_front(req);
+            // Window full (or not yet connected): nothing is staged;
+            // retried on the next reply or window opening.
+            if self.templates.frame_len(&req) > client.send_window() {
                 return;
             }
-            let frame = self.templates.stage(&req, self.staging);
-            self.outstanding.borrow_mut().insert(req.opaque, req.at);
-            if conn.send(frame).is_err() {
+            let frame = self.templates.stage(&req);
+            if client.send_due(frame, req.at).is_err() {
                 return;
             }
-        }
-    }
-
-    fn on_response(&self, h: &Header, now: Ns) {
-        if let Some(t) = self.outstanding.borrow_mut().remove(&h.opaque) {
-            if self.measuring.get() {
-                self.recorder.borrow_mut().record(now.saturating_sub(t));
-                self.completed.set(self.completed.get() + 1);
-            }
+            self.pending.borrow_mut().pop_front();
         }
     }
 }
 
-impl ConnHandler for ClientConn {
-    fn on_connected(&self, _conn: &TcpConn) {
-        self.connected.set(true);
-        self.pump();
+impl Workload for Conn {
+    fn on_connected(&self, client: &Client<Self>) {
+        self.pump(client);
     }
 
-    fn on_receive(&self, _conn: &TcpConn, data: Chain<IoBuf>) {
-        let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-        let mut rx = self.rx.borrow_mut();
-        for seg in data.iter() {
-            rx.extend_from_slice(seg.bytes());
+    fn on_reply(&self, client: &Client<Self>, _h: &Header, _value: Chain<IoBuf>, latency_ns: Ns) {
+        if self.measuring.get() {
+            self.recorder.borrow_mut().record(latency_ns);
+            self.completed.set(self.completed.get() + 1);
         }
-        loop {
-            if rx.len() < Header::SIZE {
-                break;
-            }
-            let mut hb = [0u8; Header::SIZE];
-            hb.copy_from_slice(&rx[..Header::SIZE]);
-            let h = Header::decode(&hb);
-            let total = Header::SIZE + h.total_body as usize;
-            if rx.len() < total {
-                break;
-            }
-            rx.drain(..total);
-            self.on_response(&h, now);
-        }
-        drop(rx);
-        self.pump();
+        self.pump(client);
     }
 
-    fn on_window_open(&self, _conn: &TcpConn) {
-        self.pump();
+    fn on_window_open(&self, client: &Client<Self>) {
+        self.pump(client);
     }
 }
 
@@ -355,17 +242,17 @@ impl ConnHandler for ClientConn {
 /// callers that drive the simulation themselves (step by step, say);
 /// [`run`] is the usual way in.
 pub struct Experiment {
-    world: Rc<SimWorld>,
+    lan: Lan,
     config: ExperimentConfig,
-    conns: Vec<Rc<ClientConn>>,
+    conns: Vec<Rc<Client<Conn>>>,
     /// What the world only holds weakly.
-    _keep: (Rc<Switch>, [Rc<NetIf>; 2], Arc<Store>),
+    _keep: ([Rc<NetIf>; 2], Arc<Store>),
 }
 
 impl Experiment {
     /// The experiment's world.
     pub fn world(&self) -> &Rc<SimWorld> {
-        &self.world
+        &self.lan.world
     }
 
     /// Virtual time at which the measured interval ends.
@@ -375,14 +262,14 @@ impl Experiment {
 
     /// Responses received in the measured interval so far.
     pub fn completed(&self) -> u64 {
-        self.conns.iter().map(|cc| cc.completed.get()).sum()
+        self.conns.iter().map(|c| c.workload.completed.get()).sum()
     }
 
     /// The curve point as of now (meaningful from [`Self::end_ns`] on).
     pub fn sample(&self) -> Sample {
         let mut recorder = LatencyRecorder::new();
-        for cc in &self.conns {
-            recorder.merge(&cc.recorder.borrow());
+        for c in &self.conns {
+            recorder.merge(&c.workload.recorder.borrow());
         }
         Sample {
             offered_rps: self.config.offered_rps as f64,
@@ -396,40 +283,35 @@ impl Experiment {
 /// Runs one experiment point.
 pub fn run(config: &ExperimentConfig) -> Sample {
     let experiment = build(config);
-    experiment.world.run_until(experiment.end_ns());
+    experiment.world().run_until(experiment.end_ns());
     experiment.sample()
 }
 
 /// Builds one experiment's world: machines, populated store, server,
 /// client connections with their arrival processes, warm-up timer.
 pub fn build(config: &ExperimentConfig) -> Experiment {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(
-        &w,
+    let lan = Lan::new();
+    let w = &lan.world;
+    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (server, s_if) = lan.machine(
         "server",
         config.server_cores,
         config.server_profile.clone(),
         [0xAA, 0, 0, 0, 0, 1],
+        server_ip,
     );
-    let client = SimMachine::create(
-        &w,
+    let (client, c_if) = lan.machine(
         "client",
         config.client_cores,
         CostProfile::ebbrt_vm(),
         [0xBB, 0, 0, 0, 0, 1],
+        Ipv4Addr::new(10, 0, 0, 2),
     );
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let s_if = NetIf::attach(&server, server_ip, mask);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
     w.run_to_idle();
 
     // Store, pre-populated directly (the paper warms the cache before
     // measuring; bypassing the network here is equivalent and faster).
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     let mut key_rng = StdRng::seed_from_u64(config.seed);
     let keys: Vec<Vec<u8>> = (0..config.nkeys)
         .map(|i| key_for(i, etc_key_len(&mut key_rng)))
@@ -444,48 +326,35 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
     }
     // Ebb wiring: the spawn closure carries only the Copy+Send store
     // ref; the server resolves its stack via the well-known id.
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
-    server.start_scheduler_ticks(&w);
+    server.start_scheduler_ticks(w);
 
     // Connections, spread over client cores. Request frames are
     // templated once here; per-request generation only patches bytes.
     let measuring = Rc::new(Cell::new(false));
     let templates = Rc::new(RequestTemplates::build(&keys));
-    let mut conns: Vec<Rc<ClientConn>> = Vec::new();
+    let mut conns = Vec::new();
     let per_conn_rate = config.offered_rps as f64 / config.connections as f64;
     let mean_gap_ns = 1e9 / per_conn_rate;
     for i in 0..config.connections {
-        let cc = Rc::new(ClientConn {
-            recorder: Rc::new(RefCell::new(LatencyRecorder::new())),
+        let conn = Conn {
+            recorder: RefCell::new(LatencyRecorder::new()),
             templates: Rc::clone(&templates),
-            outstanding: RefCell::new(std::collections::HashMap::with_capacity(
-                config.pipeline * 2,
-            )),
             pending: RefCell::new(Default::default()),
-            rx: RefCell::new(Vec::new()),
             pipeline: config.pipeline,
             completed: Cell::new(0),
-            conn: RefCell::new(None),
-            connected: Cell::new(false),
             measuring: Rc::clone(&measuring),
-            staging: config.staging,
-        });
-        conns.push(Rc::clone(&cc));
+        };
         let core = CoreId((i % config.client_cores) as u32);
+        let c = Client::new(conn);
         let cfg = config.clone();
-        spawn_with(&client, core, cc, move |cc| {
-            let conn = ebbrt_net::netif::local_netif().connect(
-                server_ip,
-                MEMCACHED_PORT,
-                Rc::clone(&cc) as Rc<dyn ConnHandler>,
-            );
-            *cc.conn.borrow_mut() = Some(conn);
+        crate::spawn_with(&client, core, Rc::clone(&c), move |c| {
+            c.open(server_ip, MEMCACHED_PORT);
             // Start this connection's arrival process.
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((i as u64 + 1) * 0x9e37));
-            schedule_arrival(&cc, &cfg, mean_gap_ns, &mut rng, i as u32);
+            schedule_arrival(&c, &cfg, mean_gap_ns, &mut rng, i as u32);
         });
+        conns.push(c);
     }
 
     // Warmup end: start measuring.
@@ -504,10 +373,10 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
     }
 
     Experiment {
-        world: w,
+        lan,
         config: config.clone(),
         conns,
-        _keep: (sw, [s_if, c_if], store),
+        _keep: ([s_if, c_if], store),
     }
 }
 
@@ -522,7 +391,7 @@ fn store_insert(store: &Arc<Store>, key: Vec<u8>, vlen: usize) {
 /// request is a template index plus patch fields, not owned bytes.
 #[allow(clippy::only_used_in_recursion)]
 fn schedule_arrival(
-    cc: &Rc<ClientConn>,
+    cc: &Rc<Client<Conn>>,
     cfg: &ExperimentConfig,
     mean_gap_ns: f64,
     rng: &mut StdRng,
@@ -537,7 +406,7 @@ fn schedule_arrival(
             let (cc, cfg, mut rng) = cell.0;
             // Generate one request.
             let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-            let nkeys = cc.templates.get.len();
+            let nkeys = cc.workload.templates.get.len();
             let req = PendingReq {
                 opaque: rng.gen::<u32>(),
                 key: rng.gen_range(0..nkeys) as u32,
@@ -551,10 +420,10 @@ fn schedule_arrival(
             // Bound the backlog so overload doesn't exhaust memory; the
             // latency of dropped arrivals is effectively infinite and
             // the achieved-throughput plateau tells the story.
-            if cc.pending.borrow().len() < 4096 {
-                cc.pending.borrow_mut().push_back(req);
+            if cc.workload.pending.borrow().len() < 4096 {
+                cc.workload.pending.borrow_mut().push_back(req);
             }
-            cc.pump();
+            cc.workload.pump(&cc);
             schedule_arrival(&cc, &cfg, mean, &mut rng, conn_index);
         });
     });
@@ -591,9 +460,9 @@ mod tests {
         gets.chain(sets).collect()
     }
 
-    /// Descriptor-clone staging must emit exactly the frames the
-    /// copying path emits — which in turn must match a fresh encode
-    /// with the request's opaque (and, for SETs, its value length).
+    /// Descriptor-clone staging must emit exactly the frames a fresh
+    /// encode with the request's opaque (and, for SETs, its value
+    /// length) would.
     #[test]
     fn descriptor_clone_staging_emits_byte_identical_frames() {
         let keys = test_keys();
@@ -607,35 +476,38 @@ mod tests {
                     req.opaque,
                 ),
             };
-            let copied = templates.stage(&req, StagingMode::PrefixCopy);
-            let cloned = templates.stage(&req, StagingMode::DescriptorClone);
-            assert_eq!(copied.copy_to_vec(), expect, "prefix-copy frame");
+            let cloned = templates.stage(&req);
             assert_eq!(cloned.copy_to_vec(), expect, "descriptor-clone frame");
             assert_eq!(cloned.len(), templates.frame_len(&req), "window accounting");
         }
     }
 
-    /// The load generator's steady state must be zero-copy client-side
-    /// under descriptor-clone staging: once the templates are frozen
-    /// and the pool is warm, staging a request copies no payload bytes
-    /// and allocates no fresh buffers. The copying mode, measured the
-    /// same way, pays a frame-sized copy per request — the contrast is
-    /// asserted too, so the test cannot silently measure nothing.
+    /// The load generator's steady state must be zero-copy client-side:
+    /// once the templates are frozen and the pool is warm, staging a
+    /// request copies no payload bytes and allocates no fresh buffers.
+    /// Freezing a template, measured the same way, pays a frame-sized
+    /// copy — the contrast is asserted too, so the test cannot silently
+    /// measure nothing.
     #[test]
     fn descriptor_clone_staging_is_zero_copy_client_side() {
         let rt = Runtime::new(1, Arc::new(ManualClock::new()));
         let _g = ebbrt_core::runtime::enter(rt.clone(), CoreId(0));
         pool::prewarm(4);
         let keys = test_keys();
+        let base = stats::runtime_snapshot(&rt);
         let templates = RequestTemplates::build(&keys); // copies happen HERE, once
+        assert!(
+            stats::runtime_snapshot(&rt).since(&base).bytes_copied > 0,
+            "the copying baseline must be visible to the same counters"
+        );
         let reqs = test_reqs();
         for req in &reqs {
-            drop(templates.stage(req, StagingMode::DescriptorClone)); // pool warm
+            drop(templates.stage(req)); // pool warm
         }
 
         let base = stats::runtime_snapshot(&rt);
         for req in &reqs {
-            drop(templates.stage(req, StagingMode::DescriptorClone));
+            drop(templates.stage(req));
         }
         let clone_delta = stats::runtime_snapshot(&rt).since(&base);
         assert_eq!(
@@ -645,16 +517,6 @@ mod tests {
         assert_eq!(
             clone_delta.bufs_allocated, 0,
             "descriptor-clone staging must allocate zero fresh buffers"
-        );
-
-        let base = stats::runtime_snapshot(&rt);
-        for req in &reqs {
-            drop(templates.stage(req, StagingMode::PrefixCopy));
-        }
-        let copy_delta = stats::runtime_snapshot(&rt).since(&base);
-        assert!(
-            copy_delta.bytes_copied > 0,
-            "the copying baseline must be visible to the same counters"
         );
     }
 
@@ -668,7 +530,6 @@ mod tests {
         cfg.nkeys = 64;
         cfg.warmup_ns = 10_000_000;
         cfg.duration_ns = 30_000_000;
-        assert_eq!(cfg.staging, StagingMode::DescriptorClone);
         let s = run(&cfg);
         assert!(s.achieved_rps > 0.0, "no responses measured");
     }

@@ -16,9 +16,10 @@ use std::rc::Rc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine};
 
 use crate::spawn_with;
 
@@ -62,11 +63,6 @@ struct PipeEnd {
 
 use ebbrt_core::iobuf::stats as iobuf_stats;
 use std::sync::Arc;
-
-/// Sums the per-machine IOBuf counters over `world`.
-fn world_snapshot(world: &[Arc<ebbrt_core::runtime::Runtime>]) -> iobuf_stats::Snapshot {
-    iobuf_stats::world_snapshot(world.iter().map(Arc::as_ref))
-}
 
 impl PipeEnd {
     fn new(message_bytes: usize, target_rounds: u32, is_client: bool) -> Rc<PipeEnd> {
@@ -123,8 +119,9 @@ impl PipeEnd {
                 // Warmup done: the pool is hot; measurement starts here.
                 self.started_at
                     .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-                self.steady_stats
-                    .set(Some(world_snapshot(&self.world.borrow())));
+                self.steady_stats.set(Some(iobuf_stats::world_snapshot(
+                    self.world.borrow().iter().map(Arc::as_ref),
+                )));
             }
             if r >= self.target_rounds {
                 self.finished_at
@@ -165,10 +162,9 @@ impl ConnHandler for PipeEnd {
 }
 
 /// The assembled two-machine ping-pong world (shared by [`run`] and
-/// [`run_steady`]); the switch is held so the wire stays up.
+/// [`run_steady`]).
 struct PipeWorld {
-    world: Rc<SimWorld>,
-    _switch: Rc<Switch>,
+    lan: Lan,
     server: Rc<SimMachine>,
     client: Rc<SimMachine>,
     client_end: Rc<PipeEnd>,
@@ -182,15 +178,23 @@ fn setup_pipe(
     target_rounds: u32,
     warmup_rounds: u32,
 ) -> PipeWorld {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "np-server", 1, profile.clone(), [0xAA, 0, 0, 0, 0, 2]);
-    let client = SimMachine::create(&w, "np-client", 1, profile.clone(), [0xBB, 0, 0, 0, 0, 2]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let _s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 1, 1), mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 1, 2), mask);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let server_ip = Ipv4Addr::new(10, 0, 1, 1);
+    let (server, _s_if) = lan.machine(
+        "np-server",
+        1,
+        profile.clone(),
+        [0xAA, 0, 0, 0, 0, 2],
+        server_ip,
+    );
+    let (client, _c_if) = lan.machine(
+        "np-client",
+        1,
+        profile.clone(),
+        [0xBB, 0, 0, 0, 0, 2],
+        Ipv4Addr::new(10, 0, 1, 2),
+    );
     w.run_to_idle();
 
     // Both sides resolve their stack through the well-known network
@@ -210,15 +214,10 @@ fn setup_pipe(
         .extend([Arc::clone(server.runtime()), Arc::clone(client.runtime())]);
     let ce = Rc::clone(&client_end);
     spawn_with(&client, CoreId(0), ce, move |ce| {
-        ebbrt_net::netif::local_netif().connect(
-            Ipv4Addr::new(10, 0, 1, 1),
-            NETPIPE_PORT,
-            ce as Rc<dyn ConnHandler>,
-        );
+        ebbrt_net::netif::local_netif().connect(server_ip, NETPIPE_PORT, ce as Rc<dyn ConnHandler>);
     });
     PipeWorld {
-        world: w,
-        _switch: sw,
+        lan,
         server,
         client,
         client_end,
@@ -229,10 +228,10 @@ fn setup_pipe(
 /// ends on `profile`. Returns one-way latency and goodput.
 pub fn run(profile: &CostProfile, message_bytes: usize, rounds: u32) -> PipeSample {
     let pipe = setup_pipe(profile, message_bytes, rounds, 0);
-    pipe.server.start_scheduler_ticks(&pipe.world);
-    pipe.client.start_scheduler_ticks(&pipe.world);
+    pipe.server.start_scheduler_ticks(&pipe.lan.world);
+    pipe.client.start_scheduler_ticks(&pipe.lan.world);
     // Bound the run: generous virtual-time budget, then stop ticks.
-    pipe.world.run_until(60_000_000_000);
+    pipe.lan.world.run_until(60_000_000_000);
     pipe.server.stop_scheduler_ticks();
     pipe.client.stop_scheduler_ticks();
 
@@ -300,9 +299,9 @@ pub fn run_steady(
     );
     // Same tick regime as [`run`], so steady samples are comparable
     // across profiles that model scheduler ticks.
-    pipe.server.start_scheduler_ticks(&pipe.world);
-    pipe.client.start_scheduler_ticks(&pipe.world);
-    pipe.world.run_until(120_000_000_000);
+    pipe.server.start_scheduler_ticks(&pipe.lan.world);
+    pipe.client.start_scheduler_ticks(&pipe.lan.world);
+    pipe.lan.world.run_until(120_000_000_000);
     pipe.server.stop_scheduler_ticks();
     pipe.client.stop_scheduler_ticks();
 
@@ -319,11 +318,8 @@ pub fn run_steady(
         .steady_stats
         .get()
         .expect("warmup snapshot taken");
-    let world = [
-        Arc::clone(pipe.server.runtime()),
-        Arc::clone(pipe.client.runtime()),
-    ];
-    let delta = world_snapshot(&world).since(&baseline);
+    let world = [pipe.server.runtime(), pipe.client.runtime()];
+    let delta = iobuf_stats::world_snapshot(world.iter().map(|rt| &***rt)).since(&baseline);
     let rtt = (finish - start) as f64 / rounds as f64;
     SteadySample {
         message_bytes,

@@ -54,11 +54,6 @@ impl LatencyRecorder {
         self.sorted = false;
     }
 
-    /// The `i`-th raw sample (merge support).
-    pub fn sample(&self, i: usize) -> Ns {
-        self.samples[i]
-    }
-
     /// Merges all of `other`'s samples into `self`.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         self.samples.extend_from_slice(&other.samples);

@@ -18,10 +18,11 @@ use std::rc::Rc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
+use ebbrt_net::Lan;
 use ebbrt_sim::world::charge;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_sim::CostProfile;
 
 use crate::spawn_with;
 use crate::stats::LatencyRecorder;
@@ -246,21 +247,23 @@ pub struct WebserverSample {
 /// Runs the Table 2 experiment on `profile`: `connections` keep-alive
 /// clients at moderate load.
 pub fn run(profile: &CostProfile, connections: usize, think_ns: Ns) -> WebserverSample {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "web", 1, profile.clone(), [0xAA, 0, 0, 0, 0, 3]);
-    let client = SimMachine::create(&w, "wrk", 4, CostProfile::ebbrt_vm(), [0xBB, 0, 0, 0, 0, 3]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let _s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 2, 1), mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 2, 2), mask);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let web_ip = Ipv4Addr::new(10, 0, 2, 1);
+    let (server, _s_if) = lan.machine("web", 1, profile.clone(), [0xAA, 0, 0, 0, 0, 3], web_ip);
+    let (client, _c_if) = lan.machine(
+        "wrk",
+        4,
+        CostProfile::ebbrt_vm(),
+        [0xBB, 0, 0, 0, 0, 3],
+        Ipv4Addr::new(10, 0, 2, 2),
+    );
     w.run_to_idle();
     // Demand paging (GC refaults) goes with the preemptive profiles.
     let demand_paging = profile.tick_period_ns > 0;
     server.spawn_on(CoreId(0), move || serve(demand_paging));
     w.run_to_idle();
-    server.start_scheduler_ticks(&w);
+    server.start_scheduler_ticks(w);
 
     let measuring = Rc::new(Cell::new(false));
     let request = IoBuf::copy_from(REQUEST);
@@ -281,11 +284,7 @@ pub fn run(profile: &CostProfile, connections: usize, think_ns: Ns) -> Webserver
         let core = CoreId((i % 4) as u32);
         let wc2 = Rc::clone(wc);
         spawn_with(&client, core, wc2, move |wc| {
-            local_netif().connect(
-                Ipv4Addr::new(10, 0, 2, 1),
-                HTTP_PORT,
-                wc as Rc<dyn ConnHandler>,
-            );
+            local_netif().connect(web_ip, HTTP_PORT, wc as Rc<dyn ConnHandler>);
         });
     }
     let warmup: Ns = 50_000_000;

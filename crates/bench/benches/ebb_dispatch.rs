@@ -20,92 +20,29 @@
 //! threshold away from a direct call — the guard against accidental
 //! rep-lookup deoptimization.
 
-use std::any::Any;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ebbrt_bench::dispatch::{Callable, HashTableDispatch, Obj};
 use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{CachedEbbRef, EbbId, EbbRef, MulticoreEbb};
+use ebbrt_core::ebb::{CachedEbbRef, EbbRef};
 use ebbrt_core::runtime::{self, Runtime};
-
-struct Obj {
-    calls: std::cell::Cell<u64>,
-}
-
-impl Obj {
-    fn new() -> Obj {
-        Obj {
-            calls: std::cell::Cell::new(0),
-        }
-    }
-    #[inline(always)]
-    fn call_inline(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-    #[inline(never)]
-    fn call_no_inline(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-}
-
-trait Callable {
-    fn call_virtual(&self);
-}
-impl Callable for Obj {
-    fn call_virtual(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-}
-
-impl MulticoreEbb for Obj {
-    type Root = ();
-    fn create_rep(_: &Arc<()>, _: CoreId) -> Self {
-        Obj::new()
-    }
-}
-
-/// The hosted-environment dispatch mechanism the paper measures at
-/// ~19× native Ebb cost (per-core hash map + dynamic downcast per
-/// call). The system no longer ships it — native translation-array
-/// dispatch serves every environment — but Table 1 needs the row.
-struct HashTableDispatch {
-    map: HashMap<u32, Rc<dyn Any>>,
-}
-
-impl HashTableDispatch {
-    fn new() -> Self {
-        HashTableDispatch {
-            map: HashMap::new(),
-        }
-    }
-    fn install<T: 'static>(&mut self, id: EbbId, rep: T) {
-        self.map.insert(id.0, Rc::new(rep));
-    }
-    #[inline]
-    fn with_rep<T: 'static, R>(&self, id: EbbId, f: impl FnOnce(&T) -> R) -> R {
-        let any = self.map.get(&id.0).expect("no hosted rep");
-        let rep = any.downcast_ref::<T>().expect("hosted rep type mismatch");
-        f(rep)
-    }
-}
 
 const INVOCATIONS: usize = 1000;
 
 fn bench_dispatch(c: &mut Criterion) {
     let rt = Runtime::new(1, Arc::new(ManualClock::new()));
     let _g = runtime::enter(rt, CoreId(0));
-    let obj = Obj::new();
+    let obj = Obj::default();
     let dyn_obj: &dyn Callable = &obj;
     let ebb = EbbRef::<Obj>::create(());
     ebb.with(|o| o.call_inline()); // fault in the rep
     let cached = CachedEbbRef::new(ebb);
     cached.with(|o| o.call_inline()); // prime the memo
-    let mut hosted = HashTableDispatch::new();
-    hosted.install(ebb.id(), Obj::new());
+    let mut hosted = HashTableDispatch::default();
+    hosted.install(ebb.id(), Obj::default());
 
     let mut g = c.benchmark_group("dispatch_1000_invocations");
     g.bench_function("inline", |b| {
@@ -192,7 +129,7 @@ fn verify_cached_dispatch_overhead(_c: &mut Criterion) {
 
     let rt = Runtime::new(1, Arc::new(ManualClock::new()));
     let _g = runtime::enter(rt, CoreId(0));
-    let obj = Obj::new();
+    let obj = Obj::default();
     let ebb = EbbRef::<Obj>::create(());
     let cached = CachedEbbRef::new(ebb);
     cached.with(|o| o.call_inline());

@@ -23,129 +23,55 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ebbrt_apps::memcached::{self, Store};
-use ebbrt_apps::spawn_with;
+use ebbrt_apps::memcached::{self, Client, Header};
+use ebbrt_bench::script::GetLoop;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{pool, stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime::Runtime;
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
-
-/// Pool counters are per machine: the zero-copy property is read as
-/// the world total over both ends of the wire.
-fn world_snapshot(world: &[Arc<Runtime>]) -> stats::Snapshot {
-    stats::world_snapshot(world.iter().map(Arc::as_ref))
-}
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 /// Bytes in the benched value.
 const VALUE_LEN: usize = 512;
-/// Full GET response: header + 4 flags bytes + value.
-const RESPONSE_LEN: usize = memcached::Header::SIZE + 4 + VALUE_LEN;
 /// Requests before measurement starts (pool + ARP + TCP state warm).
 const WARMUP_GETS: u32 = 64;
 /// Measured requests.
 const STEADY_GETS: u32 = 256;
 
-/// Closed-loop GET client: one outstanding request, next fired on full
-/// response. The request buffer is frozen once; every send clones the
-/// descriptor.
-struct GetClient {
-    request: IoBuf,
-    received: Cell<usize>,
-    remaining: Cell<u32>,
-    warmup_left: Cell<u32>,
-    /// Server + client runtimes (per-machine counters).
-    world: Vec<Arc<Runtime>>,
-    steady_base: Cell<Option<stats::Snapshot>>,
-    steady_start_ns: Cell<u64>,
-    steady_end_ns: Cell<u64>,
-}
-
-impl GetClient {
-    fn fire(&self, conn: &TcpConn) {
-        let _ = conn.send(Chain::single(self.request.clone()));
-    }
-}
-
-impl ConnHandler for GetClient {
-    fn on_connected(&self, conn: &TcpConn) {
-        self.fire(conn);
-    }
-
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        // Count response bytes without touching them (copy_to_vec would
-        // be a counted copy — the client is part of the property too).
-        let mut got = self.received.get() + data.len();
-        while got >= RESPONSE_LEN {
-            got -= RESPONSE_LEN;
-            if self.warmup_left.get() > 0 {
-                self.warmup_left.set(self.warmup_left.get() - 1);
-                if self.warmup_left.get() == 0 {
-                    self.steady_base.set(Some(world_snapshot(&self.world)));
-                    self.steady_start_ns
-                        .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-                }
-                self.fire(conn);
-            } else if self.remaining.get() > 0 {
-                self.remaining.set(self.remaining.get() - 1);
-                if self.remaining.get() == 0 {
-                    self.steady_end_ns
-                        .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-                    conn.close();
-                } else {
-                    self.fire(conn);
-                }
-            }
-        }
-        self.received.set(got);
-    }
-}
-
 /// Runs the steady-state GET workload and asserts the zero-copy
 /// property over the measured phase.
 fn verify_zero_copy_get_path(_c: &mut Criterion) {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let _s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
+    let (client, _c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     store.insert_raw(b"bench_key".to_vec(), IoBuf::copy_from(&[0xAB; VALUE_LEN]));
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
 
-    let handler = Rc::new(GetClient {
-        request: MutIoBuf::from_vec(memcached::encode_get(b"bench_key", 1)).freeze(),
-        received: Cell::new(0),
-        remaining: Cell::new(STEADY_GETS),
-        warmup_left: Cell::new(WARMUP_GETS),
-        world: vec![Arc::clone(server.runtime()), Arc::clone(client.runtime())],
-        steady_base: Cell::new(None),
-        steady_start_ns: Cell::new(0),
-        steady_end_ns: Cell::new(0),
+    // Pool counters are per machine, so the zero-copy property is read
+    // as the world total over both ends of the wire.
+    let world = [Arc::clone(server.runtime()), Arc::clone(client.runtime())];
+    let snapshot = move || stats::world_snapshot(world.iter().map(Arc::as_ref));
+    let base: Rc<Cell<Option<stats::Snapshot>>> = Rc::default();
+    let (base2, snapshot2) = (Rc::clone(&base), snapshot.clone());
+    let gets = GetLoop::new(b"bench_key", 1, WARMUP_GETS, STEADY_GETS, move |start| {
+        if start {
+            base2.set(Some(snapshot2()));
+        }
     });
-    let h = Rc::clone(&handler);
-    spawn_with(&client, CoreId(0), h, move |h| {
-        local_netif().connect(
-            Ipv4Addr::new(10, 0, 0, 1),
-            memcached::MEMCACHED_PORT,
-            h as Rc<dyn ConnHandler>,
-        );
-    });
+    let conn = Client::spawn(&client, CoreId(0), server_ip, gets);
     w.run_to_idle();
+    let handler = &conn.workload;
 
     assert_eq!(handler.remaining.get(), 0, "workload did not complete");
-    let base = handler.steady_base.get().expect("warmup completed");
-    let delta = world_snapshot(&handler.world).since(&base);
-    let elapsed_ns = handler.steady_end_ns.get() - handler.steady_start_ns.get();
+    let delta = snapshot().since(&base.get().expect("warmup completed"));
+    let elapsed_ns = handler.steady_ns[1].get() - handler.steady_ns[0].get();
     let us_per_get = elapsed_ns as f64 / STEADY_GETS as f64 / 1000.0;
     let (server_free, server_depot) =
         pool::runtime_free_counts(server.runtime(), pool::SizeClass::Small);
@@ -293,8 +219,8 @@ fn bench_chain_ops(c: &mut Criterion) {
     g.bench_function("get_response_assembly", |b| {
         b.iter(|| {
             // The server's response path: pooled header + value clone.
-            let mut rbuf = MutIoBuf::with_capacity(memcached::Header::SIZE + 4);
-            rbuf.append(memcached::Header::SIZE + 4).fill(0);
+            let mut rbuf = MutIoBuf::with_capacity(Header::SIZE + 4);
+            rbuf.append(Header::SIZE + 4).fill(0);
             let mut out: Chain<IoBuf> = Chain::new();
             out.push_back(rbuf.freeze());
             out.push_back(value.clone());

@@ -20,9 +20,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::EbbId;
 use ebbrt_hosted::messenger::{local_messenger, Messenger};
-use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 /// Calls per ping-pong run.
 const RPC_ROUNDS: u32 = 256;
@@ -55,15 +55,11 @@ fn fire(left: u32, dst: Ipv4Addr, id: EbbId, lat: Rc<RefCell<Vec<u64>>>, done: R
 }
 
 fn verify_messenger_round_trip(_c: &mut Criterion) {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xA1; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xB1; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 2, 1), mask);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 2, 2), mask);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (_server, s_if) = lan.machine("server", 1, vm(), [0xA1; 6], Ipv4Addr::new(10, 0, 2, 1));
+    let (client, c_if) = lan.machine("client", 1, vm(), [0xB1; 6], Ipv4Addr::new(10, 0, 2, 2));
     w.run_to_idle();
     let s_msgr = Messenger::start(&s_if);
     let c_msgr = Messenger::start(&c_if);
@@ -76,13 +72,7 @@ fn verify_messenger_round_trip(_c: &mut Criterion) {
     let lat = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
     let (l2, d2) = (Rc::clone(&lat), Rc::clone(&done));
-    struct SendCell<T>(T);
-    // SAFETY: single-threaded simulation.
-    unsafe impl<T> Send for SendCell<T> {}
-    let cell = SendCell((l2, d2));
-    client.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        let (l2, d2) = cell.0;
+    client.spawn_local(CoreId(0), move || {
         fire(RPC_ROUNDS, Ipv4Addr::new(10, 0, 2, 1), echo_id, l2, d2);
     });
     w.run_to_idle();

@@ -15,9 +15,9 @@ use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_hosted::fs::{CachingFsClient, FsClient, FsServer};
 use ebbrt_hosted::messenger::Messenger;
-use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 fn ablation_polling() {
     println!("-- ablation 1: adaptive polling vs interrupt-only (memcached, 1 core) --");
@@ -48,21 +48,19 @@ fn ablation_fs_caching() {
     println!("\n-- ablation 2: FileSystem offload, naive vs caching representative --");
     let reads = 32;
     for caching in [false, true] {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let native = SimMachine::create(&w, "native", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        sw.attach(hosted.nic(), LinkParams::default());
-        sw.attach(native.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), mask);
-        let n_if = NetIf::attach(&native, Ipv4Addr::new(10, 0, 0, 2), mask);
+        let lan = Lan::new();
+        let vm = CostProfile::ebbrt_vm;
+        let w = &lan.world;
+        let linux = CostProfile::linux_vm;
+        let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (_hosted, h_if) = lan.machine("hosted", 1, linux(), [0x01; 6], hosted_ip);
+        let (native, n_if) = lan.machine("native", 1, vm(), [0x02; 6], Ipv4Addr::new(10, 0, 0, 2));
         w.run_to_idle();
         let h_msgr = Messenger::start(&h_if);
         let n_msgr = Messenger::start(&n_if);
         let server = FsServer::start(&h_msgr);
         server.put("/lib/app.js", vec![b'x'; 4096]);
-        let client = FsClient::new(&n_msgr, Ipv4Addr::new(10, 0, 0, 1));
+        let client = FsClient::new(&n_msgr, hosted_ip);
         let cache = CachingFsClient::new(Rc::clone(&client));
 
         let start = Rc::new(Cell::new(0u64));

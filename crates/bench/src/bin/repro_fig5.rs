@@ -4,49 +4,22 @@
 //! anchors at a 500 µs 99th-percentile SLA: EbbRT +58% throughput over
 //! Linux-VM and +11.7% over Linux native; OSv uncompetitive.
 
-use ebbrt_apps::mutilate::{self, ExperimentConfig};
+use ebbrt_apps::mutilate::ExperimentConfig;
 use ebbrt_sim::CostProfile;
 
 fn main() {
-    let loads: &[u64] = &[
-        20_000, 60_000, 100_000, 140_000, 180_000, 220_000, 260_000, 300_000,
-    ];
-    let systems: Vec<(&str, CostProfile)> = vec![
+    let systems = [
         ("EbbRT", CostProfile::ebbrt_vm()),
         ("Linux", CostProfile::linux_vm()),
         ("LinuxNative", CostProfile::linux_native()),
         ("OSv", CostProfile::osv_vm()),
     ];
+    let loads = [
+        20_000, 60_000, 100_000, 140_000, 180_000, 220_000, 260_000, 300_000,
+    ];
     println!("Figure 5: memcached single-core latency vs throughput (ETC, pipeline 4)");
-    println!(
-        "{:<12} {:>10} {:>12} {:>10} {:>10}",
-        "system", "offered", "achieved", "mean_us", "p99_us"
-    );
-    let mut rows = Vec::new();
-    for (name, profile) in &systems {
-        for &load in loads {
-            let cfg = ExperimentConfig::new(1, profile.clone(), load);
-            let s = mutilate::run(&cfg);
-            println!(
-                "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1}",
-                name, load, s.achieved_rps, s.mean_us, s.p99_us
-            );
-            rows.push(format!(
-                "{},{},{:.0},{:.1},{:.1}",
-                name, load, s.achieved_rps, s.mean_us, s.p99_us
-            ));
-            // Past saturation the curve is vertical; stop the sweep.
-            if s.p99_us > 1500.0 {
-                break;
-            }
-        }
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig5.csv",
-        "system,offered_rps,achieved_rps,mean_us,p99_us",
-        &rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
+    ebbrt_bench::load_sweep("fig5", &systems, &loads, |profile, load| {
+        ExperimentConfig::new(1, profile.clone(), load)
+    });
     println!("paper anchors @500us p99 SLA: EbbRT +58% vs Linux-VM, +11.7% vs native; OSv worst");
 }

@@ -4,48 +4,23 @@
 //! Linux-VM, −5% vs Linux native, but the highest peak throughput (the
 //! 20-core client cannot saturate the EbbRT server).
 
-use ebbrt_apps::mutilate::{self, ExperimentConfig};
+use ebbrt_apps::mutilate::ExperimentConfig;
 use ebbrt_sim::CostProfile;
 
 fn main() {
-    let loads: &[u64] = &[150_000, 350_000, 550_000, 750_000, 950_000];
-    let systems: Vec<(&str, CostProfile)> = vec![
+    let systems = [
         ("EbbRT", CostProfile::ebbrt_vm()),
         ("Linux", CostProfile::linux_vm()),
         ("LinuxNative", CostProfile::linux_native()),
     ];
+    let loads = [150_000, 350_000, 550_000, 750_000, 950_000];
     println!("Figure 6: memcached four-core latency vs throughput (ETC, pipeline 4)");
-    println!(
-        "{:<12} {:>10} {:>12} {:>10} {:>10}",
-        "system", "offered", "achieved", "mean_us", "p99_us"
-    );
-    let mut rows = Vec::new();
-    for (name, profile) in &systems {
-        for &load in loads {
-            let mut cfg = ExperimentConfig::new(4, profile.clone(), load);
-            // Shorter window: the 4-core sweep is 4x the event volume.
-            cfg.duration_ns = 120_000_000;
-            cfg.warmup_ns = 30_000_000;
-            let s = mutilate::run(&cfg);
-            println!(
-                "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1}",
-                name, load, s.achieved_rps, s.mean_us, s.p99_us
-            );
-            rows.push(format!(
-                "{},{},{:.0},{:.1},{:.1}",
-                name, load, s.achieved_rps, s.mean_us, s.p99_us
-            ));
-            if s.p99_us > 1500.0 {
-                break;
-            }
-        }
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig6.csv",
-        "system,offered_rps,achieved_rps,mean_us,p99_us",
-        &rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
+    ebbrt_bench::load_sweep("fig6", &systems, &loads, |profile, load| {
+        let mut cfg = ExperimentConfig::new(4, profile.clone(), load);
+        // Shorter window: the 4-core sweep is 4x the event volume.
+        cfg.duration_ns = 120_000_000;
+        cfg.warmup_ns = 30_000_000;
+        cfg
+    });
     println!("paper anchors @500us p99 SLA: EbbRT +58% vs Linux-VM, -5% vs native, highest peak");
 }

@@ -9,75 +9,15 @@
 //! kept bench-locally now that the system itself dispatches every
 //! environment through the native translation array).
 
-use std::any::Any;
-use std::collections::HashMap;
 use std::hint::black_box;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ebbrt_bench::dispatch::{Callable, HashTableDispatch, Obj};
 use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{CachedEbbRef, EbbId, EbbRef, MulticoreEbb};
+use ebbrt_core::ebb::{CachedEbbRef, EbbRef};
 use ebbrt_core::runtime::{self, Runtime};
-
-/// The empty-method target object.
-struct Obj {
-    calls: std::cell::Cell<u64>,
-}
-
-impl Obj {
-    fn new() -> Obj {
-        Obj {
-            calls: std::cell::Cell::new(0),
-        }
-    }
-
-    #[inline(always)]
-    fn call_inline(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-
-    #[inline(never)]
-    fn call_no_inline(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-}
-
-trait Callable {
-    fn call_virtual(&self);
-}
-
-impl Callable for Obj {
-    fn call_virtual(&self) {
-        self.calls.set(self.calls.get().wrapping_add(1));
-    }
-}
-
-impl MulticoreEbb for Obj {
-    type Root = ();
-    fn create_rep(_: &Arc<()>, _: CoreId) -> Self {
-        Obj::new()
-    }
-}
-
-/// The paper's hosted dispatch: hash-map lookup plus dynamic downcast
-/// per call (Linux userspace lacks per-core virtual memory regions).
-struct HashTableDispatch {
-    map: HashMap<u32, Rc<dyn Any>>,
-}
-
-impl HashTableDispatch {
-    fn with_rep<T: 'static, R>(&self, id: EbbId, f: impl FnOnce(&T) -> R) -> R {
-        let rep = self
-            .map
-            .get(&id.0)
-            .expect("no hosted rep")
-            .downcast_ref::<T>()
-            .expect("hosted rep type mismatch");
-        f(rep)
-    }
-}
 
 const INVOCATIONS: usize = 1000;
 const REPEATS: usize = 20_000;
@@ -100,15 +40,14 @@ fn main() {
     let rt = Runtime::new(1, Arc::new(ManualClock::new()));
     let _g = runtime::enter(rt, CoreId(0));
 
-    let obj = Obj::new();
+    let obj = Obj::default();
     let dyn_obj: &dyn Callable = &obj;
     let ebb = EbbRef::<Obj>::create(());
     ebb.with(|o| o.call_inline()); // fault in the rep
     let cached = CachedEbbRef::new(ebb);
     cached.with(|o| o.call_inline()); // prime the memo
-    let hosted = HashTableDispatch {
-        map: HashMap::from([(ebb.id().0, Rc::new(Obj::new()) as Rc<dyn Any>)]),
-    };
+    let mut hosted = HashTableDispatch::default();
+    hosted.install(ebb.id(), Obj::default());
 
     let inline = measure(|| {
         for _ in 0..INVOCATIONS {

@@ -19,22 +19,21 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
-use ebbrt_apps::memcached::{self, Store};
-use ebbrt_apps::spawn_with;
+use ebbrt_apps::memcached::{self, Client};
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::IoBuf;
 use ebbrt_net::driver::{set_rx_burst_frames, RX_BURST};
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn, BURST_BUCKET_LO};
+use ebbrt_net::netif::BURST_BUCKET_LO;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
+
+use crate::script::GetLoop;
 
 /// Bytes in the benched value.
 const VALUE_LEN: usize = 512;
-/// Full GET response: header + 4 flags bytes + value.
-const RESPONSE_LEN: usize = memcached::Header::SIZE + 4 + VALUE_LEN;
 /// Outstanding requests kept in flight (pipeline depth). Deep enough
 /// that the server sees real queue depth at every drain.
 const PIPELINE: u32 = 32;
@@ -73,120 +72,59 @@ impl BurstReport {
     }
 }
 
-/// Restores the default burst size even on panic.
-struct BurstGuard;
-impl Drop for BurstGuard {
-    fn drop(&mut self) {
-        set_rx_burst_frames(RX_BURST);
-    }
-}
-
-/// Closed-loop pipelined GET client: [`PIPELINE`] outstanding, one new
-/// request per full response. The request buffer is frozen once and
-/// descriptor-cloned per send.
-struct PipeClient {
-    request: IoBuf,
-    received: Cell<usize>,
-    remaining: Cell<u32>,
-    warmup_left: Cell<u32>,
-    start_virtual: Cell<u64>,
-    end_virtual: Cell<u64>,
-    start_wall: Cell<Option<Instant>>,
-    wall_ns: Cell<u64>,
-}
-
-impl PipeClient {
-    fn fire(&self, conn: &TcpConn) {
-        let _ = conn.send(Chain::single(self.request.clone()));
-    }
-}
-
-impl ConnHandler for PipeClient {
-    fn on_connected(&self, conn: &TcpConn) {
-        for _ in 0..PIPELINE {
-            self.fire(conn);
+/// Forces the driver to `frames` per receive burst until the returned
+/// guard drops (the default comes back even on panic).
+pub fn force_rx_burst(frames: usize) -> impl Drop {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_rx_burst_frames(RX_BURST);
         }
     }
-
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let mut got = self.received.get() + data.len();
-        while got >= RESPONSE_LEN {
-            got -= RESPONSE_LEN;
-            if self.warmup_left.get() > 0 {
-                self.warmup_left.set(self.warmup_left.get() - 1);
-                if self.warmup_left.get() == 0 {
-                    self.start_virtual
-                        .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-                    self.start_wall.set(Some(Instant::now()));
-                }
-                self.fire(conn);
-            } else if self.remaining.get() > 0 {
-                self.remaining.set(self.remaining.get() - 1);
-                if self.remaining.get() == 0 {
-                    self.end_virtual
-                        .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-                    self.wall_ns.set(
-                        self.start_wall
-                            .get()
-                            .expect("steady phase started")
-                            .elapsed()
-                            .as_nanos() as u64,
-                    );
-                    conn.close();
-                } else {
-                    self.fire(conn);
-                }
-            }
-        }
-        self.received.set(got);
-    }
+    set_rx_burst_frames(frames);
+    Restore
 }
 
 /// Runs the pipelined GET workload with the driver forced to
 /// `burst_frames` per receive burst.
 pub fn run(burst_frames: usize) -> BurstReport {
-    let _guard = BurstGuard;
-    set_rx_burst_frames(burst_frames);
+    let _guard = force_rx_burst(burst_frames);
 
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), mask);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
+    let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     store.insert_raw(b"bench_key".to_vec(), IoBuf::copy_from(&[0xAB; VALUE_LEN]));
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
 
-    let handler = Rc::new(PipeClient {
-        request: MutIoBuf::from_vec(memcached::encode_get(b"bench_key", 1)).freeze(),
-        received: Cell::new(0),
-        remaining: Cell::new(STEADY_GETS),
-        warmup_left: Cell::new(WARMUP_GETS),
-        start_virtual: Cell::new(0),
-        end_virtual: Cell::new(0),
-        start_wall: Cell::new(None),
-        wall_ns: Cell::new(0),
-    });
-    let h = Rc::clone(&handler);
-    spawn_with(&client, CoreId(0), h, move |h| {
-        local_netif().connect(
-            Ipv4Addr::new(10, 0, 0, 1),
-            memcached::MEMCACHED_PORT,
-            h as Rc<dyn ConnHandler>,
-        );
-    });
+    // Wall clock across the measured phase: started at its first edge,
+    // read at its second.
+    let wall = Rc::new(Cell::new((Instant::now(), 0u64)));
+    let wall2 = Rc::clone(&wall);
+    let pipe = GetLoop::new(
+        b"bench_key",
+        PIPELINE,
+        WARMUP_GETS,
+        STEADY_GETS,
+        move |start| {
+            let started = wall2.get().0;
+            wall2.set(match start {
+                true => (Instant::now(), 0),
+                false => (started, started.elapsed().as_nanos() as u64),
+            });
+        },
+    );
+    let conn = Client::spawn(&client, CoreId(0), server_ip, pipe);
     w.run_to_idle();
+    let handler = &conn.workload;
     assert_eq!(handler.remaining.get(), 0, "workload did not complete");
 
-    let virtual_ns = handler.end_virtual.get() - handler.start_virtual.get();
+    let virtual_ns = handler.steady_ns[1].get() - handler.steady_ns[0].get();
     let max_burst_seen = s_if
         .frames_per_burst()
         .iter()
@@ -199,7 +137,7 @@ pub fn run(burst_frames: usize) -> BurstReport {
         requests: STEADY_GETS,
         virtual_ns,
         pps: STEADY_GETS as f64 / (virtual_ns as f64 / 1e9),
-        wall_ns: handler.wall_ns.get(),
+        wall_ns: wall.get().1,
         rx_bursts: s_if.rx_bursts(),
         rx_frames: s_if.stats.rx_frames.get(),
         max_burst_seen,

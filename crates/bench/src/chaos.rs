@@ -42,27 +42,23 @@
 //! fault points given as op indices.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Header, MEMCACHED_PORT, STATUS_OK};
+use ebbrt_apps::memcached::{Client, STATUS_OK};
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{stats, Chain, IoBuf};
-use ebbrt_core::runtime::Runtime;
-use ebbrt_hosted::remote::RetryPolicy;
-use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
-use ebbrt_sim::Switch;
-
 use ebbrt_hosted::global_map;
+use ebbrt_hosted::remote::RetryPolicy;
+use ebbrt_net::netif::local_netif;
 use ebbrt_net::types::Ipv4Addr;
 
 use crate::dist_memcached::{
-    add_shard, build_replicated_with_spares, key_for_range, range_id, resync_machine, shard_ip,
-    ReplCluster,
+    add_shard, build_replicated_with_spares, key_for_range, members_of, range_id, resync_machine,
+    shard_ip, ReplCluster,
 };
+use crate::script::{PhaseMeter, Script, Step, Steps};
 
 /// When and whom to kill.
 #[derive(Clone, Copy)]
@@ -182,149 +178,6 @@ const TAG_WARM: u8 = 4;
 const TAG_LOCAL: u8 = 5;
 const NTAGS: usize = 6;
 
-enum Step {
-    Frame {
-        frame: Vec<u8>,
-        tag: u8,
-        /// For GETs: the value the model says this key holds.
-        expect: Option<Vec<u8>>,
-    },
-    Kill(usize),
-    Restore(usize),
-    AddShard,
-}
-
-/// One outstanding request: `(phase tag, send time, expected GET value)`.
-type InFlight = (u8, u64, Option<Vec<u8>>);
-
-/// Closed-loop client that executes chaos actions between requests and
-/// checks GET bodies against the client-side model.
-struct ChaosClient {
-    steps: RefCell<std::vec::IntoIter<Step>>,
-    conn: RefCell<Option<TcpConn>>,
-    close_when_done: Cell<bool>,
-    rx: RefCell<Vec<u8>>,
-    in_flight: RefCell<Option<InFlight>>,
-    lat_ns: RefCell<[Vec<u64>; NTAGS]>,
-    failed: Cell<u32>,
-    mismatches: Cell<u32>,
-    requests: Cell<u32>,
-    kills: Cell<u32>,
-    resyncs: Cell<u32>,
-    adds: Cell<u32>,
-    /// Kicks the restored machine's re-sync (runs [`resync_machine`]
-    /// against the shared cluster and records the completion latch).
-    on_restore: Box<dyn Fn(usize)>,
-    /// Executes the live ring growth ([`add_shard`]).
-    on_add: Box<dyn Fn()>,
-    sw: Rc<Switch>,
-    shard_ports: Vec<usize>,
-    server_rt: Arc<Runtime>,
-    local_base: Cell<Option<stats::Snapshot>>,
-    local_delta: RefCell<Option<stats::Snapshot>>,
-}
-
-impl ChaosClient {
-    fn now_ns() -> u64 {
-        ebbrt_core::runtime::with_current(|rt| rt.now_ns())
-    }
-
-    fn fire_next(&self, conn: &TcpConn) {
-        loop {
-            let step = self.steps.borrow_mut().next();
-            match step {
-                None => {
-                    // Segment exhausted: pause (the host refills the
-                    // step queue between segments), closing only after
-                    // the final one.
-                    *self.in_flight.borrow_mut() = None;
-                    if self.close_when_done.get() {
-                        conn.close();
-                    }
-                    return;
-                }
-                Some(Step::Kill(m)) => {
-                    self.kills.set(self.kills.get() + 1);
-                    self.sw.isolate(self.shard_ports[m]);
-                }
-                Some(Step::Restore(m)) => {
-                    self.sw.restore(self.shard_ports[m]);
-                    self.resyncs.set(self.resyncs.get() + 1);
-                    (self.on_restore)(m);
-                }
-                Some(Step::AddShard) => {
-                    self.adds.set(self.adds.get() + 1);
-                    (self.on_add)();
-                }
-                Some(Step::Frame { frame, tag, expect }) => {
-                    let prev = self.in_flight.borrow().as_ref().map(|f| f.0);
-                    if tag == TAG_LOCAL && prev != Some(TAG_LOCAL) {
-                        self.local_base
-                            .set(Some(stats::runtime_snapshot(&self.server_rt)));
-                    }
-                    if prev == Some(TAG_LOCAL) && tag != TAG_LOCAL {
-                        self.finish_local_phase();
-                    }
-                    *self.in_flight.borrow_mut() = Some((tag, Self::now_ns(), expect));
-                    self.requests.set(self.requests.get() + 1);
-                    let _ = conn.send(Chain::single(IoBuf::copy_from(&frame)));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn finish_local_phase(&self) {
-        if let Some(base) = self.local_base.take() {
-            let delta = stats::runtime_snapshot(&self.server_rt).since(&base);
-            *self.local_delta.borrow_mut() = Some(delta);
-        }
-    }
-}
-
-impl ConnHandler for ChaosClient {
-    fn on_connected(&self, conn: &TcpConn) {
-        *self.conn.borrow_mut() = Some(conn.clone());
-        self.fire_next(conn);
-    }
-
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let mut rx = self.rx.borrow_mut();
-        rx.extend(data.copy_to_vec());
-        loop {
-            if rx.len() < Header::SIZE {
-                return;
-            }
-            let mut hdr = [0u8; Header::SIZE];
-            hdr.copy_from_slice(&rx[..Header::SIZE]);
-            let h = Header::decode(&hdr);
-            let total = Header::SIZE + h.total_body as usize;
-            if rx.len() < total {
-                return;
-            }
-            let body: Vec<u8> = rx[Header::SIZE..total].to_vec();
-            rx.drain(..total);
-            let (tag, sent_at, expect) = self
-                .in_flight
-                .borrow_mut()
-                .take()
-                .expect("response without a request");
-            self.lat_ns.borrow_mut()[tag as usize].push(Self::now_ns() - sent_at);
-            if h.status != STATUS_OK {
-                self.failed.set(self.failed.get() + 1);
-            } else if let Some(want) = expect {
-                let value = &body[h.extras_len as usize + h.key_len as usize..];
-                if value != want.as_slice() {
-                    self.mismatches.set(self.mismatches.get() + 1);
-                }
-            }
-            drop(rx);
-            self.fire_next(conn);
-            rx = self.rx.borrow_mut();
-        }
-    }
-}
-
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
@@ -334,13 +187,6 @@ fn xorshift(s: &mut u64) -> u64 {
 
 fn value_for(op: u32) -> Vec<u8> {
     format!("v{op:06}!").repeat(6).into_bytes()
-}
-
-fn mean_us(ns: &[u64]) -> f64 {
-    if ns.is_empty() {
-        return 0.0;
-    }
-    ns.iter().sum::<u64>() as f64 / ns.len() as f64 / 1000.0
 }
 
 /// Builds the replicated cluster, drives the chaotic workload, returns
@@ -421,62 +267,64 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     } else {
         keys[0].clone()
     };
-    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-    let mut steps = Vec::new();
-    let mut opaque = 0u32;
-    fn push_set(
-        steps: &mut Vec<Step>,
-        model: &mut HashMap<Vec<u8>, Vec<u8>>,
-        opaque: &mut u32,
-        key: &[u8],
-        op: u32,
-        tag: u8,
-    ) {
-        let v = value_for(op);
-        *opaque += 1;
-        steps.push(Step::Frame {
-            frame: memcached::encode_set(key, &v, *opaque),
-            tag,
-            expect: None,
-        });
-        model.insert(key.to_vec(), v);
+    let mut script = Steps::default();
+    for (i, key) in keys.iter().enumerate() {
+        script.set(key, value_for(i as u32), TAG_SEED);
     }
-    for (i, key) in keys.clone().iter().enumerate() {
-        push_set(&mut steps, &mut model, &mut opaque, key, i as u32, TAG_SEED);
-    }
+
+    // The chaos actions, executed between requests. Completion
+    // latches of every re-sync / growth kicked mid-run: all must have
+    // flipped by quiesce (a hung recovery is a failed property, same
+    // as a hung request).
+    type Latches = Rc<RefCell<Vec<(&'static str, Rc<Cell<bool>>)>>>;
+    let latches: Latches = Rc::new(RefCell::new(Vec::new()));
+    let [kills, resyncs, adds] = [(); 3].map(|()| Rc::new(Cell::new(0u32)));
+    let kill = |m: usize| {
+        let (sw, port, kills) = (Rc::clone(&sw), shard_ports[m], Rc::clone(&kills));
+        Step::Do(Box::new(move || {
+            kills.set(kills.get() + 1);
+            sw.isolate(port);
+        }))
+    };
+    let restore = |m: usize| {
+        let (sw, port, resyncs) = (Rc::clone(&sw), shard_ports[m], Rc::clone(&resyncs));
+        let (cluster, latches) = (Rc::clone(&cluster), Rc::clone(&latches));
+        Step::Do(Box::new(move || {
+            sw.restore(port);
+            resyncs.set(resyncs.get() + 1);
+            let latch = resync_machine(&cluster.borrow(), m);
+            latches.borrow_mut().push(("machine re-sync", latch));
+        }))
+    };
+    let grow = || {
+        let (cluster, latches, adds) = (Rc::clone(&cluster), Rc::clone(&latches), Rc::clone(&adds));
+        Step::Do(Box::new(move || {
+            adds.set(adds.get() + 1);
+            let latch = add_shard(&mut cluster.borrow_mut());
+            latches.borrow_mut().push(("ring growth", latch));
+        }))
+    };
 
     // Mixed traffic with the kill/restore/add points spliced in.
     let mut rng = cfg.seed | 1;
     for i in 0..cfg.ops {
         for k in &cfg.kills {
             if i == k.at {
-                steps.push(Step::Kill(k.victim));
+                script.steps.push(kill(k.victim));
             }
             if Some(i) == k.restore_at {
-                steps.push(Step::Restore(k.victim));
+                script.steps.push(restore(k.victim));
             }
         }
         if Some(i) == cfg.add_at {
-            steps.push(Step::AddShard);
+            script.steps.push(grow());
         }
         let r = xorshift(&mut rng);
-        let key = keys[(r >> 8) as usize % keys.len()].clone();
+        let key = &keys[(r >> 8) as usize % keys.len()];
         if r & 1 == 0 {
-            push_set(
-                &mut steps,
-                &mut model,
-                &mut opaque,
-                &key,
-                1000 + i,
-                TAG_TRAFFIC,
-            );
+            script.set(key, value_for(1000 + i), TAG_TRAFFIC);
         } else {
-            opaque += 1;
-            steps.push(Step::Frame {
-                frame: memcached::encode_get(&key, opaque),
-                tag: TAG_TRAFFIC,
-                expect: Some(model[&key].clone()),
-            });
+            script.gets(key, 1, TAG_TRAFFIC);
         }
     }
 
@@ -486,24 +334,19 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     for k in &cfg.kills {
         if let Some(ra) = k.restore_at {
             if ra >= cfg.ops {
-                steps.push(Step::Restore(k.victim));
+                script.steps.push(restore(k.victim));
             }
         }
     }
     if let Some(a) = cfg.add_at {
         if a >= cfg.ops {
-            steps.push(Step::AddShard);
+            script.steps.push(grow());
         }
     }
 
     // No-acknowledged-write-lost sweep: every key re-read.
     for key in &keys {
-        opaque += 1;
-        steps.push(Step::Frame {
-            frame: memcached::encode_get(key, opaque),
-            tag: TAG_VERIFY,
-            expect: Some(model[key].clone()),
-        });
+        script.gets(key, 1, TAG_VERIFY);
     }
 
     // Segment B — the measured phases, run only after the chaos
@@ -511,82 +354,28 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     // victim's TCP retransmissions of frames dropped while it was
     // isolated land up to RTO x backoff after restore; they must not
     // fall inside the measured zero-copy window).
-    let mut measured = Vec::new();
+    let segment_b = script.steps.len();
 
     // Measured shipped-GET phase: a range the entry machine holds no
     // replica of (exists whenever replicas < shards).
     let remote_range = (0..cfg.shards).find(|r| !cluster.borrow().roots[0].contains_key(r));
     if let Some(rr) = remote_range {
-        let rkey = keys[rr * 2].clone();
-        for _ in 0..cfg.measured_gets {
-            opaque += 1;
-            measured.push(Step::Frame {
-                frame: memcached::encode_get(&rkey, opaque),
-                tag: TAG_REMOTE,
-                expect: Some(model[&rkey].clone()),
-            });
-        }
+        script.gets(&keys[rr * 2], cfg.measured_gets, TAG_REMOTE);
     }
 
     // Measured local phase last (warm first): range 0 is primary on
     // the entry machine, so these take the zero-copy path.
-    let lkey = local_key;
-    for i in 0..(16 + cfg.measured_gets) {
-        opaque += 1;
-        measured.push(Step::Frame {
-            frame: memcached::encode_get(&lkey, opaque),
-            tag: if i < 16 { TAG_WARM } else { TAG_LOCAL },
-            expect: Some(model[&lkey].clone()),
-        });
-    }
+    script.gets(&local_key, 16, TAG_WARM);
+    script.gets(&local_key, cfg.measured_gets, TAG_LOCAL);
+    let measured = script.steps.split_off(segment_b);
 
-    // Completion latches of every re-sync / growth kicked mid-run:
-    // all must have flipped by quiesce (a hung recovery is a failed
-    // property, same as a hung request).
-    type Latches = Rc<RefCell<Vec<(&'static str, Rc<Cell<bool>>)>>>;
-    let latches: Latches = Rc::new(RefCell::new(Vec::new()));
-    let on_restore = {
-        let cluster = Rc::clone(&cluster);
-        let latches = Rc::clone(&latches);
-        Box::new(move |m: usize| {
-            let latch = resync_machine(&cluster.borrow(), m);
-            latches.borrow_mut().push(("machine re-sync", latch));
-        })
-    };
-    let on_add = {
-        let cluster = Rc::clone(&cluster);
-        let latches = Rc::clone(&latches);
-        Box::new(move || {
-            let latch = add_shard(&mut cluster.borrow_mut());
-            latches.borrow_mut().push(("ring growth", latch));
-        })
-    };
-
-    let client = Rc::new(ChaosClient {
-        steps: RefCell::new(steps.into_iter()),
-        conn: RefCell::new(None),
-        close_when_done: Cell::new(false),
-        rx: RefCell::new(Vec::new()),
-        in_flight: RefCell::new(None),
-        lat_ns: RefCell::new(Default::default()),
-        failed: Cell::new(0),
-        mismatches: Cell::new(0),
-        requests: Cell::new(0),
-        kills: Cell::new(0),
-        resyncs: Cell::new(0),
-        adds: Cell::new(0),
-        on_restore,
-        on_add,
-        sw,
-        shard_ports,
-        server_rt,
-        local_base: Cell::new(None),
-        local_delta: RefCell::new(None),
-    });
-    let h = Rc::clone(&client);
-    spawn_with(&client_machine, CoreId(0), h, move |h| {
-        local_netif().connect(shard_ip(0), MEMCACHED_PORT, h as Rc<dyn ConnHandler>);
-    });
+    // Chaos elsewhere must not tax the entry machine's local fast path.
+    let meters = vec![PhaseMeter::new(TAG_LOCAL, vec![server_rt])];
+    let script = Script::new(script.steps, NTAGS, meters);
+    // The segment pauses when its steps run dry; only the measured one
+    // closes.
+    script.close_when_done.set(false);
+    let client = Client::spawn(&client_machine, CoreId(0), shard_ip(0), script);
     // Bounded runs, not run-to-idle: a conn to a never-restored victim
     // retransmits forever (the sim TCP never gives up), so the world
     // never idles — but those timers are sparse (RTO-backoff paced),
@@ -595,7 +384,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     const SEGMENT_WINDOW_NS: u64 = 120_000_000_000;
     world.run_for(SEGMENT_WINDOW_NS);
     assert!(
-        client.in_flight.borrow().is_none() && client.steps.borrow_mut().next().is_none(),
+        client.workload.finished(),
         "the chaotic segment must run to completion — a hang is a failed property"
     );
     // Every recovery kicked during the segment had the whole quiesce
@@ -613,20 +402,17 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         assert_converged(&cluster.borrow(), &keys);
     }
 
-    *client.steps.borrow_mut() = measured.into_iter();
-    client.close_when_done.set(true);
-    let h = Rc::clone(&client);
-    spawn_with(&client_machine, CoreId(0), h, move |h| {
-        let conn = h.conn.borrow().clone().expect("client connected");
-        h.fire_next(&conn);
+    client.workload.close_when_done.set(true);
+    spawn_with(&client_machine, CoreId(0), Rc::clone(&client), move |c| {
+        c.workload.resume(&c, measured)
     });
     world.run_for(SEGMENT_WINDOW_NS);
 
+    let client = &client.workload;
     assert!(
-        client.in_flight.borrow().is_none() && client.steps.borrow_mut().next().is_none(),
+        client.finished(),
         "the measured segment must run to completion — a hang is a failed property"
     );
-    client.finish_local_phase();
 
     // Quiesce-time accounting: every request the client fired was
     // drained by exactly one serving connection and answered — served
@@ -680,18 +466,19 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         }
     }
 
-    let lat = client.lat_ns.borrow();
-    let delta = (*client.local_delta.borrow()).expect("local phase measured");
+    let delta = client.meters[0].delta.get().expect("local phase measured");
+    let statuses = client.statuses.borrow();
+    let failed = statuses.iter().filter(|s| s.1 != STATUS_OK).count() as u32;
     let c = cluster.borrow();
     ChaosReport {
         shards: cfg.shards,
         replicas: cfg.replicas,
         requests: client.requests.get(),
-        kills: client.kills.get(),
-        resyncs: client.resyncs.get(),
-        adds: client.adds.get(),
+        kills: kills.get(),
+        resyncs: resyncs.get(),
+        adds: adds.get(),
         converged: all_restored,
-        failed: client.failed.get(),
+        failed,
         mismatches: client.mismatches.get(),
         promotions: c.transports.iter().map(|t| t.promotions.get()).sum(),
         retries: c.transports.iter().map(|t| t.retries.get()).sum(),
@@ -701,9 +488,9 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
             .flat_map(|m| m.values())
             .map(|r| r.repl_failed.load(Ordering::Relaxed))
             .sum(),
-        traffic_mean_us: mean_us(&lat[TAG_TRAFFIC as usize]),
-        local_get_mean_us: mean_us(&lat[TAG_LOCAL as usize]),
-        remote_get_mean_us: mean_us(&lat[TAG_REMOTE as usize]),
+        traffic_mean_us: client.mean_us(TAG_TRAFFIC),
+        local_get_mean_us: client.mean_us(TAG_LOCAL),
+        remote_get_mean_us: client.mean_us(TAG_REMOTE),
         local_copied: delta.bytes_copied,
         local_allocated: delta.bufs_allocated,
         qos_served,
@@ -720,12 +507,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
 fn assert_converged(c: &ReplCluster, keys: &[Vec<u8>]) {
     let nranges = c.ring.nranges() as usize;
     for r in 0..nranges {
-        let members: Vec<usize> = c
-            .ring
-            .successors(r as u32, c.replicas)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect();
+        let members = members_of(&c.ring, r, c.replicas);
         for &m in &members {
             let root = c.roots[m]
                 .get(&r)
@@ -753,17 +535,17 @@ fn assert_converged(c: &ReplCluster, keys: &[Vec<u8>]) {
     }
     for key in keys {
         let r = c.ring.range_of(key) as usize;
-        let members = c.ring.successors(r as u32, c.replicas);
+        let members = members_of(&c.ring, r, c.replicas);
         // Version watermarks are replication bookkeeping: an
         // unreplicated range's local SET path is the zero-copy store
         // write, which assigns none. Its values were already checked
         // by the verification sweep; there is nothing to compare.
-        if !c.roots[members[0] as usize][&r].is_replicated() {
+        if !c.roots[members[0]][&r].is_replicated() {
             continue;
         }
         let versions: Vec<u64> = members
             .iter()
-            .map(|&m| c.roots[m as usize][&r].key_version(key))
+            .map(|&m| c.roots[m][&r].key_version(key))
             .collect();
         assert!(
             versions[0] > 0,

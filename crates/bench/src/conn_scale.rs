@@ -33,16 +33,17 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Store};
+use ebbrt_apps::memcached::{self, Client, Header, Workload, MEMCACHED_PORT};
 use ebbrt_apps::spawn_with;
 use ebbrt_apps::stats::LatencyRecorder;
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine};
 
 /// Connections per client machine, comfortably inside the ephemeral
 /// port range (33000..60000) a single machine can mint.
@@ -55,6 +56,7 @@ const WARMUP_GETS: u32 = 4;
 const MEASURED_GETS: u32 = 16;
 /// Bytes in the probed value.
 const VALUE_LEN: usize = 64;
+const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 /// Connect calls issued per driver event, so establishment interleaves
 /// with the server's accept processing instead of queueing one
 /// monolithic SYN burst.
@@ -101,66 +103,57 @@ pub struct ScaleReport {
 }
 
 /// One probe connection: closed-loop, one GET outstanding, latency
-/// recorded per full response.
+/// recorded per reply.
 struct Probe {
     request: IoBuf,
-    resp_len: usize,
-    conn: RefCell<Option<TcpConn>>,
-    received: Cell<usize>,
     to_recv: Cell<u32>,
-    sent_at: Cell<u64>,
     recorder: Rc<RefCell<LatencyRecorder>>,
     failures: Rc<Cell<u32>>,
     measuring: Cell<bool>,
     outstanding: Rc<Cell<u32>>,
+    /// Establishment feeds the driver's chunk flow control.
+    driver: RefCell<Weak<Driver>>,
 }
 
 impl Probe {
-    fn fire(&self, conn: &TcpConn) {
-        self.sent_at
-            .set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-        if conn.send(Chain::single(self.request.clone())).is_err() {
+    fn fire(&self, client: &Client<Self>) {
+        if client.send(Chain::single(self.request.clone())).is_err() {
             self.failures.set(self.failures.get() + 1);
         }
     }
 
     /// Starts a phase of `count` sequential GETs on this probe.
-    fn kick(&self, count: u32, measuring: bool) {
+    fn kick(&self, client: &Client<Self>, count: u32, measuring: bool) {
         self.to_recv.set(count);
         self.measuring.set(measuring);
         self.outstanding.set(self.outstanding.get() + 1);
-        let conn = self.conn.borrow().clone().expect("kicked before connect");
-        self.fire(&conn);
+        self.fire(client);
     }
 }
 
-impl ConnHandler for Probe {
-    fn on_connected(&self, conn: &TcpConn) {
-        *self.conn.borrow_mut() = Some(conn.clone());
+impl Workload for Probe {
+    fn on_connected(&self, _client: &Client<Self>) {
+        if let Some(d) = self.driver.borrow().upgrade() {
+            d.note_connected();
+        }
     }
 
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let mut got = self.received.get() + data.len();
-        while got >= self.resp_len && self.to_recv.get() > 0 {
-            got -= self.resp_len;
-            if self.measuring.get() {
-                let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-                self.recorder.borrow_mut().record(now - self.sent_at.get());
-            }
-            self.to_recv.set(self.to_recv.get() - 1);
-            if self.to_recv.get() > 0 {
-                self.fire(conn);
-            } else {
-                self.outstanding.set(self.outstanding.get() - 1);
-            }
-        }
-        self.received.set(got);
-        if got >= self.resp_len {
+    fn on_reply(&self, client: &Client<Self>, h: &Header, value: Chain<IoBuf>, latency_ns: Ns) {
+        if h.status != memcached::STATUS_OK || value.len() != VALUE_LEN {
             self.failures.set(self.failures.get() + 1);
         }
+        if self.measuring.get() {
+            self.recorder.borrow_mut().record(latency_ns);
+        }
+        self.to_recv.set(self.to_recv.get() - 1);
+        if self.to_recv.get() > 0 {
+            self.fire(client);
+        } else {
+            self.outstanding.set(self.outstanding.get() - 1);
+        }
     }
 
-    fn on_close(&self, _conn: &TcpConn) {
+    fn on_close(&self, _client: &Client<Self>) {
         self.failures.set(self.failures.get() + 1);
     }
 }
@@ -176,7 +169,7 @@ struct Driver {
     quota: usize,
     issued: Cell<usize>,
     established: Cell<usize>,
-    probes: Vec<Rc<Probe>>,
+    probes: Vec<Rc<Client<Probe>>>,
     herd: Rc<Herd>,
     machine: Rc<SimMachine>,
 }
@@ -196,18 +189,12 @@ fn step(d: &Rc<Driver>) {
     let end = (start + CONNECT_CHUNK).min(d.quota);
     let n = local_netif();
     for j in start..end {
-        let handler: Rc<dyn ConnHandler> = match d.probes.get(j) {
-            Some(p) => Rc::new(ProbeWrap {
-                inner: Rc::clone(p),
-                driver: Rc::downgrade(d),
-            }) as Rc<dyn ConnHandler>,
-            None => Rc::clone(&d.herd) as Rc<dyn ConnHandler>,
-        };
-        n.connect(
-            Ipv4Addr::new(10, 0, 0, 1),
-            memcached::MEMCACHED_PORT,
-            handler,
-        );
+        match d.probes.get(j) {
+            Some(p) => p.open(SERVER_IP, MEMCACHED_PORT),
+            None => {
+                n.connect(SERVER_IP, MEMCACHED_PORT, Rc::clone(&d.herd) as _);
+            }
+        }
     }
     d.issued.set(end);
 }
@@ -230,31 +217,6 @@ impl ConnHandler for Herd {
     fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
 }
 
-/// A probe's handler wrapped so its establishment also feeds the
-/// driver's chunk flow control.
-struct ProbeWrap {
-    inner: Rc<Probe>,
-    driver: Weak<Driver>,
-}
-
-impl ConnHandler for ProbeWrap {
-    fn on_connected(&self, conn: &TcpConn) {
-        self.inner.on_connected(conn);
-        if let Some(d) = self.driver.upgrade() {
-            d.note_connected();
-        }
-    }
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        self.inner.on_receive(conn, data);
-    }
-    fn on_window_open(&self, conn: &TcpConn) {
-        self.inner.on_window_open(conn);
-    }
-    fn on_close(&self, conn: &TcpConn) {
-        self.inner.on_close(conn);
-    }
-}
-
 /// Runs one sweep point holding `conns` established connections.
 /// `live_heap_bytes`, when given, reads the process's live heap byte
 /// count (from a counting global allocator) so the report carries a
@@ -264,34 +226,21 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     let clients = conns.div_ceil(CONNS_PER_CLIENT);
     assert!(clients <= 200, "client address space exhausted");
 
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 0, 0);
-    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let s_if = NetIf::attach(&server, server_ip, mask);
+    let lan = Lan::with_mask(Ipv4Addr::new(255, 255, 0, 0));
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], SERVER_IP);
+    let client_machines: Vec<Rc<SimMachine>> = (0..clients)
+        .map(|i| {
+            let mac = [0xBB, 0, 0, 0, (i >> 8) as u8, i as u8];
+            // 10.0.1.0 upward, skipping .0/.255 in the low octet.
+            let ip = Ipv4Addr::new(10, 0, 1 + (i / 250) as u8, 1 + (i % 250) as u8);
+            lan.machine(format!("client{i}"), 1, vm(), mac, ip).0
+        })
+        .collect();
 
-    let mut client_machines: Vec<Rc<SimMachine>> = Vec::with_capacity(clients);
-    for i in 0..clients {
-        let m = SimMachine::create(
-            &w,
-            &format!("client{i}")[..],
-            1,
-            CostProfile::ebbrt_vm(),
-            [0xBB, 0, 0, 0, (i >> 8) as u8, i as u8],
-        );
-        sw.attach(m.nic(), LinkParams::default());
-        // 10.0.1.0 upward, skipping .0/.255 in the low octet.
-        let ip = Ipv4Addr::new(10, 0, 1 + (i / 250) as u8, 1 + (i % 250) as u8);
-        let _c_if = NetIf::attach(&m, ip, mask);
-        client_machines.push(m);
-    }
-
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     store.insert_raw(b"k".to_vec(), IoBuf::copy_from(&[0x5A; VALUE_LEN]));
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
 
     let heap_before = live_heap_bytes.map(|f| f());
@@ -305,19 +254,16 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     let outstanding = Rc::new(Cell::new(0u32));
     let sampled = conns.min(SAMPLED_MAX);
     let request = MutIoBuf::from_vec(memcached::encode_get(b"k", 1)).freeze();
-    let probes: Vec<Rc<Probe>> = (0..sampled)
+    let probes: Vec<Rc<Client<Probe>>> = (0..sampled)
         .map(|_| {
-            Rc::new(Probe {
+            Client::new(Probe {
                 request: request.clone(),
-                resp_len: memcached::Header::SIZE + 4 + VALUE_LEN,
-                conn: RefCell::new(None),
-                received: Cell::new(0),
                 to_recv: Cell::new(0),
-                sent_at: Cell::new(0),
                 recorder: Rc::clone(&recorder),
                 failures: Rc::clone(&failures),
                 measuring: Cell::new(false),
                 outstanding: Rc::clone(&outstanding),
+                driver: RefCell::new(Weak::new()),
             })
         })
         .collect();
@@ -330,11 +276,7 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     for (i, m) in client_machines.iter().enumerate() {
         let quota = remaining.min(CONNS_PER_CLIENT);
         remaining -= quota;
-        let probes_here: Vec<Rc<Probe>> = if i == 0 {
-            probes.iter().map(Rc::clone).collect()
-        } else {
-            Vec::new()
-        };
+        let probes_here = if i == 0 { probes.clone() } else { Vec::new() };
         let herd = Rc::new(Herd {
             driver: RefCell::new(Weak::new()),
         });
@@ -347,6 +289,9 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
             machine: Rc::clone(m),
         });
         *herd.driver.borrow_mut() = Rc::downgrade(&driver);
+        for p in &driver.probes {
+            *p.workload.driver.borrow_mut() = Rc::downgrade(&driver);
+        }
         drivers.push(Rc::clone(&driver));
         spawn_with(m, CoreId(0), driver, |d| step(&d));
     }
@@ -372,7 +317,7 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         "no half-open conns at steady state"
     );
     for (i, p) in probes.iter().enumerate() {
-        assert!(p.conn.borrow().is_some(), "probe {i} failed to connect");
+        assert!(p.conn().is_some(), "probe {i} failed to connect");
     }
 
     let measured_bytes_per_conn = match (heap_before, live_heap_bytes) {
@@ -384,10 +329,9 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     // pools and the response path are hot.
     let m0 = &client_machines[0];
     {
-        let ps: Vec<Rc<Probe>> = probes.iter().map(Rc::clone).collect();
-        spawn_with(m0, CoreId(0), ps, |ps| {
+        spawn_with(m0, CoreId(0), probes.clone(), |ps| {
             for p in &ps {
-                p.kick(WARMUP_GETS, false);
+                p.workload.kick(p, WARMUP_GETS, false);
             }
         });
     }
@@ -401,10 +345,9 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         .collect();
     let before = stats::world_snapshot(rts.iter().map(|rt| &***rt));
     {
-        let ps: Vec<Rc<Probe>> = probes.iter().map(Rc::clone).collect();
-        spawn_with(m0, CoreId(0), ps, |ps| {
+        spawn_with(m0, CoreId(0), probes.clone(), |ps| {
             for p in &ps {
-                p.kick(MEASURED_GETS, true);
+                p.workload.kick(p, MEASURED_GETS, true);
             }
         });
     }

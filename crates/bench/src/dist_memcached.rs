@@ -24,48 +24,37 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ebbrt_apps::memcached::{
-    self, register_shard, serve_sharded, shard_of, ClusterView, Header, ServerConfig, ShardConfig,
-    ShardRoot, Store, ViewState, MEMCACHED_PORT, STATUS_OK, STATUS_REMOTE_ERROR,
+    self, register_shard, serve_sharded, shard_of, Client, ClusterView, ServerConfig, ShardConfig,
+    ShardRoot, Store, ViewState, STATUS_OK, STATUS_REMOTE_ERROR,
 };
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbId, EbbRef, HashRing};
-use ebbrt_core::iobuf::{stats, Chain, IoBuf};
+use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{ClassConfig, QosConfig};
-use ebbrt_core::runtime::Runtime;
 use ebbrt_hosted::global_map::{self, GlobalIdMap, GlobalIdMapServer};
 use ebbrt_hosted::messenger::Messenger;
 use ebbrt_hosted::remote::MessengerTransport;
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
 
-/// A built sharded-memcached cluster, pre-wired and idle.
+use crate::script::{PhaseMeter, Script, Step, Steps};
+
+/// A built unreplicated sharded-memcached cluster, pre-wired and idle:
+/// a [`ReplCluster`] whose every range has its one replica on its own
+/// machine, routed by [`shard_of`] over `shard_ids` instead of a ring.
 pub struct DistCluster {
-    /// The world driving everything.
-    pub w: Rc<SimWorld>,
-    /// The switch all machines hang off (chaos harnesses isolate and
-    /// restore shard ports through it).
-    pub sw: Rc<Switch>,
-    /// The naming machine (GlobalIdMap server).
-    pub naming: Rc<SimMachine>,
-    /// The shard machines, in shard order.
-    pub shards: Vec<Rc<SimMachine>>,
-    /// Each shard machine's switch port (same order).
-    pub shard_ports: Vec<usize>,
-    /// Each shard's store (same order).
-    pub stores: Vec<Arc<Store>>,
-    /// Each shard's range root (same order; unreplicated).
-    pub roots: Vec<Arc<ShardRoot>>,
+    cluster: ReplCluster,
     /// The routing table (includes the phantom entry when requested).
     pub shard_ids: Vec<EbbId>,
-    /// The client machine.
-    pub client: Rc<SimMachine>,
-    /// Each shard machine's messenger, in shard order.
-    pub messengers: Vec<Rc<Messenger>>,
-    /// Each shard machine's remote transport, in shard order (exposes
-    /// retry/promotion counters and retry-policy knobs).
-    pub transports: Vec<Rc<MessengerTransport>>,
+}
+
+impl std::ops::Deref for DistCluster {
+    type Target = ReplCluster;
+    fn deref(&self) -> &ReplCluster {
+        &self.cluster
+    }
 }
 
 /// IP of shard `i`.
@@ -81,45 +70,22 @@ const PHANTOM_IP: Ipv4Addr = Ipv4Addr([10, 0, 1, 250]);
 /// Machinery shared by [`build`] and [`build_replicated`]: the world,
 /// switch, naming service, `nshards` shard machines (each with a
 /// messenger, naming client, remote transport, and store) and the
-/// client machine.
-struct ClusterBase {
-    w: Rc<SimWorld>,
-    sw: Rc<Switch>,
-    naming: Rc<SimMachine>,
-    shards: Vec<Rc<SimMachine>>,
-    shard_ports: Vec<usize>,
-    stores: Vec<Arc<Store>>,
-    client: Rc<SimMachine>,
-    messengers: Vec<Rc<Messenger>>,
-    transports: Vec<Rc<MessengerTransport>>,
-    maps: Vec<Rc<GlobalIdMap>>,
-    map_server: Rc<GlobalIdMapServer>,
-}
-
-fn build_base(nshards: usize, shard_cores: usize) -> ClusterBase {
+/// client machine — no range placed yet.
+fn build_base(nshards: usize, shard_cores: usize) -> ReplCluster {
     assert!(nshards >= 2, "sharding needs at least two owners");
     assert!(shard_cores >= 1);
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let naming = SimMachine::create(&w, "naming", 1, CostProfile::linux_vm(), [0x10; 6]);
-    sw.attach(naming.nic(), LinkParams::default());
-    let naming_if = NetIf::attach(&naming, NAMING_IP, mask);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let (naming, naming_if) =
+        lan.machine("naming", 1, CostProfile::linux_vm(), [0x10; 6], NAMING_IP);
     let mut shards = Vec::new();
     let mut shard_ports = Vec::new();
     let mut shard_ifs = Vec::new();
     for i in 0..nshards {
         let mut mac = [0x20; 6];
         mac[5] = i as u8;
-        let m = SimMachine::create(
-            &w,
-            format!("shard{i}"),
-            shard_cores,
-            CostProfile::ebbrt_vm(),
-            mac,
-        );
-        shard_ports.push(sw.attach(m.nic(), LinkParams::default()));
-        let ifc = NetIf::attach(&m, shard_ip(i), mask);
+        let (m, ifc) = lan.machine(format!("shard{i}"), shard_cores, vm(), mac, shard_ip(i));
+        shard_ports.push(m.index());
         // Every serving machine runs the per-class tx scheduler: data
         // traffic rides the default class; the "control" class (a
         // guaranteed slice + the dominant share) protects the
@@ -138,9 +104,8 @@ fn build_base(nshards: usize, shard_cores: usize) -> ClusterBase {
         shard_ifs.push(ifc);
         shards.push(m);
     }
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0x30; 6]);
-    sw.attach(client.nic(), LinkParams::default());
-    let _client_if = NetIf::attach(&client, CLIENT_IP, mask);
+    let (client, _client_if) = lan.machine("client", 1, vm(), [0x30; 6], CLIENT_IP);
+    let (w, sw) = (lan.world, lan.switch);
     w.run_to_idle();
 
     let naming_msgr = Messenger::start(&naming_if);
@@ -163,18 +128,24 @@ fn build_base(nshards: usize, shard_cores: usize) -> ClusterBase {
     for m in &shards {
         stores.push(Store::new(Arc::clone(m.runtime().rcu())));
     }
-    ClusterBase {
+    ReplCluster {
         w,
         sw,
         naming,
+        naming_server: map_server,
         shards,
         shard_ports,
         stores,
+        roots: vec![HashMap::new(); nshards],
+        range_ids: Vec::new(),
+        ring: Arc::new(HashRing::new(nshards as u32, 16)),
+        replicas: 1,
+        views: Vec::new(),
+        maps,
         client,
         messengers,
         transports,
-        maps,
-        map_server,
+        pending_rules: Rc::default(),
     }
 }
 
@@ -189,20 +160,15 @@ pub fn build(nshards: usize, phantom: bool) -> DistCluster {
 /// cross-shard completions then exercise the hop back to the memcached
 /// connection's RSS core.
 pub fn build_with_cores(nshards: usize, phantom: bool, shard_cores: usize) -> DistCluster {
-    let base = build_base(nshards, shard_cores);
-    let ClusterBase {
+    let mut cluster = build_base(nshards, shard_cores);
+    let ReplCluster {
         w,
-        sw,
-        naming,
         shards,
-        shard_ports,
         stores,
-        client,
         messengers,
-        transports,
         maps,
-        map_server: _,
-    } = base;
+        ..
+    } = &cluster;
 
     // Allocate the shard ids from the naming service (shard i asks
     // through its own map client), then register + publish ownership.
@@ -269,19 +235,10 @@ pub fn build_with_cores(nshards: usize, phantom: bool, shard_cores: usize) -> Di
     }
     w.run_to_idle();
 
-    DistCluster {
-        w,
-        sw,
-        naming,
-        shards,
-        shard_ports,
-        stores,
-        roots,
-        shard_ids,
-        client,
-        messengers,
-        transports,
-    }
+    cluster.roots = (0..nshards)
+        .map(|i| HashMap::from([(i, Arc::clone(&roots[i]))]))
+        .collect();
+    DistCluster { cluster, shard_ids }
 }
 
 // --- Replicated cluster (R > 1) ------------------------------------------
@@ -372,6 +329,25 @@ pub fn endpoint_id(r: usize, m: usize) -> EbbId {
     EbbId(REPL_ID_BASE + 1024 + (r as u32) * 256 + m as u32)
 }
 
+/// The machines holding range `r` under `ring`, primary first.
+pub fn members_of(ring: &HashRing, r: usize, replicas: usize) -> Vec<usize> {
+    let set = ring.successors(r as u32, replicas);
+    set.into_iter().map(|x| x as usize).collect()
+}
+
+/// Exports range `r` on machine `m` and publishes `m`'s private
+/// endpoint for it (idempotent); `done(ok)` when the record landed.
+fn publish_endpoint(
+    msgr: &Rc<Messenger>,
+    map: &Rc<GlobalIdMap>,
+    (r, m): (usize, usize),
+    done: impl FnOnce(bool) + 'static,
+) {
+    ebbrt_hosted::remote::export::<memcached::StoreShardEbb>(msgr, EbbRef::from_id(range_id(r)));
+    let ep = EbbRef::from_id(endpoint_id(r, m));
+    ebbrt_hosted::remote::publish::<memcached::StoreShardEbb>(msgr, map, ep, shard_ip(m), done);
+}
+
 /// Builds an N-machine cluster whose key ranges are `replicas`-way
 /// replicated per the [`HashRing`]: machine `i` is range `i`'s initial
 /// primary, and hosts a replica of every range whose successor set
@@ -404,12 +380,7 @@ pub fn build_replicated_with_spares(
     // Replica sets: members[r][0] == r (the initial primary), then the
     // next replicas-1 distinct ranges clockwise.
     let members: Vec<Vec<usize>> = (0..nshards)
-        .map(|r| {
-            ring.successors(r as u32, replicas)
-                .into_iter()
-                .map(|x| x as usize)
-                .collect()
-        })
+        .map(|r| members_of(&ring, r, replicas))
         .collect();
 
     let mut roots: Vec<HashMap<usize, Arc<ShardRoot>>> = vec![HashMap::new(); nmachines];
@@ -436,7 +407,6 @@ pub fn build_replicated_with_spares(
             let msgr = Rc::clone(&base.messengers[m]);
             let map = Rc::clone(&base.maps[m]);
             let owner_ips = owner_ips.clone();
-            let ip = shard_ip(m);
             spawn_with(
                 &base.shards[m],
                 CoreId(0),
@@ -450,19 +420,10 @@ pub fn build_replicated_with_spares(
                             &owner_ips,
                             |ok| assert!(ok, "range record published"),
                         );
-                    } else {
-                        ebbrt_hosted::remote::export::<memcached::StoreShardEbb>(
-                            &msgr,
-                            EbbRef::from_id(range_id(r)),
-                        );
                     }
-                    ebbrt_hosted::remote::publish::<memcached::StoreShardEbb>(
-                        &msgr,
-                        &map,
-                        EbbRef::from_id(endpoint_id(r, m)),
-                        ip,
-                        |ok| assert!(ok, "endpoint record published"),
-                    );
+                    publish_endpoint(&msgr, &map, (r, m), |ok| {
+                        assert!(ok, "endpoint record published")
+                    });
                 },
             );
         }
@@ -491,23 +452,12 @@ pub fn build_replicated_with_spares(
     base.w.run_to_idle();
 
     ReplCluster {
-        w: base.w,
-        sw: base.sw,
-        naming: base.naming,
-        naming_server: base.map_server,
-        shards: base.shards,
-        shard_ports: base.shard_ports,
-        stores: base.stores,
         roots,
         range_ids,
         ring,
         replicas,
         views,
-        maps: base.maps,
-        client: base.client,
-        messengers: base.messengers,
-        transports: base.transports,
-        pending_rules: Rc::new(RefCell::new(Vec::new())),
+        ..base
     }
 }
 
@@ -602,21 +552,10 @@ pub fn resync_machine(c: &ReplCluster, m: usize) -> Rc<Cell<bool>> {
     {
         let msgr = Rc::clone(&c.messengers[m]);
         let map = Rc::clone(&c.maps[m]);
-        let ip = shard_ip(m);
         let ranges = ranges.clone();
         spawn_with(&c.shards[m], CoreId(0), (msgr, map), move |(msgr, map)| {
             for r in ranges {
-                ebbrt_hosted::remote::export::<memcached::StoreShardEbb>(
-                    &msgr,
-                    EbbRef::from_id(range_id(r)),
-                );
-                ebbrt_hosted::remote::publish::<memcached::StoreShardEbb>(
-                    &msgr,
-                    &map,
-                    EbbRef::from_id(endpoint_id(r, m)),
-                    ip,
-                    |_ok| {},
-                );
+                publish_endpoint(&msgr, &map, (r, m), |_ok| {});
             }
         });
     }
@@ -625,12 +564,7 @@ pub fn resync_machine(c: &ReplCluster, m: usize) -> Rc<Cell<bool>> {
     for r in ranges {
         let root = Arc::clone(&c.roots[m][&r]);
         root.begin_catch_up(None);
-        let members: Vec<usize> = c
-            .ring
-            .successors(r as u32, c.replicas)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect();
+        let members = members_of(&c.ring, r, c.replicas);
         let opts = memcached::ResyncOpts {
             root,
             self_ep: endpoint_id(r, m),
@@ -706,12 +640,7 @@ pub fn add_shard(c: &mut ReplCluster) -> Rc<Cell<bool>> {
     let replicas = c.replicas;
     let member_sets = |ring: &HashRing| -> Vec<Vec<usize>> {
         (0..ring.nranges() as usize)
-            .map(|r| {
-                ring.successors(r as u32, replicas)
-                    .into_iter()
-                    .map(|x| x as usize)
-                    .collect()
-            })
+            .map(|r| members_of(ring, r, replicas))
             .collect()
     };
     let old_members = member_sets(&old_ring);
@@ -986,24 +915,13 @@ pub fn add_shard(c: &mut ReplCluster) -> Rc<Cell<bool>> {
     for &(r, m) in &gains {
         let msgr = Rc::clone(&c.messengers[m]);
         let map = Rc::clone(&c.maps[m]);
-        let ip = shard_ip(m);
         let done = Rc::clone(&published);
         spawn_with(&c.shards[m], CoreId(0), (msgr, map), move |(msgr, map)| {
-            ebbrt_hosted::remote::export::<memcached::StoreShardEbb>(
-                &msgr,
-                EbbRef::from_id(range_id(r)),
-            );
-            ebbrt_hosted::remote::publish::<memcached::StoreShardEbb>(
-                &msgr,
-                &map,
-                EbbRef::from_id(endpoint_id(r, m)),
-                ip,
-                // A gainer isolated under chaos can't land its naming
-                // put; tolerate it — fan-out to the unresolvable
-                // endpoint is absorbed (presumed dead), and its
-                // restart re-sync republishes before rejoining.
-                move |_ok| done(),
-            );
+            // A gainer isolated under chaos can't land its naming put;
+            // tolerate it — fan-out to the unresolvable endpoint is
+            // absorbed (presumed dead), and its restart re-sync
+            // republishes before rejoining.
+            publish_endpoint(&msgr, &map, (r, m), move |_ok| done());
         });
     }
     finished
@@ -1105,129 +1023,6 @@ const TAG_FAIL: u8 = 4;
 const TAG_PIPE: u8 = 5;
 const NTAGS: usize = 6;
 
-struct Step {
-    frame: Vec<u8>,
-    tag: u8,
-    /// Responses this step awaits before the next fires (> 1 for the
-    /// pipelined burst).
-    expects: u32,
-}
-
-/// The pool counters of a set of machines, summed over the steps of
-/// one phase.
-struct PhaseMeter {
-    tag: u8,
-    machines: Vec<Arc<Runtime>>,
-    base: Cell<Option<stats::Snapshot>>,
-    delta: Cell<Option<stats::Snapshot>>,
-}
-
-impl PhaseMeter {
-    fn new(tag: u8, machines: Vec<Arc<Runtime>>) -> Self {
-        PhaseMeter {
-            tag,
-            machines,
-            base: Cell::new(None),
-            delta: Cell::new(None),
-        }
-    }
-
-    fn read(&self) -> stats::Snapshot {
-        stats::world_snapshot(self.machines.iter().map(|rt| &**rt))
-    }
-
-    /// Called between the step tagged `prev` and the one tagged `next`
-    /// (`None` past either end of the run): brackets the phase.
-    fn at_boundary(&self, prev: Option<u8>, next: Option<u8>) {
-        if next == Some(self.tag) && prev != next {
-            self.base.set(Some(self.read()));
-        }
-        if prev == Some(self.tag) && prev != next {
-            if let Some(base) = self.base.take() {
-                self.delta.set(Some(self.read().since(&base)));
-            }
-        }
-    }
-}
-
-/// Closed-loop client: one outstanding request; phase boundaries
-/// snapshot the measured machines' pool counters.
-struct DistClient {
-    steps: RefCell<std::vec::IntoIter<Step>>,
-    rx: RefCell<Vec<u8>>,
-    in_flight: Cell<Option<(u8, u64, u32)>>,
-    lat_ns: RefCell<[Vec<u64>; NTAGS]>,
-    statuses: RefCell<Vec<(u8, u16)>>,
-    /// The local-shard phase on the serving machine; the shipped phase
-    /// on every shard machine.
-    meters: [PhaseMeter; 2],
-}
-
-impl DistClient {
-    fn now_ns() -> u64 {
-        ebbrt_core::runtime::with_current(|rt| rt.now_ns())
-    }
-
-    fn fire_next(&self, conn: &TcpConn) {
-        let prev_tag = self.in_flight.get().map(|(t, _, _)| t);
-        let step = self.steps.borrow_mut().next();
-        let next_tag = step.as_ref().map(|s| s.tag);
-        for meter in &self.meters {
-            meter.at_boundary(prev_tag, next_tag);
-        }
-        let Some(step) = step else {
-            self.in_flight.set(None);
-            conn.close();
-            return;
-        };
-        self.in_flight
-            .set(Some((step.tag, Self::now_ns(), step.expects)));
-        let _ = conn.send(Chain::single(IoBuf::copy_from(&step.frame)));
-    }
-}
-
-impl ConnHandler for DistClient {
-    fn on_connected(&self, conn: &TcpConn) {
-        self.fire_next(conn);
-    }
-
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let mut rx = self.rx.borrow_mut();
-        rx.extend(data.copy_to_vec());
-        loop {
-            if rx.len() < Header::SIZE {
-                return;
-            }
-            let mut hdr = [0u8; Header::SIZE];
-            hdr.copy_from_slice(&rx[..Header::SIZE]);
-            let h = Header::decode(&hdr);
-            let total = Header::SIZE + h.total_body as usize;
-            if rx.len() < total {
-                return;
-            }
-            rx.drain(..total);
-            let (tag, sent_at, expects) = self.in_flight.get().expect("response without a request");
-            self.lat_ns.borrow_mut()[tag as usize].push(Self::now_ns() - sent_at);
-            self.statuses.borrow_mut().push((tag, h.status));
-            if expects > 1 {
-                // A pipelined step: wait for its remaining responses.
-                self.in_flight.set(Some((tag, sent_at, expects - 1)));
-                continue;
-            }
-            drop(rx);
-            self.fire_next(conn);
-            rx = self.rx.borrow_mut();
-        }
-    }
-}
-
-fn mean_us(ns: &[u64]) -> f64 {
-    if ns.is_empty() {
-        return 0.0;
-    }
-    ns.iter().sum::<u64>() as f64 / ns.len() as f64 / 1000.0
-}
-
 /// Builds the cluster, drives the workload, returns the measurements.
 pub fn run(cfg: &DistConfig) -> DistReport {
     let c = build_with_cores(cfg.shards, cfg.probe_failure, cfg.cores);
@@ -1236,92 +1031,49 @@ pub fn run(cfg: &DistConfig) -> DistReport {
     let remote_key = key_for_shard(1, nslots, 1);
     let value = vec![0xC5u8; 512];
 
-    let mut steps = Vec::new();
     // Seed one key in the local shard and one in a remote shard —
     // through the server, so the remote SET function-ships too.
-    steps.push(Step {
-        frame: memcached::encode_set(&local_key, &value, 1),
-        tag: TAG_SETUP,
-        expects: 1,
-    });
-    steps.push(Step {
-        frame: memcached::encode_set(&remote_key, &value, 2),
-        tag: TAG_SETUP,
-        expects: 1,
-    });
-    for i in 0..cfg.warmup_gets {
-        steps.push(Step {
-            frame: memcached::encode_get(&local_key, 100 + i),
-            tag: TAG_WARM,
-            expects: 1,
-        });
-    }
-    for i in 0..cfg.measured_gets {
-        steps.push(Step {
-            frame: memcached::encode_get(&local_key, 10_000 + i),
-            tag: TAG_LOCAL,
-            expects: 1,
-        });
-    }
-    for i in 0..cfg.measured_gets {
-        steps.push(Step {
-            frame: memcached::encode_get(&remote_key, 20_000 + i),
-            tag: TAG_REMOTE,
-            expects: 1,
-        });
-    }
+    let mut script = Steps::default();
+    script.set(&local_key, value.clone(), TAG_SETUP);
+    script.set(&remote_key, value, TAG_SETUP);
+    script.gets(&local_key, cfg.warmup_gets, TAG_WARM);
+    script.gets(&local_key, cfg.measured_gets, TAG_LOCAL);
+    script.gets(&remote_key, cfg.measured_gets, TAG_REMOTE);
     // Pipelined cross-shard burst: several GETs for keys of one remote
     // owner land at the front end in one pass, so their function-shipped
     // calls must leave as one multi-call messenger frame (asserted via
     // the front-end transport's batch counters).
-    let pipe_depth = 4u32;
-    {
-        let mut frame = Vec::new();
-        for i in 0..pipe_depth {
-            frame.extend(memcached::encode_get(&remote_key, 40_000 + i));
-        }
-        steps.push(Step {
-            frame,
-            tag: TAG_PIPE,
-            expects: pipe_depth,
-        });
-    }
+    let burst: Vec<u8> = (0..4u32)
+        .flat_map(|i| memcached::encode_get(&remote_key, 40_000 + i))
+        .collect();
+    script.steps.push(Step::send(&burst, TAG_PIPE, None));
     let mut failure_probes = 0u32;
     if cfg.probe_failure {
-        let phantom_slot = nslots - 1;
-        let phantom_key = key_for_shard(phantom_slot, nslots, 9);
+        let phantom_key = key_for_shard(nslots - 1, nslots, 9);
         failure_probes = 2;
-        for i in 0..failure_probes {
-            steps.push(Step {
-                frame: memcached::encode_get(&phantom_key, 30_000 + i),
-                tag: TAG_FAIL,
-                expects: 1,
-            });
-        }
+        script.gets(&phantom_key, failure_probes, TAG_FAIL);
     }
 
-    let client = Rc::new(DistClient {
-        steps: RefCell::new(steps.into_iter()),
-        rx: RefCell::new(Vec::new()),
-        in_flight: Cell::new(None),
-        lat_ns: RefCell::new(Default::default()),
-        statuses: RefCell::new(Vec::new()),
-        meters: [
-            PhaseMeter::new(TAG_LOCAL, vec![Arc::clone(c.shards[0].runtime())]),
-            PhaseMeter::new(
-                TAG_REMOTE,
-                c.shards.iter().map(|m| Arc::clone(m.runtime())).collect(),
-            ),
-        ],
-    });
-    let h = Rc::clone(&client);
-    spawn_with(&c.client, CoreId(0), h, move |h| {
-        local_netif().connect(shard_ip(0), MEMCACHED_PORT, h as Rc<dyn ConnHandler>);
-    });
+    let meters = vec![
+        // The local-shard phase on the serving machine; the shipped
+        // phase on every shard machine.
+        PhaseMeter::new(TAG_LOCAL, vec![Arc::clone(c.shards[0].runtime())]),
+        PhaseMeter::new(
+            TAG_REMOTE,
+            c.shards.iter().map(|m| Arc::clone(m.runtime())).collect(),
+        ),
+    ];
+    let client = Client::spawn(
+        &c.client,
+        CoreId(0),
+        shard_ip(0),
+        Script::new(script.steps, NTAGS, meters),
+    );
     c.w.run_to_idle();
+    let client = &client.workload;
 
     assert!(
-        client.in_flight.get().is_none() && client.steps.borrow_mut().next().is_none(),
+        client.finished(),
         "the workload must run to completion — a hang is a failed property"
     );
 
@@ -1340,13 +1092,12 @@ pub fn run(cfg: &DistConfig) -> DistReport {
     assert_eq!(failure_responses, failure_probes, "every probe answered");
     drop(statuses);
 
-    let lat = client.lat_ns.borrow();
     let [local, remote] = [0, 1].map(|i| client.meters[i].delta.get().expect("phase measured"));
     use std::sync::atomic::Ordering;
     DistReport {
         shards: cfg.shards,
-        local_mean_us: mean_us(&lat[TAG_LOCAL as usize]),
-        remote_mean_us: mean_us(&lat[TAG_REMOTE as usize]),
+        local_mean_us: client.mean_us(TAG_LOCAL),
+        remote_mean_us: client.mean_us(TAG_REMOTE),
         remote_owner_gets: c.stores[1].gets.load(Ordering::Relaxed),
         local_copied: local.bytes_copied,
         local_allocated: local.bufs_allocated,
@@ -1441,5 +1192,37 @@ mod tests {
         });
         println!("{}", format_report(&r));
         assert_properties(&r);
+    }
+
+    /// A client that pipelines a cross-shard request and half-closes
+    /// still hears the answer: the front end's FIN waits for the
+    /// shipped reply (and then follows it — nothing is left open).
+    #[test]
+    fn half_close_behind_a_shipped_request_still_gets_its_reply() {
+        use ebbrt_apps::memcached::Burst;
+        use ebbrt_net::tcp::TcpState;
+        let c = build(2, false);
+        for (shard, frame) in [
+            (0, memcached::encode_get(&key_for_shard(0, 2, 0), 1)),
+            (1, memcached::encode_get(&key_for_shard(1, 2, 0), 1)),
+            (1, memcached::encode_set(&key_for_shard(1, 2, 0), b"v", 1)),
+        ] {
+            let burst = Burst::half_closing(&[frame]);
+            let client = Client::spawn(&c.client, CoreId(0), shard_ip(0), burst);
+            c.w.run_to_idle();
+            assert_eq!(client.workload.replies.borrow().len(), 1, "shard {shard}");
+            let state = client.conn().expect("opened").state();
+            assert_eq!(
+                state,
+                TcpState::Closed,
+                "shard {shard}: the server's FIN followed"
+            );
+        }
+        assert_eq!(
+            c.stores[1]
+                .get_raw(&key_for_shard(1, 2, 0))
+                .map(|v| v.len()),
+            Some(1)
+        );
     }
 }

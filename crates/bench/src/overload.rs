@@ -22,19 +22,19 @@
 //! traffic copies zero payload bytes and allocates zero fresh buffers.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Store};
+use ebbrt_apps::memcached::{self, Client, Header, Workload};
 use ebbrt_apps::spawn_with;
 use ebbrt_apps::stats::LatencyRecorder;
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, ClassConfig, QosConfig, QosMode};
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, QosMatch, TcpConn};
+use ebbrt_net::netif::QosMatch;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 /// Paced link rate the per-core scheduler enforces (bits/sec). Slower
 /// than the simulated wire, so the scheduler — not the switch — is the
@@ -100,13 +100,10 @@ pub struct OverloadReport {
 /// recorder after warmup and re-kicks the steady phase.
 struct Tenant {
     request: IoBuf,
-    resp_len: usize,
+    value_len: usize,
     pipeline: u32,
-    conn: RefCell<Option<TcpConn>>,
-    received: Cell<usize>,
     to_send: Cell<u32>,
     to_recv: Cell<u32>,
-    sent_at: RefCell<VecDeque<u64>>,
     recorder: RefCell<LatencyRecorder>,
     failures: Cell<u32>,
     done_expected: Cell<bool>,
@@ -116,69 +113,50 @@ impl Tenant {
     fn new(request: Vec<u8>, value_len: usize, pipeline: u32, warmup: u32) -> Self {
         Tenant {
             request: MutIoBuf::from_vec(request).freeze(),
-            resp_len: memcached::Header::SIZE + 4 + value_len,
+            value_len,
             pipeline,
-            conn: RefCell::new(None),
-            received: Cell::new(0),
             to_send: Cell::new(warmup),
             to_recv: Cell::new(warmup),
-            sent_at: RefCell::new(VecDeque::new()),
             recorder: RefCell::new(LatencyRecorder::new()),
             failures: Cell::new(0),
             done_expected: Cell::new(false),
         }
     }
 
-    fn fire(&self, conn: &TcpConn) {
+    fn fire(&self, client: &Client<Self>) {
         self.to_send.set(self.to_send.get() - 1);
-        self.sent_at
-            .borrow_mut()
-            .push_back(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-        let _ = conn.send(Chain::single(self.request.clone()));
+        let _ = client.send(Chain::single(self.request.clone()));
     }
 
-    /// Starts the next phase: `count` more responses, pipeline
-    /// re-primed. Called from a spawned event on the tenant's core.
-    fn kick(&self, count: u32) {
+    /// Starts a phase: `count` more responses, pipeline primed. Runs
+    /// in an event on the tenant's core.
+    fn kick(&self, client: &Client<Self>, count: u32) {
         self.to_send.set(count);
         self.to_recv.set(count);
-        let conn = self.conn.borrow().clone().expect("kicked before connect");
         for _ in 0..self.pipeline.min(count) {
-            self.fire(&conn);
+            self.fire(client);
         }
     }
 }
 
-impl ConnHandler for Tenant {
-    fn on_connected(&self, conn: &TcpConn) {
-        *self.conn.borrow_mut() = Some(conn.clone());
-        for _ in 0..self.pipeline.min(self.to_send.get()) {
-            self.fire(conn);
-        }
+impl Workload for Tenant {
+    fn on_connected(&self, client: &Client<Self>) {
+        self.kick(client, self.to_send.get());
     }
 
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-        let mut got = self.received.get() + data.len();
-        while got >= self.resp_len && self.to_recv.get() > 0 {
-            got -= self.resp_len;
-            self.to_recv.set(self.to_recv.get() - 1);
-            match self.sent_at.borrow_mut().pop_front() {
-                Some(t) => self.recorder.borrow_mut().record(now - t),
-                None => self.failures.set(self.failures.get() + 1),
-            }
-            if self.to_send.get() > 0 {
-                self.fire(conn);
-            }
-        }
-        self.received.set(got);
-        if got >= self.resp_len {
-            // More bytes than outstanding requests: misframed stream.
+    fn on_reply(&self, client: &Client<Self>, h: &Header, value: Chain<IoBuf>, latency_ns: Ns) {
+        // A short, misframed or unrequested reply is a failure.
+        if h.status != memcached::STATUS_OK || value.len() != self.value_len {
             self.failures.set(self.failures.get() + 1);
         }
+        self.to_recv.set(self.to_recv.get() - 1);
+        self.recorder.borrow_mut().record(latency_ns);
+        if self.to_send.get() > 0 {
+            self.fire(client);
+        }
     }
 
-    fn on_close(&self, _conn: &TcpConn) {
+    fn on_close(&self, _client: &Client<Self>) {
         if !self.done_expected.get() {
             self.failures.set(self.failures.get() + 1);
         }
@@ -187,18 +165,14 @@ impl ConnHandler for Tenant {
 
 /// Runs the two-tenant overload workload under `mode`.
 pub fn run(mode: QosMode) -> OverloadReport {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let gold_m = SimMachine::create(&w, "gold", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    let hot_m = SimMachine::create(&w, "hot", 1, CostProfile::ebbrt_vm(), [0xCC; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(gold_m.nic(), LinkParams::default());
-    sw.attach(hot_m.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), mask);
-    let _g_if = NetIf::attach(&gold_m, Ipv4Addr::new(10, 0, 0, 2), mask);
-    let _h_if = NetIf::attach(&hot_m, Ipv4Addr::new(10, 0, 0, 3), mask);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (gold_ip, hot_ip) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 0, 0, 3));
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
+    let (gold_m, _g_if) = lan.machine("gold", 1, vm(), [0xBB; 6], gold_ip);
+    let (hot_m, _h_if) = lan.machine("hot", 1, vm(), [0xCC; 6], hot_ip);
 
     // The policy under test: the well-behaved tenant gets a real-time
     // service curve plus the dominant link share; the hot tenant rides
@@ -213,39 +187,30 @@ pub fn run(mode: QosMode) -> OverloadReport {
     let policy = s_if.install_qos(cfg);
     let gold_class = policy.config().class_id("gold").unwrap();
     let bulk_class = policy.config().class_id("bulk").unwrap();
-    policy.add_rule(QosMatch::Peer(Ipv4Addr::new(10, 0, 0, 2)), gold_class);
-    policy.add_rule(QosMatch::Peer(Ipv4Addr::new(10, 0, 0, 3)), bulk_class);
+    policy.add_rule(QosMatch::Peer(gold_ip), gold_class);
+    policy.add_rule(QosMatch::Peer(hot_ip), bulk_class);
     w.run_to_idle();
 
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     store.insert_raw(b"gold_key".to_vec(), IoBuf::copy_from(&[0x11; GOLD_VALUE]));
     store.insert_raw(b"hot_key".to_vec(), IoBuf::copy_from(&[0x22; HOT_VALUE]));
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
 
-    let gold = Rc::new(Tenant::new(
+    let gold = Tenant::new(
         memcached::encode_get(b"gold_key", 1),
         GOLD_VALUE,
         GOLD_PIPELINE,
         GOLD_WARMUP,
-    ));
-    let hot = Rc::new(Tenant::new(
+    );
+    let hot = Tenant::new(
         memcached::encode_get(b"hot_key", 2),
         HOT_VALUE,
         HOT_PIPELINE,
         HOT_WARMUP,
-    ));
-    for (machine, tenant) in [(&gold_m, &gold), (&hot_m, &hot)] {
-        let t = Rc::clone(tenant);
-        spawn_with(machine, CoreId(0), t, move |t| {
-            local_netif().connect(
-                Ipv4Addr::new(10, 0, 0, 1),
-                memcached::MEMCACHED_PORT,
-                t as Rc<dyn ConnHandler>,
-            );
-        });
-    }
+    );
+    let gold_c = Client::spawn(&gold_m, CoreId(0), server_ip, gold);
+    let hot_c = Client::spawn(&hot_m, CoreId(0), server_ip, hot);
+    let (gold, hot) = (&gold_c.workload, &hot_c.workload);
     w.run_to_idle();
     assert_eq!(gold.to_recv.get(), 0, "gold warmup did not complete");
     assert_eq!(hot.to_recv.get(), 0, "hot warmup did not complete");
@@ -257,9 +222,13 @@ pub fn run(mode: QosMode) -> OverloadReport {
     hot.recorder.borrow_mut().reset();
     let rts = [server.runtime(), gold_m.runtime(), hot_m.runtime()];
     let before = stats::world_snapshot(rts.iter().map(|rt| &***rt));
-    for (machine, tenant, count) in [(&hot_m, &hot, HOT_STEADY), (&gold_m, &gold, GOLD_STEADY)] {
-        let t = Rc::clone(tenant);
-        spawn_with(machine, CoreId(0), t, move |t| t.kick(count));
+    for (machine, c, count) in [
+        (&hot_m, &hot_c, HOT_STEADY),
+        (&gold_m, &gold_c, GOLD_STEADY),
+    ] {
+        spawn_with(machine, CoreId(0), Rc::clone(c), move |c| {
+            c.workload.kick(&c, count)
+        });
     }
     w.run_to_idle();
     let steady = stats::world_snapshot(rts.iter().map(|rt| &***rt)).since(&before);

@@ -45,21 +45,17 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Store};
+use ebbrt_apps::memcached::{self, Client, Header, Workload};
 use ebbrt_apps::spawn_with;
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::pool::SizeClass;
 use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime::Runtime;
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::TcpConn;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
-
-/// Pool counters are per machine (the pool is a runtime-owned Ebb);
-/// the sweep's properties are world totals over server + client.
-fn world_snapshot(world: &[Arc<Runtime>]) -> stats::Snapshot {
-    stats::world_snapshot(world.iter().map(Arc::as_ref))
-}
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine};
 
 /// Sweep parameters.
 #[derive(Clone)]
@@ -175,14 +171,14 @@ struct Controller {
     nconns: usize,
     /// Stats snapshot and virtual time at each phase boundary.
     marks: RefCell<Vec<(stats::Snapshot, u64)>>,
-    /// Per-runtime snapshots at each mark (debug).
-    rt_marks: RefCell<Vec<Vec<stats::Snapshot>>>,
     /// Requests completed per phase.
     completed: [Cell<u64>; NPHASES],
     client: Rc<SimMachine>,
-    /// Server + client runtimes (per-machine counters).
+    /// Server + client runtimes: pool counters are per machine (the
+    /// pool is a runtime-owned Ebb); the sweep's properties are world
+    /// totals.
     world: Vec<Arc<Runtime>>,
-    conns: RefCell<Vec<Rc<SweepConn>>>,
+    conns: RefCell<Vec<Rc<Client<SweepConn>>>>,
 }
 
 impl Controller {
@@ -190,15 +186,8 @@ impl Controller {
         // Read virtual time through the machine handle: the first mark
         // happens from the driving thread, outside any event.
         let now = self.client.runtime().now_ns();
-        self.marks
-            .borrow_mut()
-            .push((world_snapshot(&self.world), now));
-        self.rt_marks.borrow_mut().push(
-            self.world
-                .iter()
-                .map(|rt| stats::runtime_snapshot(rt))
-                .collect(),
-        );
+        let snap = stats::world_snapshot(self.world.iter().map(Arc::as_ref));
+        self.marks.borrow_mut().push((snap, now));
     }
 
     /// Called by a connection that finished its quota for the current
@@ -218,14 +207,10 @@ impl Controller {
             return;
         }
         for sc in self.conns.borrow().iter() {
-            let core = sc
-                .conn
-                .borrow()
-                .as_ref()
-                .and_then(TcpConn::core)
-                .expect("live connection");
-            let sc2 = Rc::clone(sc);
-            spawn_with(&self.client, core, sc2, move |sc| sc.start_phase());
+            let core = sc.conn().and_then(|c| c.core()).expect("live connection");
+            spawn_with(&self.client, core, Rc::clone(sc), |sc| {
+                sc.workload.start_phase(&sc)
+            });
         }
     }
 }
@@ -251,10 +236,6 @@ struct SweepConn {
     /// Remaining full cycles/requests in the current phase.
     quota: Cell<u32>,
     step: Cell<Step>,
-    /// Bytes of the in-flight response still outstanding.
-    expected: Cell<usize>,
-    received: Cell<usize>,
-    conn: RefCell<Option<TcpConn>>,
 }
 
 impl SweepConn {
@@ -274,21 +255,20 @@ impl SweepConn {
         }
     }
 
-    fn start_phase(&self) {
+    fn start_phase(&self, client: &Client<Self>) {
         let phase = self.ctrl.phase.get();
         self.quota.set(self.quota_for(phase));
         self.step.set(match phase {
             STEADY_GET => Step::GetLarge,
             _ => Step::SetLarge,
         });
-        self.fire();
+        self.fire(client);
     }
 
     /// Sends the current step's request (closed loop: exactly one
     /// outstanding).
-    fn fire(&self) {
-        let conn = self.conn.borrow().as_ref().expect("connected").clone();
-        match self.step.get() {
+    fn fire(&self, client: &Client<Self>) {
+        let frame = match self.step.get() {
             Step::SetLarge => {
                 // Stage the pre-encoded frame into a pooled buffer of
                 // the large class — the per-request allocation that
@@ -297,20 +277,12 @@ impl SweepConn {
                 let mut buf = MutIoBuf::with_capacity(t.len());
                 buf.append_slice(t);
                 debug_assert_eq!(buf.size_class(), Some(SizeClass::Large));
-                self.expected.set(memcached::Header::SIZE);
-                let _ = conn.send(Chain::single(buf.freeze()));
+                buf.freeze()
             }
-            Step::GetLarge => {
-                self.expected
-                    .set(memcached::Header::SIZE + 4 + self.cfg.large_value);
-                let _ = conn.send(Chain::single(self.get_large.clone()));
-            }
-            Step::GetSmall => {
-                self.expected
-                    .set(memcached::Header::SIZE + 4 + self.cfg.small_value);
-                let _ = conn.send(Chain::single(self.get_small.clone()));
-            }
-        }
+            Step::GetLarge => self.get_large.clone(),
+            Step::GetSmall => self.get_small.clone(),
+        };
+        let _ = client.send(Chain::single(frame));
     }
 
     /// Advances the cycle after a full response; returns false when
@@ -339,26 +311,16 @@ impl SweepConn {
     }
 }
 
-impl ConnHandler for SweepConn {
-    fn on_connected(&self, _conn: &TcpConn) {
-        // The controller kicks every connection into the warmup phase
-        // once all of them are registered; nothing to do yet.
-    }
+impl Workload for SweepConn {
+    // The controller kicks every connection into the warmup phase once
+    // all of them are connected; nothing to do on connect.
 
-    fn on_receive(&self, _conn: &TcpConn, data: Chain<IoBuf>) {
-        // Count response bytes without touching them (the client is
-        // part of the zero-copy property too).
-        let mut got = self.received.get() + data.len();
-        while got >= self.expected.get() {
-            got -= self.expected.get();
-            if self.advance() {
-                self.fire();
-            } else {
-                self.ctrl.phase_done();
-                break;
-            }
+    fn on_reply(&self, client: &Client<Self>, _h: &Header, _value: Chain<IoBuf>, _latency: Ns) {
+        if self.advance() {
+            self.fire(client);
+        } else {
+            self.ctrl.phase_done();
         }
-        self.received.set(got);
     }
 }
 
@@ -367,39 +329,27 @@ impl ConnHandler for SweepConn {
 /// binaries).
 pub fn run(cfg: &SweepConfig) -> SweepReport {
     assert!(cfg.conns >= 1 && cfg.cores >= 1);
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(
-        &w,
-        "server",
-        cfg.cores,
-        CostProfile::ebbrt_vm(),
-        [0xAA, 0, 0, 0, 0, 1],
-    );
-    let client = SimMachine::create(
-        &w,
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (server, _s_if) = lan.machine("server", cfg.cores, vm(), [0xAA, 0, 0, 0, 0, 1], server_ip);
+    let (client, _c_if) = lan.machine(
         "client",
         cfg.cores,
-        CostProfile::ebbrt_vm(),
+        vm(),
         [0xBB, 0, 0, 0, 0, 1],
+        Ipv4Addr::new(10, 0, 0, 2),
     );
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let server_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let _s_if = NetIf::attach(&server, server_ip, mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
     w.run_to_idle();
 
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     // The shared small-class key; each connection owns its large key
     // and keeps re-SETting it over the network.
     store.insert_raw(
         b"sweep-small".to_vec(),
         IoBuf::copy_from(&vec![0x5A; cfg.small_value]),
     );
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     // Pre-grow every core's small-class cushion: phase compositions
     // differ (a pure-GET phase wants many more per-segment header
     // buffers on the server than the mixed warmup), and explicitly
@@ -421,7 +371,6 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
         waiting: Cell::new(0),
         nconns: cfg.conns,
         marks: RefCell::new(Vec::new()),
-        rt_marks: RefCell::new(Vec::new()),
         completed: Default::default(),
         client: Rc::clone(&client),
         world: vec![Arc::clone(server.runtime()), Arc::clone(client.runtime())],
@@ -430,7 +379,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
 
     for i in 0..cfg.conns {
         let key = format!("sweep-large-{i:04}").into_bytes();
-        let sc = Rc::new(SweepConn {
+        let sc = SweepConn {
             idx: i,
             ctrl: Rc::clone(&ctrl),
             cfg: cfg.clone(),
@@ -439,20 +388,10 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
             set_template: Rc::new(memcached::encode_set(&key, &vec![0xA5; cfg.large_value], 3)),
             quota: Cell::new(0),
             step: Cell::new(Step::SetLarge),
-            expected: Cell::new(usize::MAX),
-            received: Cell::new(0),
-            conn: RefCell::new(None),
-        });
-        ctrl.conns.borrow_mut().push(Rc::clone(&sc));
+        };
         let core = CoreId((i % cfg.cores) as u32);
-        spawn_with(&client, core, sc, move |sc| {
-            let conn = local_netif().connect(
-                server_ip,
-                memcached::MEMCACHED_PORT,
-                Rc::clone(&sc) as Rc<dyn ConnHandler>,
-            );
-            *sc.conn.borrow_mut() = Some(conn);
-        });
+        let sc = Client::spawn(&client, core, server_ip, sc);
+        ctrl.conns.borrow_mut().push(sc);
     }
     w.run_to_idle(); // all handshakes complete
 
@@ -465,8 +404,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
         .iter()
         .map(|sc| {
             let tuple = sc
-                .conn
-                .borrow()
+                .conn()
                 .as_ref()
                 .and_then(TcpConn::tuple)
                 .expect("established");
@@ -477,7 +415,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
                 tuple.remote.1,
             ) as usize
                 % cfg.cores;
-            usize::from(server_q != sc.idx % cfg.cores)
+            usize::from(server_q != sc.workload.idx % cfg.cores)
         })
         .sum();
 
@@ -486,25 +424,14 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     // phases).
     ctrl.mark();
     for sc in ctrl.conns.borrow().iter() {
-        let core = CoreId((sc.idx % cfg.cores) as u32);
-        let sc2 = Rc::clone(sc);
-        spawn_with(&client, core, sc2, move |sc| sc.start_phase());
+        let core = CoreId((sc.workload.idx % cfg.cores) as u32);
+        spawn_with(&client, core, Rc::clone(sc), |sc| {
+            sc.workload.start_phase(&sc)
+        });
     }
     w.run_to_idle();
     assert_eq!(ctrl.phase.get(), DONE, "sweep did not complete");
 
-    if std::env::var_os("SWEEP_DEBUG").is_some() {
-        let rtm = ctrl.rt_marks.borrow();
-        for phase in 0..rtm.len() - 1 {
-            for (mi, name) in ["server", "client"].iter().enumerate() {
-                let d = rtm[phase + 1][mi].since(&rtm[phase][mi]);
-                eprintln!(
-                    "phase {phase} {name}: allocs={} small fb={} large fb={}",
-                    d.bufs_allocated, d.classes[0].fallback_allocs, d.classes[1].fallback_allocs
-                );
-            }
-        }
-    }
     let marks = ctrl.marks.borrow();
     let phase_report = |phase: usize| {
         let (ref before, t0) = marks[phase];

@@ -17,9 +17,10 @@ use ebbrt_apps::mutilate::{self, ExperimentConfig};
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine, SimWorld};
 
 struct Counting;
 
@@ -102,16 +103,12 @@ fn a_data_frames_trip_calls_the_allocator_zero_times() {
     const PAYLOAD: usize = 1200;
     const WARM: u32 = 64;
     const MEASURED: u32 = 16;
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let rx_m = SimMachine::create(&w, "rx", 1, CostProfile::ebbrt_vm(), [0xA0; 6]);
-    let tx_m = SimMachine::create(&w, "tx", 1, CostProfile::ebbrt_vm(), [0xB0; 6]);
-    sw.attach(rx_m.nic(), LinkParams::default());
-    sw.attach(tx_m.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
     let rx_ip = Ipv4Addr::new(10, 0, 9, 1);
-    let _rx_if = NetIf::attach(&rx_m, rx_ip, mask);
-    let _tx_if = NetIf::attach(&tx_m, Ipv4Addr::new(10, 0, 9, 2), mask);
+    let (rx_m, _rx_if) = lan.machine("rx", 1, vm(), [0xA0; 6], rx_ip);
+    let (tx_m, _tx_if) = lan.machine("tx", 1, vm(), [0xB0; 6], Ipv4Addr::new(10, 0, 9, 2));
     w.run_to_idle();
 
     let sink = Rc::new(Sink::default());
@@ -207,49 +204,32 @@ fn a_warmed_get_world_stays_under_the_per_request_ceiling() {
 
 // --- The function-shipped path ------------------------------------------
 
-use ebbrt_apps::memcached::{self, Header, MEMCACHED_PORT};
+use ebbrt_apps::memcached::{self, Client, Header, Workload};
 use ebbrt_bench::dist_memcached::{self, shard_ip};
+use ebbrt_core::clock::Ns;
 use ebbrt_core::iobuf::stats;
 
-/// A memcached client with one request outstanding: notes the
-/// allocator count when the last byte of the expected response lands.
+/// A memcached workload with one request outstanding: notes the
+/// allocator count when the reply has landed.
 #[derive(Default)]
 struct OneAtATime {
-    conn: RefCell<Option<TcpConn>>,
-    awaiting: Cell<usize>,
+    replies: Cell<u32>,
     calls_at_reply: Cell<u64>,
     status: Cell<u16>,
 }
 
-impl ConnHandler for OneAtATime {
-    fn on_connected(&self, conn: &TcpConn) {
-        *self.conn.borrow_mut() = Some(conn.clone());
-    }
-
-    fn on_receive(&self, _conn: &TcpConn, data: Chain<IoBuf>) {
-        if self.awaiting.get() == 0 {
-            return;
-        }
-        let mut hdr = [0u8; Header::SIZE];
-        if data.cursor().read_exact(&mut hdr).is_some() {
-            self.status.set(Header::decode(&hdr).status);
-        }
-        self.awaiting
-            .set(self.awaiting.get().saturating_sub(data.len()));
-        if self.awaiting.get() == 0 {
-            self.calls_at_reply.set(alloc_calls());
-        }
+impl Workload for OneAtATime {
+    fn on_reply(&self, _client: &Client<Self>, h: &Header, _value: Chain<IoBuf>, _latency: Ns) {
+        self.calls_at_reply.set(alloc_calls());
+        self.status.set(h.status);
+        self.replies.set(self.replies.get() + 1);
     }
 }
 
 /// Connects a [`OneAtATime`] client on `client_m` to shard 0.
-fn connect_client(w: &Rc<SimWorld>, client_m: &Rc<SimMachine>) -> Rc<OneAtATime> {
-    let client = Rc::new(OneAtATime::default());
-    spawn_with(client_m, CoreId(0), Rc::clone(&client), |client| {
-        local_netif().connect(shard_ip(0), MEMCACHED_PORT, client as Rc<dyn ConnHandler>);
-    });
+fn connect_client(w: &Rc<SimWorld>, client_m: &Rc<SimMachine>) -> Rc<Client<OneAtATime>> {
+    let client = Client::spawn(client_m, CoreId(0), shard_ip(0), OneAtATime::default());
     w.run_to_idle();
-    assert!(client.conn.borrow().is_some(), "client connected");
     client
 }
 
@@ -260,11 +240,10 @@ fn connect_client(w: &Rc<SimWorld>, client_m: &Rc<SimMachine>) -> Rc<OneAtATime>
 fn round_trip(
     w: &Rc<SimWorld>,
     client_m: &Rc<SimMachine>,
-    client: &Rc<OneAtATime>,
+    client: &Rc<Client<OneAtATime>>,
     frame: &IoBuf,
-    response_len: usize,
 ) -> u64 {
-    client.awaiting.set(response_len);
+    let seen = client.workload.replies.get();
     let calls_at_send = Rc::new(Cell::new(0u64));
     let args = (Rc::clone(client), frame.clone(), Rc::clone(&calls_at_send));
     spawn_with(
@@ -272,17 +251,14 @@ fn round_trip(
         CoreId(0),
         args,
         |(client, frame, calls_at_send)| {
-            let conn = client.conn.borrow();
             calls_at_send.set(alloc_calls());
-            conn.as_ref()
-                .expect("connected")
-                .send(Chain::single(frame))
-                .expect("window open");
+            client.send(Chain::single(frame)).expect("window open");
         },
     );
-    while client.awaiting.get() > 0 {
+    while client.workload.replies.get() == seen {
         assert!(w.step(), "request lost");
     }
+    let client = &client.workload;
     let calls = client.calls_at_reply.get() - calls_at_send.get();
     assert_eq!(client.status.get(), memcached::STATUS_OK);
     // ACKs, delayed-ACK and RPC-timeout cancellations settle outside
@@ -323,12 +299,12 @@ fn a_shipped_get_copies_nothing_and_stays_under_the_allocator_ceiling() {
     let client = connect_client(&c.w, &c.client);
     // The SET ships too: the key's shard is machine 1.
     let set = pooled(&memcached::encode_set(&key, &value, 1));
-    round_trip(&c.w, &c.client, &client, &set, Header::SIZE);
+    round_trip(&c.w, &c.client, &client, &set);
     let stored = c.stores[1].get_raw(&key).expect("stored on its owner");
     assert_eq!(stored.len(), VALUE_LEN);
 
     let get = pooled(&memcached::encode_get(&key, 2));
-    let trip = || round_trip(&c.w, &c.client, &client, &get, Header::SIZE + 4 + VALUE_LEN);
+    let trip = || round_trip(&c.w, &c.client, &client, &get);
     // (The store, its delta log and this test hold the value.)
     let holders = stored.seg(0).ref_count();
     for _ in 0..WARM {
@@ -386,12 +362,12 @@ fn a_shipped_set_is_copied_once_where_it_comes_to_rest() {
         .collect();
     let (warm, measured) = frames.split_at(16);
     for (_, frame) in warm {
-        round_trip(&c.w, &c.client, &client, frame, Header::SIZE);
+        round_trip(&c.w, &c.client, &client, frame);
     }
     let per_machine = |m: usize| stats::runtime_snapshot(c.shards[m].runtime());
     let before: Vec<_> = (0..3).map(per_machine).collect();
     for (_, frame) in measured {
-        round_trip(&c.w, &c.client, &client, frame, Header::SIZE);
+        round_trip(&c.w, &c.client, &client, frame);
     }
     let n = measured.len() as u64;
     let delta: Vec<_> = (0..3).map(|m| per_machine(m).since(&before[m])).collect();

@@ -22,24 +22,16 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_net::driver::{set_rx_burst_frames, RX_BURST};
-use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
+use ebbrt_net::driver::RX_BURST;
+use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::tcp::{FourTuple, Pcb, TcpState};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 use proptest::strategy::Strategy;
-
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
-
-/// Restores the default burst size even if a case panics.
-struct BurstGuard;
-impl Drop for BurstGuard {
-    fn drop(&mut self) {
-        set_rx_burst_frames(RX_BURST);
-    }
-}
 
 /// One generated workload: per connection, the message sent in each
 /// round (empty = this connection sits the round out). All of a
@@ -75,18 +67,6 @@ impl ConnHandler for Collect {
     }
 }
 
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
-
 /// What a run of the scenario looks like from the application: the
 /// per-connection byte streams seen by each side and the final client
 /// TCP states.
@@ -98,17 +78,13 @@ struct Observation {
 }
 
 fn run_scenario(burst: usize, sc: &Scenario) -> Observation {
-    let _guard = BurstGuard;
-    set_rx_burst_frames(burst);
+    let _guard = ebbrt_bench::burst_path::force_rx_burst(burst);
 
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (_server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
+    let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
     let n = sc.msgs.len();
@@ -136,12 +112,17 @@ fn run_scenario(burst: usize, sc: &Scenario) -> Observation {
             })
             .collect();
         let conns = Rc::clone(&conns);
-        on_core0(&client, (c_if, handlers), move |(c_if, handlers)| {
-            for (i, h) in handlers.into_iter().enumerate() {
-                let c = c_if.connect(Ipv4Addr::new(10, 0, 0, 1), 7000 + i as u16, Rc::new(h));
-                conns.borrow_mut().push(c);
-            }
-        });
+        spawn_with(
+            &client,
+            CoreId(0),
+            (c_if, handlers),
+            move |(c_if, handlers)| {
+                for (i, h) in handlers.into_iter().enumerate() {
+                    let c = c_if.connect(Ipv4Addr::new(10, 0, 0, 1), 7000 + i as u16, Rc::new(h));
+                    conns.borrow_mut().push(c);
+                }
+            },
+        );
     }
     w.run_to_idle();
     for c in &connected {
@@ -166,7 +147,7 @@ fn run_scenario(burst: usize, sc: &Scenario) -> Observation {
             continue;
         }
         let conns = Rc::clone(&conns);
-        on_core0(&client, batch, move |batch| {
+        spawn_with(&client, CoreId(0), batch, move |batch| {
             for (i, msg) in batch {
                 let conn = conns.borrow()[i].clone();
                 conn.send(Chain::single(IoBuf::copy_from(&msg)))
@@ -178,7 +159,7 @@ fn run_scenario(burst: usize, sc: &Scenario) -> Observation {
 
     {
         let conns = Rc::clone(&conns);
-        on_core0(&client, (), move |()| {
+        spawn_with(&client, CoreId(0), (), move |()| {
             for c in conns.borrow().iter() {
                 c.close();
             }

@@ -12,18 +12,17 @@
 //!    events back into its own arrival times, so it is the sensitive
 //!    case.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Header, Store};
+use ebbrt_apps::memcached::{self, Client, Header, Workload};
 use ebbrt_apps::mutilate::{self, ExperimentConfig};
-use ebbrt_apps::spawn_with;
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
-use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
+use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 /// Open loop, the paper's Fig. 5 set-up at 200 k req/s: 16 connections
 /// from an 8-core client, so RTO/delayed-ACK/arrival timers are pending
@@ -79,43 +78,32 @@ struct Loop {
 /// sent when a reply completes.
 struct LoopConn {
     shared: Rc<Loop>,
-    rx: RefCell<Vec<u8>>,
 }
 
 impl LoopConn {
-    fn fire(&self, conn: &TcpConn) {
+    fn fire(&self, client: &Client<Self>) {
         let l = &self.shared;
         if l.to_send.get() == 0 {
             return;
         }
         l.to_send.set(l.to_send.get() - 1);
         let key = mix64(&l.rng) as usize % l.requests.len();
-        conn.send(Chain::single(l.requests[key].clone()))
+        client
+            .send(Chain::single(l.requests[key].clone()))
             .expect("a GET fits the send window");
     }
 }
 
-impl ConnHandler for LoopConn {
-    fn on_connected(&self, conn: &TcpConn) {
+impl Workload for LoopConn {
+    fn on_connected(&self, client: &Client<Self>) {
         for _ in 0..golden::DEPTH {
-            self.fire(conn);
+            self.fire(client);
         }
     }
 
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        let mut rx = self.rx.borrow_mut();
-        for seg in data.iter() {
-            rx.extend_from_slice(seg.bytes());
-        }
-        while let Some(hb) = rx.first_chunk::<{ Header::SIZE }>() {
-            let total = Header::SIZE + Header::decode(hb).total_body as usize;
-            if rx.len() < total {
-                break;
-            }
-            rx.drain(..total);
-            self.shared.replies.set(self.shared.replies.get() + 1);
-            self.fire(conn);
-        }
+    fn on_reply(&self, client: &Client<Self>, _h: &Header, _value: Chain<IoBuf>, _latency: Ns) {
+        self.shared.replies.set(self.shared.replies.get() + 1);
+        self.fire(client);
     }
 }
 
@@ -137,21 +125,17 @@ mod golden {
 
 #[test]
 fn closed_loop_virtual_time_matches_the_recorded_golden() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
+    let lan = Lan::new();
+    let w = &lan.world;
     let profile = CostProfile::ebbrt_vm;
-    let server = SimMachine::create(&w, "server", golden::CORES, profile(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", golden::CORES, profile(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
     let server_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let _s_if = NetIf::attach(&server, server_ip, mask);
-    let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let client_ip = Ipv4Addr::new(10, 0, 0, 2);
+    let (server, _s_if) = lan.machine("server", golden::CORES, profile(), [0xAA; 6], server_ip);
+    let (client, _c_if) = lan.machine("client", golden::CORES, profile(), [0xBB; 6], client_ip);
     w.run_to_idle();
 
     let rng = Cell::new(golden::SEED);
-    let store = Store::new(Arc::clone(server.runtime().rcu()));
+    let store = memcached::serve_on(&server);
     let requests = (0..golden::KEYS)
         .map(|i| {
             let key = format!("golden-key-{i:04}").into_bytes();
@@ -160,8 +144,6 @@ fn closed_loop_virtual_time_matches_the_recorded_golden() {
             MutIoBuf::from_vec(memcached::encode_get(&key, i as u32)).freeze()
         })
         .collect();
-    let store_ref = store.register(server.runtime());
-    server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
     w.run_to_idle();
 
     let shared = Rc::new(Loop {
@@ -171,14 +153,11 @@ fn closed_loop_virtual_time_matches_the_recorded_golden() {
         replies: Cell::new(0),
     });
     for i in 0..golden::CONNS {
-        let handler = Rc::new(LoopConn {
+        let conn = LoopConn {
             shared: Rc::clone(&shared),
-            rx: RefCell::new(Vec::new()),
-        });
+        };
         let core = CoreId((i % golden::CORES) as u32);
-        spawn_with(&client, core, handler, move |h| {
-            local_netif().connect(server_ip, memcached::MEMCACHED_PORT, h);
-        });
+        Client::spawn(&client, core, server_ip, conn);
     }
     w.run_until(golden::MID_NS);
     assert_eq!(shared.replies.get(), golden::REPLIES_AT_MID);

@@ -59,13 +59,21 @@ pub mod test_runner {
             h
         });
         for i in 0..cases {
-            let mut rng = TestRng::new(base.wrapping_add(i.wrapping_mul(0x9E37_79B9)));
-            if let Err(TestCaseError(msg)) = case(&mut rng) {
-                panic!(
-                    "property `{test_name}` failed at case {i}/{cases} \
-                     (replay with PROPTEST_SEED={}): {msg}",
-                    base.wrapping_add(i.wrapping_mul(0x9E37_79B9))
-                );
+            let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9));
+            let mut rng = TestRng::new(seed);
+            // A case that panics (an `assert!`, an `unwrap` in the code
+            // under test) reports its seed too, then unwinds on.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
+            let at = format!("case {i}/{cases} (replay with PROPTEST_SEED={seed})");
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(TestCaseError(msg))) => {
+                    panic!("property `{test_name}` failed at {at}: {msg}")
+                }
+                Err(payload) => {
+                    eprintln!("property `{test_name}` panicked at {at}");
+                    std::panic::resume_unwind(payload);
+                }
             }
         }
     }

@@ -342,44 +342,29 @@ pub fn decode_owners(data: &[u8]) -> Option<Vec<Ipv4Addr>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebbrt_core::cpu::CoreId;
     use ebbrt_net::netif::NetIf;
-    use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+    use ebbrt_net::Lan;
+    use ebbrt_sim::{CostProfile, SimMachine};
 
-    struct SendCell<T>(T);
-    // SAFETY: single-threaded simulation.
-    unsafe impl<T> Send for SendCell<T> {}
-
-    fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-        let cell = SendCell((v, f));
-        m.spawn_on(CoreId(0), move || {
-            let cell = cell;
-            (cell.0 .1)(cell.0 .0);
-        });
-    }
-
+    use crate::on_core0;
     #[test]
     fn allocate_put_get_across_machines() {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let native1 = SimMachine::create(&w, "n1", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        let native2 = SimMachine::create(&w, "n2", 1, CostProfile::ebbrt_vm(), [0x03; 6]);
-        sw.attach(hosted.nic(), LinkParams::default());
-        sw.attach(native1.nic(), LinkParams::default());
-        sw.attach(native2.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), mask);
-        let n1_if = NetIf::attach(&native1, Ipv4Addr::new(10, 0, 0, 2), mask);
-        let n2_if = NetIf::attach(&native2, Ipv4Addr::new(10, 0, 0, 3), mask);
+        let lan = Lan::new();
+        let vm = CostProfile::ebbrt_vm;
+        let w = &lan.world;
+        let linux = CostProfile::linux_vm;
+        let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (_hosted, h_if) = lan.machine("hosted", 1, linux(), [0x01; 6], hosted_ip);
+        let (native1, n1_if) = lan.machine("n1", 1, vm(), [0x02; 6], Ipv4Addr::new(10, 0, 0, 2));
+        let (native2, n2_if) = lan.machine("n2", 1, vm(), [0x03; 6], Ipv4Addr::new(10, 0, 0, 3));
         w.run_to_idle();
 
         let h_msgr = Messenger::start(&h_if);
         let n1_msgr = Messenger::start(&n1_if);
         let n2_msgr = Messenger::start(&n2_if);
         let server = GlobalIdMapServer::start(&h_msgr);
-        let map1 = GlobalIdMap::new(&n1_msgr, Ipv4Addr::new(10, 0, 0, 1));
-        let map2 = GlobalIdMap::new(&n2_msgr, Ipv4Addr::new(10, 0, 0, 1));
+        let map1 = GlobalIdMap::new(&n1_msgr, hosted_ip);
+        let map2 = GlobalIdMap::new(&n2_msgr, hosted_ip);
 
         // native1 allocates a global id and publishes itself as owner.
         let published = Rc::new(Cell::new(None));
@@ -426,22 +411,31 @@ mod tests {
         );
     }
 
+    /// The naming service on a hosted machine and one native client of
+    /// it (plus what must outlive the test).
+    type Keep = ([Rc<NetIf>; 2], Rc<GlobalIdMapServer>);
+    fn one_client() -> (Lan, Rc<SimMachine>, Rc<GlobalIdMap>, Keep) {
+        let lan = Lan::new();
+        let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (_hosted, h_if) =
+            lan.machine("hosted", 1, CostProfile::linux_vm(), [0x01; 6], hosted_ip);
+        let (native, n_if) = lan.machine(
+            "n",
+            1,
+            CostProfile::ebbrt_vm(),
+            [0x02; 6],
+            Ipv4Addr::new(10, 0, 0, 2),
+        );
+        lan.world.run_to_idle();
+        let server = GlobalIdMapServer::start(&Messenger::start(&h_if));
+        let map = GlobalIdMap::new(&Messenger::start(&n_if), hosted_ip);
+        (lan, native, map, ([h_if, n_if], server))
+    }
+
     #[test]
     fn get_missing_id_is_none() {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let native = SimMachine::create(&w, "n", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        sw.attach(hosted.nic(), LinkParams::default());
-        sw.attach(native.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), mask);
-        let n_if = NetIf::attach(&native, Ipv4Addr::new(10, 0, 0, 2), mask);
-        w.run_to_idle();
-        let h_msgr = Messenger::start(&h_if);
-        let n_msgr = Messenger::start(&n_if);
-        let _server = GlobalIdMapServer::start(&h_msgr);
-        let map = GlobalIdMap::new(&n_msgr, Ipv4Addr::new(10, 0, 0, 1));
+        let (lan, native, map, _keep) = one_client();
+        let w = &lan.world;
         let missing = Rc::new(Cell::new(false));
         let m2 = Rc::clone(&missing);
         on_core0(&native, map, move |map| {
@@ -453,20 +447,8 @@ mod tests {
 
     #[test]
     fn put_if_arbitrates_racing_promoters() {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let native = SimMachine::create(&w, "n", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        sw.attach(hosted.nic(), LinkParams::default());
-        sw.attach(native.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), mask);
-        let n_if = NetIf::attach(&native, Ipv4Addr::new(10, 0, 0, 2), mask);
-        w.run_to_idle();
-        let h_msgr = Messenger::start(&h_if);
-        let n_msgr = Messenger::start(&n_if);
-        let _server = GlobalIdMapServer::start(&h_msgr);
-        let map = GlobalIdMap::new(&n_msgr, Ipv4Addr::new(10, 0, 0, 1));
+        let (lan, native, map, _keep) = one_client();
+        let w = &lan.world;
         let id = EbbId(1 << 20);
         let log = Rc::new(RefCell::new(Vec::new()));
 

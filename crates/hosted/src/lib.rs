@@ -37,3 +37,9 @@ pub mod fs;
 pub mod global_map;
 pub mod messenger;
 pub mod remote;
+
+/// Test helper: runs `f(v)` in an event on core 0 of `m`.
+#[cfg(test)]
+fn on_core0<T: 'static>(m: &std::rc::Rc<ebbrt_sim::SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
+    m.spawn_local(ebbrt_core::cpu::CoreId(0), move || f(v));
+}

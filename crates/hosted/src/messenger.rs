@@ -1082,18 +1082,7 @@ mod tests {
     use ebbrt_core::cpu::CoreId;
     use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
-    struct SendCell<T>(T);
-    // SAFETY: single-threaded simulation.
-    unsafe impl<T> Send for SendCell<T> {}
-
-    fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-        let cell = SendCell((v, f));
-        m.spawn_on(CoreId(0), move || {
-            let cell = cell;
-            (cell.0 .1)(cell.0 .0);
-        });
-    }
-
+    use crate::on_core0;
     type Pair = (
         Rc<SimWorld>,
         Rc<Switch>,
@@ -1104,22 +1093,13 @@ mod tests {
     );
 
     fn two_machines() -> Pair {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let native = SimMachine::create(&w, "native", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        sw.attach(hosted.nic(), LinkParams::default());
-        sw.attach(native.nic(), LinkParams::default());
-        let h_if = NetIf::attach(
-            &hosted,
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(255, 255, 255, 0),
-        );
-        let n_if = NetIf::attach(
-            &native,
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(255, 255, 255, 0),
-        );
+        let lan = ebbrt_net::Lan::new();
+        let vm = CostProfile::ebbrt_vm;
+        let linux = CostProfile::linux_vm;
+        let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (hosted, h_if) = lan.machine("hosted", 1, linux(), [0x01; 6], hosted_ip);
+        let (native, n_if) = lan.machine("native", 1, vm(), [0x02; 6], Ipv4Addr::new(10, 0, 0, 2));
+        let (w, sw) = (lan.world, lan.switch);
         w.run_to_idle();
         let h_msgr = Messenger::start(&h_if);
         let n_msgr = Messenger::start(&n_if);

@@ -765,25 +765,14 @@ mod tests {
     use ebbrt_core::cpu::CoreId;
     use ebbrt_core::ebb::{MulticoreEbb, RemoteResult, RemoteShipper};
     use ebbrt_core::iobuf::Buf;
-    use ebbrt_net::netif::NetIf;
-    use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+    use ebbrt_net::Lan;
+    use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
     use std::sync::Arc;
-
-    struct SendCell<T>(T);
-    // SAFETY: single-threaded simulation.
-    unsafe impl<T> Send for SendCell<T> {}
 
     /// A versioned naming record captured from an async `get_versioned`.
     type RecordCell = Rc<Cell<Option<(u64, Vec<u8>)>>>;
 
-    fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-        let cell = SendCell((v, f));
-        m.spawn_on(CoreId(0), move || {
-            let cell = cell;
-            (cell.0 .1)(cell.0 .0);
-        });
-    }
-
+    use crate::on_core0;
     /// A distributed counter Ebb used across the failure tests: the
     /// owner's rep counts pokes; proxies function-ship them.
     struct CounterEbb {
@@ -859,21 +848,16 @@ mod tests {
     const STANDBY_IP: Ipv4Addr = Ipv4Addr([10, 0, 0, 4]);
 
     fn cluster() -> Cluster {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let naming = SimMachine::create(&w, "naming", 1, CostProfile::linux_vm(), [0x01; 6]);
-        let owner = SimMachine::create(&w, "owner", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-        let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0x03; 6]);
-        let standby = SimMachine::create(&w, "standby", 1, CostProfile::ebbrt_vm(), [0x04; 6]);
-        sw.attach(naming.nic(), LinkParams::default());
-        sw.attach(owner.nic(), LinkParams::default());
-        sw.attach(client.nic(), LinkParams::default());
-        sw.attach(standby.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let naming_if = NetIf::attach(&naming, NAMING_IP, mask);
-        let owner_if = NetIf::attach(&owner, OWNER_IP, mask);
-        let client_if = NetIf::attach(&client, CLIENT_IP, mask);
-        let standby_if = NetIf::attach(&standby, STANDBY_IP, mask);
+        let lan = Lan::new();
+        let (naming, naming_if) =
+            lan.machine("naming", 1, CostProfile::linux_vm(), [0x01; 6], NAMING_IP);
+        let (owner, owner_if) =
+            lan.machine("owner", 1, CostProfile::ebbrt_vm(), [0x02; 6], OWNER_IP);
+        let (client, client_if) =
+            lan.machine("client", 1, CostProfile::ebbrt_vm(), [0x03; 6], CLIENT_IP);
+        let (standby, standby_if) =
+            lan.machine("standby", 1, CostProfile::ebbrt_vm(), [0x04; 6], STANDBY_IP);
+        let (w, sw) = (lan.world, lan.switch);
         w.run_to_idle();
         let naming_msgr = Messenger::start(&naming_if);
         let owner_msgr = Messenger::start(&owner_if);

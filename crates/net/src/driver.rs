@@ -104,26 +104,9 @@ pub fn attach(netif: &Rc<NetIf>) {
     for q in 0..nqueues {
         let core = CoreId(q as u32);
         let netif2 = Rc::clone(netif);
-        // SAFETY-FREE trick: the closure runs on the DES thread (the
-        // only thread), but `spawn` demands Send. Wrap in a newtype that
-        // asserts single-threaded use.
-        let cell = SendCell(netif2);
-        machine.spawn_on(core, move || {
-            // Capture the whole wrapper (not a disjoint field) so the
-            // closure's Send-ness comes from SendCell.
-            let cell = cell;
-            setup_queue(&cell.0, q);
-        });
+        machine.spawn_local(core, move || setup_queue(&netif2, q));
     }
 }
-
-/// Moves a non-Send value into a spawn closure. Sound only because the
-/// simulation runs every machine event on the single driver thread.
-struct SendCell<T>(T);
-// SAFETY: SimWorld executes all machine events on one thread; the value
-// never actually crosses a thread boundary. (The threaded backend never
-// constructs these.)
-unsafe impl<T> Send for SendCell<T> {}
 
 fn setup_queue(netif: &Rc<NetIf>, q: usize) {
     let state = Rc::new(QueueState {

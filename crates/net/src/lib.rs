@@ -36,10 +36,12 @@ pub mod arp;
 pub mod conn_slab;
 pub mod dhcp;
 pub mod driver;
+pub mod lan;
 pub mod netif;
 pub mod tcp;
 pub mod types;
 pub mod wire;
 
+pub use lan::Lan;
 pub use netif::NetIf;
 pub use types::Ipv4Addr;

@@ -926,16 +926,10 @@ impl NetIf {
             f(self);
             return;
         }
-        // SAFETY-OF-SEND: all of a simulated machine's cores are driven
-        // by the one world thread; the Send bound on spawn_on is
-        // satisfied vacuously (same pattern as the apps' SendCell).
-        struct SendCell<T>(T);
-        unsafe impl<T> Send for SendCell<T> {}
-        let cell = SendCell((Rc::downgrade(self), f));
-        self.machine.spawn_on(core, move || {
-            let cell = cell;
-            if let Some(n) = cell.0 .0.upgrade() {
-                (cell.0 .1)(&n);
+        let me = Rc::downgrade(self);
+        self.machine.spawn_local(core, move || {
+            if let Some(n) = me.upgrade() {
+                f(&n);
             }
         });
     }

@@ -9,13 +9,8 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
-
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
-
-struct SendCell<T>(T);
-// SAFETY: single-threaded simulation.
-unsafe impl<T> Send for SendCell<T> {}
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
 
 struct World {
     w: Rc<SimWorld>,
@@ -27,14 +22,11 @@ struct World {
 }
 
 fn setup() -> World {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "srv", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "cli", 4, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 3, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 3, 2), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let (server, s_if) = lan.machine("srv", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 3, 1));
+    let (client, c_if) = lan.machine("cli", 4, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 3, 2));
+    let (w, sw) = (lan.world, lan.switch);
     w.run_to_idle();
     World {
         w,
@@ -52,10 +44,8 @@ fn flood(world: &World, count: usize, gap_ns: u64, start: u64) {
         let cl = Rc::clone(&world.client);
         let core = CoreId((i % 4) as u32);
         world.w.schedule_at(start + i as u64 * gap_ns, move |_| {
-            let cell = SendCell(c_if);
-            cl.spawn_on(core, move || {
-                let cell = cell;
-                cell.0.udp_send(
+            cl.spawn_local(core, move || {
+                c_if.udp_send(
                     9999,
                     Ipv4Addr::new(10, 0, 3, 1),
                     9999,

@@ -8,45 +8,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
-
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
-
-type Pair = (
-    Rc<SimWorld>,
-    Rc<Switch>,
-    (Rc<SimMachine>, Rc<NetIf>),
-    (Rc<SimMachine>, Rc<NetIf>),
-);
-
-fn two_machines() -> Pair {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
-    w.run_to_idle();
-    (w, sw, (server, s_if), (client, c_if))
-}
+mod common;
+use common::{on_core0, two_machines};
 
 #[test]
 fn udp_handler_may_rebind_its_own_port_reentrantly() {

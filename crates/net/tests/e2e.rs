@@ -9,69 +9,13 @@ use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::{ConnHandler, NetIf, SendError, TcpConn};
 use ebbrt_net::tcp::TcpState;
 use ebbrt_net::types::Ipv4Addr;
+use ebbrt_net::Lan;
 use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
 const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 
-type TwoMachines = (
-    Rc<SimWorld>,
-    Rc<ebbrt_sim::Switch>,
-    (Rc<SimMachine>, Rc<NetIf>),
-    (Rc<SimMachine>, Rc<NetIf>),
-);
-
-fn two_machines() -> TwoMachines {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
-    w.run_to_idle(); // let drivers set up
-                     // NB: the switch must stay alive — NICs hold only a weak reference
-                     // (dropping the switch "unplugs" the network).
-    (w, sw, (server, s_if), (client, c_if))
-}
-
-/// Echo server handler: sends every received chunk back.
-struct Echo;
-impl ConnHandler for Echo {
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        conn.send(data).expect("echo send");
-    }
-}
-
-/// Client handler collecting received bytes.
-struct Collect {
-    got: Rc<RefCell<Vec<u8>>>,
-    connected: Rc<Cell<bool>>,
-    closed: Rc<Cell<bool>>,
-}
-impl ConnHandler for Collect {
-    fn on_connected(&self, _c: &TcpConn) {
-        self.connected.set(true);
-    }
-    fn on_receive(&self, _c: &TcpConn, data: Chain<IoBuf>) {
-        self.got.borrow_mut().extend(data.copy_to_vec());
-    }
-    fn on_close(&self, _c: &TcpConn) {
-        self.closed.set(true);
-    }
-}
-
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
+mod common;
+use common::{on_core0, open_conn, two_machines, Echo, Opened};
 
 #[test]
 fn tcp_connect_send_echo_close() {
@@ -79,21 +23,12 @@ fn tcp_connect_send_echo_close() {
     s_if.listen(7, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)
         .unwrap();
 
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let connected = Rc::new(Cell::new(false));
-    let closed = Rc::new(Cell::new(false));
-    let conn_slot: Rc<RefCell<Option<TcpConn>>> = Rc::new(RefCell::new(None));
-
-    let handler = Collect {
-        got: Rc::clone(&got),
-        connected: Rc::clone(&connected),
-        closed: Rc::clone(&closed),
-    };
-    let slot = Rc::clone(&conn_slot);
-    on_core0(&client, c_if, move |c_if| {
-        let conn = c_if.connect(Ipv4Addr::new(10, 0, 0, 1), 7, Rc::new(handler));
-        *slot.borrow_mut() = Some(conn);
-    });
+    let Opened {
+        conn: conn_slot,
+        connected,
+        got,
+        ..
+    } = open_conn(&client, &c_if);
     w.run_to_idle();
     assert!(connected.get(), "handshake must complete");
 
@@ -254,14 +189,12 @@ fn udp_roundtrip_between_machines() {
 
 #[test]
 fn dhcp_configures_client() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let infra = SimMachine::create(&w, "infra", 1, CostProfile::linux_vm(), [0x01; 6]);
-    let node = SimMachine::create(&w, "node", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-    sw.attach(infra.nic(), LinkParams::default());
-    sw.attach(node.nic(), LinkParams::default());
-    let infra_if = NetIf::attach(&infra, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let node_if = NetIf::attach(&node, Ipv4Addr::UNSPECIFIED, MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let infra_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (_infra, infra_if) = lan.machine("infra", 1, CostProfile::linux_vm(), [0x01; 6], infra_ip);
+    let (node, node_if) = lan.machine("node", 1, vm(), [0x02; 6], Ipv4Addr::UNSPECIFIED);
     w.run_to_idle();
     let _server = ebbrt_net::dhcp::DhcpServer::start(&infra_if, Ipv4Addr::new(10, 0, 0, 100), MASK);
     let assigned = Rc::new(Cell::new(None));
@@ -283,11 +216,9 @@ fn set_mtu_after_attach_panics_instead_of_silently_not_applying() {
     // The foot-gun: the stack derives its MSS from the device MTU at
     // attach time, so a later set_mtu changed nothing — silently. It
     // must refuse loudly instead.
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    let _s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
     server.nic().set_mtu(9000);
 }
 
@@ -356,14 +287,8 @@ fn arp_failure_tears_down_synsent_connection() {
     // and the embryonic connection must be torn down promptly (the
     // handler sees on_close) instead of hanging in SynSent.
     let (w, _sw, _server, (client, c_if)) = two_machines();
-    let connected = Rc::new(Cell::new(false));
-    let closed = Rc::new(Cell::new(false));
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let handler = Collect {
-        got,
-        connected: Rc::clone(&connected),
-        closed: Rc::clone(&closed),
-    };
+    let handler = Opened::default();
+    let (connected, closed) = (Rc::clone(&handler.connected), Rc::clone(&handler.closed));
     let c2 = Rc::clone(&c_if);
     on_core0(&client, c2, move |c_if| {
         // 10.0.0.99 does not exist on the switch.
@@ -380,11 +305,10 @@ fn arp_failure_tears_down_synsent_connection() {
 fn dhcp_timeout_reports_failure() {
     // No DHCP server on the network: the client must report the
     // terminal failure through `done` instead of never calling it.
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let node = SimMachine::create(&w, "node", 1, CostProfile::ebbrt_vm(), [0x02; 6]);
-    sw.attach(node.nic(), LinkParams::default());
-    let node_if = NetIf::attach(&node, Ipv4Addr::UNSPECIFIED, MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (node, node_if) = lan.machine("node", 1, vm(), [0x02; 6], Ipv4Addr::UNSPECIFIED);
     w.run_to_idle();
     let outcome = Rc::new(Cell::new(None));
     let o2 = Rc::clone(&outcome);
@@ -403,14 +327,11 @@ fn dhcp_timeout_reports_failure() {
 
 #[test]
 fn rss_steers_connections_to_distinct_cores() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 4, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 4, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (_server, s_if) = lan.machine("server", 4, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
+    let (client, c_if) = lan.machine("client", 4, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
     let cores = Rc::new(RefCell::new(Vec::new()));
@@ -438,11 +359,8 @@ fn rss_steers_connections_to_distinct_cores() {
     }
     for i in 0..8u32 {
         let c_if = Rc::clone(&c_if);
-        let cell = SendCell(c_if);
-        client.spawn_on(CoreId(i % 4), move || {
-            let cell = cell;
-            cell.0
-                .connect(Ipv4Addr::new(10, 0, 0, 1), 7, Rc::new(Quiet));
+        client.spawn_local(CoreId(i % 4), move || {
+            c_if.connect(Ipv4Addr::new(10, 0, 0, 1), 7, Rc::new(Quiet));
         });
     }
     w.run_to_idle();
@@ -457,32 +375,14 @@ fn rss_steers_connections_to_distinct_cores() {
 
 #[test]
 fn retransmission_recovers_from_loss() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    let server_port = sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
-    w.run_to_idle();
-
+    let (w, sw, (server, s_if), (client, c_if)) = two_machines();
+    let server_port = server.index();
     s_if.listen(7, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)
         .unwrap();
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let connected = Rc::new(Cell::new(false));
-    let closed = Rc::new(Cell::new(false));
-    let handler = Collect {
-        got: Rc::clone(&got),
-        connected: Rc::clone(&connected),
-        closed: Rc::clone(&closed),
-    };
+    let first = open_conn(&client, &c_if);
     let c_if_stats = Rc::clone(&c_if);
-    on_core0(&client, c_if, move |c_if| {
-        c_if.connect(Ipv4Addr::new(10, 0, 0, 1), 7, Rc::new(handler));
-    });
     w.run_to_idle();
-    assert!(connected.get());
+    assert!(first.connected.get());
 
     // Drop the first data-bearing frame headed to the server (pure ACKs
     // are 54 bytes; anything longer carries payload).
@@ -498,15 +398,10 @@ fn retransmission_recovers_from_loss() {
     });
     // Open a second connection that sends as soon as it establishes;
     // its first data frame is the one the filter drops.
-    let connected2 = Rc::new(Cell::new(false));
-    let got2 = Rc::new(RefCell::new(Vec::new()));
-    let handler2 = Collect {
-        got: Rc::clone(&got2),
-        connected: Rc::clone(&connected2),
-        closed: Rc::new(Cell::new(false)),
-    };
+    let handler2 = Opened::default();
+    let got2 = Rc::clone(&handler2.got);
     struct SendOnConnect {
-        inner: Collect,
+        inner: Opened,
     }
     impl ConnHandler for SendOnConnect {
         fn on_connected(&self, conn: &TcpConn) {

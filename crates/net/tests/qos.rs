@@ -5,104 +5,13 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{self, ClassConfig, ClassId, QosConfig};
-use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
+use ebbrt_net::netif::{ConnHandler, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
-const PORT: u16 = 7;
-
-type TwoMachines = (
-    Rc<SimWorld>,
-    Rc<ebbrt_sim::Switch>,
-    (Rc<SimMachine>, Rc<NetIf>),
-    (Rc<SimMachine>, Rc<NetIf>),
-);
-
-fn two_machines() -> TwoMachines {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
-    w.run_to_idle();
-    (w, sw, (server, s_if), (client, c_if))
-}
-
-struct Echo;
-impl ConnHandler for Echo {
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        conn.send(data).expect("echo send");
-    }
-}
-
-/// Client handler recording lifecycle + received bytes.
-struct Probe {
-    connected: Rc<Cell<bool>>,
-    closed: Rc<Cell<bool>>,
-    got: Rc<RefCell<Vec<u8>>>,
-}
-impl ConnHandler for Probe {
-    fn on_connected(&self, _c: &TcpConn) {
-        self.connected.set(true);
-    }
-    fn on_receive(&self, _c: &TcpConn, data: Chain<IoBuf>) {
-        self.got.borrow_mut().extend(data.copy_to_vec());
-    }
-    fn on_close(&self, _c: &TcpConn) {
-        self.closed.set(true);
-    }
-}
-
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
-
-struct Opened {
-    conn: Rc<RefCell<Option<TcpConn>>>,
-    connected: Rc<Cell<bool>>,
-    closed: Rc<Cell<bool>>,
-    got: Rc<RefCell<Vec<u8>>>,
-}
-
-/// Opens a client connection to the server, returning its observables.
-fn open_conn(client: &Rc<SimMachine>, c_if: &Rc<NetIf>) -> Opened {
-    let connected = Rc::new(Cell::new(false));
-    let closed = Rc::new(Cell::new(false));
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let conn = Rc::new(RefCell::new(None));
-    let handler = Probe {
-        connected: Rc::clone(&connected),
-        closed: Rc::clone(&closed),
-        got: Rc::clone(&got),
-    };
-    let slot = Rc::clone(&conn);
-    let c_if = Rc::clone(c_if);
-    on_core0(client, (), move |_| {
-        let c = c_if.connect(Ipv4Addr::new(10, 0, 0, 1), PORT, Rc::new(handler));
-        *slot.borrow_mut() = Some(c);
-    });
-    Opened {
-        conn,
-        connected,
-        closed,
-        got,
-    }
-}
+mod common;
+use common::{on_core0, open_conn, two_machines, Echo, PORT};
 
 #[test]
 fn admission_budget_rejects_fast_and_releases_on_close() {

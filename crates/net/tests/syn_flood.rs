@@ -4,88 +4,17 @@
 //! untouchable — and the embryonic ledger balances exactly at
 //! quiescence (`created == promoted + evicted + aborted + live`).
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{self, ClassConfig, QosConfig};
 use ebbrt_net::netif::{ConnHandler, ListenError, NetIf, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine};
 
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
-const PORT: u16 = 7;
-const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-
-struct Echo;
-impl ConnHandler for Echo {
-    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
-        conn.send(data).expect("echo send");
-    }
-}
-
-/// Client handler recording lifecycle + received bytes.
-struct Probe {
-    connected: Rc<Cell<bool>>,
-    closed: Rc<Cell<bool>>,
-    got: Rc<RefCell<Vec<u8>>>,
-}
-impl ConnHandler for Probe {
-    fn on_connected(&self, _c: &TcpConn) {
-        self.connected.set(true);
-    }
-    fn on_receive(&self, _c: &TcpConn, data: Chain<IoBuf>) {
-        self.got.borrow_mut().extend(data.copy_to_vec());
-    }
-    fn on_close(&self, _c: &TcpConn) {
-        self.closed.set(true);
-    }
-}
-
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
-
-struct Opened {
-    conn: Rc<RefCell<Option<TcpConn>>>,
-    connected: Rc<Cell<bool>>,
-    #[allow(dead_code)]
-    closed: Rc<Cell<bool>>,
-    got: Rc<RefCell<Vec<u8>>>,
-}
-
-fn open_conn(client: &Rc<SimMachine>, c_if: &Rc<NetIf>) -> Opened {
-    let connected = Rc::new(Cell::new(false));
-    let closed = Rc::new(Cell::new(false));
-    let got = Rc::new(RefCell::new(Vec::new()));
-    let conn = Rc::new(RefCell::new(None));
-    let handler = Probe {
-        connected: Rc::clone(&connected),
-        closed: Rc::clone(&closed),
-        got: Rc::clone(&got),
-    };
-    let slot = Rc::clone(&conn);
-    let c_if = Rc::clone(c_if);
-    on_core0(client, (), move |_| {
-        let c = c_if.connect(SERVER_IP, PORT, Rc::new(handler));
-        *slot.borrow_mut() = Some(c);
-    });
-    Opened {
-        conn,
-        connected,
-        closed,
-        got,
-    }
-}
+mod common;
+use common::{on_core0, open_conn, Echo, Opened, PORT, SERVER_IP};
 
 /// Asserts the machine-global embryonic ledger balances:
 /// `created == promoted + evicted + aborted + live`.
@@ -107,17 +36,14 @@ fn assert_ledger_balances(server: &Rc<SimMachine>, s_if: &Rc<NetIf>, at: &str) {
 
 #[test]
 fn syn_flood_on_one_class_cannot_evict_another_classes_conns() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let good = SimMachine::create(&w, "good", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    let attacker = SimMachine::create(&w, "attacker", 1, CostProfile::ebbrt_vm(), [0xCC; 6]);
-    let server_port = sw.attach(server.nic(), LinkParams::default());
-    let _good_port = sw.attach(good.nic(), LinkParams::default());
-    let attacker_port = sw.attach(attacker.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, SERVER_IP, MASK);
-    let g_if = NetIf::attach(&good, Ipv4Addr::new(10, 0, 0, 2), MASK);
-    let a_if = NetIf::attach(&attacker, Ipv4Addr::new(10, 0, 0, 3), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let sw = &lan.switch;
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], SERVER_IP);
+    let (good, g_if) = lan.machine("good", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
+    let (attacker, a_if) = lan.machine("attacker", 1, vm(), [0xCC; 6], Ipv4Addr::new(10, 0, 0, 3));
+    let (server_port, attacker_port) = (server.index(), attacker.index());
     w.run_to_idle();
 
     // Two classes: "gold" for the good client, "bulk" (syn_budget 4)
@@ -216,14 +142,13 @@ fn syn_flood_on_one_class_cannot_evict_another_classes_conns() {
 
 #[test]
 fn syn_backlog_caps_default_class_without_policy() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    let server_port = sw.attach(server.nic(), LinkParams::default());
-    let client_port = sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, SERVER_IP, MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let sw = &lan.switch;
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], SERVER_IP);
+    let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
+    let (server_port, client_port) = (server.index(), client.index());
     w.run_to_idle();
 
     s_if.set_syn_backlog(2);
@@ -278,14 +203,11 @@ impl ConnHandler for CloseOnFin {
 fn syncache_queue_stays_bounded_without_a_budget() {
     const ROUNDS: usize = 60;
     const PER_ROUND: usize = 50;
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, SERVER_IP, MASK);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], SERVER_IP);
+    let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
     s_if.listen(PORT, |_conn| Rc::new(CloseOnFin) as Rc<dyn ConnHandler>)
         .unwrap();
@@ -324,11 +246,9 @@ fn syncache_queue_stays_bounded_without_a_budget() {
 
 #[test]
 fn listen_twice_reports_port_in_use() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, SERVER_IP, MASK);
+    let lan = Lan::new();
+    let w = &lan.world;
+    let (_server, s_if) = lan.machine("server", 1, CostProfile::ebbrt_vm(), [0xAA; 6], SERVER_IP);
     w.run_to_idle();
 
     s_if.listen(PORT, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)

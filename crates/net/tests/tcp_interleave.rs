@@ -14,26 +14,16 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
+use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 const PORT: u16 = 7070;
 
-struct SendCell<T>(T);
-// SAFETY: the simulation executes all events on the single test thread.
-unsafe impl<T> Send for SendCell<T> {}
-
-fn on_core0<T: 'static>(m: &Rc<SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    let cell = SendCell((v, f));
-    m.spawn_on(CoreId(0), move || {
-        let cell = cell;
-        (cell.0 .1)(cell.0 .0);
-    });
-}
+mod common;
+use common::on_core0;
 
 /// Client end of one fuzzed connection: records everything delivered.
 struct ClientEnd {
@@ -90,14 +80,10 @@ proptest::proptest! {
             rng
         };
 
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-        let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-        sw.attach(server.nic(), LinkParams::default());
-        sw.attach(client.nic(), LinkParams::default());
-        let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), MASK);
-        let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), MASK);
+        let lan = Lan::new();
+        let w = &lan.world;
+        let (server, s_if) = lan.machine("server", 1, CostProfile::ebbrt_vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
+        let (client, c_if) = lan.machine("client", 1, CostProfile::ebbrt_vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
         on_core0(&server, Rc::clone(&s_if), |s_if| {
             s_if.listen(PORT, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)
                 .expect("fresh port");

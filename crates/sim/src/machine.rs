@@ -141,6 +141,24 @@ impl SimMachine {
         self.rt.spawn(core, f);
     }
 
+    /// As [`Self::spawn_on`] for a closure that is not `Send` — one that
+    /// carries `Rc`s into the event. Sound because a [`SimWorld`] runs
+    /// every event of every machine on its single driving thread: the
+    /// closure never crosses a thread boundary. (The threaded backend
+    /// has no `SimMachine`.)
+    pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
+        struct SendCell<F>(F);
+        // SAFETY: see above — queued and run on the one world thread.
+        unsafe impl<F> Send for SendCell<F> {}
+        let cell = SendCell(f);
+        self.rt.spawn(core, move || {
+            // Bind the whole wrapper (not a disjoint field) so the
+            // closure's `Send`-ness comes from `SendCell`.
+            let cell = cell;
+            (cell.0)()
+        });
+    }
+
     /// Starts the periodic scheduler tick on every core, if the profile
     /// has one. Each tick steals `tick_cost_ns` of core time, delaying
     /// whatever the core was doing — the preemption jitter EbbRT avoids.

@@ -15,18 +15,15 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::{CostProfile, SimMachine, SimWorld};
 
 fn main() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
-    let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-    let client = SimMachine::create(&w, "client", 4, CostProfile::ebbrt_vm(), [0xBB; 6]);
-    sw.attach(server.nic(), LinkParams::default());
-    sw.attach(client.nic(), LinkParams::default());
-    let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), mask);
-    let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
+    let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
+    let (client, c_if) = lan.machine("client", 4, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
     let received = Rc::new(std::cell::Cell::new(0u64));
@@ -71,7 +68,7 @@ fn main() {
     };
 
     println!("phase 1: trickle (1 datagram / 100us) — interrupt per packet");
-    send_burst(&w, &client, &c_if, 0, 20, 100_000);
+    send_burst(w, &client, &c_if, 0, 20, 100_000);
     w.run_for(3_000_000);
     let (irqs1, idle1) = em_stats(&server);
     println!(
@@ -82,7 +79,7 @@ fn main() {
     );
 
     println!("phase 2: flood (2000 datagrams back-to-back) — driver switches to polling");
-    send_burst(&w, &client, &c_if, w.now(), 2000, 300);
+    send_burst(w, &client, &c_if, w.now(), 2000, 300);
     w.run_for(5_000_000);
     let (irqs2, idle2) = em_stats(&server);
     println!(
@@ -93,7 +90,7 @@ fn main() {
     );
 
     println!("phase 3: trickle again — back to interrupts");
-    send_burst(&w, &client, &c_if, w.now(), 20, 100_000);
+    send_burst(w, &client, &c_if, w.now(), 20, 100_000);
     w.run_for(10_000_000);
     let (irqs3, idle3) = em_stats(&server);
     println!(

@@ -16,24 +16,21 @@ use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_hosted::fs::{CachingFsClient, FsClient, FsServer};
 use ebbrt_hosted::messenger::Messenger;
-use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 fn main() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
-    let mask = Ipv4Addr::new(255, 255, 255, 0);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
 
     // The hosted side: a process on a general-purpose OS.
-    let hosted = SimMachine::create(&w, "hosted", 1, CostProfile::linux_vm(), [0x01; 6]);
-    sw.attach(hosted.nic(), LinkParams::default());
-    let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), mask);
+    let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (_hosted, h_if) = lan.machine("hosted", 1, CostProfile::linux_vm(), [0x01; 6], hosted_ip);
 
     // The native library OS instance.
-    let native = SimMachine::create(&w, "native", 2, CostProfile::ebbrt_vm(), [0x02; 6]);
-    sw.attach(native.nic(), LinkParams::default());
-    let n_if = NetIf::attach(&native, Ipv4Addr::new(10, 0, 0, 2), mask);
+    let (native, n_if) = lan.machine("native", 2, vm(), [0x02; 6], Ipv4Addr::new(10, 0, 0, 2));
     w.run_to_idle();
 
     let h_msgr = Messenger::start(&h_if);
@@ -41,7 +38,7 @@ fn main() {
     let server = FsServer::start(&h_msgr);
     server.put("/etc/app.conf", b"threads=4\nport=11211\n".to_vec());
 
-    let client = FsClient::new(&n_msgr, Ipv4Addr::new(10, 0, 0, 1));
+    let client = FsClient::new(&n_msgr, hosted_ip);
     let caching = CachingFsClient::new(Rc::clone(&client));
 
     println!("offloading filesystem access from the native instance...");

@@ -2,19 +2,20 @@
 //! the paper deploys it — native library-OS instances plus a hosted
 //! process over a simulated network, running the real applications.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ebbrt_apps::memcached::{self, Store};
+use ebbrt_apps::memcached::{self, Burst, Client, Header, Store, Workload};
 use ebbrt_apps::spawn_with;
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_hosted::fs::{FsClient, FsServer};
 use ebbrt_hosted::messenger::Messenger;
-use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_net::Lan;
+use ebbrt_sim::CostProfile;
 
 const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 
@@ -24,21 +25,16 @@ const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 /// instance acts as the client.
 #[test]
 fn full_cluster_deployment() {
-    let w = SimWorld::new();
-    let sw = Switch::new(&w);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let w = &lan.world;
 
-    let hosted = SimMachine::create(&w, "hosted", 2, CostProfile::linux_vm(), [0x0A; 6]);
-    let native1 = SimMachine::create(&w, "native1", 2, CostProfile::ebbrt_vm(), [0x0B; 6]);
-    let native2 = SimMachine::create(&w, "native2", 1, CostProfile::ebbrt_vm(), [0x0C; 6]);
-    sw.attach(hosted.nic(), LinkParams::default());
-    sw.attach(native1.nic(), LinkParams::default());
-    sw.attach(native2.nic(), LinkParams::default());
-
-    let h_if = NetIf::attach(&hosted, Ipv4Addr::new(10, 0, 0, 1), MASK);
+    let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+    let (_hosted, h_if) = lan.machine("hosted", 2, CostProfile::linux_vm(), [0x0A; 6], hosted_ip);
     // Native instances boot *unconfigured* and acquire addresses over
     // DHCP from the hosted side, like the paper's deployment flow.
-    let n1_if = NetIf::attach(&native1, Ipv4Addr::UNSPECIFIED, MASK);
-    let n2_if = NetIf::attach(&native2, Ipv4Addr::UNSPECIFIED, MASK);
+    let (native1, n1_if) = lan.machine("native1", 2, vm(), [0x0B; 6], Ipv4Addr::UNSPECIFIED);
+    let (native2, n2_if) = lan.machine("native2", 1, vm(), [0x0C; 6], Ipv4Addr::UNSPECIFIED);
     w.run_to_idle();
 
     let _dhcp = ebbrt_net::dhcp::DhcpServer::start(&h_if, Ipv4Addr::new(10, 0, 0, 50), MASK);
@@ -62,7 +58,7 @@ fn full_cluster_deployment() {
     let n1_msgr = Messenger::start(&n1_if);
     let fs_server = FsServer::start(&h_msgr);
     fs_server.put("/srv/memcached.conf", b"max_keys=4096".to_vec());
-    let fs = FsClient::new(&n1_msgr, Ipv4Addr::new(10, 0, 0, 1));
+    let fs = FsClient::new(&n1_msgr, hosted_ip);
     let config_read = Rc::new(Cell::new(false));
     {
         let c = Rc::clone(&config_read);
@@ -79,45 +75,21 @@ fn full_cluster_deployment() {
     // memcached on native1, exercised from native2 over the wire. The
     // store registers as an Ebb; the server resolves its stack through
     // the well-known network-manager id.
-    let store = Store::new(Arc::clone(native1.runtime().rcu()));
-    let store_ref = store.register(native1.runtime());
-    native1.spawn_on(CoreId(0), move || memcached::serve(store_ref));
+    let store = memcached::serve_on(&native1);
     w.run_to_idle();
 
-    struct KvClient {
-        rx: RefCell<Vec<u8>>,
-        done: Rc<Cell<bool>>,
-    }
-    impl ConnHandler for KvClient {
-        fn on_connected(&self, conn: &TcpConn) {
-            let mut req = memcached::encode_set(b"answer", b"42", 1);
-            req.extend(memcached::encode_get(b"answer", 2));
-            conn.send(Chain::single(IoBuf::copy_from(&req))).unwrap();
-        }
-        fn on_receive(&self, _c: &TcpConn, data: Chain<IoBuf>) {
-            let mut rx = self.rx.borrow_mut();
-            rx.extend(data.copy_to_vec());
-            // SET response (24) + GET response (24 + 4 flags + 2 value).
-            if rx.len() >= 24 + 24 + 4 + 2 {
-                assert_eq!(&rx[rx.len() - 2..], b"42");
-                self.done.set(true);
-            }
-        }
-    }
-    let done = Rc::new(Cell::new(false));
-    let d2 = Rc::clone(&done);
-    spawn_with(&native2, CoreId(0), Rc::clone(&n2_if), move |n2_if| {
-        n2_if.connect(
-            n1_ip,
-            memcached::MEMCACHED_PORT,
-            Rc::new(KvClient {
-                rx: RefCell::new(Vec::new()),
-                done: d2,
-            }),
-        );
-    });
+    let kv = Burst::new(&[
+        memcached::encode_set(b"answer", b"42", 1),
+        memcached::encode_get(b"answer", 2),
+    ]);
+    let kv = Client::spawn(&native2, CoreId(0), n1_ip, kv);
     w.run_to_idle();
-    assert!(done.get(), "memcached roundtrip across native instances");
+    assert_eq!(kv.workload.reply(1).0.status, memcached::STATUS_OK);
+    assert_eq!(
+        kv.workload.reply(2).1,
+        b"42",
+        "memcached roundtrip across native instances"
+    );
     assert_eq!(store.len(), 1);
 }
 
@@ -166,44 +138,35 @@ fn threaded_backend_runs_allocator_stack() {
 #[test]
 fn simulation_is_deterministic() {
     fn run_once() -> (u64, u64, u64) {
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let server = SimMachine::create(&w, "s", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-        let client = SimMachine::create(&w, "c", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-        sw.attach(server.nic(), LinkParams::default());
-        sw.attach(client.nic(), LinkParams::default());
-        let s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 9, 1), MASK);
-        let c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 9, 2), MASK);
+        let lan = Lan::new();
+        let vm = CostProfile::ebbrt_vm;
+        let w = &lan.world;
+        let (server, s_if) = lan.machine("s", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 9, 1));
+        let (client, _c_if) = lan.machine("c", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 9, 2));
         w.run_to_idle();
-        let store = Store::new(Arc::clone(server.runtime().rcu()));
-        let store_ref = store.register(server.runtime());
-        server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
+        let _store = memcached::serve_on(&server);
         w.run_to_idle();
 
+        /// A SET, then 49 GETs, each sent when the last is answered.
         struct Pinger {
             n: Cell<u32>,
         }
-        impl ConnHandler for Pinger {
-            fn on_connected(&self, conn: &TcpConn) {
+        impl Workload for Pinger {
+            fn on_connected(&self, client: &Client<Self>) {
                 let req = memcached::encode_set(b"k", b"v", 0);
-                conn.send(Chain::single(IoBuf::copy_from(&req))).unwrap();
+                client.send(Chain::single(IoBuf::copy_from(&req))).unwrap();
             }
-            fn on_receive(&self, conn: &TcpConn, _d: Chain<IoBuf>) {
+            fn on_reply(&self, client: &Client<Self>, _h: &Header, _v: Chain<IoBuf>, _l: Ns) {
                 let n = self.n.get() + 1;
                 self.n.set(n);
                 if n < 50 {
                     let req = memcached::encode_get(b"k", n);
-                    conn.send(Chain::single(IoBuf::copy_from(&req))).unwrap();
+                    client.send(Chain::single(IoBuf::copy_from(&req))).unwrap();
                 }
             }
         }
-        spawn_with(&client, CoreId(0), Rc::clone(&c_if), move |c_if| {
-            c_if.connect(
-                Ipv4Addr::new(10, 0, 9, 1),
-                memcached::MEMCACHED_PORT,
-                Rc::new(Pinger { n: Cell::new(0) }),
-            );
-        });
+        let pinger = Pinger { n: Cell::new(0) };
+        Client::spawn(&client, CoreId(0), Ipv4Addr::new(10, 0, 9, 1), pinger);
         w.run_to_idle();
         (w.now(), s_if.stats.rx_tcp.get(), client.cpu_time(CoreId(0)))
     }
@@ -221,7 +184,6 @@ fn simulation_is_deterministic() {
 #[test]
 fn sharded_memcached_cross_shard_function_shipping() {
     use ebbrt_bench::dist_memcached as dist;
-    use std::collections::HashMap;
 
     const NSHARDS: usize = 3;
     let c = dist::build(NSHARDS, true);
@@ -252,80 +214,32 @@ fn sharded_memcached_cross_shard_function_shipping() {
     let mut tx = Vec::new();
     let mut expect: Vec<(u16, Vec<u8>)> = Vec::new();
     for (key, value, _) in &keys {
-        tx.extend(memcached::encode_set(key, value, expect.len() as u32));
+        tx.push(memcached::encode_set(key, value, expect.len() as u32));
         expect.push((memcached::STATUS_OK, Vec::new()));
     }
     for (key, value, _) in &keys {
-        tx.extend(memcached::encode_get(key, expect.len() as u32));
+        tx.push(memcached::encode_get(key, expect.len() as u32));
         expect.push((memcached::STATUS_OK, value.clone()));
     }
-    tx.extend(memcached::encode_get(&phantom_key, expect.len() as u32));
+    tx.push(memcached::encode_get(&phantom_key, expect.len() as u32));
     expect.push((memcached::STATUS_REMOTE_ERROR, Vec::new()));
 
-    /// opaque → (status, value) of every received response.
-    type Responses = Rc<RefCell<HashMap<u32, (u16, Vec<u8>)>>>;
-
-    struct ShardClient {
-        tx: RefCell<Vec<u8>>,
-        rx: RefCell<Vec<u8>>,
-        got: Responses,
-    }
-    impl ConnHandler for ShardClient {
-        fn on_connected(&self, conn: &TcpConn) {
-            let tx = self.tx.borrow().clone();
-            conn.send(Chain::single(IoBuf::copy_from(&tx))).unwrap();
-        }
-        fn on_receive(&self, _c: &TcpConn, data: Chain<IoBuf>) {
-            let mut rx = self.rx.borrow_mut();
-            rx.extend(data.copy_to_vec());
-            loop {
-                if rx.len() < memcached::Header::SIZE {
-                    return;
-                }
-                let mut hdr = [0u8; memcached::Header::SIZE];
-                hdr.copy_from_slice(&rx[..memcached::Header::SIZE]);
-                let h = memcached::Header::decode(&hdr);
-                let total = memcached::Header::SIZE + h.total_body as usize;
-                if rx.len() < total {
-                    return;
-                }
-                let body: Vec<u8> = rx[memcached::Header::SIZE..total].to_vec();
-                rx.drain(..total);
-                // GET hits carry 4 flags bytes before the value.
-                let value = if body.len() >= 4 {
-                    body[4..].to_vec()
-                } else {
-                    Vec::new()
-                };
-                let prev = self.got.borrow_mut().insert(h.opaque, (h.status, value));
-                assert!(prev.is_none(), "one response per opaque");
-            }
-        }
-    }
-    let got = Rc::new(RefCell::new(HashMap::new()));
-    let client = ShardClient {
-        tx: RefCell::new(tx),
-        rx: RefCell::new(Vec::new()),
-        got: Rc::clone(&got),
-    };
-    spawn_with(&c.client, CoreId(0), client, move |client| {
-        ebbrt_net::netif::local_netif().connect(
-            dist::shard_ip(0),
-            memcached::MEMCACHED_PORT,
-            Rc::new(client),
-        );
-    });
+    let client = Client::spawn(&c.client, CoreId(0), dist::shard_ip(0), Burst::new(&tx));
     c.w.run_to_idle();
 
     // Every request — local, cross-shard, and the dead-shard probe —
     // was answered; values round-tripped; failure surfaced as a
     // status, not a hang.
-    let got = got.borrow();
-    assert_eq!(got.len(), expect.len(), "every pipelined request answered");
+    let got = &client.workload;
+    assert_eq!(
+        got.replies.borrow().len(),
+        expect.len(),
+        "every pipelined request answered, once"
+    );
     for (opaque, (status, value)) in expect.iter().enumerate() {
-        let (got_status, got_value) = &got[&(opaque as u32)];
-        assert_eq!(got_status, status, "status for opaque {opaque}");
-        assert_eq!(got_value, value, "value for opaque {opaque}");
+        let (h, got_value) = got.reply(opaque as u32);
+        assert_eq!(h.status, *status, "status for opaque {opaque}");
+        assert_eq!(&got_value, value, "value for opaque {opaque}");
     }
     // The keys landed on their owners: each store holds exactly its
     // shard's keys, so cross-shard SETs really were function-shipped.

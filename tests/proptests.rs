@@ -2,29 +2,95 @@
 //! in DESIGN.md §5.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+
+use ebbrt_apps::memcached;
+use ebbrt_core::cpu::CoreId;
 
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 
+/// `stream` cut into segments at the (sorted, deduped) `cuts`.
+fn segments(stream: &[u8], cuts: &[usize]) -> Vec<Chain<IoBuf>> {
+    let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+    points.push(0);
+    points.push(stream.len());
+    points.sort_unstable();
+    points.dedup();
+    let segs = points.windows(2);
+    segs.map(|w| Chain::single(IoBuf::copy_from(&stream[w[0]..w[1]])))
+        .collect()
+}
+
+/// A frame may wait for at most this much.
+const PENDING_CAP: usize = memcached::Header::SIZE + memcached::MAX_BODY_LEN;
+
+/// Framing errors counted by direct drive, which runs in the thread's
+/// ambient runtime.
+fn ambient_bad_frames() -> u64 {
+    ebbrt_core::qos::snapshot(&ebbrt_core::runtime::ambient()).get(memcached::BAD_FRAME_COUNTER)
+}
+
+/// Feeds `stream`, cut at `cuts`, to a fresh directly-driven server
+/// connection; returns its store and the length of its unframed tail.
+fn drive_server(stream: &[u8], cuts: &[usize]) -> (Arc<memcached::Store>, usize) {
+    use ebbrt_net::netif::{ConnHandler, TcpConn};
+    let domain = Arc::new(ebbrt_core::rcu::RcuDomain::new(1));
+    let _guard = domain.read_guard(CoreId(0));
+    let store = memcached::Store::new(Arc::clone(&domain));
+    let sc = memcached::ServerConn::new(Arc::clone(&store));
+    let _bind = ebbrt_core::cpu::bind(CoreId(0));
+    let bad_before = ambient_bad_frames();
+    for seg in segments(stream, cuts) {
+        // The dangling conn panics when a response is sent (or the
+        // connection aborted) — after parsing and store updates are
+        // complete for this call.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sc.on_receive(&TcpConn::dangling(), seg);
+        }));
+        assert!(sc.pending_len() <= PENDING_CAP);
+        if ambient_bad_frames() > bad_before {
+            break; // aborted: a real connection delivers nothing more
+        }
+    }
+    (store, sc.pending_len())
+}
+
 mod zero_copy_props {
     use super::*;
-    use ebbrt_apps::memcached::{self, Store};
-    use ebbrt_core::cpu::CoreId;
-    use ebbrt_net::netif::TcpConn;
-    use std::sync::Arc;
+    use ebbrt_apps::memcached::{
+        Burst, Client, Header, BAD_FRAME_COUNTER, MAX_BODY_LEN, MEMCACHED_PORT,
+    };
+    use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
+    use ebbrt_net::tcp::TcpState;
+    use std::rc::Rc;
 
     /// Builds a pipelined request stream of SETs and GETs over a small
-    /// key space. Returns the raw bytes.
-    fn build_stream(ops: &[(u8, Vec<u8>)]) -> Vec<u8> {
-        let mut stream = Vec::new();
-        for (i, (sel, value)) in ops.iter().enumerate() {
+    /// key space. Returns the request frames.
+    fn build_stream(ops: &[(u8, Vec<u8>)]) -> Vec<Vec<u8>> {
+        let frames = ops.iter().enumerate().map(|(i, (sel, value))| {
             let key = format!("key{}", sel % 8);
             if sel % 3 == 0 {
-                stream.extend(memcached::encode_get(key.as_bytes(), i as u32));
+                memcached::encode_get(key.as_bytes(), i as u32)
             } else {
-                stream.extend(memcached::encode_set(key.as_bytes(), value, i as u32));
+                memcached::encode_set(key.as_bytes(), value, i as u32)
+            }
+        });
+        frames.collect()
+    }
+
+    /// A reply stream answering [`build_stream`]'s requests in order:
+    /// a hit carrying the op's bytes for every GET, OK for every SET.
+    fn build_replies(ops: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut out = Chain::new();
+        for (i, (sel, value)) in ops.iter().enumerate() {
+            if sel % 3 == 0 {
+                let value = Chain::single(IoBuf::copy_from(value));
+                memcached::push_hit(&mut out, i as u32, value);
+            } else {
+                memcached::push_status(&mut out, memcached::OP_SET, memcached::STATUS_OK, i as u32);
             }
         }
-        stream
+        out.copy_to_vec()
     }
 
     /// Observable parse outcome: store contents, (gets, sets, misses)
@@ -34,29 +100,7 @@ mod zero_copy_props {
     /// Feeds `stream` to a fresh server connection in segments at the
     /// given cut points.
     fn feed(stream: &[u8], cuts: &[usize]) -> ParseOutcome {
-        let domain = Arc::new(ebbrt_core::rcu::RcuDomain::new(1));
-        let _guard = domain.read_guard(CoreId(0));
-        let store = Store::new(Arc::clone(&domain));
-        let sc = memcached::ServerConn::new(Arc::clone(&store));
-        let _bind = ebbrt_core::cpu::bind(CoreId(0));
-        // Split the stream at the (sorted, deduped) cut points.
-        let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
-        points.push(0);
-        points.push(stream.len());
-        points.sort_unstable();
-        points.dedup();
-        for w in points.windows(2) {
-            if w[0] == w[1] {
-                continue;
-            }
-            let seg = Chain::single(IoBuf::copy_from(&stream[w[0]..w[1]]));
-            // The dangling conn panics when a response is sent — after
-            // parsing and store updates are complete for this call.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                use ebbrt_net::netif::ConnHandler;
-                sc.on_receive(&TcpConn::dangling(), seg);
-            }));
-        }
+        let (store, pending_len) = drive_server(stream, cuts);
         let mut contents: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
             .filter_map(|k| {
                 let key = format!("key{k}").into_bytes();
@@ -70,27 +114,129 @@ mod zero_copy_props {
             store.gets.load(Relaxed),
             store.sets.load(Relaxed),
             store.misses.load(Relaxed),
-            sc.pending_len(),
+            pending_len,
         )
+    }
+
+    /// A far end that swallows everything: the test feeds the client
+    /// its reply stream by hand.
+    struct Mute;
+    impl ConnHandler for Mute {
+        fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
+    }
+
+    /// What a reply stream made a client do: the `(header, value)`
+    /// sequence its workload saw, the unframed tail, the framing
+    /// errors counted, and whether the connection was aborted.
+    type ReplyOutcome = (Vec<(Header, Vec<u8>)>, usize, u64, bool);
+
+    /// Feeds `stream`, cut at `cuts`, to a [`Client`] that has
+    /// `requests` in flight.
+    fn feed_replies(requests: &[Vec<u8>], stream: &[u8], cuts: &[usize]) -> ReplyOutcome {
+        use ebbrt_net::types::Ipv4Addr;
+        let lan = ebbrt_net::Lan::new();
+        let vm = ebbrt_sim::CostProfile::ebbrt_vm;
+        let server_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
+        let (client_m, _c_if) =
+            lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
+        server.spawn_on(CoreId(0), || {
+            local_netif()
+                .listen(MEMCACHED_PORT, |_| Rc::new(Mute) as Rc<dyn ConnHandler>)
+                .expect("port free");
+        });
+        lan.world.run_to_idle();
+        let client = Client::spawn(&client_m, CoreId(0), server_ip, Burst::new(requests));
+        lan.world.run_to_idle();
+        let args = (Rc::clone(&client), segments(stream, cuts));
+        ebbrt_apps::spawn_with(&client_m, CoreId(0), args, |(client, segs)| {
+            let conn = client.conn().expect("connected");
+            for seg in segs {
+                if conn.state() == TcpState::Closed {
+                    break; // aborted: nothing after a bad frame is framed
+                }
+                client.on_receive(&conn, seg);
+                assert!(client.pending_len() <= PENDING_CAP);
+            }
+        });
+        lan.world.run_to_idle();
+        let replies = client.workload.replies.borrow().clone();
+        let bad = ebbrt_core::qos::snapshot(client_m.runtime()).get(BAD_FRAME_COUNTER);
+        let aborted = client.conn().expect("opened").state() == TcpState::Closed;
+        (replies, client.pending_len(), bad, aborted)
+    }
+
+    /// Whether the framer must reject `h` on a connection carrying
+    /// `magic`.
+    fn is_bad(h: &Header, magic: u8) -> bool {
+        let body = h.total_body as usize;
+        h.magic != magic || body > MAX_BODY_LEN || h.value_offset() > body
     }
 
     proptest! {
         /// Any segmentation of a request stream parses identically to
         /// the contiguous form: same store contents, same op counts,
-        /// same unconsumed tail.
+        /// same unconsumed tail — and the same holds for a reply stream
+        /// through [`Client`]: same `(header, value)` sequence. A
+        /// hostile header spliced behind either stream is a counted
+        /// framing error or (when it happens to be well-formed) just
+        /// another frame; it never panics and never parks more than
+        /// one maximal frame.
         #[test]
         fn memcached_parse_is_segmentation_invariant(
             ops in prop::collection::vec((any::<u8>(), prop::collection::vec(any::<u8>(), 0..80)), 1..12),
             cuts in prop::collection::vec(any::<usize>(), 0..24),
             trailing in 0usize..24,
+            hostile in (any::<u8>(), any::<u16>(), any::<u8>(), any::<u32>()),
         ) {
-            let mut stream = build_stream(&ops);
+            let requests = build_stream(&ops);
+            let mut stream = requests.concat();
             // A truncated final request must stay buffered identically.
             let keep = stream.len().saturating_sub(trailing % (stream.len() + 1));
             stream.truncate(keep);
             let contiguous = feed(&stream, &[]);
             let segmented = feed(&stream, &cuts);
             prop_assert_eq!(&contiguous, &segmented);
+
+            let mut replies = build_replies(&ops);
+            replies.truncate(replies.len().saturating_sub(trailing % (replies.len() + 1)));
+            let contiguous = feed_replies(&requests, &replies, &[]);
+            let segmented = feed_replies(&requests, &replies, &cuts);
+            prop_assert_eq!(&contiguous, &segmented);
+            prop_assert_eq!((contiguous.2, contiguous.3), (0, false));
+
+            // The hostile header: one of the two magics half the time,
+            // so the length checks get exercised too.
+            let (magic, key_len, extras_len, total_body) = hostile;
+            let magic = [memcached::MAGIC_REQUEST, memcached::MAGIC_RESPONSE, magic, magic];
+            let h = Header {
+                magic: magic[key_len as usize % 4],
+                opcode: memcached::OP_GET,
+                key_len,
+                extras_len,
+                status: 0,
+                total_body,
+                opaque: ops.len() as u32,
+            };
+            let tail = [h.encode().to_vec(), vec![0x5A; 64]].concat();
+            let full_requests = requests.concat();
+            let before = ambient_bad_frames();
+            let outcome = feed(&[full_requests, tail.clone()].concat(), &cuts);
+            let counted = ambient_bad_frames() - before;
+            if is_bad(&h, memcached::MAGIC_REQUEST) {
+                prop_assert_eq!((counted, outcome.4), (1, 0));
+            } else {
+                prop_assert_eq!(counted, 0);
+            }
+            let mut asked = requests.clone();
+            asked.push(h.encode().to_vec()); // in flight, should a reply like it arrive
+            let (seen, pending, bad, aborted) =
+                feed_replies(&asked, &[build_replies(&ops), tail].concat(), &cuts);
+            if is_bad(&h, memcached::MAGIC_RESPONSE) {
+                prop_assert_eq!((seen.len(), pending, bad, aborted), (ops.len(), 0, 1, true));
+            } else {
+                prop_assert_eq!((bad, aborted), (0, false));
+            }
         }
 
         /// `slice()` views observe exactly the bytes the writer put in
@@ -119,11 +265,8 @@ mod zero_copy_props {
 
 mod size_class_props {
     use super::*;
-    use ebbrt_apps::memcached::{self, Store};
-    use ebbrt_core::cpu::CoreId;
+    use ebbrt_apps::memcached::{Client, Header, Workload};
     use std::cell::RefCell;
-    use std::rc::Rc;
-    use std::sync::Arc;
 
     /// Sizes anchoring the generator at the pool class boundaries:
     /// the 2 KiB small/large edge, the 64 KiB large/oversize edge, and
@@ -157,134 +300,88 @@ mod size_class_props {
             .collect()
     }
 
-    /// Client that pushes a request stream respecting the send window
-    /// (chunked `send` calls — app-layer segmentation) and collects
-    /// the response stream.
-    struct PushClient {
+    /// Pushes a request stream respecting the send window (chunked
+    /// `send` calls — app-layer segmentation) and keeps the replies.
+    struct Push {
         tx: RefCell<Chain<IoBuf>>,
         /// Max bytes per send call (varies app-layer segmentation).
         chunk: usize,
-        rx: Rc<RefCell<Vec<u8>>>,
-        expected: usize,
+        values: RefCell<Vec<Vec<u8>>>,
     }
 
-    impl PushClient {
-        fn push(&self, conn: &ebbrt_net::netif::TcpConn) {
+    impl Push {
+        fn push(&self, client: &Client<Self>) {
             loop {
                 let mut tx = self.tx.borrow_mut();
-                if tx.is_empty() {
+                let take = tx.len().min(client.send_window()).min(self.chunk);
+                if take == 0 {
                     return;
                 }
-                let window = conn.send_window();
-                if window == 0 {
-                    return;
-                }
-                let take = tx.len().min(window).min(self.chunk);
                 let part = tx.split_to(take);
                 drop(tx);
-                if conn.send(part).is_err() {
+                if client.send(part).is_err() {
                     return;
                 }
             }
         }
     }
 
-    impl ebbrt_net::netif::ConnHandler for PushClient {
-        fn on_connected(&self, conn: &ebbrt_net::netif::TcpConn) {
-            self.push(conn);
+    impl Workload for Push {
+        fn on_connected(&self, client: &Client<Self>) {
+            self.push(client);
         }
-        fn on_receive(&self, conn: &ebbrt_net::netif::TcpConn, data: Chain<IoBuf>) {
-            self.rx.borrow_mut().extend(data.copy_to_vec());
-            if self.rx.borrow().len() >= self.expected {
-                conn.close();
+        fn on_reply(&self, client: &Client<Self>, _h: &Header, value: Chain<IoBuf>, _l: u64) {
+            self.values.borrow_mut().push(value.copy_to_vec());
+            if client.in_flight() == 0 && self.tx.borrow().is_empty() {
+                client.close();
             }
-            self.push(conn);
+            self.push(client);
         }
-        fn on_window_open(&self, conn: &ebbrt_net::netif::TcpConn) {
-            self.push(conn);
+        fn on_window_open(&self, client: &Client<Self>) {
+            self.push(client);
         }
     }
 
     /// SET a value of `size` bytes over the network (windowed,
     /// chunked sends), GET it back, and return the fetched bytes.
     fn roundtrip_over_network(value: &[u8], chunk: usize) -> Vec<u8> {
-        use ebbrt_net::netif::NetIf;
         use ebbrt_net::types::Ipv4Addr;
-        use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+        use ebbrt_net::Lan;
+        use ebbrt_sim::CostProfile;
 
-        let w = SimWorld::new();
-        let sw = Switch::new(&w);
-        let server = SimMachine::create(&w, "server", 1, CostProfile::ebbrt_vm(), [0xAA; 6]);
-        let client = SimMachine::create(&w, "client", 1, CostProfile::ebbrt_vm(), [0xBB; 6]);
-        sw.attach(server.nic(), LinkParams::default());
-        sw.attach(client.nic(), LinkParams::default());
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-        let _s_if = NetIf::attach(&server, Ipv4Addr::new(10, 0, 0, 1), mask);
-        let _c_if = NetIf::attach(&client, Ipv4Addr::new(10, 0, 0, 2), mask);
+        let lan = Lan::new();
+        let vm = CostProfile::ebbrt_vm;
+        let w = &lan.world;
+        let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
+        let (client, _c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
         w.run_to_idle();
-        let store = Store::new(Arc::clone(server.runtime().rcu()));
-        let store_ref = store.register(server.runtime());
-        server.spawn_on(CoreId(0), move || memcached::serve(store_ref));
+        let _store = memcached::serve_on(&server);
         w.run_to_idle();
 
         let mut stream = memcached::encode_set(b"straddle", value, 1);
         stream.extend(memcached::encode_get(b"straddle", 2));
-        // SET response header + GET response (header + flags + value).
-        let expected = memcached::Header::SIZE * 2 + 4 + value.len();
-        let rx = Rc::new(RefCell::new(Vec::new()));
-        let handler = Rc::new(PushClient {
+        let push = Push {
             tx: RefCell::new(Chain::single(IoBuf::copy_from(&stream))),
             chunk,
-            rx: Rc::clone(&rx),
-            expected,
-        });
-        ebbrt_apps::spawn_with(&client, CoreId(0), handler, move |handler| {
-            ebbrt_net::netif::local_netif().connect(
-                Ipv4Addr::new(10, 0, 0, 1),
-                memcached::MEMCACHED_PORT,
-                handler,
-            );
-        });
+            values: RefCell::default(),
+        };
+        let client = Client::spawn(&client, CoreId(0), Ipv4Addr::new(10, 0, 0, 1), push);
         w.run_to_idle();
-        let rx = rx.borrow();
-        assert!(
-            rx.len() >= expected,
-            "responses truncated: got {} of {expected} bytes for a {}-byte value",
-            rx.len(),
+        let mut values = client.workload.values.take();
+        assert_eq!(
+            values.len(),
+            2,
+            "responses truncated for a {}-byte value",
             value.len()
         );
-        rx[expected - value.len()..expected].to_vec()
+        values.pop().expect("the GET's value")
     }
 
-    /// Feeds one SET through a directly-driven server connection in
-    /// segments cut at `cuts`, returning the stored value bytes.
+    /// The value a directly-driven server connection stored for one SET
+    /// fed in segments cut at `cuts`.
     fn stored_after_segmented_set(stream: &[u8], cuts: &[usize]) -> Vec<u8> {
-        use ebbrt_net::netif::{ConnHandler, TcpConn};
-        let domain = Arc::new(ebbrt_core::rcu::RcuDomain::new(1));
-        let _guard = domain.read_guard(CoreId(0));
-        let store = Store::new(Arc::clone(&domain));
-        let sc = memcached::ServerConn::new(Arc::clone(&store));
-        let _bind = ebbrt_core::cpu::bind(CoreId(0));
-        let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
-        points.push(0);
-        points.push(stream.len());
-        points.sort_unstable();
-        points.dedup();
-        for wnd in points.windows(2) {
-            if wnd[0] == wnd[1] {
-                continue;
-            }
-            let seg = Chain::single(IoBuf::copy_from(&stream[wnd[0]..wnd[1]]));
-            // The dangling conn panics when the SET response is sent —
-            // after the store insert completed.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sc.on_receive(&TcpConn::dangling(), seg);
-            }));
-        }
-        store
-            .get_raw(b"straddle")
-            .map(|v| v.copy_to_vec())
-            .unwrap_or_default()
+        let stored = drive_server(stream, cuts).0.get_raw(b"straddle");
+        stored.map(|v| v.copy_to_vec()).unwrap_or_default()
     }
 
     proptest! {
