@@ -318,11 +318,6 @@ impl<H> TimerWheel<H> {
         self.live
     }
 
-    /// Whether `token` refers to a live entry.
-    pub fn is_live(&self, token: TimerToken) -> bool {
-        self.entry(token).is_some()
-    }
-
     /// Whether `token` is scheduled to fire (armed or already due).
     pub fn is_scheduled(&self, token: TimerToken) -> bool {
         matches!(

@@ -14,8 +14,16 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use crate::types::{Ipv4Addr, Mac};
+use ebbrt_core::clock::Ns;
+use ebbrt_core::event::TimerToken;
+use ebbrt_core::iobuf::{Chain, IoBuf};
+use ebbrt_core::runtime;
+
+use crate::netif::NetIf;
+use crate::types::{Ipv4Addr, Mac, MAC_BROADCAST};
+use crate::wire::{self, EthHeader};
 
 /// Terminal failure of an ARP resolution: the retry budget ran out
 /// with no reply. Delivered to every queued waiter so callers can tear
@@ -138,6 +146,119 @@ impl ArpCache {
     /// (hits, misses) counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
+    }
+}
+
+// --- Resolution on the wire: request, reply, bounded retry ------------------
+
+/// ARP request retransmission interval (doubled per attempt).
+pub const ARP_RETRY_NS: Ns = 100_000_000;
+
+/// ARP resolution attempts before the resolution is failed: queued
+/// waiters receive `Err(ArpTimeout)` and connections still in SynSent
+/// behind it are torn down.
+pub const ARP_MAX_TRIES: u32 = 3;
+
+/// In-flight ARP resolution: its retry timer (a persistent entry on the
+/// core that initiated the resolution) and attempts so far.
+pub(crate) struct ArpRetry {
+    timer: TimerToken,
+    tries: u32,
+}
+
+impl NetIf {
+    /// Learns the sender of a received ARP packet; answers a request
+    /// for our address.
+    pub(crate) fn rx_arp(self: &Rc<Self>, chain: Chain<IoBuf>) {
+        let pkt = match wire::parse_arp(&chain) {
+            Some(p) => p,
+            None => return self.drop_frame(),
+        };
+        // Learn the sender either way.
+        if !pkt.spa.is_unspecified() {
+            self.arp.insert(pkt.spa, pkt.sha);
+        }
+        if pkt.oper == wire::ARP_REQUEST && pkt.tpa == self.ip() {
+            self.arp_output(wire::ARP_REPLY, pkt.sha, pkt.sha, pkt.spa);
+        }
+    }
+
+    /// Transmits an ARP request and schedules bounded retries: one
+    /// persistent timer entry per in-flight resolution, re-armed with
+    /// exponential backoff, failing the pending entry if the peer never
+    /// answers.
+    pub(crate) fn send_arp_request(self: &Rc<Self>, ip: Ipv4Addr) {
+        self.arp_output(wire::ARP_REQUEST, MAC_BROADCAST, [0; 6], ip);
+        if self.arp_retries.borrow().contains_key(&ip) {
+            return; // a retry timer is already driving this resolution
+        }
+        let me = Rc::downgrade(self);
+        let timer = runtime::with_current(|rt| {
+            rt.local_event_manager()
+                .set_persistent_timer(ARP_RETRY_NS, move || {
+                    if let Some(n) = me.upgrade() {
+                        n.arp_retry_fire(ip);
+                    }
+                })
+        });
+        self.arp_retries
+            .borrow_mut()
+            .insert(ip, ArpRetry { timer, tries: 1 });
+    }
+
+    fn arp_retry_fire(self: &Rc<Self>, ip: Ipv4Addr) {
+        let Some(mut retry) = self.arp_retries.borrow_mut().remove(&ip) else {
+            return;
+        };
+        // Resolved since the timer was armed (the reply may arrive on a
+        // different core, so the cancel is lazy — here, on the timer's
+        // own core), or out of tries: free the entry.
+        let resolved = self.arp.lookup(ip).is_some();
+        if resolved || retry.tries >= ARP_MAX_TRIES {
+            if !resolved {
+                // Give up: every queued waiter receives the error
+                // (connections tear down, datagrams drop) instead of
+                // being silently discarded.
+                self.stats
+                    .arp_failures
+                    .set(self.stats.arp_failures.get() + 1);
+                self.arp.fail(ip);
+            }
+            runtime::with_current(|rt| rt.local_event_manager().cancel_timer(retry.timer));
+            return;
+        }
+        retry.tries += 1;
+        // Doubled per attempt (tries was just incremented, so the
+        // first retry waits 2× the base interval).
+        let backoff = ARP_RETRY_NS << (retry.tries - 1);
+        self.arp_output(wire::ARP_REQUEST, MAC_BROADCAST, [0; 6], ip);
+        runtime::with_current(|rt| {
+            rt.local_event_manager().reset_timer(retry.timer, backoff);
+        });
+        self.arp_retries.borrow_mut().insert(ip, retry);
+    }
+
+    /// Builds and transmits one ARP packet from us to `tha`/`tpa`,
+    /// framed to `dst`. Link-layer control bypasses the tx scheduler: a
+    /// next-hop resolution must never queue behind a data backlog.
+    fn arp_output(&self, oper: u16, dst: Mac, tha: Mac, tpa: Ipv4Addr) {
+        let pkt = wire::ArpPacket {
+            oper,
+            sha: self.mac(),
+            spa: self.ip(),
+            tha,
+            tpa,
+        };
+        let mut buf = wire::build_arp(&pkt);
+        wire::push_eth(
+            &mut buf,
+            &EthHeader {
+                dst,
+                src: self.mac(),
+                ethertype: wire::ETHERTYPE_ARP,
+            },
+        );
+        self.transmit_now(Chain::single(buf.freeze()));
     }
 }
 

@@ -160,11 +160,6 @@ impl DhcpServer {
         server
     }
 
-    /// Current lease table (diagnostic).
-    pub fn lease_count(&self) -> usize {
-        self.leases.borrow().len()
-    }
-
     fn lease_for(&self, mac: Mac) -> Ipv4Addr {
         if let Some(ip) = self.leases.borrow().get(&mac) {
             return *ip;

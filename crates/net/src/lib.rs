@@ -21,12 +21,6 @@
 //!   interrupts to polling under load and back, exactly as the §3.2
 //!   example describes.
 //!
-//! One deviation from the paper, recorded in DESIGN.md: the paper wraps
-//! the stack in a NetworkManager *Ebb*; here the per-machine stack
-//! object ([`netif::NetIf`]) is a plain per-machine singleton, because
-//! the simulation backend is single-threaded and the Ebb mechanics are
-//! exercised (and measured) by the allocator and dispatch benchmarks.
-//!
 //! The `futures` fast path of Figure 2 is reproduced verbatim:
 //! `EthArpSend` resolves the next hop via `ArpFind` returning a
 //! `Future<Mac>`; on a cache hit the continuation — header fill and
@@ -36,8 +30,12 @@ pub mod arp;
 pub mod conn_slab;
 pub mod dhcp;
 pub mod driver;
+pub mod ebb;
 pub mod lan;
 pub mod netif;
+pub mod qos_policy;
+pub mod stats;
+pub mod syncache;
 pub mod tcp;
 pub mod types;
 pub mod wire;

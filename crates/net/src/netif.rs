@@ -1,6 +1,7 @@
-//! The per-machine network interface: demux, TCP/UDP engines, ARP glue.
-//!
-//! Design points from §3.6, all implemented here:
+//! The per-machine network interface: the receive path from a burst of
+//! frames to per-connection runs, the connection table, the application
+//! callbacks, UDP, and the wire. The TCP protocol itself is
+//! [`crate::tcp`]; this module calls it and acts on what it reports.
 //!
 //! * Received data flows **synchronously** from the driver through the
 //!   stack into the application handler — no queues, no buffering, no
@@ -11,58 +12,40 @@
 //! * A connection's state is touched only on its *affinity core* — the
 //!   core RSS steers its frames to. Outbound connections pick their
 //!   ephemeral port so the reply flow hashes to the calling core.
-//! * Applications drive the send path against the advertised window
-//!   ([`TcpConn::send_window`]); the stack refuses rather than buffers
-//!   ([`SendError::WindowFull`]) and signals
-//!   [`ConnHandler::on_window_open`] when acknowledgments open space.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::{self, CoreId};
-use ebbrt_core::ebb::{EbbRef, MulticoreEbb, SystemEbb};
+use ebbrt_core::ebb::SystemEbb;
+use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::qos::{self, ClassId, CounterHandle, FairScheduler, QosConfig, MAX_CLASSES};
+use ebbrt_core::qos::{self, ClassId, CounterHandle, QosConfig};
 use ebbrt_core::rcu_hash::RcuHashMap;
-use ebbrt_core::runtime::{self, Runtime};
+use ebbrt_core::runtime;
 use ebbrt_sim::nic::Frame;
 use ebbrt_sim::world::charge;
 use ebbrt_sim::SimMachine;
 
-use crate::arp::ArpCache;
+use crate::arp::{ArpCache, ArpRetry};
 use crate::conn_slab::ConnSlab;
-use crate::tcp::{FourTuple, Pcb, TcpState};
+use crate::qos_policy::{qos_ref, QosEbb};
+use crate::stats::{NetStats, BURST_BUCKETS};
+use crate::syncache::{Room, SynCache};
+use crate::tcp::{self, FourTuple, Outcome, Pcb, SegOut, Segment, TcpIo, TcpState, Timer};
 use crate::types::{Ipv4Addr, Mac, MAC_BROADCAST};
-use crate::wire::{self, tcp_flags, EthHeader, Ipv4Header, TcpHeader};
+use crate::wire::{self, EthHeader, Ipv4Header, TcpHeader};
 
-/// Base retransmission timeout (exponentially backed off).
-pub const RTO_NS: Ns = 200_000_000;
-
-/// Delayed-ACK timeout: a lone data segment is acknowledged within this
-/// bound; a second segment forces an immediate ACK (RFC 1122 style).
-pub const DELACK_NS: Ns = 200_000;
-
-/// ARP request retransmission interval (doubled per attempt).
-pub const ARP_RETRY_NS: Ns = 100_000_000;
-
-/// ARP resolution attempts before the resolution is failed: queued
-/// waiters receive `Err(ArpTimeout)` and connections still in SynSent
-/// behind it are torn down.
-pub const ARP_MAX_TRIES: u32 = 3;
+pub use crate::ebb::{local_netif, netif_ref, try_local_netif, NetIfEbb};
+pub use crate::qos_policy::{QosMatch, QosPolicy};
+pub use crate::stats::BURST_BUCKET_LO;
+pub use crate::tcp::SendError;
 
 /// First ephemeral port used by [`NetIf::connect`].
 const EPHEMERAL_BASE: u16 = 33000;
-
-/// Minimum age before a budgeted syncache may evict an embryonic
-/// connection in favor of a new SYN. A legitimate handshake completes
-/// within a couple of round trips (microseconds under the simulator's
-/// cost model), so an embryonic entry this old is overwhelmingly a
-/// flood SYN that will never ACK. Younger entries are presumed live
-/// and the *new* SYN is shed instead.
-pub const SYN_FRESH_NS: Ns = 50_000_000;
 
 /// Callbacks through which a TCP application receives events. Handlers
 /// run on the connection's affinity core, directly on the interrupt
@@ -76,17 +59,6 @@ pub trait ConnHandler {
     fn on_window_open(&self, _conn: &TcpConn) {}
     /// The peer closed (FIN) or the connection reset/terminated.
     fn on_close(&self, _conn: &TcpConn) {}
-}
-
-/// Errors from [`TcpConn::send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum SendError {
-    /// The payload exceeds the usable send window; the application must
-    /// buffer and retry on [`ConnHandler::on_window_open`]. Carries the
-    /// currently usable window.
-    WindowFull(usize),
-    /// The connection is not in a data-transfer state.
-    NotConnected,
 }
 
 /// Errors from [`NetIf::listen`].
@@ -126,7 +98,7 @@ impl TcpConn {
 
     /// Usable send window in bytes.
     pub fn send_window(&self) -> usize {
-        self.with_netif(|n| n.with_pcb(self.id, |p| p.send_window()).unwrap_or(0))
+        self.with_pcb(|p| p.send_window()).unwrap_or(0)
     }
 
     /// Sends `data` (segmented to MSS). Refuses — does not buffer — if
@@ -137,14 +109,12 @@ impl TcpConn {
 
     /// Sets the advertised receive window (application-managed pacing).
     pub fn set_receive_window(&self, wnd: u16) {
-        self.with_netif(|n| {
-            n.with_pcb(self.id, |p| p.rcv_wnd = wnd);
-        });
+        self.with_pcb(|p| p.rcv_wnd = wnd);
     }
 
     /// Initiates close (FIN).
     pub fn close(&self) {
-        self.with_netif(|n| n.tcp_close(self.id));
+        self.with_netif(|n| n.drive(self.id, |p, io| p.close(io)));
     }
 
     /// Hard teardown: sends RST and discards the connection
@@ -152,22 +122,22 @@ impl TcpConn {
     /// The application-level cure for a peer that requests faster than
     /// it reads (a parked-reply backlog past its cap).
     pub fn abort(&self) {
-        self.with_netif(|n| n.tcp_abort(self.id));
+        self.with_netif(|n| n.drive(self.id, |p, io| p.abort(io)));
     }
 
     /// The connection's 4-tuple, if still alive.
     pub fn tuple(&self) -> Option<FourTuple> {
-        self.with_netif(|n| n.with_pcb(self.id, |p| p.tuple))
+        self.with_pcb(|p| p.tuple)
     }
 
     /// Current TCP state (Closed if the connection is gone).
     pub fn state(&self) -> TcpState {
-        self.with_netif(|n| n.with_pcb(self.id, |p| p.state).unwrap_or(TcpState::Closed))
+        self.with_pcb(|p| p.state()).unwrap_or(TcpState::Closed)
     }
 
     /// The core this connection is pinned to.
     pub fn core(&self) -> Option<CoreId> {
-        self.with_netif(|n| n.with_pcb(self.id, |p| p.core))
+        self.with_pcb(|p| p.core)
     }
 
     /// Internal id (diagnostics).
@@ -181,7 +151,11 @@ impl TcpConn {
     /// pick per-class serve policy — e.g. the memcached shedder's
     /// per-class deadlines.
     pub fn class(&self) -> ClassId {
-        ClassId(self.with_netif(|n| n.with_pcb(self.id, |p| p.class).unwrap_or(0)))
+        ClassId(self.with_pcb(|p| p.class).unwrap_or(0))
+    }
+
+    fn with_pcb<R>(&self, f: impl FnOnce(&mut Pcb) -> R) -> Option<R> {
+        self.with_netif(|n| n.with_pcb(self.id, |p, _| f(p)))
     }
 
     fn with_netif<R>(&self, f: impl FnOnce(&Rc<NetIf>) -> R) -> R {
@@ -190,6 +164,7 @@ impl TcpConn {
     }
 }
 
+#[derive(Clone)]
 struct ConnRec {
     pcb: Rc<RefCell<Pcb>>,
     handler: Rc<dyn ConnHandler>,
@@ -206,18 +181,11 @@ impl ConnHandler for PendingHandler {
     fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
 }
 
-/// One classified TCP segment of a burst: parsed header plus the
-/// payload chain (headers already advanced past).
-struct TcpSeg {
-    hdr: TcpHeader,
-    payload: Chain<IoBuf>,
-}
-
 /// A per-connection run of segments within one burst, processed under a
 /// single PCB borrow with one set of callbacks and one ACK decision.
 struct TcpRun {
     id: u64,
-    segs: Vec<TcpSeg>,
+    segs: Vec<Segment>,
 }
 
 /// The receive path's working vectors, kept on the [`NetIf`] between
@@ -230,124 +198,11 @@ struct TcpRun {
 #[derive(Default)]
 struct RxScratch {
     runs: Vec<TcpRun>,
-    spare_segs: Vec<Vec<TcpSeg>>,
-}
-
-/// In-flight ARP resolution: its retry timer (a persistent entry on the
-/// core that initiated the resolution) and attempts so far.
-struct ArpRetry {
-    timer: ebbrt_core::event::TimerToken,
-    tries: u32,
+    spare_segs: Vec<Vec<Segment>>,
 }
 
 type AcceptFn = Rc<dyn Fn(&TcpConn) -> Rc<dyn ConnHandler>>;
 type UdpHandlerFn = Rc<dyn Fn(Ipv4Addr, u16, Chain<IoBuf>)>;
-
-/// Number of frames-per-burst histogram buckets:
-/// 1, 2–3, 4–7, 8–15, 16–31, 32–63, 64+.
-pub const BURST_BUCKETS: usize = 7;
-
-/// Lower bound (inclusive) of each frames-per-burst bucket, for
-/// printing.
-pub const BURST_BUCKET_LO: [usize; BURST_BUCKETS] = [1, 2, 4, 8, 16, 32, 64];
-
-/// Interface statistics (single-threaded cells). The burst-shape
-/// counters — once plain cells here — live on the machine's
-/// [`qos::CounterRegistryEbb`] now (per-core cells, summed at
-/// quiescence), so the stack and the applications count through one
-/// mechanism; read them back through [`NetIf::rx_bursts`],
-/// [`NetIf::frames_per_burst`] and [`NetIf::coalesced_callbacks`] or
-/// any [`qos::snapshot`].
-pub struct NetStats {
-    /// Frames received / transmitted.
-    pub rx_frames: Cell<u64>,
-    /// Frames transmitted.
-    pub tx_frames: Cell<u64>,
-    /// TCP segments received.
-    pub rx_tcp: Cell<u64>,
-    /// TCP segments transmitted.
-    pub tx_tcp: Cell<u64>,
-    /// Connections fully established.
-    pub conns_established: Cell<u64>,
-    /// Connections closed.
-    pub conns_closed: Cell<u64>,
-    /// Segments retransmitted.
-    pub retransmits: Cell<u64>,
-    /// Segments dropped for checksum or demux failure.
-    pub rx_drops: Cell<u64>,
-    /// ARP resolutions that exhausted their retries (each one failed
-    /// its queued waiters and tore down any connection still in
-    /// `SynSent` behind it).
-    pub arp_failures: Cell<u64>,
-    /// Receive bursts handed up by the driver ("net.rx_bursts").
-    rx_bursts_h: CounterHandle,
-    /// Burst-size histogram, power-of-two buckets
-    /// (`net.frames_per_burst.{lo}`, [`BURST_BUCKET_LO`]).
-    frames_per_burst_h: [CounterHandle; BURST_BUCKETS],
-    /// Coalesced `on_receive` deliveries ("net.coalesced_callbacks").
-    coalesced_h: CounterHandle,
-    /// Live PCB slab entries ("net.pcb_slab_live", a gauge:
-    /// incremented on insert, decremented on cleanup).
-    pcb_slab_live_h: CounterHandle,
-    /// PCB slab high-water mark ("net.pcb_slab_high_water", monotone;
-    /// carried as cross-core deltas so the quiescent sum reads the
-    /// peak).
-    pcb_slab_high_water_h: CounterHandle,
-    /// Accounted idle-connection footprint in bytes
-    /// ("net.bytes_per_idle_conn", set once at attach from
-    /// [`NetIf::bytes_per_idle_conn`]).
-    bytes_per_idle_conn_h: CounterHandle,
-    /// New SYNs shed by the budgeted syncache ("net.syn_shed").
-    syn_shed_h: CounterHandle,
-    /// Embryonic connections created / promoted to Established /
-    /// evicted by the syncache / aborted before the handshake
-    /// completed. The ledger balances at quiescence:
-    /// `created == promoted + evicted + aborted + live`.
-    embryonic_created_h: CounterHandle,
-    embryonic_promoted_h: CounterHandle,
-    embryonic_evicted_h: CounterHandle,
-    embryonic_aborted_h: CounterHandle,
-}
-
-impl NetStats {
-    fn new(rt: &Runtime) -> NetStats {
-        NetStats {
-            rx_frames: Cell::new(0),
-            tx_frames: Cell::new(0),
-            rx_tcp: Cell::new(0),
-            tx_tcp: Cell::new(0),
-            conns_established: Cell::new(0),
-            conns_closed: Cell::new(0),
-            retransmits: Cell::new(0),
-            rx_drops: Cell::new(0),
-            arp_failures: Cell::new(0),
-            rx_bursts_h: qos::register_in(rt, "net.rx_bursts"),
-            frames_per_burst_h: std::array::from_fn(|i| {
-                qos::register_in(rt, &format!("net.frames_per_burst.{}", BURST_BUCKET_LO[i]))
-            }),
-            coalesced_h: qos::register_in(rt, "net.coalesced_callbacks"),
-            pcb_slab_live_h: qos::register_in(rt, "net.pcb_slab_live"),
-            pcb_slab_high_water_h: qos::register_in(rt, "net.pcb_slab_high_water"),
-            bytes_per_idle_conn_h: qos::register_in(rt, "net.bytes_per_idle_conn"),
-            syn_shed_h: qos::register_in(rt, "net.syn_shed"),
-            embryonic_created_h: qos::register_in(rt, "net.embryonic_created"),
-            embryonic_promoted_h: qos::register_in(rt, "net.embryonic_promoted"),
-            embryonic_evicted_h: qos::register_in(rt, "net.embryonic_evicted"),
-            embryonic_aborted_h: qos::register_in(rt, "net.embryonic_aborted"),
-        }
-    }
-
-    /// Records one receive burst of `n` frames (on the calling core's
-    /// registry rep — `rx_burst` runs on the RSS core).
-    fn note_burst(&self, n: usize) {
-        qos::bump(self.rx_bursts_h);
-        if n == 0 {
-            return;
-        }
-        let bucket = (usize::BITS - 1 - n.leading_zeros()).min(BURST_BUCKETS as u32 - 1) as usize;
-        qos::bump(self.frames_per_burst_h[bucket]);
-    }
-}
 
 /// The per-machine network stack instance.
 pub struct NetIf {
@@ -358,8 +213,7 @@ pub struct NetIf {
     pub arp: ArpCache,
     /// RCU connection demux: 4-tuple → PCB slab token. The token's
     /// low 32 bits are the slab index, so demux reaches a PCB with
-    /// one bounds-checked vector index — the old second-level
-    /// `HashMap<u64, ConnRec>` hash is gone from the segment path.
+    /// one bounds-checked vector index.
     conn_ids: RcuHashMap<FourTuple, u64>,
     /// Generation-tagged PCB slab (the `conn_ids` values are its
     /// tokens; stale tokens captured by timers miss harmlessly).
@@ -370,24 +224,12 @@ pub struct NetIf {
     /// after output, so a re-entrant `send_arp_request` for the same
     /// address (from a handler the retry unblocks) sees a consistent
     /// table instead of a held borrow.
-    arp_retries: RefCell<HashMap<Ipv4Addr, ArpRetry>>,
+    pub(crate) arp_retries: RefCell<HashMap<Ipv4Addr, ArpRetry>>,
     listeners: RefCell<HashMap<u16, AcceptFn>>,
     /// UDP demux. Borrow discipline: `rx_udp` clones the handler `Rc`
     /// out of a transient borrow before invoking it, so a handler may
     /// re-enter `udp_bind` (or trigger nested delivery) freely.
     udp_bindings: RefCell<HashMap<u16, UdpHandlerFn>>,
-    /// Budgeted syncache: per-class FIFO of embryonic (inbound,
-    /// handshake incomplete) connections as `(token, created_ns)`.
-    /// An entry goes stale in place when its connection promotes or
-    /// dies and is dropped once it reaches the front
-    /// (`trim_embryonic_front`), so the head is always the oldest live
-    /// embryo; `embryonic_live` holds the true per-class count.
-    embryonic_q: RefCell<[VecDeque<(u64, Ns)>; MAX_CLASSES]>,
-    embryonic_live: [Cell<usize>; MAX_CLASSES],
-    /// Embryonic cap for the default class when no QoS policy is
-    /// installed ([`NetIf::set_syn_backlog`]); with a policy, each
-    /// class's `syn_budget` governs.
-    syn_backlog: Cell<Option<usize>>,
     next_eph: Cell<u16>,
     ip_id: Cell<u16>,
     iss: Cell<u32>,
@@ -402,322 +244,14 @@ pub struct NetIf {
     rx_scratch: RefCell<RxScratch>,
     /// Statistics.
     pub stats: NetStats,
+    /// Embryonic-connection budget and ledger.
+    syncache: SynCache,
     /// The installed QoS policy (classification + admission), if any.
     qos: RefCell<Option<Rc<QosPolicy>>>,
     /// Fast-path flag: frames route through the per-core scheduler
     /// only once a policy is installed (one `Cell` load per transmit
     /// otherwise).
     qos_on: Cell<bool>,
-}
-
-/// The per-core representative of the machine's **network manager
-/// Ebb** ([`SystemEbb::NetStats`]): every core's rep shares the
-/// machine's [`NetIf`], so application code resolves the stack — and
-/// its [`NetStats`] — through one copyable [`EbbRef`] instead of
-/// threading `Rc<NetIf>` handles into every spawn closure.
-/// [`NetIf::attach`] installs a rep on every core.
-///
-/// Reps hold the stack weakly: the `Rc` returned by `attach` stays the
-/// owner (dropping it detaches the stack, exactly as before the Ebb
-/// existed), and the translation table cannot keep a dead interface
-/// alive through the machine⇄stack cycle.
-pub struct NetIfEbb {
-    netif: Weak<NetIf>,
-}
-
-impl NetIfEbb {
-    /// The machine's network stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack has been dropped (the `attach` caller let
-    /// its owning `Rc` go).
-    pub fn netif(&self) -> Rc<NetIf> {
-        self.netif.upgrade().expect("NetIf dropped under its Ebb")
-    }
-
-    /// Runs `f` against the machine's interface statistics.
-    pub fn with_stats<R>(&self, f: impl FnOnce(&NetStats) -> R) -> R {
-        f(&self.netif().stats)
-    }
-}
-
-impl MulticoreEbb for NetIfEbb {
-    type Root = ();
-
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!("NetIfEbb reps are installed by NetIf::attach, not faulted ({core})")
-    }
-}
-
-/// The well-known [`EbbRef`] of the current machine's network manager.
-pub fn netif_ref() -> EbbRef<NetIfEbb> {
-    EbbRef::well_known(SystemEbb::NetStats)
-}
-
-/// Resolves the current machine's [`NetIf`] through the translation
-/// table — the way application wiring code (running in an event on any
-/// core of the machine) reaches the stack.
-///
-/// # Panics
-///
-/// Panics if no [`NetIf`] is attached to the current machine, or if
-/// the calling thread has not entered a runtime.
-pub fn local_netif() -> Rc<NetIf> {
-    netif_ref().with(|rep| rep.netif())
-}
-
-/// As [`local_netif`], returning `None` when the calling thread has
-/// not entered a runtime or the current machine has no attached
-/// stack — the form for code that degrades gracefully without a
-/// network (direct-drive tests, harness threads).
-pub fn try_local_netif() -> Option<Rc<NetIf>> {
-    if !runtime::is_entered() {
-        return None;
-    }
-    runtime::with_current_on(|rt, core| {
-        if rt.ebbs().has_rep(SystemEbb::NetStats.id(), core) {
-            rt.ebbs()
-                .with_rep_on::<NetIfEbb, _>(core, SystemEbb::NetStats.id(), |rep| {
-                    rep.netif.upgrade()
-                })
-        } else {
-            None
-        }
-    })
-}
-
-// --- Overload control: classification, admission, tx scheduling ----------
-
-/// One classifier predicate: which connections a [`QosRule`] captures.
-#[derive(Clone, Copy, Debug)]
-pub enum QosMatch {
-    /// Inbound connections accepted on this listening port.
-    LocalPort(u16),
-    /// Outbound connections to this remote port.
-    RemotePort(u16),
-    /// Either direction, by peer address (the tenant-by-IP rule the
-    /// overload bench uses to tell its clients apart).
-    Peer(Ipv4Addr),
-}
-
-impl QosMatch {
-    fn matches_accept(&self, local_port: u16, peer: Ipv4Addr) -> bool {
-        match *self {
-            QosMatch::LocalPort(p) => p == local_port,
-            QosMatch::RemotePort(_) => false,
-            QosMatch::Peer(ip) => ip == peer,
-        }
-    }
-
-    fn matches_connect(&self, remote_port: u16, peer: Ipv4Addr) -> bool {
-        match *self {
-            QosMatch::LocalPort(_) => false,
-            QosMatch::RemotePort(p) => p == remote_port,
-            QosMatch::Peer(ip) => ip == peer,
-        }
-    }
-}
-
-/// A classifier rule: connections matching `m` belong to `class`.
-#[derive(Clone, Copy, Debug)]
-pub struct QosRule {
-    /// The predicate.
-    pub m: QosMatch,
-    /// The class matched connections are assigned.
-    pub class: ClassId,
-}
-
-/// The machine's installed QoS policy: the [`QosConfig`], the
-/// classifier rules, the per-class admission budgets, and the
-/// admission counters. Shared by every core of the machine (all cores
-/// of a simulated machine run on the one world thread, so plain cells
-/// suffice — the same contract as the rest of [`NetIf`]).
-pub struct QosPolicy {
-    config: QosConfig,
-    rules: RefCell<Vec<QosRule>>,
-    /// Currently admitted (live) connections per class.
-    live: [Cell<usize>; MAX_CLASSES],
-    admitted_h: Vec<CounterHandle>,
-    rejected_h: Vec<CounterHandle>,
-}
-
-impl QosPolicy {
-    fn new(config: QosConfig, rt: &Runtime) -> QosPolicy {
-        let admitted_h = config
-            .classes
-            .iter()
-            .map(|c| qos::register_in(rt, &qos::names::admitted(&c.name)))
-            .collect();
-        let rejected_h = config
-            .classes
-            .iter()
-            .map(|c| qos::register_in(rt, &qos::names::rejected(&c.name)))
-            .collect();
-        QosPolicy {
-            config,
-            rules: RefCell::new(Vec::new()),
-            live: Default::default(),
-            admitted_h,
-            rejected_h,
-        }
-    }
-
-    /// The installed configuration.
-    pub fn config(&self) -> &QosConfig {
-        &self.config
-    }
-
-    /// Adds a classifier rule. First match wins, except that a
-    /// [`QosMatch::Peer`] rule always beats a port rule (most
-    /// specific first).
-    pub fn add_rule(&self, m: QosMatch, class: ClassId) {
-        assert!(
-            (class.0 as usize) < self.config.classes.len(),
-            "rule names unconfigured class {class:?}"
-        );
-        self.rules.borrow_mut().push(QosRule { m, class });
-    }
-
-    /// Classifies an inbound connection at accept time.
-    pub fn classify_accept(&self, local_port: u16, peer: Ipv4Addr) -> ClassId {
-        let rules = self.rules.borrow();
-        rules
-            .iter()
-            .find(|r| matches!(r.m, QosMatch::Peer(_)) && r.m.matches_accept(local_port, peer))
-            .or_else(|| rules.iter().find(|r| r.m.matches_accept(local_port, peer)))
-            .map(|r| r.class)
-            .unwrap_or(ClassId::DEFAULT)
-    }
-
-    /// Classifies an outbound connection at connect time.
-    pub fn classify_connect(&self, remote_port: u16, peer: Ipv4Addr) -> ClassId {
-        let rules = self.rules.borrow();
-        rules
-            .iter()
-            .find(|r| matches!(r.m, QosMatch::Peer(_)) && r.m.matches_connect(remote_port, peer))
-            .or_else(|| {
-                rules
-                    .iter()
-                    .find(|r| r.m.matches_connect(remote_port, peer))
-            })
-            .map(|r| r.class)
-            .unwrap_or(ClassId::DEFAULT)
-    }
-
-    /// Takes one unit of `class`'s admission budget. `false` — with
-    /// the rejection counted — means the class is saturated and the
-    /// SYN must be answered with an RST (reject-fast: the peer learns
-    /// *now*, instead of timing out against a silently dropped SYN).
-    pub fn try_admit(&self, class: ClassId) -> bool {
-        let i = class.index(self.config.classes.len());
-        let live = &self.live[i];
-        if let Some(budget) = self.config.classes[i].conn_budget {
-            if live.get() >= budget {
-                qos::bump(self.rejected_h[i]);
-                return false;
-            }
-        }
-        live.set(live.get() + 1);
-        qos::bump(self.admitted_h[i]);
-        true
-    }
-
-    /// Returns an admitted connection's budget unit (at cleanup).
-    pub fn release(&self, class: ClassId) {
-        let i = class.index(self.config.classes.len());
-        let live = &self.live[i];
-        debug_assert!(live.get() > 0, "release without admit for {class:?}");
-        live.set(live.get().saturating_sub(1));
-    }
-
-    /// Currently admitted connections of `class`.
-    pub fn live(&self, class: ClassId) -> usize {
-        self.live[class.index(self.config.classes.len())].get()
-    }
-}
-
-/// The per-core representative of the machine's **transmit scheduler
-/// Ebb** ([`SystemEbb::Qos`]): each core owns a [`FairScheduler`] over
-/// its share of the paced link, so classed frames queue and dequeue
-/// without any cross-core coordination — the per-core-rep pattern
-/// applied to packet scheduling. Installed by [`NetIf::install_qos`];
-/// absent (and costing nothing) until then.
-pub struct QosEbb {
-    netif: Weak<NetIf>,
-    sched: RefCell<FairScheduler<Chain<IoBuf>>>,
-    /// The core's persistent pacing timer: armed when the wire is busy
-    /// with frames still queued, re-armed O(1) thereafter.
-    timer: Cell<Option<ebbrt_core::event::TimerToken>>,
-}
-
-impl MulticoreEbb for QosEbb {
-    type Root = ();
-
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!("QosEbb reps are installed by NetIf::install_qos, not faulted ({core})")
-    }
-}
-
-/// The well-known [`EbbRef`] of the current machine's tx scheduler.
-fn qos_ref() -> EbbRef<QosEbb> {
-    EbbRef::well_known(SystemEbb::Qos)
-}
-
-impl QosEbb {
-    /// Queues a classed frame and drains whatever the discipline and
-    /// the paced wire allow right now.
-    fn enqueue(&self, class: ClassId, frame: Chain<IoBuf>) {
-        let Some(netif) = self.netif.upgrade() else {
-            return;
-        };
-        let now = netif.machine.runtime().now_ns();
-        self.sched.borrow_mut().push(class, frame.len(), frame, now);
-        self.drain(&netif);
-    }
-
-    /// Dequeues every frame the scheduler grants while the wire is
-    /// free; if a backlog remains (wire busy), arms the pacing timer
-    /// for the instant the wire frees up.
-    fn drain(&self, netif: &Rc<NetIf>) {
-        loop {
-            let now = netif.machine.runtime().now_ns();
-            let granted = self.sched.borrow_mut().pop(now);
-            match granted {
-                Some((_class, frame)) => netif.transmit_now(frame),
-                None => break,
-            }
-        }
-        let now = netif.machine.runtime().now_ns();
-        let Some(ready_at) = self.sched.borrow().next_ready(now) else {
-            return;
-        };
-        let delay = ready_at.saturating_sub(now).max(1);
-        let timer = self.timer.get();
-        runtime::with_current(|rt| {
-            let tok = rt
-                .local_event_manager()
-                .arm_persistent_timer(timer, delay, move || {
-                    // Re-resolve through the translation table: the
-                    // closure is boxed once per core, not per frame.
-                    qos_ref().with(|rep| {
-                        if let Some(n) = rep.netif.upgrade() {
-                            rep.drain(&n);
-                        }
-                    });
-                });
-            debug_assert!(
-                timer.is_none() || timer == Some(tok),
-                "persistent pacing timer token went stale (off-core use?)"
-            );
-            self.timer.set(Some(tok));
-        });
-    }
-
-    /// Frames queued on this core (diagnostic).
-    pub fn backlog(&self) -> usize {
-        self.sched.borrow().len()
-    }
 }
 
 impl NetIf {
@@ -742,15 +276,13 @@ impl NetIf {
             arp_retries: RefCell::new(HashMap::new()),
             listeners: RefCell::new(HashMap::new()),
             udp_bindings: RefCell::new(HashMap::new()),
-            embryonic_q: RefCell::new(Default::default()),
-            embryonic_live: Default::default(),
-            syn_backlog: Cell::new(None),
             next_eph: Cell::new(EPHEMERAL_BASE),
             ip_id: Cell::new(1),
             iss: Cell::new(0x1000),
             last_tx: Cell::new(u64::MAX / 2),
             rx_scratch: RefCell::default(),
             stats: NetStats::new(machine.runtime()),
+            syncache: SynCache::new(machine.runtime()),
             qos: RefCell::new(None),
             qos_on: Cell::new(false),
         });
@@ -801,7 +333,7 @@ impl NetIf {
     }
 
     /// Installs the machine's overload-control policy: a per-core
-    /// [`FairScheduler`] rep on every core (under the well-known
+    /// [`FairScheduler`](qos::FairScheduler) rep on every core (under the well-known
     /// [`SystemEbb::Qos`] id) pacing the transmit path, plus the
     /// classifier/admission state. Classify connections with
     /// [`QosPolicy::add_rule`] on the returned policy. One-shot: the
@@ -814,11 +346,9 @@ impl NetIf {
         let rt = self.machine.runtime();
         let policy = Rc::new(QosPolicy::new(config, rt));
         let netif = Rc::downgrade(self);
-        let cfg = policy.config.clone();
-        runtime::install_on_all_cores(rt, SystemEbb::Qos.id(), move |_core| QosEbb {
-            netif: netif.clone(),
-            sched: RefCell::new(FairScheduler::new(&cfg)),
-            timer: Cell::new(None),
+        let cfg = policy.config().clone();
+        runtime::install_on_all_cores(rt, SystemEbb::Qos.id(), move |_core| {
+            QosEbb::new(netif.clone(), &cfg)
         });
         *self.qos.borrow_mut() = Some(Rc::clone(&policy));
         self.qos_on.set(true);
@@ -887,7 +417,6 @@ impl NetIf {
         let iss = self.iss.get();
         self.iss.set(iss.wrapping_add(0x3_1337));
         let mut pcb = Pcb::new(tuple, TcpState::SynSent, iss, core);
-        pcb.rcv_wnd = crate::tcp::DEFAULT_RCV_WND;
         // Outbound connections are classed (their tx is scheduled) but
         // never admission-controlled: budgets protect the server from
         // peers, not from its own opens.
@@ -896,25 +425,29 @@ impl NetIf {
         }
         let id = self.insert_conn(pcb, handler);
         // Resolve the next hop, then SYN (the Figure 2 path: on a cache
-        // hit this continues synchronously). A failed resolution tears
-        // the embryonic connection down instead of leaving it to hang
-        // in SynSent until its RTO budget expires.
+        // hit this continues synchronously). An ARP reply drains its
+        // waiters on whatever core it arrived on, so hop to the
+        // connection's affinity core first. A failed resolution tears
+        // the connection down — the handler sees `on_close` — instead
+        // of leaving it to hang in SynSent until its RTO budget
+        // expires.
         let me = Rc::downgrade(self);
         let need_request = self.arp.find(remote, move |res| {
-            if let Some(n) = me.upgrade() {
-                match res {
-                    Ok(mac) => n.complete_connect(id, core, mac),
-                    Err(_) => n.abort_connect(id, core),
+            let Some(n) = me.upgrade() else { return };
+            n.run_on_core(core, move |n| match res {
+                Ok(mac) => {
+                    n.with_pcb(id, |p, io| {
+                        p.remote_mac = mac;
+                        p.open(io);
+                    });
                 }
-            }
+                Err(_) => n.drive(id, |p, _| p.connect_failed()),
+            });
         });
         if need_request {
             self.send_arp_request(remote);
         }
-        TcpConn {
-            netif: Rc::downgrade(self),
-            id,
-        }
+        self.handle(id)
     }
 
     /// Runs `f` on `core` — immediately if the caller is already
@@ -932,50 +465,6 @@ impl NetIf {
                 f(&n);
             }
         });
-    }
-
-    /// Continues an active open once the next hop resolves. An ARP
-    /// reply drains its waiters on whatever core it arrived on, so hop
-    /// to the connection's affinity core first.
-    fn complete_connect(self: &Rc<Self>, id: u64, core: CoreId, mac: Mac) {
-        self.run_on_core(core, move |n| n.send_syn(id, mac));
-    }
-
-    /// Tears down an embryonic (SynSent) connection whose next-hop
-    /// resolution failed, on the connection's affinity core: the
-    /// handler sees `on_close` immediately rather than the connection
-    /// silently hanging until retransmissions give out.
-    fn abort_connect(self: &Rc<Self>, id: u64, core: CoreId) {
-        self.run_on_core(core, move |n| n.connect_failed(id));
-    }
-
-    fn connect_failed(self: &Rc<Self>, id: u64) {
-        let (pcb_rc, handler) = match self.conns.borrow().get(id) {
-            Some(rec) => (Rc::clone(&rec.pcb), Rc::clone(&rec.handler)),
-            None => return,
-        };
-        // Only an embryonic connection can be waiting on ARP; anything
-        // past SynSent resolved by other means and proceeds normally.
-        if pcb_rc.borrow().state != TcpState::SynSent {
-            return;
-        }
-        pcb_rc.borrow_mut().state = TcpState::Closed;
-        self.cleanup(id);
-        handler.on_close(&TcpConn {
-            netif: Rc::downgrade(self),
-            id,
-        });
-    }
-
-    fn send_syn(self: &Rc<Self>, id: u64, mac: Mac) {
-        self.with_pcb(id, |p| p.remote_mac = mac);
-        self.with_conn(id, |n, pcb, _| {
-            let mut p = pcb.borrow_mut();
-            let iss = p.snd_una;
-            n.tcp_output(&mut p, tcp_flags::SYN, iss, Chain::new(), 1);
-            p.record_sent(iss, 1, tcp_flags::SYN, Chain::new());
-        });
-        self.arm_rto(id);
     }
 
     /// Binds a UDP port to a handler `(src_ip, src_port, payload)`.
@@ -999,13 +488,12 @@ impl NetIf {
             return;
         }
         let me = Rc::downgrade(self);
-        let src_ip_port = src_port;
         let need_request = self.arp.find(dst, move |res| {
             // A failed resolution drops the datagram — UDP's contract —
             // but promptly, and counted, instead of leaking the queued
             // payload forever.
             if let (Some(n), Ok(mac)) = (me.upgrade(), res) {
-                n.udp_output(mac, src_ip_port, dst, dst_port, payload);
+                n.udp_output(mac, src_port, dst, dst_port, payload);
             }
         });
         if need_request {
@@ -1014,14 +502,6 @@ impl NetIf {
     }
 
     // --- Frame ingress (driver) ---------------------------------------------
-
-    /// Processes one received frame — a thin shim over the vector path
-    /// ([`Self::rx_burst`] with a burst of one), kept so per-packet
-    /// callers and tests exercise exactly the code the burst path runs.
-    pub fn rx_frame(self: &Rc<Self>, chain: Chain<IoBuf>) {
-        let mut one = vec![chain];
-        self.rx_burst(&mut one);
-    }
 
     /// Processes a whole receive burst (called by the driver on the RSS
     /// core with its reusable frame vector; each chain starts at the
@@ -1033,7 +513,7 @@ impl NetIf {
     ///    arrival order), while TCP segments for live connections are
     ///    demuxed against the RCU table and grouped into per-PCB *runs*.
     /// 2. **Run processing** — each run is processed under one PCB
-    ///    borrow (`process_run`): every segment's ACK/reassembly
+    ///    borrow ([`Pcb::input`]): every segment's ACK/reassembly
     ///    work happens back to back, the deliverable payload coalesces
     ///    into one zero-copy chain, and one delayed-ACK decision covers
     ///    the whole run.
@@ -1103,40 +583,9 @@ impl NetIf {
     /// runs first appeared in the burst.
     fn flush_runs(self: &Rc<Self>, rx: &mut RxScratch) {
         for mut run in rx.runs.drain(..) {
-            self.process_run(run.id, &mut run.segs);
+            self.drive(run.id, |p, io| p.input(io, &mut run.segs));
+            run.segs.clear(); // undrained only if the connection was gone
             rx.spare_segs.push(run.segs);
-        }
-    }
-
-    fn rx_arp(self: &Rc<Self>, chain: Chain<IoBuf>) {
-        let pkt = match wire::parse_arp(&chain) {
-            Some(p) => p,
-            None => return self.drop_frame(),
-        };
-        // Learn the sender either way.
-        if !pkt.spa.is_unspecified() {
-            self.arp.insert(pkt.spa, pkt.sha);
-        }
-        if pkt.oper == wire::ARP_REQUEST && pkt.tpa == self.ip.get() {
-            let reply = wire::ArpPacket {
-                oper: wire::ARP_REPLY,
-                sha: self.mac(),
-                spa: self.ip.get(),
-                tha: pkt.sha,
-                tpa: pkt.spa,
-            };
-            let mut buf = wire::build_arp(&reply);
-            wire::push_eth(
-                &mut buf,
-                &EthHeader {
-                    dst: pkt.sha,
-                    src: self.mac(),
-                    ethertype: wire::ETHERTYPE_ARP,
-                },
-            );
-            // Link-layer control bypasses the tx scheduler: a next-hop
-            // resolution must never queue behind a data backlog.
-            self.transmit_now(Chain::single(buf.freeze()));
         }
     }
 
@@ -1152,10 +601,7 @@ impl NetIf {
         // Trim link-layer padding.
         let l4_len = (ip.total_len as usize).saturating_sub(wire::IPV4_HLEN);
         if chain.len() > l4_len {
-            let extra = chain.len() - l4_len;
-            let keep = chain.len() - extra;
-            let kept = chain.split_to(keep);
-            chain = kept;
+            chain = chain.split_to(l4_len);
         } else if chain.len() < l4_len {
             return self.drop_frame(); // truncated
         }
@@ -1211,7 +657,7 @@ impl NetIf {
         let id = self.conn_ids.get(&tuple, |id| *id);
         match id {
             Some(id) => {
-                let seg = TcpSeg {
+                let seg = Segment {
                     hdr,
                     payload: chain,
                 };
@@ -1229,754 +675,225 @@ impl NetIf {
                 // an RST built from instantaneous state): order it
                 // against the queued runs.
                 self.flush_runs(rx);
-                self.handle_no_conn(eth, ip, tuple, &hdr);
+                self.handle_no_conn(eth.src, tuple, &hdr);
             }
         }
     }
 
     /// SYN to a listening port creates a connection; anything else gets
     /// RST.
-    fn handle_no_conn(
-        self: &Rc<Self>,
-        eth: EthHeader,
-        ip: Ipv4Header,
-        tuple: FourTuple,
-        hdr: &TcpHeader,
-    ) {
-        let is_syn = hdr.flags & tcp_flags::SYN != 0 && hdr.flags & tcp_flags::ACK == 0;
+    fn handle_no_conn(self: &Rc<Self>, from: Mac, tuple: FourTuple, hdr: &TcpHeader) {
         let accept = self.listeners.borrow().get(&tuple.local.1).cloned();
-        match (is_syn, accept) {
-            (true, Some(accept)) => {
-                // Admission control: classify the SYN and take a unit
-                // of the class's connection budget *before* any state
-                // is built. A saturated class is rejected fast — one
-                // RST, no PCB, no handler — so overload costs the
-                // server a classifier lookup, not a connection.
-                let mut class = ClassId::DEFAULT;
-                let mut admitted = false;
-                if let Some(policy) = self.qos.borrow().clone() {
-                    class = policy.classify_accept(tuple.local.1, tuple.remote.0);
-                    if !policy.try_admit(class) {
-                        self.send_rst(eth, ip, hdr);
-                        return;
-                    }
-                    admitted = true;
-                }
-                // Syncache budget: below admission in the shed ladder.
-                // Over the class's embryonic cap, either evict the
-                // class's own oldest stale half-open connection or —
-                // when every embryonic entry is still fresh — shed
-                // this SYN instead. Either way the pressure stays
-                // inside the flooding class: established connections
-                // and other classes' embryos are untouchable.
-                if !self.syncache_make_room(class) {
-                    qos::bump(self.stats.syn_shed_h);
-                    if admitted {
-                        if let Some(policy) = self.qos.borrow().as_ref() {
-                            policy.release(class);
-                        }
-                    }
-                    self.send_rst(eth, ip, hdr);
-                    return;
-                }
-                let core = cpu::current(); // the RSS core: the conn's home
-                let iss = self.iss.get();
-                self.iss.set(iss.wrapping_add(0x3_1337));
-                let mut pcb = Pcb::new(tuple, TcpState::SynReceived, iss, core);
-                pcb.class = class.0;
-                pcb.admitted = admitted;
-                pcb.embryonic = true;
-                pcb.remote_mac = eth.src;
-                pcb.rcv_nxt = hdr.seq.wrapping_add(1);
-                pcb.snd_wnd = hdr.window as u32;
-                self.arp.insert(ip.src, eth.src);
-                // Insert with a placeholder handler first — the slab
-                // mints the token — then let `accept` build the real
-                // handler against a *live* connection handle and swap
-                // it in. (The old code predicted the next id before
-                // inserting, which a slab with slot reuse can't do.)
-                let id = self.insert_conn(pcb, Rc::new(PendingHandler));
-                self.note_embryonic_created(class, id);
-                let conn = TcpConn {
-                    netif: Rc::downgrade(self),
-                    id,
-                };
-                let handler = accept(&conn);
-                if let Some(rec) = self.conns.borrow_mut().get_mut(id) {
-                    rec.handler = handler;
-                } else {
-                    // `accept` tore the connection down; nothing to run.
-                    return;
-                }
-                self.with_conn(id, |n, pcb, _| {
-                    let mut p = pcb.borrow_mut();
-                    let iss = p.snd_una;
-                    let flags = tcp_flags::SYN | tcp_flags::ACK;
-                    n.tcp_output(&mut p, flags, iss, Chain::new(), 1);
-                    p.record_sent(iss, 1, flags, Chain::new());
-                });
-                self.arm_rto(id);
-            }
-            _ => {
-                // RST for anything unexpected.
-                self.send_rst(eth, ip, hdr);
-            }
-        }
-    }
-
-    // --- Budgeted syncache ---------------------------------------------------
-
-    /// The embryonic cap for `class`: per-class `syn_budget` under an
-    /// installed policy, else [`NetIf::set_syn_backlog`]'s cap for the
-    /// default class.
-    fn syn_budget_for(&self, class: ClassId) -> Option<usize> {
-        if let Some(policy) = self.qos.borrow().as_ref() {
-            let i = class.index(policy.config.classes.len());
-            return policy.config.classes[i].syn_budget;
-        }
-        self.syn_backlog.get()
-    }
-
-    /// Makes room in `class`'s embryonic budget for one new SYN.
-    /// Returns `false` if the SYN must be shed (budget full of fresh
-    /// embryos). May evict the class's oldest stale embryonic
-    /// connection (counted on `embryonic_evicted`).
-    fn syncache_make_room(self: &Rc<Self>, class: ClassId) -> bool {
-        let Some(cap) = self.syn_budget_for(class) else {
-            return true;
+        let Some(accept) = accept.filter(|_| tcp::is_syn(hdr)) else {
+            return self.reject(from, tuple, hdr);
         };
-        let ci = class.0 as usize % MAX_CLASSES;
-        if self.embryonic_live[ci].get() < cap {
-            return true;
-        }
-        // At the cap: the queue's head is the class's oldest embryo.
-        let now = self.machine.runtime().now_ns();
-        let oldest = self.embryonic_q.borrow()[ci].front().copied();
-        match oldest {
-            Some((tok, created)) if now.saturating_sub(created) >= SYN_FRESH_NS => {
-                // Old enough that a live peer would have ACKed long
-                // ago: evict it in favor of the new SYN. Clear the flag
-                // first so cleanup doesn't double-count this death as
-                // an abort, and read the victim's affinity core: its
-                // timer entries live there, so the teardown must run
-                // there (the new SYN may have RSS-hashed to a different
-                // core).
-                let core = match self.conns.borrow().get(tok) {
-                    Some(rec) => {
-                        let mut p = rec.pcb.borrow_mut();
-                        p.embryonic = false;
-                        p.core
-                    }
-                    None => unreachable!("the queue's head is a live embryo"),
-                };
-                self.note_embryonic_gone(class.0, self.stats.embryonic_evicted_h);
-                self.run_on_core(core, move |n| n.tcp_abort(tok));
-                true
-            }
-            Some(_) => {
-                // Every embryo is fresh (a legitimate thundering herd):
-                // keep them, shed the newcomer.
-                false
-            }
-            None => {
-                // Count says full but the queue found nothing — cannot
-                // happen while the ledger balances; fail open.
-                debug_assert!(false, "embryonic count/queue out of sync");
-                true
+        // Admission control: classify the SYN and take a unit of the
+        // class's connection budget *before* any state is built. A
+        // saturated class is rejected fast — one RST, no PCB, no
+        // handler — so overload costs the server a classifier lookup,
+        // not a connection.
+        let policy = self.qos.borrow().clone();
+        let mut class = ClassId::DEFAULT;
+        if let Some(policy) = &policy {
+            class = policy.classify_accept(tuple.local.1, tuple.remote.0);
+            if !policy.try_admit(class) {
+                return self.reject(from, tuple, hdr);
             }
         }
-    }
-
-    /// Records a new embryonic connection in its class's syncache.
-    fn note_embryonic_created(&self, class: ClassId, id: u64) {
-        let ci = class.0 as usize % MAX_CLASSES;
+        // Syncache budget: below admission in the shed ladder. Over
+        // the class's embryonic cap, either evict the class's own
+        // oldest stale half-open connection or — when every embryonic
+        // entry is still fresh — shed this SYN instead. Either way the
+        // pressure stays inside the flooding class: established
+        // connections and other classes' embryos are untouchable.
         let now = self.machine.runtime().now_ns();
-        self.embryonic_q.borrow_mut()[ci].push_back((id, now));
-        self.embryonic_live[ci].set(self.embryonic_live[ci].get() + 1);
-        qos::bump(self.stats.embryonic_created_h);
+        match self.syncache.room(class, policy.as_deref(), now) {
+            Room::Free => {}
+            Room::Evict(victim) => self.evict_embryo(class, victim),
+            Room::Shed => {
+                if let Some(policy) = &policy {
+                    policy.release(class);
+                }
+                return self.reject(from, tuple, hdr);
+            }
+        }
+        let core = cpu::current(); // the RSS core: the conn's home
+        let iss = self.iss.get();
+        self.iss.set(iss.wrapping_add(0x3_1337));
+        let mut pcb = Pcb::from_syn(tuple, iss, core, hdr);
+        pcb.remote_mac = from;
+        pcb.class = class.0;
+        pcb.admitted = policy.is_some();
+        pcb.embryonic = true;
+        self.arp.insert(tuple.remote.0, from);
+        // Insert with a placeholder handler first — the slab mints the
+        // token — then let `accept` build the real handler against a
+        // *live* connection handle and swap it in.
+        let id = self.insert_conn(pcb, Rc::new(PendingHandler));
+        self.syncache.created(class, id, now);
+        let handler = accept(&self.handle(id));
+        match self.conns.borrow_mut().get_mut(id) {
+            Some(rec) => rec.handler = handler,
+            // `accept` tore the connection down; nothing to run.
+            None => return,
+        }
+        self.with_pcb(id, |p, io| p.open(io));
     }
 
-    /// Settles an embryonic connection's ledger entry: decrements the
-    /// class's live count and bumps `reason` (promoted, evicted or
-    /// aborted). The caller has already cleared the PCB's `embryonic` flag or
-    /// removed the connection, so its queue entry is stale.
-    fn note_embryonic_gone(&self, class: u8, reason: CounterHandle) {
-        let ci = class as usize % MAX_CLASSES;
-        let live = &self.embryonic_live[ci];
-        debug_assert!(live.get() > 0, "embryonic ledger underflow");
-        live.set(live.get().saturating_sub(1));
-        qos::bump(reason);
-        self.trim_embryonic_front(ci);
+    /// Answers a segment nothing here wants with an RST — or, when it
+    /// is itself one, with silence (counted as a drop).
+    fn reject(&self, from: Mac, tuple: FourTuple, hdr: &TcpHeader) {
+        match tcp::rst_reply(tuple, from, hdr) {
+            Some(rst) => self.tcp_emit(rst),
+            None => self.drop_frame(),
+        }
     }
 
-    /// Drops stale entries (promoted or dead connections) from the
-    /// front of a class's syncache queue, so the queue is no longer
-    /// than the run of connections accepted since its oldest live
-    /// embryo — not one entry per connection ever accepted.
-    fn trim_embryonic_front(&self, ci: usize) {
+    /// Evicts an embryonic connection in favor of a new SYN. The flag
+    /// clears first so the teardown does not count the death again as
+    /// an abort; the teardown runs on the victim's affinity core, where
+    /// its timer entries live (the new SYN may have hashed elsewhere).
+    fn evict_embryo(self: &Rc<Self>, class: ClassId, victim: u64) {
+        let core = self
+            .with_pcb(victim, |p, _| {
+                p.embryonic = false;
+                p.core
+            })
+            .expect("the queue's head is a live embryo");
+        self.embryo_gone(class.0, self.syncache.evicted_h);
+        self.run_on_core(core, move |n| n.drive(victim, |p, io| p.abort(io)));
+    }
+
+    /// Settles one embryonic connection's entry in the syncache ledger.
+    fn embryo_gone(&self, class: u8, why: CounterHandle) {
         let conns = self.conns.borrow();
-        let q = &mut self.embryonic_q.borrow_mut()[ci];
-        while let Some(&(tok, _)) = q.front() {
-            if conns.get(tok).is_some_and(|rec| rec.pcb.borrow().embryonic) {
-                break;
-            }
-            q.pop_front();
-        }
+        self.syncache.gone(class, why, |tok| {
+            conns.get(tok).is_some_and(|rec| rec.pcb.borrow().embryonic)
+        });
     }
 
-    /// Processes one connection's run of segments under a single PCB
-    /// borrow, then fires each application callback at most once for
-    /// the whole run: `on_connected`, one coalesced `on_receive`,
-    /// `on_window_open`, `on_close` — in that order — followed by one
-    /// delayed-ACK decision. Per-connection arrival order is preserved;
-    /// only the *number* of callbacks and bare ACKs changes relative to
-    /// per-packet processing (a run of N data segments produces one
-    /// delivery and at most one bare ACK instead of N and N/2), which
-    /// the equivalence proptest pins down.
-    fn process_run(self: &Rc<Self>, id: u64, segs: &mut Vec<TcpSeg>) {
-        let (pcb_rc, handler) = match self.conns.borrow().get(id) {
-            Some(rec) => (Rc::clone(&rec.pcb), Rc::clone(&rec.handler)),
-            None => return segs.clear(),
+    // --- TCP: the state machine's caller -------------------------------------
+    //
+    // Every TCP rule is in [`crate::tcp`]; this is the glue around it.
+
+    /// Runs `f` on connection `id`'s PCB, under one borrow, with the
+    /// I/O the state machine reaches the world through. `None` if the
+    /// connection is gone. The slab borrow is released first: `f`
+    /// transmits.
+    fn with_pcb<R>(
+        self: &Rc<Self>,
+        id: u64,
+        f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> R,
+    ) -> Option<R> {
+        let pcb = self.conns.borrow().get(id).map(|r| Rc::clone(&r.pcb))?;
+        let mut p = pcb.borrow_mut();
+        Some(f(&mut p, &mut ConnIo { netif: self, id }))
+    }
+
+    /// Makes one call into connection `id`'s state machine and acts on
+    /// its [`Outcome`]. Callbacks run after the PCB borrow is released
+    /// (handlers send, which re-borrows it), each at most once:
+    /// `on_connected`, one coalesced `on_receive`, `on_window_open`,
+    /// `on_close`. Then the ACK decision — the application's reply has
+    /// had its chance to carry the ACK — and the one teardown: a PCB
+    /// left Closed is cleaned up, and if the network rather than the
+    /// application ended it the handler hears `on_close`.
+    fn drive(self: &Rc<Self>, id: u64, f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> Outcome) {
+        let Some(ConnRec { pcb, handler }) = self.conns.borrow().get(id).cloned() else {
+            return;
         };
-        let conn = TcpConn {
-            netif: Rc::downgrade(self),
-            id,
-        };
-        // Events accumulated across the run; callbacks run after the
-        // borrow is released (handlers send, which re-borrows the PCB).
-        let mut established = false;
-        let mut handshake_ack = false;
-        let mut window_opened = false;
-        let mut peer_closed = false;
-        let mut reset = false;
-        let mut promoted_class: Option<u8> = None;
-        let mut delivery: Chain<IoBuf> = Chain::new();
-        let mut chunks = 0usize;
-        {
-            let mut p = pcb_rc.borrow_mut();
-            // Draining leaves `segs` empty even on the RST `break`.
-            for seg in segs.drain(..) {
-                let hdr = seg.hdr;
-                // RST: tear down immediately; anything already
-                // reassembled in this run is still delivered below
-                // (exactly what per-packet processing did for the
-                // segments preceding the RST).
-                if hdr.flags & tcp_flags::RST != 0 {
-                    p.state = TcpState::Closed;
-                    reset = true;
-                    break;
-                }
-                match p.state {
-                    TcpState::SynSent => {
-                        if hdr.flags & (tcp_flags::SYN | tcp_flags::ACK)
-                            == tcp_flags::SYN | tcp_flags::ACK
-                        {
-                            if hdr.ack != p.snd_nxt.wrapping_add(1) && hdr.ack != p.snd_nxt {
-                                continue;
-                            }
-                            p.rcv_nxt = hdr.seq.wrapping_add(1);
-                            p.process_ack(hdr.ack, hdr.window);
-                            p.state = TcpState::Established;
-                            p.ack_pending = true;
-                            established = true;
-                            // Complete the handshake with an immediate
-                            // ACK, never a delayed one.
-                            handshake_ack = true;
-                        }
-                    }
-                    TcpState::SynReceived => {
-                        if hdr.flags & tcp_flags::ACK != 0 {
-                            p.process_ack(hdr.ack, hdr.window);
-                            p.state = TcpState::Established;
-                            established = true;
-                            if p.embryonic {
-                                // Promotion: the connection leaves the
-                                // syncache ledger (counted below, after
-                                // the borrow releases).
-                                p.embryonic = false;
-                                promoted_class = Some(p.class);
-                            }
-                            // Piggybacked data falls through.
-                            self.established_seg(
-                                &mut p,
-                                &hdr,
-                                seg.payload,
-                                &mut window_opened,
-                                &mut peer_closed,
-                                &mut delivery,
-                                &mut chunks,
-                            );
-                        }
-                    }
-                    TcpState::Closed => {}
-                    _ => self.established_seg(
-                        &mut p,
-                        &hdr,
-                        seg.payload,
-                        &mut window_opened,
-                        &mut peer_closed,
-                        &mut delivery,
-                        &mut chunks,
-                    ),
-                }
-            }
+        let mut io = ConnIo { netif: self, id };
+        let out = f(&mut pcb.borrow_mut(), &mut io);
+        let conn = self.handle(id);
+        if out.promoted {
+            let class = pcb.borrow().class;
+            self.embryo_gone(class, self.syncache.promoted_h);
         }
-        if let Some(class) = promoted_class {
-            self.note_embryonic_gone(class, self.stats.embryonic_promoted_h);
+        if out.retransmitted {
+            self.stats.retransmits.set(self.stats.retransmits.get() + 1);
         }
-        if established {
+        if out.established {
             self.stats
                 .conns_established
                 .set(self.stats.conns_established.get() + 1);
             handler.on_connected(&conn);
         }
-        if !delivery.is_empty() {
-            if chunks > 1 {
+        if !out.delivery.is_empty() {
+            if out.chunks > 1 {
                 qos::bump(self.stats.coalesced_h);
             }
-            handler.on_receive(&conn, delivery);
+            handler.on_receive(&conn, out.delivery);
         }
-        if window_opened {
+        if out.window_opened {
             handler.on_window_open(&conn);
         }
-        if reset {
-            self.cleanup(id);
-            handler.on_close(&conn);
-            return;
-        }
-        if peer_closed {
+        if out.peer_closed && !out.reset {
             handler.on_close(&conn);
         }
-        if handshake_ack {
-            self.flush_ack(&pcb_rc);
-        } else {
-            self.flush_or_delay_ack(id, &pcb_rc);
-        }
-        let closed = pcb_rc.borrow().is_closed();
+        let closed = {
+            let mut p = pcb.borrow_mut();
+            p.flush_ack(&mut io);
+            p.is_closed()
+        };
         if closed {
             self.cleanup(id);
-        }
-    }
-
-    /// Data-phase work for one segment of a run, under the caller's PCB
-    /// borrow (Established and closing states). Deliverable payload and
-    /// callback-worthy events accumulate into the run's state instead
-    /// of firing per segment.
-    #[allow(clippy::too_many_arguments)]
-    fn established_seg(
-        &self,
-        p: &mut Pcb,
-        hdr: &TcpHeader,
-        payload: Chain<IoBuf>,
-        window_opened: &mut bool,
-        peer_closed: &mut bool,
-        delivery: &mut Chain<IoBuf>,
-        chunks: &mut usize,
-    ) {
-        let mut fin_acked = false;
-        if hdr.flags & tcp_flags::ACK != 0 {
-            let r = p.process_ack(hdr.ack, hdr.window);
-            // Deliver window-open in every state where the app may
-            // still send (tcp_send accepts Established and CloseWait):
-            // a peer that half-closes while a large reply is parked
-            // must still receive the tail.
-            *window_opened |=
-                r.window_opened && matches!(p.state, TcpState::Established | TcpState::CloseWait);
-            if r.queue_empty {
-                // Nothing in flight: park the RTO timer (entry kept for
-                // the next send).
-                self.disarm_rto(p);
-                if p.close_requested && p.snd_una == p.snd_nxt {
-                    fin_acked = true;
-                }
-            } else if r.acked > 0 {
-                // Progress with data still outstanding: restart the RTO
-                // for the (new) oldest unacked segment. This is the
-                // per-ACK re-arm — an O(1) wheel relink.
-                self.restart_rto(p);
+            if out.reset {
+                handler.on_close(&conn);
             }
         }
-        // Reassemble; deliverable chains coalesce into the run's single
-        // zero-copy delivery (descriptor moves, no byte copies).
-        let seg_len = payload.len() as u32;
-        *chunks += p.on_data(hdr.seq, payload, delivery);
-        if seg_len > 0 {
-            p.segs_since_ack += 1;
-        }
-        // FIN processing: consumes one sequence number, only when it is
-        // the next expected byte.
-        if hdr.flags & tcp_flags::FIN != 0 {
-            let fin_seq = hdr.seq.wrapping_add(seg_len);
-            if fin_seq == p.rcv_nxt {
-                p.rcv_nxt = p.rcv_nxt.wrapping_add(1);
-                p.ack_pending = true;
-                *peer_closed = true;
-                p.state = match p.state {
-                    TcpState::Established => TcpState::CloseWait,
-                    TcpState::FinWait1 => {
-                        if p.snd_una == p.snd_nxt {
-                            TcpState::Closed
-                        } else {
-                            TcpState::LastAck // simultaneous close
-                        }
-                    }
-                    TcpState::FinWait2 => TcpState::Closed,
-                    s => s,
-                };
-            }
-        }
-        // State advance on our FIN being acknowledged.
-        if fin_acked {
-            p.state = match p.state {
-                TcpState::FinWait1 => TcpState::FinWait2,
-                TcpState::LastAck => TcpState::Closed,
-                s => s,
-            };
-        }
     }
-
-    // --- TCP egress ---------------------------------------------------------
 
     fn tcp_send(self: &Rc<Self>, id: u64, data: Chain<IoBuf>) -> Result<(), SendError> {
-        let pcb_rc = match self.conns.borrow().get(id) {
-            Some(rec) => Rc::clone(&rec.pcb),
-            None => return Err(SendError::NotConnected),
-        };
-        {
-            let p = pcb_rc.borrow();
+        self.with_pcb(id, |p, io| {
             assert_eq!(
                 cpu::try_current(),
                 Some(p.core),
                 "TCP connections must be driven from their affinity core"
             );
-            match p.state {
-                TcpState::Established | TcpState::CloseWait => {}
-                _ => return Err(SendError::NotConnected),
-            }
-            if data.len() > p.send_window() {
-                return Err(SendError::WindowFull(p.send_window()));
-            }
-        }
-        // Segment to the device-derived MSS; each segment is recorded
-        // for retransmission (descriptor clones — no byte copies).
-        let mut remaining = data;
-        let mut p = pcb_rc.borrow_mut();
-        while !remaining.is_empty() {
-            let take = remaining.len().min(self.mss);
-            let seg = remaining.split_to(take);
-            let seq = p.snd_nxt;
-            let flags = tcp_flags::ACK | tcp_flags::PSH;
-            self.tcp_output(&mut p, flags, seq, seg.clone(), seg.len() as u32);
-            p.record_sent(seq, seg.len() as u32, flags, seg);
-        }
-        drop(p);
-        self.arm_rto(id);
-        Ok(())
+            p.send(io, data, self.mss)
+        })
+        .unwrap_or(Err(SendError::NotConnected))
     }
 
-    fn tcp_close(self: &Rc<Self>, id: u64) {
-        let pcb_rc = match self.conns.borrow().get(id) {
-            Some(rec) => Rc::clone(&rec.pcb),
-            None => return,
-        };
-        let mut p = pcb_rc.borrow_mut();
-        if p.close_requested {
-            return;
-        }
-        match p.state {
-            TcpState::Established | TcpState::SynReceived => {
-                p.close_requested = true;
-                let seq = p.snd_nxt;
-                let flags = tcp_flags::FIN | tcp_flags::ACK;
-                self.tcp_output(&mut p, flags, seq, Chain::new(), 1);
-                p.record_sent(seq, 1, flags, Chain::new());
-                p.state = TcpState::FinWait1;
-                drop(p);
-                self.arm_rto(id);
-            }
-            TcpState::CloseWait => {
-                p.close_requested = true;
-                let seq = p.snd_nxt;
-                let flags = tcp_flags::FIN | tcp_flags::ACK;
-                self.tcp_output(&mut p, flags, seq, Chain::new(), 1);
-                p.record_sent(seq, 1, flags, Chain::new());
-                p.state = TcpState::LastAck;
-                drop(p);
-                self.arm_rto(id);
-            }
-            TcpState::SynSent => {
-                p.state = TcpState::Closed;
-                drop(p);
-                self.cleanup(id);
-            }
-            _ => {}
-        }
-    }
-
-    /// Hard-kills a connection: one RST out, state to Closed, records
-    /// and timers freed. See [`TcpConn::abort`].
-    fn tcp_abort(self: &Rc<Self>, id: u64) {
-        let pcb_rc = match self.conns.borrow().get(id) {
-            Some(rec) => Rc::clone(&rec.pcb),
-            None => return,
-        };
-        {
-            let mut p = pcb_rc.borrow_mut();
-            if p.state == TcpState::Closed {
-                return;
-            }
-            let seq = p.snd_nxt;
-            self.tcp_output(
-                &mut p,
-                tcp_flags::RST | tcp_flags::ACK,
-                seq,
-                Chain::new(),
-                0,
-            );
-            p.state = TcpState::Closed;
-        }
-        self.cleanup(id);
-    }
-
-    /// Builds and transmits one TCP segment. `seq_len` is the sequence
-    /// space it occupies (payload + SYN/FIN); pure ACKs pass 0.
-    fn tcp_output(&self, p: &mut Pcb, flags: u8, seq: u32, payload: Chain<IoBuf>, _seq_len: u32) {
+    /// Builds and transmits one TCP segment.
+    #[inline]
+    fn tcp_emit(&self, out: SegOut) {
         let mut hdr = MutIoBuf::with_headroom(0, wire::HEADROOM);
         let id = self.ip_id.get();
         self.ip_id.set(id.wrapping_add(1));
         wire::push_tcp_frame(
             &mut hdr,
             &EthHeader {
-                dst: p.remote_mac,
+                dst: out.dst_mac,
                 src: self.mac(),
                 ethertype: wire::ETHERTYPE_IPV4,
             },
             &Ipv4Header {
-                src: p.tuple.local.0,
-                dst: p.tuple.remote.0,
+                src: out.tuple.local.0,
+                dst: out.tuple.remote.0,
                 proto: wire::IPPROTO_TCP,
                 total_len: 0,
                 id,
                 ttl: 64,
             },
             &TcpHeader {
-                src_port: p.tuple.local.1,
-                dst_port: p.tuple.remote.1,
-                seq,
-                ack: p.rcv_nxt,
-                flags,
-                window: p.rcv_wnd,
+                src_port: out.tuple.local.1,
+                dst_port: out.tuple.remote.1,
+                seq: out.seq,
+                ack: out.ack,
+                flags: out.flags,
+                window: out.window,
                 header_len: wire::TCP_HLEN,
             },
-            &payload,
+            &out.payload,
         );
         let mut frame = Chain::single(hdr.freeze());
-        frame.append_chain(payload);
-        p.ack_pending = false;
-        p.segs_since_ack = 0;
-        if p.delack_armed {
-            // The ACK piggybacked on this segment; park the delack
-            // timer instead of letting it fire into a no-op.
-            p.delack_armed = false;
-            if let Some(tok) = p.delack_timer {
-                runtime::with_current(|rt| {
-                    rt.local_event_manager().disarm_timer(tok);
-                });
-            }
-        }
+        frame.append_chain(out.payload);
         self.stats.tx_tcp.set(self.stats.tx_tcp.get() + 1);
-        self.transmit(frame, ClassId(p.class));
+        self.transmit(frame, ClassId(out.class));
     }
 
-    /// Sends a bare ACK if one is owed (called at the end of segment
-    /// processing; a reply sent synchronously by the application will
-    /// already have carried the ACK).
-    fn flush_ack(&self, pcb_rc: &Rc<RefCell<Pcb>>) {
-        let mut p = pcb_rc.borrow_mut();
-        if p.ack_pending && p.state != TcpState::Closed {
-            let seq = p.snd_nxt;
-            self.tcp_output(&mut p, tcp_flags::ACK, seq, Chain::new(), 0);
-        }
-    }
-
-    /// Delayed-ACK policy: a second unacknowledged segment (or a FIN)
-    /// forces an immediate ACK; a lone segment is acknowledged by a
-    /// short timer unless the application's reply piggybacks it first.
-    fn flush_or_delay_ack(self: &Rc<Self>, id: u64, pcb_rc: &Rc<RefCell<Pcb>>) {
-        {
-            let p = pcb_rc.borrow();
-            if !p.ack_pending || p.state == TcpState::Closed {
-                return;
-            }
-            if p.segs_since_ack < 2 {
-                // Delay: arm the connection's persistent ACK timer.
-                drop(p);
-                let mut p = pcb_rc.borrow_mut();
-                if !p.delack_armed {
-                    p.delack_armed = true;
-                    let timer = p.delack_timer;
-                    drop(p);
-                    runtime::with_current(|rt| {
-                        // Steady state: re-arms the existing entry —
-                        // no allocation per segment.
-                        let me = Rc::downgrade(self);
-                        let tok = rt.local_event_manager().arm_persistent_timer(
-                            timer,
-                            DELACK_NS,
-                            move || {
-                                if let Some(n) = me.upgrade() {
-                                    if let Some(rec) =
-                                        n.conns.borrow().get(id).map(|r| Rc::clone(&r.pcb))
-                                    {
-                                        rec.borrow_mut().delack_armed = false;
-                                        n.flush_ack(&rec);
-                                    }
-                                }
-                            },
-                        );
-                        debug_assert!(
-                            timer.is_none() || timer == Some(tok),
-                            "persistent delack timer token went stale (off-core use?)"
-                        );
-                        if timer != Some(tok) {
-                            pcb_rc.borrow_mut().delack_timer = Some(tok);
-                        }
-                    });
-                }
-                return;
-            }
-        }
-        self.flush_ack(pcb_rc);
-    }
-
-    fn send_rst(self: &Rc<Self>, eth: EthHeader, ip: Ipv4Header, hdr: &TcpHeader) {
-        let tuple = FourTuple {
-            local: (ip.dst, hdr.dst_port),
-            remote: (ip.src, hdr.src_port),
-        };
-        let mut fake = Pcb::new(tuple, TcpState::Closed, hdr.ack, cpu::current());
-        fake.remote_mac = eth.src;
-        fake.rcv_nxt = hdr.seq.wrapping_add(1);
-        let seq = hdr.ack;
-        self.tcp_output(
-            &mut fake,
-            tcp_flags::RST | tcp_flags::ACK,
-            seq,
-            Chain::new(),
-            0,
-        );
-    }
-
-    // --- Retransmission -------------------------------------------------------
-    //
-    // Each connection owns one *persistent* RTO timer (and one
-    // delayed-ACK timer): the closure is boxed once, on the first arm,
-    // and every subsequent arm/disarm/restart — which happens per
-    // segment on the hot path — is an O(1) timer-wheel relink with no
-    // allocation.
-
-    fn arm_rto(self: &Rc<Self>, id: u64) {
-        let pcb_rc = match self.conns.borrow().get(id) {
-            Some(rec) => Rc::clone(&rec.pcb),
-            None => return,
-        };
-        let mut p = pcb_rc.borrow_mut();
-        if p.rto_armed || p.unacked.is_empty() {
-            return;
-        }
-        p.rto_armed = true;
-        let delay = RTO_NS * p.rto_backoff as u64;
-        let timer = p.rto_timer;
-        drop(p);
-        runtime::with_current(|rt| {
-            let me = Rc::downgrade(self);
-            let tok = rt
-                .local_event_manager()
-                .arm_persistent_timer(timer, delay, move || {
-                    if let Some(n) = me.upgrade() {
-                        n.rto_fire(id);
-                    }
-                });
-            debug_assert!(
-                timer.is_none() || timer == Some(tok),
-                "persistent RTO timer token went stale (off-core use?)"
-            );
-            if timer != Some(tok) {
-                pcb_rc.borrow_mut().rto_timer = Some(tok);
-            }
-        });
-    }
-
-    /// Restarts the running RTO from now (new ACK progress, queue still
-    /// non-empty) — O(1), no allocation.
-    fn restart_rto(&self, p: &mut Pcb) {
-        if let Some(tok) = p.rto_timer {
-            let delay = RTO_NS * p.rto_backoff as u64;
-            let ok = runtime::with_current(|rt| rt.local_event_manager().reset_timer(tok, delay));
-            debug_assert!(ok, "persistent RTO timer token went stale (off-core use?)");
-            p.rto_armed = ok;
-        }
-    }
-
-    /// Stops the RTO (retransmission queue emptied). The timer entry is
-    /// retained, parked, for the connection's next transmission.
-    fn disarm_rto(&self, p: &mut Pcb) {
-        if p.rto_armed {
-            p.rto_armed = false;
-            if let Some(tok) = p.rto_timer {
-                runtime::with_current(|rt| {
-                    rt.local_event_manager().disarm_timer(tok);
-                });
-            }
-        }
-    }
-
-    fn rto_fire(self: &Rc<Self>, id: u64) {
-        let pcb_rc = match self.conns.borrow().get(id) {
-            Some(rec) => Rc::clone(&rec.pcb),
-            None => return,
-        };
-        let mut p = pcb_rc.borrow_mut();
-        p.rto_armed = false;
-        if p.unacked.is_empty() {
-            return;
-        }
-        // Handshake retries are bounded: once the backoff ladder is
-        // exhausted (1+2+4+8+16 RTOs ≈ 6 s of silence), an unanswered
-        // SYN or SYN-ACK gives up — a budgeted syncache must not nurse
-        // half-open connections forever. Established connections are
-        // exempt: they retransmit indefinitely and ride out partitions
-        // (the chaos suite depends on it).
-        if p.rto_backoff >= 32 {
-            match p.state {
-                TcpState::SynSent => {
-                    drop(p);
-                    self.connect_failed(id);
-                    return;
-                }
-                TcpState::SynReceived => {
-                    drop(p);
-                    self.tcp_abort(id);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        // Go-back-N: retransmit the oldest unacked segment.
-        let (seq, flags, payload) = {
-            let seg = &p.unacked[0];
-            (seg.seq, seg.flags, seg.payload.clone())
-        };
-        p.note_retransmit();
-        self.stats.retransmits.set(self.stats.retransmits.get() + 1);
-        let len = payload.len() as u32;
-        self.tcp_output(&mut p, flags, seq, payload, len);
-        p.rto_backoff = (p.rto_backoff * 2).min(64);
-        drop(p);
-        self.arm_rto(id);
-    }
-
-    // --- UDP / ARP egress --------------------------------------------------
+    // --- UDP egress, and the wire --------------------------------------------
 
     fn udp_output(
         self: &Rc<Self>,
@@ -2016,84 +933,6 @@ impl NetIf {
         self.transmit(frame, ClassId::DEFAULT);
     }
 
-    /// Transmits an ARP request and schedules bounded retries (the
-    /// retry timer migrated to the shared timer-wheel API: one
-    /// persistent entry per in-flight resolution, re-armed with
-    /// exponential backoff, evicting the pending entry if the peer
-    /// never answers).
-    fn send_arp_request(self: &Rc<Self>, ip: Ipv4Addr) {
-        self.output_arp_request(ip);
-        if self.arp_retries.borrow().contains_key(&ip) {
-            return; // a retry timer is already driving this resolution
-        }
-        let me = Rc::downgrade(self);
-        let timer = runtime::with_current(|rt| {
-            rt.local_event_manager()
-                .set_persistent_timer(ARP_RETRY_NS, move || {
-                    if let Some(n) = me.upgrade() {
-                        n.arp_retry_fire(ip);
-                    }
-                })
-        });
-        self.arp_retries
-            .borrow_mut()
-            .insert(ip, ArpRetry { timer, tries: 1 });
-    }
-
-    fn arp_retry_fire(self: &Rc<Self>, ip: Ipv4Addr) {
-        let Some(mut retry) = self.arp_retries.borrow_mut().remove(&ip) else {
-            return;
-        };
-        // Resolved since the timer was armed (the reply may arrive on a
-        // different core, so the cancel is lazy — here, on the timer's
-        // own core): free the entry.
-        if self.arp.lookup(ip).is_some() {
-            runtime::with_current(|rt| rt.local_event_manager().cancel_timer(retry.timer));
-            return;
-        }
-        if retry.tries >= ARP_MAX_TRIES {
-            // Give up: fail the pending entry — every queued waiter
-            // receives the error (connections tear down, datagrams
-            // drop) instead of being silently discarded.
-            self.stats
-                .arp_failures
-                .set(self.stats.arp_failures.get() + 1);
-            self.arp.fail(ip);
-            runtime::with_current(|rt| rt.local_event_manager().cancel_timer(retry.timer));
-            return;
-        }
-        retry.tries += 1;
-        // Doubled per attempt (tries was just incremented, so the
-        // first retry waits 2× the base interval).
-        let backoff = ARP_RETRY_NS << (retry.tries - 1);
-        self.output_arp_request(ip);
-        runtime::with_current(|rt| {
-            rt.local_event_manager().reset_timer(retry.timer, backoff);
-        });
-        self.arp_retries.borrow_mut().insert(ip, retry);
-    }
-
-    fn output_arp_request(self: &Rc<Self>, ip: Ipv4Addr) {
-        let req = wire::ArpPacket {
-            oper: wire::ARP_REQUEST,
-            sha: self.mac(),
-            spa: self.ip.get(),
-            tha: [0; 6],
-            tpa: ip,
-        };
-        let mut buf = wire::build_arp(&req);
-        wire::push_eth(
-            &mut buf,
-            &EthHeader {
-                dst: MAC_BROADCAST,
-                src: self.mac(),
-                ethertype: wire::ETHERTYPE_ARP,
-            },
-        );
-        // Control plane: bypasses the tx scheduler (see rx_arp).
-        self.transmit_now(Chain::single(buf.freeze()));
-    }
-
     /// Classed egress: routes the frame through the calling core's
     /// [`QosEbb`] scheduler when a policy is installed (the scheduler
     /// decides *when* it reaches the wire), else straight to the NIC.
@@ -2110,7 +949,7 @@ impl NetIf {
     /// Final egress: charge the profile's transmit cost (with virtio
     /// kick suppression while the ring is hot) and hand the frame to
     /// the NIC.
-    fn transmit_now(&self, frame: Chain<IoBuf>) {
+    pub(crate) fn transmit_now(&self, frame: Chain<IoBuf>) {
         self.stats.tx_frames.set(self.stats.tx_frames.get() + 1);
         let profile = self.machine.profile();
         let now = self.machine.runtime().now_ns();
@@ -2141,63 +980,43 @@ impl NetIf {
         id
     }
 
+    /// Releases everything the table holds for connection `id`: slab
+    /// slot, demux entry, timer entries (on the affinity core, where
+    /// they were created), admission and syncache budget units.
     fn cleanup(&self, id: u64) {
-        let rec = self.conns.borrow_mut().remove(id);
-        if let Some(rec) = rec {
-            let p = rec.pcb.borrow();
-            let tuple = p.tuple;
-            // Free the connection's persistent timer entries (runs on
-            // the affinity core, where they were created).
-            let (rto, delack) = (p.rto_timer, p.delack_timer);
-            let (class, admitted) = (p.class, p.admitted);
-            let embryonic = p.embryonic;
-            drop(p);
-            qos::sub(self.stats.pcb_slab_live_h, 1);
-            if embryonic {
-                // Died before the handshake completed (RST, eviction is
-                // counted separately before the flag clears, close).
-                self.note_embryonic_gone(class, self.stats.embryonic_aborted_h);
-            }
-            // Return the admission-budget unit the SYN took.
-            if admitted {
-                if let Some(policy) = self.qos.borrow().as_ref() {
-                    policy.release(ClassId(class));
-                }
-            }
-            if rto.is_some() || delack.is_some() {
-                runtime::with_current(|rt| {
-                    let em = rt.local_event_manager();
-                    if let Some(tok) = rto {
-                        em.cancel_timer(tok);
-                    }
-                    if let Some(tok) = delack {
-                        em.cancel_timer(tok);
-                    }
-                });
-            }
-            self.conn_ids.remove(&tuple);
-            self.stats
-                .conns_closed
-                .set(self.stats.conns_closed.get() + 1);
-        }
-    }
-
-    fn with_pcb<R>(&self, id: u64, f: impl FnOnce(&mut Pcb) -> R) -> Option<R> {
-        let pcb = self.conns.borrow().get(id).map(|r| Rc::clone(&r.pcb))?;
-        let mut p = pcb.borrow_mut();
-        Some(f(&mut p))
-    }
-
-    fn with_conn(
-        self: &Rc<Self>,
-        id: u64,
-        f: impl FnOnce(&Rc<Self>, &Rc<RefCell<Pcb>>, &Rc<dyn ConnHandler>),
-    ) {
-        let rec = match self.conns.borrow().get(id) {
-            Some(rec) => (Rc::clone(&rec.pcb), Rc::clone(&rec.handler)),
-            None => return,
+        let Some(rec) = self.conns.borrow_mut().remove(id) else {
+            return;
         };
-        f(self, &rec.0, &rec.1);
+        let (tuple, timers, class, admitted, embryonic) = {
+            let p = rec.pcb.borrow();
+            (p.tuple, p.timers(), p.class, p.admitted, p.embryonic)
+        };
+        qos::sub(self.stats.pcb_slab_live_h, 1);
+        if embryonic {
+            // Died before the handshake completed (an eviction was
+            // counted, and the flag cleared, before it got here).
+            self.embryo_gone(class, self.syncache.aborted_h);
+        }
+        // Return the admission-budget unit the SYN took.
+        if admitted {
+            if let Some(policy) = self.qos.borrow().as_ref() {
+                policy.release(ClassId(class));
+            }
+        }
+        for tok in timers.into_iter().flatten() {
+            runtime::with_current(|rt| rt.local_event_manager().cancel_timer(tok));
+        }
+        self.conn_ids.remove(&tuple);
+        self.stats
+            .conns_closed
+            .set(self.stats.conns_closed.get() + 1);
+    }
+
+    fn handle(self: &Rc<Self>, id: u64) -> TcpConn {
+        TcpConn {
+            netif: Rc::downgrade(self),
+            id,
+        }
     }
 
     /// Picks an ephemeral port whose *reply* flow RSS-hashes to `core`,
@@ -2221,7 +1040,7 @@ impl NetIf {
         panic!("no ephemeral port maps to {core} under RSS");
     }
 
-    fn drop_frame(&self) {
+    pub(crate) fn drop_frame(&self) {
         self.stats.rx_drops.set(self.stats.rx_drops.get() + 1);
     }
 
@@ -2239,20 +1058,20 @@ impl NetIf {
     /// policy is installed (with one, per-class
     /// [`ebbrt_core::qos::ClassConfig::syn_budget`] governs instead).
     pub fn set_syn_backlog(&self, cap: usize) {
-        self.syn_backlog.set(Some(cap));
+        self.syncache.set_backlog(cap);
     }
 
     /// Live embryonic (inbound, handshake incomplete) connections of
     /// `class`.
     pub fn embryonic_live(&self, class: ClassId) -> usize {
-        self.embryonic_live[class.0 as usize % MAX_CLASSES].get()
+        self.syncache.live(class)
     }
 
     /// Entries held by the syncache queues, stale ones included:
     /// bounded by the connections accepted during the oldest live
     /// embryo's handshake, whatever the number accepted before it.
     pub fn embryonic_queued(&self) -> usize {
-        self.embryonic_q.borrow().iter().map(VecDeque::len).sum()
+        self.syncache.queued()
     }
 
     /// Total live embryonic connections across classes — the `live`
@@ -2260,7 +1079,7 @@ impl NetIf {
     /// (`created == promoted + evicted + aborted + live` at
     /// quiescence; the chaos harness asserts it).
     pub fn embryonic_total(&self) -> usize {
-        self.embryonic_live.iter().map(Cell::get).sum()
+        self.syncache.total()
     }
 
     /// The accounted per-connection footprint of an idle established
@@ -2278,4 +1097,69 @@ impl NetIf {
         let timers = 2 * ebbrt_core::event::EventManager::timer_entry_bytes();
         slab_slot + pcb_box + timers
     }
+}
+
+/// The state machine's I/O as the stack implements it. Each timer is a
+/// persistent entry on the affinity core's wheel: the closure is boxed
+/// once, on the first arm, and every later arm / restart / park — per
+/// segment — is an O(1) relink with no allocation.
+struct ConnIo<'a> {
+    netif: &'a Rc<NetIf>,
+    id: u64,
+}
+
+impl TcpIo for ConnIo<'_> {
+    #[inline]
+    fn emit(&mut self, seg: SegOut) {
+        self.netif.tcp_emit(seg);
+    }
+
+    #[inline]
+    fn arm(&mut self, timer: Timer, token: Option<TimerToken>, delay: Ns) -> TimerToken {
+        let (me, id) = (Rc::downgrade(self.netif), self.id);
+        let fire = move |timer| {
+            if let Some(n) = me.upgrade() {
+                n.drive(id, |p, io| p.on_timer(io, timer));
+            }
+        };
+        // One closure per timer rather than one that captures which: the
+        // boxed environment stays two words.
+        match timer {
+            Timer::Rto => arm_persistent("RTO", token, delay, move || fire(Timer::Rto)),
+            Timer::DelAck => arm_persistent("delack", token, delay, move || fire(Timer::DelAck)),
+        }
+    }
+
+    #[inline]
+    fn restart(&mut self, token: TimerToken, delay: Ns) -> bool {
+        let ok = runtime::with_current(|rt| rt.local_event_manager().reset_timer(token, delay));
+        debug_assert!(ok, "persistent timer token went stale (off-core use?)");
+        ok
+    }
+
+    #[inline]
+    fn park(&mut self, token: TimerToken) {
+        runtime::with_current(|rt| rt.local_event_manager().disarm_timer(token));
+    }
+}
+
+/// Arms an owner-held persistent timer on the calling core's wheel:
+/// re-arms `token`'s entry, or creates it from `f` the first time. A
+/// token that no longer names its entry was used off its core.
+pub(crate) fn arm_persistent(
+    what: &str,
+    token: Option<TimerToken>,
+    delay: Ns,
+    f: impl Fn() + 'static,
+) -> TimerToken {
+    runtime::with_current(|rt| {
+        let tok = rt
+            .local_event_manager()
+            .arm_persistent_timer(token, delay, f);
+        debug_assert!(
+            token.is_none() || token == Some(tok),
+            "persistent {what} timer token went stale (off-core use?)"
+        );
+        tok
+    })
 }

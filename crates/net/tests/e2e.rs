@@ -65,6 +65,40 @@ fn tcp_connect_send_echo_close() {
 }
 
 #[test]
+fn crossing_aborts_settle() {
+    // Both ends abort in the same instant, so each RST finds its
+    // connection already gone. An RST is never answered with an RST
+    // (RFC 793 §3.4): the two stacks would trade them forever.
+    let (w, sw, (server, s_if), (client, c_if)) = two_machines();
+    let accepted = Rc::new(RefCell::new(None));
+    let slot = Rc::clone(&accepted);
+    s_if.listen(7, move |conn| {
+        *slot.borrow_mut() = Some(conn.clone());
+        Rc::new(Echo) as Rc<dyn ConnHandler>
+    })
+    .unwrap();
+    let opened = open_conn(&client, &c_if);
+    w.run_to_idle();
+    assert!(opened.connected.get());
+
+    let frames = |sw: &Switch| sw.stats().0 + sw.stats().1;
+    let before = frames(&sw);
+    let s_conn = accepted.borrow().clone().expect("accepted");
+    let c_conn = opened.conn.borrow().clone().expect("opened");
+    on_core0(&server, s_conn, |conn| conn.abort());
+    on_core0(&client, c_conn, |conn| conn.abort());
+    let mut steps = 0;
+    while w.step() {
+        steps += 1;
+        assert!(steps < 10_000, "the world must go idle");
+    }
+    assert_eq!((s_if.conn_count(), c_if.conn_count()), (0, 0));
+    assert!(frames(&sw) - before <= 2, "one RST each way, no replies");
+    let drops = s_if.stats.rx_drops.get() + c_if.stats.rx_drops.get();
+    assert_eq!(drops, 2, "each stray RST is a counted drop");
+}
+
+#[test]
 fn large_transfer_is_segmented_and_reassembled() {
     let (w, _sw, (_server, s_if), (client, c_if)) = two_machines();
     s_if.listen(7, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)

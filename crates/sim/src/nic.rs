@@ -159,8 +159,6 @@ pub struct SimNic {
     /// Installed by the switch at attach time; carries frames onto the
     /// wire.
     tx_handler: RefCell<Option<TxHandler>>,
-    tx_frames: Cell<u64>,
-    tx_bytes: Cell<u64>,
     rx_frames: Cell<u64>,
     rx_bytes: Cell<u64>,
 }
@@ -185,8 +183,6 @@ impl SimNic {
             mtu: Cell::new(DEFAULT_MTU),
             stack_attached: Cell::new(false),
             tx_handler: RefCell::new(None),
-            tx_frames: Cell::new(0),
-            tx_bytes: Cell::new(0),
             rx_frames: Cell::new(0),
             rx_bytes: Cell::new(0),
         })
@@ -242,8 +238,6 @@ impl SimNic {
     ///
     /// Panics if the NIC is not attached to a switch.
     pub fn transmit(&self, frame: Frame) {
-        self.tx_frames.set(self.tx_frames.get() + 1);
-        self.tx_bytes.set(self.tx_bytes.get() + frame.len() as u64);
         let h = self.tx_handler.borrow();
         let h = h.as_ref().expect("NIC not attached to a switch");
         h(frame);
@@ -276,11 +270,6 @@ impl SimNic {
     /// Whether `queue`'s interrupt is enabled.
     pub fn irq_enabled(&self, queue: usize) -> bool {
         self.queues[queue].irq_enabled.get()
-    }
-
-    /// (frames, bytes) transmitted.
-    pub fn tx_stats(&self) -> (u64, u64) {
-        (self.tx_frames.get(), self.tx_bytes.get())
     }
 
     /// (frames, bytes) received.

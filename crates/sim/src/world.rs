@@ -261,12 +261,6 @@ impl SimWorld {
         Rc::clone(&self.machines.borrow()[index])
     }
 
-    /// Marks a core runnable: it is serviced before the next queue
-    /// entry runs.
-    pub fn wake_core(&self, machine: usize, core: CoreId) {
-        self.wake_queue.push((machine, core.0));
-    }
-
     /// Runs one scheduler step: drains runnable cores, then executes the
     /// earliest scheduled action (advancing the clock). Returns `false`
     /// when nothing remains.
