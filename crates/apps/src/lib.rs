@@ -27,21 +27,7 @@ pub mod netpipe;
 pub mod stats;
 pub mod webserver;
 
-/// Moves a non-`Send` value into a spawn closure.
-///
-/// Sound only under the simulation backend, where every machine event
-/// runs on the single driving thread; the threaded backend must never
-/// receive one of these.
-pub struct SendCell<T>(pub T);
-// SAFETY: see the type docs — the value never actually crosses threads.
-unsafe impl<T> Send for SendCell<T> {}
-
-impl<T> SendCell<T> {
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.0
-    }
-}
+pub use ebbrt_sim::SendCell;
 
 /// Spawns `f(v)` as an event on `core` of `machine`, smuggling the
 /// non-`Send` `v` through a [`SendCell`].

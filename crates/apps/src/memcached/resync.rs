@@ -65,7 +65,7 @@ impl ShardRoot {
         self.parked
             .lock()
             .expect("parked lock")
-            .push((payload, crate::SendCell(respond)));
+            .push((payload, crate::SendCell::new(respond)));
     }
 
     /// Re-dispatches every parked request through the normal handler —
@@ -74,7 +74,7 @@ impl ShardRoot {
     fn drain_parked(self: &Arc<Self>) {
         let drained: Vec<_> = std::mem::take(&mut *self.parked.lock().expect("parked lock"));
         for (payload, respond) in drained {
-            StoreShardEbb::local(Arc::clone(self)).handle_remote(payload, respond.0);
+            StoreShardEbb::local(Arc::clone(self)).handle_remote(payload, respond.into_inner());
         }
     }
 

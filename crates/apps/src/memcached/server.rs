@@ -1033,7 +1033,7 @@ mod tests {
         let sc = ServerConn::new(Arc::clone(&store));
         let _g = ebbrt_core::cpu::bind(CoreId(0));
         let req = encode_set(b"spanning", value, 3);
-        let before = ebbrt_core::iobuf::stats::bytes_copied();
+        let before = ebbrt_core::iobuf::stats::snapshot().bytes_copied;
         let mut chain = Chain::new();
         for part in req.chunks(chunk) {
             // Build segments without the counted copy_from helper.
@@ -1047,7 +1047,7 @@ mod tests {
             sc.process(&TcpConn::dangling(), chain);
         }));
         assert!(result.is_err(), "dangling conn send should panic");
-        let copied = ebbrt_core::iobuf::stats::bytes_copied() - before;
+        let copied = ebbrt_core::iobuf::stats::snapshot().bytes_copied - before;
         (store, copied)
     }
 

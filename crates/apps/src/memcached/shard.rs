@@ -1011,7 +1011,7 @@ pub fn shipper_for(id: EbbId) -> RemoteShipper {
 fn on_conn_core(conn: &TcpConn, f: impl FnOnce() + 'static) {
     ebbrt_core::runtime::with_current_on(|rt, current| match conn.core() {
         Some(home) if home != current => {
-            let cell = crate::SendCell(f);
+            let cell = crate::SendCell::new(f);
             rt.spawn(home, move || cell.into_inner()());
         }
         _ => f(),

@@ -359,12 +359,11 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
 
     // Warmup end: start measuring.
     {
-        let measuring = crate::SendCell(Rc::clone(&measuring));
+        let measuring = crate::SendCell::new(Rc::clone(&measuring));
         let warmup = config.warmup_ns;
         client.spawn_on(CoreId(0), move || {
-            let measuring = measuring;
             ebbrt_core::runtime::with_current(|rt| {
-                let m = measuring.0;
+                let m = measuring.into_inner();
                 rt.local_event_manager().set_timer(warmup, move || {
                     m.set(true);
                 });
@@ -398,12 +397,11 @@ fn schedule_arrival(
     conn_index: u32,
 ) {
     let gap = (-rng.gen::<f64>().max(1e-12).ln() * mean_gap_ns) as u64;
-    let cc2 = crate::SendCell((Rc::clone(cc), cfg.clone(), rng.clone()));
+    let cc2 = crate::SendCell::new((Rc::clone(cc), cfg.clone(), rng.clone()));
     let mean = mean_gap_ns;
     ebbrt_core::runtime::with_current(move |rt| {
         rt.local_event_manager().set_timer(gap.max(1), move || {
-            let cell = cc2;
-            let (cc, cfg, mut rng) = cell.0;
+            let (cc, cfg, mut rng) = cc2.into_inner();
             // Generate one request.
             let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
             let nkeys = cc.workload.templates.get.len();

@@ -217,13 +217,12 @@ impl ConnHandler for WrkConn {
             // The event system resolves through its well-known Ebb id.
             let sent_at = Rc::clone(&self.sent_at);
             let request = self.request.clone();
-            let cell = crate::SendCell((conn, sent_at, request));
+            let cell = crate::SendCell::new((conn, sent_at, request));
             let think = self.think_ns;
             ebbrt_core::runtime::event_manager_ref().with(|e| {
                 e.with_em(|em| {
                     em.set_timer(think, move || {
-                        let cell = cell;
-                        let (conn, sent_at, request) = cell.0;
+                        let (conn, sent_at, request) = cell.into_inner();
                         sent_at.set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
                         let _ = conn.send(Chain::single(request));
                     });
@@ -290,11 +289,10 @@ pub fn run(profile: &CostProfile, connections: usize, think_ns: Ns) -> Webserver
     let warmup: Ns = 50_000_000;
     let duration: Ns = 400_000_000;
     {
-        let m = crate::SendCell(Rc::clone(&measuring));
+        let m = crate::SendCell::new(Rc::clone(&measuring));
         client.spawn_on(CoreId(0), move || {
-            let m = m;
             ebbrt_core::runtime::with_current(|rt| {
-                let flag = m.0;
+                let flag = m.into_inner();
                 rt.local_event_manager()
                     .set_timer(warmup, move || flag.set(true));
             });

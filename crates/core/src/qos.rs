@@ -253,21 +253,19 @@ impl CounterRegistryEbb {
         &self.root
     }
 
-    /// Adds `n` to this core's cell for `h`, growing the vector on
-    /// first touch of a newly registered handle.
+    /// Adds `n` to this core's cell for `h` (wrapping — see
+    /// [`Self::sub`]), growing the vector on first touch of a newly
+    /// registered handle.
     pub fn add(&self, h: CounterHandle, n: u64) {
         let cells = self.cells.borrow();
         if let Some(c) = cells.get(h.0) {
-            c.set(c.get() + n);
+            c.set(c.get().wrapping_add(n));
             return;
         }
         drop(cells);
         let mut cells = self.cells.borrow_mut();
-        if cells.len() <= h.0 {
-            cells.resize_with(h.0 + 1, || Cell::new(0));
-        }
-        let c = &cells[h.0];
-        c.set(c.get() + n);
+        cells.resize_with(h.0 + 1, || Cell::new(0));
+        cells[h.0].set(n);
     }
 
     /// Subtracts `n` from this core's cell for `h` (wrapping).
@@ -278,18 +276,7 @@ impl CounterRegistryEbb {
     /// and the modular cross-core sum in [`read_total`] recovers the
     /// exact value as long as the true total is non-negative.
     pub fn sub(&self, h: CounterHandle, n: u64) {
-        let cells = self.cells.borrow();
-        if let Some(c) = cells.get(h.0) {
-            c.set(c.get().wrapping_sub(n));
-            return;
-        }
-        drop(cells);
-        let mut cells = self.cells.borrow_mut();
-        if cells.len() <= h.0 {
-            cells.resize_with(h.0 + 1, || Cell::new(0));
-        }
-        let c = &cells[h.0];
-        c.set(c.get().wrapping_sub(n));
+        self.add(h, n.wrapping_neg());
     }
 
     /// This core's value for `h`.
@@ -698,6 +685,25 @@ mod tests {
         drop(g);
         assert_eq!(read_total(&rt1, h1), 7);
         assert_eq!(read_total(&rt2, h2), 0);
+    }
+
+    #[test]
+    fn a_gauge_cell_below_zero_takes_its_next_increment() {
+        // Core 1 takes away more than it added (the rest was added on
+        // core 0): its cell wraps below zero, and its next increment
+        // must wrap back rather than trip the overflow check.
+        let rt = Runtime::new(2, Arc::new(ManualClock::new()));
+        let h = register_in(&rt, "gauge");
+        let g = enter(Arc::clone(&rt), CoreId(0));
+        add(h, 2);
+        drop(g);
+        let g = enter(Arc::clone(&rt), CoreId(1));
+        add(h, 1);
+        sub(h, 2);
+        assert_eq!(read_total(&rt, h), 1);
+        add(h, 1);
+        drop(g);
+        assert_eq!(read_total(&rt, h), 2);
     }
 
     // --- FairScheduler -----------------------------------------------------

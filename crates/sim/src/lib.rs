@@ -39,6 +39,6 @@ pub mod world;
 
 pub use costs::CostProfile;
 pub use link::{LinkParams, Switch};
-pub use machine::SimMachine;
+pub use machine::{SendCell, SimMachine};
 pub use nic::{Frame, Mac, SimNic};
 pub use world::{charge, SimWorld};

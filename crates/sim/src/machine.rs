@@ -142,21 +142,11 @@ impl SimMachine {
     }
 
     /// As [`Self::spawn_on`] for a closure that is not `Send` — one that
-    /// carries `Rc`s into the event. Sound because a [`SimWorld`] runs
-    /// every event of every machine on its single driving thread: the
-    /// closure never crosses a thread boundary. (The threaded backend
-    /// has no `SimMachine`.)
+    /// carries `Rc`s into the event — through a [`SendCell`]. (The
+    /// threaded backend has no `SimMachine`.)
     pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
-        struct SendCell<F>(F);
-        // SAFETY: see above — queued and run on the one world thread.
-        unsafe impl<F> Send for SendCell<F> {}
-        let cell = SendCell(f);
-        self.rt.spawn(core, move || {
-            // Bind the whole wrapper (not a disjoint field) so the
-            // closure's `Send`-ness comes from `SendCell`.
-            let cell = cell;
-            (cell.0)()
-        });
+        let cell = SendCell::new(f);
+        self.rt.spawn(core, move || cell.into_inner()());
     }
 
     /// Starts the periodic scheduler tick on every core, if the profile
@@ -196,6 +186,54 @@ impl SimMachine {
             cs.ticks.set(cs.ticks.get() + 1);
             machine.schedule_tick(w, core);
         });
+    }
+}
+
+/// Carries a value that is not `Send` (an `Rc`, a boxed continuation)
+/// through an interface that demands `Send` — `Runtime::spawn`, a
+/// queue shared with the threaded backend — back to the thread it
+/// came from.
+///
+/// Sound only because a [`SimWorld`] runs every event of every machine
+/// on its single driving thread, so the value never actually crosses a
+/// thread boundary. Debug builds check that: the cell remembers the
+/// thread that built it and [`SendCell::into_inner`] asserts it is
+/// unwrapped there.
+pub struct SendCell<T> {
+    value: T,
+    #[cfg(debug_assertions)]
+    built_on: std::thread::ThreadId,
+}
+
+// SAFETY: see the type docs — the value is built, held and unwrapped on
+// one thread (checked in debug builds); the threaded backend must never
+// be handed one.
+unsafe impl<T> Send for SendCell<T> {}
+
+impl<T> SendCell<T> {
+    /// Wraps `value` on the world's thread.
+    pub fn new(value: T) -> Self {
+        SendCell {
+            value,
+            #[cfg(debug_assertions)]
+            built_on: std::thread::current().id(),
+        }
+    }
+
+    /// Unwraps the value.
+    ///
+    /// # Panics
+    ///
+    /// Under debug assertions, when called on a thread other than the
+    /// one that built the cell.
+    pub fn into_inner(self) -> T {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            std::thread::current().id(),
+            self.built_on,
+            "SendCell unwrapped off the thread that built it"
+        );
+        self.value
     }
 }
 
@@ -357,5 +395,15 @@ mod tests {
             (acc.load(Ordering::SeqCst), w.now())
         }
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn send_cell_unwrapped_on_another_thread_panics() {
+        let cell = SendCell::new(7);
+        let joined = std::thread::spawn(move || cell.into_inner()).join();
+        let msg = joined.expect_err("unwrapping off-thread must panic");
+        let msg = msg.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("off the thread that built it"), "{msg}");
     }
 }
