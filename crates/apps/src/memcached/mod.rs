@@ -44,28 +44,29 @@
 //! machine's [`ebbrt_sim::CostProfile`] changes — which is how the
 //! Figure 5/6 comparison lines are produced.
 //!
-//! The directory is cut along the wire protocol's seam: [`codec`] is
-//! the format and the one framing loop, [`client`] and [`server`] its
-//! two users, [`shard`] and [`resync`] the multi-machine store (module
-//! map in `docs/ARCHITECTURE.md`).
+//! The directory is cut along the wire protocols' seams: [`codec`] is
+//! the memcached format and the one framing loop, [`client`] and
+//! [`server`] its two users; the multi-machine store is [`shard`] (the
+//! connection front end — the only one of the four that knows
+//! [`codec`]), [`replica`] (the replication engine), [`shardop`] (the
+//! format the replicas speak among themselves) and [`resync`] (the
+//! catch-up driver). Module map in `docs/ARCHITECTURE.md`.
 
 pub mod client;
 pub mod codec;
+pub mod replica;
 pub mod resync;
 pub mod server;
 pub mod shard;
+pub mod shardop;
 
 pub use client::{Burst, Client, Workload};
 pub use codec::*;
-pub use resync::{
-    encode_add_peer, encode_clear_forward, encode_set_forward, resync_range, ResyncOpts,
-    ResyncOutcome,
-};
+pub use replica::{register_shard, shipper_for, ShardRoot, StoreShardEbb};
+pub use resync::{resync_range, ResyncOpts, ResyncOutcome};
 pub use server::{
     at_rest, serve, serve_on, serve_with, ServerConfig, ServerConn, Store, StoreEbb, StoreRef,
     APP_BASE_NS,
 };
-pub use shard::{
-    register_shard, serve_sharded, shard_of, shipper_for, ClusterView, ShardConfig, ShardRoot,
-    ShardedServerConn, StoreShardEbb, ViewState,
-};
+pub use shard::{serve_sharded, ClusterView, ShardConfig, ShardedServerConn, ViewState};
+pub use shardop::{encode_add_peer, encode_clear_forward, encode_set_forward};

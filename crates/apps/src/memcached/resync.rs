@@ -1,215 +1,20 @@
-//! Catch-up for a replica that fell behind — a restarted machine, or
-//! a rebalance target gaining a range: the catching-up state of a
-//! [`ShardRoot`] (forward or park client requests instead of serving
-//! stale state), the source side of the transfer protocol (delta and
-//! snapshot pages), and the driver that pulls a range up to date and
-//! flips it serving ([`resync_range`]).
+//! The re-sync driver: pulls one range root up to date with its peers
+//! — a restarted machine's replica, or a rebalance target gaining a
+//! range — and flips it serving ([`resync_range`]). The catching-up
+//! state it drives (forward or park client requests, serve pages) is
+//! the root's own, in [`replica`](super::replica); the frames it
+//! exchanges are [`shardop`]'s.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ebbrt_core::ebb::{DistributedEbb, EbbId, HashRing};
-use ebbrt_core::iobuf::{wire, Chain, IoBuf};
+use ebbrt_core::ebb::EbbId;
+use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_sim::world::charge;
 
-use super::server::APP_BASE_NS;
-use super::shard::{
-    shipper_for, LogEntry, Respond, ShardRoot, StoreShardEbb, PULL_MODE_DELTA, PULL_MODE_SNAPSHOT,
-    SHARD_OP_ADD_PEER, SHARD_OP_CLEAR_FORWARD, SHARD_OP_PULL, SHARD_OP_REJOIN,
-    SHARD_OP_SET_FORWARD, SHARD_OP_STATUS, SHARD_RESP_HIT, STATE_CATCHING_UP, STATE_SERVING,
-};
-
-impl ShardRoot {
-    /// Enters catch-up: reads/writes forward to `source` (or park until
-    /// one is known) until [`ShardRoot::finish_catch_up`].
-    pub fn begin_catch_up(&self, source: Option<EbbId>) {
-        *self.forward_to.lock().expect("forward lock") = source;
-        self.state.store(STATE_CATCHING_UP, Ordering::Release);
-    }
-
-    /// Retargets the catch-up forward path (the old source died) and
-    /// re-drives parked requests against the new source.
-    pub fn retarget_catch_up(self: &Arc<Self>, source: Option<EbbId>) {
-        *self.forward_to.lock().expect("forward lock") = source;
-        if source.is_some() {
-            self.drain_parked();
-        }
-    }
-
-    /// The catching-up→serving flip: atomically stops forwarding, then
-    /// re-drives anything parked through the local (serving) path. A
-    /// request racing the flip lands exactly once — the state check and
-    /// the park both happen inside this machine's single-threaded
-    /// dispatch events.
-    pub fn finish_catch_up(self: &Arc<Self>) {
-        *self.forward_to.lock().expect("forward lock") = None;
-        // Forget presumed-dead peers: the marks predate the outage this
-        // root just recovered from (an isolated machine times out its
-        // own in-flight fan-outs and marks every *live* peer dead).
-        // Stale marks here would silently skip fan-out once this root
-        // fronts writes again; a really-dead peer just gets re-marked.
-        self.failed_peers.lock().expect("failed peers lock").clear();
-        self.state.store(STATE_SERVING, Ordering::Release);
-        self.drain_parked();
-    }
-
-    /// Current forward target while catching up.
-    fn forward_target(&self) -> Option<EbbId> {
-        *self.forward_to.lock().expect("forward lock")
-    }
-
-    /// Parks a request until the re-sync engine can re-drive it.
-    fn park(&self, payload: Chain<IoBuf>, respond: Respond) {
-        self.parked
-            .lock()
-            .expect("parked lock")
-            .push((payload, crate::SendCell::new(respond)));
-    }
-
-    /// Re-dispatches every parked request through the normal handler —
-    /// which forwards again (new source) or serves locally (now
-    /// serving).
-    fn drain_parked(self: &Arc<Self>) {
-        let drained: Vec<_> = std::mem::take(&mut *self.parked.lock().expect("parked lock"));
-        for (payload, respond) in drained {
-            StoreShardEbb::local(Arc::clone(self)).handle_remote(payload, respond.into_inner());
-        }
-    }
-
-    /// Delta entries with version > `have`, oldest first, up to
-    /// `limit`; `None` when the log has already dropped writes the
-    /// caller is missing (fall back to a snapshot). The boolean is the
-    /// done flag: no further entries beyond the returned page.
-    fn delta_since(&self, have: u64, limit: usize) -> Option<(Vec<LogEntry>, bool)> {
-        let log = self.log.lock().expect("log lock");
-        let floor = log.front().map(|e| e.0);
-        match floor {
-            // An empty log covers `have` only if nothing newer exists.
-            None => {
-                if have >= self.applied() {
-                    Some((Vec::new(), true))
-                } else {
-                    None
-                }
-            }
-            Some(floor) if floor > have + 1 => None,
-            _ => {
-                let mut out = Vec::new();
-                let mut more = false;
-                for e in log.iter().filter(|e| e.0 > have) {
-                    if out.len() >= limit {
-                        more = true;
-                        break;
-                    }
-                    out.push(e.clone());
-                }
-                Some((out, !more))
-            }
-        }
-    }
-
-    /// Serves one [`SHARD_OP_PULL`] whose op byte `r` has consumed:
-    /// `None` for a malformed request, else the page — a delta page
-    /// when the log still covers the puller, a ring-filtered snapshot
-    /// page of the store otherwise. Either way the values ride the
-    /// response as descriptor clones of the stored buffers (small ones
-    /// copied into the page's buffer, as any field that others follow
-    /// is): the source marshals the page's metadata into one pooled
-    /// buffer and copies no value it does not have to.
-    pub(super) fn pull_page(&self, r: &mut wire::WireReader<'_>) -> Option<Chain<IoBuf>> {
-        let (have, skip, limit) = (r.u64()?, r.u64()?, r.u32()?);
-        let (nranges, vnodes, range) = (r.u32()?, r.u32()?, r.u32()?);
-        charge(APP_BASE_NS);
-        let applied = self.applied();
-        let ring = HashRing::new(nranges, vnodes);
-        let mut w = wire::WireWriter::op(SHARD_RESP_HIT);
-        // Delta first: when the log still covers everything past
-        // `have`, the page is exactly the missed writes, in order.
-        // Only at `skip == 0`, though — a non-zero skip means the
-        // puller is mid-snapshot, where its `have` is a contiguity
-        // *floor*, not a cover: switching to delta there would drop
-        // the unwalked snapshot pages.
-        if skip == 0 {
-            if let Some((entries, done)) = self.delta_since(have, limit as usize) {
-                // Coverage extends past every entry this call examined
-                // — including ones the ring filter below drops (a
-                // rebalance pull wants only the migrating keys, but
-                // the puller's floor must still advance past the rest
-                // or an all-filtered page would re-pull forever).
-                let cover = entries.last().map_or(applied, |e| e.0);
-                let cover = if done { applied } else { cover };
-                let entries: Vec<_> = entries
-                    .into_iter()
-                    .filter(|(_, key, _)| ring.range_of(key) == range)
-                    .collect();
-                w.u64(applied)
-                    .u8(PULL_MODE_DELTA)
-                    .u8(done as u8)
-                    .u64(cover)
-                    .u32(entries.len() as u32);
-                for (version, key, value) in &entries {
-                    w.u64(*version).bytes16(key).bytes32_chain(value);
-                }
-                return Some(w.finish());
-            }
-        }
-        // Snapshot page: walk the machine's store filtered to the
-        // requested ring range, `skip`-paged.
-        let mut page: Vec<(Vec<u8>, Chain<IoBuf>)> = Vec::new();
-        let mut matched: u64 = 0;
-        self.store().for_each(|k, v| {
-            if ring.range_of(k) != range {
-                return;
-            }
-            if matched >= skip && (page.len() as u32) < limit {
-                page.push((k.clone(), v.clone()));
-            }
-            matched += 1;
-        });
-        let done = matched <= skip + page.len() as u64;
-        w.u64(applied)
-            .u8(PULL_MODE_SNAPSHOT)
-            .u8(done as u8)
-            .u64(0) // cover: meaningful only on delta pages
-            .u32(page.len() as u32);
-        for (key, value) in &page {
-            w.u64(self.key_version(key))
-                .bytes16(key)
-                .bytes32_chain(value);
-        }
-        Some(w.finish())
-    }
-}
-
-/// Ships a client request hitting a catching-up replica to the
-/// replica's catch-up source (which, as a live fan-out member, holds
-/// every acknowledged write) — the payload as received, by descriptor.
-/// With no reachable source the request parks; the re-sync engine
-/// re-drives it on retarget or on the serving flip — and a forward
-/// that fails mid-flight re-parks the same way, so the client's own
-/// timeout/retry budget is the only clock that can fail the request.
-pub(super) fn forward_to_source(root: &Arc<ShardRoot>, payload: Chain<IoBuf>, respond: Respond) {
-    let Some(source) = root.forward_target() else {
-        root.park(payload, respond);
-        return;
-    };
-    let me = Arc::clone(root);
-    let retained = payload.clone();
-    shipper_for(source).call(payload, move |r| match r {
-        Ok(resp) => respond(resp),
-        Err(_) => {
-            if me.is_serving() {
-                // Raced the flip: serve locally like any parked
-                // request.
-                StoreShardEbb::local(me).handle_remote(retained, respond);
-            } else {
-                me.park(retained, respond);
-            }
-        }
-    });
-}
+use super::replica::{ship_to_each, shipper_for, ShardRoot, STATE_SERVING};
+use super::shardop::{self, PullReq};
 
 /// Bounded source re-elections before a re-sync gives up on finding a
 /// live serving peer and flips serving with whatever it has
@@ -284,37 +89,6 @@ struct ResyncDriver {
     live: RefCell<Vec<EbbId>>,
 }
 
-/// ADD_PEER control frame: the receiving root adds `ep` to its
-/// fan-out peer set (a rebalance gain joining an existing range's
-/// replica group — installed *before* the transfer pulls, so every
-/// write acknowledged from then on reaches the joiner).
-pub fn encode_add_peer(ep: EbbId) -> Chain<IoBuf> {
-    let mut w = wire::WireWriter::op(SHARD_OP_ADD_PEER);
-    w.u32(ep.0);
-    w.finish()
-}
-
-/// SET_FORWARD control frame: the receiving root dual-applies every
-/// write whose key `ring`-maps to `range` to `eps` (the migrating
-/// keys' future replica group) and holds its acks for those fan-outs.
-pub fn encode_set_forward(ring: &HashRing, range: u32, eps: &[EbbId]) -> Chain<IoBuf> {
-    let mut w = wire::WireWriter::op(SHARD_OP_SET_FORWARD);
-    w.u32(ring.nranges())
-        .u32(ring.vnodes())
-        .u32(range)
-        .u32(eps.len() as u32);
-    for ep in eps {
-        w.u32(ep.0);
-    }
-    w.finish()
-}
-
-/// CLEAR_FORWARD control frame: drops the dual-apply rule (the
-/// transfer is cut over; the new replica group owns its keys).
-pub fn encode_clear_forward() -> Chain<IoBuf> {
-    wire::WireWriter::op(SHARD_OP_CLEAR_FORWARD).finish()
-}
-
 /// Re-syncs one range root against its peers, then flips it serving.
 ///
 /// Phases: a STATUS round elects the most-applied live *serving* peer
@@ -357,28 +131,18 @@ impl ResyncDriver {
         // Linear backoff between elections — a peer mid-restart needs
         // sim-time, not retries, to become electable.
         charge(250_000 * self.restarts.get() as u64);
-        let results: Rc<RefCell<Vec<(EbbId, u64, u8)>>> = Rc::new(RefCell::new(Vec::new()));
-        let remaining = Rc::new(Cell::new(self.opts.sources.len()));
-        for &ep in &self.opts.sources {
-            let me = Rc::clone(self);
-            let results = Rc::clone(&results);
-            let remaining = Rc::clone(&remaining);
-            let req = wire::WireWriter::op(SHARD_OP_STATUS).finish();
-            shipper_for(ep).call(req, move |r| {
-                if let Ok(resp) = r {
-                    let mut rd = wire::WireReader::new(&resp);
-                    if rd.u8() == Some(SHARD_RESP_HIT) {
-                        if let (Some(applied), Some(state)) = (rd.u64(), rd.u8()) {
-                            results.borrow_mut().push((ep, applied, state));
-                        }
-                    }
+        let results: Rc<RefCell<Vec<(EbbId, u64, u8)>>> = Rc::default();
+        let (seen, me) = (Rc::clone(&results), Rc::clone(self));
+        ship_to_each(
+            self.opts.sources.clone(),
+            shardop::encode_status(),
+            move |ep, r| {
+                if let Some((applied, state)) = r.ok().as_ref().and_then(shardop::decode_status) {
+                    seen.borrow_mut().push((ep, applied, state));
                 }
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    me.on_status(&results.borrow());
-                }
-            });
-        }
+            },
+            move || me.on_status(&results.borrow()),
+        );
     }
 
     fn on_status(self: &Rc<Self>, results: &[(EbbId, u64, u8)]) {
@@ -395,11 +159,7 @@ impl ResyncDriver {
         };
         *self.live.borrow_mut() = live;
         self.source.set(Some(src));
-        if self.opts.root.is_serving() {
-            self.opts.root.begin_catch_up(Some(src));
-        } else {
-            self.opts.root.retarget_catch_up(Some(src));
-        }
+        self.opts.root.begin_catch_up(Some(src));
         self.skip.set(0);
         self.pull(None);
     }
@@ -426,15 +186,15 @@ impl ResyncDriver {
         };
         let have = self.floor.get().unwrap_or_else(|| self.opts.root.applied());
         let skip = self.skip.get();
-        let mut w = wire::WireWriter::op(SHARD_OP_PULL);
-        w.u64(have)
-            .u64(skip)
-            .u32(RESYNC_PULL_LIMIT)
-            .u32(self.opts.nranges)
-            .u32(self.opts.vnodes)
-            .u32(self.opts.range);
+        let req = PullReq {
+            have,
+            skip,
+            limit: RESYNC_PULL_LIMIT,
+            ring: (self.opts.nranges, self.opts.vnodes),
+            range: self.opts.range,
+        };
         let me = Rc::clone(self);
-        shipper_for(src).call(w.finish(), move |r| match r {
+        shipper_for(src).call(shardop::encode_pull(&req), move |r| match r {
             Ok(resp) => me.on_page(&resp, target, skip),
             // Source died mid-stream: re-elect. A snapshot restarted
             // from another source re-pages from zero (skip reset in
@@ -446,28 +206,14 @@ impl ResyncDriver {
 
     fn on_page(self: &Rc<Self>, resp: &Chain<IoBuf>, target: Option<u64>, req_skip: u64) {
         self.pulls.set(self.pulls.get() + 1);
-        let mut r = wire::WireReader::new(resp);
-        if r.u8() != Some(SHARD_RESP_HIT) {
-            self.status_round();
-            return;
-        }
-        let (Some(src_applied), Some(mode), Some(done), Some(cover), Some(n)) =
-            (r.u64(), r.u8(), r.u8(), r.u64(), r.u32())
-        else {
+        let root = &self.opts.root;
+        let Some((h, n)) = shardop::decode_page(resp, |version, key, value| {
+            root.apply_versioned(&key.contiguous(), version, value.into_chain());
+        }) else {
             self.status_round();
             return;
         };
-        for _ in 0..n {
-            let (Some(version), Some(key), Some(value)) = (r.u64(), r.bytes16(), r.bytes32())
-            else {
-                self.status_round();
-                return;
-            };
-            self.opts
-                .root
-                .apply_versioned(&key.contiguous(), version, value.into_chain());
-        }
-        if mode == PULL_MODE_SNAPSHOT {
+        if !h.delta {
             // Walks restart from position zero each page, so a write
             // the walk already passed is invisible to later pages —
             // the source's applied at the walk that began the snapshot
@@ -477,10 +223,10 @@ impl ResyncDriver {
             // with a version above this floor, so replacing a stale
             // floor from an aborted earlier walk is safe.)
             if req_skip == 0 {
-                self.floor.set(Some(src_applied));
+                self.floor.set(Some(h.applied));
             }
             self.skip.set(req_skip + n as u64);
-            if done == 1 {
+            if h.done {
                 // Walk complete: next pull is the delta-close
                 // (skip 0, have = floor).
                 self.skip.set(0);
@@ -494,9 +240,9 @@ impl ResyncDriver {
         // coverage reaches the source's applied: the close is over.
         self.skip.set(0);
         if self.floor.get().is_some() {
-            self.floor.set(if done == 1 { None } else { Some(cover) });
+            self.floor.set(if h.done { None } else { Some(h.cover) });
         }
-        if done == 0 {
+        if !h.done {
             self.pull(target);
             return;
         }
@@ -510,7 +256,7 @@ impl ResyncDriver {
             }
             None => {
                 if self.opts.rejoin {
-                    self.rejoin_round(src_applied);
+                    self.rejoin_round(h.applied);
                 } else {
                     self.finish(true);
                 }
@@ -525,28 +271,17 @@ impl ResyncDriver {
             return;
         }
         let barrier = Rc::new(Cell::new(floor.max(self.opts.root.applied())));
-        let remaining = Rc::new(Cell::new(live.len()));
-        for ep in live {
-            let me = Rc::clone(self);
-            let barrier = Rc::clone(&barrier);
-            let remaining = Rc::clone(&remaining);
-            let mut w = wire::WireWriter::op(SHARD_OP_REJOIN);
-            w.u32(self.opts.self_ep.0);
-            shipper_for(ep).call(w.finish(), move |r| {
-                if let Ok(resp) = r {
-                    let mut rd = wire::WireReader::new(&resp);
-                    if rd.u8() == Some(SHARD_RESP_HIT) {
-                        if let Some(applied) = rd.u64() {
-                            barrier.set(barrier.get().max(applied));
-                        }
-                    }
+        let (highest, me) = (Rc::clone(&barrier), Rc::clone(self));
+        ship_to_each(
+            live,
+            shardop::encode_rejoin(self.opts.self_ep),
+            move |_ep, r| {
+                if let Some(applied) = r.ok().as_ref().and_then(shardop::decode_ack) {
+                    highest.set(highest.get().max(applied));
                 }
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    me.pull(Some(barrier.get()));
-                }
-            });
-        }
+            },
+            move || me.pull(Some(barrier.get())),
+        );
     }
 
     /// Flips the root serving (draining parked requests), unless this
@@ -567,13 +302,12 @@ impl ResyncDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::super::shard::SHARD_OP_SET;
-    use super::super::Store;
+    use super::super::{Store, StoreShardEbb};
     use super::*;
     use std::collections::{HashMap, HashSet};
 
     use ebbrt_core::cpu::CoreId;
-    use ebbrt_core::ebb::{RemoteError, RemoteTransportEbb, SystemEbb};
+    use ebbrt_core::ebb::{DistributedEbb, RemoteError, RemoteTransportEbb, SystemEbb};
 
     /// A test transport delivering function-shipped calls straight to
     /// in-process [`ShardRoot`]s by endpoint id, with per-endpoint kill
@@ -728,21 +462,19 @@ mod tests {
         let root = ShardRoot::new(Store::new(Arc::clone(&domain)));
         root.begin_catch_up(None); // catching up, no source known yet
         let rep = StoreShardEbb::local(Arc::clone(&root));
-        let mut w = wire::WireWriter::op(SHARD_OP_SET);
-        w.bytes16(b"racer").tail(b"value-1");
-        let acks: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+        let acks: Rc<RefCell<Vec<Option<u64>>>> = Rc::new(RefCell::new(Vec::new()));
         let a = Rc::clone(&acks);
-        rep.handle_remote(w.finish(), move |resp| {
-            a.borrow_mut().push(resp.copy_to_vec())
-        });
+        rep.handle_remote(
+            shardop::encode_set(b"racer", &val(b"value-1")),
+            move |resp| a.borrow_mut().push(shardop::decode_ack(&resp)),
+        );
         assert!(acks.borrow().is_empty(), "parked, not answered early");
         assert!(
             root.store().get_raw(b"racer").is_none(),
             "not applied before the flip"
         );
         root.finish_catch_up();
-        assert_eq!(acks.borrow().len(), 1, "answered exactly once");
-        assert_eq!(acks.borrow()[0][0], SHARD_RESP_HIT);
+        assert_eq!(*acks.borrow(), [Some(1)], "acknowledged exactly once");
         assert_eq!(root.applied(), 1, "applied exactly once, not double");
         assert_eq!(
             root.store().sets.load(std::sync::atomic::Ordering::Relaxed),
@@ -787,7 +519,7 @@ mod tests {
         assert_eq!(transport.delivered_to(peer_ep), 0);
 
         // Without the rejoin the mark is forever: the regression this
-        // PR fixes. mark_rejoined (what SHARD_OP_REJOIN calls on the
+        // PR fixes. mark_rejoined (what a REJOIN calls on the
         // wire) clears it and restores fan-out.
         transport.dead.borrow_mut().remove(&peer_ep.0);
         primary.mark_rejoined(peer_ep);

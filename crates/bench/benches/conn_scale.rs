@@ -29,17 +29,20 @@ static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for LiveBytesAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

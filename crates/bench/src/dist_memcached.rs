@@ -1,21 +1,22 @@
 //! The multi-machine sharded memcached workload — the proof of the
 //! distributed-Ebb (remote-representative) layer.
 //!
-//! [`build`] assembles a cluster: one naming machine running the
-//! GlobalIdMap server, N shard machines each owning one key shard
-//! behind a distributed [`StoreShardEbb`](memcached::StoreShardEbb)
-//! (global id allocated from
-//! and published to the naming service), and one client machine. Every
-//! shard machine serves the full keyspace: its own shard on the
-//! existing zero-copy path, everything else by function-shipping to
-//! the owner through the shard Ebb's proxy rep.
+//! [`build_replicated`] assembles a cluster: one naming machine running
+//! the GlobalIdMap server, N shard machines holding the key ranges
+//! `replicas`-way behind a distributed
+//! [`StoreShardEbb`](memcached::StoreShardEbb) (published to the naming
+//! service), and one client machine. Every shard machine serves the
+//! full keyspace: ranges it holds on the existing zero-copy path,
+//! everything else by function-shipping to the machine fronting the
+//! range. An unreplicated cluster is `replicas = 1` — there is no
+//! second cluster type.
 //!
-//! [`run`] drives a closed-loop client against shard 0's server and
-//! measures, in virtual time, the **local-hit vs remote-ship** GET
-//! latency split, while asserting the local phase stays zero-copy /
-//! zero-allocation on the serving machine. Optionally the routing
-//! table carries a *phantom* shard whose published owner address
-//! answers nothing — requests for it must come back as
+//! [`run`] drives a closed-loop client against shard 0's server of an
+//! unreplicated cluster and measures, in virtual time, the **local-hit
+//! vs remote-ship** GET latency split, while asserting the local phase
+//! stays zero-copy / zero-allocation on the serving machine. Optionally
+//! one more machine is built and then isolated at the switch — requests
+//! for its range must come back as
 //! [`ebbrt_apps::memcached::STATUS_REMOTE_ERROR`], never hang.
 
 use std::cell::{Cell, RefCell};
@@ -24,8 +25,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ebbrt_apps::memcached::{
-    self, register_shard, serve_sharded, shard_of, Client, ClusterView, ServerConfig, ShardConfig,
-    ShardRoot, Store, ViewState, STATUS_OK, STATUS_REMOTE_ERROR,
+    self, register_shard, serve_sharded, Client, ClusterView, ServerConfig, ShardConfig, ShardRoot,
+    Store, ViewState, STATUS_OK, STATUS_REMOTE_ERROR,
 };
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
@@ -41,22 +42,6 @@ use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
 
 use crate::script::{PhaseMeter, Script, Step, Steps};
 
-/// A built unreplicated sharded-memcached cluster, pre-wired and idle:
-/// a [`ReplCluster`] whose every range has its one replica on its own
-/// machine, routed by [`shard_of`] over `shard_ids` instead of a ring.
-pub struct DistCluster {
-    cluster: ReplCluster,
-    /// The routing table (includes the phantom entry when requested).
-    pub shard_ids: Vec<EbbId>,
-}
-
-impl std::ops::Deref for DistCluster {
-    type Target = ReplCluster;
-    fn deref(&self) -> &ReplCluster {
-        &self.cluster
-    }
-}
-
 /// IP of shard `i`.
 pub fn shard_ip(i: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 1, 10 + i as u8)
@@ -64,186 +49,8 @@ pub fn shard_ip(i: usize) -> Ipv4Addr {
 
 const NAMING_IP: Ipv4Addr = Ipv4Addr([10, 0, 1, 1]);
 const CLIENT_IP: Ipv4Addr = Ipv4Addr([10, 0, 1, 100]);
-/// Published owner of the phantom shard: no machine lives there.
-const PHANTOM_IP: Ipv4Addr = Ipv4Addr([10, 0, 1, 250]);
 
-/// Machinery shared by [`build`] and [`build_replicated`]: the world,
-/// switch, naming service, `nshards` shard machines (each with a
-/// messenger, naming client, remote transport, and store) and the
-/// client machine — no range placed yet.
-fn build_base(nshards: usize, shard_cores: usize) -> ReplCluster {
-    assert!(nshards >= 2, "sharding needs at least two owners");
-    assert!(shard_cores >= 1);
-    let lan = Lan::new();
-    let vm = CostProfile::ebbrt_vm;
-    let (naming, naming_if) =
-        lan.machine("naming", 1, CostProfile::linux_vm(), [0x10; 6], NAMING_IP);
-    let mut shards = Vec::new();
-    let mut shard_ports = Vec::new();
-    let mut shard_ifs = Vec::new();
-    for i in 0..nshards {
-        let mut mac = [0x20; 6];
-        mac[5] = i as u8;
-        let (m, ifc) = lan.machine(format!("shard{i}"), shard_cores, vm(), mac, shard_ip(i));
-        shard_ports.push(m.index());
-        // Every serving machine runs the per-class tx scheduler: data
-        // traffic rides the default class; the "control" class (a
-        // guaranteed slice + the dominant share) protects the
-        // messenger — naming lookups, function-shipped calls,
-        // replication fan-out — from data-plane queueing. The
-        // messenger adds its own port rules at start, finding this
-        // policy installed. The class counters also give chaos
-        // harnesses the served/shed ledger they balance at quiesce.
-        ifc.install_qos(
-            QosConfig::new(10_000_000_000).class(
-                ClassConfig::new("control")
-                    .rt_bps(1_000_000_000)
-                    .ls_weight(4),
-            ),
-        );
-        shard_ifs.push(ifc);
-        shards.push(m);
-    }
-    let (client, _client_if) = lan.machine("client", 1, vm(), [0x30; 6], CLIENT_IP);
-    let (w, sw) = (lan.world, lan.switch);
-    w.run_to_idle();
-
-    let naming_msgr = Messenger::start(&naming_if);
-    let map_server = GlobalIdMapServer::start(&naming_msgr);
-    let mut messengers = Vec::new();
-    let mut transports = Vec::new();
-    let mut stores = Vec::new();
-    // Each shard machine: messenger + naming client + remote transport
-    // (so it can host proxy reps of the other shards) + its store.
-    let maps: Vec<Rc<GlobalIdMap>> = shard_ifs
-        .iter()
-        .map(|ifc| {
-            let msgr = Messenger::start(ifc);
-            let map = GlobalIdMap::new(&msgr, NAMING_IP);
-            transports.push(MessengerTransport::install(&msgr, Rc::clone(&map)));
-            messengers.push(msgr);
-            map
-        })
-        .collect();
-    for m in &shards {
-        stores.push(Store::new(Arc::clone(m.runtime().rcu())));
-    }
-    ReplCluster {
-        w,
-        sw,
-        naming,
-        naming_server: map_server,
-        shards,
-        shard_ports,
-        stores,
-        roots: vec![HashMap::new(); nshards],
-        range_ids: Vec::new(),
-        ring: Arc::new(HashRing::new(nshards as u32, 16)),
-        replicas: 1,
-        views: Vec::new(),
-        maps,
-        client,
-        messengers,
-        transports,
-        pending_rules: Rc::default(),
-    }
-}
-
-/// Builds an N-shard cluster. With `phantom`, the routing table gets
-/// one extra shard whose owner record points at an address where
-/// nothing answers — the remote-failure probe.
-pub fn build(nshards: usize, phantom: bool) -> DistCluster {
-    build_with_cores(nshards, phantom, 1)
-}
-
-/// As [`build`], with `shard_cores` event cores per shard machine —
-/// cross-shard completions then exercise the hop back to the memcached
-/// connection's RSS core.
-pub fn build_with_cores(nshards: usize, phantom: bool, shard_cores: usize) -> DistCluster {
-    let mut cluster = build_base(nshards, shard_cores);
-    let ReplCluster {
-        w,
-        shards,
-        stores,
-        messengers,
-        maps,
-        ..
-    } = &cluster;
-
-    // Allocate the shard ids from the naming service (shard i asks
-    // through its own map client), then register + publish ownership.
-    let ids: Rc<RefCell<Vec<Option<EbbId>>>> = Rc::new(RefCell::new(vec![None; nshards]));
-    for (i, m) in shards.iter().enumerate() {
-        let map = Rc::clone(&maps[i]);
-        let ids2 = Rc::clone(&ids);
-        spawn_with(m, CoreId(0), map, move |map| {
-            map.allocate(move |id| ids2.borrow_mut()[i] = Some(id));
-        });
-    }
-    w.run_to_idle();
-    let mut shard_ids: Vec<EbbId> = ids
-        .borrow()
-        .iter()
-        .map(|id| id.expect("id allocation completed"))
-        .collect();
-    let roots: Vec<Arc<ShardRoot>> = stores
-        .iter()
-        .map(|s| ShardRoot::new(Arc::clone(s)))
-        .collect();
-    for (i, m) in shards.iter().enumerate() {
-        let id = shard_ids[i];
-        register_shard(&roots[i], m.runtime(), id);
-        let msgr = Rc::clone(&messengers[i]);
-        let map = Rc::clone(&maps[i]);
-        let ip = shard_ip(i);
-        spawn_with(m, CoreId(0), (msgr, map), move |(msgr, map)| {
-            ebbrt_hosted::remote::publish::<memcached::StoreShardEbb>(
-                &msgr,
-                &map,
-                EbbRef::from_id(id),
-                ip,
-                |ok| assert!(ok, "owner record published"),
-            );
-        });
-    }
-    if phantom {
-        // One more routing slot, owned (per the naming service) by an
-        // address where nothing answers.
-        let phantom_id = EbbId((1 << 20) + 900_000);
-        let map = Rc::clone(&maps[0]);
-        spawn_with(&shards[0], CoreId(0), map, move |map| {
-            map.put(phantom_id, &global_map::encode_owner(PHANTOM_IP), |ok| {
-                assert!(ok)
-            });
-        });
-        shard_ids.push(phantom_id);
-    }
-    w.run_to_idle();
-
-    // Start the sharded servers.
-    for (i, m) in shards.iter().enumerate() {
-        let cfg = ShardConfig::unreplicated(
-            Arc::new(shard_ids.clone()),
-            i,
-            Arc::clone(&roots[i]),
-            ServerConfig::default(),
-        );
-        let store = Arc::clone(&stores[i]);
-        spawn_with(m, CoreId(0), (cfg, store), |(cfg, store)| {
-            serve_sharded(cfg, store)
-        });
-    }
-    w.run_to_idle();
-
-    cluster.roots = (0..nshards)
-        .map(|i| HashMap::from([(i, Arc::clone(&roots[i]))]))
-        .collect();
-    DistCluster { cluster, shard_ids }
-}
-
-// --- Replicated cluster (R > 1) ------------------------------------------
-
-/// A built replicated sharded-memcached cluster, pre-wired and idle.
+/// A built sharded-memcached cluster, pre-wired and idle.
 pub struct ReplCluster {
     /// The world driving everything.
     pub w: Rc<SimWorld>,
@@ -374,7 +181,64 @@ pub fn build_replicated_with_spares(
         "replication factor must fit the machine count"
     );
     let nmachines = nshards + spares;
-    let base = build_base(nmachines, shard_cores);
+    assert!(nmachines >= 2, "sharding needs at least two owners");
+    assert!(shard_cores >= 1);
+    let lan = Lan::new();
+    let vm = CostProfile::ebbrt_vm;
+    let (naming, naming_if) =
+        lan.machine("naming", 1, CostProfile::linux_vm(), [0x10; 6], NAMING_IP);
+    let mut shards = Vec::new();
+    let mut shard_ports = Vec::new();
+    let mut shard_ifs = Vec::new();
+    for i in 0..nmachines {
+        let mut mac = [0x20; 6];
+        mac[5] = i as u8;
+        let (m, ifc) = lan.machine(format!("shard{i}"), shard_cores, vm(), mac, shard_ip(i));
+        shard_ports.push(m.index());
+        // Every serving machine runs the per-class tx scheduler: data
+        // traffic rides the default class; the "control" class (a
+        // guaranteed slice + the dominant share) protects the
+        // messenger — naming lookups, function-shipped calls,
+        // replication fan-out — from data-plane queueing. The
+        // messenger adds its own port rules at start, finding this
+        // policy installed. The class counters also give chaos
+        // harnesses the served/shed ledger they balance at quiesce.
+        ifc.install_qos(
+            QosConfig::new(10_000_000_000).class(
+                ClassConfig::new("control")
+                    .rt_bps(1_000_000_000)
+                    .ls_weight(4),
+            ),
+        );
+        shard_ifs.push(ifc);
+        shards.push(m);
+    }
+    let (client, _client_if) = lan.machine("client", 1, vm(), [0x30; 6], CLIENT_IP);
+    let (w, sw) = (lan.world, lan.switch);
+    w.run_to_idle();
+
+    let naming_msgr = Messenger::start(&naming_if);
+    let naming_server = GlobalIdMapServer::start(&naming_msgr);
+    let mut messengers = Vec::new();
+    let mut transports = Vec::new();
+    let mut stores = Vec::new();
+    // Each shard machine: messenger + naming client + remote transport
+    // (so it can host proxy reps of the other shards) + its store.
+    let maps: Vec<Rc<GlobalIdMap>> = shard_ifs
+        .iter()
+        .map(|ifc| {
+            let msgr = Messenger::start(ifc);
+            let map = GlobalIdMap::new(&msgr, NAMING_IP);
+            transports.push(MessengerTransport::install(&msgr, Rc::clone(&map)));
+            messengers.push(msgr);
+            map
+        })
+        .collect();
+    for m in &shards {
+        stores.push(Store::new(Arc::clone(m.runtime().rcu())));
+    }
+
+    // The machinery is up and no range is placed yet. Placement:
     let ring = Arc::new(HashRing::new(nshards as u32, 16));
 
     // Replica sets: members[r][0] == r (the initial primary), then the
@@ -391,9 +255,9 @@ pub fn build_replicated_with_spares(
                 .filter(|&&p| p != m)
                 .map(|&p| endpoint_id(r, p))
                 .collect();
-            let root = ShardRoot::with_peers(Arc::clone(&base.stores[m]), peer_eps);
-            register_shard(&root, base.shards[m].runtime(), range_id(r));
-            register_shard(&root, base.shards[m].runtime(), endpoint_id(r, m));
+            let root = ShardRoot::with_peers(Arc::clone(&stores[m]), peer_eps);
+            register_shard(&root, shards[m].runtime(), range_id(r));
+            register_shard(&root, shards[m].runtime(), endpoint_id(r, m));
             roots[m].insert(r, root);
         }
     }
@@ -404,38 +268,33 @@ pub fn build_replicated_with_spares(
     for (r, set) in members.iter().enumerate() {
         let owner_ips: Vec<Ipv4Addr> = set.iter().map(|&m| shard_ip(m)).collect();
         for (slot, &m) in set.iter().enumerate() {
-            let msgr = Rc::clone(&base.messengers[m]);
-            let map = Rc::clone(&base.maps[m]);
+            let msgr = Rc::clone(&messengers[m]);
+            let map = Rc::clone(&maps[m]);
             let owner_ips = owner_ips.clone();
-            spawn_with(
-                &base.shards[m],
-                CoreId(0),
-                (msgr, map),
-                move |(msgr, map)| {
-                    if slot == 0 {
-                        ebbrt_hosted::remote::publish_replicated::<memcached::StoreShardEbb>(
-                            &msgr,
-                            &map,
-                            EbbRef::from_id(range_id(r)),
-                            &owner_ips,
-                            |ok| assert!(ok, "range record published"),
-                        );
-                    }
-                    publish_endpoint(&msgr, &map, (r, m), |ok| {
-                        assert!(ok, "endpoint record published")
-                    });
-                },
-            );
+            spawn_with(&shards[m], CoreId(0), (msgr, map), move |(msgr, map)| {
+                if slot == 0 {
+                    ebbrt_hosted::remote::publish_replicated::<memcached::StoreShardEbb>(
+                        &msgr,
+                        &map,
+                        EbbRef::from_id(range_id(r)),
+                        &owner_ips,
+                        |ok| assert!(ok, "range record published"),
+                    );
+                }
+                publish_endpoint(&msgr, &map, (r, m), |ok| {
+                    assert!(ok, "endpoint record published")
+                });
+            });
         }
     }
-    base.w.run_to_idle();
+    w.run_to_idle();
 
     let range_ids: Vec<EbbId> = (0..nshards).map(range_id).collect();
     let mut views = Vec::new();
-    for (m, machine) in base.shards.iter().enumerate() {
+    for (m, machine) in shards.iter().enumerate() {
         let view = ClusterView::new(ViewState {
             shard_ids: Arc::new(range_ids.clone()),
-            ring: Some(Arc::clone(&ring)),
+            ring: Arc::clone(&ring),
             locals: Arc::new(roots[m].clone()),
         });
         views.push(Arc::clone(&view));
@@ -444,20 +303,31 @@ pub fn build_replicated_with_spares(
             my_shard: m,
             server: ServerConfig::default(),
         };
-        let store = Arc::clone(&base.stores[m]);
+        let store = Arc::clone(&stores[m]);
         spawn_with(machine, CoreId(0), (cfg, store), |(cfg, store)| {
             serve_sharded(cfg, store)
         });
     }
-    base.w.run_to_idle();
+    w.run_to_idle();
 
     ReplCluster {
+        w,
+        sw,
+        naming,
+        naming_server,
+        shards,
+        shard_ports,
+        stores,
         roots,
         range_ids,
         ring,
         replicas,
         views,
-        ..base
+        maps,
+        client,
+        messengers,
+        transports,
+        pending_rules: Rc::default(),
     }
 }
 
@@ -832,7 +702,7 @@ pub fn add_shard(c: &mut ReplCluster) -> Rc<Cell<bool>> {
                     for (m, view) in views.iter().enumerate() {
                         let installed = view.install(ViewState {
                             shard_ids: Arc::clone(&new_range_ids),
-                            ring: Some(Arc::clone(&new_ring)),
+                            ring: Arc::clone(&new_ring),
                             locals: Arc::clone(&final_locals[m]),
                         });
                         assert!(installed, "a grown view must be a newer generation");
@@ -939,18 +809,6 @@ pub fn key_for_range(ring: &HashRing, range: usize, tag: usize) -> Vec<u8> {
     unreachable!()
 }
 
-/// Finds a printable key that [`shard_of`]-maps to `shard` out of
-/// `nshards` (deterministic; shared with any external client).
-pub fn key_for_shard(shard: usize, nshards: usize, tag: usize) -> Vec<u8> {
-    for n in 0.. {
-        let k = format!("key_{tag}_{n}");
-        if shard_of(k.as_bytes(), nshards) == shard {
-            return k.into_bytes();
-        }
-    }
-    unreachable!()
-}
-
 /// Workload knobs for [`run`].
 pub struct DistConfig {
     /// Shard machines.
@@ -962,7 +820,7 @@ pub struct DistConfig {
     pub warmup_gets: u32,
     /// Measured GETs per phase (local, then remote).
     pub measured_gets: u32,
-    /// Add the phantom shard and probe it.
+    /// Build one more machine, isolate it, and probe its range.
     pub probe_failure: bool,
 }
 
@@ -1003,7 +861,7 @@ pub struct DistReport {
     /// measured function-shipped GET phase (marshalling and framing
     /// buffers are pooled).
     pub remote_allocated: u64,
-    /// Responses carrying [`STATUS_REMOTE_ERROR`] from the phantom
+    /// Responses carrying [`STATUS_REMOTE_ERROR`] from the dead-owner
     /// probe (expected: exactly the probes sent, promptly).
     pub failure_responses: u32,
     /// Function-shipped calls that rode a multi-call messenger frame
@@ -1025,10 +883,15 @@ const NTAGS: usize = 6;
 
 /// Builds the cluster, drives the workload, returns the measurements.
 pub fn run(cfg: &DistConfig) -> DistReport {
-    let c = build_with_cores(cfg.shards, cfg.probe_failure, cfg.cores);
-    let nslots = c.shard_ids.len();
-    let local_key = key_for_shard(0, nslots, 0);
-    let remote_key = key_for_shard(1, nslots, 1);
+    // With the failure probe, one more machine than asked for: its
+    // range's only owner, cut off at the switch before any traffic.
+    let dead = cfg.probe_failure.then_some(cfg.shards);
+    let c = build_replicated(cfg.shards + cfg.probe_failure as usize, 1, cfg.cores);
+    if let Some(dead) = dead {
+        c.sw.isolate(c.shard_ports[dead]);
+    }
+    let local_key = key_for_range(&c.ring, 0, 0);
+    let remote_key = key_for_range(&c.ring, 1, 1);
     let value = vec![0xC5u8; 512];
 
     // Seed one key in the local shard and one in a remote shard —
@@ -1048,10 +911,9 @@ pub fn run(cfg: &DistConfig) -> DistReport {
         .collect();
     script.steps.push(Step::send(&burst, TAG_PIPE, None));
     let mut failure_probes = 0u32;
-    if cfg.probe_failure {
-        let phantom_key = key_for_shard(nslots - 1, nslots, 9);
+    if let Some(dead) = dead {
         failure_probes = 2;
-        script.gets(&phantom_key, failure_probes, TAG_FAIL);
+        script.gets(&key_for_range(&c.ring, dead, 9), failure_probes, TAG_FAIL);
     }
 
     let meters = vec![

@@ -293,8 +293,8 @@ fn a_shipped_get_copies_nothing_and_stays_under_the_allocator_ceiling() {
     const WARM: u32 = 64;
     const MEASURED: u32 = 16;
     const VALUE_LEN: usize = 512;
-    let c = dist_memcached::build(2, false);
-    let key = dist_memcached::key_for_shard(1, 2, 1);
+    let c = dist_memcached::build_replicated(2, 1, 1);
+    let key = dist_memcached::key_for_range(&c.ring, 1, 1);
     let value = vec![0xC5u8; VALUE_LEN];
     let client = connect_client(&c.w, &c.client);
     // The SET ships too: the key's shard is machine 1.

@@ -59,6 +59,29 @@ impl<K, V> Table<K, V> {
     }
 }
 
+/// Walks a chain from `link` on, yielding each node with the link that
+/// points at it (what an unlink stores through).
+struct Links<'a, K, V>(&'a AtomicPtr<Node<K, V>>);
+
+impl<'a, K, V> Iterator for Links<'a, K, V> {
+    type Item = (&'a AtomicPtr<Node<K, V>>, &'a Node<K, V>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let link = self.0;
+        // SAFETY: a non-null pointer loaded from a link of a live table
+        // (or of a node reached from one) came from `Box::into_raw`, and
+        // its node is either still linked or retired-but-not-reclaimed:
+        // nodes are freed only a grace period after being unlinked, and
+        // the walker is inside a read-side critical section (module
+        // contract) or holds the writer lock, which excludes every
+        // unlink. Either way the node outlives the walk.
+        let node = unsafe { link.load(Ordering::Acquire).as_ref() }?;
+        self.0 = &node.next;
+        Some((link, node))
+    }
+}
+
 /// Deferred destructor for an unlinked node.
 struct NodeGarbage<K, V>(*mut Node<K, V>);
 
@@ -110,9 +133,17 @@ pub struct RcuHashMap<K, V> {
     len: AtomicUsize,
 }
 
-// SAFETY: readers use acquire loads on shared pointers; writers are
-// serialized by `writer`; reclamation is deferred through `domain`.
+// SAFETY: `table` is the one field that is not `Sync` by itself.
+// Readers follow it with acquire loads, writers are serialized by
+// `writer`, and reclamation is deferred through `domain`; the other
+// fields are a lock, an atomic and an `Arc` of a `Sync` domain. A shared
+// map hands `&K`/`&V` to every thread and lets any of them drop an
+// entry, hence `Send + Sync` on both.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for RcuHashMap<K, V> {}
+// SAFETY: the table and nodes behind `table` are heap memory the map
+// alone owns, so moving the map moves its `K`s and `V`s with it
+// (`Send`). A pair `remove` handed out is unlinked by then: the map's
+// new thread can still drop its retired node's `Arc`, never read it.
 unsafe impl<K: Send, V: Send> Send for RcuHashMap<K, V> {}
 
 impl<K, V> RcuHashMap<K, V>
@@ -156,6 +187,16 @@ where
         self.len() == 0
     }
 
+    /// The current table.
+    #[inline]
+    fn table(&self) -> &Table<K, V> {
+        // SAFETY: the pointer came from `Box::into_raw` and a replaced
+        // table is freed only after a grace period; the caller is
+        // inside a read-side critical section (module contract) or
+        // holds the writer lock, which excludes replacement.
+        unsafe { &*self.table.load(Ordering::Acquire) }
+    }
+
     /// Looks up `key` and applies `f` to the value, without locks or
     /// atomic read-modify-write operations.
     pub fn get<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
@@ -164,53 +205,9 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let hash = Self::hash_of(key);
-        // SAFETY: the table pointer is valid — replaced tables are only
-        // freed after a grace period, and the caller is inside a
-        // read-side critical section (module contract).
-        let table = unsafe { &*self.table.load(Ordering::Acquire) };
-        let mut p = table.bucket(hash).load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: nodes reachable from a live table are either still
-            // linked or retired-but-not-reclaimed; both outlive this
-            // critical section.
-            let node = unsafe { &*p };
-            if node.hash == hash && node.data.0.borrow() == key {
-                return Some(f(&node.data.1));
-            }
-            p = node.next.load(Ordering::Acquire);
-        }
-        None
-    }
-
-    /// Returns a clone of the entry `Arc` for `key`, allowing the caller
-    /// to hold the pair beyond the critical section.
-    pub fn get_entry<Q>(&self, key: &Q) -> Option<Arc<(K, V)>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let hash = Self::hash_of(key);
-        // SAFETY: as in `get`.
-        let table = unsafe { &*self.table.load(Ordering::Acquire) };
-        let mut p = table.bucket(hash).load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: as in `get`.
-            let node = unsafe { &*p };
-            if node.hash == hash && node.data.0.borrow() == key {
-                return Some(Arc::clone(&node.data));
-            }
-            p = node.next.load(Ordering::Acquire);
-        }
-        None
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.get(key, |_| ()).is_some()
+        Links(self.table().bucket(hash))
+            .find(|(_, node)| node.hash == hash && node.data.0.borrow() == key)
+            .map(|(_, node)| f(&node.data.1))
     }
 
     /// Inserts or replaces; returns `true` if an existing entry was
@@ -219,8 +216,7 @@ where
     pub fn insert(&self, key: K, value: V) -> bool {
         let hash = Self::hash_of(&key);
         let _w = self.writer.lock();
-        // SAFETY: the writer lock excludes concurrent table replacement.
-        let table = unsafe { &*self.table.load(Ordering::Acquire) };
+        let table = self.table();
         let bucket = table.bucket(hash);
 
         // Publish the new node at the bucket head.
@@ -233,23 +229,14 @@ where
         bucket.store(new, Ordering::Release);
 
         // Unlink any previous entry for the key (now shadowed by `new`).
-        // SAFETY: `new` was just created by us and is valid.
+        // SAFETY: `new` was just created by us, and only this writer
+        // (holding the lock) could unlink it.
         let new_ref = unsafe { &*new };
-        let key_ref = &new_ref.data.0;
-        let mut prev: &AtomicPtr<Node<K, V>> = &new_ref.next;
-        let mut p = prev.load(Ordering::Acquire);
-        let mut replaced = false;
-        while !p.is_null() {
-            // SAFETY: chain traversal under the writer lock.
-            let node = unsafe { &*p };
-            if node.hash == hash && node.data.0 == *key_ref {
-                prev.store(node.next.load(Ordering::Acquire), Ordering::Release);
-                self.domain.retire(NodeGarbage(p));
-                replaced = true;
-                break;
-            }
-            prev = &node.next;
-            p = node.next.load(Ordering::Acquire);
+        let shadowed = Links(&new_ref.next)
+            .find(|(_, node)| node.hash == hash && node.data.0 == new_ref.data.0);
+        let replaced = shadowed.is_some();
+        if let Some((link, node)) = shadowed {
+            self.unlink(link, node);
         }
 
         if !replaced {
@@ -270,76 +257,54 @@ where
     {
         let hash = Self::hash_of(key);
         let _w = self.writer.lock();
-        // SAFETY: writer lock held.
-        let table = unsafe { &*self.table.load(Ordering::Acquire) };
-        let bucket = table.bucket(hash);
-        let mut prev: &AtomicPtr<Node<K, V>> = bucket;
-        let mut p = prev.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: chain traversal under the writer lock.
-            let node = unsafe { &*p };
-            if node.hash == hash && node.data.0.borrow() == key {
-                let data = Arc::clone(&node.data);
-                prev.store(node.next.load(Ordering::Acquire), Ordering::Release);
-                self.domain.retire(NodeGarbage(p));
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some(data);
-            }
-            prev = &node.next;
-            p = node.next.load(Ordering::Acquire);
-        }
-        None
+        let (link, node) = Links(self.table().bucket(hash))
+            .find(|(_, node)| node.hash == hash && node.data.0.borrow() == key)?;
+        let data = Arc::clone(&node.data);
+        self.unlink(link, node);
+        self.len.fetch_sub(1, Ordering::AcqRel);
+        Some(data)
+    }
+
+    /// Unlinks `node`, which `link` points at, and retires it. Caller
+    /// holds the writer lock.
+    fn unlink(&self, link: &AtomicPtr<Node<K, V>>, node: &Node<K, V>) {
+        // Under the writer lock the link still holds `node`'s pointer
+        // as `Box::into_raw` made it — what the deferred free needs.
+        let p = link.load(Ordering::Relaxed);
+        link.store(node.next.load(Ordering::Acquire), Ordering::Release);
+        self.domain.retire(NodeGarbage(p));
     }
 
     /// Applies `f` to every entry (reader-side; sees a consistent chain
     /// per bucket but concurrent writers may add/remove around it).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        // SAFETY: as in `get`.
-        let table = unsafe { &*self.table.load(Ordering::Acquire) };
-        for bucket in table.buckets.iter() {
-            let mut p = bucket.load(Ordering::Acquire);
-            while !p.is_null() {
-                // SAFETY: as in `get`.
-                let node = unsafe { &*p };
-                f(&node.data.0, &node.data.1);
-                p = node.next.load(Ordering::Acquire);
-            }
+        for (_, node) in self.table().buckets.iter().flat_map(Links) {
+            f(&node.data.0, &node.data.1);
         }
     }
 
     /// Current bucket count (diagnostic).
     pub fn capacity(&self) -> usize {
-        // SAFETY: as in `get`.
-        unsafe { &*self.table.load(Ordering::Acquire) }
-            .buckets
-            .len()
+        self.table().buckets.len()
     }
 
     /// Grows the table to `new_capacity` buckets. Caller holds the
     /// writer lock.
     fn resize(&self, new_capacity: usize) {
-        let old_ptr = self.table.load(Ordering::Acquire);
-        // SAFETY: writer lock held; table valid.
-        let old = unsafe { &*old_ptr };
         let new = Box::new(Table::new(new_capacity));
-        for bucket in old.buckets.iter() {
-            let mut p = bucket.load(Ordering::Acquire);
-            while !p.is_null() {
-                // SAFETY: chain traversal under the writer lock.
-                let node = unsafe { &*p };
-                let nb = new.bucket(node.hash);
-                let head = nb.load(Ordering::Relaxed);
-                let copy = Box::into_raw(Box::new(Node {
-                    hash: node.hash,
-                    data: Arc::clone(&node.data),
-                    next: AtomicPtr::new(head),
-                }));
-                nb.store(copy, Ordering::Release);
-                p = node.next.load(Ordering::Acquire);
-            }
+        for (_, node) in self.table().buckets.iter().flat_map(Links) {
+            let nb = new.bucket(node.hash);
+            let head = nb.load(Ordering::Relaxed);
+            let copy = Box::into_raw(Box::new(Node {
+                hash: node.hash,
+                data: Arc::clone(&node.data),
+                next: AtomicPtr::new(head),
+            }));
+            nb.store(copy, Ordering::Release);
         }
+        let old = self.table.load(Ordering::Acquire);
         self.table.store(Box::into_raw(new), Ordering::Release);
-        self.domain.retire(TableGarbage(old_ptr));
+        self.domain.retire(TableGarbage(old));
     }
 }
 
@@ -419,16 +384,15 @@ mod tests {
     }
 
     #[test]
-    fn get_entry_outlives_critical_section() {
+    fn removed_entry_outlives_reclaim() {
         let (domain, map) = map();
         let entry = {
             let _g = domain.read_guard(CoreId(0));
             map.insert("x".into(), 42);
-            map.get_entry("x").unwrap()
+            map.remove("x").unwrap()
         };
-        map.remove("x");
-        domain.try_reclaim();
-        // The Arc keeps the data alive even after reclaim.
+        assert!(domain.try_reclaim() > 0);
+        // The Arc keeps the data alive even after the node is freed.
         assert_eq!(entry.1, 42);
     }
 

@@ -301,24 +301,9 @@ impl GlobalIdMap {
     }
 }
 
-/// Convenience: encode/decode an owner address record.
-pub fn encode_owner(ip: Ipv4Addr) -> Vec<u8> {
-    ip.0.to_vec()
-}
-
-/// Decodes an owner address record.
-pub fn decode_owner(data: &[u8]) -> Option<Ipv4Addr> {
-    if data.len() == 4 {
-        Some(Ipv4Addr([data[0], data[1], data[2], data[3]]))
-    } else {
-        None
-    }
-}
-
-/// Encodes an ordered replica list (primary first) as concatenated
-/// 4-byte addresses. A single-entry list is byte-identical to
-/// [`encode_owner`], so replicated and unreplicated records share one
-/// wire format.
+/// Encodes an ownership record: the ordered owner list (primary
+/// first) as concatenated 4-byte addresses — one entry for an
+/// unreplicated id.
 pub fn encode_owners(ips: &[Ipv4Addr]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ips.len() * 4);
     for ip in ips {
@@ -327,7 +312,7 @@ pub fn encode_owners(ips: &[Ipv4Addr]) -> Vec<u8> {
     out
 }
 
-/// Decodes a replica-list record: any positive multiple of 4 bytes.
+/// Decodes an ownership record: any positive multiple of 4 bytes.
 pub fn decode_owners(data: &[u8]) -> Option<Vec<Ipv4Addr>> {
     if data.is_empty() || !data.len().is_multiple_of(4) {
         return None;
@@ -372,9 +357,13 @@ mod tests {
         on_core0(&native1, Rc::clone(&map1), move |map| {
             let m2 = Rc::clone(&map);
             map.allocate(move |id| {
-                m2.put(id, &encode_owner(Ipv4Addr::new(10, 0, 0, 2)), move |ok| {
-                    assert!(ok);
-                });
+                m2.put(
+                    id,
+                    &encode_owners(&[Ipv4Addr::new(10, 0, 0, 2)]),
+                    move |ok| {
+                        assert!(ok);
+                    },
+                );
                 p2.set(Some(id));
             });
         });
@@ -387,11 +376,11 @@ mod tests {
         let o2 = Rc::clone(&owner);
         on_core0(&native2, Rc::clone(&map2), move |map| {
             map.get(id, move |data| {
-                o2.set(decode_owner(&data.unwrap()));
+                o2.set(decode_owners(&data.unwrap()));
             });
         });
         w.run_to_idle();
-        assert_eq!(owner.get(), Some(Ipv4Addr::new(10, 0, 0, 2)));
+        assert_eq!(owner.take(), Some(vec![Ipv4Addr::new(10, 0, 0, 2)]));
         assert_eq!(server.len(), 1);
 
         // Second allocation on native1 is served from the cached range:

@@ -680,9 +680,8 @@ pub fn export<T: DistributedEbb>(messenger: &Rc<Messenger>, ebb: EbbRef<T>) {
     });
 }
 
-/// [`export`] + publish this machine (at `owner_ip`) as the id's owner
-/// in the naming service, which is what lets remote machines' proxies
-/// find it. `done` receives the publish acknowledgment.
+/// [`publish_replicated`] with this machine (at `owner_ip`) as the
+/// id's only owner.
 pub fn publish<T: DistributedEbb>(
     messenger: &Rc<Messenger>,
     map: &Rc<GlobalIdMap>,
@@ -690,14 +689,15 @@ pub fn publish<T: DistributedEbb>(
     owner_ip: Ipv4Addr,
     done: impl FnOnce(bool) + 'static,
 ) {
-    export(messenger, ebb);
-    map.put(ebb.id(), &global_map::encode_owner(owner_ip), done);
+    publish_replicated(messenger, map, ebb, &[owner_ip], done);
 }
 
-/// [`export`] + publish an ordered replica list (primary first) as the
-/// id's ownership record. Call it on the machine fronting the record;
-/// the other replicas just [`export`] the same id so a promotion finds
-/// them already serving.
+/// [`export`] + publish an ordered owner list (primary first) as the
+/// id's ownership record in the naming service, which is what lets
+/// remote machines' proxies find it. Call it on the machine fronting
+/// the record; the other replicas just [`export`] the same id so a
+/// promotion finds them already serving. `done` receives the publish
+/// acknowledgment.
 pub fn publish_replicated<T: DistributedEbb>(
     messenger: &Rc<Messenger>,
     map: &Rc<GlobalIdMap>,

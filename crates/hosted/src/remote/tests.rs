@@ -416,7 +416,7 @@ fn owner_teardown_mid_call_times_out_without_leaks() {
     on_core0(&c.owner, map, move |map| {
         map.put(
             dead,
-            &global_map::encode_owner(Ipv4Addr([10, 0, 0, 99])),
+            &global_map::encode_owners(&[Ipv4Addr([10, 0, 0, 99])]),
             |ok| assert!(ok),
         );
     });

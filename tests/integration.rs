@@ -175,26 +175,26 @@ fn simulation_is_deterministic() {
 
 /// The distributed-Ebb proof workload, correctness-first: a
 /// multi-machine sharded memcached where every machine owns one key
-/// shard behind a distributed `StoreShardEbb`. A client pipelines SETs
-/// and GETs for keys of *every* shard into shard 0's server; requests
-/// for other shards function-ship to their owners (miss → GlobalIdMap
-/// → proxy rep → messenger), responses are correlated by opaque, and a
-/// phantom shard whose published owner is unreachable must answer
+/// range behind a distributed `StoreShardEbb`. A client pipelines SETs
+/// and GETs for keys of *every* range into shard 0's server; requests
+/// for other ranges function-ship to their owners (shipper →
+/// GlobalIdMap → messenger), responses are correlated by opaque, and a
+/// range whose only owner is cut off at the switch must answer
 /// `STATUS_REMOTE_ERROR` — never hang the connection.
 #[test]
 fn sharded_memcached_cross_shard_function_shipping() {
     use ebbrt_bench::dist_memcached as dist;
 
     const NSHARDS: usize = 3;
-    let c = dist::build(NSHARDS, true);
-    let nslots = c.shard_ids.len(); // NSHARDS + the phantom slot
-    let phantom_slot = nslots - 1;
+    // One machine more than the live shards: the dead range's owner.
+    let c = dist::build_replicated(NSHARDS + 1, 1, 1);
+    c.sw.isolate(c.shard_ports[NSHARDS]);
 
     // Four keys per real shard, values derived from the key.
     let mut keys: Vec<(Vec<u8>, Vec<u8>, usize)> = Vec::new();
     for shard in 0..NSHARDS {
         for k in 0..4 {
-            let key = dist::key_for_shard(shard, nslots, shard * 10 + k);
+            let key = dist::key_for_range(&c.ring, shard, shard * 10 + k);
             let value = format!("value-of-{}", String::from_utf8_lossy(&key)).into_bytes();
             keys.push((key, value, shard));
         }
@@ -204,13 +204,13 @@ fn sharded_memcached_cross_shard_function_shipping() {
     // served by whichever machine happened to receive it.
     let big_key = (0u32..)
         .map(|n| format!("{}-{n}", "x".repeat(280)).into_bytes())
-        .find(|k| memcached::shard_of(k, nslots) == 1)
+        .find(|k| c.ring.range_of(k) == 1)
         .unwrap();
     keys.push((big_key, b"oversized-key-value".to_vec(), 1));
-    let phantom_key = dist::key_for_shard(phantom_slot, nslots, 999);
+    let dead_key = dist::key_for_range(&c.ring, NSHARDS, 999);
 
     // Pipeline everything in one burst: SETs, then GETs, then the
-    // phantom probe. opaque = index into `expect`.
+    // dead-range probe. opaque = index into `expect`.
     let mut tx = Vec::new();
     let mut expect: Vec<(u16, Vec<u8>)> = Vec::new();
     for (key, value, _) in &keys {
@@ -221,7 +221,7 @@ fn sharded_memcached_cross_shard_function_shipping() {
         tx.push(memcached::encode_get(key, expect.len() as u32));
         expect.push((memcached::STATUS_OK, value.clone()));
     }
-    tx.push(memcached::encode_get(&phantom_key, expect.len() as u32));
+    tx.push(memcached::encode_get(&dead_key, expect.len() as u32));
     expect.push((memcached::STATUS_REMOTE_ERROR, Vec::new()));
 
     let client = Client::spawn(&c.client, CoreId(0), dist::shard_ip(0), Burst::new(&tx));

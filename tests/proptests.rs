@@ -24,23 +24,30 @@ fn segments(stream: &[u8], cuts: &[usize]) -> Vec<Chain<IoBuf>> {
 /// A frame may wait for at most this much.
 const PENDING_CAP: usize = memcached::Header::SIZE + memcached::MAX_BODY_LEN;
 
-/// Framing errors counted by direct drive, which runs in the thread's
-/// ambient runtime.
-fn ambient_bad_frames() -> u64 {
-    ebbrt_core::qos::snapshot(&ebbrt_core::runtime::ambient()).get(memcached::BAD_FRAME_COUNTER)
+/// Feeds `stream`, cut at `cuts`, to a fresh directly-driven server
+/// connection; returns its store, the length of its unframed tail and
+/// the framing errors it counted.
+fn drive_server(stream: &[u8], cuts: &[usize]) -> (Arc<memcached::Store>, usize, u64) {
+    drive_segments(segments(stream, cuts))
 }
 
-/// Feeds `stream`, cut at `cuts`, to a fresh directly-driven server
-/// connection; returns its store and the length of its unframed tail.
-fn drive_server(stream: &[u8], cuts: &[usize]) -> (Arc<memcached::Store>, usize) {
+/// [`drive_server`] over segments already cut. The connection runs in a
+/// runtime of its own, so the framing errors read back are its own: the
+/// ambient runtime's registry is shared by every test thread of this
+/// binary, and a bad frame another property counts there is not an
+/// abort here.
+fn drive_segments(
+    segs: impl IntoIterator<Item = Chain<IoBuf>>,
+) -> (Arc<memcached::Store>, usize, u64) {
+    use ebbrt_core::runtime::{self, Runtime};
     use ebbrt_net::netif::{ConnHandler, TcpConn};
-    let domain = Arc::new(ebbrt_core::rcu::RcuDomain::new(1));
-    let _guard = domain.read_guard(CoreId(0));
-    let store = memcached::Store::new(Arc::clone(&domain));
+    let rt = Runtime::new(1, Arc::new(ebbrt_core::clock::ManualClock::new()));
+    let _entered = runtime::enter(Arc::clone(&rt), CoreId(0));
+    let bad_frames = || ebbrt_core::qos::snapshot(&rt).get(memcached::BAD_FRAME_COUNTER);
+    let _guard = rt.rcu().read_guard(CoreId(0));
+    let store = memcached::Store::new(Arc::clone(rt.rcu()));
     let sc = memcached::ServerConn::new(Arc::clone(&store));
-    let _bind = ebbrt_core::cpu::bind(CoreId(0));
-    let bad_before = ambient_bad_frames();
-    for seg in segments(stream, cuts) {
+    for seg in segs {
         // The dangling conn panics when a response is sent (or the
         // connection aborted) — after parsing and store updates are
         // complete for this call.
@@ -48,11 +55,33 @@ fn drive_server(stream: &[u8], cuts: &[usize]) -> (Arc<memcached::Store>, usize)
             sc.on_receive(&TcpConn::dangling(), seg);
         }));
         assert!(sc.pending_len() <= PENDING_CAP);
-        if ambient_bad_frames() > bad_before {
+        if bad_frames() > 0 {
             break; // aborted: a real connection delivers nothing more
         }
     }
-    (store, sc.pending_len())
+    (store, sc.pending_len(), bad_frames())
+}
+
+/// The regression behind [`drive_segments`]' private runtime: a bad
+/// frame counted elsewhere in the process between two segments of a
+/// well-formed SET must not cut the SET short.
+#[test]
+fn a_bad_frame_counted_elsewhere_does_not_lose_a_well_formed_set() {
+    let value = vec![0xA5u8; 300];
+    let stream = memcached::encode_set(b"straddle", &value, 7);
+    let noisy = segments(&stream, &[10, 100, 200]).into_iter().inspect(|_| {
+        // What the hostile-header property does on another test thread:
+        // an unentered thread counts in the ambient runtime.
+        let elsewhere =
+            || ebbrt_core::qos::bump(ebbrt_core::qos::register(memcached::BAD_FRAME_COUNTER));
+        std::thread::spawn(elsewhere).join().unwrap();
+    });
+    let (store, pending, bad) = drive_segments(noisy);
+    assert_eq!(
+        store.get_raw(b"straddle").map(|v| v.copy_to_vec()),
+        Some(value)
+    );
+    assert_eq!((pending, bad), (0, 0));
 }
 
 mod zero_copy_props {
@@ -94,13 +123,13 @@ mod zero_copy_props {
     }
 
     /// Observable parse outcome: store contents, (gets, sets, misses)
-    /// counters, and the unconsumed tail length.
-    type ParseOutcome = (Vec<(Vec<u8>, Vec<u8>)>, u64, u64, u64, usize);
+    /// counters, the unconsumed tail length, and framing errors counted.
+    type ParseOutcome = (Vec<(Vec<u8>, Vec<u8>)>, u64, u64, u64, usize, u64);
 
     /// Feeds `stream` to a fresh server connection in segments at the
     /// given cut points.
     fn feed(stream: &[u8], cuts: &[usize]) -> ParseOutcome {
-        let (store, pending_len) = drive_server(stream, cuts);
+        let (store, pending_len, bad_frames) = drive_server(stream, cuts);
         let mut contents: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
             .filter_map(|k| {
                 let key = format!("key{k}").into_bytes();
@@ -115,6 +144,7 @@ mod zero_copy_props {
             store.sets.load(Relaxed),
             store.misses.load(Relaxed),
             pending_len,
+            bad_frames,
         )
     }
 
@@ -220,13 +250,11 @@ mod zero_copy_props {
             };
             let tail = [h.encode().to_vec(), vec![0x5A; 64]].concat();
             let full_requests = requests.concat();
-            let before = ambient_bad_frames();
             let outcome = feed(&[full_requests, tail.clone()].concat(), &cuts);
-            let counted = ambient_bad_frames() - before;
             if is_bad(&h, memcached::MAGIC_REQUEST) {
-                prop_assert_eq!((counted, outcome.4), (1, 0));
+                prop_assert_eq!((outcome.5, outcome.4), (1, 0));
             } else {
-                prop_assert_eq!(counted, 0);
+                prop_assert_eq!(outcome.5, 0);
             }
             let mut asked = requests.clone();
             asked.push(h.encode().to_vec()); // in flight, should a reply like it arrive
