@@ -19,7 +19,7 @@
 //!    may not exceed [`P99_DEGRADATION_X`] × p99 at the bottom.
 //! 2. **Bounded idle footprint**: the *accounted* per-connection cost
 //!    ([`ebbrt_net::netif::NetIf::bytes_per_idle_conn`] — slab slot,
-//!    PCB box, two parked timer entries) stays under
+//!    PCB cell, two parked timer entries) stays under
 //!    [`IDLE_CONN_BUDGET_BYTES`], and when the caller supplies a
 //!    live-heap probe the *measured* whole-world footprint per
 //!    connection (both endpoints' PCBs, demux entries, switch state)
@@ -66,7 +66,7 @@ const CONNECT_CHUNK: usize = 512;
 /// stay within this factor of the bottom point's.
 pub const P99_DEGRADATION_X: f64 = 2.0;
 /// Hard budget on the accounted bytes of one idle established
-/// connection (slab slot + PCB box + two parked timer entries).
+/// connection (slab slot + PCB cell + two parked timer entries).
 pub const IDLE_CONN_BUDGET_BYTES: usize = 1024;
 /// Hard budget on the *measured* whole-world heap delta per
 /// connection: both endpoints' accounted state plus the RCU demux

@@ -275,6 +275,102 @@ fn pooled(bytes: &[u8]) -> IoBuf {
     b.freeze()
 }
 
+// --- The connection lifecycle ---------------------------------------------
+
+/// One connect → GET → close lifecycle after another on one client
+/// connection slot: the reply closes the connection, the server's FIN
+/// opens the next.
+struct Churn {
+    get: IoBuf,
+    done: Rc<Cell<u32>>,
+}
+
+impl Workload for Churn {
+    fn on_connected(&self, client: &Client<Self>) {
+        client
+            .send(Chain::single(self.get.clone()))
+            .expect("window open");
+    }
+
+    fn on_reply(&self, client: &Client<Self>, h: &Header, _value: Chain<IoBuf>, _latency: Ns) {
+        assert_eq!(h.status, memcached::STATUS_OK);
+        client.close();
+    }
+
+    fn on_close(&self, _client: &Client<Self>) {
+        self.done.set(self.done.get() + 1);
+        let next = Churn {
+            get: self.get.clone(),
+            done: Rc::clone(&self.done),
+        };
+        Client::new(next).open(CHURN_SERVER_IP, memcached::MEMCACHED_PORT);
+    }
+}
+
+const CHURN_SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 8, 1);
+
+/// Measured on this tree: 4.041 allocator calls per lifecycle, both
+/// machines together —
+///
+/// | site | calls |
+/// |---|---:|
+/// | `Rc<Client>` + its in-flight `VecDeque` (client application) | 2 |
+/// | `Rc<ServerConn>` (server application) | 1 |
+/// | server's demux node: its predecessors wait out LastAck (200 ms, longer than the run), so no retired block is free | 1 |
+/// | client's demux node: the block its last connection retired | 0 |
+/// | server's PCB: one chunk of 32 cells | 0.03 |
+/// | client's PCB: the cell of the slab index its last connection freed | 0 |
+/// | retire + reclaim, RTO timer entries, retransmit queues, accept placeholder | 0 |
+/// | `Vec` doublings (server slab, wheel, chunk list) and the demux table's (bucket arrays only), amortised | 0.01 |
+///
+/// The parent of the change that added this test measures 18.295 with
+/// the same test (two blocks per demux entry, a boxed snapshot and a
+/// boxed destructor per retirement, a vector per reclaim pass, a boxed
+/// timer closure, a retransmit buffer and an `Rc` PCB per end, an `Rc`
+/// placeholder per accept, every node cloned at a table doubling). The
+/// ceiling is the measured value plus one.
+const CALLS_PER_LIFECYCLE_CEILING: f64 = 5.041;
+
+#[test]
+fn a_warmed_connect_get_close_lifecycle_stays_under_the_allocator_ceiling() {
+    const WARM: u32 = 300;
+    const MEASURED: u32 = 1_200;
+    let lan = Lan::new();
+    let w = &lan.world;
+    let vm = CostProfile::ebbrt_vm;
+    let (server_m, s_if) = lan.machine("server", 1, vm(), [0xA8; 6], CHURN_SERVER_IP);
+    let (client_m, c_if) = lan.machine("client", 1, vm(), [0xB8; 6], Ipv4Addr::new(10, 0, 8, 2));
+    let store = memcached::serve_on(&server_m);
+    store.insert_raw(b"k".to_vec(), IoBuf::copy_from(b"v"));
+    w.run_to_idle();
+
+    let done = Rc::new(Cell::new(0));
+    let first = Churn {
+        get: pooled(&memcached::encode_get(b"k", 1)),
+        done: Rc::clone(&done),
+    };
+    Client::spawn(&client_m, CoreId(0), CHURN_SERVER_IP, first);
+    let run_to = |lifecycles: u32| {
+        while done.get() < lifecycles {
+            assert!(w.step(), "world went idle mid-churn");
+        }
+    };
+    run_to(WARM);
+    let before = alloc_calls();
+    run_to(WARM + MEASURED);
+    let per_lifecycle = (alloc_calls() - before) as f64 / MEASURED as f64;
+    println!("allocator calls per connection lifecycle: {per_lifecycle:.3}");
+    assert_eq!(c_if.conn_count(), 1, "the client keeps only the open one");
+    assert!(
+        s_if.conn_count() > MEASURED as usize,
+        "the server's closed connections are still waiting out LastAck"
+    );
+    assert!(
+        per_lifecycle <= CALLS_PER_LIFECYCLE_CEILING,
+        "{per_lifecycle:.3} allocator calls per lifecycle, ceiling {CALLS_PER_LIFECYCLE_CEILING}"
+    );
+}
+
 fn shard_counters(shards: &[Rc<SimMachine>]) -> stats::Snapshot {
     stats::world_snapshot(shards.iter().map(|m| &**m.runtime()))
 }

@@ -94,12 +94,19 @@ pub struct EventStats {
     pub idle: AtomicU64,
 }
 
+/// A persistent timer's handler: told, each time it fires, the key its
+/// entry was created with. One handler can therefore serve any number
+/// of entries — a network stack's per-connection timers share one and
+/// key it by connection — and creating an entry clones the `Rc`
+/// instead of boxing a closure.
+pub type KeyedTimerFn = Rc<dyn Fn(u64)>;
+
 /// The timer wheel's handler payload: a one-shot boxed closure
-/// (consumed when the timer fires) or a persistent `Rc` closure that
+/// (consumed when the timer fires) or a persistent keyed handler that
 /// survives firings and is re-armed with [`EventManager::reset_timer`].
 enum TimerFn {
     Once(EventHandler),
-    Persistent(Rc<dyn Fn()>),
+    Persistent(KeyedTimerFn, u64),
 }
 
 /// A lock-free slot holding at most one `Arc<T>`, swapped with single
@@ -499,16 +506,23 @@ impl EventManager {
             .with(|o| o.timers.schedule(deadline, TimerFn::Once(Box::new(f))))
     }
 
-    /// Creates a *persistent* timer armed `delay_ns` from now. Firing
-    /// parks it (handler retained) instead of destroying it; re-arm it
-    /// with [`Self::reset_timer`] — an O(1), allocation-free operation —
-    /// and free it with [`Self::cancel_timer`]. This is what lets the
-    /// TCP layer keep one timer per connection and reset it per ACK
-    /// instead of boxing a fresh closure per segment.
-    pub fn set_persistent_timer(&self, delay_ns: Ns, f: impl Fn() + 'static) -> TimerToken {
+    /// Creates a *persistent* timer armed `delay_ns` from now, which
+    /// calls `f(key)` when it fires. Firing parks it (handler retained)
+    /// instead of destroying it; re-arm it with [`Self::reset_timer`] —
+    /// an O(1), allocation-free operation — and free it with
+    /// [`Self::cancel_timer`]. Creating the entry allocates nothing
+    /// either: this is what lets the TCP layer keep timers per
+    /// connection, all on one shared handler, and reset them per ACK.
+    pub fn set_keyed_timer(&self, delay_ns: Ns, f: &KeyedTimerFn, key: u64) -> TimerToken {
         let deadline = self.clock.now_ns() + delay_ns;
-        self.owned
-            .with(|o| o.timers.schedule(deadline, TimerFn::Persistent(Rc::new(f))))
+        let handler = TimerFn::Persistent(Rc::clone(f), key);
+        self.owned.with(|o| o.timers.schedule(deadline, handler))
+    }
+
+    /// [`Self::set_keyed_timer`] for a timer that is its handler's only
+    /// one: boxes `f` as a keyed handler that ignores its key.
+    pub fn set_persistent_timer(&self, delay_ns: Ns, f: impl Fn() + 'static) -> TimerToken {
+        self.set_keyed_timer(delay_ns, &(Rc::new(move |_| f()) as KeyedTimerFn), 0)
     }
 
     /// Re-arms `token` to fire `delay_ns` from now, whether it is
@@ -531,12 +545,25 @@ impl EventManager {
         delay_ns: Ns,
         f: impl Fn() + 'static,
     ) -> TimerToken {
-        if let Some(tok) = token {
-            if self.reset_timer(tok, delay_ns) {
-                return tok;
-            }
+        match token {
+            Some(tok) if self.reset_timer(tok, delay_ns) => tok,
+            _ => self.set_persistent_timer(delay_ns, f),
         }
-        self.set_persistent_timer(delay_ns, f)
+    }
+
+    /// [`Self::arm_persistent_timer`] for an entry of a shared keyed
+    /// handler ([`Self::set_keyed_timer`]): neither arm allocates.
+    pub fn arm_keyed_timer(
+        &self,
+        token: Option<TimerToken>,
+        delay_ns: Ns,
+        f: &KeyedTimerFn,
+        key: u64,
+    ) -> TimerToken {
+        match token {
+            Some(tok) if self.reset_timer(tok, delay_ns) => tok,
+            _ => self.set_keyed_timer(delay_ns, f, key),
+        }
     }
 
     /// Unschedules `token` without freeing it: the handler is retained
@@ -647,13 +674,13 @@ impl EventManager {
             // heap's semantics.
             enum Fire {
                 Once(EventHandler),
-                Persistent(Rc<dyn Fn()>),
+                Persistent(KeyedTimerFn, u64),
             }
             let fired = self.owned.with(|o| {
                 o.timers.advance(now);
                 let (token, _deadline) = o.timers.pop_expired()?;
                 match o.timers.handler(token) {
-                    Some(TimerFn::Persistent(f)) => Some(Fire::Persistent(Rc::clone(f))),
+                    Some(TimerFn::Persistent(f, key)) => Some(Fire::Persistent(Rc::clone(f), *key)),
                     Some(TimerFn::Once(_)) => match o.timers.remove(token) {
                         Some(TimerFn::Once(h)) => Some(Fire::Once(h)),
                         _ => unreachable!("one-shot entry changed kind"),
@@ -664,7 +691,7 @@ impl EventManager {
             match fired {
                 None => return n,
                 Some(Fire::Once(h)) => self.invoke(h),
-                Some(Fire::Persistent(f)) => self.invoke(move || f()),
+                Some(Fire::Persistent(f, key)) => self.invoke(move || f(key)),
             }
             self.stats.timers.fetch_add(1, Ordering::Relaxed);
             n += 1;

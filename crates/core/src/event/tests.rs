@@ -225,6 +225,35 @@ fn persistent_timer_survives_firing_and_rearms_without_alloc() {
 }
 
 #[test]
+fn keyed_timers_share_one_handler_and_fire_with_their_own_key() {
+    let (em, clock) = em();
+    let _b = cpu::bind(CoreId(0));
+    let log = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let l2 = Rc::clone(&log);
+    let handler: KeyedTimerFn = Rc::new(move |key| l2.borrow_mut().push(key));
+    let a = em.arm_keyed_timer(None, 100, &handler, 7);
+    let b = em.arm_keyed_timer(None, 50, &handler, 9);
+    // The entries hold the handler itself, not a box around it.
+    assert_eq!(Rc::strong_count(&handler), 3);
+    clock.set(100);
+    em.run_once();
+    assert_eq!(*log.borrow(), vec![9, 7]);
+    // Re-arming through the token reuses the entry and its key.
+    assert_eq!(em.arm_keyed_timer(Some(a), 10, &handler, 1234), a);
+    assert_eq!(em.timer_stats().live, 2);
+    clock.set(110);
+    em.run_once();
+    assert_eq!(*log.borrow(), vec![9, 7, 7]);
+    em.cancel_timer(a);
+    em.cancel_timer(b);
+    assert_eq!(Rc::strong_count(&handler), 1);
+    // A cancelled token makes the arm create a fresh entry.
+    let c = em.arm_keyed_timer(Some(a), 10, &handler, 3);
+    assert_ne!(c, a);
+    em.cancel_timer(c);
+}
+
+#[test]
 fn disarm_suspends_without_freeing() {
     let (em, clock) = em();
     let _b = cpu::bind(CoreId(0));

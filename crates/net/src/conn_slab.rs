@@ -34,6 +34,20 @@
 //! The aliasing guarantee is proven by the proptests at the bottom of
 //! this file, which fuzz insert/remove/reuse interleavings against a
 //! `HashMap` model and assert every retired token misses forever.
+//!
+//! # Pointer-stable cells beside the slab
+//!
+//! The slab's vector moves when it grows, so a value that must stay
+//! put while it is borrowed — a PCB, whose state machine transmits and
+//! so may open another connection mid-borrow — cannot live in a slot.
+//! [`StableCells`] is the slab's side-car for such values: cell `i`
+//! belongs to slab index `i`, cells are carved [`CELLS_PER_CHUNK`] at a
+//! time from reference-counted chunks that never move, and because the
+//! slab reuses indices LIFO the cells are recycled with them. One
+//! allocation per chunk replaces one per value.
+
+use std::cell::{Ref, RefCell, RefMut};
+use std::rc::Rc;
 
 /// Sentinel for "no next free slot" in the intrusive free list.
 const NIL: u32 = u32::MAX;
@@ -195,9 +209,131 @@ impl<T> ConnSlab<T> {
     }
 }
 
+/// Cells carved per allocation by [`StableCells`].
+pub const CELLS_PER_CHUNK: usize = 32;
+
+type Chunk<T> = [RefCell<Option<T>>; CELLS_PER_CHUNK];
+
+/// Pointer-stable, individually borrowable cells addressed by slab
+/// index (a token's low 32 bits); see the module docs. A cell is empty
+/// until [`StableCells::put`] fills it and after [`CellRef::take`].
+pub struct StableCells<T> {
+    chunks: Vec<Rc<Chunk<T>>>,
+}
+
+impl<T> Default for StableCells<T> {
+    fn default() -> Self {
+        StableCells { chunks: Vec::new() }
+    }
+}
+
+impl<T> StableCells<T> {
+    /// Fills the cell of slab index `index`, carving the chunk it
+    /// falls in if this is the first index to reach it. Indices must
+    /// arrive the way the slab mints them: never more than one past
+    /// the highest seen.
+    pub fn put(&mut self, index: u32, val: T) {
+        let chunk = index as usize / CELLS_PER_CHUNK;
+        if chunk == self.chunks.len() {
+            self.chunks
+                .push(Rc::new(std::array::from_fn(|_| RefCell::new(None))));
+        }
+        let prev = self.chunks[chunk][index as usize % CELLS_PER_CHUNK].replace(Some(val));
+        debug_assert!(prev.is_none(), "cell {index} filled twice");
+    }
+
+    /// A handle on the cell of slab index `index`, which keeps the
+    /// cell's chunk alive and can be borrowed after this container's
+    /// own borrow ends. `None` if no chunk covers the index yet.
+    pub fn cell(&self, index: u32) -> Option<CellRef<T>> {
+        let chunk = self.chunks.get(index as usize / CELLS_PER_CHUNK)?;
+        Some(CellRef {
+            chunk: Rc::clone(chunk),
+            at: index as usize % CELLS_PER_CHUNK,
+        })
+    }
+
+    /// Heap bytes one cell costs: its share of a chunk (the chunk's
+    /// reference counts, 16 bytes, are spread over
+    /// [`CELLS_PER_CHUNK`] cells and not counted).
+    pub fn cell_bytes() -> usize {
+        std::mem::size_of::<RefCell<Option<T>>>()
+    }
+}
+
+/// One cell of a [`StableCells`].
+pub struct CellRef<T> {
+    chunk: Rc<Chunk<T>>,
+    at: usize,
+}
+
+impl<T> CellRef<T> {
+    /// Borrows the cell's value.
+    ///
+    /// # Panics
+    ///
+    /// If the cell is empty or already mutably borrowed.
+    pub fn borrow(&self) -> Ref<'_, T> {
+        Ref::map(self.chunk[self.at].borrow(), |v| {
+            v.as_ref().expect("cell of a live slab index is filled")
+        })
+    }
+
+    /// Mutably borrows the cell's value.
+    ///
+    /// # Panics
+    ///
+    /// If the cell is empty or already borrowed.
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        RefMut::map(self.chunk[self.at].borrow_mut(), |v| {
+            v.as_mut().expect("cell of a live slab index is filled")
+        })
+    }
+
+    /// Empties the cell, returning what it held.
+    pub fn take(&self) -> Option<T> {
+        self.chunk[self.at].take()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stable_cells_follow_the_slabs_indices_and_never_move() {
+        let mut slab: ConnSlab<()> = ConnSlab::new();
+        let mut cells: StableCells<String> = StableCells::default();
+        let n = 3 * CELLS_PER_CHUNK as u32 + 1;
+        let tokens: Vec<u64> = (0..n)
+            .map(|i| {
+                let t = slab.insert(());
+                cells.put(t as u32, format!("v{i}"));
+                t
+            })
+            .collect();
+        assert_eq!(cells.chunks.len(), 4, "one allocation per chunk of cells");
+        // A handle taken early survives growth: same cell, same place.
+        let first = cells.cell(tokens[0] as u32).unwrap();
+        let at = std::ptr::from_ref(&*first.borrow());
+        let held = first.borrow_mut();
+        for i in n..2 * n {
+            cells.put(slab.insert(()) as u32, format!("v{i}"));
+        }
+        assert_eq!(*held, "v0");
+        drop(held);
+        assert_eq!(std::ptr::from_ref(&*first.borrow()), at);
+        // The slab recycles an index; its cell is recycled with it.
+        let t = tokens[40];
+        slab.remove(t);
+        assert_eq!(cells.cell(t as u32).unwrap().take().as_deref(), Some("v40"));
+        let t2 = slab.insert(());
+        assert_eq!(t2 as u32, t as u32);
+        cells.put(t2 as u32, "again".into());
+        assert_eq!(*cells.cell(t as u32).unwrap().borrow(), "again");
+        assert_eq!(cells.chunks.len(), 7);
+        assert!(cells.cell(8 * CELLS_PER_CHUNK as u32).is_none());
+    }
 
     #[test]
     fn insert_get_remove_roundtrip() {

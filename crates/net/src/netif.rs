@@ -21,7 +21,7 @@ use std::sync::Arc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::ebb::SystemEbb;
-use ebbrt_core::event::TimerToken;
+use ebbrt_core::event::{KeyedTimerFn, TimerToken};
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, ClassId, CounterHandle, QosConfig};
 use ebbrt_core::rcu_hash::RcuHashMap;
@@ -31,7 +31,7 @@ use ebbrt_sim::world::charge;
 use ebbrt_sim::SimMachine;
 
 use crate::arp::{ArpCache, ArpRetry};
-use crate::conn_slab::ConnSlab;
+use crate::conn_slab::{CellRef, ConnSlab, StableCells};
 use crate::qos_policy::{qos_ref, QosEbb};
 use crate::stats::{NetStats, BURST_BUCKETS};
 use crate::syncache::{Room, SynCache};
@@ -164,12 +164,6 @@ impl TcpConn {
     }
 }
 
-#[derive(Clone)]
-struct ConnRec {
-    pcb: Rc<RefCell<Pcb>>,
-    handler: Rc<dyn ConnHandler>,
-}
-
 /// Placeholder handler installed between PCB insertion and the
 /// listener's `accept` returning the real one. `accept` runs
 /// synchronously on the same core, so no segment can be delivered in
@@ -215,9 +209,19 @@ pub struct NetIf {
     /// low 32 bits are the slab index, so demux reaches a PCB with
     /// one bounds-checked vector index.
     conn_ids: RcuHashMap<FourTuple, u64>,
-    /// Generation-tagged PCB slab (the `conn_ids` values are its
-    /// tokens; stale tokens captured by timers miss harmlessly).
-    conns: RefCell<ConnSlab<ConnRec>>,
+    /// Generation-tagged connection slab (the `conn_ids` values are
+    /// its tokens; stale tokens carried by timers miss harmlessly),
+    /// holding each connection's handler.
+    conns: RefCell<ConnSlab<Rc<dyn ConnHandler>>>,
+    /// The PCBs, one pointer-stable cell per slab index.
+    pcbs: RefCell<StableCells<Pcb>>,
+    /// What every connection's [`Timer`] entries call, keyed by
+    /// connection id: one handler per kind for the whole stack, so a
+    /// connection's first arm clones an `Rc` instead of boxing a
+    /// closure.
+    timer_fns: [KeyedTimerFn; 2],
+    /// The handler a connection carries while `accept` builds its own.
+    pending_handler: Rc<dyn ConnHandler>,
     /// In-flight ARP resolutions. Borrow discipline: every access is a
     /// transient borrow released before any callback or transmit —
     /// `arp_retry_fire` *removes* its entry up front and re-inserts
@@ -265,7 +269,15 @@ impl NetIf {
         // Freeze the device MTU: the MSS above (and the buffer pool's
         // size classes) are derived from it once, here.
         machine.nic().mark_stack_attached();
-        let netif = Rc::new(NetIf {
+        let timer_fn = |me: &Weak<NetIf>, timer| -> KeyedTimerFn {
+            let me = me.clone();
+            Rc::new(move |id| {
+                if let Some(n) = me.upgrade() {
+                    n.drive(id, |p, io| p.on_timer(io, timer));
+                }
+            })
+        };
+        let netif = Rc::new_cyclic(|me| NetIf {
             machine: Rc::clone(machine),
             mss,
             ip: Cell::new(ip),
@@ -273,6 +285,9 @@ impl NetIf {
             arp: ArpCache::new(),
             conn_ids: RcuHashMap::new(Arc::clone(machine.runtime().rcu())),
             conns: RefCell::new(ConnSlab::new()),
+            pcbs: RefCell::default(),
+            timer_fns: [timer_fn(me, Timer::Rto), timer_fn(me, Timer::DelAck)],
+            pending_handler: Rc::new(PendingHandler),
             arp_retries: RefCell::new(HashMap::new()),
             listeners: RefCell::new(HashMap::new()),
             udp_bindings: RefCell::new(HashMap::new()),
@@ -729,11 +744,11 @@ impl NetIf {
         // Insert with a placeholder handler first — the slab mints the
         // token — then let `accept` build the real handler against a
         // *live* connection handle and swap it in.
-        let id = self.insert_conn(pcb, Rc::new(PendingHandler));
+        let id = self.insert_conn(pcb, Rc::clone(&self.pending_handler));
         self.syncache.created(class, id, now);
         let handler = accept(&self.handle(id));
         match self.conns.borrow_mut().get_mut(id) {
-            Some(rec) => rec.handler = handler,
+            Some(h) => *h = handler,
             // `accept` tore the connection down; nothing to run.
             None => return,
         }
@@ -766,9 +781,8 @@ impl NetIf {
 
     /// Settles one embryonic connection's entry in the syncache ledger.
     fn embryo_gone(&self, class: u8, why: CounterHandle) {
-        let conns = self.conns.borrow();
         self.syncache.gone(class, why, |tok| {
-            conns.get(tok).is_some_and(|rec| rec.pcb.borrow().embryonic)
+            self.pcb(tok).is_some_and(|pcb| pcb.borrow().embryonic)
         });
     }
 
@@ -776,16 +790,27 @@ impl NetIf {
     //
     // Every TCP rule is in [`crate::tcp`]; this is the glue around it.
 
+    /// Connection `id`'s PCB cell, if the connection is live. The
+    /// handle outlives the table borrows; it must not be kept across a
+    /// callback, which may close the connection and let another take
+    /// its cell.
+    fn pcb(&self, id: u64) -> Option<CellRef<Pcb>> {
+        if !self.conns.borrow().contains(id) {
+            return None;
+        }
+        self.pcbs.borrow().cell(id as u32)
+    }
+
     /// Runs `f` on connection `id`'s PCB, under one borrow, with the
     /// I/O the state machine reaches the world through. `None` if the
-    /// connection is gone. The slab borrow is released first: `f`
+    /// connection is gone. The table borrows are released first: `f`
     /// transmits.
     fn with_pcb<R>(
         self: &Rc<Self>,
         id: u64,
         f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> R,
     ) -> Option<R> {
-        let pcb = self.conns.borrow().get(id).map(|r| Rc::clone(&r.pcb))?;
+        let pcb = self.pcb(id)?;
         let mut p = pcb.borrow_mut();
         Some(f(&mut p, &mut ConnIo { netif: self, id }))
     }
@@ -799,14 +824,22 @@ impl NetIf {
     /// left Closed is cleaned up, and if the network rather than the
     /// application ended it the handler hears `on_close`.
     fn drive(self: &Rc<Self>, id: u64, f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> Outcome) {
-        let Some(ConnRec { pcb, handler }) = self.conns.borrow().get(id).cloned() else {
+        let Some(handler) = self.conns.borrow().get(id).cloned() else {
+            return;
+        };
+        let Some(pcb) = self.pcbs.borrow().cell(id as u32) else {
             return;
         };
         let mut io = ConnIo { netif: self, id };
-        let out = f(&mut pcb.borrow_mut(), &mut io);
+        let (out, class) = {
+            let mut p = pcb.borrow_mut();
+            (f(&mut p, &mut io), p.class)
+        };
+        // Not kept across the callbacks: one of them may close the
+        // connection, and its cell may then serve another.
+        drop(pcb);
         let conn = self.handle(id);
         if out.promoted {
-            let class = pcb.borrow().class;
             self.embryo_gone(class, self.syncache.promoted_h);
         }
         if out.retransmitted {
@@ -830,11 +863,13 @@ impl NetIf {
         if out.peer_closed && !out.reset {
             handler.on_close(&conn);
         }
-        let closed = {
+        // Looked up afresh, by generation: if a callback tore the
+        // connection down, a nested call has done the cleanup.
+        let closed = self.pcb(id).is_none_or(|pcb| {
             let mut p = pcb.borrow_mut();
             p.flush_ack(&mut io);
             p.is_closed()
-        };
+        });
         if closed {
             self.cleanup(id);
             if out.reset {
@@ -966,12 +1001,10 @@ impl NetIf {
         let (id, hw_delta) = {
             let mut conns = self.conns.borrow_mut();
             let before_hw = conns.high_water();
-            let id = conns.insert(ConnRec {
-                pcb: Rc::new(RefCell::new(pcb)),
-                handler,
-            });
+            let id = conns.insert(handler);
             (id, conns.high_water() - before_hw)
         };
+        self.pcbs.borrow_mut().put(id as u32, pcb);
         qos::bump(self.stats.pcb_slab_live_h);
         if hw_delta > 0 {
             qos::add(self.stats.pcb_slab_high_water_h, hw_delta as u64);
@@ -981,32 +1014,30 @@ impl NetIf {
     }
 
     /// Releases everything the table holds for connection `id`: slab
-    /// slot, demux entry, timer entries (on the affinity core, where
-    /// they were created), admission and syncache budget units.
+    /// slot and PCB cell, demux entry, timer entries (on the affinity
+    /// core, where they were created), admission and syncache budget
+    /// units.
     fn cleanup(&self, id: u64) {
-        let Some(rec) = self.conns.borrow_mut().remove(id) else {
+        let Some(p) = self.pcb(id).and_then(|pcb| pcb.take()) else {
             return;
         };
-        let (tuple, timers, class, admitted, embryonic) = {
-            let p = rec.pcb.borrow();
-            (p.tuple, p.timers(), p.class, p.admitted, p.embryonic)
-        };
+        self.conns.borrow_mut().remove(id);
         qos::sub(self.stats.pcb_slab_live_h, 1);
-        if embryonic {
+        if p.embryonic {
             // Died before the handshake completed (an eviction was
             // counted, and the flag cleared, before it got here).
-            self.embryo_gone(class, self.syncache.aborted_h);
+            self.embryo_gone(p.class, self.syncache.aborted_h);
         }
         // Return the admission-budget unit the SYN took.
-        if admitted {
+        if p.admitted {
             if let Some(policy) = self.qos.borrow().as_ref() {
-                policy.release(ClassId(class));
+                policy.release(ClassId(p.class));
             }
         }
-        for tok in timers.into_iter().flatten() {
+        for tok in p.timers().into_iter().flatten() {
             runtime::with_current(|rt| rt.local_event_manager().cancel_timer(tok));
         }
-        self.conn_ids.remove(&tuple);
+        self.conn_ids.remove(&p.tuple);
         self.stats
             .conns_closed
             .set(self.stats.conns_closed.get() + 1);
@@ -1020,7 +1051,9 @@ impl NetIf {
     }
 
     /// Picks an ephemeral port whose *reply* flow RSS-hashes to `core`,
-    /// so the connection's frames arrive where it lives.
+    /// so the connection's frames arrive where it lives, and whose
+    /// four-tuple no live connection holds: the range wraps after 27 k
+    /// connects, and `insert_conn` would shadow the older connection.
     fn pick_ephemeral(&self, remote: Ipv4Addr, remote_port: u16, core: CoreId) -> u16 {
         let nqueues = self.machine.nic().nqueues();
         let local_ip = self.ip.get();
@@ -1033,11 +1066,17 @@ impl NetIf {
             });
             let hash =
                 ebbrt_sim::nic::rss_hash(remote.to_u32(), local_ip.to_u32(), remote_port, port);
-            if (hash as usize) % nqueues == core.index() % nqueues {
+            let tuple = FourTuple {
+                local: (local_ip, port),
+                remote: (remote, remote_port),
+            };
+            if (hash as usize) % nqueues == core.index() % nqueues
+                && self.conn_ids.get(&tuple, |_| ()).is_none()
+            {
                 return port;
             }
         }
-        panic!("no ephemeral port maps to {core} under RSS");
+        panic!("no free ephemeral port maps to {core} under RSS");
     }
 
     pub(crate) fn drop_frame(&self) {
@@ -1083,26 +1122,27 @@ impl NetIf {
     }
 
     /// The accounted per-connection footprint of an idle established
-    /// connection: slab slot, PCB box (`Rc<RefCell<Pcb>>` payload and
-    /// refcounts), and the connection's two parked persistent timer
-    /// entries. Rarely-used state (reassembly, retransmit ledger)
-    /// lives in [`crate::tcp::PcbCold`] and is charged only to
-    /// connections that actually use it; the RCU demux entry is the
-    /// map's own per-key cost, measured end to end by the
+    /// connection: slab slot (the handler's `Rc`), PCB cell — which
+    /// holds the oldest unacknowledged segment inline, so no retransmit
+    /// buffer hangs off an idle connection — and the connection's two
+    /// parked persistent timer entries. Rarely-used state (reassembly,
+    /// retransmit ledger) lives in [`crate::tcp::PcbCold`] and is
+    /// charged only to connections that actually use it; the RCU demux
+    /// entry is the map's own per-key cost, measured end to end by the
     /// `conn_scale` bench rather than accounted here.
     pub fn bytes_per_idle_conn() -> usize {
-        let slab_slot = ConnSlab::<ConnRec>::slot_bytes();
-        // Rc box: strong + weak counts + the RefCell<Pcb> payload.
-        let pcb_box = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<RefCell<Pcb>>();
+        let slab_slot = ConnSlab::<Rc<dyn ConnHandler>>::slot_bytes();
+        let pcb_cell = StableCells::<Pcb>::cell_bytes();
         let timers = 2 * ebbrt_core::event::EventManager::timer_entry_bytes();
-        slab_slot + pcb_box + timers
+        slab_slot + pcb_cell + timers
     }
 }
 
 /// The state machine's I/O as the stack implements it. Each timer is a
-/// persistent entry on the affinity core's wheel: the closure is boxed
-/// once, on the first arm, and every later arm / restart / park — per
-/// segment — is an O(1) relink with no allocation.
+/// persistent entry on the affinity core's wheel, created on the first
+/// arm with the stack's shared handler and this connection's id for a
+/// key; that and every later arm / restart / park — per segment — is an
+/// O(1) relink with no allocation.
 struct ConnIo<'a> {
     netif: &'a Rc<NetIf>,
     id: u64,
@@ -1116,18 +1156,16 @@ impl TcpIo for ConnIo<'_> {
 
     #[inline]
     fn arm(&mut self, timer: Timer, token: Option<TimerToken>, delay: Ns) -> TimerToken {
-        let (me, id) = (Rc::downgrade(self.netif), self.id);
-        let fire = move |timer| {
-            if let Some(n) = me.upgrade() {
-                n.drive(id, |p, io| p.on_timer(io, timer));
-            }
-        };
-        // One closure per timer rather than one that captures which: the
-        // boxed environment stays two words.
-        match timer {
-            Timer::Rto => arm_persistent("RTO", token, delay, move || fire(Timer::Rto)),
-            Timer::DelAck => arm_persistent("delack", token, delay, move || fire(Timer::DelAck)),
-        }
+        let f = &self.netif.timer_fns[timer as usize];
+        let tok = runtime::with_current(|rt| {
+            rt.local_event_manager()
+                .arm_keyed_timer(token, delay, f, self.id)
+        });
+        debug_assert!(
+            token.is_none() || token == Some(tok),
+            "persistent {timer:?} timer token went stale (off-core use?)"
+        );
+        tok
     }
 
     #[inline]
@@ -1141,25 +1179,4 @@ impl TcpIo for ConnIo<'_> {
     fn park(&mut self, token: TimerToken) {
         runtime::with_current(|rt| rt.local_event_manager().disarm_timer(token));
     }
-}
-
-/// Arms an owner-held persistent timer on the calling core's wheel:
-/// re-arms `token`'s entry, or creates it from `f` the first time. A
-/// token that no longer names its entry was used off its core.
-pub(crate) fn arm_persistent(
-    what: &str,
-    token: Option<TimerToken>,
-    delay: Ns,
-    f: impl Fn() + 'static,
-) -> TimerToken {
-    runtime::with_current(|rt| {
-        let tok = rt
-            .local_event_manager()
-            .arm_persistent_timer(token, delay, f);
-        debug_assert!(
-            token.is_none() || token == Some(tok),
-            "persistent {what} timer token went stale (off-core use?)"
-        );
-        tok
-    })
 }

@@ -9,14 +9,15 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
+use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb, SystemEbb};
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{self, ClassId, CounterHandle, FairScheduler, QosConfig, MAX_CLASSES};
-use ebbrt_core::runtime::Runtime;
+use ebbrt_core::runtime::{self, Runtime};
 
-use crate::netif::{arm_persistent, NetIf};
+use crate::netif::NetIf;
 use crate::types::Ipv4Addr;
 
 /// One classifier predicate: which connections a [`QosRule`] captures.
@@ -235,4 +236,25 @@ impl QosEbb {
     pub fn backlog(&self) -> usize {
         self.sched.borrow().len()
     }
+}
+
+/// Arms an owner-held persistent timer on the calling core's wheel:
+/// re-arms `token`'s entry, or creates it from `f` the first time. A
+/// token that no longer names its entry was used off its core.
+fn arm_persistent(
+    what: &str,
+    token: Option<TimerToken>,
+    delay: Ns,
+    f: impl Fn() + 'static,
+) -> TimerToken {
+    runtime::with_current(|rt| {
+        let tok = rt
+            .local_event_manager()
+            .arm_persistent_timer(token, delay, f);
+        debug_assert!(
+            token.is_none() || token == Some(tok),
+            "persistent {what} timer token went stale (off-core use?)"
+        );
+        tok
+    })
 }

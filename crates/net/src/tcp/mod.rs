@@ -200,6 +200,49 @@ pub struct UnackedSeg {
     pub payload: Chain<IoBuf>,
 }
 
+/// The retransmission queue: segments sent and not yet acknowledged,
+/// oldest first. The oldest lives in the PCB itself, so a connection
+/// with at most one segment in flight — a handshake, a request/response
+/// exchange, a close — never allocates for it; only a second segment in
+/// flight brings the overflow queue's buffer into being (which the
+/// connection then keeps).
+#[derive(Default)]
+pub struct RetxQueue {
+    /// The oldest unacknowledged segment. `None` means nothing is in
+    /// flight: `rest` is empty too.
+    oldest: Option<UnackedSeg>,
+    /// Everything sent after `oldest`, in order.
+    rest: VecDeque<UnackedSeg>,
+}
+
+impl RetxQueue {
+    /// Segments in flight.
+    pub fn len(&self) -> usize {
+        usize::from(self.oldest.is_some()) + self.rest.len()
+    }
+
+    /// Whether nothing is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.oldest.is_none()
+    }
+
+    /// The oldest unacknowledged segment.
+    pub fn front(&self) -> Option<&UnackedSeg> {
+        self.oldest.as_ref()
+    }
+
+    fn push_back(&mut self, seg: UnackedSeg) {
+        match self.oldest {
+            None => self.oldest = Some(seg),
+            Some(_) => self.rest.push_back(seg),
+        }
+    }
+
+    fn pop_front(&mut self) {
+        self.oldest = self.rest.pop_front();
+    }
+}
+
 /// Result of processing an incoming acknowledgment.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AckResult {
@@ -266,7 +309,7 @@ pub struct Pcb {
     /// The single core this connection lives on.
     pub core: CoreId,
     /// Retransmission queue.
-    pub unacked: VecDeque<UnackedSeg>,
+    pub unacked: RetxQueue,
     /// Lazily-allocated cold state (reassembly, loss diagnostics).
     /// `None` until the connection first sees out-of-order data or a
     /// retransmit.
@@ -340,7 +383,7 @@ impl Pcb {
             rcv_wnd: DEFAULT_RCV_WND,
             remote_mac: [0; 6],
             core,
-            unacked: VecDeque::new(),
+            unacked: RetxQueue::default(),
             cold: None,
             ack_pending: false,
             segs_since_ack: 0,
@@ -774,9 +817,10 @@ impl Pcb {
     /// it).
     fn on_rto(&mut self, io: &mut impl TcpIo) -> Outcome {
         self.rto_armed = false;
-        if self.unacked.is_empty() {
+        let Some(seg) = self.unacked.front() else {
             return Outcome::default();
-        }
+        };
+        let (seq, flags, payload) = (seg.seq, seg.flags, seg.payload.clone());
         if self.rto_backoff >= HANDSHAKE_GIVE_UP {
             match self.state {
                 TcpState::SynSent => return self.connect_failed(),
@@ -784,8 +828,6 @@ impl Pcb {
                 _ => {}
             }
         }
-        let seg = &self.unacked[0];
-        let (seq, flags, payload) = (seg.seq, seg.flags, seg.payload.clone());
         // First loss allocates the cold box — a retransmitting
         // connection is not idle.
         self.cold_mut().retransmits += 1;

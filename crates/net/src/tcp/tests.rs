@@ -488,6 +488,39 @@ fn acks_are_delayed_for_one_segment_and_immediate_for_two() {
 }
 
 #[test]
+fn one_segment_in_flight_at_a_time_never_allocates_a_retransmit_queue() {
+    // Handshake, request, reply acknowledged, close: a request/response
+    // connection's whole life, never more than one segment unacked.
+    let mut rig = Rig::in_state(Established);
+    rig.apply(Stim::Send(b"get k"));
+    assert_eq!(rig.p.unacked.len(), 1);
+    rig.apply(Stim::Seg(ACK | PSH, b"value"));
+    assert!(rig.p.unacked.is_empty());
+    rig.apply(Stim::Close);
+    assert_eq!(rig.p.unacked.len(), 1, "the FIN is in flight");
+    rig.apply(Stim::Seg(FIN | ACK, b""));
+    assert_eq!(rig.p.state(), Closed);
+    assert_eq!(
+        rig.p.unacked.rest.capacity(),
+        0,
+        "the overflow queue was allocated"
+    );
+
+    // A second segment in flight is what brings the queue's buffer
+    // in, and retransmission still starts from the oldest.
+    let mut rig = Rig::in_state(Established);
+    rig.apply(Stim::Send(b"first"));
+    rig.apply(Stim::Send(b"second"));
+    assert_eq!(rig.p.unacked.len(), 2);
+    assert!(rig.p.unacked.rest.capacity() > 0);
+    rig.io.take_sent();
+    assert!(rig.apply(Stim::Fire(Timer::Rto)).retransmitted);
+    assert_eq!(rig.io.take_sent(), vec![(ACK | PSH, 5)]);
+    rig.apply(Stim::Seg(ACK, b""));
+    assert!(rig.p.unacked.is_empty());
+}
+
+#[test]
 fn send_refuses_what_the_window_or_the_state_will_not_take() {
     let mut rig = Rig::in_state(Established);
     let window = rig.p.send_window();

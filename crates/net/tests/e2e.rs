@@ -15,7 +15,7 @@ use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 
 mod common;
-use common::{on_core0, open_conn, two_machines, Echo, Opened};
+use common::{on_core0, open_conn, two_machines, Echo, Opened, SERVER_IP};
 
 #[test]
 fn tcp_connect_send_echo_close() {
@@ -459,4 +459,49 @@ fn retransmission_recovers_from_loss() {
     assert_eq!(dropped.get(), 1, "exactly one frame must have been dropped");
     assert_eq!(*got2.borrow(), b"must arrive", "RTO must recover the loss");
     assert!(c_if_stats.stats.retransmits.get() >= 1);
+}
+
+#[test]
+fn a_wrapped_ephemeral_range_skips_the_port_a_live_connection_holds() {
+    // 33 000 ..= 60 000: what `NetIf::connect` rotates through.
+    const RANGE: usize = 27_001;
+    let (w, _sw, (_server, s_if), (client, c_if)) = two_machines();
+    s_if.listen(7, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)
+        .unwrap();
+    let held = open_conn(&client, &c_if);
+    w.run_to_idle();
+    assert!(held.connected.get());
+
+    // Spend every other port of the range on connections nobody keeps
+    // (to a port nobody listens on: the server answers each SYN with
+    // one RST and builds nothing).
+    for _ in 0..(RANGE - 1) / 100 {
+        on_core0(&client, Rc::clone(&c_if), |c_if| {
+            for _ in 0..100 {
+                c_if.connect(SERVER_IP, 9, Rc::new(Opened::default()))
+                    .abort();
+            }
+        });
+        w.run_to_idle();
+    }
+    assert_eq!(c_if.conn_count(), 1, "only the held connection is left");
+
+    // The rotation is back at the held connection's port. Taking it
+    // would file the new connection under the old one's four-tuple.
+    let fresh = open_conn(&client, &c_if);
+    w.run_to_idle();
+    assert!(fresh.connected.get(), "second connection established");
+    let port = |o: &Opened| o.conn.borrow().as_ref().unwrap().tuple().unwrap().local.1;
+    assert_ne!(port(&fresh), port(&held));
+    assert_eq!(c_if.conn_count(), 2);
+    assert_eq!(s_if.conn_count(), 2);
+    for (o, msg) in [(&held, b"held"), (&fresh, b"new!")] {
+        let conn = o.conn.borrow().clone().unwrap();
+        on_core0(&client, conn, move |conn| {
+            conn.send(Chain::single(IoBuf::copy_from(msg))).unwrap();
+        });
+    }
+    w.run_to_idle();
+    assert_eq!(*held.got.borrow(), b"held");
+    assert_eq!(*fresh.got.borrow(), b"new!");
 }

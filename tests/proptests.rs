@@ -829,8 +829,7 @@ mod rcu_props {
                         prop_assert_eq!(replaced, model.insert(k, v).is_some());
                     }
                     1 => {
-                        let removed = map.remove(&k).map(|e| e.1);
-                        prop_assert_eq!(removed, model.remove(&k));
+                        prop_assert_eq!(map.remove(&k), model.remove(&k).is_some());
                     }
                     _ => {
                         prop_assert_eq!(map.get(&k, |x| *x), model.get(&k).copied());
