@@ -40,11 +40,10 @@ use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
-    DistributedEbb, EbbId, EbbRef, HashRing, MulticoreEbb, RemoteError, RemoteResult,
-    RemoteShipper, RemoteTransportEbb, SystemEbb,
+    DistributedEbb, EbbId, EbbRef, HashRing, MulticoreEbb, RemoteError, RemoteResult, RemoteShipper,
 };
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_core::runtime::Runtime;
+use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_sim::world::charge;
 
 use super::server::{at_rest, Store, APP_BASE_NS};
@@ -383,18 +382,18 @@ pub(super) fn ship_to_each(
 /// else reaches the range by shipping to its id — [`Self::get`] and
 /// [`Self::set`] over an explicit [`shipper_for`] proxy, because a
 /// replica holder must be able to ship to whoever *fronts* the range
-/// and the distributed miss path would hand it its own root instead.
+/// and a fault would hand it its own root instead. So the type keeps
+/// the root-only fault policy and has no proxy flavor: dereferencing a
+/// range id on a machine that holds no replica of it is a wiring error.
 pub struct StoreShardEbb {
-    /// `None` on a proxy rep the distributed miss path built: it serves
-    /// nothing.
-    root: Option<Arc<ShardRoot>>,
+    root: Arc<ShardRoot>,
 }
 
 impl StoreShardEbb {
-    /// A rep serving `root` in place (what the holder's miss path
+    /// A rep serving `root` in place (what the holder's fault handler
     /// builds; re-sync re-drives parked requests through one).
     pub(super) fn local(root: Arc<ShardRoot>) -> Self {
-        StoreShardEbb { root: Some(root) }
+        StoreShardEbb { root }
     }
 }
 
@@ -407,15 +406,8 @@ impl MulticoreEbb for StoreShardEbb {
 }
 
 impl DistributedEbb for StoreShardEbb {
-    fn create_proxy(_shipper: RemoteShipper, _core: CoreId) -> Self {
-        StoreShardEbb { root: None }
-    }
-
     fn handle_remote(&self, payload: Chain<IoBuf>, respond: impl FnOnce(Chain<IoBuf>) + 'static) {
-        let Some(root) = &self.root else {
-            respond(shardop::reply_err());
-            return;
-        };
+        let root = &self.root;
         let Some(op) = ShardOp::decode(&payload) else {
             charge(APP_BASE_NS + (payload.len() as u64) / 16);
             respond(shardop::reply_err());
@@ -537,9 +529,7 @@ pub fn register_shard(root: &Arc<ShardRoot>, rt: &Runtime, id: EbbId) -> EbbRef<
 /// transport — how the sharded server, the re-sync engine and the
 /// bench rebalancer address ranges and range endpoints.
 pub fn shipper_for(id: EbbId) -> RemoteShipper {
-    let transport =
-        EbbRef::<RemoteTransportEbb>::well_known(SystemEbb::Remote).with(|t| t.transport());
-    RemoteShipper::new(id, transport)
+    runtime::with_current_on(|rt, core| rt.ebbs().shipper(core, id))
 }
 
 // --- Catching up -----------------------------------------------------------

@@ -240,3 +240,18 @@ proptest! {
         hostile(&frame, cut)?;
     }
 }
+
+/// [`StoreShardEbb`] has no proxy flavor: a range is reached through an
+/// explicit shipper, so dereferencing its id on a machine that holds no
+/// replica of it is a wiring error — not a rep that answers every
+/// request with an error.
+#[test]
+#[should_panic(expected = "Ebb miss on EbbId(70): no root registered")]
+fn a_range_id_with_no_replica_here_is_a_wiring_panic() {
+    use ebbrt_core::clock::ManualClock;
+    use ebbrt_core::ebb::EbbRef;
+    use ebbrt_core::runtime::{self, Runtime};
+    let rt = Runtime::new(1, Arc::new(ManualClock::new()));
+    let _g = runtime::enter(rt, CoreId(0));
+    EbbRef::<StoreShardEbb>::from_id(EbbId(70)).with(|_| ());
+}

@@ -14,45 +14,14 @@
 //! establishment. Latency is virtual time from the deterministic cost
 //! model, so neither figure of merit can flake on a loaded runner.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ebbrt_bench::conn_scale;
+
+use test_alloc::live_bytes as live_heap_bytes;
 
 /// Tracks live heap bytes so the sweep can measure what one idle
 /// connection actually costs the process.
-struct LiveBytesAlloc;
-
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates to System; only maintains a relaxed byte counter.
-unsafe impl GlobalAlloc for LiveBytesAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: LiveBytesAlloc = LiveBytesAlloc;
-
-fn live_heap_bytes() -> u64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
+static ALLOC: test_alloc::CountingAlloc = test_alloc::CountingAlloc;
 
 fn main() {
     let sweep: &[usize] = if cfg!(debug_assertions) {

@@ -6,19 +6,17 @@
 //!
 //! * an inlinable direct call and a never-inlined call (the baselines),
 //! * a virtual (`dyn`) call,
-//! * `EbbRef::with` — the translation-table fast path (one
-//!   thread-local read, one indexed load, one null check),
-//! * `CachedEbbRef::with` — the memoized per-core rep pointer, the
-//!   steady-state system dispatch, and
+//! * `EbbRef::with` — the Ebb call: the translation-table fast path
+//!   (one thread-local read, one indexed load, one null check), and
 //! * a hash-table dispatcher replicating the deleted
 //!   `ebbrt-hosted::table` mechanism (the paper's "roughly 19×"
 //!   hosted configuration), kept here bench-locally so the Table 1
 //!   comparison survives the system's migration to `EbbManager`.
 //!
-//! `verify_cached_dispatch_overhead` runs in CI's bench-smoke step and
-//! **fails** if cached-ref dispatch drifts more than a generous
-//! threshold away from a direct call — the guard against accidental
-//! rep-lookup deoptimization.
+//! `verify_dispatch_overhead` runs in CI's bench-smoke step and
+//! **fails** if `EbbRef::with` drifts more than a generous threshold
+//! away from a direct call — the guard against accidental rep-lookup
+//! deoptimization.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +25,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ebbrt_bench::dispatch::{Callable, HashTableDispatch, Obj};
 use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{CachedEbbRef, EbbRef};
+use ebbrt_core::ebb::EbbRef;
 use ebbrt_core::runtime::{self, Runtime};
 
 const INVOCATIONS: usize = 1000;
@@ -39,8 +37,6 @@ fn bench_dispatch(c: &mut Criterion) {
     let dyn_obj: &dyn Callable = &obj;
     let ebb = EbbRef::<Obj>::create(());
     ebb.with(|o| o.call_inline()); // fault in the rep
-    let cached = CachedEbbRef::new(ebb);
-    cached.with(|o| o.call_inline()); // prime the memo
     let mut hosted = HashTableDispatch::default();
     hosted.install(ebb.id(), Obj::default());
 
@@ -70,13 +66,6 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             for _ in 0..INVOCATIONS {
                 black_box(ebb).with(|o| o.call_inline());
-            }
-        })
-    });
-    g.bench_function("cached_ebb", |b| {
-        b.iter(|| {
-            for _ in 0..INVOCATIONS {
-                black_box(&cached).with(|o| o.call_inline());
             }
         })
     });
@@ -112,14 +101,14 @@ fn ns_per_call(mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// The enforced Table 1 property: steady-state `CachedEbbRef`
+/// The enforced Table 1 property: steady-state `EbbRef::with`
 /// dispatch must stay within a small constant of a direct call. The
 /// paper's own bound is ~0.4 cycles over an inlined call for native
 /// Ebb dispatch; we allow a generous margin so CI hardware variance
 /// doesn't flake, while still catching any accidental reintroduction
 /// of per-call table walks or locking.
-fn verify_cached_dispatch_overhead(_c: &mut Criterion) {
-    /// Absolute floor of the ceiling on (cached Ebb − direct call),
+fn verify_dispatch_overhead(_c: &mut Criterion) {
+    /// Absolute floor of the ceiling on (Ebb call − direct call),
     /// in ns/call; the effective ceiling also scales with the
     /// measured direct-call cost so a throttled CI box (where *every*
     /// empty call is slower) doesn't flake, while a genuine
@@ -131,37 +120,30 @@ fn verify_cached_dispatch_overhead(_c: &mut Criterion) {
     let _g = runtime::enter(rt, CoreId(0));
     let obj = Obj::default();
     let ebb = EbbRef::<Obj>::create(());
-    let cached = CachedEbbRef::new(ebb);
-    cached.with(|o| o.call_inline());
+    ebb.with(|o| o.call_inline()); // fault in the rep
 
     let direct = ns_per_call(|| {
         for _ in 0..INVOCATIONS {
             black_box(&obj).call_inline();
         }
     });
-    let uncached = ns_per_call(|| {
+    let ebb_ns = ns_per_call(|| {
         for _ in 0..INVOCATIONS {
             black_box(ebb).with(|o| o.call_inline());
         }
     });
-    let cached_ns = ns_per_call(|| {
-        for _ in 0..INVOCATIONS {
-            black_box(&cached).with(|o| o.call_inline());
-        }
-    });
-    let overhead = cached_ns - direct;
+    let overhead = ebb_ns - direct;
     let ceiling = MAX_OVERHEAD_NS.max(4.0 * direct);
     println!(
-        "ebb dispatch: direct {direct:.2} ns/call, ebb {uncached:.2} ns/call, \
-         cached ebb {cached_ns:.2} ns/call (overhead {overhead:.2} ns vs direct, \
-         ceiling {ceiling:.2} ns)"
+        "ebb dispatch: direct {direct:.2} ns/call, ebb {ebb_ns:.2} ns/call \
+         (overhead {overhead:.2} ns vs direct, ceiling {ceiling:.2} ns)"
     );
     assert!(
         overhead <= ceiling,
-        "cached Ebb dispatch regressed: {overhead:.2} ns over a direct call \
+        "Ebb dispatch regressed: {overhead:.2} ns over a direct call \
          (ceiling {ceiling:.2} ns) — a rep-lookup deoptimization?"
     );
 }
 
-criterion_group!(benches, bench_dispatch, verify_cached_dispatch_overhead);
+criterion_group!(benches, bench_dispatch, verify_dispatch_overhead);
 criterion_main!(benches);

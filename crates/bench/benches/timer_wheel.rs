@@ -17,10 +17,8 @@
 //!    server) the wheel beats a faithful copy of the seed's
 //!    heap-plus-tombstone-set implementation under the same op mix.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -30,39 +28,12 @@ use ebbrt_core::event::EventManager;
 use ebbrt_core::rcu::CoreEpoch;
 use ebbrt_core::timer::TimerWheel;
 use std::sync::Arc;
+use test_alloc::total_calls as allocs;
 
 /// Counts every heap allocation so the bench can assert the steady
 /// state performs none.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates to System; only adds a relaxed counter bump.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static ALLOCATOR: test_alloc::CountingAlloc = test_alloc::CountingAlloc;
 
 /// The seed's timer store, verbatim semantics: `BinaryHeap` ordered by
 /// (deadline, seq) + a `HashSet` of cancelled tokens that are skipped

@@ -13,8 +13,10 @@ use std::rc::Rc;
 use ebbrt_apps::mutilate::{self, ExperimentConfig};
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_hosted::fs::{CachingFsClient, FsClient, FsServer};
+use ebbrt_hosted::fs::{fs_ref, CachingFsClient, FsServer, FS_EBB_ID};
+use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
+use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_net::Lan;
 use ebbrt_sim::CostProfile;
@@ -60,41 +62,33 @@ fn ablation_fs_caching() {
         let n_msgr = Messenger::start(&n_if);
         let server = FsServer::start(&h_msgr);
         server.put("/lib/app.js", vec![b'x'; 4096]);
-        let client = FsClient::new(&n_msgr, hosted_ip);
-        let cache = CachingFsClient::new(Rc::clone(&client));
+        MessengerTransport::install(&n_msgr, GlobalIdMap::new(&n_msgr, hosted_ip))
+            .preset_owner(FS_EBB_ID, hosted_ip);
+        let cache = Rc::new(CachingFsClient::default());
 
         let start = Rc::new(Cell::new(0u64));
         let end = Rc::new(Cell::new(0u64));
         let s2 = Rc::clone(&start);
         let e2 = Rc::clone(&end);
         // Chain `reads` sequential reads.
-        fn next(
-            cache: Rc<CachingFsClient>,
-            raw: Rc<FsClient>,
-            caching: bool,
-            left: usize,
-            end: Rc<Cell<u64>>,
-        ) {
+        fn next(cache: Rc<CachingFsClient>, caching: bool, left: usize, end: Rc<Cell<u64>>) {
             if left == 0 {
                 end.set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
                 return;
             }
             let cache2 = Rc::clone(&cache);
-            let raw2 = Rc::clone(&raw);
             let done = move |_d: Option<Vec<u8>>| {
-                next(cache2, raw2, caching, left - 1, end);
+                next(cache2, caching, left - 1, end);
             };
             if caching {
                 cache.read("/lib/app.js", done);
             } else {
-                raw.read("/lib/app.js", done);
+                fs_ref().with(|fs| fs.read("/lib/app.js", done));
             }
         }
-        let c2 = Rc::clone(&cache);
-        let r2 = Rc::clone(&client);
-        spawn_with(&native, CoreId(0), (), move |_| {
+        spawn_with(&native, CoreId(0), cache, move |cache| {
             s2.set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
-            next(c2, r2, caching, reads, e2);
+            next(cache, caching, reads, e2);
         });
         w.run_to_idle();
         let elapsed = end.get().saturating_sub(start.get());
@@ -103,7 +97,7 @@ fn ablation_fs_caching() {
             if caching { "caching" } else { "naive" },
             reads,
             elapsed as f64 / 1000.0,
-            server.requests.get()
+            server.requests()
         );
     }
 }

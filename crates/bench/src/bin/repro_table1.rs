@@ -3,9 +3,8 @@
 //! Measures, in real machine cycles (scaled to the paper's 2.6 GHz),
 //! 1000 invocations of an empty method through: an inlinable call, a
 //! never-inlined call, a virtual (dyn) call, the translation-table Ebb
-//! dispatch (`EbbRef::with`), the memoized `CachedEbbRef` dispatch the
-//! system's hot paths use, and a hash-table dispatcher replicating the
-//! paper's hosted environment (its "roughly 19 times" configuration —
+//! dispatch (`EbbRef::with` — the one way the system calls an Ebb), and
+//! a hash-table dispatcher replicating the paper's hosted environment (its "roughly 19 times" configuration —
 //! kept bench-locally now that the system itself dispatches every
 //! environment through the native translation array).
 
@@ -16,7 +15,7 @@ use std::time::Instant;
 use ebbrt_bench::dispatch::{Callable, HashTableDispatch, Obj};
 use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{CachedEbbRef, EbbRef};
+use ebbrt_core::ebb::EbbRef;
 use ebbrt_core::runtime::{self, Runtime};
 
 const INVOCATIONS: usize = 1000;
@@ -44,8 +43,6 @@ fn main() {
     let dyn_obj: &dyn Callable = &obj;
     let ebb = EbbRef::<Obj>::create(());
     ebb.with(|o| o.call_inline()); // fault in the rep
-    let cached = CachedEbbRef::new(ebb);
-    cached.with(|o| o.call_inline()); // prime the memo
     let mut hosted = HashTableDispatch::default();
     hosted.install(ebb.id(), Obj::default());
 
@@ -69,11 +66,6 @@ fn main() {
             black_box(ebb).with(|o| o.call_inline());
         }
     });
-    let cached_cycles = measure(|| {
-        for _ in 0..INVOCATIONS {
-            black_box(&cached).with(|o| o.call_inline());
-        }
-    });
     let hosted_cycles = measure(|| {
         for _ in 0..INVOCATIONS {
             hosted.with_rep::<Obj, _>(black_box(ebb.id()), |o| o.call_inline());
@@ -86,7 +78,6 @@ fn main() {
     println!("{:<14} {:>10} {:>10.0}", "No Inline", 4047, no_inline);
     println!("{:<14} {:>10} {:>10.0}", "Virtual", 5038, virt);
     println!("{:<14} {:>10} {:>10.0}", "Inline Ebb", 1448, ebb_cycles);
-    println!("{:<14} {:>10} {:>10.0}", "Cached Ebb", "-", cached_cycles);
     println!(
         "{:<14} {:>10} {:>10.0}  ({:.1}x native Ebb; paper ~19x)",
         "Hosted Ebb",
@@ -100,7 +91,6 @@ fn main() {
         format!("No Inline,4047,{no_inline:.0}"),
         format!("Virtual,5038,{virt:.0}"),
         format!("Inline Ebb,1448,{ebb_cycles:.0}"),
-        format!("Cached Ebb,,{cached_cycles:.0}"),
         format!("Hosted Ebb,,{hosted_cycles:.0}"),
     ];
     let path = ebbrt_bench::write_csv("table1.csv", "method,paper_cycles,measured_cycles", &rows)

@@ -9,7 +9,6 @@
 //! 2. **A warmed memcached world stays under a fixed ceiling per
 //!    request**, arrival timers and client bookkeeping included.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -22,51 +21,10 @@ use ebbrt_net::types::Ipv4Addr;
 use ebbrt_net::Lan;
 use ebbrt_sim::{CostProfile, SimMachine, SimWorld};
 
-struct Counting;
-
-thread_local! {
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // `try_with`: the allocator outlives a thread's locals.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
-fn alloc_calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell`, which allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use test_alloc::thread_calls as alloc_calls;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: test_alloc::CountingAlloc = test_alloc::CountingAlloc;
 
 /// Receiver: notes the allocator count on entry to every delivery.
 #[derive(Default)]

@@ -137,9 +137,47 @@ pub trait MulticoreEbb: Sized + 'static {
     /// Shared (cross-core) state of one Ebb instance.
     type Root: Send + Sync + 'static;
 
-    /// Constructs this core's representative. Called at most once per
-    /// (instance, core), on the faulting core, from the miss path.
+    /// Constructs this core's representative from the instance's root.
     fn create_rep(root: &Arc<Self::Root>, core: CoreId) -> Self;
+
+    /// The type's fault handler (the paper's `HandleFault`, §3.3): builds
+    /// the representative a miss on (`core`, `id`) installs. Called at
+    /// most once per (instance, core), on the faulting core. The miss
+    /// policy is a property of the type, stated here once — every call
+    /// site is the same [`EbbRef::with`].
+    ///
+    /// The provided body is the root-only policy: build from the
+    /// registered root, and treat a miss with no root as a wiring error.
+    /// Overrides state the other three: register `Root::default()` first
+    /// ([`EbbManager::root_or_default`]); build a function-shipping
+    /// proxy when this machine holds no root ([`EbbManager::shipper`]);
+    /// or, for reps that are installed at attach time and never
+    /// faulted, [`not_installed`].
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        let root = ebbs.root::<Self>(id).unwrap_or_else(|| {
+            panic!(
+                "Ebb miss on {id:?}: no root registered for {}",
+                std::any::type_name::<Self>()
+            )
+        });
+        Self::create_rep(&root, core)
+    }
+}
+
+/// The root type of an Ebb whose reps are installed at attach time
+/// ([`crate::runtime::install_on_all_cores`]) around machine-wide `Rc`
+/// state that cannot live in a `Send + Sync` root. Uninhabited: no root
+/// of such an Ebb can be registered, so its `create_rep` is statically
+/// unreachable and its fault handler is [`not_installed`].
+pub enum NoRoot {}
+
+/// The fault policy of an installed-only Ebb: a miss means `installer`
+/// never ran on this machine, which is a wiring error.
+pub fn not_installed(id: EbbId, core: CoreId, installer: &str) -> ! {
+    panic!(
+        "Ebb miss on {id:?} ({core}): its reps are installed by {installer}, never faulted — \
+         was {installer} called on this machine?"
+    )
 }
 
 /// Per-machine Ebb state: the translation tables, id allocator and root
@@ -173,6 +211,18 @@ struct RootEntry {
     root: Arc<dyn Any + Send + Sync>,
     type_id: TypeId,
     type_name: &'static str,
+}
+
+impl RootEntry {
+    fn check_type<T: MulticoreEbb>(&self, id: EbbId) {
+        assert_eq!(
+            self.type_id,
+            TypeId::of::<T>(),
+            "Ebb {id:?} registered as {} but invoked as {}",
+            self.type_name,
+            std::any::type_name::<T>()
+        );
+    }
 }
 
 impl EbbManager {
@@ -239,15 +289,23 @@ impl EbbManager {
     }
 
     /// Returns the registered root for `id`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root was registered for a different rep type.
     pub fn root<T: MulticoreEbb>(&self, id: EbbId) -> Option<Arc<T::Root>> {
         let roots = self.roots.lock();
         let entry = roots.get(&id.0)?;
-        Arc::downcast::<T::Root>(Arc::clone(&entry.root)).ok()
+        entry.check_type::<T>(id);
+        Some(
+            Arc::downcast::<T::Root>(Arc::clone(&entry.root))
+                .expect("root type mismatch despite rep type match"),
+        )
     }
 
     /// Returns the root for `id`, registering a `Default` one first if
-    /// absent — the root half of the [`Self::with_rep_lazy`] path,
-    /// exposed so setup code holding only a runtime handle (no entered
+    /// absent — what a lazily registered type's fault handler builds
+    /// from, and how setup code holding only a runtime handle (no entered
     /// core) can reach a lazily registered instance's shared state
     /// (e.g. counter-name registration before any rep exists).
     pub fn root_or_default<T: MulticoreEbb>(&self, id: EbbId) -> Arc<T::Root>
@@ -260,8 +318,9 @@ impl EbbManager {
             type_id: TypeId::of::<T>(),
             type_name: std::any::type_name::<T>(),
         });
+        entry.check_type::<T>(id);
         Arc::downcast::<T::Root>(Arc::clone(&entry.root))
-            .unwrap_or_else(|_| panic!("root type mismatch for {id:?}"))
+            .expect("root type mismatch despite rep type match")
     }
 
     /// Loads the rep pointer for (core, id), or null. Dense ids take
@@ -279,18 +338,6 @@ impl EbbManager {
                 .get(&(core.0, id.0))
                 .map_or(std::ptr::null_mut(), |&p| p as *mut ())
         }
-    }
-
-    /// Invokes `f` on the calling core's representative for `id`,
-    /// constructing it from the registered root on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calling thread is not bound to a core, if no root is
-    /// registered on a miss, or (in debug builds) on a rep type mismatch.
-    #[inline]
-    pub fn with_rep<T: MulticoreEbb, R>(&self, id: EbbId, f: impl FnOnce(&T) -> R) -> R {
-        self.with_rep_on(cpu::current(), id, f)
     }
 
     /// The installed representative for (core, id), if any — the one
@@ -313,26 +360,16 @@ impl EbbManager {
         Some(unsafe { &*(p as *const T) })
     }
 
-    /// The translation-table fast path every entry point shares: one
-    /// rep-pointer load, one null check, then `f` — or `miss`, which
-    /// installs a rep and comes back through here.
-    #[inline]
-    fn dispatch<T: MulticoreEbb, R, F: FnOnce(&T) -> R>(
-        &self,
-        core: CoreId,
-        id: EbbId,
-        f: F,
-        miss: impl FnOnce(F) -> R,
-    ) -> R {
-        debug_assert_eq!(cpu::try_current(), Some(core));
-        match self.installed_rep::<T>(core, id) {
-            Some(rep) => f(rep),
-            None => miss(f),
-        }
-    }
-
-    /// As [`Self::with_rep`] with the core supplied by the caller (the
-    /// runtime fast path already knows it).
+    /// The Ebb call: invokes `f` on `core`'s representative for `id` —
+    /// one rep-pointer load and one null check, then `f`. A miss runs
+    /// `T`'s fault handler ([`MulticoreEbb::handle_fault`]), installs
+    /// what it built and comes back through here. `core` must be the
+    /// calling core (the runtime fast path already knows it).
+    ///
+    /// # Panics
+    ///
+    /// Panics as `T`'s fault handler does on a miss, or (in debug
+    /// builds) on a rep type mismatch.
     #[inline]
     pub fn with_rep_on<T: MulticoreEbb, R>(
         &self,
@@ -340,37 +377,11 @@ impl EbbManager {
         id: EbbId,
         f: impl FnOnce(&T) -> R,
     ) -> R {
-        self.dispatch(core, id, f, |f| self.miss::<T, R>(id, core, f))
-    }
-
-    /// As [`Self::with_rep_on`], but a miss on an id with **no
-    /// registered root** registers `T::Root::default()` first — the
-    /// lazy-registration path system Ebbs use so they need no setup
-    /// call ([`SystemEbb::BufferPool`] is the canonical user). The
-    /// fast path is identical to `with_rep_on`: one indexed load and
-    /// one null check.
-    #[inline]
-    pub fn with_rep_lazy<T: MulticoreEbb, R>(
-        &self,
-        core: CoreId,
-        id: EbbId,
-        f: impl FnOnce(&T) -> R,
-    ) -> R
-    where
-        T::Root: Default,
-    {
-        self.dispatch(core, id, f, |f| self.miss_lazy::<T, R>(id, core, f))
-    }
-
-    /// Lazy miss path: ensure a root exists (first faulting core wins
-    /// the race under the roots lock), then take the ordinary miss.
-    #[cold]
-    fn miss_lazy<T: MulticoreEbb, R>(&self, id: EbbId, core: CoreId, f: impl FnOnce(&T) -> R) -> R
-    where
-        T::Root: Default,
-    {
-        self.root_or_default::<T>(id);
-        self.miss::<T, R>(id, core, f)
+        debug_assert_eq!(cpu::try_current(), Some(core));
+        match self.installed_rep::<T>(core, id) {
+            Some(rep) => f(rep),
+            None => self.miss(id, core, f),
+        }
     }
 
     /// Visits every installed representative of `id`, in core order —
@@ -392,31 +403,16 @@ impl EbbManager {
         }
     }
 
-    /// Miss path: build the rep from the root and install it.
+    /// Miss path: the type's fault handler builds the rep; install it.
     #[cold]
     fn miss<T: MulticoreEbb, R>(&self, id: EbbId, core: CoreId, f: impl FnOnce(&T) -> R) -> R {
-        let root = {
-            let roots = self.roots.lock();
-            let entry = roots
-                .get(&id.0)
-                .unwrap_or_else(|| panic!("Ebb miss on {id:?}: no root registered"));
-            assert_eq!(
-                entry.type_id,
-                TypeId::of::<T>(),
-                "Ebb {id:?} registered as {} but invoked as {}",
-                entry.type_name,
-                std::any::type_name::<T>()
-            );
-            Arc::downcast::<T::Root>(Arc::clone(&entry.root))
-                .expect("root type mismatch despite rep type match")
-        };
-        let rep = T::create_rep(&root, core);
+        let rep = T::handle_fault(self, id, core);
         self.install_rep(id, core, rep);
-        self.with_rep(id, f)
+        self.with_rep_on(core, id, f)
     }
 
     /// Installs `rep` as (core, id)'s representative directly, bypassing
-    /// the root-based miss path (used for hand-placed reps and tests).
+    /// the fault handler (hand-placed reps: see [`NoRoot`]).
     ///
     /// # Panics
     ///
@@ -472,64 +468,26 @@ impl EbbManager {
         !self.load_rep_ptr(core, id).is_null()
     }
 
-    /// As [`Self::with_rep_on`] for a [`DistributedEbb`]: a miss on an
-    /// id with **no registered root** treats the id as *remote-owned* —
-    /// it builds a proxy representative that function-ships calls
-    /// through the machine's installed [`RemoteTransport`]
-    /// ([`SystemEbb::Remote`]) and installs it like any other rep. On
-    /// the owner machine (where the root *is* registered) this is
-    /// exactly `with_rep_on`: the real rep faults in from the root and
-    /// calls stay local. The fast path is identical either way: one
-    /// rep-pointer load and one null check.
-    #[inline]
-    pub fn with_rep_distributed<T: DistributedEbb, R>(
-        &self,
-        core: CoreId,
-        id: EbbId,
-        f: impl FnOnce(&T) -> R,
-    ) -> R {
-        self.dispatch(core, id, f, |f| self.miss_distributed::<T, R>(id, core, f))
-    }
-
-    /// Distributed miss path: locally-rooted ids take the ordinary
-    /// miss; everything else gets a function-shipping proxy rep.
-    #[cold]
-    fn miss_distributed<T: DistributedEbb, R>(
-        &self,
-        id: EbbId,
-        core: CoreId,
-        f: impl FnOnce(&T) -> R,
-    ) -> R {
-        if self.roots.lock().contains_key(&id.0) {
-            return self.miss::<T, R>(id, core, f);
-        }
-        assert!(
-            self.has_rep(SystemEbb::Remote.id(), core),
-            "distributed Ebb miss on {id:?}: this machine does not own the id and \
-             no remote transport is installed on {core} (see hosted `remote::install`)"
-        );
-        let transport = self.with_rep_on::<RemoteTransportEbb, _>(
-            core,
-            SystemEbb::Remote.id(),
-            RemoteTransportEbb::transport,
-        );
-        let rep = T::create_proxy(RemoteShipper::new(id, transport), core);
-        self.install_rep(id, core, rep);
-        self.with_rep_on(core, id, f)
+    /// A shipper for `id` over this machine's installed
+    /// [`RemoteTransport`] ([`SystemEbb::Remote`]) — what a
+    /// proxy-capable type's fault handler builds its proxy around when
+    /// this machine holds no root for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (as [`RemoteTransportEbb`]'s fault policy) if no transport
+    /// is installed on `core`.
+    pub fn shipper(&self, core: CoreId, id: EbbId) -> RemoteShipper {
+        let transport =
+            self.with_rep_on(core, SystemEbb::Remote.id(), RemoteTransportEbb::transport);
+        RemoteShipper { id, transport }
     }
 
     #[inline]
     fn debug_check_type<T: MulticoreEbb>(&self, id: EbbId) {
         if cfg!(debug_assertions) {
-            let roots = self.roots.lock();
-            if let Some(entry) = roots.get(&id.0) {
-                assert_eq!(
-                    entry.type_id,
-                    TypeId::of::<T>(),
-                    "Ebb {id:?} registered as {} but invoked as {}",
-                    entry.type_name,
-                    std::any::type_name::<T>()
-                );
+            if let Some(entry) = self.roots.lock().get(&id.0) {
+                entry.check_type::<T>(id);
             }
         }
     }
@@ -631,12 +589,14 @@ impl RemoteTransportEbb {
 }
 
 impl MulticoreEbb for RemoteTransportEbb {
-    type Root = ();
+    type Root = NoRoot;
 
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!(
-            "RemoteTransportEbb reps are installed by remote::install, not faulted ({core})"
-        )
+    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
+        match **root {}
+    }
+
+    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        not_installed(id, core, "the hosted layer's MessengerTransport::install")
     }
 }
 
@@ -651,11 +611,6 @@ pub struct RemoteShipper {
 }
 
 impl RemoteShipper {
-    /// Binds `transport` to `id`.
-    pub fn new(id: EbbId, transport: std::rc::Rc<dyn RemoteTransport>) -> Self {
-        RemoteShipper { id, transport }
-    }
-
     /// The id calls are addressed to.
     pub fn id(&self) -> EbbId {
         self.id
@@ -674,20 +629,20 @@ impl fmt::Debug for RemoteShipper {
     }
 }
 
-/// A multi-core Ebb that is also reachable from machines that do not
-/// own it. On the owner machine the ordinary [`MulticoreEbb`] half
-/// applies (reps fault in from the registered root); on every other
-/// machine, a miss installs a *proxy* rep built by
-/// [`DistributedEbb::create_proxy`] that function-ships calls to the
-/// owner — resolved through the GlobalIdMap by the transport — and the
-/// owner answers through [`DistributedEbb::handle_remote`] on its real
-/// rep. Same id, same call sites, per-machine rep flavor: the paper's
-/// distributed fragmented object.
+/// A multi-core Ebb that machines which do not own it can call: the
+/// **owner half** of a distributed Ebb. The owner machine registers the
+/// root, its reps fault in from it as any [`MulticoreEbb`]'s do, and
+/// the hosted layer's `remote::export` routes inbound function-shipped
+/// requests to [`DistributedEbb::handle_remote`] on the real rep.
+///
+/// The **caller half** is the type's fault policy, not a second trait: a
+/// type whose reps are reached through one [`EbbRef`] on every machine
+/// overrides [`MulticoreEbb::handle_fault`] to build a proxy around
+/// [`EbbManager::shipper`] where no root is registered — same id, same
+/// call sites, per-machine rep flavor (the paper's distributed
+/// fragmented object). A type addressed only through explicit shippers
+/// keeps the root-only policy and has no proxy flavor at all.
 pub trait DistributedEbb: MulticoreEbb {
-    /// Constructs the proxy rep on a non-owner machine. Called at most
-    /// once per (machine, core), on the faulting core.
-    fn create_proxy(shipper: RemoteShipper, core: CoreId) -> Self;
-
     /// Owner side: applies one function-shipped request to this (real)
     /// representative and hands the response payload to `respond` —
     /// exactly once, inside the owner machine's messenger-dispatch
@@ -921,9 +876,12 @@ impl<T: MulticoreEbb> EbbRef<T> {
         self.id
     }
 
-    /// Invokes `f` on the calling core's representative, constructing it
-    /// on first use (the Ebb call itself). One thread-local read, one
-    /// slot load, one null check — the paper's fast path.
+    /// The Ebb call — the only one: invokes `f` on the calling core's
+    /// representative. One thread-local read, one slot load, one null
+    /// check (the paper's fast path); a miss runs `T`'s fault handler
+    /// ([`MulticoreEbb::handle_fault`]), so what a first call does — build
+    /// from the root, register a default root, install a
+    /// function-shipping proxy — is decided by the type, never here.
     #[inline]
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         crate::runtime::with_current_on(|rt, core| rt.ebbs().with_rep_on(core, self.id, f))
@@ -940,119 +898,6 @@ impl<T: MulticoreEbb> EbbRef<T> {
                 .root::<T>(self.id)
                 .unwrap_or_else(|| panic!("no root registered for {:?}", self.id))
         })
-    }
-}
-
-impl<T: DistributedEbb> EbbRef<T> {
-    /// As [`Self::with`] for a distributed Ebb: on a machine that does
-    /// not own the id (no registered root), the miss installs a
-    /// function-shipping *proxy* rep instead of panicking — the
-    /// cross-machine Ebb call. On the owner machine this is exactly
-    /// [`Self::with`].
-    #[inline]
-    pub fn with_distributed<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        crate::runtime::with_current_on(|rt, core| rt.ebbs().with_rep_distributed(core, self.id, f))
-    }
-}
-
-impl<T: MulticoreEbb> EbbRef<T>
-where
-    T::Root: Default,
-{
-    /// As [`Self::with`], registering `T::Root::default()` on a miss
-    /// with no root — the no-setup path for system Ebbs whose shared
-    /// state has a sensible default ([`SystemEbb::BufferPool`]).
-    #[inline]
-    pub fn with_lazy<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        crate::runtime::with_current_on(|rt, core| rt.ebbs().with_rep_lazy(core, self.id, f))
-    }
-}
-
-/// An [`EbbRef`] that memoizes the resolved rep pointer **per core**,
-/// making steady-state dispatch one indexed load plus a runtime-id
-/// compare — measurably indistinguishable from a direct call (the
-/// `ebb_dispatch` bench reproduces the paper's Table 1 with it).
-///
-/// The cache is validated against [`Runtime::uid`]: runtime uids are
-/// unique and never reused, so a `CachedEbbRef` carried across
-/// runtimes (tests hosting several machines in one process) can never
-/// serve a stale pointer — a uid mismatch falls back to the
-/// translation table and re-memoizes.
-///
-/// Like a rep itself, a `CachedEbbRef` is a per-core-discipline object
-/// (`Cell` slots, `!Sync`): on the threaded backend each core keeps
-/// its own; the simulation's single driving thread may share one
-/// across the cores it multiplexes.
-///
-/// [`Runtime::uid`]: crate::runtime::Runtime::uid
-pub struct CachedEbbRef<T: MulticoreEbb> {
-    id: EbbId,
-    /// Per-core memo: (runtime uid, rep pointer). Uid 0 never matches.
-    slots: Box<[std::cell::Cell<(u64, *const ())>]>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T: MulticoreEbb> CachedEbbRef<T> {
-    /// Wraps `ebb` with a rep-pointer cache sized for the current
-    /// dispatch context's core count. Used on a machine with more
-    /// cores, out-of-range cores dispatch uncached (still correct).
-    pub fn new(ebb: EbbRef<T>) -> Self {
-        let ncores = crate::runtime::with_context(|rt, _| rt.ncores());
-        CachedEbbRef {
-            id: ebb.id(),
-            slots: (0..ncores)
-                .map(|_| std::cell::Cell::new((0, std::ptr::null())))
-                .collect(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// The cached ref for a well-known system Ebb.
-    pub fn well_known(which: SystemEbb) -> Self {
-        Self::new(EbbRef::well_known(which))
-    }
-
-    /// The underlying id.
-    pub fn id(&self) -> EbbId {
-        self.id
-    }
-
-    /// Invokes `f` on the calling core's representative. Steady state:
-    /// one thread-local read, one uid compare, one indexed load.
-    #[inline]
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        crate::runtime::with_current_on(|rt, core| {
-            let i = core.index();
-            if i < self.slots.len() {
-                let (uid, p) = self.slots[i].get();
-                if uid == rt.uid() {
-                    // SAFETY: the uid matches the live, entered runtime
-                    // (uids are never reused), so `p` is the pointer its
-                    // manager installed for (core, id) under rep type
-                    // `T`; reps are freed only when the manager drops,
-                    // which the entered runtime's Arc forestalls.
-                    let rep = unsafe { &*(p as *const T) };
-                    return f(rep);
-                }
-            }
-            rt.ebbs().with_rep_on(core, self.id, |rep: &T| {
-                if i < self.slots.len() {
-                    self.slots[i].set((rt.uid(), rep as *const T as *const ()));
-                }
-                f(rep)
-            })
-        })
-    }
-}
-
-impl<T: MulticoreEbb> fmt::Debug for CachedEbbRef<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CachedEbbRef<{}>({})",
-            std::any::type_name::<T>(),
-            self.id.0
-        )
     }
 }
 

@@ -31,6 +31,11 @@ impl CounterEbb {
     }
 }
 
+/// The Ebb call against a bare manager, from (bound) core `core`.
+fn on<T: MulticoreEbb, R>(mgr: &EbbManager, core: u32, id: EbbId, f: impl FnOnce(&T) -> R) -> R {
+    mgr.with_rep_on(CoreId(core), id, f)
+}
+
 #[test]
 fn lazy_rep_construction_per_core() {
     let mgr = EbbManager::new(2, 128);
@@ -40,15 +45,15 @@ fn lazy_rep_construction_per_core() {
     {
         let _b = cpu::bind(CoreId(0));
         assert!(!mgr.has_rep(id, CoreId(0)));
-        assert_eq!(mgr.with_rep::<CounterEbb, _>(id, |r| r.bump()), 1);
+        assert_eq!(on(&mgr, 0, id, CounterEbb::bump), 1);
         assert!(mgr.has_rep(id, CoreId(0)));
-        assert_eq!(mgr.with_rep::<CounterEbb, _>(id, |r| r.bump()), 2);
-        assert_eq!(mgr.with_rep::<CounterEbb, _>(id, |r| r.core), CoreId(0));
+        assert_eq!(on(&mgr, 0, id, CounterEbb::bump), 2);
+        assert_eq!(on(&mgr, 0, id, |r: &CounterEbb| r.core), CoreId(0));
     }
     {
         let _b = cpu::bind(CoreId(1));
         // Fresh rep, independent counter.
-        assert_eq!(mgr.with_rep::<CounterEbb, _>(id, |r| r.bump()), 1);
+        assert_eq!(on(&mgr, 1, id, CounterEbb::bump), 1);
     }
     let root = mgr.root::<CounterEbb>(id).unwrap();
     assert_eq!(root.reps_created.load(Ordering::SeqCst), 2);
@@ -64,11 +69,13 @@ fn ids_are_unique_and_dynamic() {
 }
 
 #[test]
-#[should_panic(expected = "no root registered")]
+#[should_panic(expected = "Ebb miss on EbbId(70): no root registered")]
 fn miss_without_root_panics() {
+    // The root-only policy (the provided fault handler): a miss with no
+    // root is a wiring error, named by id.
     let mgr = EbbManager::new(1, 128);
     let _b = cpu::bind(CoreId(0));
-    mgr.with_rep::<CounterEbb, _>(EbbId(70), |r| r.bump());
+    on(&mgr, 0, EbbId(70), CounterEbb::bump);
 }
 
 #[test]
@@ -95,7 +102,7 @@ fn type_mismatch_panics() {
     let id = mgr.allocate_id();
     mgr.register_root::<CounterEbb>(id, CounterRoot::default());
     let _b = cpu::bind(CoreId(0));
-    mgr.with_rep::<OtherEbb, _>(id, |_| ());
+    on(&mgr, 0, id, |_: &OtherEbb| ());
 }
 
 #[test]
@@ -112,14 +119,27 @@ fn install_rep_bypasses_root() {
             _root: Arc::new(CounterRoot::default()),
         },
     );
-    assert_eq!(mgr.with_rep::<CounterEbb, _>(id, |r| r.bump()), 42);
+    assert_eq!(on(&mgr, 0, id, CounterEbb::bump), 42);
+}
+
+/// [`CounterEbb`] under the lazy-registration policy: its fault handler
+/// registers `CounterRoot::default()` when the id has no root.
+struct LazyCounterEbb(CounterEbb);
+impl MulticoreEbb for LazyCounterEbb {
+    type Root = CounterRoot;
+    fn create_rep(root: &Arc<CounterRoot>, core: CoreId) -> Self {
+        LazyCounterEbb(CounterEbb::create_rep(root, core))
+    }
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
+    }
 }
 
 #[test]
 fn concurrent_miss_faults_exactly_one_rep_per_core() {
     // The miss-path race: N threads, bound to N distinct cores of
-    // one runtime, fault the same id at the same moment through the
-    // *lazy* path (no pre-registered root, so root registration
+    // one runtime, fault the same id of a *lazily registered* type at
+    // the same moment (no pre-registered root, so root registration
     // races too). Exactly one root and one rep per core may result.
     use crate::clock::ManualClock;
     use crate::runtime::{self, Runtime};
@@ -135,10 +155,10 @@ fn concurrent_miss_faults_exactly_one_rep_per_core() {
             std::thread::spawn(move || {
                 let _g = runtime::enter(Arc::clone(&rt), CoreId(i as u32));
                 barrier.wait();
-                let ebb = EbbRef::<CounterEbb>::from_id(id);
+                let ebb = EbbRef::<LazyCounterEbb>::from_id(id);
                 let mut last = 0;
                 for _ in 0..64 {
-                    last = ebb.with_lazy(|r| r.bump());
+                    last = ebb.with(|r| r.0.bump());
                 }
                 last
             })
@@ -149,71 +169,14 @@ fn concurrent_miss_faults_exactly_one_rep_per_core() {
         // double-construction clobbering counts.
         assert_eq!(h.join().unwrap(), 64);
     }
-    let root = rt.ebbs().root::<CounterEbb>(id).expect("root registered");
+    let root = rt
+        .ebbs()
+        .root::<LazyCounterEbb>(id)
+        .expect("root registered");
     assert_eq!(root.reps_created.load(Ordering::SeqCst), N);
     for i in 0..N {
         assert!(rt.ebbs().has_rep(id, CoreId(i as u32)));
     }
-}
-
-struct TagEbb {
-    tag: u64,
-}
-impl MulticoreEbb for TagEbb {
-    type Root = u64;
-    fn create_rep(root: &Arc<u64>, _: CoreId) -> Self {
-        TagEbb { tag: **root }
-    }
-}
-
-#[test]
-fn cached_ref_revalidates_across_runtimes() {
-    use crate::clock::ManualClock;
-    use crate::runtime::{self, Runtime};
-    let clock = Arc::new(ManualClock::new());
-    let rt1 = Runtime::new(1, clock.clone());
-    let rt2 = Runtime::new(1, clock);
-    let id1 = rt1.ebbs().allocate_id();
-    let id2 = rt2.ebbs().allocate_id();
-    assert_eq!(id1, id2, "both allocators start at FIRST_DYNAMIC_ID");
-    rt1.ebbs().register_root::<TagEbb>(id1, 1u64);
-    rt2.ebbs().register_root::<TagEbb>(id2, 2u64);
-    let cached = {
-        let _g = runtime::enter(Arc::clone(&rt1), CoreId(0));
-        let c = CachedEbbRef::new(EbbRef::<TagEbb>::from_id(id1));
-        assert_eq!(c.with(|t| t.tag), 1);
-        assert_eq!(c.with(|t| t.tag), 1, "steady state serves the memo");
-        c
-    };
-    {
-        // Same ref, different machine: the uid guard must force a
-        // re-resolve, not serve rt1's pointer.
-        let _g = runtime::enter(Arc::clone(&rt2), CoreId(0));
-        assert_eq!(cached.with(|t| t.tag), 2);
-    }
-    {
-        let _g = runtime::enter(Arc::clone(&rt1), CoreId(0));
-        assert_eq!(cached.with(|t| t.tag), 1);
-    }
-}
-
-#[test]
-fn cached_ref_out_of_range_core_dispatches_uncached() {
-    use crate::clock::ManualClock;
-    use crate::runtime::{self, Runtime};
-    let small = Runtime::new(1, Arc::new(ManualClock::new()));
-    let big = Runtime::new(4, Arc::new(ManualClock::new()));
-    let id = big.ebbs().allocate_id();
-    big.ebbs().register_root::<TagEbb>(id, 7u64);
-    // Cache sized for the 1-core machine…
-    let cached = {
-        let _g = runtime::enter(Arc::clone(&small), CoreId(0));
-        CachedEbbRef::new(EbbRef::<TagEbb>::from_id(id))
-    };
-    // …used from core 3 of the 4-core machine: falls back to the
-    // translation table.
-    let _g = runtime::enter(Arc::clone(&big), CoreId(3));
-    assert_eq!(cached.with(|t| t.tag), 7);
 }
 
 #[test]
@@ -222,16 +185,16 @@ fn lazy_path_registers_default_root_once() {
     use crate::runtime::{self, Runtime};
     let rt = Runtime::new(1, Arc::new(ManualClock::new()));
     let _g = runtime::enter(Arc::clone(&rt), CoreId(0));
-    let ebb = EbbRef::<CounterEbb>::from_id(EbbId(33));
-    assert!(rt.ebbs().root::<CounterEbb>(EbbId(33)).is_none());
-    assert_eq!(ebb.with_lazy(|r| r.bump()), 1);
+    let ebb = EbbRef::<LazyCounterEbb>::from_id(EbbId(33));
+    assert!(rt.ebbs().root::<LazyCounterEbb>(EbbId(33)).is_none());
+    assert_eq!(ebb.with(|r| r.0.bump()), 1);
     let root = rt
         .ebbs()
-        .root::<CounterEbb>(EbbId(33))
+        .root::<LazyCounterEbb>(EbbId(33))
         .expect("default root registered by the miss");
     assert_eq!(root.reps_created.load(Ordering::SeqCst), 1);
     // Steady state: the fast path, no second registration/rep.
-    assert_eq!(ebb.with_lazy(|r| r.bump()), 2);
+    assert_eq!(ebb.with(|r| r.0.bump()), 2);
     assert_eq!(root.reps_created.load(Ordering::SeqCst), 1);
 }
 
@@ -292,9 +255,9 @@ fn global_ids_resolve_through_the_overflow_table() {
         for core in 0..2u32 {
             let _b = cpu::bind(CoreId(core));
             assert!(!mgr.has_rep(gid, CoreId(core)));
-            mgr.with_rep::<ExtRep, _>(gid, |r| r.1.set(r.1.get() + 1));
+            on(&mgr, core, gid, |r: &ExtRep| r.1.set(r.1.get() + 1));
             assert!(mgr.has_rep(gid, CoreId(core)));
-            mgr.with_rep::<ExtRep, _>(gid, |r| r.1.set(r.1.get() + 1));
+            on(&mgr, core, gid, |r: &ExtRep| r.1.set(r.1.get() + 1));
         }
         let mut seen = Vec::new();
         mgr.for_each_rep::<ExtRep>(gid, |core, r| seen.push((core, r.1.get())));
@@ -309,8 +272,8 @@ fn global_ids_resolve_through_the_overflow_table() {
 
 use crate::iobuf::wire::WireWriter;
 
-/// A distributed counter: real rep on the owner, shipping proxy
-/// elsewhere. The mock transport echoes the payload length back.
+/// A distributed counter under the proxy-capable policy: real rep where
+/// the root is registered, shipping proxy elsewhere. The mock transport echoes the payload length back.
 struct DistEbb {
     kind: DistKind,
 }
@@ -325,13 +288,16 @@ impl MulticoreEbb for DistEbb {
             kind: DistKind::Local(Arc::clone(root)),
         }
     }
-}
-impl DistributedEbb for DistEbb {
-    fn create_proxy(shipper: RemoteShipper, _: CoreId) -> Self {
-        DistEbb {
-            kind: DistKind::Proxy(shipper),
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        match ebbs.root::<Self>(id) {
+            Some(root) => Self::create_rep(&root, core),
+            None => DistEbb {
+                kind: DistKind::Proxy(ebbs.shipper(core, id)),
+            },
         }
     }
+}
+impl DistributedEbb for DistEbb {
     fn handle_remote(&self, payload: Payload, respond: impl FnOnce(Payload) + 'static) {
         match &self.kind {
             DistKind::Local(hits) => {
@@ -371,7 +337,7 @@ impl RemoteTransport for LoopbackTransport {
         let _g = crate::runtime::enter(Arc::clone(&self.owner), CoreId(0));
         self.owner
             .ebbs()
-            .with_rep_distributed::<DistEbb, _>(CoreId(0), id, |rep| {
+            .with_rep_on::<DistEbb, _>(CoreId(0), id, |rep| {
                 rep.handle_remote(payload, move |resp| reply(Ok(resp)))
             });
     }
@@ -401,7 +367,7 @@ fn distributed_miss_installs_function_shipping_proxy() {
     {
         let _g = runtime::enter(Arc::clone(&client), CoreId(0));
         let g2 = std::rc::Rc::clone(&got);
-        ebb.with_distributed(|rep| rep.poke(5, move |r| g2.set(Some(r))));
+        ebb.with(|rep| rep.poke(5, move |r| g2.set(Some(r))));
         assert!(client.ebbs().has_rep(gid, CoreId(0)), "proxy installed");
     }
     assert_eq!(got.get(), Some(Ok(5)), "call function-shipped to the owner");
@@ -410,20 +376,22 @@ fn distributed_miss_installs_function_shipping_proxy() {
     {
         let _g = runtime::enter(Arc::clone(&owner), CoreId(0));
         let g2 = std::rc::Rc::clone(&got);
-        ebb.with_distributed(|rep| rep.poke(9, move |r| g2.set(Some(r))));
+        ebb.with(|rep| rep.poke(9, move |r| g2.set(Some(r))));
     }
     assert_eq!(got.get(), Some(Ok(9)));
     assert_eq!(hits.load(Ordering::SeqCst), 2);
 }
 
 #[test]
-#[should_panic(expected = "no remote transport is installed")]
+#[should_panic(expected = "installed by the hosted layer's MessengerTransport::install")]
 fn distributed_miss_without_transport_panics_clearly() {
+    // The proxy-capable fault handler reaches for the transport, whose
+    // own (installed-only) fault policy names the attach call.
     use crate::clock::ManualClock;
     use crate::runtime::{self, Runtime};
     let rt = Runtime::new(1, Arc::new(ManualClock::new()));
     let _g = runtime::enter(Arc::clone(&rt), CoreId(0));
-    EbbRef::<DistEbb>::from_id(EbbId((1 << 20) + 1)).with_distributed(|_| ());
+    EbbRef::<DistEbb>::from_id(EbbId((1 << 20) + 1)).with(|_| ());
 }
 
 #[test]
@@ -446,7 +414,7 @@ fn reps_are_dropped_with_manager() {
         let id = mgr.allocate_id();
         mgr.register_root::<DropTracker>(id, Arc::clone(&drops));
         let _b = cpu::bind(CoreId(0));
-        mgr.with_rep::<DropTracker, _>(id, |_| ());
+        on(&mgr, 0, id, |_: &DropTracker| ());
         assert_eq!(drops.load(Ordering::SeqCst), 0);
     }
     assert_eq!(drops.load(Ordering::SeqCst), 1);

@@ -49,7 +49,7 @@
 use super::region::{FreeRegion, RegionRef};
 use super::stats::{add, bump, Counters};
 use crate::cpu::CoreId;
-use crate::ebb::{MulticoreEbb, SystemEbb};
+use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 use crate::runtime::{self, Runtime};
 use crate::spinlock::SpinLock;
 use std::cell::{Cell, RefCell};
@@ -245,6 +245,12 @@ impl MulticoreEbb for PoolEbb {
             counters: Counters::default(),
         }
     }
+
+    /// Lazily registered: the first fault on a machine registers
+    /// `PoolRoot::default()`, so the pool needs no setup call.
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
+    }
 }
 
 impl PoolEbb {
@@ -270,7 +276,7 @@ impl PoolEbb {
 pub(super) fn with_pool<R>(f: impl FnOnce(&PoolEbb) -> R) -> R {
     runtime::with_context(|rt, core| {
         rt.ebbs()
-            .with_rep_lazy::<PoolEbb, R>(core, SystemEbb::BufferPool.id(), f)
+            .with_rep_on::<PoolEbb, R>(core, SystemEbb::BufferPool.id(), f)
     })
 }
 

@@ -53,7 +53,7 @@ pub mod timer;
 
 pub use clock::{Clock, ManualClock, Ns, RealClock};
 pub use cpu::CoreId;
-pub use ebb::{CachedEbbRef, EbbId, EbbRef, MulticoreEbb, SystemEbb};
+pub use ebb::{EbbId, EbbRef, MulticoreEbb, SystemEbb};
 pub use event::{block_on, EventManager};
 pub use future::{Future, Promise};
 pub use iobuf::{Buf, Chain, IoBuf, MutIoBuf};

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::clock::Ns;
 use crate::cpu::CoreId;
-use crate::ebb::{EbbManager, MulticoreEbb, SystemEbb};
+use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 use crate::runtime::{self, Runtime};
 use crate::spinlock::SpinLock;
 
@@ -245,6 +245,12 @@ impl MulticoreEbb for CounterRegistryEbb {
             cells: RefCell::new(Vec::new()),
         }
     }
+
+    /// Lazily registered: the first `register`/`add` on a machine
+    /// faults everything in, root included.
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
+    }
 }
 
 impl CounterRegistryEbb {
@@ -308,7 +314,7 @@ pub fn register_in(rt: &Runtime, name: &str) -> CounterHandle {
 pub fn add(h: CounterHandle, n: u64) {
     runtime::with_context(|rt, core| {
         rt.ebbs()
-            .with_rep_lazy::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
+            .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
                 rep.add(h, n)
             })
     });
@@ -324,7 +330,7 @@ pub fn bump(h: CounterHandle) {
 pub fn sub(h: CounterHandle, n: u64) {
     runtime::with_context(|rt, core| {
         rt.ebbs()
-            .with_rep_lazy::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
+            .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
                 rep.sub(h, n)
             })
     });
@@ -338,9 +344,7 @@ pub fn add_in(rt: &Arc<Runtime>, h: CounterHandle, n: u64) {
     let core = CoreId(0);
     let _guard = runtime::enter(Arc::clone(rt), core);
     rt.ebbs()
-        .with_rep_lazy::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
-            rep.add(h, n)
-        });
+        .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| rep.add(h, n));
 }
 
 /// Sums `h` across every core of `rt`.

@@ -393,53 +393,13 @@ impl Drop for ReadGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     use std::sync::atomic::AtomicUsize;
 
-    /// Counts this thread's allocator calls (for the whole unit-test
+    /// Counts allocator calls per thread (for the whole unit-test
     /// binary; only the test below reads the count).
-    struct Counting;
-
-    thread_local! {
-        static CALLS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn bump() {
-        // `try_with`: the allocator outlives a thread's locals.
-        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-    }
-
-    // SAFETY: every method forwards to `System` unchanged; the counter
-    // is a const-initialised thread-local `Cell`, which allocates
-    // nothing.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            bump();
-            // SAFETY: the caller's contract, forwarded.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            bump();
-            // SAFETY: the caller's contract, forwarded.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            bump();
-            // SAFETY: the caller's contract, forwarded.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: the caller's contract, forwarded.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
     #[global_allocator]
-    static ALLOCATOR: Counting = Counting;
+    static ALLOCATOR: test_alloc::CountingAlloc = test_alloc::CountingAlloc;
 
     /// A block with an embedded header whose reclaim only counts: the
     /// test keeps ownership, so retiring it can be watched for
@@ -475,7 +435,7 @@ mod tests {
         let domain = RcuDomain::new(3);
         let blocks: Vec<Box<Block>> = (0..8).map(|_| Block::new()).collect();
         let all_reclaimed = |times: u32| blocks.iter().all(|b| b.reclaimed.get() == times);
-        let before = CALLS.with(Cell::get);
+        let before = test_alloc::thread_calls();
         for round in 1..=5u32 {
             let guard = domain.read_guard(CoreId(1));
             for b in &blocks[..5] {
@@ -500,7 +460,7 @@ mod tests {
             assert_eq!(domain.pending_count(), 0);
         }
         assert_eq!(
-            CALLS.with(Cell::get),
+            test_alloc::thread_calls(),
             before,
             "retiring or reclaiming called the allocator"
         );

@@ -11,7 +11,6 @@
 //! plus a hosted instance) inside one deterministic simulation.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use crate::clock::{Clock, Ns};
@@ -24,16 +23,9 @@ use crate::spinlock::SpinLock;
 /// Default Ebb id capacity per machine.
 pub const DEFAULT_EBB_CAPACITY: usize = 4096;
 
-/// Source of machine-unique runtime ids ([`Runtime::uid`]). Ids start
-/// at 1 and are never reused, so a stale cached rep pointer (see
-/// [`crate::ebb::CachedEbbRef`]) can never collide with a runtime
-/// allocated later at the same address.
-static NEXT_RUNTIME_UID: AtomicU64 = AtomicU64::new(1);
-
 /// One EbbRT machine instance.
 pub struct Runtime {
     ncores: usize,
-    uid: u64,
     clock: Arc<dyn Clock>,
     ebbs: EbbManager,
     events: Box<[EventManager]>,
@@ -59,7 +51,6 @@ impl Runtime {
             .into_boxed_slice();
         let rt = Arc::new(Runtime {
             ncores,
-            uid: NEXT_RUNTIME_UID.fetch_add(1, Ordering::Relaxed),
             clock,
             ebbs: EbbManager::new(ncores, capacity),
             events,
@@ -76,14 +67,6 @@ impl Runtime {
     /// Number of cores.
     pub fn ncores(&self) -> usize {
         self.ncores
-    }
-
-    /// This runtime's machine-unique id (never reused within the
-    /// process). [`crate::ebb::CachedEbbRef`] tags memoized rep
-    /// pointers with it so a cached pointer is never served across
-    /// runtimes.
-    pub fn uid(&self) -> u64 {
-        self.uid
     }
 
     /// The machine's clock.
@@ -517,7 +500,7 @@ mod tests {
         let (a, b) = {
             let spawn_probe = |barrier: Arc<std::sync::Barrier>| {
                 std::thread::spawn(move || {
-                    let probe = with_context(|rt, core| (rt.uid(), core));
+                    let probe = with_context(|rt, core| (rt as *const Runtime as usize, core));
                     barrier.wait();
                     probe
                 })
@@ -531,7 +514,7 @@ mod tests {
         // Entered runtimes take precedence over the ambient context.
         let rt = Runtime::new(1, Arc::new(ManualClock::new()));
         let _g = enter(Arc::clone(&rt), CoreId(0));
-        assert_eq!(with_context(|r, _| r.uid()), rt.uid());
+        assert!(with_context(|r, _| std::ptr::eq(r, &*rt)));
     }
 
     #[test]

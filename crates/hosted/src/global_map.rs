@@ -184,25 +184,33 @@ impl GlobalIdMap {
     }
 
     /// Allocates a globally unique [`EbbId`], fetching a fresh range
-    /// from the server when the local one is exhausted. `done` receives
-    /// the id (synchronously when the cached range suffices); an
-    /// unreachable naming service drops it.
-    pub fn allocate(self: &Rc<Self>, done: impl FnOnce(EbbId) + 'static) {
+    /// from the server when the local one is exhausted. `done` always
+    /// runs (synchronously when the cached range suffices): `None`
+    /// covers a refusal, a reply that is not `OK, base, size` with a
+    /// non-empty range that fits the id space, and an unreachable or
+    /// unresponsive naming service.
+    pub fn allocate(self: &Rc<Self>, done: impl FnOnce(Option<EbbId>) + 'static) {
         let (next, end) = self.range.get();
         if next < end {
             self.range.set((next + 1, end));
-            done(EbbId(next));
+            done(Some(EbbId(next)));
             return;
         }
         let me = Rc::clone(self);
         self.request(WireWriter::op(OP_ALLOC_RANGE), move |resp| {
-            let Some(resp) = resp else { return };
-            let mut r = WireReader::new(&resp);
-            let (Some(RESP_OK), Some(base), Some(size)) = (r.u8(), r.u32(), r.u32()) else {
-                panic!("range allocation failed");
-            };
-            me.range.set((base + 1, base + size));
-            done(EbbId(base));
+            let granted = resp.and_then(|resp| {
+                let mut r = WireReader::new(&resp);
+                let (Some(RESP_OK), Some(base), Some(size)) = (r.u8(), r.u32(), r.u32()) else {
+                    return None;
+                };
+                if size == 0 {
+                    return None;
+                }
+                let end = base.checked_add(size)?;
+                me.range.set((base + 1, end));
+                Some(EbbId(base))
+            });
+            done(granted);
         });
     }
 
@@ -357,6 +365,7 @@ mod tests {
         on_core0(&native1, Rc::clone(&map1), move |map| {
             let m2 = Rc::clone(&map);
             map.allocate(move |id| {
+                let id = id.expect("naming service answers");
                 m2.put(
                     id,
                     &encode_owners(&[Ipv4Addr::new(10, 0, 0, 2)]),
@@ -389,7 +398,7 @@ mod tests {
         let second = Rc::new(Cell::new(None));
         let s2 = Rc::clone(&second);
         on_core0(&native1, map1, move |map| {
-            map.allocate(move |id| s2.set(Some(id)));
+            map.allocate(move |id| s2.set(id));
         });
         w.run_to_idle();
         assert_eq!(second.get(), Some(EbbId(id.0 + 1)));
@@ -419,6 +428,77 @@ mod tests {
         let server = GlobalIdMapServer::start(&Messenger::start(&h_if));
         let map = GlobalIdMap::new(&Messenger::start(&n_if), hosted_ip);
         (lan, native, map, ([h_if, n_if], server))
+    }
+
+    #[test]
+    fn allocate_survives_a_hostile_or_silent_naming_service() {
+        // `done` always runs and no reply panics the caller: a naming
+        // service answering anything but `OK, base, size` with a usable
+        // range, and one cut off at the switch, both resolve to `None`.
+        let lan = Lan::new();
+        let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
+        let (_hosted, h_if) =
+            lan.machine("hosted", 1, CostProfile::linux_vm(), [0x01; 6], hosted_ip);
+        let (native, n_if) = lan.machine(
+            "n",
+            1,
+            CostProfile::ebbrt_vm(),
+            [0x02; 6],
+            Ipv4Addr::new(10, 0, 0, 2),
+        );
+        lan.world.run_to_idle();
+        let reply = Rc::new(RefCell::new(Vec::new()));
+        let h_msgr = Messenger::start(&h_if);
+        let r2 = Rc::clone(&reply);
+        crate::remote::export_raw(&h_msgr, GLOBAL_MAP_EBB_ID, move |_| {
+            let mut w = WireWriter::new();
+            w.tail(&r2.borrow());
+            w.finish()
+        });
+        let n_msgr = Messenger::start(&n_if);
+        let allocate = |bytes: &[u8]| {
+            *reply.borrow_mut() = bytes.to_vec();
+            // A fresh client each time: no cached range to serve from.
+            let map = GlobalIdMap::new(&n_msgr, hosted_ip);
+            let got = Rc::new(Cell::new(None));
+            let g2 = Rc::clone(&got);
+            on_core0(&native, map, move |map| {
+                map.allocate(move |id| g2.set(Some(id)))
+            });
+            // Bounded: an established connection to a silenced peer
+            // retransmits for as long as the world runs.
+            lan.world.run_for(2 * DEFAULT_RPC_TIMEOUT_NS);
+            got.get().expect("done always runs")
+        };
+        assert_eq!(allocate(&[]), None, "empty reply");
+        assert_eq!(allocate(&[RESP_NO]), None, "refusal");
+        assert_eq!(allocate(&[RESP_OK, 0, 0x10]), None, "truncated");
+        assert_eq!(
+            allocate(&[7, 0, 0x10, 0, 0, 0, 0, 4, 0]),
+            None,
+            "unknown tag"
+        );
+        assert_eq!(
+            allocate(&[RESP_OK, 0, 0x10, 0, 0, 0, 0, 0, 0]),
+            None,
+            "empty range"
+        );
+        assert_eq!(
+            allocate(&[RESP_OK, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 2]),
+            None,
+            "a range past the id space"
+        );
+        assert_eq!(
+            allocate(&[RESP_OK, 0, 0x10, 0, 0, 0, 0, 4, 0]),
+            Some(EbbId(1 << 20)),
+            "a well-formed grant still works"
+        );
+        lan.switch.isolate(0);
+        assert_eq!(
+            allocate(&[RESP_OK, 0, 0x10, 0, 0, 0, 0, 4, 0]),
+            None,
+            "silent"
+        );
     }
 
     #[test]

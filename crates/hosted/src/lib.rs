@@ -10,9 +10,10 @@
 //! * [`messenger`] — length-prefixed messaging between machines over
 //!   the TCP stack, with an RPC layer (request/response correlation)
 //!   used by offloaded Ebbs.
-//! * [`fs`] — the FileSystem Ebb of §4.3: the native representative
-//!   function-ships every call to the hosted representative, which
-//!   serves an in-memory filesystem. Deliberately naïve (one round trip
+//! * [`fs`] — the FileSystem Ebb of §4.3, one distributed Ebb under
+//!   `SystemEbb::Fs`: the native representative function-ships every
+//!   call to the hosted representative, which serves an in-memory
+//!   filesystem. Deliberately naïve (one round trip
 //!   per access), exactly as the paper describes its own port — plus an
 //!   optional caching representative demonstrating the optimization the
 //!   paper leaves as future work.
@@ -20,13 +21,17 @@
 //!   shared namespace): machine-unique id ranges plus id→owner
 //!   resolution, served by the hosted instance over the messenger.
 //!
-//! Hosted services live in the same translation table as everything
-//! else: the messenger, filesystem and naming service carry
-//! **well-known ids** from [`ebbrt_core::ebb::SystemEbb`] (ids 2 and 3
-//! double as the wire ids messages are routed by), and
+//! The messenger, filesystem and naming service carry **well-known
+//! ids** from [`ebbrt_core::ebb::SystemEbb`] (ids 2 and 3 double as the
+//! wire ids messages are routed by). The messenger and the filesystem
+//! live in the same translation table as everything else:
 //! [`messenger::Messenger::start`] installs per-core reps so any event
-//! can resolve the local messenger via
-//! [`messenger::local_messenger`]. The paper's hosted *hash-table*
+//! can resolve the local messenger via [`messenger::local_messenger`],
+//! and [`fs::FsServer::start`] registers the filesystem's root so
+//! [`fs::fs_ref`] serves in place on the hosted machine and faults in a
+//! function-shipping proxy on a native one. The naming service is a
+//! raw messenger handler — it is what proxies resolve owners
+//! *through*. The paper's hosted *hash-table*
 //! dispatch (its "roughly 19 times the cost" measurement, §3.3) is no
 //! longer a system component — the reproduction dispatches every
 //! environment through the native translation array — but the Table 1

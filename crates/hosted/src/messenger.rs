@@ -40,7 +40,10 @@ use std::sync::Arc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbId, EbbRef, MulticoreEbb, RemoteError, SystemEbb, FIRST_DYNAMIC_ID};
+use ebbrt_core::ebb::{
+    not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, RemoteError, SystemEbb,
+    FIRST_DYNAMIC_ID,
+};
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, CounterHandle};
@@ -252,10 +255,14 @@ impl MessengerEbb {
 }
 
 impl MulticoreEbb for MessengerEbb {
-    type Root = ();
+    type Root = NoRoot;
 
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!("MessengerEbb reps are installed by Messenger::start, not faulted ({core})")
+    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
+        match **root {}
+    }
+
+    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        not_installed(id, core, "Messenger::start")
     }
 }
 

@@ -2,11 +2,11 @@
 //! messenger (§2.2, §3.3).
 //!
 //! This is the hosted half of `ebbrt_core::ebb`'s distributed-Ebb
-//! machinery. The core layer defines *what* a proxy rep is (an
-//! [`EbbRef::with_distributed`] miss on a machine that does not own
-//! the id installs one) and *how* it speaks (a
-//! [`RemoteTransport`] shipping byte payloads addressed to the id);
-//! this module supplies the production transport:
+//! machinery. The core layer defines *what* a proxy rep is (what a
+//! proxy-capable type's fault handler installs on a machine that holds
+//! no root for the id) and *how* it speaks (a [`RemoteTransport`]
+//! shipping payloads addressed to the id); this module supplies the
+//! production transport:
 //!
 //! * **Owner resolution through the GlobalIdMap** — a shipped call on
 //!   an unresolved id asks the naming service for the owner record
@@ -98,6 +98,10 @@ struct OwnerRecord {
     owners: Vec<Ipv4Addr>,
 }
 
+/// The version of a [`MessengerTransport::preset_owner`] record; the
+/// naming service's versions start at 1.
+const PRESET_VERSION: u64 = 0;
+
 /// Resolution state of one remote id.
 enum OwnerState {
     /// A GlobalIdMap lookup is in flight; calls queue behind it.
@@ -143,9 +147,8 @@ impl RetryPolicy {
 pub struct MessengerTransport {
     weak: Weak<MessengerTransport>,
     messenger: Weak<Messenger>,
-    /// The naming client; `None` for *direct* transports whose owners
-    /// are preset (the FileSystem client's fixed-server mode).
-    map: Option<Rc<GlobalIdMap>>,
+    /// The naming client owner records are resolved through.
+    map: Rc<GlobalIdMap>,
     owners: RefCell<HashMap<u32, OwnerState>>,
     /// Calls resolved to an owner but not yet on the wire: everything a
     /// core ships to one owner within one event pass coalesces into one
@@ -172,7 +175,7 @@ pub struct MessengerTransport {
 }
 
 impl MessengerTransport {
-    fn new(messenger: &Rc<Messenger>, map: Option<Rc<GlobalIdMap>>) -> Rc<MessengerTransport> {
+    fn new(messenger: &Rc<Messenger>, map: Rc<GlobalIdMap>) -> Rc<MessengerTransport> {
         Rc::new_cyclic(|weak| MessengerTransport {
             weak: Weak::clone(weak),
             messenger: Rc::downgrade(messenger),
@@ -193,25 +196,17 @@ impl MessengerTransport {
 
     /// Creates the machine's transport and installs it on **every
     /// core** under [`SystemEbb::Remote`], making the machine able to
-    /// host proxy reps: from here on, a distributed-Ebb miss
+    /// host proxy reps: from here on, a proxy-capable Ebb's miss
     /// function-ships instead of panicking. `map` is the machine's
     /// naming client (owner records are resolved through it).
     pub fn install(messenger: &Rc<Messenger>, map: Rc<GlobalIdMap>) -> Rc<MessengerTransport> {
-        let t = Self::new(messenger, Some(map));
+        let t = Self::new(messenger, map);
         let rt = messenger.netif().machine().runtime();
         runtime::install_on_all_cores(rt, SystemEbb::Remote.id(), {
             let t = Rc::clone(&t);
             move |_core| RemoteTransportEbb::new(Rc::clone(&t) as Rc<dyn RemoteTransport>)
         });
         t
-    }
-
-    /// A transport without a naming service: every id it ships must be
-    /// preset with [`Self::preset_owner`]. Not installed in the
-    /// translation table — the handle is used directly (the FileSystem
-    /// client's fixed-server configuration).
-    pub fn direct(messenger: &Rc<Messenger>) -> Rc<MessengerTransport> {
-        Self::new(messenger, None)
     }
 
     /// Overrides the per-call timeout (virtual ns; `0` disables).
@@ -225,13 +220,17 @@ impl MessengerTransport {
         self.retry.set(policy);
     }
 
-    /// Seeds the owner record for `id` without a naming-service round
-    /// trip.
+    /// Configures the owner of `id` without a naming-service record —
+    /// how a machine reaches a well-known service at an address it was
+    /// booted with (the hosted FileSystem). A preset is configuration,
+    /// not a cache: it carries version 0, which the naming service
+    /// never issues, and [`Self::invalidate`] leaves it in place, so a
+    /// failed call retries the configured address.
     pub fn preset_owner(&self, id: EbbId, owner: Ipv4Addr) {
         self.owners.borrow_mut().insert(
             id.0,
             OwnerState::Resolved(OwnerRecord {
-                version: 0,
+                version: PRESET_VERSION,
                 owners: vec![owner],
             }),
         );
@@ -276,9 +275,8 @@ impl MessengerTransport {
         };
         if first {
             // The hook holds a *strong* reference: a caller may drop
-            // its transport handle the moment `ship` returns (the
-            // FsClient does), and staged calls must still reach the
-            // wire. The reference lives only until this pass's idle
+            // its transport handle the moment `ship` returns, and
+            // staged calls must still reach the wire. The reference lives only until this pass's idle
             // stage, so it extends no lifetime beyond the pass.
             let t = self.weak.upgrade().expect("self is alive");
             runtime::with_current(|rt| {
@@ -479,9 +477,6 @@ impl MessengerTransport {
     /// re-publishes its address). A record whose primary is no longer
     /// `failed` was already repaired by someone else — leave it alone.
     fn failover(&self, id: EbbId, failed: Ipv4Addr) {
-        // Direct transports: preset owners are configuration, not a
-        // cache — the retry simply re-ships to the configured address.
-        let Some(map) = &self.map else { return };
         let promote = {
             let mut owners = self.owners.borrow_mut();
             match owners.get_mut(&id.0) {
@@ -501,7 +496,7 @@ impl MessengerTransport {
             return;
         };
         let weak = Weak::clone(&self.weak);
-        map.put_if(
+        self.map.put_if(
             id,
             version,
             &global_map::encode_owners(&rotated),
@@ -530,41 +525,28 @@ impl MessengerTransport {
     }
 
     /// Drops the resolved owner for `id` (and the naming client's
-    /// cached record), forcing the next call to re-resolve. On a
-    /// *direct* transport this is a no-op: preset owners are
-    /// configuration, not a cache — there is no naming service to
-    /// re-resolve through, so dropping the record would brick the
-    /// transport after one transient failure; the next call simply
-    /// retries the configured address.
+    /// cached record), forcing the next call to re-resolve. A
+    /// [`Self::preset_owner`] record stays: there may be no naming
+    /// record to re-resolve to, and dropping it would brick the id
+    /// after one transient failure.
     pub fn invalidate(&self, id: EbbId) {
-        let Some(map) = &self.map else { return };
-        let dropped = matches!(
-            self.owners.borrow_mut().remove(&id.0),
-            Some(OwnerState::Resolved(_))
-        );
-        if dropped {
+        let mut owners = self.owners.borrow_mut();
+        if let Some(OwnerState::Resolved(rec)) = owners.get(&id.0) {
+            if rec.version == PRESET_VERSION {
+                return;
+            }
             self.invalidations.set(self.invalidations.get() + 1);
         }
-        map.invalidate(id);
+        owners.remove(&id.0);
+        drop(owners);
+        self.map.invalidate(id);
     }
 
     /// Starts (or observes) the GlobalIdMap lookup for `id`; queued
     /// calls flush when it lands.
     fn begin_resolve(&self, id: EbbId) {
-        let Some(map) = &self.map else {
-            // No naming service and no preset record: fail whatever
-            // queued.
-            let queued = match self.owners.borrow_mut().remove(&id.0) {
-                Some(OwnerState::Resolving(q)) => q,
-                _ => Vec::new(),
-            };
-            for call in queued {
-                (call.reply)(Err(RemoteError::Unresolved));
-            }
-            return;
-        };
         let weak = Weak::clone(&self.weak);
-        map.get_versioned(id, move |record| {
+        self.map.get_versioned(id, move |record| {
             let Some(t) = weak.upgrade() else { return };
             let resolved = record.and_then(|(version, data)| {
                 global_map::decode_owners(&data).map(|owners| OwnerRecord { version, owners })
@@ -652,9 +634,9 @@ impl RemoteTransport for MessengerTransport {
 
 /// Registers the owner-side messenger handler for `id`: each inbound
 /// request payload is turned into a response chain by `serve` and sent
-/// back correlated by rpc id. The raw (non-Ebb) form — services with
-/// their own machine-wide state (the FileSystem server, the naming
-/// service) use it directly.
+/// back correlated by rpc id. The raw (non-Ebb) form, for the naming
+/// service alone: it is what the transport resolves every other id
+/// *through*, so it cannot itself be reached through the transport.
 pub fn export_raw(
     messenger: &Rc<Messenger>,
     id: EbbId,

@@ -1,7 +1,7 @@
 use super::*;
 use crate::global_map::GlobalIdMapServer;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{MulticoreEbb, RemoteResult, RemoteShipper};
+use ebbrt_core::ebb::{EbbManager, MulticoreEbb, RemoteResult, RemoteShipper};
 use ebbrt_core::iobuf::Buf;
 use ebbrt_net::Lan;
 use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
@@ -27,13 +27,16 @@ impl MulticoreEbb for CounterEbb {
             kind: Kind::Local(Arc::clone(root)),
         }
     }
-}
-impl DistributedEbb for CounterEbb {
-    fn create_proxy(shipper: RemoteShipper, _: CoreId) -> Self {
-        CounterEbb {
-            kind: Kind::Proxy(shipper),
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        match ebbs.root::<Self>(id) {
+            Some(root) => Self::create_rep(&root, core),
+            None => CounterEbb {
+                kind: Kind::Proxy(ebbs.shipper(core, id)),
+            },
         }
     }
+}
+impl DistributedEbb for CounterEbb {
     fn handle_remote(&self, _payload: Chain<IoBuf>, respond: impl FnOnce(Chain<IoBuf>) + 'static) {
         match &self.kind {
             Kind::Local(hits) => {
@@ -133,6 +136,7 @@ fn proxy_resolves_owner_through_global_map_and_ships() {
     on_core0(&c.owner, (map, msgr, rt, h2), move |(map, msgr, rt, h2)| {
         let m2 = Rc::clone(&map);
         map.allocate(move |id| {
+            let id = id.expect("naming service answers");
             rt.ebbs().register_root::<CounterEbb>(id, h2);
             publish::<CounterEbb>(&msgr, &m2, EbbRef::from_id(id), OWNER_IP, |ok| {
                 assert!(ok);
@@ -149,8 +153,7 @@ fn proxy_resolves_owner_through_global_map_and_ships() {
     let got = Rc::new(Cell::new(None));
     let g2 = Rc::clone(&got);
     on_core0(&c.client, g2, move |g2| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g2.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(1)), "shipped to the owner and back");
@@ -164,8 +167,7 @@ fn proxy_resolves_owner_through_global_map_and_ships() {
     let naming_reqs = c.naming_msgr.dispatched.get();
     let g3 = Rc::clone(&got);
     on_core0(&c.client, g3, move |g3| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g3.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g3.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(2)));
@@ -203,7 +205,7 @@ fn calls_shipped_in_one_pass_coalesce_into_one_batch_frame() {
         for _ in 0..3 {
             let g3 = Rc::clone(&g2);
             EbbRef::<CounterEbb>::from_id(id)
-                .with_distributed(|rep| rep.poke(move |r| g3.borrow_mut().push(r)));
+                .with(|rep| rep.poke(move |r| g3.borrow_mut().push(r)));
         }
     });
     c.w.run_to_idle();
@@ -261,10 +263,8 @@ fn batched_sub_call_for_torn_down_id_fails_over_like_a_single_call() {
     let dead_got = Rc::new(Cell::new(None));
     let (l2, d2) = (Rc::clone(&live_got), Rc::clone(&dead_got));
     on_core0(&c.client, (l2, d2), move |(l2, d2)| {
-        EbbRef::<CounterEbb>::from_id(live)
-            .with_distributed(|rep| rep.poke(move |r| l2.set(Some(r))));
-        EbbRef::<CounterEbb>::from_id(dead)
-            .with_distributed(|rep| rep.poke(move |r| d2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(live).with(|rep| rep.poke(move |r| l2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(dead).with(|rep| rep.poke(move |r| d2.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(live_got.get(), Some(Ok(1)), "served sub-call unaffected");
@@ -291,8 +291,7 @@ fn unregistered_id_fails_unresolved_not_hangs() {
     let g2 = Rc::clone(&got);
     let bogus = EbbId((1 << 20) + 999);
     on_core0(&c.client, g2, move |g2| {
-        EbbRef::<CounterEbb>::from_id(bogus)
-            .with_distributed(|rep| rep.poke(move |r| g2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(bogus).with(|rep| rep.poke(move |r| g2.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(
@@ -317,8 +316,7 @@ fn unregistered_id_fails_unresolved_not_hangs() {
     c.w.run_to_idle();
     let g3 = Rc::clone(&got);
     on_core0(&c.client, g3, move |g3| {
-        EbbRef::<CounterEbb>::from_id(bogus)
-            .with_distributed(|rep| rep.poke(move |r| g3.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(bogus).with(|rep| rep.poke(move |r| g3.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(1)), "late registration is found");
@@ -341,7 +339,7 @@ fn naming_service_down_fails_unresolved_not_hangs() {
         // Hand-build a map-backed transport without installing it
         // (the machine already has its real one installed).
         let map = GlobalIdMap::new(&msgr, dead_naming);
-        let t = MessengerTransport::new(&msgr, Some(map));
+        let t = MessengerTransport::new(&msgr, map);
         t.ship(
             id,
             Chain::single(IoBuf::copy_from(b"anyone?")),
@@ -360,20 +358,19 @@ fn naming_service_down_fails_unresolved_not_hangs() {
 }
 
 #[test]
-fn direct_transport_survives_owner_failures() {
-    // A direct (map-less) transport's preset owner is configuration,
-    // not a cache: a failed call must NOT strip it — the next call
-    // retries the configured address instead of resolving to
-    // Unresolved forever.
+fn preset_owner_survives_owner_failures() {
+    // A preset owner is configuration, not a cache: a failed call must
+    // NOT strip it — the next call retries the configured address
+    // instead of going to a naming service that has no record for the
+    // id and resolving to Unresolved forever.
     let c = cluster();
     let dead_owner = Ipv4Addr([10, 0, 0, 89]);
     let id = EbbId((1 << 20) + 44);
     let got = Rc::new(RefCell::new(Vec::new()));
     let g2 = Rc::clone(&got);
-    let msgr = Rc::clone(&c.client_msgr);
-    on_core0(&c.client, (msgr, g2), move |(msgr, g2)| {
-        let t = MessengerTransport::direct(&msgr);
-        t.preset_owner(id, dead_owner);
+    c.client_transport.preset_owner(id, dead_owner);
+    let t = Rc::clone(&c.client_transport);
+    on_core0(&c.client, (t, g2), move |(t, g2)| {
         let g3 = Rc::clone(&g2);
         let t2 = Rc::clone(&t);
         t.ship(
@@ -391,11 +388,12 @@ fn direct_transport_survives_owner_failures() {
                 );
             }),
         );
-        std::mem::forget(t);
     });
     c.w.run_to_idle();
     let got = got.borrow();
     assert_eq!(got.len(), 2, "both calls must resolve");
+    assert_eq!(c.client_transport.resolved_primary(id), Some(dead_owner));
+    assert_eq!(c.client_transport.invalidations.get(), 0);
     for r in got.iter() {
         assert!(
             matches!(r, Err(RemoteError::Unreachable) | Err(RemoteError::Timeout)),
@@ -425,8 +423,7 @@ fn owner_teardown_mid_call_times_out_without_leaks() {
     let got = Rc::new(Cell::new(None));
     let g2 = Rc::clone(&got);
     on_core0(&c.client, g2, move |g2| {
-        EbbRef::<CounterEbb>::from_id(dead)
-            .with_distributed(|rep| rep.poke(move |r| g2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(dead).with(|rep| rep.poke(move |r| g2.set(Some(r))));
     });
     c.w.run_to_idle();
     let outcome = got.get().expect("the waiter must resolve");
@@ -475,8 +472,7 @@ fn stale_owner_record_recovers_after_restart() {
     let got = Rc::new(Cell::new(None));
     let g2 = Rc::clone(&got);
     on_core0(&c.client, g2, move |g2| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g2.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(1)));
@@ -507,8 +503,7 @@ fn stale_owner_record_recovers_after_restart() {
     c.client_transport.set_timeout(2_000_000);
     let g3 = Rc::clone(&got);
     on_core0(&c.client, g3, move |g3| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g3.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g3.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(
@@ -567,8 +562,7 @@ fn replicated_record_promotes_standby_inside_the_call() {
     let got = Rc::new(Cell::new(None));
     let g2 = Rc::clone(&got);
     on_core0(&c.client, g2, move |g2| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g2.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g2.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(1)), "primary serves in steady state");
@@ -585,8 +579,7 @@ fn replicated_record_promotes_standby_inside_the_call() {
     c.client_transport.set_timeout(2_000_000);
     let g3 = Rc::clone(&got);
     on_core0(&c.client, g3, move |g3| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g3.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g3.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(
@@ -606,8 +599,7 @@ fn replicated_record_promotes_standby_inside_the_call() {
     let retries_before = c.client_transport.retries.get();
     let g4 = Rc::clone(&got);
     on_core0(&c.client, g4, move |g4| {
-        EbbRef::<CounterEbb>::from_id(id)
-            .with_distributed(|rep| rep.poke(move |r| g4.set(Some(r))));
+        EbbRef::<CounterEbb>::from_id(id).with(|rep| rep.poke(move |r| g4.set(Some(r))));
     });
     c.w.run_to_idle();
     assert_eq!(got.get(), Some(Ok(102)));
@@ -616,21 +608,20 @@ fn replicated_record_promotes_standby_inside_the_call() {
 }
 
 /// An Ebb whose owner records every request payload it is handed.
-struct RecorderEbb(Option<Arc<RecorderRoot>>);
+/// Root-only policy: it is addressed through the transport directly and
+/// has no proxy flavor.
+struct RecorderEbb(Arc<RecorderRoot>);
 type RecorderRoot = std::sync::Mutex<Vec<Vec<u8>>>;
 impl MulticoreEbb for RecorderEbb {
     type Root = RecorderRoot;
     fn create_rep(root: &Arc<Self::Root>, _: CoreId) -> Self {
-        RecorderEbb(Some(Arc::clone(root)))
+        RecorderEbb(Arc::clone(root))
     }
 }
 impl DistributedEbb for RecorderEbb {
-    fn create_proxy(_: RemoteShipper, _: CoreId) -> Self {
-        RecorderEbb(None)
-    }
     fn handle_remote(&self, payload: Chain<IoBuf>, respond: impl FnOnce(Chain<IoBuf>) + 'static) {
-        let log = self.0.as_ref().expect("a proxy was asked to serve");
-        log.lock()
+        self.0
+            .lock()
             .unwrap()
             .push(payload.iter().flat_map(|s| s.bytes().to_vec()).collect());
         respond(wire::WireWriter::op(1).finish());

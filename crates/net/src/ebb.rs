@@ -5,7 +5,7 @@ use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbRef, MulticoreEbb, SystemEbb};
+use ebbrt_core::ebb::{not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, SystemEbb};
 use ebbrt_core::runtime;
 
 use crate::netif::NetIf;
@@ -37,10 +37,14 @@ impl NetIfEbb {
 }
 
 impl MulticoreEbb for NetIfEbb {
-    type Root = ();
+    type Root = NoRoot;
 
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!("NetIfEbb reps are installed by NetIf::attach, not faulted ({core})")
+    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
+        match **root {}
+    }
+
+    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        not_installed(id, core, "NetIf::attach")
     }
 }
 

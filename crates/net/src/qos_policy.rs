@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbRef, MulticoreEbb, SystemEbb};
+use ebbrt_core::ebb::{not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, SystemEbb};
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{self, ClassId, CounterHandle, FairScheduler, QosConfig, MAX_CLASSES};
@@ -171,10 +171,14 @@ pub struct QosEbb {
 }
 
 impl MulticoreEbb for QosEbb {
-    type Root = ();
+    type Root = NoRoot;
 
-    fn create_rep(_: &Arc<()>, core: CoreId) -> Self {
-        unreachable!("QosEbb reps are installed by NetIf::install_qos, not faulted ({core})")
+    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
+        match **root {}
+    }
+
+    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        not_installed(id, core, "NetIf::install_qos")
     }
 }
 

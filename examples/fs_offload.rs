@@ -1,11 +1,11 @@
 //! Function offload: a native instance using the hosted FileSystem Ebb.
 //!
-//! Reproduces §4.3's structure: a *hosted* machine (Linux profile) runs
-//! the FileSystem server; a *native* EbbRT instance calls `read`/
-//! `write`/`stat` through the FileSystem Ebb, whose representative
-//! function-ships each call over the messenger. The caching
-//! representative then shows the optimization the paper leaves as
-//! future work.
+//! Reproduces §4.3's structure: a *hosted* machine (Linux profile)
+//! owns the FileSystem Ebb's root; a *native* EbbRT instance calls
+//! `read`/`write`/`stat` through the same `fs_ref()`, where the first
+//! call faults in a representative that function-ships each call over
+//! the messenger. The caching representative then shows the
+//! optimization the paper leaves as future work.
 //!
 //! Run with: `cargo run --example fs_offload`
 
@@ -14,8 +14,10 @@ use std::rc::Rc;
 
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_hosted::fs::{CachingFsClient, FsClient, FsServer};
+use ebbrt_hosted::fs::{fs_ref, CachingFsClient, FsServer, FS_EBB_ID};
+use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
+use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_net::Lan;
 use ebbrt_sim::CostProfile;
@@ -27,7 +29,7 @@ fn main() {
 
     // The hosted side: a process on a general-purpose OS.
     let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let (_hosted, h_if) = lan.machine("hosted", 1, CostProfile::linux_vm(), [0x01; 6], hosted_ip);
+    let (hosted, h_if) = lan.machine("hosted", 1, CostProfile::linux_vm(), [0x01; 6], hosted_ip);
 
     // The native library OS instance.
     let (native, n_if) = lan.machine("native", 2, vm(), [0x02; 6], Ipv4Addr::new(10, 0, 0, 2));
@@ -38,8 +40,26 @@ fn main() {
     let server = FsServer::start(&h_msgr);
     server.put("/etc/app.conf", b"threads=4\nport=11211\n".to_vec());
 
-    let client = FsClient::new(&n_msgr, hosted_ip);
-    let caching = CachingFsClient::new(Rc::clone(&client));
+    // The native instance is booted with the hosted address: its
+    // transport reaches the filesystem's owner there.
+    let transport = MessengerTransport::install(&n_msgr, GlobalIdMap::new(&n_msgr, hosted_ip));
+    transport.preset_owner(FS_EBB_ID, hosted_ip);
+    let caching = Rc::new(CachingFsClient::default());
+
+    // One call site, two machines: the owner's representative answers
+    // in place, the native one function-ships.
+    let stat = |who: &'static str| {
+        move || {
+            fs_ref().with(|fs| {
+                fs.stat("/etc/app.conf", move |size| {
+                    println!("  stat from the {who} machine: {size:?}");
+                })
+            })
+        }
+    };
+    hosted.spawn_local(CoreId(0), stat("hosted"));
+    native.spawn_local(CoreId(1), stat("native"));
+    w.run_to_idle();
 
     println!("offloading filesystem access from the native instance...");
     let t0 = Rc::new(Cell::new(0u64));
@@ -77,7 +97,7 @@ fn main() {
 
     println!(
         "server handled {} RPCs; caching rep hit {} time(s)",
-        server.requests.get(),
+        server.requests(),
         caching.hits.get()
     );
     println!("(the naive client of §4.3 would have paid the round trip every time)");

@@ -11,8 +11,10 @@ use ebbrt_apps::spawn_with;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_hosted::fs::{FsClient, FsServer};
+use ebbrt_hosted::fs::{fs_ref, FsServer, FS_EBB_ID};
+use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
+use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_net::Lan;
 use ebbrt_sim::CostProfile;
@@ -58,14 +60,17 @@ fn full_cluster_deployment() {
     let n1_msgr = Messenger::start(&n1_if);
     let fs_server = FsServer::start(&h_msgr);
     fs_server.put("/srv/memcached.conf", b"max_keys=4096".to_vec());
-    let fs = FsClient::new(&n1_msgr, hosted_ip);
+    MessengerTransport::install(&n1_msgr, GlobalIdMap::new(&n1_msgr, hosted_ip))
+        .preset_owner(FS_EBB_ID, hosted_ip);
     let config_read = Rc::new(Cell::new(false));
     {
         let c = Rc::clone(&config_read);
-        spawn_with(&native1, CoreId(0), fs, move |fs| {
-            fs.read("/srv/memcached.conf", move |data| {
-                assert_eq!(data.as_deref(), Some(b"max_keys=4096".as_slice()));
-                c.set(true);
+        spawn_with(&native1, CoreId(0), (), move |()| {
+            fs_ref().with(|fs| {
+                fs.read("/srv/memcached.conf", move |data| {
+                    assert_eq!(data.as_deref(), Some(b"max_keys=4096".as_slice()));
+                    c.set(true);
+                })
             });
         });
     }
