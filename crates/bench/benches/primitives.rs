@@ -1,6 +1,6 @@
 //! Microbenchmarks of the remaining core primitives: IOBuf chain
-//! operations, RCU hash map reads vs a locked map, futures fast path,
-//! and event spawn/dispatch — the "fine-grained decomposition without
+//! operations, RCU hash map reads vs a locked map, and event
+//! spawn/dispatch — the "fine-grained decomposition without
 //! loss of performance" claim (§3).
 
 use std::sync::Arc;
@@ -8,7 +8,6 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::{self, CoreId};
-use ebbrt_core::future;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::rcu::RcuDomain;
 use ebbrt_core::rcu_hash::RcuHashMap;
@@ -63,27 +62,6 @@ fn bench_rcu_map(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_futures(c: &mut Criterion) {
-    let mut g = c.benchmark_group("futures");
-    g.bench_function("ready_then_synchronous", |b| {
-        b.iter(|| {
-            future::ready(black_box(1u64))
-                .map(|v| v + 1)
-                .try_take()
-                .ok()
-        })
-    });
-    g.bench_function("promise_then_fulfil", |b| {
-        b.iter(|| {
-            let (p, f) = future::promise::<u64>();
-            let out = f.map(|v| v + 1);
-            p.set_value(black_box(41));
-            out.try_take().ok()
-        })
-    });
-    g.finish();
-}
-
 fn bench_events(c: &mut Criterion) {
     use ebbrt_core::event::EventManager;
     use ebbrt_core::rcu::CoreEpoch;
@@ -103,11 +81,5 @@ fn bench_events(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_iobuf,
-    bench_rcu_map,
-    bench_futures,
-    bench_events
-);
+criterion_group!(benches, bench_iobuf, bench_rcu_map, bench_events);
 criterion_main!(benches);

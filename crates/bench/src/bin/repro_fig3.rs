@@ -63,7 +63,10 @@ fn run_ebbrt(ncores: usize) -> f64 {
                 f
             })
             .collect();
-        let results = ebbrt_core::event::block_on(ebbrt_core::future::join_all(futures)).unwrap();
+        let results: Vec<f64> = futures
+            .into_iter()
+            .map(ebbrt_core::event::block_on)
+            .collect();
         results.iter().sum::<f64>() / results.len() as f64
     })
 }

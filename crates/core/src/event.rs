@@ -21,8 +21,9 @@
 //! Cooperative blocking (§3.2 "save and restore event state"): an event
 //! may [`EventManager::save_context`], which suspends its stack, hands
 //! the event loop to a successor thread, and resumes when another event
-//! [`EventContext::activate`]s it. [`block_on`] packages this into
-//! blocking semantics over [`crate::future::Future`].
+//! [`EventContext::activate`]s it. [`block_on`] is the one way to wait
+//! on a [`crate::future::Future`] with it: on a native core it suspends
+//! the event this way; on a plain thread it parks the thread.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
@@ -37,7 +38,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::clock::{Clock, Ns, DEFAULT_TIMER_TICK_SHIFT};
 use crate::cpu::{self, CoreId};
-use crate::future::{FutResult, Future};
+use crate::future::Future;
 use crate::timer::{TimerWheel, TimerWheelStats};
 
 pub use crate::timer::TimerToken;
@@ -834,7 +835,8 @@ impl EventManager {
     /// # Panics
     ///
     /// Panics if called off the owning core or on a backend without a
-    /// successor spawner (the simulated backend — use futures there).
+    /// successor spawner (the simulated backend, where a core is one step
+    /// of a single-threaded simulation — continue in a callback there).
     pub fn save_context(&self, setup: impl FnOnce(EventContext)) {
         assert_eq!(
             cpu::try_current(),
@@ -960,34 +962,24 @@ impl EventContext {
     }
 }
 
-/// Blocks the current *event* (not the thread) until `fut` completes,
-/// using context save/restore; outside an event loop it falls back to
-/// thread blocking. This provides the Go-like concurrency model the
-/// paper layers over events.
-pub fn block_on<T: Send + 'static>(fut: Future<T>) -> FutResult<T> {
-    // Fast path: already complete.
-    let fut = match fut.try_take() {
-        Ok(r) => return r,
-        Err(f) => f,
-    };
-    let on_core = cpu::try_current().is_some() && crate::runtime::is_entered();
-    if !on_core {
-        return fut.block();
-    }
-    let result: Arc<Mutex<Option<FutResult<T>>>> = Arc::new(Mutex::new(None));
-    let result2 = Arc::clone(&result);
-    crate::runtime::with_current(|rt| {
-        let em = rt.event_manager(cpu::current());
-        em.save_context(move |ctx| {
-            fut.then(move |ff| {
-                *result2.lock() = Some(ff.get());
-                ctx.activate();
-                Ok(())
-            });
+/// Blocks the current *event* (not the thread) until `fut` is fulfilled
+/// and returns its value — the Go-like model the paper layers over
+/// events. A fulfilled future returns at once. Pending, it suspends the
+/// event through [`EventManager::save_context`] on an entered core, and
+/// parks the thread anywhere else.
+///
+/// # Panics
+///
+/// Pending on a simulated core, which cannot suspend an event (see
+/// [`EventManager::save_context`]).
+pub fn block_on<T>(fut: Future<T>) -> T {
+    if fut.is_pending() && cpu::try_current().is_some() && crate::runtime::is_entered() {
+        crate::runtime::with_current(|rt| {
+            rt.event_manager(cpu::current())
+                .save_context(|ctx| fut.resume_when_set(ctx));
         });
-    });
-    let r = result.lock().take();
-    r.expect("context resumed without a result")
+    }
+    fut.wait()
 }
 
 #[cfg(test)]

@@ -1,85 +1,28 @@
-//! Monadic futures (§3.5 of the paper).
+//! The one-shot promise/future pair [`crate::event::block_on`] waits on.
 //!
-//! EbbRT's futures differ from `std::future` in exactly the ways the
-//! paper calls out:
-//!
-//! * [`Future::then`] applies a continuation and returns a *new* future
-//!   for the continuation's result (the monadic bind), instead of
-//!   requiring a poll-based executor.
-//! * If the value is already available, the continuation runs
-//!   **synchronously in the caller's context** — the ARP-cache-hit fast
-//!   path of Figure 2 pays no deferral cost.
-//! * Errors ("exceptions") flow through a chain of `then`s untouched
-//!   until some continuation actually inspects them, mirroring stack
-//!   unwinding in synchronous code.
-//!
-//! A continuation receives a [`Fulfilled`] future and calls
-//! [`Fulfilled::get`] to retrieve `Result<T, Error>`, exactly like the
-//! paper's `f.Get()` which may rethrow.
+//! The paper's §3.5 futures promise two things: a continuation runs
+//! synchronously when its value is already there (Figure 2's ARP hit),
+//! and an error reaches the final consumer. Every product async path
+//! here delivers both through callbacks — `ArpCache::find` continues in
+//! the caller on a hit and hands `ArpTimeout` to every queued waiter;
+//! `Messenger::call_chain` and `RemoteShipper::call` run their
+//! continuation exactly once with a `Result`. What remains of the future
+//! is §3.2's blocking: an event (or a plain thread) that must wait for a
+//! value another core or thread produces. So a [`Future`] has no methods;
+//! `block_on` is its only consumer, and a value that can fail carries its
+//! own `Result`.
 
-use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-/// The error ("exception") type carried by failed futures.
-///
-/// Cheap to clone so one failure can propagate down multiple chains.
-#[derive(Clone)]
-pub struct Error(Arc<dyn std::error::Error + Send + Sync>);
-
-impl Error {
-    /// Wraps any error type.
-    pub fn new<E: std::error::Error + Send + Sync + 'static>(e: E) -> Self {
-        Error(Arc::new(e))
-    }
-
-    /// Creates an error from a message string.
-    pub fn msg(m: impl Into<String>) -> Self {
-        Error(Arc::new(StringError(m.into())))
-    }
-
-    /// Returns the underlying error for inspection.
-    pub fn inner(&self) -> &(dyn std::error::Error + Send + Sync) {
-        &*self.0
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl fmt::Debug for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "future::Error({})", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-#[derive(Debug)]
-struct StringError(String);
-
-impl fmt::Display for StringError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for StringError {}
-
-/// Result alias used throughout the futures module.
-pub type FutResult<T> = Result<T, Error>;
+use crate::event::EventContext;
 
 enum State<T> {
-    /// No value yet; optional registered continuation.
-    Pending(Option<Box<dyn FnOnce(FutResult<T>) + Send>>),
-    /// Value produced but not yet consumed.
-    Ready(FutResult<T>),
-    /// Value was handed to a continuation or taken by `block`.
-    Consumed,
+    /// No value yet; the suspended event to resume when it arrives.
+    Pending(Option<EventContext>),
+    Ready(T),
+    Taken,
 }
 
 struct Shared<T> {
@@ -87,19 +30,12 @@ struct Shared<T> {
     cv: Condvar,
 }
 
-/// A value of type `T` that may not have been produced yet.
-///
-/// Futures are single-consumer: each future is consumed by exactly one
-/// `then`/`block`/`try_take` call, which matches EbbRT's C++ move-only
-/// `Future`.
-pub struct Future<T> {
-    shared: Arc<Shared<T>>,
-}
+/// A value of type `T` that may not have been produced yet. Consumed by
+/// [`crate::event::block_on`].
+pub struct Future<T>(Arc<Shared<T>>);
 
 /// The producing side of a [`Future`].
-pub struct Promise<T> {
-    shared: Arc<Shared<T>>,
-}
+pub struct Promise<T>(Arc<Shared<T>>);
 
 /// Creates a connected promise/future pair.
 pub fn promise<T>() -> (Promise<T>, Future<T>) {
@@ -107,402 +43,77 @@ pub fn promise<T>() -> (Promise<T>, Future<T>) {
         state: Mutex::new(State::Pending(None)),
         cv: Condvar::new(),
     });
-    (
-        Promise {
-            shared: Arc::clone(&shared),
-        },
-        Future { shared },
-    )
+    (Promise(Arc::clone(&shared)), Future(shared))
 }
 
-/// Returns a future that is already fulfilled with `value`
-/// (the paper's `MakeReadyFuture`).
-pub fn ready<T>(value: T) -> Future<T> {
-    Future {
-        shared: Arc::new(Shared {
-            state: Mutex::new(State::Ready(Ok(value))),
-            cv: Condvar::new(),
-        }),
-    }
-}
-
-/// Returns a future that has already failed with `err`.
-pub fn failed<T>(err: Error) -> Future<T> {
-    Future {
-        shared: Arc::new(Shared {
-            state: Mutex::new(State::Ready(Err(err))),
-            cv: Condvar::new(),
-        }),
-    }
-}
-
-impl<T: Send + 'static> Promise<T> {
-    /// Fulfills the future with a value, synchronously invoking the
-    /// registered continuation if there is one.
-    pub fn set_value(self, value: T) {
-        self.complete(Ok(value));
-    }
-
-    /// Fails the future with an error.
-    pub fn set_error(self, err: Error) {
-        self.complete(Err(err));
-    }
-
-    /// Completes the future with `result`.
+impl<T> Promise<T> {
+    /// Fulfils the future, waking the thread or resuming the event that
+    /// blocks on it.
     ///
     /// # Panics
     ///
-    /// Panics if the future was already completed (promises are consumed
-    /// by completion, so this can only happen through a logic error
-    /// involving mem::forget-style shenanigans).
-    pub fn complete(self, result: FutResult<T>) {
-        let callback = {
-            let mut state = self.shared.state.lock();
-            match std::mem::replace(&mut *state, State::Consumed) {
-                State::Pending(cb) => match cb {
-                    Some(cb) => Some(cb),
-                    None => {
-                        *state = State::Ready(result);
-                        self.shared.cv.notify_all();
-                        return;
-                    }
-                },
-                State::Ready(_) | State::Consumed => {
-                    panic!("promise completed twice")
-                }
-            }
+    /// Panics if the future was already fulfilled (only reachable through
+    /// a duplicated promise).
+    pub fn set_value(self, value: T) {
+        let waiter = match std::mem::replace(&mut *self.0.state.lock(), State::Ready(value)) {
+            State::Pending(waiter) => waiter,
+            State::Ready(_) | State::Taken => panic!("promise completed twice"),
         };
-        // Run the continuation outside the lock: it may itself create and
-        // complete further futures.
-        if let Some(cb) = callback {
-            cb(result);
+        self.0.cv.notify_one();
+        if let Some(ctx) = waiter {
+            ctx.activate();
         }
     }
 }
 
-/// A fulfilled future handed to a `then` continuation.
-///
-/// Calling [`get`](Fulfilled::get) retrieves the value or the propagated
-/// error — the analogue of the paper's `Future::Get` which may rethrow.
-pub struct Fulfilled<T> {
-    result: FutResult<T>,
-}
-
-impl<T> Fulfilled<T> {
-    /// Retrieves the value or error.
-    pub fn get(self) -> FutResult<T> {
-        self.result
+impl<T> Future<T> {
+    pub(crate) fn is_pending(&self) -> bool {
+        matches!(*self.0.state.lock(), State::Pending(_))
     }
 
-    /// Returns `true` if the future holds an error.
-    pub fn is_err(&self) -> bool {
-        self.result.is_err()
-    }
-}
-
-impl<T: Send + 'static> Future<T> {
-    /// Applies `f` to the fulfilled future, returning a future for `f`'s
-    /// result.
-    ///
-    /// If this future is already fulfilled, `f` runs synchronously before
-    /// `then` returns (the cached-ARP-entry fast path). Otherwise `f`
-    /// runs in whatever context completes the promise.
-    ///
-    /// If `f` returns `Err`, or if this future failed and `f` forwards
-    /// the error out of `get`, the returned future fails.
-    pub fn then<U, F>(self, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(Fulfilled<T>) -> FutResult<U> + Send + 'static,
-    {
-        let (p, fut) = promise::<U>();
-        self.consume(move |result| {
-            p.complete(f(Fulfilled { result }));
-        });
-        fut
-    }
-
-    /// Monadic bind for continuations that are themselves asynchronous:
-    /// `f` returns a `Future<U>` and the result future completes when the
-    /// inner future does. Equivalent to `then(..).flatten()` in the
-    /// paper's C++ implementation.
-    pub fn flat_then<U, F>(self, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(Fulfilled<T>) -> Future<U> + Send + 'static,
-    {
-        let (p, fut) = promise::<U>();
-        self.consume(move |result| {
-            f(Fulfilled { result }).consume(move |inner| p.complete(inner));
-        });
-        fut
-    }
-
-    /// Shorthand for a continuation that only handles the success case;
-    /// errors propagate automatically (the paper's dominant usage: only
-    /// the *final* `Then` must handle the error).
-    pub fn map<U, F>(self, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        self.then(move |ff| ff.get().map(f))
-    }
-
-    /// Returns the result if the future is already fulfilled.
-    pub fn try_take(self) -> Result<FutResult<T>, Future<T>> {
-        let taken = {
-            let mut state = self.shared.state.lock();
-            match std::mem::replace(&mut *state, State::Consumed) {
-                State::Ready(r) => Some(r),
-                old @ State::Pending(_) => {
-                    *state = old;
-                    None
-                }
-                State::Consumed => panic!("future consumed twice"),
-            }
-        };
-        match taken {
-            Some(r) => Ok(r),
-            None => Err(self),
+    /// Activates `ctx` once the value is set — at once if it already is.
+    pub(crate) fn resume_when_set(&self, ctx: EventContext) {
+        match &mut *self.0.state.lock() {
+            State::Pending(waiter) => *waiter = Some(ctx),
+            _ => ctx.activate(),
         }
     }
 
-    /// Returns `true` if the future has been fulfilled (value or error)
-    /// and not yet consumed.
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.shared.state.lock(), State::Ready(_))
-    }
-
-    /// Blocks the calling *thread* until the future completes.
-    ///
-    /// This is for hosted/test contexts only. Inside the native event
-    /// loop, blocking the thread would stall the core; use
-    /// [`crate::event::EventManager`]'s context save/restore (which
-    /// `crate::event::block_on` wraps) instead.
-    pub fn block(self) -> FutResult<T> {
-        let mut state = self.shared.state.lock();
+    /// Takes the value, parking the thread until it is set.
+    pub(crate) fn wait(self) -> T {
+        let mut state = self.0.state.lock();
         loop {
-            match std::mem::replace(&mut *state, State::Consumed) {
-                State::Ready(r) => return r,
-                old @ State::Pending(_) => {
-                    *state = old;
-                    self.shared.cv.wait(&mut state);
-                }
-                State::Consumed => panic!("future consumed twice"),
+            match std::mem::replace(&mut *state, State::Taken) {
+                State::Ready(value) => return value,
+                pending => *state = pending,
             }
+            self.0.cv.wait(&mut state);
         }
     }
-
-    /// Registers `cb` to run with the result; runs synchronously if
-    /// already fulfilled.
-    fn consume(self, cb: impl FnOnce(FutResult<T>) + Send + 'static) {
-        let immediate = {
-            let mut state = self.shared.state.lock();
-            match std::mem::replace(&mut *state, State::Consumed) {
-                State::Ready(r) => Some(r),
-                State::Pending(existing) => {
-                    assert!(existing.is_none(), "future consumed twice");
-                    *state = State::Pending(Some(Box::new(cb)));
-                    return;
-                }
-                State::Consumed => panic!("future consumed twice"),
-            }
-        };
-        if let Some(r) = immediate {
-            cb(r);
-        }
-    }
-}
-
-impl<T: Send + 'static> Future<Future<T>> {
-    /// Collapses a `Future<Future<T>>` into a `Future<T>`.
-    pub fn flatten(self) -> Future<T> {
-        self.flat_then(|ff| match ff.get() {
-            Ok(inner) => inner,
-            Err(e) => failed(e),
-        })
-    }
-}
-
-/// Completes when every input future has completed; fails with the first
-/// error encountered (in input order of completion inspection).
-pub fn join_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
-    let n = futures.len();
-    if n == 0 {
-        return ready(Vec::new());
-    }
-    let (p, fut) = promise::<Vec<T>>();
-    struct JoinState<T> {
-        results: Vec<Option<FutResult<T>>>,
-        remaining: usize,
-        promise: Option<Promise<Vec<T>>>,
-    }
-    let state = Arc::new(Mutex::new(JoinState {
-        results: (0..n).map(|_| None).collect(),
-        remaining: n,
-        promise: Some(p),
-    }));
-    for (i, f) in futures.into_iter().enumerate() {
-        let state = Arc::clone(&state);
-        f.consume(move |r| {
-            let mut s = state.lock();
-            s.results[i] = Some(r);
-            s.remaining -= 1;
-            if s.remaining == 0 {
-                let promise = s.promise.take().expect("join completed twice");
-                let mut out = Vec::with_capacity(s.results.len());
-                let mut err = None;
-                for slot in s.results.drain(..) {
-                    match slot.expect("missing join result") {
-                        Ok(v) => out.push(v),
-                        Err(e) => {
-                            err.get_or_insert(e);
-                        }
-                    }
-                }
-                drop(s);
-                match err {
-                    None => promise.set_value(out),
-                    Some(e) => promise.set_error(e),
-                }
-            }
-        });
-    }
-    fut
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    #[test]
-    fn ready_then_runs_synchronously() {
-        let ran = Arc::new(AtomicBool::new(false));
-        let ran2 = Arc::clone(&ran);
-        let f = ready(21).then(move |v| {
-            ran2.store(true, Ordering::SeqCst);
-            Ok(v.get()? * 2)
-        });
-        // The continuation must already have run.
-        assert!(ran.load(Ordering::SeqCst));
-        assert_eq!(f.block().unwrap(), 42);
-    }
-
-    #[test]
-    fn pending_then_runs_on_completion() {
-        let (p, f) = promise::<u32>();
-        let out = f.then(|v| Ok(v.get()? + 1));
-        assert!(!out.is_ready());
-        p.set_value(9);
-        assert_eq!(out.block().unwrap(), 10);
-    }
-
-    #[test]
-    fn error_propagates_through_chain() {
-        let (p, f) = promise::<u32>();
-        // Neither intermediate continuation inspects the error, mirroring
-        // Figure 2's discussion: only the final consumer handles it.
-        let out = f.map(|v| v + 1).map(|v| v * 2).then(|ff| match ff.get() {
-            Ok(_) => Ok("value"),
-            Err(e) => {
-                assert!(e.to_string().contains("arp timeout"));
-                Ok("handled")
-            }
-        });
-        p.set_error(Error::msg("arp timeout"));
-        assert_eq!(out.block().unwrap(), "handled");
-    }
-
-    #[test]
-    fn continuation_error_fails_future() {
-        let f = ready(1).then(|_| -> FutResult<u32> { Err(Error::msg("boom")) });
-        assert!(f.block().is_err());
-    }
-
-    #[test]
-    fn flat_then_chains_async() {
-        let (p_inner, f_inner) = promise::<u32>();
-        let out = ready(5).flat_then(move |v| {
-            let base = v.get().unwrap();
-            f_inner.map(move |x| x + base)
-        });
-        assert!(!out.is_ready());
-        p_inner.set_value(100);
-        assert_eq!(out.block().unwrap(), 105);
-    }
-
-    #[test]
-    fn flatten_collapses() {
-        let f: Future<Future<u32>> = ready(ready(7));
-        assert_eq!(f.flatten().block().unwrap(), 7);
-    }
-
-    #[test]
-    fn try_take_pending_returns_future_back() {
-        let (p, f) = promise::<u8>();
-        let f = match f.try_take() {
-            Ok(_) => panic!("should be pending"),
-            Err(f) => f,
-        };
-        p.set_value(3);
-        match f.try_take() {
-            Ok(r) => assert_eq!(r.unwrap(), 3),
-            Err(_) => panic!("should be ready"),
-        }
-    }
+    use crate::event::block_on;
 
     #[test]
     fn block_across_threads() {
+        // An unentered thread waits on the condvar for a value another
+        // thread sets.
         let (p, f) = promise::<String>();
-        let t = std::thread::spawn(move || f.block().unwrap());
+        let t = std::thread::spawn(move || block_on(f));
         std::thread::sleep(std::time::Duration::from_millis(10));
         p.set_value("hello".to_string());
         assert_eq!(t.join().unwrap(), "hello");
     }
 
     #[test]
-    fn join_all_collects_in_order() {
-        let (p1, f1) = promise::<u32>();
-        let (p2, f2) = promise::<u32>();
-        let joined = join_all(vec![f1, ready(2), f2]);
-        p2.set_value(3);
-        p1.set_value(1);
-        assert_eq!(joined.block().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn join_all_empty() {
-        assert_eq!(join_all(Vec::<Future<u32>>::new()).block().unwrap(), vec![]);
-    }
-
-    #[test]
-    fn join_all_propagates_error() {
-        let (p1, f1) = promise::<u32>();
-        let joined = join_all(vec![f1, ready(2)]);
-        p1.set_error(Error::msg("nope"));
-        assert!(joined.block().is_err());
-    }
-
-    #[test]
-    fn failed_future_is_err_immediately() {
-        let f: Future<()> = failed(Error::msg("x"));
-        assert!(f.is_ready());
-        assert!(f.block().is_err());
-    }
-
-    #[test]
     #[should_panic(expected = "completed twice")]
     fn double_complete_panics() {
-        let shared = {
-            let (p, _f) = promise::<u32>();
-            let dup = Promise {
-                shared: Arc::clone(&p.shared),
-            };
-            p.set_value(1);
-            dup
-        };
-        shared.set_value(2);
+        let (p, _f) = promise::<u32>();
+        let dup = Promise(Arc::clone(&p.0));
+        p.set_value(1);
+        dup.set_value(2);
     }
 }

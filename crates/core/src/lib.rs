@@ -9,9 +9,13 @@
 //!   translation table (§3.3).
 //! * [`event`] — one non-preemptive event loop per core, with hardware
 //!   interrupt vectors, spawned synthetic events, idle handlers and
-//!   cooperative context save/restore (§3.2).
-//! * [`future`] — monadic futures with synchronous fast paths and
-//!   exception-style error propagation (§3.5).
+//!   cooperative context save/restore (§3.2), and [`block_on`], the one
+//!   way to wait for a value.
+//! * [`future`] — the one-shot promise/future pair `block_on` waits on.
+//!   §3.5's other promises (a continuation runs synchronously on a ready
+//!   value; an error reaches the final consumer) are kept by the
+//!   product's callbacks: `ArpCache::find`, `Messenger::call_chain`,
+//!   `RemoteShipper::call`.
 //! * [`iobuf`] — zero-copy buffer descriptors with views, headroom and
 //!   scatter/gather chains (§3.6), plus per-core buffer pools
 //!   ([`iobuf::pool`]) that recycle packet-sized regions and counters

@@ -110,7 +110,8 @@ impl NativeMachine {
     /// the machine down when `main` returns, and yields its result.
     ///
     /// `main` runs inside the event loop: it may use Ebbs, spawn events
-    /// on any core, and block on futures via [`crate::event::block_on`].
+    /// on any core, and wait on a [`crate::future::Future`] via
+    /// [`crate::event::block_on`].
     pub fn run<R: Send + 'static>(ncores: usize, main: impl FnOnce() -> R + Send + 'static) -> R {
         let machine = Self::boot(ncores);
         let (tx, rx) = std::sync::mpsc::channel();
@@ -176,7 +177,7 @@ mod tests {
     use super::*;
     use crate::cpu;
     use crate::event::block_on;
-    use crate::future;
+    use crate::future::promise;
     use crate::spinlock::SpinBarrier;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -195,7 +196,7 @@ mod tests {
             let seen = Arc::new(AtomicUsize::new(0));
             let futures: Vec<_> = (0..n)
                 .map(|i| {
-                    let (p, f) = future::promise::<u32>();
+                    let (p, f) = promise::<u32>();
                     let barrier = Arc::clone(&barrier);
                     let seen = Arc::clone(&seen);
                     rt.spawn(CoreId(i as u32), move || {
@@ -208,7 +209,7 @@ mod tests {
                     f
                 })
                 .collect();
-            let cores = block_on(future::join_all(futures)).unwrap();
+            let cores: Vec<u32> = futures.into_iter().map(block_on).collect();
             (cores, seen.load(Ordering::SeqCst))
         });
         let (mut cores, seen) = result;
@@ -221,16 +222,20 @@ mod tests {
     fn block_on_future_completed_by_remote_core() {
         let v = NativeMachine::run(2, || {
             let rt = runtime::current();
-            let (p, f) = future::promise::<&'static str>();
+            let (p, f) = promise::<&'static str>();
             rt.spawn(CoreId(1), move || p.set_value("from core 1"));
-            block_on(f).unwrap()
+            block_on(f)
         });
         assert_eq!(v, "from core 1");
     }
 
     #[test]
     fn block_on_ready_future_is_fast_path() {
-        let v = NativeMachine::run(1, || block_on(future::ready(7)).unwrap());
+        let v = NativeMachine::run(1, || {
+            let (p, f) = promise();
+            p.set_value(7);
+            block_on(f)
+        });
         assert_eq!(v, 7);
     }
 
@@ -238,10 +243,10 @@ mod tests {
     fn block_on_timer_on_same_core() {
         let v = NativeMachine::run(1, || {
             let rt = runtime::current();
-            let (p, f) = future::promise::<u8>();
+            let (p, f) = promise::<u8>();
             rt.local_event_manager()
                 .set_timer(1_000_000, move || p.set_value(9));
-            block_on(f).unwrap()
+            block_on(f)
         });
         assert_eq!(v, 9);
     }
@@ -253,7 +258,7 @@ mod tests {
         // the blocked one.
         let log = NativeMachine::run(1, || {
             let rt = runtime::current();
-            let (p, f) = future::promise::<()>();
+            let (p, f) = promise::<()>();
             let order = Arc::new(Mutex::new(Vec::new()));
             let o2 = Arc::clone(&order);
             rt.spawn(CoreId(0), move || {
@@ -261,7 +266,7 @@ mod tests {
                 p.set_value(());
             });
             order.lock().push("blocking");
-            block_on(f).unwrap();
+            block_on(f);
             order.lock().push("resumed");
             Arc::try_unwrap(order).unwrap().into_inner()
         });
@@ -272,16 +277,16 @@ mod tests {
     fn nested_blocking() {
         let v = NativeMachine::run(2, || {
             let rt = runtime::current();
-            let (p_outer, f_outer) = future::promise::<u32>();
+            let (p_outer, f_outer) = promise::<u32>();
             rt.spawn(CoreId(1), move || {
                 // The remote event itself blocks before completing.
-                let (p_inner, f_inner) = future::promise::<u32>();
+                let (p_inner, f_inner) = promise::<u32>();
                 let rt = runtime::current();
                 rt.spawn(CoreId(0), move || p_inner.set_value(20));
-                let inner = block_on(f_inner).unwrap();
+                let inner = block_on(f_inner);
                 p_outer.set_value(inner + 1);
             });
-            block_on(f_outer).unwrap()
+            block_on(f_outer)
         });
         assert_eq!(v, 21);
     }
@@ -299,10 +304,10 @@ mod tests {
                 if pending == 0 {
                     break;
                 }
-                let (p, f) = future::promise::<()>();
+                let (p, f) = promise::<()>();
                 rt.local_event_manager()
                     .set_timer(1_000_000, move || p.set_value(()));
-                block_on(f).unwrap();
+                block_on(f);
                 pending = domain.pending_count();
             }
             pending
@@ -317,7 +322,7 @@ mod tests {
             let counter = Arc::new(AtomicUsize::new(0));
             let futures: Vec<_> = (0..100)
                 .map(|i| {
-                    let (p, f) = future::promise::<()>();
+                    let (p, f) = promise::<()>();
                     let counter = Arc::clone(&counter);
                     rt.spawn(CoreId(i % 4), move || {
                         counter.fetch_add(1, Ordering::Relaxed);
@@ -326,7 +331,7 @@ mod tests {
                     f
                 })
                 .collect();
-            block_on(future::join_all(futures)).unwrap();
+            futures.into_iter().for_each(block_on);
             counter.load(Ordering::Relaxed)
         });
         assert_eq!(total, 100);

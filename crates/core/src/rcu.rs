@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cpu::CoreId;
-use crate::future::{self, Future};
 use crate::spinlock::SpinLock;
 
 /// Per-core quiescence state. The owning core's event loop bumps
@@ -298,14 +297,6 @@ impl RcuDomain {
         self.retire(CallOnDrop(Some(f)));
     }
 
-    /// Returns a future fulfilled after a grace period elapses (requires
-    /// someone to drive [`Self::try_reclaim`], which the event loops do).
-    pub fn synchronize(&self) -> Future<()> {
-        let (p, f) = future::promise();
-        self.call_rcu(move || p.set_value(()));
-        f
-    }
-
     /// Reclaims everything retired whose grace period has elapsed;
     /// returns how many items that was. Cheap when nothing is pending,
     /// and allocates nothing. Called periodically by event loops and
@@ -548,16 +539,6 @@ mod tests {
         drop(guard);
         domain.try_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn synchronize_future_completes() {
-        let domain = RcuDomain::new(1);
-        let f = domain.synchronize();
-        assert!(!f.is_ready());
-        domain.try_reclaim();
-        assert!(f.is_ready());
-        f.block().unwrap();
     }
 
     #[test]

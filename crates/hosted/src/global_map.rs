@@ -78,10 +78,21 @@ impl GlobalIdMapServer {
         let mut r = WireReader::new(req);
         let mut resp = WireWriter::new();
         match (r.u8(), r.u32()) {
+            // A range is granted only while its exclusive end fits the
+            // id space (the client checks the same bound); after that
+            // every request is refused — wrapping would hand out the
+            // well-known and machine-local ids as "global".
             (Some(OP_ALLOC_RANGE), _) => {
                 let base = self.next_range.get();
-                self.next_range.set(base + RANGE_SIZE);
-                resp.u8(RESP_OK).u32(base).u32(RANGE_SIZE);
+                match base.checked_add(RANGE_SIZE) {
+                    Some(next) => {
+                        self.next_range.set(next);
+                        resp.u8(RESP_OK).u32(base).u32(RANGE_SIZE);
+                    }
+                    None => {
+                        resp.u8(RESP_NO);
+                    }
+                }
             }
             (Some(OP_PUT), Some(id)) => {
                 let mut entries = self.entries.borrow_mut();
@@ -499,6 +510,30 @@ mod tests {
             None,
             "silent"
         );
+    }
+
+    #[test]
+    fn exhausting_the_id_space_refuses_instead_of_wrapping() {
+        let last = u32::MAX - 2 * RANGE_SIZE + 1;
+        let server = GlobalIdMapServer {
+            next_range: Cell::new(last),
+            entries: RefCell::new(HashMap::new()),
+            requests: Cell::new(0),
+        };
+        let alloc = || {
+            let resp = server.handle(&WireWriter::op(OP_ALLOC_RANGE).finish());
+            let mut r = WireReader::new(&resp);
+            (r.u8(), r.u32(), r.u32())
+        };
+        assert_eq!(
+            alloc(),
+            (Some(RESP_OK), Some(last), Some(RANGE_SIZE)),
+            "the last range that fits is granted"
+        );
+        for _ in 0..3 {
+            assert_eq!(alloc(), (Some(RESP_NO), None, None), "then refused");
+        }
+        assert_eq!(server.requests.get(), 4);
     }
 
     #[test]

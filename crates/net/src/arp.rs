@@ -1,16 +1,17 @@
 //! The ARP cache and asynchronous resolution (§3.5's Figure 2 path).
 //!
-//! `ArpFind` resolves an IPv4 address to a MAC. On a cache hit the
-//! continuation runs **synchronously in the caller's context** — the
-//! fast path the paper's monadic futures are designed around. On a miss
-//! the continuation is queued, an ARP request goes out, and the reply
-//! handler drains the waiters.
+//! [`ArpCache::find`] resolves an IPv4 address to a MAC. On a cache hit
+//! the continuation runs **synchronously in the caller's context** — the
+//! fast path the paper's futures are designed around. On a miss the
+//! continuation is queued, an ARP request goes out, and the reply
+//! handler drains the waiters; exhausted retries hand [`ArpTimeout`] to
+//! every one of them, so the error reaches the final consumer.
 //!
 //! (In the C++ system this returns `Future<EthAddr>`; here the
-//! continuation is a direct callback because the per-machine stack is
-//! single-threaded in the simulation backend — the synchronous-on-hit
-//! semantics, which is what Figure 2 demonstrates, is identical and
-//! tested.)
+//! continuation is a direct callback, which keeps both of §3.5's
+//! properties — synchronous on a hit, the error delivered — without a
+//! shared future state per lookup. `arp::tests::hit_is_synchronous` and
+//! `fail_delivers_error_to_all_waiters` pin them.)
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -21,10 +21,13 @@
 //!   interrupts to polling under load and back, exactly as the §3.2
 //!   example describes.
 //!
-//! The `futures` fast path of Figure 2 is reproduced verbatim:
-//! `EthArpSend` resolves the next hop via `ArpFind` returning a
-//! `Future<Mac>`; on a cache hit the continuation — header fill and
-//! transmit — runs synchronously.
+//! Figure 2's path (§3.5) runs on a callback, not a future:
+//! [`arp::ArpCache::find`] continues synchronously on a cache hit —
+//! header fill and transmit run in the caller — and on a miss queues the
+//! continuation, delivering `Ok(mac)` on the reply or
+//! [`arp::ArpTimeout`] to every queued waiter when retries run out. The
+//! other async results in the system are delivered the same way, exactly
+//! once, as a `Result` (`Messenger::call_chain`, `RemoteShipper::call`).
 
 pub mod arp;
 pub mod conn_slab;

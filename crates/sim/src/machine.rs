@@ -398,6 +398,35 @@ mod tests {
     }
 
     #[test]
+    fn block_on_a_fulfilled_promise_returns_at_once() {
+        let w = SimWorld::new();
+        let m = SimMachine::create(&w, "m0", 1, CostProfile::ebbrt_vm(), [1; 6]);
+        let got = SArc::new(AtomicU64::new(0));
+        let g = SArc::clone(&got);
+        m.spawn_on(CoreId(0), move || {
+            let (p, f) = ebbrt_core::future::promise();
+            p.set_value(7);
+            g.store(ebbrt_core::event::block_on(f), Ordering::SeqCst);
+        });
+        w.run_to_idle();
+        assert_eq!(got.load(Ordering::SeqCst), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "requires the threaded backend")]
+    fn block_on_a_pending_promise_panics_naming_the_threaded_backend() {
+        // A simulated core is one step of a single-threaded world: it has
+        // no successor thread to hand its loop to, so it cannot suspend.
+        let w = SimWorld::new();
+        let m = SimMachine::create(&w, "m0", 1, CostProfile::ebbrt_vm(), [1; 6]);
+        m.spawn_on(CoreId(0), || {
+            let (_p, f) = ebbrt_core::future::promise::<u64>();
+            ebbrt_core::event::block_on(f);
+        });
+        w.run_to_idle();
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     fn send_cell_unwrapped_on_another_thread_panics() {
         let cell = SendCell::new(7);

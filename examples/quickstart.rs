@@ -1,6 +1,7 @@
 //! Quickstart: boot an EbbRT machine on the threaded backend and use
-//! the core primitives — events, Ebbs, monadic futures, and the
-//! per-core memory allocator.
+//! the core primitives — events, Ebbs, blocking on a value another core
+//! produces (`promise` + `block_on`), timers, and the per-core memory
+//! allocator.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -60,16 +61,16 @@ fn main() {
                 f
             })
             .collect();
-        for (core, hits) in block_on(future::join_all(futures)).unwrap() {
+        for (core, hits) in futures.into_iter().map(block_on) {
             println!("  {core}: {hits} hits on its own representative");
         }
 
-        // 2. Monadic futures: Then-chaining with a synchronous fast path.
-        println!("\n-- futures: Then-chaining --");
+        // 2. Blocking: this event suspends (its core keeps dispatching
+        //    on a successor thread) until core 1 fulfils the promise.
+        println!("\n-- block_on: a value from another core --");
         let (p, f) = future::promise::<u32>();
-        let chained = f.map(|v| v * 2).map(|v| v + 1);
-        rt.spawn(CoreId(1), move || p.set_value(20));
-        println!("  (20 * 2) + 1 = {}", block_on(chained).unwrap());
+        rt.spawn(CoreId(1), move || p.set_value(20 * 2 + 1));
+        println!("  core 1 computed (20 * 2) + 1 = {}", block_on(f));
 
         // 3. The allocator stack: page → slab → general purpose, with
         //    per-core caches needing no synchronization.
@@ -89,7 +90,7 @@ fn main() {
         let (p, f) = future::promise::<&str>();
         rt.local_event_manager()
             .set_timer(5_000_000, move || p.set_value("timer fired after 5ms"));
-        println!("  {}", block_on(f).unwrap());
+        println!("  {}", block_on(f));
 
         println!("\ndone; shutting the machine down.");
     });

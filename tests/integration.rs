@@ -130,10 +130,7 @@ fn threaded_backend_runs_allocator_stack() {
                 f
             })
             .collect();
-        block_on(future::join_all(futures))
-            .unwrap()
-            .iter()
-            .sum::<usize>()
+        futures.into_iter().map(block_on).sum::<usize>()
     });
     assert_eq!(per_core, ncores * 500);
 }

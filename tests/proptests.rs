@@ -1068,67 +1068,3 @@ mod timer_wheel_props {
         }
     }
 }
-
-mod future_props {
-    use super::*;
-    use ebbrt_repro::core::future;
-
-    proptest! {
-        /// A chain of maps applied to a future equals the same chain
-        /// applied to the value directly, whether the future completes
-        /// before or after the chain is built.
-        #[test]
-        fn then_chain_preserves_value(start in any::<u32>(), adds in prop::collection::vec(any::<u8>(), 0..12), complete_first in any::<bool>()) {
-            let expected = adds.iter().fold(start as u64, |acc, &a| acc + a as u64);
-            let (p, f) = future::promise::<u64>();
-            let build = |mut f: future::Future<u64>| {
-                for &a in &adds {
-                    f = f.map(move |v| v + a as u64);
-                }
-                f
-            };
-            let out = if complete_first {
-                p.set_value(start as u64);
-                build(f)
-            } else {
-                let out = build(f);
-                p.set_value(start as u64);
-                out
-            };
-            prop_assert_eq!(out.block().unwrap(), expected);
-        }
-
-        /// Errors injected at any depth of a chain surface at the end,
-        /// skipping all intermediate maps.
-        #[test]
-        fn error_skips_intermediate_continuations(depth in 0usize..10, fail_at in 0usize..10) {
-            let (p, f) = future::promise::<u64>();
-            let mut fut = f;
-            let ran = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            for i in 0..depth {
-                let ran = std::sync::Arc::clone(&ran);
-                fut = fut.then(move |ff| {
-                    let v = ff.get()?;
-                    ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    if i == fail_at {
-                        Err(future::Error::msg("injected"))
-                    } else {
-                        Ok(v)
-                    }
-                });
-            }
-            p.set_value(1);
-            let result = fut.block();
-            let executed = ran.load(std::sync::atomic::Ordering::SeqCst);
-            if fail_at < depth {
-                prop_assert!(result.is_err());
-                // Continuations after the failure only *observe* the
-                // error (their Ok body is skipped by `?`).
-                prop_assert_eq!(executed, fail_at + 1);
-            } else {
-                prop_assert!(result.is_ok());
-                prop_assert_eq!(executed, depth);
-            }
-        }
-    }
-}
