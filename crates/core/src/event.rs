@@ -251,6 +251,10 @@ struct EmOwned {
     /// so neither vector's capacity is dropped and a steady stream of
     /// one-shots grows nothing.
     idle_once_spare: Vec<EventHandler>,
+    /// The (empty) vector `dispatch_idle` snapshots `idle` into for a
+    /// pass, and gets back afterwards: a polling core's pass clones
+    /// handles, not the vector.
+    idle_spare: Vec<Rc<dyn Fn() -> bool>>,
     next_idle_token: u64,
     timers: TimerWheel<TimerFn>,
     pending_handoff: Option<EventContext>,
@@ -344,6 +348,7 @@ impl EventManager {
                     idle: Vec::new(),
                     idle_once: Vec::new(),
                     idle_once_spare: Vec::new(),
+                    idle_spare: Vec::new(),
                     next_idle_token: 0,
                     timers: {
                         // Stamp the wheel with its core so that, in
@@ -739,9 +744,15 @@ impl EventManager {
             }
             self.owned.with(|o| o.idle_once_spare = once);
         }
-        let handlers = self.owned.with(|o| o.idle.clone());
+        // Persistent handlers run from a snapshot, so one added or
+        // removed by a handler takes effect in the next pass.
+        let mut handlers = self.owned.with(|o| {
+            let mut snapshot = std::mem::take(&mut o.idle_spare);
+            snapshot.extend(o.idle.iter().map(|(_, h)| Rc::clone(h)));
+            snapshot
+        });
         invoked += handlers.len();
-        for (_, h) in &handlers {
+        for h in &handlers {
             let did = {
                 let mut result = false;
                 self.invoke(|| result = h());
@@ -752,6 +763,8 @@ impl EventManager {
             }
             self.stats.idle.fetch_add(1, Ordering::Relaxed);
         }
+        handlers.clear();
+        self.owned.with(|o| o.idle_spare = handlers);
         (invoked, worked)
     }
 

@@ -138,6 +138,39 @@ fn idle_once_queued_by_a_one_shot_runs_in_the_next_pass() {
 }
 
 #[test]
+fn a_polling_cores_idle_pass_calls_no_allocator() {
+    let em = Rc::new(em().0);
+    let _b = cpu::bind(CoreId(0));
+    let polls = Rc::new(Cell::new(0u32));
+    for _ in 0..3 {
+        let p = Rc::clone(&polls);
+        em.add_idle_handler(move || {
+            p.set(p.get() + 1);
+            false
+        });
+    }
+    em.run_once(); // sizes the pass's snapshot
+    let before = test_alloc::thread_calls();
+    for _ in 0..100 {
+        assert_eq!(em.run_once().idle_invoked, 3);
+    }
+    assert_eq!(test_alloc::thread_calls(), before, "100 idle passes");
+    assert_eq!(polls.get(), 303);
+    // A handler that removes itself still ran in its pass and is gone
+    // from the next.
+    let (em2, token) = (Rc::clone(&em), Rc::new(Cell::new(None)));
+    let t2 = Rc::clone(&token);
+    token.set(Some(em.add_idle_handler(move || {
+        em2.remove_idle_handler(t2.get().expect("registered"));
+        true
+    })));
+    assert_eq!(
+        (em.run_once().idle_invoked, em.run_once().idle_invoked),
+        (4, 3)
+    );
+}
+
+#[test]
 fn idle_handler_remove() {
     let (em, _) = em();
     let _b = cpu::bind(CoreId(0));

@@ -4,28 +4,118 @@
 //! [`Buf`] and [`IoBuf`]'s methods.
 
 use std::alloc::Layout;
+use std::cell::RefCell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::NonNull;
 
 use super::{stats, Buf, Cursor, IoBuf};
 
 /// Segments a [`Chain`] holds in its own body before it moves them to
-/// heap storage. Picked by measurement on `perf_ledger`: a chain is
-/// handed over by value about ten times per frame, and with four
-/// 24-byte descriptors it is 120 bytes — a few vector stores, where a
-/// larger body makes every hand-off a `memcpy` call. Six or eight
-/// slots save allocator calls (an 8 KiB value is 6–7 segments) and
-/// cost 10–20 % more host time on both the small-GET and the 8 KiB-SET
-/// workloads; two or three measure the same as four with more calls.
+/// a heap array (its *spine*). Picked by measurement on `perf_ledger`:
+/// a chain is handed over by value about ten times per frame, and with
+/// four 24-byte descriptors it is 120 bytes — a few vector stores,
+/// where a larger body makes every hand-off a `memcpy` call. Six or
+/// eight slots cost 10–20 % more host time on both the small-GET and
+/// the 8 KiB-SET workloads; two or three measure the same as four.
+/// A fifth segment costs no allocator call in steady state: spines
+/// come from, and go back to, a small free list of the thread's own
+/// (§3.4's per-core list on the native backend, where a thread is a
+/// core), so a reply or an 8 KiB value spilling past four segments
+/// reuses the spine the previous one dropped.
 pub const INLINE_SEGS: usize = 4;
 
 /// Distinct backing regions [`Chain::pinned_bytes`] deduplicates
 /// exactly before degrading to an upper bound.
 pub const PINNED_DEDUP_REGIONS: usize = 32;
 
+/// Spines one thread keeps for reuse: the smallest count at which
+/// `perf_ledger`'s workloads stop missing (with 8, `get_pipe` still
+/// makes 0.066 allocator calls per request; with 16, 0.005). All of a
+/// simulated world's machines share the host thread's list.
+pub(super) const SPINE_CACHE: usize = 16;
+
+/// Largest spine, in bytes, the free list keeps: 128 [`IoBuf`] slots.
+/// With [`SPINE_CACHE`] it bounds what a thread pins to 64 KiB; a
+/// larger spine (a backlog of small views) goes back to the allocator.
+/// On `perf_ledger` no cap measures the same, and 512 bytes misses
+/// (`get_pipe` 0.075 calls per request).
+pub(super) const SPINE_CACHE_MAX_BYTES: usize = 4096;
+
+/// A spine with no segments in it, and the layout it was allocated
+/// with. Only [`Spine::take`] allocates one and only dropping a
+/// `Spine` frees one; in between it belongs to a chain or to the
+/// thread's free list.
+struct Spine {
+    ptr: NonNull<u8>,
+    layout: Layout,
+}
+
+impl Drop for Spine {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` was allocated by `Spine::take` with `layout`,
+        // and this `Spine` is its only owner.
+        unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) }
+    }
+}
+
+/// The thread's spare spines, `spines[..len]`. Exact `Layout` match
+/// only: a spine is never resized.
+struct SpineCache {
+    spines: [Option<Spine>; SPINE_CACHE],
+    len: usize,
+}
+
+thread_local! {
+    /// Dropped at thread exit, freeing whatever is cached.
+    static SPINES: RefCell<SpineCache> = const {
+        RefCell::new(SpineCache { spines: [const { None }; SPINE_CACHE], len: 0 })
+    };
+}
+
+impl Spine {
+    /// Memory for a spine of `layout`: a spare of exactly that layout
+    /// from the thread's free list, or fresh from the allocator.
+    fn take(layout: Layout) -> NonNull<u8> {
+        let cached = SPINES
+            .try_with(|c| {
+                let c = &mut *c.borrow_mut();
+                let at = c.spines[..c.len]
+                    .iter()
+                    .rposition(|s| s.as_ref().is_some_and(|s| s.layout == layout))?;
+                c.len -= 1;
+                c.spines.swap(at, c.len);
+                c.spines[c.len].take()
+            })
+            .ok()
+            .flatten();
+        if let Some(spine) = cached {
+            return ManuallyDrop::new(spine).ptr;
+        }
+        assert!(layout.size() > 0, "zero-sized chain segments");
+        // SAFETY: the layout's size is non-zero, checked above.
+        let raw = unsafe { std::alloc::alloc(layout) };
+        NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
+    }
+
+    /// Keeps the spine on the thread's free list; frees it when the list
+    /// is full, the spine is too large to keep, or the thread is exiting.
+    fn recycle(self) {
+        if self.layout.size() > SPINE_CACHE_MAX_BYTES {
+            return;
+        }
+        let _ = SPINES.try_with(|c| {
+            let c = &mut *c.borrow_mut();
+            if c.len < SPINE_CACHE {
+                c.spines[c.len] = Some(self);
+                c.len += 1;
+            }
+        });
+    }
+}
+
 /// Where a chain's slots live: in the chain itself, or — once it has
-/// held more than [`INLINE_SEGS`] segments — in a heap array it keeps
-/// for the rest of its life.
+/// held more than [`INLINE_SEGS`] segments — in a spine it keeps for
+/// the rest of its life.
 union Slots<B> {
     inline: ManuallyDrop<[MaybeUninit<B>; INLINE_SEGS]>,
     heap: NonNull<B>,
@@ -39,10 +129,11 @@ union Slots<B> {
 /// taking from the front ([`Chain::advance`], [`Chain::split_to`],
 /// owning iteration) bumps `head` and moves nothing. The first
 /// [`INLINE_SEGS`] slots are the chain's own body; a longer chain moves
-/// to a heap array and stays there, keeping its capacity when it drains
-/// (e.g. across [`Chain::split_to`] calls), so steady-state descriptor
-/// movement performs no allocations — the hot-path cost the IOBuf
-/// byte/alloc counters do *not* see.
+/// to a spine and stays there, keeping its capacity when it drains
+/// (e.g. across [`Chain::split_to`] calls). Spines are recycled through
+/// a per-thread free list, so steady-state descriptor movement performs
+/// no allocations — the hot-path cost the IOBuf byte/alloc counters do
+/// *not* see.
 pub struct Chain<B: Buf> {
     slots: Slots<B>,
     /// Slots in the array: `INLINE_SEGS` exactly while `slots.inline`
@@ -57,8 +148,8 @@ pub struct Chain<B: Buf> {
     total: usize,
 }
 
-// SAFETY: a chain owns its segments (inline or in its private heap
-// array), like a `Vec<B>`.
+// SAFETY: a chain owns its segments (inline or in its private spine),
+// like a `Vec<B>`.
 unsafe impl<B: Buf + Send> Send for Chain<B> {}
 // SAFETY: as above; `&Chain<B>` only hands out `&B`.
 unsafe impl<B: Buf + Sync> Sync for Chain<B> {}
@@ -85,17 +176,9 @@ impl<B: Buf> Default for Chain<B> {
 impl<B: Buf> Drop for Chain<B> {
     fn drop(&mut self) {
         // SAFETY: `segs_mut` is exactly the initialised slots; they are
-        // not touched again. A heap array was allocated by `regrow`
-        // with this layout.
-        unsafe {
-            std::ptr::drop_in_place(self.segs_mut());
-            if self.spilled() {
-                std::alloc::dealloc(
-                    self.slots.heap.as_ptr().cast(),
-                    Self::heap_layout(self.cap as usize),
-                );
-            }
-        }
+        // not touched again.
+        unsafe { std::ptr::drop_in_place(self.segs_mut()) };
+        self.release_spine();
     }
 }
 
@@ -129,25 +212,45 @@ impl<B: Buf> Chain<B> {
         Layout::array::<B>(cap).expect("chain capacity overflows")
     }
 
+    /// The spine, once the chain has one.
+    #[inline]
+    fn spine(&self) -> Option<NonNull<B>> {
+        if self.spilled() {
+            // SAFETY: `cap` says `heap` is the live field.
+            Some(unsafe { self.slots.heap })
+        } else {
+            None
+        }
+    }
+
     /// First slot of the array.
     #[inline]
     fn base(&self) -> *const B {
-        if self.spilled() {
-            // SAFETY: `cap` says `heap` is the live field.
-            unsafe { self.slots.heap.as_ptr() }
-        } else {
+        match self.spine() {
+            Some(spine) => spine.as_ptr(),
             // `ManuallyDrop` and `MaybeUninit` are transparent over `B`.
-            (&raw const self.slots.inline).cast()
+            None => (&raw const self.slots.inline).cast(),
         }
     }
 
     #[inline]
     fn base_mut(&mut self) -> *mut B {
-        if self.spilled() {
-            // SAFETY: as `base`.
-            unsafe { self.slots.heap.as_ptr() }
-        } else {
-            (&raw mut self.slots.inline).cast()
+        match self.spine() {
+            Some(spine) => spine.as_ptr(),
+            None => (&raw mut self.slots.inline).cast(),
+        }
+    }
+
+    /// Hands the spine, if any, back to the thread's free list. Its
+    /// slots must hold no segment; the chain must not use it again.
+    fn release_spine(&mut self) {
+        if let Some(spine) = self.spine() {
+            let layout = Self::heap_layout(self.cap as usize);
+            Spine {
+                ptr: spine.cast(),
+                layout,
+            }
+            .recycle();
         }
     }
 
@@ -183,37 +286,24 @@ impl<B: Buf> Chain<B> {
         self.cap as usize
     }
 
-    /// Moves the segments into a heap array of `new_cap` slots
-    /// (starting at slot `at`), freeing the previous heap array if
-    /// there was one.
+    /// Moves the segments into a spine of `new_cap` slots (starting at
+    /// slot `at`), releasing the previous spine if there was one.
     fn regrow(&mut self, new_cap: usize, at: usize) {
         let len = self.len as usize;
         assert!(new_cap > INLINE_SEGS && at + len <= new_cap);
         let new_cap32 = u32::try_from(new_cap).expect("chain capacity overflows");
-        let layout = Self::heap_layout(new_cap);
-        assert!(layout.size() > 0, "zero-sized chain segments");
-        // SAFETY: the layout's size is non-zero, checked above.
-        let raw = unsafe { std::alloc::alloc(layout) };
-        let Some(new) = NonNull::new(raw.cast::<B>()) else {
-            std::alloc::handle_alloc_error(layout)
-        };
+        let new = Spine::take(Self::heap_layout(new_cap)).cast::<B>();
         // SAFETY: the `len` live segments are moved (bitwise) into the
-        // fresh array, which has room at `at`; the old slots are then
-        // treated as uninitialised, and an old heap array is released
-        // with the layout it was allocated with.
+        // new spine, which has room at `at`; the old slots are then
+        // treated as uninitialised.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.base().add(self.head as usize),
                 new.as_ptr().add(at),
                 len,
             );
-            if self.spilled() {
-                std::alloc::dealloc(
-                    self.slots.heap.as_ptr().cast(),
-                    Self::heap_layout(self.cap as usize),
-                );
-            }
         }
+        self.release_spine();
         self.slots.heap = new;
         self.cap = new_cap32;
         self.head = at as u32;

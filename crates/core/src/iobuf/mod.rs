@@ -40,7 +40,8 @@
 //! storage and its reference count and is the only file that reads or
 //! writes the count; `buf` owns the two descriptors' windows and reaches
 //! a region only through `RegionRef`'s methods; `chain` owns the slot
-//! array and reaches a segment only through [`IoBuf`]'s methods. Those
+//! array (and the per-thread free list of spilled ones) and reaches a
+//! segment only through [`IoBuf`]'s methods. Those
 //! three hold every `unsafe` block. `cursor`, [`pool`], [`stats`] and
 //! [`wire`] are built on the safe interfaces of the first three and
 //! forbid `unsafe` outright.

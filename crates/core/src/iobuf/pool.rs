@@ -457,33 +457,30 @@ fn schedule_idle_sweep(home: &Arc<PoolRoot>, home_core: CoreId) {
 /// off than the lazy drain it replaces), and the excess goes to
 /// the machine-wide depot, counted as depot migration on the
 /// sweeping core's rep. Runs on `core`, at event-loop idle.
-fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
-    for class in SizeClass::ALL {
-        let i = class.index();
-        let mut drained: Vec<FreeRegion> = {
+///
+/// The mailbox is drained by range under its lock, so it keeps its
+/// capacity and the remote frees behind the sweep push without
+/// regrowing it. Lock order: mailbox, then depot (nothing takes them
+/// the other way round).
+pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
+    with_pool(|p| {
+        for class in SizeClass::ALL {
+            let i = class.index();
             let mut boxes = root.mailboxes[i].lock();
-            match boxes.get_mut(core.index()) {
-                Some(mb) => {
-                    mb.sweep_armed = false;
-                    std::mem::take(&mut mb.regions)
-                }
-                None => continue,
-            }
-        };
-        if drained.is_empty() {
-            continue;
-        }
-        with_pool(|p| {
+            let Some(mb) = boxes.get_mut(core.index()) else {
+                continue;
+            };
+            mb.sweep_armed = false;
+            let parked = &mut mb.regions;
             let mut list = p.classes[i].list.borrow_mut();
-            let keep = class.batch().saturating_sub(list.len()).min(drained.len());
-            let to_depot = drained.split_off(keep);
-            list.extend(drained.drain(..));
-            if !to_depot.is_empty() {
-                add(&p.counters.class_depot_in[i], to_depot.len() as u64);
-                p.root.depots[i].lock().extend(to_depot);
+            let keep = class.batch().saturating_sub(list.len()).min(parked.len());
+            list.extend(parked.drain(..keep));
+            if !parked.is_empty() {
+                add(&p.counters.class_depot_in[i], parked.len() as u64);
+                p.root.depots[i].lock().extend(parked.drain(..));
             }
-        });
-    }
+        }
+    });
 }
 
 /// Free regions of `class` across all of `rt`'s cores plus its

@@ -356,6 +356,39 @@ fn idle_sweep_returns_mailbox_regions_to_depot() {
 }
 
 #[test]
+fn recycle_sweep_recycle_keeps_the_mailbox_vectors() {
+    use crate::runtime;
+    // Home is this thread's ambient pool: with no event loop it arms no
+    // sweep (which would box a callback), so the test runs it itself.
+    let away = test_runtime(1);
+    let class = SizeClass::Large;
+    // Past one refill batch: the sweep tops up the list and feeds the
+    // depot.
+    let n = class.batch() + 4;
+    let mut bufs: Vec<IoBuf> = Vec::with_capacity(n);
+    let mut cycle = || {
+        bufs.extend((0..n).map(|_| MutIoBuf::with_capacity(class.capacity()).freeze()));
+        let (home, core) = runtime::with_context(|rt, core| {
+            let id = crate::ebb::SystemEbb::BufferPool.id();
+            (
+                rt.ebbs().root::<pool::PoolEbb>(id).expect("home pool"),
+                core,
+            )
+        });
+        let before = test_alloc::thread_calls();
+        {
+            let _g = runtime::enter(Arc::clone(&away), CoreId(0));
+            bufs.clear(); // every region posts back to the home mailbox
+        }
+        pool::sweep_mailboxes_to_depot(&home, core);
+        test_alloc::thread_calls() - before
+    };
+    cycle();
+    let calls: Vec<u64> = (0..4).map(|_| cycle()).collect();
+    assert_eq!(calls, [0; 4], "allocator calls per recycle + sweep");
+}
+
+#[test]
 fn runtimes_keep_independent_pools_and_stats() {
     // The satellite regression test: two machines in one process
     // must not share pool state or counters — the property the old
@@ -890,6 +923,148 @@ fn a_chain_keeps_the_heap_slots_it_grew() {
     assert_eq!(fresh.slot_capacity(), cap);
     drop(fresh);
     assert_eq!(seg.ref_count(), 1);
+}
+
+/// `n` clones of `seg` pushed one by one.
+fn chain_of(seg: &IoBuf, n: usize) -> Chain<IoBuf> {
+    let mut chain = Chain::new();
+    for _ in 0..n {
+        chain.push_back(seg.clone());
+    }
+    chain
+}
+
+/// Runs `f` on a new thread, whose spine free list starts empty, and
+/// returns once the thread has exited (its thread-locals dropped: the
+/// scope alone waits only for `f`).
+fn on_a_fresh_thread(f: impl FnOnce() + Send) {
+    std::thread::scope(|s| {
+        if let Err(panic) = s.spawn(f).join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+#[test]
+fn a_dropped_spine_serves_the_next_spill() {
+    let seg = IoBuf::copy_from(b"x");
+    on_a_fresh_thread(|| {
+        let spilled = chain_of(&seg, INLINE_SEGS + 1);
+        let before = test_alloc::thread_calls();
+        drop(spilled);
+        let again = chain_of(&seg, INLINE_SEGS + 1);
+        assert_eq!(test_alloc::thread_calls(), before, "drop + spill");
+        assert!(again.slot_capacity() > INLINE_SEGS);
+    });
+    assert_eq!(seg.ref_count(), 1);
+}
+
+#[test]
+fn a_spine_only_serves_its_exact_layout() {
+    let seg = IoBuf::copy_from(b"x");
+    on_a_fresh_thread(|| {
+        let muts: Vec<MutIoBuf> = (0..=INLINE_SEGS)
+            .map(|_| MutIoBuf::from_vec(vec![]))
+            .collect();
+        assert_ne!(
+            std::mem::size_of::<MutIoBuf>(),
+            std::mem::size_of::<IoBuf>()
+        );
+        drop(chain_of(&seg, INLINE_SEGS + 1));
+        let before = test_alloc::thread_calls();
+        let mut other: Chain<MutIoBuf> = Chain::new();
+        for m in muts {
+            other.push_back(m);
+        }
+        assert_eq!(
+            test_alloc::thread_calls() - before,
+            1,
+            "the cached IoBuf spine does not fit MutIoBuf slots"
+        );
+        let _same = chain_of(&seg, INLINE_SEGS + 1);
+        assert_eq!(
+            test_alloc::thread_calls() - before,
+            1,
+            "and is still there for the next IoBuf chain"
+        );
+    });
+}
+
+#[test]
+fn the_spine_free_list_is_bounded_in_count_and_size() {
+    use super::chain::{SPINE_CACHE, SPINE_CACHE_MAX_BYTES};
+    let seg = IoBuf::copy_from(b"x");
+    on_a_fresh_thread(|| {
+        let mut chains: Vec<Chain<IoBuf>> = (0..2 * SPINE_CACHE)
+            .map(|_| chain_of(&seg, INLINE_SEGS + 1))
+            .collect();
+        chains.clear();
+        let before = test_alloc::thread_calls();
+        chains.extend((0..2 * SPINE_CACHE).map(|_| chain_of(&seg, INLINE_SEGS + 1)));
+        assert_eq!(
+            test_alloc::thread_calls() - before,
+            SPINE_CACHE as u64,
+            "of 2 x {SPINE_CACHE} spines dropped, {SPINE_CACHE} were kept"
+        );
+    });
+    on_a_fresh_thread(|| {
+        // Grown slot by slot to 256 slots: the five smaller spines it
+        // outgrew (8 to 128 slots) are kept; the last, over the byte
+        // cap, is not.
+        let big = 256;
+        assert!(big * std::mem::size_of::<IoBuf>() > SPINE_CACHE_MAX_BYTES);
+        drop(chain_of(&seg, big));
+        let before = test_alloc::thread_calls();
+        drop(chain_of(&seg, big));
+        assert_eq!(test_alloc::thread_calls() - before, 1);
+    });
+    assert_eq!(seg.ref_count(), 1);
+}
+
+#[test]
+fn an_exiting_thread_frees_the_spines_it_kept() {
+    use super::chain::{SPINE_CACHE, SPINE_CACHE_MAX_BYTES};
+    // `live_bytes` counts every thread of the process, and the harness
+    // runs tests side by side, so the measurement runs in a child
+    // process of this test binary that runs this test alone. (Under
+    // Miri, which cannot spawn one, its leak check does the job.)
+    const ALONE: &str = "EBBRT_TEST_ALONE";
+    const NAME: &str = "iobuf::tests::an_exiting_thread_frees_the_spines_it_kept";
+    if std::env::var_os(ALONE).is_none() && !cfg!(miri) {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .expect("the test binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    // 100 segments: cloning moves them straight into one 128-slot
+    // spine, the largest the free list keeps.
+    let source = chain_of(&IoBuf::copy_from(b"x"), 100);
+    let spine = 128 * std::mem::size_of::<IoBuf>();
+    assert!(spine <= SPINE_CACHE_MAX_BYTES);
+    let fill_and_exit = || {
+        on_a_fresh_thread(|| {
+            drop((0..SPINE_CACHE).map(|_| source.clone()).collect::<Vec<_>>());
+            let before = test_alloc::thread_calls();
+            drop(source.clone());
+            assert_eq!(test_alloc::thread_calls(), before, "the spines were kept");
+        })
+    };
+    fill_and_exit(); // whatever a process's first thread sets up for good
+    let before = test_alloc::live_bytes();
+    (0..4).for_each(|_| fill_and_exit());
+    let grew = test_alloc::live_bytes().saturating_sub(before);
+    assert!(
+        cfg!(miri) || grew < (SPINE_CACHE * spine) as u64,
+        "live bytes grew {grew} across four threads that kept {SPINE_CACHE} spines of {spine} bytes each"
+    );
 }
 
 #[test]
