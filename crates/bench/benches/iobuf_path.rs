@@ -9,11 +9,11 @@
 //!    phase copies **0 payload bytes** and allocates **0 fresh
 //!    buffers** — pool hits only. This is §3.6's IOBuf discipline as a
 //!    checked invariant rather than a design intention.
-//! 2. The N-core RSS sweep ([`ebbrt_bench::rss_sweep`]): the same
-//!    property across 4 event cores, both buffer size classes (2 KiB
-//!    and 64 KiB), deliberately skewed traffic, and cross-core depot
-//!    migration — plus the guarantee that a > 2 KiB SET never takes
-//!    the one-shot-allocation fallback.
+//! 2. The N-core RSS sweep ([`ebbrt_bench::rss_sweep`]) at 1, 2, 4 and
+//!    8 event cores: the same property across both buffer size classes
+//!    (2 KiB and 64 KiB), deliberately skewed traffic, and cross-core
+//!    depot migration from 4 cores up — plus the guarantee that a
+//!    > 2 KiB SET never takes the one-shot-allocation fallback.
 //! 3. Criterion microbenchmarks of the primitives that make it true:
 //!    pooled vs fresh buffer acquisition (both classes), zero-copy
 //!    cursor reads vs copying reads, and descriptor-chain splitting.
@@ -95,19 +95,23 @@ fn verify_zero_copy_get_path(_c: &mut Criterion) {
     );
 }
 
-/// Runs the 4-core skewed RSS sweep and asserts the production-shaped
-/// zero-copy claim: 0 copies / 0 fresh allocations in both size
-/// classes, no large-SET fallback, depot migration under cross-core
-/// skew.
+/// Runs the skewed RSS sweep at 1, 2, 4 and 8 cores and asserts the
+/// production-shaped zero-copy claim at every point: 0 copies / 0
+/// fresh allocations in both size classes, no large-SET fallback,
+/// depot migration under cross-core skew.
 fn verify_rss_sweep_multi_class(_c: &mut Criterion) {
-    let cfg = ebbrt_bench::rss_sweep::SweepConfig::for_cores(4);
-    let report = ebbrt_bench::rss_sweep::run(&cfg);
-    println!("{}", ebbrt_bench::rss_sweep::format_report(&report));
-    assert!(
-        report.cross_core_conns > 0,
-        "RSS must split flows across cores"
-    );
-    ebbrt_bench::rss_sweep::assert_properties(&report);
+    for cores in [1, 2, 4, 8] {
+        let cfg = ebbrt_bench::rss_sweep::SweepConfig::for_cores(cores);
+        let report = ebbrt_bench::rss_sweep::run(&cfg);
+        println!("{}", ebbrt_bench::rss_sweep::format_report(&report));
+        if cores >= 4 {
+            assert!(
+                report.cross_core_conns > 0,
+                "RSS must split flows across cores at N >= 4"
+            );
+        }
+        ebbrt_bench::rss_sweep::assert_properties(&report);
+    }
 }
 
 /// Pool ops **outside any entered runtime**: these resolve the

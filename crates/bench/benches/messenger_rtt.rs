@@ -7,16 +7,20 @@
 //!    deterministic, so the ceiling is exact, not flaky. It also
 //!    proves the failure bookkeeping is clean in steady state: no
 //!    waiter or armed timeout entry survives the run.
-//! 2. The multi-machine sharded memcached ([`ebbrt_bench::dist_memcached`])
-//!    runs end to end: cross-shard GETs function-ship to their owner,
-//!    the local-shard phase stays zero-copy / zero-allocation, a dead
-//!    shard answers `STATUS_REMOTE_ERROR` promptly, and both measured
-//!    latencies sit under deterministic ceilings.
+//! 2. The unreplicated sharded memcached cluster runs end to end
+//!    through [`ebbrt_bench::chaos::run`] with no fault and the
+//!    dead-range probe: cross-shard GETs function-ship to their owner,
+//!    the local-shard phase stays zero-copy / zero-allocation, the
+//!    shipped phase copies nothing on any machine, a pipelined pass
+//!    ships one frame, a dead range answers `STATUS_REMOTE_ERROR`
+//!    promptly, and both measured latencies sit under deterministic
+//!    ceilings.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ebbrt_bench::chaos::{self, ChaosConfig};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::EbbId;
 use ebbrt_hosted::messenger::{local_messenger, Messenger};
@@ -109,18 +113,23 @@ fn verify_messenger_round_trip(_c: &mut Criterion) {
 }
 
 fn verify_sharded_memcached_e2e(_c: &mut Criterion) {
-    let r = ebbrt_bench::dist_memcached::run(&ebbrt_bench::dist_memcached::DistConfig::default());
-    println!("{}", ebbrt_bench::dist_memcached::format_report(&r));
-    ebbrt_bench::dist_memcached::assert_properties(&r);
+    let r = chaos::run(&ChaosConfig {
+        replicas: 1,
+        kills: vec![],
+        measured_gets: 128,
+        ..ChaosConfig::default()
+    });
+    println!("{}", chaos::format_report(&r));
+    chaos::assert_properties(&r);
     assert!(
-        r.local_mean_us <= LOCAL_GET_CEILING_US,
+        r.local_get_mean_us <= LOCAL_GET_CEILING_US,
         "local-shard GET regressed: {:.1} us > {LOCAL_GET_CEILING_US} us",
-        r.local_mean_us
+        r.local_get_mean_us
     );
     assert!(
-        r.remote_mean_us <= REMOTE_GET_CEILING_US,
+        r.remote_get_mean_us <= REMOTE_GET_CEILING_US,
         "function-shipped GET regressed: {:.1} us > {REMOTE_GET_CEILING_US} us",
-        r.remote_mean_us
+        r.remote_get_mean_us
     );
 }
 

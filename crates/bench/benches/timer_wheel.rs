@@ -15,7 +15,9 @@
 //! 3. **Faster than the seed heap at high connection counts**: at
 //!    ≥100k concurrent timers (the RTO + delayed-ACK load of a busy
 //!    server) the wheel beats a faithful copy of the seed's
-//!    heap-plus-tombstone-set implementation under the same op mix.
+//!    heap-plus-tombstone-set implementation under the same op mix, by
+//!    [`SPEEDUP_MARGIN`] in the median of [`PAIRS`] alternating
+//!    wall-clock pairs.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -200,30 +202,50 @@ fn verify_soa_layout(_c: &mut Criterion) {
     );
 }
 
+/// Wheel/heap measurement pairs per timer count.
+const PAIRS: usize = 7;
+/// How much faster than the seed heap the wheel must be at 100k and 1M
+/// timers: the median of the per-pair heap/wheel ratios must reach it.
+const SPEEDUP_MARGIN: f64 = 1.2;
+
 /// Property 2 + 3: flat scaling, and beats the seed at scale.
 fn verify_scaling(_c: &mut Criterion) {
     println!("per-segment timer churn cost vs concurrent timer count:");
     println!(
-        "{:>12} {:>14} {:>16} {:>8}",
-        "timers", "wheel ns/op", "seed-heap ns/op", "speedup"
+        "{:>12} {:>14} {:>16} {:>8} {:>15}",
+        "timers", "wheel ns/op", "seed-heap ns/op", "speedup", "pair range"
     );
     let mut wheel_ns = Vec::new();
-    let mut heap_ns = Vec::new();
+    let mut speedups = Vec::new();
     for &n in &[10_000usize, 100_000, 1_000_000] {
         // At least one op per standing timer, so one-time amortized
         // costs (a timer's bounded cascade walk) are charged fairly.
-        // Best of 3 runs: the assertions below gate CI, and a shared
-        // runner's noise must not fail a build with no code defect.
         let ops = n.max(200_000);
-        let w = (0..3)
-            .map(|_| measure_wheel(n, ops))
-            .fold(f64::MAX, f64::min);
-        let h = (0..3)
-            .map(|_| measure_heap(n, ops))
-            .fold(f64::MAX, f64::min);
-        println!("{n:>12} {w:>14.1} {h:>16.1} {:>7.2}x", h / w);
+        // The two structures run back to back in each pair, the order
+        // alternating, so a slow phase of a shared machine lands on
+        // both sides of a ratio; the gate reads the median ratio. The
+        // ns/op columns are each side's best run.
+        let (mut w, mut h, mut ratios) = (f64::MAX, f64::MAX, Vec::with_capacity(PAIRS));
+        for pair in 0..PAIRS {
+            let (pw, ph) = if pair % 2 == 0 {
+                let pw = measure_wheel(n, ops);
+                (pw, measure_heap(n, ops))
+            } else {
+                let ph = measure_heap(n, ops);
+                (measure_wheel(n, ops), ph)
+            };
+            (w, h) = (w.min(pw), h.min(ph));
+            ratios.push(ph / pw);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let speedup = ratios[PAIRS / 2];
+        println!(
+            "{n:>12} {w:>14.1} {h:>16.1} {speedup:>7.2}x {:>6.2}..{:.2}x",
+            ratios[0],
+            ratios[PAIRS - 1]
+        );
         wheel_ns.push(w);
-        heap_ns.push(h);
+        speedups.push(speedup);
     }
     // O(1) in the algorithmic regime: from 10k to 100k pending timers
     // (both structures still cache-resident) the wheel's per-op cost
@@ -244,17 +266,16 @@ fn verify_scaling(_c: &mut Criterion) {
         "wheel 10k→100k ratio {wheel_ratio:.2}x (flat); 10k→1M {:.2}x \
          (DRAM-resident slab, same effect hits the heap {:.2}x harder in absolute ns)",
         wheel_ns[2] / wheel_ns[0],
-        heap_ns[2] / wheel_ns[2],
+        speedups[2],
     );
     // Faster than the seed at high connection counts — the acceptance
-    // bar — with margin at both 100k and 1M.
+    // bar — by the stated margin at both 100k and 1M.
     for (i, &n) in [100_000usize, 1_000_000].iter().enumerate() {
         assert!(
-            wheel_ns[i + 1] * 1.2 < heap_ns[i + 1],
-            "wheel ({:.1} ns) not meaningfully faster than seed heap ({:.1} ns) at {} timers",
-            wheel_ns[i + 1],
-            heap_ns[i + 1],
-            n
+            speedups[i + 1] >= SPEEDUP_MARGIN,
+            "wheel not meaningfully faster than seed heap at {n} timers: median \
+             pair ratio {:.2}x < {SPEEDUP_MARGIN}x",
+            speedups[i + 1],
         );
     }
 }

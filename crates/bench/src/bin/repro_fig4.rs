@@ -3,6 +3,11 @@
 //! Paper anchors: EbbRT one-way 9.7 µs at 64 B, 4 Gbps goodput with
 //! 64 kB messages; Linux 15.9 µs at 64 B, needing 384 kB to reach
 //! 4 Gbps; both near wire speed for very large messages.
+//!
+//! Two companion sections run the same stack the figure measures: a
+//! pool-hot steady state that asserts the zero-copy property, and a
+//! memcached run at rising connection counts. Every other harness has
+//! its own runner (see the harness table in docs/ARCHITECTURE.md).
 
 use ebbrt_apps::netpipe;
 use ebbrt_sim::CostProfile;
@@ -58,7 +63,6 @@ fn main() {
         "{:>9} {:>14} {:>14} {:>12} {:>10}",
         "bytes", "EbbRT Mbps", "copied bytes", "fresh bufs", "pool hits"
     );
-    let mut steady_rows = Vec::new();
     for &size in &[4 * 1024, 64 * 1024, 256 * 1024] {
         let s = netpipe::run_steady(&CostProfile::ebbrt_vm(), size, 8, 16);
         println!(
@@ -70,18 +74,7 @@ fn main() {
             (0, 0),
             "steady-state pipeline must be zero-copy and pool-hot"
         );
-        steady_rows.push(format!(
-            "{},{:.0},{},{},{}",
-            size, s.goodput_mbps, s.bytes_copied, s.bufs_allocated, s.pool_hits
-        ));
     }
-    let path = ebbrt_bench::write_csv(
-        "fig4_steady.csv",
-        "message_bytes,ebbrt_mbps,bytes_copied,bufs_allocated,pool_hits",
-        &steady_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
 
     // High-connection-count dispatch: every TCP segment re-arms the
     // connection's RTO (and often its delayed-ACK) timer, so this is
@@ -94,7 +87,6 @@ fn main() {
         "{:>9} {:>14} {:>12} {:>12}",
         "conns", "achieved rps", "mean us", "p99 us"
     );
-    let mut conn_rows = Vec::new();
     for &conns in &[16usize, 64, 256] {
         let mut cfg =
             ebbrt_apps::mutilate::ExperimentConfig::new(1, CostProfile::ebbrt_vm(), 150_000);
@@ -110,297 +102,5 @@ fn main() {
             s.achieved_rps > 0.0,
             "high-connection-count run served no requests"
         );
-        conn_rows.push(format!(
-            "{},{:.0},{:.2},{:.2}",
-            conns, s.achieved_rps, s.mean_us, s.p99_us
-        ));
     }
-    let path = ebbrt_bench::write_csv(
-        "fig4_conn_sweep.csv",
-        "connections,achieved_rps,mean_us,p99_us",
-        &conn_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // N-core RSS sweep: the zero-copy/zero-allocation property across
-    // event cores and both buffer size classes, under deliberately
-    // skewed traffic (one hot connection). The per-class counters
-    // *assert* that steady-state GETs copy and allocate nothing and
-    // that > 2 KiB SETs never take the one-shot-allocation fallback;
-    // the depot counters quantify the cross-core buffer migration the
-    // skew induces.
-    println!();
-    println!("N-core RSS sweep (multi-size-class pools, skewed traffic):");
-    let mut sweep_rows = Vec::new();
-    for cores in [1usize, 2, 4, 8] {
-        let r = ebbrt_bench::rss_sweep::run(&ebbrt_bench::rss_sweep::SweepConfig::for_cores(cores));
-        println!("{}", ebbrt_bench::rss_sweep::format_report(&r));
-        if cores >= 4 {
-            assert!(
-                r.cross_core_conns > 0,
-                "RSS must split flows across cores at N >= 4"
-            );
-        }
-        ebbrt_bench::rss_sweep::assert_properties(&r);
-        let gp = &r.get_phase;
-        let sp = &r.set_phase;
-        sweep_rows.push(format!(
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            cores,
-            r.conns,
-            r.cross_core_conns,
-            gp.requests,
-            gp.bytes_copied,
-            gp.bufs_allocated,
-            gp.small.hits,
-            gp.small.depot_out + gp.large.depot_out,
-            sp.requests,
-            sp.large.hits,
-            sp.large.fallback_allocs,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_rss_sweep.csv",
-        "cores,conns,cross_core_conns,get_requests,get_bytes_copied,get_bufs_allocated,\
-         get_small_hits,get_depot_out,set_requests,set_large_hits,set_large_fallbacks",
-        &sweep_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Burst-mode point: the same pipelined GET workload with the
-    // driver forced to per-packet delivery vs whole receive bursts.
-    // The vector path's amortization (one PCB borrow, one coalesced
-    // delivery, one ACK decision per connection per pass) is the
-    // paper's run-to-completion dataplane taken to its batched
-    // conclusion — the gate that per-burst beats per-packet lives in
-    // the `burst_path` bench; this records the curve.
-    println!();
-    println!("Burst-mode dataplane: pipelined memcached GETs, per-packet vs per-burst");
-    println!("{}", ebbrt_bench::burst_path::table_header_virtual());
-    let mut burst_rows = Vec::new();
-    for burst in [1usize, 8, 64] {
-        let r = ebbrt_bench::burst_path::run(burst);
-        println!("{}", ebbrt_bench::burst_path::format_report_virtual(&r));
-        burst_rows.push(format!(
-            "{},{:.0},{:.2},{},{:.2},{}",
-            r.burst_frames,
-            r.pps,
-            r.virtual_ns as f64 / r.requests as f64 / 1000.0,
-            r.max_burst_seen,
-            r.frames_per_burst(),
-            r.coalesced_callbacks,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_burst_mode.csv",
-        "burst_frames,pps_virtual,us_per_req,max_burst_seen,frames_per_burst,\
-         coalesced_callbacks",
-        &burst_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Multi-machine point: the sharded memcached cluster on the
-    // distributed-Ebb layer. Local-shard GETs take the zero-copy path
-    // measured above; cross-shard GETs function-ship to the owner
-    // machine (proxy rep → messenger) — the measured split is the cost
-    // of distribution the paper's Ebbs hide behind one id.
-    println!();
-    println!("Multi-machine sharded memcached (distributed Ebbs): local vs remote-shipped GET");
-    let mut dist_rows = Vec::new();
-    for shards in [2usize, 3, 4] {
-        let r = ebbrt_bench::dist_memcached::run(&ebbrt_bench::dist_memcached::DistConfig {
-            shards,
-            warmup_gets: 32,
-            measured_gets: 128,
-            probe_failure: true,
-            cores: 1,
-        });
-        println!("{}", ebbrt_bench::dist_memcached::format_report(&r));
-        ebbrt_bench::dist_memcached::assert_properties(&r);
-        dist_rows.push(format!(
-            "{},{:.2},{:.2},{},{},{}",
-            shards,
-            r.local_mean_us,
-            r.remote_mean_us,
-            r.remote_owner_gets,
-            r.local_copied,
-            r.local_allocated,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_dist_shard.csv",
-        "shards,local_get_us,remote_get_us,owner_served_gets,local_bytes_copied,\
-         local_bufs_allocated",
-        &dist_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Replication point: the same cluster with R=1 vs R=2 replicas per
-    // range, fault-free — what the durability of an acknowledged write
-    // costs the read path (answer: nothing for local-range GETs — the
-    // version-watermark gate is an atomic load — and one ship for
-    // remote ones; writes pay the fan-out).
-    println!();
-    println!("Replicated sharded memcached: GET latency, R=1 vs R=2");
-    let mut repl_rows = Vec::new();
-    for replicas in [1usize, 2] {
-        let r = ebbrt_bench::chaos::run(&ebbrt_bench::chaos::ChaosConfig {
-            shards: 3,
-            replicas,
-            spares: 0,
-            ops: 64,
-            kills: vec![],
-            add_at: None,
-            measured_gets: 128,
-            seed: 0xF16_4EB,
-        });
-        println!("{}", ebbrt_bench::chaos::format_report(&r));
-        ebbrt_bench::chaos::assert_properties(&r);
-        repl_rows.push(format!(
-            "{},{},{:.2},{:.2},{},{}",
-            r.shards,
-            r.replicas,
-            r.local_get_mean_us,
-            r.remote_get_mean_us,
-            r.local_copied,
-            r.local_allocated,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_replicated.csv",
-        "shards,replicas,local_get_us,remote_get_us,local_bytes_copied,local_bufs_allocated",
-        &repl_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Rebalance point: the same replicated cluster, quiet vs growing
-    // the ring onto a spare machine mid-traffic. The mean traffic-op
-    // latency with a live migration in flight (dual-apply forwarding,
-    // snapshot+delta transfers, cutover) must stay under a
-    // deterministic ceiling — rebalancing is a background activity,
-    // not an outage.
-    println!();
-    println!("Replicated sharded memcached: traffic latency, quiet vs live rebalance");
-    let mut rebal_rows = Vec::new();
-    for add in [false, true] {
-        let r = ebbrt_bench::chaos::run(&ebbrt_bench::chaos::ChaosConfig {
-            shards: 3,
-            replicas: 2,
-            spares: add as usize,
-            ops: 64,
-            kills: vec![],
-            add_at: add.then_some(12),
-            measured_gets: 128,
-            seed: 0xF16_4EB,
-        });
-        println!("{}", ebbrt_bench::chaos::format_report(&r));
-        ebbrt_bench::chaos::assert_properties(&r);
-        assert!(r.converged);
-        if add {
-            assert_eq!(r.adds, 1);
-            assert!(
-                r.traffic_mean_us < 2_000.0,
-                "mean traffic latency under a live transfer must stay below 2 ms, got {:.1} us",
-                r.traffic_mean_us
-            );
-        }
-        rebal_rows.push(format!(
-            "{},{},{:.2},{:.2},{:.2}",
-            if add { "rebalance" } else { "quiet" },
-            r.requests,
-            r.traffic_mean_us,
-            r.local_get_mean_us,
-            r.remote_get_mean_us,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_rebalance.csv",
-        "scenario,requests,traffic_mean_us,local_get_us,remote_get_us",
-        &rebal_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Overload point: one server core shared by a well-behaved tenant
-    // and an 8× hotter one, with the per-class fair scheduler vs the
-    // same paced link in FIFO (the no-QoS control). The gate that fair
-    // scheduling holds the well-behaved p99 under its ceiling lives in
-    // the `overload_path` bench; this records the two rows.
-    println!();
-    println!("Overload control: well-behaved vs 8x hot tenant, fair vs fifo");
-    println!("{}", ebbrt_bench::overload::table_header());
-    let mut overload_rows = Vec::new();
-    for mode in [
-        ebbrt_core::qos::QosMode::Fair,
-        ebbrt_core::qos::QosMode::Fifo,
-    ] {
-        let r = ebbrt_bench::overload::run(mode);
-        println!("{}", ebbrt_bench::overload::format_report(&r));
-        overload_rows.push(format!(
-            "{},{},{:.2},{:.2},{},{},{},{}",
-            match r.mode {
-                ebbrt_core::qos::QosMode::Fair => "fair",
-                ebbrt_core::qos::QosMode::Fifo => "fifo",
-            },
-            r.gold_responses,
-            r.gold_mean_ns / 1000.0,
-            r.gold_p99_ns as f64 / 1000.0,
-            r.gold_failures,
-            r.hot_responses,
-            r.steady_bytes_copied,
-            r.steady_bufs_allocated,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_overload.csv",
-        "mode,gold_requests,gold_mean_us,gold_p99_us,gold_failures,hot_requests,\
-         steady_bytes_copied,steady_bufs_allocated",
-        &overload_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-
-    // Connection-scale point: the slab-PCB demux under an idle herd.
-    // Each row establishes that many connections, leaves all but a
-    // fixed probe set idle, and measures the probes' sparse GET p99
-    // through the same slab every idle connection occupies. The gate
-    // that the curve stays flat to 10^6 conns lives in the
-    // `conn_scale` bench; this records the figure's lower points.
-    println!();
-    println!("Connection scale: sparse GET p99 with an idle established herd");
-    println!("{}", ebbrt_bench::conn_scale::table_header());
-    let conn_points: &[usize] = if cfg!(debug_assertions) {
-        &[1_000, 16_000]
-    } else {
-        &[1_000, 16_000, 64_000]
-    };
-    let mut scale_rows = Vec::new();
-    for &conns in conn_points {
-        let r = ebbrt_bench::conn_scale::run(conns, None);
-        println!("{}", ebbrt_bench::conn_scale::format_report(&r));
-        scale_rows.push(format!(
-            "{},{},{:.1},{},{},{},{},{}",
-            r.conns,
-            r.sampled,
-            r.mean_ns,
-            r.p99_ns,
-            r.failures,
-            r.accounted_bytes_per_idle_conn,
-            r.steady_bytes_copied,
-            r.steady_bufs_allocated,
-        ));
-    }
-    let path = ebbrt_bench::write_csv(
-        "fig4_conn_scale.csv",
-        "conns,sampled,mean_ns,p99_ns,failures,accounted_bytes_per_conn,\
-         steady_bytes_copied,steady_bufs_allocated",
-        &scale_rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
 }

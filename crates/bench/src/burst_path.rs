@@ -145,39 +145,26 @@ pub fn run(burst_frames: usize) -> BurstReport {
     }
 }
 
-/// One table row (includes host wall-clock — noisy, bench-only).
+/// One table row. Every column but the last is virtual time or a
+/// count, deterministic for the build; `wall ms` is host wall-clock.
 pub fn format_report(r: &BurstReport) -> String {
     format!(
-        "{} {:>12.1}",
-        format_report_virtual(r),
-        r.wall_ns as f64 / 1_000_000.0,
-    )
-}
-
-/// Header matching [`format_report`].
-pub fn table_header() -> String {
-    format!("{} {:>12}", table_header_virtual(), "wall ms")
-}
-
-/// Deterministic row: virtual-time columns only, so repro binaries
-/// that print it stay byte-identical across runs.
-pub fn format_report_virtual(r: &BurstReport) -> String {
-    format!(
-        "{:>6} {:>12.0} {:>12.1} {:>10} {:>11.1} {:>10}",
+        "{:>6} {:>12.0} {:>12.1} {:>10} {:>11.1} {:>10} {:>12.1}",
         r.burst_frames,
         r.pps,
         r.virtual_ns as f64 / r.requests as f64 / 1000.0,
         r.max_burst_seen,
         r.frames_per_burst(),
         r.coalesced_callbacks,
+        r.wall_ns as f64 / 1_000_000.0,
     )
 }
 
-/// Header matching [`format_report_virtual`].
-pub fn table_header_virtual() -> String {
+/// Header matching [`format_report`].
+pub fn table_header() -> String {
     format!(
-        "{:>6} {:>12} {:>12} {:>10} {:>11} {:>10}",
-        "burst", "pps(virt)", "us/req", "max seen", "frames/brst", "coalesced"
+        "{:>6} {:>12} {:>12} {:>10} {:>11} {:>10} {:>12}",
+        "burst", "pps(virt)", "us/req", "max seen", "frames/brst", "coalesced", "wall ms"
     )
 }
 

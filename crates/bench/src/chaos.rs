@@ -37,6 +37,14 @@
 //!   flow — dual-apply forwarding means no acknowledged write is
 //!   lost to the migration, and kills *during* the transfer are
 //!   absorbed like any other.
+//! * **A shipped GET crosses the messenger as descriptors.** The
+//!   measured shipped-range phase copies 0 payload bytes and allocates
+//!   0 fresh buffers on every shard machine, front end and owner.
+//! * **A dead range fails fast, and a pipelined pass ships one frame**
+//!   (the probe segment every unreplicated run ends with): GETs for a
+//!   range whose sole owner is isolated answer [`STATUS_REMOTE_ERROR`],
+//!   never hang, and several GETs that reach the front end in one
+//!   burst leave it as one multi-call messenger frame.
 //!
 //! Everything is deterministic: virtual time, a seeded op mix, and
 //! fault points given as op indices.
@@ -46,13 +54,14 @@ use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ebbrt_apps::memcached::{Client, STATUS_OK};
+use ebbrt_apps::memcached::{self, Client, STATUS_OK, STATUS_REMOTE_ERROR};
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_hosted::global_map;
 use ebbrt_hosted::remote::RetryPolicy;
 use ebbrt_net::netif::local_netif;
 use ebbrt_net::types::Ipv4Addr;
+use ebbrt_sim::nic::rss_hash;
 
 use crate::dist_memcached::{
     add_shard, build_replicated_with_spares, key_for_range, members_of, range_id, resync_machine,
@@ -79,10 +88,16 @@ pub struct ChaosKill {
 pub struct ChaosConfig {
     /// Shard machines (ranges).
     pub shards: usize,
-    /// Replicas per range.
+    /// Replicas per range. At 1 the run builds one more machine, the
+    /// sole owner of one more range, isolates it before any traffic,
+    /// and ends with the probe segment: a pipelined burst of shipped
+    /// GETs, then GETs for the dead range.
     pub replicas: usize,
     /// Spare machines (wired, rangeless) for `add_at` to grow onto.
     pub spares: usize,
+    /// Event cores per shard machine (RSS spreads connections; > 1
+    /// exercises the cross-core completion hop).
+    pub cores: usize,
     /// Mixed SET/GET traffic ops (the phase the faults land in).
     pub ops: u32,
     /// The faults to inject; may overlap (a kill while an earlier
@@ -103,6 +118,7 @@ impl Default for ChaosConfig {
             shards: 3,
             replicas: 2,
             spares: 0,
+            cores: 1,
             ops: 96,
             kills: vec![ChaosKill {
                 victim: 1,
@@ -159,6 +175,20 @@ pub struct ChaosReport {
     pub local_copied: u64,
     /// Fresh buffer allocations there during the same window.
     pub local_allocated: u64,
+    /// Payload bytes copied on every shard machine during the measured
+    /// shipped-GET phase.
+    pub remote_copied: u64,
+    /// Fresh buffer allocations on every shard machine during the same
+    /// window.
+    pub remote_allocated: u64,
+    /// With the probe segment: how many of its two dead-range GETs were
+    /// answered [`STATUS_REMOTE_ERROR`] (they are not counted in
+    /// `failed`).
+    pub dead_range_errors: Option<u32>,
+    /// Calls the entry machine shipped inside multi-call frames.
+    pub batched_calls: u64,
+    /// The most calls the entry machine coalesced into one frame.
+    pub max_batch: u64,
     /// Requests the cluster's serving classes counted as served, from
     /// the per-core counter registry, read at quiesce.
     pub qos_served: u64,
@@ -176,7 +206,12 @@ const TAG_VERIFY: u8 = 2;
 const TAG_REMOTE: u8 = 3;
 const TAG_WARM: u8 = 4;
 const TAG_LOCAL: u8 = 5;
-const NTAGS: usize = 6;
+const TAG_PIPE: u8 = 6;
+const TAG_DEAD: u8 = 7;
+const NTAGS: usize = 8;
+
+/// GETs for the dead range in the probe segment.
+const DEAD_PROBES: u32 = 2;
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -206,21 +241,31 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
             "the kill must land inside the traffic phase"
         );
     }
+    // The probe's dead range: one machine more than the live shards,
+    // its range's only owner, cut off at the switch before any traffic.
+    let dead = (cfg.replicas == 1).then_some(cfg.shards);
     let cluster = Rc::new(RefCell::new(build_replicated_with_spares(
-        cfg.shards,
+        cfg.shards + usize::from(dead.is_some()),
         cfg.replicas,
-        1,
+        cfg.cores,
         cfg.spares,
     )));
+    if let Some(dead) = dead {
+        let c = cluster.borrow();
+        c.sw.isolate(c.shard_ports[dead]);
+    }
     // Handles the workload needs while the cluster cell is borrowed by
     // the chaos callbacks.
-    let (world, sw, shard_ports, server_rt, client_machine, ring) = {
+    let (world, sw, shard_ports, shard_rts, client_machine, ring) = {
         let c = cluster.borrow();
         (
             Rc::clone(&c.w),
             Rc::clone(&c.sw),
             c.shard_ports.clone(),
-            Arc::clone(c.shards[0].runtime()),
+            c.shards
+                .iter()
+                .map(|m| Arc::clone(m.runtime()))
+                .collect::<Vec<_>>(),
             Rc::clone(&c.client),
             Arc::clone(&c.ring),
         )
@@ -267,6 +312,33 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     } else {
         keys[0].clone()
     };
+    // A range the entry machine holds no replica of (exists whenever
+    // replicas < shards).
+    let remote_range = (0..cfg.shards).find(|r| !cluster.borrow().roots[0].contains_key(r));
+
+    // On multi-core shards the entry machine's connection to the
+    // shipped range's owner opens from its last core before any
+    // traffic, off the client connection's core (checked below): every
+    // shipped reply then lands on another core than the connection it
+    // answers, and must hop back — the messenger to the issuing core,
+    // the front end to the connection's core. Any shard op the owner
+    // answers opens it; CLEAR_FORWARD on a range with no rule is a
+    // no-op.
+    let ship_core = CoreId(cfg.cores as u32 - 1);
+    if let (true, Some(rr)) = (cfg.cores > 1, remote_range) {
+        let c = cluster.borrow();
+        spawn_with(
+            &c.shards[0],
+            ship_core,
+            Rc::clone(&c.messengers[0]),
+            move |m| {
+                let op = memcached::encode_clear_forward();
+                m.call_chain(shard_ip(rr), range_id(rr), op, 0, |_| {})
+            },
+        );
+        world.run_to_idle();
+    }
+
     let mut script = Steps::default();
     for (i, key) in keys.iter().enumerate() {
         script.set(key, value_for(i as u32), TAG_SEED);
@@ -356,21 +428,36 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     // fall inside the measured zero-copy window).
     let segment_b = script.steps.len();
 
-    // Measured shipped-GET phase: a range the entry machine holds no
-    // replica of (exists whenever replicas < shards).
-    let remote_range = (0..cfg.shards).find(|r| !cluster.borrow().roots[0].contains_key(r));
+    // Measured shipped-GET phase.
     if let Some(rr) = remote_range {
         script.gets(&keys[rr * 2], cfg.measured_gets, TAG_REMOTE);
     }
 
-    // Measured local phase last (warm first): range 0 is primary on
-    // the entry machine, so these take the zero-copy path.
+    // Measured local phase (warm first): range 0 is primary on the
+    // entry machine, so these take the zero-copy path.
     script.gets(&local_key, 16, TAG_WARM);
     script.gets(&local_key, cfg.measured_gets, TAG_LOCAL);
+
+    // The probe segment, after every measured phase: four GETs for one
+    // shipped key in one send reach the front end in one pass, so their
+    // calls must leave as one multi-call frame; then the dead range.
+    if let Some(dead) = dead {
+        let key = &keys[remote_range.expect("R = 1 leaves a remote range") * 2];
+        let burst: Vec<u8> = (0..4)
+            .flat_map(|i| memcached::encode_get(key, 40_000 + i))
+            .collect();
+        let expect = script.model.get(key).cloned();
+        script.steps.push(Step::send(&burst, TAG_PIPE, expect));
+        script.gets(&key_for_range(ring, dead, 9), DEAD_PROBES, TAG_DEAD);
+    }
     let measured = script.steps.split_off(segment_b);
 
-    // Chaos elsewhere must not tax the entry machine's local fast path.
-    let meters = vec![PhaseMeter::new(TAG_LOCAL, vec![server_rt])];
+    // Chaos elsewhere must not tax the entry machine's local fast path,
+    // and a shipped GET must not cost a copy on any machine.
+    let meters = vec![
+        PhaseMeter::new(TAG_LOCAL, vec![Arc::clone(&shard_rts[0])]),
+        PhaseMeter::new(TAG_REMOTE, shard_rts),
+    ];
     let script = Script::new(script.steps, NTAGS, meters);
     // The segment pauses when its steps run dry; only the measured one
     // closes.
@@ -387,6 +474,20 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         client.workload.finished(),
         "the chaotic segment must run to completion — a hang is a failed property"
     );
+    if cfg.cores > 1 {
+        let t = client.conn().and_then(|c| c.tuple()).expect("connected");
+        let entry_core = rss_hash(
+            t.local.0.to_u32(),
+            t.remote.0.to_u32(),
+            t.local.1,
+            t.remote.1,
+        ) as usize
+            % cfg.cores;
+        assert_ne!(
+            entry_core, ship_core.0 as usize,
+            "the client's connection must sit off the core the shipping connections opened on"
+        );
+    }
     // Every recovery kicked during the segment had the whole quiesce
     // window to finish.
     for (what, latch) in latches.borrow().iter() {
@@ -467,8 +568,9 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     }
 
     let delta = client.meters[0].delta.get().expect("local phase measured");
+    let shipped = client.meters[1].delta.get().unwrap_or_default();
     let statuses = client.statuses.borrow();
-    let failed = statuses.iter().filter(|s| s.1 != STATUS_OK).count() as u32;
+    let count = |f: fn(&(u8, u16)) -> bool| statuses.iter().filter(|s| f(s)).count() as u32;
     let c = cluster.borrow();
     ChaosReport {
         shards: cfg.shards,
@@ -478,7 +580,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         resyncs: resyncs.get(),
         adds: adds.get(),
         converged: all_restored,
-        failed,
+        failed: count(|&(tag, status)| tag != TAG_DEAD && status != STATUS_OK),
         mismatches: client.mismatches.get(),
         promotions: c.transports.iter().map(|t| t.promotions.get()).sum(),
         retries: c.transports.iter().map(|t| t.retries.get()).sum(),
@@ -493,6 +595,12 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         remote_get_mean_us: client.mean_us(TAG_REMOTE),
         local_copied: delta.bytes_copied,
         local_allocated: delta.bufs_allocated,
+        remote_copied: shipped.bytes_copied,
+        remote_allocated: shipped.bufs_allocated,
+        dead_range_errors: dead
+            .map(|_| count(|&(tag, status)| tag == TAG_DEAD && status == STATUS_REMOTE_ERROR)),
+        batched_calls: c.transports[0].batched_calls.get(),
+        max_batch: c.transports[0].max_batch.get(),
         qos_served,
         qos_shed,
     }
@@ -559,21 +667,6 @@ fn assert_converged(c: &ReplCluster, keys: &[Vec<u8>]) {
     }
 }
 
-/// The deterministic CI configuration: one kill + restart mid-traffic,
-/// with the restart's full re-sync and convergence checked at quiesce.
-pub fn smoke() -> ChaosReport {
-    run(&ChaosConfig {
-        ops: 64,
-        kills: vec![ChaosKill {
-            victim: 1,
-            at: 12,
-            restore_at: Some(44),
-        }],
-        measured_gets: 48,
-        ..ChaosConfig::default()
-    })
-}
-
 /// The deterministic CI rebalancing configuration: the ring grows onto
 /// a spare machine mid-traffic, a transfer source dies mid-migration
 /// and restarts — zero failed requests, zero stale reads, full
@@ -624,16 +717,43 @@ pub fn assert_properties(r: &ChaosReport) {
         (0, 0),
         "chaos elsewhere must not tax the zero-copy local fast path"
     );
+    assert_eq!(
+        (r.remote_copied, r.remote_allocated),
+        (0, 0),
+        "a function-shipped GET must cross the messenger as descriptors: no value byte \
+         copied, no buffer outside the pools, on the front end or the owner"
+    );
+    if let Some(errors) = r.dead_range_errors {
+        assert_eq!(
+            errors, DEAD_PROBES,
+            "a range whose sole owner is dead must answer STATUS_REMOTE_ERROR to every probe"
+        );
+        assert!(
+            r.max_batch >= 2 && r.batched_calls >= 2,
+            "a pass with several keys routed to one owner must coalesce \
+             its shipped calls into one messenger frame (batched {} / max {})",
+            r.batched_calls,
+            r.max_batch,
+        );
+    }
 }
 
-/// One-line human summary.
+/// One-line human summary; a run with the probe segment appends what
+/// it saw.
 pub fn format_report(r: &ChaosReport) -> String {
+    let probe = r.dead_range_errors.map_or_else(String::new, |errors| {
+        format!(
+            ", shipped phase {} copied / {} allocated, {errors}/{DEAD_PROBES} dead-range \
+             probes answered remote-error, {} calls batched (max {}/frame)",
+            r.remote_copied, r.remote_allocated, r.batched_calls, r.max_batch,
+        )
+    });
     format!(
         "chaos x{} shards R={}: {} reqs, {} kills, {} resyncs, {} adds{}, \
          {} failed, {} mismatches, {} promotions, {} retries, \
          {} presumed-dead fanouts, traffic {:.1} us, local GET {:.1} us / \
          remote GET {:.1} us, local phase {} copied / {} allocated, \
-         ledger {} served + {} shed",
+         ledger {} served + {} shed{probe}",
         r.shards,
         r.replicas,
         r.requests,
@@ -666,7 +786,16 @@ mod tests {
     /// and the surviving local fast path still zero-copy.
     #[test]
     fn killing_and_restarting_a_shard_never_fails_a_client_request() {
-        let r = smoke();
+        let r = run(&ChaosConfig {
+            ops: 64,
+            kills: vec![ChaosKill {
+                victim: 1,
+                at: 12,
+                restore_at: Some(44),
+            }],
+            measured_gets: 48,
+            ..ChaosConfig::default()
+        });
         println!("{}", format_report(&r));
         assert_eq!((r.kills, r.resyncs), (1, 1));
         assert!(r.converged);
@@ -816,8 +945,6 @@ mod tests {
                 )
                     .generate(rng);
                 let r = run(&ChaosConfig {
-                    shards: 3,
-                    replicas: 2,
                     spares: add as usize,
                     ops,
                     kills: vec![ChaosKill {
@@ -828,6 +955,7 @@ mod tests {
                     add_at: add.then_some(add_at),
                     measured_gets: 8,
                     seed,
+                    ..ChaosConfig::default()
                 });
                 proptest::prop_assert_eq!(r.failed, 0, "failed requests: {}", r.failed);
                 proptest::prop_assert_eq!(

@@ -11,13 +11,10 @@
 //! range. An unreplicated cluster is `replicas = 1` — there is no
 //! second cluster type.
 //!
-//! [`run`] drives a closed-loop client against shard 0's server of an
-//! unreplicated cluster and measures, in virtual time, the **local-hit
-//! vs remote-ship** GET latency split, while asserting the local phase
-//! stays zero-copy / zero-allocation on the serving machine. Optionally
-//! one more machine is built and then isolated at the switch — requests
-//! for its range must come back as
-//! [`ebbrt_apps::memcached::STATUS_REMOTE_ERROR`], never hang.
+//! The cluster is driven by [`chaos::run`](crate::chaos::run), which
+//! measures it (local-hit vs remote-ship GET latency, zero-copy on
+//! both paths) with or without faults; [`resync_machine`] and
+//! [`add_shard`] are the recovery and growth it orchestrates.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -25,8 +22,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ebbrt_apps::memcached::{
-    self, register_shard, serve_sharded, Client, ClusterView, ServerConfig, ShardConfig, ShardRoot,
-    Store, ViewState, STATUS_OK, STATUS_REMOTE_ERROR,
+    self, register_shard, serve_sharded, ClusterView, ServerConfig, ShardConfig, ShardRoot, Store,
+    ViewState,
 };
 use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
@@ -39,8 +36,6 @@ use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_net::Lan;
 use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
-
-use crate::script::{PhaseMeter, Script, Step, Steps};
 
 /// IP of shard `i`.
 pub fn shard_ip(i: usize) -> Ipv4Addr {
@@ -807,220 +802,6 @@ pub fn key_for_range(ring: &HashRing, range: usize, tag: usize) -> Vec<u8> {
         }
     }
     unreachable!()
-}
-
-/// Workload knobs for [`run`].
-pub struct DistConfig {
-    /// Shard machines.
-    pub shards: usize,
-    /// Event cores per shard machine (RSS spreads connections; > 1
-    /// exercises the cross-core completion hop).
-    pub cores: usize,
-    /// Local-shard GETs before measurement (pool/TCP warm).
-    pub warmup_gets: u32,
-    /// Measured GETs per phase (local, then remote).
-    pub measured_gets: u32,
-    /// Build one more machine, isolate it, and probe its range.
-    pub probe_failure: bool,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            shards: 3,
-            cores: 1,
-            warmup_gets: 32,
-            measured_gets: 128,
-            probe_failure: true,
-        }
-    }
-}
-
-/// What [`run`] measured.
-pub struct DistReport {
-    /// Shard machines.
-    pub shards: usize,
-    /// Mean local-shard GET latency (virtual µs, client-observed).
-    pub local_mean_us: f64,
-    /// Mean cross-shard (function-shipped) GET latency (virtual µs).
-    pub remote_mean_us: f64,
-    /// GETs the *remote* owner's store served — proof the cross-shard
-    /// requests really shipped.
-    pub remote_owner_gets: u64,
-    /// Payload bytes copied on the serving machine during the measured
-    /// local phase.
-    pub local_copied: u64,
-    /// Fresh buffer allocations on the serving machine during the
-    /// measured local phase.
-    pub local_allocated: u64,
-    /// Payload bytes copied on **every shard machine** (the front end
-    /// and the owner) during the measured function-shipped GET phase:
-    /// the value crosses the messenger twice as descriptors.
-    pub remote_copied: u64,
-    /// Fresh buffer allocations on every shard machine during the
-    /// measured function-shipped GET phase (marshalling and framing
-    /// buffers are pooled).
-    pub remote_allocated: u64,
-    /// Responses carrying [`STATUS_REMOTE_ERROR`] from the dead-owner
-    /// probe (expected: exactly the probes sent, promptly).
-    pub failure_responses: u32,
-    /// Function-shipped calls that rode a multi-call messenger frame
-    /// on the front-end shard (the pipelined cross-shard phase).
-    pub front_batched_calls: u64,
-    /// Largest number of calls the front-end shard coalesced into one
-    /// messenger frame.
-    pub front_max_batch: u64,
-}
-
-/// Phase tags of the closed-loop client.
-const TAG_SETUP: u8 = 0;
-const TAG_WARM: u8 = 1;
-const TAG_LOCAL: u8 = 2;
-const TAG_REMOTE: u8 = 3;
-const TAG_FAIL: u8 = 4;
-const TAG_PIPE: u8 = 5;
-const NTAGS: usize = 6;
-
-/// Builds the cluster, drives the workload, returns the measurements.
-pub fn run(cfg: &DistConfig) -> DistReport {
-    // With the failure probe, one more machine than asked for: its
-    // range's only owner, cut off at the switch before any traffic.
-    let dead = cfg.probe_failure.then_some(cfg.shards);
-    let c = build_replicated(cfg.shards + cfg.probe_failure as usize, 1, cfg.cores);
-    if let Some(dead) = dead {
-        c.sw.isolate(c.shard_ports[dead]);
-    }
-    let local_key = key_for_range(&c.ring, 0, 0);
-    let remote_key = key_for_range(&c.ring, 1, 1);
-    let value = vec![0xC5u8; 512];
-
-    // Seed one key in the local shard and one in a remote shard —
-    // through the server, so the remote SET function-ships too.
-    let mut script = Steps::default();
-    script.set(&local_key, value.clone(), TAG_SETUP);
-    script.set(&remote_key, value, TAG_SETUP);
-    script.gets(&local_key, cfg.warmup_gets, TAG_WARM);
-    script.gets(&local_key, cfg.measured_gets, TAG_LOCAL);
-    script.gets(&remote_key, cfg.measured_gets, TAG_REMOTE);
-    // Pipelined cross-shard burst: several GETs for keys of one remote
-    // owner land at the front end in one pass, so their function-shipped
-    // calls must leave as one multi-call messenger frame (asserted via
-    // the front-end transport's batch counters).
-    let burst: Vec<u8> = (0..4u32)
-        .flat_map(|i| memcached::encode_get(&remote_key, 40_000 + i))
-        .collect();
-    script.steps.push(Step::send(&burst, TAG_PIPE, None));
-    let mut failure_probes = 0u32;
-    if let Some(dead) = dead {
-        failure_probes = 2;
-        script.gets(&key_for_range(&c.ring, dead, 9), failure_probes, TAG_FAIL);
-    }
-
-    let meters = vec![
-        // The local-shard phase on the serving machine; the shipped
-        // phase on every shard machine.
-        PhaseMeter::new(TAG_LOCAL, vec![Arc::clone(c.shards[0].runtime())]),
-        PhaseMeter::new(
-            TAG_REMOTE,
-            c.shards.iter().map(|m| Arc::clone(m.runtime())).collect(),
-        ),
-    ];
-    let client = Client::spawn(
-        &c.client,
-        CoreId(0),
-        shard_ip(0),
-        Script::new(script.steps, NTAGS, meters),
-    );
-    c.w.run_to_idle();
-    let client = &client.workload;
-
-    assert!(
-        client.finished(),
-        "the workload must run to completion — a hang is a failed property"
-    );
-
-    // Every phase before the failure probe must have answered OK.
-    let statuses = client.statuses.borrow();
-    for &(tag, status) in statuses.iter() {
-        match tag {
-            TAG_FAIL => assert_eq!(
-                status, STATUS_REMOTE_ERROR,
-                "a dead shard must answer STATUS_REMOTE_ERROR"
-            ),
-            _ => assert_eq!(status, STATUS_OK, "phase {tag} response must be OK"),
-        }
-    }
-    let failure_responses = statuses.iter().filter(|(t, _)| *t == TAG_FAIL).count() as u32;
-    assert_eq!(failure_responses, failure_probes, "every probe answered");
-    drop(statuses);
-
-    let [local, remote] = [0, 1].map(|i| client.meters[i].delta.get().expect("phase measured"));
-    use std::sync::atomic::Ordering;
-    DistReport {
-        shards: cfg.shards,
-        local_mean_us: client.mean_us(TAG_LOCAL),
-        remote_mean_us: client.mean_us(TAG_REMOTE),
-        remote_owner_gets: c.stores[1].gets.load(Ordering::Relaxed),
-        local_copied: local.bytes_copied,
-        local_allocated: local.bufs_allocated,
-        remote_copied: remote.bytes_copied,
-        remote_allocated: remote.bufs_allocated,
-        failure_responses,
-        front_batched_calls: c.transports[0].batched_calls.get(),
-        front_max_batch: c.transports[0].max_batch.get(),
-    }
-}
-
-/// The properties CI enforces.
-pub fn assert_properties(r: &DistReport) {
-    assert!(
-        r.remote_owner_gets > 0,
-        "cross-shard GETs must be served by function-shipped calls to the owner"
-    );
-    assert_eq!(
-        (r.local_copied, r.local_allocated),
-        (0, 0),
-        "the steady-state local-shard path must stay zero-copy / zero-allocation"
-    );
-    assert_eq!(
-        (r.remote_copied, r.remote_allocated),
-        (0, 0),
-        "a function-shipped GET must cross the messenger as descriptors: no value byte \
-         copied, no buffer outside the pools, on the front end or the owner"
-    );
-    assert!(
-        r.remote_mean_us > r.local_mean_us,
-        "a remote ship cannot be cheaper than a local hit"
-    );
-    assert!(
-        r.front_max_batch >= 2 && r.front_batched_calls >= 2,
-        "a pass with several keys routed to one owner must coalesce \
-         its shipped calls into one messenger frame (batched {} / max {})",
-        r.front_batched_calls,
-        r.front_max_batch,
-    );
-}
-
-/// One-line human summary.
-pub fn format_report(r: &DistReport) -> String {
-    format!(
-        "sharded memcached x{} shards: local GET {:.1} us, remote (function-shipped) GET \
-         {:.1} us ({:.1}x), {} owner-served remote gets, local phase {} copied / {} allocated, \
-         shipped phase {} copied / {} allocated, {} failure probes answered, \
-         {} calls batched (max {}/frame)",
-        r.shards,
-        r.local_mean_us,
-        r.remote_mean_us,
-        r.remote_mean_us / r.local_mean_us.max(0.001),
-        r.remote_owner_gets,
-        r.local_copied,
-        r.local_allocated,
-        r.remote_copied,
-        r.remote_allocated,
-        r.failure_responses,
-        r.front_batched_calls,
-        r.front_max_batch,
-    )
 }
 
 #[cfg(test)]

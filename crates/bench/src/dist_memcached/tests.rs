@@ -1,32 +1,36 @@
 use super::*;
+use crate::chaos::{self, ChaosConfig};
+use ebbrt_apps::memcached::Client;
+
+/// A fault-free unreplicated cluster of `cores`-core shard machines
+/// with the dead-range probe, checked by [`chaos::assert_properties`]:
+/// zero-copy local and shipped GETs, one frame for a pipelined pass,
+/// `STATUS_REMOTE_ERROR` from the dead range.
+fn unreplicated_with_probe(cores: usize) {
+    let r = chaos::run(&ChaosConfig {
+        shards: 2,
+        replicas: 1,
+        cores,
+        ops: 16,
+        kills: vec![],
+        measured_gets: 16,
+        ..ChaosConfig::default()
+    });
+    println!("{}", chaos::format_report(&r));
+    chaos::assert_properties(&r);
+}
 
 #[test]
 fn sharded_cluster_properties_hold() {
-    let r = run(&DistConfig {
-        shards: 2,
-        cores: 1,
-        warmup_gets: 32,
-        measured_gets: 16,
-        probe_failure: true,
-    });
-    println!("{}", format_report(&r));
-    assert_properties(&r);
+    unreplicated_with_probe(1);
 }
 
-/// Satellite of the replication PR: the same e2e on 2-core shard
-/// machines — cross-shard completions must hop back to the
-/// memcached connection's RSS core before touching its state.
+/// The same run on 2-core shard machines: cross-shard completions must
+/// hop back to the memcached connection's RSS core before touching its
+/// state.
 #[test]
 fn sharded_cluster_properties_hold_on_two_core_shards() {
-    let r = run(&DistConfig {
-        shards: 2,
-        cores: 2,
-        warmup_gets: 32,
-        measured_gets: 16,
-        probe_failure: true,
-    });
-    println!("{}", format_report(&r));
-    assert_properties(&r);
+    unreplicated_with_probe(2);
 }
 
 /// A client that pipelines a cross-shard request and half-closes

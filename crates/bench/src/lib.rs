@@ -2,9 +2,8 @@
 //!
 //! One `repro_*` binary per table/figure of the paper (see
 //! EXPERIMENTS.md) plus Criterion microbenchmarks. The library hosts
-//! shared output helpers and the [`rss_sweep`] workload driver that
-//! both the `iobuf_path` bench and `repro_fig4` run (so CI enforces
-//! its zero-copy assertions from two directions).
+//! the workload harnesses and shared output helpers; each harness has
+//! one runner that gates it in CI, listed in docs/ARCHITECTURE.md.
 
 pub mod burst_path;
 pub mod chaos;

@@ -324,9 +324,8 @@ impl Workload for SweepConn {
     }
 }
 
-/// Runs the sweep for one configuration and returns the report. The
-/// caller asserts on the report (benches) or prints it (repro
-/// binaries).
+/// Runs the sweep for one configuration and returns the report; the
+/// caller asserts on it.
 pub fn run(cfg: &SweepConfig) -> SweepReport {
     assert!(cfg.conns >= 1 && cfg.cores >= 1);
     let lan = Lan::new();
@@ -458,9 +457,8 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     }
 }
 
-/// Asserts the production-shaped zero-copy claim on a report — shared
-/// by the criterion bench and the repro binary so CI enforces it in
-/// both places.
+/// Asserts the production-shaped zero-copy claim on a report (the
+/// `iobuf_path` bench at every core count, and the lib test at 4).
 pub fn assert_properties(r: &SweepReport) {
     // Steady-state GETs: the full property, covering both classes.
     assert_eq!(
@@ -521,7 +519,8 @@ pub fn assert_properties(r: &SweepReport) {
     }
 }
 
-/// Formats one report as human-readable lines (used by repro_fig4).
+/// Formats one report as human-readable lines (the `iobuf_path` bench
+/// prints one per core count).
 pub fn format_report(r: &SweepReport) -> String {
     let gp = &r.get_phase;
     let sp = &r.set_phase;

@@ -1,8 +1,7 @@
 //! The workloads the harnesses share.
 //!
-//! [`Script`] is the closed-loop scripted client the cluster harnesses
-//! ([`dist_memcached`](crate::dist_memcached), [`chaos`](crate::chaos))
-//! drive: a queue of tagged steps executed one at a time — the next
+//! [`Script`] is the closed-loop scripted client the cluster harness,
+//! [`chaos::run`](crate::chaos::run), drives: a queue of tagged steps executed one at a time — the next
 //! fires when every reply of the last has arrived — with per-phase
 //! latency, every reply's status, GET bodies checked against a model,
 //! and pool-counter meters bracketing chosen phases. [`GetLoop`] is the

@@ -265,21 +265,27 @@ fn sharded_memcached_cross_shard_function_shipping() {
 }
 
 /// The same cluster driven by the measuring harness: asserts the
-/// local-shard path stays zero-copy / zero-allocation in steady state
-/// and that a remote ship costs more than a local hit (sanity on the
-/// measured split).
+/// local-shard and shipped paths stay zero-copy / zero-allocation in
+/// steady state, the dead range and pipelined-pass probes, and that a
+/// remote ship costs more than a local hit (sanity on the measured
+/// split).
 #[test]
 fn sharded_memcached_local_vs_remote_properties() {
-    use ebbrt_bench::dist_memcached as dist;
-    let r = dist::run(&dist::DistConfig {
+    use ebbrt_bench::chaos::{self, ChaosConfig};
+    let r = chaos::run(&ChaosConfig {
         shards: 3,
-        warmup_gets: 32,
+        replicas: 1,
+        ops: 32,
+        kills: vec![],
         measured_gets: 64,
-        probe_failure: true,
-        cores: 1,
+        ..ChaosConfig::default()
     });
-    println!("{}", dist::format_report(&r));
-    dist::assert_properties(&r);
+    println!("{}", chaos::format_report(&r));
+    chaos::assert_properties(&r);
+    assert!(
+        r.remote_get_mean_us > r.local_get_mean_us,
+        "a remote ship cannot be cheaper than a local hit"
+    );
 }
 
 /// The RCU store serves lock-free reads while writers churn — across
