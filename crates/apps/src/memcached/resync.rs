@@ -340,15 +340,15 @@ mod tests {
     impl ebbrt_core::ebb::RemoteTransport for RootTransport {
         fn ship(&self, id: EbbId, payload: Chain<IoBuf>, reply: ebbrt_core::ebb::RemoteReply) {
             if self.dead.borrow().contains(&id.0) {
-                reply(Err(RemoteError::Timeout));
+                reply.call(Err(RemoteError::Timeout));
                 return;
             }
             let Some(root) = self.roots.borrow().get(&id.0).cloned() else {
-                reply(Err(RemoteError::Unresolved));
+                reply.call(Err(RemoteError::Unresolved));
                 return;
             };
             *self.delivered.borrow_mut().entry(id.0).or_insert(0) += 1;
-            StoreShardEbb::local(root).handle_remote(payload, move |resp| reply(Ok(resp)));
+            StoreShardEbb::local(root).handle_remote(payload, move |resp| reply.call(Ok(resp)));
         }
     }
 

@@ -198,6 +198,11 @@ struct Conn {
     pipeline: usize,
     completed: Cell<u64>,
     measuring: Rc<Cell<bool>>,
+    /// The arrival process: its generator, mean gap and GET share live
+    /// here, so an arrival timer's closure holds only the connection.
+    rng: RefCell<StdRng>,
+    mean_gap_ns: f64,
+    get_ratio: f64,
 }
 
 impl Conn {
@@ -344,15 +349,18 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
             pipeline: config.pipeline,
             completed: Cell::new(0),
             measuring: Rc::clone(&measuring),
+            rng: RefCell::new(StdRng::seed_from_u64(
+                config.seed ^ ((i as u64 + 1) * 0x9e37),
+            )),
+            mean_gap_ns,
+            get_ratio: config.get_ratio,
         };
         let core = CoreId((i % config.client_cores) as u32);
         let c = Client::new(conn);
-        let cfg = config.clone();
         crate::spawn_with(&client, core, Rc::clone(&c), move |c| {
             c.open(server_ip, MEMCACHED_PORT);
             // Start this connection's arrival process.
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((i as u64 + 1) * 0x9e37));
-            schedule_arrival(&c, &cfg, mean_gap_ns, &mut rng, i as u32);
+            schedule_arrival(&c);
         });
         conns.push(c);
     }
@@ -387,42 +395,40 @@ fn store_insert(store: &Arc<Store>, key: Vec<u8>, vlen: usize) {
 
 /// Schedules this connection's next request arrival (exponential gap),
 /// recursively rescheduling itself. Generation is allocation-free: a
-/// request is a template index plus patch fields, not owned bytes.
-#[allow(clippy::only_used_in_recursion)]
-fn schedule_arrival(
-    cc: &Rc<Client<Conn>>,
-    cfg: &ExperimentConfig,
-    mean_gap_ns: f64,
-    rng: &mut StdRng,
-    conn_index: u32,
-) {
-    let gap = (-rng.gen::<f64>().max(1e-12).ln() * mean_gap_ns) as u64;
-    let cc2 = crate::SendCell::new((Rc::clone(cc), cfg.clone(), rng.clone()));
-    let mean = mean_gap_ns;
+/// request is a template index plus patch fields, not owned bytes, and
+/// the timer's closure holds only the connection, so it is stored in
+/// the timer's own slot.
+fn schedule_arrival(cc: &Rc<Client<Conn>>) {
+    let conn = &cc.workload;
+    let gap = (-conn.rng.borrow_mut().gen::<f64>().max(1e-12).ln() * conn.mean_gap_ns) as u64;
+    let cc = Rc::clone(cc);
     ebbrt_core::runtime::with_current(move |rt| {
         rt.local_event_manager().set_timer(gap.max(1), move || {
-            let (cc, cfg, mut rng) = cc2.into_inner();
+            let conn = &cc.workload;
             // Generate one request.
             let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-            let nkeys = cc.workload.templates.get.len();
-            let req = PendingReq {
-                opaque: rng.gen::<u32>(),
-                key: rng.gen_range(0..nkeys) as u32,
-                set_len: if rng.gen::<f64>() < cfg.get_ratio {
-                    None
-                } else {
-                    Some(etc_value_len(&mut rng) as u16)
-                },
-                at: now,
+            let nkeys = conn.templates.get.len();
+            let req = {
+                let mut rng = conn.rng.borrow_mut();
+                PendingReq {
+                    opaque: rng.gen::<u32>(),
+                    key: rng.gen_range(0..nkeys) as u32,
+                    set_len: if rng.gen::<f64>() < conn.get_ratio {
+                        None
+                    } else {
+                        Some(etc_value_len(&mut rng) as u16)
+                    },
+                    at: now,
+                }
             };
             // Bound the backlog so overload doesn't exhaust memory; the
             // latency of dropped arrivals is effectively infinite and
             // the achieved-throughput plateau tells the story.
-            if cc.workload.pending.borrow().len() < 4096 {
-                cc.workload.pending.borrow_mut().push_back(req);
+            if conn.pending.borrow().len() < 4096 {
+                conn.pending.borrow_mut().push_back(req);
             }
-            cc.workload.pump(&cc);
-            schedule_arrival(&cc, &cfg, mean, &mut rng, conn_index);
+            conn.pump(&cc);
+            schedule_arrival(&cc);
         });
     });
 }

@@ -120,14 +120,16 @@ fn a_data_frames_trip_calls_the_allocator_zero_times() {
     );
 }
 
-/// Measured on this tree: 1.002 calls per request, of which 1.0 is the
-/// load generator's boxed arrival timer. Before spilled chains reused
-/// their slot arrays (and the idle pass its handler snapshot) this
-/// test measured 1.198, and 13.351 before the data path's first
-/// allocator work. The ceiling is the measured value plus 0.1 — one
-/// call per ten requests — which a spine allocated per reply or per
-/// idle pass would break.
-const CALLS_PER_REQ_CEILING: f64 = 1.102;
+/// Measured on this tree: 0.002 calls per request. The load
+/// generator's arrival timer, which was 1.0 of the 1.002 this test
+/// read while one-shot closures were boxed, now holds only its
+/// connection and is stored in the timer's own slot. Before spilled
+/// chains reused their slot arrays (and the idle pass its handler
+/// snapshot) this test measured 1.198, and 13.351 before the data
+/// path's first allocator work. The ceiling is the measured value plus
+/// 0.1 — one call per ten requests — which a boxed event per request, a
+/// spine allocated per reply or one per idle pass would break.
+const CALLS_PER_REQ_CEILING: f64 = 0.102;
 
 #[test]
 fn a_warmed_get_world_stays_under_the_per_request_ceiling() {
@@ -270,7 +272,8 @@ impl Workload for Churn {
 const CHURN_SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 8, 1);
 
 /// Measured on this tree: 4.041 allocator calls per lifecycle, both
-/// machines together —
+/// machines together (the same with one-shot closures stored inline:
+/// none of these calls was one) —
 ///
 /// | site | calls |
 /// |---|---:|
@@ -335,14 +338,16 @@ fn shard_counters(shards: &[Rc<SimMachine>]) -> stats::Snapshot {
     stats::world_snapshot(shards.iter().map(|m| &**m.runtime()))
 }
 
-/// Measured on this tree: 4 allocator calls per function-shipped GET
-/// round trip (client → front end → owner → front end → client) — the
-/// proxy's boxed reply continuation, the messenger's boxed waiter, its
-/// timeout's boxed timer callback, and the boxed flush hook the call is
-/// staged behind. The parent of the change that added this test
-/// measures 25 with the same test. The ceiling is the measured value
-/// plus one, a fifth of the parent's.
-const SHIPPED_GET_CALLS_CEILING: u64 = 5;
+/// Measured on this tree: 0 allocator calls per function-shipped GET
+/// round trip (client → front end → owner → front end → client).
+/// Nothing on the path allocates: the proxy's reply continuation, the
+/// messenger's waiter, its timeout's timer callback and the flush hook
+/// the call is staged behind each live in their `OnceFn`'s own words,
+/// and the in-flight call waits in the transport's map, which keeps its
+/// capacity. With those four boxed this test read 4; the parent of the
+/// change that added it measures 25. The ceiling is the measured value
+/// plus one.
+const SHIPPED_GET_CALLS_CEILING: u64 = 1;
 
 #[test]
 fn a_shipped_get_copies_nothing_and_stays_under_the_allocator_ceiling() {

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::cpu::{self, CoreId};
+use crate::event::OnceFn;
 use crate::spinlock::SpinLock;
 
 /// System-wide unique identifier of an Ebb instance (32 bits, as in the
@@ -550,9 +551,16 @@ pub type RemoteResult<T> = Result<T, RemoteError>;
 /// answers with another.
 pub type Payload = crate::iobuf::Chain<crate::iobuf::IoBuf>;
 
+/// Words of inline storage a [`RemoteReply`] gets: enough for the
+/// continuations the product ships with (a connection, a weak handle
+/// and a few fields; a transport's own wrapper around a batch). Replies
+/// live only in the transport's in-flight maps, so they may be wider
+/// than an event ([`crate::event::EVENT_WORDS`]).
+pub const REPLY_WORDS: usize = 5;
+
 /// The continuation of one function-shipped call; invoked exactly once
-/// with the response payload or a [`RemoteError`].
-pub type RemoteReply = Box<dyn FnOnce(RemoteResult<Payload>)>;
+/// ([`OnceFn::call`]) with the response payload or a [`RemoteError`].
+pub type RemoteReply = OnceFn<RemoteResult<Payload>, REPLY_WORDS>;
 
 /// The machine-local transport [`DistributedEbb`] proxies function-ship
 /// through: resolves the owner of an id (via the naming service) and
@@ -619,7 +627,8 @@ impl RemoteShipper {
     /// Function-ships one call; `reply` runs exactly once with the
     /// response payload or the failure.
     pub fn call(&self, payload: Payload, reply: impl FnOnce(RemoteResult<Payload>) + 'static) {
-        self.transport.ship(self.id, payload, Box::new(reply));
+        self.transport
+            .ship(self.id, payload, RemoteReply::new(reply));
     }
 }
 

@@ -338,7 +338,7 @@ impl RemoteTransport for LoopbackTransport {
         self.owner
             .ebbs()
             .with_rep_on::<DistEbb, _>(CoreId(0), id, |rep| {
-                rep.handle_remote(payload, move |resp| reply(Ok(resp)))
+                rep.handle_remote(payload, move |resp| reply.call(Ok(resp)))
             });
     }
 }

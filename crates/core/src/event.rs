@@ -43,10 +43,20 @@ use crate::timer::{TimerWheel, TimerWheelStats};
 
 pub use crate::timer::TimerToken;
 
+mod once;
+pub use once::{Local, OnceFn, Sendable};
+
+/// Words of inline storage an event's closure gets: an `Rc` and a word,
+/// say, which is what nearly every spawned event, idle one-shot and
+/// one-shot timer captures. Two keep a timer wheel slot
+/// (`Option<TimerFn>`) at the 32 bytes a boxed closure took; a larger
+/// closure is boxed inside its [`OnceFn`].
+pub const EVENT_WORDS: usize = 2;
+
 /// A one-shot event handler, local to a core.
-pub type EventHandler = Box<dyn FnOnce() + 'static>;
+pub type EventHandler = OnceFn<(), EVENT_WORDS>;
 /// A one-shot event handler that may cross cores.
-pub type SendEventHandler = Box<dyn FnOnce() + Send + 'static>;
+pub type SendEventHandler = OnceFn<(), EVENT_WORDS, Sendable>;
 
 /// An interrupt vector number allocated from an [`EventManager`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -102,8 +112,8 @@ pub struct EventStats {
 /// instead of boxing a closure.
 pub type KeyedTimerFn = Rc<dyn Fn(u64)>;
 
-/// The timer wheel's handler payload: a one-shot boxed closure
-/// (consumed when the timer fires) or a persistent keyed handler that
+/// The timer wheel's handler payload: a one-shot closure (consumed
+/// when the timer fires) or a persistent keyed handler that
 /// survives firings and is re-armed with [`EventManager::reset_timer`].
 enum TimerFn {
     Once(EventHandler),
@@ -381,7 +391,8 @@ impl EventManager {
     /// Queues a synthetic event on this core from the owning core itself
     /// (non-`Send` handlers allowed). Spawned events run exactly once.
     pub fn spawn_local(&self, f: impl FnOnce() + 'static) {
-        self.owned.with(|o| o.local.push_back(Box::new(f)));
+        self.owned
+            .with(|o| o.local.push_back(EventHandler::new(move |()| f())));
     }
 
     /// Queues a synthetic event on this core from any thread.
@@ -405,7 +416,8 @@ impl EventManager {
     /// unconditionally: always lands in the remote queue and wakes the
     /// owner, even when the caller's bound core id happens to match.
     pub fn spawn_remote(&self, f: impl FnOnce() + Send + 'static) {
-        self.shared.push_remote(Box::new(f));
+        self.shared
+            .push_remote(SendEventHandler::new_send(move |()| f()));
     }
 
     /// Handle for cross-thread spawning without holding `&EventManager`.
@@ -478,7 +490,8 @@ impl EventManager {
     /// shape for deferred housekeeping such as the buffer pool's
     /// mailbox sweep. Owner-core only.
     pub fn add_idle_once(&self, f: impl FnOnce() + 'static) {
-        self.owned.with(|o| o.idle_once.push(Box::new(f)));
+        self.owned
+            .with(|o| o.idle_once.push(EventHandler::new(move |()| f())));
     }
 
     /// Depth of this core's event backlog: synthetic events queued
@@ -508,8 +521,10 @@ impl EventManager {
     /// consumed when it fires; the token then goes stale.
     pub fn set_timer(&self, delay_ns: Ns, f: impl FnOnce() + 'static) -> TimerToken {
         let deadline = self.clock.now_ns() + delay_ns;
-        self.owned
-            .with(|o| o.timers.schedule(deadline, TimerFn::Once(Box::new(f))))
+        self.owned.with(|o| {
+            o.timers
+                .schedule(deadline, TimerFn::Once(EventHandler::new(move |()| f())))
+        })
     }
 
     /// Creates a *persistent* timer armed `delay_ns` from now, which
@@ -696,7 +711,7 @@ impl EventManager {
             });
             match fired {
                 None => return n,
-                Some(Fire::Once(h)) => self.invoke(h),
+                Some(Fire::Once(h)) => self.invoke(|| h.call(())),
                 Some(Fire::Persistent(f, key)) => self.invoke(move || f(key)),
             }
             self.stats.timers.fetch_add(1, Ordering::Relaxed);
@@ -706,19 +721,15 @@ impl EventManager {
 
     fn dispatch_one_synthetic(&self) -> bool {
         // Local (same-core) events first, then remote arrivals.
-        let ev = self
-            .owned
-            .with(|o| o.local.pop_front())
-            .map(|f| f as EventHandler)
-            .or_else(|| self.shared.remote.pop().map(|f| f as EventHandler));
-        match ev {
-            Some(f) => {
-                self.invoke(f);
-                self.stats.synthetic.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
+        if let Some(f) = self.owned.with(|o| o.local.pop_front()) {
+            self.invoke(|| f.call(()));
+        } else if let Some(f) = self.shared.remote.pop() {
+            self.invoke(|| f.call(()));
+        } else {
+            return false;
         }
+        self.stats.synthetic.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn dispatch_idle(&self) -> (usize, usize) {
@@ -739,7 +750,7 @@ impl EventManager {
         if let Some(mut once) = once {
             (invoked, worked) = (once.len(), once.len());
             for h in once.drain(..) {
-                self.invoke(h);
+                self.invoke(|| h.call(()));
                 self.stats.idle.fetch_add(1, Ordering::Relaxed);
             }
             self.owned.with(|o| o.idle_once_spare = once);
@@ -904,7 +915,8 @@ pub struct Spawner {
 impl Spawner {
     /// Queues `f` on the target core.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.shared.push_remote(Box::new(f));
+        self.shared
+            .push_remote(SendEventHandler::new_send(move |()| f()));
     }
 
     /// The core this spawner targets.
@@ -953,7 +965,7 @@ impl EventContext {
     pub fn activate(self) {
         let core = self.shared.core;
         let shared = Arc::clone(&self.shared);
-        shared.push_remote(Box::new(move || {
+        shared.push_remote(SendEventHandler::new_send(move |()| {
             crate::runtime::with_current(|rt| {
                 rt.event_manager(core).set_pending_handoff(self.clone());
             });

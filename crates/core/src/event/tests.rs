@@ -555,3 +555,176 @@ fn exit_flag() {
     em.request_exit();
     assert!(em.exit_requested());
 }
+
+// --- OnceFn: the inline one-shot callable every event is ---------------
+
+/// A capture that counts its drops.
+struct Tracked<P>(Rc<Cell<u32>>, P);
+
+impl<P> Drop for Tracked<P> {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// Allocator calls `f` makes on this thread.
+fn calls_in(f: impl FnOnce()) -> u64 {
+    let before = test_alloc::thread_calls();
+    f();
+    test_alloc::thread_calls() - before
+}
+
+/// Every way an `OnceFn` can end, for a capture with padding `P`: called,
+/// dropped uncalled, unwound out of. Returns the drop counts.
+fn ends_of<P: Default + 'static>() -> [u32; 3] {
+    let drops = Rc::new(Cell::new(0));
+    let ran = Rc::new(Cell::new(false));
+    let (t, r) = (Tracked(Rc::clone(&drops), P::default()), Rc::clone(&ran));
+    EventHandler::new(move |()| {
+        let _t = &t;
+        r.set(true);
+    })
+    .call(());
+    assert!(ran.get());
+    let called = drops.replace(0);
+
+    let t = Tracked(Rc::clone(&drops), P::default());
+    drop(EventHandler::new(move |()| drop(t)));
+    let uncalled = drops.replace(0);
+
+    let t = Tracked(Rc::clone(&drops), P::default());
+    let f = EventHandler::new(move |()| {
+        let _t = &t;
+        panic!("a handler that panics");
+    });
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.call(())));
+    assert!(unwound.is_err());
+    [called, uncalled, drops.get()]
+}
+
+#[test]
+fn once_fn_drops_its_captures_exactly_once() {
+    // Inline (an `Rc`) and boxed (an `Rc` and 64 bytes) alike.
+    assert_eq!(ends_of::<()>(), [1, 1, 1]);
+    assert_eq!(ends_of::<[u64; 8]>(), [1, 1, 1]);
+}
+
+#[test]
+fn events_left_behind_drop_their_captures_exactly_once() {
+    let (em, clock) = em();
+    let _b = cpu::bind(CoreId(0));
+    let drops = Rc::new(Cell::new(0));
+    let ran = Rc::new(Cell::new(0));
+    let track = || {
+        let (t, r) = (Tracked(Rc::clone(&drops), ()), Rc::clone(&ran));
+        move || {
+            let _t = &t;
+            r.set(r.get() + 1);
+        }
+    };
+    // A cancelled one-shot timer drops its closure on the spot.
+    let token = em.set_timer(100, track());
+    em.cancel_timer(token);
+    assert_eq!(drops.get(), 1);
+    clock.set(200);
+    em.run_once();
+    assert_eq!((drops.get(), ran.get()), (1, 0));
+    // Everything still queued goes with the manager: a spawned event,
+    // an idle one-shot, a pending timer. (A `Send` event cannot carry
+    // the `Rc`s; an `Arc` counts its owners instead.)
+    em.spawn_local(track());
+    em.add_idle_once(track());
+    em.set_timer(1_000, track());
+    let remote = Arc::new(());
+    let r2 = Arc::clone(&remote);
+    em.spawn_remote(move || drop(r2));
+    drop(em);
+    assert_eq!((drops.get(), ran.get()), (4, 0));
+    assert_eq!(Arc::strong_count(&remote), 1);
+}
+
+thread_local! {
+    /// Where closures that capture no handle report.
+    static SEEN: Cell<u64> = const { Cell::new(0) };
+}
+
+#[test]
+fn once_fn_takes_oversize_overaligned_and_zero_sized_closures() {
+    #[repr(align(16))]
+    struct Aligned(u64);
+    fn add(x: u64) {
+        SEEN.with(|c| c.set(c.get() + x));
+    }
+    // Zero-sized: a function item, and a closure that captures nothing.
+    let calls = calls_in(|| {
+        OnceFn::<u64, 2>::new(add).call(2);
+        OnceFn::<u64, 2>::new(|x| add(x + 1)).call(3);
+    });
+    assert_eq!((calls, SEEN.with(Cell::get)), (0, 6));
+    // Two words fit; a third goes to a box.
+    let got = Rc::new(Cell::new(0u64));
+    let g = Rc::clone(&got);
+    assert_eq!(
+        calls_in(|| OnceFn::<u64, 2>::new(move |x| g.set(x)).call(7)),
+        0
+    );
+    let (g, big) = (Rc::clone(&got), [1u64, 2, 3]);
+    let sum = move |x| g.set(x + big.iter().sum::<u64>());
+    assert_eq!(calls_in(|| OnceFn::<u64, 2>::new(sum).call(10)), 1);
+    assert_eq!(got.get(), 16);
+    // So does a closure with more than word alignment, even one that
+    // fits the words' size.
+    let aligned = Aligned(40);
+    let read = move |()| {
+        assert_eq!(&aligned as *const Aligned as usize % 16, 0);
+        add(aligned.0);
+    };
+    assert_eq!(std::mem::size_of_val(&read), 16);
+    assert_eq!(calls_in(|| OnceFn::<(), 2>::new(read).call(())), 1);
+    assert_eq!(SEEN.with(Cell::get), 46);
+    // The width is the caller's: five words hold what two could not.
+    let g = Rc::clone(&got);
+    let calls = calls_in(|| OnceFn::<u64, 5>::new(move |x| g.set(x + big[2])).call(1));
+    assert_eq!((calls, got.get()), (0, 4));
+}
+
+#[test]
+fn one_shot_events_with_small_captures_call_no_allocator() {
+    let (em, clock) = em();
+    let _b = cpu::bind(CoreId(0));
+    let local = Rc::new(Cell::new(0u64));
+    let remote = Arc::new(AtomicU64::new(0));
+    let round = |i: u64| {
+        // Each closure captures 16 bytes: a handle and a word.
+        let (l1, l2, l3) = (Rc::clone(&local), Rc::clone(&local), Rc::clone(&local));
+        let r = Arc::clone(&remote);
+        em.spawn_local(move || l1.set(l1.get() + i));
+        em.spawn_remote(move || {
+            r.fetch_add(i, Ordering::Relaxed);
+        });
+        em.add_idle_once(move || l2.set(l2.get() + i));
+        em.set_timer(10, move || l3.set(l3.get() + i));
+        clock.set(clock.now_ns() + 10);
+        while em.run_once().any() {}
+    };
+    // Warm-up sizes the queues, the idle vectors and the timer slab.
+    (0..100).for_each(round);
+    let calls = calls_in(|| (0..100).for_each(round));
+    assert_eq!(calls, 0, "100 rounds of four one-shot events");
+    assert_eq!(
+        (local.get(), remote.load(Ordering::Relaxed)),
+        (6 * 4950, 2 * 4950)
+    );
+}
+
+#[test]
+fn a_one_shot_timer_slot_stays_32_bytes() {
+    // The wheel's handler slot, and with it every connection's timer
+    // bill (`NetIf::bytes_per_idle_conn` charges two entries): an
+    // event's inline words are sized to keep it here.
+    assert_eq!(std::mem::size_of::<Option<TimerFn>>(), 32);
+    assert_eq!(
+        EventManager::timer_entry_bytes(),
+        crate::timer::HOT_ENTRY_BYTES + 32
+    );
+}

@@ -41,8 +41,8 @@ use std::sync::Arc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
-    not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, RemoteError, SystemEbb,
-    FIRST_DYNAMIC_ID,
+    not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, RemoteError, RemoteReply,
+    SystemEbb, FIRST_DYNAMIC_ID,
 };
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
@@ -197,7 +197,7 @@ fn frame_bytes(id: EbbId, kind: u8, rpc_id: u64, payload: &[u8]) -> Chain<IoBuf>
 /// core, where the continuation is delivered (responses may arrive on
 /// another core's peer connection).
 struct RpcWaiter {
-    reply: Box<dyn FnOnce(Result<Chain<IoBuf>, RemoteError>)>,
+    reply: RemoteReply,
     timer: Option<(CoreId, TimerToken)>,
     peer: Ipv4Addr,
     home: CoreId,
@@ -515,7 +515,7 @@ impl Messenger {
         self.rpc_waiters.borrow_mut().insert(
             rpc_id,
             RpcWaiter {
-                reply: Box::new(reply),
+                reply: RemoteReply::new(reply),
                 timer,
                 peer: dst,
                 home: runtime::with_current_on(|_, core| core),
@@ -559,12 +559,12 @@ impl Messenger {
         // may land on another core's peer connection.
         runtime::with_current_on(|rt, current| {
             if current == w.home {
-                (w.reply)(outcome);
+                w.reply.call(outcome);
             } else {
                 let cell = SendCell::new((w.reply, outcome));
                 rt.spawn(w.home, move || {
                     let (reply, outcome) = cell.into_inner();
-                    reply(outcome);
+                    reply.call(outcome);
                 });
             }
         });

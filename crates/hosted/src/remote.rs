@@ -90,6 +90,19 @@ struct StagedCall {
     attempt: u32,
 }
 
+/// One call on the wire as a frame of its own, awaiting the messenger's
+/// verdict: what its failover needs. It waits here, keyed, so the
+/// messenger's continuation holds only the key and fits that
+/// continuation's inline words instead of nesting this whole call.
+struct DirectCall {
+    owner: Ipv4Addr,
+    id: EbbId,
+    /// A descriptor clone of the framed request, to re-ship from.
+    retained: Chain<IoBuf>,
+    reply: RemoteReply,
+    attempt: u32,
+}
+
 /// A resolved ownership record: the ordered replica list (primary
 /// first) and the naming-record version it was read at — the CAS token
 /// used when this transport promotes a replica.
@@ -133,10 +146,13 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// `base << attempt`, capped at `max` — saturating: a shift that
+    /// pushes bits off the top (`checked_shl` only rejects shifts of 64
+    /// or more) is over the cap, not a smaller number.
     fn backoff_ns(&self, attempt: u32) -> Ns {
+        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
         self.backoff_base_ns
-            .checked_shl(attempt)
-            .unwrap_or(self.backoff_max_ns)
+            .saturating_mul(factor)
             .min(self.backoff_max_ns)
     }
 }
@@ -156,6 +172,13 @@ pub struct MessengerTransport {
     /// A slot stays in the map (empty) between passes, so staging a
     /// lone call allocates nothing.
     staged: RefCell<HashMap<(Ipv4Addr, CoreId), Vec<StagedCall>>>,
+    /// Direct calls in flight, by the key their messenger continuation
+    /// carries; the map keeps its capacity, so a call allocates nothing.
+    /// A call in flight when the messenger or the transport is torn
+    /// down never gets its verdict: its reply is dropped uncalled (with
+    /// the transport), as the messenger drops its waiters.
+    direct: RefCell<HashMap<u64, DirectCall>>,
+    next_direct: Cell<u64>,
     timeout_ns: Cell<Ns>,
     retry: Cell<RetryPolicy>,
     /// Calls shipped (diagnostic).
@@ -182,6 +205,8 @@ impl MessengerTransport {
             map,
             owners: RefCell::new(HashMap::new()),
             staged: RefCell::new(HashMap::new()),
+            direct: RefCell::new(HashMap::new()),
+            next_direct: Cell::new(0),
             timeout_ns: Cell::new(DEFAULT_CALL_TIMEOUT_NS),
             retry: Cell::new(RetryPolicy::default()),
             shipped: Cell::new(0),
@@ -320,7 +345,7 @@ impl MessengerTransport {
             .set(self.max_batch.get().max(calls.len() as u64));
         let Some(m) = self.messenger.upgrade() else {
             for c in calls {
-                (c.reply)(Err(RemoteError::Unreachable));
+                c.reply.call(Err(RemoteError::Unreachable));
             }
             return;
         };
@@ -337,14 +362,14 @@ impl MessengerTransport {
                     t.attempt_failed(owner, c.id, c.payload, c.reply, c.attempt, err)
                 }
                 Some(t) => t.retry_after_failure(owner, c.id, c.payload, c.reply, c.attempt, err),
-                None => (c.reply)(Err(err)),
+                None => c.reply.call(Err(err)),
             };
             match r {
                 Ok(resp) => match batch::decode_response(&resp) {
                     Some(slots) if slots.len() == calls.len() => {
                         for (c, (status, body)) in calls.into_iter().zip(slots) {
                             if status == batch::STATUS_OK {
-                                (c.reply)(Ok(body));
+                                c.reply.call(Ok(body));
                             } else {
                                 // The owner answered but had no handler
                                 // for this id — the verdict a dropped
@@ -364,7 +389,7 @@ impl MessengerTransport {
                 Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
                     calls.into_iter().for_each(|c| fail_over(c, err, true))
                 }
-                Err(err) => calls.into_iter().for_each(|c| (c.reply)(Err(err))),
+                Err(err) => calls.into_iter().for_each(|c| c.reply.call(Err(err))),
             }
         };
         m.call_chain(
@@ -388,21 +413,41 @@ impl MessengerTransport {
         attempt: u32,
     ) {
         let Some(m) = self.messenger.upgrade() else {
-            reply(Err(RemoteError::Unreachable));
+            reply.call(Err(RemoteError::Unreachable));
             return;
         };
+        let key = self.next_direct.get();
+        self.next_direct.set(key + 1);
         let weak = Weak::clone(&self.weak);
         m.call_chain_retaining(owner, id, payload, self.timeout_ns.get(), |retained| {
-            move |r| match r {
-                Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
-                    match weak.upgrade() {
-                        Some(t) => t.attempt_failed(owner, id, retained, reply, attempt, err),
-                        None => reply(Err(err)),
-                    }
+            let call = DirectCall {
+                owner,
+                id,
+                retained,
+                reply,
+                attempt,
+            };
+            self.direct.borrow_mut().insert(key, call);
+            move |r| {
+                if let Some(t) = weak.upgrade() {
+                    t.direct_done(key, r);
                 }
-                other => reply(other),
             }
         });
+    }
+
+    /// The messenger's verdict on direct call `key`: the caller's reply,
+    /// or — on Timeout/Unreachable — the failover-and-retry path.
+    fn direct_done(&self, key: u64, r: Result<Chain<IoBuf>, RemoteError>) {
+        let Some(c) = self.direct.borrow_mut().remove(&key) else {
+            return;
+        };
+        match r {
+            Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
+                self.attempt_failed(c.owner, c.id, c.retained, c.reply, c.attempt, err)
+            }
+            other => c.reply.call(other),
+        }
     }
 
     /// One ship attempt failed: repair the ownership record (promote a
@@ -450,7 +495,7 @@ impl MessengerTransport {
         self.failover(id, failed);
         let policy = self.retry.get();
         if attempt + 1 >= policy.budget {
-            reply(Err(err));
+            reply.call(Err(err));
             return;
         }
         self.retries.set(self.retries.get() + 1);
@@ -462,7 +507,7 @@ impl MessengerTransport {
             rt.local_event_manager()
                 .set_timer(policy.backoff_ns(attempt), move || match weak.upgrade() {
                     Some(t) => t.ship_attempt(id, payload, reply, attempt + 1),
-                    None => reply(Err(RemoteError::Unreachable)),
+                    None => reply.call(Err(RemoteError::Unreachable)),
                 });
         });
     }
@@ -577,7 +622,7 @@ impl MessengerTransport {
                 }
                 None => {
                     for call in queued {
-                        (call.reply)(Err(RemoteError::Unresolved));
+                        call.reply.call(Err(RemoteError::Unresolved));
                     }
                 }
             }

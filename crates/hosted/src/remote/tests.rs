@@ -343,7 +343,7 @@ fn naming_service_down_fails_unresolved_not_hangs() {
         t.ship(
             id,
             Chain::single(IoBuf::copy_from(b"anyone?")),
-            Box::new(move |r| g2.set(Some(r.map(|_| ())))),
+            RemoteReply::new(move |r| g2.set(Some(r.map(|_| ())))),
         );
         // Keep the transport alive until the world quiesces.
         std::mem::forget(t);
@@ -376,7 +376,7 @@ fn preset_owner_survives_owner_failures() {
         t.ship(
             id,
             Chain::new(),
-            Box::new(move |r| {
+            RemoteReply::new(move |r| {
                 g3.borrow_mut().push(r.map(|_| ()));
                 // Second call after the first failure: must retry
                 // the preset owner, not report Unresolved.
@@ -384,7 +384,7 @@ fn preset_owner_survives_owner_failures() {
                 t2.ship(
                     id,
                     Chain::new(),
-                    Box::new(move |r| g4.borrow_mut().push(r.map(|_| ()))),
+                    RemoteReply::new(move |r| g4.borrow_mut().push(r.map(|_| ()))),
                 );
             }),
         );
@@ -674,7 +674,11 @@ fn retried_payload_reaches_the_promoted_owner_byte_identical() {
         &c.client,
         (transport, payload, g2),
         move |(t, payload, g2)| {
-            t.ship(id, payload, Box::new(move |r| g2.set(Some(r.map(|_| ())))));
+            t.ship(
+                id,
+                payload,
+                RemoteReply::new(move |r| g2.set(Some(r.map(|_| ())))),
+            );
         },
     );
     c.w.run_to_idle();
@@ -800,4 +804,34 @@ fn unpromote_cas_loses_cleanly_to_a_concurrent_promotion() {
         Some(&ring_order[..]),
         "ownership converged back to ring placement"
     );
+}
+
+#[test]
+fn retry_backoff_never_decreases_and_saturates_at_its_cap() {
+    for base in [0, 1, 3, 1_000_000, 7_777_777, u64::MAX / 3, u64::MAX] {
+        for max in [16_000_000, u64::MAX] {
+            let policy = RetryPolicy {
+                budget: 256,
+                backoff_base_ns: base,
+                backoff_max_ns: max,
+            };
+            let mut prev = 0;
+            for attempt in 0..=200 {
+                let b = policy.backoff_ns(attempt);
+                assert!(
+                    b >= prev && b <= max,
+                    "base {base}, max {max}: attempt {attempt} backs off {b} after {prev}"
+                );
+                prev = b;
+            }
+            let expect_top = if base == 0 { 0 } else { max };
+            assert_eq!(prev, expect_top, "base {base}, max {max}");
+        }
+    }
+    // The default policy's attempts 58–63 used to shift its base's
+    // bits off the top and back off 0 ns.
+    let default = RetryPolicy::default();
+    for attempt in 4..=63 {
+        assert_eq!(default.backoff_ns(attempt), default.backoff_max_ns);
+    }
 }
