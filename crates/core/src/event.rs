@@ -395,23 +395,6 @@ impl EventManager {
             .with(|o| o.local.push_back(EventHandler::new(move |()| f())));
     }
 
-    /// Queues a synthetic event on this core from any thread.
-    ///
-    /// The owner-core fast path keys on the bound core id alone, so this
-    /// must only be called when a matching core id implies *this*
-    /// manager — i.e. from this manager's own machine. Cross-machine
-    /// callers go through [`Runtime::spawn`](crate::runtime::Runtime),
-    /// which also checks runtime identity (under the simulated backend
-    /// every machine has a `CoreId(0)`, and misclassifying a remote
-    /// spawn as local would enqueue it without waking the target).
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        if cpu::try_current() == Some(self.shared.core) {
-            self.spawn_local(f);
-        } else {
-            self.spawn_remote(f);
-        }
-    }
-
     /// Queues a synthetic event on this core via the cross-thread path
     /// unconditionally: always lands in the remote queue and wakes the
     /// owner, even when the caller's bound core id happens to match.

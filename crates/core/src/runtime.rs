@@ -485,7 +485,7 @@ mod tests {
         let rt = Runtime::new(2, Arc::new(ManualClock::new()));
         let _g = enter(Arc::clone(&rt), CoreId(1));
         // The Ebb route reaches the *calling core's* manager.
-        event_manager_ref().with(|e| e.with_em(|em| em.spawn(|| ())));
+        event_manager_ref().with(|e| e.with_em(|em| em.spawn_local(|| ())));
         assert!(rt.event_manager(CoreId(1)).pending_work());
         assert!(!rt.event_manager(CoreId(0)).pending_work());
     }

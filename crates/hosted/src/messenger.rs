@@ -25,7 +25,8 @@
 //! into the headroom its first buffer was marshalled behind
 //! ([`Chain::prepend_in_place`]; a chain that is shared, or has no
 //! room, gets a pooled header buffer in front instead) and its
-//! segments queued on the connection as they are. It arrives by
+//! segments queued on the connection as they are, to leave in
+//! window-sized slices of that queue. It arrives by
 //! appending the TCP stream's chains to a per-connection reassembly
 //! *chain* and splitting complete frames off the front, so a handler's
 //! payload is a view of the buffers the bytes were received in. The
@@ -34,7 +35,7 @@
 //! slice once into a pooled buffer and take the same path.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
@@ -45,7 +46,7 @@ use ebbrt_core::ebb::{
     SystemEbb, FIRST_DYNAMIC_ID,
 };
 use ebbrt_core::event::TimerToken;
-use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, CounterHandle};
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
@@ -207,10 +208,9 @@ struct PeerConn {
     conn: TcpConn,
     addr: Cell<Option<Ipv4Addr>>,
     established: bool,
-    /// Segments of frames awaiting connection establishment or send
-    /// window, oldest first; drained from `on_connected` /
-    /// `on_window_open`.
-    pending: VecDeque<IoBuf>,
+    /// Frames awaiting connection establishment or send window, oldest
+    /// first; drained from `on_connected` / `on_window_open`.
+    pending: Chain<IoBuf>,
     /// Inbound stream not yet split into frames: the received chains,
     /// appended as they came.
     rx: Chain<IoBuf>,
@@ -318,7 +318,7 @@ impl Messenger {
                     conn: conn.clone(),
                     addr: Cell::new(addr),
                     established: true,
-                    pending: VecDeque::new(),
+                    pending: Chain::new(),
                     rx: Chain::new(),
                 }));
                 // Learn the peer so responses reuse this connection — but
@@ -627,7 +627,7 @@ impl Messenger {
         let (conn, addr) = {
             let mut p = peer.borrow_mut();
             p.established = false;
-            p.pending.clear();
+            p.pending = Chain::new();
             p.rx = Chain::new();
             (p.conn.clone(), p.addr.get())
         };
@@ -655,7 +655,7 @@ impl Messenger {
     /// descriptors the store holds.
     fn enqueue(self: &Rc<Self>, dst: Ipv4Addr, frame: Chain<IoBuf>) {
         let peer = self.peer_for(dst);
-        peer.borrow_mut().pending.extend(frame);
+        peer.borrow_mut().pending.append_chain(frame);
         Self::flush_peer_on_conn_core(&peer);
     }
 
@@ -674,39 +674,28 @@ impl Messenger {
         });
     }
 
-    /// Sends as many parked segments as the window allows (descriptor
-    /// clones only); the rest wait for establishment or window space.
-    /// Everything that fits the window rides **one** chained send —
-    /// the burst pays one TCP borrow/charge instead of one per message.
+    /// Sends as much of the parked stream as the window allows, cut at
+    /// the window's edge whatever the segment boundaries (a slice, never
+    /// a copy: a segment larger than any window the peer can advertise
+    /// still leaves); the rest waits for establishment or window space.
+    /// What fits rides **one** chained send — the burst pays one TCP
+    /// borrow/charge instead of one per message.
     fn flush_peer(peer: &Rc<RefCell<PeerConn>>) {
-        loop {
-            let (conn, burst) = {
-                let mut p = peer.borrow_mut();
-                if !p.established {
-                    return;
-                }
-                let Some(front) = p.pending.front() else {
-                    return;
-                };
-                let mut window = p.conn.send_window();
-                if front.len() > window {
-                    return;
-                }
-                let mut burst = Chain::new();
-                while let Some(front) = p.pending.front() {
-                    if front.len() > window {
-                        break;
-                    }
-                    window -= front.len();
-                    burst.push_back(p.pending.pop_front().expect("front checked"));
-                }
-                (p.conn.clone(), burst)
+        let (conn, burst) = {
+            let mut p = peer.borrow_mut();
+            let window = if p.established {
+                p.conn.send_window()
+            } else {
+                0
             };
-            if conn.send(burst).is_err() {
-                // NotConnected: the close path will fail the waiters.
+            if window == 0 || p.pending.is_empty() {
                 return;
             }
-        }
+            let n = p.pending.len().min(window);
+            (p.conn.clone(), p.pending.split_to(n))
+        };
+        // A refusal is NotConnected: the close path fails the waiters.
+        let _ = conn.send(burst);
     }
 
     fn peer_for(self: &Rc<Self>, dst: Ipv4Addr) -> Rc<RefCell<PeerConn>> {
@@ -719,7 +708,7 @@ impl Messenger {
             conn: TcpConn::dangling(),
             addr: Cell::new(Some(dst)),
             established: false,
-            pending: VecDeque::new(),
+            pending: Chain::new(),
             rx: Chain::new(),
         }));
         let handler = Rc::new(MessengerConn {

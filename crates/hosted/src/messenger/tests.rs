@@ -1,5 +1,6 @@
 use super::*;
 use ebbrt_core::cpu::CoreId;
+use ebbrt_core::iobuf::Buf;
 use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
 use crate::on_core0;
@@ -174,6 +175,41 @@ fn oversized_burst_parks_frames_until_window_opens() {
     });
     w.run_to_idle();
     assert_eq!(done.get(), 8, "every parked frame must eventually ship");
+}
+
+/// A single segment larger than any window a peer can advertise (the
+/// window is a `u16`, unscaled) leaves in window-sized slices, and so
+/// does everything queued behind it: the call is answered, every byte
+/// intact, none copied.
+#[test]
+fn a_segment_larger_than_any_window_is_sent_in_slices_uncopied() {
+    let (w, _sw, hosted, native, h_msgr, _n_msgr) = two_machines();
+    let id = EbbId(450);
+    h_msgr.register_call(id, |_src, payload, respond| respond.send(payload));
+    for len in [65_536, 200_000] {
+        let value: Vec<u8> = (0..len as u32).map(|i| (i * 31 + i / 251) as u8).collect();
+        let payload = Chain::single(MutIoBuf::from_vec(value.clone()).freeze());
+        let echoed = Rc::new(RefCell::new(None));
+        let e2 = Rc::clone(&echoed);
+        let before = [&native, &hosted]
+            .map(|m| ebbrt_core::iobuf::stats::runtime_snapshot(m.runtime()).bytes_copied);
+        on_core0(&native, (payload, e2), move |(payload, e2)| {
+            local_messenger().call_chain(
+                VICTIM_IP,
+                id,
+                payload,
+                DEFAULT_RPC_TIMEOUT_NS,
+                move |r| *e2.borrow_mut() = Some(r),
+            );
+        });
+        w.run_to_idle();
+        let after = [&native, &hosted]
+            .map(|m| ebbrt_core::iobuf::stats::runtime_snapshot(m.runtime()).bytes_copied);
+        let echoed = echoed.borrow_mut().take().expect("the call resolved");
+        let echoed = echoed.unwrap_or_else(|e| panic!("{len} B: {e:?}"));
+        assert!(flat(&echoed) == value, "{len} B: every byte intact");
+        assert_eq!(after, before, "{len} B: no byte copied on either machine");
+    }
 }
 
 /// A machine that speaks raw TCP to a messenger port: no messenger

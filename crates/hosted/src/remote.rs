@@ -73,34 +73,34 @@ use crate::messenger::{batch, Messenger};
 
 pub use crate::messenger::DEFAULT_RPC_TIMEOUT_NS as DEFAULT_CALL_TIMEOUT_NS;
 
-/// One call parked behind an in-flight owner resolution, carrying the
-/// retry attempt it is on.
-struct PendingCall {
+/// One shipped call, wherever it waits: behind an owner resolution, in
+/// a staging slot, or on the wire. `attempt` counts the ship attempts
+/// it has already spent.
+struct Call {
+    id: EbbId,
+    /// The request; once a direct call is on the wire, the descriptor
+    /// clone of it a retry re-ships.
     payload: Chain<IoBuf>,
     reply: RemoteReply,
     attempt: u32,
 }
 
-/// One call staged for shipping at the end of the current event pass,
-/// keyed by the owner it resolved to.
-struct StagedCall {
-    id: EbbId,
-    payload: Chain<IoBuf>,
-    reply: RemoteReply,
-    attempt: u32,
+/// One messenger frame's worth of calls awaiting its verdict.
+enum Flight {
+    /// A lone call, framed as it was marshalled.
+    Direct(Call),
+    /// Two or more calls in one [`SystemEbb::RemoteBatch`] frame, in
+    /// table order.
+    Batch(Vec<Call>),
 }
 
-/// One call on the wire as a frame of its own, awaiting the messenger's
-/// verdict: what its failover needs. It waits here, keyed, so the
-/// messenger's continuation holds only the key and fits that
-/// continuation's inline words instead of nesting this whole call.
-struct DirectCall {
-    owner: Ipv4Addr,
-    id: EbbId,
-    /// A descriptor clone of the framed request, to re-ship from.
-    retained: Chain<IoBuf>,
-    reply: RemoteReply,
-    attempt: u32,
+impl Flight {
+    fn for_each(self, mut f: impl FnMut(Call)) {
+        match self {
+            Flight::Direct(call) => f(call),
+            Flight::Batch(calls) => calls.into_iter().for_each(f),
+        }
+    }
 }
 
 /// A resolved ownership record: the ordered replica list (primary
@@ -115,10 +115,15 @@ struct OwnerRecord {
 /// naming service's versions start at 1.
 const PRESET_VERSION: u64 = 0;
 
+/// Flights the in-flight map holds before its first doubling: a
+/// machine's steady state (one flight per owner and issuing core per
+/// pass, batches included) never grows it mid-run.
+const FLIGHTS_ROOM: usize = 7;
+
 /// Resolution state of one remote id.
 enum OwnerState {
     /// A GlobalIdMap lookup is in flight; calls queue behind it.
-    Resolving(Vec<PendingCall>),
+    Resolving(Vec<Call>),
     /// The ownership record, as last resolved (or promoted).
     Resolved(OwnerRecord),
 }
@@ -171,16 +176,18 @@ pub struct MessengerTransport {
     /// multi-call messenger frame, flushed from the pass's idle stage.
     /// A slot stays in the map (empty) between passes, so staging a
     /// lone call allocates nothing.
-    staged: RefCell<HashMap<(Ipv4Addr, CoreId), Vec<StagedCall>>>,
-    /// Direct calls in flight, by the key their messenger continuation
-    /// carries; the map keeps its capacity, so a call allocates nothing.
-    /// A call in flight when the messenger or the transport is torn
-    /// down never gets its verdict: its reply is dropped uncalled (with
-    /// the transport), as the messenger drops its waiters.
-    direct: RefCell<HashMap<u64, DirectCall>>,
-    next_direct: Cell<u64>,
+    staged: RefCell<HashMap<(Ipv4Addr, CoreId), Vec<Call>>>,
+    /// Frames on the wire and the owner each went to, by the key their
+    /// messenger continuation carries (all it carries, so it fits that
+    /// continuation's inline words); the map keeps its capacity, so a
+    /// flight allocates nothing. A flight still here when the messenger
+    /// or the transport is torn down never gets its verdict: its
+    /// replies, direct or batched, are dropped uncalled with the
+    /// transport, as the messenger drops its waiters.
+    flights: RefCell<HashMap<u64, (Ipv4Addr, Flight)>>,
+    next_flight: Cell<u64>,
     timeout_ns: Cell<Ns>,
-    retry: Cell<RetryPolicy>,
+    policy: Cell<RetryPolicy>,
     /// Calls shipped (diagnostic).
     pub shipped: Cell<u64>,
     /// Owner records dropped after a failed call (diagnostic).
@@ -205,10 +212,10 @@ impl MessengerTransport {
             map,
             owners: RefCell::new(HashMap::new()),
             staged: RefCell::new(HashMap::new()),
-            direct: RefCell::new(HashMap::new()),
-            next_direct: Cell::new(0),
+            flights: RefCell::new(HashMap::with_capacity(FLIGHTS_ROOM)),
+            next_flight: Cell::new(0),
             timeout_ns: Cell::new(DEFAULT_CALL_TIMEOUT_NS),
-            retry: Cell::new(RetryPolicy::default()),
+            policy: Cell::new(RetryPolicy::default()),
             shipped: Cell::new(0),
             invalidations: Cell::new(0),
             retries: Cell::new(0),
@@ -242,7 +249,7 @@ impl MessengerTransport {
     /// Overrides the per-call retry policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         assert!(policy.budget >= 1, "a call needs at least one attempt");
-        self.retry.set(policy);
+        self.policy.set(policy);
     }
 
     /// Configures the owner of `id` without a naming-service record —
@@ -277,32 +284,21 @@ impl MessengerTransport {
     /// lands on its issuing core.
     ///
     /// [`flush_staged`]: Self::flush_staged
-    fn ship_via(
-        &self,
-        owner: Ipv4Addr,
-        id: EbbId,
-        payload: Chain<IoBuf>,
-        reply: RemoteReply,
-        attempt: u32,
-    ) {
+    fn ship_via(&self, owner: Ipv4Addr, call: Call) {
         let core = runtime::with_current_on(|_, core| core);
         let key = (owner, core);
         let first = {
             let mut staged = self.staged.borrow_mut();
             let calls = staged.entry(key).or_default();
-            calls.push(StagedCall {
-                id,
-                payload,
-                reply,
-                attempt,
-            });
+            calls.push(call);
             calls.len() == 1
         };
         if first {
             // The hook holds a *strong* reference: a caller may drop
             // its transport handle the moment `ship` returns, and
-            // staged calls must still reach the wire. The reference lives only until this pass's idle
-            // stage, so it extends no lifetime beyond the pass.
+            // staged calls must still reach the wire. The reference
+            // lives only until this pass's idle stage, so it extends no
+            // lifetime beyond the pass.
             let t = self.weak.upgrade().expect("self is alive");
             runtime::with_current(|rt| {
                 rt.local_event_manager()
@@ -311,203 +307,130 @@ impl MessengerTransport {
         }
     }
 
-    /// Flushes one `(owner, core)` staging slot. A single staged call
-    /// ships exactly like the pre-batching transport; two or more
-    /// coalesce into one [`SystemEbb::RemoteBatch`] frame whose reply
-    /// resolves every sub-call in order. A batch-level failure
-    /// (timeout, dead peer) enters the failover-and-retry path for
-    /// every sub-call individually, so failover semantics are
-    /// unchanged.
+    /// Flushes one `(owner, core)` staging slot as one frame: a single
+    /// staged call ships exactly like the pre-batching transport; two
+    /// or more coalesce into one [`SystemEbb::RemoteBatch`] frame. Either
+    /// way the flight waits in [`Self::flights`] for [`Self::landed`].
     fn flush_staged(&self, key: (Ipv4Addr, CoreId)) {
         let owner = key.0;
-        let calls = {
+        let mut flight = {
             let mut staged = self.staged.borrow_mut();
             let Some(slot) = staged.get_mut(&key) else {
                 return;
             };
             match slot.len() {
                 0 => return,
-                1 => {
-                    let c = slot.pop().expect("len checked");
-                    drop(staged);
-                    self.ship_direct(owner, c.id, c.payload, c.reply, c.attempt);
-                    return;
+                1 => Flight::Direct(slot.pop().expect("len checked")),
+                n => {
+                    self.batch_flushes.set(self.batch_flushes.get() + 1);
+                    self.batched_calls.set(self.batched_calls.get() + n as u64);
+                    self.max_batch.set(self.max_batch.get().max(n as u64));
+                    // The flight keeps these calls; the slot starts the
+                    // next pass with room for as many.
+                    Flight::Batch(std::mem::replace(slot, Vec::with_capacity(n)))
                 }
-                // The batch's closure keeps these calls; the slot
-                // starts the next pass with room for as many.
-                n => std::mem::replace(slot, Vec::with_capacity(n)),
             }
         };
-        self.batch_flushes.set(self.batch_flushes.get() + 1);
-        self.batched_calls
-            .set(self.batched_calls.get() + calls.len() as u64);
-        self.max_batch
-            .set(self.max_batch.get().max(calls.len() as u64));
         let Some(m) = self.messenger.upgrade() else {
-            for c in calls {
-                c.reply.call(Err(RemoteError::Unreachable));
-            }
+            flight.for_each(|c| c.reply.call(Err(RemoteError::Unreachable)));
             return;
         };
-        let envelope = batch::encode_request(calls.iter().map(|c| (c.id.0, &c.payload)));
-        let weak = Weak::clone(&self.weak);
-        // The closure owns `calls`, payloads included: those descriptors
-        // are what a failed-over sub-call is re-shipped from.
-        let on_reply = move |r: Result<Chain<IoBuf>, RemoteError>| {
-            // Every sub-call whose slot did not come back served takes
-            // the failover path on its own; with the transport gone
-            // there is nobody left to retry through.
-            let fail_over = |c: StagedCall, err: RemoteError, fence: bool| match weak.upgrade() {
-                Some(t) if fence => {
-                    t.attempt_failed(owner, c.id, c.payload, c.reply, c.attempt, err)
-                }
-                Some(t) => t.retry_after_failure(owner, c.id, c.payload, c.reply, c.attempt, err),
-                None => c.reply.call(Err(err)),
-            };
-            match r {
-                Ok(resp) => match batch::decode_response(&resp) {
-                    Some(slots) if slots.len() == calls.len() => {
-                        for (c, (status, body)) in calls.into_iter().zip(slots) {
-                            if status == batch::STATUS_OK {
-                                c.reply.call(Ok(body));
-                            } else {
-                                // The owner answered but had no handler
-                                // for this id — the verdict a dropped
-                                // single call reaches by timeout, minus
-                                // the wait and the zombie fence (the
-                                // connection itself is healthy).
-                                fail_over(c, RemoteError::Timeout, false);
-                            }
-                        }
-                    }
-                    // A malformed reply is indistinguishable from no
-                    // reply: fail every sub-call over.
-                    _ => calls
-                        .into_iter()
-                        .for_each(|c| fail_over(c, RemoteError::Timeout, true)),
-                },
-                Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
-                    calls.into_iter().for_each(|c| fail_over(c, err, true))
-                }
-                Err(err) => calls.into_iter().for_each(|c| c.reply.call(Err(err))),
-            }
+        let (id, payload) = match &mut flight {
+            Flight::Direct(c) => (c.id, std::mem::take(&mut c.payload)),
+            Flight::Batch(calls) => (
+                SystemEbb::RemoteBatch.id(),
+                batch::encode_request(calls.iter().map(|c| (c.id.0, &c.payload))),
+            ),
         };
-        m.call_chain(
-            owner,
-            SystemEbb::RemoteBatch.id(),
-            envelope,
-            self.timeout_ns.get(),
-            on_reply,
-        );
-    }
-
-    /// Puts one call on the wire as its own messenger frame; a
-    /// Timeout/Unreachable outcome enters the failover-and-retry path
-    /// instead of reaching the caller.
-    fn ship_direct(
-        &self,
-        owner: Ipv4Addr,
-        id: EbbId,
-        payload: Chain<IoBuf>,
-        reply: RemoteReply,
-        attempt: u32,
-    ) {
-        let Some(m) = self.messenger.upgrade() else {
-            reply.call(Err(RemoteError::Unreachable));
-            return;
-        };
-        let key = self.next_direct.get();
-        self.next_direct.set(key + 1);
+        let key = self.next_flight.get();
+        self.next_flight.set(key + 1);
         let weak = Weak::clone(&self.weak);
         m.call_chain_retaining(owner, id, payload, self.timeout_ns.get(), |retained| {
-            let call = DirectCall {
-                owner,
-                id,
-                retained,
-                reply,
-                attempt,
-            };
-            self.direct.borrow_mut().insert(key, call);
+            // A batch's calls still hold their own payloads.
+            if let Flight::Direct(c) = &mut flight {
+                c.payload = retained;
+            }
+            self.flights.borrow_mut().insert(key, (owner, flight));
             move |r| {
                 if let Some(t) = weak.upgrade() {
-                    t.direct_done(key, r);
+                    t.landed(key, r);
                 }
             }
         });
     }
 
-    /// The messenger's verdict on direct call `key`: the caller's reply,
-    /// or — on Timeout/Unreachable — the failover-and-retry path.
-    fn direct_done(&self, key: u64, r: Result<Chain<IoBuf>, RemoteError>) {
-        let Some(c) = self.direct.borrow_mut().remove(&key) else {
+    /// The messenger's verdict on flight `key`. Timeout/Unreachable
+    /// fails every call of the flight over, fenced; a direct reply goes
+    /// to its caller; a batch reply is answered slot by slot.
+    fn landed(&self, key: u64, outcome: Result<Chain<IoBuf>, RemoteError>) {
+        let Some((owner, flight)) = self.flights.borrow_mut().remove(&key) else {
             return;
         };
-        match r {
-            Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
-                self.attempt_failed(c.owner, c.id, c.retained, c.reply, c.attempt, err)
+        match (flight, outcome) {
+            (flight, Err(err @ (RemoteError::Timeout | RemoteError::Unreachable))) => {
+                flight.for_each(|c| self.retry(owner, c, err, true))
             }
-            other => c.reply.call(other),
+            (flight, Err(err)) => flight.for_each(|c| c.reply.call(Err(err))),
+            (Flight::Direct(c), ok) => c.reply.call(ok),
+            (Flight::Batch(calls), Ok(resp)) => match batch::decode_response(&resp) {
+                Some(slots) if slots.len() == calls.len() => {
+                    for (c, (status, body)) in calls.into_iter().zip(slots) {
+                        if status == batch::STATUS_OK {
+                            c.reply.call(Ok(body));
+                        } else {
+                            // The owner answered but had no handler for
+                            // this id — the verdict a dropped single call
+                            // reaches by timeout, minus the wait and the
+                            // fence (the connection itself is healthy).
+                            self.retry(owner, c, RemoteError::Timeout, false);
+                        }
+                    }
+                }
+                // A malformed reply is indistinguishable from no reply.
+                _ => calls
+                    .into_iter()
+                    .for_each(|c| self.retry(owner, c, RemoteError::Timeout, true)),
+            },
         }
     }
 
-    /// One ship attempt failed: repair the ownership record (promote a
-    /// replica or invalidate for re-resolution), then — budget
-    /// permitting — re-ship the same call after an exponential backoff.
-    /// This is the retry-in-place core: the caller's `reply` only sees
-    /// an `Err` once the budget is exhausted.
-    fn attempt_failed(
-        &self,
-        failed: Ipv4Addr,
-        id: EbbId,
-        payload: Chain<IoBuf>,
-        reply: RemoteReply,
-        attempt: u32,
-        err: RemoteError,
-    ) {
-        // Zombie fence: a timed-out connection still holds this and
-        // possibly later frames, which TCP would retransmit and
-        // deliver arbitrarily late — e.g. a write reaching a deposed
-        // primary after its replacement acknowledged newer writes.
-        // Abort the connection so nothing sent before the verdict can
-        // outlive it. (`Unreachable` means the connection already
-        // died, taking its queue with it.)
-        if matches!(err, RemoteError::Timeout) {
+    /// One attempt of `call` to `failed` failed: repair the ownership
+    /// record (promote a replica or invalidate for re-resolution), then
+    /// — budget permitting — re-ship the same call after an exponential
+    /// backoff. This is the retry-in-place core: the caller's reply only
+    /// sees an `Err` once the budget is exhausted.
+    ///
+    /// `fence` is the zombie fence, for a `Timeout`: a timed-out
+    /// connection still holds this and possibly later frames, which TCP
+    /// would retransmit and deliver arbitrarily late — e.g. a write
+    /// reaching a deposed primary after its replacement acknowledged
+    /// newer writes — so the connection is aborted and nothing sent
+    /// before the verdict can outlive it. (`Unreachable` means the
+    /// connection already died, taking its queue with it.)
+    fn retry(&self, failed: Ipv4Addr, mut call: Call, err: RemoteError, fence: bool) {
+        if fence && matches!(err, RemoteError::Timeout) {
             if let Some(m) = self.messenger.upgrade() {
                 m.reset_peer(failed);
             }
         }
-        self.retry_after_failure(failed, id, payload, reply, attempt, err);
-    }
-
-    /// Failover + bounded retry for one failed attempt, without the
-    /// zombie fence — the path for failures where the connection itself
-    /// is known healthy (a batched sub-call the owner answered
-    /// "unserved").
-    fn retry_after_failure(
-        &self,
-        failed: Ipv4Addr,
-        id: EbbId,
-        payload: Chain<IoBuf>,
-        reply: RemoteReply,
-        attempt: u32,
-        err: RemoteError,
-    ) {
-        self.failover(id, failed);
-        let policy = self.retry.get();
-        if attempt + 1 >= policy.budget {
-            reply.call(Err(err));
+        self.failover(call.id, failed);
+        let policy = self.policy.get();
+        if call.attempt + 1 >= policy.budget {
+            call.reply.call(Err(err));
             return;
         }
         self.retries.set(self.retries.get() + 1);
+        let backoff = policy.backoff_ns(call.attempt);
+        call.attempt += 1;
         let weak = Weak::clone(&self.weak);
         // The failure was delivered inside one of this machine's
         // events, so the local event manager is in scope for the
         // backoff timer.
         runtime::with_current(|rt| {
             rt.local_event_manager()
-                .set_timer(policy.backoff_ns(attempt), move || match weak.upgrade() {
-                    Some(t) => t.ship_attempt(id, payload, reply, attempt + 1),
-                    None => reply.call(Err(RemoteError::Unreachable)),
+                .set_timer(backoff, move || match weak.upgrade() {
+                    Some(t) => t.ship_attempt(call),
+                    None => call.reply.call(Err(RemoteError::Unreachable)),
                 });
         });
     }
@@ -617,7 +540,7 @@ impl MessengerTransport {
             match primary {
                 Some(addr) => {
                     for call in queued {
-                        t.ship_via(addr, id, call.payload, call.reply, call.attempt);
+                        t.ship_via(addr, call);
                     }
                 }
                 None => {
@@ -631,49 +554,36 @@ impl MessengerTransport {
 
     /// Routes one attempt of a call: ship to the resolved primary,
     /// queue behind an in-flight resolution, or start one.
-    fn ship_attempt(&self, id: EbbId, payload: Chain<IoBuf>, reply: RemoteReply, attempt: u32) {
-        enum Action {
-            Ship(Ipv4Addr, Chain<IoBuf>, RemoteReply),
-            Resolve,
-            Queued,
-        }
-        let action = {
-            let mut owners = self.owners.borrow_mut();
-            match owners.get_mut(&id.0) {
-                Some(OwnerState::Resolved(rec)) => Action::Ship(rec.owners[0], payload, reply),
-                Some(OwnerState::Resolving(q)) => {
-                    q.push(PendingCall {
-                        payload,
-                        reply,
-                        attempt,
-                    });
-                    Action::Queued
-                }
-                None => {
-                    owners.insert(
-                        id.0,
-                        OwnerState::Resolving(vec![PendingCall {
-                            payload,
-                            reply,
-                            attempt,
-                        }]),
-                    );
-                    Action::Resolve
-                }
+    fn ship_attempt(&self, call: Call) {
+        let id = call.id;
+        let mut owners = self.owners.borrow_mut();
+        let owner = match owners.get_mut(&id.0) {
+            Some(OwnerState::Resolved(rec)) => rec.owners[0],
+            Some(OwnerState::Resolving(q)) => {
+                q.push(call);
+                return;
+            }
+            None => {
+                owners.insert(id.0, OwnerState::Resolving(vec![call]));
+                drop(owners);
+                self.begin_resolve(id);
+                return;
             }
         };
-        match action {
-            Action::Ship(addr, payload, reply) => self.ship_via(addr, id, payload, reply, attempt),
-            Action::Resolve => self.begin_resolve(id),
-            Action::Queued => {}
-        }
+        drop(owners);
+        self.ship_via(owner, call);
     }
 }
 
 impl RemoteTransport for MessengerTransport {
     fn ship(&self, id: EbbId, payload: Chain<IoBuf>, reply: RemoteReply) {
         self.shipped.set(self.shipped.get() + 1);
-        self.ship_attempt(id, payload, reply, 0);
+        self.ship_attempt(Call {
+            id,
+            payload,
+            reply,
+            attempt: 0,
+        });
     }
 }
 

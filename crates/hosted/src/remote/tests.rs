@@ -1,10 +1,12 @@
 use super::*;
 use crate::global_map::GlobalIdMapServer;
+use crate::messenger::{FRAME_HEADER_LEN, MESSENGER_PORT};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbManager, MulticoreEbb, RemoteResult, RemoteShipper};
 use ebbrt_core::iobuf::Buf;
+use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
 use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 use std::sync::Arc;
 
 /// A versioned naming record captured from an async `get_versioned`.
@@ -628,17 +630,10 @@ impl DistributedEbb for RecorderEbb {
     }
 }
 
-#[test]
-fn retried_payload_reaches_the_promoted_owner_byte_identical() {
-    // The record's primary is an address nobody answers at: the
-    // first attempt's connection dies in ARP (Unreachable), the
-    // transport promotes the standby and re-ships. What it re-ships
-    // is the descriptor clone it kept of the request — a small
-    // marshalled head *and* a linked value — after the first
-    // attempt's frame and connection are gone.
-    let c = cluster();
-    let id = EbbId((1 << 20) + 88);
-    let dead_ip = Ipv4Addr([10, 0, 0, 66]);
+/// Registers a [`RecorderEbb`] on the standby and publishes the
+/// replicated record `[primary, standby]` for `id`: every call a client
+/// ships reaches `primary` first and, once that fails over, the standby.
+fn standby_behind(c: &Cluster, id: EbbId, primary: Ipv4Addr) -> Arc<RecorderRoot> {
     let seen = Arc::new(RecorderRoot::default());
     c.standby
         .runtime()
@@ -650,39 +645,73 @@ fn retried_payload_reaches_the_promoted_owner_byte_identical() {
             &msgr,
             &map,
             EbbRef::from_id(id),
-            &[dead_ip, STANDBY_IP],
+            &[primary, STANDBY_IP],
             |ok| assert!(ok),
         );
     });
     c.w.run_to_idle();
+    seen
+}
 
-    let value: Vec<u8> = (0..2000u32).map(|i| (i * 13) as u8).collect();
+/// A request as a proxy marshals one — a small head *and* a linked
+/// value, distinct per `tag` — with the linked value (to check that
+/// every descriptor comes home) and the bytes the owner must see.
+fn marshalled(tag: u8) -> (Chain<IoBuf>, Chain<IoBuf>, Vec<u8>) {
+    let value: Vec<u8> = (0..2000u32).map(|i| (i * 13) as u8 ^ tag).collect();
     let linked = Chain::single(IoBuf::copy_from(&value));
     let mut req = wire::WireWriter::op(0x42);
     req.u64(0xDEAD_BEEF_0BAD_F00D)
-        .bytes16(b"a-key")
+        .bytes16(&[b'k', tag])
         .bytes32_chain(&linked)
         .u8(0x99);
     let payload = req.finish();
     assert!(payload.segment_count() >= 3, "head, linked value, trailer");
-    let want: Vec<u8> = payload.iter().flat_map(|s| s.bytes().to_vec()).collect();
+    let want = payload.iter().flat_map(|s| s.bytes().to_vec()).collect();
+    (payload, linked, want)
+}
 
-    let got = Rc::new(Cell::new(None));
-    let g2 = Rc::clone(&got);
+/// Ships `payloads` to `id` inside one event on the client — so they
+/// stage together — and returns where their outcomes land.
+fn ship_in_one_pass(
+    c: &Cluster,
+    id: EbbId,
+    payloads: Vec<Chain<IoBuf>>,
+) -> Rc<RefCell<Vec<Result<(), RemoteError>>>> {
+    let got = Rc::new(RefCell::new(Vec::new()));
     let transport = Rc::clone(&c.client_transport);
+    let g2 = Rc::clone(&got);
     on_core0(
         &c.client,
-        (transport, payload, g2),
-        move |(t, payload, g2)| {
-            t.ship(
-                id,
-                payload,
-                RemoteReply::new(move |r| g2.set(Some(r.map(|_| ())))),
-            );
+        (transport, payloads, g2),
+        move |(t, payloads, g2)| {
+            for payload in payloads {
+                let g3 = Rc::clone(&g2);
+                t.ship(
+                    id,
+                    payload,
+                    RemoteReply::new(move |r| g3.borrow_mut().push(r.map(|_| ()))),
+                );
+            }
         },
     );
+    got
+}
+
+#[test]
+fn retried_payload_reaches_the_promoted_owner_byte_identical() {
+    // The record's primary is an address nobody answers at: the
+    // first attempt's connection dies in ARP (Unreachable), the
+    // transport promotes the standby and re-ships. What it re-ships
+    // is the descriptor clone it kept of the request — a small
+    // marshalled head *and* a linked value — after the first
+    // attempt's frame and connection are gone.
+    let c = cluster();
+    let id = EbbId((1 << 20) + 88);
+    let seen = standby_behind(&c, id, Ipv4Addr([10, 0, 0, 66]));
+    let (payload, linked, want) = marshalled(0);
+    let got = ship_in_one_pass(&c, id, vec![payload]);
     c.w.run_to_idle();
-    assert_eq!(got.get(), Some(Ok(())), "the retry was served");
+    assert_eq!(*got.borrow(), [Ok(())], "the retry was served");
     assert!(c.client_transport.retries.get() >= 1, "a retry happened");
     assert_eq!(
         c.client_transport.promotions.get(),
@@ -697,6 +726,136 @@ fn retried_payload_reaches_the_promoted_owner_byte_identical() {
     );
     assert_eq!(linked.seg(0).ref_count(), 1, "no descriptor left behind");
     assert_eq!(c.client_msgr.pending_rpcs(), 0);
+}
+
+#[test]
+fn a_batch_to_an_unreachable_primary_fails_every_call_over_once() {
+    // Three calls staged in one pass leave as one batch to a primary
+    // nobody answers at. The batch gets no verdict but its timeout, and
+    // every call fails over on its own: one promotion between them,
+    // each re-shipped from its own payload.
+    let c = cluster();
+    let id = EbbId((1 << 20) + 89);
+    let seen = standby_behind(&c, id, Ipv4Addr([10, 0, 0, 67]));
+    let (payloads, kept): (Vec<_>, Vec<_>) = (1..=3)
+        .map(marshalled)
+        .map(|(payload, linked, want)| (payload, (linked, want)))
+        .unzip();
+    let got = ship_in_one_pass(&c, id, payloads);
+    c.w.run_to_idle();
+    let t = &c.client_transport;
+    assert_eq!(*got.borrow(), [Ok(()), Ok(()), Ok(())], "every call served");
+    assert_eq!(t.max_batch.get(), 3, "the three left as one batch");
+    assert_eq!(t.promotions.get(), 1, "one CAS promotion between them");
+    assert_eq!(t.retries.get(), 3, "each call retried once");
+    let mut delivered = seen.lock().unwrap().clone();
+    delivered.sort();
+    let mut want: Vec<Vec<u8>> = kept.iter().map(|(_, want)| want.clone()).collect();
+    want.sort();
+    assert_eq!(delivered, want, "one delivery per call, every byte");
+    for (linked, _) in &kept {
+        assert_eq!(linked.seg(0).ref_count(), 1, "no descriptor left behind");
+    }
+    assert_eq!(c.client_msgr.pending_rpcs(), 0, "no waiter left behind");
+    assert!(t.flights.borrow().is_empty(), "no flight left behind");
+}
+
+/// A machine on the messenger port that answers every request frame
+/// with a one-slot batch reply: a table that matches no request of two
+/// or more calls. It speaks raw TCP (there is no messenger on it to be
+/// correct with).
+struct MismatchedOwner {
+    rx: RefCell<Vec<u8>>,
+    answered: Cell<u32>,
+    closed: Cell<bool>,
+}
+
+impl MismatchedOwner {
+    fn start(c: &Cluster, ip: Ipv4Addr) -> Rc<MismatchedOwner> {
+        let m = SimMachine::create(&c.w, "mismatched", 1, CostProfile::ebbrt_vm(), [0x05; 6]);
+        c._sw.attach(m.nic(), LinkParams::default());
+        let netif = NetIf::attach(&m, ip, Ipv4Addr::new(255, 255, 255, 0));
+        let owner = Rc::new(MismatchedOwner {
+            rx: RefCell::new(Vec::new()),
+            answered: Cell::new(0),
+            closed: Cell::new(false),
+        });
+        let o2 = Rc::clone(&owner);
+        netif
+            .listen(MESSENGER_PORT, move |_| {
+                Rc::clone(&o2) as Rc<dyn ConnHandler>
+            })
+            .expect("port free");
+        c.w.run_to_idle();
+        owner
+    }
+}
+
+impl ConnHandler for MismatchedOwner {
+    fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
+        let mut rx = self.rx.borrow_mut();
+        rx.extend(data.iter().flat_map(|s| s.bytes().to_vec()));
+        while rx.len() >= FRAME_HEADER_LEN {
+            let len = 4 + u32::from_be_bytes(rx[0..4].try_into().unwrap()) as usize;
+            if rx.len() < len {
+                break;
+            }
+            let rpc_id: Vec<u8> = rx[9..17].to_vec();
+            rx.drain(..len);
+            // n = 1 | status OK | an empty body
+            let table = [0, 0, 0, 1, batch::STATUS_OK, 0, 0, 0, 0];
+            let mut reply = ((FRAME_HEADER_LEN - 4 + table.len()) as u32)
+                .to_be_bytes()
+                .to_vec();
+            reply.extend(SystemEbb::RemoteBatch.id().0.to_be_bytes());
+            reply.push(1); // a response
+            reply.extend(rpc_id);
+            reply.extend(table);
+            conn.send(Chain::single(IoBuf::copy_from(&reply)))
+                .expect("window open");
+            self.answered.set(self.answered.get() + 1);
+        }
+    }
+
+    fn on_close(&self, _conn: &TcpConn) {
+        self.closed.set(true);
+    }
+}
+
+#[test]
+fn a_batch_reply_that_does_not_match_its_request_fails_every_call_over_fenced() {
+    // Three calls leave as one batch to a primary that answers with a
+    // table of one slot. That reply is no answer for any of them: every
+    // call fails over, the connection it came on is reset (the zombie
+    // fence), and the standby serves all three.
+    let c = cluster();
+    let primary_ip = Ipv4Addr([10, 0, 0, 5]);
+    let primary = MismatchedOwner::start(&c, primary_ip);
+    let id = EbbId((1 << 20) + 90);
+    let seen = standby_behind(&c, id, primary_ip);
+    let (payloads, wants): (Vec<_>, Vec<_>) = (4..=6)
+        .map(marshalled)
+        .map(|(payload, _, want)| (payload, want))
+        .unzip();
+    let got = ship_in_one_pass(&c, id, payloads);
+    c.w.run_to_idle();
+    let t = &c.client_transport;
+    assert_eq!(*got.borrow(), [Ok(()), Ok(()), Ok(())], "every call served");
+    let mut delivered = seen.lock().unwrap().clone();
+    delivered.sort();
+    let mut wants = wants;
+    wants.sort();
+    assert_eq!(delivered, wants, "by the standby");
+    assert_eq!(primary.answered.get(), 1, "one batch reached the primary");
+    assert_eq!(t.max_batch.get(), 3);
+    assert!(
+        primary.closed.get(),
+        "the connection it answered on was reset"
+    );
+    assert_eq!(t.promotions.get(), 1, "one CAS promotion");
+    assert_eq!(t.retries.get(), 3, "each call retried once");
+    assert_eq!(c.client_msgr.pending_rpcs(), 0);
+    assert!(t.flights.borrow().is_empty());
 }
 
 #[test]
