@@ -20,6 +20,8 @@
 //!   client, measuring mean and 99th-percentile latency.
 //! * [`stats`] — shared latency-recording utilities.
 
+#![forbid(unsafe_code)]
+
 pub mod jsrt;
 pub mod memcached;
 pub mod mutilate;

@@ -109,10 +109,6 @@ pub struct ShardRoot {
     parked: Mutex<Vec<ParkedRequest>>,
     /// Rebalance dual-apply rule (SET_FORWARD).
     forward_rule: Mutex<Option<ForwardRule>>,
-    /// Fan-out copies shipped (acting-primary side).
-    pub repl_sent: AtomicU64,
-    /// Fan-out copies applied (replica side).
-    pub repl_applied: AtomicU64,
     /// Fan-out copies that failed after the transport's retry budget —
     /// the peer is presumed dead and the write acknowledged anyway.
     pub repl_failed: AtomicU64,
@@ -149,8 +145,6 @@ impl ShardRoot {
             forward_to: Mutex::new(None),
             parked: Mutex::new(Vec::new()),
             forward_rule: Mutex::new(None),
-            repl_sent: AtomicU64::new(0),
-            repl_applied: AtomicU64::new(0),
             repl_failed: AtomicU64::new(0),
             repl_skipped: AtomicU64::new(0),
         })
@@ -318,8 +312,6 @@ impl ShardRoot {
             done(version);
             return;
         }
-        self.repl_sent
-            .fetch_add(targets.len() as u64, Ordering::Relaxed);
         let me = Arc::clone(self);
         ship_to_each(
             targets,
@@ -452,7 +444,6 @@ impl DistributedEbb for StoreShardEbb {
                 // (or a duplicate delivery) can arrive in any order
                 // without regressing the key.
                 root.apply_versioned(&key.contiguous(), version, value.into_chain());
-                root.repl_applied.fetch_add(1, Ordering::Relaxed);
                 shardop::reply_ack(version)
             }
             ShardOp::Status => {

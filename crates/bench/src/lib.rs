@@ -5,6 +5,8 @@
 //! the workload harnesses and shared output helpers; each harness has
 //! one runner that gates it in CI, listed in docs/ARCHITECTURE.md.
 
+#![forbid(unsafe_code)]
+
 pub mod burst_path;
 pub mod chaos;
 pub mod conn_scale;

@@ -260,8 +260,10 @@ impl CounterRegistryEbb {
     }
 
     /// Adds `n` to this core's cell for `h` (wrapping — see
-    /// [`Self::sub`]), growing the vector on first touch of a newly
-    /// registered handle.
+    /// [`Self::sub`]). The first touch of a handle the vector does not
+    /// cover grows it to every handle registered so far, so a core's
+    /// counters cost one allocation, not one per counter first bumped
+    /// mid-run.
     pub fn add(&self, h: CounterHandle, n: u64) {
         let cells = self.cells.borrow();
         if let Some(c) = cells.get(h.0) {
@@ -269,8 +271,9 @@ impl CounterRegistryEbb {
             return;
         }
         drop(cells);
+        let registered = self.root.names.lock().len();
         let mut cells = self.cells.borrow_mut();
-        cells.resize_with(h.0 + 1, || Cell::new(0));
+        cells.resize_with(registered.max(h.0 + 1), || Cell::new(0));
         cells[h.0].set(n);
     }
 
@@ -667,8 +670,15 @@ mod tests {
         // cells grow on first touch of the new handle.
         let rt = Runtime::new(2, Arc::new(ManualClock::new()));
         let early = register_in(&rt, "a");
+        register_in(&rt, "a2");
         let g = enter(Arc::clone(&rt), CoreId(0));
-        bump(early); // faults the core-0 rep with one cell
+        bump(early); // faults the core-0 rep with a cell per name so far
+        let cells = rt.ebbs().with_rep_on::<CounterRegistryEbb, _>(
+            CoreId(0),
+            SystemEbb::Counters.id(),
+            |rep| rep.cells.borrow().len(),
+        );
+        assert_eq!(cells, 2, "the first touch covers every registered name");
         drop(g);
         let late = register_in(&rt, "b");
         let g = enter(Arc::clone(&rt), CoreId(0));

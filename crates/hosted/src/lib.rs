@@ -38,6 +38,8 @@
 //! benchmark (`ebb_dispatch`, `repro_table1`) keeps a faithful
 //! hash-table dispatcher locally to reproduce that comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod fs;
 pub mod global_map;
 pub mod messenger;

@@ -30,9 +30,9 @@
 //! appending the TCP stream's chains to a per-connection reassembly
 //! *chain* and splitting complete frames off the front, so a handler's
 //! payload is a view of the buffers the bytes were received in. The
-//! `&[u8]` entry points ([`Messenger::send`], [`Messenger::call`],
-//! [`Messenger::call_with_timeout`], [`Messenger::respond`]) copy the
-//! slice once into a pooled buffer and take the same path.
+//! `&[u8]` entry points ([`Messenger::call_with_timeout`],
+//! [`Messenger::respond`]) copy the slice once into a pooled buffer and
+//! take the same path.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -400,29 +400,6 @@ impl Messenger {
     pub fn unregister(&self, id: EbbId) {
         self.handlers.borrow_mut().remove(&id.0);
         self.call_handlers.borrow_mut().remove(&id.0);
-    }
-
-    /// Sends a one-way message to Ebb `id` on the machine at `dst`.
-    pub fn send(self: &Rc<Self>, dst: Ipv4Addr, id: EbbId, payload: &[u8]) {
-        self.enqueue(dst, frame_bytes(id, KIND_SEND, 0, payload));
-    }
-
-    /// Issues an RPC to Ebb `id` on `dst` with the default timeout;
-    /// `reply` runs with the response payload. Failures (timeout,
-    /// unreachable peer) drop the continuation silently — use
-    /// [`Self::call_with_timeout`] when the caller needs them.
-    pub fn call(
-        self: &Rc<Self>,
-        dst: Ipv4Addr,
-        id: EbbId,
-        payload: &[u8],
-        reply: impl FnOnce(Chain<IoBuf>) + 'static,
-    ) {
-        self.call_with_timeout(dst, id, payload, DEFAULT_RPC_TIMEOUT_NS, move |r| {
-            if let Ok(resp) = r {
-                reply(resp);
-            }
-        });
     }
 
     /// Issues an RPC to Ebb `id` on `dst`. `reply` runs **exactly

@@ -52,11 +52,18 @@ fn one_way_message_and_rpc() {
     // well-known id — no messenger handle threaded into the spawn.
     on_core0(&native, r2, move |r2| {
         let msgr = local_messenger();
-        msgr.send(Ipv4Addr::new(10, 0, 0, 1), fs_id, b"hello");
-        msgr.call(Ipv4Addr::new(10, 0, 0, 1), fs_id, &[0u8; 21], move |resp| {
-            let v = resp.cursor().read_u32_be().unwrap();
-            r2.set(v);
-        });
+        // A one-way message is a request frame with rpc id 0.
+        msgr.enqueue(VICTIM_IP, frame_bytes(fs_id, KIND_SEND, 0, b"hello"));
+        msgr.call_with_timeout(
+            VICTIM_IP,
+            fs_id,
+            &[0u8; 21],
+            DEFAULT_RPC_TIMEOUT_NS,
+            move |resp| {
+                let v = resp.expect("answered").cursor().read_u32_be().unwrap();
+                r2.set(v);
+            },
+        );
     });
     w.run_to_idle();
     assert!(got_oneway.get(), "one-way message must arrive");
@@ -165,11 +172,12 @@ fn oversized_burst_parks_frames_until_window_opens() {
         let msgr = local_messenger();
         for _ in 0..8 {
             let d3 = Rc::clone(&d2);
-            msgr.call(
-                Ipv4Addr::new(10, 0, 0, 1),
+            msgr.call_with_timeout(
+                VICTIM_IP,
                 echo_id,
                 &vec![7u8; 20 * 1024],
-                move |_| d3.set(d3.get() + 1),
+                DEFAULT_RPC_TIMEOUT_NS,
+                move |r| d3.set(d3.get() + u32::from(r.is_ok())),
             );
         }
     });
@@ -346,9 +354,13 @@ fn malformed_frames_drop_the_peer_not_the_machine() {
         let echoed = Rc::new(RefCell::new(None));
         let e2 = Rc::clone(&echoed);
         on_core0(&native, e2, move |e2| {
-            local_messenger().call(VICTIM_IP, echo_id, b"still here", move |resp| {
-                *e2.borrow_mut() = Some(flat(&resp));
-            });
+            local_messenger().call_with_timeout(
+                VICTIM_IP,
+                echo_id,
+                b"still here",
+                DEFAULT_RPC_TIMEOUT_NS,
+                move |resp| *e2.borrow_mut() = resp.ok().map(|r| flat(&r)),
+            );
         });
         w.run_to_idle();
         assert_eq!(
@@ -425,9 +437,17 @@ fn reassembly_is_independent_of_how_the_stream_is_cut() {
             for _ in 0..2 {
                 let l = Rc::clone(&log);
                 let rpc_id = local_messenger().next_rpc.get();
-                local_messenger().call(RAW_IP, id, b"?", move |resp| {
-                    l.borrow_mut().push((KIND_RESPONSE, rpc_id, flat(&resp)));
-                });
+                local_messenger().call_with_timeout(
+                    RAW_IP,
+                    id,
+                    b"?",
+                    DEFAULT_RPC_TIMEOUT_NS,
+                    move |resp| {
+                        if let Ok(resp) = resp {
+                            l.borrow_mut().push((KIND_RESPONSE, rpc_id, flat(&resp)));
+                        }
+                    },
+                );
             }
         });
         // (Not to idle: that would run the calls' timeouts out.)

@@ -30,6 +30,8 @@
 //! bookkeeping logic — where all the performance lives — is exercised
 //! exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod buddy;
 pub mod gp;

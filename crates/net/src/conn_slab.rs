@@ -9,7 +9,7 @@
 //! discipline as the timer wheel (`ebbrt_core::timer`): the RCU map
 //! stores a **token** whose low 32 bits are a slab index and whose
 //! high 32 bits are a generation tag, so reaching a PCB is one
-//! bounds-checked vector index plus a generation compare.
+//! bounds-checked chunk index plus a generation compare.
 //!
 //! # Token discipline
 //!
@@ -35,18 +35,21 @@
 //! this file, which fuzz insert/remove/reuse interleavings against a
 //! `HashMap` model and assert every retired token misses forever.
 //!
-//! # Pointer-stable cells beside the slab
+//! # Pointer-stable slots
 //!
-//! The slab's vector moves when it grows, so a value that must stay
-//! put while it is borrowed — a PCB, whose state machine transmits and
-//! so may open another connection mid-borrow — cannot live in a slot.
-//! [`StableCells`] is the slab's side-car for such values: cell `i`
-//! belongs to slab index `i`, cells are carved [`CELLS_PER_CHUNK`] at a
-//! time from reference-counted chunks that never move, and because the
-//! slab reuses indices LIFO the cells are recycled with them. One
-//! allocation per chunk replaces one per value.
+//! A value that must stay put while it is borrowed — a PCB, whose
+//! state machine transmits and so may open another connection
+//! mid-borrow — cannot live in a vector that moves when it grows. The
+//! slots are therefore carved [`SLOTS_PER_CHUNK`] at a time from
+//! reference-counted chunks that never move, each slot holding its
+//! value in a `RefCell`. [`ConnSlab::get`] hands out a [`CellRef`] that
+//! keeps the slot's chunk alive, so the value can be borrowed after
+//! the slab's own borrow ends — while another connection is inserted.
+//! The handle carries its token's generation: once the entry is
+//! removed it reads nothing, even after the slot's next tenant moves
+//! in. One allocation per chunk replaces one per value.
 
-use std::cell::{Ref, RefCell, RefMut};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 /// Sentinel for "no next free slot" in the intrusive free list.
@@ -57,14 +60,19 @@ const NIL: u32 = u32::MAX;
 /// `gen == 0` token) can never name a live slot.
 const FIRST_GEN: u32 = 1;
 
+/// Slots carved per allocation.
+pub const SLOTS_PER_CHUNK: usize = 32;
+
 struct Slot<T> {
     /// Generation this slot's *next or current* token carries.
-    gen: u32,
+    gen: Cell<u32>,
     /// Free-list link, meaningful only while vacant.
-    next_free: u32,
+    next_free: Cell<u32>,
     /// `Some` while occupied.
-    val: Option<T>,
+    val: RefCell<Option<T>>,
 }
+
+type Chunk<T> = [Slot<T>; SLOTS_PER_CHUNK];
 
 /// A generation-tagged slab keyed by opaque `u64` tokens.
 ///
@@ -72,7 +80,7 @@ struct Slot<T> {
 /// stack is single-threaded per core) so the model-based proptests
 /// can drive it directly.
 pub struct ConnSlab<T> {
-    slots: Vec<Slot<T>>,
+    chunks: Vec<Rc<Chunk<T>>>,
     free_head: u32,
     live: usize,
     high_water: usize,
@@ -88,7 +96,7 @@ impl<T> ConnSlab<T> {
     /// An empty slab.
     pub fn new() -> Self {
         ConnSlab {
-            slots: Vec::new(),
+            chunks: Vec::new(),
             free_head: NIL,
             live: 0,
             high_water: 0,
@@ -100,83 +108,89 @@ impl<T> ConnSlab<T> {
         ((token >> 32) as u32, token as u32)
     }
 
+    #[inline]
+    fn slot(&self, index: u32) -> Option<(&Rc<Chunk<T>>, usize)> {
+        let chunk = self.chunks.get(index as usize / SLOTS_PER_CHUNK)?;
+        Some((chunk, index as usize % SLOTS_PER_CHUNK))
+    }
+
     /// Inserts `val`, returning its token. Reuses the most recently
-    /// freed slot if one exists, else grows the slab by one.
+    /// freed slot if one exists, else the lowest never-used one,
+    /// carving a chunk when none is left.
     pub fn insert(&mut self, val: T) -> u64 {
-        let index = if self.free_head != NIL {
-            let index = self.free_head;
-            let slot = &mut self.slots[index as usize];
-            self.free_head = slot.next_free;
-            slot.next_free = NIL;
-            debug_assert!(slot.val.is_none());
-            slot.val = Some(val);
-            index
-        } else {
-            let index = u32::try_from(self.slots.len()).expect("conn slab exceeds u32 indices");
-            assert!(index != NIL, "conn slab full");
-            self.slots.push(Slot {
-                gen: FIRST_GEN,
-                next_free: NIL,
-                val: Some(val),
-            });
-            index
-        };
+        if self.free_head == NIL {
+            // Thread the new chunk's slots onto the free list in index
+            // order, so fresh indices are handed out one past the
+            // highest yet.
+            let base = self.chunks.len() * SLOTS_PER_CHUNK;
+            assert!(base + SLOTS_PER_CHUNK <= NIL as usize, "conn slab full");
+            self.chunks.push(Rc::new(std::array::from_fn(|i| Slot {
+                gen: Cell::new(FIRST_GEN),
+                next_free: Cell::new(match i + 1 {
+                    SLOTS_PER_CHUNK => NIL,
+                    next => (base + next) as u32,
+                }),
+                val: RefCell::new(None),
+            })));
+            self.free_head = base as u32;
+        }
+        let index = self.free_head;
+        let (chunk, at) = self.slot(index).expect("free list names a carved slot");
+        let slot = &chunk[at];
+        let prev = slot.val.replace(Some(val));
+        debug_assert!(prev.is_none());
+        let gen = slot.gen.get();
+        debug_assert!(gen != 0);
+        self.free_head = slot.next_free.get();
         self.live += 1;
         self.high_water = self.high_water.max(self.live);
-        let gen = self.slots[index as usize].gen;
-        debug_assert!(gen != 0);
         (gen as u64) << 32 | index as u64
     }
 
     /// Removes and returns the value named by `token`, bumping the
-    /// slot's generation so `token` (and any copy of it) goes stale.
-    /// Stale or foreign tokens are a no-op `None`.
+    /// slot's generation so `token` (and any copy of it, and any
+    /// [`CellRef`] of it) goes stale. Stale or foreign tokens are a
+    /// no-op `None`.
+    ///
+    /// # Panics
+    ///
+    /// If the value is borrowed through a [`CellRef`].
     pub fn remove(&mut self, token: u64) -> Option<T> {
         let (gen, index) = Self::split(token);
-        let slot = self.slots.get_mut(index as usize)?;
-        if slot.gen != gen || slot.val.is_none() {
+        let (chunk, at) = self.slot(index)?;
+        let slot = &chunk[at];
+        if slot.gen.get() != gen {
             return None;
         }
-        let val = slot.val.take();
+        let val = slot.val.take()?;
         // Skip generation 0 on wrap: a 0 generation would mint token
         // `index` with high bits clear, colliding with the id-0
         // dangling sentinel at index 0.
-        slot.gen = match slot.gen.wrapping_add(1) {
+        slot.gen.set(match gen.wrapping_add(1) {
             0 => FIRST_GEN,
             g => g,
-        };
-        slot.next_free = self.free_head;
+        });
+        slot.next_free.set(self.free_head);
         self.free_head = index;
         self.live -= 1;
-        val
+        Some(val)
     }
 
-    /// The value named by `token`, if it is still live.
+    /// A handle on the entry named by `token`, or `None` if the token
+    /// is stale or foreign. The handle keeps the slot's chunk alive
+    /// and can be borrowed after this container's own borrow ends.
     #[inline]
-    pub fn get(&self, token: u64) -> Option<&T> {
+    pub fn get(&self, token: u64) -> Option<CellRef<T>> {
         let (gen, index) = Self::split(token);
-        let slot = self.slots.get(index as usize)?;
-        if slot.gen != gen {
+        let (chunk, at) = self.slot(index)?;
+        if chunk[at].gen.get() != gen {
             return None;
         }
-        slot.val.as_ref()
-    }
-
-    /// Mutable access to the value named by `token`, if still live.
-    #[inline]
-    pub fn get_mut(&mut self, token: u64) -> Option<&mut T> {
-        let (gen, index) = Self::split(token);
-        let slot = self.slots.get_mut(index as usize)?;
-        if slot.gen != gen {
-            return None;
-        }
-        slot.val.as_mut()
-    }
-
-    /// Whether `token` names a live entry.
-    #[inline]
-    pub fn contains(&self, token: u64) -> bool {
-        self.get(token).is_some()
+        Some(CellRef {
+            chunk: Rc::clone(chunk),
+            at,
+            gen,
+        })
     }
 
     /// Number of live entries.
@@ -189,110 +203,65 @@ impl<T> ConnSlab<T> {
         self.high_water
     }
 
-    /// Number of slots (live + vacant); the slab never shrinks.
+    /// Number of slots carved (live + vacant); the slab never shrinks.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.chunks.len() * SLOTS_PER_CHUNK
     }
 
-    /// Iterates live `(token, &value)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.val.as_ref().map(|v| ((s.gen as u64) << 32 | i as u64, v)))
+    /// Iterates live `(token, value)` pairs in index order.
+    ///
+    /// # Panics
+    ///
+    /// If a live value is mutably borrowed through a [`CellRef`].
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Ref<'_, T>)> {
+        let slots = self.chunks.iter().flat_map(|c| c.iter());
+        slots.enumerate().filter_map(|(i, s)| {
+            let v = Ref::filter_map(s.val.borrow(), Option::as_ref).ok()?;
+            Some(((s.gen.get() as u64) << 32 | i as u64, v))
+        })
     }
 
-    /// Per-slot memory cost of the slab's own bookkeeping (the value
-    /// payload is `size_of::<T>()` of that, inline).
+    /// Heap bytes one slot costs, value inline: its share of a chunk
+    /// (the chunk's reference counts, 16 bytes, are spread over
+    /// [`SLOTS_PER_CHUNK`] slots and not counted).
     pub fn slot_bytes() -> usize {
         std::mem::size_of::<Slot<T>>()
     }
 }
 
-/// Cells carved per allocation by [`StableCells`].
-pub const CELLS_PER_CHUNK: usize = 32;
-
-type Chunk<T> = [RefCell<Option<T>>; CELLS_PER_CHUNK];
-
-/// Pointer-stable, individually borrowable cells addressed by slab
-/// index (a token's low 32 bits); see the module docs. A cell is empty
-/// until [`StableCells::put`] fills it and after [`CellRef::take`].
-pub struct StableCells<T> {
-    chunks: Vec<Rc<Chunk<T>>>,
-}
-
-impl<T> Default for StableCells<T> {
-    fn default() -> Self {
-        StableCells { chunks: Vec::new() }
-    }
-}
-
-impl<T> StableCells<T> {
-    /// Fills the cell of slab index `index`, carving the chunk it
-    /// falls in if this is the first index to reach it. Indices must
-    /// arrive the way the slab mints them: never more than one past
-    /// the highest seen.
-    pub fn put(&mut self, index: u32, val: T) {
-        let chunk = index as usize / CELLS_PER_CHUNK;
-        if chunk == self.chunks.len() {
-            self.chunks
-                .push(Rc::new(std::array::from_fn(|_| RefCell::new(None))));
-        }
-        let prev = self.chunks[chunk][index as usize % CELLS_PER_CHUNK].replace(Some(val));
-        debug_assert!(prev.is_none(), "cell {index} filled twice");
-    }
-
-    /// A handle on the cell of slab index `index`, which keeps the
-    /// cell's chunk alive and can be borrowed after this container's
-    /// own borrow ends. `None` if no chunk covers the index yet.
-    pub fn cell(&self, index: u32) -> Option<CellRef<T>> {
-        let chunk = self.chunks.get(index as usize / CELLS_PER_CHUNK)?;
-        Some(CellRef {
-            chunk: Rc::clone(chunk),
-            at: index as usize % CELLS_PER_CHUNK,
-        })
-    }
-
-    /// Heap bytes one cell costs: its share of a chunk (the chunk's
-    /// reference counts, 16 bytes, are spread over
-    /// [`CELLS_PER_CHUNK`] cells and not counted).
-    pub fn cell_bytes() -> usize {
-        std::mem::size_of::<RefCell<Option<T>>>()
-    }
-}
-
-/// One cell of a [`StableCells`].
+/// A handle on one entry of a [`ConnSlab`], from [`ConnSlab::get`]. It
+/// reads nothing once the entry is removed.
 pub struct CellRef<T> {
     chunk: Rc<Chunk<T>>,
     at: usize,
+    gen: u32,
 }
 
 impl<T> CellRef<T> {
-    /// Borrows the cell's value.
+    #[inline]
+    fn live(&self) -> Option<&RefCell<Option<T>>> {
+        let slot = &self.chunk[self.at];
+        (slot.gen.get() == self.gen).then_some(&slot.val)
+    }
+
+    /// Borrows the entry's value; `None` once it is removed.
     ///
     /// # Panics
     ///
-    /// If the cell is empty or already mutably borrowed.
-    pub fn borrow(&self) -> Ref<'_, T> {
-        Ref::map(self.chunk[self.at].borrow(), |v| {
-            v.as_ref().expect("cell of a live slab index is filled")
-        })
+    /// If the value is mutably borrowed.
+    #[inline]
+    pub fn borrow(&self) -> Option<Ref<'_, T>> {
+        Ref::filter_map(self.live()?.borrow(), Option::as_ref).ok()
     }
 
-    /// Mutably borrows the cell's value.
+    /// Mutably borrows the entry's value; `None` once it is removed.
     ///
     /// # Panics
     ///
-    /// If the cell is empty or already borrowed.
-    pub fn borrow_mut(&self) -> RefMut<'_, T> {
-        RefMut::map(self.chunk[self.at].borrow_mut(), |v| {
-            v.as_mut().expect("cell of a live slab index is filled")
-        })
-    }
-
-    /// Empties the cell, returning what it held.
-    pub fn take(&self) -> Option<T> {
-        self.chunk[self.at].take()
+    /// If the value is already borrowed.
+    #[inline]
+    pub fn borrow_mut(&self) -> Option<RefMut<'_, T>> {
+        RefMut::filter_map(self.live()?.borrow_mut(), Option::as_mut).ok()
     }
 }
 
@@ -300,39 +269,41 @@ impl<T> CellRef<T> {
 mod tests {
     use super::*;
 
+    /// The value `token` names, read through a fresh handle.
+    fn read<T: Copy>(s: &ConnSlab<T>, token: u64) -> Option<T> {
+        s.get(token).and_then(|c| c.borrow().map(|v| *v))
+    }
+
     #[test]
-    fn stable_cells_follow_the_slabs_indices_and_never_move() {
-        let mut slab: ConnSlab<()> = ConnSlab::new();
-        let mut cells: StableCells<String> = StableCells::default();
-        let n = 3 * CELLS_PER_CHUNK as u32 + 1;
-        let tokens: Vec<u64> = (0..n)
-            .map(|i| {
-                let t = slab.insert(());
-                cells.put(t as u32, format!("v{i}"));
-                t
-            })
-            .collect();
-        assert_eq!(cells.chunks.len(), 4, "one allocation per chunk of cells");
-        // A handle taken early survives growth: same cell, same place.
-        let first = cells.cell(tokens[0] as u32).unwrap();
-        let at = std::ptr::from_ref(&*first.borrow());
-        let held = first.borrow_mut();
+    fn cells_never_move_and_recycle_with_their_index() {
+        let mut slab: ConnSlab<String> = ConnSlab::new();
+        let n = 3 * SLOTS_PER_CHUNK as u32 + 1;
+        let tokens: Vec<u64> = (0..n).map(|i| slab.insert(format!("v{i}"))).collect();
+        assert_eq!(slab.chunks.len(), 4, "one allocation per chunk of slots");
+        // A handle taken early survives growth: same value, same place.
+        let first = slab.get(tokens[0]).unwrap();
+        let at = std::ptr::from_ref(&*first.borrow().unwrap());
+        let held = first.borrow_mut().unwrap();
         for i in n..2 * n {
-            cells.put(slab.insert(()) as u32, format!("v{i}"));
+            slab.insert(format!("v{i}"));
         }
         assert_eq!(*held, "v0");
         drop(held);
-        assert_eq!(std::ptr::from_ref(&*first.borrow()), at);
-        // The slab recycles an index; its cell is recycled with it.
+        assert_eq!(std::ptr::from_ref(&*first.borrow().unwrap()), at);
+        // The slab recycles an index; the old handle reads nothing.
         let t = tokens[40];
-        slab.remove(t);
-        assert_eq!(cells.cell(t as u32).unwrap().take().as_deref(), Some("v40"));
-        let t2 = slab.insert(());
+        let old = slab.get(t).unwrap();
+        assert_eq!(slab.remove(t).as_deref(), Some("v40"));
+        assert!(old.borrow().is_none());
+        let t2 = slab.insert("again".into());
         assert_eq!(t2 as u32, t as u32);
-        cells.put(t2 as u32, "again".into());
-        assert_eq!(*cells.cell(t as u32).unwrap().borrow(), "again");
-        assert_eq!(cells.chunks.len(), 7);
-        assert!(cells.cell(8 * CELLS_PER_CHUNK as u32).is_none());
+        assert!(
+            old.borrow().is_none(),
+            "a stale handle read the next tenant"
+        );
+        assert_eq!(*slab.get(t2).unwrap().borrow().unwrap(), "again");
+        assert_eq!(slab.chunks.len(), 7);
+        assert!(slab.get((1 << 32) | (8 * SLOTS_PER_CHUNK as u64)).is_none());
     }
 
     #[test]
@@ -341,14 +312,13 @@ mod tests {
         let a = s.insert("a".into());
         let b = s.insert("b".into());
         assert_ne!(a, b);
-        assert_eq!(s.get(a).unwrap(), "a");
-        assert_eq!(s.get(b).unwrap(), "b");
+        assert_eq!(*s.get(a).unwrap().borrow().unwrap(), "a");
+        assert_eq!(*s.get(b).unwrap().borrow().unwrap(), "b");
         assert_eq!(s.live(), 2);
         assert_eq!(s.remove(a).unwrap(), "a");
         assert_eq!(s.live(), 1);
         assert!(s.get(a).is_none());
-        assert!(!s.contains(a));
-        assert_eq!(s.get(b).unwrap(), "b");
+        assert_eq!(*s.get(b).unwrap().borrow().unwrap(), "b");
     }
 
     #[test]
@@ -379,11 +349,14 @@ mod tests {
         assert_eq!(t2 as u32, t1 as u32);
         assert_ne!(t2, t1);
         assert!(s.get(t1).is_none(), "stale token aliased the new tenant");
-        assert_eq!(*s.get(t2).unwrap(), 2);
-        // Mutating through the stale token is also a miss.
-        assert!(s.get_mut(t1).is_none());
+        assert_eq!(read(&s, t2), Some(2));
         assert_eq!(s.remove(t1), None);
-        assert_eq!(*s.get(t2).unwrap(), 2);
+        assert_eq!(read(&s, t2), Some(2));
+        // A token for the vacant slot's *next* generation resolves to a
+        // handle that reads nothing.
+        s.remove(t2);
+        let next = (t2 >> 32) + 1;
+        assert_eq!(read(&s, next << 32 | t2 & 0xFFFF_FFFF), None);
     }
 
     #[test]
@@ -391,11 +364,11 @@ mod tests {
         let mut s: ConnSlab<u8> = ConnSlab::new();
         let t = s.insert(0);
         // Force the slot's generation to the wrap edge.
-        s.slots[0].gen = u32::MAX;
+        s.chunks[0][0].gen.set(u32::MAX);
         let edge = (u32::MAX as u64) << 32;
         assert!(s.get(edge).is_some());
         s.remove(edge);
-        assert_eq!(s.slots[0].gen, FIRST_GEN);
+        assert_eq!(s.chunks[0][0].gen.get(), FIRST_GEN);
         let t2 = s.insert(1);
         assert_ne!(t2, 0, "wrap minted the dangling sentinel");
         assert_eq!(t2 >> 32, FIRST_GEN as u64);
@@ -412,9 +385,13 @@ mod tests {
         }
         assert_eq!(s.live(), 0);
         assert_eq!(s.high_water(), 10);
-        assert_eq!(s.capacity(), 10);
+        assert_eq!(s.capacity(), SLOTS_PER_CHUNK);
         s.insert(99);
-        assert_eq!(s.capacity(), 10, "slab grew despite free slots");
+        assert_eq!(
+            s.capacity(),
+            SLOTS_PER_CHUNK,
+            "slab grew despite free slots"
+        );
     }
 
     #[test]
@@ -434,7 +411,11 @@ mod tests {
         /// Drive a random insert/remove interleaving against a
         /// `HashMap<u64, u64>` model. Every live token must read back
         /// its model value; every retired token must miss *forever*,
-        /// even after its slot is reused many times.
+        /// even after its slot is reused many times. Now and then a
+        /// step takes a handle on a live entry and holds it borrowed
+        /// across inserts (enough to carve new chunks): the held value
+        /// and its address must not move, and once the entry is
+        /// removed the handle must read nothing.
         #[test]
         fn slab_matches_hashmap_model_and_stale_tokens_never_alias(
             seed in 0u64..10_000,
@@ -451,8 +432,28 @@ mod tests {
             let mut slab: ConnSlab<u64> = ConnSlab::new();
             let mut model: HashMap<u64, u64> = HashMap::new();
             let mut retired: Vec<u64> = Vec::new();
+            let mut stale: Vec<CellRef<u64>> = Vec::new();
             for op in 0..ops {
-                if next() % 3 != 0 || model.is_empty() {
+                if next() % 32 == 0 && !model.is_empty() {
+                    let pick = *model.keys().nth(next() as usize % model.len()).unwrap();
+                    let cell = slab.get(pick).unwrap();
+                    let held = cell.borrow().unwrap();
+                    let at = std::ptr::from_ref(&*held);
+                    let chunks = slab.chunks.len();
+                    while slab.chunks.len() == chunks {
+                        let v = next();
+                        model.insert(slab.insert(v), v);
+                    }
+                    proptest::prop_assert_eq!(*held, model[&pick]);
+                    proptest::prop_assert_eq!(std::ptr::from_ref(&*held), at);
+                    drop(held);
+                    if next() % 2 == 0 {
+                        model.remove(&pick);
+                        slab.remove(pick);
+                        retired.push(pick);
+                        stale.push(cell);
+                    }
+                } else if next() % 3 != 0 || model.is_empty() {
                     let v = next();
                     let t = slab.insert(v);
                     proptest::prop_assert!(t != 0, "minted the dangling sentinel");
@@ -471,10 +472,10 @@ mod tests {
                     retired.push(pick);
                 }
                 // Full cross-check every step: live set matches, every
-                // retired token misses.
+                // retired token and handle misses.
                 proptest::prop_assert_eq!(slab.live(), model.len());
                 for (&t, &v) in &model {
-                    proptest::prop_assert_eq!(slab.get(t).copied(), Some(v));
+                    proptest::prop_assert_eq!(read(&slab, t), Some(v));
                 }
                 for &t in &retired {
                     proptest::prop_assert!(
@@ -482,6 +483,9 @@ mod tests {
                         "retired token {t:#x} resolves (op {op})"
                     );
                     proptest::prop_assert_eq!(slab.remove(t), None);
+                }
+                for cell in &stale {
+                    proptest::prop_assert!(cell.borrow().is_none(), "stale handle reads (op {op})");
                 }
             }
             let mut seen: Vec<u64> = slab.iter().map(|(t, _)| t).collect();

@@ -82,8 +82,6 @@ struct QueueState {
     polling: Cell<bool>,
     empty_streak: Cell<u32>,
     idle_token: Cell<Option<IdleToken>>,
-    /// Times the driver entered polling mode (diagnostic/ablation).
-    pub poll_entries: Cell<u64>,
     /// Virtual time of the last drain (NAPI-style cost suppression:
     /// interrupts arriving while the guest is still hot pay only the
     /// amortized hypervisor cost).
@@ -114,7 +112,6 @@ fn setup_queue(netif: &Rc<NetIf>, q: usize) {
         polling: Cell::new(false),
         empty_streak: Cell::new(0),
         idle_token: Cell::new(None),
-        poll_entries: Cell::new(0),
         last_drain: Cell::new(u64::MAX / 2),
         burst: RefCell::new(Vec::with_capacity(RX_BURST)),
     });
@@ -203,7 +200,6 @@ fn enter_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
     machine.nic().set_irq_enabled(state.queue, false);
     state.polling.set(true);
     state.empty_streak.set(0);
-    state.poll_entries.set(state.poll_entries.get() + 1);
     let netif2 = Rc::clone(netif);
     let state2 = Rc::clone(state);
     let token = ebbrt_core::runtime::with_current(|rt| {

@@ -29,6 +29,8 @@
 //! other async results in the system are delivered the same way, exactly
 //! once, as a `Result` (`Messenger::call_chain`, `RemoteShipper::call`).
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod conn_slab;
 pub mod dhcp;

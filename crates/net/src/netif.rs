@@ -31,7 +31,7 @@ use ebbrt_sim::world::charge;
 use ebbrt_sim::SimMachine;
 
 use crate::arp::{ArpCache, ArpRetry};
-use crate::conn_slab::{CellRef, ConnSlab, StableCells};
+use crate::conn_slab::{CellRef, ConnSlab};
 use crate::qos_policy::{qos_ref, QosEbb};
 use crate::stats::{NetStats, BURST_BUCKETS};
 use crate::syncache::{Room, SynCache};
@@ -175,6 +175,13 @@ impl ConnHandler for PendingHandler {
     fn on_receive(&self, _conn: &TcpConn, _data: Chain<IoBuf>) {}
 }
 
+/// One connection-table entry: the state machine and the application
+/// handler it reports to.
+struct Conn {
+    pcb: Pcb,
+    handler: Rc<dyn ConnHandler>,
+}
+
 /// A per-connection run of segments within one burst, processed under a
 /// single PCB borrow with one set of callbacks and one ACK decision.
 struct TcpRun {
@@ -205,16 +212,15 @@ pub struct NetIf {
     mask: Cell<Ipv4Addr>,
     /// ARP cache (learning + resolution).
     pub arp: ArpCache,
-    /// RCU connection demux: 4-tuple → PCB slab token. The token's
-    /// low 32 bits are the slab index, so demux reaches a PCB with
-    /// one bounds-checked vector index.
+    /// RCU connection demux: 4-tuple → connection slab token. The
+    /// token's low 32 bits are the slab index, so demux reaches a
+    /// connection with one bounds-checked chunk index.
     conn_ids: RcuHashMap<FourTuple, u64>,
     /// Generation-tagged connection slab (the `conn_ids` values are
     /// its tokens; stale tokens carried by timers miss harmlessly),
-    /// holding each connection's handler.
-    conns: RefCell<ConnSlab<Rc<dyn ConnHandler>>>,
-    /// The PCBs, one pointer-stable cell per slab index.
-    pcbs: RefCell<StableCells<Pcb>>,
+    /// holding each connection's PCB and handler in one pointer-stable
+    /// slot.
+    conns: RefCell<ConnSlab<Conn>>,
     /// What every connection's [`Timer`] entries call, keyed by
     /// connection id: one handler per kind for the whole stack, so a
     /// connection's first arm clones an `Rc` instead of boxing a
@@ -285,7 +291,6 @@ impl NetIf {
             arp: ArpCache::new(),
             conn_ids: RcuHashMap::new(Arc::clone(machine.runtime().rcu())),
             conns: RefCell::new(ConnSlab::new()),
-            pcbs: RefCell::default(),
             timer_fns: [timer_fn(me, Timer::Rto), timer_fn(me, Timer::DelAck)],
             pending_handler: Rc::new(PendingHandler),
             arp_retries: RefCell::new(HashMap::new()),
@@ -310,13 +315,6 @@ impl NetIf {
                 netif: Rc::downgrade(&netif),
             }
         });
-        // Publish the accounted idle-connection footprint once: the
-        // figure is a compile-time property of the stack's layout.
-        qos::add_in(
-            machine.runtime(),
-            netif.stats.bytes_per_idle_conn_h,
-            Self::bytes_per_idle_conn() as u64,
-        );
         crate::driver::attach(&netif);
         netif
     }
@@ -747,12 +745,13 @@ impl NetIf {
         let id = self.insert_conn(pcb, Rc::clone(&self.pending_handler));
         self.syncache.created(class, id, now);
         let handler = accept(&self.handle(id));
-        match self.conns.borrow_mut().get_mut(id) {
-            Some(h) => *h = handler,
-            // `accept` tore the connection down; nothing to run.
-            None => return,
-        }
-        self.with_pcb(id, |p, io| p.open(io));
+        // If `accept` tore the connection down there is nothing to run.
+        let Some(entry) = self.conn(id) else { return };
+        let Some(mut c) = entry.borrow_mut() else {
+            return;
+        };
+        c.handler = handler;
+        c.pcb.open(&mut ConnIo { netif: self, id });
     }
 
     /// Answers a segment nothing here wants with an RST — or, when it
@@ -782,7 +781,8 @@ impl NetIf {
     /// Settles one embryonic connection's entry in the syncache ledger.
     fn embryo_gone(&self, class: u8, why: CounterHandle) {
         self.syncache.gone(class, why, |tok| {
-            self.pcb(tok).is_some_and(|pcb| pcb.borrow().embryonic)
+            self.conn(tok)
+                .is_some_and(|c| c.borrow().is_some_and(|c| c.pcb.embryonic))
         });
     }
 
@@ -790,29 +790,25 @@ impl NetIf {
     //
     // Every TCP rule is in [`crate::tcp`]; this is the glue around it.
 
-    /// Connection `id`'s PCB cell, if the connection is live. The
-    /// handle outlives the table borrows; it must not be kept across a
-    /// callback, which may close the connection and let another take
-    /// its cell.
-    fn pcb(&self, id: u64) -> Option<CellRef<Pcb>> {
-        if !self.conns.borrow().contains(id) {
-            return None;
-        }
-        self.pcbs.borrow().cell(id as u32)
+    /// Connection `id`'s table entry: one slab lookup. The handle
+    /// outlives the table borrow, and reads nothing once the connection
+    /// is removed — even if another connection has taken its slot.
+    fn conn(&self, id: u64) -> Option<CellRef<Conn>> {
+        self.conns.borrow().get(id)
     }
 
     /// Runs `f` on connection `id`'s PCB, under one borrow, with the
     /// I/O the state machine reaches the world through. `None` if the
-    /// connection is gone. The table borrows are released first: `f`
+    /// connection is gone. The table borrow is released first: `f`
     /// transmits.
     fn with_pcb<R>(
         self: &Rc<Self>,
         id: u64,
         f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> R,
     ) -> Option<R> {
-        let pcb = self.pcb(id)?;
-        let mut p = pcb.borrow_mut();
-        Some(f(&mut p, &mut ConnIo { netif: self, id }))
+        let entry = self.conn(id)?;
+        let mut c = entry.borrow_mut()?;
+        Some(f(&mut c.pcb, &mut ConnIo { netif: self, id }))
     }
 
     /// Makes one call into connection `id`'s state machine and acts on
@@ -824,20 +820,15 @@ impl NetIf {
     /// left Closed is cleaned up, and if the network rather than the
     /// application ended it the handler hears `on_close`.
     fn drive(self: &Rc<Self>, id: u64, f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> Outcome) {
-        let Some(handler) = self.conns.borrow().get(id).cloned() else {
-            return;
-        };
-        let Some(pcb) = self.pcbs.borrow().cell(id as u32) else {
-            return;
-        };
+        let Some(entry) = self.conn(id) else { return };
         let mut io = ConnIo { netif: self, id };
-        let (out, class) = {
-            let mut p = pcb.borrow_mut();
-            (f(&mut p, &mut io), p.class)
+        let (out, class, handler) = {
+            let Some(mut c) = entry.borrow_mut() else {
+                return;
+            };
+            let handler = Rc::clone(&c.handler);
+            (f(&mut c.pcb, &mut io), c.pcb.class, handler)
         };
-        // Not kept across the callbacks: one of them may close the
-        // connection, and its cell may then serve another.
-        drop(pcb);
         let conn = self.handle(id);
         if out.promoted {
             self.embryo_gone(class, self.syncache.promoted_h);
@@ -863,12 +854,11 @@ impl NetIf {
         if out.peer_closed && !out.reset {
             handler.on_close(&conn);
         }
-        // Looked up afresh, by generation: if a callback tore the
-        // connection down, a nested call has done the cleanup.
-        let closed = self.pcb(id).is_none_or(|pcb| {
-            let mut p = pcb.borrow_mut();
-            p.flush_ack(&mut io);
-            p.is_closed()
+        // The entry reads nothing if a callback tore the connection
+        // down: a nested call has done the cleanup.
+        let closed = entry.borrow_mut().is_none_or(|mut c| {
+            c.pcb.flush_ack(&mut io);
+            c.pcb.is_closed()
         });
         if closed {
             self.cleanup(id);
@@ -924,7 +914,6 @@ impl NetIf {
         );
         let mut frame = Chain::single(hdr.freeze());
         frame.append_chain(out.payload);
-        self.stats.tx_tcp.set(self.stats.tx_tcp.get() + 1);
         self.transmit(frame, ClassId(out.class));
     }
 
@@ -998,31 +987,19 @@ impl NetIf {
 
     fn insert_conn(&self, pcb: Pcb, handler: Rc<dyn ConnHandler>) -> u64 {
         let tuple = pcb.tuple;
-        let (id, hw_delta) = {
-            let mut conns = self.conns.borrow_mut();
-            let before_hw = conns.high_water();
-            let id = conns.insert(handler);
-            (id, conns.high_water() - before_hw)
-        };
-        self.pcbs.borrow_mut().put(id as u32, pcb);
-        qos::bump(self.stats.pcb_slab_live_h);
-        if hw_delta > 0 {
-            qos::add(self.stats.pcb_slab_high_water_h, hw_delta as u64);
-        }
+        let id = self.conns.borrow_mut().insert(Conn { pcb, handler });
         self.conn_ids.insert(tuple, id);
         id
     }
 
     /// Releases everything the table holds for connection `id`: slab
-    /// slot and PCB cell, demux entry, timer entries (on the affinity
-    /// core, where they were created), admission and syncache budget
-    /// units.
+    /// slot, demux entry, timer entries (on the affinity core, where
+    /// they were created), admission and syncache budget units.
     fn cleanup(&self, id: u64) {
-        let Some(p) = self.pcb(id).and_then(|pcb| pcb.take()) else {
+        let Some(conn) = self.conns.borrow_mut().remove(id) else {
             return;
         };
-        self.conns.borrow_mut().remove(id);
-        qos::sub(self.stats.pcb_slab_live_h, 1);
+        let p = conn.pcb;
         if p.embryonic {
             // Died before the handshake completed (an eviction was
             // counted, and the flag cleared, before it got here).
@@ -1038,9 +1015,6 @@ impl NetIf {
             runtime::with_current(|rt| rt.local_event_manager().cancel_timer(tok));
         }
         self.conn_ids.remove(&p.tuple);
-        self.stats
-            .conns_closed
-            .set(self.stats.conns_closed.get() + 1);
     }
 
     fn handle(self: &Rc<Self>, id: u64) -> TcpConn {
@@ -1122,19 +1096,17 @@ impl NetIf {
     }
 
     /// The accounted per-connection footprint of an idle established
-    /// connection: slab slot (the handler's `Rc`), PCB cell — which
-    /// holds the oldest unacknowledged segment inline, so no retransmit
-    /// buffer hangs off an idle connection — and the connection's two
-    /// parked persistent timer entries. Rarely-used state (reassembly,
+    /// connection: its slab slot (the PCB — which holds the oldest
+    /// unacknowledged segment inline, so no retransmit buffer hangs off
+    /// an idle connection — and the handler's `Rc`) and its two parked
+    /// persistent timer entries. Rarely-used state (reassembly,
     /// retransmit ledger) lives in [`crate::tcp::PcbCold`] and is
     /// charged only to connections that actually use it; the RCU demux
     /// entry is the map's own per-key cost, measured end to end by the
     /// `conn_scale` bench rather than accounted here.
     pub fn bytes_per_idle_conn() -> usize {
-        let slab_slot = ConnSlab::<Rc<dyn ConnHandler>>::slot_bytes();
-        let pcb_cell = StableCells::<Pcb>::cell_bytes();
         let timers = 2 * ebbrt_core::event::EventManager::timer_entry_bytes();
-        slab_slot + pcb_cell + timers
+        ConnSlab::<Conn>::slot_bytes() + timers
     }
 }
 

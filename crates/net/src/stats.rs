@@ -1,5 +1,5 @@
 //! Interface statistics: plain cells for the per-frame counts, handles
-//! into the machine's counter registry for burst shape and the slab.
+//! into the machine's counter registry for burst shape.
 
 use std::cell::Cell;
 
@@ -30,12 +30,8 @@ pub struct NetStats {
     pub tx_frames: Cell<u64>,
     /// TCP segments received.
     pub rx_tcp: Cell<u64>,
-    /// TCP segments transmitted.
-    pub tx_tcp: Cell<u64>,
     /// Connections fully established.
     pub conns_established: Cell<u64>,
-    /// Connections closed.
-    pub conns_closed: Cell<u64>,
     /// Segments retransmitted.
     pub retransmits: Cell<u64>,
     /// Segments dropped for checksum or demux failure.
@@ -51,17 +47,6 @@ pub struct NetStats {
     pub(crate) frames_per_burst_h: [CounterHandle; BURST_BUCKETS],
     /// Coalesced `on_receive` deliveries ("net.coalesced_callbacks").
     pub(crate) coalesced_h: CounterHandle,
-    /// Live PCB slab entries ("net.pcb_slab_live", a gauge:
-    /// incremented on insert, decremented on cleanup).
-    pub(crate) pcb_slab_live_h: CounterHandle,
-    /// PCB slab high-water mark ("net.pcb_slab_high_water", monotone;
-    /// carried as cross-core deltas so the quiescent sum reads the
-    /// peak).
-    pub(crate) pcb_slab_high_water_h: CounterHandle,
-    /// Accounted idle-connection footprint in bytes
-    /// ("net.bytes_per_idle_conn", set once at attach from
-    /// [`NetIf::bytes_per_idle_conn`]).
-    pub(crate) bytes_per_idle_conn_h: CounterHandle,
 }
 
 impl NetStats {
@@ -70,9 +55,7 @@ impl NetStats {
             rx_frames: Cell::new(0),
             tx_frames: Cell::new(0),
             rx_tcp: Cell::new(0),
-            tx_tcp: Cell::new(0),
             conns_established: Cell::new(0),
-            conns_closed: Cell::new(0),
             retransmits: Cell::new(0),
             rx_drops: Cell::new(0),
             arp_failures: Cell::new(0),
@@ -81,9 +64,6 @@ impl NetStats {
                 qos::register_in(rt, &format!("net.frames_per_burst.{}", BURST_BUCKET_LO[i]))
             }),
             coalesced_h: qos::register_in(rt, "net.coalesced_callbacks"),
-            pcb_slab_live_h: qos::register_in(rt, "net.pcb_slab_live"),
-            pcb_slab_high_water_h: qos::register_in(rt, "net.pcb_slab_high_water"),
-            bytes_per_idle_conn_h: qos::register_in(rt, "net.bytes_per_idle_conn"),
         }
     }
 
