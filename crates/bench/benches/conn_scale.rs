@@ -6,7 +6,8 @@
 //! curve, writes `target/repro/conn_scale.csv`, and fails the process
 //! (and CI) unless [`ebbrt_bench::conn_scale::assert_scales`] holds:
 //! flat p99 across the sweep, accounted and *measured* bytes per idle
-//! connection under budget, and a zero-copy pool-hot measured phase.
+//! connection under budget, no timer-wheel entry live at quiesce, and a
+//! zero-copy pool-hot measured phase.
 //!
 //! The measured footprint comes from a byte-counting global allocator:
 //! `alloc` adds `layout.size()` to a live counter, `dealloc` subtracts
@@ -46,7 +47,7 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{},{},{:.1},{},{},{},{:.0},{},{}",
+                "{},{},{:.1},{},{},{},{:.0},{},{},{}",
                 r.conns,
                 r.sampled,
                 r.mean_ns,
@@ -56,12 +57,13 @@ fn main() {
                 r.measured_bytes_per_conn.unwrap_or(0.0),
                 r.steady_bytes_copied,
                 r.steady_bufs_allocated,
+                r.timer_live,
             )
         })
         .collect();
     match ebbrt_bench::write_csv(
         "conn_scale.csv",
-        "conns,sampled,mean_ns,p99_ns,failures,accounted_bytes_per_conn,measured_bytes_per_conn,steady_bytes_copied,steady_bufs_allocated",
+        "conns,sampled,mean_ns,p99_ns,failures,accounted_bytes_per_conn,measured_bytes_per_conn,steady_bytes_copied,steady_bufs_allocated,timer_live",
         &rows,
     ) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -101,11 +101,7 @@ fn verify_messenger_round_trip(_c: &mut Criterion) {
     {
         let _b = ebbrt_core::cpu::bind(CoreId(0));
         assert_eq!(
-            client
-                .runtime()
-                .event_manager(CoreId(0))
-                .timer_stats()
-                .pending,
+            client.runtime().event_manager(CoreId(0)).timer_stats().live,
             0,
             "no leaked rpc timeout entry"
         );

@@ -3,11 +3,10 @@
 //! Three properties, asserted rather than assumed:
 //!
 //! 1. **Zero allocation after warm-up**: a counting global allocator
-//!    shows that steady-state arm/cancel/re-arm — the per-TCP-segment
+//!    shows that steady-state set/re-arm/cancel/fire — the per-TCP-segment
 //!    pattern — touches the heap zero times, both at the raw
-//!    [`TimerWheel`] level and through the `EventManager` persistent
-//!    re-arm API (mirroring the zero-copy assertion style of
-//!    `iobuf_path`).
+//!    [`TimerWheel`] level and through the `EventManager`'s one-shot
+//!    timers (mirroring the zero-copy assertion style of `iobuf_path`).
 //! 2. **Flat cost in the pending-timer count**: arm+cancel cost at
 //!    1,000,000 concurrent timers stays within a small constant factor
 //!    of the cost at 10,000 — O(1), where the seed's `BinaryHeap` pays
@@ -19,8 +18,10 @@
 //!    [`SPEEDUP_MARGIN`] in the median of [`PAIRS`] alternating
 //!    wall-clock pairs.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::rc::Rc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -28,7 +29,7 @@ use ebbrt_core::clock::ManualClock;
 use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::event::EventManager;
 use ebbrt_core::rcu::CoreEpoch;
-use ebbrt_core::timer::TimerWheel;
+use ebbrt_core::timer::{TimerToken, TimerWheel};
 use std::sync::Arc;
 use test_alloc::total_calls as allocs;
 
@@ -94,7 +95,7 @@ impl Lcg {
 /// concurrent connections:
 ///
 /// * the connection's standing RTO timer is re-armed a full RTO out
-///   (wheel: O(1) relink of the persistent entry; seed: tombstone the
+///   (wheel: O(1) relink of the pending entry; seed: tombstone the
 ///   old heap entry + push a fresh one),
 /// * one short delayed-ACK-scale timer is armed and — a few ops later,
 ///   when the clock passes it — dispatched (wheel: slot pop; seed:
@@ -116,26 +117,23 @@ fn measure_wheel(n: usize, ops: usize) -> f64 {
     let mut wheel: TimerWheel<u32> = TimerWheel::new(0);
     let mut rng = Lcg(0x5EED ^ n as u64);
     let mut now = 0u64;
-    let standing: Vec<_> = (0..n)
+    let mut standing: Vec<_> = (0..n)
         .map(|i| wheel.schedule(RTO + rng.next() % RTO, i as u32))
         .collect();
     let start = Instant::now();
     for i in 0..ops {
         now += STEP;
-        // Per-ACK RTO restart on a random connection (persistent
-        // entry: O(1) relink).
+        // Per-ACK RTO restart on a random connection (O(1) relink).
         let j = (rng.next() as usize) % standing.len();
         wheel.arm(standing[j], now + RTO + rng.next() % RTO);
         // Delayed-ACK arm + dispatch of whatever came due.
         wheel.schedule(now + DELACK, DELACK_ID);
         wheel.advance(now);
-        while let Some((t, _)) = wheel.pop_expired() {
-            if *wheel.handler(t).unwrap() == DELACK_ID {
-                wheel.remove(t);
-            } else {
-                // A fired RTO re-arms: the standing population stays
-                // exactly n at every step.
-                wheel.arm(t, now + RTO + rng.next() % RTO);
+        while let Some((id, _)) = wheel.pop_expired() {
+            if id != DELACK_ID {
+                // A fired RTO is set again: the standing population
+                // stays exactly n at every step.
+                standing[id as usize] = wheel.schedule(now + RTO + rng.next() % RTO, id);
             }
         }
         if i % 64 == 0 {
@@ -190,7 +188,7 @@ fn measure_heap(n: usize, ops: usize) -> f64 {
 /// the ratios it measured, are in docs/ARCHITECTURE.md.)
 fn verify_soa_layout(_c: &mut Criterion) {
     let hot = ebbrt_core::timer::HOT_ENTRY_BYTES;
-    let total = TimerWheel::<[u64; 4]>::entry_bytes();
+    let total = hot + std::mem::size_of::<Option<[u64; 4]>>();
     println!(
         "timer slab bytes/entry (32-byte handlers): hot {hot} + cold {} = {total}; \
          a cascade scan reads {hot} where an interleaved slab reads {total}",
@@ -280,44 +278,56 @@ fn verify_scaling(_c: &mut Criterion) {
     }
 }
 
-/// Property 1a: raw wheel arm/cancel/re-arm allocates nothing once the
-/// slab and expired queue are warm.
+/// One step of steady-state churn over `standing` (each timer's
+/// handler is its index there): dispatch what came due and set each
+/// fired timer again, then re-arm — or cancel and set afresh — a
+/// random one.
+fn churn_step(
+    wheel: &mut TimerWheel<u32>,
+    standing: &mut [TimerToken],
+    rng: &mut Lcg,
+    now: u64,
+    i: usize,
+) {
+    wheel.advance(now);
+    while let Some((j, _)) = wheel.pop_expired() {
+        standing[j as usize] = wheel.schedule(now + 1_000 + rng.next() % 1_000_000, j);
+    }
+    let j = (rng.next() as usize) % standing.len();
+    let deadline = now + 1_000 + rng.next() % 1_000_000;
+    if i.is_multiple_of(2) {
+        wheel.arm(standing[j], deadline);
+    } else {
+        wheel.remove(standing[j]);
+        standing[j] = wheel.schedule(deadline, j as u32);
+    }
+}
+
+/// Property 1a: raw wheel set/re-arm/cancel/fire allocates nothing
+/// once the slab and expired queue are warm.
 fn verify_zero_alloc_wheel(_c: &mut Criterion) {
     let mut wheel: TimerWheel<u32> = TimerWheel::new(0);
     let mut rng = Lcg(7);
-    // Warm-up: grow the slab, the levels, and the expired queue.
     let mut standing: Vec<_> = (0..10_000)
-        .map(|i| wheel.schedule(1_000 + rng.next() % 1_000_000, i as u32))
+        .map(|j| wheel.schedule(1_000 + rng.next() % 1_000_000, j as u32))
         .collect();
     let mut now = 0u64;
+    // Warm-up: grow the slab, the levels, and the expired queue.
     for i in 0..20_000usize {
         now += 97;
-        wheel.advance(now);
-        while let Some((tok, _)) = wheel.pop_expired() {
-            wheel.remove(tok);
-            standing.retain(|t| *t != tok);
-        }
-        let j = (rng.next() as usize) % standing.len();
-        wheel.remove(standing[j]);
-        standing[j] = wheel.schedule(now + 1_000 + rng.next() % 1_000_000, i as u32);
+        churn_step(&mut wheel, &mut standing, &mut rng, now, i);
     }
     // Measured phase: the same mix must not allocate at all.
     let base = allocs();
     for i in 0..50_000usize {
         now += 97;
-        wheel.advance(now);
-        while let Some((tok, _)) = wheel.pop_expired() {
-            // Persistent-style: re-arm the fired entry in place.
-            wheel.arm(tok, now + 1_000 + rng.next() % 1_000_000);
-        }
-        let j = (rng.next() as usize) % standing.len();
-        wheel.arm(standing[j], now + 1_000 + rng.next() % 1_000_000);
+        churn_step(&mut wheel, &mut standing, &mut rng, now, i);
         if i % 64 == 0 {
             black_box(wheel.next_deadline(now));
         }
     }
     let delta = allocs() - base;
-    println!("steady-state wheel arm/cancel/re-arm x50000: {delta} heap allocations");
+    println!("steady-state wheel set/re-arm/cancel/fire x50000: {delta} heap allocations");
     assert_eq!(
         delta, 0,
         "steady-state timer churn must not touch the allocator"
@@ -325,60 +335,49 @@ fn verify_zero_alloc_wheel(_c: &mut Criterion) {
     black_box(&wheel);
 }
 
-/// Property 1b: the EventManager persistent-timer path — one timer per
-/// connection, reset per ACK, disarmed when the retransmit queue
-/// empties, and *fired* (dispatched) when the deadline passes —
-/// allocates nothing per cycle. This is the exact op sequence `netif`
-/// performs per TCP segment, including the delack firings the re-arm
-/// loop alone would not exercise.
-fn verify_zero_alloc_tcp_rearm(_c: &mut Criterion) {
+/// Property 1b: the `EventManager` timers a TCP connection drives — an
+/// RTO set when data goes out, restarted per ACK and cancelled when
+/// the retransmit queue empties, and a delayed ACK set and *fired*
+/// (dispatched) — allocate nothing per cycle once the slab has grown.
+/// Each closure captures two words, a handle and the connection id,
+/// as the stack's do, and is stored in the wheel's slot.
+fn verify_zero_alloc_tcp_timers(_c: &mut Criterion) {
     let clock = Arc::new(ManualClock::new());
     let em = EventManager::new(CoreId(0), clock.clone(), Arc::new(CoreEpoch::new()));
     let _bind = cpu::bind(CoreId(0));
-    // One persistent RTO-style timer per simulated connection.
-    const CONNS: usize = 1024;
-    let timers: Vec<_> = (0..CONNS)
-        .map(|_| em.set_persistent_timer(200_000_000, || ()))
-        .collect();
-    // Warm-up pass, including a dispatch of every timer so the expired
-    // queue reaches its steady-state capacity.
-    let mut now = 0u64;
-    for &t in &timers {
-        em.reset_timer(t, 200_000_000);
-        em.disarm_timer(t);
-        em.reset_timer(t, 1);
-    }
-    now += 10;
-    clock.set(now);
-    em.run_once();
-    let base = allocs();
-    for round in 0..100u64 {
-        for &t in &timers {
-            // Per segment: data sent → (re)arm; ACK → restart; queue
-            // empty → park.
-            em.reset_timer(t, 200_000_000 + round);
-            em.reset_timer(t, 200_000_000 + round);
-            em.disarm_timer(t);
+    const CONNS: u64 = 1024;
+    const ROUNDS: u64 = 100;
+    let fired = Rc::new(Cell::new(0u64));
+    let round = |now: u64| {
+        for id in 0..CONNS {
+            let f = Rc::clone(&fired);
+            let rto = em.set_timer(200_000_000, move || f.set(f.get() + id));
+            em.reset_timer(rto, 200_000_000);
+            em.cancel_timer(rto);
+            let f = Rc::clone(&fired);
+            em.set_timer(200, move || f.set(f.get() + 1 + id));
         }
-        // A delack-scale firing round: arm short, let it dispatch.
-        for &t in &timers {
-            em.reset_timer(t, 200);
-        }
-        now += 1_000;
         clock.set(now);
         em.run_once();
+    };
+    // Warm-up round: grows the slab and the expired queue.
+    round(1_000);
+    let base = allocs();
+    for r in 2..=ROUNDS + 1 {
+        round(r * 1_000);
     }
     let delta = allocs() - base;
-    let cycles = 100 * CONNS;
-    println!("steady-state TCP re-arm + fire x{cycles}: {delta} heap allocations");
+    let cycles = ROUNDS * CONNS;
+    println!("steady-state TCP timer set/restart/cancel + delack fire x{cycles}: {delta} heap allocations");
     assert_eq!(
         delta, 0,
-        "per-segment RTO re-arm and persistent firing must not allocate \
-         (one closure per connection, boxed once)"
+        "per-segment timer set, restart, cancel and firing must not allocate"
     );
-    for t in timers {
-        em.cancel_timer(t);
-    }
+    assert_eq!(
+        fired.get(),
+        (ROUNDS + 1) * CONNS * (CONNS + 1) / 2,
+        "every delayed ACK fired once, no cancelled RTO did"
+    );
     assert_eq!(em.timer_stats().live, 0);
 }
 
@@ -418,7 +417,7 @@ criterion_group!(
     verify_soa_layout,
     verify_scaling,
     verify_zero_alloc_wheel,
-    verify_zero_alloc_tcp_rearm,
+    verify_zero_alloc_tcp_timers,
     bench_arm_cancel
 );
 criterion_main!(benches);

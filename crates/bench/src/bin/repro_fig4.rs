@@ -76,11 +76,11 @@ fn main() {
         );
     }
 
-    // High-connection-count dispatch: every TCP segment re-arms the
-    // connection's RTO (and often its delayed-ACK) timer, so this is
-    // where the O(1) timer wheel shows up end-to-end — per-request
-    // latency stays flat as the number of connections (each holding
-    // persistent timers) grows.
+    // High-connection-count dispatch: every TCP segment sets, restarts
+    // or cancels the connection's RTO (and often its delayed-ACK)
+    // timer, so this is where the O(1) timer wheel shows up end-to-end
+    // — per-request latency stays flat as the number of connections
+    // (each with timers in flight) grows.
     println!();
     println!("High-connection-count dispatch (memcached GET-heavy, EbbRT profile):");
     println!(

@@ -18,12 +18,13 @@
 //!    second hash, no tombstone scans — so p99 at the top of the sweep
 //!    may not exceed [`P99_DEGRADATION_X`] × p99 at the bottom.
 //! 2. **Bounded idle footprint**: the *accounted* per-connection cost
-//!    ([`ebbrt_net::netif::NetIf::bytes_per_idle_conn`] — slab slot,
-//!    PCB cell, two parked timer entries) stays under
+//!    ([`ebbrt_net::netif::NetIf::bytes_per_idle_conn`] — the slab
+//!    slot holding the PCB and handler) stays under
 //!    [`IDLE_CONN_BUDGET_BYTES`], and when the caller supplies a
 //!    live-heap probe the *measured* whole-world footprint per
 //!    connection (both endpoints' PCBs, demux entries, switch state)
-//!    stays under [`MEASURED_CONN_BUDGET_BYTES`].
+//!    stays under [`MEASURED_CONN_BUDGET_BYTES`]. No timer-wheel entry
+//!    is live on any machine at quiesce: an idle connection arms none.
 //! 3. **Zero-copy, pool-hot steady state**: the measured GET phase
 //!    copies zero payload bytes and allocates zero fresh buffers,
 //!    regardless of how many idle connections surround it.
@@ -38,7 +39,7 @@ use ebbrt_apps::memcached::{self, Client, Header, Workload, MEMCACHED_PORT};
 use ebbrt_apps::spawn_with;
 use ebbrt_apps::stats::LatencyRecorder;
 use ebbrt_core::clock::Ns;
-use ebbrt_core::cpu::CoreId;
+use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
@@ -66,7 +67,7 @@ const CONNECT_CHUNK: usize = 512;
 /// stay within this factor of the bottom point's.
 pub const P99_DEGRADATION_X: f64 = 2.0;
 /// Hard budget on the accounted bytes of one idle established
-/// connection (slab slot + PCB cell + two parked timer entries).
+/// connection (its slab slot).
 pub const IDLE_CONN_BUDGET_BYTES: usize = 1024;
 /// Hard budget on the *measured* whole-world heap delta per
 /// connection: both endpoints' accounted state plus the RCU demux
@@ -100,6 +101,9 @@ pub struct ScaleReport {
     pub slab_live: usize,
     /// Server PCB slab high-water mark.
     pub slab_high_water: usize,
+    /// Timer-wheel entries live at quiesce, summed over every core of
+    /// the server and the clients. Gate: 0.
+    pub timer_live: usize,
 }
 
 /// One probe connection: closed-loop, one GET outstanding, latency
@@ -354,6 +358,15 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     w.run_to_idle();
     let steady = stats::world_snapshot(rts.iter().map(|rt| &***rt)).since(&before);
     assert_eq!(outstanding.get(), 0, "measured phase did not complete");
+    let timer_live = rts
+        .iter()
+        .flat_map(|rt| rt.event_managers().iter().enumerate())
+        .map(|(i, em)| {
+            // The wheel is owned by its core: read it as that core.
+            let _bound = cpu::bind(CoreId(i as u32));
+            em.timer_stats().live
+        })
+        .sum();
 
     let mut rec = recorder.borrow_mut();
     ScaleReport {
@@ -368,13 +381,14 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         measured_bytes_per_conn,
         slab_live: s_if.conn_count(),
         slab_high_water: s_if.conn_high_water(),
+        timer_live,
     }
 }
 
 /// One table/CSV row.
 pub fn format_report(r: &ScaleReport) -> String {
     format!(
-        "{:>9} {:>8} {:>10.1} {:>10.1} {:>9} {:>8} {:>11} {:>12} {:>12}",
+        "{:>9} {:>8} {:>10.1} {:>10.1} {:>9} {:>8} {:>11} {:>12} {:>12} {:>7}",
         r.conns,
         r.sampled,
         r.mean_ns / 1000.0,
@@ -385,13 +399,14 @@ pub fn format_report(r: &ScaleReport) -> String {
             .map_or_else(|| "-".into(), |b| format!("{b:.0}")),
         r.steady_bytes_copied,
         r.steady_bufs_allocated,
+        r.timer_live,
     )
 }
 
 /// Header matching [`format_report`].
 pub fn table_header() -> String {
     format!(
-        "{:>9} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11} {:>12} {:>12}",
+        "{:>9} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11} {:>12} {:>12} {:>7}",
         "conns",
         "sampled",
         "mean us",
@@ -400,7 +415,8 @@ pub fn table_header() -> String {
         "b/conn",
         "measured b",
         "copied",
-        "fresh bufs"
+        "fresh bufs",
+        "timers"
     )
 }
 
@@ -435,6 +451,11 @@ pub fn assert_scales(points: &[ScaleReport]) {
         assert_eq!(
             p.slab_high_water, p.conns,
             "an establish-only point must never overshoot the slab"
+        );
+        assert_eq!(
+            p.timer_live, 0,
+            "an idle connection must hold no timer-wheel entry ({} live at {} conns)",
+            p.timer_live, p.conns
         );
         if let Some(b) = p.measured_bytes_per_conn {
             assert!(

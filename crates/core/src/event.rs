@@ -48,9 +48,10 @@ pub use once::{Local, OnceFn, Sendable};
 
 /// Words of inline storage an event's closure gets: an `Rc` and a word,
 /// say, which is what nearly every spawned event, idle one-shot and
-/// one-shot timer captures. Two keep a timer wheel slot
-/// (`Option<TimerFn>`) at the 32 bytes a boxed closure took; a larger
-/// closure is boxed inside its [`OnceFn`].
+/// timer captures — a TCP timer's is the stack's `Weak` and the
+/// connection id. Two keep a timer wheel's handler slot
+/// (`Option<EventHandler>`) at three words, under the 32 bytes a boxed
+/// closure took; a larger closure is boxed inside its [`OnceFn`].
 pub const EVENT_WORDS: usize = 2;
 
 /// A one-shot event handler, local to a core.
@@ -103,21 +104,6 @@ pub struct EventStats {
     pub timers: AtomicU64,
     /// Idle handler invocations.
     pub idle: AtomicU64,
-}
-
-/// A persistent timer's handler: told, each time it fires, the key its
-/// entry was created with. One handler can therefore serve any number
-/// of entries — a network stack's per-connection timers share one and
-/// key it by connection — and creating an entry clones the `Rc`
-/// instead of boxing a closure.
-pub type KeyedTimerFn = Rc<dyn Fn(u64)>;
-
-/// The timer wheel's handler payload: a one-shot closure (consumed
-/// when the timer fires) or a persistent keyed handler that
-/// survives firings and is re-armed with [`EventManager::reset_timer`].
-enum TimerFn {
-    Once(EventHandler),
-    Persistent(KeyedTimerFn, u64),
 }
 
 /// A lock-free slot holding at most one `Arc<T>`, swapped with single
@@ -266,7 +252,7 @@ struct EmOwned {
     /// handles, not the vector.
     idle_spare: Vec<Rc<dyn Fn() -> bool>>,
     next_idle_token: u64,
-    timers: TimerWheel<TimerFn>,
+    timers: TimerWheel<EventHandler>,
     pending_handoff: Option<EventContext>,
 }
 
@@ -499,109 +485,40 @@ impl EventManager {
     // Timers live in a hashed hierarchical wheel ([`crate::timer`]):
     // arm, cancel and re-arm are all O(1), and cancellation frees the
     // entry (and its handler) immediately — there is no tombstone set.
+    // A timer is a one-shot event with a deadline: it runs once, and
+    // whoever wants it again sets a new one.
 
     /// Arms a one-shot timer `delay_ns` from now. The handler is
-    /// consumed when it fires; the token then goes stale.
+    /// consumed when it fires; the token then goes stale. A closure of
+    /// up to [`EVENT_WORDS`] words is stored in the wheel's slot, so
+    /// arming allocates nothing once the slab has grown.
     pub fn set_timer(&self, delay_ns: Ns, f: impl FnOnce() + 'static) -> TimerToken {
         let deadline = self.clock.now_ns() + delay_ns;
-        self.owned.with(|o| {
-            o.timers
-                .schedule(deadline, TimerFn::Once(EventHandler::new(move |()| f())))
-        })
-    }
-
-    /// Creates a *persistent* timer armed `delay_ns` from now, which
-    /// calls `f(key)` when it fires. Firing parks it (handler retained)
-    /// instead of destroying it; re-arm it with [`Self::reset_timer`] —
-    /// an O(1), allocation-free operation — and free it with
-    /// [`Self::cancel_timer`]. Creating the entry allocates nothing
-    /// either: this is what lets the TCP layer keep timers per
-    /// connection, all on one shared handler, and reset them per ACK.
-    pub fn set_keyed_timer(&self, delay_ns: Ns, f: &KeyedTimerFn, key: u64) -> TimerToken {
-        let deadline = self.clock.now_ns() + delay_ns;
-        let handler = TimerFn::Persistent(Rc::clone(f), key);
+        let handler = EventHandler::new(move |()| f());
         self.owned.with(|o| o.timers.schedule(deadline, handler))
     }
 
-    /// [`Self::set_keyed_timer`] for a timer that is its handler's only
-    /// one: boxes `f` as a keyed handler that ignores its key.
-    pub fn set_persistent_timer(&self, delay_ns: Ns, f: impl Fn() + 'static) -> TimerToken {
-        self.set_keyed_timer(delay_ns, &(Rc::new(move |_| f()) as KeyedTimerFn), 0)
-    }
-
-    /// Re-arms `token` to fire `delay_ns` from now, whether it is
-    /// currently pending, already due (pulled back out), or parked
-    /// after a persistent firing. O(1); no allocation. Returns `false`
-    /// if the token is stale (one-shot already fired, or cancelled).
+    /// Re-arms pending `token` to fire `delay_ns` from now instead (it
+    /// is pulled back out if already due). O(1); no allocation.
+    /// Returns `false` if the token is stale (fired, or cancelled).
     pub fn reset_timer(&self, token: TimerToken, delay_ns: Ns) -> bool {
         let deadline = self.clock.now_ns() + delay_ns;
         self.owned.with(|o| o.timers.arm(token, deadline))
     }
 
-    /// The reset-or-create idiom for owner-managed persistent timers:
-    /// re-arms `token` if it is still live (the steady state — O(1),
-    /// no allocation; `f` goes unused), otherwise creates a fresh
-    /// persistent timer from `f`. Returns the token the caller should
-    /// hold, which equals `token` whenever the reset succeeded.
-    pub fn arm_persistent_timer(
-        &self,
-        token: Option<TimerToken>,
-        delay_ns: Ns,
-        f: impl Fn() + 'static,
-    ) -> TimerToken {
-        match token {
-            Some(tok) if self.reset_timer(tok, delay_ns) => tok,
-            _ => self.set_persistent_timer(delay_ns, f),
-        }
-    }
-
-    /// [`Self::arm_persistent_timer`] for an entry of a shared keyed
-    /// handler ([`Self::set_keyed_timer`]): neither arm allocates.
-    pub fn arm_keyed_timer(
-        &self,
-        token: Option<TimerToken>,
-        delay_ns: Ns,
-        f: &KeyedTimerFn,
-        key: u64,
-    ) -> TimerToken {
-        match token {
-            Some(tok) if self.reset_timer(tok, delay_ns) => tok,
-            _ => self.set_keyed_timer(delay_ns, f, key),
-        }
-    }
-
-    /// Unschedules `token` without freeing it: the handler is retained
-    /// and the timer can be re-armed with [`Self::reset_timer`].
-    /// Returns `false` if the token is stale.
-    pub fn disarm_timer(&self, token: TimerToken) -> bool {
-        self.owned.with(|o| o.timers.disarm(token))
-    }
-
     /// Cancels a timer, freeing its entry and handler immediately; a
-    /// stale token (timer already fired and one-shot) is a no-op.
+    /// stale token (timer already fired) is a no-op.
     pub fn cancel_timer(&self, token: TimerToken) {
         self.owned.with(|o| {
             o.timers.remove(token);
         });
     }
 
-    /// Whether `token` is scheduled to fire.
-    pub fn timer_armed(&self, token: TimerToken) -> bool {
-        self.owned.with(|o| o.timers.is_scheduled(token))
-    }
-
-    /// Timer-subsystem counters (pending/live entries, slab size,
-    /// cascade count) — used by tests and benches to assert the
-    /// no-tombstone and one-entry-per-connection properties.
+    /// Timer-subsystem counters (live entries, slab size, cascade
+    /// count) — used by tests and benches to assert the no-tombstone
+    /// and no-idle-entry properties.
     pub fn timer_stats(&self) -> TimerWheelStats {
         self.owned.with(|o| o.timers.stats())
-    }
-
-    /// Per-entry slab cost of this core's timer wheel (hot SoA entry
-    /// plus cold handler slot) — the figure per-connection memory
-    /// accounting charges for each parked persistent timer.
-    pub fn timer_entry_bytes() -> usize {
-        TimerWheel::<TimerFn>::entry_bytes()
     }
 
     /// A lower bound on the next timer firing time: exact for a due
@@ -676,27 +593,14 @@ impl EventManager {
             // arming a past-deadline timer queues it for this same
             // loop, in (deadline, arm-order) order — exactly the old
             // heap's semantics.
-            enum Fire {
-                Once(EventHandler),
-                Persistent(KeyedTimerFn, u64),
-            }
             let fired = self.owned.with(|o| {
                 o.timers.advance(now);
-                let (token, _deadline) = o.timers.pop_expired()?;
-                match o.timers.handler(token) {
-                    Some(TimerFn::Persistent(f, key)) => Some(Fire::Persistent(Rc::clone(f), *key)),
-                    Some(TimerFn::Once(_)) => match o.timers.remove(token) {
-                        Some(TimerFn::Once(h)) => Some(Fire::Once(h)),
-                        _ => unreachable!("one-shot entry changed kind"),
-                    },
-                    None => unreachable!("expired entry has no handler"),
-                }
+                o.timers.pop_expired()
             });
-            match fired {
-                None => return n,
-                Some(Fire::Once(h)) => self.invoke(|| h.call(())),
-                Some(Fire::Persistent(f, key)) => self.invoke(move || f(key)),
-            }
+            let Some((h, _deadline)) = fired else {
+                return n;
+            };
+            self.invoke(|| h.call(()));
             self.stats.timers.fetch_add(1, Ordering::Relaxed);
             n += 1;
         }

@@ -229,80 +229,9 @@ fn reset_timer_pushes_deadline_out() {
     clock.set(150);
     em.run_once();
     assert_eq!(fired.get(), 1);
-    // One-shot: the token is stale after firing.
-    assert!(!em.reset_timer(t, 100));
-    assert!(!em.timer_armed(t));
-}
-
-#[test]
-fn persistent_timer_survives_firing_and_rearms_without_alloc() {
-    let (em, clock) = em();
-    let _b = cpu::bind(CoreId(0));
-    let fired = Rc::new(Cell::new(0u32));
-    let f2 = Rc::clone(&fired);
-    let t = em.set_persistent_timer(100, move || f2.set(f2.get() + 1));
-    clock.set(100);
-    em.run_once();
-    assert_eq!(fired.get(), 1);
-    // Still live (parked), not armed; the same entry re-arms.
-    assert!(!em.timer_armed(t));
-    assert_eq!(em.timer_stats().live, 1);
-    assert!(em.reset_timer(t, 50));
-    assert!(em.timer_armed(t));
-    clock.set(150);
-    em.run_once();
-    assert_eq!(fired.get(), 2);
-    em.cancel_timer(t);
+    // One-shot: firing freed the entry, and the token is stale.
     assert_eq!(em.timer_stats().live, 0);
-    assert!(!em.reset_timer(t, 10), "cancelled token is stale");
-}
-
-#[test]
-fn keyed_timers_share_one_handler_and_fire_with_their_own_key() {
-    let (em, clock) = em();
-    let _b = cpu::bind(CoreId(0));
-    let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-    let l2 = Rc::clone(&log);
-    let handler: KeyedTimerFn = Rc::new(move |key| l2.borrow_mut().push(key));
-    let a = em.arm_keyed_timer(None, 100, &handler, 7);
-    let b = em.arm_keyed_timer(None, 50, &handler, 9);
-    // The entries hold the handler itself, not a box around it.
-    assert_eq!(Rc::strong_count(&handler), 3);
-    clock.set(100);
-    em.run_once();
-    assert_eq!(*log.borrow(), vec![9, 7]);
-    // Re-arming through the token reuses the entry and its key.
-    assert_eq!(em.arm_keyed_timer(Some(a), 10, &handler, 1234), a);
-    assert_eq!(em.timer_stats().live, 2);
-    clock.set(110);
-    em.run_once();
-    assert_eq!(*log.borrow(), vec![9, 7, 7]);
-    em.cancel_timer(a);
-    em.cancel_timer(b);
-    assert_eq!(Rc::strong_count(&handler), 1);
-    // A cancelled token makes the arm create a fresh entry.
-    let c = em.arm_keyed_timer(Some(a), 10, &handler, 3);
-    assert_ne!(c, a);
-    em.cancel_timer(c);
-}
-
-#[test]
-fn disarm_suspends_without_freeing() {
-    let (em, clock) = em();
-    let _b = cpu::bind(CoreId(0));
-    let fired = Rc::new(Cell::new(false));
-    let f2 = Rc::clone(&fired);
-    let t = em.set_persistent_timer(100, move || f2.set(true));
-    assert!(em.disarm_timer(t));
-    clock.set(500);
-    em.run_once();
-    assert!(!fired.get());
-    assert_eq!(em.timer_stats().live, 1, "handler retained while parked");
-    assert!(em.reset_timer(t, 100)); // deadline 600
-    clock.set(600);
-    em.run_once();
-    assert!(fired.get());
-    em.cancel_timer(t);
+    assert!(!em.reset_timer(t, 100));
 }
 
 #[test]
@@ -321,7 +250,6 @@ fn cancelled_timers_leave_no_tombstones() {
     }
     let stats = em.timer_stats();
     assert_eq!(stats.live, 0, "no entry survives its cancellation");
-    assert_eq!(stats.pending, 0);
     assert_eq!(em.next_timer_deadline(), None);
     clock.set(2_000_000);
     assert_eq!(em.run_once().interrupts, 0, "nothing fires");
@@ -542,7 +470,7 @@ fn cross_core_timer_token_asserts_in_debug() {
     let em1 = EventManager::new(CoreId(1), clock, Arc::new(CoreEpoch::new()));
     let token = {
         let _b = cpu::bind(CoreId(0));
-        em0.set_persistent_timer(100, || ())
+        em0.set_timer(100, || ())
     };
     let _b = cpu::bind(CoreId(1));
     em1.reset_timer(token, 100);
@@ -718,13 +646,11 @@ fn one_shot_events_with_small_captures_call_no_allocator() {
 }
 
 #[test]
-fn a_one_shot_timer_slot_stays_32_bytes() {
-    // The wheel's handler slot, and with it every connection's timer
-    // bill (`NetIf::bytes_per_idle_conn` charges two entries): an
-    // event's inline words are sized to keep it here.
-    assert_eq!(std::mem::size_of::<Option<TimerFn>>(), 32);
+fn a_one_shot_timer_slot_is_three_words() {
+    // The wheel's handler slot: an event's inline words plus its
+    // call/drop table, with no tag word beside them.
     assert_eq!(
-        EventManager::timer_entry_bytes(),
-        crate::timer::HOT_ENTRY_BYTES + 32
+        std::mem::size_of::<Option<EventHandler>>(),
+        (EVENT_WORDS + 1) * std::mem::size_of::<usize>()
     );
 }

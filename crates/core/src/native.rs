@@ -175,6 +175,7 @@ fn core_loop(rt: Arc<Runtime>, core: CoreId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Ns;
     use crate::cpu;
     use crate::event::block_on;
     use crate::future::promise;
@@ -249,6 +250,57 @@ mod tests {
             block_on(f)
         });
         assert_eq!(v, 9);
+    }
+
+    #[test]
+    fn a_timer_reset_from_another_event_fires_once_at_its_new_deadline() {
+        let ((reset_at, reset), fired_at, fires, live) = NativeMachine::run(1, || {
+            let rt = runtime::current();
+            let fires = Arc::new(AtomicUsize::new(0));
+            let f2 = Arc::clone(&fires);
+            let (fired_p, fired) = promise::<Ns>();
+            // Ten seconds out: only the reset can make it fire here.
+            let token = rt.local_event_manager().set_timer(10_000_000_000, move || {
+                f2.fetch_add(1, Ordering::SeqCst);
+                fired_p.set_value(runtime::current().now_ns());
+            });
+            let (reset_p, reset) = promise::<(Ns, bool)>();
+            rt.spawn(CoreId(0), move || {
+                let rt = runtime::current();
+                let at = rt.now_ns();
+                reset_p.set_value((at, rt.local_event_manager().reset_timer(token, 5_000_000)));
+            });
+            let reset = block_on(reset);
+            let fired_at = block_on(fired);
+            let live = rt.local_event_manager().timer_stats().live;
+            (reset, fired_at, fires.load(Ordering::SeqCst), live)
+        });
+        assert!(reset, "the pending token was stale");
+        assert!(
+            fired_at >= reset_at + 5_000_000,
+            "fired before its new deadline"
+        );
+        assert_eq!((fires, live), (1, 0), "fires once, then holds no entry");
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let (fires, live) = NativeMachine::run(1, || {
+            let rt = runtime::current();
+            let em = rt.local_event_manager();
+            let fires = Arc::new(AtomicUsize::new(0));
+            let f2 = Arc::clone(&fires);
+            let token = em.set_timer(1_000_000, move || {
+                f2.fetch_add(1, Ordering::SeqCst);
+            });
+            em.cancel_timer(token);
+            // Wait past the cancelled deadline on a timer of our own.
+            let (past_p, past) = promise::<()>();
+            em.set_timer(5_000_000, move || past_p.set_value(()));
+            block_on(past);
+            (fires.load(Ordering::SeqCst), em.timer_stats().live)
+        });
+        assert_eq!((fires, live), (0, 0), "never fires, holds no entry");
     }
 
     #[test]

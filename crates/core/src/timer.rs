@@ -33,10 +33,11 @@
 //! entry from its slot list and returns it to a free list: **O(1)**,
 //! and — unlike the heap's tombstone set — the handler's storage is
 //! released immediately, so cancelled timers can no longer pin memory
-//! by construction. Re-arming ([`TimerWheel::arm`] on a live entry)
-//! is an unlink + relink with no allocation, which is what lets the
-//! TCP layer keep one persistent timer per connection and reset it
-//! per ACK.
+//! by construction. Every entry is one-shot: it is pending from
+//! [`TimerWheel::schedule`] until it fires ([`TimerWheel::pop_expired`]
+//! frees it and hands back its handler) or is removed. Re-arming a
+//! pending entry ([`TimerWheel::arm`]) is an unlink + relink with no
+//! allocation — the TCP layer's per-ACK RTO restart.
 //!
 //! # Cascade cost model
 //!
@@ -75,16 +76,17 @@
 //! links, deadline tick, arm sequence — into one dense
 //! [`HOT_ENTRY_BYTES`]-byte record per entry. The handler payload
 //! lives in a parallel *cold* array touched only when an entry is
-//! created, fires, or is removed. Cascades, re-arms and
+//! scheduled, fires, or is removed. Cascades, re-arms and
 //! `next_deadline` scans therefore walk cache lines holding hot words
 //! only: at 1M pending timers the hot slab is ~32 MB of pure wheel
 //! state instead of an interleaved hot+handler mix, doubling (or
 //! better, for fat handlers) the useful bytes per DRAM line on the
-//! cascade path. The `soa_vs_interleaved` group in the `timer_wheel`
-//! bench measures the two layouts head-to-head at 10k/100k/1M pending.
+//! cascade path. The two arrays are cut into blocks of 32 entries held
+//! in one `Vec`, so the slab grows by one allocation, not one per half.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 
 use crate::clock::{deadline_to_tick, tick_to_ns, Ns};
 
@@ -105,7 +107,7 @@ const NIL: u32 = u32::MAX;
 pub const UNTAGGED_OWNER: u32 = u32::MAX;
 
 /// Token identifying a timer entry. Tokens are generation-tagged:
-/// after an entry is freed (fired one-shot, or cancelled) its token
+/// after an entry is freed (fired, or cancelled) its token
 /// goes stale and every operation on it is a no-op returning `false`.
 ///
 /// In debug builds a token additionally remembers the *owner tag* of
@@ -148,9 +150,6 @@ impl TimerToken {
 enum State {
     /// On the free list.
     Free,
-    /// Allocated but not scheduled (created disarmed, disarmed, or a
-    /// persistent timer between firings). The handler is retained.
-    Parked,
     /// Linked into a wheel slot.
     Armed,
     /// Due: moved off the wheel into the expired queue, not yet popped.
@@ -199,12 +198,75 @@ impl Level {
     }
 }
 
+/// Entries per slab block.
+const BLOCK: usize = 32;
+
+/// A block of the slab: its entries' hot halves side by side, then
+/// their handlers.
+struct Block<H> {
+    hot: [HotEntry; BLOCK],
+    handlers: [Option<H>; BLOCK],
+}
+
+/// The entry slab, `Index`ed by entry to its hot half. It grows a block
+/// at a time and its blocks sit in one `Vec`, so the hot and the cold
+/// halves grow by one reallocation together.
+struct Slab<H> {
+    blocks: Vec<Block<H>>,
+    /// Entries carved so far (the high-water mark of live entries).
+    len: u32,
+}
+
+impl<H> Slab<H> {
+    /// Carves a fresh free entry at the end, returning its index.
+    fn carve(&mut self) -> u32 {
+        assert!(self.len < NIL, "timer slab exhausted");
+        if self.len as usize == self.blocks.len() * BLOCK {
+            self.blocks.push(Block {
+                hot: std::array::from_fn(|_| HotEntry {
+                    gen: 0,
+                    state: State::Free,
+                    deadline_tick: 0,
+                    seq: 0,
+                    pos: 0,
+                    next: NIL,
+                    prev: NIL,
+                }),
+                handlers: std::array::from_fn(|_| None),
+            });
+        }
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// The cold half of entry `index`.
+    fn handler(&mut self, index: u32) -> &mut Option<H> {
+        let i = index as usize;
+        &mut self.blocks[i / BLOCK].handlers[i % BLOCK]
+    }
+}
+
+impl<H> Index<u32> for Slab<H> {
+    type Output = HotEntry;
+
+    fn index(&self, index: u32) -> &HotEntry {
+        let i = index as usize;
+        &self.blocks[i / BLOCK].hot[i % BLOCK]
+    }
+}
+
+impl<H> IndexMut<u32> for Slab<H> {
+    fn index_mut(&mut self, index: u32) -> &mut HotEntry {
+        let i = index as usize;
+        &mut self.blocks[i / BLOCK].hot[i % BLOCK]
+    }
+}
+
 /// Counters exposed for tests and benches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimerWheelStats {
-    /// Timers scheduled to fire (armed or due-but-unpopped).
-    pub pending: usize,
-    /// Allocated entries (pending + parked persistent timers).
+    /// Timers scheduled to fire (armed or due-but-unpopped): every
+    /// allocated entry.
     pub live: usize,
     /// Slab capacity (high-water mark of simultaneous live entries).
     pub slab: usize,
@@ -223,18 +285,14 @@ pub struct TimerWheel<H> {
     /// Wheel time: the tick `advance` was last called with.
     last: u64,
     levels: Vec<Level>,
-    /// SoA hot half: wheel state only, scanned by cascade/advance.
-    hot: Vec<HotEntry>,
-    /// SoA cold half, parallel to `hot`: handler payloads, touched
-    /// only on create/fire/remove.
-    handlers: Vec<Option<H>>,
+    slab: Slab<H>,
+    /// Head of the free entries' list, linked through `next`.
     free_head: u32,
     /// Due entries ordered by (deadline ns, seq): `Reverse` for a
     /// min-heap. Stale nodes (re-armed or removed entries) are skipped
     /// on pop via the (gen, seq) check.
     expired: BinaryHeap<Reverse<(Ns, u64, u32, u32)>>,
     seq: u64,
-    pending: usize,
     live: usize,
     cascades: u64,
     /// Monotone lower bound on the earliest pending deadline (ns).
@@ -252,12 +310,13 @@ impl<H> TimerWheel<H> {
             owner: UNTAGGED_OWNER,
             last: 0,
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            hot: Vec::new(),
-            handlers: Vec::new(),
+            slab: Slab {
+                blocks: Vec::new(),
+                len: 0,
+            },
             free_head: NIL,
             expired: BinaryHeap::new(),
             seq: 0,
-            pending: 0,
             live: 0,
             cascades: 0,
             hint_ns: Ns::MAX,
@@ -294,179 +353,54 @@ impl<H> TimerWheel<H> {
     /// Counters snapshot.
     pub fn stats(&self) -> TimerWheelStats {
         TimerWheelStats {
-            pending: self.pending,
             live: self.live,
-            slab: self.hot.len(),
+            slab: self.slab.len as usize,
             cascades: self.cascades,
         }
     }
 
-    /// Slab bytes per entry for this wheel's handler type: one hot
-    /// record plus one cold `Option<H>` slot. Multiply by
-    /// [`TimerWheelStats::slab`] for the total slab footprint.
-    pub fn entry_bytes() -> usize {
-        HOT_ENTRY_BYTES + std::mem::size_of::<Option<H>>()
-    }
-
     /// Timers scheduled to fire.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Allocated entries (scheduled + parked).
     pub fn live(&self) -> usize {
         self.live
     }
 
-    /// Whether `token` is scheduled to fire (armed or already due).
-    pub fn is_scheduled(&self, token: TimerToken) -> bool {
-        matches!(
-            self.entry(token).map(|e| e.state),
-            Some(State::Armed) | Some(State::Queued)
-        )
-    }
-
-    /// Allocates a parked (unscheduled) entry holding `handler`.
-    /// Schedule it with [`TimerWheel::arm`].
-    pub fn create(&mut self, handler: H) -> TimerToken {
+    /// Schedules a one-shot entry holding `handler` to fire at
+    /// `deadline_ns`.
+    pub fn schedule(&mut self, deadline_ns: Ns, handler: H) -> TimerToken {
         let index = if self.free_head != NIL {
             let index = self.free_head;
-            self.free_head = self.hot[index as usize].next;
+            self.free_head = self.slab[index].next;
             index
         } else {
-            assert!(self.hot.len() < NIL as usize, "timer slab exhausted");
-            self.hot.push(HotEntry {
-                gen: 0,
-                state: State::Free,
-                deadline_tick: 0,
-                seq: 0,
-                pos: 0,
-                next: NIL,
-                prev: NIL,
-            });
-            self.handlers.push(None);
-            (self.hot.len() - 1) as u32
+            self.slab.carve()
         };
-        let e = &mut self.hot[index as usize];
-        debug_assert_eq!(e.state, State::Free);
-        e.state = State::Parked;
-        self.handlers[index as usize] = Some(handler);
+        debug_assert_eq!(self.slab[index].state, State::Free);
+        *self.slab.handler(index) = Some(handler);
         self.live += 1;
-        TimerToken::new(index, e.gen, self.owner)
+        self.enqueue(index, deadline_ns);
+        TimerToken::new(index, self.slab[index].gen, self.owner)
     }
 
-    /// Schedules (or re-schedules) `token` to fire at `deadline_ns`.
-    /// Works from any live state — parked, armed (re-arm: unlink +
-    /// relink, no allocation), or already due (pulled back out of the
-    /// expired queue). Returns `false` if the token is stale.
+    /// Re-schedules pending `token` to fire at `deadline_ns` instead:
+    /// an unlink + relink (or, if it was already due, a pull back out
+    /// of the expired queue) with no allocation. Returns `false` if
+    /// the token is stale (fired or removed).
     pub fn arm(&mut self, token: TimerToken, deadline_ns: Ns) -> bool {
         if self.entry(token).is_none() {
             return false;
         }
-        let index = token.index();
-        match self.hot[index as usize].state {
-            State::Armed => {
-                self.unlink(index);
-                self.pending -= 1;
-            }
-            State::Queued => {
-                // The entry's heap node goes stale via the new seq.
-                self.pending -= 1;
-            }
-            State::Parked => {}
-            State::Free => unreachable!(),
-        }
-        let tick = deadline_to_tick(deadline_ns, self.shift);
-        self.seq += 1;
-        let seq = self.seq;
-        {
-            let e = &mut self.hot[index as usize];
-            e.deadline_tick = tick;
-            e.seq = seq;
-        }
-        if tick <= self.last {
-            // Already due: straight to the expired queue.
-            let e = &mut self.hot[index as usize];
-            e.state = State::Queued;
-            let (gen, dl) = (e.gen, tick_to_ns(tick, self.shift));
-            self.expired.push(Reverse((dl, seq, index, gen)));
-        } else {
-            self.place(index);
-        }
-        self.pending += 1;
-        self.hint_ns = self.hint_ns.min(tick_to_ns(tick, self.shift));
+        self.detach(token.index());
+        self.enqueue(token.index(), deadline_ns);
         true
     }
 
-    /// Creates and arms a one-shot entry in one call.
-    pub fn schedule(&mut self, deadline_ns: Ns, handler: H) -> TimerToken {
-        let token = self.create(handler);
-        let armed = self.arm(token, deadline_ns);
-        debug_assert!(armed);
-        token
-    }
-
-    /// Unschedules `token` without freeing it: the entry parks, its
-    /// handler retained, ready to be re-armed. Returns `false` if the
-    /// token is stale.
-    pub fn disarm(&mut self, token: TimerToken) -> bool {
-        if self.entry(token).is_none() {
-            return false;
-        }
-        let index = token.index();
-        match self.hot[index as usize].state {
-            State::Armed => {
-                self.unlink(index);
-                self.pending -= 1;
-            }
-            State::Queued => {
-                // Heap node goes stale: state no longer Queued.
-                self.pending -= 1;
-            }
-            State::Parked => {}
-            State::Free => unreachable!(),
-        }
-        self.hot[index as usize].state = State::Parked;
-        true
-    }
-
-    /// Frees `token` from any live state, returning its handler. The
-    /// entry's storage goes back to the free list immediately — there
-    /// is no tombstone phase.
+    /// Frees pending `token`, returning its handler. The entry's
+    /// storage goes back to the free list immediately — there is no
+    /// tombstone phase. `None` if the token is stale.
     pub fn remove(&mut self, token: TimerToken) -> Option<H> {
         self.entry(token)?;
-        let index = token.index();
-        match self.hot[index as usize].state {
-            State::Armed => {
-                self.unlink(index);
-                self.pending -= 1;
-            }
-            State::Queued => {
-                self.pending -= 1;
-            }
-            State::Parked => {}
-            State::Free => unreachable!(),
-        }
-        let e = &mut self.hot[index as usize];
-        e.state = State::Free;
-        e.gen = e.gen.wrapping_add(1);
-        e.next = self.free_head;
-        self.free_head = index;
-        self.live -= 1;
-        self.handlers[index as usize].take()
-    }
-
-    /// Read access to a live entry's handler.
-    pub fn handler(&self, token: TimerToken) -> Option<&H> {
-        self.entry(token)?;
-        self.handlers[token.index() as usize].as_ref()
-    }
-
-    /// Mutable access to a live entry's handler (replace the payload
-    /// without disturbing the entry's schedule or token).
-    pub fn handler_mut(&mut self, token: TimerToken) -> Option<&mut H> {
-        self.entry(token)?;
-        self.handlers[token.index() as usize].as_mut()
+        self.detach(token.index());
+        Some(self.free(token.index()))
     }
 
     /// Advances wheel time to `now_ns`, moving every timer whose
@@ -503,10 +437,10 @@ impl<H> TimerWheel<H> {
                 let mut index = self.levels[level].slots[slot];
                 self.levels[level].slots[slot] = NIL;
                 while index != NIL {
-                    let next = self.hot[index as usize].next;
-                    let due = self.hot[index as usize].deadline_tick <= to;
+                    let next = self.slab[index].next;
+                    let due = self.slab[index].deadline_tick <= to;
                     if due {
-                        let e = &mut self.hot[index as usize];
+                        let e = &mut self.slab[index];
                         e.state = State::Queued;
                         let node = (tick_to_ns(e.deadline_tick, self.shift), e.seq, index, e.gen);
                         self.expired.push(Reverse(node));
@@ -521,20 +455,17 @@ impl<H> TimerWheel<H> {
         }
     }
 
-    /// Pops the next due timer (earliest deadline, FIFO among equals).
-    /// The entry transitions to parked — the caller either re-arms it
-    /// (persistent timers) or [`TimerWheel::remove`]s it to take the
-    /// handler (one-shot timers). Returns `None` when nothing is due.
-    pub fn pop_expired(&mut self) -> Option<(TimerToken, Ns)> {
+    /// Pops the next due timer (earliest deadline, FIFO among equals):
+    /// frees its entry and hands back its handler and deadline.
+    /// Returns `None` when nothing is due.
+    pub fn pop_expired(&mut self) -> Option<(H, Ns)> {
         while let Some(Reverse((deadline, seq, index, gen))) = self.expired.pop() {
-            let e = &mut self.hot[index as usize];
+            let e = &self.slab[index];
             if e.gen == gen && e.state == State::Queued && e.seq == seq {
-                e.state = State::Parked;
-                self.pending -= 1;
-                return Some((TimerToken::new(index, gen, self.owner), deadline));
+                return Some((self.free(index), deadline));
             }
-            // Stale node: the entry was re-armed, disarmed or removed
-            // after queueing. Skip.
+            // Stale node: the entry was re-armed or removed after
+            // queueing. Skip.
         }
         None
     }
@@ -550,13 +481,13 @@ impl<H> TimerWheel<H> {
         self.advance(now_ns);
         // Drop stale heap nodes, then report a due timer exactly.
         while let Some(Reverse((deadline, seq, index, gen))) = self.expired.peek().copied() {
-            let e = &self.hot[index as usize];
+            let e = &self.slab[index];
             if e.gen == gen && e.state == State::Queued && e.seq == seq {
                 return Some(deadline);
             }
             self.expired.pop();
         }
-        if self.pending == 0 {
+        if self.live == 0 {
             return None;
         }
         // Scan: one occupancy word per level, no list walks.
@@ -592,14 +523,60 @@ impl<H> TimerWheel<H> {
 
     fn entry(&self, token: TimerToken) -> Option<&HotEntry> {
         self.check_owner(token);
-        let e = self.hot.get(token.index() as usize)?;
+        let i = token.index() as usize;
+        // An entry of the last block not carved yet reads `Free`.
+        let e = &self.slab.blocks.get(i / BLOCK)?.hot[i % BLOCK];
         (e.gen == token.gen() && e.state != State::Free).then_some(e)
+    }
+
+    /// Stamps entry `index` with its deadline and the next arm
+    /// sequence number, and links it into its slot — or straight into
+    /// the expired queue if the deadline has already passed.
+    fn enqueue(&mut self, index: u32, deadline_ns: Ns) {
+        let tick = deadline_to_tick(deadline_ns, self.shift);
+        self.seq += 1;
+        let e = &mut self.slab[index];
+        e.deadline_tick = tick;
+        e.seq = self.seq;
+        if tick <= self.last {
+            e.state = State::Queued;
+            let node = (tick_to_ns(tick, self.shift), e.seq, index, e.gen);
+            self.expired.push(Reverse(node));
+        } else {
+            self.place(index);
+        }
+        self.hint_ns = self.hint_ns.min(tick_to_ns(tick, self.shift));
+    }
+
+    /// Takes a pending entry off the wheel. A due entry's expired-queue
+    /// node is left to go stale: the next `enqueue` gives the entry a
+    /// new sequence number, `free` a new generation.
+    fn detach(&mut self, index: u32) {
+        match self.slab[index].state {
+            State::Armed => self.unlink(index),
+            State::Queued => {}
+            State::Free => unreachable!("detaching a free entry"),
+        }
+    }
+
+    /// Returns a detached entry to the free list, taking its handler.
+    fn free(&mut self, index: u32) -> H {
+        let e = &mut self.slab[index];
+        e.state = State::Free;
+        e.gen = e.gen.wrapping_add(1);
+        e.next = self.free_head;
+        self.free_head = index;
+        self.live -= 1;
+        self.slab
+            .handler(index)
+            .take()
+            .expect("a pending entry holds its handler")
     }
 
     /// Hashes an (already detached) entry into its level/slot by its
     /// deadline relative to current wheel time, and links it in.
     fn place(&mut self, index: u32) {
-        let tick = self.hot[index as usize].deadline_tick;
+        let tick = self.slab[index].deadline_tick;
         debug_assert!(tick > self.last);
         let max_span = (1u64 << (WHEEL_BITS * LEVELS as u32)) - 1;
         let delta = (tick - self.last).min(max_span);
@@ -608,14 +585,14 @@ impl<H> TimerWheel<H> {
         let slot = (((self.last + delta) >> lshift) & 63) as usize;
         let head = self.levels[level].slots[slot];
         {
-            let e = &mut self.hot[index as usize];
+            let e = &mut self.slab[index];
             e.state = State::Armed;
             e.pos = (level * SLOTS + slot) as u16;
             e.prev = NIL;
             e.next = head;
         }
         if head != NIL {
-            self.hot[head as usize].prev = index;
+            self.slab[head].prev = index;
         }
         self.levels[level].slots[slot] = index;
         self.levels[level].occupancy |= 1u64 << slot;
@@ -624,13 +601,13 @@ impl<H> TimerWheel<H> {
     /// Unlinks an `Armed` entry from its slot list.
     fn unlink(&mut self, index: u32) {
         let (pos, prev, next) = {
-            let e = &self.hot[index as usize];
+            let e = &self.slab[index];
             debug_assert_eq!(e.state, State::Armed);
             (e.pos as usize, e.prev, e.next)
         };
         let (level, slot) = (pos / SLOTS, pos % SLOTS);
         if prev != NIL {
-            self.hot[prev as usize].next = next;
+            self.slab[prev].next = next;
         } else {
             self.levels[level].slots[slot] = next;
             if next == NIL {
@@ -638,7 +615,7 @@ impl<H> TimerWheel<H> {
             }
         }
         if next != NIL {
-            self.hot[next as usize].prev = prev;
+            self.slab[next].prev = prev;
         }
     }
 }
@@ -667,13 +644,7 @@ mod tests {
 
     fn drain(w: &mut TimerWheel<u32>, now: Ns) -> Vec<(u32, Ns)> {
         w.advance(now);
-        let mut out = Vec::new();
-        while let Some((tok, dl)) = w.pop_expired() {
-            let id = *w.handler(tok).unwrap();
-            w.remove(tok);
-            out.push((id, dl));
-        }
-        out
+        std::iter::from_fn(|| w.pop_expired()).collect()
     }
 
     #[test]
@@ -700,7 +671,6 @@ mod tests {
         let mut want = deadlines.to_vec();
         want.sort_unstable();
         assert_eq!(got, want);
-        assert_eq!(w.stats().pending, 0);
         assert_eq!(w.stats().live, 0);
     }
 
@@ -718,16 +688,14 @@ mod tests {
     #[test]
     fn nothing_fires_early_under_incremental_advance() {
         let mut w = TimerWheel::new(0);
-        let t = w.schedule(1000, 1);
+        w.schedule(1000, 1);
         for now in (0..1000).step_by(7) {
             w.advance(now);
             assert!(w.pop_expired().is_none(), "fired early at {now}");
-            assert!(w.is_scheduled(t));
+            assert_eq!(w.live(), 1);
         }
         w.advance(1000);
-        let (tok, dl) = w.pop_expired().unwrap();
-        assert_eq!(dl, 1000);
-        assert_eq!(tok, t);
+        assert_eq!(w.pop_expired(), Some((1, 1000)));
     }
 
     #[test]
@@ -740,11 +708,9 @@ mod tests {
         }
         // No tombstones: storage is free the moment cancel returns.
         assert_eq!(w.live(), 0);
-        assert_eq!(w.pending(), 0);
         assert_eq!(drain(&mut w, 1 << 30), vec![]);
         // Stale tokens are inert.
         assert!(!w.arm(tokens[0], 5));
-        assert!(!w.disarm(tokens[0]));
         assert!(w.remove(tokens[0]).is_none());
     }
 
@@ -756,14 +722,10 @@ mod tests {
         w.advance(500);
         assert!(w.pop_expired().is_none(), "old deadline must not fire");
         w.advance(900);
-        let (tok, dl) = w.pop_expired().unwrap();
-        assert_eq!((tok, dl), (t, 900));
-        // Re-arm from parked (persistent pattern).
-        assert!(w.arm(t, 1500));
-        w.advance(1500);
-        assert_eq!(w.pop_expired().unwrap(), (t, 1500));
-        w.remove(t);
+        assert_eq!(w.pop_expired(), Some((7, 900)));
+        // Firing freed the entry: its token is stale.
         assert_eq!(w.live(), 0);
+        assert!(!w.arm(t, 1500));
     }
 
     #[test]
@@ -774,22 +736,7 @@ mod tests {
         assert!(w.arm(t, 400)); // pulled back out
         assert!(w.pop_expired().is_none());
         w.advance(400);
-        assert_eq!(w.pop_expired().unwrap(), (t, 400));
-    }
-
-    #[test]
-    fn disarm_parks_and_retains_handler() {
-        let mut w = TimerWheel::new(0);
-        let t = w.schedule(100, 42);
-        assert!(w.disarm(t));
-        assert_eq!(w.pending(), 0);
-        assert_eq!(w.live(), 1);
-        w.advance(1000);
-        assert!(w.pop_expired().is_none());
-        assert_eq!(w.handler(t), Some(&42));
-        assert!(w.arm(t, 2000));
-        w.advance(2000);
-        assert_eq!(w.pop_expired().unwrap(), (t, 2000));
+        assert_eq!(w.pop_expired(), Some((1, 400)));
     }
 
     #[test]
@@ -873,11 +820,7 @@ mod tests {
                 .map(|i| w.schedule(round * 100 + 50 + i, i as u32))
                 .collect();
             w.advance(round * 100 + 200);
-            let mut fired = 0;
-            while let Some((t, _)) = w.pop_expired() {
-                w.remove(t);
-                fired += 1;
-            }
+            let fired = std::iter::from_fn(|| w.pop_expired()).count();
             assert_eq!(fired, tokens.len());
         }
         // 10 rounds × 50 timers reused the same 50 slab entries.
@@ -914,12 +857,10 @@ mod tests {
         // A far timer cascades at most LEVELS-1 times on its way in.
         w.schedule(1_000_000_000, 1);
         let mut now = 0;
-        while w.pending() > 0 {
+        while w.live() > 0 {
             now += 999;
             w.advance(now);
-            while let Some((t, _)) = w.pop_expired() {
-                w.remove(t);
-            }
+            while w.pop_expired().is_some() {}
         }
         assert!(
             w.stats().cascades <= (LEVELS as u64 - 1),

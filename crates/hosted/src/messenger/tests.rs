@@ -75,11 +75,7 @@ fn one_way_message_and_rpc() {
     // caller core's wheel holds no leaked entries for it.
     let _b = ebbrt_core::cpu::bind(CoreId(0));
     assert_eq!(
-        native
-            .runtime()
-            .event_manager(CoreId(0))
-            .timer_stats()
-            .pending,
+        native.runtime().event_manager(CoreId(0)).timer_stats().live,
         0,
         "rpc timeout entries must be cancelled on response"
     );
@@ -116,10 +112,8 @@ fn unanswered_rpc_times_out_with_err_and_no_leaked_timer() {
     assert_eq!(n_msgr.rpc_failures.get(), 1);
     let _b = ebbrt_core::cpu::bind(CoreId(0));
     let em = native.runtime().event_manager(CoreId(0));
-    // `live` still counts the TCP connection's parked persistent
-    // timers; what must be gone is any *armed* entry — a leaked
-    // RPC timeout would sit pending forever.
-    assert_eq!(em.timer_stats().pending, 0, "no leaked timer token");
+    // A leaked RPC timeout would sit in the wheel forever.
+    assert_eq!(em.timer_stats().live, 0, "no leaked timer token");
     // A late response for the dead rpc id is a no-op (the waiter is
     // gone), not a crash or a double resolution.
     w.run_to_idle();

@@ -444,7 +444,7 @@ fn owner_teardown_mid_call_times_out_without_leaks() {
                 .runtime()
                 .event_manager(CoreId(0))
                 .timer_stats()
-                .pending,
+                .live,
             0,
             "no leaked timeout entry in the wheel"
         );

@@ -13,12 +13,11 @@
 //! shared future state per lookup. `arp::tests::hit_is_synchronous` and
 //! `fail_delivers_error_to_all_waiters` pin them.)
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use ebbrt_core::clock::Ns;
-use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::runtime;
 
@@ -38,58 +37,66 @@ pub type ArpResult = Result<Mac, ArpTimeout>;
 
 enum Entry {
     Resolved(Mac),
-    /// Resolution in flight; waiters queued.
-    Pending(Vec<Box<dyn FnOnce(ArpResult)>>),
+    /// Resolution in flight.
+    Pending(Pending),
+}
+
+/// An in-flight resolution: its queued waiters, the requests sent for
+/// it so far, and the id that names it to its retry timer — a timer
+/// left over from an earlier resolution of the same address finds
+/// another id and does nothing.
+struct Pending {
+    waiters: Vec<Box<dyn FnOnce(ArpResult)>>,
+    tries: u32,
+    id: u32,
 }
 
 /// The per-interface ARP cache.
+#[derive(Default)]
 pub struct ArpCache {
     entries: RefCell<HashMap<Ipv4Addr, Entry>>,
-    hits: std::cell::Cell<u64>,
-    misses: std::cell::Cell<u64>,
-}
-
-impl Default for ArpCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The id the next resolution takes.
+    next_id: Cell<u32>,
 }
 
 impl ArpCache {
     /// An empty cache.
     pub fn new() -> Self {
-        ArpCache {
-            entries: RefCell::new(HashMap::new()),
-            hits: std::cell::Cell::new(0),
-            misses: std::cell::Cell::new(0),
-        }
+        Self::default()
     }
 
     /// Resolves `ip`, invoking `cont` with the outcome — synchronously
     /// (always `Ok`) if cached. A queued waiter receives `Ok(mac)`
     /// when the reply arrives, or `Err(`[`ArpTimeout`]`)` if the
-    /// retries exhaust ([`ArpCache::fail`]). Returns `true` if the
-    /// caller must transmit an ARP request (first waiter of a new
-    /// pending entry).
-    pub fn find(&self, ip: Ipv4Addr, cont: impl FnOnce(ArpResult) + 'static) -> bool {
+    /// retries exhaust ([`ArpCache::fail`]). Returns the id of a new
+    /// resolution if `cont` is its first waiter: the caller must then
+    /// transmit the first ARP request and start the retries.
+    pub fn find(&self, ip: Ipv4Addr, cont: impl FnOnce(ArpResult) + 'static) -> Option<u32> {
         let mut entries = self.entries.borrow_mut();
         match entries.get_mut(&ip) {
             Some(Entry::Resolved(mac)) => {
                 let mac = *mac;
                 drop(entries);
-                self.hits.set(self.hits.get() + 1);
                 cont(Ok(mac)); // synchronous fast path
-                false
+                None
             }
-            Some(Entry::Pending(waiters)) => {
-                waiters.push(Box::new(cont));
-                self.misses.set(self.misses.get() + 1);
-                false
+            Some(Entry::Pending(p)) => {
+                p.waiters.push(Box::new(cont));
+                None
             }
             None => {
-                entries.insert(ip, Entry::Pending(vec![Box::new(cont)]));
-                self.misses.set(self.misses.get() + 1);
-                true
+                let id = self.next_id.get();
+                self.next_id.set(id.wrapping_add(1));
+                let waiters = vec![Box::new(cont) as Box<dyn FnOnce(ArpResult)>];
+                entries.insert(
+                    ip,
+                    Entry::Pending(Pending {
+                        waiters,
+                        tries: 1,
+                        id,
+                    }),
+                );
+                Some(id)
             }
         }
     }
@@ -107,8 +114,8 @@ impl ArpCache {
     /// `Ok(mac)`.
     pub fn insert(&self, ip: Ipv4Addr, mac: Mac) {
         let prev = self.entries.borrow_mut().insert(ip, Entry::Resolved(mac));
-        if let Some(Entry::Pending(waiters)) = prev {
-            for w in waiters {
+        if let Some(Entry::Pending(p)) = prev {
+            for w in p.waiters {
                 w(Ok(mac));
             }
         }
@@ -121,13 +128,26 @@ impl ArpCache {
     pub fn fail(&self, ip: Ipv4Addr) {
         let mut entries = self.entries.borrow_mut();
         if matches!(entries.get(&ip), Some(Entry::Pending(_))) {
-            let Some(Entry::Pending(waiters)) = entries.remove(&ip) else {
+            let Some(Entry::Pending(p)) = entries.remove(&ip) else {
                 unreachable!("checked pending above");
             };
             drop(entries);
-            for w in waiters {
+            for w in p.waiters {
                 w(Err(ArpTimeout));
             }
+        }
+    }
+
+    /// Counts one more request for resolution `id` of `ip` and returns
+    /// the count — `None` if that resolution is no longer in flight
+    /// (resolved, failed, or evicted and begun again).
+    fn next_try(&self, ip: Ipv4Addr, id: u32) -> Option<u32> {
+        match self.entries.borrow_mut().get_mut(&ip) {
+            Some(Entry::Pending(p)) if p.id == id => {
+                p.tries += 1;
+                Some(p.tries)
+            }
+            _ => None,
         }
     }
 
@@ -143,11 +163,6 @@ impl ArpCache {
             entries.remove(&ip);
         }
     }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
 }
 
 // --- Resolution on the wire: request, reply, bounded retry ------------------
@@ -159,13 +174,6 @@ pub const ARP_RETRY_NS: Ns = 100_000_000;
 /// waiters receive `Err(ArpTimeout)` and connections still in SynSent
 /// behind it are torn down.
 pub const ARP_MAX_TRIES: u32 = 3;
-
-/// In-flight ARP resolution: its retry timer (a persistent entry on the
-/// core that initiated the resolution) and attempts so far.
-pub(crate) struct ArpRetry {
-    timer: TimerToken,
-    tries: u32,
-}
 
 impl NetIf {
     /// Learns the sender of a received ARP packet; answers a request
@@ -184,59 +192,49 @@ impl NetIf {
         }
     }
 
-    /// Transmits an ARP request and schedules bounded retries: one
-    /// persistent timer entry per in-flight resolution, re-armed with
-    /// exponential backoff, failing the pending entry if the peer never
-    /// answers.
-    pub(crate) fn send_arp_request(self: &Rc<Self>, ip: Ipv4Addr) {
+    /// Transmits the first request of resolution `id` (as
+    /// [`ArpCache::find`] returned it) and starts its bounded retries.
+    pub(crate) fn send_arp_request(self: &Rc<Self>, ip: Ipv4Addr, id: u32) {
         self.arp_output(wire::ARP_REQUEST, MAC_BROADCAST, [0; 6], ip);
-        if self.arp_retries.borrow().contains_key(&ip) {
-            return; // a retry timer is already driving this resolution
-        }
-        let me = Rc::downgrade(self);
-        let timer = runtime::with_current(|rt| {
-            rt.local_event_manager()
-                .set_persistent_timer(ARP_RETRY_NS, move || {
-                    if let Some(n) = me.upgrade() {
-                        n.arp_retry_fire(ip);
-                    }
-                })
-        });
-        self.arp_retries
-            .borrow_mut()
-            .insert(ip, ArpRetry { timer, tries: 1 });
+        self.arm_arp_retry(ip, id, ARP_RETRY_NS);
     }
 
-    fn arp_retry_fire(self: &Rc<Self>, ip: Ipv4Addr) {
-        let Some(mut retry) = self.arp_retries.borrow_mut().remove(&ip) else {
+    /// Sets the one-shot timer that moves resolution `id` of `ip` one
+    /// step on. At most one is pending per resolution: each firing sets
+    /// the next.
+    fn arm_arp_retry(self: &Rc<Self>, ip: Ipv4Addr, id: u32, delay: Ns) {
+        let me = Rc::downgrade(self);
+        runtime::with_current(|rt| {
+            rt.local_event_manager().set_timer(delay, move || {
+                if let Some(n) = me.upgrade() {
+                    n.arp_retry_fire(ip, id);
+                }
+            })
+        });
+    }
+
+    /// Resolution `id` of `ip` waited out its retry interval. Resolved
+    /// or gone meanwhile (the reply may have arrived on another core):
+    /// nothing to do. Still pending: one more request with the
+    /// interval doubled, or — out of tries — every waiter fails.
+    fn arp_retry_fire(self: &Rc<Self>, ip: Ipv4Addr, id: u32) {
+        let Some(tries) = self.arp.next_try(ip, id) else {
             return;
         };
-        // Resolved since the timer was armed (the reply may arrive on a
-        // different core, so the cancel is lazy — here, on the timer's
-        // own core), or out of tries: free the entry.
-        let resolved = self.arp.lookup(ip).is_some();
-        if resolved || retry.tries >= ARP_MAX_TRIES {
-            if !resolved {
-                // Give up: every queued waiter receives the error
-                // (connections tear down, datagrams drop) instead of
-                // being silently discarded.
-                self.stats
-                    .arp_failures
-                    .set(self.stats.arp_failures.get() + 1);
-                self.arp.fail(ip);
-            }
-            runtime::with_current(|rt| rt.local_event_manager().cancel_timer(retry.timer));
+        if tries > ARP_MAX_TRIES {
+            // Give up: every queued waiter receives the error
+            // (connections tear down, datagrams drop) instead of being
+            // silently discarded.
+            self.stats
+                .arp_failures
+                .set(self.stats.arp_failures.get() + 1);
+            self.arp.fail(ip);
             return;
         }
-        retry.tries += 1;
-        // Doubled per attempt (tries was just incremented, so the
-        // first retry waits 2× the base interval).
-        let backoff = ARP_RETRY_NS << (retry.tries - 1);
         self.arp_output(wire::ARP_REQUEST, MAC_BROADCAST, [0; 6], ip);
-        runtime::with_current(|rt| {
-            rt.local_event_manager().reset_timer(retry.timer, backoff);
-        });
-        self.arp_retries.borrow_mut().insert(ip, retry);
+        // Doubled per attempt: the first retry waits 2× the base
+        // interval.
+        self.arm_arp_retry(ip, id, ARP_RETRY_NS << (tries - 1));
     }
 
     /// Builds and transmits one ARP packet from us to `tha`/`tpa`,
@@ -278,11 +276,10 @@ mod tests {
         cache.insert(IP, MAC);
         let got = Rc::new(Cell::new(None));
         let g = Rc::clone(&got);
-        let need_request = cache.find(IP, move |m| g.set(Some(m)));
-        assert!(!need_request);
+        let resolution = cache.find(IP, move |m| g.set(Some(m)));
+        assert_eq!(resolution, None);
         // The continuation already ran — no deferral on the fast path.
         assert_eq!(got.get(), Some(Ok(MAC)));
-        assert_eq!(cache.stats(), (1, 0));
     }
 
     #[test]
@@ -290,15 +287,19 @@ mod tests {
         let cache = ArpCache::new();
         let count = Rc::new(Cell::new(0));
         let (c1, c2) = (Rc::clone(&count), Rc::clone(&count));
-        assert!(cache.find(IP, move |m| {
-            assert_eq!(m, Ok(MAC));
-            c1.set(c1.get() + 1);
-        }));
+        assert!(cache
+            .find(IP, move |m| {
+                assert_eq!(m, Ok(MAC));
+                c1.set(c1.get() + 1);
+            })
+            .is_some());
         // Second request while pending: no new ARP request.
-        assert!(!cache.find(IP, move |m| {
-            assert_eq!(m, Ok(MAC));
-            c2.set(c2.get() + 1);
-        }));
+        assert!(cache
+            .find(IP, move |m| {
+                assert_eq!(m, Ok(MAC));
+                c2.set(c2.get() + 1);
+            })
+            .is_none());
         assert_eq!(count.get(), 0);
         cache.insert(IP, MAC);
         assert_eq!(count.get(), 2);
@@ -312,7 +313,10 @@ mod tests {
         cache.insert(IP, MAC);
         cache.evict(IP);
         assert_eq!(cache.lookup(IP), None);
-        assert!(cache.find(IP, |_| {}), "must re-request after eviction");
+        assert!(
+            cache.find(IP, |_| {}).is_some(),
+            "must re-request after eviction"
+        );
     }
 
     #[test]
@@ -320,18 +324,23 @@ mod tests {
         let cache = ArpCache::new();
         let errors = Rc::new(Cell::new(0));
         let (e1, e2) = (Rc::clone(&errors), Rc::clone(&errors));
-        assert!(cache.find(IP, move |m| {
+        let first = cache.find(IP, move |m| {
             assert_eq!(m, Err(ArpTimeout));
             e1.set(e1.get() + 1);
-        }));
-        assert!(!cache.find(IP, move |m| {
-            assert_eq!(m, Err(ArpTimeout));
-            e2.set(e2.get() + 1);
-        }));
+        });
+        assert!(first.is_some());
+        assert!(cache
+            .find(IP, move |m| {
+                assert_eq!(m, Err(ArpTimeout));
+                e2.set(e2.get() + 1);
+            })
+            .is_none());
         cache.fail(IP);
         assert_eq!(errors.get(), 2, "every waiter must see the failure");
-        // The entry is gone; a new find starts a fresh resolution.
-        assert!(cache.find(IP, |_| {}));
+        // The entry is gone; a new find starts a fresh resolution,
+        // which an old retry timer can tell from the failed one.
+        let second = cache.find(IP, |_| {});
+        assert!(second.is_some() && second != first);
     }
 
     #[test]
@@ -342,11 +351,13 @@ mod tests {
         let cache = Rc::new(ArpCache::new());
         let resolved = Rc::new(Cell::new(None));
         let (c2, r2) = (Rc::clone(&cache), Rc::clone(&resolved));
-        assert!(cache.find(IP, move |res| {
-            assert_eq!(res, Err(ArpTimeout));
-            // Retry immediately.
-            assert!(c2.find(IP, move |res| r2.set(Some(res))));
-        }));
+        assert!(cache
+            .find(IP, move |res| {
+                assert_eq!(res, Err(ArpTimeout));
+                // Retry immediately.
+                assert!(c2.find(IP, move |res| r2.set(Some(res))).is_some());
+            })
+            .is_some());
         cache.evict(IP);
         // The retry's pending entry survived: the eventual reply
         // reaches its waiter.

@@ -201,8 +201,8 @@ impl DhcpServer {
 /// (doubled per attempt).
 pub const RETRY_NS: u64 = 200_000_000;
 
-/// Attempts before the client gives up: its retry timer is freed, the
-/// interface stays unconfigured, and `done` is invoked with
+/// Attempts before the client gives up: its last retry timer sets no
+/// other, the interface stays unconfigured, and `done` is invoked with
 /// `Err(`[`DhcpTimeout`]`)`.
 pub const MAX_TRIES: u32 = 5;
 
@@ -216,119 +216,120 @@ pub struct DhcpTimeout;
 pub type DhcpResult = Result<(Ipv4Addr, Ipv4Addr), DhcpTimeout>;
 
 /// Client state machine phase.
+#[derive(Clone, Copy)]
 enum Phase {
     /// DISCOVER sent, awaiting an OFFER.
     Discover,
     /// REQUEST for the offered address sent, awaiting the ACK.
     Requesting(Ipv4Addr),
-    /// Configured (or given up); the retry timer frees itself.
+    /// Configured (or given up); the retry timer sets no other.
     Done,
 }
 
-struct ClientState {
-    phase: Phase,
-    tries: u32,
-    timer: Option<ebbrt_core::event::TimerToken>,
+type DoneFn = Box<dyn FnOnce(DhcpResult)>;
+
+/// One client exchange: what the reply handler and the retry timer
+/// share.
+struct Client {
+    netif: Rc<NetIf>,
+    xid: u32,
+    mac: Mac,
+    phase: Cell<Phase>,
+    tries: Cell<u32>,
+    /// Taken by whichever ends the exchange: the ACK or the last retry.
+    done: Cell<Option<DoneFn>>,
 }
 
 /// Runs the client exchange on an unconfigured interface; `done` is
 /// invoked with `Ok((address, mask))` once the ACK arrives, or with
 /// `Err(`[`DhcpTimeout`]`)` when the attempt budget runs out — the
 /// caller always learns the exchange's outcome. Lost messages are
-/// retransmitted with exponential backoff through one persistent
-/// timer-wheel entry (the same O(1) re-arm API the TCP RTO uses), up
-/// to [`MAX_TRIES`] attempts.
+/// retransmitted with exponential backoff, one one-shot timer per
+/// attempt, up to [`MAX_TRIES`] attempts.
 pub fn configure(netif: &Rc<NetIf>, done: impl FnOnce(DhcpResult) + 'static) {
-    let xid = 0x4242_0000 | (netif.mac()[5] as u32);
-    let mac = netif.mac();
-    let done = Rc::new(Cell::new(Some(
-        Box::new(done) as Box<dyn FnOnce(DhcpResult)>
-    )));
-    let state = Rc::new(RefCell::new(ClientState {
-        phase: Phase::Discover,
-        tries: 1,
-        timer: None,
-    }));
-    let n2 = Rc::clone(netif);
-    let st2 = Rc::clone(&state);
-    let done2 = Rc::clone(&done);
+    let client = Rc::new(Client {
+        netif: Rc::clone(netif),
+        xid: 0x4242_0000 | (netif.mac()[5] as u32),
+        mac: netif.mac(),
+        phase: Cell::new(Phase::Discover),
+        tries: Cell::new(1),
+        done: Cell::new(Some(Box::new(done))),
+    });
+    let c = Rc::clone(&client);
     netif.udp_bind(CLIENT_PORT, move |_src, _sport, payload| {
-        let msg = match parse(&payload) {
-            Some(m) if m.op == OP_REPLY && m.xid == xid && m.chaddr == mac => m,
+        c.on_reply(&payload)
+    });
+    client.send();
+    client.arm_retry(RETRY_NS);
+}
+
+impl Client {
+    fn on_reply(&self, payload: &Chain<IoBuf>) {
+        let msg = match parse(payload) {
+            Some(m) if m.op == OP_REPLY && m.xid == self.xid && m.chaddr == self.mac => m,
             _ => return,
         };
         match msg.mtype {
             MsgType::Offer => {
                 // Request the offered address.
-                st2.borrow_mut().phase = Phase::Requesting(msg.yiaddr);
-                n2.udp_send(
-                    CLIENT_PORT,
-                    Ipv4Addr::BROADCAST,
-                    SERVER_PORT,
-                    build(&request_for(xid, mac, msg.yiaddr)),
-                );
+                self.phase.set(Phase::Requesting(msg.yiaddr));
+                self.send();
             }
             MsgType::Ack => {
                 let mask = msg.mask.unwrap_or(Ipv4Addr::new(255, 255, 255, 0));
-                n2.set_ip(msg.yiaddr, mask);
-                st2.borrow_mut().phase = Phase::Done;
-                if let Some(done) = done2.take() {
+                self.netif.set_ip(msg.yiaddr, mask);
+                self.phase.set(Phase::Done);
+                if let Some(done) = self.done.take() {
                     done(Ok((msg.yiaddr, mask)));
                 }
             }
             _ => {}
         }
-    });
-    netif.udp_send(
-        CLIENT_PORT,
-        Ipv4Addr::BROADCAST,
-        SERVER_PORT,
-        build(&discover_for(xid, mac)),
-    );
-    // Retry driver: re-sends the current phase's message until the
-    // exchange completes or the attempt budget runs out.
-    let n3 = Rc::clone(netif);
-    let st3 = Rc::clone(&state);
-    let timer = ebbrt_core::runtime::with_current(|rt| {
-        rt.local_event_manager()
-            .set_persistent_timer(RETRY_NS, move || {
-                let mut st = st3.borrow_mut();
-                let timer = st.timer.expect("retry handler ran before token stored");
-                let free = |tok| {
-                    ebbrt_core::runtime::with_current(|rt| {
-                        rt.local_event_manager().cancel_timer(tok)
-                    })
-                };
-                match st.phase {
-                    Phase::Done => return free(timer),
-                    _ if st.tries >= MAX_TRIES => {
-                        // Give up — and say so: report the terminal
-                        // failure instead of leaving the caller
-                        // waiting on a callback that never comes.
-                        st.phase = Phase::Done;
-                        if let Some(done) = done.take() {
-                            done(Err(DhcpTimeout));
-                        }
-                        return free(timer);
-                    }
-                    _ => {}
+    }
+
+    /// Broadcasts the current phase's message.
+    fn send(&self) {
+        let msg = match self.phase.get() {
+            Phase::Discover => discover_for(self.xid, self.mac),
+            Phase::Requesting(addr) => request_for(self.xid, self.mac, addr),
+            Phase::Done => return,
+        };
+        self.netif
+            .udp_send(CLIENT_PORT, Ipv4Addr::BROADCAST, SERVER_PORT, build(&msg));
+    }
+
+    /// Sets the one-shot timer that re-sends the current phase's
+    /// message `delay` from now.
+    fn arm_retry(self: &Rc<Self>, delay: u64) {
+        let me = Rc::clone(self);
+        ebbrt_core::runtime::with_current(|rt| {
+            rt.local_event_manager()
+                .set_timer(delay, move || me.retry())
+        });
+    }
+
+    /// The retry timer fired: nothing to do once the exchange is over;
+    /// out of attempts, give up — and say so, instead of leaving the
+    /// caller waiting on a callback that never comes; otherwise re-send
+    /// and set the next timer.
+    fn retry(self: &Rc<Self>) {
+        match self.phase.get() {
+            Phase::Done => return,
+            _ if self.tries.get() >= MAX_TRIES => {
+                self.phase.set(Phase::Done);
+                if let Some(done) = self.done.take() {
+                    done(Err(DhcpTimeout));
                 }
-                st.tries += 1;
-                // Doubled per attempt (tries was just incremented), capped.
-                let backoff = RETRY_NS << (st.tries - 1).min(5);
-                let resend = match st.phase {
-                    Phase::Discover => build(&discover_for(xid, mac)),
-                    Phase::Requesting(addr) => build(&request_for(xid, mac, addr)),
-                    Phase::Done => unreachable!(),
-                };
-                drop(st);
-                n3.udp_send(CLIENT_PORT, Ipv4Addr::BROADCAST, SERVER_PORT, resend);
-                ebbrt_core::runtime::with_current(|rt| {
-                    rt.local_event_manager().reset_timer(timer, backoff);
-                });
-            })
-    });
-    state.borrow_mut().timer = Some(timer);
+                return;
+            }
+            _ => {}
+        }
+        let tries = self.tries.get() + 1;
+        self.tries.set(tries);
+        self.send();
+        // Doubled per attempt (tries was just incremented), capped.
+        self.arm_retry(RETRY_NS << (tries - 1).min(5));
+    }
 }
 
 fn discover_for(xid: u32, mac: Mac) -> DhcpMessage {

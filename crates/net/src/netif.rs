@@ -21,7 +21,7 @@ use std::sync::Arc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::ebb::SystemEbb;
-use ebbrt_core::event::{KeyedTimerFn, TimerToken};
+use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, ClassId, CounterHandle, QosConfig};
 use ebbrt_core::rcu_hash::RcuHashMap;
@@ -30,7 +30,7 @@ use ebbrt_sim::nic::Frame;
 use ebbrt_sim::world::charge;
 use ebbrt_sim::SimMachine;
 
-use crate::arp::{ArpCache, ArpRetry};
+use crate::arp::ArpCache;
 use crate::conn_slab::{CellRef, ConnSlab};
 use crate::qos_policy::{qos_ref, QosEbb};
 use crate::stats::{NetStats, BURST_BUCKETS};
@@ -221,20 +221,8 @@ pub struct NetIf {
     /// holding each connection's PCB and handler in one pointer-stable
     /// slot.
     conns: RefCell<ConnSlab<Conn>>,
-    /// What every connection's [`Timer`] entries call, keyed by
-    /// connection id: one handler per kind for the whole stack, so a
-    /// connection's first arm clones an `Rc` instead of boxing a
-    /// closure.
-    timer_fns: [KeyedTimerFn; 2],
     /// The handler a connection carries while `accept` builds its own.
     pending_handler: Rc<dyn ConnHandler>,
-    /// In-flight ARP resolutions. Borrow discipline: every access is a
-    /// transient borrow released before any callback or transmit —
-    /// `arp_retry_fire` *removes* its entry up front and re-inserts
-    /// after output, so a re-entrant `send_arp_request` for the same
-    /// address (from a handler the retry unblocks) sees a consistent
-    /// table instead of a held borrow.
-    pub(crate) arp_retries: RefCell<HashMap<Ipv4Addr, ArpRetry>>,
     listeners: RefCell<HashMap<u16, AcceptFn>>,
     /// UDP demux. Borrow discipline: `rx_udp` clones the handler `Rc`
     /// out of a transient borrow before invoking it, so a handler may
@@ -275,15 +263,7 @@ impl NetIf {
         // Freeze the device MTU: the MSS above (and the buffer pool's
         // size classes) are derived from it once, here.
         machine.nic().mark_stack_attached();
-        let timer_fn = |me: &Weak<NetIf>, timer| -> KeyedTimerFn {
-            let me = me.clone();
-            Rc::new(move |id| {
-                if let Some(n) = me.upgrade() {
-                    n.drive(id, |p, io| p.on_timer(io, timer));
-                }
-            })
-        };
-        let netif = Rc::new_cyclic(|me| NetIf {
+        let netif = Rc::new(NetIf {
             machine: Rc::clone(machine),
             mss,
             ip: Cell::new(ip),
@@ -291,9 +271,7 @@ impl NetIf {
             arp: ArpCache::new(),
             conn_ids: RcuHashMap::new(Arc::clone(machine.runtime().rcu())),
             conns: RefCell::new(ConnSlab::new()),
-            timer_fns: [timer_fn(me, Timer::Rto), timer_fn(me, Timer::DelAck)],
             pending_handler: Rc::new(PendingHandler),
-            arp_retries: RefCell::new(HashMap::new()),
             listeners: RefCell::new(HashMap::new()),
             udp_bindings: RefCell::new(HashMap::new()),
             next_eph: Cell::new(EPHEMERAL_BASE),
@@ -445,7 +423,7 @@ impl NetIf {
         // of leaving it to hang in SynSent until its RTO budget
         // expires.
         let me = Rc::downgrade(self);
-        let need_request = self.arp.find(remote, move |res| {
+        let resolution = self.arp.find(remote, move |res| {
             let Some(n) = me.upgrade() else { return };
             n.run_on_core(core, move |n| match res {
                 Ok(mac) => {
@@ -457,8 +435,8 @@ impl NetIf {
                 Err(_) => n.drive(id, |p, _| p.connect_failed()),
             });
         });
-        if need_request {
-            self.send_arp_request(remote);
+        if let Some(id) = resolution {
+            self.send_arp_request(remote, id);
         }
         self.handle(id)
     }
@@ -501,7 +479,7 @@ impl NetIf {
             return;
         }
         let me = Rc::downgrade(self);
-        let need_request = self.arp.find(dst, move |res| {
+        let resolution = self.arp.find(dst, move |res| {
             // A failed resolution drops the datagram — UDP's contract —
             // but promptly, and counted, instead of leaking the queued
             // payload forever.
@@ -509,8 +487,8 @@ impl NetIf {
                 n.udp_output(mac, src_port, dst, dst_port, payload);
             }
         });
-        if need_request {
-            self.send_arp_request(dst);
+        if let Some(id) = resolution {
+            self.send_arp_request(dst, id);
         }
     }
 
@@ -1098,26 +1076,32 @@ impl NetIf {
     /// The accounted per-connection footprint of an idle established
     /// connection: its slab slot (the PCB — which holds the oldest
     /// unacknowledged segment inline, so no retransmit buffer hangs off
-    /// an idle connection — and the handler's `Rc`) and its two parked
-    /// persistent timer entries. Rarely-used state (reassembly,
-    /// retransmit ledger) lives in [`crate::tcp::PcbCold`] and is
-    /// charged only to connections that actually use it; the RCU demux
-    /// entry is the map's own per-key cost, measured end to end by the
-    /// `conn_scale` bench rather than accounted here.
+    /// an idle connection — and the handler's `Rc`). An idle connection
+    /// has no timer armed, so it holds no wheel entry. Rarely-used state
+    /// (reassembly, retransmit ledger) lives in [`crate::tcp::PcbCold`]
+    /// and is charged only to connections that actually use it; the RCU
+    /// demux entry is the map's own per-key cost, measured end to end by
+    /// the `conn_scale` bench rather than accounted here.
     pub fn bytes_per_idle_conn() -> usize {
-        let timers = 2 * ebbrt_core::event::EventManager::timer_entry_bytes();
-        ConnSlab::<Conn>::slot_bytes() + timers
+        ConnSlab::<Conn>::slot_bytes()
     }
 }
 
-/// The state machine's I/O as the stack implements it. Each timer is a
-/// persistent entry on the affinity core's wheel, created on the first
-/// arm with the stack's shared handler and this connection's id for a
-/// key; that and every later arm / restart / park — per segment — is an
-/// O(1) relink with no allocation.
+/// The state machine's I/O as the stack implements it. A timer is a
+/// one-shot on the affinity core's wheel whose closure captures the
+/// stack's `Weak` and the connection id — two words, stored inline in
+/// the wheel's slot, so arming allocates nothing. Which timer it is
+/// lives in the closure's code. Restart and cancel are O(1) relinks.
 struct ConnIo<'a> {
     netif: &'a Rc<NetIf>,
     id: u64,
+}
+
+/// What a connection's `timer` runs when it fires.
+fn timer_fired(netif: &Weak<NetIf>, id: u64, timer: Timer) {
+    if let Some(n) = netif.upgrade() {
+        n.drive(id, |p, io| p.on_timer(io, timer));
+    }
 }
 
 impl TcpIo for ConnIo<'_> {
@@ -1127,28 +1111,25 @@ impl TcpIo for ConnIo<'_> {
     }
 
     #[inline]
-    fn arm(&mut self, timer: Timer, token: Option<TimerToken>, delay: Ns) -> TimerToken {
-        let f = &self.netif.timer_fns[timer as usize];
-        let tok = runtime::with_current(|rt| {
-            rt.local_event_manager()
-                .arm_keyed_timer(token, delay, f, self.id)
-        });
-        debug_assert!(
-            token.is_none() || token == Some(tok),
-            "persistent {timer:?} timer token went stale (off-core use?)"
-        );
-        tok
+    fn arm(&mut self, timer: Timer, delay: Ns) -> TimerToken {
+        let (me, id) = (Rc::downgrade(self.netif), self.id);
+        runtime::with_current(|rt| {
+            let em = rt.local_event_manager();
+            match timer {
+                Timer::Rto => em.set_timer(delay, move || timer_fired(&me, id, Timer::Rto)),
+                Timer::DelAck => em.set_timer(delay, move || timer_fired(&me, id, Timer::DelAck)),
+            }
+        })
     }
 
     #[inline]
-    fn restart(&mut self, token: TimerToken, delay: Ns) -> bool {
+    fn restart(&mut self, token: TimerToken, delay: Ns) {
         let ok = runtime::with_current(|rt| rt.local_event_manager().reset_timer(token, delay));
-        debug_assert!(ok, "persistent timer token went stale (off-core use?)");
-        ok
+        debug_assert!(ok, "armed timer token went stale (off-core use?)");
     }
 
     #[inline]
-    fn park(&mut self, token: TimerToken) {
-        runtime::with_current(|rt| rt.local_event_manager().disarm_timer(token));
+    fn cancel(&mut self, token: TimerToken) {
+        runtime::with_current(|rt| rt.local_event_manager().cancel_timer(token));
     }
 }

@@ -9,7 +9,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, SystemEbb};
 use ebbrt_core::event::TimerToken;
@@ -165,8 +164,8 @@ impl QosPolicy {
 pub struct QosEbb {
     netif: Weak<NetIf>,
     sched: RefCell<FairScheduler<Chain<IoBuf>>>,
-    /// The core's persistent pacing timer: armed when the wire is busy
-    /// with frames still queued, re-armed O(1) thereafter.
+    /// The core's pacing timer, while one is pending: set when the wire
+    /// is busy with frames still queued, moved O(1) while it waits.
     timer: Cell<Option<TimerToken>>,
 }
 
@@ -224,41 +223,29 @@ impl QosEbb {
             return;
         };
         let delay = ready_at.saturating_sub(now).max(1);
-        // Re-resolve through the translation table: the closure is
-        // boxed once per core, not per frame.
-        let tok = arm_persistent("pacing", self.timer.get(), delay, || {
-            qos_ref().with(|rep| {
-                if let Some(n) = rep.netif.upgrade() {
-                    rep.drain(&n);
+        runtime::with_current(|rt| {
+            let em = rt.local_event_manager();
+            match self.timer.get() {
+                Some(tok) => {
+                    let ok = em.reset_timer(tok, delay);
+                    debug_assert!(ok, "pacing timer token went stale (off-core use?)");
                 }
-            });
+                // The closure captures nothing: it re-resolves this
+                // core's rep through the translation table.
+                None => self.timer.set(Some(em.set_timer(delay, || {
+                    qos_ref().with(|rep| {
+                        rep.timer.set(None);
+                        if let Some(n) = rep.netif.upgrade() {
+                            rep.drain(&n);
+                        }
+                    });
+                }))),
+            }
         });
-        self.timer.set(Some(tok));
     }
 
     /// Frames queued on this core (diagnostic).
     pub fn backlog(&self) -> usize {
         self.sched.borrow().len()
     }
-}
-
-/// Arms an owner-held persistent timer on the calling core's wheel:
-/// re-arms `token`'s entry, or creates it from `f` the first time. A
-/// token that no longer names its entry was used off its core.
-fn arm_persistent(
-    what: &str,
-    token: Option<TimerToken>,
-    delay: Ns,
-    f: impl Fn() + 'static,
-) -> TimerToken {
-    runtime::with_current(|rt| {
-        let tok = rt
-            .local_event_manager()
-            .arm_persistent_timer(token, delay, f);
-        debug_assert!(
-            token.is_none() || token == Some(tok),
-            "persistent {what} timer token went stale (off-core use?)"
-        );
-        tok
-    })
 }

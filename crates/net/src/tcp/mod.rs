@@ -136,10 +136,11 @@ pub struct SegOut {
     pub payload: Chain<IoBuf>,
 }
 
-/// A connection's two timers. The PCB holds a token for each and
-/// decides when it runs; the [`TcpIo`] implementation owns the entries,
-/// calls [`Pcb::on_timer`] when one fires and frees them
-/// ([`Pcb::timers`]) at teardown.
+/// A connection's two timers. Each is a one-shot: the PCB holds its
+/// token exactly while it is armed and decides when it runs; the
+/// [`TcpIo`] implementation owns the entries, calls [`Pcb::on_timer`]
+/// when one fires and cancels the armed ones ([`Pcb::timers`]) at
+/// teardown. An idle connection holds none.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Timer {
     /// Retransmission timeout.
@@ -153,13 +154,13 @@ pub enum Timer {
 pub trait TcpIo {
     /// Puts one segment on the wire.
     fn emit(&mut self, seg: SegOut);
-    /// Schedules `timer` to fire `delay` from now, reusing `token`'s
-    /// entry if it names one; returns the token to hold.
-    fn arm(&mut self, timer: Timer, token: Option<TimerToken>, delay: Ns) -> TimerToken;
-    /// Reschedules a live entry; `false` if the token was stale.
-    fn restart(&mut self, token: TimerToken, delay: Ns) -> bool;
-    /// Unschedules an entry, keeping it for the next [`TcpIo::arm`].
-    fn park(&mut self, token: TimerToken);
+    /// Sets a one-shot `timer` to fire `delay` from now; returns its
+    /// token.
+    fn arm(&mut self, timer: Timer, delay: Ns) -> TimerToken;
+    /// Moves an armed timer to fire `delay` from now.
+    fn restart(&mut self, token: TimerToken, delay: Ns);
+    /// Cancels an armed timer.
+    fn cancel(&mut self, token: TimerToken);
 }
 
 /// What a call into the state machine asks of its caller — once per
@@ -319,14 +320,10 @@ pub struct Pcb {
     /// Data segments received since the last ACK we sent (delayed-ACK
     /// accounting: every second segment forces an immediate ACK).
     segs_since_ack: u32,
-    /// The connection's [`Timer::DelAck`] entry, once it has one.
-    delack_timer: Option<TimerToken>,
-    /// Whether the delayed-ACK timer is armed.
-    delack_armed: bool,
-    /// The connection's [`Timer::Rto`] entry, once it has one.
-    rto_timer: Option<TimerToken>,
-    /// Whether the RTO timer is armed.
-    rto_armed: bool,
+    /// The [`Timer::DelAck`] entry, while it is armed.
+    delack: Option<TimerToken>,
+    /// The [`Timer::Rto`] entry, while it is armed.
+    rto: Option<TimerToken>,
     /// Exponential backoff multiplier for the RTO.
     rto_backoff: u32,
     /// True once the application asked to close (FIN queued or sent).
@@ -387,10 +384,8 @@ impl Pcb {
             cold: None,
             ack_pending: false,
             segs_since_ack: 0,
-            delack_timer: None,
-            delack_armed: false,
-            rto_timer: None,
-            rto_armed: false,
+            delack: None,
+            rto: None,
             rto_backoff: 1,
             close_requested: false,
             class: 0,
@@ -418,10 +413,10 @@ impl Pcb {
         self.state == TcpState::Closed
     }
 
-    /// The connection's timer entries (RTO, delayed ACK), for whoever
-    /// owns them to free at teardown.
+    /// The connection's armed timers (RTO, delayed ACK), for whoever
+    /// owns them to cancel at teardown.
     pub fn timers(&self) -> [Option<TimerToken>; 2] {
-        [self.rto_timer, self.delack_timer]
+        [self.rto, self.delack]
     }
 
     /// Whether reassembly has stashed out-of-order segments.
@@ -633,21 +628,17 @@ impl Pcb {
             out.window_opened |= r.window_opened
                 && matches!(self.state, TcpState::Established | TcpState::CloseWait);
             if r.queue_empty {
-                // Nothing in flight: park the RTO (entry kept for the
-                // next send).
-                if self.rto_armed {
-                    self.rto_armed = false;
-                    if let Some(tok) = self.rto_timer {
-                        io.park(tok);
-                    }
+                // Nothing in flight: no RTO.
+                if let Some(tok) = self.rto.take() {
+                    io.cancel(tok);
                 }
                 fin_acked = self.close_requested && self.snd_una == self.snd_nxt;
             } else if r.acked > 0 {
                 // Progress with data still outstanding: restart the RTO
                 // for the (new) oldest unacked segment — the per-ACK
                 // re-arm, an O(1) wheel relink.
-                if let Some(tok) = self.rto_timer {
-                    self.rto_armed = io.restart(tok, self.rto_delay());
+                if let Some(tok) = self.rto {
+                    io.restart(tok, self.rto_delay());
                 }
             }
         }
@@ -788,23 +779,26 @@ impl Pcb {
         }
         if self.segs_since_ack >= 2 {
             self.output(io, tcp_flags::ACK, self.snd_nxt, Chain::new());
-        } else if !self.delack_armed {
-            self.delack_armed = true;
-            self.delack_timer = Some(io.arm(Timer::DelAck, self.delack_timer, DELACK_NS));
+        } else if self.delack.is_none() {
+            self.delack = Some(io.arm(Timer::DelAck, DELACK_NS));
         }
     }
 
-    /// One of the connection's timers fired.
+    /// One of the connection's timers fired. Its entry is gone, so its
+    /// token is dropped before anything can re-arm it.
     pub fn on_timer(&mut self, io: &mut impl TcpIo, timer: Timer) -> Outcome {
         match timer {
             Timer::DelAck => {
-                self.delack_armed = false;
+                self.delack = None;
                 if self.ack_pending && self.state != TcpState::Closed {
                     self.output(io, tcp_flags::ACK, self.snd_nxt, Chain::new());
                 }
                 Outcome::default()
             }
-            Timer::Rto => self.on_rto(io),
+            Timer::Rto => {
+                self.rto = None;
+                self.on_rto(io)
+            }
         }
     }
 
@@ -816,7 +810,6 @@ impl Pcb {
     /// indefinitely and ride out partitions (the chaos suite depends on
     /// it).
     fn on_rto(&mut self, io: &mut impl TcpIo) -> Outcome {
-        self.rto_armed = false;
         let Some(seg) = self.unacked.front() else {
             return Outcome::default();
         };
@@ -847,9 +840,8 @@ impl Pcb {
     /// Starts the RTO if something is in flight and it is not already
     /// running.
     fn arm_rto(&mut self, io: &mut impl TcpIo) {
-        if !self.rto_armed && !self.unacked.is_empty() {
-            self.rto_armed = true;
-            self.rto_timer = Some(io.arm(Timer::Rto, self.rto_timer, self.rto_delay()));
+        if self.rto.is_none() && !self.unacked.is_empty() {
+            self.rto = Some(io.arm(Timer::Rto, self.rto_delay()));
         }
     }
 
@@ -867,17 +859,14 @@ impl Pcb {
 
     /// Emits one segment carrying the current ACK point and window.
     /// Every segment acknowledges, so whatever ACK was owed rides on it
-    /// and a pending delayed ACK is parked instead of firing into a
+    /// and a pending delayed ACK is cancelled instead of firing into a
     /// no-op.
     #[inline]
     fn output(&mut self, io: &mut impl TcpIo, flags: u8, seq: u32, payload: Chain<IoBuf>) {
         self.ack_pending = false;
         self.segs_since_ack = 0;
-        if self.delack_armed {
-            self.delack_armed = false;
-            if let Some(tok) = self.delack_timer {
-                io.park(tok);
-            }
+        if let Some(tok) = self.delack.take() {
+            io.cancel(tok);
         }
         io.emit(SegOut {
             dst_mac: self.remote_mac,

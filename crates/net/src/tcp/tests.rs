@@ -185,13 +185,14 @@ impl TestIo {
         sent.map(|s| (s.flags, s.payload.len())).collect()
     }
 
-    /// Moves the clock to the next armed timer and returns it.
+    /// Moves the clock to the next armed timer, takes it off the wheel
+    /// and returns it.
     fn next_timer(&mut self) -> Option<Timer> {
         loop {
             // A lower bound on the deadline, exact once it is near.
             self.now = self.now.max(self.wheel.next_deadline(self.now)?);
-            if let Some((tok, _)) = self.wheel.pop_expired() {
-                return self.wheel.handler(tok).copied();
+            if let Some((timer, _)) = self.wheel.pop_expired() {
+                return Some(timer);
             }
         }
     }
@@ -202,20 +203,22 @@ impl TcpIo for TestIo {
         self.sent.push_back(seg);
     }
 
-    fn arm(&mut self, timer: Timer, token: Option<TimerToken>, delay: Ns) -> TimerToken {
-        let at = self.now + delay;
-        match token {
-            Some(tok) if self.wheel.arm(tok, at) => tok,
-            _ => self.wheel.schedule(at, timer),
-        }
+    fn arm(&mut self, timer: Timer, delay: Ns) -> TimerToken {
+        self.wheel.schedule(self.now + delay, timer)
     }
 
-    fn restart(&mut self, token: TimerToken, delay: Ns) -> bool {
-        self.wheel.arm(token, self.now + delay)
+    fn restart(&mut self, token: TimerToken, delay: Ns) {
+        assert!(
+            self.wheel.arm(token, self.now + delay),
+            "restarted a stale timer"
+        );
     }
 
-    fn park(&mut self, token: TimerToken) {
-        self.wheel.disarm(token);
+    fn cancel(&mut self, token: TimerToken) {
+        assert!(
+            self.wheel.remove(token).is_some(),
+            "cancelled a stale timer"
+        );
     }
 }
 
@@ -786,8 +789,7 @@ proptest! {
                     for end in [Some(&mut a), b.as_mut()].into_iter().flatten() {
                         end.io.now = now;
                         end.io.wheel.advance(now);
-                        while let Some((tok, _)) = end.io.wheel.pop_expired() {
-                            let timer = *end.io.wheel.handler(tok).expect("a live entry fired");
+                        while let Some((timer, _)) = end.io.wheel.pop_expired() {
                             end.drive(now, |p, io| p.on_timer(io, timer));
                         }
                     }

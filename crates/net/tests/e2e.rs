@@ -336,6 +336,49 @@ fn arp_failure_tears_down_synsent_connection() {
 }
 
 #[test]
+fn a_resolution_begun_again_is_driven_by_its_own_retries_alone() {
+    // A resolution ends while its retry timer is still pending, and a
+    // new one of the same address begins: the old timer must leave it
+    // alone, so the new one fails its whole backoff ladder (1 + 2 + 4
+    // retry intervals) after it began — not sooner, as it would with
+    // two timers driving it, nor on the old one's schedule.
+    use ebbrt_core::runtime;
+    use ebbrt_net::arp::ARP_RETRY_NS;
+
+    struct CloseTime(Rc<Cell<Option<u64>>>);
+    impl ConnHandler for CloseTime {
+        fn on_receive(&self, _c: &TcpConn, _d: Chain<IoBuf>) {}
+        fn on_close(&self, _c: &TcpConn) {
+            self.0.set(Some(runtime::with_current(|rt| rt.now_ns())));
+        }
+    }
+
+    let (w, _sw, _server, (client, c_if)) = two_machines();
+    let dead = Ipv4Addr::new(10, 0, 0, 99);
+    let (began, closed_at) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(None)));
+    let (b2, c2) = (Rc::clone(&began), Rc::clone(&closed_at));
+    on_core0(&client, Rc::clone(&c_if), move |c_if| {
+        // The first resolution: its first retry is due in ARP_RETRY_NS.
+        c_if.udp_send(9, dead, 9, Chain::single(IoBuf::copy_from(b"x")));
+        runtime::with_current(|rt| {
+            rt.local_event_manager()
+                .set_timer(ARP_RETRY_NS / 10, move || {
+                    c_if.arp.fail(dead);
+                    b2.set(runtime::with_current(|rt| rt.now_ns()));
+                    c_if.connect(dead, 7, Rc::new(CloseTime(c2)));
+                })
+        });
+    });
+    w.run_to_idle();
+    let ladder = closed_at.get().expect("the connect must fail") - began.get();
+    assert!(
+        (7 * ARP_RETRY_NS..7 * ARP_RETRY_NS + 1_000_000).contains(&ladder),
+        "the second resolution failed {ladder} ns after it began"
+    );
+    assert_eq!(c_if.stats.arp_failures.get(), 1);
+}
+
+#[test]
 fn dhcp_timeout_reports_failure() {
     // No DHCP server on the network: the client must report the
     // terminal failure through `done` instead of never calling it.

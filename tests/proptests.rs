@@ -969,17 +969,25 @@ mod timer_wheel_props {
         }
     }
 
+    /// A timer under test: (model id, wheel handler, wheel token). A
+    /// re-arm gives the timer a fresh model id; the wheel entry keeps
+    /// its handler.
+    type Live = (u32, u32, TimerToken);
+
     /// Drains every timer currently due from the wheel, returning
-    /// (handler id, effective deadline) in firing order.
-    fn drain_wheel(wheel: &mut TimerWheel<u32>, now: u64) -> Vec<(u32, u64)> {
+    /// (model id, effective deadline) in firing order. Firing frees an
+    /// entry, so it leaves `live`.
+    fn drain_wheel(wheel: &mut TimerWheel<u32>, live: &mut Vec<Live>, now: u64) -> Vec<(u32, u64)> {
         wheel.advance(now);
-        let mut out = Vec::new();
-        while let Some((tok, deadline)) = wheel.pop_expired() {
-            let id = *wheel.handler(tok).expect("due entry has handler");
-            wheel.remove(tok);
-            out.push((id, deadline));
-        }
-        out
+        std::iter::from_fn(|| wheel.pop_expired())
+            .map(|(handler, deadline)| {
+                let i = live
+                    .iter()
+                    .position(|l| l.1 == handler)
+                    .expect("only a live timer fires");
+                (live.swap_remove(i).0, deadline)
+            })
+            .collect()
     }
 
     proptest! {
@@ -992,8 +1000,7 @@ mod timer_wheel_props {
         ) {
             let mut wheel: TimerWheel<u32> = TimerWheel::new(0);
             let mut model = SeedHeapModel::new();
-            // Live timers: (model id, wheel token, deadline).
-            let mut live: Vec<(u32, TimerToken)> = Vec::new();
+            let mut live: Vec<Live> = Vec::new();
             let mut next_id = 0u32;
             let mut now = 0u64;
             for (kind, value) in ops {
@@ -1005,41 +1012,37 @@ mod timer_wheel_props {
                         next_id += 1;
                         let tok = wheel.schedule(deadline, id);
                         model.arm(id, deadline);
-                        live.push((id, tok));
+                        live.push((id, id, tok));
                     }
                     // Advance the clock and fire.
                     5 | 6 => {
                         now += value % 15_000;
-                        let fired = drain_wheel(&mut wheel, now);
+                        let fired = drain_wheel(&mut wheel, &mut live, now);
                         let expected = model.fire(now);
                         prop_assert_eq!(&fired, &expected,
                             "divergence at t={} (wheel vs heap)", now);
-                        for (id, _) in &fired {
-                            live.retain(|(lid, _)| lid != id);
-                        }
                     }
                     // Re-arm an existing timer to a new deadline.
                     7 | 8 => {
                         if live.is_empty() { continue; }
                         let i = (value as usize) % live.len();
                         let deadline = now + value % 20_000;
-                        let (old_id, tok) = live[i];
+                        let (old_id, handler, tok) = live[i];
                         // Model: tombstone the old incarnation, arm a
                         // fresh id; wheel: O(1) re-arm of the same
-                        // entry. Track the handler under the new id.
+                        // entry.
                         model.reset(old_id);
                         let id = next_id;
                         next_id += 1;
                         model.arm(id, deadline);
                         prop_assert!(wheel.arm(tok, deadline));
-                        *wheel.handler_mut(tok).expect("live entry") = id;
-                        live[i] = (id, tok);
+                        live[i] = (id, handler, tok);
                     }
                     // Cancel an existing timer.
                     _ => {
                         if live.is_empty() { continue; }
                         let i = (value as usize) % live.len();
-                        let (id, tok) = live.swap_remove(i);
+                        let (id, _, tok) = live.swap_remove(i);
                         model.cancel(id);
                         prop_assert!(wheel.remove(tok).is_some());
                     }
@@ -1060,10 +1063,9 @@ mod timer_wheel_props {
             }
             // Final drain far in the future: both empty out identically.
             now += 1 << 20;
-            let fired = drain_wheel(&mut wheel, now);
+            let fired = drain_wheel(&mut wheel, &mut live, now);
             let expected = model.fire(now);
             prop_assert_eq!(fired, expected);
-            prop_assert_eq!(wheel.pending(), 0);
             prop_assert_eq!(wheel.live(), 0, "no entry may outlive the run");
         }
     }
