@@ -32,16 +32,16 @@
 //! documented availability/durability trade of the harness, not of the
 //! protocol's bookkeeping.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
-    DistributedEbb, EbbId, EbbRef, HashRing, MulticoreEbb, RemoteError, RemoteResult, RemoteShipper,
+    DistributedEbb, EbbId, EbbRef, HashRing, MulticoreEbb, RemoteError, RemoteResult,
+    RemoteShipper, REPLY_WORDS,
 };
+use ebbrt_core::event::OnceFn;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_sim::world::charge;
@@ -68,6 +68,23 @@ type Respond = Box<dyn FnOnce(Chain<IoBuf>)>;
 /// A request parked on a catching-up root: the payload as received
 /// plus the responder that will answer it once re-driven.
 type ParkedRequest = (Chain<IoBuf>, crate::SendCell<Respond>);
+/// An acting primary's acknowledgement of one write, run with its
+/// version. Both callers' — the connection front end's (a weak handle,
+/// a connection, the opaque and the range) and a shipped SET's (its
+/// messenger responder) — fit the words inline.
+type Ack = OnceFn<u64, REPLY_WORDS>;
+
+/// One write's fan-out, in [`ShardRoot::fanouts`]: where the copies
+/// went, how many have not resolved (0: the record is free, and keeps
+/// its `targets` capacity for the next write) and what runs when the
+/// last one has.
+#[derive(Default)]
+struct FanOut {
+    targets: Vec<EbbId>,
+    left: usize,
+    version: u64,
+    done: Option<crate::SendCell<Ack>>,
+}
 
 /// The per-machine root of one key range's replica: the machine's
 /// [`Store`] (shared by every range the machine hosts), the range's
@@ -109,6 +126,10 @@ pub struct ShardRoot {
     parked: Mutex<Vec<ParkedRequest>>,
     /// Rebalance dual-apply rule (SET_FORWARD).
     forward_rule: Mutex<Option<ForwardRule>>,
+    /// Writes fanning out, by the index each copy's continuation
+    /// carries (with its target's index and the root handle, all it
+    /// carries, so it fits the reply's inline words).
+    fanouts: Mutex<Vec<FanOut>>,
     /// Fan-out copies that failed after the transport's retry budget —
     /// the peer is presumed dead and the write acknowledged anyway.
     pub repl_failed: AtomicU64,
@@ -145,6 +166,7 @@ impl ShardRoot {
             forward_to: Mutex::new(None),
             parked: Mutex::new(Vec::new()),
             forward_rule: Mutex::new(None),
+            fanouts: Mutex::new(Vec::new()),
             repl_failed: AtomicU64::new(0),
             repl_skipped: AtomicU64::new(0),
         })
@@ -220,7 +242,7 @@ impl ShardRoot {
         if !self.advance_key_version(key, version) {
             return false;
         }
-        self.put(version, key.to_vec(), value);
+        self.put(version, key, value);
         self.applied.fetch_max(version, Ordering::AcqRel);
         true
     }
@@ -241,14 +263,21 @@ impl ShardRoot {
 
     /// Stores `value` under `key` and logs the write: the store and the
     /// delta log hold the same descriptors, so a log entry costs no
-    /// bytes. Returns those descriptors (what a fan-out links).
-    fn put(&self, version: u64, key: Vec<u8>, value: Chain<IoBuf>) -> Chain<IoBuf> {
+    /// bytes, and a full log refills its oldest entry, key buffer
+    /// included. Returns those descriptors (what a fan-out links).
+    fn put(&self, version: u64, key: &[u8], value: Chain<IoBuf>) -> Chain<IoBuf> {
         let value = at_rest(value);
         let mut log = self.log.lock().expect("log lock");
-        log.push_back((version, key.clone(), value.clone()));
-        while log.len() > DELTA_LOG_CAP {
-            log.pop_front();
-        }
+        let mut entry = if log.len() == DELTA_LOG_CAP {
+            log.pop_front().expect("the log is full")
+        } else {
+            LogEntry::default()
+        };
+        entry.0 = version;
+        entry.1.clear();
+        entry.1.extend_from_slice(key);
+        entry.2 = value.clone();
+        log.push_back(entry);
         drop(log);
         self.store.insert_chain(key, value.clone());
         value
@@ -271,6 +300,11 @@ impl ShardRoot {
     /// ([`ShardRoot::repl_failed`]) but never fails the write. With no
     /// peers this is a synchronous local write.
     ///
+    /// The fan-out waits as one record of the root's fan-out table; the
+    /// last endpoint takes the payload itself — alone on its first
+    /// buffer, so the messenger can frame it in place — the others a
+    /// clone of its descriptors.
+    ///
     /// Must run inside an event of the machine hosting this root (the
     /// fan-out resolves the machine's remote transport).
     pub fn apply_set(
@@ -282,12 +316,47 @@ impl ShardRoot {
         let version = self.applied.fetch_add(1, Ordering::AcqRel) + 1;
         self.store.sets.fetch_add(1, Ordering::Relaxed);
         self.advance_key_version(key, version);
-        let value = self.put(version, key.to_vec(), value);
-        // Fan-out targets: every live peer (presumed-dead ones are
-        // skipped — their re-sync pull owes them the write instead),
-        // plus the rebalance rule's endpoints when the key is migrating
-        // to a new range.
-        let mut targets = Vec::new();
+        let value = self.put(version, key, value);
+        let mut fanouts = self.fanouts.lock().expect("fanouts lock");
+        let slot = match fanouts.iter().position(|f| f.left == 0) {
+            Some(slot) => slot,
+            None => {
+                fanouts.push(FanOut::default());
+                fanouts.len() - 1
+            }
+        };
+        let fanout = &mut fanouts[slot];
+        self.fan_out_targets(key, &mut fanout.targets);
+        let n = fanout.targets.len();
+        if n == 0 {
+            drop(fanouts);
+            done(version);
+            return;
+        }
+        fanout.left = n;
+        fanout.version = version;
+        fanout.done = Some(crate::SendCell::new(Ack::new(done)));
+        drop(fanouts);
+        let mut payload = shardop::encode_repl(version, key, &value);
+        for target in 0..n {
+            // Unlocked around `call`: a reply may land before it returns.
+            let ep = self.fanouts.lock().expect("fanouts lock")[slot].targets[target];
+            let copy = if target + 1 < n {
+                payload.clone()
+            } else {
+                std::mem::take(&mut payload)
+            };
+            let me = Arc::clone(self);
+            shipper_for(ep).call(copy, move |r| me.fanned(slot, target, r));
+        }
+    }
+
+    /// Fills `targets` with a write's fan-out: every live peer
+    /// (presumed-dead ones are skipped — their re-sync pull owes them
+    /// the write instead), plus the rebalance rule's endpoints when the
+    /// key is migrating to a new range.
+    fn fan_out_targets(&self, key: &[u8], targets: &mut Vec<EbbId>) {
+        targets.clear();
         {
             let peers = self.peers.lock().expect("peers lock");
             let failed = self.failed_peers.lock().expect("failed lock");
@@ -308,63 +377,30 @@ impl ShardRoot {
                 }
             }
         }
-        if targets.is_empty() {
-            done(version);
-            return;
-        }
-        let me = Arc::clone(self);
-        ship_to_each(
-            targets,
-            shardop::encode_repl(version, key, &value),
-            move |ep, r| {
-                if !matches!(&r, Ok(resp) if shardop::decode_ack(resp).is_some()) {
-                    me.repl_failed.fetch_add(1, Ordering::Relaxed);
-                    me.failed_peers.lock().expect("failed lock").insert(ep);
-                }
-            },
-            move || done(version),
-        );
     }
-}
 
-/// Ships `payload` to every endpoint of `eps`: `each(ep, outcome)`
-/// runs as a call resolves, `done` once, after the last `each`. The
-/// last endpoint takes the payload itself — alone on its first buffer,
-/// so the messenger can frame it in place — the others a clone of its
-/// descriptors.
-///
-/// Must run inside an event of a machine with a remote transport.
-pub(super) fn ship_to_each(
-    eps: Vec<EbbId>,
-    payload: Chain<IoBuf>,
-    each: impl Fn(EbbId, RemoteResult<Chain<IoBuf>>) + 'static,
-    done: impl FnOnce() + 'static,
-) {
-    let Some(last) = eps.len().checked_sub(1) else {
-        return done();
-    };
-    // What the last call to resolve finds: the count it brings to zero
-    // and the continuation it then runs.
-    let pending = Rc::new((Cell::new(eps.len()), each, Cell::new(Some(done))));
-    let mut payload = Some(payload);
-    for (i, ep) in eps.into_iter().enumerate() {
-        let payload = if i == last {
-            payload.take()
-        } else {
-            payload.clone()
+    /// One fan-out copy resolved: a copy not acknowledged marks its
+    /// peer presumed-dead; the last copy of the write frees the record
+    /// and runs the write's acknowledgement.
+    fn fanned(&self, slot: usize, target: usize, r: RemoteResult<Chain<IoBuf>>) {
+        let acked = matches!(&r, Ok(resp) if shardop::decode_ack(resp).is_some());
+        // The reply's buffers go back to the pool before anything else
+        // runs, as they did when each copy had a continuation of its own.
+        drop(r);
+        let (ep, finished) = {
+            let mut fanouts = self.fanouts.lock().expect("fanouts lock");
+            let fanout = &mut fanouts[slot];
+            fanout.left -= 1;
+            let finished = (fanout.left == 0).then(|| (fanout.done.take(), fanout.version));
+            (fanout.targets[target], finished)
+        };
+        if !acked {
+            self.repl_failed.fetch_add(1, Ordering::Relaxed);
+            self.failed_peers.lock().expect("failed lock").insert(ep);
         }
-        .expect("taken once, last");
-        let pending = Rc::clone(&pending);
-        shipper_for(ep).call(payload, move |r| {
-            let (left, each, done) = &*pending;
-            each(ep, r);
-            left.set(left.get() - 1);
-            if left.get() == 0 {
-                if let Some(done) = done.take() {
-                    done();
-                }
-            }
-        });
+        if let Some((Some(done), version)) = finished {
+            done.into_inner().call(version);
+        }
     }
 }
 
@@ -702,3 +738,6 @@ fn forward_to_source(root: &Arc<ShardRoot>, payload: Chain<IoBuf>, respond: Resp
         }
     });
 }
+
+#[cfg(test)]
+mod tests;

@@ -9,11 +9,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ebbrt_core::ebb::EbbId;
+use ebbrt_core::ebb::{EbbId, RemoteResult};
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_sim::world::charge;
 
-use super::replica::{ship_to_each, shipper_for, ShardRoot, STATE_SERVING};
+use super::replica::{shipper_for, ShardRoot, STATE_SERVING};
 use super::shardop::{self, PullReq};
 
 /// Bounded source re-elections before a re-sync gives up on finding a
@@ -297,6 +297,46 @@ impl ResyncDriver {
                 pulls: self.pulls.get(),
             });
         }
+    }
+}
+
+/// Ships `payload` to every endpoint of `eps`: `each(ep, outcome)`
+/// runs as a call resolves, `done` once, after the last `each`. The
+/// last endpoint takes the payload itself, the others a clone of its
+/// descriptors.
+///
+/// Must run inside an event of a machine with a remote transport.
+fn ship_to_each(
+    eps: Vec<EbbId>,
+    payload: Chain<IoBuf>,
+    each: impl Fn(EbbId, RemoteResult<Chain<IoBuf>>) + 'static,
+    done: impl FnOnce() + 'static,
+) {
+    let Some(last) = eps.len().checked_sub(1) else {
+        return done();
+    };
+    // What the last call to resolve finds: the count it brings to zero
+    // and the continuation it then runs.
+    let pending = Rc::new((Cell::new(eps.len()), each, Cell::new(Some(done))));
+    let mut payload = Some(payload);
+    for (i, ep) in eps.into_iter().enumerate() {
+        let payload = if i == last {
+            payload.take()
+        } else {
+            payload.clone()
+        }
+        .expect("taken once, last");
+        let pending = Rc::clone(&pending);
+        shipper_for(ep).call(payload, move |r| {
+            let (left, each, done) = &*pending;
+            each(ep, r);
+            left.set(left.get() - 1);
+            if left.get() == 0 {
+                if let Some(done) = done.take() {
+                    done();
+                }
+            }
+        });
     }
 }
 

@@ -109,9 +109,10 @@ impl Store {
 
     /// Inserts a value as a descriptor chain — the zero-copy path used
     /// by the SET handler (the chain's segments are sub-views of the
-    /// receive buffers).
-    pub fn insert_chain(&self, key: Vec<u8>, value: Chain<IoBuf>) {
-        self.map.insert(key, value);
+    /// receive buffers). The key is copied only when the store does not
+    /// hold it yet.
+    pub fn insert_chain(&self, key: &[u8], value: Chain<IoBuf>) {
+        self.map.insert_borrowed(key, value);
     }
 
     /// Lock-free lookup (read-side critical section required). The
@@ -499,7 +500,7 @@ impl ServerConn {
                 // itself (sub-views of the receive buffers; zero-copy).
                 let mut value = body;
                 value.advance(h.value_offset());
-                self.store.insert_chain(key.to_vec(), at_rest(value));
+                self.store.insert_chain(key, at_rest(value));
                 push_status(out, OP_SET, STATUS_OK, h.opaque);
             }
             op => push_status(out, op, STATUS_UNKNOWN_COMMAND, h.opaque),

@@ -458,3 +458,61 @@ fn a_shipped_set_is_copied_once_where_it_comes_to_rest() {
         }
     }
 }
+
+/// Measured on this tree: 1 allocator call per warmed replicated SET
+/// round trip (client → front end → the range's fronting replica, which
+/// applies, fans out to the other replica and acknowledges → front end
+/// → client), every SET replacing a key the cluster holds. By site
+/// (backtrace-attributed), beside the parent of the change that added
+/// this test:
+///
+/// | site | parent | this tree |
+/// |---|---:|---:|
+/// | `IoBuf::gather`: the value's exact-size region on the fronting replica (`at_rest`) | 1 | 1 |
+/// | the store's key on each replica (`to_vec`; now the replaced entry's, moved) | 2 | 0 |
+/// | the delta log's key on each replica (now refilled in the entry it evicts) | 2 | 0 |
+/// | the fan-out's target `Vec` (now a fan-out record's, kept) | 1 | 0 |
+/// | the fan-out's shared countdown `Rc` (now the record's) | 1 | 0 |
+/// | RCU blocks, the shipped call and its reply, the messenger's waiter and timer | 0 | 0 |
+///
+/// The ceiling is the measured value plus one: a key copied again or a
+/// fan-out boxed breaks it.
+const SHIPPED_SET_CALLS_CEILING: u64 = 2;
+
+#[test]
+fn a_warmed_replicated_set_stays_under_the_allocator_ceiling() {
+    const KEYS: usize = 8;
+    const WARM: usize = 8 * KEYS;
+    const MEASURED: usize = 2 * KEYS;
+    let c = dist_memcached::build_replicated(3, 2, 1);
+    // A range machine 0 (the front end) holds no replica of: its SETs
+    // ship to the range's fronting machine, which fans out to the other.
+    let range = (0..3)
+        .find(|r| !c.roots[0].contains_key(r))
+        .expect("R=2 of 3: one range is elsewhere");
+    let client = connect_client(&c.w, &c.client);
+    let frames: Vec<IoBuf> = (0..WARM + MEASURED)
+        .map(|i| {
+            // Keys of differing lengths, each written again and again.
+            let key = dist_memcached::key_for_range(&c.ring, range, i % KEYS);
+            let value = vec![i as u8; 64 + 8 * (i % KEYS)];
+            pooled(&memcached::encode_set(&key, &value, i as u32))
+        })
+        .collect();
+    let (warm, measured) = frames.split_at(WARM);
+    for frame in warm {
+        round_trip(&c.w, &c.client, &client, frame);
+    }
+    let calls: Vec<u64> = measured
+        .iter()
+        .map(|frame| round_trip(&c.w, &c.client, &client, frame))
+        .collect();
+    println!("allocator calls per replicated SET round trip: {calls:?}");
+    assert!(
+        calls.iter().all(|&n| n <= SHIPPED_SET_CALLS_CEILING),
+        "allocator calls per replicated SET {calls:?}, ceiling {SHIPPED_SET_CALLS_CEILING}"
+    );
+    for m in (0..3).filter(|&m| c.roots[m].contains_key(&range)) {
+        assert_eq!(c.stores[m].len(), KEYS, "machine {m} holds every key once");
+    }
+}

@@ -13,9 +13,18 @@
 //!   period ends.
 //! * **An entry is one block**: key, value, hash, chain links and the
 //!   [`Retired`] header it is retired by. Retiring it is a list push
-//!   (no allocation); when its grace period has elapsed the key and
-//!   value are dropped and the block goes to the map's free list, where
-//!   the next [`RcuHashMap::insert`] finds it.
+//!   (no allocation); when its grace period has elapsed the value (and
+//!   the key, if the block still owns it) is dropped and the block goes
+//!   to the map's free list, where the next insert finds it.
+//! * **A replace moves the key, it does not copy it.** The new block
+//!   takes over the shadowed block's key — the same bytes, which readers
+//!   still in the old block go on comparing — so the old block's reclaim
+//!   drops only its value. A key is dropped by a removal's reclaim or by
+//!   the map's drop, never by a replace; and since that removal retires
+//!   the key's block later than any block it was handed on from, its
+//!   grace period covers every reader of them all.
+//!   [`RcuHashMap::insert_borrowed`] builds an owned key only for a key
+//!   the map does not hold.
 //! * **Resize** allocates a bucket array and nothing else. Every node
 //!   has *two* chain links and every table a parity saying which one
 //!   its chains run through: the new table threads the live nodes
@@ -54,30 +63,39 @@ struct Node<K, V> {
     /// Chain links, indexed by table parity.
     next: [AtomicPtr<Node<K, V>>; 2],
     /// Initialised from `insert` until `reclaim` — that is, whenever
-    /// the node is linked, or retired and not yet reclaimed.
+    /// the node is linked, or retired and not yet reclaimed. Owned by
+    /// the node unless a replace handed it on (see `owner`).
     key: MaybeUninit<K>,
-    /// As `key`.
+    /// As `key`, always owned.
     value: MaybeUninit<V>,
-    /// The pool to return to, as a leaked `Arc` count. Meaningful only
-    /// between `unlink` and `reclaim`; atomic only so `unlink` can set
-    /// it through the shared references readers may still hold. Last:
-    /// lookups never read it.
+    /// The pool to return to, as a leaked `Arc` count, with
+    /// [`KEY_HANDED_ON`] set when a replace moved `key` into the node
+    /// that took this one's place. Meaningful only between `unlink` and
+    /// `reclaim`; atomic only so `unlink` can set it through the shared
+    /// references readers may still hold. Last: lookups never read it.
     owner: AtomicPtr<Pool<K, V>>,
 }
 
+/// The low bit of a retired node's `owner` (free: a `Pool` is
+/// word-aligned): its key belongs to its successor, so `reclaim` leaves
+/// it alone.
+const KEY_HANDED_ON: usize = 1;
+
 impl<K, V> Node<K, V> {
     #[inline]
-    fn key(&self) -> &K {
+    fn entry(&self) -> (&K, &V) {
         // SAFETY: a `&Node` exists only for a node reached through a
         // table or held by `insert`/`unlink`, all inside the window in
-        // which `key` is initialised (see the field).
-        unsafe { self.key.assume_init_ref() }
+        // which `key` and `value` are initialised (see the fields). A
+        // key handed on is still valid where it was: its bytes belong
+        // to a successor, which outlives every reader of this node (see
+        // the module docs).
+        unsafe { (self.key.assume_init_ref(), self.value.assume_init_ref()) }
     }
 
     #[inline]
-    fn value(&self) -> &V {
-        // SAFETY: as for `key`.
-        unsafe { self.value.assume_init_ref() }
+    fn key(&self) -> &K {
+        self.entry().0
     }
 }
 
@@ -133,7 +151,8 @@ impl<K, V> Pool<K, V> {
     }
 
     /// The domain's callback for a node whose grace period is over:
-    /// drops the entry and shelves the block.
+    /// drops the entry (the value alone if its key was handed on) and
+    /// shelves the block.
     ///
     /// # Safety
     ///
@@ -142,13 +161,17 @@ impl<K, V> Pool<K, V> {
     unsafe fn reclaim(hdr: NonNull<Retired>) {
         let node = hdr.as_ptr().cast::<Node<K, V>>();
         // SAFETY: per the contract the block is this thread's alone
-        // now, and `owner` came from `Arc::into_raw` in `unlink`. The
-        // entry is dropped before the free-list lock is taken: a
-        // destructor may use the map.
+        // now, and `owner`, less its tag, came from `Arc::into_raw` in
+        // `unlink`; a key handed on belongs to the successor, so it is
+        // not dropped here. The entry is dropped before the free-list
+        // lock is taken: a destructor may use the map.
         let pool = unsafe {
-            (*node).key.assume_init_drop();
+            let owner = (*node).owner.load(Ordering::Relaxed);
+            if owner.addr() & KEY_HANDED_ON == 0 {
+                (*node).key.assume_init_drop();
+            }
             (*node).value.assume_init_drop();
-            Arc::from_raw((*node).owner.load(Ordering::Relaxed).cast_const())
+            Arc::from_raw(owner.map_addr(|a| a & !KEY_HANDED_ON).cast_const())
         };
         let mut free = pool.free.lock();
         // SAFETY: still exclusively ours until the store below.
@@ -350,44 +373,75 @@ where
         table
             .chain(table.bucket(hash))
             .find(|(_, node)| node.hash == hash && node.key().borrow() == key)
-            .map(|(_, node)| f(node.value()))
+            .map(|(_, node)| f(node.entry().1))
     }
 
     /// Inserts or replaces; returns `true` if an existing entry was
     /// replaced. Readers observe either the old or the new value, never
-    /// neither (the new node is published before the old is unlinked).
+    /// neither (the new node takes the old one's place in one store).
+    /// A replace keeps the key the map holds and drops `key`.
     pub fn insert(&self, key: K, value: V) -> bool {
-        let hash = Self::hash_of(&key);
+        self.put::<K, K>(key, value, |k| k)
+    }
+
+    /// As [`Self::insert`] for a borrowed key, which is copied into an
+    /// owned one only when the map does not hold it: replacing an
+    /// existing entry calls no allocator for its key.
+    pub fn insert_borrowed<Q>(&self, key: &Q, value: V) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        self.put::<Q, &Q>(key, value, Q::to_owned)
+    }
+
+    /// The one insert path: `own` turns `key` into the map's key, and
+    /// runs only when no entry shadows it.
+    fn put<Q, A>(&self, key: A, value: V, own: impl FnOnce(A) -> K) -> bool
+    where
+        A: Borrow<Q>,
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let q: &Q = key.borrow();
+        let hash = Self::hash_of(q);
         let mut w = self.writer.lock();
         let table = self.table();
         let bucket = table.bucket(hash);
+        let shadowed = table
+            .chain(bucket)
+            .find(|(_, node)| node.hash == hash && node.key().borrow() == q);
+        let key = match shadowed {
+            // SAFETY: `old` is linked, so its key is initialised; it is
+            // unlinked below with its key handed on, so its reclaim will
+            // not drop it and the copy read here is the key's one owner.
+            // Readers still in `old` keep reading the same bytes, which
+            // live as long as the new node does (see the module docs).
+            Some((_, old)) => unsafe { old.key.assume_init_read() },
+            None => own(key),
+        };
 
-        // Publish the new node at the bucket head.
+        let parity = usize::from(table.parity);
         let new = self.pool.take(hash, key, value);
-        // SAFETY: `take` returned a block this writer owns until the
-        // store below publishes it, and only this writer (holding the
-        // lock) could unlink it afterwards.
-        let new_ref = unsafe { &*new };
-        let next = &new_ref.next[usize::from(table.parity)];
+        // SAFETY: `take` returned a block this writer owns until a store
+        // below publishes it, and only this writer (holding the lock)
+        // could unlink it afterwards.
+        let next = unsafe { &(*new).next[parity] };
+        // A replace takes the shadowed entry's place in its chain with
+        // one store: a reader finds the old entry or the new one, never
+        // neither. A new key goes in at the bucket head.
+        if let Some((link, old)) = shadowed {
+            next.store(old.next[parity].load(Ordering::Acquire), Ordering::Relaxed);
+            self.unlink(link, new, old, true);
+            return true;
+        }
         next.store(bucket.load(Ordering::Acquire), Ordering::Relaxed);
         bucket.store(new, Ordering::Release);
-
-        // Unlink any previous entry for the key (now shadowed by `new`).
-        let shadowed = table
-            .chain(next)
-            .find(|(_, node)| node.hash == hash && node.key() == new_ref.key());
-        let replaced = shadowed.is_some();
-        if let Some((link, node)) = shadowed {
-            self.unlink(table, link, node);
+        let len = self.len.fetch_add(1, Ordering::AcqRel) + 1;
+        if len > table.buckets.len() {
+            self.resize(&mut w, len.next_power_of_two());
         }
-
-        if !replaced {
-            let len = self.len.fetch_add(1, Ordering::AcqRel) + 1;
-            if len > table.buckets.len() {
-                self.resize(&mut w, len.next_power_of_two());
-            }
-        }
-        replaced
+        false
     }
 
     /// Removes `key`; returns whether it was present. The node is
@@ -406,24 +460,32 @@ where
         let Some((link, node)) = found else {
             return false;
         };
-        self.unlink(table, link, node);
+        let next = node.next[usize::from(table.parity)].load(Ordering::Acquire);
+        self.unlink(link, next, node, false);
         self.len.fetch_sub(1, Ordering::AcqRel);
         true
     }
 
-    /// Unlinks `node`, which `link` points at in `table`, and retires
-    /// it. Caller holds the writer lock.
-    fn unlink(&self, table: &Table<K, V>, link: &AtomicPtr<Node<K, V>>, node: &Node<K, V>) {
+    /// Points `link`, which points at `node`, at `next` instead, and
+    /// retires `node` — with its key when `next` did not take it over.
+    /// Caller holds the writer lock.
+    fn unlink(
+        &self,
+        link: &AtomicPtr<Node<K, V>>,
+        next: *mut Node<K, V>,
+        node: &Node<K, V>,
+        key_handed_on: bool,
+    ) {
         // Under the writer lock the link still holds `node`'s pointer
         // as `Pool::take` made it — what the deferred reclaim needs.
         let p = link.load(Ordering::Relaxed);
-        link.store(
-            node.next[usize::from(table.parity)].load(Ordering::Acquire),
-            Ordering::Release,
-        );
+        link.store(next, Ordering::Release);
         // `reclaim` takes this count back.
         let pool = Arc::into_raw(Arc::clone(&self.pool)).cast_mut();
-        node.owner.store(pool, Ordering::Relaxed);
+        debug_assert_eq!(pool.addr() & KEY_HANDED_ON, 0, "a Pool is word-aligned");
+        let tag = if key_handed_on { KEY_HANDED_ON } else { 0 };
+        node.owner
+            .store(pool.map_addr(|a| a | tag), Ordering::Relaxed);
         // SAFETY: `p` is non-null (it is `node`'s address) and the
         // store above unlinked the node, so from here on readers only
         // finish with it. The block stays valid until `reclaim`, its
@@ -438,7 +500,8 @@ where
     /// per bucket but concurrent writers may add/remove around it).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for (_, node) in self.table().links() {
-            f(node.key(), node.value());
+            let (k, v) = node.entry();
+            f(k, v);
         }
     }
 
@@ -627,6 +690,101 @@ mod tests {
     }
 
     #[test]
+    fn replacing_existing_keys_calls_no_allocator() {
+        let domain = Arc::new(RcuDomain::new(1));
+        let map: RcuHashMap<Vec<u8>, u64> = RcuHashMap::new(Arc::clone(&domain));
+        // 50 keys of 1 to 40 bytes.
+        let keys: Vec<Vec<u8>> = (0..50u8)
+            .map(|i| vec![i; 1 + usize::from(i) % 40])
+            .collect();
+        let replace_all = |round: u64| {
+            for (i, key) in keys.iter().enumerate() {
+                let replaced = map.insert_borrowed(&key[..], round * 100 + i as u64);
+                assert_eq!(replaced, round > 0);
+                // No reader: the block just retired is free again.
+                domain.try_reclaim();
+            }
+        };
+        // Every key in, then a round of replaces to put blocks on the
+        // free list.
+        replace_all(0);
+        replace_all(1);
+        let before = test_alloc::thread_calls();
+        for round in 2..22 {
+            replace_all(round);
+        }
+        assert_eq!(
+            test_alloc::thread_calls() - before,
+            0,
+            "1 000 replaces called the allocator"
+        );
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(map.get(&key[..], |v| *v), Some(2100 + i as u64));
+        }
+        assert_eq!(map.len(), keys.len());
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+    impl Eq for Counted {}
+    impl std::hash::Hash for Counted {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    #[test]
+    fn every_key_is_dropped_exactly_once() {
+        let domain = Arc::new(RcuDomain::new(2));
+        let map: RcuHashMap<Counted, u64> = RcuHashMap::new(Arc::clone(&domain));
+        let drops = Arc::new(AtomicUsize::new(0));
+        let key = |n: u64| Counted(n, Arc::clone(&drops));
+        let dropped = || drops.load(Ordering::SeqCst);
+        let reader = domain.read_guard(CoreId(1));
+        // A replace chain: the map keeps the first key and every later
+        // caller's copy goes at once; the borrowed form copies nothing.
+        assert!(!map.insert(key(1), 10));
+        assert!(map.insert(key(1), 11));
+        assert!(map.insert(key(1), 12));
+        let probe = key(1);
+        assert!(map.insert_borrowed(&probe, 13));
+        drop(probe);
+        assert_eq!(dropped(), 3);
+        drop(reader);
+        // The three retired blocks drop their values, not the key.
+        assert_eq!(domain.try_reclaim(), 3);
+        assert_eq!(dropped(), 3);
+        assert_eq!(map.get(&key(1), |v| *v), Some(13));
+        assert_eq!(dropped(), 4, "the probe");
+        // A removal: the key goes with its block's reclaim.
+        assert!(map.remove(&key(1)));
+        assert_eq!(dropped(), 5, "the probe");
+        assert_eq!(domain.try_reclaim(), 1);
+        assert_eq!(dropped(), 6);
+        // A map dropped before its pool: a live entry whose key was
+        // handed on to it, and a removed entry still retired.
+        let reader = domain.read_guard(CoreId(1));
+        map.insert(key(2), 20);
+        map.insert(key(2), 21);
+        map.insert(key(3), 30);
+        assert!(map.remove(&key(3)));
+        assert_eq!(dropped(), 8, "the second key(2) and the probe");
+        drop(map);
+        assert_eq!(dropped(), 9, "the live entry's key");
+        drop(reader);
+        assert_eq!(domain.try_reclaim(), 2);
+        assert_eq!(dropped(), 10, "key(3) with its block; key(2) once");
+    }
+
+    #[test]
     fn for_each_visits_all() {
         let (domain, map) = map();
         let _g = domain.read_guard(CoreId(0));
@@ -645,10 +803,16 @@ mod tests {
         key.wrapping_mul(0x9E37_79B9_7F4A_7C15) << 8 | (round & 0xff)
     }
 
+    /// Held by each threaded test for its whole run: two of them at
+    /// once on a two-core machine can starve one's readers inside a
+    /// critical section until its writer is done, so nothing reclaims.
+    static THREADED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn concurrent_readers_and_writer() {
         const STABLE: u64 = 100;
         const CHURN: u64 = 400;
+        let _one_at_a_time = THREADED.lock().unwrap_or_else(|e| e.into_inner());
         let domain = Arc::new(RcuDomain::new(4));
         let map = Arc::new(RcuHashMap::<u64, u64>::with_capacity(
             Arc::clone(&domain),
@@ -713,6 +877,13 @@ mod tests {
                 assert!(map.remove(&i));
             }
             domain.try_reclaim();
+            // Now and then, wait for the readers to pass a boundary: a
+            // writer that outruns readers descheduled inside a scan
+            // would otherwise never see a block come back.
+            while round % 8 == 0 && domain.pending_count() > 0 {
+                std::thread::yield_now();
+                domain.try_reclaim();
+            }
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
@@ -722,6 +893,77 @@ mod tests {
         assert!(reused > 0, "no insert ever took a recycled block");
         assert_eq!(map.len(), STABLE as usize);
         // All readers gone: everything reclaims.
+        domain.try_reclaim();
+        assert_eq!(domain.pending_count(), 0);
+    }
+
+    #[test]
+    fn concurrent_readers_compare_heap_keys_the_writer_replaces() {
+        const STABLE: usize = 64;
+        const CHURN: usize = 64;
+        let _one_at_a_time = THREADED.lock().unwrap_or_else(|e| e.into_inner());
+        // Every key the same length, so a freed key buffer is the next
+        // one the writer's allocations get back. A value's top bits
+        // index its key's name: stable keys first, then the churn.
+        let name = |i: usize| match i.checked_sub(STABLE) {
+            None => format!("key-{i:04}"),
+            Some(j) => format!("tmp-{j:04}"),
+        };
+        let domain = Arc::new(RcuDomain::new(4));
+        let map = Arc::new(RcuHashMap::<String, u64>::new(Arc::clone(&domain)));
+        for i in 0..STABLE {
+            map.insert(name(i), (i as u64) << 16);
+        }
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (1..4u32)
+            .map(|c| {
+                let (map, domain, stop) =
+                    (Arc::clone(&map), Arc::clone(&domain), Arc::clone(&stop));
+                let names: Vec<String> = (0..STABLE + CHURN).map(name).collect();
+                std::thread::spawn(move || {
+                    let mut scans = 0u64;
+                    loop {
+                        let _g = domain.read_guard(CoreId(c));
+                        // A stable key is replaced, never removed: every
+                        // lookup compares its bytes and finds it.
+                        for (i, n) in names[..STABLE].iter().enumerate() {
+                            let v = map.get(n.as_str(), |v| *v);
+                            assert_eq!(v.map(|v| v >> 16), Some(i as u64), "{n}");
+                        }
+                        // Every key read, removed or not, is still the
+                        // bytes it was written with.
+                        map.for_each(|k, v| assert_eq!(*k, names[(v >> 16) as usize]));
+                        scans += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                    }
+                    scans
+                })
+            })
+            .collect();
+        for round in 1..200u64 {
+            for i in 0..STABLE {
+                let v = (i as u64) << 16 | round;
+                if round % 2 == 0 {
+                    assert!(map.insert(name(i), v));
+                } else {
+                    assert!(map.insert_borrowed(name(i).as_str(), v));
+                }
+            }
+            for i in STABLE..STABLE + CHURN {
+                map.insert(name(i), (i as u64) << 16);
+            }
+            for i in STABLE..STABLE + CHURN {
+                assert!(map.remove(name(i).as_str()));
+            }
+            domain.try_reclaim();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            assert!(r.join().unwrap() > 0);
+        }
+        assert_eq!(map.len(), STABLE);
         domain.try_reclaim();
         assert_eq!(domain.pending_count(), 0);
     }

@@ -122,7 +122,8 @@ enum ResponderInner {
         rpc_id: u64,
     },
     Slot {
-        collector: Rc<BatchCollector>,
+        messenger: Rc<Messenger>,
+        batch: usize,
         index: usize,
     },
 }
@@ -140,9 +141,11 @@ impl Responder {
                 id,
                 rpc_id,
             } => messenger.enqueue(dst, frame(id, KIND_RESPONSE, rpc_id, payload)),
-            ResponderInner::Slot { collector, index } => {
-                collector.fill(index, batch::STATUS_OK, payload)
-            }
+            ResponderInner::Slot {
+                messenger,
+                batch,
+                index,
+            } => messenger.fill_slot(batch, index, batch::STATUS_OK, payload),
         }
     }
 }
@@ -225,6 +228,10 @@ pub struct Messenger {
     /// registry the batch unwrapper dispatches sub-calls through.
     call_handlers: RefCell<HashMap<u32, CallHandler>>,
     rpc_waiters: RefCell<HashMap<u64, RpcWaiter>>,
+    /// Inbound batches collecting their sub-calls' replies, by the key
+    /// each sub-call's [`Responder`] carries. A record with no slots is
+    /// free, and keeps its slot vector's capacity for the next batch.
+    batches: RefCell<Vec<BatchReply>>,
     next_rpc: Cell<u64>,
     bad_frame_h: CounterHandle,
     /// Messages dispatched (diagnostic).
@@ -289,6 +296,7 @@ impl Messenger {
             handlers: RefCell::new(HashMap::new()),
             call_handlers: RefCell::new(HashMap::new()),
             rpc_waiters: RefCell::new(HashMap::new()),
+            batches: RefCell::new(Vec::new()),
             next_rpc: Cell::new(1),
             bad_frame_h: qos::register_in(rt, BAD_FRAME_COUNTER),
             dispatched: Cell::new(0),
@@ -765,80 +773,88 @@ impl Messenger {
 
     /// Serves one inbound multi-call frame: every sub-call dispatches
     /// through the call-handler registry, the (possibly asynchronous)
-    /// replies land in a shared collector, and the whole batch answers
-    /// with **one** response frame once the last slot fills. A sub-call
-    /// with no registered handler gets [`batch::STATUS_UNSERVED`] — the
-    /// shipper treats that slot like a timed-out single call. Returns
-    /// `false`, having dispatched nothing, when the payload is not a
-    /// well-formed envelope.
+    /// replies land in a [`BatchReply`] record, and the whole batch
+    /// answers with **one** response frame once the last slot fills. A
+    /// sub-call with no registered handler gets
+    /// [`batch::STATUS_UNSERVED`] — the shipper treats that slot like a
+    /// timed-out single call. Returns `false`, having dispatched
+    /// nothing, when the payload is not a well-formed envelope.
     fn serve_batch(self: &Rc<Self>, src: Ipv4Addr, rpc_id: u64, payload: &Chain<IoBuf>) -> bool {
         let Some(calls) = batch::decode_request(payload) else {
             return false;
         };
-        let collector = BatchCollector::new(self, src, rpc_id, calls.len());
+        let key = {
+            let mut batches = self.batches.borrow_mut();
+            let key = match batches.iter().position(|b| b.slots.is_empty()) {
+                Some(key) => key,
+                None => {
+                    batches.push(BatchReply {
+                        src,
+                        rpc_id,
+                        slots: Vec::new(),
+                        remaining: 0,
+                    });
+                    batches.len() - 1
+                }
+            };
+            let record = &mut batches[key];
+            record.src = src;
+            record.rpc_id = rpc_id;
+            record.remaining = calls.len();
+            record.slots.resize_with(calls.len(), || None);
+            key
+        };
         for (index, (id, body)) in calls.enumerate() {
             let handler = self.call_handlers.borrow().get(&id).cloned();
             match handler {
                 Some(h) => {
                     let inner = ResponderInner::Slot {
-                        collector: Rc::clone(&collector),
+                        messenger: Rc::clone(self),
+                        batch: key,
                         index,
                     };
                     h(src, body, Responder { inner });
                 }
-                None => collector.fill(index, batch::STATUS_UNSERVED, Chain::new()),
+                None => self.fill_slot(key, index, batch::STATUS_UNSERVED, Chain::new()),
             }
         }
         true
+    }
+
+    /// Fills slot `i` of batch record `key`; the last slot to fill sends
+    /// the batched response frame and frees the record.
+    fn fill_slot(self: &Rc<Self>, key: usize, i: usize, status: u8, body: Chain<IoBuf>) {
+        let (src, rpc_id, resp) = {
+            let mut batches = self.batches.borrow_mut();
+            let record = &mut batches[key];
+            record.slots[i] = Some((status, body));
+            record.remaining -= 1;
+            if record.remaining > 0 {
+                return;
+            }
+            let resp = batch::encode_response(record.slots.iter().map(|s| {
+                let (status, body) = s.as_ref().expect("all slots filled");
+                (*status, body)
+            }));
+            (record.src, record.rpc_id, resp)
+        };
+        let id = SystemEbb::RemoteBatch.id();
+        self.enqueue(src, frame(id, KIND_RESPONSE, rpc_id, resp));
+        self.batches.borrow_mut()[key].slots.clear();
     }
 }
 
 /// One sub-call's reply: batch status byte plus response payload.
 type BatchSlot = Option<(u8, Chain<IoBuf>)>;
 
-/// Accumulates the sub-call replies of one inbound batch; sends the
-/// batched response frame when the last slot fills.
-struct BatchCollector {
-    messenger: Weak<Messenger>,
+/// The sub-call replies of one inbound batch, in
+/// [`Messenger::batches`].
+struct BatchReply {
     src: Ipv4Addr,
     rpc_id: u64,
-    slots: RefCell<Vec<BatchSlot>>,
-    remaining: Cell<usize>,
-}
-
-impl BatchCollector {
-    fn new(m: &Rc<Messenger>, src: Ipv4Addr, rpc_id: u64, n: usize) -> Rc<BatchCollector> {
-        Rc::new(BatchCollector {
-            messenger: Rc::downgrade(m),
-            src,
-            rpc_id,
-            slots: RefCell::new(vec![None; n]),
-            remaining: Cell::new(n),
-        })
-    }
-
-    fn fill(&self, i: usize, status: u8, body: Chain<IoBuf>) {
-        {
-            let mut slots = self.slots.borrow_mut();
-            if slots[i].is_some() {
-                return; // a handler must not double-respond; tolerate it
-            }
-            slots[i] = Some((status, body));
-        }
-        self.remaining.set(self.remaining.get() - 1);
-        if self.remaining.get() > 0 {
-            return;
-        }
-        let slots = std::mem::take(&mut *self.slots.borrow_mut());
-        let resp = batch::encode_response(slots.iter().map(|s| {
-            let (status, body) = s.as_ref().expect("all slots filled");
-            (*status, body)
-        }));
-        if let Some(m) = self.messenger.upgrade() {
-            let id = SystemEbb::RemoteBatch.id();
-            m.enqueue(self.src, frame(id, KIND_RESPONSE, self.rpc_id, resp));
-        }
-    }
+    slots: Vec<BatchSlot>,
+    /// Slots not yet filled.
+    remaining: usize,
 }
 
 /// The multi-call envelope riding [`SystemEbb::RemoteBatch`]: the

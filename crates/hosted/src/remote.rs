@@ -55,7 +55,7 @@
 //! writes the owner record into the naming service.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use ebbrt_core::clock::Ns;
@@ -85,22 +85,13 @@ struct Call {
     attempt: u32,
 }
 
-/// One messenger frame's worth of calls awaiting its verdict.
-enum Flight {
-    /// A lone call, framed as it was marshalled.
-    Direct(Call),
-    /// Two or more calls in one [`SystemEbb::RemoteBatch`] frame, in
-    /// table order.
-    Batch(Vec<Call>),
-}
-
-impl Flight {
-    fn for_each(self, mut f: impl FnMut(Call)) {
-        match self {
-            Flight::Direct(call) => f(call),
-            Flight::Batch(calls) => calls.into_iter().for_each(f),
-        }
-    }
+/// One messenger frame's worth of calls awaiting its verdict, and the
+/// owner it went to: a lone call, framed as it was marshalled, or two
+/// or more in one [`SystemEbb::RemoteBatch`] frame, in table order. A
+/// record with no calls is free; its vector keeps its capacity.
+struct Flight {
+    owner: Ipv4Addr,
+    calls: VecDeque<Call>,
 }
 
 /// A resolved ownership record: the ordered replica list (primary
@@ -115,8 +106,8 @@ struct OwnerRecord {
 /// naming service's versions start at 1.
 const PRESET_VERSION: u64 = 0;
 
-/// Flights the in-flight map holds before its first doubling: a
-/// machine's steady state (one flight per owner and issuing core per
+/// Flight records the in-flight table holds before its first doubling:
+/// a machine's steady state (one flight per owner and issuing core per
 /// pass, batches included) never grows it mid-run.
 const FLIGHTS_ROOM: usize = 7;
 
@@ -177,15 +168,14 @@ pub struct MessengerTransport {
     /// A slot stays in the map (empty) between passes, so staging a
     /// lone call allocates nothing.
     staged: RefCell<HashMap<(Ipv4Addr, CoreId), Vec<Call>>>,
-    /// Frames on the wire and the owner each went to, by the key their
-    /// messenger continuation carries (all it carries, so it fits that
-    /// continuation's inline words); the map keeps its capacity, so a
-    /// flight allocates nothing. A flight still here when the messenger
-    /// or the transport is torn down never gets its verdict: its
-    /// replies, direct or batched, are dropped uncalled with the
-    /// transport, as the messenger drops its waiters.
-    flights: RefCell<HashMap<u64, (Ipv4Addr, Flight)>>,
-    next_flight: Cell<u64>,
+    /// Frames on the wire, by the key their messenger continuation
+    /// carries (all it carries, so it fits that continuation's inline
+    /// words). Records are reused and keep their vectors, so a flight
+    /// allocates nothing. A flight still here when the messenger or the
+    /// transport is torn down never gets its verdict: its replies,
+    /// direct or batched, are dropped uncalled with the transport, as
+    /// the messenger drops its waiters.
+    flights: RefCell<Vec<Flight>>,
     timeout_ns: Cell<Ns>,
     policy: Cell<RetryPolicy>,
     /// Calls shipped (diagnostic).
@@ -212,8 +202,7 @@ impl MessengerTransport {
             map,
             owners: RefCell::new(HashMap::new()),
             staged: RefCell::new(HashMap::new()),
-            flights: RefCell::new(HashMap::with_capacity(FLIGHTS_ROOM)),
-            next_flight: Cell::new(0),
+            flights: RefCell::new(Vec::with_capacity(FLIGHTS_ROOM)),
             timeout_ns: Cell::new(DEFAULT_CALL_TIMEOUT_NS),
             policy: Cell::new(RetryPolicy::default()),
             shipped: Cell::new(0),
@@ -310,71 +299,96 @@ impl MessengerTransport {
     /// Flushes one `(owner, core)` staging slot as one frame: a single
     /// staged call ships exactly like the pre-batching transport; two
     /// or more coalesce into one [`SystemEbb::RemoteBatch`] frame. Either
-    /// way the flight waits in [`Self::flights`] for [`Self::landed`].
+    /// way the calls move into a free record of [`Self::flights`] —
+    /// the staging vector stays, empty — and wait there for
+    /// [`Self::landed`].
     fn flush_staged(&self, key: (Ipv4Addr, CoreId)) {
         let owner = key.0;
-        let mut flight = {
+        let (slot, n) = {
             let mut staged = self.staged.borrow_mut();
-            let Some(slot) = staged.get_mut(&key) else {
+            let Some(calls) = staged.get_mut(&key).filter(|calls| !calls.is_empty()) else {
                 return;
             };
-            match slot.len() {
-                0 => return,
-                1 => Flight::Direct(slot.pop().expect("len checked")),
-                n => {
-                    self.batch_flushes.set(self.batch_flushes.get() + 1);
-                    self.batched_calls.set(self.batched_calls.get() + n as u64);
-                    self.max_batch.set(self.max_batch.get().max(n as u64));
-                    // The flight keeps these calls; the slot starts the
-                    // next pass with room for as many.
-                    Flight::Batch(std::mem::replace(slot, Vec::with_capacity(n)))
+            let mut flights = self.flights.borrow_mut();
+            let slot = match flights.iter().position(|f| f.calls.is_empty()) {
+                Some(slot) => slot,
+                None => {
+                    flights.push(Flight {
+                        owner,
+                        calls: VecDeque::new(),
+                    });
+                    flights.len() - 1
                 }
-            }
+            };
+            let flight = &mut flights[slot];
+            flight.owner = owner;
+            flight.calls.extend(calls.drain(..));
+            (slot, flight.calls.len())
         };
+        if n > 1 {
+            self.batch_flushes.set(self.batch_flushes.get() + 1);
+            self.batched_calls.set(self.batched_calls.get() + n as u64);
+            self.max_batch.set(self.max_batch.get().max(n as u64));
+        }
         let Some(m) = self.messenger.upgrade() else {
-            flight.for_each(|c| c.reply.call(Err(RemoteError::Unreachable)));
+            (0..n).for_each(|_| {
+                self.next_call(slot)
+                    .reply
+                    .call(Err(RemoteError::Unreachable))
+            });
             return;
         };
-        let (id, payload) = match &mut flight {
-            Flight::Direct(c) => (c.id, std::mem::take(&mut c.payload)),
-            Flight::Batch(calls) => (
-                SystemEbb::RemoteBatch.id(),
-                batch::encode_request(calls.iter().map(|c| (c.id.0, &c.payload))),
-            ),
+        let (id, payload) = {
+            let calls = &mut self.flights.borrow_mut()[slot].calls;
+            match n {
+                1 => (calls[0].id, std::mem::take(&mut calls[0].payload)),
+                _ => (
+                    SystemEbb::RemoteBatch.id(),
+                    batch::encode_request(calls.iter().map(|c| (c.id.0, &c.payload))),
+                ),
+            }
         };
-        let key = self.next_flight.get();
-        self.next_flight.set(key + 1);
         let weak = Weak::clone(&self.weak);
         m.call_chain_retaining(owner, id, payload, self.timeout_ns.get(), |retained| {
             // A batch's calls still hold their own payloads.
-            if let Flight::Direct(c) = &mut flight {
-                c.payload = retained;
+            if n == 1 {
+                self.flights.borrow_mut()[slot].calls[0].payload = retained;
             }
-            self.flights.borrow_mut().insert(key, (owner, flight));
             move |r| {
                 if let Some(t) = weak.upgrade() {
-                    t.landed(key, r);
+                    t.landed(slot, r);
                 }
             }
         });
     }
 
-    /// The messenger's verdict on flight `key`. Timeout/Unreachable
+    /// The oldest call of flight record `slot`, out of the record: the
+    /// last one out leaves the record free.
+    fn next_call(&self, slot: usize) -> Call {
+        let call = self.flights.borrow_mut()[slot].calls.pop_front();
+        call.expect("a call per answer")
+    }
+
+    /// The messenger's verdict on flight `slot`. Timeout/Unreachable
     /// fails every call of the flight over, fenced; a direct reply goes
-    /// to its caller; a batch reply is answered slot by slot.
-    fn landed(&self, key: u64, outcome: Result<Chain<IoBuf>, RemoteError>) {
-        let Some((owner, flight)) = self.flights.borrow_mut().remove(&key) else {
-            return;
+    /// to its caller; a batch reply is answered slot by slot. Each call
+    /// leaves the record as it is answered, so a call answered with a
+    /// re-ship never meets the flight it left.
+    fn landed(&self, slot: usize, outcome: Result<Chain<IoBuf>, RemoteError>) {
+        let (owner, n) = {
+            let flight = &self.flights.borrow()[slot];
+            (flight.owner, flight.calls.len())
         };
-        match (flight, outcome) {
-            (flight, Err(err @ (RemoteError::Timeout | RemoteError::Unreachable))) => {
-                flight.for_each(|c| self.retry(owner, c, err, true))
+        match outcome {
+            Err(err @ (RemoteError::Timeout | RemoteError::Unreachable)) => {
+                (0..n).for_each(|_| self.retry(owner, self.next_call(slot), err, true))
             }
-            (flight, Err(err)) => flight.for_each(|c| c.reply.call(Err(err))),
-            (Flight::Direct(c), ok) => c.reply.call(ok),
-            (Flight::Batch(calls), Ok(resp)) => match batch::decode_response(&resp) {
-                Some(slots) if slots.len() == calls.len() => {
-                    for (c, (status, body)) in calls.into_iter().zip(slots) {
+            Err(err) => (0..n).for_each(|_| self.next_call(slot).reply.call(Err(err))),
+            Ok(resp) if n == 1 => self.next_call(slot).reply.call(Ok(resp)),
+            Ok(resp) => match batch::decode_response(&resp) {
+                Some(slots) if slots.len() == n => {
+                    for (status, body) in slots {
+                        let c = self.next_call(slot);
                         if status == batch::STATUS_OK {
                             c.reply.call(Ok(body));
                         } else {
@@ -387,9 +401,9 @@ impl MessengerTransport {
                     }
                 }
                 // A malformed reply is indistinguishable from no reply.
-                _ => calls
-                    .into_iter()
-                    .for_each(|c| self.retry(owner, c, RemoteError::Timeout, true)),
+                _ => (0..n).for_each(|_| {
+                    self.retry(owner, self.next_call(slot), RemoteError::Timeout, true)
+                }),
             },
         }
     }
