@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 use ebbrt_mem::vm::{RegionHandle, VirtualMemory};
 use ebbrt_mem::PAGE_SIZE;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::SplitMix64;
 
 /// Environment knobs affecting the managed runtime.
 #[derive(Clone, Copy, Debug)]
@@ -215,7 +215,7 @@ impl JsHeap {
 pub struct Kernel {
     /// Benchmark name (as in Figure 7).
     pub name: &'static str,
-    run: fn(&JsHeap, &mut StdRng),
+    run: fn(&JsHeap, &mut SplitMix64),
 }
 
 /// The eight kernels of V8 benchmark suite version 7, modelled by their
@@ -239,7 +239,7 @@ pub fn kernels() -> Vec<Kernel> {
                 // Constraint solver: many small short-lived objects.
                 for _ in 0..800 {
                     h.work(8_000);
-                    for _ in 0..rng.gen_range(4..10) {
+                    for _ in 0..rng.range(4..10) {
                         h.alloc(64);
                     }
                 }
@@ -251,7 +251,7 @@ pub fn kernels() -> Vec<Kernel> {
                 // Symbolic lists: allocation-heavy classic GC benchmark.
                 for _ in 0..900 {
                     h.work(6_000);
-                    for _ in 0..rng.gen_range(10..24) {
+                    for _ in 0..rng.range(10..24) {
                         h.alloc(48);
                     }
                 }
@@ -274,7 +274,7 @@ pub fn kernels() -> Vec<Kernel> {
                 // Vector objects per ray: moderate allocation.
                 for _ in 0..700 {
                     h.work(9_000);
-                    for _ in 0..rng.gen_range(6..12) {
+                    for _ in 0..rng.range(6..12) {
                         h.alloc(96);
                     }
                 }
@@ -286,7 +286,7 @@ pub fn kernels() -> Vec<Kernel> {
                 // Match result strings: bursty medium allocations.
                 for _ in 0..600 {
                     h.work(10_000);
-                    h.alloc(rng.gen_range(100..800));
+                    h.alloc(rng.range(100..800));
                 }
             },
         },
@@ -307,8 +307,8 @@ pub fn kernels() -> Vec<Kernel> {
                 // churn at high rate — the allocation-heaviest kernel.
                 for _ in 0..1200 {
                     h.work(3_000);
-                    for _ in 0..rng.gen_range(24..40) {
-                        h.alloc(rng.gen_range(80..200));
+                    for _ in 0..rng.range(24..40) {
+                        h.alloc(rng.range(80..200));
                     }
                 }
             },
@@ -343,7 +343,7 @@ pub fn run_suite(seed: u64) -> Vec<BenchScore> {
         .map(|k| {
             let run_one = |env: JsEnv| {
                 let heap = JsHeap::new(env, 256, 0.25);
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = SplitMix64::new(seed);
                 (k.run)(&heap, &mut rng);
                 heap.elapsed_ns()
             };

@@ -26,6 +26,7 @@ pub mod jsrt;
 pub mod memcached;
 pub mod mutilate;
 pub mod netpipe;
+mod rng;
 pub mod stats;
 pub mod webserver;
 

@@ -18,9 +18,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
@@ -30,6 +27,7 @@ use ebbrt_net::Lan;
 use ebbrt_sim::{CostProfile, SimWorld};
 
 use crate::memcached::{self, Client, Header, Store, Workload, MEMCACHED_PORT};
+use crate::rng::SplitMix64;
 use crate::stats::LatencyRecorder;
 
 /// Experiment parameters.
@@ -98,14 +96,14 @@ fn key_for(index: usize, rng_len: usize) -> Vec<u8> {
     k
 }
 
-fn etc_key_len(rng: &mut StdRng) -> usize {
-    rng.gen_range(20..=70)
+fn etc_key_len(rng: &mut SplitMix64) -> usize {
+    rng.range_inclusive(20..=70)
 }
 
 /// ETC value sizes: "most values sized between 1 B–1024 B" —
 /// log-uniform over that range.
-fn etc_value_len(rng: &mut StdRng) -> usize {
-    let exp = rng.gen_range(0.0..=10.0f64); // 2^0 .. 2^10
+fn etc_value_len(rng: &mut SplitMix64) -> usize {
+    let exp = rng.f64_inclusive(0.0..=10.0); // 2^0 .. 2^10
     (2.0f64.powf(exp) as usize).clamp(1, 1024)
 }
 
@@ -200,7 +198,7 @@ struct Conn {
     measuring: Rc<Cell<bool>>,
     /// The arrival process: its generator, mean gap and GET share live
     /// here, so an arrival timer's closure holds only the connection.
-    rng: RefCell<StdRng>,
+    rng: RefCell<SplitMix64>,
     mean_gap_ns: f64,
     get_ratio: f64,
 }
@@ -317,7 +315,7 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
     // Store, pre-populated directly (the paper warms the cache before
     // measuring; bypassing the network here is equivalent and faster).
     let store = memcached::serve_on(&server);
-    let mut key_rng = StdRng::seed_from_u64(config.seed);
+    let mut key_rng = SplitMix64::new(config.seed);
     let keys: Vec<Vec<u8>> = (0..config.nkeys)
         .map(|i| key_for(i, etc_key_len(&mut key_rng)))
         .collect();
@@ -349,9 +347,7 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
             pipeline: config.pipeline,
             completed: Cell::new(0),
             measuring: Rc::clone(&measuring),
-            rng: RefCell::new(StdRng::seed_from_u64(
-                config.seed ^ ((i as u64 + 1) * 0x9e37),
-            )),
+            rng: RefCell::new(SplitMix64::new(config.seed ^ ((i as u64 + 1) * 0x9e37))),
             mean_gap_ns,
             get_ratio: config.get_ratio,
         };
@@ -400,7 +396,7 @@ fn store_insert(store: &Arc<Store>, key: Vec<u8>, vlen: usize) {
 /// the timer's own slot.
 fn schedule_arrival(cc: &Rc<Client<Conn>>) {
     let conn = &cc.workload;
-    let gap = (-conn.rng.borrow_mut().gen::<f64>().max(1e-12).ln() * conn.mean_gap_ns) as u64;
+    let gap = (-conn.rng.borrow_mut().unit().max(1e-12).ln() * conn.mean_gap_ns) as u64;
     let cc = Rc::clone(cc);
     ebbrt_core::runtime::with_current(move |rt| {
         rt.local_event_manager().set_timer(gap.max(1), move || {
@@ -411,9 +407,9 @@ fn schedule_arrival(cc: &Rc<Client<Conn>>) {
             let req = {
                 let mut rng = conn.rng.borrow_mut();
                 PendingReq {
-                    opaque: rng.gen::<u32>(),
-                    key: rng.gen_range(0..nkeys) as u32,
-                    set_len: if rng.gen::<f64>() < conn.get_ratio {
+                    opaque: rng.u32(),
+                    key: rng.range(0..nkeys) as u32,
+                    set_len: if rng.unit() < conn.get_ratio {
                         None
                     } else {
                         Some(etc_value_len(&mut rng) as u16)
@@ -441,7 +437,7 @@ mod tests {
     use ebbrt_core::runtime::Runtime;
 
     fn test_keys() -> Vec<Vec<u8>> {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         (0..8).map(|i| key_for(i, etc_key_len(&mut rng))).collect()
     }
 
@@ -462,6 +458,22 @@ mod tests {
                 at: 0,
             });
         gets.chain(sets).collect()
+    }
+
+    /// The ETC key and value lengths [`build`] draws for the default
+    /// seed are the ones the figures were produced with (recorded from
+    /// the generator `SplitMix64` replaced): the first eight of each
+    /// literally, all 2 000 of each as a digest.
+    #[test]
+    fn etc_lengths_for_the_default_seed_are_pinned() {
+        let digest = |lens: &[usize]| crate::rng::tests::digest(lens.iter().map(|&l| l as u64));
+        let mut rng = SplitMix64::new(ExperimentConfig::new(1, CostProfile::ebbrt_vm(), 1).seed);
+        let keys: Vec<usize> = (0..2000).map(|_| etc_key_len(&mut rng)).collect();
+        let values: Vec<usize> = (0..2000).map(|_| etc_value_len(&mut rng)).collect();
+        assert_eq!(keys[..8], [47, 55, 25, 30, 57, 49, 64, 54]);
+        assert_eq!(values[..8], [2, 13, 564, 260, 13, 18, 20, 3]);
+        assert_eq!(digest(&keys), 0x7404_1b3b_8e0a_170d, "key lengths");
+        assert_eq!(digest(&values), 0xf328_1ab1_6d6d_d6b1, "value lengths");
     }
 
     /// Descriptor-clone staging must emit exactly the frames a fresh

@@ -38,10 +38,10 @@ fn bench_iobuf(c: &mut Criterion) {
 fn bench_rcu_map(c: &mut Criterion) {
     let domain = Arc::new(RcuDomain::new(1));
     let map: RcuHashMap<u64, u64> = RcuHashMap::new(Arc::clone(&domain));
-    let locked = parking_lot::Mutex::new(std::collections::HashMap::new());
+    let locked = std::sync::Mutex::new(std::collections::HashMap::new());
     for i in 0..1000u64 {
         map.insert(i, i * 3);
-        locked.lock().insert(i, i * 3);
+        locked.lock().unwrap().insert(i, i * 3);
     }
     let _guard = domain.read_guard(CoreId(0));
     let mut g = c.benchmark_group("connection_lookup");
@@ -56,7 +56,7 @@ fn bench_rcu_map(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 7) % 1000;
-            black_box(locked.lock().get(&k).copied())
+            black_box(locked.lock().unwrap().get(&k).copied())
         })
     });
     g.finish();

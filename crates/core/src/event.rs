@@ -29,16 +29,14 @@ use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::rcu::CoreEpoch;
-
-use crossbeam::queue::SegQueue;
-use parking_lot::{Condvar, Mutex};
 
 use crate::clock::{Clock, Ns, DEFAULT_TIMER_TICK_SHIFT};
 use crate::cpu::{self, CoreId};
 use crate::future::Future;
+use crate::queue::MutexQueue;
 use crate::timer::{TimerWheel, TimerWheelStats};
 
 pub use crate::timer::TimerToken;
@@ -126,7 +124,7 @@ pub struct EventStats {
 /// check.
 ///
 /// Every write to the slot is `SeqCst`, and so are the event queues'
-/// length reads and writes (`SegQueue`): "register, then find the queue
+/// length reads and writes ([`MutexQueue`]): "register, then find the queue
 /// empty" on the owner and "push, then find the slot empty" on a
 /// producer cannot both happen, which is what lets the emptiness check
 /// be a load instead of a lock.
@@ -200,8 +198,8 @@ unsafe impl<T: ?Sized + Send + Sync> Sync for AtomicArcCell<T> {}
 /// State shared between the owning core and remote producers.
 pub(crate) struct EmShared {
     core: CoreId,
-    remote: SegQueue<SendEventHandler>,
-    interrupts: SegQueue<u32>,
+    remote: MutexQueue<SendEventHandler>,
+    interrupts: MutexQueue<u32>,
     /// Wake callback for a halted core. Lock-free: the cross-core spawn
     /// path takes the `Arc` with one atomic swap, invokes it, and CASes
     /// it back — the last mutex on that path is gone (ROADMAP item).
@@ -328,8 +326,8 @@ impl EventManager {
             clock,
             shared: Arc::new(EmShared {
                 core,
-                remote: SegQueue::new(),
-                interrupts: SegQueue::new(),
+                remote: MutexQueue::new(),
+                interrupts: MutexQueue::new(),
                 waker: AtomicArcCell::new(),
                 successor: AtomicArcCell::new(),
                 epoch,
@@ -861,16 +859,17 @@ impl EventContext {
 
     /// Signals the suspended thread to continue (runner side).
     pub fn signal(&self) {
-        let mut resumed = self.inner.resumed.lock();
-        *resumed = true;
+        *self.inner.resumed.lock().expect("resumed lock") = true;
         self.inner.cv.notify_all();
     }
 
     fn wait(&self) {
-        let mut resumed = self.inner.resumed.lock();
-        while !*resumed {
-            self.inner.cv.wait(&mut resumed);
-        }
+        let resumed = self.inner.resumed.lock().expect("resumed lock");
+        let _resumed = self
+            .inner
+            .cv
+            .wait_while(resumed, |resumed| !*resumed)
+            .expect("resumed lock");
     }
 }
 

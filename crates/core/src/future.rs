@@ -12,9 +12,7 @@
 //! `block_on` is its only consumer, and a value that can fail carries its
 //! own `Result`.
 
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::event::EventContext;
 
@@ -28,6 +26,12 @@ enum State<T> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     cv: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("future state lock")
+    }
 }
 
 /// A value of type `T` that may not have been produced yet. Consumed by
@@ -55,7 +59,7 @@ impl<T> Promise<T> {
     /// Panics if the future was already fulfilled (only reachable through
     /// a duplicated promise).
     pub fn set_value(self, value: T) {
-        let waiter = match std::mem::replace(&mut *self.0.state.lock(), State::Ready(value)) {
+        let waiter = match std::mem::replace(&mut *self.0.lock(), State::Ready(value)) {
             State::Pending(waiter) => waiter,
             State::Ready(_) | State::Taken => panic!("promise completed twice"),
         };
@@ -68,12 +72,12 @@ impl<T> Promise<T> {
 
 impl<T> Future<T> {
     pub(crate) fn is_pending(&self) -> bool {
-        matches!(*self.0.state.lock(), State::Pending(_))
+        matches!(*self.0.lock(), State::Pending(_))
     }
 
     /// Activates `ctx` once the value is set — at once if it already is.
     pub(crate) fn resume_when_set(&self, ctx: EventContext) {
-        match &mut *self.0.state.lock() {
+        match &mut *self.0.lock() {
             State::Pending(waiter) => *waiter = Some(ctx),
             _ => ctx.activate(),
         }
@@ -81,13 +85,13 @@ impl<T> Future<T> {
 
     /// Takes the value, parking the thread until it is set.
     pub(crate) fn wait(self) -> T {
-        let mut state = self.0.state.lock();
+        let mut state = self.0.lock();
         loop {
             match std::mem::replace(&mut *state, State::Taken) {
                 State::Ready(value) => return value,
                 pending => *state = pending,
             }
-            self.0.cv.wait(&mut state);
+            state = self.0.cv.wait(state).expect("future state lock");
         }
     }
 }

@@ -10,7 +10,8 @@
 //! * [`event`] — one non-preemptive event loop per core, with hardware
 //!   interrupt vectors, spawned synthetic events, idle handlers and
 //!   cooperative context save/restore (§3.2), and [`block_on`], the one
-//!   way to wait for a value.
+//!   way to wait for a value. Other threads hand a core work through a
+//!   [`queue::MutexQueue`], whose emptiness check is one atomic load.
 //! * [`future`] — the one-shot promise/future pair `block_on` waits on.
 //!   §3.5's other promises (a continuation runs synchronously on a ready
 //!   value; an error reaches the final consumer) are kept by the
@@ -49,6 +50,7 @@ pub mod future;
 pub mod iobuf;
 pub mod native;
 pub mod qos;
+pub mod queue;
 pub mod rcu;
 pub mod rcu_hash;
 pub mod runtime;

@@ -20,11 +20,8 @@
 //! activation the roles reverse. At most one thread dispatches for a
 //! given core at any time.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use crossbeam::sync::Parker;
-use parking_lot::Mutex;
 
 use crate::clock::{Clock, RealClock};
 use crate::cpu::CoreId;
@@ -59,7 +56,7 @@ impl NativeMachine {
                     .name(format!("ebbrt-{core}-succ"))
                     .spawn(move || core_loop(rt, core))
                     .expect("failed to spawn successor core thread");
-                spawn_threads.lock().push(h);
+                spawn_threads.lock().expect("threads lock").push(h);
             }));
         }
         for i in 0..ncores {
@@ -69,7 +66,7 @@ impl NativeMachine {
                 .name(format!("ebbrt-{core}"))
                 .spawn(move || core_loop(rt2, core))
                 .expect("failed to spawn core thread");
-            threads.lock().push(h);
+            threads.lock().expect("threads lock").push(h);
         }
         NativeMachine { rt, threads }
     }
@@ -94,7 +91,7 @@ impl NativeMachine {
         // until the list stays empty.
         loop {
             let batch: Vec<_> = {
-                let mut t = self.threads.lock();
+                let mut t = self.threads.lock().expect("threads lock");
                 t.drain(..).collect()
             };
             if batch.is_empty() {
@@ -131,9 +128,10 @@ impl NativeMachine {
 fn core_loop(rt: Arc<Runtime>, core: CoreId) {
     let _guard = runtime::enter(Arc::clone(&rt), core);
     let em = rt.event_manager(core);
-    let parker = Parker::new();
-    let unparker = parker.unparker().clone();
-    let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || unparker.unpark());
+    // An unpark before the park makes the park return at once; a
+    // spurious return is harmless, as the loop re-checks for work.
+    let thread = std::thread::current();
+    let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || thread.unpark());
     loop {
         if em.exit_requested() {
             return;
@@ -164,10 +162,10 @@ fn core_loop(rt: Arc<Runtime>, core: CoreId) {
             Some(deadline) => {
                 let now = rt.now_ns();
                 if deadline > now {
-                    parker.park_timeout(Duration::from_nanos(deadline - now));
+                    std::thread::park_timeout(Duration::from_nanos(deadline - now));
                 }
             }
-            None => parker.park(),
+            None => std::thread::park(),
         }
     }
 }
@@ -314,13 +312,13 @@ mod tests {
             let order = Arc::new(Mutex::new(Vec::new()));
             let o2 = Arc::clone(&order);
             rt.spawn(CoreId(0), move || {
-                o2.lock().push("other event ran");
+                o2.lock().unwrap().push("other event ran");
                 p.set_value(());
             });
-            order.lock().push("blocking");
+            order.lock().unwrap().push("blocking");
             block_on(f);
-            order.lock().push("resumed");
-            Arc::try_unwrap(order).unwrap().into_inner()
+            order.lock().unwrap().push("resumed");
+            Arc::try_unwrap(order).unwrap().into_inner().unwrap()
         });
         assert_eq!(log, vec!["blocking", "other event ran", "resumed"]);
     }
@@ -387,5 +385,63 @@ mod tests {
             counter.load(Ordering::Relaxed)
         });
         assert_eq!(total, 100);
+    }
+
+    /// Spawns from plain threads, none entered into the runtime, in
+    /// bursts of 64 per thread. Between bursts nobody spawns until every
+    /// event so far has run, then everyone pauses long enough for both
+    /// cores to park: every burst's last spawn must wake its core,
+    /// whether the unpark lands before the park or wakes a parked
+    /// thread. A lost wake leaves an event queued on a core parked with
+    /// no timer and nothing to rescue it, and the wait times out.
+    #[test]
+    fn spawns_from_plain_threads_wake_parked_cores() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 5_000;
+        const BURST: usize = 64;
+        let machine = NativeMachine::boot(2);
+        let rt = Arc::clone(machine.runtime());
+        let ran = Arc::new(AtomicUsize::new(0));
+        // The producers and this thread, which checks between bursts.
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let producers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (rt, ran, barrier) = (Arc::clone(&rt), Arc::clone(&ran), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let ran = Arc::clone(&ran);
+                        rt.spawn(CoreId(((t + i) % 2) as u32), move || {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        });
+                        if i % BURST == BURST - 1 || i + 1 == PER_THREAD {
+                            barrier.wait(); // burst queued
+                            barrier.wait(); // checked; cores parked
+                        }
+                    }
+                })
+            })
+            .collect();
+        for spawned in (BURST..PER_THREAD + BURST).step_by(BURST) {
+            barrier.wait();
+            let due = THREADS * spawned.min(PER_THREAD);
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while ran.load(Ordering::SeqCst) < due {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{} of {due} events ran within 10 s: a wake was lost",
+                    ran.load(Ordering::SeqCst),
+                );
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_micros(50));
+            barrier.wait();
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        for em in rt.event_managers() {
+            assert!(!em.pending_work(), "{} still has queued work", em.core());
+        }
+        machine.shutdown();
     }
 }

@@ -339,17 +339,6 @@ pub fn sub(h: CounterHandle, n: u64) {
     });
 }
 
-/// As [`add`] against an explicit runtime — the form for setup code
-/// (e.g. `NetIf::attach`) that has a machine handle but is not inside
-/// one of its events. Enters core 0 for the touch; totals are
-/// unaffected by which core carries the value.
-pub fn add_in(rt: &Arc<Runtime>, h: CounterHandle, n: u64) {
-    let core = CoreId(0);
-    let _guard = runtime::enter(Arc::clone(rt), core);
-    rt.ebbs()
-        .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| rep.add(h, n));
-}
-
 /// Sums `h` across every core of `rt`.
 ///
 /// # Caller contract

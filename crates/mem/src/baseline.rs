@@ -24,9 +24,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::{Addr, MallocLike};
 
@@ -116,7 +114,7 @@ impl GlibcModel {
 impl MallocLike for GlibcModel {
     fn alloc(&self, size: usize) -> Addr {
         let class = class_of(size);
-        let mut arena = self.arenas[self.my_arena()].lock();
+        let mut arena = self.arenas[self.my_arena()].lock().expect("arena lock");
         arena.alloc(class)
     }
 
@@ -125,7 +123,7 @@ impl MallocLike for GlibcModel {
         // glibc frees into the arena that owns the chunk; model: owner
         // arena derived from the address' span.
         let owner = ((addr >> 40) - 1).min(self.arenas.len() - 1);
-        let mut arena = self.arenas[owner].lock();
+        let mut arena = self.arenas[owner].lock().expect("arena lock");
         arena.free(addr, class);
     }
 }
@@ -217,7 +215,7 @@ impl MallocLike for JemallocModel {
                 return a;
             }
             // Batched central refill.
-            let mut central = self.central[shard].lock();
+            let mut central = self.central[shard].lock().expect("central arena lock");
             for _ in 0..TCACHE_BATCH {
                 let a = central.alloc(class);
                 cache[class].push(a);
@@ -235,7 +233,7 @@ impl MallocLike for JemallocModel {
             cache[class].push(addr);
             if cache[class].len() >= TCACHE_MAX {
                 // Batched central flush.
-                let mut central = self.central[shard].lock();
+                let mut central = self.central[shard].lock().expect("central arena lock");
                 for _ in 0..TCACHE_BATCH {
                     let a = cache[class].pop().expect("tcache nonempty");
                     central.free(a, class);

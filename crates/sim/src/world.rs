@@ -33,10 +33,9 @@ use std::collections::BinaryHeap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use crossbeam::queue::SegQueue;
-
 use ebbrt_core::clock::{Clock, ManualClock, Ns};
 use ebbrt_core::cpu::CoreId;
+use ebbrt_core::queue::MutexQueue;
 use ebbrt_core::runtime;
 
 use crate::link::Switch;
@@ -172,7 +171,7 @@ pub struct SimWorld {
     machines: RefCell<Vec<Rc<SimMachine>>>,
     in_flight: RefCell<InFlight>,
     /// Cores made runnable by wakers (interrupt raised, remote spawn).
-    wake_queue: Arc<SegQueue<(usize, u32)>>,
+    wake_queue: Arc<MutexQueue<(usize, u32)>>,
 }
 
 impl SimWorld {
@@ -184,7 +183,7 @@ impl SimWorld {
             seq: Cell::new(0),
             machines: RefCell::new(Vec::new()),
             in_flight: RefCell::default(),
-            wake_queue: Arc::new(SegQueue::new()),
+            wake_queue: Arc::new(MutexQueue::new()),
         })
     }
 
