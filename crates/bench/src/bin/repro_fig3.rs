@@ -8,13 +8,12 @@
 //! shape: EbbRT flat/linear; glibc's latency climbing (3.8× EbbRT at
 //! 24 cores); jemalloc linear but ~42% slower than EbbRT.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::native::NativeMachine;
 use ebbrt_core::runtime;
-use ebbrt_core::spinlock::SpinBarrier;
 use ebbrt_mem::baseline::{GlibcModel, JemallocModel};
 use ebbrt_mem::gp::{self, EbbrtMalloc};
 use ebbrt_mem::{MallocLike, Topology};
@@ -23,7 +22,7 @@ const MEASUREMENTS: usize = 100_000;
 const CYCLES_PER_NS: f64 = 2.6;
 
 /// One core's benchmark loop: mean cycles for 10×(alloc+free 8 B).
-fn core_loop(m: &dyn MallocLike, barrier: &SpinBarrier) -> f64 {
+fn core_loop(m: &dyn MallocLike, barrier: &Barrier) -> f64 {
     // Warmup fills the caches.
     for _ in 0..1000 {
         let a = m.alloc(8);
@@ -51,7 +50,7 @@ fn run_ebbrt(ncores: usize) -> f64 {
             },
             14,
         );
-        let barrier = Arc::new(SpinBarrier::new(ncores));
+        let barrier = Arc::new(Barrier::new(ncores));
         let futures: Vec<_> = (0..ncores)
             .map(|i| {
                 let (p, f) = ebbrt_core::future::promise::<f64>();
@@ -72,7 +71,7 @@ fn run_ebbrt(ncores: usize) -> f64 {
 }
 
 fn run_threads(m: Arc<dyn MallocLike>, ncores: usize) -> f64 {
-    let barrier = Arc::new(SpinBarrier::new(ncores));
+    let barrier = Arc::new(Barrier::new(ncores));
     let handles: Vec<_> = (0..ncores)
         .map(|_| {
             let m = Arc::clone(&m);

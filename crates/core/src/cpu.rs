@@ -1,4 +1,4 @@
-//! Core (CPU) identity and per-core ownership primitives.
+//! Core (CPU) identity.
 //!
 //! EbbRT's execution model binds every event, Ebb representative and
 //! per-core data structure to exactly one core. On real hardware that
@@ -9,13 +9,14 @@
 //! most one thread executes on behalf of a given core**, and that thread
 //! has the core's identity installed in thread-local storage.
 //!
-//! [`CoreLocal`] exploits this invariant to hand out `&mut` access to
-//! per-core state without atomic read-modify-write operations, mirroring
-//! the paper's claim (§3.2) that non-preemptive per-core execution lets
-//! components "use non-atomic operations to access per-core data
-//! structures".
+//! Per-core state relies on this invariant to be accessed without
+//! atomic read-modify-write operations — the paper's claim (§3.2) that
+//! non-preemptive per-core execution lets components "use non-atomic
+//! operations to access per-core data structures": an Ebb's
+//! representatives ([`crate::ebb::MulticoreEbb`]) and the event
+//! manager's owner state.
 
-use core::cell::{Cell, UnsafeCell};
+use core::cell::Cell;
 use core::fmt;
 
 /// Identifier of a logical core within one EbbRT instance (machine).
@@ -82,116 +83,9 @@ impl Drop for CoreBinding {
     }
 }
 
-/// A fixed array of per-core values, each accessible mutably only from
-/// its owning core.
-///
-/// This is the Rust rendering of EbbRT's per-core data structures: access
-/// is checked dynamically (the calling thread must be bound to the slot's
-/// core, and access must not re-enter), after which no synchronization is
-/// performed. The check is two thread-local reads and two `Cell`
-/// operations — no atomic read-modify-write, in the spirit of the paper.
-pub struct CoreLocal<T> {
-    slots: Box<[CoreSlot<T>]>,
-}
-
-struct CoreSlot<T> {
-    value: UnsafeCell<T>,
-    /// Re-entrancy flag: set while a `with` borrow is live.
-    borrowed: Cell<bool>,
-}
-
-// SAFETY: `CoreSlot` values are only ever accessed by the thread that is
-// currently bound to the slot's core (checked in `CoreLocal::with`), and
-// the `borrowed` flag prevents re-entrant aliasing on that thread. The
-// runtime guarantees at most one thread is bound to a core at a time.
-unsafe impl<T: Send> Sync for CoreLocal<T> {}
-// SAFETY: Sending the whole table moves all values; per-value access rules
-// are unchanged.
-unsafe impl<T: Send> Send for CoreLocal<T> {}
-
-impl<T> CoreLocal<T> {
-    /// Creates a table with one value per core, produced by `init`.
-    pub fn new(ncores: usize, mut init: impl FnMut(CoreId) -> T) -> Self {
-        let slots = (0..ncores)
-            .map(|i| CoreSlot {
-                value: UnsafeCell::new(init(CoreId(i as u32))),
-                borrowed: Cell::new(false),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        CoreLocal { slots }
-    }
-
-    /// Number of cores covered by this table.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` if the table covers zero cores.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Runs `f` with mutable access to the calling core's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calling thread is not bound to a core covered by this
-    /// table, or if the calling core's value is already borrowed (i.e. the
-    /// call re-enters through `f`).
-    #[inline]
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.with_on(current(), f)
-    }
-
-    /// Runs `f` with mutable access to `core`'s value.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the calling thread is currently bound to `core`, or
-    /// on re-entrant access.
-    #[inline]
-    pub fn with_on<R>(&self, core: CoreId, f: impl FnOnce(&mut T) -> R) -> R {
-        assert_eq!(
-            try_current(),
-            Some(core),
-            "CoreLocal accessed from a thread not bound to {core}",
-        );
-        let slot = &self.slots[core.index()];
-        assert!(
-            !slot.borrowed.get(),
-            "re-entrant CoreLocal access on {core}"
-        );
-        slot.borrowed.set(true);
-        // Ensure the flag is cleared even if `f` panics.
-        struct Reset<'a>(&'a Cell<bool>);
-        impl Drop for Reset<'_> {
-            fn drop(&mut self) {
-                self.0.set(false);
-            }
-        }
-        let _reset = Reset(&slot.borrowed);
-        // SAFETY: the thread is bound to `core` (asserted above) and the
-        // runtime guarantees only one thread is bound to a core at a time;
-        // the `borrowed` flag excludes re-entrant aliasing on this thread.
-        let value = unsafe { &mut *slot.value.get() };
-        f(value)
-    }
-
-    /// Consumes the table, returning all per-core values in core order.
-    pub fn into_values(self) -> Vec<T> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            .map(|s| s.value.into_inner())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bind_nests_and_restores() {
@@ -206,60 +100,5 @@ mod tests {
             assert_eq!(current(), CoreId(0));
         }
         assert_eq!(try_current(), None);
-    }
-
-    #[test]
-    fn core_local_per_core_values() {
-        let cl = CoreLocal::new(4, |c| c.0 * 10);
-        for i in 0..4u32 {
-            let _b = bind(CoreId(i));
-            cl.with(|v| *v += 1);
-            cl.with(|v| assert_eq!(*v, i * 10 + 1));
-        }
-        assert_eq!(cl.into_values(), vec![1, 11, 21, 31]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not bound")]
-    fn core_local_unbound_panics() {
-        let cl = CoreLocal::new(1, |_| 0u32);
-        cl.with(|_| ());
-    }
-
-    #[test]
-    #[should_panic(expected = "re-entrant")]
-    fn core_local_reentry_panics() {
-        let cl = CoreLocal::new(1, |_| 0u32);
-        let _b = bind(CoreId(0));
-        cl.with(|_| cl.with(|_| ()));
-    }
-
-    #[test]
-    #[should_panic(expected = "not bound to core1")]
-    fn core_local_wrong_core_panics() {
-        let cl = CoreLocal::new(2, |_| 0u32);
-        let _b = bind(CoreId(0));
-        cl.with_on(CoreId(1), |_| ());
-    }
-
-    #[test]
-    fn core_local_cross_thread() {
-        let cl = Arc::new(CoreLocal::new(2, |_| 0u64));
-        let handles: Vec<_> = (0..2u32)
-            .map(|i| {
-                let cl = Arc::clone(&cl);
-                std::thread::spawn(move || {
-                    let _b = bind(CoreId(i));
-                    for _ in 0..1000 {
-                        cl.with(|v| *v += 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let _b = bind(CoreId(0));
-        cl.with(|v| assert_eq!(*v, 1000));
     }
 }

@@ -26,11 +26,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::cpu::{self, CoreId};
 use crate::event::OnceFn;
-use crate::spinlock::SpinLock;
 
 /// System-wide unique identifier of an Ebb instance (32 bits, as in the
 /// paper's implementation).
@@ -133,7 +132,7 @@ impl SystemEbb {
 /// all mutable rep state — they compile to plain loads and stores, no
 /// atomics (the paper's "non-atomic operations to access per-core data
 /// structures", §3.2). Cross-core state belongs in the **root**, which
-/// is shared and must synchronize (`SpinLock`, atomics).
+/// is shared and must synchronize (`std::sync::Mutex`, atomics).
 pub trait MulticoreEbb: Sized + 'static {
     /// Shared (cross-core) state of one Ebb instance.
     type Root: Send + Sync + 'static;
@@ -196,12 +195,12 @@ pub struct EbbManager {
     /// values are rep pointers (stored as `usize`) with the same
     /// write-once publication rule as `slots`: inserted exactly once by
     /// the owning core, never removed until `Drop`.
-    ext: SpinLock<HashMap<(u32, u32), usize>>,
+    ext: Mutex<HashMap<(u32, u32), usize>>,
     next_id: AtomicU32,
-    roots: SpinLock<HashMap<u32, RootEntry>>,
+    roots: Mutex<HashMap<u32, RootEntry>>,
     /// Installed reps, recorded so `Drop` can free them with the correct
     /// type: (rep pointer, dropper).
-    installed: SpinLock<Vec<InstalledRep>>,
+    installed: Mutex<Vec<InstalledRep>>,
 }
 
 /// A live representative: its raw pointer (as `usize`) plus the typed
@@ -239,10 +238,10 @@ impl EbbManager {
             ncores,
             capacity,
             slots,
-            ext: SpinLock::new(HashMap::new()),
+            ext: Mutex::new(HashMap::new()),
             next_id: AtomicU32::new(FIRST_DYNAMIC_ID),
-            roots: SpinLock::new(HashMap::new()),
-            installed: SpinLock::new(Vec::new()),
+            roots: Mutex::new(HashMap::new()),
+            installed: Mutex::new(Vec::new()),
         }
     }
 
@@ -277,7 +276,7 @@ impl EbbManager {
 
     /// Like [`Self::register_root`] but accepts an existing `Arc`.
     pub fn register_root_arc<T: MulticoreEbb>(&self, id: EbbId, root: Arc<T::Root>) {
-        let mut roots = self.roots.lock();
+        let mut roots = crate::lock(&self.roots);
         let prev = roots.insert(
             id.0,
             RootEntry {
@@ -295,7 +294,7 @@ impl EbbManager {
     ///
     /// Panics if the root was registered for a different rep type.
     pub fn root<T: MulticoreEbb>(&self, id: EbbId) -> Option<Arc<T::Root>> {
-        let roots = self.roots.lock();
+        let roots = crate::lock(&self.roots);
         let entry = roots.get(&id.0)?;
         entry.check_type::<T>(id);
         Some(
@@ -313,7 +312,7 @@ impl EbbManager {
     where
         T::Root: Default,
     {
-        let mut roots = self.roots.lock();
+        let mut roots = crate::lock(&self.roots);
         let entry = roots.entry(id.0).or_insert_with(|| RootEntry {
             root: Arc::new(T::Root::default()),
             type_id: TypeId::of::<T>(),
@@ -334,8 +333,7 @@ impl EbbManager {
         if (id.0 as usize) < self.capacity {
             self.slots[core.index() * self.capacity + id.0 as usize].load(Ordering::Acquire)
         } else {
-            self.ext
-                .lock()
+            crate::lock(&self.ext)
                 .get(&(core.0, id.0))
                 .map_or(std::ptr::null_mut(), |&p| p as *mut ())
         }
@@ -437,7 +435,7 @@ impl EbbManager {
                 )
                 .is_ok()
         } else {
-            match self.ext.lock().entry((core.0, id.0)) {
+            match crate::lock(&self.ext).entry((core.0, id.0)) {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(p as usize);
                     true
@@ -461,7 +459,7 @@ impl EbbManager {
             // from `EbbManager::drop` with the recorded pointer.
             drop(unsafe { Box::from_raw(p as *mut T) });
         }
-        self.installed.lock().push((p as usize, drop_rep::<T>));
+        crate::lock(&self.installed).push((p as usize, drop_rep::<T>));
     }
 
     /// Returns whether (core, id) currently has an installed rep.
@@ -487,7 +485,7 @@ impl EbbManager {
     #[inline]
     fn debug_check_type<T: MulticoreEbb>(&self, id: EbbId) {
         if cfg!(debug_assertions) {
-            if let Some(entry) = self.roots.lock().get(&id.0) {
+            if let Some(entry) = crate::lock(&self.roots).get(&id.0) {
                 entry.check_type::<T>(id);
             }
         }
@@ -496,7 +494,8 @@ impl EbbManager {
 
 impl Drop for EbbManager {
     fn drop(&mut self) {
-        for (p, dropper) in self.installed.get_mut().drain(..) {
+        let installed = std::mem::take(&mut *crate::lock(&self.installed));
+        for (p, dropper) in installed {
             // SAFETY: `installed` records exactly the pointers published
             // by `install_rep` (dense slot or overflow map), each with
             // its matching typed dropper, and nothing can call into the

@@ -143,11 +143,10 @@ fn concurrent_miss_faults_exactly_one_rep_per_core() {
     // races too). Exactly one root and one rep per core may result.
     use crate::clock::ManualClock;
     use crate::runtime::{self, Runtime};
-    use crate::spinlock::SpinBarrier;
     const N: usize = 8;
     let rt = Runtime::new(N, Arc::new(ManualClock::new()));
     let id = rt.ebbs().allocate_id();
-    let barrier = Arc::new(SpinBarrier::new(N));
+    let barrier = Arc::new(std::sync::Barrier::new(N));
     let handles: Vec<_> = (0..N)
         .map(|i| {
             let rt = Arc::clone(&rt);

@@ -28,8 +28,8 @@
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::rcu::CoreEpoch;
 
@@ -104,107 +104,20 @@ pub struct EventStats {
     pub idle: AtomicU64,
 }
 
-/// A lock-free slot holding at most one `Arc<T>`, swapped with single
-/// atomic operations — no mutex on the reader or writer path.
-///
-/// `Arc<dyn Fn>` is a fat pointer, so the slot stores a thin pointer to
-/// a boxed `Arc` (the standard double-indirection trick). Ownership is
-/// always exclusive: every access *takes* the value out with a `swap`,
-/// so no thread ever dereferences a pointer another thread might free.
-/// Callers take the *box*, use the value, and put the same box back
-/// with a compare-exchange that fails harmlessly if somebody registered
-/// a new value meanwhile — a take/restore round trip allocates nothing.
-///
-/// The liveness contract for wakers: a caller that takes the slot and
-/// finds it empty may skip the wake *only because* whoever holds the
-/// value always invokes it before restoring, and the event loop
-/// re-registers its waker and re-checks its queues before parking (the
-/// classic register-then-check pattern), so a push that raced an
-/// in-flight wake is observed either by that wake or by the pre-park
-/// check.
-///
-/// Every write to the slot is `SeqCst`, and so are the event queues'
-/// length reads and writes ([`MutexQueue`]): "register, then find the queue
-/// empty" on the owner and "push, then find the slot empty" on a
-/// producer cannot both happen, which is what lets the emptiness check
-/// be a load instead of a lock.
-pub(crate) struct AtomicArcCell<T: ?Sized> {
-    ptr: AtomicPtr<Arc<T>>,
-}
-
-impl<T: ?Sized> AtomicArcCell<T> {
-    fn new() -> Self {
-        AtomicArcCell {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Installs `value`, dropping whatever was in the slot.
-    fn store(&self, value: Arc<T>) {
-        let new = Box::into_raw(Box::new(value));
-        let old = self.ptr.swap(new, Ordering::SeqCst);
-        if !old.is_null() {
-            // SAFETY: the swap transferred exclusive ownership of `old`
-            // to us; no other thread can still reach it.
-            drop(unsafe { Box::from_raw(old) });
-        }
-    }
-
-    /// Takes the value out (in the box the slot kept it in), leaving
-    /// the slot empty.
-    fn take(&self) -> Option<Box<Arc<T>>> {
-        let p = self.ptr.swap(std::ptr::null_mut(), Ordering::SeqCst);
-        if p.is_null() {
-            None
-        } else {
-            // SAFETY: every non-null pointer in the slot came from
-            // `Box::into_raw`, and the swap made this thread its sole
-            // owner: no other thread can reach the box until `restore`
-            // publishes it again.
-            Some(unsafe { Box::from_raw(p) })
-        }
-    }
-
-    /// Puts a previously taken box back if the slot is still empty; if
-    /// a new value was registered meanwhile it wins, and the old one is
-    /// dropped.
-    fn restore(&self, value: Box<Arc<T>>) {
-        let p = Box::into_raw(value);
-        if self
-            .ptr
-            .compare_exchange(std::ptr::null_mut(), p, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
-            // SAFETY: the CAS failed, so `p` never became reachable by
-            // any other thread; this thread still owns the box it just
-            // turned into a pointer.
-            drop(unsafe { Box::from_raw(p) });
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for AtomicArcCell<T> {
-    fn drop(&mut self) {
-        self.take();
-    }
-}
-
-// SAFETY: the cell hands out the Arc only through ownership-transferring
-// swaps; Arc<T> with T: Send + Sync is itself Send + Sync.
-unsafe impl<T: ?Sized + Send + Sync> Send for AtomicArcCell<T> {}
-// SAFETY: as above.
-unsafe impl<T: ?Sized + Send + Sync> Sync for AtomicArcCell<T> {}
+/// A callback the backend installs once per core.
+type Hook = OnceLock<Arc<dyn Fn() + Send + Sync>>;
 
 /// State shared between the owning core and remote producers.
 pub(crate) struct EmShared {
     core: CoreId,
     remote: MutexQueue<SendEventHandler>,
     interrupts: MutexQueue<u32>,
-    /// Wake callback for a halted core. Lock-free: the cross-core spawn
-    /// path takes the `Arc` with one atomic swap, invokes it, and CASes
-    /// it back — the last mutex on that path is gone (ROADMAP item).
-    waker: AtomicArcCell<dyn Fn() + Send + Sync>,
-    successor: AtomicArcCell<dyn Fn() + Send + Sync>,
+    /// Wakes a halted core (threaded backend: unparks the core's
+    /// parker; simulated backend: queues a poll). Set once.
+    waker: Hook,
+    /// Spawns a successor loop runner for [`EventManager::save_context`]
+    /// (threaded backend only). Set once.
+    successor: Hook,
     /// Quiescence state shared with the machine's RCU domain: bumped at
     /// every event boundary, flagged during handler execution.
     epoch: Arc<CoreEpoch>,
@@ -213,14 +126,9 @@ pub(crate) struct EmShared {
 
 impl EmShared {
     fn wake(&self) {
-        if let Some(w) = self.waker.take() {
+        if let Some(w) = self.waker.get() {
             w();
-            self.waker.restore(w);
         }
-        // Empty slot: either no waker was ever registered, or another
-        // thread is mid-wake / the owner is mid-re-register — both end
-        // with a wake delivered or the owner re-checking its queues
-        // before parking (see AtomicArcCell's liveness contract).
     }
 
     fn push_remote(&self, f: SendEventHandler) {
@@ -255,7 +163,9 @@ struct EmOwned {
 }
 
 /// Cell holding owner-only state with a dynamic single-core ownership
-/// check (see [`crate::cpu::CoreLocal`] for the access rules).
+/// check: access is allowed only from a thread bound to `core` (see
+/// [`crate::cpu`]) and must not re-enter, after which no
+/// synchronization is performed.
 struct OwnedByCore<T> {
     core: CoreId,
     value: UnsafeCell<T>,
@@ -328,8 +238,8 @@ impl EventManager {
                 core,
                 remote: MutexQueue::new(),
                 interrupts: MutexQueue::new(),
-                waker: AtomicArcCell::new(),
-                successor: AtomicArcCell::new(),
+                waker: OnceLock::new(),
+                successor: OnceLock::new(),
                 epoch,
                 exit: AtomicBool::new(false),
             }),
@@ -385,13 +295,6 @@ impl EventManager {
     pub fn spawn_remote(&self, f: impl FnOnce() + Send + 'static) {
         self.shared
             .push_remote(SendEventHandler::new_send(move |()| f()));
-    }
-
-    /// Handle for cross-thread spawning without holding `&EventManager`.
-    pub fn spawner(&self) -> Spawner {
-        Spawner {
-            shared: Arc::clone(&self.shared),
-        }
     }
 
     // --- Interrupts ----------------------------------------------------
@@ -676,25 +579,30 @@ impl EventManager {
     // --- Loop control ----------------------------------------------------
 
     /// Installs the callback used to wake a halted core (threaded
-    /// backend: unpark; simulated backend: schedule a poll event).
-    /// Lock-free; re-registering the same `Arc` (which the loop runner
-    /// does every pass) is recognized and costs two atomic ops, no
-    /// allocation (the slot's box goes back as it came out).
+    /// backend: unpark the core's parker; simulated backend: schedule a
+    /// poll event). Every runner of the core parks where this wakes, so
+    /// it is set once, at boot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a waker is already installed.
     pub fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
-        if let Some(current) = self.shared.waker.take() {
-            if Arc::ptr_eq(&current, &waker) {
-                self.shared.waker.restore(current);
-                return;
-            }
+        if self.shared.waker.set(waker).is_err() {
+            panic!("{}: waker already registered", self.shared.core);
         }
-        self.shared.waker.store(waker);
     }
 
     /// Installs the callback that spawns a successor loop runner,
     /// enabling [`Self::save_context`]. Only the threaded backend sets
-    /// this.
+    /// this, once, at boot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a successor spawner is already installed.
     pub fn register_successor_spawner(&self, spawner: Arc<dyn Fn() + Send + Sync>) {
-        self.shared.successor.store(spawner);
+        if self.shared.successor.set(spawner).is_err() {
+            panic!("{}: successor spawner already registered", self.shared.core);
+        }
     }
 
     /// Requests loop exit (machine shutdown) and wakes the core.
@@ -752,15 +660,10 @@ impl EventManager {
             Some(self.shared.core),
             "save_context off-core"
         );
-        let boxed =
-            self.shared.successor.take().expect(
+        let spawner =
+            self.shared.successor.get().expect(
                 "save_context requires the threaded backend (no successor spawner installed)",
             );
-        let spawner = Arc::clone(&boxed);
-        // Put it straight back: save_context runs on the owning core,
-        // so the only concurrent access is a (boot-time) re-register,
-        // which `restore` yields to.
-        self.shared.successor.restore(boxed);
         let ctx = EventContext {
             inner: Arc::new(CtxInner {
                 resumed: Mutex::new(false),
@@ -788,25 +691,6 @@ impl EventManager {
     /// stops dispatching.
     pub fn take_handoff(&self) -> Option<EventContext> {
         self.owned.with(|o| o.pending_handoff.take())
-    }
-}
-
-/// Cross-thread handle for queueing synthetic events on a core.
-#[derive(Clone)]
-pub struct Spawner {
-    shared: Arc<EmShared>,
-}
-
-impl Spawner {
-    /// Queues `f` on the target core.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.shared
-            .push_remote(SendEventHandler::new_send(move |()| f()));
-    }
-
-    /// The core this spawner targets.
-    pub fn core(&self) -> CoreId {
-        self.shared.core
     }
 }
 

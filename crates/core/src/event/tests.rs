@@ -279,92 +279,39 @@ fn timer_handler_can_arm_due_timer_for_same_drain() {
 }
 
 #[test]
-fn waker_slot_swaps_without_locks() {
+#[should_panic(expected = "waker already registered")]
+fn a_second_waker_registration_panics() {
     let (em, _) = em();
-    let hits = Arc::new(AtomicUsize::new(0));
-    let h = Arc::clone(&hits);
-    let w: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-        h.fetch_add(1, Ordering::SeqCst);
-    });
-    em.register_waker(Arc::clone(&w));
-    // Re-registering the same Arc is the loop's per-pass pattern.
-    em.register_waker(Arc::clone(&w));
-    let spawner = em.spawner();
-    spawner.spawn(|| ());
-    assert_eq!(hits.load(Ordering::SeqCst), 1, "push wakes exactly once");
-    // Replace with a fresh waker; the old one must not fire again.
-    let h2 = Arc::new(AtomicUsize::new(0));
-    let h3 = Arc::clone(&h2);
-    em.register_waker(Arc::new(move || {
-        h3.fetch_add(1, Ordering::SeqCst);
-    }));
-    spawner.spawn(|| ());
-    assert_eq!(hits.load(Ordering::SeqCst), 1);
-    assert_eq!(h2.load(Ordering::SeqCst), 1);
+    em.register_waker(Arc::new(|| ()));
+    em.register_waker(Arc::new(|| ()));
 }
 
 #[test]
-fn waker_registered_during_a_wake_wins() {
-    let (em, _) = em();
-    let shared = Arc::clone(&em.shared);
-    let (old_hits, new_hits) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-    let n = Arc::clone(&new_hits);
-    let replacement: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-        n.fetch_add(1, Ordering::SeqCst);
-    });
-    // The first waker re-registers from inside its own wake, while
-    // `wake` holds the slot's box and the slot is empty.
-    let (o, s, r) = (
-        Arc::clone(&old_hits),
-        Arc::clone(&shared),
-        Arc::clone(&replacement),
-    );
-    em.register_waker(Arc::new(move || {
-        o.fetch_add(1, Ordering::SeqCst);
-        s.waker.store(Arc::clone(&r));
-    }));
-    shared.wake();
-    // `wake` tried to put the old box back, lost to the new value,
-    // and freed the old waker (and with it its clone of `r`).
-    assert_eq!(Arc::strong_count(&replacement), 2, "ours and the slot's");
-    shared.wake();
-    shared.wake();
-    assert_eq!(old_hits.load(Ordering::SeqCst), 1);
-    assert_eq!(new_hits.load(Ordering::SeqCst), 2);
-}
-
-#[test]
-fn concurrent_wakes_and_registers_are_safe() {
-    let (em, _) = em();
-    let hits = Arc::new(AtomicUsize::new(0));
-    let spawner = em.spawner();
-    let mut threads = Vec::new();
+fn no_spawn_from_plain_threads_is_lost() {
+    const THREADS: usize = 4;
     let per_thread = if cfg!(miri) { 50 } else { 500 };
-    for _ in 0..4 {
-        let s = spawner.clone();
-        threads.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                s.spawn(|| ());
-            }
-        }));
-    }
-    for _ in 0..4 {
-        let h = Arc::clone(&hits);
-        let em_waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        // Racing re-registration against the wakers.
-        em.register_waker(Arc::clone(&em_waker));
-    }
-    for t in threads {
-        t.join().unwrap();
-    }
-    let _b = cpu::bind(CoreId(0));
+    let (em, _) = em();
+    let wakes = Arc::new(AtomicUsize::new(0));
+    let w = Arc::clone(&wakes);
+    em.register_waker(Arc::new(move || {
+        w.fetch_add(1, Ordering::SeqCst);
+    }));
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..per_thread {
+                    em.spawn_remote(|| ());
+                }
+            });
+        }
+    });
     assert_eq!(
-        em.drain(),
-        4 * per_thread,
-        "no spawn lost despite waker races"
+        wakes.load(Ordering::SeqCst),
+        THREADS * per_thread,
+        "one wake per spawn"
     );
+    let _b = cpu::bind(CoreId(0));
+    assert_eq!(em.drain(), THREADS * per_thread, "no spawn lost");
 }
 
 #[test]
@@ -381,16 +328,15 @@ fn quiescent_counter_bumps_per_event() {
 #[test]
 fn remote_spawn_crosses_threads() {
     let (em, _) = em();
-    let spawner = em.spawner();
     let counter = Arc::new(AtomicUsize::new(0));
     let c2 = Arc::clone(&counter);
-    std::thread::spawn(move || {
-        spawner.spawn(move || {
-            c2.fetch_add(1, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            em.spawn_remote(move || {
+                c2.fetch_add(1, Ordering::SeqCst);
+            });
         });
-    })
-    .join()
-    .unwrap();
+    });
     let _b = cpu::bind(CoreId(0));
     em.drain();
     assert_eq!(counter.load(Ordering::SeqCst), 1);
@@ -430,14 +376,12 @@ fn freed_vector_is_reused_and_unbound() {
 
 #[test]
 fn nested_spawn_from_handler() {
-    let (em, _) = em();
+    let em = Rc::new(em().0);
     let _b = cpu::bind(CoreId(0));
     let done = Arc::new(AtomicBool::new(false));
-    let d = Arc::clone(&done);
-    let spawner = em.spawner();
+    let (d, em2) = (Arc::clone(&done), Rc::clone(&em));
     em.spawn_local(move || {
-        let d = Arc::clone(&d);
-        spawner.spawn(move || d.store(true, Ordering::SeqCst));
+        em2.spawn_remote(move || d.store(true, Ordering::SeqCst));
     });
     em.drain();
     assert!(done.load(Ordering::SeqCst));

@@ -51,9 +51,8 @@ use super::stats::{add, bump, Counters};
 use crate::cpu::CoreId;
 use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 use crate::runtime::{self, Runtime};
-use crate::spinlock::SpinLock;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Capacity of a [`SizeClass::Small`] region: one Ethernet MTU
 /// plus header and alignment room. Covers frames, header buffers,
@@ -185,7 +184,7 @@ struct Mailbox {
 
 /// Free regions posted back by remote frees, one mailbox per home
 /// core (see [`PoolRoot`]).
-type Mailboxes = SpinLock<Vec<Mailbox>>;
+type Mailboxes = Mutex<Vec<Mailbox>>;
 
 /// The pool Ebb's shared root: per size class, one depot (the
 /// rendezvous cross-core watermark migration goes through) plus
@@ -199,7 +198,7 @@ type Mailboxes = SpinLock<Vec<Mailbox>>;
 /// first use.
 #[derive(Default)]
 pub struct PoolRoot {
-    depots: [SpinLock<Vec<FreeRegion>>; NUM_CLASSES],
+    depots: [Mutex<Vec<FreeRegion>>; NUM_CLASSES],
     /// `mailboxes[class][home_core]`, grown on demand.
     mailboxes: [Mailboxes; NUM_CLASSES],
     /// The runtime owning this pool, recorded by the first rep
@@ -213,14 +212,13 @@ pub struct PoolRoot {
 impl PoolRoot {
     /// Regions of `class` parked in this machine's depot.
     pub fn depot_len(&self, class: SizeClass) -> usize {
-        self.depots[class.index()].lock().len()
+        crate::lock(&self.depots[class.index()]).len()
     }
 
     /// Regions of `class` awaiting home-core pickup in mailboxes.
     #[cfg(test)]
     pub(super) fn mailbox_len(&self, class: SizeClass) -> usize {
-        self.mailboxes[class.index()]
-            .lock()
+        crate::lock(&self.mailboxes[class.index()])
             .iter()
             .map(|m| m.regions.len())
             .sum()
@@ -302,7 +300,7 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
             // core's mailbox (regions we allocated that crossed the
             // wire and were freed under another machine's runtime).
             {
-                let mut boxes = p.root.mailboxes[i].lock();
+                let mut boxes = crate::lock(&p.root.mailboxes[i]);
                 if let Some(mine) = boxes.get_mut(p.core.index()) {
                     if !mine.regions.is_empty() {
                         add(&p.counters.class_depot_out[i], mine.regions.len() as u64);
@@ -315,7 +313,7 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
                 bump(&p.counters.class_hits[i]);
                 break 'found r;
             }
-            let mut depot = p.root.depots[i].lock();
+            let mut depot = crate::lock(&p.root.depots[i]);
             if !depot.is_empty() {
                 let take = depot.len().min(class.batch());
                 let from = depot.len() - take;
@@ -368,7 +366,7 @@ pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
             // returns the regions to its depot instead of parking
             // them until its next dry allocation.
             let arm = {
-                let mut boxes = home.mailboxes[i].lock();
+                let mut boxes = crate::lock(&home.mailboxes[i]);
                 if boxes.len() <= home_core.index() {
                     boxes.resize_with(home_core.index() + 1, Mailbox::default);
                 }
@@ -393,7 +391,7 @@ pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
         if list.len() >= p.effective_watermark(class) {
             // Flush the cold end; recently freed regions stay local
             // for cache-warm reuse (same policy as the slab).
-            let mut depot = p.root.depots[i].lock();
+            let mut depot = crate::lock(&p.root.depots[i]);
             depot.extend(list.drain(..class.batch()));
             drop(depot);
             add(&p.counters.class_depot_in[i], class.batch() as u64);
@@ -466,7 +464,7 @@ pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
     with_pool(|p| {
         for class in SizeClass::ALL {
             let i = class.index();
-            let mut boxes = root.mailboxes[i].lock();
+            let mut boxes = crate::lock(&root.mailboxes[i]);
             let Some(mb) = boxes.get_mut(core.index()) else {
                 continue;
             };
@@ -477,7 +475,7 @@ pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
             list.extend(parked.drain(..keep));
             if !parked.is_empty() {
                 add(&p.counters.class_depot_in[i], parked.len() as u64);
-                p.root.depots[i].lock().extend(parked.drain(..));
+                crate::lock(&p.root.depots[i]).extend(parked.drain(..));
             }
         }
     });

@@ -12,6 +12,9 @@
 //!   cooperative context save/restore (§3.2), and [`block_on`], the one
 //!   way to wait for a value. Other threads hand a core work through a
 //!   [`queue::MutexQueue`], whose emptiness check is one atomic load.
+//! * [`cpu`] — core identity: which core the calling thread runs for.
+//!   Cross-core state is a `std::sync::Mutex` taken through [`lock`];
+//!   per-core state needs no lock.
 //! * [`future`] — the one-shot promise/future pair `block_on` waits on.
 //!   §3.5's other promises (a continuation runs synchronously on a ready
 //!   value; an error reaches the final consumer) are kept by the
@@ -54,7 +57,6 @@ pub mod queue;
 pub mod rcu;
 pub mod rcu_hash;
 pub mod runtime;
-pub mod spinlock;
 pub mod timer;
 
 pub use clock::{Clock, ManualClock, Ns, RealClock};
@@ -64,3 +66,16 @@ pub use event::{block_on, EventManager};
 pub use future::{Future, Promise};
 pub use iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 pub use runtime::Runtime;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the data even if a holder panicked. Every
+/// cross-core lock in the runtime is taken this way: the ambient
+/// runtime is process-wide, so a test that panics under one of its
+/// Ebb-table locks must not poison them for the next test. This keeps
+/// the behaviour of the spinlocks these mutexes replaced, which had no
+/// poisoning; the panics under them are type and wiring assertions.
+#[inline]
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

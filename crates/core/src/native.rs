@@ -20,7 +20,7 @@
 //! activation the roles reverse. At most one thread dispatches for a
 //! given core at any time.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::clock::{Clock, RealClock};
@@ -43,30 +43,32 @@ impl NativeMachine {
     pub fn boot_with_clock(ncores: usize, clock: Arc<dyn Clock>) -> Self {
         let rt = Runtime::new(ncores, clock);
         let threads = Arc::new(Mutex::new(Vec::new()));
-        // Install successor spawners so save_context works, then start
-        // the initial runner for every core.
+        // Every core gets one parker, which its waker unparks and all its
+        // runners park on, and a successor spawner so save_context
+        // works; then its first runner starts.
         for i in 0..ncores {
             let core = CoreId(i as u32);
             let em = rt.event_manager(core);
+            let parker = Arc::new(Parker::default());
+            let unpark = Arc::clone(&parker);
+            em.register_waker(Arc::new(move || unpark.unpark()));
             let spawn_rt = Arc::clone(&rt);
+            let spawn_parker = Arc::clone(&parker);
             let spawn_threads = Arc::clone(&threads);
             em.register_successor_spawner(Arc::new(move || {
-                let rt = Arc::clone(&spawn_rt);
+                let (rt, parker) = (Arc::clone(&spawn_rt), Arc::clone(&spawn_parker));
                 let h = std::thread::Builder::new()
                     .name(format!("ebbrt-{core}-succ"))
-                    .spawn(move || core_loop(rt, core))
+                    .spawn(move || core_loop(rt, core, &parker))
                     .expect("failed to spawn successor core thread");
-                spawn_threads.lock().expect("threads lock").push(h);
+                crate::lock(&spawn_threads).push(h);
             }));
-        }
-        for i in 0..ncores {
-            let core = CoreId(i as u32);
             let rt2 = Arc::clone(&rt);
             let h = std::thread::Builder::new()
                 .name(format!("ebbrt-{core}"))
-                .spawn(move || core_loop(rt2, core))
+                .spawn(move || core_loop(rt2, core, &parker))
                 .expect("failed to spawn core thread");
-            threads.lock().expect("threads lock").push(h);
+            crate::lock(&threads).push(h);
         }
         NativeMachine { rt, threads }
     }
@@ -90,10 +92,7 @@ impl NativeMachine {
         // Successor threads may still be registered while we join; drain
         // until the list stays empty.
         loop {
-            let batch: Vec<_> = {
-                let mut t = self.threads.lock().expect("threads lock");
-                t.drain(..).collect()
-            };
+            let batch: Vec<_> = crate::lock(&self.threads).drain(..).collect();
             if batch.is_empty() {
                 break;
             }
@@ -123,23 +122,51 @@ impl NativeMachine {
     }
 }
 
+/// Where every runner of one core parks: a wake token and a condvar.
+/// The core's waker sets the token, so a wake that arrives before the
+/// park is kept, and checking for work, then parking, loses none.
+#[derive(Default)]
+struct Parker {
+    token: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Parker {
+    fn unpark(&self) {
+        *crate::lock(&self.token) = true;
+        self.cv.notify_one();
+    }
+
+    /// Waits for the token, then clears it.
+    fn park(&self) {
+        let token = crate::lock(&self.token);
+        let mut token = self
+            .cv
+            .wait_while(token, |woken| !*woken)
+            .unwrap_or_else(PoisonError::into_inner);
+        *token = false;
+    }
+
+    /// Waits at most `timeout` for the token, then clears it.
+    fn park_timeout(&self, timeout: Duration) {
+        let token = crate::lock(&self.token);
+        let (mut token, _) = self
+            .cv
+            .wait_timeout_while(token, timeout, |woken| !*woken)
+            .unwrap_or_else(PoisonError::into_inner);
+        *token = false;
+    }
+}
+
 /// The per-core dispatch loop (also run by successor threads during
 /// cooperative-blocking handoffs).
-fn core_loop(rt: Arc<Runtime>, core: CoreId) {
+fn core_loop(rt: Arc<Runtime>, core: CoreId, parker: &Parker) {
     let _guard = runtime::enter(Arc::clone(&rt), core);
     let em = rt.event_manager(core);
-    // An unpark before the park makes the park return at once; a
-    // spurious return is harmless, as the loop re-checks for work.
-    let thread = std::thread::current();
-    let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || thread.unpark());
     loop {
         if em.exit_requested() {
             return;
         }
-        // (Re-)register our waker *before* checking for work so a raise
-        // between the check and the park still wakes us. A previous
-        // runner's waker may be installed after a handoff.
-        em.register_waker(Arc::clone(&waker));
         let progress = em.run_once();
         if let Some(ctx) = em.take_handoff() {
             // A saved context resumes; this thread stops dispatching.
@@ -158,14 +185,16 @@ fn core_loop(rt: Arc<Runtime>, core: CoreId) {
             core::hint::spin_loop();
             continue;
         }
+        // A wake since the checks above left the token set, and the
+        // park returns at once; a spurious return re-checks for work.
         match em.next_timer_deadline() {
             Some(deadline) => {
                 let now = rt.now_ns();
                 if deadline > now {
-                    std::thread::park_timeout(Duration::from_nanos(deadline - now));
+                    parker.park_timeout(Duration::from_nanos(deadline - now));
                 }
             }
-            None => std::thread::park(),
+            None => parker.park(),
         }
     }
 }
@@ -177,7 +206,6 @@ mod tests {
     use crate::cpu;
     use crate::event::block_on;
     use crate::future::promise;
-    use crate::spinlock::SpinBarrier;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -191,7 +219,7 @@ mod tests {
         let n = 4;
         let result = NativeMachine::run(n, move || {
             let rt = runtime::current();
-            let barrier = Arc::new(SpinBarrier::new(n));
+            let barrier = Arc::new(std::sync::Barrier::new(n));
             let seen = Arc::new(AtomicUsize::new(0));
             let futures: Vec<_> = (0..n)
                 .map(|i| {
@@ -442,6 +470,80 @@ mod tests {
         for em in rt.event_managers() {
             assert!(!em.pending_work(), "{} still has queued work", em.core());
         }
+        machine.shutdown();
+    }
+
+    #[test]
+    fn the_parker_keeps_one_token() {
+        let parker = Parker::default();
+        parker.unpark();
+        let start = std::time::Instant::now();
+        parker.park_timeout(Duration::from_secs(10));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a wake before the park was lost"
+        );
+        parker.unpark();
+        parker.unpark();
+        parker.park();
+        let start = std::time::Instant::now();
+        parker.park_timeout(Duration::from_millis(20));
+        assert!(
+            start.elapsed() >= Duration::from_millis(20),
+            "two wakes left a token behind"
+        );
+    }
+
+    /// Core 0's first runner is suspended in `block_on` while plain
+    /// threads spawn onto core 0: only the successor runner can run the
+    /// events, and it parks on the parker the core's waker unparks.
+    #[test]
+    fn wakes_reach_a_successor_runner() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 1_000;
+        let machine = NativeMachine::boot(1);
+        let rt = Arc::clone(machine.runtime());
+        let (release, released) = promise::<()>();
+        let (blocking_p, blocking) = std::sync::mpsc::channel();
+        let (returned_p, returned) = std::sync::mpsc::channel();
+        rt.spawn(CoreId(0), move || {
+            blocking_p.send(()).unwrap();
+            block_on(released);
+            returned_p.send(()).unwrap();
+        });
+        blocking.recv().unwrap();
+        // Long enough for the successor to find nothing and park, so the
+        // first spawn must wake a parked runner; without the pause the
+        // test still checks that every event runs.
+        std::thread::sleep(Duration::from_millis(20));
+        let ran = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        let ran = Arc::clone(&ran);
+                        rt.spawn(CoreId(0), move || {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                });
+            }
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while ran.load(Ordering::SeqCst) < THREADS * PER_THREAD {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} of {} events ran within 10 s: a wake missed the successor",
+                ran.load(Ordering::SeqCst),
+                THREADS * PER_THREAD,
+            );
+            std::thread::yield_now();
+        }
+        release.set_value(());
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the suspended event never returned");
+        assert!(!rt.event_manager(CoreId(0)).pending_work());
         machine.shutdown();
     }
 }

@@ -28,13 +28,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::clock::Ns;
 use crate::cpu::CoreId;
 use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 use crate::runtime::{self, Runtime};
-use crate::spinlock::SpinLock;
 
 /// Hard cap on traffic classes: class ids index small fixed arrays on
 /// hot paths (per-class budgets, per-class deadlines), and eight is
@@ -207,13 +206,13 @@ pub struct CounterHandle(usize);
 /// coordinating who goes first.
 #[derive(Default)]
 pub struct CounterRoot {
-    names: SpinLock<Vec<String>>,
+    names: Mutex<Vec<String>>,
 }
 
 impl CounterRoot {
     /// Registers `name` (or finds it), returning its handle.
     pub fn register(&self, name: &str) -> CounterHandle {
-        let mut names = self.names.lock();
+        let mut names = crate::lock(&self.names);
         if let Some(i) = names.iter().position(|n| n == name) {
             return CounterHandle(i);
         }
@@ -223,7 +222,7 @@ impl CounterRoot {
 
     /// The registered names, in handle order.
     pub fn names(&self) -> Vec<String> {
-        self.names.lock().clone()
+        crate::lock(&self.names).clone()
     }
 }
 
@@ -271,7 +270,7 @@ impl CounterRegistryEbb {
             return;
         }
         drop(cells);
-        let registered = self.root.names.lock().len();
+        let registered = crate::lock(&self.root.names).len();
         let mut cells = self.cells.borrow_mut();
         cells.resize_with(registered.max(h.0 + 1), || Cell::new(0));
         cells[h.0].set(n);

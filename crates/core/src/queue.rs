@@ -2,28 +2,25 @@
 //! manager's remote-spawn and interrupt queues (§3.2) and the simulated
 //! world's wake queue.
 //!
-//! A mutex-guarded deque whose length is mirrored in a `SeqCst` atomic
-//! beside it, so asking an empty queue whether it has anything — what
-//! an event loop does several times per pass — is one load and never
-//! takes the lock. The wake protocol relies on that length: see
-//! [`crate::event`]'s `AtomicArcCell`.
+//! A mutex-guarded deque whose length is mirrored in an atomic beside
+//! it, so asking an empty queue whether it has anything — what an event
+//! loop does several times per pass — is one load and never takes the
+//! lock. The length carries no wake protocol: a producer pushes, then
+//! calls the core's waker, and a waker that fires before the core parks
+//! is not lost (the threaded backend's parker keeps it as a token; the
+//! simulator is one thread).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// An unbounded multi-producer, multi-consumer FIFO queue with a
 /// lock-free length.
 pub struct MutexQueue<T> {
     inner: Mutex<VecDeque<T>>,
-    /// Items in `inner`. Written only with the lock held, after
-    /// the item is in place, so a reader that sees a non-zero
-    /// length finds the item. `SeqCst` on both sides: a consumer
-    /// that publishes "about to sleep" (a `SeqCst` write elsewhere)
-    /// and then reads an empty length here is ordered before the
-    /// push, so the pusher's later `SeqCst` read sees the consumer's
-    /// announcement — the guarantee the mutex used to give the
-    /// register-then-check wake-up pattern.
+    /// Items in `inner`. Stored (`Release`) only with the lock held,
+    /// after the item is in place, so a reader whose `Acquire` load
+    /// sees a non-zero length finds the item.
     len: AtomicUsize,
 }
 
@@ -36,17 +33,11 @@ impl<T> MutexQueue<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Pushes onto the back.
     pub fn push(&self, value: T) {
-        let mut q = self.lock();
+        let mut q = crate::lock(&self.inner);
         q.push_back(value);
-        self.len.store(q.len(), Ordering::SeqCst);
+        self.len.store(q.len(), Ordering::Release);
     }
 
     /// Pops from the front.
@@ -54,9 +45,9 @@ impl<T> MutexQueue<T> {
         if self.is_empty() {
             return None;
         }
-        let mut q = self.lock();
+        let mut q = crate::lock(&self.inner);
         let value = q.pop_front();
-        self.len.store(q.len(), Ordering::SeqCst);
+        self.len.store(q.len(), Ordering::Release);
         value
     }
 
@@ -67,7 +58,7 @@ impl<T> MutexQueue<T> {
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        self.len.load(Ordering::Acquire)
     }
 }
 

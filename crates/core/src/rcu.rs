@@ -36,10 +36,9 @@
 
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 
 use crate::cpu::CoreId;
-use crate::spinlock::SpinLock;
 
 /// Per-core quiescence state. The owning core's event loop bumps
 /// `count` at each event boundary; `in_event` brackets handler (or
@@ -199,7 +198,7 @@ struct Boxed<T> {
 /// retired and not yet reclaimed.
 pub struct RcuDomain {
     epochs: Box<[Arc<CoreEpoch>]>,
-    pending: SpinLock<Pending>,
+    pending: Mutex<Pending>,
 }
 
 impl RcuDomain {
@@ -210,7 +209,7 @@ impl RcuDomain {
                 .map(|_| Arc::new(CoreEpoch::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            pending: SpinLock::new(Pending {
+            pending: Mutex::new(Pending {
                 fresh: Batch::EMPTY,
                 waiting: Batch::EMPTY,
                 snapshot: vec![0; ncores].into_boxed_slice(),
@@ -256,7 +255,7 @@ impl RcuDomain {
         unsafe { item.as_ref() }
             .next
             .store(ptr::null_mut(), Ordering::Relaxed);
-        self.pending.lock().fresh.append(Batch {
+        crate::lock(&self.pending).fresh.append(Batch {
             head: item.as_ptr(),
             tail: item.as_ptr(),
             len: 1,
@@ -307,8 +306,9 @@ impl RcuDomain {
     /// so a pass that finds every core idle reclaims all there is.
     pub fn try_reclaim(&self) -> usize {
         let mut pending = match self.pending.try_lock() {
-            Some(p) => p,
-            None => return 0,
+            Ok(p) => p,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return 0,
         };
         let mut done = Batch::EMPTY;
         loop {
@@ -331,7 +331,7 @@ impl RcuDomain {
 
     /// Number of retired items awaiting a grace period.
     pub fn pending_count(&self) -> usize {
-        let pending = self.pending.lock();
+        let pending = crate::lock(&self.pending);
         pending.fresh.len + pending.waiting.len
     }
 
@@ -360,9 +360,10 @@ impl Drop for RcuDomain {
     fn drop(&mut self) {
         // All readers are gone when the domain is dropped; release
         // everything.
-        let pending = self.pending.get_mut();
+        let mut pending = crate::lock(&self.pending);
         let mut all = std::mem::replace(&mut pending.waiting, Batch::EMPTY);
         all.append(std::mem::replace(&mut pending.fresh, Batch::EMPTY));
+        drop(pending);
         all.reclaim_all();
     }
 }

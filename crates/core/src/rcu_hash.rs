@@ -7,7 +7,7 @@
 //!
 //! * **Readers** ([`RcuHashMap::get`], [`RcuHashMap::for_each`]) walk
 //!   bucket chains with plain acquire loads — no locks, no atomic RMW.
-//! * **Writers** serialize on an internal spinlock; removal unlinks the
+//! * **Writers** serialize on an internal mutex; removal unlinks the
 //!   node and *retires* it to the machine's [`RcuDomain`], so readers
 //!   that already hold the node keep a valid reference until the grace
 //!   period ends.
@@ -49,10 +49,9 @@ use std::hash::{Hash, Hasher};
 use std::mem::MaybeUninit;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::rcu::{RcuDomain, Retired};
-use crate::spinlock::SpinLock;
 
 /// One entry. `repr(C)` with the header first: the domain hands the
 /// header's address back to [`Pool::reclaim`], which is the node's.
@@ -105,7 +104,7 @@ impl<K, V> Node<K, V> {
 struct Pool<K, V> {
     /// Stack of free blocks, linked through `next[0]`; keys and values
     /// uninitialised.
-    free: SpinLock<FreeList<K, V>>,
+    free: Mutex<FreeList<K, V>>,
 }
 
 struct FreeList<K, V>(*mut Node<K, V>);
@@ -118,7 +117,7 @@ impl<K, V> Pool<K, V> {
     /// A block for a new entry: a reclaimed one if there is one.
     fn take(&self, hash: u64, key: K, value: V) -> *mut Node<K, V> {
         let recycled = {
-            let mut free = self.free.lock();
+            let mut free = crate::lock(&self.free);
             let p = free.0;
             // SAFETY: blocks on the free list are live allocations the
             // list owns; `next[0]` is its link.
@@ -173,7 +172,7 @@ impl<K, V> Pool<K, V> {
             (*node).value.assume_init_drop();
             Arc::from_raw(owner.map_addr(|a| a & !KEY_HANDED_ON).cast_const())
         };
-        let mut free = pool.free.lock();
+        let mut free = crate::lock(&pool.free);
         // SAFETY: still exclusively ours until the store below.
         unsafe { (*node).next[0].store(free.0, Ordering::Relaxed) };
         free.0 = node;
@@ -182,7 +181,7 @@ impl<K, V> Pool<K, V> {
 
 impl<K, V> Drop for Pool<K, V> {
     fn drop(&mut self) {
-        let mut p = self.free.get_mut().0;
+        let mut p = crate::lock(&self.free).0;
         while !p.is_null() {
             // SAFETY: free blocks came from `Box::into_raw` and belong
             // to the list; their `MaybeUninit` fields drop nothing.
@@ -289,7 +288,7 @@ pub struct RcuHashMap<K, V> {
     domain: Arc<RcuDomain>,
     table: AtomicPtr<Table<K, V>>,
     pool: Arc<Pool<K, V>>,
-    writer: SpinLock<Writer>,
+    writer: Mutex<Writer>,
     len: AtomicUsize,
 }
 
@@ -324,9 +323,9 @@ where
         RcuHashMap {
             table: AtomicPtr::new(Box::into_raw(Table::new(capacity, false))),
             pool: Arc::new(Pool {
-                free: SpinLock::new(FreeList(ptr::null_mut())),
+                free: Mutex::new(FreeList(ptr::null_mut())),
             }),
-            writer: SpinLock::new(Writer {
+            writer: Mutex::new(Writer {
                 since_resize: vec![0; domain.ncores()].into_boxed_slice(),
                 resized: false,
             }),
@@ -405,7 +404,7 @@ where
     {
         let q: &Q = key.borrow();
         let hash = Self::hash_of(q);
-        let mut w = self.writer.lock();
+        let mut w = crate::lock(&self.writer);
         let table = self.table();
         let bucket = table.bucket(hash);
         let shadowed = table
@@ -452,7 +451,7 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let hash = Self::hash_of(key);
-        let _w = self.writer.lock();
+        let _w = crate::lock(&self.writer);
         let table = self.table();
         let found = table
             .chain(table.bucket(hash))
@@ -677,7 +676,7 @@ mod tests {
 
     /// Blocks on the map's free list.
     fn free_blocks<K, V>(map: &RcuHashMap<K, V>) -> usize {
-        let free = map.pool.free.lock();
+        let free = crate::lock(&map.pool.free);
         let mut n = 0;
         let mut p = free.0;
         // SAFETY: free blocks are live allocations the list owns, and
@@ -806,13 +805,13 @@ mod tests {
     /// Held by each threaded test for its whole run: two of them at
     /// once on a two-core machine can starve one's readers inside a
     /// critical section until its writer is done, so nothing reclaims.
-    static THREADED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static THREADED: Mutex<()> = Mutex::new(());
 
     #[test]
     fn concurrent_readers_and_writer() {
         const STABLE: u64 = 100;
         const CHURN: u64 = 400;
-        let _one_at_a_time = THREADED.lock().unwrap_or_else(|e| e.into_inner());
+        let _one_at_a_time = crate::lock(&THREADED);
         let domain = Arc::new(RcuDomain::new(4));
         let map = Arc::new(RcuHashMap::<u64, u64>::with_capacity(
             Arc::clone(&domain),
@@ -901,7 +900,7 @@ mod tests {
     fn concurrent_readers_compare_heap_keys_the_writer_replaces() {
         const STABLE: usize = 64;
         const CHURN: usize = 64;
-        let _one_at_a_time = THREADED.lock().unwrap_or_else(|e| e.into_inner());
+        let _one_at_a_time = crate::lock(&THREADED);
         // Every key the same length, so a freed key buffer is the next
         // one the writer's allocations get back. A value's top bits
         // index its key's name: stable keys first, then the churn.
@@ -1032,7 +1031,7 @@ mod tests {
                     2 => proptest::prop_assert_eq!(map.remove(&k), model.remove(&k).is_some()),
                     3 if map.capacity() < 256 => {
                         let cap = map.capacity();
-                        map.resize(&mut map.writer.lock(), cap * 2);
+                        map.resize(&mut crate::lock(&map.writer), cap * 2);
                     }
                     _ => {}
                 }

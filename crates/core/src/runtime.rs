@@ -11,14 +11,13 @@
 //! plus a hosted instance) inside one deterministic simulation.
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::clock::{Clock, Ns};
 use crate::cpu::{self, CoreBinding, CoreId};
 use crate::ebb::{EbbManager, EbbRef, MulticoreEbb, SystemEbb};
 use crate::event::EventManager;
 use crate::rcu::RcuDomain;
-use crate::spinlock::SpinLock;
 
 /// Default Ebb id capacity per machine.
 pub const DEFAULT_EBB_CAPACITY: usize = 4096;
@@ -269,7 +268,7 @@ struct AmbientLeases {
     next: u32,
 }
 
-static AMBIENT_LEASES: SpinLock<AmbientLeases> = SpinLock::new(AmbientLeases {
+static AMBIENT_LEASES: Mutex<AmbientLeases> = Mutex::new(AmbientLeases {
     free: Vec::new(),
     next: 0,
 });
@@ -279,7 +278,7 @@ struct AmbientLease(u32);
 
 impl Drop for AmbientLease {
     fn drop(&mut self) {
-        AMBIENT_LEASES.lock().free.push(self.0);
+        crate::lock(&AMBIENT_LEASES).free.push(self.0);
     }
 }
 
@@ -332,7 +331,7 @@ pub fn ambient() -> Arc<Runtime> {
 #[cold]
 fn init_ambient_ctx() -> (*const Runtime, u32) {
     let id = {
-        let mut pool = AMBIENT_LEASES.lock();
+        let mut pool = crate::lock(&AMBIENT_LEASES);
         pool.free.pop().unwrap_or_else(|| {
             let id = pool.next;
             assert!(
@@ -365,8 +364,8 @@ fn with_ambient<R>(f: impl FnOnce(&Runtime, CoreId) -> R) -> R {
     };
     let core = CoreId(core);
     // Bind for the duration so per-core assertions (rep installation,
-    // `CoreLocal`) see the ambient identity; nests over any explicit
-    // `cpu::bind` the caller holds.
+    // the event manager's owner state) see the ambient identity; nests
+    // over any explicit `cpu::bind` the caller holds.
     let _bind = cpu::bind(core);
     // SAFETY: `p` mirrors `AMBIENT_CTX`, whose `Arc` lives until thread
     // exit (and the pointee is additionally pinned process-wide by the

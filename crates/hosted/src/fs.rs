@@ -33,14 +33,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
     DistributedEbb, EbbId, EbbManager, EbbRef, MulticoreEbb, RemoteShipper, SystemEbb,
 };
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::spinlock::SpinLock;
 
 use crate::messenger::Messenger;
 use crate::remote::{self, wire};
@@ -60,7 +59,7 @@ const WRITE_COMPACT_FACTOR: usize = 4;
 /// The FileSystem Ebb's root: the hosted machine's in-memory
 /// filesystem.
 pub struct FsServer {
-    files: SpinLock<HashMap<String, Chain<IoBuf>>>,
+    files: Mutex<HashMap<String, Chain<IoBuf>>>,
     requests: AtomicU64,
 }
 
@@ -71,7 +70,7 @@ impl FsServer {
     /// over `messenger`.
     pub fn start(messenger: &Rc<Messenger>) -> Arc<FsServer> {
         let server = Arc::new(FsServer {
-            files: SpinLock::new(HashMap::new()),
+            files: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
         });
         let rt = messenger.netif().machine().runtime();
@@ -84,7 +83,7 @@ impl FsServer {
     /// Pre-populates a file (test/setup convenience).
     pub fn put(&self, path: &str, data: Vec<u8>) {
         let data = Chain::single(MutIoBuf::from_vec(data).freeze());
-        self.files.lock().insert(path.to_string(), data);
+        ebbrt_core::lock(&self.files).insert(path.to_string(), data);
     }
 
     /// Requests served, local and shipped (diagnostic).
@@ -104,10 +103,10 @@ impl FsServer {
             OP_WRITE => {
                 let mut data = r.tail().into_chain();
                 data.compact_if_amplified(0, WRITE_COMPACT_FACTOR);
-                self.files.lock().insert(path, data);
+                ebbrt_core::lock(&self.files).insert(path, data);
             }
             OP_READ | OP_STAT => {
-                let files = self.files.lock();
+                let files = ebbrt_core::lock(&self.files);
                 let Some(data) = files.get(&path) else {
                     return refused();
                 };

@@ -10,11 +10,10 @@
 //! its C++ implementation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
-use ebbrt_core::spinlock::SpinLock;
 
 use crate::buddy::{order_bytes, order_for_bytes};
 use crate::page::{PageAllocator, PageAllocatorRoot};
@@ -32,7 +31,7 @@ pub struct GpRoot {
     page_allocator: EbbRef<PageAllocator>,
     /// Live large allocations: address → order (the "virtual memory
     /// region" bookkeeping).
-    large: SpinLock<HashMap<Addr, u32>>,
+    large: Mutex<HashMap<Addr, u32>>,
 }
 
 impl GpRoot {
@@ -44,13 +43,13 @@ impl GpRoot {
         GpRoot {
             classes,
             page_allocator,
-            large: SpinLock::new(HashMap::new()),
+            large: Mutex::new(HashMap::new()),
         }
     }
 
     /// Number of live large allocations.
     pub fn large_count(&self) -> usize {
-        self.large.lock().len()
+        ebbrt_core::lock(&self.large).len()
     }
 }
 
@@ -124,16 +123,13 @@ impl GpAllocator {
             .page_allocator
             .with(|p| p.alloc(order))
             .expect("page allocator exhausted on large allocation");
-        self.root.large.lock().insert(addr, order);
+        ebbrt_core::lock(&self.root.large).insert(addr, order);
         addr
     }
 
     #[cold]
     fn free_large(&self, addr: Addr) {
-        let order = self
-            .root
-            .large
-            .lock()
+        let order = ebbrt_core::lock(&self.root.large)
             .remove(&addr)
             .expect("large free of unknown address");
         self.root.page_allocator.with(|p| p.free(addr, order));

@@ -8,11 +8,10 @@
 //! handlers (e.g. slab depots, application caches) are asked to release
 //! memory before the allocation is retried.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::MulticoreEbb;
-use ebbrt_core::spinlock::SpinLock;
 
 use crate::buddy::{order_bytes, BuddyAllocator};
 use crate::{Addr, Topology};
@@ -25,9 +24,9 @@ pub type PressureHandler = Box<dyn Fn(usize) -> usize + Send + Sync>;
 pub struct PageAllocatorRoot {
     topology: Topology,
     /// One buddy per node, covering a contiguous address slice.
-    nodes: Vec<SpinLock<BuddyAllocator>>,
+    nodes: Vec<Mutex<BuddyAllocator>>,
     node_span: usize,
-    pressure_handlers: SpinLock<Vec<PressureHandler>>,
+    pressure_handlers: Mutex<Vec<PressureHandler>>,
 }
 
 impl PageAllocatorRoot {
@@ -36,13 +35,13 @@ impl PageAllocatorRoot {
     pub fn new(topology: Topology, region_order: u32) -> Self {
         let node_span = order_bytes(region_order);
         let nodes = (0..topology.nnodes)
-            .map(|n| SpinLock::new(BuddyAllocator::new(n * node_span, region_order)))
+            .map(|n| Mutex::new(BuddyAllocator::new(n * node_span, region_order)))
             .collect();
         PageAllocatorRoot {
             topology,
             nodes,
             node_span,
-            pressure_handlers: SpinLock::new(Vec::new()),
+            pressure_handlers: Mutex::new(Vec::new()),
         }
     }
 
@@ -53,7 +52,7 @@ impl PageAllocatorRoot {
 
     /// Registers a memory-pressure handler.
     pub fn register_pressure_handler(&self, h: PressureHandler) {
-        self.pressure_handlers.lock().push(h);
+        ebbrt_core::lock(&self.pressure_handlers).push(h);
     }
 
     /// Node owning `addr`.
@@ -63,7 +62,10 @@ impl PageAllocatorRoot {
 
     /// Total free bytes across all nodes.
     pub fn free_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.lock().free_bytes()).sum()
+        self.nodes
+            .iter()
+            .map(|n| ebbrt_core::lock(n).free_bytes())
+            .sum()
     }
 
     /// Allocates preferring `node`, falling back to the other nodes, and
@@ -75,7 +77,7 @@ impl PageAllocatorRoot {
         // Ask caches to release memory, then retry once (the paper's
         // pressure propagation).
         let wanted = order_bytes(order);
-        let handlers = self.pressure_handlers.lock();
+        let handlers = ebbrt_core::lock(&self.pressure_handlers);
         let mut released = 0;
         for h in handlers.iter() {
             released += h(wanted);
@@ -88,14 +90,14 @@ impl PageAllocatorRoot {
     }
 
     fn try_alloc(&self, node: usize, order: u32) -> Option<Addr> {
-        if let Some(a) = self.nodes[node].lock().alloc(order) {
+        if let Some(a) = ebbrt_core::lock(&self.nodes[node]).alloc(order) {
             return Some(a);
         }
         for (i, other) in self.nodes.iter().enumerate() {
             if i == node {
                 continue;
             }
-            if let Some(a) = other.lock().alloc(order) {
+            if let Some(a) = ebbrt_core::lock(other).alloc(order) {
                 return Some(a);
             }
         }
@@ -105,7 +107,7 @@ impl PageAllocatorRoot {
     /// Frees a block, routing it to its owning node's buddy.
     pub fn free(&self, addr: Addr, order: u32) {
         let node = self.node_of_addr(addr);
-        self.nodes[node].lock().free(addr, order);
+        ebbrt_core::lock(&self.nodes[node]).free(addr, order);
     }
 }
 
@@ -220,10 +222,10 @@ mod tests {
     #[test]
     fn pressure_handler_that_releases_lets_alloc_succeed() {
         let root = Arc::new(root2());
-        let hoard: Arc<SpinLock<Vec<Addr>>> = Arc::new(SpinLock::new(Vec::new()));
+        let hoard: Arc<Mutex<Vec<Addr>>> = Arc::new(Mutex::new(Vec::new()));
         // Hoard all of both nodes' pages at order 0.
         {
-            let mut h = hoard.lock();
+            let mut h = ebbrt_core::lock(&hoard);
             while let Some(a) = root.alloc_on(0, 0) {
                 h.push(a);
             }
@@ -232,7 +234,7 @@ mod tests {
         let h2 = Arc::clone(&hoard);
         root.register_pressure_handler(Box::new(move |_| {
             let mut freed = 0;
-            let mut h = h2.lock();
+            let mut h = ebbrt_core::lock(&h2);
             for _ in 0..4 {
                 if let Some(a) = h.pop() {
                     r2.free(a, 0);

@@ -6,7 +6,7 @@
 //! synchronization** — not even atomics — which is sound because events
 //! are non-preemptive and reps are never shared across cores. When the
 //! local list runs dry the rep pulls a batch from the shared *depot*
-//! (spinlocked, touched rarely); when it overflows, it pushes a batch
+//! (behind a mutex, touched rarely); when it overflows, it pushes a batch
 //! back. Fresh memory comes from the page allocator Ebb, carved into
 //! objects. Because the number of cores is static, this balancing is
 //! far simpler than the dynamic per-thread schemes of TCMalloc and
@@ -14,11 +14,10 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
-use ebbrt_core::spinlock::SpinLock;
 
 use crate::buddy::order_bytes;
 use crate::page::PageAllocator;
@@ -36,7 +35,7 @@ pub struct SlabRoot {
     /// Order of the page blocks carved into objects.
     slab_order: u32,
     page_allocator: EbbRef<PageAllocator>,
-    depot: SpinLock<Vec<Addr>>,
+    depot: Mutex<Vec<Addr>>,
     /// Total objects carved out of pages so far (diagnostic).
     carved: AtomicUsize,
     /// Pages requested from the page allocator (diagnostic).
@@ -62,7 +61,7 @@ impl SlabRoot {
             obj_size,
             slab_order,
             page_allocator,
-            depot: SpinLock::new(Vec::new()),
+            depot: Mutex::new(Vec::new()),
             carved: AtomicUsize::new(0),
             pages_allocated: AtomicUsize::new(0),
         }
@@ -85,7 +84,7 @@ impl SlabRoot {
 
     /// Objects currently parked in the depot.
     pub fn depot_len(&self) -> usize {
-        self.depot.lock().len()
+        ebbrt_core::lock(&self.depot).len()
     }
 }
 
@@ -144,7 +143,7 @@ impl SlabAllocator {
             self.depot_trips.set(self.depot_trips.get() + 1);
             let batch: Vec<Addr> = free.drain(..BATCH).collect();
             drop(free);
-            self.root.depot.lock().extend(batch);
+            ebbrt_core::lock(&self.root.depot).extend(batch);
         }
     }
 
@@ -168,7 +167,7 @@ impl SlabAllocator {
         self.depot_trips.set(self.depot_trips.get() + 1);
         // Try the depot first.
         {
-            let mut depot = self.root.depot.lock();
+            let mut depot = ebbrt_core::lock(&self.root.depot);
             if !depot.is_empty() {
                 let take = depot.len().min(BATCH);
                 let from = depot.len() - take;

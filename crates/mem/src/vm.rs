@@ -14,9 +14,7 @@
 //! demand-pages.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use ebbrt_core::spinlock::SpinLock;
+use std::sync::{Arc, Mutex};
 
 use crate::{Addr, PAGE_SHIFT, PAGE_SIZE};
 
@@ -46,8 +44,8 @@ pub struct RegionHandle(usize);
 
 /// The per-machine virtual region manager.
 pub struct VirtualMemory {
-    regions: SpinLock<Vec<Region>>,
-    next_base: SpinLock<Addr>,
+    regions: Mutex<Vec<Region>>,
+    next_base: Mutex<Addr>,
     faults: AtomicU64,
 }
 
@@ -59,8 +57,8 @@ impl VirtualMemory {
     /// Creates an empty manager.
     pub fn new() -> Arc<Self> {
         Arc::new(VirtualMemory {
-            regions: SpinLock::new(Vec::new()),
-            next_base: SpinLock::new(Self::APP_VA_BASE),
+            regions: Mutex::new(Vec::new()),
+            next_base: Mutex::new(Self::APP_VA_BASE),
             faults: AtomicU64::new(0),
         })
     }
@@ -69,11 +67,11 @@ impl VirtualMemory {
     /// invoked on faults.
     pub fn allocate_region(&self, len: usize, handler: FaultHandler) -> RegionHandle {
         let pages = len.div_ceil(PAGE_SIZE).max(1);
-        let mut base = self.next_base.lock();
+        let mut base = ebbrt_core::lock(&self.next_base);
         let region_base = *base;
         *base += pages * PAGE_SIZE;
         drop(base);
-        let mut regions = self.regions.lock();
+        let mut regions = ebbrt_core::lock(&self.regions);
         regions.push(Region {
             base: region_base,
             pages,
@@ -85,12 +83,12 @@ impl VirtualMemory {
 
     /// Base address of `region`.
     pub fn base(&self, region: RegionHandle) -> Addr {
-        self.regions.lock()[region.0].base
+        ebbrt_core::lock(&self.regions)[region.0].base
     }
 
     /// Size of `region` in pages.
     pub fn pages(&self, region: RegionHandle) -> usize {
-        self.regions.lock()[region.0].pages
+        ebbrt_core::lock(&self.regions)[region.0].pages
     }
 
     /// Accesses the page containing `addr`; faults if unmapped.
@@ -101,7 +99,7 @@ impl VirtualMemory {
     /// declines the fault (an unhandled page fault — fatal on real
     /// hardware too).
     pub fn touch(&self, region: RegionHandle, addr: Addr) -> Touch {
-        let mut regions = self.regions.lock();
+        let mut regions = ebbrt_core::lock(&self.regions);
         let r = &mut regions[region.0];
         assert!(
             addr >= r.base && addr < r.base + r.pages * PAGE_SIZE,
@@ -121,7 +119,7 @@ impl VirtualMemory {
     /// Pre-maps `count` pages starting at `first_page` without faulting
     /// (EbbRT's aggressive mapping policy).
     pub fn map_range(&self, region: RegionHandle, first_page: usize, count: usize) {
-        let mut regions = self.regions.lock();
+        let mut regions = ebbrt_core::lock(&self.regions);
         let r = &mut regions[region.0];
         for p in first_page..(first_page + count).min(r.pages) {
             r.mapped[p] = true;
@@ -131,7 +129,7 @@ impl VirtualMemory {
     /// Unmaps `count` pages starting at `first_page` (subsequent touches
     /// fault again).
     pub fn unmap_range(&self, region: RegionHandle, first_page: usize, count: usize) {
-        let mut regions = self.regions.lock();
+        let mut regions = ebbrt_core::lock(&self.regions);
         let r = &mut regions[region.0];
         for p in first_page..(first_page + count).min(r.pages) {
             r.mapped[p] = false;

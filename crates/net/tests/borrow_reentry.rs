@@ -1,9 +1,10 @@
-//! Regression tests for the `RefCell` side tables consulted during
-//! callbacks: `udp_bindings` and `arp_retries`. Both are borrowed on
-//! the receive/timer path that *invokes* application code, so the
-//! discipline is transient borrows only — a handler that re-enters
-//! `udp_bind`, or whose send triggers a fresh ARP resolution, must
-//! find a released table, not a panic.
+//! Regression tests for the `RefCell` tables consulted during
+//! callbacks: `udp_bindings` and the `ArpCache` entries, whose pending
+//! entry holds a resolution's waiters and its retry count. Both are
+//! borrowed on the receive/timer path that *invokes* application code,
+//! so the discipline is transient borrows only — a handler that
+//! re-enters `udp_bind`, or whose send triggers a fresh ARP resolution,
+//! must find a released table, not a panic.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -78,10 +79,11 @@ fn udp_handler_triggering_fresh_arp_resolution_does_not_reenter_tables() {
 
     // The server's handler answers every datagram by sending to an
     // address nobody owns: delivery (a `udp_bindings` borrow just
-    // released) immediately drives `udp_send` → ARP miss →
-    // `arp_retries` insert. The resolution then retries to exhaustion
-    // on its timer — `arp_retry_fire` removes/re-inserts around its
-    // own output — while more datagrams keep arriving.
+    // released) immediately drives `udp_send` → ARP miss → a pending
+    // `ArpCache` entry. The resolution then retries to exhaustion on
+    // its timer — `arp_retry_fire` counts the try in the entry, then
+    // sends with the cache released — while more datagrams keep
+    // arriving.
     let hits = Rc::new(Cell::new(0u32));
     {
         let hits = Rc::clone(&hits);
@@ -114,8 +116,8 @@ fn udp_handler_triggering_fresh_arp_resolution_does_not_reenter_tables() {
 
 #[test]
 fn connect_to_dead_address_fails_conns_queued_behind_one_resolution() {
-    // Two connects to the same unresolvable address share one
-    // `arp_retries` entry; exhaustion must fail *both* handshakes
+    // Two connects to the same unresolvable address wait on one
+    // pending `ArpCache` entry; exhaustion must fail *both* handshakes
     // (on_close without on_connected), not leak one in SynSent.
     use ebbrt_net::netif::{ConnHandler, TcpConn};
 
