@@ -30,7 +30,7 @@ mod rng;
 pub mod stats;
 pub mod webserver;
 
-pub use ebbrt_sim::SendCell;
+pub use ebbrt_core::runtime::SendCell;
 
 /// Spawns `f(v)` as an event on `core` of `machine`, smuggling the
 /// non-`Send` `v` through a [`SendCell`].

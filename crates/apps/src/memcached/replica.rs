@@ -36,6 +36,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
+use ebbrt_core::clock::charge;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
     DistributedEbb, EbbId, EbbRef, HashRing, MulticoreEbb, RemoteError, RemoteResult,
@@ -44,7 +45,6 @@ use ebbrt_core::ebb::{
 use ebbrt_core::event::OnceFn;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::runtime::{self, Runtime};
-use ebbrt_sim::world::charge;
 
 use super::server::{at_rest, Store, APP_BASE_NS};
 use super::shardop::{self, PageHeader, PullReq, ShardOp};

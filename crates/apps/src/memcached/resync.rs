@@ -9,9 +9,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use ebbrt_core::clock::charge;
 use ebbrt_core::ebb::{EbbId, RemoteResult};
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_sim::world::charge;
 
 use super::replica::{shipper_for, ShardRoot, STATE_SERVING};
 use super::shardop::{self, PullReq};

@@ -8,6 +8,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ebbrt_core::clock::{charge, charged_so_far};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
 use ebbrt_core::iobuf::{Chain, IoBuf};
@@ -15,7 +16,6 @@ use ebbrt_core::qos::{self, CounterHandle};
 use ebbrt_core::rcu_hash::RcuHashMap;
 use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_net::netif::{local_netif, try_local_netif, ConnHandler, TcpConn};
-use ebbrt_sim::world::{charge, charged_so_far};
 use ebbrt_sim::SimMachine;
 
 use super::codec::{
@@ -589,8 +589,7 @@ mod tests {
     use ebbrt_core::iobuf::{Buf, MutIoBuf};
     use ebbrt_net::netif::NetIf;
     use ebbrt_net::types::Ipv4Addr;
-    use ebbrt_net::Lan;
-    use ebbrt_sim::CostProfile;
+    use ebbrt_sim::{CostProfile, Lan};
 
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 

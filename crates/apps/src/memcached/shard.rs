@@ -33,11 +33,11 @@ use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::{Arc, RwLock};
 
+use ebbrt_core::clock::charge;
 use ebbrt_core::ebb::{EbbId, HashRing};
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos;
 use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
-use ebbrt_sim::world::charge;
 
 use super::codec::{
     push_hit, push_status, Header, KeyBuf, MEMCACHED_PORT, OP_GET, OP_SET, STATUS_KEY_NOT_FOUND,
@@ -352,10 +352,7 @@ impl ShardedServerConn {
 /// keeps the invariant structural rather than relying on who issued.
 fn on_conn_core(conn: &TcpConn, f: impl FnOnce() + 'static) {
     ebbrt_core::runtime::with_current_on(|rt, current| match conn.core() {
-        Some(home) if home != current => {
-            let cell = crate::SendCell::new(f);
-            rt.spawn(home, move || cell.into_inner()());
-        }
+        Some(home) if home != current => rt.spawn_local(home, f),
         _ => f(),
     });
 }

@@ -23,8 +23,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimWorld};
+use ebbrt_sim::{CostProfile, Lan, SimWorld};
 
 use crate::memcached::{self, Client, Header, Store, Workload, MEMCACHED_PORT};
 use crate::rng::SplitMix64;
@@ -303,10 +302,17 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
         [0xAA, 0, 0, 0, 0, 1],
         server_ip,
     );
+    // The client runs EbbRT with the server's driver settings: an
+    // experiment's driver is one configuration on both machines.
+    let client_profile = CostProfile {
+        rx_burst_frames: config.server_profile.rx_burst_frames,
+        poll_enter_burst: config.server_profile.poll_enter_burst,
+        ..CostProfile::ebbrt_vm()
+    };
     let (client, c_if) = lan.machine(
         "client",
         config.client_cores,
-        CostProfile::ebbrt_vm(),
+        client_profile,
         [0xBB, 0, 0, 0, 0, 1],
         Ipv4Addr::new(10, 0, 0, 2),
     );
@@ -363,14 +369,12 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
 
     // Warmup end: start measuring.
     {
-        let measuring = crate::SendCell::new(Rc::clone(&measuring));
+        let m = Rc::clone(&measuring);
         let warmup = config.warmup_ns;
-        client.spawn_on(CoreId(0), move || {
+        client.spawn_local(CoreId(0), move || {
             ebbrt_core::runtime::with_current(|rt| {
-                let m = measuring.into_inner();
-                rt.local_event_manager().set_timer(warmup, move || {
-                    m.set(true);
-                });
+                rt.local_event_manager()
+                    .set_timer(warmup, move || m.set(true));
             });
         });
     }

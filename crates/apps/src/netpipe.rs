@@ -18,8 +18,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine};
+use ebbrt_sim::{CostProfile, Lan, SimMachine};
 
 use crate::spawn_with;
 

@@ -15,14 +15,12 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ebbrt_core::clock::Ns;
+use ebbrt_core::clock::{charge, Ns};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::world::charge;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 use crate::spawn_with;
 use crate::stats::LatencyRecorder;
@@ -217,12 +215,10 @@ impl ConnHandler for WrkConn {
             // The event system resolves through its well-known Ebb id.
             let sent_at = Rc::clone(&self.sent_at);
             let request = self.request.clone();
-            let cell = crate::SendCell::new((conn, sent_at, request));
             let think = self.think_ns;
             ebbrt_core::runtime::event_manager_ref().with(|e| {
                 e.with_em(|em| {
                     em.set_timer(think, move || {
-                        let (conn, sent_at, request) = cell.into_inner();
                         sent_at.set(ebbrt_core::runtime::with_current(|rt| rt.now_ns()));
                         let _ = conn.send(Chain::single(request));
                     });
@@ -289,10 +285,9 @@ pub fn run(profile: &CostProfile, connections: usize, think_ns: Ns) -> Webserver
     let warmup: Ns = 50_000_000;
     let duration: Ns = 400_000_000;
     {
-        let m = crate::SendCell::new(Rc::clone(&measuring));
-        client.spawn_on(CoreId(0), move || {
+        let flag = Rc::clone(&measuring);
+        client.spawn_local(CoreId(0), move || {
             ebbrt_core::runtime::with_current(|rt| {
-                let flag = m.into_inner();
                 rt.local_event_manager()
                     .set_timer(warmup, move || flag.set(true));
             });

@@ -29,8 +29,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{pool, stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime::Runtime;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 /// Bytes in the benched value.
 const VALUE_LEN: usize = 512;

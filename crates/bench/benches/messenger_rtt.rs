@@ -25,8 +25,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::EbbId;
 use ebbrt_hosted::messenger::{local_messenger, Messenger};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 /// Calls per ping-pong run.
 const RPC_ROUNDS: u32 = 256;

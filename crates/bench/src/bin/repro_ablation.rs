@@ -17,9 +17,9 @@ use ebbrt_hosted::fs::{fs_ref, CachingFsClient, FsServer, FS_EBB_ID};
 use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
 use ebbrt_hosted::remote::MessengerTransport;
+use ebbrt_net::driver::POLL_ENTER_BURST;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 fn ablation_polling() {
     println!("-- ablation 1: adaptive polling vs interrupt-only (memcached, 1 core) --");
@@ -28,14 +28,16 @@ fn ablation_polling() {
         "driver", "offered", "achieved", "mean_us", "p99_us"
     );
     for load in [200_000u64, 260_000] {
-        for (name, burst) in [("adaptive", None), ("interrupt-only", Some(usize::MAX))] {
-            // Interrupt-only mode: an enter threshold no burst reaches.
-            if let Some(t) = burst {
-                ebbrt_net::driver::set_poll_enter_burst(t);
-            } else {
-                ebbrt_net::driver::set_poll_enter_burst(ebbrt_net::driver::POLL_ENTER_BURST);
-            }
-            let cfg = ExperimentConfig::new(1, CostProfile::ebbrt_vm(), load);
+        // Interrupt-only mode: an enter threshold no burst reaches.
+        for (name, threshold) in [
+            ("adaptive", POLL_ENTER_BURST),
+            ("interrupt-only", usize::MAX),
+        ] {
+            let profile = CostProfile {
+                poll_enter_burst: threshold,
+                ..CostProfile::ebbrt_vm()
+            };
+            let cfg = ExperimentConfig::new(1, profile, load);
             let s = mutilate::run(&cfg);
             println!(
                 "{:<16} {:>10} {:>12.0} {:>10.1} {:>10.1}",
@@ -43,7 +45,6 @@ fn ablation_polling() {
             );
         }
     }
-    ebbrt_net::driver::set_poll_enter_burst(ebbrt_net::driver::POLL_ENTER_BURST);
 }
 
 fn ablation_fs_caching() {

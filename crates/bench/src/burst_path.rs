@@ -1,8 +1,8 @@
 //! The vectorized dataplane, measured: per-burst vs per-packet
 //! receive processing over the same pipelined memcached workload.
 //!
-//! The driver's burst size is forced via
-//! [`ebbrt_net::driver::set_rx_burst_frames`]: `1` routes every frame
+//! The driver's burst size is forced per machine via
+//! [`CostProfile::rx_burst_frames`]: `1` routes every frame
 //! through the vector path one at a time (the per-packet baseline —
 //! same code, no amortization), larger values let the driver hand the
 //! stack whole bursts, which the stack turns into per-PCB runs: one
@@ -24,11 +24,9 @@ use std::time::Instant;
 use ebbrt_apps::memcached::{self, Client};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::IoBuf;
-use ebbrt_net::driver::{set_rx_burst_frames, RX_BURST};
 use ebbrt_net::netif::BURST_BUCKET_LO;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 use crate::script::GetLoop;
 
@@ -72,27 +70,15 @@ impl BurstReport {
     }
 }
 
-/// Forces the driver to `frames` per receive burst until the returned
-/// guard drops (the default comes back even on panic).
-pub fn force_rx_burst(frames: usize) -> impl Drop {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_rx_burst_frames(RX_BURST);
-        }
-    }
-    set_rx_burst_frames(frames);
-    Restore
-}
-
 /// Runs the pipelined GET workload with the driver forced to
 /// `burst_frames` per receive burst.
 pub fn run(burst_frames: usize) -> BurstReport {
-    let _guard = force_rx_burst(burst_frames);
-
     let lan = Lan::new();
     let w = &lan.world;
-    let vm = CostProfile::ebbrt_vm;
+    let vm = || CostProfile {
+        rx_burst_frames: burst_frames,
+        ..CostProfile::ebbrt_vm()
+    };
     let server_ip = Ipv4Addr::new(10, 0, 0, 1);
     let (server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
     let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
@@ -194,6 +180,7 @@ pub fn assert_beats_per_packet(per_packet: &BurstReport, per_burst: &BurstReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebbrt_net::driver::RX_BURST;
 
     /// The acceptance gate, in-tree: per-burst receive processing
     /// beats per-packet on the same pipelined workload at burst sizes

@@ -60,8 +60,8 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_hosted::global_map;
 use ebbrt_hosted::remote::RetryPolicy;
 use ebbrt_net::netif::local_netif;
+use ebbrt_net::nic::rss_hash;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::nic::rss_hash;
 
 use crate::dist_memcached::{
     add_shard, build_replicated_with_spares, key_for_range, members_of, range_id, resync_machine,

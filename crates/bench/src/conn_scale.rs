@@ -43,8 +43,7 @@ use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine};
+use ebbrt_sim::{CostProfile, Lan, SimMachine};
 
 /// Connections per client machine, comfortably inside the ephemeral
 /// port range (33000..60000) a single machine can mint.

@@ -34,8 +34,7 @@ use ebbrt_hosted::global_map::{self, GlobalIdMap, GlobalIdMapServer};
 use ebbrt_hosted::messenger::Messenger;
 use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, Lan, SimMachine, SimWorld, Switch};
 
 /// IP of shard `i`.
 pub fn shard_ip(i: usize) -> Ipv4Addr {

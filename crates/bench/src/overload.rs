@@ -33,8 +33,7 @@ use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, ClassConfig, QosConfig, QosMode};
 use ebbrt_net::netif::QosMatch;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 /// Paced link rate the per-core scheduler enforces (bits/sec). Slower
 /// than the simulated wire, so the scheduler — not the switch — is the

@@ -54,8 +54,7 @@ use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime::Runtime;
 use ebbrt_net::netif::TcpConn;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine};
+use ebbrt_sim::{CostProfile, Lan, SimMachine};
 
 /// Sweep parameters.
 #[derive(Clone)]
@@ -407,7 +406,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
                 .as_ref()
                 .and_then(TcpConn::tuple)
                 .expect("established");
-            let server_q = ebbrt_sim::nic::rss_hash(
+            let server_q = ebbrt_net::nic::rss_hash(
                 tuple.local.0.to_u32(),
                 tuple.remote.0.to_u32(),
                 tuple.local.1,

@@ -18,8 +18,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld};
+use ebbrt_sim::{CostProfile, Lan, SimMachine, SimWorld};
 
 use test_alloc::thread_calls as alloc_calls;
 

@@ -6,7 +6,7 @@
 //! 1. **End to end** — the same randomly generated multi-connection
 //!    workload is run twice through the full simulated stack, once
 //!    with the driver forced to per-packet delivery
-//!    (`set_rx_burst_frames(1)`) and once with the full burst vector.
+//!    (`rx_burst_frames: 1` on both machines) and once with the full burst vector.
 //!    Every connection must see byte-identical deliveries on both
 //!    sides and end in the same TCP state. (Known, accepted
 //!    divergences — fewer bare ACKs per pass, callbacks coalesced and
@@ -29,8 +29,7 @@ use ebbrt_net::driver::RX_BURST;
 use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::tcp::{FourTuple, Pcb, TcpState};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 use proptest::strategy::Strategy;
 
 /// One generated workload: per connection, the message sent in each
@@ -78,10 +77,11 @@ struct Observation {
 }
 
 fn run_scenario(burst: usize, sc: &Scenario) -> Observation {
-    let _guard = ebbrt_bench::burst_path::force_rx_burst(burst);
-
     let lan = Lan::new();
-    let vm = CostProfile::ebbrt_vm;
+    let vm = || CostProfile {
+        rx_burst_frames: burst,
+        ..CostProfile::ebbrt_vm()
+    };
     let w = &lan.world;
     let (_server, s_if) = lan.machine("server", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 0, 1));
     let (client, c_if) = lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));

@@ -21,8 +21,7 @@ use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 /// Open loop, the paper's Fig. 5 set-up at 200 k req/s: 16 connections
 /// from an 8-core client, so RTO/delayed-ACK/arrival timers are pending

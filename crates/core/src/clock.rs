@@ -4,8 +4,10 @@
 //! runs against wall-clock time (threaded backend) or a virtual
 //! nanosecond clock advanced by the discrete-event scheduler (simulated
 //! backend). All times are nanoseconds since an arbitrary per-instance
-//! epoch.
+//! epoch. A handler declares the virtual CPU time its work costs with
+//! [`charge`].
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,9 +115,45 @@ impl Clock for Arc<ManualClock> {
     }
 }
 
+thread_local! {
+    static CHARGE: Cell<Ns> = const { Cell::new(0) };
+}
+
+/// Declares that the currently executing handler consumes `ns` of
+/// virtual CPU time. May be called any number of times; charges
+/// accumulate. A backend that bills virtual time (the simulator) reads
+/// them with [`take_charge`] after each dispatch pass; elsewhere this
+/// is an accumulator that nobody reads.
+#[inline]
+pub fn charge(ns: Ns) {
+    CHARGE.with(|c| c.set(c.get() + ns));
+}
+
+/// Returns and clears the time [`charge`]d on this thread since the
+/// last call.
+pub fn take_charge() -> Ns {
+    CHARGE.with(|c| c.replace(0))
+}
+
+/// Virtual CPU time the currently executing handler has accumulated so
+/// far. Devices use this to timestamp outputs correctly: a frame sent
+/// after 20 µs of (charged) processing leaves the NIC 20 µs into the
+/// event, not at its start.
+pub fn charged_so_far() -> Ns {
+    CHARGE.with(|c| c.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn charge_accumulates_and_resets() {
+        charge(100);
+        charge(50);
+        assert_eq!(take_charge(), 150);
+        assert_eq!(take_charge(), 0);
+    }
 
     #[test]
     fn real_clock_monotonic() {

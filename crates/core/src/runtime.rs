@@ -128,11 +128,67 @@ impl Runtime {
         }
     }
 
+    /// As [`Runtime::spawn`] for a closure that is not `Send` — one that
+    /// carries `Rc`s onto another core of a machine whose cores all run
+    /// on one thread (the simulator's) — through a [`SendCell`].
+    pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
+        let cell = SendCell::new(f);
+        self.spawn(core, move || cell.into_inner()());
+    }
+
     /// Requests every core's loop to exit (machine shutdown).
     pub fn request_exit_all(&self) {
         for em in self.events.iter() {
             em.request_exit();
         }
+    }
+}
+
+/// Carries a value that is not `Send` (an `Rc`, a boxed continuation)
+/// through an interface that demands `Send` — [`Runtime::spawn`], a
+/// queue shared with the threaded backend — back to the thread it
+/// came from.
+///
+/// Sound only because the simulator runs every event of every machine
+/// on its single driving thread, so the value never actually crosses a
+/// thread boundary. Debug builds check that: the cell remembers the
+/// thread that built it and [`SendCell::into_inner`] asserts it is
+/// unwrapped there.
+pub struct SendCell<T> {
+    value: T,
+    #[cfg(debug_assertions)]
+    built_on: std::thread::ThreadId,
+}
+
+// SAFETY: see the type docs — the value is built, held and unwrapped on
+// one thread (checked in debug builds); the threaded backend must never
+// be handed one.
+unsafe impl<T> Send for SendCell<T> {}
+
+impl<T> SendCell<T> {
+    /// Wraps `value` on the calling thread.
+    pub fn new(value: T) -> Self {
+        SendCell {
+            value,
+            #[cfg(debug_assertions)]
+            built_on: std::thread::current().id(),
+        }
+    }
+
+    /// Unwraps the value.
+    ///
+    /// # Panics
+    ///
+    /// Under debug assertions, when called on a thread other than the
+    /// one that built the cell.
+    pub fn into_inner(self) -> T {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            std::thread::current().id(),
+            self.built_on,
+            "SendCell unwrapped off the thread that built it"
+        );
+        self.value
     }
 }
 
@@ -514,6 +570,16 @@ mod tests {
         let rt = Runtime::new(1, Arc::new(ManualClock::new()));
         let _g = enter(Arc::clone(&rt), CoreId(0));
         assert!(with_context(|r, _| std::ptr::eq(r, &*rt)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn send_cell_unwrapped_on_another_thread_panics() {
+        let cell = SendCell::new(7);
+        let joined = std::thread::spawn(move || cell.into_inner()).join();
+        let msg = joined.expect_err("unwrapping off-thread must panic");
+        let msg = msg.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("off the thread that built it"), "{msg}");
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub mod remote;
 
 /// Test helper: runs `f(v)` in an event on core 0 of `m`.
 #[cfg(test)]
-fn on_core0<T: 'static>(m: &std::rc::Rc<ebbrt_sim::SimMachine>, v: T, f: impl FnOnce(T) + 'static) {
-    m.spawn_local(ebbrt_core::cpu::CoreId(0), move || f(v));
+fn on_core0<T: 'static>(m: &std::rc::Rc<impl ebbrt_net::Nic>, v: T, f: impl FnOnce(T) + 'static) {
+    ebbrt_net::Nic::runtime(&**m).spawn_local(ebbrt_core::cpu::CoreId(0), move || f(v));
 }

@@ -51,7 +51,6 @@ use ebbrt_core::qos::{self, CounterHandle};
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::SendCell;
 
 /// The well-known messenger port.
 pub const MESSENGER_PORT: u16 = 9000;
@@ -289,7 +288,7 @@ impl Messenger {
     /// registers the instance under [`SystemEbb::Messenger`] (one rep
     /// per core of the owning machine).
     pub fn start(netif: &Rc<NetIf>) -> Rc<Messenger> {
-        let rt = netif.machine().runtime();
+        let rt = netif.runtime();
         let m = Rc::new(Messenger {
             netif: Rc::clone(netif),
             peers: RefCell::new(HashMap::new()),
@@ -546,11 +545,8 @@ impl Messenger {
             if current == w.home {
                 w.reply.call(outcome);
             } else {
-                let cell = SendCell::new((w.reply, outcome));
-                rt.spawn(w.home, move || {
-                    let (reply, outcome) = cell.into_inner();
-                    reply.call(outcome);
-                });
+                let reply = w.reply;
+                rt.spawn_local(w.home, move || reply.call(outcome));
             }
         });
     }
@@ -574,10 +570,7 @@ impl Messenger {
             // lives there); the messenger's waiters are failed from
             // the calling core either way.
             runtime::with_current_on(|rt, current| match conn.core() {
-                Some(home) if home != current => {
-                    let cell = SendCell::new(conn);
-                    rt.spawn(home, move || cell.into_inner().abort());
-                }
+                Some(home) if home != current => rt.spawn_local(home, move || conn.abort()),
                 _ => conn.abort(),
             });
         }
@@ -652,8 +645,8 @@ impl Messenger {
         let conn_core = peer.borrow().conn.core();
         runtime::with_current_on(|rt, current| match conn_core {
             Some(core) if core != current => {
-                let cell = SendCell::new(Rc::clone(peer));
-                rt.spawn(core, move || Self::flush_peer(&cell.into_inner()));
+                let peer = Rc::clone(peer);
+                rt.spawn_local(core, move || Self::flush_peer(&peer));
             }
             _ => Self::flush_peer(peer),
         });

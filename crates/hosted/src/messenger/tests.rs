@@ -14,7 +14,7 @@ type Pair = (
 );
 
 fn two_machines() -> Pair {
-    let lan = ebbrt_net::Lan::new();
+    let lan = ebbrt_sim::Lan::new();
     let vm = CostProfile::ebbrt_vm;
     let linux = CostProfile::linux_vm;
     let hosted_ip = Ipv4Addr::new(10, 0, 0, 1);

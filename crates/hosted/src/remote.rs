@@ -222,7 +222,7 @@ impl MessengerTransport {
     /// naming client (owner records are resolved through it).
     pub fn install(messenger: &Rc<Messenger>, map: Rc<GlobalIdMap>) -> Rc<MessengerTransport> {
         let t = Self::new(messenger, map);
-        let rt = messenger.netif().machine().runtime();
+        let rt = messenger.netif().runtime();
         runtime::install_on_all_cores(rt, SystemEbb::Remote.id(), {
             let t = Rc::clone(&t);
             move |_core| RemoteTransportEbb::new(Rc::clone(&t) as Rc<dyn RemoteTransport>)

@@ -5,8 +5,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbManager, MulticoreEbb, RemoteResult, RemoteShipper};
 use ebbrt_core::iobuf::Buf;
 use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, Lan, LinkParams, SimMachine, SimWorld, Switch};
 use std::sync::Arc;
 
 /// A versioned naming record captured from an async `get_versioned`.
@@ -905,7 +904,7 @@ fn unpromote_cas_loses_cleanly_to_a_concurrent_promotion() {
     on_core0(&c.standby, (sm, p2), move |(sm, p2)| {
         // Depart just after the un-promote's GET, well before its
         // put_if (which waits a full round-trip for the GET reply).
-        ebbrt_sim::world::charge(500);
+        ebbrt_core::clock::charge(500);
         sm.put_if(gid, 1, &global_map::encode_owners(&promoted2), move |won| {
             p2.set(Some(won))
         });

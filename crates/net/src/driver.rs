@@ -11,10 +11,10 @@
 //! re-enables the interrupt and removes the idle handler, returning to
 //! interrupt-driven execution.
 //!
-//! Every frame charged here pays the profile's receive cost (guest
-//! irq, stack, copies, and the hypervisor share), so the virtual-time
-//! behaviour of both modes is faithful: polling burns core time,
-//! interrupts pay per-frame entry overhead.
+//! What a drain costs is the device's to charge ([`Nic::rx_burst`](crate::Nic::rx_burst));
+//! the driver decides only when to drain, how much, and in which mode.
+//! Its two settings — frames per drain and the backlog that moves a
+//! queue to polling — are the device's, fixed before attach.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -22,11 +22,11 @@ use std::rc::Rc;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::event::IdleToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_sim::world::charge;
 
 use crate::netif::NetIf;
 
-/// Frames drained per interrupt/poll invocation.
+/// Default frames drained per interrupt/poll invocation
+/// ([`Nic::rx_burst_frames`](crate::Nic::rx_burst_frames)).
 pub const RX_BURST: usize = 64;
 
 /// Byte budget per drain burst. With standard 1500-byte frames the
@@ -36,43 +36,11 @@ pub const RX_BURST: usize = 64;
 /// same amount of receive *work* rather than 6× more.
 pub const RX_BURST_BYTES: usize = 256 * 1024;
 
-/// Frames drained by a single interrupt that signal overload (the
-/// paper's "interrupt rate exceeds a configurable threshold" proxy: a
-/// big backlog per interrupt means interrupts can't keep up).
+/// Default frames drained by a single interrupt that signal overload
+/// (the paper's "interrupt rate exceeds a configurable threshold"
+/// proxy: a big backlog per interrupt means interrupts can't keep up;
+/// [`Nic::poll_enter_burst`](crate::Nic::poll_enter_burst)).
 pub const POLL_ENTER_BURST: usize = 12;
-
-thread_local! {
-    /// Runtime-tunable poll-enter threshold ("configurable threshold"
-    /// in the paper's words; the ablation bench sets it to usize::MAX
-    /// to force interrupt-only operation).
-    static POLL_ENTER_OVERRIDE: Cell<usize> = const { Cell::new(POLL_ENTER_BURST) };
-    /// Runtime-tunable rx burst size: the equivalence tests and the
-    /// `burst_path` bench force 1 to get per-packet behaviour from the
-    /// same code path.
-    static RX_BURST_OVERRIDE: Cell<usize> = const { Cell::new(RX_BURST) };
-}
-
-/// Overrides the poll-enter threshold for drivers on this thread.
-pub fn set_poll_enter_burst(n: usize) {
-    POLL_ENTER_OVERRIDE.with(|c| c.set(n));
-}
-
-/// The effective poll-enter threshold.
-pub fn poll_enter_burst() -> usize {
-    POLL_ENTER_OVERRIDE.with(|c| c.get())
-}
-
-/// Overrides the per-drain frame budget for drivers on this thread
-/// (1 = per-packet processing through the vector path).
-pub fn set_rx_burst_frames(n: usize) {
-    assert!(n >= 1, "rx burst must admit at least one frame");
-    RX_BURST_OVERRIDE.with(|c| c.set(n));
-}
-
-/// The effective per-drain frame budget.
-pub fn rx_burst_frames() -> usize {
-    RX_BURST_OVERRIDE.with(|c| c.get())
-}
 
 /// Consecutive empty polls before returning to interrupts.
 pub const POLL_EXIT_STREAK: u32 = 16;
@@ -82,10 +50,6 @@ struct QueueState {
     polling: Cell<bool>,
     empty_streak: Cell<u32>,
     idle_token: Cell<Option<IdleToken>>,
-    /// Virtual time of the last drain (NAPI-style cost suppression:
-    /// interrupts arriving while the guest is still hot pay only the
-    /// amortized hypervisor cost).
-    last_drain: Cell<u64>,
     /// Reusable per-queue frame vector: each drain collects its whole
     /// burst here and hands it to the stack in one `rx_burst` call.
     /// Taken (not borrowed) for the duration of a drain so re-entrant
@@ -97,12 +61,10 @@ struct QueueState {
 /// for single-queue NICs). Runs as events on each owning core, since
 /// vector allocation is owner-core-only.
 pub fn attach(netif: &Rc<NetIf>) {
-    let machine = Rc::clone(netif.machine());
-    let nqueues = machine.nic().nqueues();
-    for q in 0..nqueues {
-        let core = CoreId(q as u32);
+    let rt = netif.runtime();
+    for q in 0..netif.nic.nqueues() {
         let netif2 = Rc::clone(netif);
-        machine.spawn_local(core, move || setup_queue(&netif2, q));
+        rt.spawn_local(CoreId(q as u32), move || setup_queue(&netif2, q));
     }
 }
 
@@ -112,69 +74,35 @@ fn setup_queue(netif: &Rc<NetIf>, q: usize) {
         polling: Cell::new(false),
         empty_streak: Cell::new(0),
         idle_token: Cell::new(None),
-        last_drain: Cell::new(u64::MAX / 2),
         burst: RefCell::new(Vec::with_capacity(RX_BURST)),
     });
-    let em = ebbrt_core::runtime::current();
-    let em = em.local_event_manager();
+    let em = netif.runtime().local_event_manager();
     let netif2 = Rc::clone(netif);
     let state2 = Rc::clone(&state);
     let vector = em.allocate_vector(move || {
         drain(&netif2, &state2, true);
     });
-    let machine = netif.machine();
-    machine.nic().set_irq(q, em.interrupt_line(vector));
+    let nic = &netif.nic;
+    assert!(nic.rx_burst_frames() > 0, "a zero-frame drain budget");
+    nic.set_irq(q, em.interrupt_line(vector));
     // Drain anything that arrived before attach.
     drain(netif, &state, false);
 }
 
-/// Drains up to [`RX_BURST`] frames into the queue's reusable frame
-/// vector, charging receive costs, and hands the whole burst to the
-/// stack in one [`NetIf::rx_burst`] call before running the
-/// adaptive-mode state machine. Returns frames processed.
+/// Drains one burst of the queue into its reusable frame vector
+/// ([`Nic::rx_burst`](crate::Nic::rx_burst)) and hands it to the stack in one
+/// [`NetIf::rx_burst`] call before running the adaptive-mode state
+/// machine. Returns frames processed.
 fn drain(netif: &Rc<NetIf>, state: &Rc<QueueState>, from_interrupt: bool) -> usize {
-    let machine = Rc::clone(netif.machine());
-    let nic = machine.nic();
-    let profile = machine.profile().clone();
-    let limit = rx_burst_frames();
+    let nic = &netif.nic;
     let mut burst = state.burst.take();
-    debug_assert!(burst.is_empty());
-    let mut n = 0;
-    let mut bytes = 0;
-    while n < limit && bytes < RX_BURST_BYTES {
-        let frame = match nic.rx_pop(state.queue) {
-            Some(f) => f,
-            None => break,
-        };
-        bytes += frame.len();
-        if n == 0 {
-            // One-time costs per drain batch: interrupt entry +
-            // hypervisor delivery, and (Linux) the epoll wakeup +
-            // syscall pair serving the whole batch. Back-to-back drains
-            // (the guest still hot, NAPI/vhost suppressing notifications)
-            // pay only the amortized share.
-            let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-            let hot = now.saturating_sub(state.last_drain.get()) <= profile.virtio_batch_window_ns;
-            if from_interrupt && !hot {
-                charge(profile.rx_batch_cost());
-            }
-            charge(profile.rx_wakeup_ns + profile.syscall_ns);
-        }
-        // Per-frame receive path cost.
-        charge(profile.rx_cost_per_packet(frame.len()));
-        burst.push(frame.data);
-        n += 1;
-    }
-    if n > 0 {
-        netif.rx_burst(&mut burst);
-        let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-        state.last_drain.set(now);
-    }
-    burst.clear();
+    let (q, max) = (state.queue, nic.rx_burst_frames());
+    let n = nic.rx_burst(q, from_interrupt, max, RX_BURST_BYTES, &mut burst);
+    netif.rx_burst(&mut burst);
     *state.burst.borrow_mut() = burst;
     if !state.polling.get() {
-        let threshold = poll_enter_burst();
-        if from_interrupt && (n >= threshold || nic.rx_len(state.queue) >= threshold) {
+        let threshold = nic.poll_enter_burst();
+        if from_interrupt && (n >= threshold || nic.rx_len(q) >= threshold) {
             // Arrival rate exceeds what interrupt-mode keeps up with:
             // switch to polling.
             enter_polling(netif, state);
@@ -196,28 +124,25 @@ fn drain(netif: &Rc<NetIf>, state: &Rc<QueueState>, from_interrupt: bool) -> usi
 }
 
 fn enter_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
-    let machine = netif.machine();
-    machine.nic().set_irq_enabled(state.queue, false);
+    netif.nic.set_irq_enabled(state.queue, false);
     state.polling.set(true);
     state.empty_streak.set(0);
     let netif2 = Rc::clone(netif);
     let state2 = Rc::clone(state);
-    let token = ebbrt_core::runtime::with_current(|rt| {
-        rt.local_event_manager()
-            .add_idle_handler(move || drain(&netif2, &state2, false) > 0)
-    });
+    let em = netif.runtime().local_event_manager();
+    let token = em.add_idle_handler(move || drain(&netif2, &state2, false) > 0);
     state.idle_token.set(Some(token));
 }
 
 fn exit_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
-    let machine = netif.machine();
     state.polling.set(false);
     if let Some(token) = state.idle_token.take() {
-        ebbrt_core::runtime::with_current(|rt| {
-            rt.local_event_manager().remove_idle_handler(token);
-        });
+        netif
+            .runtime()
+            .local_event_manager()
+            .remove_idle_handler(token);
     }
-    machine.nic().set_irq_enabled(state.queue, true);
+    netif.nic.set_irq_enabled(state.queue, true);
     // Drain the race window: frames that arrived between the last poll
     // and interrupt re-enable would otherwise sit unprocessed.
     drain(netif, state, false);

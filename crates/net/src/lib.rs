@@ -20,6 +20,9 @@
 //! * **Adaptive polling** ([`driver`]): the virtio driver switches from
 //!   interrupts to polling under load and back, exactly as the §3.2
 //!   example describes.
+//! * **One device boundary** ([`nic`]): the stack reaches its NIC only
+//!   through the [`Nic`] trait, so any device — the simulator's, or a
+//!   test's fake — can carry it.
 //!
 //! Figure 2's path (§3.5) runs on a callback, not a future:
 //! [`arp::ArpCache::find`] continues synchronously on a cache hit —
@@ -36,8 +39,8 @@ pub mod conn_slab;
 pub mod dhcp;
 pub mod driver;
 pub mod ebb;
-pub mod lan;
 pub mod netif;
+pub mod nic;
 pub mod qos_policy;
 pub mod stats;
 pub mod syncache;
@@ -45,6 +48,6 @@ pub mod tcp;
 pub mod types;
 pub mod wire;
 
-pub use lan::Lan;
 pub use netif::NetIf;
+pub use nic::Nic;
 pub use types::Ipv4Addr;

@@ -25,13 +25,11 @@ use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::qos::{self, ClassId, CounterHandle, QosConfig};
 use ebbrt_core::rcu_hash::RcuHashMap;
-use ebbrt_core::runtime;
-use ebbrt_sim::nic::Frame;
-use ebbrt_sim::world::charge;
-use ebbrt_sim::SimMachine;
+use ebbrt_core::runtime::{self, Runtime};
 
 use crate::arp::ArpCache;
 use crate::conn_slab::{CellRef, ConnSlab};
+use crate::nic::{rss_hash, Nic};
 use crate::qos_policy::{qos_ref, QosEbb};
 use crate::stats::{NetStats, BURST_BUCKETS};
 use crate::syncache::{Room, SynCache};
@@ -207,7 +205,9 @@ type UdpHandlerFn = Rc<dyn Fn(Ipv4Addr, u16, Chain<IoBuf>)>;
 
 /// The per-machine network stack instance.
 pub struct NetIf {
-    machine: Rc<SimMachine>,
+    /// The device; the driver reaches it here too.
+    pub(crate) nic: Rc<dyn Nic>,
+    mac: Mac,
     ip: Cell<Ipv4Addr>,
     mask: Cell<Ipv4Addr>,
     /// ARP cache (learning + resolution).
@@ -231,8 +231,6 @@ pub struct NetIf {
     next_eph: Cell<u16>,
     ip_id: Cell<u16>,
     iss: Cell<u32>,
-    /// Time of the last transmit (virtio kick suppression window).
-    last_tx: Cell<Ns>,
     /// Maximum TCP segment payload, derived from the device MTU at
     /// attach time (1460 for standard Ethernet, 8960 for jumbo
     /// frames). Segments this large route their buffer allocations to
@@ -253,23 +251,24 @@ pub struct NetIf {
 }
 
 impl NetIf {
-    /// Creates the stack for `machine` with a static IP configuration,
-    /// attaches the virtio driver on every core, and registers the
-    /// stack under the well-known [`SystemEbb::NetStats`] id (one rep
-    /// per core) so applications can reach it via [`netif_ref`] /
-    /// [`local_netif`].
-    pub fn attach(machine: &Rc<SimMachine>, ip: Ipv4Addr, mask: Ipv4Addr) -> Rc<NetIf> {
-        let mss = machine.nic().mtu() - wire::IPV4_HLEN - wire::TCP_HLEN;
+    /// Creates the stack for `nic`'s machine with a static IP
+    /// configuration, attaches the virtio driver on every core, and
+    /// registers the stack under the well-known [`SystemEbb::NetStats`]
+    /// id (one rep per core) so applications can reach it via
+    /// [`netif_ref`] / [`local_netif`].
+    pub fn attach<N: Nic + 'static>(nic: &Rc<N>, ip: Ipv4Addr, mask: Ipv4Addr) -> Rc<NetIf> {
+        let nic: Rc<dyn Nic> = Rc::<N>::clone(nic);
+        let mss = nic.mtu() - wire::IPV4_HLEN - wire::TCP_HLEN;
         // Freeze the device MTU: the MSS above (and the buffer pool's
         // size classes) are derived from it once, here.
-        machine.nic().mark_stack_attached();
+        nic.mark_stack_attached();
         let netif = Rc::new(NetIf {
-            machine: Rc::clone(machine),
+            mac: nic.mac(),
             mss,
             ip: Cell::new(ip),
             mask: Cell::new(mask),
             arp: ArpCache::new(),
-            conn_ids: RcuHashMap::new(Arc::clone(machine.runtime().rcu())),
+            conn_ids: RcuHashMap::new(Arc::clone(nic.runtime().rcu())),
             conns: RefCell::new(ConnSlab::new()),
             pending_handler: Rc::new(PendingHandler),
             listeners: RefCell::new(HashMap::new()),
@@ -277,18 +276,18 @@ impl NetIf {
             next_eph: Cell::new(EPHEMERAL_BASE),
             ip_id: Cell::new(1),
             iss: Cell::new(0x1000),
-            last_tx: Cell::new(u64::MAX / 2),
             rx_scratch: RefCell::default(),
-            stats: NetStats::new(machine.runtime()),
-            syncache: SynCache::new(machine.runtime()),
+            stats: NetStats::new(nic.runtime()),
+            syncache: SynCache::new(nic.runtime()),
             qos: RefCell::new(None),
             qos_on: Cell::new(false),
+            nic,
         });
         // Home the stack in the machine's translation table: one rep
         // per core under the well-known network-manager id. Reps are
         // hand-installed (no root-based fault path) because the rep
         // state is the single `Rc<NetIf>` itself.
-        runtime::install_on_all_cores(machine.runtime(), SystemEbb::NetStats.id(), |_core| {
+        runtime::install_on_all_cores(netif.runtime(), SystemEbb::NetStats.id(), |_core| {
             NetIfEbb {
                 netif: Rc::downgrade(&netif),
             }
@@ -297,9 +296,9 @@ impl NetIf {
         netif
     }
 
-    /// The owning simulated machine.
-    pub fn machine(&self) -> &Rc<SimMachine> {
-        &self.machine
+    /// The machine the stack runs on.
+    pub fn runtime(&self) -> &Arc<Runtime> {
+        self.nic.runtime()
     }
 
     /// The interface's IPv4 address.
@@ -315,7 +314,7 @@ impl NetIf {
 
     /// The interface's MAC.
     pub fn mac(&self) -> Mac {
-        self.machine.nic().mac()
+        self.mac
     }
 
     /// Maximum TCP segment payload (derived from the device MTU).
@@ -334,7 +333,7 @@ impl NetIf {
             self.qos.borrow().is_none(),
             "QoS policy already installed on this interface"
         );
-        let rt = self.machine.runtime();
+        let rt = self.runtime();
         let policy = Rc::new(QosPolicy::new(config, rt));
         let netif = Rc::downgrade(self);
         let cfg = policy.config().clone();
@@ -354,19 +353,19 @@ impl NetIf {
     /// Receive bursts handed up by the driver, summed across cores
     /// (from the machine's counter registry; quiescent-read contract).
     pub fn rx_bursts(&self) -> u64 {
-        qos::read_total(self.machine.runtime(), self.stats.rx_bursts_h)
+        qos::read_total(self.runtime(), self.stats.rx_bursts_h)
     }
 
     /// The burst-size histogram ([`BURST_BUCKET_LO`] buckets), summed
     /// across cores.
     pub fn frames_per_burst(&self) -> [u64; BURST_BUCKETS] {
-        let rt = self.machine.runtime();
+        let rt = self.runtime();
         std::array::from_fn(|i| qos::read_total(rt, self.stats.frames_per_burst_h[i]))
     }
 
     /// Coalesced `on_receive` deliveries, summed across cores.
     pub fn coalesced_callbacks(&self) -> u64 {
-        qos::read_total(self.machine.runtime(), self.stats.coalesced_h)
+        qos::read_total(self.runtime(), self.stats.coalesced_h)
     }
 
     // --- TCP application API ---------------------------------------------
@@ -451,7 +450,7 @@ impl NetIf {
             return;
         }
         let me = Rc::downgrade(self);
-        self.machine.spawn_local(core, move || {
+        self.runtime().spawn_local(core, move || {
             if let Some(n) = me.upgrade() {
                 f(&n);
             }
@@ -697,7 +696,7 @@ impl NetIf {
         // entry is still fresh — shed this SYN instead. Either way the
         // pressure stays inside the flooding class: established
         // connections and other classes' embryos are untouchable.
-        let now = self.machine.runtime().now_ns();
+        let now = self.runtime().now_ns();
         match self.syncache.room(class, policy.as_deref(), now) {
             Room::Free => {}
             Room::Evict(victim) => self.evict_embryo(class, victim),
@@ -948,17 +947,10 @@ impl NetIf {
         }
     }
 
-    /// Final egress: charge the profile's transmit cost (with virtio
-    /// kick suppression while the ring is hot) and hand the frame to
-    /// the NIC.
+    /// Final egress: hands the frame to the NIC.
     pub(crate) fn transmit_now(&self, frame: Chain<IoBuf>) {
         self.stats.tx_frames.set(self.stats.tx_frames.get() + 1);
-        let profile = self.machine.profile();
-        let now = self.machine.runtime().now_ns();
-        let ring_hot = now.saturating_sub(self.last_tx.get()) <= profile.virtio_batch_window_ns;
-        self.last_tx.set(now);
-        charge(profile.tx_cost_batched(frame.len(), ring_hot));
-        self.machine.nic().transmit(Frame::new(frame));
+        self.nic.transmit(frame);
     }
 
     // --- Bookkeeping ----------------------------------------------------------
@@ -1007,7 +999,7 @@ impl NetIf {
     /// four-tuple no live connection holds: the range wraps after 27 k
     /// connects, and `insert_conn` would shadow the older connection.
     fn pick_ephemeral(&self, remote: Ipv4Addr, remote_port: u16, core: CoreId) -> u16 {
-        let nqueues = self.machine.nic().nqueues();
+        let nqueues = self.nic.nqueues();
         let local_ip = self.ip.get();
         for _ in 0..4096 {
             let port = self.next_eph.get();
@@ -1016,8 +1008,7 @@ impl NetIf {
             } else {
                 port + 1
             });
-            let hash =
-                ebbrt_sim::nic::rss_hash(remote.to_u32(), local_ip.to_u32(), remote_port, port);
+            let hash = rss_hash(remote.to_u32(), local_ip.to_u32(), remote_port, port);
             let tuple = FourTuple {
                 local: (local_ip, port),
                 remote: (remote, remote_port),

@@ -201,7 +201,7 @@ impl QosEbb {
         let Some(netif) = self.netif.upgrade() else {
             return;
         };
-        let now = netif.machine().runtime().now_ns();
+        let now = netif.runtime().now_ns();
         self.sched.borrow_mut().push(class, frame.len(), frame, now);
         self.drain(&netif);
     }
@@ -211,14 +211,14 @@ impl QosEbb {
     /// for the instant the wire frees up.
     fn drain(&self, netif: &Rc<NetIf>) {
         loop {
-            let now = netif.machine().runtime().now_ns();
+            let now = netif.runtime().now_ns();
             let granted = self.sched.borrow_mut().pop(now);
             match granted {
                 Some((_class, frame)) => netif.transmit_now(frame),
                 None => break,
             }
         }
-        let now = netif.machine().runtime().now_ns();
+        let now = netif.runtime().now_ns();
         let Some(ready_at) = self.sched.borrow().next_ready(now) else {
             return;
         };

@@ -26,6 +26,7 @@
 //!   is set by the application ([`Pcb::rcv_wnd`]); an overwhelmed
 //!   application shrinks it to pace the remote sender.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use ebbrt_core::clock::Ns;
@@ -284,7 +285,9 @@ pub const DEFAULT_RCV_WND: u16 = u16::MAX;
 #[derive(Default)]
 pub struct PcbCold {
     /// Out-of-order segments awaiting the gap to fill, keyed by seq.
-    pub ooo: BTreeMap<u32, Chain<IoBuf>>,
+    ooo: BTreeMap<u32, Chain<IoBuf>>,
+    /// Payload bytes held in `ooo` (at most the receive window).
+    ooo_bytes: usize,
     /// Total retransmitted segments (diagnostic).
     pub retransmits: u64,
 }
@@ -526,6 +529,7 @@ impl Pcb {
                         break;
                     }
                     let mut chain = cold.ooo.remove(&s).expect("peeked key");
+                    cold.ooo_bytes -= chain.len();
                     if seq::lt(s, self.rcv_nxt) {
                         let dup = self.rcv_nxt.wrapping_sub(s) as usize;
                         if dup >= chain.len() {
@@ -539,10 +543,21 @@ impl Pcb {
                 }
             }
         } else {
-            // Future data: stash (bounded by the advertised window, so a
-            // well-behaved peer cannot flood this). First out-of-order
-            // segment allocates the cold box.
-            self.cold_mut().ooo.entry(seg_seq).or_insert(payload);
+            // Future data: stashed only if it ends inside the advertised
+            // window and the stash stays within it, so no peer can grow
+            // it past the window; otherwise dropped, and the ACK owed
+            // below re-states the window (RFC 9293 §3.10.7.4). The first
+            // stashed segment allocates the cold box.
+            let (len, wnd) = (payload.len(), self.rcv_wnd as usize);
+            let end = seg_seq.wrapping_add(len as u32).wrapping_sub(self.rcv_nxt) as usize;
+            let held = self.cold.as_ref().map_or(0, |c| c.ooo_bytes);
+            if end <= wnd && held + len <= wnd {
+                let cold = self.cold_mut();
+                if let Entry::Vacant(v) = cold.ooo.entry(seg_seq) {
+                    cold.ooo_bytes += len;
+                    v.insert(payload);
+                }
+            }
         }
         self.ack_pending = true;
         chunks

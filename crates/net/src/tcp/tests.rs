@@ -145,6 +145,49 @@ fn interleaved_ooo_segments_reassemble_in_order() {
 }
 
 #[test]
+fn the_out_of_order_stash_holds_at_most_the_window() {
+    // Future segments beyond the window are dropped, whatever their
+    // number, and each still owes an ACK.
+    let mut p = pcb();
+    p.rcv_wnd = 4096;
+    let beyond = 5000 + p.rcv_wnd as u32;
+    for i in 0..1_000u32 {
+        p.ack_pending = false;
+        assert_eq!(feed(&mut p, beyond + i * 100, b"x").0, 0);
+        assert!(p.ack_pending, "a dropped segment owes an ACK");
+    }
+    assert!(p.ooo_is_empty(), "nothing beyond the window is stashed");
+    // A segment straddling the window's edge is beyond it too.
+    feed(&mut p, beyond - 1, b"xy");
+    assert!(p.ooo_is_empty());
+    // Overlapping in-window segments at distinct sequence numbers: the
+    // stash keeps at most a window's worth of bytes.
+    for i in 0..1_000u32 {
+        feed(&mut p, 5001 + i % 3000, &[7; 100]);
+    }
+    let held = |p: &Pcb| -> usize {
+        p.cold
+            .as_ref()
+            .map_or(0, |c| c.ooo.values().map(Chain::len).sum())
+    };
+    assert!(
+        held(&p) > 0 && held(&p) <= p.rcv_wnd as usize,
+        "{} bytes held",
+        held(&p)
+    );
+    // The gap fills: the stash drains into one in-order delivery, and
+    // then holds a whole window again.
+    let (_, out) = feed(&mut p, 5000, b"a");
+    assert_eq!(out.len() as u32, p.rcv_nxt - 5000);
+    assert!(p.ooo_is_empty());
+    let next = p.rcv_nxt;
+    for i in 0..4u32 {
+        feed(&mut p, next + 1 + i * 1000, &[8; 1000]);
+    }
+    assert_eq!(held(&p), 4000);
+}
+
+#[test]
 fn syn_fin_occupy_sequence_space() {
     let mut p = pcb();
     p.record_sent(1000, 1, crate::wire::tcp_flags::SYN, Chain::new());

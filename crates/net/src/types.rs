@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-/// A MAC address (shared with the simulated NIC).
-pub type Mac = ebbrt_sim::Mac;
+pub use crate::nic::Mac;
 
 /// The Ethernet broadcast address.
 pub const MAC_BROADCAST: Mac = [0xff; 6];

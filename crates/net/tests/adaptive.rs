@@ -9,8 +9,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, Lan, SimMachine, SimWorld, Switch};
 
 struct World {
     w: Rc<SimWorld>,
@@ -22,8 +21,12 @@ struct World {
 }
 
 fn setup() -> World {
+    setup_with(CostProfile::ebbrt_vm())
+}
+
+fn setup_with(profile: CostProfile) -> World {
     let lan = Lan::new();
-    let vm = CostProfile::ebbrt_vm;
+    let vm = || profile.clone();
     let (server, s_if) = lan.machine("srv", 1, vm(), [0xAA; 6], Ipv4Addr::new(10, 0, 3, 1));
     let (client, c_if) = lan.machine("cli", 4, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 3, 2));
     let (w, sw) = (lan.world, lan.switch);
@@ -106,8 +109,10 @@ fn flood_switches_to_polling_and_back() {
 
 #[test]
 fn interrupt_only_override_disables_polling() {
-    ebbrt_net::driver::set_poll_enter_burst(usize::MAX);
-    let world = setup();
+    let world = setup_with(CostProfile {
+        poll_enter_burst: usize::MAX,
+        ..CostProfile::ebbrt_vm()
+    });
     let received = Rc::new(Cell::new(0u64));
     let r = Rc::clone(&received);
     world.s_if.udp_bind(9999, move |_s, _p, _d| {
@@ -124,7 +129,6 @@ fn interrupt_only_override_disables_polling() {
         .load(Ordering::Relaxed);
     assert_eq!(received.get(), 500);
     assert_eq!(idles, 0, "polling must never engage with the override set");
-    ebbrt_net::driver::set_poll_enter_burst(ebbrt_net::driver::POLL_ENTER_BURST);
 }
 
 #[test]

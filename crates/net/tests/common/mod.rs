@@ -10,8 +10,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, Lan, SimMachine, SimWorld, Switch};
 
 pub const PORT: u16 = 7;
 pub const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);

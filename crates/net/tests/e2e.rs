@@ -9,8 +9,7 @@ use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::{ConnHandler, NetIf, SendError, TcpConn};
 use ebbrt_net::tcp::TcpState;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
+use ebbrt_sim::{CostProfile, Lan, LinkParams, SimMachine, SimWorld, Switch};
 
 const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 

@@ -10,8 +10,7 @@ use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::qos::{self, ClassConfig, QosConfig};
 use ebbrt_net::netif::{ConnHandler, ListenError, NetIf, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine};
+use ebbrt_sim::{CostProfile, Lan, SimMachine};
 
 mod common;
 use common::{on_core0, open_conn, Echo, Opened, PORT, SERVER_IP};

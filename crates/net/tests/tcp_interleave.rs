@@ -17,8 +17,7 @@ use std::rc::Rc;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 const PORT: u16 = 7070;
 

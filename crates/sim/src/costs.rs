@@ -27,6 +27,7 @@
 //!   pollution; we use 4 µs per tick.
 
 use ebbrt_core::clock::Ns;
+use ebbrt_net::driver::{POLL_ENTER_BURST, RX_BURST};
 
 /// Wire speed of the 10 GbE links: 0.8 ns per byte.
 pub const WIRE_NS_PER_BYTE_X1000: u64 = 800;
@@ -86,6 +87,12 @@ pub struct CostProfile {
     /// of core count (the OSv virtio driver's missing multiqueue
     /// support, §4.2).
     pub single_queue: bool,
+    /// Frames the guest driver drains per burst (1: per-packet receive
+    /// through the same path).
+    pub rx_burst_frames: usize,
+    /// Frames one interrupt must find for the driver to switch its
+    /// queue to polling (`usize::MAX`: interrupts only).
+    pub poll_enter_burst: usize,
 }
 
 impl CostProfile {
@@ -109,19 +116,17 @@ impl CostProfile {
             tick_period_ns: 0, // no preemption ⇒ no timer ticks
             tick_cost_ns: 0,
             single_queue: false,
+            rx_burst_frames: RX_BURST,
+            poll_enter_burst: POLL_ENTER_BURST,
         }
     }
 
     /// Linux guest (virtio-net + vhost, multiqueue): the paper's
-    /// "Linux" line in Figures 4–6.
+    /// "Linux" line in Figures 4–6. Same hypervisor and NIC as the
+    /// EbbRT guest; the guest's own path is Linux's.
     pub fn linux_vm() -> Self {
         CostProfile {
             name: "Linux (VM)",
-            virtio_tx_ns: 3300,
-            virtio_rx_ns: 3300,
-            virtio_amortized_ns: 350,
-            virtio_batch_window_ns: 3000,
-            virtio_rx_copy_ps_per_byte: 200,
             rx_irq_ns: 900,    // irq + NAPI entry
             rx_stack_ns: 1500, // netif_receive_skb → tcp_v4_rcv
             rx_copy_ps_per_byte: 200,
@@ -131,7 +136,7 @@ impl CostProfile {
             tx_copy_ps_per_byte: 200,
             tick_period_ns: 1_000_000, // CONFIG_HZ=1000
             tick_cost_ns: 4000,
-            single_queue: false,
+            ..Self::ebbrt_vm()
         }
     }
 
@@ -185,11 +190,6 @@ impl CostProfile {
         self.rx_irq_ns + self.virtio_rx_ns.saturating_sub(self.virtio_amortized_ns)
     }
 
-    /// Total cold-path receive cost for one packet (latency analysis).
-    pub fn rx_cost(&self, bytes: usize) -> Ns {
-        self.rx_batch_cost() + self.rx_cost_per_packet(bytes)
-    }
-
     /// Transmit-side CPU charge for a packet of `bytes`. `ring_hot` is
     /// true when a packet was sent within the batch window (the kick is
     /// suppressed and vhost picks the packet up in its current pass).
@@ -201,29 +201,24 @@ impl CostProfile {
         };
         self.tx_stack_ns + Self::copy_cost(self.tx_copy_ps_per_byte, bytes) + virtio
     }
-
-    /// Total cold-path transmit cost (latency analysis).
-    pub fn tx_cost(&self, bytes: usize) -> Ns {
-        self.tx_cost_batched(bytes, false)
-    }
-
-    /// Wire occupancy of a frame of `bytes`.
-    pub fn wire_cost(bytes: usize) -> Ns {
-        ((bytes as u64 + WIRE_FRAME_OVERHEAD_BYTES) * WIRE_NS_PER_BYTE_X1000) / 1000
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Cold-path receive cost of one packet: a drain of one.
+    fn rx_cost(p: &CostProfile, bytes: usize) -> Ns {
+        p.rx_batch_cost() + p.rx_cost_per_packet(bytes)
+    }
+
     #[test]
     fn ebbrt_rx_is_cheaper_than_linux() {
         let e = CostProfile::ebbrt_vm();
         let l = CostProfile::linux_vm();
         for &bytes in &[64usize, 1500, 9000] {
-            assert!(e.rx_cost(bytes) < l.rx_cost(bytes));
-            assert!(e.tx_cost(bytes) < l.tx_cost(bytes));
+            assert!(rx_cost(&e, bytes) < rx_cost(&l, bytes));
+            assert!(e.tx_cost_batched(bytes, false) < l.tx_cost_batched(bytes, false));
         }
     }
 
@@ -233,27 +228,28 @@ mod tests {
         let native = CostProfile::linux_native();
         assert_eq!(native.virtio_tx_ns, 0);
         assert_eq!(native.rx_irq_ns, vm.rx_irq_ns);
-        assert!(native.rx_cost(64) < vm.rx_cost(64));
+        assert!(rx_cost(&native, 64) < rx_cost(&vm, 64));
     }
 
     #[test]
     fn per_byte_costs_scale() {
         let l = CostProfile::linux_vm();
-        let small = l.rx_cost(64);
-        let large = l.rx_cost(64 * 1024);
+        let small = rx_cost(&l, 64);
+        let large = rx_cost(&l, 64 * 1024);
         // Two copies at 0.2 ns/B each over 64 KiB ≈ 26 µs extra.
         assert!(large > small + 20_000);
         let e = CostProfile::ebbrt_vm();
         // EbbRT pays only the hypervisor copy.
-        assert!(e.rx_cost(64 * 1024) - e.rx_cost(64) < large - small);
+        assert!(rx_cost(&e, 64 * 1024) - rx_cost(&e, 64) < large - small);
     }
 
     #[test]
     fn wire_cost_includes_overhead() {
         // 64 B + 24 B overhead at 0.8 ns/B = 70.4 ns.
-        assert_eq!(CostProfile::wire_cost(64), 70);
+        let wire = crate::LinkParams::default();
+        assert_eq!(wire.serialize_ns(64), 70);
         // ~1.2 µs for a full-size frame.
-        let full = CostProfile::wire_cost(1514);
+        let full = wire.serialize_ns(1514);
         assert!((1200..1300).contains(&full));
     }
 

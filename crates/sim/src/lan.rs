@@ -10,10 +10,11 @@
 
 use std::rc::Rc;
 
-use ebbrt_sim::{CostProfile, LinkParams, Mac, SimMachine, SimWorld, Switch};
+use ebbrt_net::nic::Mac;
+use ebbrt_net::types::Ipv4Addr;
+use ebbrt_net::NetIf;
 
-use crate::netif::NetIf;
-use crate::types::Ipv4Addr;
+use crate::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
 /// A world with one switch. Keep it alive for as long as the machines
 /// talk: NICs reach the switch through a weak reference.

@@ -10,7 +10,7 @@
 //! * [`world`] — the discrete-event scheduler ([`world::SimWorld`]): a
 //!   time-ordered action queue plus the driver that services each
 //!   machine's per-core event managers, charging virtual CPU time that
-//!   handlers declare via [`world::charge`].
+//!   handlers declare via [`ebbrt_core::clock::charge`].
 //! * [`costs`] — every latency constant in one place, each with its
 //!   provenance, composed into per-environment [`costs::CostProfile`]s
 //!   (EbbRT-in-VM, Linux-in-VM, Linux native, OSv-in-VM). The profiles
@@ -25,20 +25,26 @@
 //!   connecting machine NICs.
 //! * [`machine`] — assembles a simulated machine: an
 //!   `ebbrt_core::Runtime` on the virtual clock, a NIC, and a cost
-//!   profile; includes the Linux scheduler-tick model.
+//!   profile; includes the Linux scheduler-tick model. The machine is
+//!   the one implementation of `ebbrt_net::Nic` and charges the device
+//!   costs.
+//! * [`lan`] — a world, a switch, and machines that come with their
+//!   network stack attached.
 //!
 //! Determinism: same inputs ⇒ identical event order and timestamps;
 //! every queue is ordered by `(time, sequence)` and all state lives on
 //! the single driving thread.
 
 pub mod costs;
+pub mod lan;
 pub mod link;
 pub mod machine;
 pub mod nic;
 pub mod world;
 
 pub use costs::CostProfile;
+pub use lan::Lan;
 pub use link::{LinkParams, Switch};
-pub use machine::{SendCell, SimMachine};
-pub use nic::{Frame, Mac, SimNic};
-pub use world::{charge, SimWorld};
+pub use machine::SimMachine;
+pub use nic::{Frame, SimNic};
+pub use world::SimWorld;

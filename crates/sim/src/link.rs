@@ -106,7 +106,7 @@ impl Switch {
         });
         drop(ports);
         // Pre-learn the NIC's own MAC so first frames need no flood.
-        self.learn(nic.mac(), port);
+        self.learn(nic.mac, port);
         let sw = Rc::downgrade(self);
         nic.install_tx_handler(Box::new(move |frame| {
             if let Some(sw) = sw.upgrade() {
@@ -251,7 +251,7 @@ impl Switch {
         }
         // The frame leaves the guest only after the CPU work performed
         // so far in the current event (service time delays outputs).
-        let ready = world.now() + crate::world::charged_so_far();
+        let ready = world.now() + ebbrt_core::clock::charged_so_far();
         // Serialize on the sender's uplink.
         let ports = self.ports.borrow();
         let sender = &ports[from];

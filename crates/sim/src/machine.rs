@@ -4,6 +4,8 @@
 //! `ebbrt_core::Runtime` on the world's virtual clock, a NIC, a cost
 //! profile describing its software environment (EbbRT, Linux-VM, Linux
 //! native, OSv), and per-core virtual-time state used by the driver.
+//! The machine is also the device the stack attaches to
+//! ([`crate::nic`] implements `ebbrt_net::Nic` for it).
 //!
 //! For profiles with a scheduler tick (Linux, OSv), call
 //! [`SimMachine::start_scheduler_ticks`]: every tick period, each core
@@ -18,9 +20,10 @@ use std::sync::Arc;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::runtime::Runtime;
+use ebbrt_net::nic::Mac;
 
 use crate::costs::CostProfile;
-use crate::nic::{Mac, SimNic};
+use crate::nic::SimNic;
 use crate::world::SimWorld;
 
 /// The one scheduled poll of a core that will service it. Every other
@@ -125,12 +128,6 @@ impl SimMachine {
         &self.cores[core.index()]
     }
 
-    /// Records charged CPU time (driver bookkeeping).
-    pub fn add_cpu_time(&self, core: CoreId, ns: Ns) {
-        let cs = &self.cores[core.index()];
-        cs.cpu_time.set(cs.cpu_time.get() + ns);
-    }
-
     /// Total virtual CPU time consumed by `core`.
     pub fn cpu_time(&self, core: CoreId) -> Ns {
         self.cores[core.index()].cpu_time.get()
@@ -142,11 +139,9 @@ impl SimMachine {
     }
 
     /// As [`Self::spawn_on`] for a closure that is not `Send` — one that
-    /// carries `Rc`s into the event — through a [`SendCell`]. (The
-    /// threaded backend has no `SimMachine`.)
+    /// carries `Rc`s into the event ([`Runtime::spawn_local`]).
     pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
-        let cell = SendCell::new(f);
-        self.rt.spawn(core, move || cell.into_inner()());
+        self.rt.spawn_local(core, f);
     }
 
     /// Starts the periodic scheduler tick on every core, if the profile
@@ -189,58 +184,10 @@ impl SimMachine {
     }
 }
 
-/// Carries a value that is not `Send` (an `Rc`, a boxed continuation)
-/// through an interface that demands `Send` — `Runtime::spawn`, a
-/// queue shared with the threaded backend — back to the thread it
-/// came from.
-///
-/// Sound only because a [`SimWorld`] runs every event of every machine
-/// on its single driving thread, so the value never actually crosses a
-/// thread boundary. Debug builds check that: the cell remembers the
-/// thread that built it and [`SendCell::into_inner`] asserts it is
-/// unwrapped there.
-pub struct SendCell<T> {
-    value: T,
-    #[cfg(debug_assertions)]
-    built_on: std::thread::ThreadId,
-}
-
-// SAFETY: see the type docs — the value is built, held and unwrapped on
-// one thread (checked in debug builds); the threaded backend must never
-// be handed one.
-unsafe impl<T> Send for SendCell<T> {}
-
-impl<T> SendCell<T> {
-    /// Wraps `value` on the world's thread.
-    pub fn new(value: T) -> Self {
-        SendCell {
-            value,
-            #[cfg(debug_assertions)]
-            built_on: std::thread::current().id(),
-        }
-    }
-
-    /// Unwraps the value.
-    ///
-    /// # Panics
-    ///
-    /// Under debug assertions, when called on a thread other than the
-    /// one that built the cell.
-    pub fn into_inner(self) -> T {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            std::thread::current().id(),
-            self.built_on,
-            "SendCell unwrapped off the thread that built it"
-        );
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::charge;
+    use ebbrt_core::clock::charge;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc as SArc;
 
@@ -424,15 +371,5 @@ mod tests {
             ebbrt_core::event::block_on(f);
         });
         w.run_to_idle();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn send_cell_unwrapped_on_another_thread_panics() {
-        let cell = SendCell::new(7);
-        let joined = std::thread::spawn(move || cell.into_inner()).join();
-        let msg = joined.expect_err("unwrapping off-thread must panic");
-        let msg = msg.downcast_ref::<String>().expect("assert message");
-        assert!(msg.contains("off the thread that built it"), "{msg}");
     }
 }

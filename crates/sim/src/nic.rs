@@ -8,35 +8,25 @@
 //! hashing the IPv4/port 5-tuple, so a TCP connection consistently
 //! lands on one queue/core — the paper's "multiqueue receive flow
 //! steering" configuration.
+//!
+//! The guest side is `ebbrt_net::Nic`, implemented here for
+//! [`SimMachine`]: this impl is the one place that charges a frame's
+//! device costs — per frame and per drain on receive, per frame with
+//! kick suppression on transmit — against the machine's cost profile.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use ebbrt_core::clock::{charge, Ns};
 use ebbrt_core::event::InterruptLine;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf};
+use ebbrt_core::runtime::Runtime;
+pub(crate) use ebbrt_net::nic::Mac;
+use ebbrt_net::nic::{rss_hash, Nic};
 
-/// A MAC address.
-pub type Mac = [u8; 6];
-
-/// The RSS hash over an IPv4 5-tuple as computed by the NIC for
-/// arriving frames. Exposed so guests can pick ephemeral ports that
-/// steer reply traffic to a chosen core (queue = hash % nqueues).
-pub fn rss_hash(src_ip: u32, dst_ip: u32, src_port: u16, dst_port: u16) -> u32 {
-    let ports = ((src_port as u32) << 16) | dst_port as u32;
-    let mut h = src_ip
-        .wrapping_mul(0x9e37_79b9)
-        .wrapping_add(dst_ip.wrapping_mul(0x85eb_ca6b))
-        .wrapping_add(ports.wrapping_mul(0xc2b2_ae35));
-    // murmur3 finalizer: queue selection uses `hash % nqueues`, so the
-    // low bits must depend on every input bit (like a Toeplitz hash).
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85eb_ca6b);
-    h ^= h >> 13;
-    h = h.wrapping_mul(0xc2b2_ae35);
-    h ^= h >> 16;
-    h
-}
+use crate::machine::SimMachine;
 
 /// An Ethernet frame in flight: a zero-copy segment chain.
 pub struct Frame {
@@ -128,10 +118,17 @@ impl Frame {
 /// IPv4 header, and the L4 ports.
 const HEAD_MAX: usize = 14 + 60 + 4;
 
+/// What a fresh device's last-activity stamps read. `now` minus it
+/// saturates to 0, so a device's first drain and first transmit count
+/// as back to back with an earlier one.
+const LONG_AGO: Ns = u64::MAX / 2;
+
 struct RxQueue {
     frames: RefCell<VecDeque<Frame>>,
     irq: RefCell<Option<InterruptLine>>,
     irq_enabled: Cell<bool>,
+    /// When a drain last took a frame (receive interrupt suppression).
+    last_drain: Cell<Ns>,
     /// Frames ever delivered into this queue (RSS skew diagnostic).
     delivered_frames: Cell<u64>,
     /// Bytes ever delivered into this queue.
@@ -148,7 +145,7 @@ pub const DEFAULT_MTU: usize = 1500;
 
 /// The simulated NIC device.
 pub struct SimNic {
-    mac: Mac,
+    pub(crate) mac: Mac,
     queues: Vec<RxQueue>,
     /// Device MTU: the largest IP packet the device carries. Jumbo
     /// configurations (9000) raise the guest stack's MSS accordingly.
@@ -159,8 +156,8 @@ pub struct SimNic {
     /// Installed by the switch at attach time; carries frames onto the
     /// wire.
     tx_handler: RefCell<Option<TxHandler>>,
-    rx_frames: Cell<u64>,
-    rx_bytes: Cell<u64>,
+    /// When the last frame left (transmit kick suppression).
+    last_tx: Cell<Ns>,
 }
 
 impl SimNic {
@@ -175,6 +172,7 @@ impl SimNic {
                     frames: RefCell::new(VecDeque::new()),
                     irq: RefCell::new(None),
                     irq_enabled: Cell::new(true),
+                    last_drain: Cell::new(LONG_AGO),
                     delivered_frames: Cell::new(0),
                     delivered_bytes: Cell::new(0),
                     depth_hwm: Cell::new(0),
@@ -183,24 +181,13 @@ impl SimNic {
             mtu: Cell::new(DEFAULT_MTU),
             stack_attached: Cell::new(false),
             tx_handler: RefCell::new(None),
-            rx_frames: Cell::new(0),
-            rx_bytes: Cell::new(0),
+            last_tx: Cell::new(LONG_AGO),
         })
-    }
-
-    /// The NIC's MAC address.
-    pub fn mac(&self) -> Mac {
-        self.mac
     }
 
     /// Number of receive queues.
     pub fn nqueues(&self) -> usize {
         self.queues.len()
-    }
-
-    /// The device MTU.
-    pub fn mtu(&self) -> usize {
-        self.mtu.get()
     }
 
     /// Reconfigures the device MTU (jumbo frames). Must happen before
@@ -224,12 +211,6 @@ impl SimNic {
         self.mtu.set(mtu);
     }
 
-    /// Marks the device as owned by an attached guest stack (called by
-    /// `NetIf::attach`), freezing the MTU.
-    pub fn mark_stack_attached(&self) {
-        self.stack_attached.set(true);
-    }
-
     // --- Guest (driver) side --------------------------------------------
 
     /// Transmits a frame onto the wire.
@@ -243,38 +224,9 @@ impl SimNic {
         h(frame);
     }
 
-    /// Pops the next received frame from `queue`.
-    pub fn rx_pop(&self, queue: usize) -> Option<Frame> {
-        self.queues[queue].frames.borrow_mut().pop_front()
-    }
-
     /// Frames waiting in `queue`.
     pub fn rx_len(&self, queue: usize) -> usize {
         self.queues[queue].frames.borrow().len()
-    }
-
-    /// Binds `queue`'s interrupt line (raised on frame arrival while
-    /// interrupts are enabled).
-    pub fn set_irq(&self, queue: usize, line: InterruptLine) {
-        *self.queues[queue].irq.borrow_mut() = Some(line);
-    }
-
-    /// Enables or disables `queue`'s interrupt — the driver's polling
-    /// switch. Re-enabling does *not* retroactively fire for queued
-    /// frames; the driver must drain after re-enabling (as with real
-    /// hardware).
-    pub fn set_irq_enabled(&self, queue: usize, enabled: bool) {
-        self.queues[queue].irq_enabled.set(enabled);
-    }
-
-    /// Whether `queue`'s interrupt is enabled.
-    pub fn irq_enabled(&self, queue: usize) -> bool {
-        self.queues[queue].irq_enabled.get()
-    }
-
-    /// (frames, bytes) received.
-    pub fn rx_stats(&self) -> (u64, u64) {
-        (self.rx_frames.get(), self.rx_bytes.get())
     }
 
     /// (frames, bytes) ever delivered into `queue` — the per-queue
@@ -300,8 +252,6 @@ impl SimNic {
     /// Delivers an arriving frame into the RSS-selected queue, raising
     /// its interrupt if enabled.
     pub fn deliver(&self, frame: Frame) {
-        self.rx_frames.set(self.rx_frames.get() + 1);
-        self.rx_bytes.set(self.rx_bytes.get() + frame.len() as u64);
         let queue = (frame.flow_hash() as usize) % self.queues.len();
         let q = &self.queues[queue];
         q.delivered_frames.set(q.delivered_frames.get() + 1);
@@ -321,10 +271,176 @@ impl SimNic {
     }
 }
 
+/// The simulated machine as the stack's device, and the device half of
+/// the cost model: receive and transmit charge the machine's profile
+/// here, at the points a guest pays them.
+impl Nic for SimMachine {
+    fn runtime(&self) -> &Arc<Runtime> {
+        SimMachine::runtime(self)
+    }
+
+    fn mac(&self) -> Mac {
+        self.nic().mac
+    }
+
+    fn mtu(&self) -> usize {
+        self.nic().mtu.get()
+    }
+
+    fn mark_stack_attached(&self) {
+        self.nic().stack_attached.set(true);
+    }
+
+    fn nqueues(&self) -> usize {
+        self.nic().queues.len()
+    }
+
+    fn set_irq(&self, queue: usize, line: InterruptLine) {
+        *self.nic().queues[queue].irq.borrow_mut() = Some(line);
+    }
+
+    /// Re-enabling does not fire for frames already queued: the driver
+    /// drains after re-enabling, as with real hardware.
+    fn set_irq_enabled(&self, queue: usize, enabled: bool) {
+        self.nic().queues[queue].irq_enabled.set(enabled);
+    }
+
+    fn rx_len(&self, queue: usize) -> usize {
+        self.nic().rx_len(queue)
+    }
+
+    /// Charges each frame the profile's per-packet receive path, and a
+    /// drain that takes any its per-batch costs: the wakeup and syscall
+    /// pair, plus interrupt entry and hypervisor delivery when the
+    /// queue's interrupt entered the drain while the guest was cold.
+    /// Back-to-back drains (within the batch window: NAPI/vhost
+    /// suppressing notifications) pay only the amortized share.
+    fn rx_burst(
+        &self,
+        queue: usize,
+        from_interrupt: bool,
+        max_frames: usize,
+        max_bytes: usize,
+        out: &mut Vec<Chain<IoBuf>>,
+    ) -> usize {
+        let (p, q) = (self.profile(), &self.nic().queues[queue]);
+        let (mut n, mut bytes, mut frames) = (0, 0, q.frames.borrow_mut());
+        while n < max_frames && bytes < max_bytes {
+            let Some(frame) = frames.pop_front() else {
+                break;
+            };
+            bytes += frame.len();
+            if n == 0 {
+                let now = self.runtime().now_ns();
+                let last = q.last_drain.replace(now);
+                if from_interrupt && now.saturating_sub(last) > p.virtio_batch_window_ns {
+                    charge(p.rx_batch_cost());
+                }
+                charge(p.rx_wakeup_ns + p.syscall_ns);
+            }
+            charge(p.rx_cost_per_packet(frame.len()));
+            out.push(frame.data);
+            n += 1;
+        }
+        n
+    }
+
+    /// Charges the profile's transmit path; the virtio kick is
+    /// suppressed while the ring is hot (a frame left within the batch
+    /// window).
+    fn transmit(&self, frame: Chain<IoBuf>) {
+        let (p, now) = (self.profile(), self.runtime().now_ns());
+        let since = now.saturating_sub(self.nic().last_tx.replace(now));
+        charge(p.tx_cost_batched(frame.len(), since <= p.virtio_batch_window_ns));
+        self.nic().transmit(Frame::new(frame));
+    }
+
+    fn rx_burst_frames(&self) -> usize {
+        self.profile().rx_burst_frames
+    }
+
+    fn poll_enter_burst(&self) -> usize {
+        self.profile().poll_enter_burst
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::CostProfile;
+    use crate::world::SimWorld;
+    use ebbrt_core::clock::take_charge;
     use ebbrt_core::iobuf::MutIoBuf;
+    use ebbrt_net::driver::RX_BURST_BYTES;
+
+    fn bytes(len: usize) -> Chain<IoBuf> {
+        Chain::single(IoBuf::copy_from(&vec![0u8; len]))
+    }
+
+    /// A one-core Linux-VM machine (its receive wakeup, syscall and
+    /// copies cost something) on a switch, so it can transmit.
+    fn device() -> (Rc<SimWorld>, Rc<crate::Switch>, Rc<SimMachine>) {
+        let w = SimWorld::new();
+        let sw = crate::Switch::new(&w);
+        let m = SimMachine::create(&w, "m", 1, CostProfile::linux_vm(), [1; 6]);
+        sw.attach(m.nic(), crate::LinkParams::default());
+        (w, sw, m)
+    }
+
+    /// Hands `lens` frames to the queue, drains it once and returns the
+    /// time the drain charged.
+    fn drain_charge(m: &SimMachine, from_interrupt: bool, lens: &[usize]) -> Ns {
+        for &len in lens {
+            m.nic().deliver(Frame::new(bytes(len)));
+        }
+        take_charge();
+        let mut out = Vec::new();
+        let n = m.rx_burst(0, from_interrupt, 64, RX_BURST_BYTES, &mut out);
+        assert_eq!(n, lens.len());
+        take_charge()
+    }
+
+    #[test]
+    fn a_transmit_inside_the_batch_window_is_charged_without_the_kick() {
+        let (w, _sw, m) = device();
+        let p = m.profile().clone();
+        m.transmit(bytes(60)); // first frame
+        let window = p.virtio_batch_window_ns;
+        w.clock().set(window + 1);
+        take_charge();
+        m.transmit(bytes(100)); // outside the window: the kick is paid
+        assert_eq!(take_charge(), p.tx_cost_batched(100, false));
+        w.clock().set(2 * window + 1);
+        m.transmit(bytes(700)); // exactly the window after: still hot
+        assert_eq!(take_charge(), p.tx_cost_batched(700, true));
+        assert!(p.tx_cost_batched(700, true) < p.tx_cost_batched(700, false));
+    }
+
+    #[test]
+    fn only_an_interrupt_on_a_cold_queue_pays_the_batch_cost() {
+        let (w, _sw, m) = device();
+        let p = m.profile().clone();
+        let per_drain = p.rx_wakeup_ns + p.syscall_ns;
+        let frames = |lens: &[usize]| lens.iter().map(|&l| p.rx_cost_per_packet(l)).sum::<Ns>();
+        drain_charge(&m, true, &[64]); // primes the queue's last drain
+        let cold = 10 * p.virtio_batch_window_ns;
+        w.clock().set(cold);
+        let lens = [64, 1514, 300];
+        let expect = p.rx_batch_cost() + per_drain + frames(&lens);
+        assert_eq!(drain_charge(&m, true, &lens), expect, "cold interrupt");
+        assert_eq!(
+            drain_charge(&m, true, &[200]),
+            per_drain + frames(&[200]),
+            "hot: drained at this instant already"
+        );
+        w.clock().set(2 * cold);
+        assert_eq!(
+            drain_charge(&m, false, &[200, 9000]),
+            per_drain + frames(&[200, 9000]),
+            "a poll"
+        );
+        assert_eq!(drain_charge(&m, true, &[]), 0, "an empty drain is free");
+    }
 
     fn eth_frame(dst: Mac, src: Mac, payload: &[u8]) -> Frame {
         let mut b = MutIoBuf::with_capacity(14 + payload.len());
@@ -401,7 +517,7 @@ mod tests {
         assert!(seen.len() > 1, "RSS should use multiple queues");
         let total: usize = (0..4).map(|q| nic.rx_len(q)).sum();
         assert_eq!(total, 64);
-        assert_eq!(nic.rx_stats().0, 64);
+        assert_eq!((0..4).map(|q| nic.rx_queue_stats(q).0).sum::<u64>(), 64);
     }
 
     #[test]
@@ -421,21 +537,24 @@ mod tests {
         let hits = Rc::new(Cell::new(0));
         let h = Rc::clone(&hits);
         let v = em.allocate_vector(move || h.set(h.get() + 1));
-        let nic = SimNic::new([1; 6], 1);
-        nic.set_irq(0, em.interrupt_line(v));
+        let w = SimWorld::new();
+        let m = SimMachine::create(&w, "m", 1, CostProfile::ebbrt_vm(), [1; 6]);
+        m.set_irq(0, em.interrupt_line(v));
 
-        nic.deliver(eth_frame([1; 6], [2; 6], b"a"));
+        m.nic().deliver(eth_frame([1; 6], [2; 6], b"a"));
         em.drain();
         assert_eq!(hits.get(), 1);
 
-        nic.set_irq_enabled(0, false);
-        nic.deliver(eth_frame([1; 6], [2; 6], b"b"));
+        m.set_irq_enabled(0, false);
+        m.nic().deliver(eth_frame([1; 6], [2; 6], b"b"));
         em.drain();
         assert_eq!(hits.get(), 1, "no interrupt while disabled");
-        assert_eq!(nic.rx_len(0), 2, "frames still queued for polling");
+        assert_eq!(m.rx_len(0), 2, "frames still queued for polling");
 
-        nic.set_irq_enabled(0, true);
-        assert_eq!(nic.rx_pop(0).unwrap().len(), 15);
+        m.set_irq_enabled(0, true);
+        let mut out = Vec::new();
+        m.rx_burst(0, false, 1, RX_BURST_BYTES, &mut out);
+        assert_eq!(out[0].len(), 15);
     }
 
     #[test]

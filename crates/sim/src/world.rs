@@ -7,7 +7,7 @@
 //! runs dispatch passes.
 //!
 //! **Virtual CPU time.** Handlers declare the CPU time they consume by
-//! calling [`charge`] (the per-operation constants live in
+//! calling [`ebbrt_core::clock::charge`] (the per-operation constants live in
 //! [`crate::costs`]). The driver accumulates charges into the core's
 //! `busy_until`; a busy core defers further dispatch until that instant
 //! — this is what produces realistic queueing behaviour (the
@@ -33,7 +33,7 @@ use std::collections::BinaryHeap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use ebbrt_core::clock::{Clock, ManualClock, Ns};
+use ebbrt_core::clock::{take_charge, Clock, ManualClock, Ns};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::queue::MutexQueue;
 use ebbrt_core::runtime;
@@ -50,31 +50,6 @@ pub const MIN_POLL_NS: Ns = 150;
 /// zero-cost dispatch passes at one instant, the driver panics (it is a
 /// bug in the simulated application).
 const ZERO_COST_PASS_LIMIT: usize = 100_000;
-
-thread_local! {
-    static CHARGE: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Declares that the currently executing handler consumes `ns` of
-/// virtual CPU time. May be called any number of times; charges
-/// accumulate. Outside the simulation driver this is a no-op
-/// accumulator that nobody reads.
-#[inline]
-pub fn charge(ns: u64) {
-    CHARGE.with(|c| c.set(c.get() + ns));
-}
-
-fn take_charge() -> u64 {
-    CHARGE.with(|c| c.replace(0))
-}
-
-/// Virtual CPU time the currently executing handler has accumulated so
-/// far. Devices use this to timestamp outputs correctly: a frame sent
-/// after 20 µs of (charged) processing leaves the NIC 20 µs into the
-/// event, not at its start.
-pub fn charged_so_far() -> u64 {
-    CHARGE.with(|c| c.get())
-}
 
 /// A deferred world action, run at its deadline.
 type WorldAction = Box<dyn FnOnce(&Rc<SimWorld>)>;
@@ -374,7 +349,7 @@ impl SimWorld {
             if charged > 0 {
                 let busy_until = self.now() + charged;
                 cs.busy_until.set(busy_until);
-                machine.add_cpu_time(core, charged);
+                cs.cpu_time.set(cs.cpu_time.get() + charged);
                 if em.pending_work() || em.has_idle_handlers() {
                     self.schedule_core_poll(machine, core, busy_until);
                 }
@@ -563,13 +538,5 @@ mod tests {
         // at + seq + a boxed closure's fat pointer: the typed actions
         // sit beside the box's niche.
         assert_eq!(std::mem::size_of::<QEntry>(), 32);
-    }
-
-    #[test]
-    fn charge_accumulates_and_resets() {
-        charge(100);
-        charge(50);
-        assert_eq!(take_charge(), 150);
-        assert_eq!(take_charge(), 0);
     }
 }

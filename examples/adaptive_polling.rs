@@ -15,8 +15,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::{CostProfile, SimMachine, SimWorld};
+use ebbrt_sim::{CostProfile, Lan, SimMachine, SimWorld};
 
 fn main() {
     let lan = Lan::new();

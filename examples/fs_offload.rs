@@ -19,8 +19,7 @@ use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
 use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 fn main() {
     let lan = Lan::new();

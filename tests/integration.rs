@@ -16,8 +16,7 @@ use ebbrt_hosted::global_map::GlobalIdMap;
 use ebbrt_hosted::messenger::Messenger;
 use ebbrt_hosted::remote::MessengerTransport;
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_net::Lan;
-use ebbrt_sim::CostProfile;
+use ebbrt_sim::{CostProfile, Lan};
 
 const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 

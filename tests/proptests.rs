@@ -164,7 +164,7 @@ mod zero_copy_props {
     /// `requests` in flight.
     fn feed_replies(requests: &[Vec<u8>], stream: &[u8], cuts: &[usize]) -> ReplyOutcome {
         use ebbrt_net::types::Ipv4Addr;
-        let lan = ebbrt_net::Lan::new();
+        let lan = ebbrt_sim::Lan::new();
         let vm = ebbrt_sim::CostProfile::ebbrt_vm;
         let server_ip = Ipv4Addr::new(10, 0, 0, 1);
         let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
@@ -374,8 +374,7 @@ mod size_class_props {
     /// chunked sends), GET it back, and return the fetched bytes.
     fn roundtrip_over_network(value: &[u8], chunk: usize) -> Vec<u8> {
         use ebbrt_net::types::Ipv4Addr;
-        use ebbrt_net::Lan;
-        use ebbrt_sim::CostProfile;
+        use ebbrt_sim::{CostProfile, Lan};
 
         let lan = Lan::new();
         let vm = CostProfile::ebbrt_vm;
