@@ -9,7 +9,7 @@
 //! header segment in front of whatever descriptors the caller hands in.
 
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::qos;
+use ebbrt_core::qos::Counter;
 
 /// The memcached service port.
 pub const MEMCACHED_PORT: u16 = 11211;
@@ -223,7 +223,7 @@ pub struct BadFrame;
 impl BadFrame {
     /// Counts one framing error on the calling machine.
     pub(super) fn counted() -> BadFrame {
-        qos::bump(qos::register(BAD_FRAME_COUNTER));
+        Counter::on_current(BAD_FRAME_COUNTER).bump();
         BadFrame
     }
 }

@@ -3,7 +3,7 @@
 //! chain, serves them, and sends the batched replies — all inside the
 //! event that delivered the bytes.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,10 +12,10 @@ use ebbrt_core::clock::{charge, charged_so_far};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_core::qos::{self, CounterHandle};
 use ebbrt_core::rcu_hash::RcuHashMap;
 use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_net::netif::{local_netif, try_local_netif, ConnHandler, TcpConn};
+use ebbrt_net::qos_policy::ClassCounters;
 use ebbrt_sim::SimMachine;
 
 use super::codec::{
@@ -189,8 +189,7 @@ pub struct ServerConn {
     /// class counters), cached on first receive — `None` when the
     /// machine has no QoS policy installed, in which case the serve
     /// path is byte-for-byte the pre-QoS one.
-    shed: Cell<Option<ShedPolicy>>,
-    shed_resolved: Cell<bool>,
+    shed: OnceCell<Option<ShedPolicy>>,
 }
 
 /// The lazily-boxed cold half of a [`ServerConn`] (see the `cold`
@@ -225,16 +224,13 @@ impl ConnCold {
 
 /// Per-connection overload-serving parameters, resolved once from the
 /// machine's installed [`ebbrt_net::netif::QosPolicy`] and the
-/// connection's class. `Copy` (three counter handles and a deadline)
-/// so it lives in a `Cell` on the hot path.
-#[derive(Clone, Copy)]
+/// connection's class.
 pub(super) struct ShedPolicy {
     /// Service deadline from the class's [`ebbrt_core::qos::ClassConfig`];
     /// `None` = count but never shed.
     deadline_ns: Option<u64>,
-    pub(super) served_h: CounterHandle,
-    shed_h: CounterHandle,
-    missed_h: CounterHandle,
+    /// The class's counters (served, shed, deadline missed).
+    pub(super) counters: Rc<ClassCounters>,
 }
 
 impl ServerConn {
@@ -250,8 +246,7 @@ impl ServerConn {
             store,
             config,
             cold: RefCell::new(None),
-            shed: Cell::new(None),
-            shed_resolved: Cell::new(false),
+            shed: OnceCell::new(),
         }
     }
 
@@ -308,25 +303,18 @@ impl ServerConn {
 
     /// Resolves (once) the connection's class and its serving policy
     /// from the machine's installed QoS policy.
-    pub(super) fn shed_policy(&self, conn: &TcpConn) -> Option<ShedPolicy> {
-        if !self.shed_resolved.get() {
-            self.shed_resolved.set(true);
-            let resolved = try_local_netif()
-                .and_then(|n| n.qos_policy())
-                .map(|policy| {
-                    let cfg = policy.config();
-                    let i = conn.class().index(cfg.classes.len());
-                    let c = &cfg.classes[i];
-                    ShedPolicy {
-                        deadline_ns: c.deadline_ns,
-                        served_h: qos::register(&qos::names::served(&c.name)),
-                        shed_h: qos::register(&qos::names::shed(&c.name)),
-                        missed_h: qos::register(&qos::names::deadline_missed(&c.name)),
-                    }
-                });
-            self.shed.set(resolved);
-        }
-        self.shed.get()
+    pub(super) fn shed_policy(&self, conn: &TcpConn) -> Option<&ShedPolicy> {
+        self.shed
+            .get_or_init(|| {
+                let policy = try_local_netif()?.qos_policy()?;
+                let cfg = policy.config();
+                let class = conn.class();
+                Some(ShedPolicy {
+                    deadline_ns: cfg.classes[class.index(cfg.classes.len())].deadline_ns,
+                    counters: Rc::clone(policy.counters(class)),
+                })
+            })
+            .as_ref()
     }
 
     fn process(&self, conn: &TcpConn, data: Chain<IoBuf>) {
@@ -341,7 +329,7 @@ impl ServerConn {
             _ => self.drain(conn, data, |h, body| {
                 self.handle_request(h, body, &mut responses);
                 if let Some(sp) = shed {
-                    qos::bump(sp.served_h);
+                    sp.counters.served.bump();
                 }
             }),
         };
@@ -367,7 +355,7 @@ impl ServerConn {
         &self,
         conn: &TcpConn,
         data: Chain<IoBuf>,
-        sp: ShedPolicy,
+        sp: &ShedPolicy,
         responses: &mut Chain<IoBuf>,
     ) -> Result<(), BadFrame> {
         let deadline = sp.deadline_ns.expect("checked by caller");
@@ -383,12 +371,12 @@ impl ServerConn {
         for (h, body, tick) in reqs {
             let now = base + charged_so_far();
             if now.saturating_sub(tick) > deadline {
-                qos::bump(sp.missed_h);
-                qos::bump(sp.shed_h);
+                sp.counters.deadline_missed.bump();
+                sp.counters.shed.bump();
                 push_status(responses, h.opcode, STATUS_SERVER_BUSY, h.opaque);
             } else {
                 self.handle_request(&h, body, responses);
-                qos::bump(sp.served_h);
+                sp.counters.served.bump();
             }
         }
         Ok(())
@@ -587,9 +575,11 @@ mod tests {
     use crate::spawn_with;
     use ebbrt_core::clock::Ns;
     use ebbrt_core::iobuf::{Buf, MutIoBuf};
+    use ebbrt_core::qos;
     use ebbrt_net::netif::NetIf;
     use ebbrt_net::types::Ipv4Addr;
     use ebbrt_sim::{CostProfile, Lan};
+    use std::cell::Cell;
 
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 

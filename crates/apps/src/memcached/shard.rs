@@ -36,7 +36,6 @@ use std::sync::{Arc, RwLock};
 use ebbrt_core::clock::charge;
 use ebbrt_core::ebb::{EbbId, HashRing};
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_core::qos;
 use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 
 use super::codec::{
@@ -185,7 +184,7 @@ impl ShardedServerConn {
             self.route(conn, &view, h, body, &mut responses)
         });
         if let Some(sp) = sp {
-            qos::add(sp.served_h, drained);
+            sp.counters.served.add(drained);
         }
         if framed.is_ok() {
             self.local.send_batch(conn, responses);
@@ -351,10 +350,10 @@ impl ShardedServerConn {
 /// The messenger already delivers replies on the issuing core; this
 /// keeps the invariant structural rather than relying on who issued.
 fn on_conn_core(conn: &TcpConn, f: impl FnOnce() + 'static) {
-    ebbrt_core::runtime::with_current_on(|rt, current| match conn.core() {
-        Some(home) if home != current => rt.spawn_local(home, f),
-        _ => f(),
-    });
+    match conn.core() {
+        Some(home) => ebbrt_core::runtime::run_on(home, f),
+        None => f(),
+    }
 }
 
 impl ConnHandler for ShardedServerConn {

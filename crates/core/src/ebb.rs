@@ -89,7 +89,7 @@ pub enum SystemEbb {
     RemoteBatch = 8,
     /// The named per-core counter registry
     /// (`qos::CounterRegistryEbb`). Lazily registered: its root is
-    /// `Default`, so the first `qos::register`/`qos::add` on a machine
+    /// `Default`, so the first `qos::Counter` on a machine
     /// faults everything in.
     Counters = 9,
     /// The per-core transmit scheduler reps of the QoS subsystem
@@ -180,6 +180,55 @@ pub fn not_installed(id: EbbId, core: CoreId, installer: &str) -> ! {
     )
 }
 
+/// A machine-wide `Rc` object reached from every core through an
+/// [`InstalledRep`] (the network stack, the messenger).
+pub trait Installed: 'static {
+    /// What installs the reps, named by a miss ([`not_installed`]).
+    const INSTALLER: &'static str;
+}
+
+/// The per-core representative of an installed-only Ebb: every core's
+/// rep shares the machine's one `T`, so code on any core reaches it
+/// through one copyable [`EbbRef`] instead of threading `Rc<T>` handles
+/// into every spawn closure. Reps hold `T` weakly: the `Rc` its
+/// installer returned stays the owner, and the translation table
+/// cannot keep a dead object alive through the machine ⇄ object cycle.
+pub struct InstalledRep<T>(std::rc::Weak<T>);
+
+impl<T: Installed> InstalledRep<T> {
+    /// Installs a rep of `obj` on every core of `rt` under `id`.
+    pub fn install(rt: &Arc<crate::runtime::Runtime>, id: EbbId, obj: &std::rc::Rc<T>) {
+        crate::runtime::install_on_all_cores(rt, id, |_| InstalledRep(std::rc::Rc::downgrade(obj)));
+    }
+
+    /// The object, unless its owner has dropped it.
+    pub fn upgrade(&self) -> Option<std::rc::Rc<T>> {
+        self.0.upgrade()
+    }
+
+    /// The object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its owner has dropped it.
+    pub fn get(&self) -> std::rc::Rc<T> {
+        self.upgrade()
+            .unwrap_or_else(|| panic!("{} dropped under its Ebb", std::any::type_name::<T>()))
+    }
+}
+
+impl<T: Installed> MulticoreEbb for InstalledRep<T> {
+    type Root = NoRoot;
+
+    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
+        match **root {}
+    }
+
+    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        not_installed(id, core, T::INSTALLER)
+    }
+}
+
 /// Per-machine Ebb state: the translation tables, id allocator and root
 /// registry. One per [`crate::runtime::Runtime`].
 pub struct EbbManager {
@@ -200,12 +249,12 @@ pub struct EbbManager {
     roots: Mutex<HashMap<u32, RootEntry>>,
     /// Installed reps, recorded so `Drop` can free them with the correct
     /// type: (rep pointer, dropper).
-    installed: Mutex<Vec<InstalledRep>>,
+    installed: Mutex<Vec<OwnedRep>>,
 }
 
 /// A live representative: its raw pointer (as `usize`) plus the typed
 /// dropper that frees it.
-type InstalledRep = (usize, unsafe fn(*mut ()));
+type OwnedRep = (usize, unsafe fn(*mut ()));
 
 struct RootEntry {
     root: Arc<dyn Any + Send + Sync>,

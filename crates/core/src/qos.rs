@@ -5,14 +5,14 @@
 //! both deliberately transport-agnostic (the network stack wires them
 //! to frames, the applications to requests):
 //!
-//! * [`CounterRegistryEbb`] — the generalization of the half-built
-//!   `NetStats` pattern: counters are **registered by name** against a
-//!   machine-wide root, bumped through plain per-core `Cell`s (no
-//!   atomics on the hot path — the interior-mutability contract of
-//!   [`MulticoreEbb`]), and read as a **cross-core snapshot** at
-//!   quiescence. Lives under the well-known [`SystemEbb::Counters`]
-//!   id with a `Default` root, so no setup call is needed anywhere:
-//!   the first `register`/`add` on a machine faults everything in.
+//! * [`Counter`] over [`CounterRegistryEbb`] — every counter of a
+//!   machine is **registered by name** against a machine-wide root,
+//!   bumped through plain per-core `Cell`s (no atomics on the hot path
+//!   — the interior-mutability contract of [`MulticoreEbb`]), and read
+//!   as a **cross-core snapshot** at quiescence. Lives under the
+//!   well-known [`SystemEbb::Counters`] id with a `Default` root, so no
+//!   setup call is needed anywhere: the first counter on a machine
+//!   faults everything in.
 //! * [`FairScheduler`] — an HFSC-style two-criteria scheduler over a
 //!   paced virtual link: every class carries a linear **real-time
 //!   service curve** (`rt_bps` — a rate guarantee, honored by earliest
@@ -28,7 +28,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::clock::Ns;
 use crate::cpu::CoreId;
@@ -193,43 +193,33 @@ impl QosConfig {
 
 // --- CounterRegistry ------------------------------------------------------
 
-/// A handle to one registered counter: an index into every core's cell
-/// vector. `Copy + Send` — register once, bump from anywhere on the
-/// machine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CounterHandle(usize);
-
 /// The registry's cross-core root: the name table. Registration is
-/// idempotent by name — re-registering returns the existing handle —
-/// so independent subsystems (the network stack, an application, a
-/// bench) can all "register" the counters they touch without
-/// coordinating who goes first.
+/// idempotent by name — re-registering returns the existing index — so
+/// independent subsystems (the network stack, an application, a bench)
+/// can all register the counters they touch without coordinating who
+/// goes first.
 #[derive(Default)]
 pub struct CounterRoot {
     names: Mutex<Vec<String>>,
 }
 
 impl CounterRoot {
-    /// Registers `name` (or finds it), returning its handle.
-    pub fn register(&self, name: &str) -> CounterHandle {
+    /// Registers `name` (or finds it), returning its cell index.
+    fn register(&self, name: &str) -> usize {
         let mut names = crate::lock(&self.names);
         if let Some(i) = names.iter().position(|n| n == name) {
-            return CounterHandle(i);
+            return i;
         }
         names.push(name.to_string());
-        CounterHandle(names.len() - 1)
-    }
-
-    /// The registered names, in handle order.
-    pub fn names(&self) -> Vec<String> {
-        crate::lock(&self.names).clone()
+        names.len() - 1
     }
 }
 
 /// The per-core representative of the counter registry
 /// ([`SystemEbb::Counters`]): a growable vector of plain `Cell`
-/// counters, indexed by [`CounterHandle`]. Bumps are two loads and a
-/// store — no atomics, per the rep interior-mutability contract.
+/// counters, indexed by a [`Counter`]'s registration. Bumps are two
+/// loads and a store — no atomics, per the rep interior-mutability
+/// contract.
 pub struct CounterRegistryEbb {
     root: Arc<CounterRoot>,
     cells: RefCell<Vec<Cell<u64>>>,
@@ -245,116 +235,127 @@ impl MulticoreEbb for CounterRegistryEbb {
         }
     }
 
-    /// Lazily registered: the first `register`/`add` on a machine
-    /// faults everything in, root included.
+    /// Lazily registered: the first counter on a machine faults
+    /// everything in, root included.
     fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
         Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
     }
 }
 
 impl CounterRegistryEbb {
-    /// The shared name table.
-    pub fn root(&self) -> &Arc<CounterRoot> {
-        &self.root
-    }
-
-    /// Adds `n` to this core's cell for `h` (wrapping — see
-    /// [`Self::sub`]). The first touch of a handle the vector does not
-    /// cover grows it to every handle registered so far, so a core's
-    /// counters cost one allocation, not one per counter first bumped
-    /// mid-run.
-    pub fn add(&self, h: CounterHandle, n: u64) {
+    /// Adds `n` to this core's cell `i` (wrapping: a counter used as a
+    /// gauge may go up on one core and down on another, so one core's
+    /// cell can dip "below zero"; the modular cross-core sum is still
+    /// exact while the true total is non-negative). The first touch of
+    /// a cell the vector does not cover grows it to every counter
+    /// registered so far, so a core's counters cost one allocation,
+    /// not one per counter first bumped mid-run.
+    fn add(&self, i: usize, n: u64) {
         let cells = self.cells.borrow();
-        if let Some(c) = cells.get(h.0) {
+        if let Some(c) = cells.get(i) {
             c.set(c.get().wrapping_add(n));
             return;
         }
         drop(cells);
         let registered = crate::lock(&self.root.names).len();
         let mut cells = self.cells.borrow_mut();
-        cells.resize_with(registered.max(h.0 + 1), || Cell::new(0));
-        cells[h.0].set(n);
+        cells.resize_with(registered.max(i + 1), || Cell::new(0));
+        cells[i].set(n);
     }
 
-    /// Subtracts `n` from this core's cell for `h` (wrapping).
+    /// This core's value of cell `i`.
+    fn get(&self, i: usize) -> u64 {
+        self.cells.borrow().get(i).map(Cell::get).unwrap_or(0)
+    }
+}
+
+/// One named counter of one machine's registry — the registry's only
+/// handle. Bumps change the calling core's plain cell of that
+/// machine (no atomics, no lock, no `Weak` upgrade); [`Counter::get`]
+/// sums every core's cell. Registered at construction, so each core's
+/// cell vector grows during setup, not in a measured round.
+///
+/// Holds its machine weakly: an object the runtime owns (an installed
+/// rep) may keep a counter without keeping the runtime alive.
+pub struct Counter {
+    rt: Weak<Runtime>,
+    i: usize,
+}
+
+impl Counter {
+    /// Registers (or finds) `name` on `rt`.
+    pub fn new(rt: &Arc<Runtime>, name: &str) -> Counter {
+        Counter {
+            rt: Arc::downgrade(rt),
+            i: rt
+                .ebbs()
+                .root_or_default::<CounterRegistryEbb>(SystemEbb::Counters.id())
+                .register(name),
+        }
+    }
+
+    /// Registers (or finds) `name` on the calling context's machine:
+    /// the entered runtime, else the thread's ambient one.
+    pub fn on_current(name: &str) -> Counter {
+        let rt = if runtime::is_entered() {
+            runtime::current()
+        } else {
+            runtime::ambient()
+        };
+        Counter::new(&rt, name)
+    }
+
+    /// Adds `n` on the calling core.
     ///
-    /// Gauge support: a handle used as a gauge (live counts, queue
-    /// depths) increments on one core and may decrement on another,
-    /// so an individual core's cell can dip "below zero" — it wraps,
-    /// and the modular cross-core sum in [`read_total`] recovers the
-    /// exact value as long as the true total is non-negative.
-    pub fn sub(&self, h: CounterHandle, n: u64) {
-        self.add(h, n.wrapping_neg());
-    }
-
-    /// This core's value for `h`.
-    pub fn get(&self, h: CounterHandle) -> u64 {
-        self.cells.borrow().get(h.0).map(Cell::get).unwrap_or(0)
-    }
-}
-
-fn registry_root(ebbs: &EbbManager) -> Arc<CounterRoot> {
-    ebbs.root_or_default::<CounterRegistryEbb>(SystemEbb::Counters.id())
-}
-
-/// Registers (or finds) `name` on the current machine, returning its
-/// `Copy + Send` handle. Works from any context — an entered runtime
-/// or the ambient one — and needs no prior setup (the registry root
-/// lazily self-registers).
-pub fn register(name: &str) -> CounterHandle {
-    runtime::with_context(|rt, _core| register_in(rt, name))
-}
-
-/// As [`register`] against an explicit runtime (machine) — the form
-/// used by setup code that has a machine handle but is not executing
-/// inside one of its events.
-pub fn register_in(rt: &Runtime, name: &str) -> CounterHandle {
-    registry_root(rt.ebbs()).register(name)
-}
-
-/// Adds `n` to `h` on the calling core.
-pub fn add(h: CounterHandle, n: u64) {
-    runtime::with_context(|rt, core| {
-        rt.ebbs()
-            .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
-                rep.add(h, n)
-            })
-    });
-}
-
-/// Adds 1 to `h` on the calling core.
-pub fn bump(h: CounterHandle) {
-    add(h, 1);
-}
-
-/// Subtracts `n` from `h` on the calling core (gauge decrement; see
-/// [`CounterRegistryEbb::sub`] for the wrapping contract).
-pub fn sub(h: CounterHandle, n: u64) {
-    runtime::with_context(|rt, core| {
-        rt.ebbs()
-            .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
-                rep.sub(h, n)
-            })
-    });
-}
-
-/// Sums `h` across every core of `rt`.
-///
-/// # Caller contract
-///
-/// Inherits [`EbbManager::for_each_rep`]'s quiescence contract: call
-/// at a point where no core is concurrently bumping (always true on
-/// the simulation backend, where one thread drives every core).
-pub fn read_total(rt: &Runtime, h: CounterHandle) -> u64 {
-    let mut total = 0u64;
-    rt.ebbs()
-        .for_each_rep::<CounterRegistryEbb>(SystemEbb::Counters.id(), |_core, rep| {
-            // Wrapping: a gauge's per-core cell may have wrapped
-            // negative (incremented here, decremented there); the
-            // modular sum is still exact.
-            total = total.wrapping_add(rep.get(h));
+    /// # Panics
+    ///
+    /// Under debug assertions, when the caller is not running on this
+    /// counter's machine — a bump elsewhere would count on the wrong
+    /// machine.
+    pub fn add(&self, n: u64) {
+        runtime::with_context(|rt, core| {
+            debug_assert!(
+                std::ptr::eq(rt, self.rt.as_ptr()),
+                "counter bumped from another machine"
+            );
+            rt.ebbs()
+                .with_rep_on::<CounterRegistryEbb, _>(core, SystemEbb::Counters.id(), |rep| {
+                    rep.add(self.i, n)
+                })
         });
-    total
+    }
+
+    /// Adds 1 on the calling core.
+    #[inline]
+    pub fn bump(&self) {
+        self.add(1);
+    }
+
+    /// Subtracts `n` on the calling core (a gauge decrement; wrapping,
+    /// see [`CounterRegistryEbb`]).
+    pub fn sub(&self, n: u64) {
+        self.add(n.wrapping_neg());
+    }
+
+    /// The machine's total: every core's cell summed (0 once the
+    /// machine is gone).
+    ///
+    /// # Caller contract
+    ///
+    /// Inherits [`EbbManager::for_each_rep`]'s quiescence contract: call
+    /// at a point where no core is concurrently bumping (always true on
+    /// the simulation backend, where one thread drives every core).
+    pub fn get(&self) -> u64 {
+        let Some(rt) = self.rt.upgrade() else {
+            return 0;
+        };
+        let mut total = 0u64;
+        rt.ebbs()
+            .for_each_rep::<CounterRegistryEbb>(SystemEbb::Counters.id(), |_core, rep| {
+                total = total.wrapping_add(rep.get(self.i));
+            });
+        total
+    }
 }
 
 /// A cross-core snapshot of every registered counter on one machine.
@@ -374,16 +375,6 @@ impl CounterSnapshot {
             .unwrap_or(0)
     }
 
-    /// Sums every counter whose name starts with `prefix`.
-    pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.names
-            .iter()
-            .zip(&self.totals)
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, t)| *t)
-            .sum()
-    }
-
     /// Iterates `(name, total)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.names
@@ -394,7 +385,7 @@ impl CounterSnapshot {
 }
 
 /// Snapshots every counter of `rt` across its cores (the central
-/// cross-core read; same quiescence contract as [`read_total`]).
+/// cross-core read; same quiescence contract as [`Counter::get`]).
 pub fn snapshot(rt: &Runtime) -> CounterSnapshot {
     let Some(root) = rt
         .ebbs()
@@ -402,12 +393,12 @@ pub fn snapshot(rt: &Runtime) -> CounterSnapshot {
     else {
         return CounterSnapshot::default();
     };
-    let names = root.names();
+    let names = crate::lock(&root.names).clone();
     let mut totals = vec![0u64; names.len()];
     rt.ebbs()
         .for_each_rep::<CounterRegistryEbb>(SystemEbb::Counters.id(), |_core, rep| {
             for (i, t) in totals.iter_mut().enumerate() {
-                *t = t.wrapping_add(rep.get(CounterHandle(i)));
+                *t = t.wrapping_add(rep.get(i));
             }
         });
     CounterSnapshot { names, totals }
@@ -632,35 +623,36 @@ mod tests {
     #[test]
     fn register_is_idempotent_and_snapshot_sums_across_cores() {
         let rt = Runtime::new(3, Arc::new(ManualClock::new()));
-        let h = register_in(&rt, "qos.t.served");
-        assert_eq!(h, register_in(&rt, "qos.t.served"));
-        let h2 = register_in(&rt, "qos.t.shed");
-        assert_ne!(h, h2);
+        let served = Counter::new(&rt, "qos.t.served");
+        let again = Counter::new(&rt, "qos.t.served");
+        let shed = Counter::new(&rt, "qos.t.shed");
         for core in 0..3u32 {
             let g = enter(Arc::clone(&rt), CoreId(core));
-            add(h, (core + 1) as u64);
+            served.add((core + 1) as u64);
             if core == 1 {
-                bump(h2);
+                shed.bump();
             }
             drop(g);
         }
-        assert_eq!(read_total(&rt, h), 1 + 2 + 3);
+        // One name, one cell per core: both handles read the cores' sum.
+        assert_eq!(served.get(), 1 + 2 + 3);
+        assert_eq!(again.get(), 6);
+        assert_eq!(shed.get(), 1);
         let snap = snapshot(&rt);
         assert_eq!(snap.get("qos.t.served"), 6);
         assert_eq!(snap.get("qos.t.shed"), 1);
         assert_eq!(snap.get("qos.t.never"), 0);
-        assert_eq!(snap.sum_prefix("qos.t."), 7);
     }
 
     #[test]
     fn late_registration_reaches_cores_that_already_had_reps() {
         // A rep faulted in before a name existed must still count it:
-        // cells grow on first touch of the new handle.
+        // cells grow on first touch of the new counter.
         let rt = Runtime::new(2, Arc::new(ManualClock::new()));
-        let early = register_in(&rt, "a");
-        register_in(&rt, "a2");
+        let early = Counter::new(&rt, "a");
+        Counter::new(&rt, "a2");
         let g = enter(Arc::clone(&rt), CoreId(0));
-        bump(early); // faults the core-0 rep with a cell per name so far
+        early.bump(); // faults the core-0 rep with a cell per name so far
         let cells = rt.ebbs().with_rep_on::<CounterRegistryEbb, _>(
             CoreId(0),
             SystemEbb::Counters.id(),
@@ -668,25 +660,47 @@ mod tests {
         );
         assert_eq!(cells, 2, "the first touch covers every registered name");
         drop(g);
-        let late = register_in(&rt, "b");
+        let late = Counter::new(&rt, "b");
         let g = enter(Arc::clone(&rt), CoreId(0));
-        add(late, 5);
+        late.add(5);
         drop(g);
-        assert_eq!(read_total(&rt, late), 5);
-        assert_eq!(read_total(&rt, early), 1);
+        assert_eq!(late.get(), 5);
+        assert_eq!(early.get(), 1);
     }
 
     #[test]
     fn two_runtimes_keep_independent_registries() {
         let rt1 = Runtime::new(1, Arc::new(ManualClock::new()));
         let rt2 = Runtime::new(1, Arc::new(ManualClock::new()));
-        let h1 = register_in(&rt1, "x");
-        let h2 = register_in(&rt2, "x");
+        let x1 = Counter::new(&rt1, "x");
+        let x2 = Counter::new(&rt2, "x");
         let g = enter(Arc::clone(&rt1), CoreId(0));
-        add(h1, 7);
+        x1.add(7);
         drop(g);
-        assert_eq!(read_total(&rt1, h1), 7);
-        assert_eq!(read_total(&rt2, h2), 0);
+        assert_eq!(x1.get(), 7);
+        assert_eq!(x2.get(), 0);
+        // The counter holds its machine weakly.
+        drop(rt1);
+        assert_eq!(x1.get(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "counter bumped from another machine")]
+    fn a_bump_from_another_machine_is_a_debug_assertion() {
+        let rt1 = Runtime::new(1, Arc::new(ManualClock::new()));
+        let rt2 = Runtime::new(1, Arc::new(ManualClock::new()));
+        let x1 = Counter::new(&rt1, "x");
+        let _g = enter(rt2, CoreId(0));
+        x1.bump();
+    }
+
+    #[test]
+    fn unentered_code_counts_on_its_ambient_core() {
+        let c = Counter::on_current("qos.t.ambient");
+        c.add(3);
+        assert_eq!(c.get(), 3);
+        assert_eq!(snapshot(&crate::runtime::ambient()).get("qos.t.ambient"), 3);
     }
 
     #[test]
@@ -695,17 +709,17 @@ mod tests {
         // core 0): its cell wraps below zero, and its next increment
         // must wrap back rather than trip the overflow check.
         let rt = Runtime::new(2, Arc::new(ManualClock::new()));
-        let h = register_in(&rt, "gauge");
+        let gauge = Counter::new(&rt, "gauge");
         let g = enter(Arc::clone(&rt), CoreId(0));
-        add(h, 2);
+        gauge.add(2);
         drop(g);
         let g = enter(Arc::clone(&rt), CoreId(1));
-        add(h, 1);
-        sub(h, 2);
-        assert_eq!(read_total(&rt, h), 1);
-        add(h, 1);
+        gauge.add(1);
+        gauge.sub(2);
+        assert_eq!(gauge.get(), 1);
+        gauge.add(1);
         drop(g);
-        assert_eq!(read_total(&rt, h), 2);
+        assert_eq!(gauge.get(), 2);
     }
 
     // --- FairScheduler -----------------------------------------------------

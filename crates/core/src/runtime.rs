@@ -299,6 +299,25 @@ pub fn with_current_on<R>(f: impl FnOnce(&Runtime, CoreId) -> R) -> R {
     f(rt, CoreId(core))
 }
 
+/// Runs `f` on `core` of the current machine: inline when the caller
+/// is already on `core`, else queued there ([`Runtime::spawn_local`]).
+/// The one hop to state that belongs to one core — a connection's TCP
+/// state and timers, a continuation's issuing core.
+///
+/// # Panics
+///
+/// Panics if the thread has not [`enter`]ed a runtime.
+#[inline]
+pub fn run_on(core: CoreId, f: impl FnOnce() + 'static) {
+    with_current_on(|rt, current| {
+        if current == core {
+            f();
+        } else {
+            rt.spawn_local(core, f);
+        }
+    });
+}
+
 // --- Ambient context ---------------------------------------------------
 //
 // System Ebbs (most importantly the buffer pool) are owned by a

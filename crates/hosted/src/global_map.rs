@@ -30,6 +30,7 @@ use std::rc::Rc;
 use ebbrt_core::ebb::EbbId;
 use ebbrt_core::iobuf::wire::{WireReader, WireWriter};
 use ebbrt_core::iobuf::{Chain, IoBuf};
+use ebbrt_core::qos::Counter;
 use ebbrt_net::types::Ipv4Addr;
 
 use crate::messenger::{Messenger, DEFAULT_RPC_TIMEOUT_NS};
@@ -55,8 +56,8 @@ pub struct GlobalIdMapServer {
     next_range: Cell<u32>,
     /// id → (version, data). Versions start at 1 and bump per put.
     entries: RefCell<HashMap<u32, (u64, Vec<u8>)>>,
-    /// Requests served (diagnostic).
-    pub requests: Cell<u64>,
+    /// Requests served ("global_map.requests").
+    pub requests: Counter,
 }
 
 impl GlobalIdMapServer {
@@ -66,7 +67,7 @@ impl GlobalIdMapServer {
         let server = Rc::new(GlobalIdMapServer {
             next_range: Cell::new(1 << 20),
             entries: RefCell::new(HashMap::new()),
-            requests: Cell::new(0),
+            requests: Counter::new(messenger.netif().runtime(), "global_map.requests"),
         });
         let s = Rc::clone(&server);
         crate::remote::export_raw(messenger, GLOBAL_MAP_EBB_ID, move |req| s.handle(req));
@@ -74,7 +75,7 @@ impl GlobalIdMapServer {
     }
 
     fn handle(&self, req: &Chain<IoBuf>) -> Chain<IoBuf> {
-        self.requests.set(self.requests.get() + 1);
+        self.requests.bump();
         let mut r = WireReader::new(req);
         let mut resp = WireWriter::new();
         match (r.u8(), r.u32()) {

@@ -1,6 +1,10 @@
 use super::*;
+use ebbrt_core::clock::ManualClock;
+use ebbrt_core::cpu::CoreId;
+use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_net::netif::NetIf;
 use ebbrt_sim::{CostProfile, Lan, SimMachine};
+use std::sync::Arc;
 
 use crate::on_core0;
 #[test]
@@ -165,10 +169,12 @@ fn allocate_survives_a_hostile_or_silent_naming_service() {
 #[test]
 fn exhausting_the_id_space_refuses_instead_of_wrapping() {
     let last = u32::MAX - 2 * RANGE_SIZE + 1;
+    let rt = Runtime::new(1, Arc::new(ManualClock::new()));
+    let _on = runtime::enter(Arc::clone(&rt), CoreId(0));
     let server = GlobalIdMapServer {
         next_range: Cell::new(last),
         entries: RefCell::new(HashMap::new()),
-        requests: Cell::new(0),
+        requests: Counter::new(&rt, "global_map.requests"),
     };
     let alloc = || {
         let resp = server.handle(&WireWriter::op(OP_ALLOC_RANGE).finish());

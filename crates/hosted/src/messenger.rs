@@ -36,18 +36,16 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{
-    not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, RemoteError, RemoteReply,
-    SystemEbb, FIRST_DYNAMIC_ID,
+    EbbId, EbbRef, Installed, InstalledRep, RemoteError, RemoteReply, SystemEbb, FIRST_DYNAMIC_ID,
 };
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::qos::{self, CounterHandle};
+use ebbrt_core::qos::Counter;
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
@@ -232,44 +230,22 @@ pub struct Messenger {
     /// free, and keeps its slot vector's capacity for the next batch.
     batches: RefCell<Vec<BatchReply>>,
     next_rpc: Cell<u64>,
-    bad_frame_h: CounterHandle,
-    /// Messages dispatched (diagnostic).
-    pub dispatched: Cell<u64>,
-    /// RPCs that resolved with an error (diagnostic).
-    pub rpc_failures: Cell<u64>,
+    /// Connections dropped for a malformed frame ([`BAD_FRAME_COUNTER`]).
+    bad_frames: Counter,
+    /// Messages dispatched ("messenger.dispatched").
+    pub dispatched: Counter,
+    /// RPCs that resolved with an error ("messenger.rpc_failures").
+    pub rpc_failures: Counter,
 }
 
 /// The per-core representative of the machine's messenger Ebb
 /// ([`SystemEbb::Messenger`]): every core's rep shares the one
 /// [`Messenger`], which already speaks [`EbbId`]s on the wire — this
 /// is the local half of cross-machine Ebb messaging.
-pub struct MessengerEbb {
-    messenger: Weak<Messenger>,
-}
+pub type MessengerEbb = InstalledRep<Messenger>;
 
-impl MessengerEbb {
-    /// The machine's messenger.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the messenger has been dropped.
-    pub fn messenger(&self) -> Rc<Messenger> {
-        self.messenger
-            .upgrade()
-            .expect("Messenger dropped under its Ebb")
-    }
-}
-
-impl MulticoreEbb for MessengerEbb {
-    type Root = NoRoot;
-
-    fn create_rep(root: &Arc<NoRoot>, _: CoreId) -> Self {
-        match **root {}
-    }
-
-    fn handle_fault(_: &EbbManager, id: EbbId, core: CoreId) -> Self {
-        not_installed(id, core, "Messenger::start")
-    }
+impl Installed for Messenger {
+    const INSTALLER: &'static str = "Messenger::start";
 }
 
 /// The well-known [`EbbRef`] of the current machine's messenger.
@@ -280,7 +256,7 @@ pub fn messenger_ref() -> EbbRef<MessengerEbb> {
 /// Resolves the current machine's [`Messenger`] through the
 /// translation table (any core, inside an event).
 pub fn local_messenger() -> Rc<Messenger> {
-    messenger_ref().with(|rep| rep.messenger())
+    messenger_ref().with(MessengerEbb::get)
 }
 
 impl Messenger {
@@ -297,16 +273,11 @@ impl Messenger {
             rpc_waiters: RefCell::new(HashMap::new()),
             batches: RefCell::new(Vec::new()),
             next_rpc: Cell::new(1),
-            bad_frame_h: qos::register_in(rt, BAD_FRAME_COUNTER),
-            dispatched: Cell::new(0),
-            rpc_failures: Cell::new(0),
+            bad_frames: Counter::new(rt, BAD_FRAME_COUNTER),
+            dispatched: Counter::new(rt, "messenger.dispatched"),
+            rpc_failures: Counter::new(rt, "messenger.rpc_failures"),
         });
-        runtime::install_on_all_cores(rt, SystemEbb::Messenger.id(), {
-            let m = Rc::downgrade(&m);
-            move |_core| MessengerEbb {
-                messenger: Weak::clone(&m),
-            }
-        });
+        MessengerEbb::install(rt, SystemEbb::Messenger.id(), &m);
         // Under an installed QoS policy with a "control" class, the
         // messenger's inter-machine frames ride that class — RPCs and
         // replica traffic must not starve behind a tenant's data
@@ -536,19 +507,13 @@ impl Messenger {
             }
         }
         if outcome.is_err() {
-            self.rpc_failures.set(self.rpc_failures.get() + 1);
+            self.rpc_failures.bump();
         }
         // Deliver on the issuing core: the continuation touches state
         // (TCP connections, timers) that belongs there, and responses
         // may land on another core's peer connection.
-        runtime::with_current_on(|rt, current| {
-            if current == w.home {
-                w.reply.call(outcome);
-            } else {
-                let reply = w.reply;
-                rt.spawn_local(w.home, move || reply.call(outcome));
-            }
-        });
+        let reply = w.reply;
+        runtime::run_on(w.home, move || reply.call(outcome));
     }
 
     /// Aborts the connection to `addr` (RST-style: unacked and queued
@@ -569,10 +534,10 @@ impl Messenger {
             // Abort on the connection's affinity core (its TCP state
             // lives there); the messenger's waiters are failed from
             // the calling core either way.
-            runtime::with_current_on(|rt, current| match conn.core() {
-                Some(home) if home != current => rt.spawn_local(home, move || conn.abort()),
-                _ => conn.abort(),
-            });
+            match conn.core() {
+                Some(home) => runtime::run_on(home, move || conn.abort()),
+                None => conn.abort(),
+            }
         }
         self.on_peer_close(addr);
     }
@@ -601,7 +566,7 @@ impl Messenger {
     /// that address fails [`RemoteError::Unreachable`]. Runs on the
     /// connection's own core (from its receive path).
     fn drop_bad_peer(self: &Rc<Self>, peer: &Rc<RefCell<PeerConn>>) {
-        qos::bump(self.bad_frame_h);
+        self.bad_frames.bump();
         let (conn, addr) = {
             let mut p = peer.borrow_mut();
             p.established = false;
@@ -643,13 +608,13 @@ impl Messenger {
     /// event ran on; the connection must only be driven from its own).
     fn flush_peer_on_conn_core(peer: &Rc<RefCell<PeerConn>>) {
         let conn_core = peer.borrow().conn.core();
-        runtime::with_current_on(|rt, current| match conn_core {
-            Some(core) if core != current => {
+        match conn_core {
+            Some(core) => {
                 let peer = Rc::clone(peer);
-                rt.spawn_local(core, move || Self::flush_peer(&peer));
+                runtime::run_on(core, move || Self::flush_peer(&peer));
             }
-            _ => Self::flush_peer(peer),
-        });
+            None => Self::flush_peer(peer),
+        }
     }
 
     /// Sends as much of the parked stream as the window allows, cut at
@@ -742,7 +707,7 @@ impl Messenger {
                     p.rx.split_to(body_len - FRAME_BODY_MIN),
                 )
             };
-            self.dispatched.set(self.dispatched.get() + 1);
+            self.dispatched.bump();
             match kind {
                 KIND_RESPONSE => self.resolve_rpc(rpc_id, Ok(payload), true),
                 // The batched-call unwrapper: one inbound frame carrying
@@ -989,14 +954,8 @@ pub mod batch {
 /// queue when the response arrived on a different core (timer tokens
 /// are per-core; the wheel asserts cross-core use).
 fn cancel_rpc_timer(core: CoreId, token: TimerToken) {
-    runtime::with_current_on(|rt, current| {
-        if current == core {
-            rt.event_manager(core).cancel_timer(token);
-        } else {
-            rt.spawn(core, move || {
-                runtime::with_current(|rt| rt.local_event_manager().cancel_timer(token));
-            });
-        }
+    runtime::run_on(core, move || {
+        runtime::with_current(|rt| rt.local_event_manager().cancel_timer(token));
     });
 }
 

@@ -1,6 +1,7 @@
 use super::*;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::Buf;
+use ebbrt_core::qos;
 use ebbrt_sim::{CostProfile, LinkParams, SimMachine, SimWorld, Switch};
 
 use crate::on_core0;

@@ -65,6 +65,7 @@ use ebbrt_core::ebb::{
     SystemEbb,
 };
 use ebbrt_core::iobuf::{Chain, IoBuf};
+use ebbrt_core::qos::Counter;
 use ebbrt_core::runtime;
 use ebbrt_net::types::Ipv4Addr;
 
@@ -178,24 +179,26 @@ pub struct MessengerTransport {
     flights: RefCell<Vec<Flight>>,
     timeout_ns: Cell<Ns>,
     policy: Cell<RetryPolicy>,
-    /// Calls shipped (diagnostic).
-    pub shipped: Cell<u64>,
-    /// Owner records dropped after a failed call (diagnostic).
-    pub invalidations: Cell<u64>,
-    /// In-place re-ships after a failed attempt (diagnostic).
-    pub retries: Cell<u64>,
-    /// Replica promotions this transport won via CAS (diagnostic).
-    pub promotions: Cell<u64>,
-    /// Multi-call frames shipped (diagnostic).
-    pub batch_flushes: Cell<u64>,
-    /// Calls that rode a multi-call frame (diagnostic).
-    pub batched_calls: Cell<u64>,
+    /// Calls shipped ("remote.shipped").
+    pub shipped: Counter,
+    /// Owner records dropped after a failed call ("remote.invalidations").
+    pub invalidations: Counter,
+    /// In-place re-ships after a failed attempt ("remote.retries").
+    pub retries: Counter,
+    /// Replica promotions this transport won via CAS ("remote.promotions").
+    pub promotions: Counter,
+    /// Multi-call frames shipped ("remote.batch_flushes").
+    pub batch_flushes: Counter,
+    /// Calls that rode a multi-call frame ("remote.batched_calls").
+    pub batched_calls: Counter,
     /// Largest number of calls coalesced into one frame (diagnostic).
     pub max_batch: Cell<u64>,
 }
 
 impl MessengerTransport {
     fn new(messenger: &Rc<Messenger>, map: Rc<GlobalIdMap>) -> Rc<MessengerTransport> {
+        let rt = messenger.netif().runtime();
+        let c = |name: &str| Counter::new(rt, &format!("remote.{name}"));
         Rc::new_cyclic(|weak| MessengerTransport {
             weak: Weak::clone(weak),
             messenger: Rc::downgrade(messenger),
@@ -205,12 +208,12 @@ impl MessengerTransport {
             flights: RefCell::new(Vec::with_capacity(FLIGHTS_ROOM)),
             timeout_ns: Cell::new(DEFAULT_CALL_TIMEOUT_NS),
             policy: Cell::new(RetryPolicy::default()),
-            shipped: Cell::new(0),
-            invalidations: Cell::new(0),
-            retries: Cell::new(0),
-            promotions: Cell::new(0),
-            batch_flushes: Cell::new(0),
-            batched_calls: Cell::new(0),
+            shipped: c("shipped"),
+            invalidations: c("invalidations"),
+            retries: c("retries"),
+            promotions: c("promotions"),
+            batch_flushes: c("batch_flushes"),
+            batched_calls: c("batched_calls"),
             max_batch: Cell::new(0),
         })
     }
@@ -326,8 +329,8 @@ impl MessengerTransport {
             (slot, flight.calls.len())
         };
         if n > 1 {
-            self.batch_flushes.set(self.batch_flushes.get() + 1);
-            self.batched_calls.set(self.batched_calls.get() + n as u64);
+            self.batch_flushes.bump();
+            self.batched_calls.add(n as u64);
             self.max_batch.set(self.max_batch.get().max(n as u64));
         }
         let Some(m) = self.messenger.upgrade() else {
@@ -433,7 +436,7 @@ impl MessengerTransport {
             call.reply.call(Err(err));
             return;
         }
-        self.retries.set(self.retries.get() + 1);
+        self.retries.bump();
         let backoff = policy.backoff_ns(call.attempt);
         call.attempt += 1;
         let weak = Weak::clone(&self.weak);
@@ -486,7 +489,7 @@ impl MessengerTransport {
                 let Some(t) = weak.upgrade() else { return };
                 match r {
                     Some(new_version) => {
-                        t.promotions.set(t.promotions.get() + 1);
+                        t.promotions.bump();
                         if let Some(OwnerState::Resolved(rec)) =
                             t.owners.borrow_mut().get_mut(&id.0)
                         {
@@ -517,7 +520,7 @@ impl MessengerTransport {
             if rec.version == PRESET_VERSION {
                 return;
             }
-            self.invalidations.set(self.invalidations.get() + 1);
+            self.invalidations.bump();
         }
         owners.remove(&id.0);
         drop(owners);
@@ -591,7 +594,7 @@ impl MessengerTransport {
 
 impl RemoteTransport for MessengerTransport {
     fn ship(&self, id: EbbId, payload: Chain<IoBuf>, reply: RemoteReply) {
-        self.shipped.set(self.shipped.get() + 1);
+        self.shipped.bump();
         self.ship_attempt(Call {
             id,
             payload,

@@ -4,6 +4,7 @@ use crate::messenger::{FRAME_HEADER_LEN, MESSENGER_PORT};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbManager, MulticoreEbb, RemoteResult, RemoteShipper};
 use ebbrt_core::iobuf::Buf;
+use ebbrt_core::qos;
 use ebbrt_net::netif::{ConnHandler, NetIf, TcpConn};
 use ebbrt_sim::{CostProfile, Lan, LinkParams, SimMachine, SimWorld, Switch};
 use std::sync::Arc;
@@ -606,6 +607,35 @@ fn replicated_record_promotes_standby_inside_the_call() {
     assert_eq!(got.get(), Some(Ok(102)));
     assert_eq!(c.client_transport.retries.get(), retries_before);
     assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 1);
+
+    // The transport's and the messengers' counters are their machines'
+    // registry counters.
+    let t = &c.client_transport;
+    let snap = qos::snapshot(c.client.runtime());
+    for (name, counter) in [
+        ("remote.shipped", &t.shipped),
+        ("remote.invalidations", &t.invalidations),
+        ("remote.retries", &t.retries),
+        ("remote.promotions", &t.promotions),
+        ("remote.batch_flushes", &t.batch_flushes),
+        ("remote.batched_calls", &t.batched_calls),
+        ("messenger.dispatched", &c.client_msgr.dispatched),
+        ("messenger.rpc_failures", &c.client_msgr.rpc_failures),
+    ] {
+        assert_eq!(snap.get(name), counter.get(), "{name}");
+    }
+    assert!(t.shipped.get() >= 3 && c.client_msgr.rpc_failures.get() >= 1);
+    for (m, msgr) in [(&c.owner, &c.owner_msgr), (&c.standby, &c.standby_msgr)] {
+        let snap = qos::snapshot(m.runtime());
+        assert_eq!(snap.get("messenger.dispatched"), msgr.dispatched.get());
+        assert!(msgr.dispatched.get() >= 1);
+    }
+    let naming = qos::snapshot(c.naming.runtime());
+    assert!(naming.get("global_map.requests") >= 1);
+    assert_eq!(
+        naming.get("messenger.dispatched"),
+        c.naming_msgr.dispatched.get()
+    );
 }
 
 /// An Ebb whose owner records every request payload it is handed.

@@ -225,9 +225,7 @@ impl NetIf {
             // Give up: every queued waiter receives the error
             // (connections tear down, datagrams drop) instead of being
             // silently discarded.
-            self.stats
-                .arp_failures
-                .set(self.stats.arp_failures.get() + 1);
+            self.stats.arp_failures.bump();
             self.arp.fail(ip);
             return;
         }

@@ -23,7 +23,7 @@ use ebbrt_core::cpu::{self, CoreId};
 use ebbrt_core::ebb::SystemEbb;
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::qos::{self, ClassId, CounterHandle, QosConfig};
+use ebbrt_core::qos::{ClassId, Counter, QosConfig};
 use ebbrt_core::rcu_hash::RcuHashMap;
 use ebbrt_core::runtime::{self, Runtime};
 
@@ -284,14 +284,8 @@ impl NetIf {
             nic,
         });
         // Home the stack in the machine's translation table: one rep
-        // per core under the well-known network-manager id. Reps are
-        // hand-installed (no root-based fault path) because the rep
-        // state is the single `Rc<NetIf>` itself.
-        runtime::install_on_all_cores(netif.runtime(), SystemEbb::NetStats.id(), |_core| {
-            NetIfEbb {
-                netif: Rc::downgrade(&netif),
-            }
-        });
+        // per core under the well-known network-manager id.
+        NetIfEbb::install(netif.runtime(), SystemEbb::NetStats.id(), &netif);
         crate::driver::attach(&netif);
         netif
     }
@@ -323,7 +317,7 @@ impl NetIf {
     }
 
     /// Installs the machine's overload-control policy: a per-core
-    /// [`FairScheduler`](qos::FairScheduler) rep on every core (under the well-known
+    /// [`FairScheduler`](ebbrt_core::qos::FairScheduler) rep on every core (under the well-known
     /// [`SystemEbb::Qos`] id) pacing the transmit path, plus the
     /// classifier/admission state. Classify connections with
     /// [`QosPolicy::add_rule`] on the returned policy. One-shot: the
@@ -350,22 +344,20 @@ impl NetIf {
         self.qos.borrow().clone()
     }
 
-    /// Receive bursts handed up by the driver, summed across cores
-    /// (from the machine's counter registry; quiescent-read contract).
+    /// Receive bursts handed up by the driver, summed across cores.
     pub fn rx_bursts(&self) -> u64 {
-        qos::read_total(self.runtime(), self.stats.rx_bursts_h)
+        self.stats.rx_bursts.get()
     }
 
     /// The burst-size histogram ([`BURST_BUCKET_LO`] buckets), summed
     /// across cores.
     pub fn frames_per_burst(&self) -> [u64; BURST_BUCKETS] {
-        let rt = self.runtime();
-        std::array::from_fn(|i| qos::read_total(rt, self.stats.frames_per_burst_h[i]))
+        self.stats.frames_per_burst.each_ref().map(Counter::get)
     }
 
     /// Coalesced `on_receive` deliveries, summed across cores.
     pub fn coalesced_callbacks(&self) -> u64 {
-        qos::read_total(self.runtime(), self.stats.coalesced_h)
+        self.stats.coalesced_callbacks.get()
     }
 
     // --- TCP application API ---------------------------------------------
@@ -445,12 +437,8 @@ impl NetIf {
     /// a connection's PCB or its per-connection timer entries must go
     /// through this: that state is affinity-core-only.
     fn run_on_core(self: &Rc<Self>, core: CoreId, f: impl FnOnce(&Rc<Self>) + 'static) {
-        if cpu::try_current() == Some(core) {
-            f(self);
-            return;
-        }
         let me = Rc::downgrade(self);
-        self.runtime().spawn_local(core, move || {
+        runtime::run_on(core, move || {
             if let Some(n) = me.upgrade() {
                 f(&n);
             }
@@ -522,7 +510,6 @@ impl NetIf {
         self.stats.note_burst(frames.len());
         let mut rx = self.rx_scratch.take();
         for mut chain in frames.drain(..) {
-            self.stats.rx_frames.set(self.stats.rx_frames.get() + 1);
             // A well-formed TCP frame whose headers sit in its first
             // segment, with no link-layer padding behind the IP packet,
             // is parsed in one look; anything else is taken apart
@@ -628,7 +615,7 @@ impl NetIf {
         mut chain: Chain<IoBuf>,
         rx: &mut RxScratch,
     ) {
-        self.stats.rx_tcp.set(self.stats.rx_tcp.get() + 1);
+        self.stats.rx_tcp.bump();
         if !wire::verify_tcp_checksum(ip.src, ip.dst, &chain, chain.len() as u16) {
             return self.drop_frame();
         }
@@ -751,12 +738,12 @@ impl NetIf {
                 p.core
             })
             .expect("the queue's head is a live embryo");
-        self.embryo_gone(class.0, self.syncache.evicted_h);
+        self.embryo_gone(class.0, &self.syncache.evicted);
         self.run_on_core(core, move |n| n.drive(victim, |p, io| p.abort(io)));
     }
 
     /// Settles one embryonic connection's entry in the syncache ledger.
-    fn embryo_gone(&self, class: u8, why: CounterHandle) {
+    fn embryo_gone(&self, class: u8, why: &Counter) {
         self.syncache.gone(class, why, |tok| {
             self.conn(tok)
                 .is_some_and(|c| c.borrow().is_some_and(|c| c.pcb.embryonic))
@@ -808,20 +795,18 @@ impl NetIf {
         };
         let conn = self.handle(id);
         if out.promoted {
-            self.embryo_gone(class, self.syncache.promoted_h);
+            self.embryo_gone(class, &self.syncache.promoted);
         }
         if out.retransmitted {
-            self.stats.retransmits.set(self.stats.retransmits.get() + 1);
+            self.stats.retransmits.bump();
         }
         if out.established {
-            self.stats
-                .conns_established
-                .set(self.stats.conns_established.get() + 1);
+            self.stats.conns_established.bump();
             handler.on_connected(&conn);
         }
         if !out.delivery.is_empty() {
             if out.chunks > 1 {
-                qos::bump(self.stats.coalesced_h);
+                self.stats.coalesced_callbacks.bump();
             }
             handler.on_receive(&conn, out.delivery);
         }
@@ -949,7 +934,7 @@ impl NetIf {
 
     /// Final egress: hands the frame to the NIC.
     pub(crate) fn transmit_now(&self, frame: Chain<IoBuf>) {
-        self.stats.tx_frames.set(self.stats.tx_frames.get() + 1);
+        self.stats.tx_frames.bump();
         self.nic.transmit(frame);
     }
 
@@ -973,7 +958,7 @@ impl NetIf {
         if p.embryonic {
             // Died before the handshake completed (an eviction was
             // counted, and the flag cleared, before it got here).
-            self.embryo_gone(p.class, self.syncache.aborted_h);
+            self.embryo_gone(p.class, &self.syncache.aborted);
         }
         // Return the admission-budget unit the SYN took.
         if p.admitted {
@@ -1023,7 +1008,7 @@ impl NetIf {
     }
 
     pub(crate) fn drop_frame(&self) {
-        self.stats.rx_drops.set(self.stats.rx_drops.get() + 1);
+        self.stats.rx_drops.bump();
     }
 
     /// Number of live connections (diagnostic).

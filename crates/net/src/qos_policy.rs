@@ -13,7 +13,7 @@ use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{not_installed, EbbId, EbbManager, EbbRef, MulticoreEbb, NoRoot, SystemEbb};
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_core::qos::{self, ClassId, CounterHandle, FairScheduler, QosConfig, MAX_CLASSES};
+use ebbrt_core::qos::{self, ClassId, Counter, FairScheduler, QosConfig, MAX_CLASSES};
 use ebbrt_core::runtime::{self, Runtime};
 
 use crate::netif::NetIf;
@@ -52,35 +52,62 @@ pub struct QosRule {
     pub class: ClassId,
 }
 
+/// One class's ledger ([`qos::names`]): admission is counted here, at
+/// accept time; serving and shedding by the application that serves
+/// the class's requests.
+pub struct ClassCounters {
+    /// Connections admitted.
+    pub admitted: Counter,
+    /// Connections rejected fast (budget saturated).
+    pub rejected: Counter,
+    /// Requests served to completion.
+    pub served: Counter,
+    /// Requests shed (answered with an error).
+    pub shed: Counter,
+    /// Requests observed past their deadline at service time.
+    pub deadline_missed: Counter,
+}
+
 /// The machine's installed QoS policy: the [`QosConfig`], the
-/// classifier rules, the per-class admission budgets, and the
-/// admission counters. Shared by every core of the machine (all cores
-/// of a simulated machine run on the one world thread, so plain cells
+/// classifier rules, the per-class admission budgets, and each class's
+/// counters. Shared by every core of the machine (all cores of a
+/// simulated machine run on the one world thread, so plain cells
 /// suffice — the same contract as the rest of [`NetIf`]).
 pub struct QosPolicy {
     config: QosConfig,
     rules: RefCell<Vec<QosRule>>,
     /// Currently admitted (live) connections per class.
     live: [Cell<usize>; MAX_CLASSES],
-    admitted_h: Vec<CounterHandle>,
-    rejected_h: Vec<CounterHandle>,
+    counters: Vec<Rc<ClassCounters>>,
 }
 
 impl QosPolicy {
-    pub(crate) fn new(config: QosConfig, rt: &Runtime) -> QosPolicy {
-        let per_class = |name: fn(&str) -> String| {
-            let classes = config.classes.iter();
-            classes
-                .map(|c| qos::register_in(rt, &name(&c.name)))
-                .collect()
-        };
+    pub(crate) fn new(config: QosConfig, rt: &Arc<Runtime>) -> QosPolicy {
+        let counters = config
+            .classes
+            .iter()
+            .map(|c| {
+                let n = &c.name;
+                Rc::new(ClassCounters {
+                    admitted: Counter::new(rt, &qos::names::admitted(n)),
+                    rejected: Counter::new(rt, &qos::names::rejected(n)),
+                    served: Counter::new(rt, &qos::names::served(n)),
+                    shed: Counter::new(rt, &qos::names::shed(n)),
+                    deadline_missed: Counter::new(rt, &qos::names::deadline_missed(n)),
+                })
+            })
+            .collect();
         QosPolicy {
-            admitted_h: per_class(qos::names::admitted),
-            rejected_h: per_class(qos::names::rejected),
             config,
             rules: RefCell::new(Vec::new()),
             live: Default::default(),
+            counters,
         }
+    }
+
+    /// `class`'s counters.
+    pub fn counters(&self, class: ClassId) -> &Rc<ClassCounters> {
+        &self.counters[class.index(self.config.classes.len())]
     }
 
     /// The installed configuration.
@@ -132,12 +159,12 @@ impl QosPolicy {
         let live = &self.live[i];
         if let Some(budget) = self.config.classes[i].conn_budget {
             if live.get() >= budget {
-                qos::bump(self.rejected_h[i]);
+                self.counters[i].rejected.bump();
                 return false;
             }
         }
         live.set(live.get() + 1);
-        qos::bump(self.admitted_h[i]);
+        self.counters[i].admitted.bump();
         true
     }
 

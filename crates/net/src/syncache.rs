@@ -10,9 +10,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ebbrt_core::clock::Ns;
-use ebbrt_core::qos::{self, ClassId, CounterHandle, MAX_CLASSES};
+use ebbrt_core::qos::{ClassId, Counter, MAX_CLASSES};
 use ebbrt_core::runtime::Runtime;
 
 use crate::qos_policy::QosPolicy;
@@ -50,27 +51,27 @@ pub(crate) struct SynCache {
     /// Embryonic cap for the default class when no QoS policy is
     /// installed; with a policy, each class's `syn_budget` governs.
     backlog: Cell<Option<usize>>,
-    syn_shed_h: CounterHandle,
-    created_h: CounterHandle,
+    syn_shed: Counter,
+    created: Counter,
     /// How an embryo left the ledger: its handshake completed, the
     /// syncache evicted it for a newer SYN, or it died first (RST,
     /// handshake give-up, close).
-    pub(crate) promoted_h: CounterHandle,
-    pub(crate) evicted_h: CounterHandle,
-    pub(crate) aborted_h: CounterHandle,
+    pub(crate) promoted: Counter,
+    pub(crate) evicted: Counter,
+    pub(crate) aborted: Counter,
 }
 
 impl SynCache {
-    pub(crate) fn new(rt: &Runtime) -> SynCache {
+    pub(crate) fn new(rt: &Arc<Runtime>) -> SynCache {
         SynCache {
             q: RefCell::default(),
             live: Default::default(),
             backlog: Cell::new(None),
-            syn_shed_h: qos::register_in(rt, "net.syn_shed"),
-            created_h: qos::register_in(rt, "net.embryonic_created"),
-            promoted_h: qos::register_in(rt, "net.embryonic_promoted"),
-            evicted_h: qos::register_in(rt, "net.embryonic_evicted"),
-            aborted_h: qos::register_in(rt, "net.embryonic_aborted"),
+            syn_shed: Counter::new(rt, "net.syn_shed"),
+            created: Counter::new(rt, "net.embryonic_created"),
+            promoted: Counter::new(rt, "net.embryonic_promoted"),
+            evicted: Counter::new(rt, "net.embryonic_evicted"),
+            aborted: Counter::new(rt, "net.embryonic_aborted"),
         }
     }
 
@@ -96,7 +97,7 @@ impl SynCache {
                 Room::Evict(tok)
             }
             Some(_) => {
-                qos::bump(self.syn_shed_h);
+                self.syn_shed.bump();
                 Room::Shed
             }
             None => {
@@ -113,7 +114,7 @@ impl SynCache {
         let ci = class.0 as usize % MAX_CLASSES;
         self.q.borrow_mut()[ci].push_back((id, now));
         self.live[ci].set(self.live[ci].get() + 1);
-        qos::bump(self.created_h);
+        self.created.bump();
     }
 
     /// Settles an embryonic connection's ledger entry under `why` (one
@@ -124,12 +125,12 @@ impl SynCache {
     /// does is dropped — the queue is no longer than the run of
     /// connections accepted since its oldest live embryo, not one entry
     /// per connection ever accepted.
-    pub(crate) fn gone(&self, class: u8, why: CounterHandle, is_embryo: impl Fn(u64) -> bool) {
+    pub(crate) fn gone(&self, class: u8, why: &Counter, is_embryo: impl Fn(u64) -> bool) {
         let ci = class as usize % MAX_CLASSES;
         let live = &self.live[ci];
         debug_assert!(live.get() > 0, "embryonic ledger underflow");
         live.set(live.get().saturating_sub(1));
-        qos::bump(why);
+        why.bump();
         let q = &mut self.q.borrow_mut()[ci];
         while q.front().is_some_and(|&(tok, _)| !is_embryo(tok)) {
             q.pop_front();

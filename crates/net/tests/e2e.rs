@@ -6,7 +6,8 @@ use std::rc::Rc;
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_net::netif::{ConnHandler, NetIf, SendError, TcpConn};
+use ebbrt_core::qos;
+use ebbrt_net::netif::{ConnHandler, NetIf, SendError, TcpConn, BURST_BUCKET_LO};
 use ebbrt_net::tcp::TcpState;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan, LinkParams, SimMachine, SimWorld, Switch};
@@ -61,6 +62,50 @@ fn tcp_connect_send_echo_close() {
         1,
         "server side in CloseWait until it closes"
     );
+}
+
+#[test]
+fn the_stacks_counters_are_the_registrys() {
+    let (w, _sw, (_server, s_if), (client, c_if)) = two_machines();
+    s_if.listen(7, |_conn| Rc::new(Echo) as Rc<dyn ConnHandler>)
+        .unwrap();
+    let opened = open_conn(&client, &c_if);
+    w.run_to_idle();
+    let conn = opened.conn.borrow().clone().expect("opened");
+    on_core0(&client, conn, |conn| {
+        conn.send(Chain::single(IoBuf::copy_from(&[7u8; 3000])))
+            .unwrap();
+    });
+    w.run_to_idle();
+    assert_eq!(opened.got.borrow().len(), 3000);
+    for nif in [&s_if, &c_if] {
+        let s = &nif.stats;
+        let snap = qos::snapshot(nif.runtime());
+        let mut fields = vec![
+            ("rx_frames", &s.rx_frames),
+            ("tx_frames", &s.tx_frames),
+            ("rx_tcp", &s.rx_tcp),
+            ("conns_established", &s.conns_established),
+            ("retransmits", &s.retransmits),
+            ("rx_drops", &s.rx_drops),
+            ("arp_failures", &s.arp_failures),
+            ("rx_bursts", &s.rx_bursts),
+            ("coalesced_callbacks", &s.coalesced_callbacks),
+        ];
+        let buckets = BURST_BUCKET_LO.map(|lo| format!("frames_per_burst.{lo}"));
+        fields.extend(buckets.iter().map(String::as_str).zip(&s.frames_per_burst));
+        for (name, counter) in fields {
+            assert_eq!(
+                snap.get(&format!("net.{name}")),
+                counter.get(),
+                "net.{name}"
+            );
+        }
+        assert!(s.rx_frames.get() > 0 && s.tx_frames.get() > 0);
+        assert_eq!(s.conns_established.get(), 1);
+        let histogram: u64 = nif.frames_per_burst().iter().sum();
+        assert_eq!(histogram, nif.rx_bursts(), "one bucket per burst");
+    }
 }
 
 #[test]

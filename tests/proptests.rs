@@ -73,7 +73,7 @@ fn a_bad_frame_counted_elsewhere_does_not_lose_a_well_formed_set() {
         // What the hostile-header property does on another test thread:
         // an unentered thread counts in the ambient runtime.
         let elsewhere =
-            || ebbrt_core::qos::bump(ebbrt_core::qos::register(memcached::BAD_FRAME_COUNTER));
+            || ebbrt_core::qos::Counter::on_current(memcached::BAD_FRAME_COUNTER).bump();
         std::thread::spawn(elsewhere).join().unwrap();
     });
     let (store, pending, bad) = drive_segments(noisy);
