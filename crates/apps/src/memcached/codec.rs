@@ -55,7 +55,8 @@ pub const MAX_KEY_LEN: usize = 250;
 pub const MAX_BODY_LEN: usize = (1 << 20) + MAX_KEY_LEN + u8::MAX as usize;
 
 /// A stored value at most this fraction of its pinned backing-region
-/// bytes is compacted into an exact-size buffer on SET: a tiny value
+/// bytes is compacted into a buffer of its value class on SET (see
+/// [`Chain::compact`](ebbrt_core::iobuf::Chain::compact)): a tiny value
 /// held as a zero-copy sub-view would otherwise pin whole (possibly
 /// pooled) receive regions for the life of the key, starving the
 /// buffer pool. Larger values stay zero-copy. The same factor gates

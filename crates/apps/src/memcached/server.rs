@@ -3,14 +3,14 @@
 //! chain, serves them, and sends the batched replies — all inside the
 //! event that delivered the bytes.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ebbrt_core::clock::{charge, charged_so_far};
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
+use ebbrt_core::ebb::{EbbId, EbbManager, EbbRef, MulticoreEbb, SystemEbb};
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::rcu_hash::RcuHashMap;
 use ebbrt_core::runtime::{self, Runtime};
@@ -133,10 +133,15 @@ impl Store {
 /// The form a value that arrived as a view of receive buffers is stored
 /// in: the view itself (zero-copy) — unless it is small relative to the
 /// regions it would pin ([`SET_COMPACT_FACTOR`]), in which case it is
-/// copied once into an exact-size buffer so stored keys can't starve
-/// the receive-buffer pool. The one rule for every way a value reaches
-/// a store: a client SET, a function-shipped SET, a replication
-/// fan-out, a re-sync page.
+/// copied once ([`Chain::compact`]) into a pooled region of the
+/// smallest value class that fits (16-byte steps to 128 B, then four
+/// per doubling to 1 KiB; exact-size beyond), so stored keys can't
+/// starve the receive-buffer pool. A value already in such a region —
+/// the fan-out's view of the fronting replica's copy — is kept as it
+/// is. A replaced value's region returns to the freeing core's list
+/// after its RCU grace period, and the next SET of that class takes
+/// it. The one rule for every way a value reaches a store: a client
+/// SET, a function-shipped SET, a replication fan-out, a re-sync page.
 pub fn at_rest(mut value: Chain<IoBuf>) -> Chain<IoBuf> {
     value.compact_if_amplified(0, SET_COMPACT_FACTOR);
     value
@@ -182,8 +187,9 @@ pub struct ServerConn {
     /// idle established connection pays one null pointer for it. Only
     /// a request split across receive events leaves a `pending` tail,
     /// and only a reply exceeding the peer's window parks in `unsent`;
-    /// the box is freed again once both drain empty, so a well-behaved
-    /// connection between requests holds nothing here.
+    /// the box goes back to the core's free list ([`ColdBoxes`]) once
+    /// both drain empty, so a well-behaved connection between requests
+    /// holds nothing here.
     cold: RefCell<Option<Box<ConnCold>>>,
     /// The connection's resolved shed policy (class deadline + per-
     /// class counters), cached on first receive — `None` when the
@@ -210,16 +216,95 @@ struct ConnCold {
     /// The peer half-closed while replies were still parked: our half
     /// closes once `unsent` has drained.
     peer_closed: bool,
+    /// The next spare box while this one waits on its core's free list
+    /// ([`ColdBoxes`]); `None` while a connection holds it.
+    next_spare: Option<Box<ConnCold>>,
 }
 
 impl ConnCold {
+    /// A box from the calling core's free list ([`ColdBoxes`]), or a
+    /// fresh one when the list is empty.
     fn new() -> Box<ConnCold> {
-        Box::new(ConnCold {
-            pending: Chain::new(),
-            unsent: Chain::new(),
-            peer_closed: false,
+        with_cold_boxes(ColdBoxes::pop).unwrap_or_else(|| {
+            Box::new(ConnCold {
+                pending: Chain::new(),
+                unsent: Chain::new(),
+                peer_closed: false,
+                next_spare: None,
+            })
         })
     }
+}
+
+/// Takes the connection's cold box, if any, and returns it emptied to
+/// the calling core's free list ([`ColdBoxes`]).
+fn release_cold(cold: &mut Option<Box<ConnCold>>) {
+    let Some(mut b) = cold.take() else { return };
+    b.pending = Chain::new();
+    b.unsent = Chain::new();
+    b.peer_closed = false;
+    with_cold_boxes(|boxes| boxes.push(b));
+}
+
+/// Emptied cold boxes one core keeps for reuse. A request split across
+/// two receive events takes a box and gives it back once it drains, so
+/// a few boxes per core serve any number of such requests; the bound
+/// caps what a burst of connections holding partial requests leaves
+/// pinned afterwards.
+const COLD_BOXES_KEPT: usize = 64;
+
+/// The per-core free list of emptied [`ConnCold`] boxes, linked through
+/// the boxes themselves (`next_spare`) — an Ebb
+/// ([`SystemEbb::ConnCold`]) whose rep is the core's list, lazily
+/// registered, reached through the calling core's context as the
+/// buffer pool's rep is. A connection with nothing cold still holds no
+/// box ([`ServerConn::cold_resident`] reads `false`): the list belongs
+/// to the core.
+#[derive(Default)]
+struct ColdBoxes {
+    head: RefCell<Option<Box<ConnCold>>>,
+    len: Cell<usize>,
+}
+
+impl ColdBoxes {
+    fn pop(&self) -> Option<Box<ConnCold>> {
+        let mut head = self.head.borrow_mut();
+        let mut b = head.take()?;
+        *head = b.next_spare.take();
+        self.len.set(self.len.get() - 1);
+        Some(b)
+    }
+
+    /// Keeps `b` unless the list already holds [`COLD_BOXES_KEPT`];
+    /// then it is freed.
+    fn push(&self, mut b: Box<ConnCold>) {
+        if self.len.get() < COLD_BOXES_KEPT {
+            let mut head = self.head.borrow_mut();
+            b.next_spare = head.take();
+            *head = Some(b);
+            self.len.set(self.len.get() + 1);
+        }
+    }
+}
+
+impl MulticoreEbb for ColdBoxes {
+    type Root = ();
+
+    fn create_rep(_root: &Arc<()>, _core: CoreId) -> Self {
+        ColdBoxes::default()
+    }
+
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
+    }
+}
+
+/// Runs `f` on the calling core's [`ColdBoxes`].
+fn with_cold_boxes<R>(f: impl FnOnce(&ColdBoxes) -> R) -> R {
+    runtime::with_context(|rt, core| {
+        rt.ebbs()
+            .with_rep_on::<ColdBoxes, R>(core, SystemEbb::ConnCold.id(), f)
+    })
 }
 
 /// Per-connection overload-serving parameters, resolved once from the
@@ -290,13 +375,13 @@ impl ServerConn {
         let framed = drain_frames(&mut pending, data, MAGIC_REQUEST, each);
         let mut cold = self.cold.borrow_mut();
         if framed.is_err() {
-            *cold = None;
+            release_cold(&mut cold);
             drop(cold);
             conn.abort();
         } else if !pending.is_empty() {
             cold.get_or_insert_with(ConnCold::new).pending = pending;
         } else if cold.as_ref().is_some_and(|c| c.unsent.is_empty()) {
-            *cold = None;
+            release_cold(&mut cold);
         }
         framed
     }
@@ -419,7 +504,7 @@ impl ServerConn {
                 && (stalled || parked > 4 * self.config.max_unsent_bytes)
             {
                 self.store.backlog_drops.fetch_add(1, Ordering::Relaxed);
-                *self.cold.borrow_mut() = None;
+                release_cold(&mut self.cold.borrow_mut());
                 conn.abort();
             }
         }
@@ -438,7 +523,7 @@ impl ServerConn {
                     // and finish a close that waited for the drain.
                     let peer_closed = c.peer_closed;
                     if peer_closed || c.pending.is_empty() {
-                        *cold = None;
+                        release_cold(&mut cold);
                     }
                     drop(cold);
                     if peer_closed {
@@ -520,7 +605,7 @@ impl ConnHandler for ServerConn {
                 c.peer_closed = true;
             }
             _ => {
-                *cold = None;
+                release_cold(&mut cold);
                 drop(cold);
                 conn.close();
             }
@@ -655,11 +740,12 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.gets.load(Ordering::Relaxed), 1);
         assert_eq!(store.sets.load(Ordering::Relaxed), 1);
-        // A value this small is compacted on store (an exact-size
-        // region) rather than pinning the whole receive buffer.
+        // A value this small is compacted on store (a region of its
+        // 16-byte value class) rather than pinning the whole receive
+        // buffer.
         let stored = store.get_raw(b"hello_key").expect("stored");
         assert_eq!(stored.copy_to_vec(), b"world_value");
-        assert!(stored.iter().all(|s| s.region_len() == stored.len()));
+        assert!(stored.iter().all(|s| s.region_len() == 16));
     }
 
     #[test]
@@ -1062,8 +1148,8 @@ mod tests {
         let v = store.get_raw(b"spanning").expect("value stored");
         assert_eq!(v.copy_to_vec(), [0x44; 10]);
         assert!(
-            v.iter().all(|s| s.region_len() == 10),
-            "stored region must be exact-size, not a pinned receive buffer"
+            v.iter().all(|s| s.region_len() == 16),
+            "stored region must be of the value's class, not a pinned receive buffer"
         );
     }
 

@@ -73,7 +73,7 @@ fn verify_zero_copy_get_path(_c: &mut Criterion) {
     let elapsed_ns = handler.steady_ns[1].get() - handler.steady_ns[0].get();
     let us_per_get = elapsed_ns as f64 / STEADY_GETS as f64 / 1000.0;
     let (server_free, server_depot) =
-        pool::runtime_free_counts(server.runtime(), pool::SizeClass::Small);
+        pool::runtime_free_counts(server.runtime(), pool::SizeClass::SMALL);
     println!(
         "steady-state memcached GET x{STEADY_GETS}: {us_per_get:.2} virtual-us/req, \
          {} payload bytes copied, {} fresh buffer allocations, {} pool hits \
@@ -146,7 +146,7 @@ fn bench_buffer_acquisition(c: &mut Criterion) {
     let mut g = c.benchmark_group("buffer_acquisition");
     // Heat the pools so the pooled cases measure recycling, not growth.
     pool::prewarm(4);
-    pool::prewarm_class(pool::SizeClass::Large, 4);
+    pool::prewarm_class(pool::SizeClass::LARGE, 4);
     g.bench_function("pooled_acquire_release_1500B", |b| {
         b.iter(|| {
             let mut buf = MutIoBuf::with_capacity(1500);

@@ -275,7 +275,7 @@ impl SweepConn {
                 let t = &*self.set_template;
                 let mut buf = MutIoBuf::with_capacity(t.len());
                 buf.append_slice(t);
-                debug_assert_eq!(buf.size_class(), Some(SizeClass::Large));
+                debug_assert_eq!(buf.size_class(), Some(SizeClass::LARGE));
                 buf.freeze()
             }
             Step::GetLarge => self.get_large.clone(),
@@ -440,8 +440,8 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
             elapsed_ns: t1 - t0,
             bytes_copied: d.bytes_copied,
             bufs_allocated: d.bufs_allocated,
-            small: ClassReport::from_delta(d.class(SizeClass::Small)),
-            large: ClassReport::from_delta(d.class(SizeClass::Large)),
+            small: ClassReport::from_delta(d.class(SizeClass::SMALL)),
+            large: ClassReport::from_delta(d.class(SizeClass::LARGE)),
         }
     };
     SweepReport {

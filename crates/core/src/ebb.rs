@@ -96,6 +96,10 @@ pub enum SystemEbb {
     /// (per-class fair scheduling on the tx path). Installed by
     /// `NetIf::install_qos` — machine-local, never a wire id.
     Qos = 10,
+    /// The per-core free list of memcached server connections' cold
+    /// boxes (`ebbrt-apps`' `memcached::server`). Lazily registered:
+    /// its root is `Default`.
+    ConnCold = 11,
 }
 
 impl SystemEbb {

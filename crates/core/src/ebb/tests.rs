@@ -210,6 +210,7 @@ fn well_known_table_is_stable_and_reserved() {
         SystemEbb::RemoteBatch,
         SystemEbb::Counters,
         SystemEbb::Qos,
+        SystemEbb::ConnCold,
     ] {
         assert!(w.id().0 < FIRST_DYNAMIC_ID, "{w:?} must be well-known");
     }
@@ -226,6 +227,7 @@ fn well_known_table_is_stable_and_reserved() {
     assert!(!SystemEbb::is_wire_id(SystemEbb::EventManager.id()));
     assert!(!SystemEbb::is_wire_id(SystemEbb::Counters.id()));
     assert!(!SystemEbb::is_wire_id(SystemEbb::Qos.id()));
+    assert!(!SystemEbb::is_wire_id(SystemEbb::ConnCold.id()));
     assert!(!SystemEbb::is_wire_id(EbbId(FIRST_DYNAMIC_ID)));
 }
 

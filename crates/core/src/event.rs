@@ -336,12 +336,14 @@ impl EventManager {
 
     /// Registers a handler invoked whenever the core would otherwise
     /// idle; it returns whether it performed useful work. This is the
-    /// polling primitive behind the adaptive NIC driver.
-    pub fn add_idle_handler(&self, f: impl Fn() -> bool + 'static) -> IdleToken {
+    /// polling primitive behind the adaptive NIC driver, which builds
+    /// each queue's handler once and registers the same `Rc` on every
+    /// switch to polling.
+    pub fn add_idle_handler(&self, f: Rc<dyn Fn() -> bool>) -> IdleToken {
         self.owned.with(|o| {
             let token = o.next_idle_token;
             o.next_idle_token += 1;
-            o.idle.push((token, Rc::new(f)));
+            o.idle.push((token, f));
             IdleToken(token)
         })
     }

@@ -59,10 +59,10 @@ fn idle_handlers_only_when_nothing_else() {
     let _b = cpu::bind(CoreId(0));
     let idles = Rc::new(Cell::new(0));
     let i2 = Rc::clone(&idles);
-    em.add_idle_handler(move || {
+    em.add_idle_handler(Rc::new(move || {
         i2.set(i2.get() + 1);
         false
-    });
+    }));
     em.spawn_local(|| ());
     let p = em.run_once();
     assert!(p.synthetic);
@@ -144,10 +144,10 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
     let polls = Rc::new(Cell::new(0u32));
     for _ in 0..3 {
         let p = Rc::clone(&polls);
-        em.add_idle_handler(move || {
+        em.add_idle_handler(Rc::new(move || {
             p.set(p.get() + 1);
             false
-        });
+        }));
     }
     em.run_once(); // sizes the pass's snapshot
     let before = test_alloc::thread_calls();
@@ -160,10 +160,10 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
     // from the next.
     let (em2, token) = (Rc::clone(&em), Rc::new(Cell::new(None)));
     let t2 = Rc::clone(&token);
-    token.set(Some(em.add_idle_handler(move || {
+    token.set(Some(em.add_idle_handler(Rc::new(move || {
         em2.remove_idle_handler(t2.get().expect("registered"));
         true
-    })));
+    }))));
     assert_eq!(
         (em.run_once().idle_invoked, em.run_once().idle_invoked),
         (4, 3)
@@ -174,7 +174,7 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
 fn idle_handler_remove() {
     let (em, _) = em();
     let _b = cpu::bind(CoreId(0));
-    let token = em.add_idle_handler(|| false);
+    let token = em.add_idle_handler(Rc::new(|| false));
     assert!(em.has_idle_handlers());
     em.remove_idle_handler(token);
     assert!(!em.has_idle_handlers());

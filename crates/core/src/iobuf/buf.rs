@@ -300,15 +300,25 @@ impl IoBuf {
     /// [`stats::Snapshot::bytes_copied`]; the storage allocation is
     /// exact-size and unpooled).
     pub fn copy_from(data: &[u8]) -> Self {
-        Self::gather(data.len(), [data])
+        Self::gather_into(RegionRef::exact(data.len()), data.len(), [data])
     }
 
-    /// One exact-size, unpooled buffer holding `parts` back to back
-    /// (`len` bytes in all): a counted copy plus one counted allocation.
+    /// One buffer holding `parts` back to back (`len` bytes in all), in
+    /// a region of the smallest value class that fits — exact-size
+    /// beyond the largest ([`RegionRef::alloc_value`]): a counted copy,
+    /// and an allocation only when that class's lists are dry.
     pub(super) fn gather<'a>(len: usize, parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
+        Self::gather_into(RegionRef::alloc_value(len), len, parts)
+    }
+
+    /// Copies `parts` (`len` bytes in all) to the front of `region`.
+    fn gather_into<'a>(
+        region: RegionRef,
+        len: usize,
+        parts: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Self {
         stats::record_copy(len);
-        stats::record_alloc();
-        let mut b = MutIoBuf::over(FreeRegion::exact(len).into_ref(), 0, 0, len);
+        let mut b = MutIoBuf::over(region, 0, 0, len);
         for part in parts {
             b.append(part.len()).copy_from_slice(part);
         }

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::NonNull;
 
-use super::{stats, Buf, Cursor, IoBuf};
+use super::{pool, stats, Buf, Cursor, IoBuf};
 
 /// Segments a [`Chain`] holds in its own body before it moves them to
 /// a heap array (its *spine*). Picked by measurement on `perf_ledger`:
@@ -562,14 +562,20 @@ impl Chain<IoBuf> {
         total
     }
 
-    /// Replaces the chain's contents with one exact-size segment,
-    /// releasing every pinned region (a counted copy plus one counted
-    /// allocation). Used to bound memory amplification when a backlog
-    /// accumulates many small views of large (possibly pooled)
-    /// regions — e.g. a peer trickling a request one byte per packet.
+    /// Replaces the chain's contents with one segment in a region of
+    /// the smallest value class that fits ([`pool::value_class_for`];
+    /// exact-size beyond [`pool::MAX_VALUE_CAPACITY`]), releasing every
+    /// pinned region: a counted copy, and an allocation only when that
+    /// class's lists are dry. Used to bound memory amplification when a
+    /// backlog accumulates many small views of large (possibly pooled)
+    /// regions — e.g. a peer trickling a request one byte per packet —
+    /// and to bring a small value to rest. A chain that is already one
+    /// segment in a region no larger than that is left as it is (no
+    /// copy, no allocation).
     pub fn compact(&mut self) {
-        if self.segment_count() == 1 && self.seg(0).region_len() == self.total {
-            return; // already exact
+        if self.segment_count() == 1 && self.seg(0).region_len() <= pool::value_capacity(self.total)
+        {
+            return; // already compact
         }
         let packed =
             (self.total > 0).then(|| IoBuf::gather(self.total, self.iter().map(Buf::bytes)));
@@ -584,7 +590,7 @@ impl Chain<IoBuf> {
     /// bytes — the anti-amplification gate long-lived backlogs apply
     /// after appending received data (a peer trickling a request a few
     /// bytes per packet must not pin a receive region per packet).
-    /// Returns whether compaction ran.
+    /// Returns whether the gate called [`compact`](Chain::compact).
     pub fn compact_if_amplified(&mut self, max_segs: usize, factor: usize) -> bool {
         if self.segment_count() >= max_segs && self.pinned_bytes() > self.total * factor {
             self.compact();

@@ -18,17 +18,23 @@
 //! Two pieces make the discipline *cheap* as well as copy-free:
 //!
 //! * **Buffer pooling** ([`pool`]): regions are recycled through
-//!   per-core free lists in a small set of *size classes* — a
-//!   [`pool::SizeClass::Small`] class for MTU-sized frames and header
-//!   buffers and a [`pool::SizeClass::Large`] class for jumbo frames
-//!   and multi-kilobyte message staging — instead of being allocated
-//!   and zero-filled per packet. Allocation is routed by requested
-//!   length ([`pool::class_for`]); only requests beyond the largest
-//!   class fall back to exact-size one-shot allocations. When the last
-//!   descriptor of a pooled region drops, its storage returns to the
-//!   *freeing core's* list automatically, and a shared depot rebalances
-//!   lists across cores in batches when producers and consumers of
-//!   buffers sit on different cores.
+//!   per-core free lists in one table of *size classes* — a
+//!   [`pool::SizeClass::SMALL`] class for MTU-sized frames and header
+//!   buffers, a [`pool::SizeClass::LARGE`] class for jumbo frames and
+//!   multi-kilobyte message staging, and twenty small *value classes*
+//!   (16-byte steps to 128 B, then four steps per doubling to 1 KiB) —
+//!   instead of being allocated and zero-filled per packet. A buffer
+//!   that is appended to is routed by requested length
+//!   ([`pool::class_for`]) to `SMALL` or `LARGE`; only requests beyond
+//!   the largest class fall back to exact-size one-shot allocations.
+//!   [`Chain::compact`], whose length is known up front, copies into
+//!   the smallest value class that fits ([`pool::value_class_for`]),
+//!   or an exact-size region beyond 1 KiB; a chain already in such a
+//!   region is left alone. When the last descriptor of a pooled region
+//!   drops, its storage returns to the *freeing core's* list
+//!   automatically, and a shared depot rebalances lists across cores
+//!   in batches when producers and consumers of buffers sit on
+//!   different cores.
 //! * **Instrumentation** ([`stats`]): per-core counters record every
 //!   payload byte copied between buffers, every fresh storage
 //!   allocation, and per-class pool activity (hits, returns, fallback

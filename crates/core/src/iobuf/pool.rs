@@ -25,13 +25,24 @@
 //! storage to whichever machine freed last.
 //!
 //! Pooled regions come in [`NUM_CLASSES`] size classes
-//! ([`SizeClass`]): a [`SizeClass::Small`] class sized
-//! for an MTU frame plus header room, and a [`SizeClass::Large`]
-//! class for jumbo frames and multi-kilobyte message staging.
-//! Allocation is routed by requested length ([`class_for`]);
-//! only requests beyond [`LARGE_CAPACITY`] fall back to
-//! exact-size one-shot allocations (counted by
+//! ([`SizeClass`]), kept as one capacity table: a
+//! [`SizeClass::SMALL`] class sized for an MTU frame plus header room,
+//! a [`SizeClass::LARGE`] class for jumbo frames and multi-kilobyte
+//! message staging, and [`NUM_VALUE_CLASSES`] **value classes** — 16-byte
+//! steps up to 128 B, then four steps per doubling up to
+//! [`MAX_VALUE_CAPACITY`] (§3.4's slab caches). A buffer that is
+//! appended to is routed by requested length ([`class_for`]) to
+//! `SMALL` or `LARGE`; only requests beyond [`LARGE_CAPACITY`] fall
+//! back to exact-size one-shot allocations (counted by
 //! [`Snapshot::oversize_allocs`](super::stats::Snapshot::oversize_allocs)).
+//! A value whose length is known when it is made —
+//! [`Chain::compact`](super::Chain::compact)'s gathered copy, the form
+//! a small value is stored in — takes a region of the smallest value
+//! class that fits ([`value_class_for`]), or an exact-size one beyond
+//! the largest. A replaced value returns to the freeing core's list
+//! like any pooled region (after its RCU grace period), or to its home
+//! mailbox if a zero-copy reply carried it to another machine, and the
+//! next compaction of that class takes it from there.
 //!
 //! Each class has its own local high watermark and migration batch
 //! size: a core whose list grows past the watermark (a *consumer* of
@@ -54,49 +65,115 @@ use crate::runtime::{self, Runtime};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 
-/// Capacity of a [`SizeClass::Small`] region: one Ethernet MTU
+/// Capacity of a [`SizeClass::SMALL`] region: one Ethernet MTU
 /// plus header and alignment room. Covers frames, header buffers,
 /// and typical small application payload buffers.
 pub const SMALL_CAPACITY: usize = 2048;
 
-/// Capacity of a [`SizeClass::Large`] region: jumbo frames and
+/// Capacity of a [`SizeClass::LARGE`] region: jumbo frames and
 /// multi-kilobyte request/response staging (e.g. memcached SET
 /// values above [`SMALL_CAPACITY`]).
 pub const LARGE_CAPACITY: usize = 64 * 1024;
 
-/// Number of pooled size classes.
-pub const NUM_CLASSES: usize = 2;
+/// Number of value classes ([`value_class_for`]).
+pub const NUM_VALUE_CLASSES: usize = 20;
 
-/// A pooled region size class. Every class keeps per-core free
-/// lists plus a shared depot with its own watermark and batch
-/// size; [`class_for`] routes a requested capacity to the smallest
-/// class that fits it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SizeClass {
-    /// [`SMALL_CAPACITY`]-byte regions (frames, headers).
-    Small,
-    /// [`LARGE_CAPACITY`]-byte regions (jumbo frames, large
-    /// values).
-    Large,
+/// Capacities of the value classes, smallest first: 16-byte steps up
+/// to 128 B, then four steps per doubling up to 1 KiB.
+const VALUE_CAPACITIES: [usize; NUM_VALUE_CLASSES] = [
+    16, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 448, 512, 640, 768, 896, 1024,
+];
+
+/// Capacity of the largest value class: a value longer than this is
+/// gathered into an exact-size region instead.
+pub const MAX_VALUE_CAPACITY: usize = VALUE_CAPACITIES[NUM_VALUE_CLASSES - 1];
+
+/// Number of pooled size classes: [`SizeClass::SMALL`],
+/// [`SizeClass::LARGE`] and the [`NUM_VALUE_CLASSES`] value classes.
+pub const NUM_CLASSES: usize = 2 + NUM_VALUE_CLASSES;
+
+/// What one class is: its region capacity and the three thresholds
+/// that pace its migration.
+#[derive(Clone, Copy)]
+struct ClassSpec {
+    capacity: usize,
+    high_watermark: usize,
+    batch: usize,
+    sweep_low_water: usize,
 }
 
+/// The one class table, indexed by [`SizeClass::index`]: `SMALL`,
+/// `LARGE`, then the value classes ([`VALUE_CAPACITIES`]). A value
+/// class never arms the idle sweep: a value another machine dropped
+/// last waits in its home mailbox for the home core's next compaction
+/// of that class.
+const CLASSES: [ClassSpec; NUM_CLASSES] = {
+    let value = ClassSpec {
+        capacity: 0,
+        high_watermark: 64,
+        batch: 16,
+        sweep_low_water: usize::MAX,
+    };
+    let mut table = [value; NUM_CLASSES];
+    table[0] = ClassSpec {
+        capacity: SMALL_CAPACITY,
+        high_watermark: 256,
+        batch: 64,
+        sweep_low_water: 8,
+    };
+    table[1] = ClassSpec {
+        capacity: LARGE_CAPACITY,
+        high_watermark: 32,
+        batch: 8,
+        sweep_low_water: 2,
+    };
+    let mut i = 0;
+    while i < NUM_VALUE_CLASSES {
+        table[2 + i].capacity = VALUE_CAPACITIES[i];
+        i += 1;
+    }
+    table
+};
+
+/// A pooled region size class: an index into one capacity table.
+/// Every class keeps per-core free lists plus a shared depot with its
+/// own watermark and batch size. Buffers that are appended to are
+/// routed by [`class_for`] to [`SizeClass::SMALL`] or
+/// [`SizeClass::LARGE`]; a value whose length is known when it is
+/// gathered goes to the smallest value class that fits it
+/// ([`value_class_for`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SizeClass(u8);
+
 impl SizeClass {
-    /// All classes, smallest first.
-    pub const ALL: [SizeClass; NUM_CLASSES] = [SizeClass::Small, SizeClass::Large];
+    /// [`SMALL_CAPACITY`]-byte regions (frames, headers).
+    pub const SMALL: SizeClass = SizeClass(0);
+
+    /// [`LARGE_CAPACITY`]-byte regions (jumbo frames, large
+    /// values).
+    pub const LARGE: SizeClass = SizeClass(1);
+
+    /// All classes, in index order.
+    pub const ALL: [SizeClass; NUM_CLASSES] = {
+        let mut all = [SizeClass(0); NUM_CLASSES];
+        let mut i = 0;
+        while i < NUM_CLASSES {
+            all[i] = SizeClass(i as u8);
+            i += 1;
+        }
+        all
+    };
 
     /// Dense index of this class (`0..NUM_CLASSES`).
     #[inline]
     pub fn index(self) -> usize {
-        self as usize
+        self.0 as usize
     }
 
     /// Physical capacity of every region in this class.
     #[inline]
     pub fn capacity(self) -> usize {
-        match self {
-            SizeClass::Small => SMALL_CAPACITY,
-            SizeClass::Large => LARGE_CAPACITY,
-        }
+        CLASSES[self.index()].capacity
     }
 
     /// Free-list length that triggers a flush to the depot. Scaled
@@ -104,32 +181,24 @@ impl SizeClass {
     /// most a few megabytes before sharing.
     #[inline]
     pub fn high_watermark(self) -> usize {
-        match self {
-            SizeClass::Small => 256,
-            SizeClass::Large => 32,
-        }
+        CLASSES[self.index()].high_watermark
     }
 
     /// Regions moved between a core's list and the depot at once.
     #[inline]
     pub fn batch(self) -> usize {
-        match self {
-            SizeClass::Small => 64,
-            SizeClass::Large => 8,
-        }
+        CLASSES[self.index()].batch
     }
 
     /// Mailbox occupancy that arms the home core's **idle sweep**:
     /// once this many remote-freed regions are parked for one core,
     /// a one-shot idle callback is queued on that core so an idle
     /// machine returns them to its depot instead of pinning them
-    /// until the core's next dry allocation.
+    /// until the core's next dry allocation. `usize::MAX` (never) for
+    /// the value classes.
     #[inline]
     pub fn sweep_low_water(self) -> usize {
-        match self {
-            SizeClass::Small => 8,
-            SizeClass::Large => 2,
-        }
+        CLASSES[self.index()].sweep_low_water
     }
 }
 
@@ -139,12 +208,25 @@ impl SizeClass {
 #[inline]
 pub fn class_for(capacity: usize) -> Option<SizeClass> {
     if capacity <= SMALL_CAPACITY {
-        Some(SizeClass::Small)
+        Some(SizeClass::SMALL)
     } else if capacity <= LARGE_CAPACITY {
-        Some(SizeClass::Large)
+        Some(SizeClass::LARGE)
     } else {
         None
     }
+}
+
+/// The smallest value class whose regions hold `len` bytes, or `None`
+/// beyond [`MAX_VALUE_CAPACITY`] (an exact-size region).
+pub fn value_class_for(len: usize) -> Option<SizeClass> {
+    let i = VALUE_CAPACITIES.partition_point(|&c| c < len);
+    (i < NUM_VALUE_CLASSES).then(|| SizeClass((2 + i) as u8))
+}
+
+/// Bytes of the region a value of `len` bytes is gathered into: its
+/// value class's capacity, or `len` itself beyond the largest class.
+pub fn value_capacity(len: usize) -> usize {
+    value_class_for(len).map_or(len, SizeClass::capacity)
 }
 
 /// One class's per-core state inside a rep.
@@ -293,7 +375,7 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
         let region = 'found: {
             if let Some(r) = list.pop() {
                 bump(&cl.takes_since_balance);
-                bump(&p.counters.class_hits[i]);
+                bump(&p.counters.classes[i].hits);
                 break 'found r;
             }
             // Dry: collect everything peers posted back to this
@@ -303,14 +385,14 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
                 let mut boxes = crate::lock(&p.root.mailboxes[i]);
                 if let Some(mine) = boxes.get_mut(p.core.index()) {
                     if !mine.regions.is_empty() {
-                        add(&p.counters.class_depot_out[i], mine.regions.len() as u64);
+                        add(&p.counters.classes[i].depot_out, mine.regions.len() as u64);
                         list.append(&mut mine.regions);
                     }
                 }
             }
             if let Some(r) = list.pop() {
                 cl.takes_since_balance.set(1); // drained = balanced
-                bump(&p.counters.class_hits[i]);
+                bump(&p.counters.classes[i].hits);
                 break 'found r;
             }
             let mut depot = crate::lock(&p.root.depots[i]);
@@ -319,16 +401,16 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
                 let from = depot.len() - take;
                 list.extend(depot.drain(from..));
                 drop(depot);
-                add(&p.counters.class_depot_out[i], take as u64);
+                add(&p.counters.classes[i].depot_out, take as u64);
                 // A refill is a balance; the pop below is the first
                 // take since it.
                 cl.takes_since_balance.set(1);
-                bump(&p.counters.class_hits[i]);
+                bump(&p.counters.classes[i].hits);
                 break 'found list.pop().expect("refilled");
             }
             drop(depot);
             bump(&p.counters.bufs_allocated);
-            bump(&p.counters.class_fallbacks[i]);
+            bump(&p.counters.classes[i].fallbacks);
             // A fallback is local demand: it counts against the
             // hysteresis like a take, so a core that allocates keeps
             // the full watermark.
@@ -353,7 +435,7 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
 pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
     with_pool(|p| {
         let i = class.index();
-        bump(&p.counters.class_returns[i]);
+        bump(&p.counters.classes[i].returns);
         if !region.is_home(&p.root) {
             let Some(home) = region.home() else {
                 return; // home pool is gone: `region` drops, freeing the storage
@@ -379,7 +461,7 @@ pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
                     false
                 }
             };
-            bump(&p.counters.class_depot_in[i]);
+            bump(&p.counters.classes[i].depot_in);
             if arm {
                 schedule_idle_sweep(&home, home_core);
             }
@@ -394,18 +476,18 @@ pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
             let mut depot = crate::lock(&p.root.depots[i]);
             depot.extend(list.drain(..class.batch()));
             drop(depot);
-            add(&p.counters.class_depot_in[i], class.batch() as u64);
+            add(&p.counters.classes[i].depot_in, class.batch() as u64);
             cl.takes_since_balance.set(0);
         }
     })
 }
 
-/// Pre-fills the calling context's [`SizeClass::Small`] free list
+/// Pre-fills the calling context's [`SizeClass::SMALL`] free list
 /// with `n` fresh regions so a benchmark's steady state starts
 /// pool-hot. The fresh allocations are counted (they are real),
 /// which is why benchmarks snapshot counters *after* prewarming.
 pub fn prewarm(n: usize) {
-    prewarm_class(SizeClass::Small, n);
+    prewarm_class(SizeClass::SMALL, n);
 }
 
 /// Pre-fills the calling context's free list for `class` with `n`
@@ -449,8 +531,9 @@ fn schedule_idle_sweep(home: &Arc<PoolRoot>, home_core: CoreId) {
     });
 }
 
-/// Drains `core`'s remote-free mailboxes (every class): the home
-/// core's free list is topped up to one refill batch (cache-warm
+/// Drains `core`'s remote-free mailboxes (every class that arms the
+/// sweep; a value class's mailbox waits for the next compaction): the
+/// home core's free list is topped up to one refill batch (cache-warm
 /// for its next burst — a sweep must never leave the owner worse
 /// off than the lazy drain it replaces), and the excess goes to
 /// the machine-wide depot, counted as depot migration on the
@@ -463,6 +546,9 @@ fn schedule_idle_sweep(home: &Arc<PoolRoot>, home_core: CoreId) {
 pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
     with_pool(|p| {
         for class in SizeClass::ALL {
+            if class.sweep_low_water() == usize::MAX {
+                continue;
+            }
             let i = class.index();
             let mut boxes = crate::lock(&root.mailboxes[i]);
             let Some(mb) = boxes.get_mut(core.index()) else {
@@ -474,7 +560,7 @@ pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
             let keep = class.batch().saturating_sub(list.len()).min(parked.len());
             list.extend(parked.drain(..keep));
             if !parked.is_empty() {
-                add(&p.counters.class_depot_in[i], parked.len() as u64);
+                add(&p.counters.classes[i].depot_in, parked.len() as u64);
                 crate::lock(&p.root.depots[i]).extend(parked.drain(..));
             }
         }

@@ -236,6 +236,24 @@ impl RegionRef {
         }
     }
 
+    /// Storage for a value of exactly `len` bytes: a region of the
+    /// smallest value class that fits ([`pool::value_class_for`]),
+    /// recycled through the same per-core lists, or an exact-size
+    /// one-shot region beyond the largest value class.
+    pub(super) fn alloc_value(len: usize) -> RegionRef {
+        match pool::value_class_for(len) {
+            Some(class) => pool::acquire(class),
+            None => Self::exact(len),
+        }
+    }
+
+    /// A fresh exact-size region that never enters a pool (counted as
+    /// a fresh allocation).
+    pub(super) fn exact(len: usize) -> RegionRef {
+        stats::record_alloc();
+        FreeRegion::exact(len).into_ref()
+    }
+
     #[inline]
     fn header(&self) -> &RegionHeader {
         // SAFETY: this reference keeps `refs > 0`, so the header is

@@ -55,11 +55,18 @@ pub(super) struct Counters {
     pub(super) bytes_copied: Cell<u64>,
     pub(super) bufs_allocated: Cell<u64>,
     pub(super) oversize_allocs: Cell<u64>,
-    pub(super) class_hits: [Cell<u64>; NUM_CLASSES],
-    pub(super) class_returns: [Cell<u64>; NUM_CLASSES],
-    pub(super) class_fallbacks: [Cell<u64>; NUM_CLASSES],
-    pub(super) class_depot_in: [Cell<u64>; NUM_CLASSES],
-    pub(super) class_depot_out: [Cell<u64>; NUM_CLASSES],
+    pub(super) classes: [ClassCells; NUM_CLASSES],
+}
+
+/// One class's cells, side by side: a buffer's acquire and recycle
+/// touch one cache line of counters however many classes there are.
+#[derive(Default)]
+pub(super) struct ClassCells {
+    pub(super) hits: Cell<u64>,
+    pub(super) returns: Cell<u64>,
+    pub(super) fallbacks: Cell<u64>,
+    pub(super) depot_in: Cell<u64>,
+    pub(super) depot_out: Cell<u64>,
 }
 
 impl Counters {
@@ -68,15 +75,15 @@ impl Counters {
         Snapshot {
             bytes_copied: self.bytes_copied.get(),
             bufs_allocated: self.bufs_allocated.get(),
-            pool_hits: self.class_hits.iter().map(Cell::get).sum(),
-            pool_returns: self.class_returns.iter().map(Cell::get).sum(),
+            pool_hits: self.classes.iter().map(|c| c.hits.get()).sum(),
+            pool_returns: self.classes.iter().map(|c| c.returns.get()).sum(),
             oversize_allocs: self.oversize_allocs.get(),
             classes: std::array::from_fn(|i| ClassCounters {
-                hits: self.class_hits[i].get(),
-                returns: self.class_returns[i].get(),
-                fallback_allocs: self.class_fallbacks[i].get(),
-                depot_out: self.class_depot_out[i].get(),
-                depot_in: self.class_depot_in[i].get(),
+                hits: self.classes[i].hits.get(),
+                returns: self.classes[i].returns.get(),
+                fallback_allocs: self.classes[i].fallbacks.get(),
+                depot_out: self.classes[i].depot_out.get(),
+                depot_in: self.classes[i].depot_in.get(),
             }),
         }
     }

@@ -151,7 +151,7 @@ fn pooled_storage_recycles_on_last_drop() {
     // Drain any pool state left by other tests on this thread
     // (holding the buffers so they don't recycle straight back).
     let mut held = Vec::new();
-    while pool::local_free(SizeClass::Small) > 0 || depot_free(SizeClass::Small) > 0 {
+    while pool::local_free(SizeClass::SMALL) > 0 || depot_free(SizeClass::SMALL) > 0 {
         held.push(MutIoBuf::with_capacity(64));
     }
     let hits0 = stats::snapshot().pool_hits;
@@ -168,7 +168,7 @@ fn pooled_storage_recycles_on_last_drop() {
     );
     drop(clone);
     assert_eq!(stats::snapshot().pool_returns, returns0 + 1);
-    assert_eq!(pool::local_free(SizeClass::Small), 1);
+    assert_eq!(pool::local_free(SizeClass::SMALL), 1);
     // The next pool-sized request reuses the region: a hit, no alloc.
     let allocs0 = stats::snapshot().bufs_allocated;
     let again = MutIoBuf::with_capacity(128);
@@ -179,19 +179,19 @@ fn pooled_storage_recycles_on_last_drop() {
 
 #[test]
 fn class_selection_boundaries() {
-    assert_eq!(pool::class_for(0), Some(SizeClass::Small));
-    assert_eq!(pool::class_for(1), Some(SizeClass::Small));
+    assert_eq!(pool::class_for(0), Some(SizeClass::SMALL));
+    assert_eq!(pool::class_for(1), Some(SizeClass::SMALL));
     assert_eq!(
         pool::class_for(pool::SMALL_CAPACITY),
-        Some(SizeClass::Small)
+        Some(SizeClass::SMALL)
     );
     assert_eq!(
         pool::class_for(pool::SMALL_CAPACITY + 1),
-        Some(SizeClass::Large)
+        Some(SizeClass::LARGE)
     );
     assert_eq!(
         pool::class_for(pool::LARGE_CAPACITY),
-        Some(SizeClass::Large)
+        Some(SizeClass::LARGE)
     );
     assert_eq!(pool::class_for(pool::LARGE_CAPACITY + 1), None);
 }
@@ -212,19 +212,19 @@ fn buffers_between_classes_use_large_pool() {
     // A request just past the small class is served by the large
     // class, with the requested logical capacity enforced.
     let b = MutIoBuf::with_capacity(pool::SMALL_CAPACITY + 1);
-    assert_eq!(b.size_class(), Some(SizeClass::Large));
+    assert_eq!(b.size_class(), Some(SizeClass::LARGE));
     assert_eq!(b.capacity(), pool::SMALL_CAPACITY + 1);
     // Recycling goes back to the large class and is reused.
-    let returns0 = stats::snapshot().class(SizeClass::Large).returns;
+    let returns0 = stats::snapshot().class(SizeClass::LARGE).returns;
     drop(b);
     assert_eq!(
-        stats::snapshot().class(SizeClass::Large).returns,
+        stats::snapshot().class(SizeClass::LARGE).returns,
         returns0 + 1
     );
-    let hits0 = stats::snapshot().class(SizeClass::Large).hits;
+    let hits0 = stats::snapshot().class(SizeClass::LARGE).hits;
     let again = MutIoBuf::with_capacity(32 * 1024);
-    assert_eq!(again.size_class(), Some(SizeClass::Large));
-    assert_eq!(stats::snapshot().class(SizeClass::Large).hits, hits0 + 1);
+    assert_eq!(again.size_class(), Some(SizeClass::LARGE));
+    assert_eq!(stats::snapshot().class(SizeClass::LARGE).hits, hits0 + 1);
 }
 
 #[test]
@@ -244,7 +244,7 @@ fn depot_balances_between_cores() {
     // can steal the flushed batch mid-assertion (the reason the
     // old global-pool design needed a serialization mutex).
     let rt = test_runtime(2);
-    let class = SizeClass::Large;
+    let class = SizeClass::LARGE;
     // Producer core 0: recycle past the high watermark, flushing a
     // batch to the depot.
     let after_flush = {
@@ -291,7 +291,7 @@ fn idle_sweep_returns_mailbox_regions_to_depot() {
     use crate::runtime;
     let home = test_runtime(1);
     let away = test_runtime(1);
-    let class = SizeClass::Large;
+    let class = SizeClass::LARGE;
     // More than one refill batch, so both halves of the sweep
     // policy are visible (local top-up + depot return).
     let n = class.batch() + 4;
@@ -361,7 +361,7 @@ fn recycle_sweep_recycle_keeps_the_mailbox_vectors() {
     // Home is this thread's ambient pool: with no event loop it arms no
     // sweep (which would box a callback), so the test runs it itself.
     let away = test_runtime(1);
-    let class = SizeClass::Large;
+    let class = SizeClass::LARGE;
     // Past one refill batch: the sweep tops up the list and feeds the
     // depot.
     let n = class.batch() + 4;
@@ -401,7 +401,7 @@ fn runtimes_keep_independent_pools_and_stats() {
         // Fresh machine: the first allocation is a counted
         // fallback; its drop recycles into rt1's core-0 list.
         drop(MutIoBuf::with_capacity(64));
-        assert_eq!(pool::local_free(SizeClass::Small), 1);
+        assert_eq!(pool::local_free(SizeClass::SMALL), 1);
     }
     let s1 = stats::runtime_snapshot(&rt1);
     assert_eq!(s1.bufs_allocated, 1);
@@ -413,7 +413,7 @@ fn runtimes_keep_independent_pools_and_stats() {
         let _g = runtime::enter(Arc::clone(&rt2), CoreId(0));
         // rt1's recycled region is invisible here: rt2 must
         // fresh-allocate, and its counters move independently.
-        assert_eq!(pool::local_free(SizeClass::Small), 0);
+        assert_eq!(pool::local_free(SizeClass::SMALL), 0);
         let allocs0 = stats::snapshot().bufs_allocated;
         assert_eq!(allocs0, 0);
         let b = MutIoBuf::with_capacity(64);
@@ -430,15 +430,15 @@ fn pool_dispatch_works_from_events_and_harness_thread() {
     // rep inside a runtime and to the thread's ambient context
     // outside one — allocation sites don't care where they run.
     use crate::runtime;
-    let ambient_free = pool::local_free(SizeClass::Small);
+    let ambient_free = pool::local_free(SizeClass::SMALL);
     let rt = test_runtime(1);
     {
         let _g = runtime::enter(Arc::clone(&rt), CoreId(0));
         pool::prewarm(2);
-        assert_eq!(pool::local_free(SizeClass::Small), 2);
+        assert_eq!(pool::local_free(SizeClass::SMALL), 2);
     }
     // Back on the harness thread: the ambient context, untouched.
-    assert_eq!(pool::local_free(SizeClass::Small), ambient_free);
+    assert_eq!(pool::local_free(SizeClass::SMALL), ambient_free);
 }
 
 #[test]
@@ -451,7 +451,7 @@ fn flux_adaptive_watermark_halves_for_pure_consumers() {
     // watermark.
     use crate::runtime;
     let rt = test_runtime(2);
-    let class = SizeClass::Large;
+    let class = SizeClass::LARGE;
     let wm = class.high_watermark();
     // Core 0 allocates wm/2 regions (local demand: fallbacks) and
     // frees them locally: half the watermark must NOT flush there.
@@ -554,9 +554,9 @@ fn compact_releases_pinned_regions() {
     chain.compact();
     assert_eq!(chain.len(), 8);
     assert_eq!(chain.segment_count(), 1);
-    assert_eq!(chain.pinned_bytes(), 8);
+    assert_eq!(chain.pinned_bytes(), 16, "the smallest value class");
     assert_eq!(chain.copy_to_vec(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-    // Already-exact chains are left untouched (no copy, no alloc).
+    // Already-compact chains are left untouched (no copy, no alloc).
     let before = stats::snapshot();
     chain.compact();
     assert_eq!(stats::snapshot(), before);
@@ -564,9 +564,9 @@ fn compact_releases_pinned_regions() {
 
 #[test]
 fn prewarm_fills_local_list() {
-    let free0 = pool::local_free(SizeClass::Small);
+    let free0 = pool::local_free(SizeClass::SMALL);
     pool::prewarm(4);
-    assert_eq!(pool::local_free(SizeClass::Small), free0 + 4);
+    assert_eq!(pool::local_free(SizeClass::SMALL), free0 + 4);
     // Use them up so other tests see a predictable pool.
     let bufs: Vec<MutIoBuf> = (0..4).map(|_| MutIoBuf::with_capacity(32)).collect();
     drop(bufs);
@@ -595,7 +595,7 @@ fn last_drop_on_another_machine_lands_in_the_home_cores_mailbox() {
     {
         let _g = runtime::enter(Arc::clone(&away), CoreId(0));
         drop(buf);
-        assert_eq!(home_root.mailbox_len(SizeClass::Small), 0, "a clone lives");
+        assert_eq!(home_root.mailbox_len(SizeClass::SMALL), 0, "a clone lives");
         assert_eq!(stats::snapshot().pool_returns, 0);
         drop(clone);
         assert_eq!(
@@ -604,24 +604,24 @@ fn last_drop_on_another_machine_lands_in_the_home_cores_mailbox() {
             "counted where it was freed"
         );
         assert_eq!(
-            pool::local_free(SizeClass::Small),
+            pool::local_free(SizeClass::SMALL),
             0,
             "and never enters the freeing pool"
         );
     }
-    assert_eq!(home_root.mailbox_len(SizeClass::Small), 1);
+    assert_eq!(home_root.mailbox_len(SizeClass::SMALL), 1);
     // Core 0 of the home machine does not see it; core 1's next dry
     // acquire drains its own mailbox instead of allocating.
     {
         let _g = runtime::enter(Arc::clone(&home), CoreId(0));
-        assert_eq!(pool::local_free(SizeClass::Small), 0);
+        assert_eq!(pool::local_free(SizeClass::SMALL), 0);
     }
     let _g = runtime::enter(Arc::clone(&home), CoreId(1));
     let allocs0 = stats::snapshot().bufs_allocated;
     let again = MutIoBuf::with_capacity(64);
     assert_eq!(stats::snapshot().bufs_allocated, allocs0);
-    assert_eq!(stats::snapshot().class(SizeClass::Small).depot_out, 1);
-    assert_eq!(home_root.mailbox_len(SizeClass::Small), 0);
+    assert_eq!(stats::snapshot().class(SizeClass::SMALL).depot_out, 1);
+    assert_eq!(home_root.mailbox_len(SizeClass::SMALL), 0);
     drop(again);
 }
 
@@ -659,11 +659,11 @@ fn a_region_that_outlives_its_home_pool_is_freed() {
     drop(buf);
     assert_eq!(live_regions(), live0, "freed, not leaked or mailed nowhere");
     assert_eq!(
-        pool::local_free(SizeClass::Small),
+        pool::local_free(SizeClass::SMALL),
         0,
         "and not adopted by the freeing pool"
     );
-    assert_eq!(stats::snapshot().class(SizeClass::Small).depot_in, 0);
+    assert_eq!(stats::snapshot().class(SizeClass::SMALL).depot_in, 0);
 }
 
 #[test]
@@ -1142,7 +1142,7 @@ fn views_made_and_dropped_on_many_threads_keep_the_count() {
         .expect("last drop");
     }
     assert_eq!(
-        pool::runtime_free_counts(&rt, SizeClass::Small),
+        pool::runtime_free_counts(&rt, SizeClass::SMALL),
         (1, 0),
         "the pooled region recycled into the freeing core's list"
     );

@@ -17,7 +17,7 @@
 //! queue to polling — are the device's, fixed before attach.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::event::IdleToken;
@@ -50,6 +50,10 @@ struct QueueState {
     polling: Cell<bool>,
     empty_streak: Cell<u32>,
     idle_token: Cell<Option<IdleToken>>,
+    /// The queue's poll hook, built once at attach and registered as
+    /// the idle handler on every switch to polling. It holds the state
+    /// weakly, so the state and its hook form no `Rc` cycle.
+    poll: Rc<dyn Fn() -> bool>,
     /// Reusable per-queue frame vector: each drain collects its whole
     /// burst here and hands it to the stack in one `rx_burst` call.
     /// Taken (not borrowed) for the duration of a drain so re-entrant
@@ -69,12 +73,16 @@ pub fn attach(netif: &Rc<NetIf>) {
 }
 
 fn setup_queue(netif: &Rc<NetIf>, q: usize) {
-    let state = Rc::new(QueueState {
-        queue: q,
-        polling: Cell::new(false),
-        empty_streak: Cell::new(0),
-        idle_token: Cell::new(None),
-        burst: RefCell::new(Vec::with_capacity(RX_BURST)),
+    let state = Rc::new_cyclic(|weak: &Weak<QueueState>| {
+        let (netif, weak) = (Rc::clone(netif), weak.clone());
+        QueueState {
+            queue: q,
+            polling: Cell::new(false),
+            empty_streak: Cell::new(0),
+            idle_token: Cell::new(None),
+            poll: Rc::new(move || weak.upgrade().is_some_and(|s| drain(&netif, &s, false) > 0)),
+            burst: RefCell::new(Vec::with_capacity(RX_BURST)),
+        }
     });
     let em = netif.runtime().local_event_manager();
     let netif2 = Rc::clone(netif);
@@ -127,10 +135,8 @@ fn enter_polling(netif: &Rc<NetIf>, state: &Rc<QueueState>) {
     netif.nic.set_irq_enabled(state.queue, false);
     state.polling.set(true);
     state.empty_streak.set(0);
-    let netif2 = Rc::clone(netif);
-    let state2 = Rc::clone(state);
     let em = netif.runtime().local_event_manager();
-    let token = em.add_idle_handler(move || drain(&netif2, &state2, false) > 0);
+    let token = em.add_idle_handler(Rc::clone(&state.poll));
     state.idle_token.set(Some(token));
 }
 
