@@ -3,11 +3,12 @@
 //! chain, serves them, and sends the batched replies — all inside the
 //! event that delivered the bytes.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ebbrt_core::cache::{Depot, ObjCache};
 use ebbrt_core::clock::{charge, charged_so_far};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbId, EbbManager, EbbRef, MulticoreEbb, SystemEbb};
@@ -187,7 +188,7 @@ pub struct ServerConn {
     /// idle established connection pays one null pointer for it. Only
     /// a request split across receive events leaves a `pending` tail,
     /// and only a reply exceeding the peer's window parks in `unsent`;
-    /// the box goes back to the core's free list ([`ColdBoxes`]) once
+    /// the box goes back to the core's cache ([`ColdBoxes`]) once
     /// both drain empty, so a well-behaved connection between requests
     /// holds nothing here.
     cold: RefCell<Option<Box<ConnCold>>>,
@@ -200,6 +201,7 @@ pub struct ServerConn {
 
 /// The lazily-boxed cold half of a [`ServerConn`] (see the `cold`
 /// field): request-reassembly tail plus parked-response backlog.
+#[derive(Default)]
 struct ConnCold {
     /// Bytes not yet forming a complete request (descriptor chain over
     /// the driver buffers; nothing is copied into it).
@@ -216,82 +218,52 @@ struct ConnCold {
     /// The peer half-closed while replies were still parked: our half
     /// closes once `unsent` has drained.
     peer_closed: bool,
-    /// The next spare box while this one waits on its core's free list
-    /// ([`ColdBoxes`]); `None` while a connection holds it.
-    next_spare: Option<Box<ConnCold>>,
 }
 
 impl ConnCold {
-    /// A box from the calling core's free list ([`ColdBoxes`]), or a
-    /// fresh one when the list is empty.
+    /// A box from the calling core's cache ([`ColdBoxes`]), or a fresh
+    /// one when the cache and its depot are dry.
     fn new() -> Box<ConnCold> {
-        with_cold_boxes(ColdBoxes::pop).unwrap_or_else(|| {
-            Box::new(ConnCold {
-                pending: Chain::new(),
-                unsent: Chain::new(),
-                peer_closed: false,
-                next_spare: None,
-            })
-        })
+        with_cold_boxes(|b| b.cache.take(&b.depot, |_| {})).map_or_else(Box::default, |(b, _)| b)
     }
 }
 
 /// Takes the connection's cold box, if any, and returns it emptied to
-/// the calling core's free list ([`ColdBoxes`]).
+/// the calling core's cache ([`ColdBoxes`]).
 fn release_cold(cold: &mut Option<Box<ConnCold>>) {
     let Some(mut b) = cold.take() else { return };
-    b.pending = Chain::new();
-    b.unsent = Chain::new();
-    b.peer_closed = false;
-    with_cold_boxes(|boxes| boxes.push(b));
+    *b = ConnCold::default();
+    with_cold_boxes(|boxes| boxes.cache.give(b, &boxes.depot));
 }
 
 /// Emptied cold boxes one core keeps for reuse. A request split across
 /// two receive events takes a box and gives it back once it drains, so
-/// a few boxes per core serve any number of such requests; the bound
-/// caps what a burst of connections holding partial requests leaves
-/// pinned afterwards.
+/// a few boxes per core serve any number of such requests; past this
+/// watermark a core parks a quarter of them in the machine's depot,
+/// where a core that runs dry finds them.
 const COLD_BOXES_KEPT: usize = 64;
 
-/// The per-core free list of emptied [`ConnCold`] boxes, linked through
-/// the boxes themselves (`next_spare`) — an Ebb
-/// ([`SystemEbb::ConnCold`]) whose rep is the core's list, lazily
-/// registered, reached through the calling core's context as the
+/// The per-core cache of emptied [`ConnCold`] boxes over the machine's
+/// depot — an Ebb ([`SystemEbb::ConnCold`]) whose root is the depot,
+/// lazily registered, reached through the calling core's context as the
 /// buffer pool's rep is. A connection with nothing cold still holds no
-/// box ([`ServerConn::cold_resident`] reads `false`): the list belongs
+/// box ([`ServerConn::cold_resident`] reads `false`): the cache belongs
 /// to the core.
-#[derive(Default)]
 struct ColdBoxes {
-    head: RefCell<Option<Box<ConnCold>>>,
-    len: Cell<usize>,
-}
-
-impl ColdBoxes {
-    fn pop(&self) -> Option<Box<ConnCold>> {
-        let mut head = self.head.borrow_mut();
-        let mut b = head.take()?;
-        *head = b.next_spare.take();
-        self.len.set(self.len.get() - 1);
-        Some(b)
-    }
-
-    /// Keeps `b` unless the list already holds [`COLD_BOXES_KEPT`];
-    /// then it is freed.
-    fn push(&self, mut b: Box<ConnCold>) {
-        if self.len.get() < COLD_BOXES_KEPT {
-            let mut head = self.head.borrow_mut();
-            b.next_spare = head.take();
-            *head = Some(b);
-            self.len.set(self.len.get() + 1);
-        }
-    }
+    cache: ObjCache<Box<ConnCold>>,
+    depot: Arc<Depot<Box<ConnCold>>>,
 }
 
 impl MulticoreEbb for ColdBoxes {
-    type Root = ();
+    type Root = Depot<Box<ConnCold>>;
 
-    fn create_rep(_root: &Arc<()>, _core: CoreId) -> Self {
-        ColdBoxes::default()
+    /// Presized: the list never grows past [`COLD_BOXES_KEPT`]. A
+    /// flush parks a quarter of it in the depot.
+    fn create_rep(depot: &Arc<Self::Root>, _core: CoreId) -> Self {
+        ColdBoxes {
+            cache: ObjCache::new(COLD_BOXES_KEPT, COLD_BOXES_KEPT / 4, COLD_BOXES_KEPT),
+            depot: Arc::clone(depot),
+        }
     }
 
     fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {

@@ -96,9 +96,10 @@ pub enum SystemEbb {
     /// (per-class fair scheduling on the tx path). Installed by
     /// `NetIf::install_qos` — machine-local, never a wire id.
     Qos = 10,
-    /// The per-core free list of memcached server connections' cold
-    /// boxes (`ebbrt-apps`' `memcached::server`). Lazily registered:
-    /// its root is `Default`.
+    /// The per-core cache of memcached server connections' cold boxes
+    /// (`ebbrt-apps`' `memcached::server`): a [`crate::cache::ObjCache`]
+    /// per core over the machine's [`crate::cache::Depot`], its root.
+    /// Lazily registered: the depot is `Default`.
     ConnCold = 11,
 }
 

@@ -3,12 +3,9 @@
 //!
 //! The pool is the canonical well-known system Ebb
 //! ([`crate::ebb::SystemEbb::BufferPool`]): its per-core
-//! *representatives* ([`PoolEbb`]) are the unsynchronized free
-//! lists (plain `RefCell`/`Cell` state, legal because events are
-//! non-preemptive and a rep is only touched from its owning core) and
-//! its *root* ([`PoolRoot`]) owns the shared per-class depots
-//! that batches migrate through. The design mirrors the `ebbrt-mem`
-//! slab allocator (§3.4), re-homed onto `EbbRef` dispatch: every
+//! *representatives* ([`PoolEbb`]) hold one per-core object cache
+//! ([`ObjCache`], §3.4) per size class, and its *root* ([`PoolRoot`])
+//! the classes' shared [`Depot`]s that batches migrate through. Every
 //! allocation resolves the calling context's rep in one translation-
 //! table load, and the root is lazily registered (`Default`), so the
 //! pool needs no setup call.
@@ -44,11 +41,13 @@
 //! mailbox if a zero-copy reply carried it to another machine, and the
 //! next compaction of that class takes it from there.
 //!
-//! Each class has its own local high watermark and migration batch
-//! size: a core whose list grows past the watermark (a *consumer* of
-//! buffers other cores allocate — e.g. the core a skewed connection's
-//! frames are freed on) flushes a cold batch to the depot, and a core
-//! whose list runs dry refills a batch from it. The per-class
+//! Each class passes its own high watermark and migration batch size
+//! to its caches: a core whose list grows past the watermark (a
+//! *consumer* of buffers other cores allocate — e.g. the core a skewed
+//! connection's frames are freed on) flushes a cold batch to the
+//! depot, and a core whose list runs dry refills a batch from it. What
+//! stays here crosses machines: the remote-free mailboxes, the idle
+//! sweep that empties them, and the counters. The per-class
 //! [`depot_in`](super::stats::ClassCounters::depot_in) /
 //! [`depot_out`](super::stats::ClassCounters::depot_out) counters make
 //! that migration traffic measurable.
@@ -59,10 +58,10 @@
 
 use super::region::{FreeRegion, RegionRef};
 use super::stats::{add, bump, Counters};
+use crate::cache::{Depot, ObjCache};
 use crate::cpu::CoreId;
 use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 use crate::runtime::{self, Runtime};
-use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 
 /// Capacity of a [`SizeClass::SMALL`] region: one Ethernet MTU
@@ -92,8 +91,8 @@ pub const MAX_VALUE_CAPACITY: usize = VALUE_CAPACITIES[NUM_VALUE_CLASSES - 1];
 /// [`SizeClass::LARGE`] and the [`NUM_VALUE_CLASSES`] value classes.
 pub const NUM_CLASSES: usize = 2 + NUM_VALUE_CLASSES;
 
-/// What one class is: its region capacity and the three thresholds
-/// that pace its migration.
+/// What one class is: its region capacity, its caches' watermark and
+/// batch, and the mailbox occupancy that arms the idle sweep.
 #[derive(Clone, Copy)]
 struct ClassSpec {
     capacity: usize,
@@ -136,7 +135,7 @@ const CLASSES: [ClassSpec; NUM_CLASSES] = {
 };
 
 /// A pooled region size class: an index into one capacity table.
-/// Every class keeps per-core free lists plus a shared depot with its
+/// Every class keeps per-core caches plus a shared depot with its
 /// own watermark and batch size. Buffers that are appended to are
 /// routed by [`class_for`] to [`SizeClass::SMALL`] or
 /// [`SizeClass::LARGE`]; a value whose length is known when it is
@@ -229,29 +228,14 @@ pub fn value_capacity(len: usize) -> usize {
     value_class_for(len).map_or(len, SizeClass::capacity)
 }
 
-/// One class's per-core state inside a rep.
-#[derive(Default)]
-struct ClassRep {
-    /// The unsynchronized free list (rep-local: `RefCell` is the
-    /// contract, see [`MulticoreEbb`]).
-    list: RefCell<Vec<FreeRegion>>,
-    /// Local takes since this core last balanced against the depot
-    /// (flushed or refilled). Zero means the list has *only ever
-    /// grown* since then — a chronically one-directional consumer
-    /// of other cores' buffers — and the effective high watermark
-    /// halves so the depot pipeline primes after half the parked
-    /// population (flux-adaptive hysteresis).
-    takes_since_balance: Cell<u64>,
-}
-
-/// The per-core representative of the buffer pool: the free lists
-/// of every size class plus this core's IOBuf counters. Resolved
+/// The per-core representative of the buffer pool: the caches of
+/// every size class plus this core's IOBuf counters. Resolved
 /// through [`SystemEbb::BufferPool`]; constructed lazily on each
 /// core's first buffer operation.
 pub struct PoolEbb {
     root: Arc<PoolRoot>,
     core: CoreId,
-    classes: [ClassRep; NUM_CLASSES],
+    classes: [ObjCache<FreeRegion>; NUM_CLASSES],
     pub(super) counters: Counters,
 }
 
@@ -280,7 +264,7 @@ type Mailboxes = Mutex<Vec<Mailbox>>;
 /// first use.
 #[derive(Default)]
 pub struct PoolRoot {
-    depots: [Mutex<Vec<FreeRegion>>; NUM_CLASSES],
+    depots: [Depot<FreeRegion>; NUM_CLASSES],
     /// `mailboxes[class][home_core]`, grown on demand.
     mailboxes: [Mailboxes; NUM_CLASSES],
     /// The runtime owning this pool, recorded by the first rep
@@ -294,7 +278,7 @@ pub struct PoolRoot {
 impl PoolRoot {
     /// Regions of `class` parked in this machine's depot.
     pub fn depot_len(&self, class: SizeClass) -> usize {
-        crate::lock(&self.depots[class.index()]).len()
+        self.depots[class.index()].len()
     }
 
     /// Regions of `class` awaiting home-core pickup in mailboxes.
@@ -321,7 +305,7 @@ impl MulticoreEbb for PoolEbb {
         PoolEbb {
             root: Arc::clone(root),
             core,
-            classes: Default::default(),
+            classes: SizeClass::ALL.map(|c| ObjCache::new(c.high_watermark(), c.batch(), 0)),
             counters: Counters::default(),
         }
     }
@@ -330,20 +314,6 @@ impl MulticoreEbb for PoolEbb {
     /// `PoolRoot::default()`, so the pool needs no setup call.
     fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
         Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
-    }
-}
-
-impl PoolEbb {
-    /// This core's effective flush watermark for `class` right now
-    /// (halved while the list has only grown since the last
-    /// balance — the hysteresis quick win).
-    fn effective_watermark(&self, class: SizeClass) -> usize {
-        let wm = class.high_watermark();
-        if self.classes[class.index()].takes_since_balance.get() == 0 {
-            wm / 2
-        } else {
-            wm
-        }
     }
 }
 
@@ -370,52 +340,26 @@ pub(super) fn with_pool<R>(f: impl FnOnce(&PoolEbb) -> R) -> R {
 pub(super) fn acquire(class: SizeClass) -> RegionRef {
     with_pool(|p| {
         let i = class.index();
-        let cl = &p.classes[i];
-        let mut list = cl.list.borrow_mut();
-        let region = 'found: {
-            if let Some(r) = list.pop() {
-                bump(&cl.takes_since_balance);
-                bump(&p.counters.classes[i].hits);
-                break 'found r;
+        let counters = &p.counters.classes[i];
+        // Dry: first collect everything peers posted back to this
+        // core's mailbox (regions we allocated that crossed the wire
+        // and were freed under another machine's runtime).
+        let taken = p.classes[i].take(&p.root.depots[i], |list| {
+            if let Some(mine) = crate::lock(&p.root.mailboxes[i]).get_mut(p.core.index()) {
+                list.append(&mut mine.regions);
             }
-            // Dry: collect everything peers posted back to this
-            // core's mailbox (regions we allocated that crossed the
-            // wire and were freed under another machine's runtime).
-            {
-                let mut boxes = crate::lock(&p.root.mailboxes[i]);
-                if let Some(mine) = boxes.get_mut(p.core.index()) {
-                    if !mine.regions.is_empty() {
-                        add(&p.counters.classes[i].depot_out, mine.regions.len() as u64);
-                        list.append(&mut mine.regions);
-                    }
-                }
+        });
+        let region = match taken {
+            Some((region, moved)) => {
+                bump(&counters.hits);
+                add(&counters.depot_out, moved as u64);
+                region
             }
-            if let Some(r) = list.pop() {
-                cl.takes_since_balance.set(1); // drained = balanced
-                bump(&p.counters.classes[i].hits);
-                break 'found r;
+            None => {
+                bump(&p.counters.bufs_allocated);
+                bump(&counters.fallbacks);
+                FreeRegion::pooled(class, Arc::downgrade(&p.root))
             }
-            let mut depot = crate::lock(&p.root.depots[i]);
-            if !depot.is_empty() {
-                let take = depot.len().min(class.batch());
-                let from = depot.len() - take;
-                list.extend(depot.drain(from..));
-                drop(depot);
-                add(&p.counters.classes[i].depot_out, take as u64);
-                // A refill is a balance; the pop below is the first
-                // take since it.
-                cl.takes_since_balance.set(1);
-                bump(&p.counters.classes[i].hits);
-                break 'found list.pop().expect("refilled");
-            }
-            drop(depot);
-            bump(&p.counters.bufs_allocated);
-            bump(&p.counters.classes[i].fallbacks);
-            // A fallback is local demand: it counts against the
-            // hysteresis like a take, so a core that allocates keeps
-            // the full watermark.
-            bump(&cl.takes_since_balance);
-            FreeRegion::pooled(class, Arc::downgrade(&p.root))
         };
         region.set_home_core(p.core);
         region.into_ref()
@@ -423,9 +367,9 @@ pub(super) fn acquire(class: SizeClass) -> RegionRef {
 }
 
 /// Returns a region whose last descriptor just dropped to the
-/// calling context, flushing a batch of cold entries to the depot
-/// past the class's effective high watermark. A region whose home
-/// is a *different* machine's pool (it crossed the simulated wire)
+/// calling context's cache, which flushes a batch of cold entries to
+/// the depot past the class's effective high watermark. A region
+/// whose home is a *different* machine's pool (it crossed the wire)
 /// is posted to its home core's mailbox instead, so each core's
 /// buffer economy balances — the hot core's headers come back to
 /// the hot core. The same-machine path compares the region's weak
@@ -467,18 +411,8 @@ pub(super) fn recycle(class: SizeClass, region: FreeRegion) {
             }
             return;
         }
-        let cl = &p.classes[i];
-        let mut list = cl.list.borrow_mut();
-        list.push(region);
-        if list.len() >= p.effective_watermark(class) {
-            // Flush the cold end; recently freed regions stay local
-            // for cache-warm reuse (same policy as the slab).
-            let mut depot = crate::lock(&p.root.depots[i]);
-            depot.extend(list.drain(..class.batch()));
-            drop(depot);
-            add(&p.counters.classes[i].depot_in, class.batch() as u64);
-            cl.takes_since_balance.set(0);
-        }
+        let flushed = p.classes[i].give(region, &p.root.depots[i]);
+        add(&p.counters.classes[i].depot_in, flushed as u64);
     })
 }
 
@@ -494,18 +428,17 @@ pub fn prewarm(n: usize) {
 /// fresh regions (counted by [`super::stats::Snapshot::bufs_allocated`]).
 pub fn prewarm_class(class: SizeClass, n: usize) {
     with_pool(|p| {
-        let mut list = p.classes[class.index()].list.borrow_mut();
-        for _ in 0..n {
+        p.classes[class.index()].stock((0..n).map(|_| {
             bump(&p.counters.bufs_allocated);
-            list.push(FreeRegion::pooled(class, Arc::downgrade(&p.root)));
-        }
+            FreeRegion::pooled(class, Arc::downgrade(&p.root))
+        }));
     })
 }
 
 /// Regions of `class` on the calling context's free list.
 #[cfg(test)]
 pub(super) fn local_free(class: SizeClass) -> usize {
-    with_pool(|p| p.classes[class.index()].list.borrow().len())
+    with_pool(|p| p.classes[class.index()].len())
 }
 
 /// Queues the idle mailbox sweep for `home_core` of the machine
@@ -555,14 +488,8 @@ pub(super) fn sweep_mailboxes_to_depot(root: &Arc<PoolRoot>, core: CoreId) {
                 continue;
             };
             mb.sweep_armed = false;
-            let parked = &mut mb.regions;
-            let mut list = p.classes[i].list.borrow_mut();
-            let keep = class.batch().saturating_sub(list.len()).min(parked.len());
-            list.extend(parked.drain(..keep));
-            if !parked.is_empty() {
-                add(&p.counters.classes[i].depot_in, parked.len() as u64);
-                crate::lock(&p.root.depots[i]).extend(parked.drain(..));
-            }
+            let to_depot = p.classes[i].absorb(&mut mb.regions, &p.root.depots[i]);
+            add(&p.counters.classes[i].depot_in, to_depot as u64);
         }
     });
 }
@@ -574,7 +501,7 @@ pub fn runtime_free_counts(rt: &Runtime, class: SizeClass) -> (usize, usize) {
     let id = SystemEbb::BufferPool.id();
     let mut local = 0;
     rt.ebbs().for_each_rep::<PoolEbb>(id, |_core, rep| {
-        local += rep.classes[class.index()].list.borrow().len();
+        local += rep.classes[class.index()].len();
     });
     let root = rt.ebbs().root::<PoolEbb>(id);
     (local, root.map_or(0, |root| root.depot_len(class)))

@@ -12,6 +12,10 @@
 //!   cooperative context save/restore (§3.2), and [`block_on`], the one
 //!   way to wait for a value. Other threads hand a core work through a
 //!   [`queue::MutexQueue`], whose emptiness check is one atomic load.
+//! * [`cache`] — the per-core object cache (§3.4): one core's free list
+//!   and the shared depot it flushes to and refills from in batches,
+//!   under the buffer pool's size classes, `ebbrt-mem`'s slab and
+//!   memcached's cold boxes.
 //! * [`cpu`] — core identity: which core the calling thread runs for.
 //!   Cross-core state is a `std::sync::Mutex` taken through [`lock`];
 //!   per-core state needs no lock.
@@ -45,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod clock;
 pub mod cpu;
 pub mod ebb;

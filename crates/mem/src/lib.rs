@@ -11,7 +11,8 @@
 //! * [`slab`] — fixed-size object caches modelled on Linux's SLQB (the
 //!   paper's stated basis): per-core free lists with **no
 //!   synchronization on the fast path** (legal because events are
-//!   non-preemptive), overflowing to a shared depot.
+//!   non-preemptive), overflowing to a shared depot: the runtime's one
+//!   per-core cache (`ebbrt_core::cache`) over page carving.
 //! * [`gp`] — the general-purpose (`malloc`) Ebb: a size-class table
 //!   routing to slab allocators, with a page-backed large-object path.
 //! * [`baseline`] — *models* of the glibc and jemalloc allocators used

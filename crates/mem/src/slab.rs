@@ -2,20 +2,22 @@
 //! based on Linux's SLQB design as the paper states (§3.4).
 //!
 //! Each slab instance serves one object size. The per-core
-//! representative keeps a free-object list accessed **without any
-//! synchronization** — not even atomics — which is sound because events
-//! are non-preemptive and reps are never shared across cores. When the
-//! local list runs dry the rep pulls a batch from the shared *depot*
+//! representative keeps its free objects in an [`ObjCache`], accessed
+//! **without any synchronization** — not even atomics — which is sound
+//! because events are non-preemptive and reps are never shared across
+//! cores. When the
+//! local list runs dry the cache pulls a batch from the shared *depot*
 //! (behind a mutex, touched rarely); when it overflows, it pushes a batch
 //! back. Fresh memory comes from the page allocator Ebb, carved into
 //! objects. Because the number of cores is static, this balancing is
 //! far simpler than the dynamic per-thread schemes of TCMalloc and
 //! jemalloc — exactly the contrast the paper draws.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use ebbrt_core::cache::{Depot, ObjCache};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
 
@@ -35,7 +37,7 @@ pub struct SlabRoot {
     /// Order of the page blocks carved into objects.
     slab_order: u32,
     page_allocator: EbbRef<PageAllocator>,
-    depot: Mutex<Vec<Addr>>,
+    depot: Depot<Addr>,
     /// Total objects carved out of pages so far (diagnostic).
     carved: AtomicUsize,
     /// Pages requested from the page allocator (diagnostic).
@@ -61,7 +63,7 @@ impl SlabRoot {
             obj_size,
             slab_order,
             page_allocator,
-            depot: Mutex::new(Vec::new()),
+            depot: Depot::default(),
             carved: AtomicUsize::new(0),
             pages_allocated: AtomicUsize::new(0),
         }
@@ -84,7 +86,7 @@ impl SlabRoot {
 
     /// Objects currently parked in the depot.
     pub fn depot_len(&self) -> usize {
-        ebbrt_core::lock(&self.depot).len()
+        self.depot.len()
     }
 }
 
@@ -92,11 +94,11 @@ impl SlabRoot {
 /// plain (non-atomic) cells.
 pub struct SlabAllocator {
     root: Arc<SlabRoot>,
-    free: RefCell<Vec<Addr>>,
+    free: ObjCache<Addr>,
     /// Fast-path statistics (plain cells: single-core access).
-    allocs: std::cell::Cell<u64>,
-    frees: std::cell::Cell<u64>,
-    depot_trips: std::cell::Cell<u64>,
+    allocs: Cell<u64>,
+    frees: Cell<u64>,
+    depot_trips: Cell<u64>,
 }
 
 impl MulticoreEbb for SlabAllocator {
@@ -105,16 +107,17 @@ impl MulticoreEbb for SlabAllocator {
     fn create_rep(root: &Arc<SlabRoot>, _core: CoreId) -> Self {
         SlabAllocator {
             root: Arc::clone(root),
-            free: RefCell::new(Vec::with_capacity(HIGH_WATERMARK + BATCH)),
-            allocs: std::cell::Cell::new(0),
-            frees: std::cell::Cell::new(0),
-            depot_trips: std::cell::Cell::new(0),
+            free: ObjCache::new(HIGH_WATERMARK, BATCH, HIGH_WATERMARK + BATCH),
+            allocs: Cell::new(0),
+            frees: Cell::new(0),
+            depot_trips: Cell::new(0),
         }
     }
 }
 
 impl SlabAllocator {
-    /// Allocates one object.
+    /// Allocates one object: the core's cache, then a batch from the
+    /// depot, then a freshly carved block.
     ///
     /// # Panics
     ///
@@ -122,28 +125,19 @@ impl SlabAllocator {
     /// handlers released nothing).
     pub fn alloc(&self) -> Addr {
         self.allocs.set(self.allocs.get() + 1);
-        if let Some(a) = self.free.borrow_mut().pop() {
-            return a;
+        let taken = self.free.take(&self.root.depot, |_| {});
+        if !matches!(taken, Some((_, 0))) {
+            // A dry list: refilled from the depot or carved.
+            self.depot_trips.set(self.depot_trips.get() + 1);
         }
-        self.refill();
-        self.free
-            .borrow_mut()
-            .pop()
-            .expect("slab refill produced no objects")
+        taken.map_or_else(|| self.carve(), |(a, _)| a)
     }
 
     /// Frees one object.
     pub fn free(&self, addr: Addr) {
         self.frees.set(self.frees.get() + 1);
-        let mut free = self.free.borrow_mut();
-        free.push(addr);
-        if free.len() >= HIGH_WATERMARK {
-            // Flush the *cold* end (front) to the depot: recently freed
-            // objects stay local for cache-warm reuse.
+        if self.free.give(addr, &self.root.depot) > 0 {
             self.depot_trips.set(self.depot_trips.get() + 1);
-            let batch: Vec<Addr> = free.drain(..BATCH).collect();
-            drop(free);
-            ebbrt_core::lock(&self.root.depot).extend(batch);
         }
     }
 
@@ -159,23 +153,14 @@ impl SlabAllocator {
 
     /// Local free-list length (diagnostic).
     pub fn local_free(&self) -> usize {
-        self.free.borrow().len()
+        self.free.len()
     }
 
+    /// The miss path: carves a fresh block from the page allocator,
+    /// stocks the cache with all of it but the last object, and
+    /// returns that one.
     #[cold]
-    fn refill(&self) {
-        self.depot_trips.set(self.depot_trips.get() + 1);
-        // Try the depot first.
-        {
-            let mut depot = ebbrt_core::lock(&self.root.depot);
-            if !depot.is_empty() {
-                let take = depot.len().min(BATCH);
-                let from = depot.len() - take;
-                self.free.borrow_mut().extend(depot.drain(from..));
-                return;
-            }
-        }
-        // Carve a fresh block from the page allocator.
+    fn carve(&self) -> Addr {
         let order = self.root.slab_order;
         let block = self
             .root
@@ -183,12 +168,11 @@ impl SlabAllocator {
             .with(|p| p.alloc(order))
             .expect("page allocator exhausted while refilling slab");
         self.root.pages_allocated.fetch_add(1, Ordering::Relaxed);
-        let count = order_bytes(order) / self.root.obj_size;
+        let size = self.root.obj_size;
+        let count = order_bytes(order) / size;
         self.root.carved.fetch_add(count, Ordering::Relaxed);
-        let mut free = self.free.borrow_mut();
-        for i in 0..count {
-            free.push(block + i * self.root.obj_size);
-        }
+        self.free.stock((0..count - 1).map(|i| block + i * size));
+        block + (count - 1) * size
     }
 }
 

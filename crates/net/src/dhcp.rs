@@ -94,7 +94,9 @@ pub fn build(msg: &DhcpMessage) -> Chain<IoBuf> {
     Chain::single(MutIoBuf::from_vec(body).freeze())
 }
 
-/// Parses a DHCP message.
+/// Parses a DHCP message. Of the options, only the three it keeps are
+/// read, each into a fixed-size value; the others are skipped,
+/// whatever length they claim.
 pub fn parse(chain: &Chain<IoBuf>) -> Option<DhcpMessage> {
     let mut cur = chain.cursor();
     let mut hdr = [0u8; 236];
@@ -112,12 +114,11 @@ pub fn parse(chain: &Chain<IoBuf>) -> Option<DhcpMessage> {
             0 => continue, // pad
             _ => {
                 let len = cur.read_u8()? as usize;
-                let data = cur.read_vec(len)?;
                 match (code, len) {
-                    (53, 1) => mtype = MsgType::from_u8(data[0]),
-                    (50, 4) => requested = Some(Ipv4Addr([data[0], data[1], data[2], data[3]])),
-                    (1, 4) => mask = Some(Ipv4Addr([data[0], data[1], data[2], data[3]])),
-                    _ => {}
+                    (53, 1) => mtype = MsgType::from_u8(cur.read_u8()?),
+                    (50, 4) => requested = Some(Ipv4Addr::from_u32(cur.read_u32_be()?)),
+                    (1, 4) => mask = Some(Ipv4Addr::from_u32(cur.read_u32_be()?)),
+                    _ => cur.skip(len)?,
                 }
             }
         }
@@ -359,6 +360,7 @@ fn request_for(xid: u32, mac: Mac, addr: Ipv4Addr) -> DhcpMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn message_roundtrip() {
@@ -395,5 +397,28 @@ mod tests {
         let bytes = build(&m).copy_to_vec();
         let short = Chain::single(IoBuf::copy_from(&bytes[..100]));
         assert!(parse(&short).is_none());
+    }
+
+    proptest! {
+        /// Random bytes after a valid BOOTP header and magic, cut into
+        /// segments anywhere, never panic the parser; neither do the
+        /// same bytes with no header in front. Parsing reads only the
+        /// options it keeps, into fixed arrays, so an option's length
+        /// from the wire sizes no copy.
+        #[test]
+        fn parse_survives_random_options(
+            options in prop::collection::vec(any::<u8>(), 0..300),
+            raw_cuts in prop::collection::vec(any::<u32>(), 0..5),
+        ) {
+            let mut bytes = vec![0u8; 236];
+            bytes.extend_from_slice(&MAGIC.to_be_bytes());
+            bytes.extend_from_slice(&options);
+            let _ = parse(&crate::wire::tests::split(&options, &raw_cuts));
+            let chain = crate::wire::tests::split(&bytes, &raw_cuts);
+            let copied = || ebbrt_core::iobuf::stats::snapshot().bytes_copied;
+            let before = copied();
+            let _ = parse(&chain);
+            prop_assert_eq!(copied(), before, "bytes copied by parse");
+        }
     }
 }

@@ -465,8 +465,9 @@ pub fn verify_tcp_checksum(src: Ipv4Addr, dst: Ipv4Addr, chain: &Chain<IoBuf>, l
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn single(buf: MutIoBuf) -> Chain<IoBuf> {
         Chain::single(buf.freeze())
@@ -728,5 +729,69 @@ mod tests {
             2,
             "payload must be shared, not copied"
         );
+    }
+
+    /// `bytes` cut into segments at `raw_cuts` (each taken modulo the
+    /// length; empty pieces are skipped).
+    pub(crate) fn split(bytes: &[u8], raw_cuts: &[u32]) -> Chain<IoBuf> {
+        let mut cuts: Vec<usize> = raw_cuts
+            .iter()
+            .map(|c| *c as usize % (bytes.len() + 1))
+            .collect();
+        cuts.sort_unstable();
+        cuts.push(bytes.len());
+        let mut chain = Chain::new();
+        let mut from = 0;
+        for to in cuts {
+            if to > from {
+                chain.push_back(IoBuf::copy_from(&bytes[from..to]));
+                from = to;
+            }
+        }
+        chain
+    }
+
+    proptest! {
+        /// Random bytes cut into segments anywhere: no parser panics at
+        /// any header offset, and whenever the one-look parse of a TCP
+        /// frame succeeds, parsing header by header reads the same three
+        /// headers. Half the cases start with a well-formed frame's
+        /// headers, so the one-look parse often succeeds; in every case
+        /// one byte of the first `TCP_FRAME_HLEN` is overwritten.
+        #[test]
+        fn parsers_survive_random_bytes_and_agree(
+            tail in prop::collection::vec(any::<u8>(), 0..160),
+            raw_cuts in prop::collection::vec(any::<u32>(), 0..5),
+            well_formed in any::<bool>(),
+            poke in any::<u32>(),
+        ) {
+            let mut bytes = if well_formed {
+                frames_both_ways(&Chain::new()).0.bytes().to_vec()
+            } else {
+                Vec::new()
+            };
+            bytes.extend_from_slice(&tail);
+            if let Some(b) = bytes.get_mut(poke as usize % TCP_FRAME_HLEN) {
+                *b = (poke >> 8) as u8;
+            }
+            let frame = split(&bytes, &raw_cuts);
+            let mut at = frame.clone();
+            for skip in [0, ETH_HLEN, IPV4_HLEN] {
+                if at.len() < skip {
+                    break;
+                }
+                at.advance(skip);
+                let _ = (parse_eth(&at), parse_arp(&at), parse_ipv4(&at));
+                let _ = (parse_udp(&at), parse_tcp(&at), parse_tcp_frame(&at));
+            }
+            if let Some((eth, ip, tcp)) = parse_tcp_frame(&frame) {
+                let mut rest = frame.clone();
+                prop_assert_eq!(parse_eth(&rest), Some(eth));
+                rest.advance(ETH_HLEN);
+                prop_assert_eq!(parse_ipv4(&rest), Some(ip));
+                rest.advance(IPV4_HLEN);
+                prop_assert_eq!(parse_tcp(&rest), Some(tcp));
+            }
+        }
     }
 }
