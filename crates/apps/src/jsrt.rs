@@ -11,24 +11,23 @@
 //!    timer interrupts and cache pollution due to OS execution".
 //!
 //! This module builds exactly those mechanisms: [`JsHeap`] is a
-//! semispace-collected bump allocator over an
-//! [`ebbrt_mem::vm::VirtualMemory`] region whose paging policy depends
-//! on the environment (EbbRT pre-maps and never returns pages; Linux
-//! demand-faults and releases the evacuated semispace after each GC),
-//! plus a preemption-overhead model (1 kHz tick + cache pollution).
+//! semispace-collected bump allocator over a virtual region with a
+//! per-page mapped bit, whose paging policy depends on the environment
+//! (EbbRT pre-maps and never returns pages; Linux demand-faults and
+//! releases the evacuated semispace after each GC), plus a
+//! preemption-overhead model (1 kHz tick + cache pollution).
 //! The eight V8-suite kernels are re-implemented against the heap with
 //! their characteristic allocation behaviour — Splay is the
 //! allocation-heaviest, Crypto/NavierStokes barely allocate — so the
 //! *shape* of Figure 7 emerges from the mechanism, not from dialed-in
 //! per-benchmark numbers.
 
-use std::cell::Cell;
-use std::sync::Arc;
-
-use ebbrt_mem::vm::{RegionHandle, VirtualMemory};
-use ebbrt_mem::PAGE_SIZE;
+use std::cell::{Cell, RefCell};
 
 use crate::rng::SplitMix64;
+
+/// Size of one page of the heap's virtual region.
+pub const PAGE_SIZE: usize = 4096;
 
 /// Environment knobs affecting the managed runtime.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +83,11 @@ impl JsEnv {
 /// virtual memory.
 pub struct JsHeap {
     env: JsEnv,
-    vm: Arc<VirtualMemory>,
-    region: RegionHandle,
+    /// One bit per page of the two semispaces: touching an unmapped
+    /// page faults and maps it.
+    mapped: RefCell<Vec<bool>>,
+    /// Page faults taken so far.
+    faults: Cell<u64>,
     /// Pages per semispace.
     semi_pages: usize,
     /// Current allocation offset within the active semispace.
@@ -110,16 +112,12 @@ const GC_COPY_NS_PER_KB: u64 = 150;
 impl JsHeap {
     /// Creates a heap with `semi_pages` pages per semispace in `env`.
     pub fn new(env: JsEnv, semi_pages: usize, survival: f64) -> JsHeap {
-        let vm = VirtualMemory::new();
-        let region = vm.allocate_region(2 * semi_pages * PAGE_SIZE, Box::new(|_| true));
-        if env.aggressive_map {
-            // EbbRT maps everything up front: no faults, ever.
-            vm.map_range(region, 0, 2 * semi_pages);
-        }
+        // EbbRT maps everything up front: no faults, ever.
+        let mapped = vec![env.aggressive_map; 2 * semi_pages];
         JsHeap {
             env,
-            vm,
-            region,
+            mapped: RefCell::new(mapped),
+            faults: Cell::new(0),
             semi_pages,
             bump: Cell::new(0),
             space: Cell::new(0),
@@ -159,9 +157,12 @@ impl JsHeap {
     fn touch_range(&self, start: usize, bytes: usize) {
         let first = start / PAGE_SIZE;
         let last = (start + bytes.max(1) - 1) / PAGE_SIZE;
-        let base = self.vm.base(self.region);
-        for p in first..=last.min(2 * self.semi_pages - 1) {
-            self.vm.touch(self.region, base + p * PAGE_SIZE);
+        let mut mapped = self.mapped.borrow_mut();
+        for page in mapped.iter_mut().take(last + 1).skip(first) {
+            if !*page {
+                *page = true;
+                self.faults.set(self.faults.get() + 1);
+            }
         }
     }
 
@@ -185,14 +186,14 @@ impl JsHeap {
         if self.env.release_every > 0
             && self.gcs.get().is_multiple_of(self.env.release_every as u64)
         {
-            self.vm
-                .unmap_range(self.region, old_space * self.semi_pages, self.semi_pages);
+            let first = old_space * self.semi_pages;
+            self.mapped.borrow_mut()[first..first + self.semi_pages].fill(false);
         }
     }
 
     /// Page faults taken so far.
     pub fn faults(&self) -> u64 {
-        self.vm.fault_count()
+        self.faults.get()
     }
 
     /// Total virtual runtime: compute + GC, inflated by OS pollution,

@@ -369,6 +369,13 @@ impl KeyBuf {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use ebbrt_core::clock::ManualClock;
+    use ebbrt_core::cpu::CoreId;
+    use ebbrt_core::runtime::{self, Runtime};
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -406,5 +413,122 @@ mod tests {
         assert_eq!(h.total_body, 16);
         assert_eq!(&set[Header::SIZE + 8..Header::SIZE + 11], b"key");
         assert_eq!(&set[Header::SIZE + 11..], b"value");
+    }
+
+    /// `bytes` cut at `raw_cuts` (each taken modulo the length): one to
+    /// five pieces, some possibly empty.
+    fn pieces(bytes: &[u8], raw_cuts: &[u32]) -> Vec<Chain<IoBuf>> {
+        let mut cuts: Vec<usize> = raw_cuts
+            .iter()
+            .map(|&c| c as usize % (bytes.len() + 1))
+            .collect();
+        cuts.sort_unstable();
+        let mut from = 0;
+        let mut out = Vec::new();
+        for to in cuts.into_iter().chain([bytes.len()]) {
+            out.push(match &bytes[from..to] {
+                [] => Chain::new(),
+                piece => Chain::single(IoBuf::copy_from(piece)),
+            });
+            from = to;
+        }
+        out
+    }
+
+    /// What a server connection's framing makes of `pieces`: the result
+    /// of the last drain (none follows an error), each delivered frame
+    /// with its body bytes and whether the body was `total_body` long,
+    /// and the bytes left pending.
+    type Framed = (Result<(), BadFrame>, Vec<(Header, Vec<u8>, bool)>, usize);
+
+    fn frame(pieces: Vec<Chain<IoBuf>>) -> Framed {
+        let mut pending = Chain::new();
+        let mut frames = Vec::new();
+        let mut keys = KeyBuf::default();
+        let mut result = Ok(());
+        for piece in pieces {
+            result = drain_frames(&mut pending, piece, MAGIC_REQUEST, |h, body| {
+                keys.read(h, &body);
+                let whole = body.len() == h.total_body as usize;
+                frames.push((*h, body.copy_to_vec(), whole));
+            });
+            if result.is_err() {
+                break;
+            }
+        }
+        (result, frames, pending.len())
+    }
+
+    /// Runs `f` on a private one-core runtime: a framing error bumps a
+    /// registry counter on the current machine.
+    fn in_runtime<R>(f: impl FnOnce() -> R) -> R {
+        let rt = Runtime::new(1, Arc::new(ManualClock::new()));
+        let _entered = runtime::enter(rt, CoreId(0));
+        f()
+    }
+
+    proptest! {
+        /// Hostile bytes, half of them behind a well-formed header of
+        /// either magic, framed whole and cut into up to five pieces:
+        /// no cut panics or changes what is framed, and every delivered
+        /// body is exactly `total_body` long with a readable key.
+        #[test]
+        fn hostile_bytes_frame_the_same_for_every_cut(
+            bytes in prop::collection::vec(any::<u8>(), 0..400),
+            header in (any::<bool>(), any::<bool>(), 0usize..400, 0u8..=8, 0u16..=300),
+            raw_cuts in prop::collection::vec(any::<u32>(), 0..5),
+        ) {
+            let (framed, request, body_len, extras, key_len) = header;
+            let mut stream = Vec::new();
+            if framed {
+                let body_len = body_len.min(bytes.len());
+                let extras = extras.min(body_len as u8);
+                let key_len = key_len.min((body_len - extras as usize) as u16);
+                let h = Header {
+                    magic: if request { MAGIC_REQUEST } else { MAGIC_RESPONSE },
+                    opcode: OP_SET,
+                    key_len,
+                    extras_len: extras,
+                    status: 0,
+                    total_body: body_len as u32,
+                    opaque: 7,
+                };
+                stream.extend_from_slice(&h.encode());
+            }
+            stream.extend_from_slice(&bytes);
+            let (whole, cut) = in_runtime(|| {
+                (frame(pieces(&stream, &[])), frame(pieces(&stream, &raw_cuts)))
+            });
+            prop_assert!(whole.1.iter().all(|(_, _, exact)| *exact), "a body of the wrong length");
+            prop_assert_eq!(cut, whole);
+        }
+
+        /// On a stream of encoded GETs and SETs, the scan that follows a
+        /// client's sends reports exactly the headers framing delivers.
+        #[test]
+        fn frame_scan_sees_the_frames_drain_delivers(
+            ops in prop::collection::vec((any::<bool>(), 0usize..20, 0usize..100), 1..8),
+            raw_cuts in prop::collection::vec(any::<u32>(), 0..5),
+        ) {
+            let mut stream = Vec::new();
+            for (i, &(set, key_len, value_len)) in ops.iter().enumerate() {
+                let key = vec![b'k'; key_len];
+                stream.extend(match set {
+                    true => encode_set(&key, &vec![b'v'; value_len], i as u32),
+                    false => encode_get(&key, i as u32),
+                });
+            }
+            let mut scan = FrameScan::default();
+            let mut scanned = Vec::new();
+            for piece in pieces(&stream, &raw_cuts) {
+                scan.feed(&piece, |h| scanned.push(*h));
+            }
+            let (result, frames, left) = in_runtime(|| frame(pieces(&stream, &raw_cuts)));
+            prop_assert_eq!(result, Ok(()));
+            prop_assert_eq!(left, 0);
+            let framed: Vec<Header> = frames.iter().map(|(h, _, _)| *h).collect();
+            prop_assert_eq!(framed.len(), ops.len());
+            prop_assert_eq!(scanned, framed);
+        }
     }
 }

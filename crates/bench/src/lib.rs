@@ -12,6 +12,7 @@ pub mod chaos;
 pub mod conn_scale;
 pub mod dispatch;
 pub mod dist_memcached;
+pub mod fig3;
 pub mod overload;
 pub mod rss_sweep;
 pub mod script;

@@ -24,8 +24,8 @@
 //! the full watermark.
 //!
 //! The owner keeps what is not a free list: the buffer pool
-//! ([`crate::iobuf::pool`]) its remote-free mailboxes and counters, the
-//! slab allocator in `ebbrt-mem` its page carving.
+//! ([`crate::iobuf::pool`]) keeps its remote-free mailboxes and
+//! counters.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Mutex;
@@ -132,7 +132,7 @@ impl<T> ObjCache<T> {
     }
 
     /// Pushes `objs` with no flush and no change to the balance state: a
-    /// prewarm, or a slab's freshly carved page.
+    /// prewarm.
     pub fn stock(&self, objs: impl IntoIterator<Item = T>) {
         self.list.borrow_mut().extend(objs);
     }

@@ -14,8 +14,8 @@
 //!   [`queue::MutexQueue`], whose emptiness check is one atomic load.
 //! * [`cache`] — the per-core object cache (§3.4): one core's free list
 //!   and the shared depot it flushes to and refills from in batches,
-//!   under the buffer pool's size classes, `ebbrt-mem`'s slab and
-//!   memcached's cold boxes.
+//!   under the buffer pool's size classes and memcached's cold boxes,
+//!   and what Figure 3 times.
 //! * [`cpu`] — core identity: which core the calling thread runs for.
 //!   Cross-core state is a `std::sync::Mutex` taken through [`lock`];
 //!   per-core state needs no lock.

@@ -1,12 +1,11 @@
 //! Workspace umbrella crate: re-exports for examples and integration tests.
 //!
 //! See the individual crates for the real functionality:
-//! `ebbrt-core`, `ebbrt-mem`, `ebbrt-sim`, `ebbrt-net`, `ebbrt-hosted`,
+//! `ebbrt-core`, `ebbrt-sim`, `ebbrt-net`, `ebbrt-hosted`,
 //! `ebbrt-apps`, `ebbrt-bench`.
 
 pub use ebbrt_apps as apps;
 pub use ebbrt_core as core;
 pub use ebbrt_hosted as hosted;
-pub use ebbrt_mem as mem;
 pub use ebbrt_net as net;
 pub use ebbrt_sim as sim;

@@ -97,43 +97,6 @@ fn full_cluster_deployment() {
     assert_eq!(store.len(), 1);
 }
 
-/// The threaded backend and the allocator stack working together:
-/// multi-core allocation through the Ebb hierarchy with real threads.
-#[test]
-fn threaded_backend_runs_allocator_stack() {
-    use ebbrt_core::event::block_on;
-    use ebbrt_core::future;
-    use ebbrt_core::native::NativeMachine;
-    use ebbrt_mem::gp::{self, EbbrtMalloc};
-    use ebbrt_mem::{MallocLike, Topology};
-
-    let ncores = 4;
-    let per_core = NativeMachine::run(ncores, move || {
-        let rt = ebbrt_core::runtime::current();
-        let gp = gp::setup(Topology::flat(ncores), 12);
-        let futures: Vec<_> = (0..ncores)
-            .map(|i| {
-                let (p, f) = future::promise::<usize>();
-                rt.spawn(CoreId(i as u32), move || {
-                    let m = EbbrtMalloc::new(gp);
-                    let mut live = Vec::new();
-                    for k in 0..500 {
-                        live.push((m.alloc(8 + (k % 5) * 32), 8 + (k % 5) * 32));
-                    }
-                    let n = live.len();
-                    for (a, s) in live {
-                        m.free(a, s);
-                    }
-                    p.set_value(n);
-                });
-                f
-            })
-            .collect();
-        futures.into_iter().map(block_on).sum::<usize>()
-    });
-    assert_eq!(per_core, ncores * 500);
-}
-
 /// Deterministic replay: the same simulated experiment produces the
 /// same virtual-time trace, bit for bit.
 #[test]

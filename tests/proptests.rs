@@ -679,48 +679,6 @@ mod wire_props {
     }
 }
 
-mod buddy_props {
-    use super::*;
-    use ebbrt_mem::buddy::{order_bytes, BuddyAllocator};
-
-    proptest! {
-        /// Any interleaving of allocations and frees keeps blocks
-        /// disjoint and restores the fully coalesced region at the end.
-        #[test]
-        fn buddy_disjoint_and_coalescing(ops in prop::collection::vec((0u32..4, any::<u8>()), 1..64)) {
-            let region_order = 6; // 64 pages
-            let mut b = BuddyAllocator::new(0, region_order);
-            let initial = b.free_bytes();
-            let mut live: Vec<(usize, u32)> = Vec::new();
-            for (order, sel) in ops {
-                if sel % 2 == 0 || live.is_empty() {
-                    if let Some(addr) = b.alloc(order) {
-                        // Overlap check against every live block.
-                        let len = order_bytes(order);
-                        for &(a, o) in &live {
-                            let alen = order_bytes(o);
-                            prop_assert!(addr + len <= a || a + alen <= addr,
-                                "overlap: {addr:#x}+{len:#x} vs {a:#x}+{alen:#x}");
-                        }
-                        live.push((addr, order));
-                    }
-                } else {
-                    let idx = (sel as usize) % live.len();
-                    let (addr, order) = live.swap_remove(idx);
-                    b.free(addr, order);
-                }
-            }
-            for (addr, order) in live {
-                b.free(addr, order);
-            }
-            prop_assert_eq!(b.free_bytes(), initial);
-            // Fully coalesced: exactly one block at the top order.
-            let counts = b.free_counts();
-            prop_assert_eq!(counts[region_order as usize], 1);
-        }
-    }
-}
-
 mod tcp_props {
     use super::*;
     use ebbrt_core::cpu::CoreId;
