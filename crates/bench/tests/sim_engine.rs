@@ -2,9 +2,11 @@
 //! it, checked on whole mutilate↔memcached worlds:
 //!
 //! 1. **Host cost per request does not depend on the age of a world.**
-//!    `SimWorld` keeps at most one live poll per core; a superseded
-//!    poll that still serviced its core would re-arm itself, and the
-//!    `step()` calls behind one request would grow without bound.
+//!    Each core has one poll slot and the queue holds no dead entries:
+//!    a superseded poll that still serviced its core would re-arm
+//!    itself, and one left queued would grow the queue, so the
+//!    `step()` calls behind one request, or the actions queued, would
+//!    grow without bound.
 //! 2. **Engine changes are invisible in model time.** A fixed-seed
 //!    closed-loop world ends at the same virtual nanosecond, with the
 //!    same request count, as it did when the constants below were
@@ -34,23 +36,29 @@ fn steps_per_request_do_not_grow_with_world_age() {
     cfg.duration_ns = u64::MAX / 2; // the request count ends the run
     let experiment = mutilate::build(&cfg);
     let w = experiment.world();
-    let steps: Vec<u64> = (1..=10)
+    // Per tenth: step() calls, and the most actions queued after one.
+    let (steps, queued): (Vec<u64>, Vec<usize>) = (1..=10)
         .map(|tenth| {
-            let mut steps = 0;
+            let (mut steps, mut queued) = (0, 0);
             while experiment.completed() < tenth * TENTH {
                 assert!(w.step(), "world went idle under an open loop");
                 steps += 1;
+                queued = queued.max(w.queued());
             }
-            steps
+            (steps, queued)
         })
-        .collect();
+        .unzip();
     println!(
-        "step() calls per tenth of {} requests: {steps:?}",
+        "per tenth of {} requests: step() calls {steps:?}, most actions queued {queued:?}",
         10 * TENTH
     );
     assert!(
         steps[9] as f64 <= 1.25 * steps[0] as f64,
         "steps per request grew with world age: {steps:?}"
+    );
+    assert!(
+        queued[9] <= queued[0],
+        "the action queue grew with world age: {queued:?}"
     );
 }
 

@@ -26,31 +26,16 @@ use crate::costs::CostProfile;
 use crate::nic::SimNic;
 use crate::world::SimWorld;
 
-/// The one scheduled poll of a core that will service it. Every other
-/// poll entry still queued for the core has been superseded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct LivePoll {
-    /// When it fires.
-    pub(crate) at: Ns,
-    /// The `seq` of its queue entry — unique per entry, so it is the
-    /// poll's generation tag.
-    pub(crate) seq: u64,
-}
-
 /// Driver-visible per-core state.
 pub struct CoreSimState {
     /// The core is executing charged work until this instant.
     pub busy_until: Cell<Ns>,
-    /// The core's live poll, if one is queued (see
-    /// [`SimWorld`]'s one-live-poll invariant).
-    pub(crate) live_poll: Cell<Option<LivePoll>>,
-    /// Scheduled polls that serviced the core (superseded ones never
-    /// do).
-    pub polls: Cell<u64>,
+    /// Polls that serviced the core.
+    pub(crate) polls: Cell<u64>,
     /// Total virtual CPU time consumed.
     pub cpu_time: Cell<Ns>,
     /// Scheduler ticks taken.
-    pub ticks: Cell<u64>,
+    pub(crate) ticks: Cell<u64>,
 }
 
 /// One simulated machine.
@@ -84,7 +69,6 @@ impl SimMachine {
             cores: (0..ncores)
                 .map(|_| CoreSimState {
                     busy_until: Cell::new(0),
-                    live_poll: Cell::new(None),
                     polls: Cell::new(0),
                     cpu_time: Cell::new(0),
                     ticks: Cell::new(0),

@@ -18,14 +18,13 @@
 //! minimum polling cost so a polling core consumes virtual time exactly
 //! like a real one spinning.
 //!
-//! **One live poll per core.** A core that is busy, or halted with a
-//! timer pending, is woken by a typed `Poll` queue entry. Each core
-//! has at most one *live* poll: asking for a poll no earlier than the
-//! live one is a no-op, asking for an earlier one replaces it. The
-//! replaced entry stays in the queue (a binary heap cannot delete from
-//! the middle) but is recognised by its `seq` when popped and does
-//! nothing, so the number of polls that service a core — and the host
-//! cost of a request — does not grow with the age of the world.
+//! **One poll slot per core.** A core that is busy, or halted with a
+//! timer pending, is woken by a poll. Polls do not enter the action
+//! queue: each core owns one slot holding at most one poll, and asking
+//! for a poll no earlier than the queued one is a no-op, asking for an
+//! earlier one moves it. The queue holds only frames in flight and
+//! callers' closures, so neither its size nor the host cost of a
+//! request grows with the age of the world.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -39,7 +38,7 @@ use ebbrt_core::queue::MutexQueue;
 use ebbrt_core::runtime;
 
 use crate::link::Switch;
-use crate::machine::{LivePoll, SimMachine};
+use crate::machine::SimMachine;
 use crate::nic::Frame;
 
 /// Virtual CPU time billed to one poll-loop iteration of an idle
@@ -58,20 +57,9 @@ type WorldAction = Box<dyn FnOnce(&Rc<SimWorld>)>;
 enum Action {
     /// A caller's deferred closure ([`SimWorld::schedule_at`]).
     Call(WorldAction),
-    /// One of the simulator's own actions; carries no allocation.
-    Typed(Typed),
-}
-
-/// The simulator's own queue actions. One word, so that [`Action`]
-/// keeps it beside the closure pointer's niche and a queue entry stays
-/// 32 bytes — which is why a poll names its machine and core in 16
-/// bits each.
-enum Typed {
-    /// Service a core, provided this entry is still the core's live
-    /// poll; the entry's `seq` is its identity.
-    Poll { machine: u16, core: u16 },
     /// Hand the frame parked in `slot` of the world's [`InFlight`]
-    /// slab to its destination port ([`SimWorld::schedule_delivery`]).
+    /// slab to its destination port ([`SimWorld::schedule_delivery`]);
+    /// carries no allocation.
     Deliver { slot: u32 },
 }
 
@@ -138,10 +126,134 @@ impl Ord for QEntry {
     }
 }
 
-/// The simulation world: clock, action queue, and registered machines.
+/// Every registered core's poll slot. The slots holding a poll form a
+/// binary min-heap on its `(at, seq)`, indexed so that a slot's poll
+/// can be moved in place. A poll is only ever added or moved earlier
+/// ([`SimWorld::schedule_core_poll`]), so setting a slot sifts up and
+/// only [`Self::pop`] sifts down.
+#[derive(Default)]
+struct PollSlots {
+    /// Each machine's first slot; its cores' slots follow in order.
+    first: Vec<usize>,
+    slots: Vec<PollSlot>,
+    /// The slots holding a poll, heap-ordered by key.
+    heap: Vec<usize>,
+}
+
+struct PollSlot {
+    machine: usize,
+    core: CoreId,
+    /// The poll's `(at, seq)`, meaningful while `pos` is set.
+    key: (Ns, u64),
+    /// The slot's index in [`PollSlots::heap`] while it holds a poll.
+    pos: Option<usize>,
+}
+
+impl PollSlots {
+    fn add_machine(&mut self, machine: usize, ncores: usize) {
+        self.first.push(self.slots.len());
+        self.slots.extend((0..ncores).map(|i| PollSlot {
+            machine,
+            core: CoreId(i as u32),
+            key: (0, 0),
+            pos: None,
+        }));
+        self.heap.reserve(ncores);
+    }
+
+    fn slot(&self, machine: usize, core: CoreId) -> usize {
+        self.first[machine] + core.index()
+    }
+
+    /// When the poll in `slot` fires, if it holds one.
+    fn queued_at(&self, slot: usize) -> Option<Ns> {
+        let s = &self.slots[slot];
+        s.pos.map(|_| s.key.0)
+    }
+
+    /// Puts a poll keyed `key` in `slot`, earlier than any it holds.
+    fn set(&mut self, slot: usize, key: (Ns, u64)) {
+        let s = &mut self.slots[slot];
+        debug_assert!(s.pos.is_none() || key < s.key, "a poll only moves earlier");
+        s.key = key;
+        let pos = s.pos.unwrap_or_else(|| {
+            self.heap.push(slot);
+            self.heap.len() - 1
+        });
+        self.sift_up(pos);
+    }
+
+    /// The earliest poll's key.
+    fn peek(&self) -> Option<(Ns, u64)> {
+        self.heap.first().map(|&slot| self.slots[slot].key)
+    }
+
+    /// Empties the earliest poll's slot; returns its machine and core.
+    fn pop(&mut self) -> (usize, CoreId) {
+        let top = self.heap.swap_remove(0);
+        self.slots[top].pos = None;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        (self.slots[top].machine, self.slots[top].core)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn key_at(&self, pos: usize) -> (Ns, u64) {
+        self.slots[self.heap[pos]].key
+    }
+
+    fn place(&mut self, pos: usize, slot: usize) {
+        self.heap[pos] = slot;
+        self.slots[slot].pos = Some(pos);
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let slot = self.heap[pos];
+        let key = self.slots[slot].key;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.key_at(parent) < key {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, slot);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let slot = self.heap[pos];
+        let key = self.slots[slot].key;
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.key_at(child + 1) < self.key_at(child) {
+                child += 1;
+            }
+            if key < self.key_at(child) {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, slot);
+    }
+}
+
+/// The simulation world: clock, action queue, poll slots, and
+/// registered machines.
 pub struct SimWorld {
     clock: Arc<ManualClock>,
     queue: RefCell<BinaryHeap<Reverse<QEntry>>>,
+    polls: RefCell<PollSlots>,
+    /// The next action's place in the shared `(at, seq)` order; queue
+    /// entries and polls draw from it alike.
     seq: Cell<u64>,
     machines: RefCell<Vec<Rc<SimMachine>>>,
     in_flight: RefCell<InFlight>,
@@ -155,6 +267,7 @@ impl SimWorld {
         Rc::new(SimWorld {
             clock: Arc::new(ManualClock::new()),
             queue: RefCell::new(BinaryHeap::new()),
+            polls: RefCell::default(),
             seq: Cell::new(0),
             machines: RefCell::new(Vec::new()),
             in_flight: RefCell::default(),
@@ -177,15 +290,24 @@ impl SimWorld {
         self.push(at.max(self.now()), Action::Call(Box::new(action)));
     }
 
-    /// Queues `action` at `at` under the next sequence number, which it
-    /// returns.
-    fn push(&self, at: Ns, action: Action) -> u64 {
+    /// Actions queued: entries in the queue plus polls in the cores'
+    /// slots. It does not grow with the age of a world.
+    pub fn queued(&self) -> usize {
+        self.queue.borrow().len() + self.polls.borrow().len()
+    }
+
+    fn next_seq(&self) -> u64 {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
+        seq
+    }
+
+    /// Queues `action` at `at` under the next sequence number.
+    fn push(&self, at: Ns, action: Action) {
+        let seq = self.next_seq();
         self.queue
             .borrow_mut()
             .push(Reverse(QEntry { at, seq, action }));
-        seq
     }
 
     /// Schedules `frame` to arrive at `port` of `switch` at `at` — one
@@ -197,7 +319,7 @@ impl SimWorld {
             port,
             frame,
         });
-        self.push(at.max(self.now()), Action::Typed(Typed::Deliver { slot }));
+        self.push(at.max(self.now()), Action::Deliver { slot });
     }
 
     /// Schedules `action` after `delay` nanoseconds.
@@ -210,12 +332,9 @@ impl SimWorld {
     pub(crate) fn register_machine(self: &Rc<Self>, machine: Rc<SimMachine>) -> usize {
         let mut machines = self.machines.borrow_mut();
         let index = machines.len();
-        // Poll entries name their machine and core in 16 bits each.
-        assert!(u16::try_from(index).is_ok(), "too many machines");
-        assert!(
-            u16::try_from(machine.runtime().ncores()).is_ok(),
-            "too many cores"
-        );
+        self.polls
+            .borrow_mut()
+            .add_machine(index, machine.runtime().ncores());
         for i in 0..machine.runtime().ncores() {
             let core = CoreId(i as u32);
             let wq = Arc::clone(&self.wake_queue);
@@ -236,28 +355,31 @@ impl SimWorld {
     }
 
     /// Runs one scheduler step: drains runnable cores, then executes the
-    /// earliest scheduled action (advancing the clock). Returns `false`
-    /// when nothing remains.
+    /// earliest queued action or poll (advancing the clock). Returns
+    /// `false` when nothing remains.
     pub fn step(self: &Rc<Self>) -> bool {
         self.drain_wake_queue();
-        let entry = {
-            let mut q = self.queue.borrow_mut();
-            match q.pop() {
-                Some(Reverse(e)) => e,
-                None => return false,
-            }
+        let Some((at, is_poll)) = self.next_due() else {
+            return false;
         };
-        debug_assert!(entry.at >= self.now(), "scheduler time went backwards");
-        self.clock.set(entry.at);
-        match entry.action {
-            Action::Call(f) => f(self),
-            Action::Typed(Typed::Poll { machine, core }) => {
-                self.run_poll(machine as usize, CoreId(core as u32), entry.seq)
-            }
-            Action::Typed(Typed::Deliver { slot }) => {
-                let d = self.in_flight.borrow_mut().take(slot);
-                if let Some(switch) = d.switch.upgrade() {
-                    switch.deliver(d.port, d.frame);
+        debug_assert!(at >= self.now(), "scheduler time went backwards");
+        self.clock.set(at);
+        if is_poll {
+            let (machine, core) = self.polls.borrow_mut().pop();
+            self.run_poll(machine, core);
+        } else {
+            let Reverse(entry) = self
+                .queue
+                .borrow_mut()
+                .pop()
+                .expect("next_due saw an entry");
+            match entry.action {
+                Action::Call(f) => f(self),
+                Action::Deliver { slot } => {
+                    let d = self.in_flight.borrow_mut().take(slot);
+                    if let Some(switch) = d.switch.upgrade() {
+                        switch.deliver(d.port, d.frame);
+                    }
                 }
             }
         }
@@ -265,8 +387,19 @@ impl SimWorld {
         true
     }
 
-    /// Runs until the queue is empty (plus runnable cores drained).
-    /// Returns the number of actions executed.
+    /// When the first action in `(at, seq)` order is due, and whether it
+    /// is a poll rather than the queue's top entry.
+    fn next_due(&self) -> Option<(Ns, bool)> {
+        let entry = self.queue.borrow().peek().map(|Reverse(e)| (e.at, e.seq));
+        match (entry, self.polls.borrow().peek()) {
+            (entry, Some(poll)) if entry.is_none_or(|e| poll < e) => Some((poll.0, true)),
+            (entry, _) => entry.map(|(at, _)| (at, false)),
+        }
+    }
+
+    /// Runs until no action or poll is queued (plus runnable cores
+    /// drained), leaving the clock at the last one run. Returns the
+    /// number of actions executed.
     pub fn run_to_idle(self: &Rc<Self>) -> usize {
         let mut steps = 0;
         while self.step() {
@@ -280,11 +413,7 @@ impl SimWorld {
     pub fn run_until(self: &Rc<Self>, deadline: Ns) {
         loop {
             self.drain_wake_queue();
-            let due = {
-                let q = self.queue.borrow();
-                matches!(q.peek(), Some(Reverse(e)) if e.at <= deadline)
-            };
-            if !due {
+            if !matches!(self.next_due(), Some((at, _)) if at <= deadline) {
                 break;
             }
             self.step();
@@ -306,16 +435,11 @@ impl SimWorld {
         }
     }
 
-    /// A poll entry with sequence number `seq` came due: service the
-    /// core if the entry is the core's live poll, else it was
-    /// superseded and is dropped.
-    fn run_poll(self: &Rc<Self>, machine_index: usize, core: CoreId, seq: u64) {
+    /// The poll for `core` of the machine at `machine_index` came due,
+    /// and has left its slot: service the core.
+    fn run_poll(self: &Rc<Self>, machine_index: usize, core: CoreId) {
         let machine = self.machine(machine_index);
         let cs = machine.core_state(core);
-        if cs.live_poll.get().map(|live| live.seq) != Some(seq) {
-            return;
-        }
-        cs.live_poll.set(None);
         cs.polls.set(cs.polls.get() + 1);
         self.service_core(&machine, core);
     }
@@ -370,21 +494,17 @@ impl SimWorld {
     }
 
     /// Makes sure `core` of `machine` is serviced at `at` (clamped to
-    /// now) or earlier. A live poll due by then covers the request;
-    /// otherwise the new poll becomes the live one and any later live
-    /// poll is superseded.
+    /// now) or earlier. A poll in the core's slot due by then covers the
+    /// request; otherwise the slot's poll moves to `at`, taking the next
+    /// `seq` as a queue entry would.
     fn schedule_core_poll(&self, machine: &SimMachine, core: CoreId, at: Ns) {
-        let cs = machine.core_state(core);
         let at = at.max(self.now());
-        if cs.live_poll.get().is_some_and(|live| live.at <= at) {
+        let mut polls = self.polls.borrow_mut();
+        let slot = polls.slot(machine.index(), core);
+        if polls.queued_at(slot).is_some_and(|queued| queued <= at) {
             return;
         }
-        let action = Action::Typed(Typed::Poll {
-            machine: machine.index() as u16,
-            core: core.0 as u16,
-        });
-        let seq = self.push(at, action);
-        cs.live_poll.set(Some(LivePoll { at, seq }));
+        polls.set(slot, (at, self.next_seq()));
     }
 }
 
@@ -469,6 +589,12 @@ mod tests {
         SimMachine::create(w, "m", 1, crate::costs::CostProfile::ebbrt_vm(), [1; 6])
     }
 
+    /// When the poll in `core`'s slot fires, if it holds one.
+    fn queued_poll(w: &SimWorld, m: &SimMachine, core: CoreId) -> Option<Ns> {
+        let polls = w.polls.borrow();
+        polls.queued_at(polls.slot(m.index(), core))
+    }
+
     #[test]
     fn superseded_polls_never_service_the_core() {
         const FAR: Ns = 1_000_000;
@@ -485,39 +611,103 @@ mod tests {
                 });
             });
         });
-        // Servicing the spawn arms the timer and leaves the far poll live.
+        // Servicing the spawn arms the timer and queues the far poll.
         w.drain_wake_queue();
         let cs = m.core_state(core);
-        assert_eq!(cs.live_poll.get().map(|l| l.at), Some(FAR));
-        // N nearer polls, each superseding the one before.
+        assert_eq!(queued_poll(&w, &m, core), Some(FAR));
+        // N nearer polls, each moving the slot's poll earlier.
         for i in 0..N {
             w.schedule_core_poll(&m, core, FAR / 2 - i);
         }
+        assert_eq!(w.queued(), 1);
         let steps = w.run_to_idle();
         assert_eq!(fired.load(Ordering::SeqCst), 1, "the timer fires once");
-        // One entry per request plus the far poll re-armed after the
-        // nearest one found nothing to do.
-        assert!(steps as u64 <= N + 2, "{steps} queue entries for {N} polls");
+        // The nearest poll, then the far one it re-armed on finding
+        // nothing to do.
+        assert_eq!(steps, 2, "{steps} actions for {N} poll requests");
         assert_eq!(cs.polls.get(), 2, "the nearest poll and the timer's");
-        assert_eq!(cs.live_poll.get(), None);
+        assert_eq!(queued_poll(&w, &m, core), None);
     }
 
     #[test]
-    fn a_stale_poll_and_its_successor_at_one_instant_service_once() {
+    fn a_replaced_poll_and_a_repeat_request_run_one_action() {
         let w = SimWorld::new();
         let m = one_core_machine(&w);
         let (core, cs) = (CoreId(0), m.core_state(CoreId(0)));
         w.schedule_core_poll(&m, core, 1_000);
-        w.schedule_core_poll(&m, core, 500); // supersedes the first
-        w.run_until(500);
+        w.schedule_core_poll(&m, core, 500); // replaces the first
+        assert_eq!(w.run_to_idle(), 1);
+        assert_eq!(w.now(), 500, "nothing is left at t=1000");
         assert_eq!(cs.polls.get(), 1);
-        // A second entry at t=1000 beside the stale one; asking again
-        // is covered by it.
+        // Asking twice for a poll at t=1000 queues it once.
         w.schedule_core_poll(&m, core, 1_000);
         w.schedule_core_poll(&m, core, 1_000);
-        assert_eq!(w.run_to_idle(), 2, "the stale entry and the live one");
+        assert_eq!(w.run_to_idle(), 1, "one poll, one action");
         assert_eq!(w.now(), 1_000);
-        assert_eq!(cs.polls.get(), 2, "the stale entry serviced nothing");
+        assert_eq!(cs.polls.get(), 2);
+    }
+
+    /// The pattern of a halted core with a retransmission timer: it
+    /// asks for a poll at the timer's deadline, an interrupt's work
+    /// moves the poll earlier, and servicing that work asks for the
+    /// far poll again.
+    #[test]
+    fn far_polls_moved_earlier_leave_one_poll_queued() {
+        const FAR: Ns = 200_000_000;
+        const WORK: Ns = 100;
+        let w = SimWorld::new();
+        let m = one_core_machine(&w);
+        let core = CoreId(0);
+        m.spawn_on(core, || {
+            runtime::with_current(|rt| rt.local_event_manager().set_timer(FAR, || {}));
+        });
+        w.drain_wake_queue();
+        for round in 0..10_000 {
+            // Two events: the first leaves work pending, so the core
+            // asks for a poll when it frees up, before the far one.
+            for _ in 0..2 {
+                m.spawn_on(core, || ebbrt_core::clock::charge(WORK));
+            }
+            w.run_until(w.now() + 2 * WORK);
+            assert_eq!(queued_poll(&w, &m, core), Some(FAR), "round {round}");
+            assert_eq!(w.queued(), 1, "round {round}");
+        }
+        assert!(
+            w.queue.borrow().is_empty(),
+            "the entry queue holds no polls"
+        );
+        assert_eq!(m.core_state(core).polls.get(), 10_000);
+    }
+
+    /// The poll slots pop in `(at, seq)` order however polls are added
+    /// and moved earlier across cores.
+    #[test]
+    fn poll_slots_pop_in_key_order() {
+        let mut slots = PollSlots::default();
+        slots.add_machine(0, 5);
+        slots.add_machine(1, 3);
+        let mut model = std::collections::BTreeMap::new();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for seq in 0..2_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let slot = rng as usize % 8;
+            let at = rng >> 54;
+            if slots.queued_at(slot).is_none_or(|queued| at < queued) {
+                model.retain(|_, s| *s != slot);
+                model.insert((at, seq), slot);
+                slots.set(slot, (at, seq));
+            }
+            if rng.is_multiple_of(3) {
+                assert_eq!(slots.peek(), model.first_key_value().map(|(key, _)| *key));
+                if let Some((_, slot)) = model.pop_first() {
+                    let (machine, core) = slots.pop();
+                    assert_eq!(slots.slot(machine, core), slot);
+                }
+            }
+            assert_eq!(slots.len(), model.len());
+        }
     }
 
     #[test]
@@ -534,9 +724,9 @@ mod tests {
     }
 
     #[test]
-    fn poll_entry_does_not_grow_the_queue_entry() {
-        // at + seq + a boxed closure's fat pointer: the typed actions
-        // sit beside the box's niche.
+    fn a_queue_entry_stays_32_bytes() {
+        // at + seq + a boxed closure's fat pointer: a frame's slot
+        // sits beside the box's niche.
         assert_eq!(std::mem::size_of::<QEntry>(), 32);
     }
 }
