@@ -8,10 +8,10 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ebbrt_core::cache::{Depot, ObjCache};
+use ebbrt_core::cache::BoxCache;
 use ebbrt_core::clock::{charge, charged_so_far};
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbId, EbbManager, EbbRef, MulticoreEbb, SystemEbb};
+use ebbrt_core::ebb::{EbbRef, MulticoreEbb, SystemEbb};
 use ebbrt_core::iobuf::{Chain, IoBuf};
 use ebbrt_core::rcu_hash::RcuHashMap;
 use ebbrt_core::runtime::{self, Runtime};
@@ -221,62 +221,27 @@ struct ConnCold {
 }
 
 impl ConnCold {
-    /// A box from the calling core's cache ([`ColdBoxes`]), or a fresh
-    /// one when the cache and its depot are dry.
+    /// A box from the calling core's cache ([`SystemEbb::ConnCold`]),
+    /// or a fresh one when the cache and its depot are dry.
     fn new() -> Box<ConnCold> {
-        with_cold_boxes(|b| b.cache.take(&b.depot, |_| {})).map_or_else(Box::default, |(b, _)| b)
+        ColdBoxes::on(SystemEbb::ConnCold, ColdBoxes::take).unwrap_or_default()
     }
 }
 
+/// The per-core cache of emptied [`ConnCold`] boxes. A request split
+/// across two receive events takes a box and gives it back once it
+/// drains, so a few boxes per core serve any number of such requests.
+/// A connection with nothing cold still holds no box
+/// ([`ServerConn::cold_resident`] reads `false`): the cache belongs to
+/// the core.
+type ColdBoxes = BoxCache<ConnCold>;
+
 /// Takes the connection's cold box, if any, and returns it emptied to
-/// the calling core's cache ([`ColdBoxes`]).
+/// the calling core's cache.
 fn release_cold(cold: &mut Option<Box<ConnCold>>) {
     let Some(mut b) = cold.take() else { return };
     *b = ConnCold::default();
-    with_cold_boxes(|boxes| boxes.cache.give(b, &boxes.depot));
-}
-
-/// Emptied cold boxes one core keeps for reuse. A request split across
-/// two receive events takes a box and gives it back once it drains, so
-/// a few boxes per core serve any number of such requests; past this
-/// watermark a core parks a quarter of them in the machine's depot,
-/// where a core that runs dry finds them.
-const COLD_BOXES_KEPT: usize = 64;
-
-/// The per-core cache of emptied [`ConnCold`] boxes over the machine's
-/// depot — an Ebb ([`SystemEbb::ConnCold`]) whose root is the depot,
-/// lazily registered, reached through the calling core's context as the
-/// buffer pool's rep is. A connection with nothing cold still holds no
-/// box ([`ServerConn::cold_resident`] reads `false`): the cache belongs
-/// to the core.
-struct ColdBoxes {
-    cache: ObjCache<Box<ConnCold>>,
-    depot: Arc<Depot<Box<ConnCold>>>,
-}
-
-impl MulticoreEbb for ColdBoxes {
-    type Root = Depot<Box<ConnCold>>;
-
-    /// Presized: the list never grows past [`COLD_BOXES_KEPT`]. A
-    /// flush parks a quarter of it in the depot.
-    fn create_rep(depot: &Arc<Self::Root>, _core: CoreId) -> Self {
-        ColdBoxes {
-            cache: ObjCache::new(COLD_BOXES_KEPT, COLD_BOXES_KEPT / 4, COLD_BOXES_KEPT),
-            depot: Arc::clone(depot),
-        }
-    }
-
-    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
-        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
-    }
-}
-
-/// Runs `f` on the calling core's [`ColdBoxes`].
-fn with_cold_boxes<R>(f: impl FnOnce(&ColdBoxes) -> R) -> R {
-    runtime::with_context(|rt, core| {
-        rt.ebbs()
-            .with_rep_on::<ColdBoxes, R>(core, SystemEbb::ConnCold.id(), f)
-    })
+    ColdBoxes::on(SystemEbb::ConnCold, |c| c.give(b));
 }
 
 /// Per-connection overload-serving parameters, resolved once from the

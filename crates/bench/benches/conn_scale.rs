@@ -75,8 +75,8 @@ fn main() {
     let top = &points[points.len() - 1];
     println!(
         "gate: p99 {} ns at {} conns <= {}x p99 {} ns at {} conns; \
-         idle conn <= {} accounted / {} measured bytes; steady phase \
-         zero-copy",
+         idle conn <= {} accounted / {} measured bytes (+ {} per world); \
+         steady phase zero-copy",
         top.p99_ns,
         top.conns,
         conn_scale::P99_DEGRADATION_X,
@@ -84,5 +84,6 @@ fn main() {
         bottom.conns,
         conn_scale::IDLE_CONN_BUDGET_BYTES,
         conn_scale::MEASURED_CONN_BUDGET_BYTES,
+        conn_scale::MEASURED_WORLD_BUDGET_BYTES,
     );
 }

@@ -23,7 +23,9 @@
 //!    [`IDLE_CONN_BUDGET_BYTES`], and when the caller supplies a
 //!    live-heap probe the *measured* whole-world footprint per
 //!    connection (both endpoints' PCBs, demux entries, switch state)
-//!    stays under [`MEASURED_CONN_BUDGET_BYTES`]. No timer-wheel entry
+//!    stays under [`MEASURED_CONN_BUDGET_BYTES`], plus the world's own
+//!    [`MEASURED_WORLD_BUDGET_BYTES`] spread over the point's
+//!    connections. No timer-wheel entry
 //!    is live on any machine at quiesce: an idle connection arms none.
 //! 3. **Zero-copy, pool-hot steady state**: the measured GET phase
 //!    copies zero payload bytes and allocates zero fresh buffers,
@@ -67,11 +69,18 @@ const CONNECT_CHUNK: usize = 512;
 pub const P99_DEGRADATION_X: f64 = 2.0;
 /// Hard budget on the accounted bytes of one idle established
 /// connection (its slab slot).
-pub const IDLE_CONN_BUDGET_BYTES: usize = 1024;
+pub const IDLE_CONN_BUDGET_BYTES: usize = 152;
 /// Hard budget on the *measured* whole-world heap delta per
 /// connection: both endpoints' accounted state plus the RCU demux
-/// entries and allocator slack on either side.
-pub const MEASURED_CONN_BUDGET_BYTES: f64 = 8192.0;
+/// entries and allocator slack on either side. 1.15 × the 634 B
+/// measured at 10^6 connections in a release build.
+pub const MEASURED_CONN_BUDGET_BYTES: f64 = 729.0;
+/// The heap a point's world takes whatever its connection count (the
+/// probe set, pools, presized tables), which the measured figure
+/// spreads over its connections: ~2 MB, so the 1k point reads 2.7 KB
+/// per connection. A point's measured heap delta must stay under this
+/// plus [`MEASURED_CONN_BUDGET_BYTES`] per connection.
+pub const MEASURED_WORLD_BUDGET_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
 
 /// One sweep point's results.
 pub struct ScaleReport {
@@ -457,10 +466,11 @@ pub fn assert_scales(points: &[ScaleReport]) {
             p.timer_live, p.conns
         );
         if let Some(b) = p.measured_bytes_per_conn {
+            let budget = MEASURED_CONN_BUDGET_BYTES + MEASURED_WORLD_BUDGET_BYTES / p.conns as f64;
             assert!(
-                b <= MEASURED_CONN_BUDGET_BYTES,
-                "measured bytes/conn {b:.0} exceed the \
-                 {MEASURED_CONN_BUDGET_BYTES} budget at {} conns",
+                b <= budget,
+                "measured bytes/conn {b:.0} exceed the {budget:.0} budget at {} conns \
+                 ({MEASURED_CONN_BUDGET_BYTES} per conn + {MEASURED_WORLD_BUDGET_BYTES} per world)",
                 p.conns
             );
         }

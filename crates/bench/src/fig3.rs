@@ -6,10 +6,13 @@
 //!
 //! Two columns run the same loop:
 //!
-//! * **EbbRT** ([`run_cache`]): the per-core cache the product runs. A
-//!   [`MulticoreEbb`] whose rep is a [`ObjCache`] over the machine's
-//!   [`Depot`], built like memcached's cold boxes, on a [`NativeMachine`].
-//!   Each take and each give is one [`EbbRef::with`].
+//! * **EbbRT** ([`run_cache`]): the per-core cache the product runs, a
+//!   [`BoxCache`] (an [`ObjCache`](ebbrt_core::cache::ObjCache) per core
+//!   over the machine's [`Depot`], as memcached's cold boxes and TCP's
+//!   retransmission boxes), on a [`NativeMachine`]. Each take and each
+//!   give is one [`EbbRef::with`]. A sample holds at most [`PAIRS`]
+//!   boxes, fewer than [`BOXES_KEPT`](ebbrt_core::cache::BOXES_KEPT),
+//!   so the timed loop never flushes to the depot.
 //! * **System** ([`run_system`]): `Box::new` and drop on plain threads,
 //!   through the binary's global allocator (`std::alloc::System` when the
 //!   binary installs none).
@@ -21,9 +24,9 @@ use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use ebbrt_core::cache::{Depot, ObjCache};
-use ebbrt_core::cpu::CoreId;
-use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
+use ebbrt_core::cache::{BoxCache, Depot};
+use ebbrt_core::cpu::{self, CoreId};
+use ebbrt_core::ebb::EbbRef;
 use ebbrt_core::event::block_on;
 use ebbrt_core::future::promise;
 use ebbrt_core::native::NativeMachine;
@@ -36,55 +39,9 @@ pub const PAIRS: usize = 10;
 /// its list.
 const WARMUP_SAMPLES: usize = 1_000;
 
-/// A core's list flushes a quarter of itself to the depot at this many
-/// objects. A sample holds at most [`PAIRS`], so the timed loop never
-/// reaches it.
-const WATERMARK: usize = 64;
-
 /// The 8-byte object. Its id is unique on the machine: the creating
 /// core in the high 32 bits, that core's count of fresh objects below.
 struct Obj(u64);
-
-/// One core's free list of [`Obj`] boxes over the machine's depot, the
-/// Ebb's root.
-struct CoreCache {
-    cache: ObjCache<Box<Obj>>,
-    depot: Arc<Depot<Box<Obj>>>,
-    core: CoreId,
-    /// Fresh objects this core has made.
-    made: Cell<u64>,
-}
-
-impl MulticoreEbb for CoreCache {
-    type Root = Depot<Box<Obj>>;
-
-    fn create_rep(depot: &Arc<Self::Root>, core: CoreId) -> Self {
-        CoreCache {
-            cache: ObjCache::new(WATERMARK, WATERMARK / 4, WATERMARK),
-            depot: Arc::clone(depot),
-            core,
-            made: Cell::new(0),
-        }
-    }
-}
-
-impl CoreCache {
-    /// A box from the list or the depot, or a fresh one when both are dry.
-    fn take(&self) -> Box<Obj> {
-        self.cache.take(&self.depot, |_| {}).map_or_else(
-            || {
-                let n = self.made.get();
-                self.made.set(n + 1);
-                Box::new(Obj(u64::from(self.core.0) << 32 | n))
-            },
-            |(obj, _)| obj,
-        )
-    }
-
-    fn give(&self, obj: Box<Obj>) {
-        self.cache.give(obj, &self.depot);
-    }
-}
 
 /// What one core measured.
 #[derive(Debug)]
@@ -118,29 +75,34 @@ pub fn mean_ns(runs: &[CoreRun]) -> f64 {
 /// thread's allocator calls; a binary that counts none passes `|| 0`.
 pub fn run_cache(ncores: usize, samples: usize, calls: fn() -> u64) -> CacheRun {
     NativeMachine::run(ncores, move || {
-        let caches = EbbRef::<CoreCache>::create(Depot::default());
+        let caches = EbbRef::<BoxCache<Obj>>::create(Depot::default());
         let start = Arc::new(Barrier::new(ncores));
         let cores = on_every_core(ncores, move || {
-            let take = || caches.with(CoreCache::take);
+            let core = u64::from(cpu::current().0) << 32;
+            let made = Cell::new(0);
+            let fresh = || {
+                made.set(made.get() + 1);
+                Box::new(Obj(core | (made.get() - 1)))
+            };
+            let take = || caches.with(BoxCache::take).unwrap_or_else(fresh);
             let give = |obj| caches.with(|c| c.give(obj));
-            timed(take, give, samples, &start, calls)
+            let run = timed(take, give, samples, &start, calls);
+            (run, made.get())
         });
         // Quiesce: a dry list refills from the depot, so taking until
         // nothing is left on every core empties the lists and the depot.
-        let drains = on_every_core(ncores, move || {
+        let drained = on_every_core(ncores, move || {
             caches.with(|c| {
-                let mut ids = Vec::new();
-                while let Some((obj, _)) = c.cache.take(&c.depot, |_| {}) {
-                    ids.push(obj.0);
-                }
-                (c.made.get(), ids)
+                std::iter::from_fn(|| c.take())
+                    .map(|obj| obj.0)
+                    .collect::<Vec<_>>()
             })
         });
-        let (made, ids): (Vec<u64>, Vec<Vec<u64>>) = drains.into_iter().unzip();
+        let (cores, made) = cores.into_iter().unzip();
         CacheRun {
             cores,
             made,
-            drained: ids.concat(),
+            drained: drained.concat(),
         }
     })
 }

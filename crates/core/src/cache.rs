@@ -7,10 +7,9 @@
 //! watermark the list flushes a batch to a shared depot, and a dry list
 //! refills a batch from it. [`ObjCache`] is the list — rep-local state
 //! (plain `RefCell`/`Cell`, legal because events are non-preemptive and
-//! a rep is only touched from its own core, see
-//! [`MulticoreEbb`](crate::ebb::MulticoreEbb)). [`Depot`] is the batch
-//! store every core of the owner shares, behind a lock. The cache owns
-//! the whole policy:
+//! a rep is only touched from its own core, see [`MulticoreEbb`]).
+//! [`Depot`] is the batch store every core of the owner shares, behind
+//! a lock. The cache owns the whole policy:
 //!
 //! * [`ObjCache::take`] pops the newest object; on a dry list it refills
 //!   the newest batch from the depot;
@@ -26,9 +25,15 @@
 //! The owner keeps what is not a free list: the buffer pool
 //! ([`crate::iobuf::pool`]) keeps its remote-free mailboxes and
 //! counters.
+//!
+//! Every other per-core cache is a [`BoxCache`]: emptied boxes of one
+//! type, a list per core over one depot per machine, as an Ebb.
 
 use std::cell::{Cell, RefCell};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use crate::cpu::CoreId;
+use crate::ebb::{EbbId, EbbManager, MulticoreEbb, SystemEbb};
 
 /// The batch store every core's [`ObjCache`] of one owner shares. A list
 /// flushes onto its end and refills from its end, so a refill takes the
@@ -160,6 +165,62 @@ impl<T> ObjCache<T> {
     /// Whether the list holds no object.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Emptied boxes one core of a [`BoxCache`] keeps; past this it parks a
+/// quarter of them in the machine's depot, where a core that runs dry
+/// finds them.
+pub const BOXES_KEPT: usize = 64;
+
+/// A per-core cache of emptied `Box<T>`: each core's rep is an
+/// [`ObjCache`] over the depot every core of the machine shares, the
+/// Ebb's root. Lazy: the first fault on a machine registers the depot,
+/// so a well-known cache ([`BoxCache::on`]) needs no setup call. A box
+/// taken on a core goes back on that core; the cache, not its last
+/// user, holds it in between.
+pub struct BoxCache<T: Send + 'static> {
+    cache: ObjCache<Box<T>>,
+    depot: Arc<Depot<Box<T>>>,
+}
+
+impl<T: Send + 'static> MulticoreEbb for BoxCache<T> {
+    type Root = Depot<Box<T>>;
+
+    /// Presized: the list never grows past [`BOXES_KEPT`].
+    fn create_rep(depot: &Arc<Self::Root>, _core: CoreId) -> Self {
+        BoxCache {
+            cache: ObjCache::new(BOXES_KEPT, BOXES_KEPT / 4, BOXES_KEPT),
+            depot: Arc::clone(depot),
+        }
+    }
+
+    fn handle_fault(ebbs: &EbbManager, id: EbbId, core: CoreId) -> Self {
+        Self::create_rep(&ebbs.root_or_default::<Self>(id), core)
+    }
+}
+
+impl<T: Send + 'static> BoxCache<T> {
+    /// Runs `f` on the calling core's rep of the well-known cache
+    /// `which`, on the current machine.
+    #[inline]
+    pub fn on<R>(which: SystemEbb, f: impl FnOnce(&Self) -> R) -> R {
+        crate::runtime::with_context(|rt, core| {
+            rt.ebbs().with_rep_on::<Self, R>(core, which.id(), f)
+        })
+    }
+
+    /// The newest box on this core's list, refilled from the depot when
+    /// dry; `None` when both are dry and the caller makes a fresh one.
+    #[inline]
+    pub fn take(&self) -> Option<Box<T>> {
+        self.cache.take(&self.depot, |_| {}).map(|(b, _)| b)
+    }
+
+    /// Parks `b`, emptied by the caller, on this core's list.
+    #[inline]
+    pub fn give(&self, b: Box<T>) {
+        self.cache.give(b, &self.depot);
     }
 }
 

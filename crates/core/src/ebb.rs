@@ -97,10 +97,13 @@ pub enum SystemEbb {
     /// `NetIf::install_qos` — machine-local, never a wire id.
     Qos = 10,
     /// The per-core cache of memcached server connections' cold boxes
-    /// (`ebbrt-apps`' `memcached::server`): a [`crate::cache::ObjCache`]
-    /// per core over the machine's [`crate::cache::Depot`], its root.
-    /// Lazily registered: the depot is `Default`.
+    /// (`ebbrt-apps`' `memcached::server`), a
+    /// [`crate::cache::BoxCache`]. Lazily registered: the depot is
+    /// `Default`.
     ConnCold = 11,
+    /// The per-core cache of TCP retransmission boxes (`ebbrt-net`'s
+    /// `tcp`), a [`crate::cache::BoxCache`]. Lazily registered.
+    RetxBoxes = 12,
 }
 
 impl SystemEbb {

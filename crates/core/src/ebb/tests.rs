@@ -211,6 +211,7 @@ fn well_known_table_is_stable_and_reserved() {
         SystemEbb::Counters,
         SystemEbb::Qos,
         SystemEbb::ConnCold,
+        SystemEbb::RetxBoxes,
     ] {
         assert!(w.id().0 < FIRST_DYNAMIC_ID, "{w:?} must be well-known");
     }
@@ -228,6 +229,7 @@ fn well_known_table_is_stable_and_reserved() {
     assert!(!SystemEbb::is_wire_id(SystemEbb::Counters.id()));
     assert!(!SystemEbb::is_wire_id(SystemEbb::Qos.id()));
     assert!(!SystemEbb::is_wire_id(SystemEbb::ConnCold.id()));
+    assert!(!SystemEbb::is_wire_id(SystemEbb::RetxBoxes.id()));
     assert!(!SystemEbb::is_wire_id(EbbId(FIRST_DYNAMIC_ID)));
 }
 

@@ -86,6 +86,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 use std::ops::{Index, IndexMut};
 
 use crate::clock::{deadline_to_tick, tick_to_ns, Ns};
@@ -100,6 +101,11 @@ pub const LEVELS: usize = 8;
 
 /// Sentinel for "no entry" in the slab's index links.
 const NIL: u32 = u32::MAX;
+
+/// First generation an entry is given, and the wrap target after
+/// `u32::MAX`: generation 0 is never minted, so a token's bits are never
+/// 0 and `Option<TimerToken>` costs no word beside them.
+const FIRST_GEN: u32 = 1;
 
 /// Owner tag of a wheel that has not been claimed by any core (raw
 /// wheels built by tests and benches). Untagged wheels accept any
@@ -120,7 +126,7 @@ pub const UNTAGGED_OWNER: u32 = u32::MAX;
 /// immediate assert.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerToken {
-    bits: u64,
+    bits: NonZeroU64,
     #[cfg(debug_assertions)]
     owner: u32,
 }
@@ -130,18 +136,19 @@ impl TimerToken {
         #[cfg(not(debug_assertions))]
         let _ = owner;
         TimerToken {
-            bits: ((gen as u64) << 32) | index as u64,
+            bits: NonZeroU64::new((gen as u64) << 32 | index as u64)
+                .expect("generation 0 is never minted"),
             #[cfg(debug_assertions)]
             owner,
         }
     }
 
     fn index(self) -> u32 {
-        self.bits as u32
+        self.bits.get() as u32
     }
 
     fn gen(self) -> u32 {
-        (self.bits >> 32) as u32
+        (self.bits.get() >> 32) as u32
     }
 }
 
@@ -224,7 +231,7 @@ impl<H> Slab<H> {
         if self.len as usize == self.blocks.len() * BLOCK {
             self.blocks.push(Block {
                 hot: std::array::from_fn(|_| HotEntry {
-                    gen: 0,
+                    gen: FIRST_GEN,
                     state: State::Free,
                     deadline_tick: 0,
                     seq: 0,
@@ -563,7 +570,7 @@ impl<H> TimerWheel<H> {
     fn free(&mut self, index: u32) -> H {
         let e = &mut self.slab[index];
         e.state = State::Free;
-        e.gen = e.gen.wrapping_add(1);
+        e.gen = e.gen.checked_add(1).unwrap_or(FIRST_GEN);
         e.next = self.free_head;
         self.free_head = index;
         self.live -= 1;
@@ -841,6 +848,27 @@ mod tests {
         // owner tag this would be a silent collision.
         w1.schedule(100, 8);
         w1.arm(t, 200);
+    }
+
+    #[test]
+    fn generation_wrap_skips_zero() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(0);
+        let t = w.schedule(100, 1);
+        assert_eq!(t.gen(), FIRST_GEN);
+        assert!(w.remove(t).is_some());
+        // Force the freed entry's generation to the wrap edge.
+        w.slab[t.index()].gen = u32::MAX;
+        let edge = w.schedule(100, 2);
+        assert_eq!((edge.index(), edge.gen()), (t.index(), u32::MAX));
+        assert!(w.remove(edge).is_some());
+        assert_eq!(w.slab[t.index()].gen, FIRST_GEN);
+        let t2 = w.schedule(100, 3);
+        assert_eq!(t2.gen(), FIRST_GEN, "wrap minted generation 0");
+        assert_eq!(
+            std::mem::size_of::<Option<TimerToken>>(),
+            std::mem::size_of::<TimerToken>(),
+            "an absent token costs a word"
+        );
     }
 
     #[test]

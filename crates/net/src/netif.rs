@@ -948,13 +948,15 @@ impl NetIf {
     }
 
     /// Releases everything the table holds for connection `id`: slab
-    /// slot, demux entry, timer entries (on the affinity core, where
-    /// they were created), admission and syncache budget units.
+    /// slot, demux entry, timer entries and retransmission box (on the
+    /// affinity core, where they were created), admission and syncache
+    /// budget units.
     fn cleanup(&self, id: u64) {
         let Some(conn) = self.conns.borrow_mut().remove(id) else {
             return;
         };
-        let p = conn.pcb;
+        let mut p = conn.pcb;
+        p.release_retx();
         if p.embryonic {
             // Died before the handshake completed (an eviction was
             // counted, and the flag cleared, before it got here).
@@ -1050,14 +1052,14 @@ impl NetIf {
     }
 
     /// The accounted per-connection footprint of an idle established
-    /// connection: its slab slot (the PCB — which holds the oldest
-    /// unacknowledged segment inline, so no retransmit buffer hangs off
-    /// an idle connection — and the handler's `Rc`). An idle connection
-    /// has no timer armed, so it holds no wheel entry. Rarely-used state
-    /// (reassembly, retransmit ledger) lives in [`crate::tcp::PcbCold`]
-    /// and is charged only to connections that actually use it; the RCU
-    /// demux entry is the map's own per-key cost, measured end to end by
-    /// the `conn_scale` bench rather than accounted here.
+    /// connection: its slab slot (the PCB and the handler's `Rc`). An
+    /// idle connection has no payload in flight, so it holds no
+    /// retransmission box, and no timer armed, so it holds no wheel
+    /// entry. Rarely-used state (reassembly, retransmit ledger) lives
+    /// in [`crate::tcp::PcbCold`] and is charged only to connections
+    /// that actually use it; the RCU demux entry is the map's own
+    /// per-key cost, measured end to end by the `conn_scale` bench
+    /// rather than accounted here.
     pub fn bytes_per_idle_conn() -> usize {
         ConnSlab::<Conn>::slot_bytes()
     }

@@ -29,8 +29,10 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
+use ebbrt_core::cache::BoxCache;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
+use ebbrt_core::ebb::SystemEbb;
 use ebbrt_core::event::TimerToken;
 use ebbrt_core::iobuf::{Chain, IoBuf};
 
@@ -191,57 +193,120 @@ pub struct Outcome {
 /// A transmitted-but-unacknowledged segment (retransmission queue
 /// entry). The payload chain shares storage with what was handed to the
 /// NIC — retransmission clones descriptors, never bytes.
-pub struct UnackedSeg {
+struct UnackedSeg {
     /// First sequence number of the segment.
-    pub seq: u32,
+    seq: u32,
     /// Sequence span (payload bytes, +1 for SYN and/or FIN).
-    pub len: u32,
+    len: u32,
     /// TCP flags the segment carried.
-    pub flags: u8,
+    flags: u8,
     /// Payload (empty for bare SYN/FIN).
-    pub payload: Chain<IoBuf>,
+    payload: Chain<IoBuf>,
 }
 
+/// The segments in flight once a box holds them, oldest first. An
+/// emptied box keeps its capacity in the core's cache.
+type RetxBox = VecDeque<UnackedSeg>;
+
+/// The core's cache of emptied [`RetxBox`]es.
+type RetxBoxes = BoxCache<RetxBox>;
+
 /// The retransmission queue: segments sent and not yet acknowledged,
-/// oldest first. The oldest lives in the PCB itself, so a connection
-/// with at most one segment in flight — a handshake, a request/response
-/// exchange, a close — never allocates for it; only a second segment in
-/// flight brings the overflow queue's buffer into being (which the
-/// connection then keeps).
+/// oldest first. A lone segment with no payload — a SYN, a SYN-ACK or a
+/// FIN — stays inline as its sequence span and flags. Anything more
+/// lives in a box from the core's cache ([`SystemEbb::RetxBoxes`]),
+/// taken when payload (or a second segment) goes in flight and given
+/// back on the ACK that leaves a lone bare segment or nothing, and at
+/// cleanup ([`Pcb::release_retx`]). So a connection holds a box iff
+/// payload is unacknowledged, or a close overtook its passive handshake
+/// (a SYN-ACK and a FIN in flight): an idle, handshaking or LastAck
+/// connection holds none.
 #[derive(Default)]
-pub struct RetxQueue {
-    /// The oldest unacknowledged segment. `None` means nothing is in
-    /// flight: `rest` is empty too.
-    oldest: Option<UnackedSeg>,
-    /// Everything sent after `oldest`, in order.
-    rest: VecDeque<UnackedSeg>,
+enum RetxQueue {
+    /// Nothing in flight.
+    #[default]
+    Empty,
+    /// One segment with no payload.
+    Bare { seq: u32, len: u32, flags: u8 },
+    /// Never empty, and never a lone segment with no payload.
+    Boxed(Box<RetxBox>),
 }
 
 impl RetxQueue {
-    /// Segments in flight.
-    pub fn len(&self) -> usize {
-        usize::from(self.oldest.is_some()) + self.rest.len()
-    }
-
     /// Whether nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.oldest.is_none()
+    fn is_empty(&self) -> bool {
+        matches!(self, RetxQueue::Empty)
     }
 
-    /// The oldest unacknowledged segment.
-    pub fn front(&self) -> Option<&UnackedSeg> {
-        self.oldest.as_ref()
-    }
-
-    fn push_back(&mut self, seg: UnackedSeg) {
-        match self.oldest {
-            None => self.oldest = Some(seg),
-            Some(_) => self.rest.push_back(seg),
+    /// The oldest unacknowledged segment's seq, flags and payload (a
+    /// descriptor clone).
+    fn oldest(&self) -> Option<(u32, u8, Chain<IoBuf>)> {
+        match self {
+            RetxQueue::Empty => None,
+            RetxQueue::Bare { seq, flags, .. } => Some((*seq, *flags, Chain::new())),
+            RetxQueue::Boxed(q) => q.front().map(|s| (s.seq, s.flags, s.payload.clone())),
         }
     }
 
-    fn pop_front(&mut self) {
-        self.oldest = self.rest.pop_front();
+    fn push_back(&mut self, seg: UnackedSeg) {
+        match self {
+            RetxQueue::Empty if seg.payload.is_empty() => {
+                let (seq, len, flags) = (seg.seq, seg.len, seg.flags);
+                *self = RetxQueue::Bare { seq, len, flags };
+            }
+            RetxQueue::Boxed(q) => q.push_back(seg),
+            _ => {
+                let mut q =
+                    RetxBoxes::on(SystemEbb::RetxBoxes, RetxBoxes::take).unwrap_or_default();
+                if let RetxQueue::Bare { seq, len, flags } = *self {
+                    let payload = Chain::new();
+                    q.push_back(UnackedSeg {
+                        seq,
+                        len,
+                        flags,
+                        payload,
+                    });
+                }
+                q.push_back(seg);
+                *self = RetxQueue::Boxed(q);
+            }
+        }
+    }
+
+    /// Drops the segments `ack` covers entirely. A box left holding
+    /// nothing, or one bare segment, goes back to the core's cache.
+    fn drop_acked(&mut self, ack: u32) {
+        let covered = |seq: u32, len: u32| seq::le(seq.wrapping_add(len), ack);
+        let rest = match self {
+            RetxQueue::Empty => return,
+            RetxQueue::Bare { seq, len, .. } if covered(*seq, *len) => RetxQueue::Empty,
+            RetxQueue::Bare { .. } => return,
+            RetxQueue::Boxed(q) => {
+                while q.front().is_some_and(|s| covered(s.seq, s.len)) {
+                    q.pop_front();
+                }
+                match q.front() {
+                    None => RetxQueue::Empty,
+                    Some(s) if q.len() == 1 && s.payload.is_empty() => {
+                        let (seq, len, flags) = (s.seq, s.len, s.flags);
+                        q.clear();
+                        RetxQueue::Bare { seq, len, flags }
+                    }
+                    Some(_) => return,
+                }
+            }
+        };
+        if let RetxQueue::Boxed(q) = std::mem::replace(self, rest) {
+            RetxBoxes::on(SystemEbb::RetxBoxes, |c| c.give(q));
+        }
+    }
+
+    /// Drops everything in flight and gives the box, if any, back.
+    fn clear(&mut self) {
+        if let RetxQueue::Boxed(mut q) = std::mem::take(self) {
+            q.clear();
+            RetxBoxes::on(SystemEbb::RetxBoxes, |c| c.give(q));
+        }
     }
 }
 
@@ -313,7 +378,7 @@ pub struct Pcb {
     /// The single core this connection lives on.
     pub core: CoreId,
     /// Retransmission queue.
-    pub unacked: RetxQueue,
+    unacked: RetxQueue,
     /// Lazily-allocated cold state (reassembly, loss diagnostics).
     /// `None` until the connection first sees out-of-order data or a
     /// retransmit.
@@ -422,6 +487,13 @@ impl Pcb {
         [self.rto, self.delack]
     }
 
+    /// Drops the retransmission queue and gives its box back to the
+    /// core's cache: the connection is gone. Called at cleanup, on the
+    /// connection's core.
+    pub fn release_retx(&mut self) {
+        self.unacked.clear();
+    }
+
     /// Whether reassembly has stashed out-of-order segments.
     pub fn ooo_is_empty(&self) -> bool {
         self.cold.as_ref().is_none_or(|c| c.ooo.is_empty())
@@ -471,15 +543,7 @@ impl Pcb {
             result.acked = ack.wrapping_sub(self.snd_una);
             self.snd_una = ack;
             self.rto_backoff = 1;
-            // Drop fully acknowledged segments.
-            while let Some(seg) = self.unacked.front() {
-                let end = seg.seq.wrapping_add(seg.len);
-                if seq::le(end, ack) {
-                    self.unacked.pop_front();
-                } else {
-                    break;
-                }
-            }
+            self.unacked.drop_acked(ack);
         } else {
             result.duplicate = true;
         }
@@ -825,10 +889,9 @@ impl Pcb {
     /// indefinitely and ride out partitions (the chaos suite depends on
     /// it).
     fn on_rto(&mut self, io: &mut impl TcpIo) -> Outcome {
-        let Some(seg) = self.unacked.front() else {
+        let Some((seq, flags, payload)) = self.unacked.oldest() else {
             return Outcome::default();
         };
-        let (seq, flags, payload) = (seg.seq, seg.flags, seg.payload.clone());
         if self.rto_backoff >= HANDSHAKE_GIVE_UP {
             match self.state {
                 TcpState::SynSent => return self.connect_failed(),

@@ -533,37 +533,192 @@ fn acks_are_delayed_for_one_segment_and_immediate_for_two() {
     );
 }
 
+// --- The retransmission box ----------------------------------------------
+
+/// Counts this thread's allocator calls, for the warm-box test below.
+#[global_allocator]
+static ALLOCATOR: test_alloc::CountingAlloc = test_alloc::CountingAlloc;
+
+impl RetxQueue {
+    /// `(seq, len, flags, payload length)` of every segment in flight,
+    /// oldest first.
+    fn segs(&self) -> Vec<(u32, u32, u8, usize)> {
+        match self {
+            RetxQueue::Empty => Vec::new(),
+            RetxQueue::Bare { seq, len, flags } => vec![(*seq, *len, *flags, 0)],
+            RetxQueue::Boxed(q) => q
+                .iter()
+                .map(|s| (s.seq, s.len, s.flags, s.payload.len()))
+                .collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.segs().len()
+    }
+
+    /// The box's address, while the queue holds one.
+    fn box_addr(&self) -> Option<*const RetxBox> {
+        match self {
+            RetxQueue::Boxed(q) => Some(&**q),
+            _ => None,
+        }
+    }
+}
+
+/// The peer acknowledges up to `ack` and sends nothing.
+fn ack_to(rig: &mut Rig, ack: u32) {
+    let hdr = header(rig.peer_seq, ack, ACK);
+    let payload = Chain::new();
+    rig.p
+        .input(&mut rig.io, &mut vec![Segment { hdr, payload }]);
+    rig.p.flush_ack(&mut rig.io);
+}
+
 #[test]
-fn one_segment_in_flight_at_a_time_never_allocates_a_retransmit_queue() {
-    // Handshake, request, reply acknowledged, close: a request/response
-    // connection's whole life, never more than one segment unacked.
+fn a_connection_holds_a_retransmission_box_only_while_payload_is_in_flight() {
+    // A lone SYN, SYN-ACK or FIN stays inline; idle holds nothing.
+    for (state, in_flight) in [
+        (SynSent, 1),
+        (SynReceived, 1),
+        (Established, 0),
+        (LastAck, 1),
+    ] {
+        let rig = Rig::in_state(state);
+        assert_eq!(rig.p.unacked.len(), in_flight, "{state:?}");
+        assert_eq!(rig.p.unacked.box_addr(), None, "{state:?} holds a box");
+    }
+
+    // Payload takes a box; a FIN behind it joins the box, and the ACK
+    // of the payload alone moves the lone FIN back inline.
     let mut rig = Rig::in_state(Established);
     rig.apply(Stim::Send(b"get k"));
-    assert_eq!(rig.p.unacked.len(), 1);
-    rig.apply(Stim::Seg(ACK | PSH, b"value"));
-    assert!(rig.p.unacked.is_empty());
+    let held = rig
+        .p
+        .unacked
+        .box_addr()
+        .expect("payload in flight holds a box");
     rig.apply(Stim::Close);
-    assert_eq!(rig.p.unacked.len(), 1, "the FIN is in flight");
-    rig.apply(Stim::Seg(FIN | ACK, b""));
-    assert_eq!(rig.p.state(), Closed);
+    assert_eq!(rig.p.unacked.len(), 2);
+    assert_eq!(rig.p.unacked.box_addr(), Some(held));
+    ack_to(&mut rig, A_ISS + 1 + 5);
+    assert_eq!(rig.p.unacked.segs(), [(A_ISS + 6, 1, FIN | ACK, 0)]);
     assert_eq!(
-        rig.p.unacked.rest.capacity(),
-        0,
-        "the overflow queue was allocated"
+        rig.p.unacked.box_addr(),
+        None,
+        "the lone FIN moved back inline"
     );
+    rig.io.take_sent();
+    assert!(rig.apply(Stim::Fire(Timer::Rto)).retransmitted);
+    assert_eq!(rig.io.take_sent(), [(FIN | ACK, 0)]);
 
-    // A second segment in flight is what brings the queue's buffer
-    // in, and retransmission still starts from the oldest.
+    // Go-back-N from the box starts at the oldest segment; the ACK of
+    // everything gives the box back.
     let mut rig = Rig::in_state(Established);
     rig.apply(Stim::Send(b"first"));
     rig.apply(Stim::Send(b"second"));
-    assert_eq!(rig.p.unacked.len(), 2);
-    assert!(rig.p.unacked.rest.capacity() > 0);
     rig.io.take_sent();
     assert!(rig.apply(Stim::Fire(Timer::Rto)).retransmitted);
-    assert_eq!(rig.io.take_sent(), vec![(ACK | PSH, 5)]);
+    assert_eq!(rig.io.take_sent(), [(ACK | PSH, 5)]);
     rig.apply(Stim::Seg(ACK, b""));
     assert!(rig.p.unacked.is_empty());
+    assert_eq!(rig.p.unacked.box_addr(), None);
+
+    // Cleanup gives a held box back, and the next connection on the
+    // core takes that same box without calling the allocator.
+    let mut first = Rig::in_state(Established);
+    first.apply(Stim::Send(b"first"));
+    first.apply(Stim::Send(b"second"));
+    let held = first.p.unacked.box_addr().expect("held");
+    first.p.release_retx();
+    assert!(first.p.unacked.is_empty());
+    assert_eq!(first.p.unacked.box_addr(), None);
+    let mut next = Rig::in_state(Established);
+    let data = chain(b"third");
+    let calls = test_alloc::thread_calls();
+    next.p.send(&mut next.io, data, 1460).expect("send");
+    assert_eq!(test_alloc::thread_calls() - calls, 0, "allocator calls");
+    assert_eq!(
+        next.p.unacked.box_addr(),
+        Some(held),
+        "the core's newest box"
+    );
+    next.p.release_retx();
+}
+
+/// One step of the retransmission-queue model: send `n` bytes, ACK up
+/// to a point in flight, fire the RTO, or close.
+fn model_step(rig: &mut Rig, model: &mut VecDeque<(u32, u32, u8, usize)>, op: u8, n: u32) {
+    const MSS: usize = 100;
+    match op % 4 {
+        0 => {
+            let data = vec![7; n as usize % 300 + 1];
+            let seq = rig.p.snd_nxt;
+            if rig.p.send(&mut rig.io, chain(&data), MSS).is_ok() {
+                for (i, piece) in data.chunks(MSS).enumerate() {
+                    let at = seq.wrapping_add((i * MSS) as u32);
+                    model.push_back((at, piece.len() as u32, ACK | PSH, piece.len()));
+                }
+            }
+        }
+        1 => {
+            let in_flight = rig.p.snd_nxt.wrapping_sub(rig.p.snd_una);
+            let ack = rig.p.snd_una.wrapping_add(n % (in_flight + 1));
+            ack_to(rig, ack);
+            while model
+                .front()
+                .is_some_and(|s| seq::le(s.0.wrapping_add(s.1), ack))
+            {
+                model.pop_front();
+            }
+        }
+        2 => {
+            // An active open's RTO outlives its SYN and fires into
+            // nothing.
+            if rig.p.rto.is_some() {
+                assert_eq!(rig.io.next_timer(), Some(Timer::Rto));
+                rig.io.take_sent();
+                let out = rig.p.on_timer(&mut rig.io, Timer::Rto);
+                let resent: Vec<_> = rig
+                    .io
+                    .sent
+                    .drain(..)
+                    .map(|s| (s.seq, s.flags, s.payload.len()))
+                    .collect();
+                let oldest = model.front().map(|&(seq, _, flags, len)| (seq, flags, len));
+                assert_eq!(resent, Vec::from_iter(oldest), "the oldest segment again");
+                assert_eq!(out.retransmitted, oldest.is_some());
+            }
+        }
+        _ => {
+            let (state, seq) = (rig.p.state(), rig.p.snd_nxt);
+            rig.apply(Stim::Close);
+            if state == Established {
+                model.push_back((seq, 1, FIN | ACK, 0));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Random sends, ACKs, timeouts and a close against a `VecDeque`
+    /// model: the queue holds the model's segments, a timeout resends
+    /// the model's oldest, and a box is held iff payload is in flight.
+    #[test]
+    fn the_retransmission_queue_matches_a_deque_model(
+        ops in prop::collection::vec((0u8..4, 0u32..1000), 1..48),
+    ) {
+        let mut rig = Rig::in_state(Established);
+        let mut model = VecDeque::new();
+        for (op, n) in ops {
+            model_step(&mut rig, &mut model, op, n);
+            prop_assert_eq!(rig.p.unacked.segs(), Vec::from(model.clone()));
+            let payload = model.iter().any(|s| s.3 > 0);
+            prop_assert_eq!(rig.p.unacked.box_addr().is_some(), payload);
+        }
+        rig.p.release_retx();
+        prop_assert_eq!(rig.p.unacked.box_addr(), None);
+    }
 }
 
 #[test]

@@ -17,6 +17,18 @@ const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 mod common;
 use common::{on_core0, open_conn, two_machines, Echo, Opened, SERVER_IP};
 
+/// An idle established connection costs its slab slot, the PCB and
+/// the handler's `Rc`, and nothing hangs off it: 128 B in a release
+/// build, where an absent timer token costs no word beside it, and no
+/// more than 152 B in any profile (a debug token carries its wheel's
+/// owner tag).
+#[test]
+fn an_idle_connection_costs_at_most_152_accounted_bytes() {
+    let bytes = NetIf::bytes_per_idle_conn();
+    println!("{bytes} B accounted per idle connection");
+    assert!(bytes <= 152, "{bytes} B accounted per idle connection");
+}
+
 #[test]
 fn tcp_connect_send_echo_close() {
     let (w, _sw, (_server, s_if), (client, c_if)) = two_machines();

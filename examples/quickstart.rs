@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ebbrt_core::cache::{Depot, ObjCache};
+use ebbrt_core::cache::{BoxCache, Depot};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::ebb::{EbbRef, MulticoreEbb};
 use ebbrt_core::event::block_on;
@@ -43,32 +43,12 @@ impl HitCounter {
 /// A per-core cache of 64-byte boxes: each core's representative is a
 /// free list it touches without synchronization, over a depot (the
 /// root) that every core shares.
-struct BoxCache {
-    cache: ObjCache<Box<[u8; 64]>>,
-    depot: Arc<Depot<Box<[u8; 64]>>>,
-}
+type Boxes = BoxCache<[u8; 64]>;
 
-impl MulticoreEbb for BoxCache {
-    type Root = Depot<Box<[u8; 64]>>;
-    fn create_rep(depot: &Arc<Self::Root>, _core: CoreId) -> Self {
-        BoxCache {
-            cache: ObjCache::new(64, 16, 64),
-            depot: Arc::clone(depot),
-        }
-    }
-}
-
-impl BoxCache {
-    /// The newest box on this core's list (refilled from the depot when
-    /// dry), or a fresh one.
-    fn take(&self) -> Box<[u8; 64]> {
-        let cached = self.cache.take(&self.depot, |_| {});
-        cached.map_or_else(|| Box::new([0; 64]), |(b, _)| b)
-    }
-
-    fn give(&self, b: Box<[u8; 64]>) {
-        self.cache.give(b, &self.depot);
-    }
+/// The newest box on this core's list (refilled from the depot when
+/// dry), or a fresh one.
+fn take(boxes: &Boxes) -> Box<[u8; 64]> {
+    boxes.take().unwrap_or_else(|| Box::new([0; 64]))
 }
 
 fn main() {
@@ -105,12 +85,12 @@ fn main() {
         // 3. The per-core object cache: a box given back on a core is
         //    the next one taken there (LIFO, still warm in its cache).
         println!("\n-- per-core object cache (a free list per core over a shared depot) --");
-        let boxes = EbbRef::<BoxCache>::create(Depot::default());
-        let a = boxes.with(BoxCache::take);
+        let boxes = EbbRef::<Boxes>::create(Depot::default());
+        let a = boxes.with(take);
         let addr: *const [u8; 64] = &*a;
         println!("  take -> {addr:p} (fresh: the list and the depot are empty)");
         boxes.with(|c| c.give(a));
-        let b = boxes.with(BoxCache::take);
+        let b = boxes.with(take);
         println!("  give + take -> {:p} (== {addr:p}: LIFO on its core)", &*b);
         assert!(std::ptr::eq(addr, &*b));
         boxes.with(|c| c.give(b));
