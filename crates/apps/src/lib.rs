@@ -30,10 +30,8 @@ mod rng;
 pub mod stats;
 pub mod webserver;
 
-pub use ebbrt_core::runtime::SendCell;
-
-/// Spawns `f(v)` as an event on `core` of `machine`, smuggling the
-/// non-`Send` `v` through a [`SendCell`].
+/// Spawns `f(v)` as an event on `core` of `machine`; `v` need not be
+/// `Send` ([`ebbrt_sim::SimMachine::spawn_local`]).
 pub fn spawn_with<T: 'static>(
     machine: &std::rc::Rc<ebbrt_sim::SimMachine>,
     core: ebbrt_core::cpu::CoreId,

@@ -5,7 +5,9 @@
 //! (refused exactly as [`TcpConn::send`] refuses), and replies are
 //! correlated through a FIFO of in-flight `(opaque, sent_at)` — the
 //! contract is spelled out in `docs/ARCHITECTURE.md`. What to send,
-//! when, and what to make of the answers is the [`Workload`]'s business.
+//! when, and what to make of the answers is the [`Workload`]'s business;
+//! [`Burst`] (one scripted burst) and [`ClosedLoop`] (one request kept
+//! `depth` deep) are the two every bench and test shares.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -13,14 +15,17 @@ use std::rc::Rc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{Chain, IoBuf};
+use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{local_netif, ConnHandler, SendError, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::SimMachine;
 
-use super::codec::{drain_frames, BadFrame, FrameScan, Header, MAGIC_RESPONSE, MEMCACHED_PORT};
+use super::codec::{
+    drain_frames, BadFrame, FrameScan, Header, MAGIC_RESPONSE, MEMCACHED_PORT, STATUS_OK,
+};
 use crate::spawn_with;
+use crate::stats::LatencyRecorder;
 
 /// What a workload does with a client connection. Every callback runs
 /// on the connection's core, inside the event that caused it, and may
@@ -246,3 +251,117 @@ impl Workload for Burst {
         self.replies.borrow_mut().push((*h, value.copy_to_vec()));
     }
 }
+
+/// A closed loop of one request: each send is a descriptor clone of
+/// the one frozen frame, at most `depth` are in flight, and every
+/// reply is checked (status OK, `value_len` value bytes) and its
+/// latency recorded. The harness owns the phases: [`ClosedLoop::kick`]
+/// queues requests, the world runs to idle, the fields are read back.
+pub struct ClosedLoop {
+    request: IoBuf,
+    depth: usize,
+    value_len: usize,
+    /// The handshake has completed; sends go out from then on.
+    connected: Cell<bool>,
+    /// Requests kicked and not yet sent.
+    queued: Cell<u32>,
+    /// Every reply's latency, in virtual ns.
+    pub lat: RefCell<LatencyRecorder>,
+    /// Virtual time of the last reply.
+    pub last_reply_ns: Cell<Ns>,
+    /// Replies with a bad status or value length, refused sends, and
+    /// closes while replies were owed.
+    pub failures: Cell<u32>,
+}
+
+impl ClosedLoop {
+    /// A loop of the encoded `request`, `depth` deep, whose replies
+    /// must carry `value_len` value bytes.
+    pub fn new(request: Vec<u8>, depth: usize, value_len: usize) -> ClosedLoop {
+        ClosedLoop {
+            request: MutIoBuf::from_vec(request).freeze(),
+            depth,
+            value_len,
+            connected: Cell::new(false),
+            queued: Cell::new(0),
+            lat: RefCell::new(LatencyRecorder::new()),
+            last_reply_ns: Cell::new(0),
+            failures: Cell::new(0),
+        }
+    }
+
+    /// Queues `n` more requests and sends what the depth allows: from
+    /// an event on the client's core, or before the handshake
+    /// completes (they go out on connect).
+    pub fn kick<W: Workload>(&self, client: &Client<W>, n: u32) {
+        self.queued.set(self.queued.get() + n);
+        self.pump(client);
+    }
+
+    /// Whether every kicked request has been sent and answered.
+    pub fn idle<W: Workload>(&self, client: &Client<W>) -> bool {
+        self.queued.get() == 0 && client.in_flight() == 0
+    }
+
+    fn fail(&self) {
+        self.failures.set(self.failures.get() + 1);
+    }
+
+    fn pump<W: Workload>(&self, client: &Client<W>) {
+        while self.connected.get() && self.queued.get() > 0 && client.in_flight() < self.depth {
+            self.queued.set(self.queued.get() - 1);
+            if client.send(Chain::single(self.request.clone())).is_err() {
+                self.fail();
+            }
+        }
+    }
+
+    // The loop's side of the three `Workload` callbacks, generic so a
+    // workload that wraps a loop forwards to them.
+
+    /// See [`Workload::on_connected`].
+    pub fn connected<W: Workload>(&self, client: &Client<W>) {
+        self.connected.set(true);
+        self.pump(client);
+    }
+
+    /// See [`Workload::on_reply`].
+    pub fn replied<W: Workload>(
+        &self,
+        client: &Client<W>,
+        h: &Header,
+        value: &Chain<IoBuf>,
+        latency_ns: Ns,
+    ) {
+        if h.status != STATUS_OK || value.len() != self.value_len {
+            self.fail();
+        }
+        self.lat.borrow_mut().record(latency_ns);
+        self.last_reply_ns.set(now_ns());
+        self.pump(client);
+    }
+
+    /// See [`Workload::on_close`].
+    pub fn closed<W: Workload>(&self, client: &Client<W>) {
+        if !self.idle(client) {
+            self.fail();
+        }
+    }
+}
+
+impl Workload for ClosedLoop {
+    fn on_connected(&self, client: &Client<Self>) {
+        self.connected(client);
+    }
+
+    fn on_reply(&self, client: &Client<Self>, h: &Header, value: Chain<IoBuf>, latency_ns: Ns) {
+        self.replied(client, h, &value, latency_ns);
+    }
+
+    fn on_close(&self, client: &Client<Self>) {
+        self.closed(client);
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -60,7 +60,7 @@ pub mod server;
 pub mod shard;
 pub mod shardop;
 
-pub use client::{Burst, Client, Workload};
+pub use client::{Burst, Client, ClosedLoop, Workload};
 pub use codec::*;
 pub use replica::{register_shard, shipper_for, ShardRoot, StoreShardEbb};
 pub use resync::{resync_range, ResyncOpts, ResyncOutcome};

@@ -44,7 +44,7 @@ use ebbrt_core::ebb::{
 };
 use ebbrt_core::event::OnceFn;
 use ebbrt_core::iobuf::{Chain, IoBuf};
-use ebbrt_core::runtime::{self, Runtime};
+use ebbrt_core::runtime::{self, Runtime, SendCell};
 
 use super::server::{at_rest, Store, APP_BASE_NS};
 use super::shardop::{self, PageHeader, PullReq, ShardOp};
@@ -67,7 +67,7 @@ type LogEntry = (u64, Vec<u8>, Chain<IoBuf>);
 type Respond = Box<dyn FnOnce(Chain<IoBuf>)>;
 /// A request parked on a catching-up root: the payload as received
 /// plus the responder that will answer it once re-driven.
-type ParkedRequest = (Chain<IoBuf>, crate::SendCell<Respond>);
+type ParkedRequest = (Chain<IoBuf>, SendCell<Respond>);
 /// An acting primary's acknowledgement of one write, run with its
 /// version. Both callers' — the connection front end's (a weak handle,
 /// a connection, the opaque and the range) and a shipped SET's (its
@@ -83,7 +83,7 @@ struct FanOut {
     targets: Vec<EbbId>,
     left: usize,
     version: u64,
-    done: Option<crate::SendCell<Ack>>,
+    done: Option<SendCell<Ack>>,
 }
 
 /// The per-machine root of one key range's replica: the machine's
@@ -335,7 +335,7 @@ impl ShardRoot {
         }
         fanout.left = n;
         fanout.version = version;
-        fanout.done = Some(crate::SendCell::new(Ack::new(done)));
+        fanout.done = Some(SendCell::new(Ack::new(done)));
         drop(fanouts);
         let mut payload = shardop::encode_repl(version, key, &value);
         for target in 0..n {
@@ -602,7 +602,7 @@ impl ShardRoot {
         self.parked
             .lock()
             .expect("parked lock")
-            .push((payload, crate::SendCell::new(respond)));
+            .push((payload, SendCell::new(respond)));
     }
 
     /// Re-dispatches every parked request through the normal handler —

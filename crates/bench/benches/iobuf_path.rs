@@ -18,13 +18,12 @@
 //!    pooled vs fresh buffer acquisition (both classes), zero-copy
 //!    cursor reads vs copying reads, and descriptor-chain splitting.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ebbrt_apps::memcached::{self, Client, Header};
-use ebbrt_bench::script::GetLoop;
+use ebbrt_apps::memcached::{self, Client, ClosedLoop, Header};
+use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{pool, stats, Chain, IoBuf, MutIoBuf};
 use ebbrt_core::runtime::Runtime;
@@ -56,21 +55,22 @@ fn verify_zero_copy_get_path(_c: &mut Criterion) {
     // Pool counters are per machine, so the zero-copy property is read
     // as the world total over both ends of the wire.
     let world = [Arc::clone(server.runtime()), Arc::clone(client.runtime())];
-    let snapshot = move || stats::world_snapshot(world.iter().map(Arc::as_ref));
-    let base: Rc<Cell<Option<stats::Snapshot>>> = Rc::default();
-    let (base2, snapshot2) = (Rc::clone(&base), snapshot.clone());
-    let gets = GetLoop::new(b"bench_key", 1, WARMUP_GETS, STEADY_GETS, move |start| {
-        if start {
-            base2.set(Some(snapshot2()));
-        }
-    });
-    let conn = Client::spawn(&client, CoreId(0), server_ip, gets);
+    let snapshot = || stats::world_snapshot(world.iter().map(Arc::as_ref));
+    let get = ClosedLoop::new(memcached::encode_get(b"bench_key", 1), 1, VALUE_LEN);
+    let conn = Client::spawn(&client, CoreId(0), server_ip, get);
+    conn.workload.kick(&conn, WARMUP_GETS);
     w.run_to_idle();
-    let handler = &conn.workload;
+    let (base, started) = (snapshot(), w.now());
+    spawn_with(&client, CoreId(0), Rc::clone(&conn), |c| {
+        c.workload.kick(&c, STEADY_GETS)
+    });
+    w.run_to_idle();
+    let get = &conn.workload;
 
-    assert_eq!(handler.remaining.get(), 0, "workload did not complete");
-    let delta = snapshot().since(&base.get().expect("warmup completed"));
-    let elapsed_ns = handler.steady_ns[1].get() - handler.steady_ns[0].get();
+    assert!(get.idle(&conn), "workload did not complete");
+    assert_eq!(get.failures.get(), 0, "a GET failed");
+    let delta = snapshot().since(&base);
+    let elapsed_ns = get.last_reply_ns.get() - started;
     let us_per_get = elapsed_ns as f64 / STEADY_GETS as f64 / 1000.0;
     let (server_free, server_depot) =
         pool::runtime_free_counts(server.runtime(), pool::SizeClass::SMALL);

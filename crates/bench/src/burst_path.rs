@@ -17,24 +17,22 @@
 //! on a noisy runner; wall-clock time is reported alongside as the
 //! host-side cost of executing the same pass structure.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use ebbrt_apps::memcached::{self, Client};
+use ebbrt_apps::memcached::{self, Client, ClosedLoop};
+use ebbrt_apps::spawn_with;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::IoBuf;
 use ebbrt_net::netif::BURST_BUCKET_LO;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan};
 
-use crate::script::GetLoop;
-
 /// Bytes in the benched value.
 const VALUE_LEN: usize = 512;
 /// Outstanding requests kept in flight (pipeline depth). Deep enough
 /// that the server sees real queue depth at every drain.
-const PIPELINE: u32 = 32;
+const PIPELINE: usize = 32;
 /// Responses consumed before measurement starts.
 const WARMUP_GETS: u32 = 128;
 /// Measured responses.
@@ -88,29 +86,23 @@ pub fn run(burst_frames: usize) -> BurstReport {
     store.insert_raw(b"bench_key".to_vec(), IoBuf::copy_from(&[0xAB; VALUE_LEN]));
     w.run_to_idle();
 
-    // Wall clock across the measured phase: started at its first edge,
-    // read at its second.
-    let wall = Rc::new(Cell::new((Instant::now(), 0u64)));
-    let wall2 = Rc::clone(&wall);
-    let pipe = GetLoop::new(
-        b"bench_key",
-        PIPELINE,
-        WARMUP_GETS,
-        STEADY_GETS,
-        move |start| {
-            let started = wall2.get().0;
-            wall2.set(match start {
-                true => (Instant::now(), 0),
-                false => (started, started.elapsed().as_nanos() as u64),
-            });
-        },
-    );
-    let conn = Client::spawn(&client, CoreId(0), server_ip, pipe);
+    // Warm-up, drained; then the measured phase, from its kick to its
+    // last reply in virtual time and to idle on the wall clock.
+    let get = ClosedLoop::new(memcached::encode_get(b"bench_key", 1), PIPELINE, VALUE_LEN);
+    let conn = Client::spawn(&client, CoreId(0), server_ip, get);
+    conn.workload.kick(&conn, WARMUP_GETS);
     w.run_to_idle();
-    let handler = &conn.workload;
-    assert_eq!(handler.remaining.get(), 0, "workload did not complete");
+    let (started, wall) = (w.now(), Instant::now());
+    spawn_with(&client, CoreId(0), Rc::clone(&conn), |c| {
+        c.workload.kick(&c, STEADY_GETS)
+    });
+    w.run_to_idle();
+    let wall_ns = wall.elapsed().as_nanos() as u64;
+    let get = &conn.workload;
+    assert!(get.idle(&conn), "workload did not complete");
+    assert_eq!(get.failures.get(), 0, "a GET failed");
 
-    let virtual_ns = handler.steady_ns[1].get() - handler.steady_ns[0].get();
+    let virtual_ns = get.last_reply_ns.get() - started;
     let max_burst_seen = s_if
         .frames_per_burst()
         .iter()
@@ -123,7 +115,7 @@ pub fn run(burst_frames: usize) -> BurstReport {
         requests: STEADY_GETS,
         virtual_ns,
         pps: STEADY_GETS as f64 / (virtual_ns as f64 / 1e9),
-        wall_ns: wall.get().1,
+        wall_ns,
         rx_bursts: s_if.rx_bursts(),
         rx_frames: s_if.stats.rx_frames.get(),
         max_burst_seen,

@@ -37,12 +37,12 @@
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
-use ebbrt_apps::memcached::{self, Client, Header, Workload, MEMCACHED_PORT};
+use ebbrt_apps::memcached::{self, Client, ClosedLoop, Header, Workload, MEMCACHED_PORT};
 use ebbrt_apps::spawn_with;
 use ebbrt_apps::stats::LatencyRecorder;
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::{self, CoreId};
-use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{stats, Chain, IoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, NetIf, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan, SimMachine};
@@ -114,59 +114,27 @@ pub struct ScaleReport {
     pub timer_live: usize,
 }
 
-/// One probe connection: closed-loop, one GET outstanding, latency
-/// recorded per reply.
-struct Probe {
-    request: IoBuf,
-    to_recv: Cell<u32>,
-    recorder: Rc<RefCell<LatencyRecorder>>,
-    failures: Rc<Cell<u32>>,
-    measuring: Cell<bool>,
-    outstanding: Rc<Cell<u32>>,
-    /// Establishment feeds the driver's chunk flow control.
+/// A probe connection: a one-deep [`ClosedLoop`] that also tells its
+/// machine's connect driver when it is up.
+struct Sampled {
+    get: ClosedLoop,
     driver: RefCell<Weak<Driver>>,
 }
 
-impl Probe {
-    fn fire(&self, client: &Client<Self>) {
-        if client.send(Chain::single(self.request.clone())).is_err() {
-            self.failures.set(self.failures.get() + 1);
-        }
-    }
-
-    /// Starts a phase of `count` sequential GETs on this probe.
-    fn kick(&self, client: &Client<Self>, count: u32, measuring: bool) {
-        self.to_recv.set(count);
-        self.measuring.set(measuring);
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.fire(client);
-    }
-}
-
-impl Workload for Probe {
-    fn on_connected(&self, _client: &Client<Self>) {
+impl Workload for Sampled {
+    fn on_connected(&self, client: &Client<Self>) {
+        self.get.connected(client);
         if let Some(d) = self.driver.borrow().upgrade() {
             d.note_connected();
         }
     }
 
     fn on_reply(&self, client: &Client<Self>, h: &Header, value: Chain<IoBuf>, latency_ns: Ns) {
-        if h.status != memcached::STATUS_OK || value.len() != VALUE_LEN {
-            self.failures.set(self.failures.get() + 1);
-        }
-        if self.measuring.get() {
-            self.recorder.borrow_mut().record(latency_ns);
-        }
-        self.to_recv.set(self.to_recv.get() - 1);
-        if self.to_recv.get() > 0 {
-            self.fire(client);
-        } else {
-            self.outstanding.set(self.outstanding.get() - 1);
-        }
+        self.get.replied(client, h, &value, latency_ns);
     }
 
-    fn on_close(&self, _client: &Client<Self>) {
-        self.failures.set(self.failures.get() + 1);
+    fn on_close(&self, client: &Client<Self>) {
+        self.get.closed(client);
     }
 }
 
@@ -181,7 +149,7 @@ struct Driver {
     quota: usize,
     issued: Cell<usize>,
     established: Cell<usize>,
-    probes: Vec<Rc<Client<Probe>>>,
+    probes: Vec<Rc<Client<Sampled>>>,
     herd: Rc<Herd>,
     machine: Rc<SimMachine>,
 }
@@ -261,20 +229,11 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
     // else shares one no-op handler per machine. Each machine's driver
     // connects in chunks and re-queues itself, so SYN bursts interleave
     // with the server's accept work.
-    let recorder = Rc::new(RefCell::new(LatencyRecorder::new()));
-    let failures = Rc::new(Cell::new(0u32));
-    let outstanding = Rc::new(Cell::new(0u32));
     let sampled = conns.min(SAMPLED_MAX);
-    let request = MutIoBuf::from_vec(memcached::encode_get(b"k", 1)).freeze();
-    let probes: Vec<Rc<Client<Probe>>> = (0..sampled)
+    let probes: Vec<Rc<Client<Sampled>>> = (0..sampled)
         .map(|_| {
-            Client::new(Probe {
-                request: request.clone(),
-                to_recv: Cell::new(0),
-                recorder: Rc::clone(&recorder),
-                failures: Rc::clone(&failures),
-                measuring: Cell::new(false),
-                outstanding: Rc::clone(&outstanding),
+            Client::new(Sampled {
+                get: ClosedLoop::new(memcached::encode_get(b"k", 1), 1, VALUE_LEN),
                 driver: RefCell::new(Weak::new()),
             })
         })
@@ -337,18 +296,22 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         _ => None,
     };
 
-    // Warm-up: every probe runs a few GETs so both endpoints' buffer
-    // pools and the response path are hot.
-    let m0 = &client_machines[0];
-    {
-        spawn_with(m0, CoreId(0), probes.clone(), |ps| {
+    // Each phase kicks every probe and runs the world dry. Warm-up: a
+    // few GETs each, so both endpoints' buffer pools and the response
+    // path are hot.
+    let phase = |gets: u32| {
+        spawn_with(&client_machines[0], CoreId(0), probes.clone(), move |ps| {
             for p in &ps {
-                p.workload.kick(p, WARMUP_GETS, false);
+                p.workload.get.kick(p, gets);
             }
         });
+        w.run_to_idle();
+        probes.iter().all(|p| p.workload.get.idle(p))
+    };
+    assert!(phase(WARMUP_GETS), "warm-up did not complete");
+    for p in &probes {
+        p.workload.get.lat.borrow_mut().reset();
     }
-    w.run_to_idle();
-    assert_eq!(outstanding.get(), 0, "warm-up did not complete");
 
     // Measured phase: sparse GET mix over the probe set, surrounded by
     // `conns - sampled` idle connections in the same slab and demux.
@@ -356,16 +319,9 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         .chain(client_machines.iter().map(|m| m.runtime()))
         .collect();
     let before = stats::world_snapshot(rts.iter().map(|rt| &***rt));
-    {
-        spawn_with(m0, CoreId(0), probes.clone(), |ps| {
-            for p in &ps {
-                p.workload.kick(p, MEASURED_GETS, true);
-            }
-        });
-    }
-    w.run_to_idle();
+    let measured = phase(MEASURED_GETS);
     let steady = stats::world_snapshot(rts.iter().map(|rt| &***rt)).since(&before);
-    assert_eq!(outstanding.get(), 0, "measured phase did not complete");
+    assert!(measured, "measured phase did not complete");
     let timer_live = rts
         .iter()
         .flat_map(|rt| rt.event_managers().iter().enumerate())
@@ -376,13 +332,17 @@ pub fn run(conns: usize, live_heap_bytes: Option<&dyn Fn() -> u64>) -> ScaleRepo
         })
         .sum();
 
-    let mut rec = recorder.borrow_mut();
+    let mut rec = LatencyRecorder::new();
+    for p in &probes {
+        rec.merge(&p.workload.get.lat.borrow());
+    }
+    let failures = probes.iter().map(|p| p.workload.get.failures.get()).sum();
     ScaleReport {
         conns,
         sampled,
         mean_ns: rec.mean(),
         p99_ns: rec.percentile(99.0),
-        failures: failures.get(),
+        failures,
         steady_bytes_copied: steady.bytes_copied,
         steady_bufs_allocated: steady.bufs_allocated,
         accounted_bytes_per_idle_conn: NetIf::bytes_per_idle_conn(),

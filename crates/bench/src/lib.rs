@@ -1,9 +1,12 @@
 //! # ebbrt-bench — the benchmark harness
 //!
-//! One `repro_*` binary per table/figure of the paper (see
-//! EXPERIMENTS.md) plus Criterion microbenchmarks. The library hosts
-//! the workload harnesses and shared output helpers; each harness has
-//! one runner that gates it in CI, listed in docs/ARCHITECTURE.md.
+//! One `repro_*` binary per table/figure of the paper plus Criterion
+//! microbenchmarks. The library hosts the workload harnesses and
+//! shared output helpers; each harness has one runner that gates it in
+//! CI, listed in docs/ARCHITECTURE.md. The single-server harnesses
+//! drive [`ebbrt_apps::memcached::ClosedLoop`] and own its phases (kick,
+//! run to idle, read); [`script`] holds the cluster harness's scripted
+//! client.
 
 #![forbid(unsafe_code)]
 

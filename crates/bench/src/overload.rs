@@ -21,15 +21,12 @@
 //! re-asserts the dataplane invariant under overload: admitted GET
 //! traffic copies zero payload bytes and allocates zero fresh buffers.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ebbrt_apps::memcached::{self, Client, Header, Workload};
+use ebbrt_apps::memcached::{self, Client, ClosedLoop};
 use ebbrt_apps::spawn_with;
-use ebbrt_apps::stats::LatencyRecorder;
-use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{stats, IoBuf};
 use ebbrt_core::qos::{self, ClassConfig, QosConfig, QosMode};
 use ebbrt_net::netif::QosMatch;
 use ebbrt_net::types::Ipv4Addr;
@@ -45,9 +42,9 @@ const GOLD_VALUE: usize = 64;
 /// link.
 const HOT_VALUE: usize = 4096;
 /// Well-behaved tenant's pipeline depth.
-const GOLD_PIPELINE: u32 = 4;
+const GOLD_PIPELINE: usize = 4;
 /// Hot tenant's pipeline depth — 8× the well-behaved tenant.
-const HOT_PIPELINE: u32 = 8 * GOLD_PIPELINE;
+const HOT_PIPELINE: usize = 8 * GOLD_PIPELINE;
 /// Well-behaved responses consumed before measurement starts.
 const GOLD_WARMUP: u32 = 64;
 /// Well-behaved responses measured.
@@ -94,74 +91,6 @@ pub struct OverloadReport {
     pub steady_bufs_allocated: u64,
 }
 
-/// Closed-loop pipelined GET tenant. Latency is recorded per request
-/// as virtual send-to-full-response time; the driver resets the
-/// recorder after warmup and re-kicks the steady phase.
-struct Tenant {
-    request: IoBuf,
-    value_len: usize,
-    pipeline: u32,
-    to_send: Cell<u32>,
-    to_recv: Cell<u32>,
-    recorder: RefCell<LatencyRecorder>,
-    failures: Cell<u32>,
-    done_expected: Cell<bool>,
-}
-
-impl Tenant {
-    fn new(request: Vec<u8>, value_len: usize, pipeline: u32, warmup: u32) -> Self {
-        Tenant {
-            request: MutIoBuf::from_vec(request).freeze(),
-            value_len,
-            pipeline,
-            to_send: Cell::new(warmup),
-            to_recv: Cell::new(warmup),
-            recorder: RefCell::new(LatencyRecorder::new()),
-            failures: Cell::new(0),
-            done_expected: Cell::new(false),
-        }
-    }
-
-    fn fire(&self, client: &Client<Self>) {
-        self.to_send.set(self.to_send.get() - 1);
-        let _ = client.send(Chain::single(self.request.clone()));
-    }
-
-    /// Starts a phase: `count` more responses, pipeline primed. Runs
-    /// in an event on the tenant's core.
-    fn kick(&self, client: &Client<Self>, count: u32) {
-        self.to_send.set(count);
-        self.to_recv.set(count);
-        for _ in 0..self.pipeline.min(count) {
-            self.fire(client);
-        }
-    }
-}
-
-impl Workload for Tenant {
-    fn on_connected(&self, client: &Client<Self>) {
-        self.kick(client, self.to_send.get());
-    }
-
-    fn on_reply(&self, client: &Client<Self>, h: &Header, value: Chain<IoBuf>, latency_ns: Ns) {
-        // A short, misframed or unrequested reply is a failure.
-        if h.status != memcached::STATUS_OK || value.len() != self.value_len {
-            self.failures.set(self.failures.get() + 1);
-        }
-        self.to_recv.set(self.to_recv.get() - 1);
-        self.recorder.borrow_mut().record(latency_ns);
-        if self.to_send.get() > 0 {
-            self.fire(client);
-        }
-    }
-
-    fn on_close(&self, _client: &Client<Self>) {
-        if !self.done_expected.get() {
-            self.failures.set(self.failures.get() + 1);
-        }
-    }
-}
-
 /// Runs the two-tenant overload workload under `mode`.
 pub fn run(mode: QosMode) -> OverloadReport {
     let lan = Lan::new();
@@ -195,30 +124,24 @@ pub fn run(mode: QosMode) -> OverloadReport {
     store.insert_raw(b"hot_key".to_vec(), IoBuf::copy_from(&[0x22; HOT_VALUE]));
     w.run_to_idle();
 
-    let gold = Tenant::new(
-        memcached::encode_get(b"gold_key", 1),
-        GOLD_VALUE,
-        GOLD_PIPELINE,
-        GOLD_WARMUP,
-    );
-    let hot = Tenant::new(
-        memcached::encode_get(b"hot_key", 2),
-        HOT_VALUE,
-        HOT_PIPELINE,
-        HOT_WARMUP,
-    );
+    // Each tenant's warm-up goes out on connect.
+    let gold_get = memcached::encode_get(b"gold_key", 1);
+    let hot_get = memcached::encode_get(b"hot_key", 2);
+    let gold = ClosedLoop::new(gold_get, GOLD_PIPELINE, GOLD_VALUE);
+    let hot = ClosedLoop::new(hot_get, HOT_PIPELINE, HOT_VALUE);
     let gold_c = Client::spawn(&gold_m, CoreId(0), server_ip, gold);
     let hot_c = Client::spawn(&hot_m, CoreId(0), server_ip, hot);
+    gold_c.workload.kick(&gold_c, GOLD_WARMUP);
+    hot_c.workload.kick(&hot_c, HOT_WARMUP);
     let (gold, hot) = (&gold_c.workload, &hot_c.workload);
     w.run_to_idle();
-    assert_eq!(gold.to_recv.get(), 0, "gold warmup did not complete");
-    assert_eq!(hot.to_recv.get(), 0, "hot warmup did not complete");
+    assert!(gold.idle(&gold_c), "gold warmup did not complete");
+    assert!(hot.idle(&hot_c), "hot warmup did not complete");
 
     // Steady phase: measured from a pool-hot start. The hot tenant is
     // kicked first so its backlog is already queued when the
     // well-behaved tenant's first measured request arrives.
-    gold.recorder.borrow_mut().reset();
-    hot.recorder.borrow_mut().reset();
+    gold.lat.borrow_mut().reset();
     let rts = [server.runtime(), gold_m.runtime(), hot_m.runtime()];
     let before = stats::world_snapshot(rts.iter().map(|rt| &***rt));
     for (machine, c, count) in [
@@ -231,13 +154,11 @@ pub fn run(mode: QosMode) -> OverloadReport {
     }
     w.run_to_idle();
     let steady = stats::world_snapshot(rts.iter().map(|rt| &***rt)).since(&before);
-    assert_eq!(gold.to_recv.get(), 0, "gold steady phase did not complete");
-    assert_eq!(hot.to_recv.get(), 0, "hot steady phase did not complete");
+    assert!(gold.idle(&gold_c), "gold steady phase did not complete");
+    assert!(hot.idle(&hot_c), "hot steady phase did not complete");
 
-    gold.done_expected.set(true);
-    hot.done_expected.set(true);
     let snap = qos::snapshot(server.runtime());
-    let mut rec = gold.recorder.borrow_mut();
+    let mut rec = gold.lat.borrow_mut();
     OverloadReport {
         mode,
         gold_responses: GOLD_STEADY,

@@ -1,11 +1,12 @@
-//! The workloads the harnesses share.
+//! The scripted workload of the cluster harness.
 //!
-//! [`Script`] is the closed-loop scripted client the cluster harness,
-//! [`chaos::run`](crate::chaos::run), drives: a queue of tagged steps executed one at a time — the next
-//! fires when every reply of the last has arrived — with per-phase
-//! latency, every reply's status, GET bodies checked against a model,
-//! and pool-counter meters bracketing chosen phases. [`GetLoop`] is the
-//! warmup-then-measure GET pipeline of the single-server benches.
+//! [`Script`] is the closed-loop scripted client
+//! [`chaos::run`](crate::chaos::run) drives: a queue of tagged steps
+//! executed one at a time — the next fires when every reply of the last
+//! has arrived — with per-phase latency, every reply's status, GET
+//! bodies checked against a model, and pool-counter meters bracketing
+//! chosen phases. The single-server benches drive
+//! [`memcached::ClosedLoop`] instead.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use ebbrt_apps::memcached::{self, Client, Header, Workload};
 use ebbrt_apps::stats::LatencyRecorder;
 use ebbrt_core::clock::Ns;
-use ebbrt_core::iobuf::{stats, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{stats, Chain, IoBuf};
 use ebbrt_core::runtime::Runtime;
 
 /// One step of a script.
@@ -208,72 +209,6 @@ impl Workload for Script {
         }
         if client.in_flight() == 0 {
             self.fire_next(client);
-        }
-    }
-}
-
-/// Closed-loop GETs of one key: `depth` outstanding, one new request
-/// per reply; `warmup` replies, then `steady` measured ones, then
-/// close. The request is frozen once and descriptor-cloned per send,
-/// and replies are dropped unread — the client is inside the zero-copy
-/// property too. `at_edge(true)` runs as the measured phase starts,
-/// `at_edge(false)` as it ends.
-pub struct GetLoop<F: Fn(bool) + 'static> {
-    request: IoBuf,
-    depth: u32,
-    warmup_left: Cell<u32>,
-    /// Measured replies still to come (0 once the workload completed).
-    pub remaining: Cell<u32>,
-    /// Virtual time at the two edges of the measured phase.
-    pub steady_ns: [Cell<u64>; 2],
-    at_edge: F,
-}
-
-impl<F: Fn(bool) + 'static> GetLoop<F> {
-    pub fn new(key: &[u8], depth: u32, warmup: u32, steady: u32, at_edge: F) -> Self {
-        GetLoop {
-            request: MutIoBuf::from_vec(memcached::encode_get(key, 1)).freeze(),
-            depth,
-            warmup_left: Cell::new(warmup),
-            remaining: Cell::new(steady),
-            steady_ns: Default::default(),
-            at_edge,
-        }
-    }
-
-    fn fire(&self, client: &Client<Self>) {
-        let _ = client.send(Chain::single(self.request.clone()));
-    }
-
-    fn edge(&self, start: bool) {
-        let now = ebbrt_core::runtime::with_current(|rt| rt.now_ns());
-        self.steady_ns[usize::from(!start)].set(now);
-        (self.at_edge)(start);
-    }
-}
-
-impl<F: Fn(bool) + 'static> Workload for GetLoop<F> {
-    fn on_connected(&self, client: &Client<Self>) {
-        for _ in 0..self.depth {
-            self.fire(client);
-        }
-    }
-
-    fn on_reply(&self, client: &Client<Self>, _h: &Header, _value: Chain<IoBuf>, _latency: Ns) {
-        if self.warmup_left.get() > 0 {
-            self.warmup_left.set(self.warmup_left.get() - 1);
-            if self.warmup_left.get() == 0 {
-                self.edge(true);
-            }
-            self.fire(client);
-        } else if self.remaining.get() > 0 {
-            self.remaining.set(self.remaining.get() - 1);
-            if self.remaining.get() == 0 {
-                self.edge(false);
-                client.close();
-            } else {
-                self.fire(client);
-            }
         }
     }
 }

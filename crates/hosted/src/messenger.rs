@@ -103,6 +103,15 @@ pub type MsgHandler = Rc<dyn Fn(Ipv4Addr, u64, Chain<IoBuf>)>;
 /// Registered with [`Messenger::register_call`].
 pub type CallHandler = Rc<dyn Fn(Ipv4Addr, Chain<IoBuf>, Responder)>;
 
+/// What an Ebb id is registered with: a raw handler answers only
+/// direct frames; a call handler answers direct frames and batched
+/// sub-calls alike.
+#[derive(Clone)]
+enum Handler {
+    Raw(MsgHandler),
+    Call(CallHandler),
+}
+
 /// Where one RPC's response goes: straight back onto the wire (a
 /// direct call) or into its slot of a batched reply. Consumed by
 /// [`Responder::send`]; plain data, so a handler can hold it across
@@ -220,10 +229,9 @@ struct PeerConn {
 pub struct Messenger {
     netif: Rc<NetIf>,
     peers: RefCell<HashMap<Ipv4Addr, Rc<RefCell<PeerConn>>>>,
-    handlers: RefCell<HashMap<u32, MsgHandler>>,
-    /// Request/response handlers ([`Messenger::register_call`]): the
-    /// registry the batch unwrapper dispatches sub-calls through.
-    call_handlers: RefCell<HashMap<u32, CallHandler>>,
+    /// Every registered Ebb id's handler, for direct frames and batched
+    /// sub-calls alike.
+    handlers: RefCell<HashMap<u32, Handler>>,
     rpc_waiters: RefCell<HashMap<u64, RpcWaiter>>,
     /// Inbound batches collecting their sub-calls' replies, by the key
     /// each sub-call's [`Responder`] carries. A record with no slots is
@@ -269,7 +277,6 @@ impl Messenger {
             netif: Rc::clone(netif),
             peers: RefCell::new(HashMap::new()),
             handlers: RefCell::new(HashMap::new()),
-            call_handlers: RefCell::new(HashMap::new()),
             rpc_waiters: RefCell::new(HashMap::new()),
             batches: RefCell::new(Vec::new()),
             next_rpc: Cell::new(1),
@@ -335,12 +342,7 @@ impl Messenger {
     /// without being one of the designated wire ids — machine-local
     /// system ids must never become message destinations.
     pub fn register(&self, id: EbbId, handler: impl Fn(Ipv4Addr, u64, Chain<IoBuf>) + 'static) {
-        assert!(
-            id.0 >= FIRST_DYNAMIC_ID || SystemEbb::is_wire_id(id),
-            "Messenger::register: {id:?} is in the reserved SystemEbb range \
-             but is not a designated wire id"
-        );
-        self.handlers.borrow_mut().insert(id.0, Rc::new(handler));
+        self.insert(id, Handler::Raw(Rc::new(handler)));
     }
 
     /// Registers a request/response handler for `id`: the handler
@@ -353,23 +355,16 @@ impl Messenger {
         id: EbbId,
         handler: impl Fn(Ipv4Addr, Chain<IoBuf>, Responder) + 'static,
     ) {
-        let h: CallHandler = Rc::new(handler);
-        self.call_handlers.borrow_mut().insert(id.0, Rc::clone(&h));
-        // Direct (unbatched) requests route through the same handler,
-        // responding on the frame's own rpc id.
-        let weak = Rc::downgrade(self);
-        self.register(id, move |src, rpc_id, payload| {
-            let Some(messenger) = weak.upgrade() else {
-                return;
-            };
-            let inner = ResponderInner::Wire {
-                messenger,
-                dst: src,
-                id,
-                rpc_id,
-            };
-            h(src, payload, Responder { inner });
-        });
+        self.insert(id, Handler::Call(Rc::new(handler)));
+    }
+
+    fn insert(&self, id: EbbId, handler: Handler) {
+        assert!(
+            id.0 >= FIRST_DYNAMIC_ID || SystemEbb::is_wire_id(id),
+            "Messenger::register: {id:?} is in the reserved SystemEbb range \
+             but is not a designated wire id"
+        );
+        self.handlers.borrow_mut().insert(id.0, handler);
     }
 
     /// Removes the handler for `id` (an owner tearing its service
@@ -377,7 +372,6 @@ impl Messenger {
     /// their timeout fire (batched sub-calls get an unserved status).
     pub fn unregister(&self, id: EbbId) {
         self.handlers.borrow_mut().remove(&id.0);
-        self.call_handlers.borrow_mut().remove(&id.0);
     }
 
     /// Issues an RPC to Ebb `id` on `dst`. `reply` runs **exactly
@@ -721,8 +715,18 @@ impl Messenger {
                 }
                 _ => {
                     let handler = self.handlers.borrow().get(&id).cloned();
-                    if let Some(h) = handler {
-                        h(src, rpc_id, payload);
+                    match handler {
+                        Some(Handler::Raw(h)) => h(src, rpc_id, payload),
+                        Some(Handler::Call(h)) => {
+                            let inner = ResponderInner::Wire {
+                                messenger: Rc::clone(self),
+                                dst: src,
+                                id: EbbId(id),
+                                rpc_id,
+                            };
+                            h(src, payload, Responder { inner });
+                        }
+                        None => {}
                     }
                 }
             }
@@ -730,10 +734,10 @@ impl Messenger {
     }
 
     /// Serves one inbound multi-call frame: every sub-call dispatches
-    /// through the call-handler registry, the (possibly asynchronous)
+    /// to its id's call handler, the (possibly asynchronous)
     /// replies land in a [`BatchReply`] record, and the whole batch
     /// answers with **one** response frame once the last slot fills. A
-    /// sub-call with no registered handler gets
+    /// sub-call to an id with no call handler gets
     /// [`batch::STATUS_UNSERVED`] — the shipper treats that slot like a
     /// timed-out single call. Returns `false`, having dispatched
     /// nothing, when the payload is not a well-formed envelope.
@@ -763,9 +767,9 @@ impl Messenger {
             key
         };
         for (index, (id, body)) in calls.enumerate() {
-            let handler = self.call_handlers.borrow().get(&id).cloned();
+            let handler = self.handlers.borrow().get(&id).cloned();
             match handler {
-                Some(h) => {
+                Some(Handler::Call(h)) => {
                     let inner = ResponderInner::Slot {
                         messenger: Rc::clone(self),
                         batch: key,
@@ -773,7 +777,9 @@ impl Messenger {
                     };
                     h(src, body, Responder { inner });
                 }
-                None => self.fill_slot(key, index, batch::STATUS_UNSERVED, Chain::new()),
+                Some(Handler::Raw(_)) | None => {
+                    self.fill_slot(key, index, batch::STATUS_UNSERVED, Chain::new())
+                }
             }
         }
         true

@@ -233,57 +233,64 @@ fn calls_shipped_in_one_pass_coalesce_into_one_batch_frame() {
 
 #[test]
 fn batched_sub_call_for_torn_down_id_fails_over_like_a_single_call() {
-    // Two ids published by the owner; it tears one down. A pass
-    // shipping one call to each coalesces into a batch; the served
-    // sub-call answers normally, the unserved one must surface an
-    // error through the normal failover path (bounded retries
+    // Two ids published by the owner; it tears one down — unregisters
+    // it, or leaves it a raw handler, which answers direct frames only.
+    // A pass shipping one call to each coalesces into a batch; the
+    // served sub-call answers normally, the unserved one must surface
+    // an error through the normal failover path (bounded retries
     // against the invalidated record), never hang.
-    let c = cluster();
-    let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let live = EbbId((1 << 20) + 61);
-    let dead = EbbId((1 << 20) + 62);
-    for id in [live, dead] {
-        c.owner
-            .runtime()
-            .ebbs()
-            .register_root::<CounterEbb>(id, Arc::clone(&hits));
-        let msgr = Rc::clone(&c.owner_msgr);
-        let map = Rc::clone(&c.owner_map);
-        on_core0(&c.owner, (msgr, map), move |(msgr, map)| {
-            publish::<CounterEbb>(&msgr, &map, EbbRef::from_id(id), OWNER_IP, |ok| assert!(ok));
+    let tear_downs: [fn(&Messenger, EbbId); 2] = [
+        |msgr, id| msgr.unregister(id),
+        |msgr, id| msgr.register(id, |_, _, _| {}),
+    ];
+    for tear_down in tear_downs {
+        let c = cluster();
+        let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let live = EbbId((1 << 20) + 61);
+        let dead = EbbId((1 << 20) + 62);
+        for id in [live, dead] {
+            c.owner
+                .runtime()
+                .ebbs()
+                .register_root::<CounterEbb>(id, Arc::clone(&hits));
+            let msgr = Rc::clone(&c.owner_msgr);
+            let map = Rc::clone(&c.owner_map);
+            on_core0(&c.owner, (msgr, map), move |(msgr, map)| {
+                publish::<CounterEbb>(&msgr, &map, EbbRef::from_id(id), OWNER_IP, |ok| assert!(ok));
+            });
+        }
+        c.w.run_to_idle();
+        tear_down(&c.owner_msgr, dead);
+        c.client_transport.set_timeout(2_000_000);
+        c.client_transport.set_retry_policy(RetryPolicy {
+            budget: 2,
+            ..RetryPolicy::default()
         });
-    }
-    c.w.run_to_idle();
-    c.owner_msgr.unregister(dead);
-    c.client_transport.set_timeout(2_000_000);
-    c.client_transport.set_retry_policy(RetryPolicy {
-        budget: 2,
-        ..RetryPolicy::default()
-    });
 
-    let live_got = Rc::new(Cell::new(None));
-    let dead_got = Rc::new(Cell::new(None));
-    let (l2, d2) = (Rc::clone(&live_got), Rc::clone(&dead_got));
-    on_core0(&c.client, (l2, d2), move |(l2, d2)| {
-        EbbRef::<CounterEbb>::from_id(live).with(|rep| rep.poke(move |r| l2.set(Some(r))));
-        EbbRef::<CounterEbb>::from_id(dead).with(|rep| rep.poke(move |r| d2.set(Some(r))));
-    });
-    c.w.run_to_idle();
-    assert_eq!(live_got.get(), Some(Ok(1)), "served sub-call unaffected");
-    assert!(
-        matches!(
-            dead_got.get(),
-            Some(Err(RemoteError::Timeout | RemoteError::Unreachable))
-        ),
-        "unserved sub-call fails after its retry budget: {:?}",
-        dead_got.get()
-    );
-    assert!(c.client_transport.batch_flushes.get() >= 1);
-    assert!(
-        c.client_transport.retries.get() >= 1,
-        "the unserved slot was retried before surfacing"
-    );
-    assert_eq!(c.client_msgr.pending_rpcs(), 0, "no leaked waiter");
+        let live_got = Rc::new(Cell::new(None));
+        let dead_got = Rc::new(Cell::new(None));
+        let (l2, d2) = (Rc::clone(&live_got), Rc::clone(&dead_got));
+        on_core0(&c.client, (l2, d2), move |(l2, d2)| {
+            EbbRef::<CounterEbb>::from_id(live).with(|rep| rep.poke(move |r| l2.set(Some(r))));
+            EbbRef::<CounterEbb>::from_id(dead).with(|rep| rep.poke(move |r| d2.set(Some(r))));
+        });
+        c.w.run_to_idle();
+        assert_eq!(live_got.get(), Some(Ok(1)), "served sub-call unaffected");
+        assert!(
+            matches!(
+                dead_got.get(),
+                Some(Err(RemoteError::Timeout | RemoteError::Unreachable))
+            ),
+            "unserved sub-call fails after its retry budget: {:?}",
+            dead_got.get()
+        );
+        assert!(c.client_transport.batch_flushes.get() >= 1);
+        assert!(
+            c.client_transport.retries.get() >= 1,
+            "the unserved slot was retried before surfacing"
+        );
+        assert_eq!(c.client_msgr.pending_rpcs(), 0, "no leaked waiter");
+    }
 }
 
 #[test]
