@@ -12,14 +12,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
-use ebbrt_core::runtime;
+use ebbrt_core::runtime::{self, Runtime};
 use ebbrt_net::netif::{local_netif, ConnHandler, SendError, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
-use ebbrt_sim::SimMachine;
 
 use super::codec::{
     drain_frames, BadFrame, FrameScan, Header, MAGIC_RESPONSE, MEMCACHED_PORT, STATUS_OK,
@@ -82,11 +82,11 @@ impl<W: Workload> Client<W> {
     }
 
     /// A client whose connection to `ip`'s memcached port opens from
-    /// an event spawned on `core` of `machine` — the handle is usable
-    /// at once, the connection exists once the world has run.
-    pub fn spawn(machine: &Rc<SimMachine>, core: CoreId, ip: Ipv4Addr, workload: W) -> Rc<Self> {
+    /// an event spawned on `core` of `rt` — the handle is usable at
+    /// once, the connection exists once the machine has run.
+    pub fn spawn(rt: &Arc<Runtime>, core: CoreId, ip: Ipv4Addr, workload: W) -> Rc<Self> {
         let client = Self::new(workload);
-        spawn_with(machine, core, Rc::clone(&client), move |c| {
+        spawn_with(rt, core, Rc::clone(&client), move |c| {
             c.open(ip, MEMCACHED_PORT)
         });
         client

@@ -9,7 +9,7 @@
 //!
 //! This module does exactly that: the
 //! [`ConnHandler`](ebbrt_net::netif::ConnHandler) runs on the
-//! connection's RSS core straight off the (simulated) device interrupt,
+//! connection's RSS core straight off the device interrupt,
 //! parses binary-protocol requests across segment boundaries, serves
 //! GET/SET from an [`ebbrt_core::rcu_hash::RcuHashMap`], and sends the
 //! response from the same event.
@@ -40,9 +40,10 @@
 //!   obeys the stack's no-buffering contract instead of dropping the
 //!   reply.
 //!
-//! The same server binary runs on every environment profile — only the
-//! machine's [`ebbrt_sim::CostProfile`] changes — which is how the
-//! Figure 5/6 comparison lines are produced.
+//! The same server runs on any runtime and any device: on the
+//! simulator under every environment profile (only the machine's cost
+//! profile changes — how `ebbrt-bench` draws the Figure 5/6 comparison
+//! lines), or on a bare runtime over a loopback pair.
 //!
 //! The directory is cut along the wire protocols' seams: [`codec`] is
 //! the memcached format and the one framing loop, [`client`] and

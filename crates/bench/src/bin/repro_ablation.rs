@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of two of the paper's design choices.
 //!
 //! 1. **Adaptive polling** (§3.2): the memcached saturation behaviour
 //!    with the driver forced to interrupt-only mode vs adaptive. The
@@ -10,8 +10,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use ebbrt_apps::mutilate::{self, ExperimentConfig};
 use ebbrt_apps::spawn_with;
+use ebbrt_bench::mutilate::{self, ExperimentConfig};
 use ebbrt_core::cpu::CoreId;
 use ebbrt_hosted::fs::{fs_ref, CachingFsClient, FsServer, FS_EBB_ID};
 use ebbrt_hosted::global_map::GlobalIdMap;

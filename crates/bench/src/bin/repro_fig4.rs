@@ -9,7 +9,7 @@
 //! memcached run at rising connection counts. Every other harness has
 //! its own runner (see the harness table in docs/ARCHITECTURE.md).
 
-use ebbrt_apps::netpipe;
+use ebbrt_bench::netpipe;
 use ebbrt_sim::CostProfile;
 
 fn main() {
@@ -89,11 +89,11 @@ fn main() {
     );
     for &conns in &[16usize, 64, 256] {
         let mut cfg =
-            ebbrt_apps::mutilate::ExperimentConfig::new(1, CostProfile::ebbrt_vm(), 150_000);
+            ebbrt_bench::mutilate::ExperimentConfig::new(1, CostProfile::ebbrt_vm(), 150_000);
         cfg.connections = conns;
         cfg.warmup_ns = 20_000_000;
         cfg.duration_ns = 50_000_000;
-        let s = ebbrt_apps::mutilate::run(&cfg);
+        let s = ebbrt_bench::mutilate::run(&cfg);
         println!(
             "{:>9} {:>14.0} {:>12.1} {:>12.1}",
             conns, s.achieved_rps, s.mean_us, s.p99_us

@@ -4,7 +4,7 @@
 //! anchors at a 500 µs 99th-percentile SLA: EbbRT +58% throughput over
 //! Linux-VM and +11.7% over Linux native; OSv uncompetitive.
 
-use ebbrt_apps::mutilate::ExperimentConfig;
+use ebbrt_bench::mutilate::ExperimentConfig;
 use ebbrt_sim::CostProfile;
 
 fn main() {

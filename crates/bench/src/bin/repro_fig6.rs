@@ -4,7 +4,7 @@
 //! Linux-VM, −5% vs Linux native, but the highest peak throughput (the
 //! 20-core client cannot saturate the EbbRT server).
 
-use ebbrt_apps::mutilate::ExperimentConfig;
+use ebbrt_bench::mutilate::ExperimentConfig;
 use ebbrt_sim::CostProfile;
 
 fn main() {

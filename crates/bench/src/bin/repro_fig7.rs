@@ -3,7 +3,7 @@
 //! Paper anchors: EbbRT wins every kernel, +13.9% on the
 //! memory-intensive Splay, +4.09% overall (geometric mean).
 
-use ebbrt_apps::jsrt;
+use ebbrt_bench::jsrt;
 
 fn main() {
     let scores = jsrt::run_suite(0xEBB7);

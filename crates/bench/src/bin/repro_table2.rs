@@ -3,7 +3,7 @@
 //! Paper: EbbRT 90.54 µs mean / 123.00 µs 99th; Linux 112.83 µs mean /
 //! 199.00 µs 99th (Linux +24.6% mean, +61.8% p99).
 
-use ebbrt_apps::webserver;
+use ebbrt_bench::webserver;
 use ebbrt_sim::CostProfile;
 
 fn main() {

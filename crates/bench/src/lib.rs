@@ -1,11 +1,26 @@
 //! # ebbrt-bench — the benchmark harness
 //!
 //! One `repro_*` binary per table/figure of the paper plus Criterion
-//! microbenchmarks. The library hosts the workload harnesses and
-//! shared output helpers; each harness has one runner that gates it in
-//! CI, listed in docs/ARCHITECTURE.md. The single-server harnesses
-//! drive [`ebbrt_apps::memcached::ClosedLoop`] and own its phases (kick,
-//! run to idle, read); [`script`] holds the cluster harness's scripted
+//! microbenchmarks. The library hosts the simulated experiments and
+//! the workload harnesses, and shared output helpers; each harness has
+//! one runner that gates it in CI, listed in docs/ARCHITECTURE.md.
+//!
+//! * [`mutilate`] — the load generator: Facebook ETC key/value size
+//!   distributions, many TCP connections, pipeline depth 4, open-loop
+//!   arrivals, latency percentiles (mean/99th) vs offered load —
+//!   Figures 5 and 6.
+//! * [`netpipe`] — the §4.1.3 ping-pong benchmark: one-way latency and
+//!   goodput as a function of message size (Figure 4).
+//! * [`jsrt`] — the managed-runtime model standing in for node.js/V8
+//!   (§4.3): a heap + GC whose paging and preemption behaviour depends
+//!   on the environment, plus the eight V8-benchmark kernels (Figure 7).
+//! * [`webserver`] — the node.js webserver experiment (Table 2): an
+//!   HTTP server with a fixed 148-byte response under a wrk-style
+//!   client, measuring mean and 99th-percentile latency.
+//!
+//! The single-server harnesses drive
+//! [`ebbrt_apps::memcached::ClosedLoop`] and own its phases (kick, run
+//! to idle, read); [`script`] holds the cluster harness's scripted
 //! client.
 
 #![forbid(unsafe_code)]
@@ -16,9 +31,14 @@ pub mod conn_scale;
 pub mod dispatch;
 pub mod dist_memcached;
 pub mod fig3;
+pub mod jsrt;
+pub mod mutilate;
+pub mod netpipe;
 pub mod overload;
+mod rng;
 pub mod rss_sweep;
 pub mod script;
+pub mod webserver;
 
 /// Writes a CSV under `target/repro/`, creating the directory.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<std::path::PathBuf> {
@@ -43,7 +63,7 @@ pub fn load_sweep(
     fig: &str,
     systems: &[(&str, ebbrt_sim::CostProfile)],
     loads: &[u64],
-    config: impl Fn(&ebbrt_sim::CostProfile, u64) -> ebbrt_apps::mutilate::ExperimentConfig,
+    config: impl Fn(&ebbrt_sim::CostProfile, u64) -> mutilate::ExperimentConfig,
 ) {
     println!(
         "{:<12} {:>10} {:>12} {:>10} {:>10}",
@@ -52,7 +72,7 @@ pub fn load_sweep(
     let mut rows = Vec::new();
     for (name, profile) in systems {
         for &load in loads {
-            let s = ebbrt_apps::mutilate::run(&config(profile, load));
+            let s = mutilate::run(&config(profile, load));
             println!(
                 "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1}",
                 name, load, s.achieved_rps, s.mean_us, s.p99_us

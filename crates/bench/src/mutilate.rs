@@ -25,9 +25,9 @@ use ebbrt_net::netif::NetIf;
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan, SimWorld};
 
-use crate::memcached::{self, Client, Header, Store, Workload, MEMCACHED_PORT};
 use crate::rng::SplitMix64;
-use crate::stats::LatencyRecorder;
+use ebbrt_apps::memcached::{self, Client, Header, Store, Workload, MEMCACHED_PORT};
+use ebbrt_apps::stats::LatencyRecorder;
 
 /// Experiment parameters.
 #[derive(Clone)]
@@ -359,7 +359,7 @@ pub fn build(config: &ExperimentConfig) -> Experiment {
         };
         let core = CoreId((i % config.client_cores) as u32);
         let c = Client::new(conn);
-        crate::spawn_with(&client, core, Rc::clone(&c), move |c| {
+        ebbrt_apps::spawn_with(&client, core, Rc::clone(&c), move |c| {
             c.open(server_ip, MEMCACHED_PORT);
             // Start this connection's arrival process.
             schedule_arrival(&c);

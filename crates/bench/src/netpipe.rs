@@ -20,7 +20,7 @@ use ebbrt_net::netif::{ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan, SimMachine};
 
-use crate::spawn_with;
+use ebbrt_apps::spawn_with;
 
 /// NetPIPE service port.
 pub const NETPIPE_PORT: u16 = 5002;
@@ -198,7 +198,7 @@ fn setup_pipe(
 
     // Both sides resolve their stack through the well-known network
     // manager id from inside their machines' events.
-    server.spawn_on(CoreId(0), move || {
+    server.spawn(CoreId(0), move || {
         ebbrt_net::netif::local_netif()
             .listen(NETPIPE_PORT, move |_conn| {
                 PipeEnd::new(message_bytes, 0, false) as Rc<dyn ConnHandler>

@@ -357,7 +357,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
     // measurement mark.
     for machine in [&server, &client] {
         for c in 0..cfg.cores {
-            machine.spawn_on(CoreId(c as u32), || {
+            machine.spawn(CoreId(c as u32), || {
                 ebbrt_core::iobuf::pool::prewarm(64);
             });
         }

@@ -22,8 +22,8 @@ use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan};
 
-use crate::spawn_with;
-use crate::stats::LatencyRecorder;
+use ebbrt_apps::spawn_with;
+use ebbrt_apps::stats::LatencyRecorder;
 
 /// HTTP port.
 pub const HTTP_PORT: u16 = 8080;
@@ -256,7 +256,7 @@ pub fn run(profile: &CostProfile, connections: usize, think_ns: Ns) -> Webserver
     w.run_to_idle();
     // Demand paging (GC refaults) goes with the preemptive profiles.
     let demand_paging = profile.tick_period_ns > 0;
-    server.spawn_on(CoreId(0), move || serve(demand_paging));
+    server.spawn(CoreId(0), move || serve(demand_paging));
     w.run_to_idle();
     server.start_scheduler_ticks(w);
 

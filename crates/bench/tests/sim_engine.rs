@@ -18,7 +18,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ebbrt_apps::memcached::{self, Client, Header, Workload};
-use ebbrt_apps::mutilate::{self, ExperimentConfig};
+use ebbrt_bench::mutilate::{self, ExperimentConfig};
 use ebbrt_core::clock::Ns;
 use ebbrt_core::cpu::CoreId;
 use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};

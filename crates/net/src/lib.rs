@@ -22,7 +22,7 @@
 //!   example describes.
 //! * **One device boundary** ([`nic`]): the stack reaches its NIC only
 //!   through the [`Nic`] trait, so any device — the simulator's, or a
-//!   test's fake — can carry it.
+//!   [`loopback`] pair on bare runtimes — can carry it.
 //!
 //! Figure 2's path (§3.5) runs on a callback, not a future:
 //! [`arp::ArpCache::find`] continues synchronously on a cache hit —
@@ -39,6 +39,7 @@ pub mod conn_slab;
 pub mod dhcp;
 pub mod driver;
 pub mod ebb;
+pub mod loopback;
 pub mod netif;
 pub mod nic;
 pub mod qos_policy;

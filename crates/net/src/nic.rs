@@ -5,8 +5,12 @@
 //! them, and [`crate::NetIf`] transmits. A frame crosses as a zero-copy
 //! [`Chain`] starting at the Ethernet header. What a frame costs the
 //! device is the device's own business: a device model that bills
-//! virtual time charges it inside these calls.
+//! virtual time charges it inside these calls. Every device keeps its
+//! receive queues as [`RxQueue`]s, the one place the queue-and-interrupt
+//! rule is written.
 
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ebbrt_core::event::InterruptLine;
@@ -94,5 +98,65 @@ pub trait Nic {
     /// before attach.
     fn poll_enter_burst(&self) -> usize {
         POLL_ENTER_BURST
+    }
+}
+
+/// One receive queue as a device keeps it: the frames waiting, the
+/// interrupt line the driver bound, and whether that interrupt is
+/// enabled. A device answers [`Nic::set_irq`], [`Nic::set_irq_enabled`]
+/// and [`Nic::rx_len`] from here, and takes [`Nic::rx_burst`]'s frames
+/// with [`RxQueue::take`].
+#[derive(Default)]
+pub struct RxQueue {
+    frames: RefCell<VecDeque<Chain<IoBuf>>>,
+    irq: RefCell<Option<InterruptLine>>,
+    /// Set while the driver has the interrupt disabled.
+    irq_masked: Cell<bool>,
+}
+
+impl RxQueue {
+    /// Binds the queue's interrupt line.
+    pub fn set_irq(&self, line: InterruptLine) {
+        *self.irq.borrow_mut() = Some(line);
+    }
+
+    /// Enables or disables the interrupt. Re-enabling does not fire for
+    /// frames already queued: the driver drains after re-enabling, as
+    /// with real hardware.
+    pub fn set_irq_enabled(&self, enabled: bool) {
+        self.irq_masked.set(!enabled);
+    }
+
+    /// Frames waiting.
+    pub fn queued(&self) -> usize {
+        self.frames.borrow().len()
+    }
+
+    /// Queues an arriving frame and raises the line if the interrupt is
+    /// enabled. Returns the frames now waiting.
+    pub fn deliver(&self, frame: Chain<IoBuf>) -> usize {
+        self.frames.borrow_mut().push_back(frame);
+        if !self.irq_masked.get() {
+            if let Some(line) = self.irq.borrow().as_ref() {
+                line.raise();
+            }
+        }
+        self.queued()
+    }
+
+    /// Moves frames into `out` until `max_frames` are taken,
+    /// `max_bytes` are reached or the queue is empty, and returns how
+    /// many: [`Nic::rx_burst`]'s bounds.
+    pub fn take(&self, max_frames: usize, max_bytes: usize, out: &mut Vec<Chain<IoBuf>>) -> usize {
+        let (mut n, mut bytes, mut frames) = (0, 0, self.frames.borrow_mut());
+        while n < max_frames && bytes < max_bytes {
+            let Some(frame) = frames.pop_front() else {
+                break;
+            };
+            bytes += frame.len();
+            out.push(frame);
+            n += 1;
+        }
+        n
     }
 }

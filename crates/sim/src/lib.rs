@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates EbbRT on two Xeon servers with 10 GbE NICs under
 //! KVM/QEMU. None of that hardware is available here, so this crate
-//! provides the substitution (documented in DESIGN.md §2): a
+//! provides the substitution (docs/ARCHITECTURE.md, "`ebbrt-sim`"): a
 //! deterministic discrete-event simulation with a virtual nanosecond
 //! clock, in which the *real* EbbRT runtime code (event loops, Ebbs,
 //! network stack) executes unmodified.

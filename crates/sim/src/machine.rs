@@ -117,17 +117,6 @@ impl SimMachine {
         self.cores[core.index()].cpu_time.get()
     }
 
-    /// Queues an event on `core` of this machine (wakes the driver).
-    pub fn spawn_on(&self, core: CoreId, f: impl FnOnce() + Send + 'static) {
-        self.rt.spawn(core, f);
-    }
-
-    /// As [`Self::spawn_on`] for a closure that is not `Send` — one that
-    /// carries `Rc`s into the event ([`Runtime::spawn_local`]).
-    pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
-        self.rt.spawn_local(core, f);
-    }
-
     /// Starts the periodic scheduler tick on every core, if the profile
     /// has one. Each tick steals `tick_cost_ns` of core time, delaying
     /// whatever the core was doing — the preemption jitter EbbRT avoids.
@@ -168,6 +157,17 @@ impl SimMachine {
     }
 }
 
+/// A machine is its runtime to the code that runs on it: `m.spawn(..)`,
+/// `m.spawn_local(..)` and every helper taking a `&Arc<Runtime>` accept
+/// a `&Rc<SimMachine>` as they would the runtime itself.
+impl std::ops::Deref for SimMachine {
+    type Target = Arc<Runtime>;
+
+    fn deref(&self) -> &Arc<Runtime> {
+        &self.rt
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +181,7 @@ mod tests {
         let m = SimMachine::create(&w, "m0", 2, CostProfile::ebbrt_vm(), [1; 6]);
         let hits = SArc::new(AtomicUsize::new(0));
         let h = SArc::clone(&hits);
-        m.spawn_on(CoreId(0), move || {
+        m.spawn(CoreId(0), move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         w.run_to_idle();
@@ -196,14 +196,14 @@ mod tests {
         let t2 = SArc::new(AtomicU64::new(0));
         let (a, b) = (SArc::clone(&t1), SArc::clone(&t2));
         // First event charges 10 µs; the second must not start earlier.
-        m.spawn_on(CoreId(0), move || {
+        m.spawn(CoreId(0), move || {
             charge(10_000);
             a.store(
                 ebbrt_core::runtime::with_current(|rt| rt.now_ns()),
                 Ordering::SeqCst,
             );
         });
-        m.spawn_on(CoreId(0), move || {
+        m.spawn(CoreId(0), move || {
             b.store(
                 ebbrt_core::runtime::with_current(|rt| rt.now_ns()),
                 Ordering::SeqCst,
@@ -224,8 +224,8 @@ mod tests {
         let m = SimMachine::create(&w, "m0", 2, CostProfile::ebbrt_vm(), [1; 6]);
         let t = SArc::new(AtomicU64::new(u64::MAX));
         let t2 = SArc::clone(&t);
-        m.spawn_on(CoreId(0), || charge(50_000));
-        m.spawn_on(CoreId(1), move || {
+        m.spawn(CoreId(0), || charge(50_000));
+        m.spawn(CoreId(1), move || {
             t2.store(
                 ebbrt_core::runtime::with_current(|rt| rt.now_ns()),
                 Ordering::SeqCst,
@@ -252,7 +252,7 @@ mod tests {
         let hits = SArc::new(AtomicUsize::new(0));
         let h = SArc::clone(&hits);
         let brt = SArc::clone(b.runtime());
-        a.spawn_on(CoreId(0), move || {
+        a.spawn(CoreId(0), move || {
             brt.spawn(CoreId(0), move || {
                 h.fetch_add(1, Ordering::SeqCst);
             });
@@ -267,7 +267,7 @@ mod tests {
         let m = SimMachine::create(&w, "m0", 1, CostProfile::ebbrt_vm(), [1; 6]);
         let fired_at = SArc::new(AtomicU64::new(0));
         let f = SArc::clone(&fired_at);
-        m.spawn_on(CoreId(0), move || {
+        m.spawn(CoreId(0), move || {
             ebbrt_core::runtime::with_current(|rt| {
                 rt.local_event_manager().set_timer(123_456, move || {
                     f.store(
@@ -314,7 +314,7 @@ mod tests {
             for i in 0..20u64 {
                 let acc = SArc::clone(&acc);
                 let core = CoreId((i % 2) as u32);
-                m.spawn_on(core, move || {
+                m.spawn(core, move || {
                     charge(100 * (i % 5));
                     acc.fetch_add(
                         ebbrt_core::runtime::with_current(|rt| rt.now_ns()) * (i + 1),
@@ -334,7 +334,7 @@ mod tests {
         let m = SimMachine::create(&w, "m0", 1, CostProfile::ebbrt_vm(), [1; 6]);
         let got = SArc::new(AtomicU64::new(0));
         let g = SArc::clone(&got);
-        m.spawn_on(CoreId(0), move || {
+        m.spawn(CoreId(0), move || {
             let (p, f) = ebbrt_core::future::promise();
             p.set_value(7);
             g.store(ebbrt_core::event::block_on(f), Ordering::SeqCst);
@@ -350,7 +350,7 @@ mod tests {
         // no successor thread to hand its loop to, so it cannot suspend.
         let w = SimWorld::new();
         let m = SimMachine::create(&w, "m0", 1, CostProfile::ebbrt_vm(), [1; 6]);
-        m.spawn_on(CoreId(0), || {
+        m.spawn(CoreId(0), || {
             let (_p, f) = ebbrt_core::future::promise::<u64>();
             ebbrt_core::event::block_on(f);
         });

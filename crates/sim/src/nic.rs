@@ -15,7 +15,6 @@
 //! kick suppression on transmit — against the machine's cost profile.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -24,7 +23,7 @@ use ebbrt_core::event::InterruptLine;
 use ebbrt_core::iobuf::{Buf, Chain, IoBuf};
 use ebbrt_core::runtime::Runtime;
 pub(crate) use ebbrt_net::nic::Mac;
-use ebbrt_net::nic::{rss_hash, Nic};
+use ebbrt_net::nic::{rss_hash, Nic, RxQueue};
 
 use crate::machine::SimMachine;
 
@@ -123,10 +122,9 @@ const HEAD_MAX: usize = 14 + 60 + 4;
 /// as back to back with an earlier one.
 const LONG_AGO: Ns = u64::MAX / 2;
 
-struct RxQueue {
-    frames: RefCell<VecDeque<Frame>>,
-    irq: RefCell<Option<InterruptLine>>,
-    irq_enabled: Cell<bool>,
+/// A receive queue and the device's own accounting around it.
+struct Queue {
+    rx: RxQueue,
     /// When a drain last took a frame (receive interrupt suppression).
     last_drain: Cell<Ns>,
     /// Frames ever delivered into this queue (RSS skew diagnostic).
@@ -146,7 +144,7 @@ pub const DEFAULT_MTU: usize = 1500;
 /// The simulated NIC device.
 pub struct SimNic {
     pub(crate) mac: Mac,
-    queues: Vec<RxQueue>,
+    queues: Vec<Queue>,
     /// Device MTU: the largest IP packet the device carries. Jumbo
     /// configurations (9000) raise the guest stack's MSS accordingly.
     mtu: Cell<usize>,
@@ -168,10 +166,8 @@ impl SimNic {
         Rc::new(SimNic {
             mac,
             queues: (0..nqueues)
-                .map(|_| RxQueue {
-                    frames: RefCell::new(VecDeque::new()),
-                    irq: RefCell::new(None),
-                    irq_enabled: Cell::new(true),
+                .map(|_| Queue {
+                    rx: RxQueue::default(),
                     last_drain: Cell::new(LONG_AGO),
                     delivered_frames: Cell::new(0),
                     delivered_bytes: Cell::new(0),
@@ -226,7 +222,7 @@ impl SimNic {
 
     /// Frames waiting in `queue`.
     pub fn rx_len(&self, queue: usize) -> usize {
-        self.queues[queue].frames.borrow().len()
+        self.queues[queue].rx.queued()
     }
 
     /// (frames, bytes) ever delivered into `queue` — the per-queue
@@ -257,17 +253,8 @@ impl SimNic {
         q.delivered_frames.set(q.delivered_frames.get() + 1);
         q.delivered_bytes
             .set(q.delivered_bytes.get() + frame.len() as u64);
-        let mut frames = q.frames.borrow_mut();
-        frames.push_back(frame);
-        if frames.len() > q.depth_hwm.get() {
-            q.depth_hwm.set(frames.len());
-        }
-        drop(frames);
-        if q.irq_enabled.get() {
-            if let Some(line) = q.irq.borrow().as_ref() {
-                line.raise();
-            }
-        }
+        let depth = q.rx.deliver(frame.data);
+        q.depth_hwm.set(q.depth_hwm.get().max(depth));
     }
 }
 
@@ -296,13 +283,11 @@ impl Nic for SimMachine {
     }
 
     fn set_irq(&self, queue: usize, line: InterruptLine) {
-        *self.nic().queues[queue].irq.borrow_mut() = Some(line);
+        self.nic().queues[queue].rx.set_irq(line);
     }
 
-    /// Re-enabling does not fire for frames already queued: the driver
-    /// drains after re-enabling, as with real hardware.
     fn set_irq_enabled(&self, queue: usize, enabled: bool) {
-        self.nic().queues[queue].irq_enabled.set(enabled);
+        self.nic().queues[queue].rx.set_irq_enabled(enabled);
     }
 
     fn rx_len(&self, queue: usize) -> usize {
@@ -324,23 +309,17 @@ impl Nic for SimMachine {
         out: &mut Vec<Chain<IoBuf>>,
     ) -> usize {
         let (p, q) = (self.profile(), &self.nic().queues[queue]);
-        let (mut n, mut bytes, mut frames) = (0, 0, q.frames.borrow_mut());
-        while n < max_frames && bytes < max_bytes {
-            let Some(frame) = frames.pop_front() else {
-                break;
-            };
-            bytes += frame.len();
-            if n == 0 {
-                let now = self.runtime().now_ns();
-                let last = q.last_drain.replace(now);
-                if from_interrupt && now.saturating_sub(last) > p.virtio_batch_window_ns {
-                    charge(p.rx_batch_cost());
-                }
-                charge(p.rx_wakeup_ns + p.syscall_ns);
+        let n = q.rx.take(max_frames, max_bytes, out);
+        if n > 0 {
+            let now = self.runtime().now_ns();
+            let last = q.last_drain.replace(now);
+            if from_interrupt && now.saturating_sub(last) > p.virtio_batch_window_ns {
+                charge(p.rx_batch_cost());
             }
+            charge(p.rx_wakeup_ns + p.syscall_ns);
+        }
+        for frame in &out[out.len() - n..] {
             charge(p.rx_cost_per_packet(frame.len()));
-            out.push(frame.data);
-            n += 1;
         }
         n
     }

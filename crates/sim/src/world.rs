@@ -604,7 +604,7 @@ mod tests {
         let core = CoreId(0);
         let fired = Arc::new(AtomicU32::new(0));
         let f = Arc::clone(&fired);
-        m.spawn_on(core, move || {
+        m.spawn(core, move || {
             runtime::with_current(|rt| {
                 rt.local_event_manager().set_timer(FAR, move || {
                     f.fetch_add(1, Ordering::SeqCst);
@@ -658,7 +658,7 @@ mod tests {
         let w = SimWorld::new();
         let m = one_core_machine(&w);
         let core = CoreId(0);
-        m.spawn_on(core, || {
+        m.spawn(core, || {
             runtime::with_current(|rt| rt.local_event_manager().set_timer(FAR, || {}));
         });
         w.drain_wake_queue();
@@ -666,7 +666,7 @@ mod tests {
             // Two events: the first leaves work pending, so the core
             // asks for a poll when it frees up, before the far one.
             for _ in 0..2 {
-                m.spawn_on(core, || ebbrt_core::clock::charge(WORK));
+                m.spawn(core, || ebbrt_core::clock::charge(WORK));
             }
             w.run_until(w.now() + 2 * WORK);
             assert_eq!(queued_poll(&w, &m, core), Some(FAR), "round {round}");

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example memcached_sim`
 
-use ebbrt_apps::mutilate::{self, ExperimentConfig};
+use ebbrt_bench::mutilate::{self, ExperimentConfig};
 use ebbrt_sim::CostProfile;
 
 fn main() {

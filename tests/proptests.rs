@@ -1,5 +1,5 @@
 //! Property-based tests over the core data-structure invariants listed
-//! in DESIGN.md §5.
+//! in docs/ARCHITECTURE.md's invariant ledger.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -170,7 +170,7 @@ mod zero_copy_props {
         let (server, _s_if) = lan.machine("server", 1, vm(), [0xAA; 6], server_ip);
         let (client_m, _c_if) =
             lan.machine("client", 1, vm(), [0xBB; 6], Ipv4Addr::new(10, 0, 0, 2));
-        server.spawn_on(CoreId(0), || {
+        server.spawn(CoreId(0), || {
             local_netif()
                 .listen(MEMCACHED_PORT, |_| Rc::new(Mute) as Rc<dyn ConnHandler>)
                 .expect("port free");
