@@ -72,8 +72,6 @@ pub struct Progress {
     pub interrupts: usize,
     /// Whether a synthetic event was dispatched.
     pub synthetic: bool,
-    /// Idle handlers that reported doing useful work.
-    pub idle_work: usize,
     /// Idle handlers invoked.
     pub idle_invoked: usize,
 }
@@ -143,7 +141,7 @@ struct EmOwned {
     local: VecDeque<EventHandler>,
     vectors: Vec<Option<Rc<dyn Fn()>>>,
     free_vectors: Vec<u32>,
-    idle: Vec<(u64, Rc<dyn Fn() -> bool>)>,
+    idle: Vec<(u64, Rc<dyn Fn()>)>,
     /// One-shot callbacks run at the next idle dispatch stage, then
     /// discarded — deferred housekeeping (the buffer-pool mailbox
     /// sweep) that must not keep the core polling afterwards.
@@ -156,7 +154,7 @@ struct EmOwned {
     /// The (empty) vector `dispatch_idle` snapshots `idle` into for a
     /// pass, and gets back afterwards: a polling core's pass clones
     /// handles, not the vector.
-    idle_spare: Vec<Rc<dyn Fn() -> bool>>,
+    idle_spare: Vec<Rc<dyn Fn()>>,
     next_idle_token: u64,
     timers: TimerWheel<EventHandler>,
     pending_handoff: Option<EventContext>,
@@ -335,11 +333,10 @@ impl EventManager {
     // --- Idle handlers --------------------------------------------------
 
     /// Registers a handler invoked whenever the core would otherwise
-    /// idle; it returns whether it performed useful work. This is the
-    /// polling primitive behind the adaptive NIC driver, which builds
-    /// each queue's handler once and registers the same `Rc` on every
-    /// switch to polling.
-    pub fn add_idle_handler(&self, f: Rc<dyn Fn() -> bool>) -> IdleToken {
+    /// idle. This is the polling primitive behind the adaptive NIC
+    /// driver, which builds each queue's handler once and registers the
+    /// same `Rc` on every switch to polling.
+    pub fn add_idle_handler(&self, f: Rc<dyn Fn()>) -> IdleToken {
         self.owned.with(|o| {
             let token = o.next_idle_token;
             o.next_idle_token += 1;
@@ -447,9 +444,7 @@ impl EventManager {
         };
         progress.synthetic = self.dispatch_one_synthetic();
         if !progress.any_priority() {
-            let (invoked, worked) = self.dispatch_idle();
-            progress.idle_invoked = invoked;
-            progress.idle_work = worked;
+            progress.idle_invoked = self.dispatch_idle();
         }
         progress
     }
@@ -522,9 +517,8 @@ impl EventManager {
         true
     }
 
-    fn dispatch_idle(&self) -> (usize, usize) {
-        // One-shot callbacks first: they run exactly once and count as
-        // useful work (they exist to move state, not to poll).
+    fn dispatch_idle(&self) -> usize {
+        // One-shot callbacks first: they run exactly once.
         // The queue is swapped for the retained spare, not taken: a
         // callback that queues another one-shot pushes onto the spare,
         // which is `idle_once` now and runs in the *next* pass. A pass
@@ -536,9 +530,9 @@ impl EventManager {
                 std::mem::replace(&mut o.idle_once, spare)
             })
         });
-        let (mut invoked, mut worked) = (0, 0);
+        let mut invoked = 0;
         if let Some(mut once) = once {
-            (invoked, worked) = (once.len(), once.len());
+            invoked = once.len();
             for h in once.drain(..) {
                 self.invoke(|| h.call(()));
                 self.stats.idle.fetch_add(1, Ordering::Relaxed);
@@ -554,19 +548,12 @@ impl EventManager {
         });
         invoked += handlers.len();
         for h in &handlers {
-            let did = {
-                let mut result = false;
-                self.invoke(|| result = h());
-                result
-            };
-            if did {
-                worked += 1;
-            }
+            self.invoke(|| h());
             self.stats.idle.fetch_add(1, Ordering::Relaxed);
         }
         handlers.clear();
         self.owned.with(|o| o.idle_spare = handlers);
-        (invoked, worked)
+        invoked
     }
 
     /// Runs one handler with event bookkeeping (in-event flag for RCU,

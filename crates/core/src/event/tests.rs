@@ -59,10 +59,7 @@ fn idle_handlers_only_when_nothing_else() {
     let _b = cpu::bind(CoreId(0));
     let idles = Rc::new(Cell::new(0));
     let i2 = Rc::clone(&idles);
-    em.add_idle_handler(Rc::new(move || {
-        i2.set(i2.get() + 1);
-        false
-    }));
+    em.add_idle_handler(Rc::new(move || i2.set(i2.get() + 1)));
     em.spawn_local(|| ());
     let p = em.run_once();
     assert!(p.synthetic);
@@ -91,7 +88,6 @@ fn idle_once_runs_once_and_does_not_turn_core_into_poller() {
     assert_eq!(hits.get(), 0, "idle stage skipped while events pend");
     let p = em.run_once();
     assert_eq!(p.idle_invoked, 1);
-    assert_eq!(p.idle_work, 1);
     assert_eq!(hits.get(), 1);
     assert!(!em.has_idle_handlers(), "consumed: the core may halt again");
     assert_eq!(em.run_once().idle_invoked, 0);
@@ -144,10 +140,7 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
     let polls = Rc::new(Cell::new(0u32));
     for _ in 0..3 {
         let p = Rc::clone(&polls);
-        em.add_idle_handler(Rc::new(move || {
-            p.set(p.get() + 1);
-            false
-        }));
+        em.add_idle_handler(Rc::new(move || p.set(p.get() + 1)));
     }
     em.run_once(); // sizes the pass's snapshot
     let before = test_alloc::thread_calls();
@@ -162,7 +155,6 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
     let t2 = Rc::clone(&token);
     token.set(Some(em.add_idle_handler(Rc::new(move || {
         em2.remove_idle_handler(t2.get().expect("registered"));
-        true
     }))));
     assert_eq!(
         (em.run_once().idle_invoked, em.run_once().idle_invoked),
@@ -174,7 +166,7 @@ fn a_polling_cores_idle_pass_calls_no_allocator() {
 fn idle_handler_remove() {
     let (em, _) = em();
     let _b = cpu::bind(CoreId(0));
-    let token = em.add_idle_handler(Rc::new(|| false));
+    let token = em.add_idle_handler(Rc::new(|| ()));
     assert!(em.has_idle_handlers());
     em.remove_idle_handler(token);
     assert!(!em.has_idle_handlers());

@@ -53,7 +53,7 @@ struct QueueState {
     /// The queue's poll hook, built once at attach and registered as
     /// the idle handler on every switch to polling. It holds the state
     /// weakly, so the state and its hook form no `Rc` cycle.
-    poll: Rc<dyn Fn() -> bool>,
+    poll: Rc<dyn Fn()>,
     /// Reusable per-queue frame vector: each drain collects its whole
     /// burst here and hands it to the stack in one `rx_burst` call.
     /// Taken (not borrowed) for the duration of a drain so re-entrant
@@ -80,7 +80,11 @@ fn setup_queue(netif: &Rc<NetIf>, q: usize) {
             polling: Cell::new(false),
             empty_streak: Cell::new(0),
             idle_token: Cell::new(None),
-            poll: Rc::new(move || weak.upgrade().is_some_and(|s| drain(&netif, &s, false) > 0)),
+            poll: Rc::new(move || {
+                if let Some(s) = weak.upgrade() {
+                    drain(&netif, &s, false);
+                }
+            }),
             burst: RefCell::new(Vec::with_capacity(RX_BURST)),
         }
     });

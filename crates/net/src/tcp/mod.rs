@@ -319,8 +319,6 @@ pub struct AckResult {
     pub window_opened: bool,
     /// Whether the retransmission queue emptied.
     pub queue_empty: bool,
-    /// Whether the ack was a pure duplicate.
-    pub duplicate: bool,
 }
 
 /// Errors from [`Pcb::send`] (the application sees them through
@@ -544,8 +542,6 @@ impl Pcb {
             self.snd_una = ack;
             self.rto_backoff = 1;
             self.unacked.drop_acked(ack);
-        } else {
-            result.duplicate = true;
         }
         self.snd_wnd = wnd as u32;
         result.queue_empty = self.unacked.is_empty();

@@ -53,16 +53,6 @@ fn ack_drops_covered_segments_only() {
 }
 
 #[test]
-fn duplicate_ack_flagged() {
-    let mut p = pcb();
-    p.record_sent(1000, 100, 0, chain(&[0; 100]));
-    p.process_ack(1100, 8000);
-    let r = p.process_ack(1100, 8000);
-    assert!(r.duplicate);
-    assert_eq!(r.acked, 0);
-}
-
-#[test]
 fn ack_beyond_snd_nxt_ignored() {
     let mut p = pcb();
     p.record_sent(1000, 100, 0, chain(&[0; 100]));

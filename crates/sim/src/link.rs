@@ -51,10 +51,20 @@ struct Port {
     /// port, so a port that keeps sending from one address (every NIC)
     /// skips the table after its first frame.
     learned: Cell<Option<Mac>>,
-    /// Loss-injection hook: frames destined to this port for which the
-    /// filter returns `true` are dropped (fault injection for tests and
-    /// retransmission experiments).
-    drop_filter: RefCell<Option<DropFilter>>,
+    faults: RefCell<Faults>,
+}
+
+/// A port's fault plan (fault injection for tests and the chaos
+/// harness). Every copy of a frame, unicast or flooded, passes
+/// [`Switch::carries`] against its source's and destination's plans.
+#[derive(Default)]
+struct Faults {
+    /// Cut off entirely: nothing in, nothing out.
+    isolated: bool,
+    /// Source ports whose frames this port does not receive.
+    refused: HashSet<usize>,
+    /// Drops every frame bound here for which it returns `true`.
+    filter: Option<DropFilter>,
 }
 
 /// A loss-injection predicate: `true` drops the frame.
@@ -67,13 +77,7 @@ pub struct Switch {
     fdb: RefCell<HashMap<Mac, usize>>,
     forwarded: Cell<u64>,
     flooded: Cell<u64>,
-    /// Directed (from, to) port pairs whose frames are dropped —
-    /// partitions and one-way loss (fault injection).
-    blocked: RefCell<HashSet<(usize, usize)>>,
-    /// Ports cut off entirely (both directions, including floods) —
-    /// the chaos harness's "machine death".
-    isolated: RefCell<HashSet<usize>>,
-    /// Frames dropped by fault injection (blocked/isolated/loss).
+    /// Frame copies dropped by a fault plan.
     faulted: Cell<u64>,
 }
 
@@ -86,8 +90,6 @@ impl Switch {
             fdb: RefCell::new(HashMap::new()),
             forwarded: Cell::new(0),
             flooded: Cell::new(0),
-            blocked: RefCell::new(HashSet::new()),
-            isolated: RefCell::new(HashSet::new()),
             faulted: Cell::new(0),
         })
     }
@@ -102,7 +104,7 @@ impl Switch {
             link,
             tx_free_at: Cell::new(0),
             learned: Cell::new(None),
-            drop_filter: RefCell::new(None),
+            faults: RefCell::default(),
         });
         drop(ports);
         // Pre-learn the NIC's own MAC so first frames need no flood.
@@ -121,66 +123,54 @@ impl Switch {
         (self.forwarded.get(), self.flooded.get())
     }
 
-    /// Frames dropped by fault injection (partitions, isolation,
-    /// drop filters).
+    /// Frame copies dropped by fault injection (isolation, one-way
+    /// blocks, drop filters).
     pub fn faulted(&self) -> u64 {
         self.faulted.get()
     }
 
+    fn plan(&self, port: usize, edit: impl FnOnce(&mut Faults)) {
+        edit(&mut self.ports.borrow()[port].faults.borrow_mut());
+    }
+
     /// Installs a loss-injection filter on `port`: frames destined to it
-    /// for which `f` returns `true` are silently dropped.
+    /// (flooded copies included) for which `f` returns `true` are
+    /// silently dropped.
     pub fn set_drop_filter(&self, port: usize, f: impl Fn(&Frame) -> bool + 'static) {
-        *self.ports.borrow()[port].drop_filter.borrow_mut() = Some(Box::new(f));
+        self.plan(port, |p| p.filter = Some(Box::new(f)));
     }
 
     /// Removes `port`'s loss-injection filter.
     pub fn clear_drop_filter(&self, port: usize) {
-        *self.ports.borrow()[port].drop_filter.borrow_mut() = None;
-    }
-
-    /// Partitions ports `a` and `b`: frames between them (either
-    /// direction, direct or flooded) are silently dropped until
-    /// [`Switch::heal`].
-    pub fn partition(&self, a: usize, b: usize) {
-        let mut blocked = self.blocked.borrow_mut();
-        blocked.insert((a, b));
-        blocked.insert((b, a));
-    }
-
-    /// Undoes [`Switch::partition`] for the pair.
-    pub fn heal(&self, a: usize, b: usize) {
-        let mut blocked = self.blocked.borrow_mut();
-        blocked.remove(&(a, b));
-        blocked.remove(&(b, a));
+        self.plan(port, |p| p.filter = None);
     }
 
     /// One-way loss: frames from `from` to `to` are dropped; the
     /// reverse direction still flows (asymmetric-partition tests).
     pub fn block_one_way(&self, from: usize, to: usize) {
-        self.blocked.borrow_mut().insert((from, to));
+        self.plan(to, |p| {
+            p.refused.insert(from);
+        });
     }
 
     /// Undoes [`Switch::block_one_way`] for the directed pair.
     pub fn heal_one_way(&self, from: usize, to: usize) {
-        self.blocked.borrow_mut().remove(&(from, to));
+        self.plan(to, |p| {
+            p.refused.remove(&from);
+        });
     }
 
     /// Cuts `port` off completely — nothing in, nothing out, floods
     /// included. The chaos harness models a machine crash this way:
     /// the NIC and its runtime survive, the network just stops.
     pub fn isolate(&self, port: usize) {
-        self.isolated.borrow_mut().insert(port);
+        self.plan(port, |p| p.isolated = true);
     }
 
     /// Reconnects an isolated port (the "restart": state intact,
     /// traffic resumes).
     pub fn restore(&self, port: usize) {
-        self.isolated.borrow_mut().remove(&port);
-    }
-
-    /// Whether `port` is currently isolated.
-    pub fn is_isolated(&self, port: usize) -> bool {
-        self.isolated.borrow().contains(&port)
+        self.plan(port, |p| p.isolated = false);
     }
 
     /// Installs a seeded probabilistic drop filter on `port`:
@@ -205,19 +195,15 @@ impl Switch {
         });
     }
 
-    /// Whether fault injection (partition/isolation) cuts `from → to`.
-    fn faulted_pair(&self, from: usize, to: usize) -> bool {
-        let isolated = self.isolated.borrow();
-        isolated.contains(&from)
-            || isolated.contains(&to)
-            || self.blocked.borrow().contains(&(from, to))
-    }
-
-    /// Returns whether the drop filter on `port` claims this frame.
-    fn should_drop(&self, port: usize, frame: &Frame) -> bool {
+    /// Whether the fault plans let a copy of `frame` go `from → to`.
+    /// The destination's filter sees only copies no other fault took.
+    fn carries(&self, from: usize, to: usize, frame: &Frame) -> bool {
         let ports = self.ports.borrow();
-        let filter = ports[port].drop_filter.borrow();
-        filter.as_ref().is_some_and(|f| f(frame))
+        let dst = ports[to].faults.borrow();
+        !(ports[from].faults.borrow().isolated
+            || dst.isolated
+            || dst.refused.contains(&from)
+            || dst.filter.as_ref().is_some_and(|f| f(frame)))
     }
 
     /// Records that `mac` is reached through `port`. The table is
@@ -268,35 +254,27 @@ impl Switch {
                 self.fdb.borrow().get(&d).copied()
             }
         });
-        match dst {
-            Some(port) if port != from => {
-                if self.faulted_pair(from, port) {
-                    self.faulted.set(self.faulted.get() + 1);
-                    return;
-                }
-                if self.should_drop(port, &frame) {
-                    self.faulted.set(self.faulted.get() + 1);
-                    return;
-                }
-                self.forwarded.set(self.forwarded.get() + 1);
-                world.schedule_delivery(depart + latency, self, port, frame);
-            }
-            Some(_) => { /* destined to sender itself: drop */ }
+        // A known address gets the frame itself (none if it is the
+        // sender's own); an unknown or broadcast one floods a copy to
+        // every other port, in port order (chain clones share storage:
+        // descriptors, not bytes). Every copy passes the fault plans.
+        let targets = match dst {
+            Some(port) => port..port + 1,
             None => {
-                // Unknown or broadcast: flood to every other port.
                 self.flooded.set(self.flooded.get() + 1);
-                let nports = self.ports.borrow().len();
-                // Split the chain per destination (shares storage).
-                for port in (0..nports).filter(|&p| p != from) {
-                    if self.faulted_pair(from, port) {
-                        self.faulted.set(self.faulted.get() + 1);
-                        continue;
-                    }
-                    // Chain clone shares storage: flooding copies
-                    // descriptors, not bytes.
-                    let copy = Frame::new(frame.data.clone());
-                    world.schedule_delivery(depart + latency, self, port, copy);
-                }
+                0..self.ports.borrow().len()
+            }
+        };
+        for to in targets.filter(|&to| to != from) {
+            if !self.carries(from, to, &frame) {
+                self.faulted.set(self.faulted.get() + 1);
+            } else if dst.is_none() {
+                let copy = Frame::new(frame.data.clone());
+                world.schedule_delivery(depart + latency, self, to, copy);
+            } else {
+                self.forwarded.set(self.forwarded.get() + 1);
+                world.schedule_delivery(depart + latency, self, to, frame);
+                return;
             }
         }
     }
@@ -408,7 +386,9 @@ mod tests {
         sw.attach(&a, LinkParams::default());
         sw.attach(&b, LinkParams::default());
 
-        sw.partition(0, 1);
+        // A partition is a one-way block in each direction.
+        sw.block_one_way(0, 1);
+        sw.block_one_way(1, 0);
         a.transmit(frame([2; 6], [1; 6], 50));
         b.transmit(frame([1; 6], [2; 6], 50));
         w.run_to_idle();
@@ -416,7 +396,8 @@ mod tests {
         assert_eq!(b.rx_len(0), 0);
         assert_eq!(sw.faulted(), 2);
 
-        sw.heal(0, 1);
+        sw.heal_one_way(0, 1);
+        sw.heal_one_way(1, 0);
         a.transmit(frame([2; 6], [1; 6], 50));
         b.transmit(frame([1; 6], [2; 6], 50));
         w.run_to_idle();
@@ -455,7 +436,6 @@ mod tests {
             sw.attach(n, LinkParams::default());
         }
         sw.isolate(2);
-        assert!(sw.is_isolated(2));
         // Broadcast from 0: flood reaches 1 but not the isolated 2.
         nics[0].transmit(frame([0xff; 6], [1; 6], 60));
         // Direct frames to and from the isolated port vanish.
@@ -467,7 +447,6 @@ mod tests {
         assert_eq!(nics[0].rx_len(0), 0);
 
         sw.restore(2);
-        assert!(!sw.is_isolated(2));
         nics[1].transmit(frame([3; 6], [2; 6], 60));
         w.run_to_idle();
         assert_eq!(nics[2].rx_len(0), 1);
@@ -497,6 +476,22 @@ mod tests {
             "25 % loss delivered {delivered}/400"
         );
         assert_ne!(delivered, run(43), "different seed, different pattern");
+    }
+
+    #[test]
+    fn a_drop_filter_sees_flooded_copies() {
+        let w = SimWorld::new();
+        let sw = Switch::new(&w);
+        let nics: Vec<_> = (0..3u8).map(|i| SimNic::new([i + 1; 6], 1)).collect();
+        for n in &nics {
+            sw.attach(n, LinkParams::default());
+        }
+        sw.set_drop_filter(2, |_| true);
+        nics[0].transmit(frame([0xff; 6], [1; 6], 60));
+        w.run_to_idle();
+        assert_eq!(nics[1].rx_len(0), 1);
+        assert_eq!(nics[2].rx_len(0), 0, "port 2's filter drops its copy");
+        assert_eq!(sw.faulted(), 1);
     }
 
     #[test]
