@@ -76,6 +76,23 @@ impl MutIoBuf {
         Self::over(RegionRef::alloc(cap), headroom, 0, cap)
     }
 
+    /// Creates an empty buffer with `headroom` bytes in front of it in a
+    /// [`pool::SizeClass::HEADER`] region — the one way into that class:
+    /// a frame that is only headers, prepended into the headroom, with
+    /// any payload linked behind it by descriptor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `headroom` exceeds [`pool::HEADER_CAPACITY`].
+    pub fn header(headroom: usize) -> Self {
+        Self::over(
+            pool::acquire(pool::SizeClass::HEADER),
+            headroom,
+            0,
+            headroom,
+        )
+    }
+
     /// Wraps an owned vector; the view covers the whole vector. The
     /// storage never recycles (it is exact-size, not pool-shaped), and
     /// the caller's allocation is counted by

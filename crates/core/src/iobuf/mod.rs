@@ -21,12 +21,14 @@
 //!   per-core free lists in one table of *size classes* — a
 //!   [`pool::SizeClass::SMALL`] class for MTU-sized frames and header
 //!   buffers, a [`pool::SizeClass::LARGE`] class for jumbo frames and
-//!   multi-kilobyte message staging, and twenty small *value classes*
-//!   (16-byte steps to 128 B, then four steps per doubling to 1 KiB) —
-//!   instead of being allocated and zero-filled per packet. A buffer
-//!   that is appended to is routed by requested length
+//!   multi-kilobyte message staging, twenty small *value classes*
+//!   (16-byte steps to 128 B, then four steps per doubling to 1 KiB)
+//!   and a 128-byte [`pool::SizeClass::HEADER`] class for a frame that
+//!   is all header — instead of being allocated and zero-filled per
+//!   packet. A buffer that is appended to is routed by requested length
 //!   ([`pool::class_for`]) to `SMALL` or `LARGE`; only requests beyond
 //!   the largest class fall back to exact-size one-shot allocations.
+//!   `HEADER` is taken only on request ([`MutIoBuf::header`]).
 //!   [`Chain::compact`], whose length is known up front, copies into
 //!   the smallest value class that fits ([`pool::value_class_for`]),
 //!   or an exact-size region beyond 1 KiB; a chain already in such a

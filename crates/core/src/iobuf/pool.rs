@@ -25,13 +25,18 @@
 //! ([`SizeClass`]), kept as one capacity table: a
 //! [`SizeClass::SMALL`] class sized for an MTU frame plus header room,
 //! a [`SizeClass::LARGE`] class for jumbo frames and multi-kilobyte
-//! message staging, and [`NUM_VALUE_CLASSES`] **value classes** — 16-byte
+//! message staging, [`NUM_VALUE_CLASSES`] **value classes** — 16-byte
 //! steps up to 128 B, then four steps per doubling up to
-//! [`MAX_VALUE_CAPACITY`] (§3.4's slab caches). A buffer that is
-//! appended to is routed by requested length ([`class_for`]) to
-//! `SMALL` or `LARGE`; only requests beyond [`LARGE_CAPACITY`] fall
-//! back to exact-size one-shot allocations (counted by
+//! [`MAX_VALUE_CAPACITY`] (§3.4's slab caches) — and a
+//! [`SizeClass::HEADER`] class of [`HEADER_CAPACITY`] bytes for a frame
+//! that is all header. A buffer that is appended to is routed by
+//! requested length ([`class_for`]) to `SMALL` or `LARGE`; only
+//! requests beyond [`LARGE_CAPACITY`] fall back to exact-size one-shot
+//! allocations (counted by
 //! [`Snapshot::oversize_allocs`](super::stats::Snapshot::oversize_allocs)).
+//! `HEADER` is opt-in: only [`MutIoBuf::header`](super::MutIoBuf::header)
+//! takes from it, and the stack calls that for the segments that open
+//! and end a connection (SYN, FIN, RST).
 //! A value whose length is known when it is made —
 //! [`Chain::compact`](super::Chain::compact)'s gathered copy, the form
 //! a small value is stored in — takes a region of the smallest value
@@ -65,8 +70,9 @@ use crate::runtime::{self, Runtime};
 use std::sync::{Arc, Mutex};
 
 /// Capacity of a [`SizeClass::SMALL`] region: one Ethernet MTU
-/// plus header and alignment room. Covers frames, header buffers,
-/// and typical small application payload buffers.
+/// plus header and alignment room. Covers frames, the header buffers
+/// of data segments and bare ACKs, and typical small application
+/// payload buffers.
 pub const SMALL_CAPACITY: usize = 2048;
 
 /// Capacity of a [`SizeClass::LARGE`] region: jumbo frames and
@@ -87,9 +93,15 @@ const VALUE_CAPACITIES: [usize; NUM_VALUE_CLASSES] = [
 /// gathered into an exact-size region instead.
 pub const MAX_VALUE_CAPACITY: usize = VALUE_CAPACITIES[NUM_VALUE_CLASSES - 1];
 
+/// Capacity of a [`SizeClass::HEADER`] region: an Ethernet, IPv4 and
+/// TCP header plus options room (62 B in the network stack), rounded
+/// up.
+pub const HEADER_CAPACITY: usize = 128;
+
 /// Number of pooled size classes: [`SizeClass::SMALL`],
-/// [`SizeClass::LARGE`] and the [`NUM_VALUE_CLASSES`] value classes.
-pub const NUM_CLASSES: usize = 2 + NUM_VALUE_CLASSES;
+/// [`SizeClass::LARGE`], the [`NUM_VALUE_CLASSES`] value classes and
+/// [`SizeClass::HEADER`].
+pub const NUM_CLASSES: usize = 3 + NUM_VALUE_CLASSES;
 
 /// What one class is: its region capacity, its caches' watermark and
 /// batch, and the mailbox occupancy that arms the idle sweep.
@@ -102,10 +114,13 @@ struct ClassSpec {
 }
 
 /// The one class table, indexed by [`SizeClass::index`]: `SMALL`,
-/// `LARGE`, then the value classes ([`VALUE_CAPACITIES`]). A value
-/// class never arms the idle sweep: a value another machine dropped
-/// last waits in its home mailbox for the home core's next compaction
-/// of that class.
+/// `LARGE`, the value classes ([`VALUE_CAPACITIES`]), then `HEADER`.
+/// A value class never arms the idle sweep: a value another machine
+/// dropped last waits in its home mailbox for the home core's next
+/// compaction of that class. Neither does `HEADER`, which has
+/// `SMALL`'s watermark and batch: its regions wait for the home core's
+/// next dry acquire, so a handshake frame dropped on the peer adds no
+/// event on its home machine.
 const CLASSES: [ClassSpec; NUM_CLASSES] = {
     let value = ClassSpec {
         capacity: 0,
@@ -131,6 +146,11 @@ const CLASSES: [ClassSpec; NUM_CLASSES] = {
         table[2 + i].capacity = VALUE_CAPACITIES[i];
         i += 1;
     }
+    table[2 + NUM_VALUE_CLASSES] = ClassSpec {
+        capacity: HEADER_CAPACITY,
+        sweep_low_water: usize::MAX,
+        ..table[0]
+    };
     table
 };
 
@@ -140,17 +160,23 @@ const CLASSES: [ClassSpec; NUM_CLASSES] = {
 /// routed by [`class_for`] to [`SizeClass::SMALL`] or
 /// [`SizeClass::LARGE`]; a value whose length is known when it is
 /// gathered goes to the smallest value class that fits it
-/// ([`value_class_for`]).
+/// ([`value_class_for`]); [`SizeClass::HEADER`] is reached only by
+/// asking for it ([`MutIoBuf::header`](super::MutIoBuf::header)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SizeClass(u8);
 
 impl SizeClass {
-    /// [`SMALL_CAPACITY`]-byte regions (frames, headers).
+    /// [`SMALL_CAPACITY`]-byte regions (frames, data-segment headers).
     pub const SMALL: SizeClass = SizeClass(0);
 
     /// [`LARGE_CAPACITY`]-byte regions (jumbo frames, large
     /// values).
     pub const LARGE: SizeClass = SizeClass(1);
+
+    /// [`HEADER_CAPACITY`]-byte regions: a frame that is only headers
+    /// (a TCP SYN, FIN or RST). After the value classes, so their
+    /// indices are `2 + i`.
+    pub const HEADER: SizeClass = SizeClass(2 + NUM_VALUE_CLASSES as u8);
 
     /// All classes, in index order.
     pub const ALL: [SizeClass; NUM_CLASSES] = {
@@ -194,7 +220,7 @@ impl SizeClass {
     /// a one-shot idle callback is queued on that core so an idle
     /// machine returns them to its depot instead of pinning them
     /// until the core's next dry allocation. `usize::MAX` (never) for
-    /// the value classes.
+    /// the value classes and `HEADER`.
     #[inline]
     pub fn sweep_low_water(self) -> usize {
         CLASSES[self.index()].sweep_low_water
@@ -465,7 +491,8 @@ fn schedule_idle_sweep(home: &Arc<PoolRoot>, home_core: CoreId) {
 }
 
 /// Drains `core`'s remote-free mailboxes (every class that arms the
-/// sweep; a value class's mailbox waits for the next compaction): the
+/// sweep; a value class's or `HEADER`'s mailbox waits for the next dry
+/// acquire of that class): the
 /// home core's free list is topped up to one refill batch (cache-warm
 /// for its next burst — a sweep must never leave the owner worse
 /// off than the lazy drain it replaces), and the excess goes to

@@ -356,6 +356,55 @@ fn idle_sweep_returns_mailbox_regions_to_depot() {
 }
 
 #[test]
+fn a_header_region_freed_away_waits_in_its_home_mailbox_for_a_dry_acquire() {
+    use crate::runtime;
+    let home = test_runtime(1);
+    let away = test_runtime(1);
+    let class = SizeClass::HEADER;
+    assert_eq!(class.capacity(), pool::HEADER_CAPACITY);
+    assert_eq!(
+        class.index(),
+        2 + pool::NUM_VALUE_CLASSES,
+        "after the value classes"
+    );
+    // Twice what arms `SMALL`'s sweep.
+    let n = 2 * SizeClass::SMALL.sweep_low_water();
+    let bufs: Vec<IoBuf> = {
+        let _g = runtime::enter(Arc::clone(&home), CoreId(0));
+        (0..n)
+            .map(|_| MutIoBuf::header(pool::HEADER_CAPACITY).freeze())
+            .collect()
+    };
+    assert!(bufs.iter().all(|b| b.region_len() == pool::HEADER_CAPACITY));
+    let home_root = home
+        .ebbs()
+        .root::<pool::PoolEbb>(crate::ebb::SystemEbb::BufferPool.id())
+        .expect("home pool root");
+    {
+        let _g = runtime::enter(Arc::clone(&away), CoreId(0));
+        drop(bufs);
+    }
+    assert_eq!(home_root.mailbox_len(class), n);
+    {
+        let _g = runtime::enter(Arc::clone(&home), CoreId(0));
+        let em = home.event_manager(CoreId(0));
+        em.drain();
+        assert!(!em.has_idle_handlers(), "the frees armed no sweep");
+        pool::sweep_mailboxes_to_depot(&home_root, CoreId(0));
+    }
+    assert_eq!(home_root.mailbox_len(class), n, "a sweep leaves them");
+    assert_eq!(home_root.depot_len(class), 0);
+    // The home core's next dry acquire takes them all.
+    let _g = runtime::enter(Arc::clone(&home), CoreId(0));
+    let allocs0 = stats::snapshot().bufs_allocated;
+    let again = MutIoBuf::header(pool::HEADER_CAPACITY);
+    assert_eq!(again.size_class(), Some(class));
+    assert_eq!(stats::snapshot().bufs_allocated, allocs0, "no fresh region");
+    assert_eq!(home_root.mailbox_len(class), 0);
+    assert_eq!(pool::local_free(class), n - 1);
+}
+
+#[test]
 fn recycle_sweep_recycle_keeps_the_mailbox_vectors() {
     use crate::runtime;
     // Home is this thread's ambient pool: with no event loop it arms no

@@ -35,7 +35,7 @@ use crate::stats::{NetStats, BURST_BUCKETS};
 use crate::syncache::{Room, SynCache};
 use crate::tcp::{self, FourTuple, Outcome, Pcb, SegOut, Segment, TcpIo, TcpState, Timer};
 use crate::types::{Ipv4Addr, Mac, MAC_BROADCAST};
-use crate::wire::{self, EthHeader, Ipv4Header, TcpHeader};
+use crate::wire::{self, tcp_flags, EthHeader, Ipv4Header, TcpHeader};
 
 pub use crate::ebb::{local_netif, netif_ref, try_local_netif, NetIfEbb};
 pub use crate::qos_policy::{QosMatch, QosPolicy};
@@ -56,6 +56,12 @@ pub trait ConnHandler {
     /// Acknowledgments opened usable send window.
     fn on_window_open(&self, _conn: &TcpConn) {}
     /// The peer closed (FIN) or the connection reset/terminated.
+    ///
+    /// Heard at most once on the passive-close path: once the peer's FIN
+    /// has been delivered here and the application's own `close` has
+    /// gone out (LastAck), the stack drops its reference to the handler
+    /// and a later reset reaches no one. The stack keeps no handler of a
+    /// connection closed in both directions.
     fn on_close(&self, _conn: &TcpConn) {}
 }
 
@@ -163,10 +169,12 @@ impl TcpConn {
 }
 
 /// Placeholder handler installed between PCB insertion and the
-/// listener's `accept` returning the real one. `accept` runs
+/// listener's `accept` returning the real one, and in place of the
+/// application's once a connection reaches LastAck (both directions
+/// closed, only the ACK of our FIN outstanding). `accept` runs
 /// synchronously on the same core, so no segment can be delivered in
-/// that window — these callbacks are unreachable in practice and
-/// harmless no-ops if ever reached.
+/// the first window; in the second only a reset can arrive, and the
+/// application has already heard `on_close`.
 struct PendingHandler;
 
 impl ConnHandler for PendingHandler {
@@ -221,7 +229,8 @@ pub struct NetIf {
     /// holding each connection's PCB and handler in one pointer-stable
     /// slot.
     conns: RefCell<ConnSlab<Conn>>,
-    /// The handler a connection carries while `accept` builds its own.
+    /// The handler a connection carries while `accept` builds its own,
+    /// and once it is in LastAck.
     pending_handler: Rc<dyn ConnHandler>,
     listeners: RefCell<HashMap<u16, AcceptFn>>,
     /// UDP demux. Borrow discipline: `rx_udp` clones the handler `Rc`
@@ -782,7 +791,11 @@ impl NetIf {
     /// `on_close`. Then the ACK decision — the application's reply has
     /// had its chance to carry the ACK — and the one teardown: a PCB
     /// left Closed is cleaned up, and if the network rather than the
-    /// application ended it the handler hears `on_close`.
+    /// application ended it the handler hears `on_close`. A PCB left in
+    /// LastAck has delivered the peer's FIN and sent ours, so the
+    /// application has nothing more to hear: the entry drops its
+    /// handler for the shared placeholder, and a reset that ends LastAck
+    /// calls no second `on_close`.
     fn drive(self: &Rc<Self>, id: u64, f: impl FnOnce(&mut Pcb, &mut ConnIo<'_>) -> Outcome) {
         let Some(entry) = self.conn(id) else { return };
         let mut io = ConnIo { netif: self, id };
@@ -820,6 +833,9 @@ impl NetIf {
         // down: a nested call has done the cleanup.
         let closed = entry.borrow_mut().is_none_or(|mut c| {
             c.pcb.flush_ack(&mut io);
+            if c.pcb.state() == TcpState::LastAck {
+                c.handler = Rc::clone(&self.pending_handler);
+            }
             c.pcb.is_closed()
         });
         if closed {
@@ -842,10 +858,17 @@ impl NetIf {
         .unwrap_or(Err(SendError::NotConnected))
     }
 
-    /// Builds and transmits one TCP segment.
+    /// Builds and transmits one TCP segment. A segment that opens or
+    /// ends a connection (SYN, FIN, RST) builds its headers in a
+    /// header-sized region; data segments and bare ACKs keep `SMALL`.
     #[inline]
     fn tcp_emit(&self, out: SegOut) {
-        let mut hdr = MutIoBuf::with_headroom(0, wire::HEADROOM);
+        const OPEN_OR_END: u8 = tcp_flags::SYN | tcp_flags::FIN | tcp_flags::RST;
+        let mut hdr = if out.flags & OPEN_OR_END != 0 {
+            MutIoBuf::header(wire::HEADROOM)
+        } else {
+            MutIoBuf::with_headroom(0, wire::HEADROOM)
+        };
         let id = self.ip_id.get();
         self.ip_id.set(id.wrapping_add(1));
         wire::push_tcp_frame(

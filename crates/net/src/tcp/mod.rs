@@ -665,6 +665,16 @@ impl Pcb {
                 }
                 TcpState::SynReceived => {
                     if hdr.flags & tcp_flags::ACK != 0 {
+                        // SND.UNA < SEG.ACK <= SND.NXT, or the ACK is
+                        // refused with an RST and the embryo stays
+                        // (RFC 9293 §3.10.7.4).
+                        if !(seq::lt(self.snd_una, hdr.ack) && seq::le(hdr.ack, self.snd_nxt)) {
+                            io.emit(
+                                rst_reply(self.tuple, self.remote_mac, &hdr)
+                                    .expect("an RST ended the run above"),
+                            );
+                            continue;
+                        }
                         self.process_ack(hdr.ack, hdr.window);
                         self.state = TcpState::Established;
                         out.established = true;

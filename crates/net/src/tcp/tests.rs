@@ -430,6 +430,8 @@ const TRANSITIONS: &[Row] = &[
     (SynReceived, Stim::Seg(ACK, b""), Established, Some(&[]), "EM", b""),
     (SynReceived, Stim::Seg(ACK | PSH, b"hi"), Established, Some(&[]), "EM", b"hi"),
     (SynReceived, Stim::SegNoAck(SYN, b""), SynReceived, Some(&[]), "", b""),
+    // An ACK of nothing we sent is refused, and the embryo stays.
+    (SynReceived, Stim::SegNoAck(ACK, b""), SynReceived, Some(&[(RST | ACK, 0)]), "", b""),
     (SynReceived, Stim::Fire(Timer::Rto), SynReceived, Some(&[(SYN | ACK, 0)]), "T", b""),
     (SynReceived, Stim::Close, FinWait1, Some(&[(FIN | ACK, 0)]), "", b""),
     (SynReceived, Stim::ConnectFailed, SynReceived, Some(&[]), "", b""),
