@@ -8,7 +8,7 @@
 //! receive chain as descriptor sub-views, and replies chain a pooled
 //! header segment in front of whatever descriptors the caller hands in.
 
-use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{Chain, FramePeek, IoBuf, MutIoBuf};
 use ebbrt_core::qos::Counter;
 
 /// The memcached service port.
@@ -53,22 +53,6 @@ pub const MAX_KEY_LEN: usize = 250;
 /// header lands, so a connection never parks more than
 /// `Header::SIZE + MAX_BODY_LEN` bytes waiting for a body.
 pub const MAX_BODY_LEN: usize = (1 << 20) + MAX_KEY_LEN + u8::MAX as usize;
-
-/// A stored value at most this fraction of its pinned backing-region
-/// bytes is compacted into a buffer of its value class on SET (see
-/// [`Chain::compact`](ebbrt_core::iobuf::Chain::compact)): a tiny value
-/// held as a zero-copy sub-view would otherwise pin whole (possibly
-/// pooled) receive regions for the life of the key, starving the
-/// buffer pool. Larger values stay zero-copy. The same factor gates
-/// compaction of a fragmented per-connection backlog.
-pub const SET_COMPACT_FACTOR: usize = 4;
-
-/// Backlog segment count past which fragmentation is checked: a peer
-/// trickling a large request a few bytes per packet would otherwise
-/// pin one receive region per packet until the request completes.
-/// Well-formed pipelined traffic (MSS-sized segments) stays far below
-/// this.
-pub const PENDING_COMPACT_SEGS: usize = 64;
 
 /// Counter-registry name of the framing errors a machine has seen
 /// (either direction); each one aborted its connection.
@@ -185,12 +169,21 @@ impl Header {
         self.extras_len as usize + self.key_len as usize
     }
 
-    /// Reads the header at the front of `stream`, if 24 bytes are
-    /// there.
-    fn peek(stream: &Chain<IoBuf>) -> Option<Header> {
+    /// Reads the header at the front of `stream` once 24 bytes are
+    /// there, for [`Chain::next_frame`]: a [`BadFrame`] unless it
+    /// carries `magic`, claims at most [`MAX_BODY_LEN`] body bytes and
+    /// fits its extras and key in them.
+    fn peek(stream: &Chain<IoBuf>, magic: u8) -> FramePeek<Header, BadFrame> {
         let mut b = [0u8; Header::SIZE];
-        stream.cursor().read_exact(&mut b)?;
-        Some(Header::decode(&b))
+        if stream.cursor().read_exact(&mut b).is_none() {
+            return Ok(None);
+        }
+        let h = Header::decode(&b);
+        let body_len = h.total_body as usize;
+        if h.magic != magic || body_len > MAX_BODY_LEN || h.value_offset() > body_len {
+            return Err(BadFrame::counted());
+        }
+        Ok(Some((h, Header::SIZE, body_len)))
     }
 }
 
@@ -230,11 +223,12 @@ impl BadFrame {
 }
 
 /// Appends `data` to a connection's unframed backlog and drains every
-/// complete frame in it, handing `(header, body)` to `each` (the body
-/// carved zero-copy out of the receive chain). `magic` is the one this
-/// direction carries: [`MAGIC_REQUEST`] on a server connection,
-/// [`MAGIC_RESPONSE`] on a client's. The one framing state machine
-/// behind the plain server, the sharded server and the client.
+/// complete frame in it ([`Chain::next_frame`]), handing `(header,
+/// body)` to `each` (the body carved zero-copy out of the receive
+/// chain). `magic` is the one this direction carries: [`MAGIC_REQUEST`]
+/// on a server connection, [`MAGIC_RESPONSE`] on a client's. The one
+/// framing loop behind the plain server, the sharded server and the
+/// client.
 ///
 /// A header that fails validation is a [`BadFrame`]: the backlog is
 /// dropped, the error counted, and nothing further is framed.
@@ -245,18 +239,8 @@ pub fn drain_frames(
     mut each: impl FnMut(&Header, Chain<IoBuf>),
 ) -> Result<(), BadFrame> {
     pending.append_chain(data);
-    pending.compact_if_amplified(PENDING_COMPACT_SEGS, SET_COMPACT_FACTOR);
-    while let Some(h) = Header::peek(pending) {
-        let body_len = h.total_body as usize;
-        if h.magic != magic || body_len > MAX_BODY_LEN || h.value_offset() > body_len {
-            *pending = Chain::new();
-            return Err(BadFrame::counted());
-        }
-        if pending.len() < Header::SIZE + body_len {
-            break;
-        }
-        pending.advance(Header::SIZE);
-        each(&h, pending.split_to(body_len));
+    while let Some((h, body)) = pending.next_frame(|p| Header::peek(p, magic))? {
+        each(&h, body);
     }
     Ok(())
 }

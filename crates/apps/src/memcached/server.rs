@@ -20,8 +20,7 @@ use ebbrt_net::qos_policy::ClassCounters;
 
 use super::codec::{
     drain_frames, push_hit, push_status, BadFrame, Header, KeyBuf, MAGIC_REQUEST, MEMCACHED_PORT,
-    OP_GET, OP_SET, SET_COMPACT_FACTOR, STATUS_KEY_NOT_FOUND, STATUS_OK, STATUS_SERVER_BUSY,
-    STATUS_UNKNOWN_COMMAND,
+    OP_GET, OP_SET, STATUS_KEY_NOT_FOUND, STATUS_OK, STATUS_SERVER_BUSY, STATUS_UNKNOWN_COMMAND,
 };
 
 /// The shared store: an RCU hash table from key to value. GETs are
@@ -132,18 +131,20 @@ impl Store {
 
 /// The form a value that arrived as a view of receive buffers is stored
 /// in: the view itself (zero-copy) — unless it is small relative to the
-/// regions it would pin ([`SET_COMPACT_FACTOR`]), in which case it is
-/// copied once ([`Chain::compact`]) into a pooled region of the
-/// smallest value class that fits (16-byte steps to 128 B, then four
-/// per doubling to 1 KiB; exact-size beyond), so stored keys can't
-/// starve the receive-buffer pool. A value already in such a region —
-/// the fan-out's view of the fronting replica's copy — is kept as it
-/// is. A replaced value's region returns to the freeing core's list
-/// after its RCU grace period, and the next SET of that class takes
-/// it. The one rule for every way a value reaches a store: a client
-/// SET, a function-shipped SET, a replication fan-out, a re-sync page.
+/// regions it would pin
+/// ([`AMPLIFICATION_FACTOR`](ebbrt_core::iobuf::AMPLIFICATION_FACTOR)),
+/// in which case it is copied once ([`Chain::compact`]) into a pooled
+/// region of the smallest value class that fits (16-byte steps to
+/// 128 B, then four per doubling to 1 KiB; exact-size beyond), so
+/// stored keys can't starve the receive-buffer pool. A value already in
+/// such a region — the fan-out's view of the fronting replica's copy —
+/// is kept as it is. A replaced value's region returns to the freeing
+/// core's list after its RCU grace period, and the next SET of that
+/// class takes it. The one rule for every way a value reaches a store:
+/// a client SET, a function-shipped SET, a replication fan-out, a
+/// re-sync page.
 pub fn at_rest(mut value: Chain<IoBuf>) -> Chain<IoBuf> {
-    value.compact_if_amplified(0, SET_COMPACT_FACTOR);
+    value.compact_if_amplified();
     value
 }
 

@@ -13,11 +13,12 @@
 //! experiment. The client is a wrk-style closed-loop generator.
 
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use ebbrt_core::clock::{charge, Ns};
 use ebbrt_core::cpu::CoreId;
-use ebbrt_core::iobuf::{Buf, Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{Buf, Chain, FramePeek, IoBuf, MutIoBuf};
 use ebbrt_net::netif::{local_netif, ConnHandler, TcpConn};
 use ebbrt_net::types::Ipv4Addr;
 use ebbrt_sim::{CostProfile, Lan};
@@ -78,44 +79,35 @@ struct HttpServerConn {
     demand_paging: bool,
 }
 
-/// Backlog fragmentation gate (same policy as memcached's): a peer
-/// trickling a request a few bytes per packet must not pin one receive
-/// region per packet.
-const PENDING_COMPACT_SEGS: usize = 64;
-const PENDING_COMPACT_FACTOR: usize = 4;
+/// The request at the front of `pending`, for [`Chain::next_frame`]:
+/// everything up to and including its `\r\n\r\n` terminator is its
+/// header, and it has no body. Scanned in place at slice speed; the
+/// 4-state matcher carries across segment boundaries (no reassembly
+/// copy).
+fn peek_request(pending: &Chain<IoBuf>) -> FramePeek<(), Infallible> {
+    let mut matched = 0u8;
+    let mut offset = 0usize;
+    for seg in pending {
+        for &b in seg.bytes() {
+            offset += 1;
+            matched = match (matched, b) {
+                (0, b'\r') => 1,
+                (1, b'\n') => 2,
+                (2, b'\r') => 3,
+                (3, b'\n') => return Ok(Some(((), offset, 0))),
+                (_, b'\r') => 1,
+                _ => 0,
+            };
+        }
+    }
+    Ok(None)
+}
 
 impl ConnHandler for HttpServerConn {
     fn on_receive(&self, conn: &TcpConn, data: Chain<IoBuf>) {
         let mut pending = self.pending.borrow_mut();
         pending.append_chain(data);
-        pending.compact_if_amplified(PENDING_COMPACT_SEGS, PENDING_COMPACT_FACTOR);
-        // One request per "\r\n\r\n" terminator, scanned in place at
-        // slice speed; the 4-state matcher carries across segment
-        // boundaries (no reassembly copy).
-        let mut responses = 0usize;
-        let mut consumed = 0usize;
-        {
-            let mut matched = 0u8;
-            let mut offset = 0usize;
-            for seg in pending.iter() {
-                for &b in seg.bytes() {
-                    offset += 1;
-                    matched = match (matched, b) {
-                        (0, b'\r') => 1,
-                        (1, b'\n') => 2,
-                        (2, b'\r') => 3,
-                        (3, b'\n') => {
-                            responses += 1;
-                            consumed = offset;
-                            0
-                        }
-                        (_, b'\r') => 1,
-                        _ => 0,
-                    };
-                }
-            }
-        }
-        pending.advance(consumed);
+        let responses = std::iter::from_fn(|| pending.next_frame(peek_request).ok()?).count();
         drop(pending);
         if responses > 0 {
             charge(JS_HANDLER_NS * responses as u64);

@@ -326,7 +326,7 @@ fn a_warmed_connect_get_close_lifecycle_stays_under_the_allocator_ceiling() {
     assert!(
         s_if.conn_count() > MEASURED as usize,
         "the server's closed connections are still waiting out LastAck: this asserts a \
-         known bug, the missing final ACK (ROADMAP direction 4(b)); fixing it flips this \
+         known bug, the missing final ACK (ROADMAP `[tcp]` (a)); fixing it flips this \
          assertion"
     );
     assert!(

@@ -28,6 +28,27 @@ pub const INLINE_SEGS: usize = 4;
 /// exactly before degrading to an upper bound.
 pub const PINNED_DEDUP_REGIONS: usize = 32;
 
+/// How many times its logical length a long-lived chain may pin before
+/// [`Chain::compact_if_amplified`] copies it out: a value at rest, or
+/// what a backlog holds once [`Chain::next_frame`] has peeled every
+/// complete frame off it. A tiny value held as a view would pin whole
+/// (possibly pooled) receive regions for as long as it is kept; larger
+/// ones stay zero-copy.
+pub const AMPLIFICATION_FACTOR: usize = 4;
+
+/// Segments a backlog holds before [`Chain::next_frame`] checks it for
+/// amplification: a peer trickling a request a few bytes per packet
+/// would otherwise pin one receive region per packet until the request
+/// completes. What framing leaves behind in well-formed traffic (one
+/// partial frame) stays far below this.
+const BACKLOG_SEGS: usize = 64;
+
+/// What a framing `peek` makes of the header at the front of a backlog
+/// ([`Chain::next_frame`]): `Ok(Some((meta, header_len, body_len)))`
+/// once it is readable, `Ok(None)` before, `Err` for a stream that has
+/// stopped being frames.
+pub type FramePeek<M, E> = Result<Option<(M, usize, usize)>, E>;
+
 /// Spines one thread keeps for reuse: the smallest count at which
 /// `perf_ledger`'s workloads stop missing (with 8, `get_pipe` still
 /// makes 0.066 allocator calls per request; with 16, 0.005). All of a
@@ -585,18 +606,43 @@ impl Chain<IoBuf> {
         }
     }
 
-    /// [`compact`](Chain::compact)s the chain when it holds at least
-    /// `max_segs` segments *and* pins more than `factor`× its logical
-    /// bytes — the anti-amplification gate long-lived backlogs apply
-    /// after appending received data (a peer trickling a request a few
-    /// bytes per packet must not pin a receive region per packet).
-    /// Returns whether the gate called [`compact`](Chain::compact).
-    pub fn compact_if_amplified(&mut self, max_segs: usize, factor: usize) -> bool {
-        if self.segment_count() >= max_segs && self.pinned_bytes() > self.total * factor {
+    /// [`compact`](Chain::compact)s the chain when it pins more than
+    /// [`AMPLIFICATION_FACTOR`]× its logical bytes.
+    pub fn compact_if_amplified(&mut self) {
+        if self.pinned_bytes() > self.total * AMPLIFICATION_FACTOR {
             self.compact();
-            true
-        } else {
-            false
+        }
+    }
+
+    /// Takes the next complete frame off the front of a receive
+    /// backlog: the one framing step of every byte stream. `peek` reads
+    /// the header at the front ([`FramePeek`]).
+    ///
+    /// A frame that is all here is taken: its `header_len` bytes are
+    /// dropped and its body split off zero-copy, `Ok(Some((meta,
+    /// body)))`. An error clears the backlog, since no next frame
+    /// boundary can be found. Otherwise, and only then, what is left (at
+    /// most one partial frame) passes the anti-amplification gate: from
+    /// 64 segments on, [`compact_if_amplified`]. So a backlog of
+    /// complete pipelined frames is never copied.
+    ///
+    /// [`compact_if_amplified`]: Chain::compact_if_amplified
+    #[inline]
+    pub fn next_frame<M, E>(
+        &mut self,
+        peek: impl FnOnce(&Chain<IoBuf>) -> FramePeek<M, E>,
+    ) -> Result<Option<(M, Chain<IoBuf>)>, E> {
+        match peek(self).inspect_err(|_| *self = Chain::new())? {
+            Some((meta, header_len, body_len)) if header_len + body_len <= self.total => {
+                self.advance(header_len);
+                Ok(Some((meta, self.split_to(body_len))))
+            }
+            _ => {
+                if self.segment_count() >= BACKLOG_SEGS {
+                    self.compact_if_amplified();
+                }
+                Ok(None)
+            }
         }
     }
 
@@ -629,3 +675,6 @@ impl Chain<IoBuf> {
         out
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -66,7 +66,9 @@ pub mod wire;
 mod tests;
 
 pub use buf::{IoBuf, MutIoBuf};
-pub use chain::{Chain, ChainIntoIter, INLINE_SEGS, PINNED_DEDUP_REGIONS};
+pub use chain::{
+    Chain, ChainIntoIter, FramePeek, AMPLIFICATION_FACTOR, INLINE_SEGS, PINNED_DEDUP_REGIONS,
+};
 pub use cursor::Cursor;
 
 /// Read access to a buffer segment's visible bytes.

@@ -52,10 +52,6 @@ const OP_READ: u8 = 1;
 const OP_WRITE: u8 = 2;
 const OP_STAT: u8 = 3;
 
-/// A written file whose bytes are less than this fraction of the
-/// buffer regions its view pins is copied into a buffer of its own.
-const WRITE_COMPACT_FACTOR: usize = 4;
-
 /// The FileSystem Ebb's root: the hosted machine's in-memory
 /// filesystem.
 pub struct FsServer {
@@ -102,7 +98,7 @@ impl FsServer {
         match op {
             OP_WRITE => {
                 let mut data = r.tail().into_chain();
-                data.compact_if_amplified(0, WRITE_COMPACT_FACTOR);
+                data.compact_if_amplified();
                 ebbrt_core::lock(&self.files).insert(path, data);
             }
             OP_READ | OP_STAT => {

@@ -44,7 +44,7 @@ use ebbrt_core::ebb::{
     EbbId, EbbRef, Installed, InstalledRep, RemoteError, RemoteReply, SystemEbb, FIRST_DYNAMIC_ID,
 };
 use ebbrt_core::event::TimerToken;
-use ebbrt_core::iobuf::{Chain, IoBuf, MutIoBuf};
+use ebbrt_core::iobuf::{Chain, FramePeek, IoBuf, MutIoBuf};
 use ebbrt_core::qos::Counter;
 use ebbrt_core::runtime;
 use ebbrt_net::netif::{ConnHandler, NetIf, QosMatch, TcpConn};
@@ -79,16 +79,31 @@ pub const FRAME_BODY_MAX: usize = 64 << 20;
 /// its payload cannot hold.
 pub const BAD_FRAME_COUNTER: &str = "messenger.drop.bad_frame";
 
-/// Reassembly segment count past which fragmentation is checked, and
-/// the pinned-to-logical ratio that triggers compaction: a peer
-/// trickling a frame a few bytes per packet must not pin a receive
-/// region per packet.
-const RX_COMPACT_SEGS: usize = 64;
-const RX_COMPACT_FACTOR: usize = 4;
-
 /// Message kinds.
 const KIND_SEND: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
+
+/// The frame at the front of a reassembly chain, for
+/// [`Chain::next_frame`]: `(ebb_id, kind, rpc_id)` and the payload's
+/// length once the header is all there. `Err` as soon as the `len`
+/// field is, when it cannot be a frame's.
+fn peek_frame(rx: &Chain<IoBuf>) -> FramePeek<(u32, u8, u64), ()> {
+    let mut cur = rx.cursor();
+    let Some(len) = cur.read_u32_be() else {
+        return Ok(None);
+    };
+    let body_len = len as usize;
+    if !(FRAME_BODY_MIN..=FRAME_BODY_MAX).contains(&body_len) {
+        return Err(());
+    }
+    let (Some(id), Some(kind), Some(rpc_id)) =
+        (cur.read_u32_be(), cur.read_u8(), cur.read_u64_be())
+    else {
+        return Ok(None);
+    };
+    let fields = (id, kind, rpc_id);
+    Ok(Some((fields, FRAME_HEADER_LEN, body_len - FRAME_BODY_MIN)))
+}
 
 /// Handler for messages addressed to one Ebb id:
 /// `(src, rpc_id, payload)`. To reply, call [`Messenger::respond`]
@@ -660,46 +675,22 @@ impl Messenger {
 
     /// Feeds inbound bytes from one peer connection: the received chain
     /// joins the connection's reassembly chain, and every complete
-    /// frame is split off its front and dispatched — the handler's
-    /// payload is a view of the receive buffers.
+    /// frame is split off its front ([`Chain::next_frame`]) and
+    /// dispatched — the handler's payload is a view of the receive
+    /// buffers. The `peer` borrow ends before each dispatch.
     ///
     /// A `len` that cannot be a frame's (shorter than the header
     /// fields it counts, longer than [`FRAME_BODY_MAX`]) drops the
     /// connection on the spot: nothing a peer sends can index past a
     /// short frame or make this machine buffer without bound.
     fn on_bytes(self: &Rc<Self>, src: Ipv4Addr, peer: &Rc<RefCell<PeerConn>>, data: Chain<IoBuf>) {
-        {
-            let mut p = peer.borrow_mut();
-            p.rx.append_chain(data);
-            p.rx.compact_if_amplified(RX_COMPACT_SEGS, RX_COMPACT_FACTOR);
-        }
+        peer.borrow_mut().rx.append_chain(data);
         loop {
-            let (id, kind, rpc_id, payload) = {
-                let mut p = peer.borrow_mut();
-                let mut hdr = [0u8; FRAME_HEADER_LEN];
-                let have = p.rx.len().min(FRAME_HEADER_LEN);
-                if have < 4 {
-                    return;
-                }
-                p.rx.cursor()
-                    .read_exact(&mut hdr[..have])
-                    .expect("length checked");
-                let body_len = u32::from_be_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-                if !(FRAME_BODY_MIN..=FRAME_BODY_MAX).contains(&body_len) {
-                    drop(p);
-                    self.drop_bad_peer(peer);
-                    return;
-                }
-                if p.rx.len() < 4 + body_len {
-                    return;
-                }
-                p.rx.advance(FRAME_HEADER_LEN);
-                (
-                    u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]),
-                    hdr[8],
-                    u64::from_be_bytes(hdr[9..17].try_into().expect("eight bytes")),
-                    p.rx.split_to(body_len - FRAME_BODY_MIN),
-                )
+            let framed = peer.borrow_mut().rx.next_frame(peek_frame);
+            let ((id, kind, rpc_id), payload) = match framed {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return,
+                Err(()) => return self.drop_bad_peer(peer),
             };
             self.dispatched.bump();
             match kind {

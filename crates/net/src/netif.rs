@@ -641,37 +641,35 @@ impl NetIf {
         // Batched demux: segments of one connection group into a run,
         // preserving per-connection arrival order.
         let id = self.conn_ids.get(&tuple, |id| *id);
+        let seg = Segment {
+            hdr,
+            payload: chain,
+        };
         match id {
-            Some(id) => {
-                let seg = Segment {
-                    hdr,
-                    payload: chain,
-                };
-                match rx.runs.iter_mut().find(|r| r.id == id) {
-                    Some(run) => run.segs.push(seg),
-                    None => {
-                        let mut segs = rx.spare_segs.pop().unwrap_or_default();
-                        segs.push(seg);
-                        rx.runs.push(TcpRun { id, segs });
-                    }
+            Some(id) => match rx.runs.iter_mut().find(|r| r.id == id) {
+                Some(run) => run.segs.push(seg),
+                None => {
+                    let mut segs = rx.spare_segs.pop().unwrap_or_default();
+                    segs.push(seg);
+                    rx.runs.push(TcpRun { id, segs });
                 }
-            }
+            },
             None => {
                 // A SYN mutates the demux table (and anything else gets
                 // an RST built from instantaneous state): order it
                 // against the queued runs.
                 self.flush_runs(rx);
-                self.handle_no_conn(eth.src, tuple, &hdr);
+                self.handle_no_conn(eth.src, tuple, &seg);
             }
         }
     }
 
     /// SYN to a listening port creates a connection; anything else gets
     /// RST.
-    fn handle_no_conn(self: &Rc<Self>, from: Mac, tuple: FourTuple, hdr: &TcpHeader) {
+    fn handle_no_conn(self: &Rc<Self>, from: Mac, tuple: FourTuple, seg: &Segment) {
         let accept = self.listeners.borrow().get(&tuple.local.1).cloned();
-        let Some(accept) = accept.filter(|_| tcp::is_syn(hdr)) else {
-            return self.reject(from, tuple, hdr);
+        let Some(accept) = accept.filter(|_| tcp::is_syn(&seg.hdr)) else {
+            return self.reject(from, tuple, seg);
         };
         // Admission control: classify the SYN and take a unit of the
         // class's connection budget *before* any state is built. A
@@ -683,7 +681,7 @@ impl NetIf {
         if let Some(policy) = &policy {
             class = policy.classify_accept(tuple.local.1, tuple.remote.0);
             if !policy.try_admit(class) {
-                return self.reject(from, tuple, hdr);
+                return self.reject(from, tuple, seg);
             }
         }
         // Syncache budget: below admission in the shed ladder. Over
@@ -700,13 +698,13 @@ impl NetIf {
                 if let Some(policy) = &policy {
                     policy.release(class);
                 }
-                return self.reject(from, tuple, hdr);
+                return self.reject(from, tuple, seg);
             }
         }
         let core = cpu::current(); // the RSS core: the conn's home
         let iss = self.iss.get();
         self.iss.set(iss.wrapping_add(0x3_1337));
-        let mut pcb = Pcb::from_syn(tuple, iss, core, hdr);
+        let mut pcb = Pcb::from_syn(tuple, iss, core, &seg.hdr);
         pcb.remote_mac = from;
         pcb.class = class.0;
         pcb.admitted = policy.is_some();
@@ -729,8 +727,8 @@ impl NetIf {
 
     /// Answers a segment nothing here wants with an RST — or, when it
     /// is itself one, with silence (counted as a drop).
-    fn reject(&self, from: Mac, tuple: FourTuple, hdr: &TcpHeader) {
-        match tcp::rst_reply(tuple, from, hdr) {
+    fn reject(&self, from: Mac, tuple: FourTuple, seg: &Segment) {
+        match tcp::rst_reply(tuple, from, seg) {
             Some(rst) => self.tcp_emit(rst),
             None => self.drop_frame(),
         }

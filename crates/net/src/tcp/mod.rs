@@ -417,17 +417,23 @@ pub fn is_syn(hdr: &TcpHeader) -> bool {
 }
 
 /// The RST answering a segment nothing here wants, back along `tuple`
-/// (ours is `local`) to the MAC it came from. `None` for a segment that
-/// itself carries RST: answering one would have two stacks trade
-/// resets forever (RFC 793 §3.4).
-pub fn rst_reply(tuple: FourTuple, dst_mac: Mac, hdr: &TcpHeader) -> Option<SegOut> {
+/// (ours is `local`) to the MAC it came from, shaped as RFC 9293
+/// §3.10.7.1 says: a segment with an ACK gets `<SEQ=SEG.ACK><CTL=RST>`,
+/// one without gets `<SEQ=0><ACK=SEG.SEQ+SEG.LEN><CTL=RST,ACK>` (SEG.LEN
+/// counts a SYN and a FIN). `None` for a segment that itself carries
+/// RST: answering one would have two stacks trade resets forever
+/// (RFC 793 §3.4).
+pub fn rst_reply(tuple: FourTuple, dst_mac: Mac, seg: &Segment) -> Option<SegOut> {
+    let (hdr, acked) = (&seg.hdr, seg.hdr.flags & tcp_flags::ACK != 0);
+    let ctl = (hdr.flags & (tcp_flags::SYN | tcp_flags::FIN)).count_ones();
+    let ack = hdr.seq.wrapping_add(seg.payload.len() as u32 + ctl);
     (hdr.flags & tcp_flags::RST == 0).then(|| SegOut {
         dst_mac,
         tuple,
         class: 0,
-        seq: hdr.ack,
-        ack: hdr.seq.wrapping_add(1),
-        flags: tcp_flags::RST | tcp_flags::ACK,
+        seq: if acked { hdr.ack } else { 0 },
+        ack: if acked { 0 } else { ack },
+        flags: tcp_flags::RST | if acked { 0 } else { tcp_flags::ACK },
         window: DEFAULT_RCV_WND,
         payload: Chain::new(),
     })
@@ -670,7 +676,7 @@ impl Pcb {
                         // (RFC 9293 §3.10.7.4).
                         if !(seq::lt(self.snd_una, hdr.ack) && seq::le(hdr.ack, self.snd_nxt)) {
                             io.emit(
-                                rst_reply(self.tuple, self.remote_mac, &hdr)
+                                rst_reply(self.tuple, self.remote_mac, &seg)
                                     .expect("an RST ended the run above"),
                             );
                             continue;

@@ -407,8 +407,8 @@ fn letters(out: &Outcome) -> String {
 
 /// `(from, stimulus, to, segments emitted as (flags, len), outcome
 /// letters, bytes delivered)`. `None` for the segments: not asserted
-/// (the row where the last ACK of a close is due — ROADMAP direction
-/// 1(a) decides what it should be).
+/// (the row where the last ACK of a close is due — ROADMAP `[tcp]` (a)
+/// decides what it should be).
 type Row = (
     TcpState,
     Stim,
@@ -431,7 +431,7 @@ const TRANSITIONS: &[Row] = &[
     (SynReceived, Stim::Seg(ACK | PSH, b"hi"), Established, Some(&[]), "EM", b"hi"),
     (SynReceived, Stim::SegNoAck(SYN, b""), SynReceived, Some(&[]), "", b""),
     // An ACK of nothing we sent is refused, and the embryo stays.
-    (SynReceived, Stim::SegNoAck(ACK, b""), SynReceived, Some(&[(RST | ACK, 0)]), "", b""),
+    (SynReceived, Stim::SegNoAck(ACK, b""), SynReceived, Some(&[(RST, 0)]), "", b""),
     (SynReceived, Stim::Fire(Timer::Rto), SynReceived, Some(&[(SYN | ACK, 0)]), "T", b""),
     (SynReceived, Stim::Close, FinWait1, Some(&[(FIN | ACK, 0)]), "", b""),
     (SynReceived, Stim::ConnectFailed, SynReceived, Some(&[]), "", b""),
@@ -793,9 +793,18 @@ fn a_reset_is_never_answered_with_a_reset() {
         local: A,
         remote: B,
     };
-    let rst = rst_reply(tuple, [2; 6], &header(77, 99, ACK | PSH)).expect("data gets an RST");
-    assert_eq!((rst.flags, rst.seq, rst.ack), (RST | ACK, 99, 78));
-    assert!(rst_reply(tuple, [2; 6], &header(77, 99, RST | ACK)).is_none());
+    // RFC 9293 §3.10.7.1: an ACK names the sequence number the reset
+    // takes; without one, the reset acknowledges the segment, its SYN
+    // and FIN included.
+    let seg = |seq, ack, flags| Segment {
+        hdr: header(seq, ack, flags),
+        payload: Chain::single(IoBuf::copy_from(b"hello")),
+    };
+    let rst = rst_reply(tuple, [2; 6], &seg(77, 99, ACK | PSH)).expect("data gets an RST");
+    assert_eq!((rst.flags, rst.seq, rst.ack), (RST, 99, 0));
+    let rst = rst_reply(tuple, [2; 6], &seg(77, 99, SYN | FIN)).expect("a SYN gets an RST");
+    assert_eq!((rst.flags, rst.seq, rst.ack), (RST | ACK, 0, 77 + 5 + 2));
+    assert!(rst_reply(tuple, [2; 6], &seg(77, 99, RST | ACK)).is_none());
     assert!(is_syn(&header(0, 0, SYN)) && !is_syn(&header(0, 0, SYN | ACK)));
 }
 
@@ -855,9 +864,7 @@ impl End {
     /// the stack's demux would.
     fn receive(&mut self, now: Ns, seg: Segment) {
         if self.p.is_closed() {
-            self.io
-                .sent
-                .extend(rst_reply(self.p.tuple, [0; 6], &seg.hdr));
+            self.io.sent.extend(rst_reply(self.p.tuple, [0; 6], &seg));
         } else {
             self.drive(now, |p, io| p.input(io, &mut vec![seg]));
         }
