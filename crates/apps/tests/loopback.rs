@@ -36,13 +36,11 @@ const REQUESTS: u32 = 20_000;
 /// Event-loop passes a phase may take before the test gives up.
 const MAX_PASSES: usize = 1_000_000;
 
-/// One pass of each machine's event manager, in turn, each followed by
-/// an RCU reclaim pass, as the simulator's service pass ends.
+/// One pass of each machine's core, in turn.
 fn pass(machines: &[&Arc<Runtime>]) {
     for rt in machines {
         let _on = runtime::enter(Arc::clone(rt), CoreId(0));
-        rt.event_manager(CoreId(0)).run_once();
-        rt.rcu().try_reclaim();
+        rt.pass(CoreId(0), |_| false);
     }
 }
 

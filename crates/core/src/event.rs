@@ -9,14 +9,22 @@
 //!
 //! 1. handles any pending hardware interrupts (and expired timers),
 //! 2. dispatches *one* synthetic (spawned) event, if any,
-//! 3. invokes all registered idle handlers,
-//! 4. halts (parks) — unless any of the above ran a handler, in which
-//!    case it starts again at 1.
+//! 3. invokes all registered idle handlers, unless 1 or 2 ran one,
+//! 4. ends the pass: it decides what the core does next ([`Next`]: run
+//!    again while work is queued, spin while an idle handler is
+//!    installed, else halt until a wake or the next timer), then
+//!    reclaims the RCU garbage whose grace period is over.
 //!
 //! Hardware interrupts and synthetic events therefore get priority over
 //! repeatedly-invoked idle handlers, while idle handlers (the mechanism
 //! behind adaptive device polling) still run whenever the core would
 //! otherwise idle.
+//!
+//! Steps 1–3 are [`EventManager::run_once`]. The whole pass is
+//! [`crate::runtime::Runtime::pass`], and every runtime drives its cores
+//! through it: the native loop, the simulator and test harnesses keep
+//! only what is theirs (parking; charging virtual time and scheduling
+//! polls).
 //!
 //! Cooperative blocking (§3.2 "save and restore event state"): an event
 //! may [`EventManager::save_context`], which suspends its stack, hands
@@ -81,12 +89,19 @@ impl Progress {
     pub fn any(&self) -> bool {
         self.interrupts > 0 || self.synthetic || self.idle_invoked > 0
     }
+}
 
-    /// Whether any non-idle handler ran (interrupts get priority; the
-    /// run loop restarts its pass when this is true).
-    pub fn any_priority(&self) -> bool {
-        self.interrupts > 0 || self.synthetic
-    }
+/// What a core does after a pass ([`crate::runtime::Runtime::pass`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Next {
+    /// Work is queued: pass again at once.
+    Again,
+    /// An idle handler is installed, or a one-shot idle callback is
+    /// queued: the core polls, so it spins and passes again.
+    Spin,
+    /// Nothing to run: halt until a wake, or until this timer deadline
+    /// at the latest.
+    Sleep(Option<Ns>),
 }
 
 /// Cumulative dispatch statistics, readable from any thread.
@@ -434,24 +449,25 @@ impl EventManager {
 
     // --- Dispatch --------------------------------------------------------
 
-    /// Runs one pass of the dispatch algorithm (steps 1–3 of the module
-    /// docs). The caller loops while [`Progress::any`] and halts/parks
-    /// otherwise.
+    /// Runs steps 1–3 of the module docs once. A core's loop calls it
+    /// through [`crate::runtime::Runtime::pass`], which also decides and
+    /// reclaims.
     pub fn run_once(&self) -> Progress {
         let mut progress = Progress {
             interrupts: self.dispatch_interrupts() + self.dispatch_expired_timers(),
-            ..Progress::default()
+            synthetic: self.dispatch_one_synthetic(),
+            idle_invoked: 0,
         };
-        progress.synthetic = self.dispatch_one_synthetic();
-        if !progress.any_priority() {
+        // Interrupts and synthetic events get priority over polling.
+        if progress.interrupts == 0 && !progress.synthetic {
             progress.idle_invoked = self.dispatch_idle();
         }
         progress
     }
 
     /// Drains every immediately runnable event (interrupts, timers,
-    /// synthetic). Used by tests and the simulated backend to reach
-    /// quiescence after an injection. Returns handlers run.
+    /// synthetic). Used by tests to reach quiescence after an
+    /// injection. Returns handlers run.
     pub fn drain(&self) -> usize {
         let mut total = 0;
         loop {
@@ -619,16 +635,6 @@ impl EventManager {
             .next_timer_deadline()
             .is_some_and(|d| d <= self.clock.now_ns());
         timer_due || self.owned.with(|o| !o.local.is_empty())
-    }
-
-    /// Event-boundary counter (used by RCU grace-period detection).
-    pub fn quiescent_count(&self) -> u64 {
-        self.shared.epoch.count()
-    }
-
-    /// Whether a handler is currently executing on this core.
-    pub fn in_event(&self) -> bool {
-        self.shared.epoch.in_event()
     }
 
     // --- Cooperative blocking (save/restore event state) -----------------

@@ -308,13 +308,14 @@ fn no_spawn_from_plain_threads_is_lost() {
 
 #[test]
 fn quiescent_counter_bumps_per_event() {
-    let (em, _) = em();
+    let epoch = Arc::new(CoreEpoch::new());
+    let em = EventManager::new(CoreId(0), Arc::new(ManualClock::new()), Arc::clone(&epoch));
     let _b = cpu::bind(CoreId(0));
-    let q0 = em.quiescent_count();
+    let q0 = epoch.count();
     em.spawn_local(|| ());
     em.spawn_local(|| ());
     em.drain();
-    assert_eq!(em.quiescent_count(), q0 + 2);
+    assert_eq!(epoch.count(), q0 + 2);
 }
 
 #[test]
@@ -392,6 +393,28 @@ fn pending_work_reflects_queues_and_timers() {
     assert!(!em.pending_work());
     clock.set(100);
     assert!(em.pending_work());
+}
+
+/// A pass runs, decides, then reclaims — also on a polling core,
+/// whose idle handler makes every pass report progress.
+#[test]
+fn a_pass_on_a_polling_core_spins_and_reclaims() {
+    let clock = Arc::new(ManualClock::new());
+    let rt =
+        crate::runtime::Runtime::with_capacity(1, clock, crate::ebb::FIRST_DYNAMIC_ID as usize);
+    let _on = crate::runtime::enter(Arc::clone(&rt), CoreId(0));
+    let em = rt.event_manager(CoreId(0));
+    let poll = em.add_idle_handler(Rc::new(|| {}));
+    rt.rcu().retire(0u64);
+    assert_eq!(rt.pass(CoreId(0), |_| false), Next::Spin);
+    assert_eq!(rt.rcu().pending_count(), 0, "a polling pass reclaims");
+    em.remove_idle_handler(poll);
+    em.set_timer(100, || ());
+    em.spawn_local(|| ());
+    em.spawn_local(|| ());
+    assert_eq!(rt.pass(CoreId(0), |_| false), Next::Again);
+    // Passes go on while `more` asks and a handler runs.
+    assert_eq!(rt.pass(CoreId(0), |_| true), Next::Sleep(Some(100)));
 }
 
 #[test]

@@ -7,12 +7,13 @@
 //! (The deterministic virtual-time backend used for the networked
 //! experiments lives in the `ebbrt-sim` crate.)
 //!
-//! Each core thread runs the dispatch loop of
-//! [`crate::event::EventManager`]: it drains interrupts, synthetic
-//! events and timers; spins while idle handlers are installed (a polling
-//! core genuinely burns its CPU, as on hardware); and otherwise parks
-//! until a device raises an interrupt, a remote spawn arrives, or the
-//! next timer is due.
+//! Each core thread drives its core through
+//! [`crate::runtime::Runtime::pass`], one dispatch pass at a time, and
+//! does what the pass decides: pass again while work is queued; spin
+//! while idle handlers are installed (a polling core genuinely burns its
+//! CPU, as on hardware); otherwise park until a device raises an
+//! interrupt, a remote spawn arrives, or the next timer is due. Every
+//! pass ends with an RCU reclaim, polling or not.
 //!
 //! Cooperative blocking is implemented by *loop handoff*: when an event
 //! calls [`crate::event::EventManager::save_context`], its thread keeps
@@ -25,6 +26,7 @@ use std::time::Duration;
 
 use crate::clock::{Clock, RealClock};
 use crate::cpu::CoreId;
+use crate::event::Next;
 use crate::runtime::{self, Runtime};
 
 /// A booted machine backed by OS threads.
@@ -52,11 +54,13 @@ impl NativeMachine {
             let parker = Arc::new(Parker::default());
             let unpark = Arc::clone(&parker);
             em.register_waker(Arc::new(move || unpark.unpark()));
-            let spawn_rt = Arc::clone(&rt);
+            // The spawner runs inside save_context, on an entered core:
+            // it takes the runtime from there, as holding it would keep
+            // the runtime alive from inside its own event manager.
             let spawn_parker = Arc::clone(&parker);
             let spawn_threads = Arc::clone(&threads);
             em.register_successor_spawner(Arc::new(move || {
-                let (rt, parker) = (Arc::clone(&spawn_rt), Arc::clone(&spawn_parker));
+                let (rt, parker) = (runtime::current(), Arc::clone(&spawn_parker));
                 let h = std::thread::Builder::new()
                     .name(format!("ebbrt-{core}-succ"))
                     .spawn(move || core_loop(rt, core, &parker))
@@ -137,23 +141,21 @@ impl Parker {
         self.cv.notify_one();
     }
 
-    /// Waits for the token, then clears it.
-    fn park(&self) {
+    /// Waits for the token, at most `timeout` if one is given, then
+    /// clears it.
+    fn park(&self, timeout: Option<Duration>) {
         let token = crate::lock(&self.token);
-        let mut token = self
-            .cv
-            .wait_while(token, |woken| !*woken)
-            .unwrap_or_else(PoisonError::into_inner);
-        *token = false;
-    }
-
-    /// Waits at most `timeout` for the token, then clears it.
-    fn park_timeout(&self, timeout: Duration) {
-        let token = crate::lock(&self.token);
-        let (mut token, _) = self
-            .cv
-            .wait_timeout_while(token, timeout, |woken| !*woken)
-            .unwrap_or_else(PoisonError::into_inner);
+        let unwoken = |woken: &mut bool| !*woken;
+        let mut token = match timeout {
+            Some(t) => {
+                let waited = self.cv.wait_timeout_while(token, t, unwoken);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+            None => self
+                .cv
+                .wait_while(token, unwoken)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
         *token = false;
     }
 }
@@ -163,38 +165,22 @@ impl Parker {
 fn core_loop(rt: Arc<Runtime>, core: CoreId, parker: &Parker) {
     let _guard = runtime::enter(Arc::clone(&rt), core);
     let em = rt.event_manager(core);
-    loop {
-        if em.exit_requested() {
-            return;
-        }
-        let progress = em.run_once();
+    while !em.exit_requested() {
+        let next = rt.pass(core, |_| false);
         if let Some(ctx) = em.take_handoff() {
             // A saved context resumes; this thread stops dispatching.
             ctx.signal();
             return;
         }
-        if progress.any() {
-            continue;
-        }
-        rt.rcu().try_reclaim();
-        if em.pending_work() {
-            continue;
-        }
-        if em.has_idle_handlers() {
+        match next {
+            Next::Again => {}
             // A polling core spins (the paper's idle-handler semantics).
-            core::hint::spin_loop();
-            continue;
-        }
-        // A wake since the checks above left the token set, and the
-        // park returns at once; a spurious return re-checks for work.
-        match em.next_timer_deadline() {
-            Some(deadline) => {
-                let now = rt.now_ns();
-                if deadline > now {
-                    parker.park_timeout(Duration::from_nanos(deadline - now));
-                }
+            Next::Spin => core::hint::spin_loop(),
+            // A wake since the pass decided left the token set, and the
+            // park returns at once; a spurious return passes again.
+            Next::Sleep(deadline) => {
+                parker.park(deadline.map(|d| Duration::from_nanos(d.saturating_sub(rt.now_ns()))))
             }
-            None => parker.park(),
         }
     }
 }
@@ -206,6 +192,7 @@ mod tests {
     use crate::cpu;
     use crate::event::block_on;
     use crate::future::promise;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -369,14 +356,21 @@ mod tests {
         assert_eq!(v, 21);
     }
 
-    #[test]
-    fn rcu_reclaim_driven_by_loop() {
-        let pending = NativeMachine::run(1, || {
+    /// Retires one item from core 0's first event, then blocks on 1 ms
+    /// timers, up to 50 times, until the loop has reclaimed it; returns
+    /// what is still pending. `poll` installs a no-op idle handler
+    /// first, which turns core 0 into a polling core.
+    fn pending_after_blocks(poll: bool) -> usize {
+        NativeMachine::run(1, move || {
             let rt = runtime::current();
+            if poll {
+                rt.local_event_manager().add_idle_handler(Rc::new(|| {}));
+            }
             rt.rcu().retire(vec![0u8; 16]);
             let domain = Arc::clone(rt.rcu());
-            // Timer blocks give the loop idle passes (where it runs
-            // try_reclaim). Under load a pass may be skipped, so retry.
+            // The timer blocks give the loop passes, each of which ends
+            // with a reclaim; a pass that finds core 0 still inside the
+            // retiring event reclaims nothing, so retry.
             let mut pending = domain.pending_count();
             for _ in 0..50 {
                 if pending == 0 {
@@ -389,8 +383,27 @@ mod tests {
                 pending = domain.pending_count();
             }
             pending
-        });
-        assert_eq!(pending, 0);
+        })
+    }
+
+    #[test]
+    fn rcu_reclaim_driven_by_loop() {
+        assert_eq!(pending_after_blocks(false), 0);
+    }
+
+    #[test]
+    fn rcu_reclaim_while_polling() {
+        assert_eq!(pending_after_blocks(true), 0);
+    }
+
+    /// Nothing outside the machine's own threads holds its runtime, so
+    /// once they are joined the runtime is freed.
+    #[test]
+    fn a_shut_down_machine_frees_its_runtime() {
+        let machine = NativeMachine::boot(1);
+        let rt = Arc::downgrade(machine.runtime());
+        machine.shutdown();
+        assert!(rt.upgrade().is_none(), "the runtime outlived its machine");
     }
 
     #[test]
@@ -478,16 +491,16 @@ mod tests {
         let parker = Parker::default();
         parker.unpark();
         let start = std::time::Instant::now();
-        parker.park_timeout(Duration::from_secs(10));
+        parker.park(Some(Duration::from_secs(10)));
         assert!(
             start.elapsed() < Duration::from_secs(1),
             "a wake before the park was lost"
         );
         parker.unpark();
         parker.unpark();
-        parker.park();
+        parker.park(None);
         let start = std::time::Instant::now();
-        parker.park_timeout(Duration::from_millis(20));
+        parker.park(Some(Duration::from_millis(20)));
         assert!(
             start.elapsed() >= Duration::from_millis(20),
             "two wakes left a token behind"

@@ -35,7 +35,7 @@
 //! `in_event` flag.
 
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 
 use crate::cpu::CoreId;
@@ -199,6 +199,10 @@ struct Boxed<T> {
 pub struct RcuDomain {
     epochs: Box<[Arc<CoreEpoch>]>,
     pending: Mutex<Pending>,
+    /// How many blocks `pending` holds. Written only under its lock;
+    /// read without it, so a reclaim pass with nothing retired takes
+    /// no lock.
+    pending_len: AtomicUsize,
 }
 
 impl RcuDomain {
@@ -214,6 +218,7 @@ impl RcuDomain {
                 waiting: Batch::EMPTY,
                 snapshot: vec![0; ncores].into_boxed_slice(),
             }),
+            pending_len: AtomicUsize::new(0),
         }
     }
 
@@ -255,11 +260,13 @@ impl RcuDomain {
         unsafe { item.as_ref() }
             .next
             .store(ptr::null_mut(), Ordering::Relaxed);
-        crate::lock(&self.pending).fresh.append(Batch {
+        let mut pending = crate::lock(&self.pending);
+        pending.fresh.append(Batch {
             head: item.as_ptr(),
             tail: item.as_ptr(),
             len: 1,
         });
+        self.pending_len.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Defers destruction of `garbage` until all current readers are
@@ -297,19 +304,28 @@ impl RcuDomain {
     }
 
     /// Reclaims everything retired whose grace period has elapsed;
-    /// returns how many items that was. Cheap when nothing is pending,
-    /// and allocates nothing. Called periodically by event loops and
-    /// explicitly by tests.
+    /// returns how many items that was. Allocates nothing, and with
+    /// nothing pending it is one relaxed load: every core's loop calls
+    /// it at the end of every pass ([`crate::runtime::Runtime::pass`]).
+    /// Tests call it explicitly.
     ///
     /// With no batch waiting, everything retired so far becomes the
     /// waiting batch under one fresh snapshot, and is checked at once —
     /// so a pass that finds every core idle reclaims all there is.
     pub fn try_reclaim(&self) -> usize {
+        // A retire this load misses is only reclaimed a pass later.
+        if self.pending_count() == 0 {
+            return 0;
+        }
         let mut pending = match self.pending.try_lock() {
             Ok(p) => p,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => return 0,
         };
+        debug_assert_eq!(
+            self.pending_count(),
+            pending.fresh.len + pending.waiting.len
+        );
         let mut done = Batch::EMPTY;
         loop {
             if pending.waiting.is_empty() {
@@ -324,6 +340,7 @@ impl RcuDomain {
             }
             done.append(std::mem::replace(&mut pending.waiting, Batch::EMPTY));
         }
+        self.pending_len.fetch_sub(done.len, Ordering::Relaxed);
         drop(pending);
         // Reclaim outside the lock: destructors may retire more.
         done.reclaim_all()
@@ -331,8 +348,7 @@ impl RcuDomain {
 
     /// Number of retired items awaiting a grace period.
     pub fn pending_count(&self) -> usize {
-        let pending = crate::lock(&self.pending);
-        pending.fresh.len + pending.waiting.len
+        self.pending_len.load(Ordering::Relaxed)
     }
 
     /// Starts a grace period: writes every core's boundary count into

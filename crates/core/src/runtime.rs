@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use crate::clock::{Clock, Ns};
 use crate::cpu::{self, CoreBinding, CoreId};
 use crate::ebb::{EbbManager, EbbRef, MulticoreEbb, SystemEbb};
-use crate::event::EventManager;
+use crate::event::{EventManager, Next, Progress};
 use crate::rcu::RcuDomain;
 
 /// Default Ebb id capacity per machine.
@@ -134,6 +134,35 @@ impl Runtime {
     pub fn spawn_local(&self, core: CoreId, f: impl FnOnce() + 'static) {
         let cell = SendCell::new(f);
         self.spawn(core, move || cell.into_inner()());
+    }
+
+    /// One pass of `core`'s event loop, the one way every runtime drives
+    /// a core (steps 1–4 of [`crate::event`]'s docs). It runs
+    /// [`EventManager::run_once`] while a handler ran and `more` asks
+    /// for another, decides what the core does next, reclaims the RCU
+    /// garbage whose grace period is over, and returns the decision.
+    /// The caller is entered on `core` of this runtime.
+    ///
+    /// The decision comes before the reclaim, which cannot change it: a
+    /// reclaim drops pool buffers, whose return may queue a sweep on a
+    /// core of another machine, never work on this one.
+    pub fn pass(&self, core: CoreId, mut more: impl FnMut(&Progress) -> bool) -> Next {
+        let em = self.event_manager(core);
+        let mut progress = em.run_once();
+        while progress.any() && more(&progress) {
+            progress = em.run_once();
+        }
+        // Read on every path, so each pass leaves the timer wheel
+        // advanced to now whatever it decides: where the wheel stands
+        // sets where later timers land and the bound the next read gives.
+        let deadline = em.next_timer_deadline();
+        let next = match (em.pending_work(), em.has_idle_handlers()) {
+            (true, _) => Next::Again,
+            (false, true) => Next::Spin,
+            (false, false) => Next::Sleep(deadline),
+        };
+        self.rcu.try_reclaim();
+        next
     }
 
     /// Requests every core's loop to exit (machine shutdown).

@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use ebbrt_core::clock::{take_charge, Clock, ManualClock, Ns};
 use ebbrt_core::cpu::CoreId;
+use ebbrt_core::event::Next;
 use ebbrt_core::queue::MutexQueue;
 use ebbrt_core::runtime;
 
@@ -444,8 +445,9 @@ impl SimWorld {
         self.service_core(&machine, core);
     }
 
-    /// Runs dispatch passes for one core until it is quiescent, becomes
-    /// busy (charged time), or defers to a timer.
+    /// Runs one pass of a core ([`runtime::Runtime::pass`]) until it is
+    /// quiescent or becomes busy (charged time), then schedules its
+    /// next poll from what the pass decided.
     fn service_core(self: &Rc<Self>, machine: &SimMachine, core: CoreId) {
         let cs = machine.core_state(core);
         let now = self.now();
@@ -456,41 +458,35 @@ impl SimWorld {
             return;
         }
         let rt = Arc::clone(machine.runtime());
-        let guard = runtime::enter(Arc::clone(&rt), core);
-        let em = rt.event_manager(core);
+        let _on = runtime::enter(Arc::clone(&rt), core);
         let mut zero_passes = 0;
-        loop {
-            take_charge();
-            let progress = em.run_once();
-            let mut charged = take_charge();
-            if !progress.any() {
-                break;
-            }
-            if charged == 0 && !progress.any_priority() && progress.idle_invoked > 0 {
+        let mut charged = 0;
+        take_charge();
+        // Passes go on at this instant until one charges time.
+        let next = rt.pass(core, |progress| {
+            charged = take_charge();
+            if charged == 0 && progress.idle_invoked > 0 {
                 // A polling pass that declared no cost still burns CPU.
                 charged = MIN_POLL_NS;
             }
-            if charged > 0 {
-                let busy_until = self.now() + charged;
-                cs.busy_until.set(busy_until);
-                cs.cpu_time.set(cs.cpu_time.get() + charged);
-                if em.pending_work() || em.has_idle_handlers() {
-                    self.schedule_core_poll(machine, core, busy_until);
-                }
-                break;
-            }
-            zero_passes += 1;
+            zero_passes += usize::from(charged == 0);
             assert!(
                 zero_passes < ZERO_COST_PASS_LIMIT,
                 "runaway zero-cost event chain on {core} of machine {}",
                 machine.index()
             );
+            charged == 0
+        });
+        let busy_until = self.now() + charged;
+        cs.busy_until.set(busy_until);
+        cs.cpu_time.set(cs.cpu_time.get() + charged);
+        let poll_at = match next {
+            Next::Again | Next::Spin => Some(busy_until),
+            Next::Sleep(deadline) => deadline.map(|d| d.max(busy_until)),
+        };
+        if let Some(at) = poll_at {
+            self.schedule_core_poll(machine, core, at);
         }
-        if let Some(deadline) = em.next_timer_deadline() {
-            self.schedule_core_poll(machine, core, deadline.max(cs.busy_until.get()));
-        }
-        rt.rcu().try_reclaim();
-        drop(guard);
     }
 
     /// Makes sure `core` of `machine` is serviced at `at` (clamped to
